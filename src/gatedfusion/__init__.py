@@ -11,7 +11,8 @@ is finite-difference checkable and bitwise reproducible from a seed.
 __version__ = "0.1.0"
 
 from .errors import ShapeError, ValidationError
-from .tensor import (affine, sigmoid, l2_norm, concat, split, hadamard, vjp)
+from .tensor import (affine, sigmoid, l2_norm, concat, split, hadamard,
+                     affine_vjp, concat_vjp, hadamard_vjp)
 from .gfa import (ScaleMode, GfaParams, GfaCache, scale_object_feature,
                   scale_vjp, gfa_a_forward, gfa_b_forward, gfa_forward,
                   gfa_backward, init_gfa_params, estimate_scalar_divisor)
@@ -22,7 +23,7 @@ from .bank import (Detection, SegmentRecord, FeatureBank, AggregationConfig,
 from .training import (FUSION_KINDS, Head, Model, ModelSpec, TrainConfig,
                        Checkpoint, softmax, cross_entropy, forward_model,
                        model_backward, loss_and_grads, sgd_momentum_step,
-                       init_model, train, grad_check, save_checkpoint,
+                       init_model, bank_features, train, grad_check, save_checkpoint,
                        load_checkpoint)
 from .scoring import (ActionPrior, ScoreTable, compute_prior, uniform_prior,
                       prior_stats, reweight_actions, late_fuse, topk_accuracy,

@@ -20,9 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bank import (AggregationConfig, SynthSpec, aggregate_object_feature,
-                   bank_stats, load_feature_bank, save_feature_bank,
-                   synth_generate)
+from .bank import (AggregationConfig, SynthSpec, bank_stats, load_feature_bank,
+                   save_feature_bank, synth_generate)
 from .errors import ShapeError, ValidationError
 from .gfa import ScaleMode, estimate_scalar_divisor
 from .manifest import RunManifest, load_manifest, write_manifest
@@ -30,8 +29,8 @@ from .scoring import (compute_prior, load_prior, load_score_table, prior_stats,
                       save_prior, save_score_table, score_actions_for_bank,
                       topk_accuracy, uniform_prior)
 from .training import (Checkpoint, FUSION_KINDS, ModelSpec, TrainConfig,
-                       forward_model, grad_check, init_model, load_checkpoint,
-                       save_checkpoint, softmax, train)
+                       bank_features, forward_model, grad_check, init_model,
+                       load_checkpoint, save_checkpoint, softmax, train)
 from .scoring import ScoreTable
 
 _REQUIRED = object()
@@ -236,9 +235,7 @@ def _cmd_train(args) -> int:
     agg = AggregationConfig(k=cfg["k"], window=cfg["window"])
 
     if cfg["estimate_divisor"]:
-        clips = [r.clip_feature for r in bank.records]
-        objs = [aggregate_object_feature(r, agg, bank.dim_o) for r in bank.records]
-        cfg["scale_divisor"] = estimate_scalar_divisor(clips, objs)
+        cfg["scale_divisor"] = estimate_scalar_divisor(*bank_features(bank, agg))
     spec = ModelSpec(fusion=cfg["fusion"], scale=_scale_mode(cfg), aggregation=agg)
     tc = TrainConfig(learning_rate=cfg["lr"], momentum=cfg["momentum"],
                      epochs=cfg["epochs"], batch_size=cfg["batch_size"],
@@ -289,13 +286,9 @@ def _cmd_eval(args) -> int:
         raise ValidationError(
             f"bank {ckpt.target} vocab is {vocab}, checkpoint expects {ckpt.classes}")
 
-    ids, rows = [], []
-    for rec in bank.records:
-        o = aggregate_object_feature(rec, ckpt.aggregation, bank.dim_o)
-        scores, _ = forward_model(ckpt.model, rec.clip_feature, o)
-        ids.append(rec.segment_id)
-        rows.append(softmax(scores))
-    table = ScoreTable(segment_ids=ids, scores=np.stack(rows), space=ckpt.target)
+    ids = [rec.segment_id for rec in bank.records]
+    scores, _ = forward_model(ckpt.model, *bank_features(bank, ckpt.aggregation))
+    table = ScoreTable(segment_ids=ids, scores=softmax(scores), space=ckpt.target)
 
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)

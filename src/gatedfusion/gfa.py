@@ -30,6 +30,12 @@ needs; ``gfa_backward`` produces exact analytic gradients for both inputs
 and both parameters, including the paths through the scaling (under
 ``norm`` the amplitude of ``v`` feeds the scaled object feature, and that
 path is differentiated too, not dropped).
+
+Every function works on the last axis: ``v`` and ``o`` are either one
+segment's vectors, shapes ``(dim_v,)`` and ``(dim_o,)``, or a block of B
+segments, shapes ``(B, dim_v)`` and ``(B, dim_o)``, through the same code.
+Outputs and input gradients keep the row layout of their inputs; the
+gradients of the gate parameters ``W`` and ``b`` are summed over rows.
 """
 
 from __future__ import annotations
@@ -40,7 +46,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .tensor import affine, concat, hadamard, l2_norm, sigmoid
+from .tensor import (affine, affine_vjp, concat, concat_vjp, hadamard, hadamard_vjp,
+                     l2_norm, sigmoid)
 
 __all__ = [
     "SCALE_KINDS",
@@ -139,6 +146,12 @@ class GfaCache:
     concat_in: np.ndarray | None = None
 
 
+def _check_rows(v: np.ndarray, o: np.ndarray, who: str) -> None:
+    if v.shape[:-1] != o.shape[:-1]:
+        raise ShapeError(
+            f"{who}: v has leading shape {v.shape[:-1]}, o has {o.shape[:-1]}")
+
+
 def scale_object_feature(o: np.ndarray, v: np.ndarray, mode: ScaleMode) -> np.ndarray:
     """Rescale the object feature ``o`` according to ``mode`` (see module doc)."""
     if mode.kind == "none":
@@ -146,8 +159,7 @@ def scale_object_feature(o: np.ndarray, v: np.ndarray, mode: ScaleMode) -> np.nd
     if mode.kind == "scalar":
         return o / mode.s
     # norm / norm-scalar: bring |o| to |v|, with an epsilon floor on |o|.
-    m = max(l2_norm(o), mode.epsilon)
-    factor = l2_norm(v) / m
+    factor = l2_norm(v, keepdims=True) / np.maximum(l2_norm(o, keepdims=True), mode.epsilon)
     if mode.kind == "norm-scalar":
         factor /= mode.s
     return o * factor
@@ -158,36 +170,25 @@ def scale_vjp(o: np.ndarray, v: np.ndarray, mode: ScaleMode,
     """Gradients of ``scale_object_feature`` w.r.t. ``o`` and ``v``."""
     if upstream.shape != o.shape:
         raise ShapeError(
-            f"scale_vjp: upstream dim {upstream.shape[0]}, expected {o.shape[0]}")
+            f"scale_vjp: upstream shape {upstream.shape}, expected {o.shape}")
     if mode.kind == "none":
         return upstream.copy(), np.zeros_like(v)
     if mode.kind == "scalar":
         return upstream / mode.s, np.zeros_like(v)
 
     inv_s = 1.0 / mode.s if mode.kind == "norm-scalar" else 1.0
-    no = l2_norm(o)
-    nv = l2_norm(v)
-    m = max(no, mode.epsilon)
-    o_dot_u = float(np.dot(o, upstream))
+    no = l2_norm(o, keepdims=True)
+    nv = l2_norm(v, keepdims=True)
+    m = np.maximum(no, mode.epsilon)
+    o_dot_u = np.sum(o * upstream, axis=-1, keepdims=True)
 
-    do = (inv_s * nv / m) * upstream
-    if no > mode.epsilon:
-        # Below the epsilon floor the scaling is linear in o and this
-        # normalization term vanishes.
-        do = do - (inv_s * nv / (no * m * m)) * o_dot_u * o
-    if nv == 0.0:
-        dv = np.zeros_like(v)
-    else:
-        dv = (inv_s * o_dot_u / (m * nv)) * v
+    # Above the epsilon floor m == |o|.  Below it the scaling is linear in o
+    # and the normalization term vanishes.
+    norm_term = np.where(no > mode.epsilon, inv_s * nv * o_dot_u / (m * m * m), 0.0)
+    do = (inv_s * nv / m) * upstream - norm_term * o
+    # |v| = 0 means v = 0, so any finite coefficient gives the subgradient 0.
+    dv = (inv_s * o_dot_u / (m * np.where(nv > 0.0, nv, 1.0))) * v
     return do, dv
-
-
-def _check_a_shapes(v: np.ndarray, o: np.ndarray, p: GfaParams) -> None:
-    total = v.shape[0] + o.shape[0]
-    if p.W.shape != (total, total):
-        raise ShapeError(
-            f"gfa variant a: W must be {total}x{total} for dim_v={v.shape[0]}, "
-            f"dim_o={o.shape[0]}, got {p.W.shape[0]}x{p.W.shape[1]}")
 
 
 def gfa_a_forward(v: np.ndarray, o: np.ndarray,
@@ -195,13 +196,17 @@ def gfa_a_forward(v: np.ndarray, o: np.ndarray,
     """Variant A: gate the concatenation of ``v`` and the scaled ``o``."""
     if p.variant != "a":
         raise ValidationError(f"gfa_a_forward called with variant {p.variant!r} params")
-    _check_a_shapes(v, o, p)
+    total = v.shape[-1] + o.shape[-1]
+    if p.W.shape != (total, total):
+        raise ShapeError(
+            f"gfa variant a: W must be {total}x{total} for dim_v={v.shape[-1]}, "
+            f"dim_o={o.shape[-1]}, got {p.W.shape[0]}x{p.W.shape[1]}")
+    _check_rows(v, o, "gfa variant a")
     scaled = scale_object_feature(o, v, p.scale)
     c = concat(v, scaled)
     gate = sigmoid(affine(c, p.W, p.b))
-    fused = hadamard(gate, c)
     cache = GfaCache(variant="a", v=v, o=o, gate=gate, scaled_o=scaled, concat_in=c)
-    return fused, cache
+    return hadamard(gate, c), cache
 
 
 def gfa_b_forward(v: np.ndarray, o: np.ndarray,
@@ -209,15 +214,15 @@ def gfa_b_forward(v: np.ndarray, o: np.ndarray,
     """Variant B: gate ``v`` elementwise by a sigmoid of an affine map of ``o``."""
     if p.variant != "b":
         raise ValidationError(f"gfa_b_forward called with variant {p.variant!r} params")
-    if p.W.shape[1] != o.shape[0]:
+    if p.W.shape[1] != o.shape[-1]:
         raise ShapeError(
-            f"gfa variant b: W expects dim_o {p.W.shape[1]}, got {o.shape[0]}")
-    if p.W.shape[0] != v.shape[0]:
+            f"gfa variant b: W expects dim_o {p.W.shape[1]}, got {o.shape[-1]}")
+    if p.W.shape[0] != v.shape[-1]:
         raise ShapeError(
-            f"gfa variant b: W produces dim {p.W.shape[0]}, but v has dim {v.shape[0]}")
+            f"gfa variant b: W produces dim {p.W.shape[0]}, but v has dim {v.shape[-1]}")
+    _check_rows(v, o, "gfa variant b")
     gate = sigmoid(affine(o, p.W, p.b))
-    fused = hadamard(gate, v)
-    return fused, GfaCache(variant="b", v=v, o=o, gate=gate)
+    return hadamard(gate, v), GfaCache(variant="b", v=v, o=o, gate=gate)
 
 
 def gfa_forward(v: np.ndarray, o: np.ndarray,
@@ -234,6 +239,8 @@ def gfa_backward(cache: GfaCache, p: GfaParams,
     ``cache`` must come from the forward pass that used ``p``.  Gradients
     that reach a value through several paths (e.g. ``v`` through both the
     concatenation and, under ``norm`` scaling, the amplitude) are summed.
+    Input gradients have the shapes of ``v`` and ``o``; the ``W`` and ``b``
+    gradients are summed over rows.
     """
     if cache.variant != p.variant:
         raise ValidationError(
@@ -241,27 +248,19 @@ def gfa_backward(cache: GfaCache, p: GfaParams,
     gate = cache.gate
     if dF.shape != gate.shape:
         raise ShapeError(
-            f"gfa_backward: dF has dim {dF.shape[0]}, expected {gate.shape[0]}")
+            f"gfa_backward: dF has shape {dF.shape}, expected {gate.shape}")
 
     if p.variant == "a":
         c = cache.concat_in
-        dgate = dF * c
-        dc = dF * gate
+        dgate, dc = hadamard_vjp(gate, c, dF)
         dz = dgate * gate * (1.0 - gate)
-        dW = np.outer(dz, c)
-        db = dz.copy()
-        dc = dc + p.W.T @ dz
-        dim_v = cache.v.shape[0]
-        dv_cat, dscaled = dc[:dim_v], dc[dim_v:]
+        dc_gate, dW, db = affine_vjp(c, p.W, p.b, dz)
+        dv, dscaled = concat_vjp(cache.v, cache.scaled_o, dc + dc_gate)
         do, dv_scale = scale_vjp(cache.o, cache.v, p.scale, dscaled)
-        return dv_cat + dv_scale, do, dW, db
+        return dv + dv_scale, do, dW, db
 
-    dgate = dF * cache.v
-    dv = dF * gate
-    dz = dgate * gate * (1.0 - gate)
-    dW = np.outer(dz, cache.o)
-    db = dz.copy()
-    do = p.W.T @ dz
+    dgate, dv = hadamard_vjp(gate, cache.v, dF)
+    do, dW, db = affine_vjp(cache.o, p.W, p.b, dgate * gate * (1.0 - gate))
     return dv, do, dW, db
 
 

@@ -1,23 +1,21 @@
-"""Minimal dense float64 kernel with hand-written vector-Jacobian products.
+"""Minimal dense float64 kernel shared by the fusion layers and the heads.
 
-Everything is a plain ``numpy`` array in 64-bit floats.  The op set is
-deliberately small: exactly what the fusion layers and linear heads need,
-each paired with an exact VJP so every layer built on top can be checked
-against finite differences.  All operations are pure; inputs are never
-mutated and results are freshly allocated.
+Everything is a plain ``numpy`` array in 64-bit floats.  Every function
+works on the last axis, so one vector ``(d,)`` and a row block ``(B, d)``
+take the same code path.  The op set is deliberately small: exactly what
+the fusion layers and linear heads need, the linear ones paired with an
+exact VJP.  VJPs return input gradients in the layout of the inputs and
+parameter gradients summed over rows.  All functions are pure; inputs are
+never mutated and results are freshly allocated.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
 from .errors import ShapeError
 
 __all__ = [
-    "as_vector",
-    "as_matrix",
     "affine",
     "sigmoid",
     "l2_norm",
@@ -25,106 +23,56 @@ __all__ = [
     "split",
     "hadamard",
     "affine_vjp",
-    "sigmoid_vjp",
     "concat_vjp",
     "hadamard_vjp",
-    "l2_norm_vjp",
-    "vjp",
 ]
 
 
-def as_vector(x: Sequence[float] | np.ndarray, dim: int | None = None,
-              name: str = "vector") -> np.ndarray:
-    """Coerce to a finite 1-D float64 array, optionally checking its length."""
-    arr = np.array(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ShapeError(f"{name}: expected a 1-D vector, got {arr.ndim}-D data")
-    if dim is not None and arr.shape[0] != dim:
-        raise ShapeError(f"{name}: expected dim {dim}, got {arr.shape[0]}")
-    if not np.all(np.isfinite(arr)):
-        raise ShapeError(f"{name}: contains non-finite entries")
-    return arr
-
-
-def as_matrix(x: Sequence[Sequence[float]] | np.ndarray, rows: int | None = None,
-              cols: int | None = None, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite 2-D float64 array, optionally checking its shape."""
-    arr = np.array(x, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ShapeError(f"{name}: expected a 2-D matrix, got {arr.ndim}-D data")
-    if rows is not None and arr.shape[0] != rows:
-        raise ShapeError(f"{name}: expected {rows} rows, got {arr.shape[0]}")
-    if cols is not None and arr.shape[1] != cols:
-        raise ShapeError(f"{name}: expected {cols} cols, got {arr.shape[1]}")
-    if not np.all(np.isfinite(arr)):
-        raise ShapeError(f"{name}: contains non-finite entries")
-    return arr
-
-
-def _check_vec(x: np.ndarray, name: str) -> None:
-    if x.ndim != 1:
-        raise ShapeError(f"{name}: expected a 1-D vector, got {x.ndim}-D data")
-
-
 def affine(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """W @ x + b."""
-    _check_vec(x, "affine: x")
-    _check_vec(b, "affine: b")
-    if W.ndim != 2:
-        raise ShapeError(f"affine: W must be 2-D, got {W.ndim}-D data")
-    if W.shape[1] != x.shape[0]:
+    """``x @ W.T + b``: ``W @ x + b`` for every row of ``x``."""
+    if W.ndim != 2 or b.ndim != 1:
+        raise ShapeError(f"affine: W must be 2-D and b 1-D, got {W.ndim}-D and {b.ndim}-D")
+    if W.shape[1] != x.shape[-1]:
         raise ShapeError(
-            f"affine: W expects input dim {W.shape[1]}, got x of dim {x.shape[0]}")
+            f"affine: W expects input dim {W.shape[1]}, got x of dim {x.shape[-1]}")
     if W.shape[0] != b.shape[0]:
         raise ShapeError(
             f"affine: W produces dim {W.shape[0]}, but b has dim {b.shape[0]}")
-    return W @ x + b
+    return x @ W.T + b
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Elementwise logistic function, computed branch-wise so neither tail
-    overflows.  Output is strictly inside (0, 1) for finite input."""
+    """Elementwise logistic function as ``exp(min(x, 0)) / (1 + exp(-|x|))``:
+    no exponent is positive, so neither tail overflows.  Output is strictly
+    inside (0, 1) for finite input."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
 
 
-def l2_norm(x: np.ndarray) -> float:
-    # Rescaled by the largest magnitude so the squares cannot underflow or
-    # overflow; homogeneity then holds across the whole float64 range.
-    _check_vec(np.asarray(x), "l2_norm: x")
-    if np.size(x) == 0:
-        return 0.0
-    m = float(np.max(np.abs(x)))
-    if m == 0.0:
-        return 0.0
-    scaled = np.asarray(x) / m
-    return m * float(np.sqrt(np.dot(scaled, scaled)))
+def l2_norm(x: np.ndarray, keepdims: bool = False) -> np.ndarray:
+    """Euclidean norm over the last axis.  ``hypot`` accumulates without
+    squaring, so it cannot overflow or underflow and homogeneity holds across
+    the whole float64 range; an empty vector has norm 0."""
+    return np.hypot.reduce(x, axis=-1, keepdims=keepdims)
 
 
 def concat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _check_vec(np.asarray(a), "concat: a")
-    _check_vec(np.asarray(b), "concat: b")
-    return np.concatenate([a, b])
+    """``a`` then ``b`` along the last axis; leading shapes must agree."""
+    if a.shape[:-1] != b.shape[:-1]:
+        raise ShapeError(f"concat: leading shapes differ, {a.shape[:-1]} vs {b.shape[:-1]}")
+    return np.concatenate([a, b], axis=-1)
 
 
 def split(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`concat`: first ``n`` entries, then the rest."""
-    _check_vec(x, "split: x")
-    if not 0 <= n <= x.shape[0]:
-        raise ShapeError(f"split: cannot take first {n} of a dim-{x.shape[0]} vector")
-    return x[:n].copy(), x[n:].copy()
+    """Inverse of :func:`concat`: first ``n`` entries of the last axis, then the rest."""
+    if not 0 <= n <= x.shape[-1]:
+        raise ShapeError(f"split: cannot take first {n} of a dim-{x.shape[-1]} vector")
+    return x[..., :n].copy(), x[..., n:].copy()
 
 
 def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _check_vec(np.asarray(a), "hadamard: a")
-    _check_vec(np.asarray(b), "hadamard: b")
-    if a.shape[0] != b.shape[0]:
-        raise ShapeError(f"hadamard: dims differ, {a.shape[0]} vs {b.shape[0]}")
+    if a.shape != b.shape:
+        raise ShapeError(f"hadamard: shapes differ, {a.shape} vs {b.shape}")
     return a * b
 
 
@@ -135,60 +83,24 @@ def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def affine_vjp(x: np.ndarray, W: np.ndarray, b: np.ndarray,
                upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if upstream.shape != b.shape:
+    if upstream.shape[-1] != b.shape[0] or upstream.shape[:-1] != x.shape[:-1]:
         raise ShapeError(
-            f"affine_vjp: upstream dim {upstream.shape[0]}, expected {b.shape[0]}")
-    dx = W.T @ upstream
-    dW = np.outer(upstream, x)
-    db = upstream.copy()
-    return dx, dW, db
-
-
-def sigmoid_vjp(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    if np.shape(upstream) != np.shape(x):
-        raise ShapeError("sigmoid_vjp: upstream shape differs from input")
-    s = sigmoid(x)
-    return upstream * s * (1.0 - s)
+            f"affine_vjp: upstream shape {upstream.shape}, expected "
+            f"{x.shape[:-1] + b.shape}")
+    u2, x2 = np.atleast_2d(upstream), np.atleast_2d(x)
+    return upstream @ W, u2.T @ x2, u2.sum(axis=0)
 
 
 def concat_vjp(a: np.ndarray, b: np.ndarray,
                upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n, m = np.shape(a)[0], np.shape(b)[0]
-    if np.shape(upstream)[0] != n + m:
-        raise ShapeError(f"concat_vjp: upstream dim {np.shape(upstream)[0]}, expected {n + m}")
+    n, m = a.shape[-1], b.shape[-1]
+    if upstream.shape[-1] != n + m:
+        raise ShapeError(f"concat_vjp: upstream dim {upstream.shape[-1]}, expected {n + m}")
     return split(upstream, n)
 
 
 def hadamard_vjp(a: np.ndarray, b: np.ndarray,
                  upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if np.shape(upstream) != np.shape(a) or np.shape(a) != np.shape(b):
+    if upstream.shape != a.shape or a.shape != b.shape:
         raise ShapeError("hadamard_vjp: shapes disagree")
     return upstream * b, upstream * a
-
-
-def l2_norm_vjp(x: np.ndarray, upstream: float) -> np.ndarray:
-    # Subgradient 0 at the origin, where the norm is not differentiable.
-    n = l2_norm(x)
-    if n == 0.0:
-        return np.zeros_like(x)
-    return (float(upstream) / n) * x
-
-
-_VJP_FUNCS = {
-    "affine": lambda inputs, up: affine_vjp(*inputs, up),
-    "sigmoid": lambda inputs, up: (sigmoid_vjp(*inputs, up),),
-    "concat": lambda inputs, up: concat_vjp(*inputs, up),
-    "hadamard": lambda inputs, up: hadamard_vjp(*inputs, up),
-    "l2_norm": lambda inputs, up: (l2_norm_vjp(*inputs, up),),
-}
-
-
-def vjp(op_id: str, inputs: tuple, upstream) -> tuple:
-    """Vector-Jacobian product of ``op_id`` at ``inputs``, one gradient per
-    differentiable input."""
-    try:
-        fn = _VJP_FUNCS[op_id]
-    except KeyError:
-        known = ", ".join(sorted(_VJP_FUNCS))
-        raise ValueError(f"vjp: unknown op {op_id!r} (known: {known})") from None
-    return fn(tuple(inputs), upstream)

@@ -13,6 +13,13 @@ as possible.  Four fusion kinds are supported:
 Training is SGD with momentum, mini-batch gradients averaged over the
 batch, and everything (init, shuffling) drawn from one seeded generator,
 so a run is bitwise reproducible from its config.
+
+``forward_model``, ``model_backward``, ``loss_and_grads``, ``softmax`` and
+``cross_entropy`` work on the last axis: one segment's features ``(dim,)``
+or a block of B segments ``(B, dim)`` take the same code path, so a
+mini-batch is one forward and one backward pass.  Parameter gradients are
+summed over rows; ``loss_and_grads`` returns the batch-mean loss and the
+gradients of that mean.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from .bank import AggregationConfig, FeatureBank, aggregate_object_feature
 from .errors import ShapeError, ValidationError
 from .gfa import (GfaCache, GfaParams, ScaleMode, gfa_backward, gfa_forward,
                   init_gfa_params)
-from .tensor import affine, affine_vjp, concat, split
+from .tensor import affine, affine_vjp, concat, concat_vjp
 
 __all__ = [
     "FUSION_KINDS",
@@ -42,6 +49,7 @@ __all__ = [
     "loss_and_grads",
     "sgd_momentum_step",
     "init_model",
+    "bank_features",
     "param_groups",
     "with_params",
     "train",
@@ -124,18 +132,25 @@ class TrainConfig:
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
-    """Stable softmax: positive entries summing to one."""
-    shifted = scores - np.max(scores)
-    e = np.exp(shifted)
-    return e / np.sum(e)
+    """Stable softmax over the last axis: positive entries summing to one."""
+    e = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
-def cross_entropy(probs: np.ndarray, label: int) -> float:
-    """-log(probs[label]), floored so certainty-adjacent values stay finite."""
-    if not 0 <= label < probs.shape[0]:
+def cross_entropy(probs: np.ndarray, label) -> float:
+    """Mean over rows of -log(probs[label]), floored so certainty-adjacent
+    values stay finite.  ``label`` is an int for one row of ``probs`` or an
+    int array with one label per row."""
+    labels = np.asarray(label)
+    if labels.shape != probs.shape[:-1]:
+        raise ShapeError(
+            f"labels have shape {labels.shape}, expected {probs.shape[:-1]}")
+    # An out-of-range label matches no class, so its row picks nothing.
+    picked = probs[np.arange(probs.shape[-1]) == labels[..., None]]
+    if picked.size != labels.size:
         raise ValidationError(
-            f"label {label} out of range for {probs.shape[0]} classes")
-    return float(-np.log(max(float(probs[label]), _PROB_FLOOR)))
+            f"label {label} out of range for {probs.shape[-1]} classes")
+    return float(-np.add.reduce(np.log(np.maximum(picked, _PROB_FLOOR))) / labels.size)
 
 
 @dataclass
@@ -148,7 +163,10 @@ class ModelCache:
 
 def forward_model(model: Model, v: np.ndarray,
                   o_agg: np.ndarray) -> tuple[np.ndarray, ModelCache]:
-    """Class scores (pre-softmax) for one segment's features."""
+    """Class scores (pre-softmax), one row per row of ``v`` and ``o_agg``."""
+    if v.shape[:-1] != o_agg.shape[:-1]:
+        raise ShapeError(
+            f"v has leading shape {v.shape[:-1]}, o has {o_agg.shape[:-1]}")
     kind = model.fusion_kind
     gfa_cache = None
     if kind == "clip-only":
@@ -157,22 +175,28 @@ def forward_model(model: Model, v: np.ndarray,
         feature = concat(v, o_agg)
     else:
         feature, gfa_cache = gfa_forward(v, o_agg, model.gfa)
-    scores = affine(feature, model.head.W, model.head.b)
+    W = model.head.W
+    if feature.shape[-1] != W.shape[1]:
+        raise ShapeError(
+            f"head expects input dim {W.shape[1]}, got {kind} feature of dim "
+            f"{feature.shape[-1]}")
+    scores = affine(feature, W, model.head.b)
     return scores, ModelCache(v=v, o=o_agg, feature=feature, gfa_cache=gfa_cache)
 
 
 def model_backward(model: Model, cache: ModelCache,
                    dscores: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients for every parameter group plus both inputs, keyed by name."""
-    dfeat, dW_head, db_head = affine_vjp(cache.feature, model.head.W,
-                                         model.head.b, dscores)
+    """Gradients for every parameter group, summed over rows, plus both
+    inputs, keyed by name."""
+    dfeat, dW_head, db_head = affine_vjp(cache.feature, model.head.W, model.head.b,
+                                         dscores)
     grads = {"head.W": dW_head, "head.b": db_head}
     kind = model.fusion_kind
     if kind == "clip-only":
         grads["v"] = dfeat
         grads["o"] = np.zeros_like(cache.o)
     elif kind == "concat":
-        grads["v"], grads["o"] = split(dfeat, cache.v.shape[0])
+        grads["v"], grads["o"] = concat_vjp(cache.v, cache.o, dfeat)
     else:
         dv, do, dW, db = gfa_backward(cache.gfa_cache, model.gfa, dfeat)
         grads["v"] = dv
@@ -183,12 +207,15 @@ def model_backward(model: Model, cache: ModelCache,
 
 
 def loss_and_grads(model: Model, v: np.ndarray, o_agg: np.ndarray,
-                   label: int) -> tuple[float, dict[str, np.ndarray]]:
+                   label) -> tuple[float, dict[str, np.ndarray]]:
+    """Mean cross-entropy over the rows of ``v`` and ``o_agg`` and its
+    gradients; ``label`` is an int for one row or an int array per row."""
     scores, cache = forward_model(model, v, o_agg)
     probs = softmax(scores)
     loss = cross_entropy(probs, label)
-    dscores = probs.copy()
-    dscores[label] -= 1.0
+    labels = np.asarray(label)
+    onehot = np.arange(probs.shape[-1]) == labels[..., None]
+    dscores = (probs - onehot) / labels.size
     return loss, model_backward(model, cache, dscores)
 
 
@@ -236,7 +263,8 @@ def param_groups(model: Model) -> dict[str, np.ndarray]:
 
 
 def with_params(model: Model, groups: dict[str, np.ndarray]) -> Model:
-    """Copy of the model with the given parameter arrays swapped in."""
+    """Copy of the model with the given parameter arrays swapped in; the
+    gradient check perturbs parameters through it."""
     head = Head(W=groups["head.W"], b=groups["head.b"])
     gfa = None
     if model.gfa is not None:
@@ -245,7 +273,9 @@ def with_params(model: Model, groups: dict[str, np.ndarray]) -> Model:
     return Model(fusion_kind=model.fusion_kind, head=head, gfa=gfa)
 
 
-def _bank_features(bank: FeatureBank, cfg: AggregationConfig) -> tuple[np.ndarray, np.ndarray]:
+def bank_features(bank: FeatureBank, cfg: AggregationConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Clip features and aggregated object features of every record, as
+    ``(records, dim_v)`` and ``(records, dim_o)`` row blocks."""
     V = np.stack([r.clip_feature for r in bank.records])
     O = np.stack([aggregate_object_feature(r, cfg, bank.dim_o) for r in bank.records])
     return V, O
@@ -276,25 +306,28 @@ def train(bank: FeatureBank, target: str, spec: ModelSpec, cfg: TrainConfig,
 
     Returns the trained model and a per-epoch history of mean loss, mean
     gradient norm, and validation top-1 when ``val_bank`` is given.
-    Deterministic given (bank, spec, cfg).
+    Deterministic given (bank, spec, cfg).  Raises ``ValidationError``
+    naming the epoch and batch when a batch's loss or gradient norm is not
+    finite.
     """
     if not bank.records:
         raise ValidationError("cannot train on an empty bank")
     labels = _bank_labels(bank, target)
     classes = bank.verb_vocab_size if target == "verb" else bank.noun_vocab_size
-    V, O = _bank_features(bank, spec.aggregation)
+    V, O = bank_features(bank, spec.aggregation)
     val_data = None
     if val_bank is not None:
         if (val_bank.dim_v, val_bank.dim_o) != (bank.dim_v, bank.dim_o):
             raise ValidationError(
                 f"validation bank dims ({val_bank.dim_v}, {val_bank.dim_o}) differ from "
                 f"training bank ({bank.dim_v}, {bank.dim_o})")
-        val_data = (*_bank_features(val_bank, spec.aggregation),
+        val_data = (*bank_features(val_bank, spec.aggregation),
                     _bank_labels(val_bank, target))
 
     rng = np.random.default_rng(cfg.seed)
     model = init_model(spec.fusion, bank.dim_v, bank.dim_o, classes,
                        scale=spec.scale, rng=rng)
+    # SGD writes into these arrays, which are the model's own parameters.
     params = param_groups(model)
     velocity = {name: np.zeros_like(arr) for name, arr in params.items()}
 
@@ -304,26 +337,20 @@ def train(bank: FeatureBank, target: str, spec: ModelSpec, cfg: TrainConfig,
         order = rng.permutation(n)
         batch_losses: list[float] = []
         batch_gnorms: list[float] = []
-        for start in range(0, n, cfg.batch_size):
+        for batch, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start:start + cfg.batch_size]
-            sums: dict[str, np.ndarray] = {name: np.zeros_like(arr)
-                                           for name, arr in params.items()}
-            loss_sum = 0.0
-            for i in idx:
-                loss, grads = loss_and_grads(model, V[i], O[i], int(labels[i]))
-                loss_sum += loss
-                for name in sums:
-                    sums[name] += grads[name]
-            scale = 1.0 / len(idx)
-            means = {name: g * scale for name, g in sums.items()}
-            batch_losses.append(loss_sum * scale)
-            batch_gnorms.append(float(np.sqrt(
-                sum(float(np.sum(g * g)) for g in means.values()))))
-            for name in params:
-                params[name], velocity[name] = sgd_momentum_step(
-                    params[name], means[name], velocity[name],
-                    cfg.learning_rate, cfg.momentum)
-            model = with_params(model, params)
+            loss, grads = loss_and_grads(model, V[idx], O[idx], labels[idx])
+            gnorm = float(np.sqrt(sum(float(np.sum(grads[name] * grads[name]))
+                                      for name in params)))
+            if not (np.isfinite(loss) and np.isfinite(gnorm)):
+                raise ValidationError(
+                    f"training diverged at epoch {epoch}, batch {batch}: loss {loss}, "
+                    f"gradient norm {gnorm}")
+            batch_losses.append(loss)
+            batch_gnorms.append(gnorm)
+            for name, arr in params.items():
+                arr[...], velocity[name] = sgd_momentum_step(
+                    arr, grads[name], velocity[name], cfg.learning_rate, cfg.momentum)
         entry = {
             "epoch": epoch,
             "mean_loss": float(np.mean(batch_losses)),
@@ -331,9 +358,7 @@ def train(bank: FeatureBank, target: str, spec: ModelSpec, cfg: TrainConfig,
         }
         if val_data is not None:
             Vv, Ov, val_labels = val_data
-            val_scores = np.stack([forward_model(model, Vv[i], Ov[i])[0]
-                                   for i in range(len(val_labels))])
-            entry["val_top1"] = _top1_accuracy(val_scores, val_labels)
+            entry["val_top1"] = _top1_accuracy(forward_model(model, Vv, Ov)[0], val_labels)
         history.append(entry)
     return model, history
 
@@ -474,13 +499,20 @@ def load_checkpoint(path) -> Checkpoint:
         train_config = TrainConfig(learning_rate=tc["learning_rate"],
                                    momentum=tc["momentum"], epochs=tc["epochs"],
                                    batch_size=tc["batch_size"], seed=tc["seed"])
-        head_obj = obj["head"]
+        head_W = _matrix_from_obj(obj["head"]["W"], "head.W")
+        head_b = np.array(obj["head"]["b"], dtype=np.float64)
         gfa_obj = obj["gfa"]
-    except (KeyError, TypeError):
+        if gfa_obj is not None:
+            scale_obj = gfa_obj.get("scale", {})
+            scale = ScaleMode(kind=scale_obj.get("kind", "none"),
+                              s=scale_obj.get("s", 1.0),
+                              epsilon=scale_obj.get("epsilon", 1e-8))
+            gfa_W = _matrix_from_obj(gfa_obj["W"], "gfa.W")
+            gfa_b = np.array(gfa_obj["b"], dtype=np.float64)
+            variant = gfa_obj.get("variant")
+    except (KeyError, TypeError, AttributeError):
         raise ValidationError(f"{path}: missing checkpoint fields") from None
 
-    head_W = _matrix_from_obj(head_obj["W"], "head.W")
-    head_b = np.array(head_obj["b"], dtype=np.float64)
     feat_dim = _feature_dim(fusion, dim_v, dim_o)
     if head_W.shape != (classes, feat_dim):
         raise ValidationError(
@@ -491,13 +523,6 @@ def load_checkpoint(path) -> Checkpoint:
 
     gfa = None
     if gfa_obj is not None:
-        scale_obj = gfa_obj.get("scale", {})
-        scale = ScaleMode(kind=scale_obj.get("kind", "none"),
-                          s=scale_obj.get("s", 1.0),
-                          epsilon=scale_obj.get("epsilon", 1e-8))
-        gfa_W = _matrix_from_obj(gfa_obj["W"], "gfa.W")
-        gfa_b = np.array(gfa_obj["b"], dtype=np.float64)
-        variant = gfa_obj.get("variant")
         expected = (dim_v + dim_o, dim_v + dim_o) if variant == "a" else (dim_v, dim_o)
         if gfa_W.shape != expected:
             raise ValidationError(

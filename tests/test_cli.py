@@ -169,6 +169,22 @@ class TestTrainEval:
         h_gfa = json.loads((tmp_path / "run-gfa-a/history.json").read_text())
         assert h_concat[0]["mean_grad_norm"] >= 100 * h_gfa[0]["mean_grad_norm"]
 
+    def test_checkpoint_without_head_weights_is_exit_one(self, tmp_path, capsys):
+        synth(tmp_path / "data", train=20, val=5)
+        run("train", "--bank", tmp_path / "data/train.bank", "--target", "noun",
+            "--fusion", "gfa-b", "--epochs", 1, "--seed", 0,
+            "--out-dir", tmp_path / "run")
+        ckpt_path = tmp_path / "run/checkpoint.json"
+        for group in ("head", "gfa"):
+            obj = json.loads(ckpt_path.read_text())
+            del obj[group]["W"]
+            broken = tmp_path / f"no-{group}-W.json"
+            broken.write_text(json.dumps(obj))
+            rc = run("eval", "--checkpoint", broken, "--bank", tmp_path / "data/val.bank",
+                     "--out-dir", tmp_path / "eval")
+            assert rc == 1, group
+            assert "missing checkpoint fields" in capsys.readouterr().err
+
     def test_eval_without_labels_omits_metrics(self, tmp_path):
         synth(tmp_path / "data", train=20, val=5)
         run("train", "--bank", tmp_path / "data/train.bank", "--target", "noun",

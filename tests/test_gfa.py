@@ -95,8 +95,8 @@ class TestGfaAForward:
         p = init_gfa_params(5, 3, "a", ScaleMode.scalar(2.0), rng)
         F, cache = gfa_a_forward(v, o, p)
         scaled = scale_object_feature(o, v, p.scale)
-        c = tensor.concat(v, scaled)
-        expected = tensor.hadamard(tensor.sigmoid(tensor.affine(c, p.W, p.b)), c)
+        c = np.concatenate([v, scaled])
+        expected = tensor.sigmoid(c @ p.W.T + p.b) * c
         assert np.array_equal(F, expected)
         assert F.shape == (8,)
 

@@ -9,7 +9,7 @@ from gatedfusion.training import (Checkpoint, Head, Model, ModelSpec,
                                   grad_check, init_model, load_checkpoint,
                                   loss_and_grads, param_groups,
                                   save_checkpoint, sgd_momentum_step, softmax,
-                                  train)
+                                  train, with_params)
 
 from conftest import central_diff, rel_err
 
@@ -41,6 +41,13 @@ class TestSoftmax:
         a, b = softmax(x), softmax(x + 123.456)
         assert rel_err(a, b, floor=1e-300) < 1e-12
 
+    def test_rows_of_a_block(self):
+        rng = np.random.default_rng(2)
+        X = rng.uniform(-50, 50, (4, 6))
+        out = softmax(X)
+        for row, x in zip(out, X):
+            assert rel_err(row, softmax(x), floor=1e-300) < 1e-15
+
 
 class TestCrossEntropy:
     def test_uniform(self):
@@ -66,6 +73,16 @@ class TestCrossEntropy:
         for _ in range(50):
             probs = softmax(rng.uniform(-30, 30, int(rng.integers(2, 10))))
             assert cross_entropy(probs, int(rng.integers(probs.shape[0]))) >= 0.0
+
+    def test_block_is_mean_of_rows(self):
+        probs = softmax(np.random.default_rng(8).uniform(-3, 3, (5, 4)))
+        labels = np.array([0, 3, 1, 1, 2])
+        rows = [cross_entropy(p, int(l)) for p, l in zip(probs, labels)]
+        assert cross_entropy(probs, labels) == pytest.approx(np.mean(rows), rel=1e-14)
+
+    def test_label_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            cross_entropy(np.full((3, 2), 0.5), np.array([0, 1]))
 
 
 class TestForwardModel:
@@ -100,6 +117,77 @@ class TestForwardModel:
         model = init_model("concat", 4, 3, 2, rng=np.random.default_rng(0))
         with pytest.raises(ShapeError):
             forward_model(model, np.zeros(4), np.zeros(5))
+
+    def test_misaligned_rows_rejected(self):
+        model = init_model("gfa-b", 4, 3, 2, rng=np.random.default_rng(0))
+        with pytest.raises(ShapeError):
+            forward_model(model, np.zeros((5, 4)), np.zeros((4, 3)))
+
+
+_KINDS = [
+    ("clip-only", ScaleMode.none()),
+    ("concat", ScaleMode.none()),
+    ("gfa-a", ScaleMode.none()),
+    ("gfa-a", ScaleMode.scalar(2.0)),
+    ("gfa-a", ScaleMode.norm()),
+    ("gfa-a", ScaleMode.norm_scalar(2.0)),
+    ("gfa-b", ScaleMode.none()),
+]
+_KIND_IDS = [f"{kind}-{scale.kind}" for kind, scale in _KINDS]
+
+
+def _block(kind, scale, seed, rows=6, dim_v=5, dim_o=4, classes=3):
+    rng = np.random.default_rng(seed)
+    model = init_model(kind, dim_v, dim_o, classes, scale=scale, rng=rng)
+    V = rng.uniform(-2, 2, (rows, dim_v))
+    O = rng.uniform(-2, 2, (rows, dim_o))
+    labels = rng.integers(0, classes, rows)
+    return model, V, O, labels
+
+
+class TestBatchedCore:
+    @pytest.mark.parametrize("kind,scale", _KINDS, ids=_KIND_IDS)
+    def test_block_matches_stacked_rows(self, kind, scale):
+        model, V, O, labels = _block(kind, scale, seed=61)
+        V[1] = 0.0
+        O[3] = 0.0
+        rows = V.shape[0]
+        with np.errstate(all="raise"):
+            scores, _ = forward_model(model, V, O)
+            loss, grads = loss_and_grads(model, V, O, labels)
+            per_row = [loss_and_grads(model, V[i], O[i], int(labels[i]))
+                       for i in range(rows)]
+            row_scores = np.stack([forward_model(model, V[i], O[i])[0]
+                                   for i in range(rows)])
+        assert rel_err(scores, row_scores, floor=1e-300) < 1e-12
+        assert loss == pytest.approx(np.mean([l for l, _ in per_row]), rel=1e-12)
+        for name, g in grads.items():
+            stacked = [row_grads[name] for _, row_grads in per_row]
+            if name in ("v", "o"):
+                expected = np.stack(stacked) / rows
+            else:
+                expected = np.mean(stacked, axis=0)
+            assert g.shape == expected.shape, name
+            assert np.allclose(g, expected, rtol=1e-12, atol=1e-15), name
+
+    @pytest.mark.parametrize("kind,scale", _KINDS, ids=_KIND_IDS)
+    def test_block_grads_match_central_differences(self, kind, scale):
+        model, V, O, labels = _block(kind, scale, seed=62)
+        _, analytic = loss_and_grads(model, V, O, labels)
+        base = param_groups(model)
+
+        def mean_loss(groups, VV, OO):
+            scores, _ = forward_model(with_params(model, groups), VV, OO)
+            return cross_entropy(softmax(scores), labels)
+
+        numeric = {"v": central_diff(lambda x: mean_loss(base, x, O), V),
+                   "o": central_diff(lambda x: mean_loss(base, V, x), O)}
+        for name in base:
+            numeric[name] = central_diff(
+                lambda x, name=name: mean_loss({**base, name: x}, V, O), base[name])
+        assert set(analytic) == set(numeric)
+        for name, num in numeric.items():
+            assert rel_err(analytic[name], num, floor=1e-6) < 1e-5, name
 
 
 class TestSgdMomentumStep:
@@ -183,6 +271,14 @@ class TestTrain:
                            verb_vocab_size=2, noun_vocab_size=2)
         with pytest.raises(ValidationError, match="empty"):
             train(bank, "noun", ModelSpec(fusion="clip-only"), TrainConfig(epochs=1))
+
+    def test_divergence_names_epoch_and_batch(self):
+        bank = synth_generate(SynthSpec(n_segments=40), 2)
+        for rec in bank.records:
+            rec.clip_feature = rec.clip_feature * 1e170
+        with pytest.raises(ValidationError, match=r"epoch \d+, batch \d+"):
+            train(bank, "noun", ModelSpec(fusion="clip-only"),
+                  TrainConfig(learning_rate=0.5, epochs=2, seed=0))
 
     def test_bad_target(self):
         bank = synth_generate(SynthSpec(n_segments=5), 0)
@@ -292,6 +388,18 @@ class TestCheckpoint:
         path.write_text("{}")
         with pytest.raises(ValidationError):
             load_checkpoint(path)
+
+    def test_missing_weights_rejected(self, tmp_path):
+        import json
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(self._checkpoint(), path)
+        for group in ("head", "gfa"):
+            obj = json.loads(path.read_text())
+            del obj[group]["W"]
+            broken = tmp_path / f"no-{group}-W.json"
+            broken.write_text(json.dumps(obj))
+            with pytest.raises(ValidationError, match="missing checkpoint fields"):
+                load_checkpoint(broken)
 
 
 class TestModelInvariants:
