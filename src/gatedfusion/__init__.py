@@ -18,17 +18,17 @@ from .gfa import (ScaleMode, GfaParams, GfaCache, scale_object_feature,
                   gfa_backward, init_gfa_params, estimate_scalar_divisor)
 from .bank import (Detection, SegmentRecord, FeatureBank, AggregationConfig,
                    SynthSpec, context_window, select_top_k, maxpool_features,
-                   aggregate_object_feature, load_feature_bank,
+                   aggregate_object_feature, bank_features, load_feature_bank,
                    save_feature_bank, banks_equal, synth_generate, bank_stats)
 from .training import (FUSION_KINDS, Head, Model, ModelSpec, TrainConfig,
                        Checkpoint, softmax, cross_entropy, forward_model,
                        model_backward, loss_and_grads, sgd_momentum_step,
-                       init_model, bank_features, train, grad_check, save_checkpoint,
+                       init_model, train, grad_check, save_checkpoint,
                        load_checkpoint)
-from .scoring import (ActionPrior, ScoreTable, compute_prior, uniform_prior,
-                      prior_stats, reweight_actions, late_fuse, topk_accuracy,
-                      score_actions_for_bank, action_index, action_pair,
-                      save_prior, load_prior, save_score_table,
+from .scoring import (ActionPrior, ScoreTable, compute_prior, prior_from_pairs,
+                      uniform_prior, prior_stats, reweight_actions, late_fuse,
+                      topk_accuracy, score_actions_for_bank, action_index,
+                      action_pair, save_prior, load_prior, save_score_table,
                       load_score_table)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -34,6 +34,7 @@ __all__ = [
     "select_top_k",
     "maxpool_features",
     "aggregate_object_feature",
+    "bank_features",
     "load_feature_bank",
     "save_feature_bank",
     "banks_equal",
@@ -155,6 +156,16 @@ def aggregate_object_feature(record: SegmentRecord, cfg: AggregationConfig,
                              dim_o: int) -> np.ndarray:
     """window -> top-K -> max pool, the full aggregation chain."""
     return maxpool_features(select_top_k(context_window(record, cfg), cfg.k), dim_o)
+
+
+def bank_features(bank: FeatureBank, cfg: AggregationConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Clip features and aggregated object features of every record, as
+    ``(records, dim_v)`` and ``(records, dim_o)`` row blocks."""
+    n = len(bank.records)
+    V = np.array([r.clip_feature for r in bank.records], dtype=np.float64).reshape(n, bank.dim_v)
+    O = np.array([aggregate_object_feature(r, cfg, bank.dim_o) for r in bank.records],
+                 dtype=np.float64).reshape(n, bank.dim_o)
+    return V, O
 
 
 # --- file format --------------------------------------------------------------
@@ -454,11 +465,9 @@ def bank_stats(bank: FeatureBank, cfg: AggregationConfig,
                pair_threshold: int = 50) -> dict:
     """Summary statistics, including the clip/object amplitude ratio under the
     given aggregation and verb-noun co-occurrence counts."""
-    clip_norms = [l2_norm(r.clip_feature) for r in bank.records]
-    obj_norms = [l2_norm(aggregate_object_feature(r, cfg, bank.dim_o))
-                 for r in bank.records]
-    mean_clip = float(np.mean(clip_norms)) if clip_norms else 0.0
-    mean_obj = float(np.mean(obj_norms)) if obj_norms else 0.0
+    V, O = bank_features(bank, cfg)
+    mean_clip = float(np.mean(l2_norm(V))) if bank.records else 0.0
+    mean_obj = float(np.mean(l2_norm(O))) if bank.records else 0.0
     stats = {
         "records": len(bank.records),
         "dim_v": bank.dim_v,

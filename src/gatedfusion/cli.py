@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage or validation error, 2 internal error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
@@ -20,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bank import (AggregationConfig, SynthSpec, bank_stats, load_feature_bank,
-                   save_feature_bank, synth_generate)
+from .bank import (AggregationConfig, SynthSpec, bank_features, bank_stats,
+                   load_feature_bank, save_feature_bank, synth_generate)
 from .errors import ShapeError, ValidationError
 from .gfa import ScaleMode, estimate_scalar_divisor
 from .manifest import RunManifest, load_manifest, write_manifest
@@ -29,8 +30,8 @@ from .scoring import (compute_prior, load_prior, load_score_table, prior_stats,
                       save_prior, save_score_table, score_actions_for_bank,
                       topk_accuracy, uniform_prior)
 from .training import (Checkpoint, FUSION_KINDS, ModelSpec, TrainConfig,
-                       bank_features, forward_model, grad_check, init_model,
-                       load_checkpoint, save_checkpoint, softmax, train)
+                       forward_model, grad_check, init_model, load_checkpoint,
+                       save_checkpoint, softmax, train)
 from .scoring import ScoreTable
 
 _REQUIRED = object()
@@ -146,6 +147,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _param_default(func, name: str):
+    return inspect.signature(func).parameters[name].default
+
+
 def _effective_config(args: argparse.Namespace, defaults: dict) -> dict:
     """Resolve each option: explicit flag, then manifest config, then default."""
     file_cfg: dict = {}
@@ -183,13 +188,17 @@ def _write_json(obj, path: Path) -> None:
 
 
 def _cmd_synth(args) -> int:
+    # Dataclass field defaults are class attributes: the library is the
+    # one source of every default below that it defines.
     cfg = _effective_config(args, {
         "seed": _REQUIRED, "out_dir": _REQUIRED,
         "train_segments": 500, "val_segments": 200,
-        "verbs": 10, "nouns": 20, "dim_v": 16, "dim_o": 16,
-        "detections": 12, "distractors": 4, "decoys": 2,
-        "noise": 0.05, "mismatch": 1.0, "jitter": 0.0,
-        "noun_in_clip": 0.0, "pairs_per_verb": 0, "window": 5,
+        "verbs": SynthSpec.verb_vocab, "nouns": SynthSpec.noun_vocab,
+        "dim_v": SynthSpec.dim_v, "dim_o": SynthSpec.dim_o,
+        "detections": SynthSpec.signal_detections, "distractors": SynthSpec.distractors,
+        "decoys": SynthSpec.decoys, "noise": SynthSpec.noise, "mismatch": SynthSpec.mismatch,
+        "jitter": SynthSpec.amplitude_jitter, "noun_in_clip": SynthSpec.noun_in_clip,
+        "pairs_per_verb": SynthSpec.pairs_per_verb, "window": SynthSpec.window,
     })
     start = time.perf_counter()
     out = Path(cfg["out_dir"])
@@ -224,10 +233,11 @@ def _cmd_synth(args) -> int:
 def _cmd_train(args) -> int:
     cfg = _effective_config(args, {
         "bank": _REQUIRED, "val_bank": None, "target": _REQUIRED,
-        "fusion": _REQUIRED, "scale": "none", "scale_divisor": 1.0,
-        "estimate_divisor": False, "lr": 0.01, "momentum": 0.9,
-        "epochs": 100, "batch_size": 32, "seed": _REQUIRED,
-        "k": 10, "window": 5, "out_dir": _REQUIRED,
+        "fusion": _REQUIRED, "scale": ScaleMode.kind, "scale_divisor": ScaleMode.s,
+        "estimate_divisor": False, "lr": TrainConfig.learning_rate,
+        "momentum": TrainConfig.momentum, "epochs": TrainConfig.epochs,
+        "batch_size": TrainConfig.batch_size, "seed": _REQUIRED,
+        "k": AggregationConfig.k, "window": AggregationConfig.window, "out_dir": _REQUIRED,
     })
     start = time.perf_counter()
     bank = load_feature_bank(cfg["bank"])
@@ -357,7 +367,7 @@ def _cmd_actions(args) -> int:
                           "top5": topk_accuracy(verb_table, verb_labels, 5)}
         report["noun"] = {"top1": topk_accuracy(noun_table, noun_labels, 1),
                           "top5": topk_accuracy(noun_table, noun_labels, 5)}
-    if prior.counts:
+    if prior.counts is not None:
         report["prior"] = prior_stats(prior)
 
     table_path = out / "action_scores.txt"
@@ -378,9 +388,9 @@ def _cmd_actions(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     cfg = _effective_config(args, {
-        "fusion": _REQUIRED, "scale": "none", "scale_divisor": 1.0,
+        "fusion": _REQUIRED, "scale": ScaleMode.kind, "scale_divisor": ScaleMode.s,
         "dim_v": 8, "dim_o": 6, "classes": 4, "seed": 0,
-        "step": 1e-5, "tolerance": 1e-5, "out_dir": ".",
+        "step": _param_default(grad_check, "step"), "tolerance": 1e-5, "out_dir": ".",
     })
     start = time.perf_counter()
     rng = np.random.default_rng(cfg["seed"])
@@ -415,8 +425,8 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_stats(args) -> int:
     cfg = _effective_config(args, {
-        "bank": _REQUIRED, "k": 10, "window": 5, "pair_threshold": 50,
-        "out_dir": ".",
+        "bank": _REQUIRED, "k": AggregationConfig.k, "window": AggregationConfig.window,
+        "pair_threshold": _param_default(bank_stats, "pair_threshold"), "out_dir": ".",
     })
     start = time.perf_counter()
     bank = load_feature_bank(cfg["bank"])

@@ -11,17 +11,19 @@ ranking.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bank import FeatureBank
 from .errors import ValidationError
+from .training import softmax
 
 __all__ = [
     "ActionPrior",
     "ScoreTable",
     "compute_prior",
+    "prior_from_pairs",
     "uniform_prior",
     "prior_stats",
     "reweight_actions",
@@ -41,26 +43,13 @@ SCORE_SPACES = ("verb", "noun", "action")
 
 @dataclass
 class ActionPrior:
-    """Sparse verb x noun co-occurrence prior.  ``freq`` maps observed pairs
-    to relative frequencies; absent pairs have mu = 0.  ``counts`` keeps the
-    raw tallies for reporting."""
+    """Dense verb x noun co-occurrence prior.  ``mu[v, n]`` is the relative
+    frequency of the pair, 0 for pairs never observed; the vocab sizes are
+    its shape.  ``counts`` keeps the raw tallies for reporting when the
+    prior was counted from a bank."""
 
-    freq: dict[tuple[int, int], float]
-    verb_vocab_size: int
-    noun_vocab_size: int
-    counts: dict[tuple[int, int], int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        for (v, n), f in self.freq.items():
-            if not (0 <= v < self.verb_vocab_size and 0 <= n < self.noun_vocab_size):
-                raise ValidationError(
-                    f"prior pair ({v}, {n}) out of range for vocab "
-                    f"{self.verb_vocab_size}x{self.noun_vocab_size}")
-            if not f > 0:
-                raise ValidationError(f"prior pair ({v}, {n}) has non-positive frequency {f}")
-
-    def mu(self, verb: int, noun: int) -> float:
-        return self.freq.get((verb, noun), 0.0)
+    mu: np.ndarray
+    counts: np.ndarray | None = None
 
 
 @dataclass
@@ -105,66 +94,65 @@ def action_pair(index: int, noun_vocab_size: int) -> tuple[int, int]:
 
 def compute_prior(bank: FeatureBank) -> ActionPrior:
     """Relative frequency of each (verb, noun) pair among fully labeled
-    segments; unseen pairs are absent (mu = 0)."""
-    counts: dict[tuple[int, int], int] = {}
-    for rec in bank.records:
-        if rec.verb_label is None or rec.noun_label is None:
-            continue
-        key = (rec.verb_label, rec.noun_label)
-        counts[key] = counts.get(key, 0) + 1
-    total = sum(counts.values())
-    if total == 0:
+    segments; unseen pairs have mu = 0."""
+    pairs = np.array([(r.verb_label, r.noun_label) for r in bank.records
+                      if r.verb_label is not None and r.noun_label is not None],
+                     dtype=np.int64).reshape(-1, 2)
+    if not len(pairs):
         raise ValidationError("compute_prior: no segment carries both verb and noun labels")
-    freq = {key: c / total for key, c in counts.items()}
-    return ActionPrior(freq=freq, verb_vocab_size=bank.verb_vocab_size,
-                       noun_vocab_size=bank.noun_vocab_size, counts=counts)
+    counts = np.zeros((bank.verb_vocab_size, bank.noun_vocab_size), dtype=np.int64)
+    np.add.at(counts, (pairs[:, 0], pairs[:, 1]), 1)
+    return ActionPrior(mu=counts / len(pairs), counts=counts)
+
+
+def prior_from_pairs(freq: dict[tuple[int, int], float], verb_vocab_size: int,
+                     noun_vocab_size: int) -> ActionPrior:
+    """Dense prior with ``freq[(v, n)]`` at each listed pair and 0 elsewhere.
+    The ids must lie inside the vocab; ``load_prior`` checks them."""
+    mu = np.zeros((verb_vocab_size, noun_vocab_size))
+    for (v, n), f in freq.items():
+        mu[v, n] = f
+    return ActionPrior(mu=mu)
 
 
 def uniform_prior(verb_vocab_size: int, noun_vocab_size: int) -> ActionPrior:
     """mu = 1 on every pair: re-weighting with it reproduces the plain
     product ranking."""
-    freq = {(v, n): 1.0 for v in range(verb_vocab_size) for n in range(noun_vocab_size)}
-    return ActionPrior(freq=freq, verb_vocab_size=verb_vocab_size,
-                       noun_vocab_size=noun_vocab_size)
+    return ActionPrior(mu=np.ones((verb_vocab_size, noun_vocab_size)))
 
 
 def prior_stats(prior: ActionPrior, count_threshold: int = 50) -> dict:
-    counts = prior.counts
+    counts = prior.counts if prior.counts is not None else np.zeros(prior.mu.shape, np.int64)
     return {
-        "labeled_segments": sum(counts.values()),
-        "distinct_pairs": len(prior.freq),
+        "labeled_segments": int(counts.sum()),
+        "distinct_pairs": int(np.count_nonzero(prior.mu)),
         "count_threshold": count_threshold,
-        "pairs_above_threshold": sum(1 for c in counts.values() if c > count_threshold),
+        "pairs_above_threshold": int(np.count_nonzero(counts > count_threshold)),
     }
 
 
 def reweight_actions(pv: np.ndarray, pn: np.ndarray, prior: ActionPrior,
                      renormalize: bool = False) -> np.ndarray:
-    """Action scores mu(v, n) * pv[v] * pn[n] as a dense (verbs x nouns)
-    matrix.  Pairs outside the prior's support are exactly zero.  Optional
-    renormalization to a distribution never changes the ranking."""
+    """Action scores mu(v, n) * pv[v] * pn[n] over the last axis: a dense
+    (verbs x nouns) matrix for one verb and one noun distribution, or a
+    (B, verbs, nouns) stack for (B, verbs) and (B, nouns) row blocks.  Pairs
+    outside the prior's support are exactly zero.  Optional renormalization
+    of each matrix to a distribution never changes its ranking."""
     pv = np.asarray(pv, dtype=np.float64)
     pn = np.asarray(pn, dtype=np.float64)
-    if pv.shape != (prior.verb_vocab_size,):
+    verbs, nouns = prior.mu.shape
+    if pv.shape[-1:] != (verbs,):
+        raise ValidationError(f"verb probabilities shaped {pv.shape}, prior expects {verbs} verbs")
+    if pn.shape[-1:] != (nouns,):
+        raise ValidationError(f"noun probabilities shaped {pn.shape}, prior expects {nouns} nouns")
+    if pv.shape[:-1] != pn.shape[:-1]:
         raise ValidationError(
-            f"verb probabilities have dim {pv.shape[0]}, prior expects {prior.verb_vocab_size}")
-    if pn.shape != (prior.noun_vocab_size,):
-        raise ValidationError(
-            f"noun probabilities have dim {pn.shape[0]}, prior expects {prior.noun_vocab_size}")
-    out = np.zeros((prior.verb_vocab_size, prior.noun_vocab_size))
-    for (v, n), f in prior.freq.items():
-        out[v, n] = f * pv[v] * pn[n]
+            f"verb and noun probabilities have {pv.shape[:-1]} vs {pn.shape[:-1]} rows")
+    out = prior.mu * pv[..., :, None] * pn[..., None, :]
     if renormalize:
-        total = out.sum()
-        if total > 0:
-            out /= total
+        total = out.sum(axis=(-2, -1), keepdims=True)
+        np.divide(out, total, out=out, where=total > 0)
     return out
-
-
-def _softmax_rows(rows: np.ndarray) -> np.ndarray:
-    shifted = rows - rows.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def late_fuse(tables: list[ScoreTable], weights: list[float]) -> ScoreTable:
@@ -197,7 +185,7 @@ def late_fuse(tables: list[ScoreTable], weights: list[float]) -> ScoreTable:
                 f"late_fuse: tables have {len(first.segment_ids)} vs {len(t.segment_ids)} segments")
     fused = np.zeros_like(first.scores)
     for t, w in zip(tables, weights):
-        fused += (w / total) * _softmax_rows(t.scores)
+        fused += (w / total) * softmax(t.scores)
     return ScoreTable(segment_ids=list(first.segment_ids), scores=fused,
                       space=first.space, verb_classes=first.verb_classes,
                       noun_classes=first.noun_classes)
@@ -219,12 +207,10 @@ def topk_accuracy(table: ScoreTable, labels, k: int) -> float:
     if labels.size and (labels.min() < 0 or labels.max() >= classes):
         bad = labels[(labels < 0) | (labels >= classes)][0]
         raise ValidationError(f"topk_accuracy: label {bad} out of range for {classes} classes")
-    hits = 0
-    for row, label in zip(table.scores, labels):
-        s = row[label]
-        rank = int(np.sum(row > s)) + int(np.sum(row[:label] == s))
-        if rank < k:
-            hits += 1
+    scores = table.scores
+    true = scores[np.arange(len(labels)), labels][:, None]
+    ahead = (scores > true) | ((scores == true) & (np.arange(classes) < labels[:, None]))
+    hits = np.count_nonzero(ahead.sum(axis=1) < k)
     return hits / len(labels) if len(labels) else 0.0
 
 
@@ -257,30 +243,25 @@ def score_actions_for_bank(verb_table: ScoreTable, noun_table: ScoreTable,
         raise ValidationError(
             f"verb/noun tables have {len(verb_table.segment_ids)} vs "
             f"{len(noun_table.segment_ids)} segments")
-    if verb_table.classes != prior.verb_vocab_size or noun_table.classes != prior.noun_vocab_size:
+    verbs, nouns = prior.mu.shape
+    if (verb_table.classes, noun_table.classes) != (verbs, nouns):
         raise ValidationError(
             f"tables are {verb_table.classes}x{noun_table.classes} classes but prior is "
-            f"{prior.verb_vocab_size}x{prior.noun_vocab_size}")
-    if (bank.verb_vocab_size, bank.noun_vocab_size) != \
-            (prior.verb_vocab_size, prior.noun_vocab_size):
+            f"{verbs}x{nouns}")
+    if (bank.verb_vocab_size, bank.noun_vocab_size) != (verbs, nouns):
         raise ValidationError(
             f"bank vocab {bank.verb_vocab_size}x{bank.noun_vocab_size} does not match prior "
-            f"{prior.verb_vocab_size}x{prior.noun_vocab_size}")
+            f"{verbs}x{nouns}")
 
-    plain_prior = uniform_prior(prior.verb_vocab_size, prior.noun_vocab_size)
-    n_rows = len(verb_table.segment_ids)
-    reweighted = np.zeros((n_rows, prior.verb_vocab_size * prior.noun_vocab_size))
-    plain = np.zeros_like(reweighted)
-    for i in range(n_rows):
-        pv, pn = verb_table.scores[i], noun_table.scores[i]
-        reweighted[i] = reweight_actions(pv, pn, prior).ravel()
-        plain[i] = reweight_actions(pv, pn, plain_prior).ravel()
-
+    shape = (len(verb_table.segment_ids), verbs * nouns)
+    pv, pn = verb_table.scores, noun_table.scores
     table_kwargs = dict(segment_ids=list(verb_table.segment_ids), space="action",
-                        verb_classes=prior.verb_vocab_size,
-                        noun_classes=prior.noun_vocab_size)
-    reweighted_table = ScoreTable(scores=reweighted, **table_kwargs)
-    plain_table = ScoreTable(scores=plain, **table_kwargs)
+                        verb_classes=verbs, noun_classes=nouns)
+    reweighted_table = ScoreTable(scores=reweight_actions(pv, pn, prior).reshape(shape),
+                                  **table_kwargs)
+    plain_table = ScoreTable(
+        scores=reweight_actions(pv, pn, uniform_prior(verbs, nouns)).reshape(shape),
+        **table_kwargs)
 
     labels = _aligned_action_labels(reweighted_table, bank)
     metrics = {
@@ -293,31 +274,43 @@ def score_actions_for_bank(verb_table: ScoreTable, noun_table: ScoreTable,
 # --- file formats ---------------------------------------------------------------
 
 def save_prior(prior: ActionPrior, path) -> None:
-    """One ``verb_id noun_id frequency`` line per stored pair."""
+    """One ``verb_id noun_id frequency`` line per nonzero entry of mu, in
+    row-major order."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for (v, n) in sorted(prior.freq):
-            fh.write(f"{v} {n} {prior.freq[(v, n)]!r}\n")
+        for v, n in np.argwhere(prior.mu).tolist():
+            fh.write(f"{v} {n} {float(prior.mu[v, n])!r}\n")
 
 
 def load_prior(path, verb_vocab_size: int | None = None,
                noun_vocab_size: int | None = None) -> ActionPrior:
     """Parse a prior file; vocab sizes are inferred from the largest ids
-    unless given."""
+    unless given.  A negative or out-of-vocab id, a duplicate pair, or a
+    frequency that is not finite and positive is rejected with its line."""
     freq: dict[tuple[int, int], float] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            where = f"{path}: line {lineno}"
             parts = line.split()
             if len(parts) != 3:
                 raise ValidationError(
-                    f"{path}: line {lineno}: expected 'verb noun frequency', got {line.strip()!r}")
+                    f"{where}: expected 'verb noun frequency', got {line.strip()!r}")
             try:
                 v, n, f = int(parts[0]), int(parts[1]), float(parts[2])
             except ValueError:
-                raise ValidationError(f"{path}: line {lineno}: malformed numbers") from None
+                raise ValidationError(f"{where}: malformed numbers") from None
             if (v, n) in freq:
-                raise ValidationError(f"{path}: line {lineno}: duplicate pair ({v}, {n})")
+                raise ValidationError(f"{where}: duplicate pair ({v}, {n})")
+            if not 0 < f < np.inf:
+                raise ValidationError(f"{where}: frequency {f!r} is not finite and positive")
+            if v < 0 or n < 0:
+                raise ValidationError(f"{where}: negative id in pair ({v}, {n})")
+            if (verb_vocab_size is not None and v >= verb_vocab_size
+                    or noun_vocab_size is not None and n >= noun_vocab_size):
+                raise ValidationError(
+                    f"{where}: pair ({v}, {n}) out of range for vocab "
+                    f"{verb_vocab_size}x{noun_vocab_size}")
             freq[(v, n)] = f
     if not freq:
         raise ValidationError(f"{path}: prior file holds no pairs")
@@ -325,8 +318,7 @@ def load_prior(path, verb_vocab_size: int | None = None,
         verb_vocab_size = max(v for v, _ in freq) + 1
     if noun_vocab_size is None:
         noun_vocab_size = max(n for _, n in freq) + 1
-    return ActionPrior(freq=freq, verb_vocab_size=verb_vocab_size,
-                       noun_vocab_size=noun_vocab_size)
+    return prior_from_pairs(freq, verb_vocab_size, noun_vocab_size)
 
 
 def save_score_table(table: ScoreTable, path) -> None:
@@ -354,7 +346,11 @@ def load_score_table(path) -> ScoreTable:
         header = json.loads(lines[0])
         space = header["space"]
         classes = int(header["classes"])
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+        verb_classes, noun_classes = (
+            None if header.get(key) is None else int(header[key])
+            for key in ("verb_classes", "noun_classes"))
+        no_rows = np.zeros((0, classes))  # rejects a negative or oversized count
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError):
         raise ValidationError(f"{path}: line 1: malformed score table header") from None
     segment_ids: list[str] = []
     rows: list[np.ndarray] = []
@@ -370,7 +366,6 @@ def load_score_table(path) -> ScoreTable:
             rows.append(np.array([float(x) for x in parts[1:]], dtype=np.float64))
         except ValueError:
             raise ValidationError(f"{path}: line {lineno}: malformed score") from None
-    scores = np.stack(rows) if rows else np.zeros((0, classes))
+    scores = np.stack(rows) if rows else no_rows
     return ScoreTable(segment_ids=segment_ids, scores=scores, space=space,
-                      verb_classes=header.get("verb_classes"),
-                      noun_classes=header.get("noun_classes"))
+                      verb_classes=verb_classes, noun_classes=noun_classes)

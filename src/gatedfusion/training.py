@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bank import AggregationConfig, FeatureBank, aggregate_object_feature
+from .bank import AggregationConfig, FeatureBank, bank_features
 from .errors import ShapeError, ValidationError
 from .gfa import (GfaCache, GfaParams, ScaleMode, gfa_backward, gfa_forward,
                   init_gfa_params)
@@ -49,7 +49,6 @@ __all__ = [
     "loss_and_grads",
     "sgd_momentum_step",
     "init_model",
-    "bank_features",
     "param_groups",
     "with_params",
     "train",
@@ -271,14 +270,6 @@ def with_params(model: Model, groups: dict[str, np.ndarray]) -> Model:
         gfa = GfaParams(variant=model.gfa.variant, W=groups["gfa.W"],
                         b=groups["gfa.b"], scale=model.gfa.scale)
     return Model(fusion_kind=model.fusion_kind, head=head, gfa=gfa)
-
-
-def bank_features(bank: FeatureBank, cfg: AggregationConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Clip features and aggregated object features of every record, as
-    ``(records, dim_v)`` and ``(records, dim_o)`` row blocks."""
-    V = np.stack([r.clip_feature for r in bank.records])
-    O = np.stack([aggregate_object_feature(r, cfg, bank.dim_o) for r in bank.records])
-    return V, O
 
 
 def _bank_labels(bank: FeatureBank, target: str) -> np.ndarray:
@@ -512,6 +503,17 @@ def load_checkpoint(path) -> Checkpoint:
             variant = gfa_obj.get("variant")
     except (KeyError, TypeError, AttributeError):
         raise ValidationError(f"{path}: missing checkpoint fields") from None
+    except ValueError:
+        raise ValidationError(f"{path}: checkpoint weights must be arrays of numbers") from None
+    for key, val in (("dim_v", dim_v), ("dim_o", dim_o), ("classes", classes)):
+        if not isinstance(val, int) or isinstance(val, bool):
+            raise ValidationError(f"{path}: {key!r} must be an integer, got {val!r}")
+    weights = {"head.W": head_W, "head.b": head_b}
+    if gfa_obj is not None:
+        weights.update({"gfa.W": gfa_W, "gfa.b": gfa_b})
+    for name, arr in weights.items():
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError(f"{path}: {name} has non-finite entries")
 
     feat_dim = _feature_dim(fusion, dim_v, dim_o)
     if head_W.shape != (classes, feat_dim):

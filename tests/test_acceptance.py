@@ -17,7 +17,7 @@ from gatedfusion.cli import main
 from gatedfusion.gfa import (GfaParams, ScaleMode, gfa_a_forward,
                              gfa_b_forward, init_gfa_params,
                              scale_object_feature)
-from gatedfusion.scoring import (ActionPrior, ScoreTable, compute_prior,
+from gatedfusion.scoring import (ScoreTable, compute_prior, prior_from_pairs,
                                  reweight_actions, score_actions_for_bank,
                                  topk_accuracy, uniform_prior)
 from gatedfusion.training import (ModelSpec, TrainConfig, cross_entropy,
@@ -220,7 +220,7 @@ def test_criterion_05_object_features_lift_nouns():
 
 def test_criterion_06_reweighting_matches_brute_force():
     freq = {(0, 1): 0.25, (1, 0): 0.5, (2, 2): 0.25}
-    prior = ActionPrior(freq=freq, verb_vocab_size=3, noun_vocab_size=3)
+    prior = prior_from_pairs(freq, 3, 3)
     pv = np.array([0.2, 0.5, 0.3])
     pn = np.array([0.6, 0.3, 0.1])
     out = reweight_actions(pv, pn, prior)
@@ -242,10 +242,9 @@ def test_criterion_06_reweighting_matches_brute_force():
 
         pairs = {(int(rng.integers(3)), int(rng.integers(3))): float(rng.uniform(0.1, 1.0))
                  for _ in range(4)}
-        base = ActionPrior(freq=pairs, verb_vocab_size=3, noun_vocab_size=3)
+        base = prior_from_pairs(pairs, 3, 3)
         c = float(rng.uniform(0.01, 100.0))
-        scaled = ActionPrior(freq={k: c * f for k, f in pairs.items()},
-                             verb_vocab_size=3, noun_vocab_size=3)
+        scaled = prior_from_pairs({k: c * f for k, f in pairs.items()}, 3, 3)
         assert np.argmax(reweight_actions(pv, pn, base)) == \
             np.argmax(reweight_actions(pv, pn, scaled))
     _report(6, "3x3 brute force exact; zero-support exact zeros; all-ones and "

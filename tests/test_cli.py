@@ -1,13 +1,17 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
-from gatedfusion.bank import load_feature_bank
+from gatedfusion.bank import (AggregationConfig, FeatureBank, SegmentRecord, SynthSpec,
+                              load_feature_bank, save_feature_bank)
 from gatedfusion.cli import main
 from gatedfusion.gfa import ScaleMode
 from gatedfusion.manifest import load_manifest
-from gatedfusion.scoring import load_score_table
-from gatedfusion.training import init_model, load_checkpoint, param_groups
+from gatedfusion.scoring import ScoreTable, load_score_table, save_score_table
+from gatedfusion.training import TrainConfig, init_model, load_checkpoint, param_groups
 
 
 def run(*argv):
@@ -20,6 +24,33 @@ def synth(out_dir, seed=7, train=40, val=20, **flags):
     for key, val_ in flags.items():
         args += [f"--{key.replace('_', '-')}", val_]
     assert run(*args) == 0
+
+
+def tiny_action_inputs(root):
+    """A labeled 2-verb x 3-noun bank, aligned verb and noun tables, and a
+    prior file: the inputs of one ``actions --prior`` run."""
+    ids = ["s0", "s1", "s2", "s3"]
+    records = [SegmentRecord(segment_id=i, clip_feature=np.zeros(2), clip_center_frame=0,
+                             detections=[], verb_label=v, noun_label=n)
+               for i, (v, n) in zip(ids, [(0, 0), (1, 1), (1, 2), (0, 0)])]
+    paths = {name: root / f"{name}.txt" for name in ("verb", "noun", "prior")}
+    paths["bank"] = root / "test.bank"
+    save_feature_bank(FeatureBank(records=records, dim_v=2, dim_o=2, verb_vocab_size=2,
+                                  noun_vocab_size=3), paths["bank"])
+    save_score_table(ScoreTable(segment_ids=ids, space="verb", scores=np.array(
+        [[0.9, 0.1], [0.2, 0.8], [0.4, 0.6], [0.5, 0.5]])), paths["verb"])
+    save_score_table(ScoreTable(segment_ids=ids, space="noun", scores=np.array(
+        [[0.4, 0.1, 0.5], [0.1, 0.4, 0.5], [0.3, 0.3, 0.4], [0.2, 0.2, 0.6]])), paths["noun"])
+    paths["prior"].write_text("0 0 0.5\n1 1 0.25\n1 2 0.25\n", encoding="utf-8")
+    return paths
+
+
+def run_actions(paths, out_dir):
+    return run("actions", "--verb-table", paths["verb"], "--noun-table", paths["noun"],
+               "--bank", paths["bank"], "--prior", paths["prior"], "--out-dir", out_dir)
+
+
+HEADER_ONLY_BANK = '{"dim_v":2,"dim_o":2,"verb_vocab_size":2,"noun_vocab_size":3}\n'
 
 
 class TestSynth:
@@ -185,6 +216,48 @@ class TestTrainEval:
             assert rc == 1, group
             assert "missing checkpoint fields" in capsys.readouterr().err
 
+    def _concat_checkpoint(self, tmp_path):
+        synth(tmp_path / "data", train=20, val=5)
+        assert run("train", "--bank", tmp_path / "data/train.bank", "--target", "noun",
+                   "--fusion", "concat", "--epochs", 1, "--seed", 0,
+                   "--out-dir", tmp_path / "run") == 0
+        return json.loads((tmp_path / "run/checkpoint.json").read_text())
+
+    def _eval(self, tmp_path, obj):
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(obj))
+        return run("eval", "--checkpoint", broken, "--bank", tmp_path / "data/val.bank",
+                   "--out-dir", tmp_path / "eval")
+
+    def test_checkpoint_string_dim_is_exit_one(self, tmp_path, capsys):
+        obj = self._concat_checkpoint(tmp_path)
+        obj["dim_v"] = "16"
+        assert self._eval(tmp_path, obj) == 1
+        assert "'dim_v' must be an integer" in capsys.readouterr().err
+
+    def test_checkpoint_nan_weight_is_exit_one(self, tmp_path, capsys):
+        obj = self._concat_checkpoint(tmp_path)
+        obj["head"]["W"]["data"][3] = float("nan")
+        assert self._eval(tmp_path, obj) == 1
+        assert "head.W has non-finite entries" in capsys.readouterr().err
+
+    def test_checkpoint_non_numeric_weight_is_exit_one(self, tmp_path, capsys):
+        obj = self._concat_checkpoint(tmp_path)
+        obj["head"]["b"][0] = "x"
+        assert self._eval(tmp_path, obj) == 1
+        assert "weights must be arrays of numbers" in capsys.readouterr().err
+
+    def test_header_only_bank_gives_empty_table(self, tmp_path):
+        synth(tmp_path / "data", train=20, val=5, nouns=3)
+        assert run("train", "--bank", tmp_path / "data/train.bank", "--target", "noun",
+                   "--fusion", "gfa-a", "--epochs", 1, "--seed", 0,
+                   "--out-dir", tmp_path / "run") == 0
+        bank = tmp_path / "empty.bank"
+        bank.write_text(HEADER_ONLY_BANK.replace('"dim_v":2,"dim_o":2', '"dim_v":16,"dim_o":16'))
+        assert run("eval", "--checkpoint", tmp_path / "run/checkpoint.json", "--bank", bank,
+                   "--out-dir", tmp_path / "eval") == 0
+        assert load_score_table(tmp_path / "eval/scores.txt").scores.shape == (0, 3)
+
     def test_eval_without_labels_omits_metrics(self, tmp_path):
         synth(tmp_path / "data", train=20, val=5)
         run("train", "--bank", tmp_path / "data/train.bank", "--target", "noun",
@@ -295,6 +368,73 @@ class TestActions:
         assert "misaligned" in capsys.readouterr().err
 
 
+    def test_score_table_class_split_must_be_integers(self, tmp_path, capsys):
+        paths = tiny_action_inputs(tmp_path)
+        paths["verb"].write_text(
+            '{"space":"action","classes":4,"verb_classes":"a","noun_classes":"b"}\n')
+        assert run_actions(paths, tmp_path / "act") == 1
+        assert "malformed score table header" in capsys.readouterr().err
+
+
+_JUNK = ["", "x", "nan", "inf", "-inf", "1e400", "-1", "0", "-0.0", "2", "99", "0.5",
+         "1.5", "true", "null", '"a"', "[]", "{}"]
+_HEADER_KEYS = ("space", "classes", "verb_classes", "noun_classes")
+_HEADER_JUNK = [None, True, -1, 0, 2, 3, 6, 2.5, 1e300, float("inf"), float("nan"),
+                10**20, "a", "3", "verb", "action", [], {}]
+
+
+def _corrupt(text, edits):
+    """Apply line edits: truncate a line, overwrite one of its tokens, drop
+    or duplicate it, or set (None: delete) a field of a JSON header line."""
+    lines = text.splitlines()
+    for kind, i, j, token, key, value in edits:
+        if not lines:
+            break
+        i %= len(lines)
+        if kind == "truncate":
+            lines[i] = lines[i][:j % (len(lines[i]) + 1)]
+        elif kind == "token":
+            parts = lines[i].split() or [""]
+            parts[j % len(parts)] = token
+            lines[i] = " ".join(parts)
+        elif kind == "drop":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            try:
+                header = json.loads(lines[0])
+            except json.JSONDecodeError:
+                continue
+            if isinstance(header, dict):
+                if value is None:
+                    header.pop(key, None)
+                else:
+                    header[key] = value
+                lines[0] = json.dumps(header, separators=(",", ":"))
+    return "".join(line + "\n" for line in lines)
+
+
+_EDITS = st.lists(st.tuples(
+    st.sampled_from(["truncate", "token", "drop", "duplicate", "header"]),
+    st.integers(0, 50), st.integers(0, 50), st.sampled_from(_JUNK),
+    st.sampled_from(_HEADER_KEYS), st.sampled_from(_HEADER_JUNK)), min_size=1, max_size=3)
+
+
+class TestFuzzedActionInputs:
+    @settings(max_examples=200, deadline=None)
+    @given(target=st.sampled_from(["prior", "verb", "noun"]), edits=_EDITS)
+    def test_actions_exits_zero_or_one(self, target, edits):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = tiny_action_inputs(Path(tmp))
+            paths[target].write_text(_corrupt(paths[target].read_text(), edits))
+            rc = run_actions(paths, Path(tmp) / "act")
+        assert rc in (0, 1)
+
+    def test_uncorrupted_inputs_pass(self, tmp_path):
+        assert run_actions(tiny_action_inputs(tmp_path), tmp_path / "act") == 0
+
+
 class TestGradcheckCommand:
     def test_passes_by_default(self, tmp_path, capsys):
         rc = run("gradcheck", "--fusion", "gfa-a", "--scale", "norm",
@@ -315,6 +455,42 @@ class TestGradcheckCommand:
     def test_unknown_fusion_is_usage_error(self, tmp_path, capsys):
         rc = run("gradcheck", "--fusion", "bogus", "--out-dir", tmp_path)
         assert rc == 1
+
+
+class TestStats:
+    def test_header_only_bank(self, tmp_path):
+        bank = tmp_path / "empty.bank"
+        bank.write_text(HEADER_ONLY_BANK)
+        assert run("stats", "--bank", bank, "--out-dir", tmp_path) == 0
+        stats = json.loads((tmp_path / "bank_stats.json").read_text())
+        assert stats["mean_clip_amplitude"] == 0.0
+        assert stats["mean_object_amplitude"] == 0.0
+
+
+class TestLibraryDefaults:
+    def test_synth_and_train_manifests_record_library_defaults(self, tmp_path):
+        data, out = str(tmp_path / "data"), str(tmp_path / "run")
+        assert run("synth", "--seed", 5, "--out-dir", data) == 0
+        spec = SynthSpec(n_segments=1)
+        assert load_manifest(tmp_path / "data/synth.manifest.json").config == {
+            "seed": 5, "out_dir": data, "train_segments": 500, "val_segments": 200,
+            "verbs": spec.verb_vocab, "nouns": spec.noun_vocab, "dim_v": spec.dim_v,
+            "dim_o": spec.dim_o, "detections": spec.signal_detections,
+            "distractors": spec.distractors, "decoys": spec.decoys, "noise": spec.noise,
+            "mismatch": spec.mismatch, "jitter": spec.amplitude_jitter,
+            "noun_in_clip": spec.noun_in_clip, "pairs_per_verb": spec.pairs_per_verb,
+            "window": spec.window}
+
+        bank = data + "/val.bank"
+        assert run("train", "--bank", bank, "--target", "verb", "--fusion", "clip-only",
+                   "--seed", 2, "--out-dir", out) == 0
+        tc, agg, scale = TrainConfig(), AggregationConfig(), ScaleMode()
+        assert load_manifest(tmp_path / "run/train.manifest.json").config == {
+            "bank": bank, "val_bank": None, "target": "verb", "fusion": "clip-only",
+            "scale": scale.kind, "scale_divisor": scale.s, "estimate_divisor": False,
+            "lr": tc.learning_rate, "momentum": tc.momentum, "epochs": tc.epochs,
+            "batch_size": tc.batch_size, "seed": 2, "k": agg.k, "window": agg.window,
+            "out_dir": out}
 
 
 class TestManifestRerun:

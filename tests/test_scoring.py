@@ -4,9 +4,9 @@ from hypothesis import given, strategies as st
 
 from gatedfusion.bank import FeatureBank, SegmentRecord
 from gatedfusion.errors import ValidationError
-from gatedfusion.scoring import (ActionPrior, ScoreTable, action_index,
-                                 action_pair, compute_prior, late_fuse,
-                                 load_prior, load_score_table, prior_stats,
+from gatedfusion.scoring import (ScoreTable, action_index, action_pair,
+                                 compute_prior, late_fuse, load_prior,
+                                 load_score_table, prior_from_pairs, prior_stats,
                                  reweight_actions, save_prior,
                                  save_score_table, score_actions_for_bank,
                                  topk_accuracy, uniform_prior)
@@ -30,27 +30,27 @@ def table(rows, space="verb", ids=None, **kw):
 class TestComputePrior:
     def test_counting(self):
         prior = compute_prior(labeled_bank([(0, 0), (0, 0), (1, 2), (0, 1)]))
-        assert prior.mu(0, 0) == 0.5
-        assert prior.mu(1, 2) == 0.25
-        assert prior.mu(0, 1) == 0.25
-        assert prior.mu(3, 3) == 0.0
-        assert (3, 3) not in prior.freq
+        assert prior.mu[0, 0] == 0.5
+        assert prior.mu[1, 2] == 0.25
+        assert prior.mu[0, 1] == 0.25
+        assert prior.mu[3, 3] == 0.0
+        assert [3, 3] not in np.argwhere(prior.mu).tolist()
 
     def test_single_segment(self):
         prior = compute_prior(labeled_bank([(2, 3)]))
-        assert prior.mu(2, 3) == 1.0
+        assert prior.mu[2, 3] == 1.0
 
     def test_frequencies_sum_to_one(self):
         rng = np.random.default_rng(0)
         pairs = [(int(rng.integers(4)), int(rng.integers(4))) for _ in range(57)]
         prior = compute_prior(labeled_bank(pairs))
-        assert abs(sum(prior.freq.values()) - 1.0) < 1e-12
+        assert abs(prior.mu.sum() - 1.0) < 1e-12
 
     def test_partially_labeled_segments_excluded(self):
         bank = labeled_bank([(0, 0), (1, 1)])
         bank.records[1].noun_label = None
         prior = compute_prior(bank)
-        assert prior.mu(0, 0) == 1.0
+        assert prior.mu[0, 0] == 1.0
 
     def test_no_labels_error(self):
         bank = labeled_bank([(0, 0)])
@@ -68,7 +68,7 @@ class TestComputePrior:
 
 class TestReweightActions:
     def test_support_restriction(self):
-        prior = ActionPrior(freq={(1, 1): 1.0}, verb_vocab_size=3, noun_vocab_size=3)
+        prior = prior_from_pairs({(1, 1): 1.0}, 3, 3)
         pv = np.array([0.5, 0.3, 0.2])
         pn = np.array([0.1, 0.2, 0.7])
         out = reweight_actions(pv, pn, prior)
@@ -87,7 +87,7 @@ class TestReweightActions:
 
     def test_three_by_three_brute_force(self):
         freq = {(0, 0): 0.4, (0, 2): 0.1, (1, 1): 0.3, (2, 2): 0.2}
-        prior = ActionPrior(freq=freq, verb_vocab_size=3, noun_vocab_size=3)
+        prior = prior_from_pairs(freq, 3, 3)
         pv = np.array([0.2, 0.5, 0.3])
         pn = np.array([0.6, 0.3, 0.1])
         out = reweight_actions(pv, pn, prior)
@@ -96,8 +96,7 @@ class TestReweightActions:
                 assert out[v, n] == freq.get((v, n), 0.0) * pv[v] * pn[n]
 
     def test_renormalization_preserves_ranking(self):
-        prior = ActionPrior(freq={(0, 0): 0.7, (1, 1): 0.3},
-                            verb_vocab_size=2, noun_vocab_size=2)
+        prior = prior_from_pairs({(0, 0): 0.7, (1, 1): 0.3}, 2, 2)
         pv, pn = np.array([0.4, 0.6]), np.array([0.5, 0.5])
         raw = reweight_actions(pv, pn, prior)
         normed = reweight_actions(pv, pn, prior, renormalize=True)
@@ -109,14 +108,31 @@ class TestReweightActions:
         with pytest.raises(ValidationError):
             reweight_actions(np.ones(3) / 3, np.ones(2) / 2, prior)
 
+    @pytest.mark.parametrize("renormalize", [False, True])
+    def test_row_blocks_equal_stacked_rows(self, renormalize):
+        rng = np.random.default_rng(9)
+        pairs = [(int(rng.integers(4)), int(rng.integers(5))) for _ in range(30)]
+        prior = compute_prior(labeled_bank(pairs, verb_vocab=4, noun_vocab=5))
+        pv = rng.dirichlet(np.ones(4), size=7)
+        pn = rng.dirichlet(np.ones(5), size=7)
+        pv[3] = 0.0  # an all-zero matrix stays zero under renormalization
+        block = reweight_actions(pv, pn, prior, renormalize=renormalize)
+        rows = np.stack([reweight_actions(a, b, prior, renormalize=renormalize)
+                         for a, b in zip(pv, pn)])
+        assert block.shape == (7, 4, 5)
+        assert block.tobytes() == rows.tobytes()
+
+    def test_row_count_mismatch(self):
+        with pytest.raises(ValidationError, match="rows"):
+            reweight_actions(np.ones((3, 2)) / 2, np.ones((2, 2)) / 2, uniform_prior(2, 2))
+
     def test_positive_scaling_of_mu_preserves_argmax(self):
         rng = np.random.default_rng(2)
         for _ in range(25):
             pairs = {(int(rng.integers(3)), int(rng.integers(3))): float(rng.uniform(0.1, 1))
                      for _ in range(5)}
-            prior = ActionPrior(freq=pairs, verb_vocab_size=3, noun_vocab_size=3)
-            scaled = ActionPrior(freq={k: 7.3 * f for k, f in pairs.items()},
-                                 verb_vocab_size=3, noun_vocab_size=3)
+            prior = prior_from_pairs(pairs, 3, 3)
+            scaled = prior_from_pairs({k: 7.3 * f for k, f in pairs.items()}, 3, 3)
             pv = rng.dirichlet(np.ones(3))
             pn = rng.dirichlet(np.ones(3))
             a = reweight_actions(pv, pn, prior)
@@ -285,14 +301,14 @@ class TestFileFormats:
         path = tmp_path / "prior.txt"
         save_prior(prior, path)
         loaded = load_prior(path, 4, 4)
-        assert loaded.freq == prior.freq
+        assert np.array_equal(loaded.mu, prior.mu)
 
     def test_prior_vocab_inference(self, tmp_path):
         path = tmp_path / "prior.txt"
         path.write_text("2 5 0.5\n0 1 0.5\n", encoding="utf-8")
         loaded = load_prior(path)
-        assert loaded.verb_vocab_size == 3
-        assert loaded.noun_vocab_size == 6
+        assert loaded.mu.shape[0] == 3
+        assert loaded.mu.shape[1] == 6
 
     def test_prior_duplicate_pair(self, tmp_path):
         path = tmp_path / "prior.txt"
@@ -305,6 +321,38 @@ class TestFileFormats:
         path.write_text("0 0\n", encoding="utf-8")
         with pytest.raises(ValidationError, match="line 1"):
             load_prior(path)
+
+    @pytest.mark.parametrize("freq", ["inf", "nan"])
+    def test_prior_nonfinite_frequency_rejected(self, tmp_path, freq):
+        path = tmp_path / "prior.txt"
+        path.write_text(f"0 1 0.5\n0 0 {freq}\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="line 2: frequency"):
+            load_prior(path, 4, 4)
+
+    @pytest.mark.parametrize("freq", ["0", "-0.5"])
+    def test_prior_nonpositive_frequency_rejected(self, tmp_path, freq):
+        path = tmp_path / "prior.txt"
+        path.write_text(f"0 1 0.5\n0 0 {freq}\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="line 2: frequency"):
+            load_prior(path, 4, 4)
+
+    def test_prior_negative_id_rejected(self, tmp_path):
+        # a negative index into the dense matrix would wrap around silently
+        path = tmp_path / "prior.txt"
+        path.write_text("0 1 0.5\n-1 0 0.5\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="line 2: negative id"):
+            load_prior(path)
+
+    def test_prior_id_outside_vocab_rejected(self, tmp_path):
+        path = tmp_path / "prior.txt"
+        path.write_text("0 1 0.5\n0 4 0.5\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="line 2: pair \\(0, 4\\) out of range"):
+            load_prior(path, 4, 4)
+
+    def test_prior_rows_written_in_row_major_order(self, tmp_path):
+        path = tmp_path / "prior.txt"
+        save_prior(prior_from_pairs({(2, 0): 0.5, (0, 3): 0.25, (0, 1): 0.25}, 3, 4), path)
+        assert path.read_text(encoding="utf-8") == "0 1 0.25\n0 3 0.25\n2 0 0.5\n"
 
     def test_score_table_roundtrip(self, tmp_path):
         rng = np.random.default_rng(8)
