@@ -10,18 +10,28 @@ pooling their features coordinatewise.
 The on-disk format is line-delimited JSON: a header line declaring the
 feature dims and vocabulary sizes, then one record object per line.  Floats
 are serialized with full round-trip precision, so save/load is lossless.
+
+Saving also writes a derived binary sidecar, ``<bank>.npz``: the same
+records as flat blocks, tagged with the SHA-256 of the JSON bytes.  Loading
+reads the records from the sidecar only when that digest matches the JSON
+it has just read; otherwise it parses the JSON.  Deleting the sidecar is
+always safe.
 """
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import json
+import os
+import zipfile
 import zlib
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
+from .errors import ShapeError, ValidationError, strict_json
 from .tensor import l2_norm
 
 __all__ = [
@@ -62,6 +72,30 @@ class SegmentRecord:
     noun_label: int | None = None
 
 
+_INT64 = np.iinfo(np.int64)
+
+
+def _check_int64(val, what: str) -> None:
+    """An integer (not a bool) that fits the sidecar's int64 blocks."""
+    if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
+        raise ValidationError(f"{what} must be an integer, got {val!r}")
+    if not _INT64.min <= val <= _INT64.max:
+        raise ValidationError(f"{what} {val} does not fit in int64")
+
+
+_FINITE_CHUNK = 4096  # arrays joined per check: a few MB of temporaries, not a bank copy
+
+
+def _all_finite(arrays: list[np.ndarray]) -> bool:
+    """True when every entry of every array is finite; False also when the
+    arrays cannot be joined into one block (e.g. mixed ranks)."""
+    try:
+        return all(np.isfinite(np.concatenate(arrays[i:i + _FINITE_CHUNK])).all()
+                   for i in range(0, len(arrays), _FINITE_CHUNK))
+    except (TypeError, ValueError):
+        return False
+
+
 @dataclass(eq=False)
 class FeatureBank:
     records: list[SegmentRecord]
@@ -78,33 +112,46 @@ class FeatureBank:
         if self.verb_vocab_size < 1 or self.noun_vocab_size < 1:
             raise ValidationError(
                 f"vocab sizes must be positive, got verbs={self.verb_vocab_size}, nouns={self.noun_vocab_size}")
+        for key in _HEADER_KEYS:
+            _check_int64(getattr(self, key), key)
+        # Finiteness is checked once per block; the scan below repeats it
+        # per feature only when a block fails, to name the first offender.
+        scan_finite = not (
+            _all_finite([r.clip_feature for r in self.records])
+            and _all_finite([d.feature for r in self.records for d in r.detections]))
         seen: set[str] = set()
         for rec in self.records:
+            if not isinstance(rec.segment_id, str):
+                raise ValidationError(f"segment_id must be a string, got {rec.segment_id!r}")
             where = f"record {rec.segment_id!r}"
             if rec.segment_id in seen:
                 raise ValidationError(f"duplicate segment_id {rec.segment_id!r}")
             seen.add(rec.segment_id)
+            _check_int64(rec.clip_center_frame, f"{where}: center")
             if rec.clip_feature.shape != (self.dim_v,):
                 raise ValidationError(
                     f"{where}: clip_feature has dim {rec.clip_feature.shape[0]}, bank declares dim_v={self.dim_v}")
-            if not np.all(np.isfinite(rec.clip_feature)):
+            if scan_finite and not np.all(np.isfinite(rec.clip_feature)):
                 raise ValidationError(f"{where}: clip_feature has non-finite entries")
             for j, det in enumerate(rec.detections):
+                _check_int64(det.frame_index, f"{where}: detection {j} frame")
                 if det.feature.shape != (self.dim_o,):
                     raise ValidationError(
                         f"{where}: detection {j} feature has dim {det.feature.shape[0]}, "
                         f"bank declares dim_o={self.dim_o}")
-                if not np.all(np.isfinite(det.feature)):
+                if scan_finite and not np.all(np.isfinite(det.feature)):
                     raise ValidationError(f"{where}: detection {j} feature has non-finite entries")
                 if not 0.0 <= det.score <= 1.0:
                     raise ValidationError(
                         f"{where}: detection {j} score {det.score} outside [0, 1]")
-            if rec.verb_label is not None and not 0 <= rec.verb_label < self.verb_vocab_size:
-                raise ValidationError(
-                    f"{where}: verb label {rec.verb_label} out of range [0, {self.verb_vocab_size})")
-            if rec.noun_label is not None and not 0 <= rec.noun_label < self.noun_vocab_size:
-                raise ValidationError(
-                    f"{where}: noun label {rec.noun_label} out of range [0, {self.noun_vocab_size})")
+            for space, label, size in (("verb", rec.verb_label, self.verb_vocab_size),
+                                       ("noun", rec.noun_label, self.noun_vocab_size)):
+                if label is None:
+                    continue
+                _check_int64(label, f"{where}: {space} label")
+                if not 0 <= label < size:
+                    raise ValidationError(
+                        f"{where}: {space} label {label} out of range [0, {size})")
 
 
 @dataclass(frozen=True)
@@ -187,16 +234,87 @@ def _record_to_json(rec: SegmentRecord) -> str:
         obj["verb"] = rec.verb_label
     if rec.noun_label is not None:
         obj["noun"] = rec.noun_label
-    return json.dumps(obj, separators=(",", ":"))
+    return strict_json(obj, separators=(",", ":"))
+
+
+# Sidecar blocks and their dtypes.  Per record: clip features, detection
+# count, center, (verb, noun) labels with -1 for none, id length; per
+# detection: feature, frame, score.  Segment ids are stored as UTF-32 code
+# points, so any str (lone surrogates, NULs) round-trips.
+_SIDECAR_DTYPES = {
+    "digest": np.dtype(np.uint8),
+    "header": np.dtype(np.int64),
+    "clip": np.dtype(np.float64),
+    "features": np.dtype(np.float64),
+    "frames": np.dtype(np.int64),
+    "scores": np.dtype(np.float64),
+    "detections": np.dtype(np.int64),
+    "centers": np.dtype(np.int64),
+    "labels": np.dtype(np.int64),
+    "ids": np.dtype("<u4"),
+    "id_lengths": np.dtype(np.int64),
+}
+_NO_LABEL = -1
+# What np.load and zipfile raise on a sidecar that is missing, empty, not an
+# npz (a bare .npy has no context manager), truncated or corrupted (CRC,
+# headers, unsupported or encrypted members), missing a block, holding
+# pickled objects, or declaring a block too large to allocate.
+_SIDECAR_READ_ERRORS = (OSError, EOFError, KeyError, TypeError, ValueError, RuntimeError,
+                        NotImplementedError, MemoryError, zipfile.BadZipFile)
+_ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
+
+
+def _sidecar_path(path) -> str:
+    return os.fspath(path) + ".npz"
+
+
+def _sidecar_blocks(bank: FeatureBank, digest: bytes) -> dict[str, np.ndarray]:
+    recs = bank.records
+    dets = [d for r in recs for d in r.detections]
+    # The ids as the JSON reads back: json.loads joins an escaped surrogate
+    # pair into one character.
+    ids = [json.loads(json.dumps(r.segment_id)).encode("utf-32-le", "surrogatepass")
+           for r in recs]
+    labels = [[_NO_LABEL if label is None else label for label in (r.verb_label, r.noun_label)]
+              for r in recs]
+    blocks = {
+        "digest": np.frombuffer(digest, dtype=np.uint8),
+        "header": [getattr(bank, k) for k in _HEADER_KEYS],
+        "clip": np.array([r.clip_feature for r in recs]).reshape(len(recs), bank.dim_v),
+        "features": np.array([d.feature for d in dets]).reshape(len(dets), bank.dim_o),
+        "frames": [d.frame_index for d in dets],
+        "scores": [d.score for d in dets],
+        "detections": [len(r.detections) for r in recs],
+        "centers": [r.clip_center_frame for r in recs],
+        "labels": np.array(labels, dtype=np.int64).reshape(len(recs), 2),
+        "ids": np.frombuffer(b"".join(ids), dtype="<u4"),
+        "id_lengths": [len(i) // 4 for i in ids],
+    }
+    return {name: np.asarray(blocks[name], dtype=dtype) for name, dtype in _SIDECAR_DTYPES.items()}
+
+
+def _write_sidecar(blocks: dict[str, np.ndarray], path) -> None:
+    """The ``np.savez`` layout (one stored ``<name>.npy`` member per block)
+    with fixed member timestamps, so equal banks give equal bytes."""
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, arr in blocks.items():
+            info = zipfile.ZipInfo(name + ".npy", date_time=_ZIP_EPOCH)
+            with zf.open(info, "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, arr, allow_pickle=False)
 
 
 def save_feature_bank(bank: FeatureBank, path) -> None:
+    """Write the JSON-lines bank, then its sidecar tagged with the SHA-256
+    of the JSON bytes just written."""
     bank.validate()
-    header = {k: getattr(bank, k) for k in _HEADER_KEYS}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(header, separators=(",", ":")) + "\n")
-        for rec in bank.records:
-            fh.write(_record_to_json(rec) + "\n")
+    header = strict_json({k: getattr(bank, k) for k in _HEADER_KEYS}, separators=(",", ":"))
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for line in itertools.chain([header], map(_record_to_json, bank.records)):
+            data = (line + "\n").encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+    _write_sidecar(_sidecar_blocks(bank, digest.digest()), _sidecar_path(path))
 
 
 def _parse_int(obj: dict, key: str, where: str, optional: bool = False) -> int | None:
@@ -210,11 +328,76 @@ def _parse_int(obj: dict, key: str, where: str, optional: bool = False) -> int |
     return val
 
 
+def _load_sidecar(path, digest: bytes) -> FeatureBank | None:
+    """The bank in ``path``'s sidecar when the sidecar was written for JSON
+    bytes with this digest and its blocks are consistent, else None.  The
+    sidecar is derived data, so a failure to read it means "not usable" and
+    the caller parses the JSON instead."""
+    try:
+        with np.load(_sidecar_path(path), allow_pickle=False) as npz:
+            if bytes(npz["digest"]) != digest:
+                return None
+            blocks = {name: npz[name] for name in _SIDECAR_DTYPES}
+    except _SIDECAR_READ_ERRORS:
+        return None
+    if not all(isinstance(blocks[name], np.ndarray) and blocks[name].dtype == dtype
+               for name, dtype in _SIDECAR_DTYPES.items()):
+        return None
+    header = blocks["header"]
+    counts, id_lengths = blocks["detections"], blocks["id_lengths"]
+    if (header.shape != (len(_HEADER_KEYS),) or counts.ndim != 1 or (counts < 0).any()
+            or (id_lengths < 0).any()):
+        return None
+    dims = dict(zip(_HEADER_KEYS, header.tolist()))
+    n, d = len(counts), int(counts.sum())
+    shapes = {"clip": (n, dims["dim_v"]), "features": (d, dims["dim_o"]), "frames": (d,),
+              "scores": (d,), "centers": (n,), "labels": (n, 2), "id_lengths": (n,),
+              "ids": (int(id_lengths.sum()),)}
+    if any(blocks[name].shape != shape for name, shape in shapes.items()):
+        return None
+    try:
+        text = blocks["ids"].tobytes().decode("utf-32-le", "surrogatepass")
+    except UnicodeDecodeError:
+        return None
+
+    # Features stay read-only, as on the JSON path; rows are views.
+    for name in ("clip", "features"):
+        blocks[name].flags.writeable = False
+    detections = list(map(Detection, blocks["frames"].tolist(), blocks["scores"].tolist(),
+                          blocks["features"]))
+    id_ends, det_ends = np.cumsum(id_lengths).tolist(), np.cumsum(counts).tolist()
+    ids = [text[start:end] for start, end in zip([0] + id_ends, id_ends)]
+    dets = [detections[start:end] for start, end in zip([0] + det_ends, det_ends)]
+    records = [SegmentRecord(segment_id=seg_id, clip_feature=clip, clip_center_frame=center,
+                             detections=rec_dets,
+                             verb_label=None if verb == _NO_LABEL else verb,
+                             noun_label=None if noun == _NO_LABEL else noun)
+               for seg_id, clip, center, rec_dets, (verb, noun) in zip(
+                   ids, blocks["clip"], blocks["centers"].tolist(), dets,
+                   blocks["labels"].tolist())]
+    return FeatureBank(records=records, **dims)
+
+
 def load_feature_bank(path) -> FeatureBank:
-    """Parse a bank file, rejecting invariant violations with line/record
-    diagnostics."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    """Load a bank file, rejecting invariant violations with line/record
+    diagnostics.  The records come from the sidecar when its digest matches
+    the JSON bytes read here, else from parsing the JSON; both paths end in
+    the same validation."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    bank = _load_sidecar(path, hashlib.sha256(data).digest())
+    if bank is None:
+        bank = _parse_bank(path, data)
+    bank.validate()
+    return bank
+
+
+def _parse_bank(path, data: bytes) -> FeatureBank:
+    """The bank in the JSON bytes of ``path``, with line diagnostics."""
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8: {exc}") from None
     if not lines or not lines[0].strip():
         raise ValidationError(f"{path}: missing header line")
     try:
@@ -277,9 +460,7 @@ def load_feature_bank(path) -> FeatureBank:
             noun_label=_parse_int(obj, "noun", where, optional=True),
         ))
 
-    bank = FeatureBank(records=records, **{k: header[k] for k in _HEADER_KEYS})
-    bank.validate()
-    return bank
+    return FeatureBank(records=records, **{k: header[k] for k in _HEADER_KEYS})
 
 
 def banks_equal(a: FeatureBank, b: FeatureBank) -> bool:

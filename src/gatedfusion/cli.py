@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import sys
 import time
 import traceback
@@ -23,7 +24,7 @@ import numpy as np
 from . import __version__
 from .bank import (AggregationConfig, SynthSpec, bank_features, bank_stats,
                    load_feature_bank, save_feature_bank, synth_generate)
-from .errors import ShapeError, ValidationError
+from .errors import ShapeError, ValidationError, strict_json
 from .gfa import ScaleMode, estimate_scalar_divisor
 from .manifest import RunManifest, load_manifest, write_manifest
 from .scoring import (compute_prior, load_prior, load_score_table, prior_stats,
@@ -46,6 +47,17 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits with status 2
         raise _UsageError(message)
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of every float option: inf and nan are rejected."""
+    try:
+        val = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(val):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return val
 
 
 def _add_config_flag(sub: argparse.ArgumentParser) -> None:
@@ -74,12 +86,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--distractors", type=int, default=None)
     p.add_argument("--decoys", type=int, default=None,
                    help="high-score detections outside the window")
-    p.add_argument("--noise", type=float, default=None)
-    p.add_argument("--mismatch", type=float, default=None,
+    p.add_argument("--noise", type=_finite_float, default=None)
+    p.add_argument("--mismatch", type=_finite_float, default=None,
                    help="object/clip amplitude mismatch factor")
-    p.add_argument("--jitter", type=float, default=None,
+    p.add_argument("--jitter", type=_finite_float, default=None,
                    help="per-record amplitude spread in decades around the mismatch")
-    p.add_argument("--noun-in-clip", dest="noun_in_clip", type=float, default=None,
+    p.add_argument("--noun-in-clip", dest="noun_in_clip", type=_finite_float, default=None,
                    help="weight of the noun prototype mixed into the clip feature")
     p.add_argument("--pairs-per-verb", dest="pairs_per_verb", type=int, default=None,
                    help="restrict each verb to this many nouns (0 = independent)")
@@ -92,12 +104,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--target", choices=("verb", "noun"), default=None)
     p.add_argument("--fusion", choices=FUSION_KINDS, default=None)
     p.add_argument("--scale", choices=_SCALE_CHOICES, default=None)
-    p.add_argument("--scale-divisor", dest="scale_divisor", type=float, default=None)
+    p.add_argument("--scale-divisor", dest="scale_divisor", type=_finite_float, default=None)
     p.add_argument("--estimate-divisor", dest="estimate_divisor",
                    action="store_true", default=None,
                    help="calibrate the scalar divisor from the training bank")
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--momentum", type=float, default=None)
+    p.add_argument("--lr", type=_finite_float, default=None)
+    p.add_argument("--momentum", type=_finite_float, default=None)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
@@ -127,13 +139,13 @@ def _build_parser() -> _Parser:
     _add_config_flag(p)
     p.add_argument("--fusion", choices=FUSION_KINDS, default=None)
     p.add_argument("--scale", choices=_SCALE_CHOICES, default=None)
-    p.add_argument("--scale-divisor", dest="scale_divisor", type=float, default=None)
+    p.add_argument("--scale-divisor", dest="scale_divisor", type=_finite_float, default=None)
     p.add_argument("--dim-v", dest="dim_v", type=int, default=None)
     p.add_argument("--dim-o", dest="dim_o", type=int, default=None)
     p.add_argument("--classes", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--step", type=float, default=None)
-    p.add_argument("--tolerance", type=float, default=None)
+    p.add_argument("--step", type=_finite_float, default=None)
+    p.add_argument("--tolerance", type=_finite_float, default=None)
     p.add_argument("--out-dir", dest="out_dir", default=None)
 
     p = subs.add_parser("stats", help="summarize a feature bank")
@@ -144,6 +156,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--pair-threshold", dest="pair_threshold", type=int, default=None)
     p.add_argument("--out-dir", dest="out_dir", default=None)
 
+    # Each command's options by name, for checking values read from a
+    # --config manifest the way the command line is checked.
+    for sub in subs.choices.values():
+        sub.set_defaults(options={action.dest: action for action in sub._actions})
     return parser
 
 
@@ -166,12 +182,29 @@ def _effective_config(args: argparse.Namespace, defaults: dict) -> dict:
         val = getattr(args, key)
         if val is None and key in file_cfg:
             val = file_cfg[key]
+            if val is not None and not _option_takes(args.options[key], val):
+                raise ValidationError(f"{args.config}: config {key!r} cannot be {val!r}")
         if val is None:
             if default is _REQUIRED:
                 raise _UsageError(f"missing required option --{key.replace('_', '-')}")
             val = default
         cfg[key] = val
     return cfg
+
+
+def _option_takes(action: argparse.Action, val) -> bool:
+    """Whether an option could hold ``val`` after parsing a command line."""
+    if action.nargs == 0:  # store_true
+        return isinstance(val, bool)
+    if isinstance(val, bool):
+        return False
+    if action.type is int:
+        ok = isinstance(val, int)
+    elif action.type is _finite_float:
+        ok = isinstance(val, (int, float)) and math.isfinite(val)
+    else:
+        ok = isinstance(val, str)
+    return ok and (action.choices is None or val in action.choices)
 
 
 def _scale_mode(cfg: dict) -> ScaleMode:
@@ -182,9 +215,9 @@ def _scale_mode(cfg: dict) -> ScaleMode:
 
 
 def _write_json(obj, path: Path) -> None:
+    text = strict_json(obj, indent=1)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _cmd_synth(args) -> int:

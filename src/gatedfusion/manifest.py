@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 
-from .errors import ValidationError
+from .errors import ValidationError, strict_json
 
 MANIFEST_FORMAT = "gatedfusion-manifest-v1"
 
@@ -27,7 +27,7 @@ class RunManifest:
 
     def to_json(self) -> str:
         obj = {"format": MANIFEST_FORMAT, **asdict(self)}
-        return json.dumps(obj, indent=1) + "\n"
+        return strict_json(obj, indent=1) + "\n"
 
 
 def write_manifest(manifest: RunManifest, path) -> None:
@@ -44,7 +44,7 @@ def load_manifest(path) -> RunManifest:
     if not isinstance(obj, dict) or obj.get("format") != MANIFEST_FORMAT:
         raise ValidationError(f"{path}: not a {MANIFEST_FORMAT} file")
     try:
-        return RunManifest(
+        manifest = RunManifest(
             command=obj["command"],
             version=obj["version"],
             seed=obj["seed"],
@@ -55,3 +55,6 @@ def load_manifest(path) -> RunManifest:
         )
     except KeyError as exc:
         raise ValidationError(f"{path}: manifest missing key {exc}") from None
+    if not isinstance(manifest.config, dict):
+        raise ValidationError(f"{path}: manifest config must be an object")
+    return manifest

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bank import FeatureBank
-from .errors import ValidationError
+from .errors import ValidationError, strict_json
 from .training import softmax
 
 __all__ = [
@@ -329,12 +329,13 @@ def save_score_table(table: ScoreTable, path) -> None:
         header["verb_classes"] = table.verb_classes
         header["noun_classes"] = table.noun_classes
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(header, separators=(",", ":")) + "\n")
-        for seg_id, row in zip(table.segment_ids, table.scores):
+        fh.write(strict_json(header, separators=(",", ":")) + "\n")
+        for seg_id, row in zip(table.segment_ids,
+                               table.scores.astype(np.float64, copy=False).tolist()):
             if any(ch.isspace() for ch in seg_id):
                 raise ValidationError(
                     f"segment id {seg_id!r} contains whitespace; not representable")
-            fh.write(seg_id + " " + " ".join(repr(float(x)) for x in row) + "\n")
+            fh.write(seg_id + " " + " ".join(map(repr, row)) + "\n")
 
 
 def load_score_table(path) -> ScoreTable:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bank import AggregationConfig, FeatureBank, bank_features
-from .errors import ShapeError, ValidationError
+from .errors import ShapeError, ValidationError, strict_json
 from .gfa import (GfaCache, GfaParams, ScaleMode, gfa_backward, gfa_forward,
                   init_gfa_params)
 from .tensor import affine, affine_vjp, concat, concat_vjp
@@ -466,9 +466,9 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
             "W": _matrix_obj(g.W),
             "b": g.b.tolist(),
         }
+    text = strict_json(obj, indent=1)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -1,9 +1,13 @@
 import json
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from gatedfusion import bank as bank_module
 from gatedfusion.bank import (AggregationConfig, Detection, FeatureBank,
                               SegmentRecord, SynthSpec,
                               aggregate_object_feature, bank_stats,
@@ -352,3 +356,212 @@ class TestBankValidate:
                            verb_vocab_size=3, noun_vocab_size=3)
         with pytest.raises(ValidationError, match="dim_v=2"):
             bank.validate()
+
+    def test_first_offender_named_when_a_block_is_not_finite(self):
+        ok = det(0, 0.5, 1.0, 2.0)
+        recs = [SegmentRecord(segment_id="a", clip_feature=np.zeros(2), clip_center_frame=0,
+                              detections=[ok, det(0, 0.5, 1.0, np.inf)]),
+                SegmentRecord(segment_id="b", clip_feature=np.array([np.nan, 0.0]),
+                              clip_center_frame=0, detections=[ok])]
+        bank = FeatureBank(records=recs, dim_v=2, dim_o=2,
+                           verb_vocab_size=1, noun_vocab_size=1)
+        with pytest.raises(ValidationError, match="record 'a': detection 1 feature has non-finite"):
+            bank.validate()
+        # The clip block fails, but record 'a' comes first and its bad score wins.
+        recs[0].detections = [ok, det(0, 1.5, 1.0, 2.0)]
+        with pytest.raises(ValidationError, match="record 'a': detection 1 score 1.5"):
+            bank.validate()
+        recs[0].detections = [ok]
+        with pytest.raises(ValidationError, match="record 'b': clip_feature has non-finite"):
+            bank.validate()
+
+    @pytest.mark.parametrize("field", ["center", "frame"])
+    def test_integer_outside_int64_rejected(self, tmp_path, field):
+        lines = _bank_file_lines()
+        rec = json.loads(lines[1])
+        if field == "center":
+            rec["center"] = 10**30
+        else:
+            rec["detections"][0]["frame"] = -10**30
+        lines[1] = json.dumps(rec)
+        path = tmp_path / "big.bank"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=f"record 'a': .*{field} .* does not fit in int64"):
+            load_feature_bank(path)
+
+
+# --- binary sidecar -------------------------------------------------------------
+
+_ODD_IDS = ["", "\x00", "a\x00", "\x00\x00", "\ud800", "x\udfff\x00", "\ud83d\ude00",
+            "\U0001f600", "é", '"\\\n\t', "\u2028"]
+_INT64S = st.integers(-2**63, 2**63 - 1)
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _json_id(seg_id: str) -> str:
+    """What a saved id reads back as: JSON joins an escaped surrogate pair."""
+    return json.loads(json.dumps(seg_id))
+
+
+@st.composite
+def _banks(draw):
+    dim_v, dim_o = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    verbs, nouns = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    ids = draw(st.lists(st.sampled_from(_ODD_IDS)
+                        | st.text(st.characters(exclude_categories=()), max_size=4),
+                        max_size=4, unique_by=_json_id))
+
+    def vector(dim):
+        return np.array(draw(st.lists(_FLOATS, min_size=dim, max_size=dim)), dtype=np.float64)
+
+    records = [SegmentRecord(
+        segment_id=seg_id, clip_feature=vector(dim_v), clip_center_frame=draw(_INT64S),
+        detections=[Detection(draw(_INT64S), draw(st.floats(0.0, 1.0)), vector(dim_o))
+                    for _ in range(draw(st.integers(0, 3)))],
+        verb_label=draw(st.none() | st.integers(0, verbs - 1)),
+        noun_label=draw(st.none() | st.integers(0, nouns - 1))) for seg_id in ids]
+    return FeatureBank(records=records, dim_v=dim_v, dim_o=dim_o,
+                       verb_vocab_size=verbs, noun_vocab_size=nouns)
+
+
+def _same_bits(a: FeatureBank, b: FeatureBank) -> bool:
+    """banks_equal, plus the float bits (banks_equal cannot tell 0.0 from -0.0)."""
+    def bits(bank):
+        return [(r.clip_feature.tobytes(), [(repr(d.score), d.feature.tobytes())
+                                            for d in r.detections]) for r in bank.records]
+    return banks_equal(a, b) and bits(a) == bits(b)
+
+
+def _read_only(bank: FeatureBank) -> bool:
+    return not any(r.clip_feature.flags.writeable
+                   or any(d.feature.flags.writeable for d in r.detections)
+                   for r in bank.records)
+
+
+def _json_parse_forbidden():
+    return mock.patch.object(bank_module, "_parse_bank",
+                             side_effect=AssertionError("JSON parsed despite a valid sidecar"))
+
+
+def _json_parse_spy():
+    return mock.patch.object(bank_module, "_parse_bank", wraps=bank_module._parse_bank)
+
+
+def _saved(tmp_path, bank=None):
+    """Save ``bank`` (default: the ``_bank_file_lines`` bank); returns the
+    bank path and its sidecar path."""
+    if bank is None:
+        bank = load_feature_bank(_write_lines(tmp_path / "src.bank"))
+    path = tmp_path / "b.bank"
+    save_feature_bank(bank, path)
+    return path, Path(f"{path}.npz")
+
+
+def _write_lines(path, lines=None):
+    path.write_text("\n".join(lines or _bank_file_lines()) + "\n", encoding="utf-8")
+    return path
+
+
+class TestSidecar:
+    @settings(max_examples=150, deadline=None)
+    @given(bank=_banks())
+    def test_sidecar_and_json_paths_agree(self, bank):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, sidecar = _saved(Path(tmp), bank)
+            with _json_parse_forbidden():
+                from_sidecar = load_feature_bank(path)
+            sidecar.unlink()
+            from_json = load_feature_bank(path)
+        for rec in bank.records:
+            rec.segment_id = _json_id(rec.segment_id)
+        assert _same_bits(from_sidecar, bank) and _same_bits(from_json, bank)
+        assert _read_only(from_sidecar) and _read_only(from_json)
+
+    def test_empty_blocks_round_trip(self, tmp_path):
+        bank = FeatureBank(records=[], dim_v=3, dim_o=2, verb_vocab_size=1, noun_vocab_size=1)
+        path, sidecar = _saved(tmp_path, bank)
+        with np.load(sidecar, allow_pickle=False) as npz:
+            assert npz["clip"].shape == (0, 3) and npz["features"].shape == (0, 2)
+        with _json_parse_forbidden():
+            assert _same_bits(load_feature_bank(path), bank)
+        bank.records.append(SegmentRecord(segment_id="z", clip_feature=np.ones(3),
+                                          clip_center_frame=4, detections=[]))
+        path, sidecar = _saved(tmp_path, bank)
+        with np.load(sidecar, allow_pickle=False) as npz:
+            assert npz["clip"].shape == (1, 3) and npz["features"].shape == (0, 2)
+            assert npz["labels"].tolist() == [[-1, -1]]
+        with _json_parse_forbidden():
+            assert _same_bits(load_feature_bank(path), bank)
+
+    def test_edited_bank_loads_edited_content(self, tmp_path):
+        path, _ = _saved(tmp_path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        rec = json.loads(lines[1])
+        rec["verb"], rec["clip_feature"] = 2, [7.0, 8.0]
+        lines[1] = json.dumps(rec)
+        _write_lines(path, lines)
+        with _json_parse_spy() as spy:
+            bank = load_feature_bank(path)
+        assert spy.call_count == 1
+        assert bank.records[0].verb_label == 2
+        assert np.array_equal(bank.records[0].clip_feature, [7.0, 8.0])
+
+    @pytest.mark.parametrize("kind", ["garbage", "empty", "truncated", "object-array",
+                                      "short-block", "wrong-dtype", "not-a-zip-npy"])
+    def test_unusable_sidecar_falls_back_to_json(self, tmp_path, kind):
+        path, sidecar = _saved(tmp_path)
+        expected = load_feature_bank(path)
+        with np.load(sidecar, allow_pickle=False) as npz:
+            blocks = {name: npz[name] for name in npz.files}
+        if kind == "garbage":
+            sidecar.write_bytes(b"\x80\x04junk" * 50)
+        elif kind == "empty":
+            sidecar.write_bytes(b"")
+        elif kind == "truncated":
+            sidecar.write_bytes(sidecar.read_bytes()[:-200])
+        elif kind == "not-a-zip-npy":
+            with open(sidecar, "wb") as fh:
+                np.save(fh, blocks["clip"])
+        else:
+            if kind == "object-array":
+                blocks["clip"] = np.array([object()] * 3)
+            elif kind == "short-block":
+                blocks["frames"] = blocks["frames"][:-1]
+            else:
+                blocks["scores"] = blocks["scores"].astype(np.float32)
+            with open(sidecar, "wb") as fh:
+                np.savez(fh, **blocks)
+        with _json_parse_spy() as spy:
+            bank = load_feature_bank(path)
+        assert spy.call_count == 1
+        assert _same_bits(bank, expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(cut=st.none() | st.integers(0, 10**6),
+           flips=st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 255)), max_size=3))
+    def test_corrupted_sidecar_bytes_never_fail_a_load(self, cut, flips):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, sidecar = _saved(Path(tmp))
+            expected = load_feature_bank(path)
+            data = bytearray(sidecar.read_bytes())
+            for pos, mask in flips:
+                data[pos % len(data)] ^= mask
+            sidecar.write_bytes(bytes(data[:cut]))
+            assert _same_bits(load_feature_bank(path), expected)
+
+    def test_deleted_sidecar_still_loads(self, tmp_path):
+        path, sidecar = _saved(tmp_path)
+        with _json_parse_forbidden():
+            expected = load_feature_bank(path)
+        sidecar.unlink()
+        assert _same_bits(load_feature_bank(path), expected)
+
+    def test_saving_twice_gives_identical_sidecars(self, tmp_path):
+        bank = synth_generate(SynthSpec(n_segments=5), 3)
+        first = tmp_path / "first.bank"
+        save_feature_bank(bank, first)
+        path, sidecar = _saved(tmp_path, bank)
+        assert sidecar.read_bytes() == Path(str(first) + ".npz").read_bytes()
+        before = sidecar.read_bytes()
+        save_feature_bank(bank, path)
+        assert sidecar.read_bytes() == before

@@ -3,15 +3,18 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from gatedfusion.bank import (AggregationConfig, FeatureBank, SegmentRecord, SynthSpec,
-                              load_feature_bank, save_feature_bank)
-from gatedfusion.cli import main
+from gatedfusion.bank import (AggregationConfig, Detection, FeatureBank, SegmentRecord,
+                              SynthSpec, load_feature_bank, save_feature_bank)
+from gatedfusion.cli import _write_json, main
+from gatedfusion.errors import ValidationError
 from gatedfusion.gfa import ScaleMode
-from gatedfusion.manifest import load_manifest
+from gatedfusion.manifest import RunManifest, load_manifest
 from gatedfusion.scoring import ScoreTable, load_score_table, save_score_table
-from gatedfusion.training import TrainConfig, init_model, load_checkpoint, param_groups
+from gatedfusion.training import (Checkpoint, TrainConfig, init_model, load_checkpoint,
+                                  param_groups, save_checkpoint)
 
 
 def run(*argv):
@@ -435,6 +438,108 @@ class TestFuzzedActionInputs:
         assert run_actions(tiny_action_inputs(tmp_path), tmp_path / "act") == 0
 
 
+def tiny_eval_inputs(root):
+    """A labeled 3-record bank with detections (and its sidecar) and a
+    matching gfa-a noun checkpoint: the inputs of one ``eval`` run."""
+    rng = np.random.default_rng(0)
+    records = [SegmentRecord(segment_id=f"s{i}", clip_feature=rng.normal(size=2),
+                             clip_center_frame=10 * i,
+                             detections=[Detection(10 * i + j - 1, float(rng.uniform()),
+                                                   rng.normal(size=2)) for j in range(i + 1)],
+                             verb_label=i % 2, noun_label=i)
+               for i in range(3)]
+    bank, ckpt = root / "test.bank", root / "checkpoint.json"
+    save_feature_bank(FeatureBank(records=records, dim_v=2, dim_o=2, verb_vocab_size=2,
+                                  noun_vocab_size=3), bank)
+    model = init_model("gfa-a", 2, 2, 3, scale=ScaleMode(kind="norm"),
+                       rng=np.random.default_rng(1))
+    save_checkpoint(Checkpoint(model=model, target="noun", dim_v=2, dim_o=2, classes=3,
+                               aggregation=AggregationConfig(), train_config=TrainConfig()),
+                    ckpt)
+    return bank, ckpt
+
+
+_BANK_KEYS = ("dim_v", "dim_o", "verb_vocab_size", "noun_vocab_size", "segment_id",
+              "clip_feature", "center", "detections", "verb", "noun", "frame", "score",
+              "feature")
+_BANK_JUNK = [None, True, -1, 0, 1, 2, 1.5, 10**30, -10**30, 2**63, float("nan"),
+              float("inf"), -float("inf"), 1e300, "a", "3", [], {}, [1.0], [[1.0, 2.0]]]
+
+
+def _edit_bank_field(line, j, key, value):
+    """Set (None: delete) one field of a bank record line: a detection's
+    field for frame/score/feature, one entry when a number meets a feature."""
+    try:
+        root = json.loads(line)
+    except json.JSONDecodeError:
+        return line
+    if not isinstance(root, dict):
+        return line
+    obj, dets = root, root.get("detections")
+    if key in ("frame", "score", "feature") and isinstance(dets, list) and dets \
+            and isinstance(dets[j % len(dets)], dict):
+        obj = dets[j % len(dets)]
+    vec = obj.get(key)
+    if isinstance(vec, list) and vec and isinstance(value, (int, float)):
+        vec[j % len(vec)] = value
+    elif value is None:
+        obj.pop(key, None)
+    else:
+        obj[key] = value
+    return json.dumps(root, separators=(",", ":"))
+
+
+def _corrupt_bank(text, edits):
+    """``_corrupt``'s line edits, plus "field" edits of record fields."""
+    for edit in edits:
+        kind, i, j, _, key, value = edit
+        if kind == "field":
+            lines = text.splitlines()
+            i %= len(lines) or 1
+            if lines:
+                lines[i] = _edit_bank_field(lines[i], j, key, value)
+            text = "".join(line + "\n" for line in lines)
+        else:
+            text = _corrupt(text, [edit])
+    return text
+
+
+_BANK_EDITS = st.lists(st.tuples(
+    st.sampled_from(["truncate", "token", "drop", "duplicate", "header", "field"]),
+    st.integers(0, 50), st.integers(0, 50), st.sampled_from(_JUNK),
+    st.sampled_from(_BANK_KEYS), st.sampled_from(_BANK_JUNK)), min_size=1, max_size=3)
+
+
+class TestFuzzedBanks:
+    """Corrupted bank JSON with the saved sidecar left beside it: the stale
+    sidecar must be ignored and every run must end in exit 0 or 1."""
+
+    @staticmethod
+    def _run_both(root, bank, ckpt):
+        return (run("stats", "--bank", bank, "--out-dir", root / "stats"),
+                run("eval", "--checkpoint", ckpt, "--bank", bank, "--out-dir", root / "eval"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(edits=_BANK_EDITS)
+    def test_stats_and_eval_exit_zero_or_one(self, edits):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            bank, ckpt = tiny_eval_inputs(root)
+            bank.write_text(_corrupt_bank(bank.read_text(), edits))
+            assert Path(f"{bank}.npz").is_file()
+            rcs = self._run_both(root, bank, ckpt)
+        assert set(rcs) <= {0, 1}
+
+    def test_uncorrupted_inputs_pass(self, tmp_path):
+        assert self._run_both(tmp_path, *tiny_eval_inputs(tmp_path)) == (0, 0)
+
+    def test_non_utf8_bank_is_exit_one(self, tmp_path, capsys):
+        bank, ckpt = tiny_eval_inputs(tmp_path)
+        bank.write_bytes(bank.read_bytes().replace(b'"s1"', b'"s\xff"'))
+        assert self._run_both(tmp_path, bank, ckpt) == (1, 1)
+        assert "not UTF-8" in capsys.readouterr().err
+
+
 class TestGradcheckCommand:
     def test_passes_by_default(self, tmp_path, capsys):
         rc = run("gradcheck", "--fusion", "gfa-a", "--scale", "norm",
@@ -517,6 +622,75 @@ class TestManifestRerun:
             (tmp_path / "b/train.bank").read_bytes()
         manifest = load_manifest(tmp_path / "b/synth.manifest.json")
         assert manifest.seed == 12
+
+
+    def _edited_manifest(self, tmp_path, edit):
+        synth(tmp_path / "a")
+        path = tmp_path / "a/synth.manifest.json"
+        obj = json.loads(path.read_text())
+        edit(obj)
+        path.write_text(json.dumps(obj))
+        return path
+
+    def test_non_object_config_rejected(self, tmp_path, capsys):
+        path = self._edited_manifest(tmp_path, lambda obj: obj.update(config=5))
+        assert run("synth", "--config", path, "--out-dir", tmp_path / "b") == 1
+        assert "config must be an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [("verbs", "3"), ("verbs", 2.5), ("verbs", True),
+                                           ("noise", float("nan")), ("noise", "0.1"),
+                                           ("out_dir", 7)])
+    def test_synth_config_value_of_wrong_kind_rejected(self, tmp_path, capsys, key, value):
+        path = self._edited_manifest(tmp_path, lambda obj: obj["config"].update({key: value}))
+        assert run("synth", "--config", path) == 1
+        assert f"config {key!r} cannot be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [("epochs", "3"), ("fusion", "bogus"),
+                                           ("estimate_divisor", 1)])
+    def test_train_config_value_of_wrong_kind_rejected(self, tmp_path, capsys, key, value):
+        synth(tmp_path / "data", train=20, val=5)
+        assert run("train", "--bank", tmp_path / "data/train.bank", "--target", "verb",
+                   "--fusion", "clip-only", "--epochs", 1, "--seed", 0,
+                   "--out-dir", tmp_path / "run") == 0
+        path = tmp_path / "run/train.manifest.json"
+        obj = json.loads(path.read_text())
+        obj["config"][key] = value
+        path.write_text(json.dumps(obj))
+        assert run("train", "--config", path, "--out-dir", tmp_path / "run2") == 1
+        assert f"config {key!r} cannot be" in capsys.readouterr().err
+        assert not (tmp_path / "run2").exists()
+
+    def test_integer_for_float_option_accepted(self, tmp_path):
+        path = self._edited_manifest(tmp_path, lambda obj: obj["config"].update(noise=0))
+        assert run("synth", "--config", path, "--out-dir", tmp_path / "b") == 0
+
+
+class TestNonFiniteValues:
+    @pytest.mark.parametrize("argv", [["gradcheck", "--fusion", "gfa-b", "--tolerance", "nan"],
+                                      ["gradcheck", "--fusion", "gfa-a", "--step", "inf"],
+                                      ["synth", "--seed", "1", "--noise=-inf"]])
+    def test_float_option_rejected_at_parse_time(self, tmp_path, capsys, argv):
+        assert run(*argv, "--out-dir", tmp_path / "out") == 1
+        assert "is not a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_malformed_float_option_message(self, tmp_path, capsys):
+        assert run("synth", "--seed", 1, "--noise", "abc", "--out-dir", tmp_path) == 1
+        assert "invalid float value: 'abc'" in capsys.readouterr().err
+
+    def test_writers_refuse_non_finite_values(self, tmp_path):
+        with pytest.raises(ValidationError, match="cannot write JSON"):
+            _write_json({"x": float("nan")}, tmp_path / "x.json")
+        with pytest.raises(ValidationError, match="cannot write JSON"):
+            RunManifest(command="eval", version="0", seed=None,
+                        config={"lr": float("inf")}).to_json()
+        model = init_model("clip-only", 2, 2, 3, rng=np.random.default_rng(0))
+        with pytest.raises(ValidationError, match="cannot write JSON"):
+            save_checkpoint(Checkpoint(model=model, target="noun", dim_v=2, dim_o=2, classes=3,
+                                       aggregation=AggregationConfig(),
+                                       train_config=TrainConfig(learning_rate=float("inf"))),
+                            tmp_path / "ckpt.json")
+        assert not (tmp_path / "x.json").exists() and not (tmp_path / "ckpt.json").exists()
 
 
 class TestTopLevel:
