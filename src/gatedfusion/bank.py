@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError, strict_json
+from .errors import ShapeError, ValidationError, read_text, strict_json
 from .tensor import l2_norm
 
 __all__ = [
@@ -394,10 +394,7 @@ def load_feature_bank(path) -> FeatureBank:
 
 def _parse_bank(path, data: bytes) -> FeatureBank:
     """The bank in the JSON bytes of ``path``, with line diagnostics."""
-    try:
-        lines = data.decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: not UTF-8: {exc}") from None
+    lines = read_text(path, data).splitlines()
     if not lines or not lines[0].strip():
         raise ValidationError(f"{path}: missing header line")
     try:

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the strict JSON encoder
-every writer uses."""
+"""Exception types shared across the package, the UTF-8 reader every text
+loader uses, and the strict JSON encoder every writer uses."""
 
 import json
 
@@ -10,6 +10,19 @@ class ShapeError(ValueError):
 
 class ValidationError(ValueError):
     """A file, record, or configuration violates a documented contract."""
+
+
+def read_text(path, data: bytes | None = None) -> str:
+    """The UTF-8 text of the file at ``path``, read in text mode, or of
+    ``data`` when its bytes are already read.  Bytes that are not UTF-8 are a
+    ValidationError naming the file."""
+    try:
+        if data is None:
+            with open(path, "r", encoding="utf-8") as fh:
+                return fh.read()
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8: {exc}") from None
 
 
 def strict_json(obj, **kwargs) -> str:

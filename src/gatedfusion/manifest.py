@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 
-from .errors import ValidationError, strict_json
+from .errors import ValidationError, read_text, strict_json
 
 MANIFEST_FORMAT = "gatedfusion-manifest-v1"
 
@@ -36,11 +36,10 @@ def write_manifest(manifest: RunManifest, path) -> None:
 
 
 def load_manifest(path) -> RunManifest:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: not valid JSON: {exc}") from None
+    try:
+        obj = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(obj, dict) or obj.get("format") != MANIFEST_FORMAT:
         raise ValidationError(f"{path}: not a {MANIFEST_FORMAT} file")
     try:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bank import FeatureBank
-from .errors import ValidationError, strict_json
+from .errors import ValidationError, read_text, strict_json
 from .training import softmax
 
 __all__ = [
@@ -155,6 +155,17 @@ def reweight_actions(pv: np.ndarray, pn: np.ndarray, prior: ActionPrior,
     return out
 
 
+def _check_aligned(ids: list[str], other: list[str], what: str) -> None:
+    """Reject tables whose rows are not the same segments in the same order,
+    naming the first differing row, else both lengths."""
+    if ids == other:
+        return
+    for i, (a, b) in enumerate(zip(ids, other)):
+        if a != b:
+            raise ValidationError(f"{what} misaligned at row {i}: {a!r} vs {b!r}")
+    raise ValidationError(f"{what} have {len(ids)} vs {len(other)} segments")
+
+
 def late_fuse(tables: list[ScoreTable], weights: list[float]) -> ScoreTable:
     """Weighted arithmetic mean of the softmax-normalized rows of aligned
     tables.  Scaling all weights by a positive constant changes nothing."""
@@ -176,13 +187,7 @@ def late_fuse(tables: list[ScoreTable], weights: list[float]) -> ScoreTable:
         if t.scores.shape[1] != first.scores.shape[1]:
             raise ValidationError(
                 f"late_fuse: class count mismatch, {first.scores.shape[1]} vs {t.scores.shape[1]}")
-        if t.segment_ids != first.segment_ids:
-            for i, (x, y) in enumerate(zip(t.segment_ids, first.segment_ids)):
-                if x != y:
-                    raise ValidationError(
-                        f"late_fuse: segment mismatch at row {i}: {y!r} vs {x!r}")
-            raise ValidationError(
-                f"late_fuse: tables have {len(first.segment_ids)} vs {len(t.segment_ids)} segments")
+        _check_aligned(first.segment_ids, t.segment_ids, "late_fuse: tables")
     fused = np.zeros_like(first.scores)
     for t, w in zip(tables, weights):
         fused += (w / total) * softmax(t.scores)
@@ -235,14 +240,7 @@ def score_actions_for_bank(verb_table: ScoreTable, noun_table: ScoreTable,
     if verb_table.space != "verb" or noun_table.space != "noun":
         raise ValidationError(
             f"expected a verb and a noun table, got {verb_table.space!r} and {noun_table.space!r}")
-    if verb_table.segment_ids != noun_table.segment_ids:
-        for i, (a, b) in enumerate(zip(verb_table.segment_ids, noun_table.segment_ids)):
-            if a != b:
-                raise ValidationError(
-                    f"verb/noun tables misaligned at row {i}: {a!r} vs {b!r}")
-        raise ValidationError(
-            f"verb/noun tables have {len(verb_table.segment_ids)} vs "
-            f"{len(noun_table.segment_ids)} segments")
+    _check_aligned(verb_table.segment_ids, noun_table.segment_ids, "verb/noun tables")
     verbs, nouns = prior.mu.shape
     if (verb_table.classes, noun_table.classes) != (verbs, nouns):
         raise ValidationError(
@@ -287,38 +285,42 @@ def load_prior(path, verb_vocab_size: int | None = None,
     unless given.  A negative or out-of-vocab id, a duplicate pair, or a
     frequency that is not finite and positive is rejected with its line."""
     freq: dict[tuple[int, int], float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}: line {lineno}"
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValidationError(
-                    f"{where}: expected 'verb noun frequency', got {line.strip()!r}")
-            try:
-                v, n, f = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError:
-                raise ValidationError(f"{where}: malformed numbers") from None
-            if (v, n) in freq:
-                raise ValidationError(f"{where}: duplicate pair ({v}, {n})")
-            if not 0 < f < np.inf:
-                raise ValidationError(f"{where}: frequency {f!r} is not finite and positive")
-            if v < 0 or n < 0:
-                raise ValidationError(f"{where}: negative id in pair ({v}, {n})")
-            if (verb_vocab_size is not None and v >= verb_vocab_size
-                    or noun_vocab_size is not None and n >= noun_vocab_size):
-                raise ValidationError(
-                    f"{where}: pair ({v}, {n}) out of range for vocab "
-                    f"{verb_vocab_size}x{noun_vocab_size}")
-            freq[(v, n)] = f
+    # Text mode leaves "\n" as the only line end, so these are the file's lines.
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line.strip():
+            continue
+        where = f"{path}: line {lineno}"
+        parts = line.split()
+        if len(parts) != 3:
+            raise ValidationError(
+                f"{where}: expected 'verb noun frequency', got {line.strip()!r}")
+        try:
+            v, n, f = int(parts[0]), int(parts[1]), float(parts[2])
+        except ValueError:
+            raise ValidationError(f"{where}: malformed numbers") from None
+        if (v, n) in freq:
+            raise ValidationError(f"{where}: duplicate pair ({v}, {n})")
+        if not 0 < f < np.inf:
+            raise ValidationError(f"{where}: frequency {f!r} is not finite and positive")
+        if v < 0 or n < 0:
+            raise ValidationError(f"{where}: negative id in pair ({v}, {n})")
+        if (verb_vocab_size is not None and v >= verb_vocab_size
+                or noun_vocab_size is not None and n >= noun_vocab_size):
+            raise ValidationError(
+                f"{where}: pair ({v}, {n}) out of range for vocab "
+                f"{verb_vocab_size}x{noun_vocab_size}")
+        freq[(v, n)] = f
     if not freq:
         raise ValidationError(f"{path}: prior file holds no pairs")
     if verb_vocab_size is None:
         verb_vocab_size = max(v for v, _ in freq) + 1
     if noun_vocab_size is None:
         noun_vocab_size = max(n for _, n in freq) + 1
-    return prior_from_pairs(freq, verb_vocab_size, noun_vocab_size)
+    try:
+        return prior_from_pairs(freq, verb_vocab_size, noun_vocab_size)
+    except (MemoryError, ValueError):  # numpy: cannot allocate / array is too big
+        raise ValidationError(f"{path}: vocab {verb_vocab_size}x{noun_vocab_size} "
+                              "is too large for a dense prior") from None
 
 
 def save_score_table(table: ScoreTable, path) -> None:
@@ -339,8 +341,7 @@ def save_score_table(table: ScoreTable, path) -> None:
 
 
 def load_score_table(path) -> ScoreTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise ValidationError(f"{path}: empty score table file")
     try:

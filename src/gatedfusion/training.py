@@ -25,12 +25,13 @@ gradients of that mean.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bank import AggregationConfig, FeatureBank, bank_features
-from .errors import ShapeError, ValidationError, strict_json
+from .errors import ShapeError, ValidationError, read_text, strict_json
 from .gfa import (GfaCache, GfaParams, ScaleMode, gfa_backward, gfa_forward,
                   init_gfa_params)
 from .tensor import affine, affine_vjp, concat, concat_vjp
@@ -360,7 +361,8 @@ def grad_check(model: Model, v: np.ndarray, o_agg: np.ndarray, label: int,
     finite differences, for every parameter group and both inputs.
 
     Returns (max relative error, per-group max relative error), with the
-    relative error denominator max(|analytic|, |numeric|, 1e-8).
+    relative error denominator max(|analytic|, |numeric|, 1e-8).  An entry
+    whose analytic or numeric value is not finite has relative error inf.
     """
     if not step > 0:
         raise ValidationError(f"step must be positive, got {step}")
@@ -399,8 +401,10 @@ def grad_check(model: Model, v: np.ndarray, o_agg: np.ndarray, label: int,
             minus = eval_at(orig - step)
             numeric = (plus - minus) / (2.0 * step)
             a = float(analytic[name].ravel()[j])
-            denom = max(abs(a), abs(numeric), 1e-8)
-            worst = max(worst, abs(a - numeric) / denom)
+            if math.isfinite(a) and math.isfinite(numeric):
+                worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric), 1e-8))
+            else:  # a NaN would drop out of max() and read as agreement
+                worst = math.inf
         per_group[name] = worst
     return max(per_group.values()), per_group
 
@@ -473,11 +477,10 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 def load_checkpoint(path) -> Checkpoint:
     """Parse and validate a checkpoint; shape-inconsistent files are rejected."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: not valid JSON: {exc}") from None
+    try:
+        obj = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(obj, dict) or obj.get("format") != _CHECKPOINT_FORMAT:
         raise ValidationError(f"{path}: not a {_CHECKPOINT_FORMAT} file")
     try:

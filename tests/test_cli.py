@@ -1,3 +1,4 @@
+import inspect
 import json
 import tempfile
 from pathlib import Path
@@ -7,14 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gatedfusion.bank import (AggregationConfig, Detection, FeatureBank, SegmentRecord,
-                              SynthSpec, load_feature_bank, save_feature_bank)
+                              SynthSpec, bank_stats, load_feature_bank, save_feature_bank)
 from gatedfusion.cli import _write_json, main
 from gatedfusion.errors import ValidationError
 from gatedfusion.gfa import ScaleMode
 from gatedfusion.manifest import RunManifest, load_manifest
 from gatedfusion.scoring import ScoreTable, load_score_table, save_score_table
-from gatedfusion.training import (Checkpoint, TrainConfig, init_model, load_checkpoint,
-                                  param_groups, save_checkpoint)
+from gatedfusion.training import (Checkpoint, TrainConfig, grad_check, init_model,
+                                  load_checkpoint, param_groups, save_checkpoint)
 
 
 def run(*argv):
@@ -540,6 +541,22 @@ class TestFuzzedBanks:
         assert "not UTF-8" in capsys.readouterr().err
 
 
+class TestNonUtf8Inputs:
+    @pytest.mark.parametrize("kind", ["checkpoint", "manifest", "score table", "prior"])
+    def test_exit_one(self, tmp_path, capsys, kind):
+        paths = tiny_action_inputs(tmp_path)
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe")
+        tables = ["--noun-table", paths["noun"], "--bank", paths["bank"]]
+        argv = {"checkpoint": ["eval", "--checkpoint", bad, "--bank", paths["bank"]],
+                "manifest": ["stats", "--config", bad],
+                "score table": ["actions", "--verb-table", bad, *tables, "--all-ones-prior"],
+                "prior": ["actions", "--verb-table", paths["verb"], *tables, "--prior", bad]}
+        assert run(*argv[kind], "--out-dir", tmp_path / "out") == 1
+        assert f"{bad}: not UTF-8" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("*.manifest.json"))
+
+
 class TestGradcheckCommand:
     def test_passes_by_default(self, tmp_path, capsys):
         rc = run("gradcheck", "--fusion", "gfa-a", "--scale", "norm",
@@ -561,6 +578,17 @@ class TestGradcheckCommand:
         rc = run("gradcheck", "--fusion", "bogus", "--out-dir", tmp_path)
         assert rc == 1
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_gradients_fail(self, tmp_path, capsys):
+        # a subnormal divisor overflows the scaled object feature to NaN
+        rc = run("gradcheck", "--fusion", "gfa-a", "--scale", "scalar",
+                 "--scale-divisor", "1e-320", "--out-dir", tmp_path)
+        assert rc == 1
+        assert "max_rel_err=inf" in capsys.readouterr().out.splitlines()[-1]
+        report = json.loads((tmp_path / "gradcheck_report.json").read_text())
+        assert report["passed"] is False and report["max_rel_err"] is None
+        assert (tmp_path / "gradcheck.manifest.json").exists()
+
 
 class TestStats:
     def test_header_only_bank(self, tmp_path):
@@ -572,30 +600,67 @@ class TestStats:
         assert stats["mean_object_amplitude"] == 0.0
 
 
+def assert_config(manifest_path, expected):
+    """The manifest's config is ``expected``, key order included."""
+    assert list(load_manifest(manifest_path).config.items()) == list(expected.items())
+
+
 class TestLibraryDefaults:
     def test_synth_and_train_manifests_record_library_defaults(self, tmp_path):
         data, out = str(tmp_path / "data"), str(tmp_path / "run")
         assert run("synth", "--seed", 5, "--out-dir", data) == 0
         spec = SynthSpec(n_segments=1)
-        assert load_manifest(tmp_path / "data/synth.manifest.json").config == {
+        assert_config(tmp_path / "data/synth.manifest.json", {
             "seed": 5, "out_dir": data, "train_segments": 500, "val_segments": 200,
             "verbs": spec.verb_vocab, "nouns": spec.noun_vocab, "dim_v": spec.dim_v,
             "dim_o": spec.dim_o, "detections": spec.signal_detections,
             "distractors": spec.distractors, "decoys": spec.decoys, "noise": spec.noise,
             "mismatch": spec.mismatch, "jitter": spec.amplitude_jitter,
             "noun_in_clip": spec.noun_in_clip, "pairs_per_verb": spec.pairs_per_verb,
-            "window": spec.window}
+            "window": spec.window})
 
         bank = data + "/val.bank"
         assert run("train", "--bank", bank, "--target", "verb", "--fusion", "clip-only",
                    "--seed", 2, "--out-dir", out) == 0
         tc, agg, scale = TrainConfig(), AggregationConfig(), ScaleMode()
-        assert load_manifest(tmp_path / "run/train.manifest.json").config == {
+        assert_config(tmp_path / "run/train.manifest.json", {
             "bank": bank, "val_bank": None, "target": "verb", "fusion": "clip-only",
             "scale": scale.kind, "scale_divisor": scale.s, "estimate_divisor": False,
             "lr": tc.learning_rate, "momentum": tc.momentum, "epochs": tc.epochs,
             "batch_size": tc.batch_size, "seed": 2, "k": agg.k, "window": agg.window,
-            "out_dir": out}
+            "out_dir": out})
+
+    def test_eval_and_stats_manifests_record_every_option(self, tmp_path):
+        bank, ckpt = map(str, tiny_eval_inputs(tmp_path))
+        out = str(tmp_path / "out")
+        assert run("eval", "--checkpoint", ckpt, "--bank", bank, "--out-dir", out) == 0
+        assert_config(tmp_path / "out/eval.manifest.json",
+                      {"checkpoint": ckpt, "bank": bank, "out_dir": out})
+        assert run("stats", "--bank", bank, "--out-dir", out) == 0
+        agg = AggregationConfig()
+        assert_config(tmp_path / "out/stats.manifest.json", {
+            "bank": bank, "k": agg.k, "window": agg.window,
+            "pair_threshold": inspect.signature(bank_stats).parameters["pair_threshold"].default,
+            "out_dir": out})
+
+    def test_actions_manifest_records_every_option(self, tmp_path):
+        paths = {k: str(v) for k, v in tiny_action_inputs(tmp_path).items()}
+        out = str(tmp_path / "act")
+        assert run_actions(paths, out) == 0
+        assert_config(tmp_path / "act/actions.manifest.json", {
+            "verb_table": paths["verb"], "noun_table": paths["noun"], "bank": paths["bank"],
+            "prior": paths["prior"], "train_bank": None, "all_ones_prior": False,
+            "out_dir": out})
+
+    def test_gradcheck_manifest_records_every_option(self, tmp_path):
+        out = str(tmp_path / "gc")
+        assert run("gradcheck", "--fusion", "gfa-b", "--out-dir", out) == 0
+        scale = ScaleMode()
+        assert_config(tmp_path / "gc/gradcheck.manifest.json", {
+            "fusion": "gfa-b", "scale": scale.kind, "scale_divisor": scale.s, "dim_v": 8,
+            "dim_o": 6, "classes": 4, "seed": 0,
+            "step": inspect.signature(grad_check).parameters["step"].default,
+            "tolerance": 1e-5, "out_dir": out})
 
 
 class TestManifestRerun:
@@ -663,6 +728,42 @@ class TestManifestRerun:
     def test_integer_for_float_option_accepted(self, tmp_path):
         path = self._edited_manifest(tmp_path, lambda obj: obj["config"].update(noise=0))
         assert run("synth", "--config", path, "--out-dir", tmp_path / "b") == 0
+
+    @staticmethod
+    def _assert_rerun_reproduces(command, first, second, code=0):
+        """``--config`` on the manifest in ``first`` exits with ``code`` and
+        rewrites every output file of the run byte for byte into ``second``."""
+        manifest = f"{command}.manifest.json"
+        assert run(command, "--config", first / manifest, "--out-dir", second) == code
+        outputs = sorted(p.name for p in first.iterdir() if p.name != manifest)
+        assert outputs and outputs == sorted(p.name for p in second.iterdir()
+                                             if p.name != manifest)
+        for name in outputs:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+        config = load_manifest(second / manifest).config
+        assert config == {**load_manifest(first / manifest).config, "out_dir": str(second)}
+
+    @pytest.mark.parametrize("prior_flag", ["--prior", "--train-bank", "--all-ones-prior"])
+    def test_actions_rerun_reproduces_outputs(self, tmp_path, prior_flag):
+        paths = tiny_action_inputs(tmp_path)
+        prior = {"--prior": [paths["prior"]], "--train-bank": [paths["bank"]]}
+        assert run("actions", "--verb-table", paths["verb"], "--noun-table", paths["noun"],
+                   "--bank", paths["bank"], prior_flag, *prior.get(prior_flag, []),
+                   "--out-dir", tmp_path / "a") == 0
+        self._assert_rerun_reproduces("actions", tmp_path / "a", tmp_path / "b")
+
+    def test_stats_rerun_reproduces_outputs(self, tmp_path):
+        synth(tmp_path / "data", train=30, val=5)
+        assert run("stats", "--bank", tmp_path / "data/train.bank", "--k", 2,
+                   "--pair-threshold", 1, "--out-dir", tmp_path / "a") == 0
+        self._assert_rerun_reproduces("stats", tmp_path / "a", tmp_path / "b")
+
+    @pytest.mark.parametrize("argv,code", [
+        (["--fusion", "gfa-a", "--scale", "norm", "--seed", 3], 0),
+        (["--fusion", "gfa-b", "--tolerance", "1e-12"], 1)])
+    def test_gradcheck_rerun_reproduces_outputs(self, tmp_path, argv, code):
+        assert run("gradcheck", *argv, "--out-dir", tmp_path / "a") == code
+        self._assert_rerun_reproduces("gradcheck", tmp_path / "a", tmp_path / "b", code)
 
 
 class TestNonFiniteValues:

@@ -349,6 +349,22 @@ class TestFileFormats:
         with pytest.raises(ValidationError, match="line 2: pair \\(0, 4\\) out of range"):
             load_prior(path, 4, 4)
 
+    @pytest.mark.parametrize("line,vocab", [("1000000000000 0 0.5", "1000000000001x1"),
+                                            ("1000000000000 1000 0.5", "1000000000001x1001")])
+    def test_prior_inferred_vocab_too_large_rejected(self, tmp_path, line, vocab):
+        # 7.28 TiB and 7.11 PiB of dense mu: a ValidationError, not a MemoryError
+        path = tmp_path / "prior.txt"
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=f"vocab {vocab} is too large"):
+            load_prior(path)
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_prior_line_numbers_count_every_line_end(self, tmp_path, newline):
+        path = tmp_path / "prior.txt"
+        path.write_bytes(newline.join([b"0 1 0.5", b"", b"0 0 nan", b""]))
+        with pytest.raises(ValidationError, match="line 3: frequency"):
+            load_prior(path, 4, 4)
+
     def test_prior_rows_written_in_row_major_order(self, tmp_path):
         path = tmp_path / "prior.txt"
         save_prior(prior_from_pairs({(2, 0): 0.5, (0, 3): 0.25, (0, 1): 0.25}, 3, 4), path)

@@ -340,6 +340,17 @@ class TestGradCheck:
         with pytest.raises(ValidationError):
             grad_check(model, np.zeros(2), np.zeros(2), 0, step=0.0)
 
+    def test_non_finite_gradients_fail(self):
+        # dividing by a subnormal divisor overflows: the loss and every
+        # gradient entry are NaN, which must not read as agreement
+        rng = np.random.default_rng(107)
+        model = init_model("gfa-a", 5, 4, 3, scale=ScaleMode(kind="scalar", s=1e-320), rng=rng)
+        with np.errstate(all="ignore"):
+            max_err, per_group = grad_check(model, rng.uniform(-2, 2, 5),
+                                            rng.uniform(-2, 2, 4), label=0)
+        assert max_err == np.inf
+        assert per_group["gfa.W"] == np.inf
+
 
 class TestCheckpoint:
     def _checkpoint(self, fusion="gfa-a", scale=None):
