@@ -1,21 +1,26 @@
 """Per-segment feature banks: data model, file I/O, aggregation, synthesis.
 
-A bank holds one record per video segment: the clip feature, a list of
-scored per-frame detections (each carrying an already-extracted region
-feature), and optional verb/noun labels.  Aggregation turns the detections
-into a single object feature by keeping the detections inside a frame
-window around the clip center, selecting the top-K by score, and max
-pooling their features coordinatewise.
+A bank holds one row per video segment: the clip feature, a list of scored
+per-frame detections (each carrying an already-extracted region feature),
+and optional verb/noun labels.  In memory it is the flat blocks that the
+binary sidecar below stores; ``FeatureBank.from_records`` packs
+``SegmentRecord`` rows into them and ``FeatureBank.records`` views them as
+read-only rows.
+
+Aggregation turns the detections into a single object feature by keeping
+the detections inside a frame window around the clip center, selecting the
+top-K by score, and max pooling their features coordinatewise:
+``bank_features`` in one pass over the blocks, and ``context_window`` ->
+``select_top_k`` -> ``maxpool_features`` on one record as its reference.
 
 The on-disk format is line-delimited JSON: a header line declaring the
 feature dims and vocabulary sizes, then one record object per line.  Floats
 are serialized with full round-trip precision, so save/load is lossless.
 
-Saving also writes a derived binary sidecar, ``<bank>.npz``: the same
-records as flat blocks, tagged with the SHA-256 of the JSON bytes.  Loading
-reads the records from the sidecar only when that digest matches the JSON
-it has just read; otherwise it parses the JSON.  Deleting the sidecar is
-always safe.
+Saving also writes a derived binary sidecar, ``<bank>.npz``: the bank's own
+blocks, tagged with the SHA-256 of the JSON bytes.  Loading takes the blocks
+from the sidecar only when that digest matches the JSON it has just read;
+otherwise it parses the JSON.  Deleting the sidecar is always safe.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ import json
 import os
 import zipfile
 import zlib
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,8 +66,10 @@ class Detection:
     feature: np.ndarray
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SegmentRecord:
+    """One segment as a row, as ``FeatureBank.from_records`` takes it."""
+
     segment_id: str
     clip_feature: np.ndarray
     clip_center_frame: int
@@ -72,86 +78,166 @@ class SegmentRecord:
     noun_label: int | None = None
 
 
+_HEADER_KEYS = ("dim_v", "dim_o", "verb_vocab_size", "noun_vocab_size")
+_NO_LABEL = -1
+# The blocks after ``ids``: per record, then per detection in record order.
+_BLOCKS = ("clip", "centers", "labels", "counts", "frames", "scores", "features")
 _INT64 = np.iinfo(np.int64)
 
 
 def _check_int64(val, what: str) -> None:
-    """An integer (not a bool) that fits the sidecar's int64 blocks."""
+    """An integer (not a bool) that fits the int64 blocks."""
     if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
         raise ValidationError(f"{what} must be an integer, got {val!r}")
     if not _INT64.min <= val <= _INT64.max:
         raise ValidationError(f"{what} {val} does not fit in int64")
 
 
-_FINITE_CHUNK = 4096  # arrays joined per check: a few MB of temporaries, not a bank copy
+def _check_header(header: dict) -> None:
+    if header["dim_v"] < 1 or header["dim_o"] < 1:
+        raise ValidationError(
+            f"bank dims must be positive, got dim_v={header['dim_v']}, dim_o={header['dim_o']}")
+    if header["verb_vocab_size"] < 1 or header["noun_vocab_size"] < 1:
+        raise ValidationError(
+            f"vocab sizes must be positive, got verbs={header['verb_vocab_size']}, "
+            f"nouns={header['noun_vocab_size']}")
+    for key, val in header.items():
+        _check_int64(val, key)
 
 
-def _all_finite(arrays: list[np.ndarray]) -> bool:
-    """True when every entry of every array is finite; False also when the
-    arrays cannot be joined into one block (e.g. mixed ranks)."""
-    try:
-        return all(np.isfinite(np.concatenate(arrays[i:i + _FINITE_CHUNK])).all()
-                   for i in range(0, len(arrays), _FINITE_CHUNK))
-    except (TypeError, ValueError):
-        return False
+def _check_records(records, header: dict) -> None:
+    """The bank invariants one record at a time: raises ValidationError
+    naming the first offending record."""
+    seen: set[str] = set()
+    for rec in records:
+        if not isinstance(rec.segment_id, str):
+            raise ValidationError(f"segment_id must be a string, got {rec.segment_id!r}")
+        where = f"record {rec.segment_id!r}"
+        if rec.segment_id in seen:
+            raise ValidationError(f"duplicate segment_id {rec.segment_id!r}")
+        seen.add(rec.segment_id)
+        _check_int64(rec.clip_center_frame, f"{where}: center")
+        if rec.clip_feature.shape != (header["dim_v"],):
+            raise ValidationError(
+                f"{where}: clip_feature has dim {rec.clip_feature.shape[0]}, "
+                f"bank declares dim_v={header['dim_v']}")
+        if not np.all(np.isfinite(rec.clip_feature)):
+            raise ValidationError(f"{where}: clip_feature has non-finite entries")
+        for j, det in enumerate(rec.detections):
+            _check_int64(det.frame_index, f"{where}: detection {j} frame")
+            if det.feature.shape != (header["dim_o"],):
+                raise ValidationError(
+                    f"{where}: detection {j} feature has dim {det.feature.shape[0]}, "
+                    f"bank declares dim_o={header['dim_o']}")
+            if not np.all(np.isfinite(det.feature)):
+                raise ValidationError(f"{where}: detection {j} feature has non-finite entries")
+            if not 0.0 <= det.score <= 1.0:
+                raise ValidationError(f"{where}: detection {j} score {det.score} outside [0, 1]")
+        for space, label, size in (("verb", rec.verb_label, header["verb_vocab_size"]),
+                                   ("noun", rec.noun_label, header["noun_vocab_size"])):
+            if label is None:
+                continue
+            _check_int64(label, f"{where}: {space} label")
+            if not 0 <= label < size:
+                raise ValidationError(f"{where}: {space} label {label} out of range [0, {size})")
+
+
+def _rows(vectors: list, dim: int) -> np.ndarray:
+    """1-D vectors of ``dim`` entries stacked into a read-only float64 block."""
+    block = np.array(vectors, dtype=np.float64) if vectors else np.zeros((0, dim))
+    if block.shape != (len(vectors), dim):
+        raise ValueError(f"rows of shape {block.shape[1:]}, expected ({dim},)")
+    block.flags.writeable = False
+    return block
+
+
+def _pack(records: list[SegmentRecord], dim_v: int, dim_o: int) -> dict:
+    """The ids and blocks of ``records``; raises when they cannot hold a field as given."""
+    dets = [d for rec in records for d in rec.detections]
+    centers, frames = [rec.clip_center_frame for rec in records], [d.frame_index for d in dets]
+    labels = [(rec.verb_label, rec.noun_label) for rec in records]
+    given = [label for pair in labels for label in pair if label is not None]
+    int_types = set(map(type, centers + frames + given))
+    if (bool in int_types or not all(issubclass(t, (int, np.integer)) for t in int_types)
+            or min(given, default=0) < 0):
+        raise ValueError("a center, frame or label that the int64 blocks cannot hold")
+    return {"ids": [rec.segment_id for rec in records],
+            "clip": _rows([rec.clip_feature for rec in records], dim_v),
+            "centers": np.array(centers, dtype=np.int64),
+            "labels": np.array([[_NO_LABEL if label is None else label for label in pair]
+                                for pair in labels], dtype=np.int64).reshape(-1, 2),
+            "counts": np.array([len(rec.detections) for rec in records], dtype=np.int64),
+            "frames": np.array(frames, dtype=np.int64),
+            "scores": np.array([d.score for d in dets], dtype=np.float64),
+            "features": _rows([d.feature for d in dets], dim_o)}
 
 
 @dataclass(eq=False)
 class FeatureBank:
-    records: list[SegmentRecord]
+    """Record ``i`` is ``ids[i]``, ``clip[i]`` (``dim_v`` entries),
+    ``centers[i]``, ``labels[i]`` = (verb, noun) with -1 for no label, and
+    ``counts[i]`` detections.  The detections of all records, in record
+    order, are ``frames``, ``scores`` and ``features`` rows (``dim_o``)."""
+
     dim_v: int
     dim_o: int
     verb_vocab_size: int
     noun_vocab_size: int
+    ids: list[str]
+    clip: np.ndarray
+    centers: np.ndarray
+    labels: np.ndarray
+    counts: np.ndarray
+    frames: np.ndarray
+    scores: np.ndarray
+    features: np.ndarray
+
+    @classmethod
+    def from_records(cls, records: list[SegmentRecord], dim_v: int, dim_o: int,
+                     verb_vocab_size: int, noun_vocab_size: int) -> FeatureBank:
+        """The validated bank of ``SegmentRecord`` rows."""
+        header = dict(dim_v=dim_v, dim_o=dim_o, verb_vocab_size=verb_vocab_size,
+                      noun_vocab_size=noun_vocab_size)
+        _check_header(header)
+        try:
+            bank = cls(**header, **_pack(records, dim_v, dim_o))
+        except (TypeError, ValueError, OverflowError):
+            _check_records(records, header)
+            raise
+        bank.validate()
+        return bank
+
+    @property
+    def records(self) -> list[SegmentRecord]:
+        """Read-only ``SegmentRecord`` views of the rows, built on each access."""
+        dets = list(map(Detection, self.frames.tolist(), self.scores.tolist(), self.features))
+        ends = np.cumsum(self.counts).tolist()
+        labels = [[None if label == _NO_LABEL else label for label in pair]
+                  for pair in self.labels.tolist()]
+        return [SegmentRecord(seg_id, clip, center, dets[start:end], verb, noun)
+                for seg_id, clip, center, start, end, (verb, noun) in zip(
+                    self.ids, self.clip, self.centers.tolist(), [0] + ends, ends, labels)]
 
     def validate(self) -> None:
-        """Enforce the bank invariants; raises ValidationError naming the
-        first offending record."""
-        if self.dim_v < 1 or self.dim_o < 1:
-            raise ValidationError(f"bank dims must be positive, got dim_v={self.dim_v}, dim_o={self.dim_o}")
-        if self.verb_vocab_size < 1 or self.noun_vocab_size < 1:
-            raise ValidationError(
-                f"vocab sizes must be positive, got verbs={self.verb_vocab_size}, nouns={self.noun_vocab_size}")
-        for key in _HEADER_KEYS:
-            _check_int64(getattr(self, key), key)
-        # Finiteness is checked once per block; the scan below repeats it
-        # per feature only when a block fails, to name the first offender.
-        scan_finite = not (
-            _all_finite([r.clip_feature for r in self.records])
-            and _all_finite([d.feature for r in self.records for d in r.detections]))
-        seen: set[str] = set()
-        for rec in self.records:
-            if not isinstance(rec.segment_id, str):
-                raise ValidationError(f"segment_id must be a string, got {rec.segment_id!r}")
-            where = f"record {rec.segment_id!r}"
-            if rec.segment_id in seen:
-                raise ValidationError(f"duplicate segment_id {rec.segment_id!r}")
-            seen.add(rec.segment_id)
-            _check_int64(rec.clip_center_frame, f"{where}: center")
-            if rec.clip_feature.shape != (self.dim_v,):
-                raise ValidationError(
-                    f"{where}: clip_feature has dim {rec.clip_feature.shape[0]}, bank declares dim_v={self.dim_v}")
-            if scan_finite and not np.all(np.isfinite(rec.clip_feature)):
-                raise ValidationError(f"{where}: clip_feature has non-finite entries")
-            for j, det in enumerate(rec.detections):
-                _check_int64(det.frame_index, f"{where}: detection {j} frame")
-                if det.feature.shape != (self.dim_o,):
-                    raise ValidationError(
-                        f"{where}: detection {j} feature has dim {det.feature.shape[0]}, "
-                        f"bank declares dim_o={self.dim_o}")
-                if scan_finite and not np.all(np.isfinite(det.feature)):
-                    raise ValidationError(f"{where}: detection {j} feature has non-finite entries")
-                if not 0.0 <= det.score <= 1.0:
-                    raise ValidationError(
-                        f"{where}: detection {j} score {det.score} outside [0, 1]")
-            for space, label, size in (("verb", rec.verb_label, self.verb_vocab_size),
-                                       ("noun", rec.noun_label, self.noun_vocab_size)):
-                if label is None:
-                    continue
-                _check_int64(label, f"{where}: {space} label")
-                if not 0 <= label < size:
-                    raise ValidationError(
-                        f"{where}: {space} label {label} out of range [0, {size})")
+        """Enforce the bank invariants on whole blocks; when one fails, the
+        per-record checks walk the rows and name the first offending record."""
+        header = {key: getattr(self, key) for key in _HEADER_KEYS}
+        _check_header(header)
+        n, counts = len(self.ids), self.counts
+        if counts.shape != (n,) or (counts < 0).any():
+            raise ValidationError(f"bank needs {n} detection counts >= 0, one per id")
+        d = int(counts.sum())
+        for name, shape in (("clip", (n, self.dim_v)), ("centers", (n,)), ("labels", (n, 2)),
+                            ("frames", (d,)), ("scores", (d,)), ("features", (d, self.dim_o))):
+            if getattr(self, name).shape != shape:
+                raise ValidationError(f"bank block {name!r} is not shaped {shape}")
+        if not (all(isinstance(seg_id, str) for seg_id in self.ids)
+                and len(set(self.ids)) == len(self.ids)
+                and np.isfinite(self.clip).all() and np.isfinite(self.features).all()
+                and ((self.scores >= 0.0) & (self.scores <= 1.0)).all()
+                and (self.labels >= _NO_LABEL).all()
+                and (self.labels < [self.verb_vocab_size, self.noun_vocab_size]).all()):
+            _check_records(self.records, header)
 
 
 @dataclass(frozen=True)
@@ -162,10 +248,11 @@ class AggregationConfig:
     window: int = 5
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValidationError(f"aggregation k must be >= 1, got {self.k}")
-        if self.window < 1 or self.window % 2 == 0:
-            raise ValidationError(f"window must be a positive odd integer, got {self.window}")
+        # type() also turns away bools, which isinstance(..., int) lets through
+        if type(self.k) is not int or self.k < 1:
+            raise ValidationError(f"aggregation k must be an integer >= 1, got {self.k!r}")
+        if type(self.window) is not int or self.window < 1 or self.window % 2 == 0:
+            raise ValidationError(f"window must be a positive odd integer, got {self.window!r}")
 
 
 def context_window(record: SegmentRecord, cfg: AggregationConfig) -> list[Detection]:
@@ -207,17 +294,29 @@ def aggregate_object_feature(record: SegmentRecord, cfg: AggregationConfig,
 
 def bank_features(bank: FeatureBank, cfg: AggregationConfig) -> tuple[np.ndarray, np.ndarray]:
     """Clip features and aggregated object features of every record, as
-    ``(records, dim_v)`` and ``(records, dim_o)`` row blocks."""
-    n = len(bank.records)
-    V = np.array([r.clip_feature for r in bank.records], dtype=np.float64).reshape(n, bank.dim_v)
-    O = np.array([aggregate_object_feature(r, cfg, bank.dim_o) for r in bank.records],
-                 dtype=np.float64).reshape(n, bank.dim_o)
-    return V, O
+    ``(records, dim_v)`` and ``(records, dim_o)`` row blocks.  The object
+    rows equal ``aggregate_object_feature`` bit for bit: window mask, stable
+    sort by (record, -score, frame), keep rank < k, max-pool in that order."""
+    n = len(bank.ids)
+    owner = np.repeat(np.arange(n), bank.counts)
+    # |frame - center| in uint64: flipping the sign bit maps int64 onto
+    # uint64 in order, so the difference cannot wrap.
+    frame, center = (x.view(np.uint64) ^ np.uint64(1 << 63)
+                     for x in (bank.frames, bank.centers[owner]))
+    half = np.uint64(min((cfg.window - 1) // 2, np.iinfo(np.uint64).max))
+    kept = np.flatnonzero(np.maximum(frame, center) - np.minimum(frame, center) <= half)
+    order = kept[np.lexsort((bank.frames[kept], -bank.scores[kept], owner[kept]))]
+    per_record = np.bincount(owner[order], minlength=n)
+    rank = np.arange(len(order)) - np.repeat(np.cumsum(per_record) - per_record, per_record)
+    top = order[rank < min(cfg.k, len(order))]
+    taken = np.bincount(owner[top], minlength=n)
+    O = np.zeros((n, bank.dim_o))
+    O[taken > 0] = np.maximum.reduceat(bank.features[top], (np.cumsum(taken) - taken)[taken > 0],
+                                       axis=0)
+    return bank.clip, O
 
 
 # --- file format --------------------------------------------------------------
-
-_HEADER_KEYS = ("dim_v", "dim_o", "verb_vocab_size", "noun_vocab_size")
 
 
 def _record_to_json(rec: SegmentRecord) -> str:
@@ -237,10 +336,9 @@ def _record_to_json(rec: SegmentRecord) -> str:
     return strict_json(obj, separators=(",", ":"))
 
 
-# Sidecar blocks and their dtypes.  Per record: clip features, detection
-# count, center, (verb, noun) labels with -1 for none, id length; per
-# detection: feature, frame, score.  Segment ids are stored as UTF-32 code
-# points, so any str (lone surrogates, NULs) round-trips.
+# Sidecar members and their dtypes: the digest, the header ints, the bank's
+# blocks ("detections" holds the counts), and the ids as UTF-32 code points
+# with one length per id, so any str (lone surrogates, NULs) round-trips.
 _SIDECAR_DTYPES = {
     "digest": np.dtype(np.uint8),
     "header": np.dtype(np.int64),
@@ -254,7 +352,6 @@ _SIDECAR_DTYPES = {
     "ids": np.dtype("<u4"),
     "id_lengths": np.dtype(np.int64),
 }
-_NO_LABEL = -1
 # What np.load and zipfile raise on a sidecar that is missing, empty, not an
 # npz (a bare .npy has no context manager), truncated or corrupted (CRC,
 # headers, unsupported or encrypted members), missing a block, holding
@@ -269,27 +366,18 @@ def _sidecar_path(path) -> str:
 
 
 def _sidecar_blocks(bank: FeatureBank, digest: bytes) -> dict[str, np.ndarray]:
-    recs = bank.records
-    dets = [d for r in recs for d in r.detections]
     # The ids as the JSON reads back: json.loads joins an escaped surrogate
     # pair into one character.
-    ids = [json.loads(json.dumps(r.segment_id)).encode("utf-32-le", "surrogatepass")
-           for r in recs]
-    labels = [[_NO_LABEL if label is None else label for label in (r.verb_label, r.noun_label)]
-              for r in recs]
-    blocks = {
+    ids = [json.loads(json.dumps(seg_id)).encode("utf-32-le", "surrogatepass")
+           for seg_id in bank.ids]
+    blocks = {name: getattr(bank, name) for name in _BLOCKS}
+    blocks.update({
         "digest": np.frombuffer(digest, dtype=np.uint8),
         "header": [getattr(bank, k) for k in _HEADER_KEYS],
-        "clip": np.array([r.clip_feature for r in recs]).reshape(len(recs), bank.dim_v),
-        "features": np.array([d.feature for d in dets]).reshape(len(dets), bank.dim_o),
-        "frames": [d.frame_index for d in dets],
-        "scores": [d.score for d in dets],
-        "detections": [len(r.detections) for r in recs],
-        "centers": [r.clip_center_frame for r in recs],
-        "labels": np.array(labels, dtype=np.int64).reshape(len(recs), 2),
+        "detections": bank.counts,
         "ids": np.frombuffer(b"".join(ids), dtype="<u4"),
         "id_lengths": [len(i) // 4 for i in ids],
-    }
+    })
     return {name: np.asarray(blocks[name], dtype=dtype) for name, dtype in _SIDECAR_DTYPES.items()}
 
 
@@ -330,7 +418,7 @@ def _parse_int(obj: dict, key: str, where: str, optional: bool = False) -> int |
 
 def _load_sidecar(path, digest: bytes) -> FeatureBank | None:
     """The bank in ``path``'s sidecar when the sidecar was written for JSON
-    bytes with this digest and its blocks are consistent, else None.  The
+    bytes with this digest and its blocks are valid, else None.  The
     sidecar is derived data, so a failure to read it means "not usable" and
     the caller parses the JSON instead."""
     try:
@@ -343,53 +431,32 @@ def _load_sidecar(path, digest: bytes) -> FeatureBank | None:
     if not all(isinstance(blocks[name], np.ndarray) and blocks[name].dtype == dtype
                for name, dtype in _SIDECAR_DTYPES.items()):
         return None
-    header = blocks["header"]
-    counts, id_lengths = blocks["detections"], blocks["id_lengths"]
-    if (header.shape != (len(_HEADER_KEYS),) or counts.ndim != 1 or (counts < 0).any()
-            or (id_lengths < 0).any()):
+    header, id_lengths = blocks["header"], blocks["id_lengths"]
+    if (header.shape != (len(_HEADER_KEYS),) or id_lengths.ndim != 1 or (id_lengths < 0).any()
+            or blocks["ids"].shape != (int(id_lengths.sum()),)):
         return None
-    dims = dict(zip(_HEADER_KEYS, header.tolist()))
-    n, d = len(counts), int(counts.sum())
-    shapes = {"clip": (n, dims["dim_v"]), "features": (d, dims["dim_o"]), "frames": (d,),
-              "scores": (d,), "centers": (n,), "labels": (n, 2), "id_lengths": (n,),
-              "ids": (int(id_lengths.sum()),)}
-    if any(blocks[name].shape != shape for name, shape in shapes.items()):
-        return None
-    try:
+    ends = np.cumsum(id_lengths).tolist()
+    blocks["counts"] = blocks["detections"]
+    try:  # a bank that fails validation here fails the same way from its JSON
         text = blocks["ids"].tobytes().decode("utf-32-le", "surrogatepass")
-    except UnicodeDecodeError:
+        bank = FeatureBank(**dict(zip(_HEADER_KEYS, header.tolist())),
+                           ids=[text[start:end] for start, end in zip([0] + ends, ends)],
+                           **{name: blocks[name] for name in _BLOCKS})
+        bank.validate()
+    except (UnicodeDecodeError, ValidationError):
         return None
-
-    # Features stay read-only, as on the JSON path; rows are views.
-    for name in ("clip", "features"):
-        blocks[name].flags.writeable = False
-    detections = list(map(Detection, blocks["frames"].tolist(), blocks["scores"].tolist(),
-                          blocks["features"]))
-    id_ends, det_ends = np.cumsum(id_lengths).tolist(), np.cumsum(counts).tolist()
-    ids = [text[start:end] for start, end in zip([0] + id_ends, id_ends)]
-    dets = [detections[start:end] for start, end in zip([0] + det_ends, det_ends)]
-    records = [SegmentRecord(segment_id=seg_id, clip_feature=clip, clip_center_frame=center,
-                             detections=rec_dets,
-                             verb_label=None if verb == _NO_LABEL else verb,
-                             noun_label=None if noun == _NO_LABEL else noun)
-               for seg_id, clip, center, rec_dets, (verb, noun) in zip(
-                   ids, blocks["clip"], blocks["centers"].tolist(), dets,
-                   blocks["labels"].tolist())]
-    return FeatureBank(records=records, **dims)
+    bank.clip.flags.writeable = bank.features.flags.writeable = False  # as from_records
+    return bank
 
 
 def load_feature_bank(path) -> FeatureBank:
     """Load a bank file, rejecting invariant violations with line/record
-    diagnostics.  The records come from the sidecar when its digest matches
-    the JSON bytes read here, else from parsing the JSON; both paths end in
-    the same validation."""
+    diagnostics.  The blocks come from the sidecar when its digest matches
+    the JSON bytes read here and they validate, else from parsing the JSON."""
     with open(path, "rb") as fh:
         data = fh.read()
     bank = _load_sidecar(path, hashlib.sha256(data).digest())
-    if bank is None:
-        bank = _parse_bank(path, data)
-    bank.validate()
-    return bank
+    return bank if bank is not None else _parse_bank(path, data)
 
 
 def _parse_bank(path, data: bytes) -> FeatureBank:
@@ -423,7 +490,7 @@ def _parse_bank(path, data: bytes) -> FeatureBank:
         where = f"{where} (record {seg_id!r})"
         try:
             clip = np.array(obj.get("clip_feature", None), dtype=np.float64)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # OverflowError: an int past float range
             raise ValidationError(f"{where}: clip_feature must be an array of numbers") from None
         if clip.ndim != 1:
             raise ValidationError(f"{where}: clip_feature must be a flat array")
@@ -441,13 +508,11 @@ def _parse_bank(path, data: bytes) -> FeatureBank:
                 raise ValidationError(f"{where}: detection {j} score must be a number")
             try:
                 feat = np.array(d.get("feature", None), dtype=np.float64)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ValidationError(f"{where}: detection {j} feature must be an array of numbers") from None
             if feat.ndim != 1:
                 raise ValidationError(f"{where}: detection {j} feature must be a flat array")
-            feat.flags.writeable = False
-            detections.append(Detection(frame_index=frame, score=float(score), feature=feat))
-        clip.flags.writeable = False
+            detections.append(Detection(frame_index=frame, score=score, feature=feat))
         records.append(SegmentRecord(
             segment_id=seg_id,
             clip_feature=clip,
@@ -457,30 +522,14 @@ def _parse_bank(path, data: bytes) -> FeatureBank:
             noun_label=_parse_int(obj, "noun", where, optional=True),
         ))
 
-    return FeatureBank(records=records, **{k: header[k] for k in _HEADER_KEYS})
+    return FeatureBank.from_records(records, **{k: header[k] for k in _HEADER_KEYS})
 
 
 def banks_equal(a: FeatureBank, b: FeatureBank) -> bool:
-    """Exact (bitwise) equality of two banks."""
-    if (a.dim_v, a.dim_o, a.verb_vocab_size, a.noun_vocab_size) != \
-            (b.dim_v, b.dim_o, b.verb_vocab_size, b.noun_vocab_size):
-        return False
-    if len(a.records) != len(b.records):
-        return False
-    for ra, rb in zip(a.records, b.records):
-        if (ra.segment_id, ra.clip_center_frame, ra.verb_label, ra.noun_label) != \
-                (rb.segment_id, rb.clip_center_frame, rb.verb_label, rb.noun_label):
-            return False
-        if not np.array_equal(ra.clip_feature, rb.clip_feature):
-            return False
-        if len(ra.detections) != len(rb.detections):
-            return False
-        for da, db in zip(ra.detections, rb.detections):
-            if (da.frame_index, da.score) != (db.frame_index, db.score):
-                return False
-            if not np.array_equal(da.feature, db.feature):
-                return False
-    return True
+    """Exact equality of two banks: header, ids and every block."""
+    return ([getattr(a, k) for k in _HEADER_KEYS] == [getattr(b, k) for k in _HEADER_KEYS]
+            and a.ids == b.ids
+            and all(np.array_equal(getattr(a, name), getattr(b, name)) for name in _BLOCKS))
 
 
 # --- synthetic banks ----------------------------------------------------------
@@ -633,10 +682,9 @@ def synth_generate(spec: SynthSpec, seed: int, split: str = "train") -> FeatureB
             noun_label=noun,
         ))
 
-    bank = FeatureBank(records=records, dim_v=spec.dim_v, dim_o=spec.dim_o,
-                       verb_vocab_size=spec.verb_vocab, noun_vocab_size=spec.noun_vocab)
-    bank.validate()
-    return bank
+    return FeatureBank.from_records(records, dim_v=spec.dim_v, dim_o=spec.dim_o,
+                                    verb_vocab_size=spec.verb_vocab,
+                                    noun_vocab_size=spec.noun_vocab)
 
 
 def bank_stats(bank: FeatureBank, cfg: AggregationConfig,
@@ -644,27 +692,23 @@ def bank_stats(bank: FeatureBank, cfg: AggregationConfig,
     """Summary statistics, including the clip/object amplitude ratio under the
     given aggregation and verb-noun co-occurrence counts."""
     V, O = bank_features(bank, cfg)
-    mean_clip = float(np.mean(l2_norm(V))) if bank.records else 0.0
-    mean_obj = float(np.mean(l2_norm(O))) if bank.records else 0.0
-    stats = {
-        "records": len(bank.records),
-        "dim_v": bank.dim_v,
-        "dim_o": bank.dim_o,
-        "verb_vocab_size": bank.verb_vocab_size,
-        "noun_vocab_size": bank.noun_vocab_size,
-        "verb_labeled": sum(1 for r in bank.records if r.verb_label is not None),
-        "noun_labeled": sum(1 for r in bank.records if r.noun_label is not None),
-        "detections_per_record_mean": float(np.mean([len(r.detections) for r in bank.records]))
-        if bank.records else 0.0,
+    n = len(bank.ids)
+    labeled = bank.labels >= 0
+    _, pair_counts = np.unique(bank.labels[labeled.all(axis=1)], axis=0, return_counts=True)
+    mean_clip = float(np.mean(l2_norm(V))) if n else 0.0
+    mean_obj = float(np.mean(l2_norm(O))) if n else 0.0
+    return {
+        "records": n,
+        **{key: getattr(bank, key) for key in _HEADER_KEYS},
+        "verb_labeled": int(labeled[:, 0].sum()),
+        "noun_labeled": int(labeled[:, 1].sum()),
+        "detections_per_record_mean": float(np.mean(bank.counts)) if n else 0.0,
         "aggregation": {"k": cfg.k, "window": cfg.window},
         "mean_clip_amplitude": mean_clip,
         "mean_object_amplitude": mean_obj,
         "amplitude_ratio": (mean_obj / mean_clip) if mean_clip > 0 else None,
+        "labeled_pairs": int(pair_counts.sum()),
+        "distinct_pairs": len(pair_counts),
+        "pair_count_threshold": pair_threshold,
+        "pairs_above_threshold": int(np.count_nonzero(pair_counts > pair_threshold)),
     }
-    pairs = Counter((r.verb_label, r.noun_label) for r in bank.records
-                    if r.verb_label is not None and r.noun_label is not None)
-    stats["labeled_pairs"] = sum(pairs.values())
-    stats["distinct_pairs"] = len(pairs)
-    stats["pair_count_threshold"] = pair_threshold
-    stats["pairs_above_threshold"] = sum(1 for c in pairs.values() if c > pair_threshold)
-    return stats

@@ -152,8 +152,8 @@ def _cmd_synth(cfg: dict, out: Path):
     train_path, val_path = out / "train.bank", out / "val.bank"
     save_feature_bank(train_bank, train_path)
     save_feature_bank(val_bank, val_path)
-    print(f"wrote {train_path} ({len(train_bank.records)} records) and "
-          f"{val_path} ({len(val_bank.records)} records)")
+    print(f"wrote {train_path} ({len(train_bank.ids)} records) and "
+          f"{val_path} ({len(val_bank.ids)} records)")
     return 0, {}, {"train_bank": str(train_path), "val_bank": str(val_path)}
 
 
@@ -201,16 +201,14 @@ def _cmd_eval(cfg: dict, out: Path):
         raise ValidationError(
             f"bank {ckpt.target} vocab is {vocab}, checkpoint expects {ckpt.classes}")
 
-    ids = [rec.segment_id for rec in bank.records]
     scores, _ = forward_model(ckpt.model, *bank_features(bank, ckpt.aggregation))
-    table = ScoreTable(segment_ids=ids, scores=softmax(scores), space=ckpt.target)
+    table = ScoreTable(segment_ids=list(bank.ids), scores=softmax(scores), space=ckpt.target)
     table_path = out / "scores.txt"
     save_score_table(table, table_path)
 
-    report: dict = {"target": ckpt.target, "segments": len(ids)}
-    labels = [rec.verb_label if ckpt.target == "verb" else rec.noun_label
-              for rec in bank.records]
-    if all(l is not None for l in labels):
+    report: dict = {"target": ckpt.target, "segments": len(bank.ids)}
+    labels = bank.labels[:, 0 if ckpt.target == "verb" else 1]
+    if (labels >= 0).all():
         report["top1"] = topk_accuracy(table, labels, 1)
         report["top5"] = topk_accuracy(table, labels, 5)
     report_path = out / "eval_report.json"
@@ -245,16 +243,14 @@ def _cmd_actions(cfg: dict, out: Path):
     action_table, action_metrics = score_actions_for_bank(
         verb_table, noun_table, prior, bank)
 
-    report: dict = {"action": action_metrics}
-    by_id = {r.segment_id: r for r in bank.records}
-    verb_labels = [by_id[s].verb_label for s in verb_table.segment_ids if s in by_id]
-    noun_labels = [by_id[s].noun_label for s in noun_table.segment_ids if s in by_id]
-    if len(verb_labels) == len(verb_table.segment_ids) and all(
-            l is not None for l in verb_labels):
-        report["verb"] = {"top1": topk_accuracy(verb_table, verb_labels, 1),
-                          "top5": topk_accuracy(verb_table, verb_labels, 5)}
-        report["noun"] = {"top1": topk_accuracy(noun_table, noun_labels, 1),
-                          "top5": topk_accuracy(noun_table, noun_labels, 5)}
+    # Every table row is a fully labelled bank record: score_actions_for_bank checked.
+    rows = dict(zip(bank.ids, range(len(bank.ids))))
+    verb_labels, noun_labels = bank.labels[[rows[s] for s in verb_table.segment_ids]].T
+    report: dict = {"action": action_metrics,
+                    "verb": {"top1": topk_accuracy(verb_table, verb_labels, 1),
+                             "top5": topk_accuracy(verb_table, verb_labels, 5)},
+                    "noun": {"top1": topk_accuracy(noun_table, noun_labels, 1),
+                             "top5": topk_accuracy(noun_table, noun_labels, 5)}}
     if prior.counts is not None:
         report["prior"] = prior_stats(prior)
 

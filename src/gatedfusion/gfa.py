@@ -41,7 +41,6 @@ gradients of the gate parameters ``W`` and ``b`` are summed over rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -65,6 +64,7 @@ __all__ = [
 ]
 
 SCALE_KINDS = ("none", "scalar", "norm", "norm-scalar")
+_FLOAT_MAX = float(np.finfo(np.float64).max)  # a Python float: it compares exactly with any int
 
 
 @dataclass(frozen=True)
@@ -84,10 +84,10 @@ class ScaleMode:
         if self.kind not in SCALE_KINDS:
             raise ValidationError(
                 f"scale kind {self.kind!r} not one of {SCALE_KINDS}")
-        if not self.s > 0:
-            raise ValidationError(f"scale divisor must be positive, got {self.s}")
-        if not self.epsilon > 0:
-            raise ValidationError(f"scale epsilon must be positive, got {self.epsilon}")
+        if not 0 < self.s <= _FLOAT_MAX:
+            raise ValidationError(f"scale divisor must be positive and finite, got {self.s}")
+        if not 0 < self.epsilon <= _FLOAT_MAX:
+            raise ValidationError(f"scale epsilon must be positive and finite, got {self.epsilon}")
 
     @classmethod
     def none(cls) -> "ScaleMode":
@@ -282,16 +282,13 @@ def init_gfa_params(dim_v: int, dim_o: int, variant: str,
     return GfaParams(variant=variant, W=W, b=np.zeros(rows), scale=scale)
 
 
-def estimate_scalar_divisor(clip_features: Iterable[np.ndarray] | Sequence[np.ndarray],
-                            object_features: Iterable[np.ndarray] | Sequence[np.ndarray]) -> float:
-    """Calibrate the scalar divisor as mean(|o|) / mean(|v|) over a batch, so
-    dividing by it brings the object amplitudes near the clip amplitudes."""
-    v_norms = [l2_norm(v) for v in clip_features]
-    o_norms = [l2_norm(o) for o in object_features]
-    if not v_norms or not o_norms:
+def estimate_scalar_divisor(V: np.ndarray, O: np.ndarray) -> float:
+    """The scalar divisor mean(|o|) / mean(|v|) over the rows of ``V`` and
+    ``O``: dividing by it brings the object amplitudes near the clip ones."""
+    if not len(V) or not len(O):
         raise ValidationError("estimate_scalar_divisor: empty calibration batch")
-    mean_v = float(np.mean(v_norms))
-    mean_o = float(np.mean(o_norms))
+    mean_v = float(np.mean(l2_norm(V)))
+    mean_o = float(np.mean(l2_norm(O)))
     if mean_v == 0.0:
         raise ValidationError("estimate_scalar_divisor: clip features all zero")
     if mean_o == 0.0:

@@ -95,9 +95,7 @@ def action_pair(index: int, noun_vocab_size: int) -> tuple[int, int]:
 def compute_prior(bank: FeatureBank) -> ActionPrior:
     """Relative frequency of each (verb, noun) pair among fully labeled
     segments; unseen pairs have mu = 0."""
-    pairs = np.array([(r.verb_label, r.noun_label) for r in bank.records
-                      if r.verb_label is not None and r.noun_label is not None],
-                     dtype=np.int64).reshape(-1, 2)
+    pairs = bank.labels[(bank.labels >= 0).all(axis=1)]
     if not len(pairs):
         raise ValidationError("compute_prior: no segment carries both verb and noun labels")
     counts = np.zeros((bank.verb_vocab_size, bank.noun_vocab_size), dtype=np.int64)
@@ -220,15 +218,15 @@ def topk_accuracy(table: ScoreTable, labels, k: int) -> float:
 
 
 def _aligned_action_labels(table: ScoreTable, bank: FeatureBank) -> np.ndarray:
-    by_id = {r.segment_id: r for r in bank.records}
+    pairs = dict(zip(bank.ids, bank.labels.tolist()))
     labels = []
     for seg_id in table.segment_ids:
-        rec = by_id.get(seg_id)
-        if rec is None:
+        pair = pairs.get(seg_id)
+        if pair is None:
             raise ValidationError(f"segment {seg_id!r} not present in the bank")
-        if rec.verb_label is None or rec.noun_label is None:
+        if min(pair) < 0:
             raise ValidationError(f"segment {seg_id!r} lacks verb/noun labels")
-        labels.append(action_index(rec.verb_label, rec.noun_label, bank.noun_vocab_size))
+        labels.append(action_index(*pair, bank.noun_vocab_size))
     return np.array(labels, dtype=np.int64)
 
 

@@ -24,9 +24,10 @@ gradients of that mean.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -51,7 +52,6 @@ __all__ = [
     "sgd_momentum_step",
     "init_model",
     "param_groups",
-    "with_params",
     "train",
     "grad_check",
     "save_checkpoint",
@@ -262,28 +262,13 @@ def param_groups(model: Model) -> dict[str, np.ndarray]:
     return groups
 
 
-def with_params(model: Model, groups: dict[str, np.ndarray]) -> Model:
-    """Copy of the model with the given parameter arrays swapped in; the
-    gradient check perturbs parameters through it."""
-    head = Head(W=groups["head.W"], b=groups["head.b"])
-    gfa = None
-    if model.gfa is not None:
-        gfa = GfaParams(variant=model.gfa.variant, W=groups["gfa.W"],
-                        b=groups["gfa.b"], scale=model.gfa.scale)
-    return Model(fusion_kind=model.fusion_kind, head=head, gfa=gfa)
-
-
 def _bank_labels(bank: FeatureBank, target: str) -> np.ndarray:
     if target not in ("verb", "noun"):
         raise ValidationError(f"target must be 'verb' or 'noun', got {target!r}")
-    labels = []
-    for rec in bank.records:
-        label = rec.verb_label if target == "verb" else rec.noun_label
-        if label is None:
-            raise ValidationError(
-                f"record {rec.segment_id!r} has no {target} label")
-        labels.append(label)
-    return np.array(labels, dtype=np.int64)
+    labels = bank.labels[:, 0 if target == "verb" else 1]
+    if (labels < 0).any():
+        raise ValidationError(f"record {bank.ids[np.argmax(labels < 0)]!r} has no {target} label")
+    return labels
 
 
 def _top1_accuracy(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -302,7 +287,7 @@ def train(bank: FeatureBank, target: str, spec: ModelSpec, cfg: TrainConfig,
     naming the epoch and batch when a batch's loss or gradient norm is not
     finite.
     """
-    if not bank.records:
+    if not bank.ids:
         raise ValidationError("cannot train on an empty bank")
     labels = _bank_labels(bank, target)
     classes = bank.verb_vocab_size if target == "verb" else bank.noun_vocab_size
@@ -323,7 +308,7 @@ def train(bank: FeatureBank, target: str, spec: ModelSpec, cfg: TrainConfig,
     params = param_groups(model)
     velocity = {name: np.zeros_like(arr) for name, arr in params.items()}
 
-    n = len(bank.records)
+    n = len(bank.ids)
     history: list[dict] = []
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
@@ -332,8 +317,9 @@ def train(bank: FeatureBank, target: str, spec: ModelSpec, cfg: TrainConfig,
         for batch, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start:start + cfg.batch_size]
             loss, grads = loss_and_grads(model, V[idx], O[idx], labels[idx])
-            gnorm = float(np.sqrt(sum(float(np.sum(grads[name] * grads[name]))
-                                      for name in params)))
+            with np.errstate(over="ignore"):  # an overflow reads as divergence below
+                gnorm = float(np.sqrt(sum(float(np.sum(grads[name] * grads[name]))
+                                          for name in params)))
             if not (np.isfinite(loss) and np.isfinite(gnorm)):
                 raise ValidationError(
                     f"training diverged at epoch {epoch}, batch {batch}: loss {loss}, "
@@ -367,40 +353,27 @@ def grad_check(model: Model, v: np.ndarray, o_agg: np.ndarray, label: int,
     if not step > 0:
         raise ValidationError(f"step must be positive, got {step}")
     _, analytic = loss_and_grads(model, v, o_agg, label)
+    # Entries are perturbed in place, on private copies, and restored.
+    model = copy.deepcopy(model)
+    targets = {**param_groups(model), "v": np.array(v, dtype=np.float64),
+               "o": np.array(o_agg, dtype=np.float64)}
 
-    def loss_with(groups: dict[str, np.ndarray], vv: np.ndarray, oo: np.ndarray) -> float:
-        m = with_params(model, groups)
-        scores, _ = forward_model(m, vv, oo)
+    def loss() -> float:
+        scores, _ = forward_model(model, targets["v"], targets["o"])
         return cross_entropy(softmax(scores), label)
-
-    base = dict(param_groups(model))
-    targets: dict[str, np.ndarray] = dict(base)
-    targets["v"] = v
-    targets["o"] = o_agg
 
     per_group: dict[str, float] = {}
     for name, arr in targets.items():
         worst = 0.0
-        flat = arr.ravel()
-        for j in range(flat.shape[0]):
-            orig = flat[j]
-            perturbed = arr.copy()
-            pflat = perturbed.ravel()
-
-            def eval_at(value: float) -> float:
-                pflat[j] = value
-                if name == "v":
-                    return loss_with(base, perturbed, o_agg)
-                if name == "o":
-                    return loss_with(base, v, perturbed)
-                groups = dict(base)
-                groups[name] = perturbed
-                return loss_with(groups, v, o_agg)
-
-            plus = eval_at(orig + step)
-            minus = eval_at(orig - step)
+        for idx in np.ndindex(arr.shape):
+            orig = arr[idx]
+            arr[idx] = orig + step
+            plus = loss()
+            arr[idx] = orig - step
+            minus = loss()
+            arr[idx] = orig
             numeric = (plus - minus) / (2.0 * step)
-            a = float(analytic[name].ravel()[j])
+            a = float(analytic[name][idx])
             if math.isfinite(a) and math.isfinite(numeric):
                 worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric), 1e-8))
             else:  # a NaN would drop out of max() and read as agreement
@@ -439,7 +412,7 @@ def _matrix_from_obj(obj: dict, name: str) -> np.ndarray:
     arr = np.array(data, dtype=np.float64)
     if arr.ndim != 1 or arr.shape[0] != rows * cols:
         raise ValidationError(
-            f"checkpoint: {name} declares {rows}x{cols} but carries {arr.shape[0]} values")
+            f"checkpoint: {name} declares {rows}x{cols} but carries {arr.size} values")
     return arr.reshape(rows, cols)
 
 
@@ -451,14 +424,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "dim_v": ckpt.dim_v,
         "dim_o": ckpt.dim_o,
         "classes": ckpt.classes,
-        "aggregation": {"k": ckpt.aggregation.k, "window": ckpt.aggregation.window},
-        "train_config": {
-            "learning_rate": ckpt.train_config.learning_rate,
-            "momentum": ckpt.train_config.momentum,
-            "epochs": ckpt.train_config.epochs,
-            "batch_size": ckpt.train_config.batch_size,
-            "seed": ckpt.train_config.seed,
-        },
+        "aggregation": asdict(ckpt.aggregation),
+        "train_config": asdict(ckpt.train_config),
         "head": {"W": _matrix_obj(ckpt.model.head.W), "b": ckpt.model.head.b.tolist()},
         "gfa": None,
     }
@@ -466,7 +433,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         g = ckpt.model.gfa
         obj["gfa"] = {
             "variant": g.variant,
-            "scale": {"kind": g.scale.kind, "s": g.scale.s, "epsilon": g.scale.epsilon},
+            "scale": asdict(g.scale),
             "W": _matrix_obj(g.W),
             "b": g.b.tolist(),
         }
@@ -490,23 +457,20 @@ def load_checkpoint(path) -> Checkpoint:
         agg = AggregationConfig(k=obj["aggregation"]["k"],
                                 window=obj["aggregation"]["window"])
         tc = obj["train_config"]
-        train_config = TrainConfig(learning_rate=tc["learning_rate"],
-                                   momentum=tc["momentum"], epochs=tc["epochs"],
-                                   batch_size=tc["batch_size"], seed=tc["seed"])
+        train_config = TrainConfig(**{f.name: tc[f.name] for f in fields(TrainConfig)})
         head_W = _matrix_from_obj(obj["head"]["W"], "head.W")
         head_b = np.array(obj["head"]["b"], dtype=np.float64)
         gfa_obj = obj["gfa"]
         if gfa_obj is not None:
-            scale_obj = gfa_obj.get("scale", {})
-            scale = ScaleMode(kind=scale_obj.get("kind", "none"),
-                              s=scale_obj.get("s", 1.0),
-                              epsilon=scale_obj.get("epsilon", 1e-8))
+            scale = ScaleMode(**gfa_obj.get("scale", {}))  # absent fields take their defaults
             gfa_W = _matrix_from_obj(gfa_obj["W"], "gfa.W")
             gfa_b = np.array(gfa_obj["b"], dtype=np.float64)
             variant = gfa_obj.get("variant")
     except (KeyError, TypeError, AttributeError):
         raise ValidationError(f"{path}: missing checkpoint fields") from None
-    except ValueError:
+    except ValidationError as exc:  # a config value its own class rejects
+        raise ValidationError(f"{path}: {exc}") from None
+    except (ValueError, OverflowError):  # OverflowError: an int past float range
         raise ValidationError(f"{path}: checkpoint weights must be arrays of numbers") from None
     for key, val in (("dim_v", dim_v), ("dim_o", dim_o), ("classes", classes)):
         if not isinstance(val, int) or isinstance(val, bool):
@@ -524,7 +488,7 @@ def load_checkpoint(path) -> Checkpoint:
             f"{path}: head.W is {head_W.shape[0]}x{head_W.shape[1]}, expected "
             f"{classes}x{feat_dim} for fusion {fusion!r}")
     if head_b.shape != (classes,):
-        raise ValidationError(f"{path}: head.b has dim {head_b.shape[0]}, expected {classes}")
+        raise ValidationError(f"{path}: head.b has dim {head_b.size}, expected {classes}")
 
     gfa = None
     if gfa_obj is not None:
@@ -535,7 +499,7 @@ def load_checkpoint(path) -> Checkpoint:
                 f"{expected[0]}x{expected[1]} for variant {variant!r}")
         if gfa_b.shape != (gfa_W.shape[0],):
             raise ValidationError(
-                f"{path}: gfa.b has dim {gfa_b.shape[0]}, expected {gfa_W.shape[0]}")
+                f"{path}: gfa.b has dim {gfa_b.size}, expected {gfa_W.shape[0]}")
         gfa = GfaParams(variant=variant, W=gfa_W, b=gfa_b, scale=scale)
 
     model = Model(fusion_kind=fusion, head=Head(W=head_W, b=head_b), gfa=gfa)

@@ -11,8 +11,9 @@ import pytest
 
 from gatedfusion.bank import (AggregationConfig, Detection, FeatureBank,
                               SegmentRecord, SynthSpec,
-                              aggregate_object_feature, context_window,
-                              maxpool_features, select_top_k, synth_generate)
+                              aggregate_object_feature, bank_features,
+                              context_window, maxpool_features, select_top_k,
+                              synth_generate)
 from gatedfusion.cli import main
 from gatedfusion.gfa import (GfaParams, ScaleMode, gfa_a_forward,
                              gfa_b_forward, init_gfa_params,
@@ -22,7 +23,7 @@ from gatedfusion.scoring import (ScoreTable, compute_prior, prior_from_pairs,
                                  topk_accuracy, uniform_prior)
 from gatedfusion.training import (ModelSpec, TrainConfig, cross_entropy,
                                   forward_model, init_model, loss_and_grads,
-                                  param_groups, softmax, train, with_params)
+                                  param_groups, softmax, train)
 
 from conftest import central_diff, rel_err
 
@@ -57,24 +58,29 @@ def _instance_grads(fusion, scale, seed):
     label = int(rng.integers(classes))
 
     _, analytic = loss_and_grads(model, v, o, label)
-    base = dict(param_groups(model))
+    base = param_groups(model)
 
-    def loss_at(groups, vv, oo):
-        scores, _ = forward_model(with_params(model, groups), vv, oo)
+    def loss_at(vv, oo):
+        scores, _ = forward_model(model, vv, oo)
         return cross_entropy(softmax(scores), label)
+
+    def loss_with(name, x):
+        """The loss with parameter group ``name`` set to ``x`` in place."""
+        saved = base[name].copy()
+        base[name][...] = x
+        try:
+            return loss_at(v, o)
+        finally:
+            base[name][...] = saved
 
     pairs = []
     for name in list(base) + ["v", "o"]:
         if name == "v":
-            numeric = central_diff(lambda x: loss_at(base, x, o), v)
+            numeric = central_diff(lambda x: loss_at(x, o), v)
         elif name == "o":
-            numeric = central_diff(lambda x: loss_at(base, v, x), o)
+            numeric = central_diff(lambda x: loss_at(v, x), o)
         else:
-            def f(x, name=name):
-                groups = dict(base)
-                groups[name] = x
-                return loss_at(groups, v, o)
-            numeric = central_diff(f, base[name])
+            numeric = central_diff(lambda x, name=name: loss_with(name, x), base[name])
         pairs.append((analytic[name], numeric))
     return pairs
 
@@ -267,8 +273,8 @@ def _confusion_instance(seed, segments=40, verbs=5, nouns=8):
                       clip_center_frame=0, detections=[],
                       verb_label=v, noun_label=n)
         for i, (v, n) in enumerate(train_pairs)]
-    train_bank = FeatureBank(records=train_records, dim_v=2, dim_o=2,
-                             verb_vocab_size=verbs, noun_vocab_size=nouns)
+    train_bank = FeatureBank.from_records(train_records, dim_v=2, dim_o=2,
+                                          verb_vocab_size=verbs, noun_vocab_size=nouns)
     prior = compute_prior(train_bank)
 
     ids, verb_rows, noun_rows, test_records = [], [], [], []
@@ -291,8 +297,8 @@ def _confusion_instance(seed, segments=40, verbs=5, nouns=8):
         test_records.append(SegmentRecord(
             segment_id=f"s{i}", clip_feature=np.zeros(2), clip_center_frame=0,
             detections=[], verb_label=v, noun_label=n))
-    test_bank = FeatureBank(records=test_records, dim_v=2, dim_o=2,
-                            verb_vocab_size=verbs, noun_vocab_size=nouns)
+    test_bank = FeatureBank.from_records(test_records, dim_v=2, dim_o=2,
+                                         verb_vocab_size=verbs, noun_vocab_size=nouns)
     vt = ScoreTable(segment_ids=ids, scores=np.stack(verb_rows), space="verb")
     nt = ScoreTable(segment_ids=ids, scores=np.stack(noun_rows), space="noun")
     _, metrics = score_actions_for_bank(vt, nt, prior, test_bank)
@@ -343,6 +349,7 @@ def test_criterion_09_aggregation_oracle():
     rng = np.random.default_rng(81)
     cfg = AggregationConfig(k=4, window=5)
     dim_o = 3
+    records = []
     for i in range(50):
         n_dets = int(rng.integers(0, 14))
         center = int(rng.integers(100, 110))
@@ -355,6 +362,12 @@ def test_criterion_09_aggregation_oracle():
         expected = maxpool_features(
             select_top_k(context_window(rec, cfg), cfg.k), dim_o)
         assert np.array_equal(aggregate_object_feature(rec, cfg, dim_o), expected)
+        records.append(rec)
+    # the block aggregator over the same records equals the chain bit for bit
+    bank = FeatureBank.from_records(records, dim_v=2, dim_o=dim_o, verb_vocab_size=1,
+                                    noun_vocab_size=1)
+    chain = np.stack([aggregate_object_feature(rec, cfg, dim_o) for rec in records])
+    assert bank_features(bank, cfg)[1].tobytes() == chain.tobytes()
 
     # tie-break: equal scores resolve by frame index, then input position
     f = lambda *x: np.array(x, dtype=np.float64)
@@ -369,7 +382,8 @@ def test_criterion_09_aggregation_oracle():
     assert np.array_equal(aggregate_object_feature(empty, cfg, dim_o),
                           np.zeros(dim_o))
     _report(9, "window -> top-K -> max-pool composition, tie and empty "
-               "conventions exact on 50 random records", True)
+               "conventions exact on 50 random records, and bank_features "
+               "equal to the chain", True)
 
 
 # --- 10: manifest reproducibility -----------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tempfile
 from pathlib import Path
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from gatedfusion import bank as bank_module
 from gatedfusion.bank import (AggregationConfig, Detection, FeatureBank,
                               SegmentRecord, SynthSpec,
-                              aggregate_object_feature, bank_stats,
+                              aggregate_object_feature, bank_features, bank_stats,
                               banks_equal, context_window, load_feature_bank,
                               maxpool_features, save_feature_bank,
                               select_top_k, synth_generate)
@@ -39,6 +40,14 @@ class TestAggregationConfig:
             AggregationConfig(window=4)
         with pytest.raises(ValidationError):
             AggregationConfig(window=-1)
+
+    @pytest.mark.parametrize("field,value", [("k", 1.5), ("k", True), ("window", float("nan")),
+                                             ("window", float("inf")), ("window", "5")])
+    def test_non_integers_rejected(self, field, value):
+        message = {"k": "aggregation k must be an integer",
+                   "window": "window must be a positive odd integer"}
+        with pytest.raises(ValidationError, match=message[field]):
+            AggregationConfig(**{field: value})
 
 
 class TestContextWindow:
@@ -148,6 +157,44 @@ class TestAggregate:
                 prev = cur
 
 
+_EXTREME_INTS = [-2**63, -2**63 + 1, -2, -1, 0, 1, 2, 2**63 - 2, 2**63 - 1]
+# Odd widths whose half-width is small, 2**63 - 1, 2**64 - 1 or past uint64.
+_WINDOWS = [1, 3, 5, 2**64 - 1, 2**65 - 1, 2**65 + 1]
+
+
+@st.composite
+def _aggregation_cases(draw):
+    """Records with score ties, signed zeros and int64-extreme frames and
+    centers, and an aggregation config with k and window up to huge."""
+    dim_o = draw(st.integers(1, 3))
+    ints = st.sampled_from(_EXTREME_INTS) | st.integers(-3, 3)
+    entries = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | _FLOATS
+    records = [SegmentRecord(
+        segment_id=f"r{i}", clip_feature=np.zeros(1), clip_center_frame=draw(ints),
+        detections=[Detection(draw(ints), draw(st.sampled_from([0.0, 0.5, 1.0])
+                                                | st.floats(0.0, 1.0)),
+                              np.array(draw(st.lists(entries, min_size=dim_o, max_size=dim_o))))
+                    for _ in range(draw(st.integers(0, 6)))])
+        for i in range(draw(st.integers(0, 4)))]
+    cfg = AggregationConfig(k=draw(st.sampled_from([1, 2, 3, 10**30])),
+                            window=draw(st.sampled_from(_WINDOWS)))
+    return records, dim_o, cfg
+
+
+class TestBankFeatures:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_aggregation_cases())
+    def test_equal_to_the_per_record_chain_bitwise(self, case):
+        records, dim_o, cfg = case
+        bank = FeatureBank.from_records(records, dim_v=1, dim_o=dim_o, verb_vocab_size=1,
+                                        noun_vocab_size=1)
+        V, O = bank_features(bank, cfg)
+        chain = np.zeros((0, dim_o)) if not records else np.stack(
+            [aggregate_object_feature(rec, cfg, dim_o) for rec in records])
+        assert O.shape == chain.shape and O.tobytes() == chain.tobytes()
+        assert V.shape == (len(records), 1) and not V.any()
+
+
 def _bank_file_lines():
     header = {"dim_v": 2, "dim_o": 2, "verb_vocab_size": 3, "noun_vocab_size": 4}
     recs = [
@@ -242,8 +289,8 @@ class TestLoader:
         recs = [SegmentRecord(segment_id="x", clip_feature=rng.normal(size=3) * 1e-7,
                               clip_center_frame=0,
                               detections=[Detection(0, 0.875, rng.normal(size=2) * 1e9)])]
-        bank = FeatureBank(records=recs, dim_v=3, dim_o=2,
-                           verb_vocab_size=1, noun_vocab_size=1)
+        bank = FeatureBank.from_records(recs, dim_v=3, dim_o=2,
+                                        verb_vocab_size=1, noun_vocab_size=1)
         path = tmp_path / "prec.bank"
         save_feature_bank(bank, path)
         assert banks_equal(bank, load_feature_bank(path))
@@ -344,36 +391,56 @@ class TestBankValidate:
     def test_catches_bad_labels(self):
         rec = SegmentRecord(segment_id="z", clip_feature=np.zeros(2),
                             clip_center_frame=0, detections=[], verb_label=5)
-        bank = FeatureBank(records=[rec], dim_v=2, dim_o=2,
-                           verb_vocab_size=3, noun_vocab_size=3)
         with pytest.raises(ValidationError, match="verb label 5"):
-            bank.validate()
+            FeatureBank.from_records([rec], dim_v=2, dim_o=2,
+                                     verb_vocab_size=3, noun_vocab_size=3)
 
     def test_catches_clip_dim(self):
         rec = SegmentRecord(segment_id="z", clip_feature=np.zeros(3),
                             clip_center_frame=0, detections=[])
-        bank = FeatureBank(records=[rec], dim_v=2, dim_o=2,
-                           verb_vocab_size=3, noun_vocab_size=3)
         with pytest.raises(ValidationError, match="dim_v=2"):
-            bank.validate()
+            FeatureBank.from_records([rec], dim_v=2, dim_o=2,
+                                     verb_vocab_size=3, noun_vocab_size=3)
 
     def test_first_offender_named_when_a_block_is_not_finite(self):
         ok = det(0, 0.5, 1.0, 2.0)
-        recs = [SegmentRecord(segment_id="a", clip_feature=np.zeros(2), clip_center_frame=0,
-                              detections=[ok, det(0, 0.5, 1.0, np.inf)]),
-                SegmentRecord(segment_id="b", clip_feature=np.array([np.nan, 0.0]),
-                              clip_center_frame=0, detections=[ok])]
-        bank = FeatureBank(records=recs, dim_v=2, dim_o=2,
-                           verb_vocab_size=1, noun_vocab_size=1)
+
+        def bank_with(first_dets):
+            recs = [SegmentRecord(segment_id="a", clip_feature=np.zeros(2), clip_center_frame=0,
+                                  detections=first_dets),
+                    SegmentRecord(segment_id="b", clip_feature=np.array([np.nan, 0.0]),
+                                  clip_center_frame=0, detections=[ok])]
+            return FeatureBank.from_records(recs, dim_v=2, dim_o=2,
+                                            verb_vocab_size=1, noun_vocab_size=1)
+
         with pytest.raises(ValidationError, match="record 'a': detection 1 feature has non-finite"):
-            bank.validate()
+            bank_with([ok, det(0, 0.5, 1.0, np.inf)])
         # The clip block fails, but record 'a' comes first and its bad score wins.
-        recs[0].detections = [ok, det(0, 1.5, 1.0, 2.0)]
         with pytest.raises(ValidationError, match="record 'a': detection 1 score 1.5"):
-            bank.validate()
-        recs[0].detections = [ok]
+            bank_with([ok, det(0, 1.5, 1.0, 2.0)])
         with pytest.raises(ValidationError, match="record 'b': clip_feature has non-finite"):
-            bank.validate()
+            bank_with([ok])
+
+    @pytest.mark.parametrize("space,size", [("verb", 3), ("noun", 4)])
+    def test_explicit_label_minus_one_rejected_in_a_bank_file(self, tmp_path, space, size):
+        lines = _bank_file_lines()
+        rec = json.loads(lines[1])
+        rec[space] = -1
+        lines[1] = json.dumps(rec)
+        path = tmp_path / "neg.bank"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError,
+                           match=rf"record 'a': {space} label -1 out of range \[0, {size}\)"):
+            load_feature_bank(path)
+
+    @pytest.mark.parametrize("space", ["verb", "noun"])
+    def test_explicit_label_minus_one_rejected_from_records(self, space):
+        rec = SegmentRecord(segment_id="z", clip_feature=np.zeros(2), clip_center_frame=0,
+                            detections=[], **{f"{space}_label": -1})
+        with pytest.raises(ValidationError,
+                           match=rf"record 'z': {space} label -1 out of range \[0, 3\)"):
+            FeatureBank.from_records([rec], dim_v=2, dim_o=2,
+                                     verb_vocab_size=3, noun_vocab_size=3)
 
     @pytest.mark.parametrize("field", ["center", "frame"])
     def test_integer_outside_int64_rejected(self, tmp_path, field):
@@ -420,8 +487,8 @@ def _banks(draw):
                     for _ in range(draw(st.integers(0, 3)))],
         verb_label=draw(st.none() | st.integers(0, verbs - 1)),
         noun_label=draw(st.none() | st.integers(0, nouns - 1))) for seg_id in ids]
-    return FeatureBank(records=records, dim_v=dim_v, dim_o=dim_o,
-                       verb_vocab_size=verbs, noun_vocab_size=nouns)
+    return FeatureBank.from_records(records, dim_v=dim_v, dim_o=dim_o,
+                                    verb_vocab_size=verbs, noun_vocab_size=nouns)
 
 
 def _same_bits(a: FeatureBank, b: FeatureBank) -> bool:
@@ -472,20 +539,22 @@ class TestSidecar:
                 from_sidecar = load_feature_bank(path)
             sidecar.unlink()
             from_json = load_feature_bank(path)
-        for rec in bank.records:
-            rec.segment_id = _json_id(rec.segment_id)
+        bank = dataclasses.replace(bank, ids=[_json_id(seg_id) for seg_id in bank.ids])
         assert _same_bits(from_sidecar, bank) and _same_bits(from_json, bank)
         assert _read_only(from_sidecar) and _read_only(from_json)
 
     def test_empty_blocks_round_trip(self, tmp_path):
-        bank = FeatureBank(records=[], dim_v=3, dim_o=2, verb_vocab_size=1, noun_vocab_size=1)
+        bank = FeatureBank.from_records([], dim_v=3, dim_o=2, verb_vocab_size=1,
+                                        noun_vocab_size=1)
         path, sidecar = _saved(tmp_path, bank)
         with np.load(sidecar, allow_pickle=False) as npz:
             assert npz["clip"].shape == (0, 3) and npz["features"].shape == (0, 2)
         with _json_parse_forbidden():
             assert _same_bits(load_feature_bank(path), bank)
-        bank.records.append(SegmentRecord(segment_id="z", clip_feature=np.ones(3),
-                                          clip_center_frame=4, detections=[]))
+        bank = FeatureBank.from_records(
+            [SegmentRecord(segment_id="z", clip_feature=np.ones(3), clip_center_frame=4,
+                           detections=[])], dim_v=3, dim_o=2, verb_vocab_size=1,
+            noun_vocab_size=1)
         path, sidecar = _saved(tmp_path, bank)
         with np.load(sidecar, allow_pickle=False) as npz:
             assert npz["clip"].shape == (1, 3) and npz["features"].shape == (0, 2)

@@ -1,3 +1,4 @@
+import copy
 import inspect
 import json
 import tempfile
@@ -39,8 +40,8 @@ def tiny_action_inputs(root):
                for i, (v, n) in zip(ids, [(0, 0), (1, 1), (1, 2), (0, 0)])]
     paths = {name: root / f"{name}.txt" for name in ("verb", "noun", "prior")}
     paths["bank"] = root / "test.bank"
-    save_feature_bank(FeatureBank(records=records, dim_v=2, dim_o=2, verb_vocab_size=2,
-                                  noun_vocab_size=3), paths["bank"])
+    save_feature_bank(FeatureBank.from_records(records, dim_v=2, dim_o=2, verb_vocab_size=2,
+                                               noun_vocab_size=3), paths["bank"])
     save_score_table(ScoreTable(segment_ids=ids, space="verb", scores=np.array(
         [[0.9, 0.1], [0.2, 0.8], [0.4, 0.6], [0.5, 0.5]])), paths["verb"])
     save_score_table(ScoreTable(segment_ids=ids, space="noun", scores=np.array(
@@ -268,8 +269,7 @@ class TestTrainEval:
             "--fusion", "clip-only", "--epochs", 1, "--seed", 0,
             "--out-dir", tmp_path / "run")
         bank = load_feature_bank(tmp_path / "data/val.bank")
-        for rec in bank.records:
-            rec.noun_label = None
+        bank.labels[:, 1] = -1
         from gatedfusion.bank import save_feature_bank
         save_feature_bank(bank, tmp_path / "data/unlabeled.bank")
         assert run("eval", "--checkpoint", tmp_path / "run/checkpoint.json",
@@ -337,8 +337,8 @@ class TestActions:
                                   clip_center_frame=0, detections=[],
                                   verb_label=v, noun_label=n)
                     for i, (v, n) in enumerate(pairs)]
-            return FeatureBank(records=recs, dim_v=2, dim_o=2,
-                               verb_vocab_size=2, noun_vocab_size=3)
+            return FeatureBank.from_records(recs, dim_v=2, dim_o=2,
+                                            verb_vocab_size=2, noun_vocab_size=3)
 
         save_feature_bank(bank_of([(0, 0), (1, 1)], "t"), tmp_path / "train.bank")
         test_bank = bank_of([(0, 0), (1, 1)], "s")
@@ -450,8 +450,8 @@ def tiny_eval_inputs(root):
                              verb_label=i % 2, noun_label=i)
                for i in range(3)]
     bank, ckpt = root / "test.bank", root / "checkpoint.json"
-    save_feature_bank(FeatureBank(records=records, dim_v=2, dim_o=2, verb_vocab_size=2,
-                                  noun_vocab_size=3), bank)
+    save_feature_bank(FeatureBank.from_records(records, dim_v=2, dim_o=2, verb_vocab_size=2,
+                                               noun_vocab_size=3), bank)
     model = init_model("gfa-a", 2, 2, 3, scale=ScaleMode(kind="norm"),
                        rng=np.random.default_rng(1))
     save_checkpoint(Checkpoint(model=model, target="noun", dim_v=2, dim_o=2, classes=3,
@@ -463,7 +463,7 @@ def tiny_eval_inputs(root):
 _BANK_KEYS = ("dim_v", "dim_o", "verb_vocab_size", "noun_vocab_size", "segment_id",
               "clip_feature", "center", "detections", "verb", "noun", "frame", "score",
               "feature")
-_BANK_JUNK = [None, True, -1, 0, 1, 2, 1.5, 10**30, -10**30, 2**63, float("nan"),
+_BANK_JUNK = [None, True, -1, 0, 1, 2, 1.5, 10**30, -10**30, 2**63, 10**400, float("nan"),
               float("inf"), -float("inf"), 1e300, "a", "3", [], {}, [1.0], [[1.0, 2.0]]]
 
 
@@ -534,11 +534,89 @@ class TestFuzzedBanks:
     def test_uncorrupted_inputs_pass(self, tmp_path):
         assert self._run_both(tmp_path, *tiny_eval_inputs(tmp_path)) == (0, 0)
 
+    @pytest.mark.parametrize("key", ["score", "clip_feature", "feature"])
+    def test_integer_past_float_range_is_exit_one(self, tmp_path, key):
+        bank, ckpt = tiny_eval_inputs(tmp_path)
+        lines = bank.read_text().splitlines()
+        lines[1] = _edit_bank_field(lines[1], 0, key, 10**400)
+        bank.write_text("".join(line + "\n" for line in lines))
+        assert self._run_both(tmp_path, bank, ckpt) == (1, 1)
+
     def test_non_utf8_bank_is_exit_one(self, tmp_path, capsys):
         bank, ckpt = tiny_eval_inputs(tmp_path)
         bank.write_bytes(bank.read_bytes().replace(b'"s1"', b'"s\xff"'))
         assert self._run_both(tmp_path, bank, ckpt) == (1, 1)
         assert "not UTF-8" in capsys.readouterr().err
+
+
+_DELETE = object()
+_CHECKPOINT_JUNK = [_DELETE, None, True, -1, 0, 1, 2, 3, 1.5, 10**30, -10**30, 2**63, 10**400,
+                    float("nan"), float("inf"), -float("inf"), 1e300, "a", "3", "a", "b",
+                    "gfa-a", "noun", "norm", "bogus", [], {}, [1.0], [[1.0, 2.0]],
+                    {"rows": 10**9, "cols": 10**9, "data": [1.0]}]
+
+
+def _key_paths(node, prefix=()):
+    """The path of every object key and list entry under ``node``."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return []
+    paths = []
+    for key, child in items:
+        paths += [prefix + (key,), *_key_paths(child, prefix + (key,))]
+    return paths
+
+
+def _edit_path(obj, path, value):
+    """Set (_DELETE: delete) the entry at ``path`` to a copy of ``value``; a
+    path that earlier edits removed or retyped is left alone."""
+    try:
+        for key in path[:-1]:
+            obj = obj[key]
+        if value is _DELETE:
+            del obj[path[-1]]
+        else:
+            obj[path[-1]] = copy.deepcopy(value)
+    except (KeyError, IndexError, TypeError):
+        pass
+
+
+class TestFuzzedCheckpoints:
+    """Checkpoints with retyped, deleted, non-finite and oversized fields:
+    every ``eval`` run must end in exit 0 or 1."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(edits=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(_CHECKPOINT_JUNK)),
+                          min_size=1, max_size=3))
+    def test_eval_exits_zero_or_one(self, edits):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            bank, ckpt = tiny_eval_inputs(root)
+            obj = json.loads(ckpt.read_text())
+            paths = _key_paths(obj)
+            for index, value in edits:
+                _edit_path(obj, paths[index % len(paths)], value)
+            ckpt.write_text(json.dumps(obj))
+            rc = run("eval", "--checkpoint", ckpt, "--bank", bank, "--out-dir", root / "eval")
+        assert rc in (0, 1)
+
+    @pytest.mark.parametrize("path", [("head", "b", 0), ("gfa", "W", "data", 0),
+                                      ("gfa", "scale", "s"), ("gfa", "scale", "epsilon")])
+    def test_integer_past_float_range_is_exit_one(self, tmp_path, path):
+        bank, ckpt = tiny_eval_inputs(tmp_path)
+        obj = json.loads(ckpt.read_text())
+        _edit_path(obj, path, 10**400)
+        ckpt.write_text(json.dumps(obj))
+        assert run("eval", "--checkpoint", ckpt, "--bank", bank,
+                   "--out-dir", tmp_path / "eval") == 1
+
+    def test_unedited_checkpoint_passes(self, tmp_path):
+        bank, ckpt = tiny_eval_inputs(tmp_path)
+        assert run("eval", "--checkpoint", ckpt, "--bank", bank,
+                   "--out-dir", tmp_path / "eval") == 0
 
 
 class TestNonUtf8Inputs:

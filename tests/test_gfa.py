@@ -23,6 +23,12 @@ class TestScaleMode:
         with pytest.raises(ValidationError):
             ScaleMode(kind="norm", epsilon=-1.0)
 
+    @pytest.mark.parametrize("field", ["s", "epsilon"])
+    @pytest.mark.parametrize("value", [float("inf"), 10**400], ids=["inf", "int-past-float"])
+    def test_value_past_float_range_rejected(self, field, value):
+        with pytest.raises(ValidationError, match="must be positive and finite"):
+            ScaleMode(kind="norm-scalar", **{field: value})
+
 
 class TestScaleObjectFeature:
     def test_norm_to_amplitude_hand_case(self):

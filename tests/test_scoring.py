@@ -17,8 +17,8 @@ def labeled_bank(pairs, verb_vocab=4, noun_vocab=4):
                              clip_center_frame=0, detections=[],
                              verb_label=v, noun_label=n)
                for i, (v, n) in enumerate(pairs)]
-    return FeatureBank(records=records, dim_v=2, dim_o=2,
-                       verb_vocab_size=verb_vocab, noun_vocab_size=noun_vocab)
+    return FeatureBank.from_records(records, dim_v=2, dim_o=2,
+                                    verb_vocab_size=verb_vocab, noun_vocab_size=noun_vocab)
 
 
 def table(rows, space="verb", ids=None, **kw):
@@ -48,13 +48,13 @@ class TestComputePrior:
 
     def test_partially_labeled_segments_excluded(self):
         bank = labeled_bank([(0, 0), (1, 1)])
-        bank.records[1].noun_label = None
+        bank.labels[1, 1] = -1
         prior = compute_prior(bank)
         assert prior.mu[0, 0] == 1.0
 
     def test_no_labels_error(self):
         bank = labeled_bank([(0, 0)])
-        bank.records[0].verb_label = None
+        bank.labels[0, 0] = -1
         with pytest.raises(ValidationError):
             compute_prior(bank)
 

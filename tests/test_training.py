@@ -1,3 +1,7 @@
+import json
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,7 +13,7 @@ from gatedfusion.training import (Checkpoint, Head, Model, ModelSpec,
                                   grad_check, init_model, load_checkpoint,
                                   loss_and_grads, param_groups,
                                   save_checkpoint, sgd_momentum_step, softmax,
-                                  train, with_params)
+                                  train)
 
 from conftest import central_diff, rel_err
 
@@ -176,15 +180,24 @@ class TestBatchedCore:
         _, analytic = loss_and_grads(model, V, O, labels)
         base = param_groups(model)
 
-        def mean_loss(groups, VV, OO):
-            scores, _ = forward_model(with_params(model, groups), VV, OO)
+        def mean_loss(VV, OO):
+            scores, _ = forward_model(model, VV, OO)
             return cross_entropy(softmax(scores), labels)
 
-        numeric = {"v": central_diff(lambda x: mean_loss(base, x, O), V),
-                   "o": central_diff(lambda x: mean_loss(base, V, x), O)}
+        def mean_loss_with(name, x):
+            """The loss with parameter group ``name`` set to ``x`` in place."""
+            saved = base[name].copy()
+            base[name][...] = x
+            try:
+                return mean_loss(V, O)
+            finally:
+                base[name][...] = saved
+
+        numeric = {"v": central_diff(lambda x: mean_loss(x, O), V),
+                   "o": central_diff(lambda x: mean_loss(V, x), O)}
         for name in base:
-            numeric[name] = central_diff(
-                lambda x, name=name: mean_loss({**base, name: x}, V, O), base[name])
+            numeric[name] = central_diff(lambda x, name=name: mean_loss_with(name, x),
+                                         base[name])
         assert set(analytic) == set(numeric)
         for name, num in numeric.items():
             assert rel_err(analytic[name], num, floor=1e-6) < 1e-5, name
@@ -260,25 +273,32 @@ class TestTrain:
 
     def test_missing_labels_error(self):
         bank = synth_generate(SynthSpec(n_segments=5), 0)
-        for rec in bank.records:
-            rec.noun_label = None
+        bank.labels[:, 1] = -1
         with pytest.raises(ValidationError, match="no noun label"):
             train(bank, "noun", ModelSpec(fusion="clip-only"), TrainConfig(epochs=1))
 
     def test_empty_bank_error(self):
         from gatedfusion.bank import FeatureBank
-        bank = FeatureBank(records=[], dim_v=2, dim_o=2,
-                           verb_vocab_size=2, noun_vocab_size=2)
+        bank = FeatureBank.from_records([], dim_v=2, dim_o=2,
+                                        verb_vocab_size=2, noun_vocab_size=2)
         with pytest.raises(ValidationError, match="empty"):
             train(bank, "noun", ModelSpec(fusion="clip-only"), TrainConfig(epochs=1))
 
     def test_divergence_names_epoch_and_batch(self):
         bank = synth_generate(SynthSpec(n_segments=40), 2)
-        for rec in bank.records:
-            rec.clip_feature = rec.clip_feature * 1e170
+        bank.clip = bank.clip * 1e170
         with pytest.raises(ValidationError, match=r"epoch \d+, batch \d+"):
             train(bank, "noun", ModelSpec(fusion="clip-only"),
                   TrainConfig(learning_rate=0.5, epochs=2, seed=0))
+
+    def test_divergence_check_raises_no_warning(self):
+        bank = synth_generate(SynthSpec(n_segments=40), 2)
+        bank.clip = bank.clip * 1e170
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValidationError, match=r"epoch \d+, batch \d+"):
+                train(bank, "noun", ModelSpec(fusion="clip-only"),
+                      TrainConfig(learning_rate=0.5, epochs=2, seed=0))
 
     def test_bad_target(self):
         bank = synth_generate(SynthSpec(n_segments=5), 0)
@@ -384,7 +404,6 @@ class TestCheckpoint:
         assert loaded.model.gfa is None
 
     def test_shape_tampering_rejected(self, tmp_path):
-        import json
         ckpt = self._checkpoint()
         path = tmp_path / "ckpt.json"
         save_checkpoint(ckpt, path)
@@ -400,8 +419,21 @@ class TestCheckpoint:
         with pytest.raises(ValidationError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda obj: obj["aggregation"].update(k=0), "aggregation k must be an integer >= 1"),
+        (lambda obj: obj["gfa"]["scale"].update(kind="bogus"), "scale kind 'bogus'"),
+        (lambda obj: obj["train_config"].update(epochs=0), "epochs must be >= 1"),
+    ], ids=["k", "scale-kind", "epochs"])
+    def test_config_errors_keep_their_message(self, tmp_path, edit, message):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(self._checkpoint(), path)
+        obj = json.loads(path.read_text())
+        edit(obj)
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValidationError, match="^" + re.escape(f"{path}: {message}")):
+            load_checkpoint(path)
+
     def test_missing_weights_rejected(self, tmp_path):
-        import json
         path = tmp_path / "ckpt.json"
         save_checkpoint(self._checkpoint(), path)
         for group in ("head", "gfa"):
