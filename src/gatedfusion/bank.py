@@ -9,9 +9,13 @@ read-only rows.
 
 Aggregation turns the detections into a single object feature by keeping
 the detections inside a frame window around the clip center, selecting the
-top-K by score, and max pooling their features coordinatewise:
-``bank_features`` in one pass over the blocks, and ``context_window`` ->
-``select_top_k`` -> ``maxpool_features`` on one record as its reference.
+top-K by score, and max pooling their features coordinatewise.
+``bank_features`` does it for every record at once: each record's
+in-window detections form one row of a padded grid, records grouped by the
+bit length of their count so that padding at most doubles the cells, and
+each row is sorted and its top K pooled rank by rank.  ``context_window``
+-> ``select_top_k`` -> ``maxpool_features`` on one record is its
+reference.
 
 The on-disk format is line-delimited JSON: a header line declaring the
 feature dims and vocabulary sizes, then one record object per line.  Floats
@@ -83,11 +87,18 @@ _NO_LABEL = -1
 # The blocks after ``ids``: per record, then per detection in record order.
 _BLOCKS = ("clip", "centers", "labels", "counts", "frames", "scores", "features")
 _INT64 = np.iinfo(np.int64)
+_INT, _REAL = (int, np.integer), (int, float, np.integer, np.floating)
+
+
+def _all_of(types: tuple, values: list) -> bool:
+    """Every value is an instance of ``types`` and none is a bool."""
+    kinds = set(map(type, values))
+    return bool not in kinds and all(issubclass(kind, types) for kind in kinds)
 
 
 def _check_int64(val, what: str) -> None:
     """An integer (not a bool) that fits the int64 blocks."""
-    if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
+    if not _all_of(_INT, [val]):
         raise ValidationError(f"{what} must be an integer, got {val!r}")
     if not _INT64.min <= val <= _INT64.max:
         raise ValidationError(f"{what} {val} does not fit in int64")
@@ -131,6 +142,8 @@ def _check_records(records, header: dict) -> None:
                     f"bank declares dim_o={header['dim_o']}")
             if not np.all(np.isfinite(det.feature)):
                 raise ValidationError(f"{where}: detection {j} feature has non-finite entries")
+            if not _all_of(_REAL, [det.score]):
+                raise ValidationError(f"{where}: detection {j} score must be a number")
             if not 0.0 <= det.score <= 1.0:
                 raise ValidationError(f"{where}: detection {j} score {det.score} outside [0, 1]")
         for space, label, size in (("verb", rec.verb_label, header["verb_vocab_size"]),
@@ -157,10 +170,10 @@ def _pack(records: list[SegmentRecord], dim_v: int, dim_o: int) -> dict:
     centers, frames = [rec.clip_center_frame for rec in records], [d.frame_index for d in dets]
     labels = [(rec.verb_label, rec.noun_label) for rec in records]
     given = [label for pair in labels for label in pair if label is not None]
-    int_types = set(map(type, centers + frames + given))
-    if (bool in int_types or not all(issubclass(t, (int, np.integer)) for t in int_types)
-            or min(given, default=0) < 0):
-        raise ValueError("a center, frame or label that the int64 blocks cannot hold")
+    scores = [d.score for d in dets]
+    if not (_all_of(_INT, centers + frames + given) and _all_of(_REAL, scores)
+            and min(given, default=0) >= 0):
+        raise ValueError("a center, frame, label or score that the blocks cannot hold")
     return {"ids": [rec.segment_id for rec in records],
             "clip": _rows([rec.clip_feature for rec in records], dim_v),
             "centers": np.array(centers, dtype=np.int64),
@@ -168,7 +181,7 @@ def _pack(records: list[SegmentRecord], dim_v: int, dim_o: int) -> dict:
                                 for pair in labels], dtype=np.int64).reshape(-1, 2),
             "counts": np.array([len(rec.detections) for rec in records], dtype=np.int64),
             "frames": np.array(frames, dtype=np.int64),
-            "scores": np.array([d.score for d in dets], dtype=np.float64),
+            "scores": np.array(scores, dtype=np.float64),
             "features": _rows([d.feature for d in dets], dim_o)}
 
 
@@ -295,8 +308,10 @@ def aggregate_object_feature(record: SegmentRecord, cfg: AggregationConfig,
 def bank_features(bank: FeatureBank, cfg: AggregationConfig) -> tuple[np.ndarray, np.ndarray]:
     """Clip features and aggregated object features of every record, as
     ``(records, dim_v)`` and ``(records, dim_o)`` row blocks.  The object
-    rows equal ``aggregate_object_feature`` bit for bit: window mask, stable
-    sort by (record, -score, frame), keep rank < k, max-pool in that order."""
+    rows equal ``aggregate_object_feature`` bit for bit: each record's
+    in-window detections are one row of a padded grid, sorted stably by
+    (-score, frame), and the first k are max-pooled rank by rank with
+    ``np.maximum(acc, next)``, the operand order of ``maxpool_features``."""
     n = len(bank.ids)
     owner = np.repeat(np.arange(n), bank.counts)
     # |frame - center| in uint64: flipping the sign bit maps int64 onto
@@ -305,14 +320,27 @@ def bank_features(bank: FeatureBank, cfg: AggregationConfig) -> tuple[np.ndarray
                      for x in (bank.frames, bank.centers[owner]))
     half = np.uint64(min((cfg.window - 1) // 2, np.iinfo(np.uint64).max))
     kept = np.flatnonzero(np.maximum(frame, center) - np.minimum(frame, center) <= half)
-    order = kept[np.lexsort((bank.frames[kept], -bank.scores[kept], owner[kept]))]
-    per_record = np.bincount(owner[order], minlength=n)
-    rank = np.arange(len(order)) - np.repeat(np.cumsum(per_record) - per_record, per_record)
-    top = order[rank < min(cfg.k, len(order))]
-    taken = np.bincount(owner[top], minlength=n)
+    count = np.bincount(owner[kept], minlength=n)
+    first = np.cumsum(count) - count  # record i keeps kept[first[i]:first[i] + count[i]]
     O = np.zeros((n, bank.dim_o))
-    O[taken > 0] = np.maximum.reduceat(bank.features[top], (np.cumsum(taken) - taken)[taken > 0],
-                                       axis=0)
+    # One grid per bit length of the count, so no row is padded to twice its
+    # count or more; a record with nothing kept stays 0.
+    bits = np.frexp(count)[1]
+    for b in np.unique(bits[count > 0]):
+        rows = np.flatnonzero(bits == b)
+        rows = rows[np.argsort(-count[rows])]  # longest first
+        m = count[rows]
+        cols = np.arange(m[0])
+        cells = kept[first[rows, None] + np.minimum(cols, m[:, None] - 1)]
+        # A +inf key sorts the pads last; the stable sort breaks ties by input position.
+        order = np.lexsort((bank.frames[cells],
+                            np.where(cols < m[:, None], -bank.scores[cells], np.inf)), axis=-1)
+        top = np.take_along_axis(cells, order[:, :cfg.k], axis=-1)
+        acc = bank.features[top[:, 0]]
+        for rank in range(1, top.shape[1]):
+            live = np.count_nonzero(m > rank)  # the rows that have this rank are a prefix
+            np.maximum(acc[:live], bank.features[top[:live, rank]], out=acc[:live])
+        O[rows] = acc
     return bank.clip, O
 
 
@@ -422,7 +450,8 @@ def _load_sidecar(path, digest: bytes) -> FeatureBank | None:
     sidecar is derived data, so a failure to read it means "not usable" and
     the caller parses the JSON instead."""
     try:
-        with np.load(_sidecar_path(path), allow_pickle=False) as npz:
+        # np.load leaks the file it opened when a zip fails to open, so it gets a handle
+        with open(_sidecar_path(path), "rb") as fh, np.load(fh, allow_pickle=False) as npz:
             if bytes(npz["digest"]) != digest:
                 return None
             blocks = {name: npz[name] for name in _SIDECAR_DTYPES}
@@ -595,9 +624,9 @@ class SynthSpec:
             raise ValidationError(f"noise must be >= 0, got {self.noise}")
         if not self.mismatch > 0:
             raise ValidationError(f"mismatch factor must be positive, got {self.mismatch}")
-        if self.amplitude_jitter < 0:
+        if not 0 <= self.amplitude_jitter <= 308:  # 10.0 ** jitter must be finite
             raise ValidationError(
-                f"amplitude jitter must be >= 0, got {self.amplitude_jitter}")
+                f"amplitude jitter must be in [0, 308] decades, got {self.amplitude_jitter}")
         if self.noun_in_clip < 0:
             raise ValidationError(
                 f"noun_in_clip must be >= 0, got {self.noun_in_clip}")
@@ -605,8 +634,9 @@ class SynthSpec:
             raise ValidationError(
                 f"pairs_per_verb must be in [0, {self.noun_vocab}], "
                 f"got {self.pairs_per_verb}")
-        if self.window < 1 or self.window % 2 == 0:
-            raise ValidationError(f"window must be a positive odd integer, got {self.window}")
+        if not 1 <= self.window <= _INT64.max or self.window % 2 == 0:  # frames are int64
+            raise ValidationError(
+                f"window must be a positive odd integer up to 2**63 - 1, got {self.window}")
 
 
 def _unit_prototypes(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:

@@ -114,7 +114,8 @@ def _option_takes(kwargs: dict, val) -> bool:
     if kind is int:
         ok = isinstance(val, int)
     elif kind is _finite_float:
-        ok = isinstance(val, (int, float)) and math.isfinite(val)
+        # finite, and an int within float range (comparing them is exact)
+        ok = isinstance(val, (int, float)) and abs(val) <= sys.float_info.max
     else:
         ok = isinstance(val, str)
     return ok and ("choices" not in kwargs or val in kwargs["choices"])
@@ -158,16 +159,19 @@ def _cmd_synth(cfg: dict, out: Path):
 
 
 def _cmd_train(cfg: dict, out: Path):
-    bank = load_feature_bank(cfg["bank"])
-    val_bank = load_feature_bank(cfg["val_bank"]) if cfg["val_bank"] else None
+    # The options are checked before any bank loads; an estimated divisor
+    # replaces the given one.
     agg = AggregationConfig(k=cfg["k"], window=cfg["window"])
-
-    if cfg["estimate_divisor"]:
-        cfg["scale_divisor"] = estimate_scalar_divisor(*bank_features(bank, agg))
-    spec = ModelSpec(fusion=cfg["fusion"], scale=_scale_mode(cfg), aggregation=agg)
+    scale = None if cfg["estimate_divisor"] else _scale_mode(cfg)
     tc = TrainConfig(learning_rate=cfg["lr"], momentum=cfg["momentum"],
                      epochs=cfg["epochs"], batch_size=cfg["batch_size"],
                      seed=cfg["seed"])
+    bank = load_feature_bank(cfg["bank"])
+    val_bank = load_feature_bank(cfg["val_bank"]) if cfg["val_bank"] else None
+    if scale is None:
+        cfg["scale_divisor"] = estimate_scalar_divisor(*bank_features(bank, agg))
+        scale = _scale_mode(cfg)
+    spec = ModelSpec(fusion=cfg["fusion"], scale=scale, aggregation=agg)
     model, history = train(bank, cfg["target"], spec, tc, val_bank)
 
     classes = bank.verb_vocab_size if cfg["target"] == "verb" else bank.noun_vocab_size
@@ -395,6 +399,8 @@ def _run(args: argparse.Namespace) -> int:
     """Resolve the command's config, run its handler in ``--out-dir`` and
     write ``<command>.manifest.json`` there."""
     cfg = _effective_config(args)
+    if cfg.get("seed", 0) < 0:  # numpy seeds its generators from integers >= 0
+        raise ValidationError(f"seed must be >= 0, got {cfg['seed']}")
     start = time.perf_counter()
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)

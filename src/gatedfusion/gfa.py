@@ -27,9 +27,9 @@ Scaling modes for variant A:
 
 Forward passes return a cache holding the intermediates the backward pass
 needs; ``gfa_backward`` produces exact analytic gradients for both inputs
-and both parameters, including the paths through the scaling (under
-``norm`` the amplitude of ``v`` feeds the scaled object feature, and that
-path is differentiated too, not dropped).
+(unless ``inputs=False``) and both parameters, including the paths through
+the scaling (under ``norm`` the amplitude of ``v`` feeds the scaled object
+feature, and that path is differentiated too, not dropped).
 
 Every function works on the last axis: ``v`` and ``o`` are either one
 segment's vectors, shapes ``(dim_v,)`` and ``(dim_o,)``, or a block of B
@@ -84,8 +84,10 @@ class ScaleMode:
         if self.kind not in SCALE_KINDS:
             raise ValidationError(
                 f"scale kind {self.kind!r} not one of {SCALE_KINDS}")
-        if not 0 < self.s <= _FLOAT_MAX:
-            raise ValidationError(f"scale divisor must be positive and finite, got {self.s}")
+        if not (0 < self.s <= _FLOAT_MAX and 1.0 / self.s <= _FLOAT_MAX):  # scale_vjp takes 1 / s
+            raise ValidationError(
+                f"scale divisor must be positive and finite, with a finite reciprocal, "
+                f"got {self.s}")
         if not 0 < self.epsilon <= _FLOAT_MAX:
             raise ValidationError(f"scale epsilon must be positive and finite, got {self.epsilon}")
 
@@ -232,15 +234,16 @@ def gfa_forward(v: np.ndarray, o: np.ndarray,
     return gfa_b_forward(v, o, p)
 
 
-def gfa_backward(cache: GfaCache, p: GfaParams,
-                 dF: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def gfa_backward(cache: GfaCache, p: GfaParams, dF: np.ndarray, inputs: bool = True
+                 ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray, np.ndarray]:
     """Exact gradients of the fused output w.r.t. ``(v, o, W, b)``.
 
     ``cache`` must come from the forward pass that used ``p``.  Gradients
     that reach a value through several paths (e.g. ``v`` through both the
     concatenation and, under ``norm`` scaling, the amplitude) are summed.
     Input gradients have the shapes of ``v`` and ``o``; the ``W`` and ``b``
-    gradients are summed over rows.
+    gradients are summed over rows.  With ``inputs=False`` only the ``W``
+    and ``b`` gradients are computed and the input gradients are None.
     """
     if cache.variant != p.variant:
         raise ValidationError(
@@ -254,14 +257,16 @@ def gfa_backward(cache: GfaCache, p: GfaParams,
         c = cache.concat_in
         dgate, dc = hadamard_vjp(gate, c, dF)
         dz = dgate * gate * (1.0 - gate)
-        dc_gate, dW, db = affine_vjp(c, p.W, p.b, dz)
+        dc_gate, dW, db = affine_vjp(c, p.W, p.b, dz, inputs=inputs)
+        if not inputs:
+            return None, None, dW, db
         dv, dscaled = concat_vjp(cache.v, cache.scaled_o, dc + dc_gate)
         do, dv_scale = scale_vjp(cache.o, cache.v, p.scale, dscaled)
         return dv + dv_scale, do, dW, db
 
     dgate, dv = hadamard_vjp(gate, cache.v, dF)
-    do, dW, db = affine_vjp(cache.o, p.W, p.b, dgate * gate * (1.0 - gate))
-    return dv, do, dW, db
+    do, dW, db = affine_vjp(cache.o, p.W, p.b, dgate * gate * (1.0 - gate), inputs=inputs)
+    return (dv if inputs else None), do, dW, db
 
 
 def init_gfa_params(dim_v: int, dim_o: int, variant: str,

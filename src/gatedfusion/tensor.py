@@ -81,14 +81,16 @@ def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # Each *_vjp takes the forward inputs plus the upstream gradient and returns
 # the exact gradient for every differentiable input, in input order.
 
-def affine_vjp(x: np.ndarray, W: np.ndarray, b: np.ndarray,
-               upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def affine_vjp(x: np.ndarray, W: np.ndarray, b: np.ndarray, upstream: np.ndarray,
+               inputs: bool = True) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Gradients w.r.t. ``(x, W, b)``; with ``inputs=False`` the ``x``
+    gradient is not computed and is None."""
     if upstream.shape[-1] != b.shape[0] or upstream.shape[:-1] != x.shape[:-1]:
         raise ShapeError(
             f"affine_vjp: upstream shape {upstream.shape}, expected "
             f"{x.shape[:-1] + b.shape}")
     u2, x2 = np.atleast_2d(upstream), np.atleast_2d(x)
-    return upstream @ W, u2.T @ x2, u2.sum(axis=0)
+    return upstream @ W if inputs else None, u2.T @ x2, u2.sum(axis=0)
 
 
 def concat_vjp(a: np.ndarray, b: np.ndarray,

@@ -19,7 +19,10 @@ so a run is bitwise reproducible from its config.
 or a block of B segments ``(B, dim)`` take the same code path, so a
 mini-batch is one forward and one backward pass.  Parameter gradients are
 summed over rows; ``loss_and_grads`` returns the batch-mean loss and the
-gradients of that mean.
+gradients of that mean.  SGD reads only the parameter gradients, so
+``train`` passes ``inputs=False`` down the backward pass and the input
+gradients of ``v`` and ``o`` are never computed; ``grad_check`` keeps the
+default and checks them too.
 """
 
 from __future__ import annotations
@@ -184,39 +187,41 @@ def forward_model(model: Model, v: np.ndarray,
     return scores, ModelCache(v=v, o=o_agg, feature=feature, gfa_cache=gfa_cache)
 
 
-def model_backward(model: Model, cache: ModelCache,
-                   dscores: np.ndarray) -> dict[str, np.ndarray]:
+def model_backward(model: Model, cache: ModelCache, dscores: np.ndarray,
+                   inputs: bool = True) -> dict[str, np.ndarray]:
     """Gradients for every parameter group, summed over rows, plus both
-    inputs, keyed by name."""
+    inputs (``v`` and ``o``, left out when ``inputs`` is False), keyed by
+    name."""
+    gated = model.gfa is not None  # the gate's backward reads the head's input gradient
     dfeat, dW_head, db_head = affine_vjp(cache.feature, model.head.W, model.head.b,
-                                         dscores)
+                                         dscores, inputs=inputs or gated)
     grads = {"head.W": dW_head, "head.b": db_head}
-    kind = model.fusion_kind
-    if kind == "clip-only":
-        grads["v"] = dfeat
-        grads["o"] = np.zeros_like(cache.o)
-    elif kind == "concat":
-        grads["v"], grads["o"] = concat_vjp(cache.v, cache.o, dfeat)
-    else:
-        dv, do, dW, db = gfa_backward(cache.gfa_cache, model.gfa, dfeat)
-        grads["v"] = dv
-        grads["o"] = do
-        grads["gfa.W"] = dW
-        grads["gfa.b"] = db
+    if gated:
+        dv, do, grads["gfa.W"], grads["gfa.b"] = gfa_backward(cache.gfa_cache, model.gfa,
+                                                              dfeat, inputs=inputs)
+    if not inputs:
+        return grads
+    if model.fusion_kind == "clip-only":
+        dv, do = dfeat, np.zeros_like(cache.o)
+    elif model.fusion_kind == "concat":
+        dv, do = concat_vjp(cache.v, cache.o, dfeat)
+    grads["v"], grads["o"] = dv, do
     return grads
 
 
-def loss_and_grads(model: Model, v: np.ndarray, o_agg: np.ndarray,
-                   label) -> tuple[float, dict[str, np.ndarray]]:
+def loss_and_grads(model: Model, v: np.ndarray, o_agg: np.ndarray, label,
+                   inputs: bool = True) -> tuple[float, dict[str, np.ndarray]]:
     """Mean cross-entropy over the rows of ``v`` and ``o_agg`` and its
-    gradients; ``label`` is an int for one row or an int array per row."""
+    gradients; ``label`` is an int for one row or an int array per row.
+    ``inputs=False`` leaves out the ``v`` and ``o`` gradients, which
+    training does not read."""
     scores, cache = forward_model(model, v, o_agg)
     probs = softmax(scores)
     loss = cross_entropy(probs, label)
     labels = np.asarray(label)
     onehot = np.arange(probs.shape[-1]) == labels[..., None]
     dscores = (probs - onehot) / labels.size
-    return loss, model_backward(model, cache, dscores)
+    return loss, model_backward(model, cache, dscores, inputs=inputs)
 
 
 def sgd_momentum_step(params: np.ndarray, grads: np.ndarray, velocity: np.ndarray,
@@ -316,7 +321,7 @@ def train(bank: FeatureBank, target: str, spec: ModelSpec, cfg: TrainConfig,
         batch_gnorms: list[float] = []
         for batch, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start:start + cfg.batch_size]
-            loss, grads = loss_and_grads(model, V[idx], O[idx], labels[idx])
+            loss, grads = loss_and_grads(model, V[idx], O[idx], labels[idx], inputs=False)
             with np.errstate(over="ignore"):  # an overflow reads as divergence below
                 gnorm = float(np.sqrt(sum(float(np.sum(grads[name] * grads[name]))
                                           for name in params)))

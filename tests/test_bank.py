@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -174,9 +175,9 @@ def _aggregation_cases(draw):
         detections=[Detection(draw(ints), draw(st.sampled_from([0.0, 0.5, 1.0])
                                                 | st.floats(0.0, 1.0)),
                               np.array(draw(st.lists(entries, min_size=dim_o, max_size=dim_o))))
-                    for _ in range(draw(st.integers(0, 6)))])
+                    for _ in range(draw(st.integers(0, 24)))])
         for i in range(draw(st.integers(0, 4)))]
-    cfg = AggregationConfig(k=draw(st.sampled_from([1, 2, 3, 10**30])),
+    cfg = AggregationConfig(k=draw(st.sampled_from([1, 2, 3, 9, 10, 10**30])),
                             window=draw(st.sampled_from(_WINDOWS)))
     return records, dim_o, cfg
 
@@ -193,6 +194,40 @@ class TestBankFeatures:
             [aggregate_object_feature(rec, cfg, dim_o) for rec in records])
         assert O.shape == chain.shape and O.tobytes() == chain.tobytes()
         assert V.shape == (len(records), 1) and not V.any()
+
+    def test_signed_zero_pooled_in_score_order(self):
+        # Nine kept rows: np.maximum returns its second operand on a tie, so
+        # only pooling in score order gives the chain's +0.0.
+        feats = [-1.0, -0.0, -0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        rec = record([det(100, 1.0 - i / 16, f) for i, f in enumerate(feats)], dim_v=1)
+        bank = FeatureBank.from_records([rec], dim_v=1, dim_o=1, verb_vocab_size=1,
+                                        noun_vocab_size=1)
+        chain = aggregate_object_feature(rec, AggregationConfig(), 1)
+        assert chain.tobytes() == np.zeros(1).tobytes()
+        assert bank_features(bank, AggregationConfig())[1].tobytes() == chain.tobytes()
+
+    def test_skewed_bank_is_exact_and_small(self):
+        # One record with 20,000 kept detections among 1000 with one: a grid
+        # padded to the longest row would hold about 20M cells.
+        rng = np.random.default_rng(0)
+        sizes = [1] * 1000 + [20_000]
+        records = [SegmentRecord(f"r{i}", np.zeros(1), 100, [
+            Detection(int(f), float(sc), np.array([x]))
+            for f, sc, x in zip(rng.integers(98, 103, n), rng.choice([0.25, 0.5, 0.75], n),
+                                rng.choice([-1.0, -0.0, 0.0, 1.0], n))])
+                   for i, n in enumerate(sizes)]
+        bank = FeatureBank.from_records(records, dim_v=1, dim_o=1, verb_vocab_size=1,
+                                        noun_vocab_size=1)
+        cfg = AggregationConfig(k=10**30)
+        tracemalloc.start()
+        try:
+            O = bank_features(bank, cfg)[1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        chain = np.stack([aggregate_object_feature(rec, cfg, 1) for rec in records])
+        assert O.tobytes() == chain.tobytes()
+        assert peak < 32 * 2**20
 
 
 def _bank_file_lines():
@@ -377,6 +412,11 @@ class TestSynth:
         with pytest.raises(ValidationError):
             SynthSpec(n_segments=1, noun_vocab=4, pairs_per_verb=5)
 
+    @pytest.mark.parametrize("field,value", [("window", 2**63 + 1), ("amplitude_jitter", 309.0)])
+    def test_spec_that_cannot_be_generated_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=field.replace("_", " ")):
+            SynthSpec(n_segments=1, **{field: value})
+
     def test_stats_fields(self):
         bank = synth_generate(SynthSpec(n_segments=40), 1)
         stats = bank_stats(bank, AggregationConfig(), pair_threshold=1)
@@ -441,6 +481,14 @@ class TestBankValidate:
                            match=rf"record 'z': {space} label -1 out of range \[0, 3\)"):
             FeatureBank.from_records([rec], dim_v=2, dim_o=2,
                                      verb_vocab_size=3, noun_vocab_size=3)
+
+    @pytest.mark.parametrize("score", ["0.5", True, None])
+    def test_score_that_is_not_a_number_rejected_from_records(self, score):
+        rec = record([det(100, 0.5, 1.0, 2.0), Detection(100, score, np.zeros(2))])
+        with pytest.raises(ValidationError,
+                           match="record 's0': detection 1 score must be a number"):
+            FeatureBank.from_records([rec], dim_v=2, dim_o=2, verb_vocab_size=1,
+                                     noun_vocab_size=1)
 
     @pytest.mark.parametrize("field", ["center", "frame"])
     def test_integer_outside_int64_rejected(self, tmp_path, field):

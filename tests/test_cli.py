@@ -619,6 +619,71 @@ class TestFuzzedCheckpoints:
                    "--out-dir", tmp_path / "eval") == 0
 
 
+def tiny_manifests(root):
+    """Valid ``synth``, ``train`` and ``stats`` manifests of tiny runs under ``root``."""
+    synth(root / "data", train=12, val=4, dim_v=3, dim_o=3, verbs=2, nouns=3, detections=2)
+    bank = root / "data/train.bank"
+    assert run("train", "--bank", bank, "--val-bank", root / "data/val.bank", "--target",
+               "noun", "--fusion", "gfa-a", "--scale", "norm-scalar", "--scale-divisor", 2,
+               "--epochs", 1, "--batch-size", 4, "--seed", 0, "--out-dir", root / "train") == 0
+    assert run("stats", "--bank", bank, "--out-dir", root / "stats") == 0
+    return {"synth": root / "data/synth.manifest.json",
+            "train": root / "train/train.manifest.json",
+            "stats": root / "stats/stats.manifest.json"}
+
+
+_MANIFEST_JUNK = [_DELETE, None, True, False, -1, 0, 1, 2, 3, 1.5, 1e-320, 1e300, float("nan"),
+                  float("inf"), 10**30, 2**63 + 1, 10**400, -10**400, "", "a", "3", "verb", "noun",
+                  "gfa-a", "norm", "scalar", "synth", "train", [], {}, [1.0], {"k": 1}]
+# Options whose value is an amount of work: a huge one asks for that much
+# work, which is not an error, so the fuzz below leaves them small.
+_WORK_OPTIONS = {"train_segments", "val_segments", "verbs", "nouns", "dim_v", "dim_o",
+                 "detections", "distractors", "decoys", "epochs"}
+
+
+class TestFuzzedManifests:
+    """Valid manifests with retyped, deleted, non-finite and oversized
+    fields, rerun through ``--config``: every run must end in exit 0 or 1."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(command=st.sampled_from(["synth", "train", "stats"]),
+           edits=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(_MANIFEST_JUNK)),
+                          min_size=1, max_size=3))
+    def test_rerun_exits_zero_or_one(self, command, edits):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            path = tiny_manifests(root)[command]
+            obj = json.loads(path.read_text())
+            paths = _key_paths(obj)
+            for index, value in edits:
+                key_path = paths[index % len(paths)]
+                if key_path[-1] in _WORK_OPTIONS and isinstance(value, int) and value > 3:
+                    continue
+                _edit_path(obj, key_path, value)
+            path.write_text(json.dumps(obj))
+            rc = run(command, "--config", path, "--out-dir", root / "rerun")
+        assert rc in (0, 1)
+
+    def test_unedited_manifests_rerun(self, tmp_path):
+        for command, path in tiny_manifests(tmp_path).items():
+            assert run(command, "--config", path, "--out-dir", tmp_path / command / "rerun") == 0
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("synth", "noise", 10**400), ("synth", "seed", -1), ("synth", "window", 2**63 + 1),
+        ("synth", "jitter", 1e300), ("train", "lr", 10**400), ("train", "seed", -1)],
+        ids=["noise-10**400", "synth-seed--1", "window-2**63+1", "jitter-1e300", "lr-10**400",
+             "train-seed--1"])
+    def test_values_that_crashed_a_rerun_are_exit_one(self, tmp_path, capsys, command, key,
+                                                      value):
+        path = tiny_manifests(tmp_path)[command]
+        obj = json.loads(path.read_text())
+        obj["config"][key] = value
+        path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert run(command, "--config", path, "--out-dir", tmp_path / "rerun") == 1
+        assert "Traceback" not in capsys.readouterr().err
+
+
 class TestNonUtf8Inputs:
     @pytest.mark.parametrize("kind", ["checkpoint", "manifest", "score table", "prior"])
     def test_exit_one(self, tmp_path, capsys, kind):
@@ -636,6 +701,18 @@ class TestNonUtf8Inputs:
 
 
 class TestGradcheckCommand:
+    @pytest.mark.parametrize("command", ["train", "gradcheck"])
+    def test_divisor_without_finite_reciprocal_fails_before_any_bank_loads(
+            self, tmp_path, capsys, command):
+        argv = {"train": ["train", "--bank", tmp_path / "missing.bank", "--target", "noun",
+                          "--seed", 0],
+                "gradcheck": ["gradcheck"]}[command]
+        assert run(*argv, "--fusion", "gfa-a", "--scale", "scalar", "--scale-divisor", "1e-320",
+                   "--out-dir", tmp_path / "out") == 1
+        assert ("scale divisor must be positive and finite, with a finite reciprocal, "
+                "got 1e-320") in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("*"))
+
     def test_passes_by_default(self, tmp_path, capsys):
         rc = run("gradcheck", "--fusion", "gfa-a", "--scale", "norm",
                  "--out-dir", tmp_path)
@@ -660,7 +737,7 @@ class TestGradcheckCommand:
     def test_non_finite_gradients_fail(self, tmp_path, capsys):
         # a subnormal divisor overflows the scaled object feature to NaN
         rc = run("gradcheck", "--fusion", "gfa-a", "--scale", "scalar",
-                 "--scale-divisor", "1e-320", "--out-dir", tmp_path)
+                 "--scale-divisor", "6e-309", "--out-dir", tmp_path)
         assert rc == 1
         assert "max_rel_err=inf" in capsys.readouterr().out.splitlines()[-1]
         report = json.loads((tmp_path / "gradcheck_report.json").read_text())

@@ -23,6 +23,12 @@ class TestScaleMode:
         with pytest.raises(ValidationError):
             ScaleMode(kind="norm", epsilon=-1.0)
 
+    @pytest.mark.parametrize("s", [1e-320, 5e-309])
+    def test_divisor_without_finite_reciprocal_rejected(self, s):
+        with pytest.raises(ValidationError, match="with a finite reciprocal"):
+            ScaleMode(kind="scalar", s=s)
+        assert ScaleMode(kind="scalar", s=6e-309).s == 6e-309
+
     @pytest.mark.parametrize("field", ["s", "epsilon"])
     @pytest.mark.parametrize("value", [float("inf"), 10**400], ids=["inf", "int-past-float"])
     def test_value_past_float_range_rejected(self, field, value):

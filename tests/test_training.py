@@ -202,6 +202,16 @@ class TestBatchedCore:
         for name, num in numeric.items():
             assert rel_err(analytic[name], num, floor=1e-6) < 1e-5, name
 
+    @pytest.mark.parametrize("kind,scale", _KINDS, ids=_KIND_IDS)
+    def test_parameter_only_backward_is_bitwise_the_same(self, kind, scale):
+        model, V, O, labels = _block(kind, scale, seed=63)
+        loss, grads = loss_and_grads(model, V, O, labels)
+        loss_p, params_only = loss_and_grads(model, V, O, labels, inputs=False)
+        assert loss_p == loss
+        assert list(params_only) == list(param_groups(model))
+        for name, g in params_only.items():
+            assert g.tobytes() == grads[name].tobytes(), name
+
 
 class TestSgdMomentumStep:
     def test_zero_momentum_is_plain_sgd(self):
@@ -364,7 +374,7 @@ class TestGradCheck:
         # dividing by a subnormal divisor overflows: the loss and every
         # gradient entry are NaN, which must not read as agreement
         rng = np.random.default_rng(107)
-        model = init_model("gfa-a", 5, 4, 3, scale=ScaleMode(kind="scalar", s=1e-320), rng=rng)
+        model = init_model("gfa-a", 5, 4, 3, scale=ScaleMode(kind="scalar", s=6e-309), rng=rng)
         with np.errstate(all="ignore"):
             max_err, per_group = grad_check(model, rng.uniform(-2, 2, 5),
                                             rng.uniform(-2, 2, 4), label=0)
