@@ -592,6 +592,11 @@ class SynthSpec:
     labels independent).  Sparse co-occurrence is what makes the action
     prior informative instead of pure sampling noise.  The support map
     depends only on the seed, so train/val splits agree on it.
+
+    ``synth_generate`` draws every record in one fixed order of
+    ``Generator`` calls and then computes the features once per bank on
+    whole blocks; its bank is byte-identical to computing each record as
+    it is drawn.
     """
 
     n_segments: int
@@ -639,82 +644,126 @@ class SynthSpec:
                 f"window must be a positive odd integer up to 2**63 - 1, got {self.window}")
 
 
-def _unit_prototypes(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    protos = np.abs(rng.normal(size=(count, dim)))
-    norms = np.maximum(np.linalg.norm(protos, axis=1, keepdims=True), 1e-12)
-    return protos / norms
+def _unit_rows(block: np.ndarray) -> np.ndarray:
+    """``block`` with each row replaced, in place, by its absolute values
+    scaled to unit length (a zero row stays zero)."""
+    np.abs(block, out=block)
+    norms = np.linalg.norm(block, axis=1, keepdims=True)
+    np.maximum(norms, 1e-12, out=norms)
+    block /= norms
+    return block
 
 
 def synth_generate(spec: SynthSpec, seed: int, split: str = "train") -> FeatureBank:
     """Deterministic synthetic bank.  Prototypes depend only on ``seed`` (and
     the dims/vocabs), so banks generated with the same seed but different
-    ``split`` names share the same underlying task."""
+    ``split`` names share the same underlying task.
+
+    The loop only draws: per record it makes one fixed sequence of
+    ``Generator`` calls (labels, center, clip noise, jitter, then each
+    detection's frame, score, prototype and noise) into preallocated
+    blocks.  The arithmetic then runs once on whole blocks, in place, with
+    each sum and product grouped as one record's would be (IEEE + and * are
+    commutative), so the bank is byte for byte the one that computing each
+    record as it is drawn gives (the reference the tests keep).  Raises
+    ``ValidationError`` before any draw when the blocks are too large to
+    allocate."""
+    S, n_proto = spec.signal_detections, spec.distractors + spec.decoys
+    per, n = S + n_proto, spec.n_segments
+    try:
+        clip = np.empty((n, spec.dim_v))
+        features = np.empty((n * per, spec.dim_o))
+        protos = np.empty((n * n_proto, spec.dim_o))
+        offsets = np.empty(n * per, dtype=np.int64)
+        scores = np.empty(n * per)
+        labels = np.empty((n, 2), dtype=np.int64)
+        centers = np.empty(n, dtype=np.int64)
+        amps = np.ones(n)
+        sides = np.empty(n * spec.decoys)
+    except (MemoryError, ValueError, OverflowError):  # numpy: cannot allocate / array is too big
+        raise ValidationError(
+            f"a synthetic bank of {n} segments x {per} detections, dims "
+            f"{spec.dim_v}/{spec.dim_o}, is too large to generate") from None
+
     proto_rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-    verb_protos = _unit_prototypes(proto_rng, spec.verb_vocab, spec.dim_v)
-    noun_protos = _unit_prototypes(proto_rng, spec.noun_vocab, spec.dim_o)
-    noun_clip_protos = _unit_prototypes(proto_rng, spec.noun_vocab, spec.dim_v)
+    verb_protos = _unit_rows(proto_rng.normal(size=(spec.verb_vocab, spec.dim_v)))
+    noun_protos = _unit_rows(proto_rng.normal(size=(spec.noun_vocab, spec.dim_o)))
+    noun_clip_protos = _unit_rows(proto_rng.normal(size=(spec.noun_vocab, spec.dim_v)))
     allowed_nouns = None
     if spec.pairs_per_verb > 0:
-        allowed_nouns = [sorted(proto_rng.choice(spec.noun_vocab,
-                                                 size=spec.pairs_per_verb,
-                                                 replace=False).tolist())
-                         for _ in range(spec.verb_vocab)]
+        allowed_nouns = np.array([sorted(proto_rng.choice(spec.noun_vocab,
+                                                          size=spec.pairs_per_verb,
+                                                          replace=False).tolist())
+                                  for _ in range(spec.verb_vocab)], dtype=np.int64)
+    noun_draw = spec.noun_vocab if allowed_nouns is None else spec.pairs_per_verb
 
     rng = np.random.default_rng(np.random.SeedSequence(
         [seed, 1, zlib.crc32(split.encode("utf-8"))]))
-
-    half = (spec.window - 1) // 2
-    records: list[SegmentRecord] = []
-    for i in range(spec.n_segments):
-        verb = int(rng.integers(spec.verb_vocab))
-        if allowed_nouns is None:
-            noun = int(rng.integers(spec.noun_vocab))
-        else:
-            noun = allowed_nouns[verb][int(rng.integers(spec.pairs_per_verb))]
-        center = int(rng.integers(100, 10_000))
-        clip = verb_protos[verb] + spec.noise * rng.normal(size=spec.dim_v)
-        if spec.noun_in_clip > 0:
-            clip = clip + spec.noun_in_clip * noun_clip_protos[noun]
-
-        amp = spec.mismatch
-        if spec.amplitude_jitter > 0:
-            j = spec.amplitude_jitter
-            # Normalized so the mean amplitude factor stays at `mismatch`.
-            mean_factor = (10.0 ** j - 10.0 ** -j) / (2.0 * j * np.log(10.0))
-            amp *= 10.0 ** rng.uniform(-j, j) / mean_factor
-        detections: list[Detection] = []
-        for _ in range(spec.signal_detections):
-            frame = center + int(rng.integers(-half, half + 1))
-            score = float(rng.uniform(0.6, 1.0))
-            feat = amp * (noun_protos[noun] + spec.noise * rng.normal(size=spec.dim_o))
-            detections.append(Detection(frame, score, feat))
+    integers, uniform, normal = rng.integers, rng.uniform, rng.normal
+    half, j = (spec.window - 1) // 2, spec.amplitude_jitter
+    if j > 0:
+        # Normalized so the mean amplitude factor stays at `mismatch`.
+        mean_factor = (10.0 ** j - 10.0 ** -j) / (2.0 * j * np.log(10.0))
+    row = proto = decoy = 0
+    for i in range(n):
+        labels[i, 0] = integers(spec.verb_vocab)
+        labels[i, 1] = integers(noun_draw)
+        centers[i] = integers(100, 10_000)
+        clip[i] = normal(size=spec.dim_v)
+        if j > 0:
+            # A Python-float power: numpy's vectorised power may round differently.
+            amps[i] = 10.0 ** uniform(-j, j) / mean_factor
+        for _ in range(S):
+            offsets[row] = integers(-half, half + 1)
+            scores[row] = uniform(0.6, 1.0)
+            features[row] = normal(size=spec.dim_o)
+            row += 1
         for _ in range(spec.distractors):
-            frame = center + int(rng.integers(-half, half + 1))
-            score = float(rng.uniform(0.0, 0.4))
-            feat = amp * (_unit_prototypes(rng, 1, spec.dim_o)[0]
-                          + spec.noise * rng.normal(size=spec.dim_o))
-            detections.append(Detection(frame, score, feat))
+            offsets[row] = integers(-half, half + 1)
+            scores[row] = uniform(0.0, 0.4)
+            protos[proto] = normal(size=(1, spec.dim_o))
+            features[row] = normal(size=spec.dim_o)
+            row, proto = row + 1, proto + 1
         for _ in range(spec.decoys):
             # High score but outside the window: punishes skipped windowing.
-            offset = half + 1 + int(rng.integers(0, 10))
-            side = 1 if rng.uniform() < 0.5 else -1
-            score = float(rng.uniform(0.8, 1.0))
-            feat = amp * (_unit_prototypes(rng, 1, spec.dim_o)[0]
-                          + spec.noise * rng.normal(size=spec.dim_o))
-            detections.append(Detection(center + side * offset, score, feat))
+            offsets[row] = integers(0, 10)
+            sides[decoy] = uniform()
+            scores[row] = uniform(0.8, 1.0)
+            protos[proto] = normal(size=(1, spec.dim_o))
+            features[row] = normal(size=spec.dim_o)
+            row, proto, decoy = row + 1, proto + 1, decoy + 1
 
-        records.append(SegmentRecord(
-            segment_id=f"{split}-{i:05d}",
-            clip_feature=clip,
-            clip_center_frame=center,
-            detections=detections,
-            verb_label=verb,
-            noun_label=noun,
-        ))
-
-    return FeatureBank.from_records(records, dim_v=spec.dim_v, dim_o=spec.dim_o,
-                                    verb_vocab_size=spec.verb_vocab,
-                                    noun_vocab_size=spec.noun_vocab)
+    if allowed_nouns is not None:
+        labels[:, 1] = allowed_nouns[labels[:, 0], labels[:, 1]]
+    # |offset| <= 2**62 + 9 (SynthSpec.window) and centers are below 10,000,
+    # so the int64 frames cannot wrap.
+    offsets = offsets.reshape(n, per)
+    offsets[:, per - spec.decoys:] += half + 1
+    offsets[:, per - spec.decoys:] *= np.where(sides < 0.5, 1, -1).reshape(n, spec.decoys)
+    offsets += centers[:, None]
+    # An overflow leaves a non-finite entry, which validate() reports by record.
+    with np.errstate(over="ignore", invalid="ignore"):
+        clip *= spec.noise
+        clip += verb_protos[labels[:, 0]]
+        if spec.noun_in_clip > 0:
+            nic = noun_clip_protos[labels[:, 1]]
+            nic *= spec.noun_in_clip
+            clip += nic
+        amps *= spec.mismatch
+        _unit_rows(protos)
+        features *= spec.noise
+        blocks = features.reshape(n, per, spec.dim_o)
+        blocks[:, :S] += noun_protos[labels[:, 1], None]
+        blocks[:, S:] += protos.reshape(n, n_proto, spec.dim_o)
+        blocks *= amps[:, None, None]
+    clip.flags.writeable = features.flags.writeable = False  # as from_records
+    bank = FeatureBank(dim_v=spec.dim_v, dim_o=spec.dim_o, verb_vocab_size=spec.verb_vocab,
+                       noun_vocab_size=spec.noun_vocab,
+                       ids=[f"{split}-{i:05d}" for i in range(n)], clip=clip,
+                       centers=centers, labels=labels, counts=np.full(n, per, dtype=np.int64),
+                       frames=offsets.ravel(), scores=scores, features=features)
+    bank.validate()
+    return bank
 
 
 def bank_stats(bank: FeatureBank, cfg: AggregationConfig,

@@ -294,6 +294,8 @@ def train(bank: FeatureBank, target: str, spec: ModelSpec, cfg: TrainConfig,
     """
     if not bank.ids:
         raise ValidationError("cannot train on an empty bank")
+    if val_bank is not None and not val_bank.ids:
+        raise ValidationError("cannot validate on an empty bank")
     labels = _bank_labels(bank, target)
     classes = bank.verb_vocab_size if target == "verb" else bank.noun_vocab_size
     V, O = bank_features(bank, spec.aggregation)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -17,6 +18,8 @@ from gatedfusion.bank import (AggregationConfig, Detection, FeatureBank,
                               maxpool_features, save_feature_bank,
                               select_top_k, synth_generate)
 from gatedfusion.errors import ShapeError, ValidationError
+
+from conftest import reference_synth_generate
 
 
 def det(frame, score, *feat):
@@ -331,6 +334,70 @@ class TestLoader:
         assert banks_equal(bank, load_feature_bank(path))
 
 
+def assert_same_bank_bytes(a, b, tmp_path=None):
+    """Equal headers, ids and blocks (dtype, shape, write flag and bytes, so
+    signed zeros count), and with ``tmp_path`` equal saved bank and sidecar
+    bytes."""
+    assert ([getattr(a, k) for k in bank_module._HEADER_KEYS]
+            == [getattr(b, k) for k in bank_module._HEADER_KEYS])
+    assert a.ids == b.ids
+    for name in bank_module._BLOCKS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x.dtype, x.shape, x.flags.writeable) == (y.dtype, y.shape, y.flags.writeable)
+        assert x.view(np.uint8).tobytes() == y.view(np.uint8).tobytes(), name
+    if tmp_path is None:
+        return
+    paths = [tmp_path / "a.bank", tmp_path / "b.bank"]
+    for bank, path in zip((a, b), paths):
+        save_feature_bank(bank, path)
+    for suffix in ("", ".npz"):
+        assert (Path(f"{paths[0]}{suffix}").read_bytes()
+                == Path(f"{paths[1]}{suffix}").read_bytes())
+
+
+BENCHMARK_SPEC = SynthSpec(n_segments=2000, dim_v=64, dim_o=64, verb_vocab=20, noun_vocab=40,
+                           pairs_per_verb=5)
+_REFERENCE_SPECS = {
+    "benchmark": BENCHMARK_SPEC,
+    "defaults": SynthSpec(n_segments=40),
+    "jitter": SynthSpec(n_segments=40, amplitude_jitter=2.0, pairs_per_verb=3),
+    "noun-in-clip": SynthSpec(n_segments=40, noun_in_clip=0.7),
+    "mismatch": SynthSpec(n_segments=40, mismatch=1e3, amplitude_jitter=0.5, noise=0.0),
+    "no-distractors": SynthSpec(n_segments=30, distractors=0),
+    "no-decoys": SynthSpec(n_segments=30, decoys=0),
+    "signal-only": SynthSpec(n_segments=30, distractors=0, decoys=0, pairs_per_verb=20),
+    "dims-of-1": SynthSpec(n_segments=30, dim_v=1, dim_o=1),
+    "one-segment": SynthSpec(n_segments=1),
+    "window-near-2**63": SynthSpec(n_segments=20, window=2**63 - 1),
+}
+
+
+@st.composite
+def _small_specs(draw):
+    nouns = draw(st.integers(1, 6))
+    big = st.floats(0.0, 1e308)
+    return SynthSpec(
+        n_segments=draw(st.integers(1, 5)), dim_v=draw(st.integers(1, 4)),
+        dim_o=draw(st.integers(1, 4)), verb_vocab=draw(st.integers(1, 4)), noun_vocab=nouns,
+        signal_detections=draw(st.integers(1, 3)), distractors=draw(st.integers(0, 3)),
+        decoys=draw(st.integers(0, 3)),
+        noise=draw(st.sampled_from([0.0, 0.05]) | big),
+        mismatch=draw(st.sampled_from([1.0, 1e3]) | st.floats(5e-324, 1e308)),
+        amplitude_jitter=draw(st.sampled_from([0.0, 1.5]) | st.floats(0.0, 308.0)),
+        noun_in_clip=draw(st.sampled_from([0.0, 0.5]) | big),
+        pairs_per_verb=draw(st.integers(0, nouns)),
+        window=2 * draw(st.integers(0, 4) | st.integers(0, 2**62 - 1)) + 1)
+
+
+def _synth_outcome(generate, spec, seed, split):
+    """The bank, or the message of the ValidationError raised instead."""
+    try:
+        with np.errstate(all="ignore"):  # an overflow is what the error reports
+            return generate(spec, seed, split)
+    except ValidationError as exc:
+        return str(exc)
+
+
 class TestSynth:
     def test_same_seed_bit_identical(self, tmp_path):
         spec = SynthSpec(n_segments=20)
@@ -416,6 +483,60 @@ class TestSynth:
     def test_spec_that_cannot_be_generated_rejected(self, field, value):
         with pytest.raises(ValidationError, match=field.replace("_", " ")):
             SynthSpec(n_segments=1, **{field: value})
+
+    @pytest.mark.parametrize("name", list(_REFERENCE_SPECS))
+    def test_matches_record_by_record_reference(self, name, tmp_path):
+        # A saved bank is a function of the blocks, so the largest spec skips
+        # the slow JSON writes.
+        spec = _REFERENCE_SPECS[name]
+        saved = None if spec is BENCHMARK_SPEC else tmp_path
+        assert_same_bank_bytes(synth_generate(spec, 7, "train"),
+                               reference_synth_generate(spec, 7, "train"), saved)
+        assert_same_bank_bytes(synth_generate(spec, 3, "val"),
+                               reference_synth_generate(spec, 3, "val"))
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=_small_specs(), seed=st.integers(0, 2**64), split=st.sampled_from(["train", "v"]))
+    def test_matches_reference_or_fails_the_same_way(self, spec, seed, split):
+        got = _synth_outcome(synth_generate, spec, seed, split)
+        want = _synth_outcome(reference_synth_generate, spec, seed, split)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert not isinstance(got, str), got
+            with tempfile.TemporaryDirectory() as tmp:
+                assert_same_bank_bytes(got, want, Path(tmp))
+
+    def test_non_finite_features_name_the_record(self):
+        with np.errstate(over="raise"), pytest.raises(
+                ValidationError, match="record 'train-00000': detection 0 feature"):
+            synth_generate(SynthSpec(n_segments=2, mismatch=1e308, noise=10.0), 0)
+
+    @pytest.mark.parametrize("field", ["n_segments", "dim_v", "dim_o", "signal_detections",
+                                       "distractors", "decoys"])
+    def test_oversized_spec_rejected_before_any_draw(self, field):
+        # 2**62 rows or columns of float64 is past the int64 byte range, so
+        # nothing is allocated.
+        spec = dataclasses.replace(SynthSpec(n_segments=1), **{field: 2**62})
+        start = time.perf_counter()
+        with mock.patch.object(np.random, "default_rng", side_effect=AssertionError), \
+                pytest.raises(ValidationError, match="is too large to generate"):
+            synth_generate(spec, 0)
+        assert time.perf_counter() - start < 1.0
+
+    def test_peak_memory_is_a_small_multiple_of_the_blocks(self):
+        # The blocks are computed in place: one block-sized temporary more
+        # (an out-of-place product or sum on the features) passes 2x.
+        spec = dataclasses.replace(BENCHMARK_SPEC, n_segments=500)
+        tracemalloc.start()
+        try:
+            bank = synth_generate(spec, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        blocks = sum(getattr(bank, name).nbytes for name in bank_module._BLOCKS)
+        assert blocks > 4 * 2**20
+        assert peak < 2.0 * blocks
 
     def test_stats_fields(self):
         bank = synth_generate(SynthSpec(n_segments=40), 1)

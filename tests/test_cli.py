@@ -1,13 +1,18 @@
 import copy
 import inspect
 import json
+import os
+import subprocess
+import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gatedfusion import __version__
 from gatedfusion.bank import (AggregationConfig, Detection, FeatureBank, SegmentRecord,
                               SynthSpec, bank_stats, load_feature_bank, save_feature_bank)
 from gatedfusion.cli import _write_json, main
@@ -81,6 +86,15 @@ class TestSynth:
     def test_unknown_flag(self, tmp_path):
         assert run("synth", "--seed", 1, "--out-dir", tmp_path, "--bogus", 3) == 1
 
+    def test_oversized_bank_is_exit_one_at_once(self, tmp_path, capsys):
+        # 2**62 segments of float64 rows is past the int64 byte range.
+        start = time.perf_counter()
+        assert run("synth", "--seed", 0, "--out-dir", tmp_path,
+                   "--train-segments", 2**62) == 1
+        assert time.perf_counter() - start < 1.0
+        assert f"{2**62} segments" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_mismatch_visible_in_stats(self, tmp_path, capsys):
         synth(tmp_path / "m", mismatch=1000)
         capsys.readouterr()
@@ -116,6 +130,17 @@ class TestTrainEval:
         assert table.space == "noun"
         assert len(table.segment_ids) == 20
         assert np.allclose(table.scores.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_empty_val_bank_is_exit_one_before_any_write(self, tmp_path, capsys):
+        synth(tmp_path / "data", train=20, val=5)
+        empty = tmp_path / "empty.bank"
+        empty.write_text('{"dim_v":16,"dim_o":16,"verb_vocab_size":10,"noun_vocab_size":20}\n',
+                         encoding="utf-8")
+        assert run("train", "--bank", tmp_path / "data/train.bank", "--val-bank", empty,
+                   "--target", "noun", "--fusion", "clip-only", "--epochs", 1, "--seed", 0,
+                   "--out-dir", tmp_path / "run") == 1
+        assert "cannot validate on an empty bank" in capsys.readouterr().err
+        assert not list((tmp_path / "run").iterdir())
 
     def test_eval_deterministic(self, tmp_path):
         synth(tmp_path / "data", train=30, val=10)
@@ -959,6 +984,15 @@ class TestTopLevel:
     def test_version(self, capsys):
         assert main(["--version"]) == 0
         assert "gatedfusion" in capsys.readouterr().out
+
+    def test_module_runs_from_a_checkout(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "gatedfusion", "--version"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == f"gatedfusion {__version__}"
 
     def test_missing_file_is_exit_one(self, tmp_path, capsys):
         rc = run("stats", "--bank", tmp_path / "nope.bank", "--out-dir", tmp_path)

@@ -294,6 +294,15 @@ class TestTrain:
         with pytest.raises(ValidationError, match="empty"):
             train(bank, "noun", ModelSpec(fusion="clip-only"), TrainConfig(epochs=1))
 
+    def test_empty_val_bank_error(self):
+        from gatedfusion.bank import FeatureBank
+        bank = synth_generate(SynthSpec(n_segments=5), 0)
+        empty = FeatureBank.from_records([], dim_v=bank.dim_v, dim_o=bank.dim_o,
+                                         verb_vocab_size=bank.verb_vocab_size,
+                                         noun_vocab_size=bank.noun_vocab_size)
+        with pytest.raises(ValidationError, match="cannot validate on an empty bank"):
+            train(bank, "noun", ModelSpec(fusion="clip-only"), TrainConfig(epochs=1), empty)
+
     def test_divergence_names_epoch_and_batch(self):
         bank = synth_generate(SynthSpec(n_segments=40), 2)
         bank.clip = bank.clip * 1e170
