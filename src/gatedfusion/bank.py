@@ -3,9 +3,11 @@
 A bank holds one row per video segment: the clip feature, a list of scored
 per-frame detections (each carrying an already-extracted region feature),
 and optional verb/noun labels.  In memory it is the flat blocks that the
-binary sidecar below stores; ``FeatureBank.from_records`` packs
-``SegmentRecord`` rows into them and ``FeatureBank.records`` views them as
-read-only rows.
+binary sidecar below stores.  The JSON reader packs each record line
+straight into them, the writer writes each line from one record's slices,
+and ``FeatureBank.validate`` is the one check of their values.  Rows are
+only the input of ``FeatureBank.from_records`` and the output of the
+read-only ``FeatureBank.records`` view.
 
 Aggregation turns the detections into a single object feature by keeping
 the detections inside a frame window around the clip center, selecting the
@@ -29,8 +31,8 @@ otherwise it parses the JSON.  Deleting the sidecar is always safe.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
-import itertools
 import json
 import os
 import zipfile
@@ -83,28 +85,33 @@ class SegmentRecord:
 
 
 _HEADER_KEYS = ("dim_v", "dim_o", "verb_vocab_size", "noun_vocab_size")
+_LABEL_KEYS = ("verb", "noun")
 _NO_LABEL = -1
-# The blocks after ``ids``: per record, then per detection in record order.
-_BLOCKS = ("clip", "centers", "labels", "counts", "frames", "scores", "features")
+# The blocks after ``ids`` and their dtypes: per record, then per detection
+# in record order.  The packer builds them; validate() checks them.
+_BLOCK_DTYPES = {name: np.dtype(dtype) for name, dtype in (
+    ("clip", np.float64), ("centers", np.int64), ("labels", np.int64), ("counts", np.int64),
+    ("frames", np.int64), ("scores", np.float64), ("features", np.float64))}
+_BLOCKS = tuple(_BLOCK_DTYPES)
 _INT64 = np.iinfo(np.int64)
 _INT, _REAL = (int, np.integer), (int, float, np.integer, np.floating)
 
 
-def _all_of(types: tuple, values: list) -> bool:
-    """Every value is an instance of ``types`` and none is a bool."""
-    kinds = set(map(type, values))
-    return bool not in kinds and all(issubclass(kind, types) for kind in kinds)
-
-
-def _check_int64(val, what: str) -> None:
-    """An integer (not a bool) that fits the int64 blocks."""
-    if not _all_of(_INT, [val]):
-        raise ValidationError(f"{what} must be an integer, got {val!r}")
+def _int64(obj: dict, key: str, where: str = "") -> int:
+    """``obj[key]``, an integer (not a bool) that fits the int64 blocks."""
+    if key not in obj:
+        raise ValidationError(f"{where}missing key {key!r}")
+    val = obj[key]
+    if not isinstance(val, _INT) or isinstance(val, bool):
+        raise ValidationError(f"{where}{key!r} must be an integer, got {val!r}")
     if not _INT64.min <= val <= _INT64.max:
-        raise ValidationError(f"{what} {val} does not fit in int64")
+        raise ValidationError(f"{where}{key} {val} does not fit in int64")
+    return val
 
 
-def _check_header(header: dict) -> None:
+def _check_header(header: dict, where: str = "") -> None:
+    for key in _HEADER_KEYS:
+        _int64(header, key, where)
     if header["dim_v"] < 1 or header["dim_o"] < 1:
         raise ValidationError(
             f"bank dims must be positive, got dim_v={header['dim_v']}, dim_o={header['dim_o']}")
@@ -112,77 +119,123 @@ def _check_header(header: dict) -> None:
         raise ValidationError(
             f"vocab sizes must be positive, got verbs={header['verb_vocab_size']}, "
             f"nouns={header['noun_vocab_size']}")
-    for key, val in header.items():
-        _check_int64(val, key)
 
 
-def _check_records(records, header: dict) -> None:
-    """The bank invariants one record at a time: raises ValidationError
-    naming the first offending record."""
+def _vector(val, dim: int, dim_key: str, what: str) -> np.ndarray:
+    """``val`` as a flat float64 vector of ``dim`` entries."""
+    try:
+        vec = np.asarray(val, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int past float range
+        raise ValidationError(f"{what} must be an array of numbers") from None
+    if vec.ndim != 1:
+        raise ValidationError(f"{what} must be a flat array")
+    if len(vec) != dim:
+        raise ValidationError(f"{what} has dim {len(vec)}, bank declares {dim_key}={dim}")
+    return vec
+
+
+def _score(val, what: str) -> float:
+    with contextlib.suppress(OverflowError):  # an int past float range
+        if isinstance(val, _REAL) and not isinstance(val, bool):
+            return float(val)
+    raise ValidationError(f"{what} score must be a number")
+
+
+def _pack(rows, header: dict, where: str = "") -> FeatureBank:
+    """The validated bank of ``header`` (its faults prefixed by ``where``)
+    and ``rows``: (line name or "", record object in the bank file's layout).
+    A row is checked only for what the blocks cannot hold (a str id; int64
+    centers, frames and labels, none of them an explicit label below 0; real
+    scores; flat vectors of the declared dims) and appended to the blocks."""
+    _check_header(header, where)
+    lines, ids, *columns = ([] for _ in range(2 + len(_BLOCKS)))
+    clip, centers, labels, counts, frames, scores, features = columns
+    for line, obj in rows:
+        seg_id = obj.get("segment_id")
+        if not isinstance(seg_id, str):
+            raise ValidationError(f"{line}segment_id must be a string")
+        where = f"{line}record {seg_id!r}: "
+        lines.append(line)
+        ids.append(seg_id)
+        clip.append(_vector(obj.get("clip_feature"), header["dim_v"], "dim_v",
+                            f"{where}clip_feature"))
+        centers.append(_int64(obj, "center", where))
+        dets = obj.get("detections", [])
+        if not isinstance(dets, list):
+            raise ValidationError(f"{where}detections must be an array")
+        for j, det in enumerate(dets):
+            what = f"{where}detection {j}"
+            if not isinstance(det, dict):
+                raise ValidationError(f"{what} must be an object")
+            frames.append(_int64(det, "frame", f"{what}: "))
+            scores.append(_score(det.get("score"), what))
+            features.append(_vector(det.get("feature"), header["dim_o"], "dim_o",
+                                    f"{what} feature"))
+        counts.append(len(dets))
+        pair = [_int64(obj, key, where) if key in obj else _NO_LABEL for key in _LABEL_KEYS]
+        for key, label in zip(_LABEL_KEYS, pair):
+            if label < 0 and key in obj:  # -1 stands for "no label"
+                raise ValidationError(f"{where}{key} label {label} out of range "
+                                      f"[0, {header[key + '_vocab_size']})")
+        labels.append(pair)
+    blocks = {name: np.array(column, dtype=dtype)
+              for (name, dtype), column in zip(_BLOCK_DTYPES.items(), columns)}
+    for name, width in (("clip", header["dim_v"]), ("labels", 2), ("features", header["dim_o"])):
+        blocks[name] = blocks[name].reshape(-1, width)  # an empty column has no width
+    blocks["clip"].flags.writeable = blocks["features"].flags.writeable = False
+    bank = FeatureBank(**{key: header[key] for key in _HEADER_KEYS}, ids=ids, **blocks)
+    _validate(bank, lines)
+    return bank
+
+
+def _validate(bank: FeatureBank, lines: list[str]) -> None:
+    """The bank invariants: the header, each block's dtype and shape, then
+    the values (str unique ids, finite features, scores in [0, 1], labels in
+    [-1, vocab)).  A value fault names the first offending record, after
+    ``lines[i]`` for record ``i``, and in it the first offending field."""
+    _check_header({key: getattr(bank, key) for key in _HEADER_KEYS})
+    for name, dtype in _BLOCK_DTYPES.items():
+        block = getattr(bank, name)
+        if not isinstance(block, np.ndarray) or block.dtype != dtype:
+            got = block.dtype if isinstance(block, np.ndarray) else type(block).__name__
+            raise ValidationError(f"bank block {name!r} must be an array of {dtype}, got {got}")
+    n, counts = len(bank.ids), bank.counts
+    if counts.shape != (n,) or (counts < 0).any():
+        raise ValidationError(f"bank needs {n} detection counts >= 0, one per id")
+    ends = np.cumsum(counts)
+    d = int(ends[-1]) if n else 0
+    for name, shape in (("clip", (n, bank.dim_v)), ("centers", (n,)), ("labels", (n, 2)),
+                        ("frames", (d,)), ("scores", (d,)), ("features", (d, bank.dim_o))):
+        if getattr(bank, name).shape != shape:
+            raise ValidationError(f"bank block {name!r} is not shaped {shape}")
+    # Per-record fault masks find the first faulty record; the ids are checked up to it.
+    sizes = [bank.verb_vocab_size, bank.noun_vocab_size]
+    bad_label = (bank.labels < _NO_LABEL) | (bank.labels >= sizes)
+    bad_det = ~(np.isfinite(bank.features).all(axis=1) & (bank.scores >= 0.0)
+                & (bank.scores <= 1.0))
+    bad = ~np.isfinite(bank.clip).all(axis=1) | bad_label.any(axis=1)
+    bad[np.searchsorted(ends, np.flatnonzero(bad_det), side="right")] = True
+    first = int(np.argmax(bad)) if bad.any() else n
     seen: set[str] = set()
-    for rec in records:
-        if not isinstance(rec.segment_id, str):
-            raise ValidationError(f"segment_id must be a string, got {rec.segment_id!r}")
-        where = f"record {rec.segment_id!r}"
-        if rec.segment_id in seen:
-            raise ValidationError(f"duplicate segment_id {rec.segment_id!r}")
-        seen.add(rec.segment_id)
-        _check_int64(rec.clip_center_frame, f"{where}: center")
-        if rec.clip_feature.shape != (header["dim_v"],):
-            raise ValidationError(
-                f"{where}: clip_feature has dim {rec.clip_feature.shape[0]}, "
-                f"bank declares dim_v={header['dim_v']}")
-        if not np.all(np.isfinite(rec.clip_feature)):
-            raise ValidationError(f"{where}: clip_feature has non-finite entries")
-        for j, det in enumerate(rec.detections):
-            _check_int64(det.frame_index, f"{where}: detection {j} frame")
-            if det.feature.shape != (header["dim_o"],):
-                raise ValidationError(
-                    f"{where}: detection {j} feature has dim {det.feature.shape[0]}, "
-                    f"bank declares dim_o={header['dim_o']}")
-            if not np.all(np.isfinite(det.feature)):
-                raise ValidationError(f"{where}: detection {j} feature has non-finite entries")
-            if not _all_of(_REAL, [det.score]):
-                raise ValidationError(f"{where}: detection {j} score must be a number")
-            if not 0.0 <= det.score <= 1.0:
-                raise ValidationError(f"{where}: detection {j} score {det.score} outside [0, 1]")
-        for space, label, size in (("verb", rec.verb_label, header["verb_vocab_size"]),
-                                   ("noun", rec.noun_label, header["noun_vocab_size"])):
-            if label is None:
-                continue
-            _check_int64(label, f"{where}: {space} label")
-            if not 0 <= label < size:
-                raise ValidationError(f"{where}: {space} label {label} out of range [0, {size})")
-
-
-def _rows(vectors: list, dim: int) -> np.ndarray:
-    """1-D vectors of ``dim`` entries stacked into a read-only float64 block."""
-    block = np.array(vectors, dtype=np.float64) if vectors else np.zeros((0, dim))
-    if block.shape != (len(vectors), dim):
-        raise ValueError(f"rows of shape {block.shape[1:]}, expected ({dim},)")
-    block.flags.writeable = False
-    return block
-
-
-def _pack(records: list[SegmentRecord], dim_v: int, dim_o: int) -> dict:
-    """The ids and blocks of ``records``; raises when they cannot hold a field as given."""
-    dets = [d for rec in records for d in rec.detections]
-    centers, frames = [rec.clip_center_frame for rec in records], [d.frame_index for d in dets]
-    labels = [(rec.verb_label, rec.noun_label) for rec in records]
-    given = [label for pair in labels for label in pair if label is not None]
-    scores = [d.score for d in dets]
-    if not (_all_of(_INT, centers + frames + given) and _all_of(_REAL, scores)
-            and min(given, default=0) >= 0):
-        raise ValueError("a center, frame, label or score that the blocks cannot hold")
-    return {"ids": [rec.segment_id for rec in records],
-            "clip": _rows([rec.clip_feature for rec in records], dim_v),
-            "centers": np.array(centers, dtype=np.int64),
-            "labels": np.array([[_NO_LABEL if label is None else label for label in pair]
-                                for pair in labels], dtype=np.int64).reshape(-1, 2),
-            "counts": np.array([len(rec.detections) for rec in records], dtype=np.int64),
-            "frames": np.array(frames, dtype=np.int64),
-            "scores": np.array(scores, dtype=np.float64),
-            "features": _rows([d.feature for d in dets], dim_o)}
+    for line, seg_id in zip(lines, bank.ids[:first + 1]):
+        if not isinstance(seg_id, str):
+            raise ValidationError(f"{line}segment_id must be a string, got {seg_id!r}")
+        if seg_id in seen:
+            raise ValidationError(f"{line}duplicate segment_id {seg_id!r}")
+        seen.add(seg_id)
+    if first == n:
+        return
+    where = f"{lines[first]}record {bank.ids[first]!r}"
+    if not np.isfinite(bank.clip[first]).all():
+        raise ValidationError(f"{where}: clip_feature has non-finite entries")
+    start = int(ends[first] - counts[first])
+    for j in np.flatnonzero(bad_det[start:ends[first]])[:1].tolist():  # its first bad detection
+        fault = ("feature has non-finite entries" if not np.isfinite(bank.features[start + j]).all()
+                 else f"score {bank.scores[start + j]} outside [0, 1]")
+        raise ValidationError(f"{where}: detection {j} {fault}")
+    key = int(np.argmax(bad_label[first]))
+    raise ValidationError(f"{where}: {_LABEL_KEYS[key]} label {bank.labels[first, key]} "
+                          f"out of range [0, {sizes[key]})")
 
 
 @dataclass(eq=False)
@@ -208,21 +261,23 @@ class FeatureBank:
     @classmethod
     def from_records(cls, records: list[SegmentRecord], dim_v: int, dim_o: int,
                      verb_vocab_size: int, noun_vocab_size: int) -> FeatureBank:
-        """The validated bank of ``SegmentRecord`` rows."""
-        header = dict(dim_v=dim_v, dim_o=dim_o, verb_vocab_size=verb_vocab_size,
-                      noun_vocab_size=noun_vocab_size)
-        _check_header(header)
-        try:
-            bank = cls(**header, **_pack(records, dim_v, dim_o))
-        except (TypeError, ValueError, OverflowError):
-            _check_records(records, header)
-            raise
-        bank.validate()
-        return bank
+        """The validated bank of ``SegmentRecord`` rows, packed as the
+        record lines of a bank file are."""
+        rows = (("", {"segment_id": rec.segment_id, "clip_feature": rec.clip_feature,
+                      "center": rec.clip_center_frame,
+                      "detections": [{"frame": d.frame_index, "score": d.score,
+                                      "feature": d.feature} for d in rec.detections],
+                      **{key: label for key, label in zip(_LABEL_KEYS, (
+                          rec.verb_label, rec.noun_label)) if label is not None}})
+                for rec in records)
+        return _pack(rows, dict(dim_v=dim_v, dim_o=dim_o, verb_vocab_size=verb_vocab_size,
+                                noun_vocab_size=noun_vocab_size))
 
     @property
     def records(self) -> list[SegmentRecord]:
-        """Read-only ``SegmentRecord`` views of the rows, built on each access."""
+        """Read-only ``SegmentRecord`` views of the rows.  Each access
+        rebuilds every row, so take the list once rather than indexing
+        ``bank.records`` in a loop."""
         dets = list(map(Detection, self.frames.tolist(), self.scores.tolist(), self.features))
         ends = np.cumsum(self.counts).tolist()
         labels = [[None if label == _NO_LABEL else label for label in pair]
@@ -232,25 +287,8 @@ class FeatureBank:
                     self.ids, self.clip, self.centers.tolist(), [0] + ends, ends, labels)]
 
     def validate(self) -> None:
-        """Enforce the bank invariants on whole blocks; when one fails, the
-        per-record checks walk the rows and name the first offending record."""
-        header = {key: getattr(self, key) for key in _HEADER_KEYS}
-        _check_header(header)
-        n, counts = len(self.ids), self.counts
-        if counts.shape != (n,) or (counts < 0).any():
-            raise ValidationError(f"bank needs {n} detection counts >= 0, one per id")
-        d = int(counts.sum())
-        for name, shape in (("clip", (n, self.dim_v)), ("centers", (n,)), ("labels", (n, 2)),
-                            ("frames", (d,)), ("scores", (d,)), ("features", (d, self.dim_o))):
-            if getattr(self, name).shape != shape:
-                raise ValidationError(f"bank block {name!r} is not shaped {shape}")
-        if not (all(isinstance(seg_id, str) for seg_id in self.ids)
-                and len(set(self.ids)) == len(self.ids)
-                and np.isfinite(self.clip).all() and np.isfinite(self.features).all()
-                and ((self.scores >= 0.0) & (self.scores <= 1.0)).all()
-                and (self.labels >= _NO_LABEL).all()
-                and (self.labels < [self.verb_vocab_size, self.noun_vocab_size]).all()):
-            _check_records(self.records, header)
+        """Enforce the bank invariants, naming the first offending record."""
+        _validate(self, [""] * len(self.ids))
 
 
 @dataclass(frozen=True)
@@ -347,39 +385,14 @@ def bank_features(bank: FeatureBank, cfg: AggregationConfig) -> tuple[np.ndarray
 # --- file format --------------------------------------------------------------
 
 
-def _record_to_json(rec: SegmentRecord) -> str:
-    obj: dict = {
-        "segment_id": rec.segment_id,
-        "clip_feature": rec.clip_feature.tolist(),
-        "center": rec.clip_center_frame,
-        "detections": [
-            {"frame": d.frame_index, "score": float(d.score), "feature": d.feature.tolist()}
-            for d in rec.detections
-        ],
-    }
-    if rec.verb_label is not None:
-        obj["verb"] = rec.verb_label
-    if rec.noun_label is not None:
-        obj["noun"] = rec.noun_label
-    return strict_json(obj, separators=(",", ":"))
-
-
-# Sidecar members and their dtypes: the digest, the header ints, the bank's
-# blocks ("detections" holds the counts), and the ids as UTF-32 code points
-# with one length per id, so any str (lone surrogates, NULs) round-trips.
-_SIDECAR_DTYPES = {
-    "digest": np.dtype(np.uint8),
-    "header": np.dtype(np.int64),
-    "clip": np.dtype(np.float64),
-    "features": np.dtype(np.float64),
-    "frames": np.dtype(np.int64),
-    "scores": np.dtype(np.float64),
-    "detections": np.dtype(np.int64),
-    "centers": np.dtype(np.int64),
-    "labels": np.dtype(np.int64),
-    "ids": np.dtype("<u4"),
-    "id_lengths": np.dtype(np.int64),
-}
+# The sidecar members that are not bank blocks: the digest, the header ints,
+# and the ids as UTF-32 code points with one length per id, so any str (lone
+# surrogates, NULs) round-trips.
+_SIDECAR_DTYPES = {"digest": np.dtype(np.uint8), "header": np.dtype(np.int64),
+                   "ids": np.dtype("<u4"), "id_lengths": np.dtype(np.int64)}
+# Every sidecar member, in file order; "detections" holds the counts block.
+_SIDECAR_MEMBERS = ("digest", "header", "clip", "features", "frames", "scores", "detections",
+                    "centers", "labels", "ids", "id_lengths")
 # What np.load and zipfile raise on a sidecar that is missing, empty, not an
 # npz (a bare .npy has no context manager), truncated or corrupted (CRC,
 # headers, unsupported or encrypted members), missing a block, holding
@@ -389,59 +402,54 @@ _SIDECAR_READ_ERRORS = (OSError, EOFError, KeyError, TypeError, ValueError, Runt
 _ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
 
 
-def _sidecar_path(path) -> str:
-    return os.fspath(path) + ".npz"
-
-
-def _sidecar_blocks(bank: FeatureBank, digest: bytes) -> dict[str, np.ndarray]:
+def _write_sidecar(bank: FeatureBank, digest: bytes, path) -> None:
+    """The sidecar in the ``np.savez`` layout (one stored ``<name>.npy``
+    member each) with fixed member timestamps, so equal banks give equal
+    bytes."""
     # The ids as the JSON reads back: json.loads joins an escaped surrogate
     # pair into one character.
     ids = [json.loads(json.dumps(seg_id)).encode("utf-32-le", "surrogatepass")
            for seg_id in bank.ids]
-    blocks = {name: getattr(bank, name) for name in _BLOCKS}
-    blocks.update({
-        "digest": np.frombuffer(digest, dtype=np.uint8),
-        "header": [getattr(bank, k) for k in _HEADER_KEYS],
-        "detections": bank.counts,
-        "ids": np.frombuffer(b"".join(ids), dtype="<u4"),
-        "id_lengths": [len(i) // 4 for i in ids],
-    })
-    return {name: np.asarray(blocks[name], dtype=dtype) for name, dtype in _SIDECAR_DTYPES.items()}
-
-
-def _write_sidecar(blocks: dict[str, np.ndarray], path) -> None:
-    """The ``np.savez`` layout (one stored ``<name>.npy`` member per block)
-    with fixed member timestamps, so equal banks give equal bytes."""
+    members = {name: np.asarray(value, dtype=_SIDECAR_DTYPES[name]) for name, value in (
+        ("digest", list(digest)), ("header", [getattr(bank, k) for k in _HEADER_KEYS]),
+        ("ids", np.frombuffer(b"".join(ids), dtype="<u4")),
+        ("id_lengths", [len(i) // 4 for i in ids]))}
+    members.update({name: getattr(bank, name) for name in _BLOCKS}, detections=bank.counts)
     with zipfile.ZipFile(path, "w") as zf:
-        for name, arr in blocks.items():
+        for name in _SIDECAR_MEMBERS:
             info = zipfile.ZipInfo(name + ".npy", date_time=_ZIP_EPOCH)
             with zf.open(info, "w", force_zip64=True) as fh:
-                np.lib.format.write_array(fh, arr, allow_pickle=False)
+                np.lib.format.write_array(fh, members[name], allow_pickle=False)
+
+
+def _json_lines(bank: FeatureBank):
+    """The header line, then each record's line from its slices of the blocks
+    (a whole block at once would hold every entry as a Python float)."""
+    yield strict_json({k: getattr(bank, k) for k in _HEADER_KEYS}, separators=(",", ":"))
+    ends = np.cumsum(bank.counts).tolist()
+    for i, (seg_id, center, start, end, pair) in enumerate(zip(
+            bank.ids, bank.centers.tolist(), [0] + ends, ends, bank.labels.tolist())):
+        dets = zip(bank.frames[start:end].tolist(), bank.scores[start:end].tolist(),
+                   bank.features[start:end].tolist())
+        yield strict_json({
+            "segment_id": seg_id, "clip_feature": bank.clip[i].tolist(), "center": center,
+            "detections": [{"frame": frame, "score": score, "feature": feature}
+                           for frame, score, feature in dets],
+            **{key: label for key, label in zip(_LABEL_KEYS, pair) if label != _NO_LABEL},
+        }, separators=(",", ":"))
 
 
 def save_feature_bank(bank: FeatureBank, path) -> None:
     """Write the JSON-lines bank, then its sidecar tagged with the SHA-256
     of the JSON bytes just written."""
     bank.validate()
-    header = strict_json({k: getattr(bank, k) for k in _HEADER_KEYS}, separators=(",", ":"))
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        for line in itertools.chain([header], map(_record_to_json, bank.records)):
+        for line in _json_lines(bank):
             data = (line + "\n").encode("utf-8")
             digest.update(data)
             fh.write(data)
-    _write_sidecar(_sidecar_blocks(bank, digest.digest()), _sidecar_path(path))
-
-
-def _parse_int(obj: dict, key: str, where: str, optional: bool = False) -> int | None:
-    if key not in obj:
-        if optional:
-            return None
-        raise ValidationError(f"{where}: missing key {key!r}")
-    val = obj[key]
-    if not isinstance(val, int) or isinstance(val, bool):
-        raise ValidationError(f"{where}: {key!r} must be an integer, got {val!r}")
-    return val
+    _write_sidecar(bank, digest.digest(), os.fspath(path) + ".npz")
 
 
 def _load_sidecar(path, digest: bytes) -> FeatureBank | None:
@@ -451,26 +459,25 @@ def _load_sidecar(path, digest: bytes) -> FeatureBank | None:
     the caller parses the JSON instead."""
     try:
         # np.load leaks the file it opened when a zip fails to open, so it gets a handle
-        with open(_sidecar_path(path), "rb") as fh, np.load(fh, allow_pickle=False) as npz:
+        with open(os.fspath(path) + ".npz", "rb") as fh, np.load(fh, allow_pickle=False) as npz:
             if bytes(npz["digest"]) != digest:
                 return None
-            blocks = {name: npz[name] for name in _SIDECAR_DTYPES}
+            members = {name: npz[name] for name in _SIDECAR_MEMBERS}
     except _SIDECAR_READ_ERRORS:
         return None
-    if not all(isinstance(blocks[name], np.ndarray) and blocks[name].dtype == dtype
-               for name, dtype in _SIDECAR_DTYPES.items()):
-        return None
-    header, id_lengths = blocks["header"], blocks["id_lengths"]
-    if (header.shape != (len(_HEADER_KEYS),) or id_lengths.ndim != 1 or (id_lengths < 0).any()
-            or blocks["ids"].shape != (int(id_lengths.sum()),)):
+    header, id_lengths = members["header"], members["id_lengths"]
+    if not (all(isinstance(members[name], np.ndarray) and members[name].dtype == dtype
+                for name, dtype in _SIDECAR_DTYPES.items())
+            and header.shape == (len(_HEADER_KEYS),) and id_lengths.ndim == 1
+            and (id_lengths >= 0).all() and members["ids"].shape == (int(id_lengths.sum()),)):
         return None
     ends = np.cumsum(id_lengths).tolist()
-    blocks["counts"] = blocks["detections"]
+    members["counts"] = members["detections"]
     try:  # a bank that fails validation here fails the same way from its JSON
-        text = blocks["ids"].tobytes().decode("utf-32-le", "surrogatepass")
+        text = members["ids"].tobytes().decode("utf-32-le", "surrogatepass")
         bank = FeatureBank(**dict(zip(_HEADER_KEYS, header.tolist())),
                            ids=[text[start:end] for start, end in zip([0] + ends, ends)],
-                           **{name: blocks[name] for name in _BLOCKS})
+                           **{name: members[name] for name in _BLOCKS})
         bank.validate()
     except (UnicodeDecodeError, ValidationError):
         return None
@@ -489,7 +496,8 @@ def load_feature_bank(path) -> FeatureBank:
 
 
 def _parse_bank(path, data: bytes) -> FeatureBank:
-    """The bank in the JSON bytes of ``path``, with line diagnostics."""
+    """The bank in the JSON bytes of ``path``: each record line goes
+    straight to the packer, and every fault names its line."""
     lines = read_text(path, data).splitlines()
     if not lines or not lines[0].strip():
         raise ValidationError(f"{path}: missing header line")
@@ -499,59 +507,21 @@ def _parse_bank(path, data: bytes) -> FeatureBank:
         raise ValidationError(f"{path}: line 1: header is not valid JSON: {exc}") from None
     if not isinstance(header, dict):
         raise ValidationError(f"{path}: line 1: header must be an object")
-    for key in _HEADER_KEYS:
-        _parse_int(header, key, f"{path}: line 1")
 
-    records: list[SegmentRecord] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        where = f"{path}: line {lineno}"
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{where}: not valid JSON: {exc}") from None
-        if not isinstance(obj, dict):
-            raise ValidationError(f"{where}: record must be an object")
-        seg_id = obj.get("segment_id")
-        if not isinstance(seg_id, str):
-            raise ValidationError(f"{where}: segment_id must be a string")
-        where = f"{where} (record {seg_id!r})"
-        try:
-            clip = np.array(obj.get("clip_feature", None), dtype=np.float64)
-        except (TypeError, ValueError, OverflowError):  # OverflowError: an int past float range
-            raise ValidationError(f"{where}: clip_feature must be an array of numbers") from None
-        if clip.ndim != 1:
-            raise ValidationError(f"{where}: clip_feature must be a flat array")
-        center = _parse_int(obj, "center", where)
-        dets_raw = obj.get("detections", [])
-        if not isinstance(dets_raw, list):
-            raise ValidationError(f"{where}: detections must be an array")
-        detections = []
-        for j, d in enumerate(dets_raw):
-            if not isinstance(d, dict):
-                raise ValidationError(f"{where}: detection {j} must be an object")
-            frame = _parse_int(d, "frame", f"{where}: detection {j}")
-            score = d.get("score")
-            if not isinstance(score, (int, float)) or isinstance(score, bool):
-                raise ValidationError(f"{where}: detection {j} score must be a number")
+    def rows():
+        for lineno, line in enumerate(lines[1:], start=2):
+            if not line.strip():
+                continue
+            where = f"{path}: line {lineno}"
             try:
-                feat = np.array(d.get("feature", None), dtype=np.float64)
-            except (TypeError, ValueError, OverflowError):
-                raise ValidationError(f"{where}: detection {j} feature must be an array of numbers") from None
-            if feat.ndim != 1:
-                raise ValidationError(f"{where}: detection {j} feature must be a flat array")
-            detections.append(Detection(frame_index=frame, score=score, feature=feat))
-        records.append(SegmentRecord(
-            segment_id=seg_id,
-            clip_feature=clip,
-            clip_center_frame=center,
-            detections=detections,
-            verb_label=_parse_int(obj, "verb", where, optional=True),
-            noun_label=_parse_int(obj, "noun", where, optional=True),
-        ))
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValidationError(f"{where}: not valid JSON: {exc}") from None
+            if not isinstance(obj, dict):
+                raise ValidationError(f"{where}: record must be an object")
+            yield f"{where}: ", obj
 
-    return FeatureBank.from_records(records, **{k: header[k] for k in _HEADER_KEYS})
+    return _pack(rows(), header, f"{path}: line 1: ")
 
 
 def banks_equal(a: FeatureBank, b: FeatureBank) -> bool:

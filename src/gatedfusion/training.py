@@ -247,6 +247,9 @@ def init_model(fusion: str, dim_v: int, dim_o: int, classes: int,
     rng = rng if rng is not None else np.random.default_rng()
     if fusion not in FUSION_KINDS:
         raise ValidationError(f"fusion kind {fusion!r} not one of {FUSION_KINDS}")
+    for name, size in (("dim_v", dim_v), ("dim_o", dim_o), ("classes", classes)):
+        if size < 1:
+            raise ValidationError(f"{name} must be >= 1, got {size}")
     gfa = None
     if fusion == "gfa-a":
         gfa = init_gfa_params(dim_v, dim_o, "a", scale=scale, rng=rng)

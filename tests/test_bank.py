@@ -625,6 +625,23 @@ class TestBankValidate:
         with pytest.raises(ValidationError, match=f"record 'a': .*{field} .* does not fit in int64"):
             load_feature_bank(path)
 
+    @pytest.mark.parametrize("name,kind", [
+        *[(name, np.float64) for name in ("frames", "centers", "labels", "counts")],
+        *[(name, kind) for name in ("clip", "scores", "features")
+          for kind in (np.float32, np.int64)],
+        *[(name, list) for name in bank_module._BLOCKS]])
+    def test_block_of_wrong_dtype_rejected(self, tmp_path, name, kind):
+        # float frames and labels (0.5 too) used to validate, and
+        # bank_features then read the float bits as integers
+        bank = load_feature_bank(_write_lines(tmp_path / "ok.bank"))
+        block = getattr(bank, name)
+        bank = dataclasses.replace(bank, **{name: block.tolist() if kind is list
+                                            else block.astype(kind)})
+        with pytest.raises(ValidationError, match=f"bank block '{name}' must be an array of"):
+            bank.validate()
+        with pytest.raises(ValidationError, match=f"bank block '{name}' must be an array of"):
+            save_feature_bank(bank, tmp_path / "out.bank")
+
 
 # --- binary sidecar -------------------------------------------------------------
 
@@ -803,3 +820,94 @@ class TestSidecar:
         before = sidecar.read_bytes()
         save_feature_bank(bank, path)
         assert sidecar.read_bytes() == before
+
+
+# --- one codec: rows, files and blocks -------------------------------------------
+
+
+def _row_x(center=10, score=0.5, clip=(1.0, 2.0), feature=(0.1, 0.2), verb=0, noun=1):
+    """Record 'x' as a ``SegmentRecord`` and as a bank file line."""
+    rec = SegmentRecord("x", np.array(clip), center, [Detection(10, score, np.array(feature))],
+                        verb, noun)
+    line = json.dumps({"segment_id": "x", "clip_feature": list(clip), "center": center,
+                       "detections": [{"frame": 10, "score": score, "feature": list(feature)}],
+                       "verb": verb, "noun": noun})
+    return rec, line
+
+
+_PINNED_BANK_TEXT = (
+    '{"dim_v":2,"dim_o":2,"verb_vocab_size":2,"noun_vocab_size":3}\n'
+    '{"segment_id":"\\u00e9-1","clip_feature":[-0.0,5e-324],"center":7,"detections":['
+    '{"frame":6,"score":0.25,"feature":[1.5,-2.0]},'
+    '{"frame":9,"score":1.0,"feature":[0.1,1e+300]}],"verb":1,"noun":0}\n'
+    '{"segment_id":"b","clip_feature":[1.0,2.0],"center":-3,"detections":['
+    '{"frame":-3,"score":0.0,"feature":[-0.0,5e-324]}]}\n'
+    '{"segment_id":"c","clip_feature":[0.5,-0.25],"center":0,"detections":[],"noun":2}\n')
+
+
+class TestBlockCodec:
+    @pytest.mark.parametrize("fault,message", [
+        ({"center": "7"}, "'center' must be an integer, got '7'"),
+        ({"center": True}, "'center' must be an integer, got True"),
+        ({"center": 10**30}, f"center {10**30} does not fit in int64"),
+        ({"score": "0.5"}, "detection 0 score must be a number"),
+        ({"score": True}, "detection 0 score must be a number"),
+        ({"score": 10**400}, "detection 0 score must be a number"),
+        ({"clip": (1.0, 2.0, 3.0)}, "clip_feature has dim 3, bank declares dim_v=2"),
+        ({"feature": (float("nan"), 0.0)}, "detection 0 feature has non-finite entries"),
+        ({"verb": -1}, "verb label -1 out of range [0, 3)"),
+        ({"noun": 4}, "noun label 4 out of range [0, 4)"),
+    ], ids=["center-str", "center-bool", "center-10**30", "score-str", "score-bool",
+            "score-10**400", "clip-dim", "feature-nan", "label--1", "label-past-vocab"])
+    def test_records_and_bank_files_fail_alike(self, tmp_path, fault, message):
+        rec, line = _row_x(**fault)
+        good = load_feature_bank(_write_lines(tmp_path / "ok.bank")).records
+        with pytest.raises(ValidationError) as from_records:
+            FeatureBank.from_records(good[:1] + [rec] + good[1:], dim_v=2, dim_o=2,
+                                     verb_vocab_size=3, noun_vocab_size=4)
+        lines = _bank_file_lines()
+        lines.insert(2, line)
+        path = _write_lines(tmp_path / "x.bank", lines)
+        with pytest.raises(ValidationError) as from_file:
+            load_feature_bank(path)
+        assert str(from_records.value) == f"record 'x': {message}"
+        assert str(from_file.value) == f"{path}: line 3: record 'x': {message}"
+
+    def test_saved_text_is_pinned_and_reloads_bit_for_bit(self, tmp_path):
+        bank = FeatureBank.from_records([
+            SegmentRecord("\u00e9-1", np.array([-0.0, 5e-324]), 7,
+                          [Detection(6, 0.25, np.array([1.5, -2.0])),
+                           Detection(9, 1.0, np.array([0.1, 1e300]))], 1, 0),
+            SegmentRecord("b", np.array([1.0, 2.0]), -3,
+                          [Detection(-3, 0.0, np.array([-0.0, 5e-324]))]),
+            SegmentRecord("c", np.array([0.5, -0.25]), 0, [], None, 2),
+        ], dim_v=2, dim_o=2, verb_vocab_size=2, noun_vocab_size=3)
+        path, sidecar = _saved(tmp_path, bank)
+        assert path.read_text(encoding="utf-8") == _PINNED_BANK_TEXT
+        with _json_parse_forbidden():
+            assert_same_bank_bytes(load_feature_bank(path), bank)
+        sidecar.unlink()
+        assert_same_bank_bytes(load_feature_bank(path), bank)
+
+    def test_load_save_and_validate_build_no_rows(self, tmp_path):
+        src = _write_lines(tmp_path / "src.bank")
+        with mock.patch.object(bank_module, "Detection", side_effect=AssertionError), \
+                mock.patch.object(bank_module, "SegmentRecord", side_effect=AssertionError):
+            bank = load_feature_bank(src)
+            bank.validate()
+            path, _ = _saved(tmp_path, bank)
+            assert_same_bank_bytes(load_feature_bank(path), bank)
+
+    def test_save_peak_memory_is_below_the_blocks(self, tmp_path):
+        # Each line is written from its record's slices; converting a whole
+        # block to Python floats at once peaks near 4x the block bytes.
+        bank = synth_generate(dataclasses.replace(BENCHMARK_SPEC, n_segments=500), 3)
+        blocks = sum(getattr(bank, name).nbytes for name in bank_module._BLOCKS)
+        tracemalloc.start()
+        try:
+            save_feature_bank(bank, tmp_path / "m.bank")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert blocks > 4 * 2**20
+        assert peak < 1.5 * blocks

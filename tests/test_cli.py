@@ -20,8 +20,8 @@ from gatedfusion.errors import ValidationError
 from gatedfusion.gfa import ScaleMode
 from gatedfusion.manifest import RunManifest, load_manifest
 from gatedfusion.scoring import ScoreTable, load_score_table, save_score_table
-from gatedfusion.training import (Checkpoint, TrainConfig, grad_check, init_model,
-                                  load_checkpoint, param_groups, save_checkpoint)
+from gatedfusion.training import (FUSION_KINDS, Checkpoint, TrainConfig, grad_check,
+                                  init_model, load_checkpoint, param_groups, save_checkpoint)
 
 
 def run(*argv):
@@ -645,16 +645,20 @@ class TestFuzzedCheckpoints:
 
 
 def tiny_manifests(root):
-    """Valid ``synth``, ``train`` and ``stats`` manifests of tiny runs under ``root``."""
+    """Valid ``synth``, ``train``, ``stats`` and ``gradcheck`` manifests of
+    tiny runs under ``root``."""
     synth(root / "data", train=12, val=4, dim_v=3, dim_o=3, verbs=2, nouns=3, detections=2)
     bank = root / "data/train.bank"
     assert run("train", "--bank", bank, "--val-bank", root / "data/val.bank", "--target",
                "noun", "--fusion", "gfa-a", "--scale", "norm-scalar", "--scale-divisor", 2,
                "--epochs", 1, "--batch-size", 4, "--seed", 0, "--out-dir", root / "train") == 0
     assert run("stats", "--bank", bank, "--out-dir", root / "stats") == 0
+    assert run("gradcheck", "--fusion", "gfa-a", "--scale", "norm", "--dim-v", 3, "--dim-o", 2,
+               "--classes", 2, "--out-dir", root / "gradcheck") == 0
     return {"synth": root / "data/synth.manifest.json",
             "train": root / "train/train.manifest.json",
-            "stats": root / "stats/stats.manifest.json"}
+            "stats": root / "stats/stats.manifest.json",
+            "gradcheck": root / "gradcheck/gradcheck.manifest.json"}
 
 
 _MANIFEST_JUNK = [_DELETE, None, True, False, -1, 0, 1, 2, 3, 1.5, 1e-320, 1e300, float("nan"),
@@ -663,7 +667,7 @@ _MANIFEST_JUNK = [_DELETE, None, True, False, -1, 0, 1, 2, 3, 1.5, 1e-320, 1e300
 # Options whose value is an amount of work: a huge one asks for that much
 # work, which is not an error, so the fuzz below leaves them small.
 _WORK_OPTIONS = {"train_segments", "val_segments", "verbs", "nouns", "dim_v", "dim_o",
-                 "detections", "distractors", "decoys", "epochs"}
+                 "detections", "distractors", "decoys", "epochs", "classes"}
 
 
 class TestFuzzedManifests:
@@ -671,7 +675,7 @@ class TestFuzzedManifests:
     fields, rerun through ``--config``: every run must end in exit 0 or 1."""
 
     @settings(max_examples=120, deadline=None)
-    @given(command=st.sampled_from(["synth", "train", "stats"]),
+    @given(command=st.sampled_from(["synth", "train", "stats", "gradcheck"]),
            edits=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(_MANIFEST_JUNK)),
                           min_size=1, max_size=3))
     def test_rerun_exits_zero_or_one(self, command, edits):
@@ -753,6 +757,18 @@ class TestGradcheckCommand:
                  "--out-dir", tmp_path)
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("option", ["--dim-v", "--dim-o", "--classes"])
+    @pytest.mark.parametrize("fusion", FUSION_KINDS)
+    def test_size_below_one_is_exit_one(self, tmp_path, capsys, fusion, option, value):
+        # clip-only and concat used to redraw an empty object feature forever
+        start = time.perf_counter()
+        assert run("gradcheck", "--fusion", fusion, option, value, "--out-dir", tmp_path) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert f"{option[2:].replace('-', '_')} must be >= 1, got {value}" in err
+        assert "Traceback" not in err
 
     def test_unknown_fusion_is_usage_error(self, tmp_path, capsys):
         rc = run("gradcheck", "--fusion", "bogus", "--out-dir", tmp_path)
