@@ -20,11 +20,11 @@ from .bank import (Detection, SegmentRecord, FeatureBank, AggregationConfig,
                    SynthSpec, context_window, select_top_k, maxpool_features,
                    aggregate_object_feature, bank_features, load_feature_bank,
                    save_feature_bank, banks_equal, synth_generate, bank_stats)
-from .training import (FUSION_KINDS, Head, Model, ModelSpec, TrainConfig,
+from .training import (FUSION_KINDS, TARGETS, Head, Model, ModelSpec, TrainConfig,
                        Checkpoint, softmax, cross_entropy, forward_model,
                        model_backward, loss_and_grads, sgd_momentum_step,
                        init_model, train, grad_check, save_checkpoint,
-                       load_checkpoint)
+                       load_checkpoint, target_labels, fit_labels)
 from .scoring import (ActionPrior, ScoreTable, compute_prior, prior_from_pairs,
                       uniform_prior, prior_stats, reweight_actions, late_fuse,
                       topk_accuracy, score_actions_for_bank, action_index,

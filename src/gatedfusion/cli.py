@@ -36,9 +36,9 @@ from .manifest import RunManifest, load_manifest, write_manifest
 from .scoring import (ScoreTable, compute_prior, load_prior, load_score_table, prior_stats,
                       save_prior, save_score_table, score_actions_for_bank,
                       topk_accuracy, uniform_prior)
-from .training import (Checkpoint, FUSION_KINDS, ModelSpec, TrainConfig,
-                       forward_model, grad_check, init_model, load_checkpoint,
-                       save_checkpoint, softmax, train)
+from .training import (Checkpoint, FUSION_KINDS, TARGETS, ModelSpec, TrainConfig,
+                       fit_labels, forward_model, grad_check, init_model, load_checkpoint,
+                       save_checkpoint, softmax, target_labels, train)
 
 _REQUIRED = object()
 
@@ -121,9 +121,12 @@ def _option_takes(kwargs: dict, val) -> bool:
     return ok and ("choices" not in kwargs or val in kwargs["choices"])
 
 
+_DIVISOR_KINDS = ("scalar", "norm-scalar")  # the scale kinds that read --scale-divisor
+
+
 def _scale_mode(cfg: dict) -> ScaleMode:
     kind = cfg["scale"]
-    if kind in ("scalar", "norm-scalar"):
+    if kind in _DIVISOR_KINDS:
         return ScaleMode(kind=kind, s=cfg["scale_divisor"])
     return ScaleMode(kind=kind)
 
@@ -161,6 +164,9 @@ def _cmd_synth(cfg: dict, out: Path):
 def _cmd_train(cfg: dict, out: Path):
     # The options are checked before any bank loads; an estimated divisor
     # replaces the given one.
+    if cfg["estimate_divisor"] and cfg["scale"] not in _DIVISOR_KINDS:
+        raise _UsageError(f"--estimate-divisor needs --scale {' or '.join(_DIVISOR_KINDS)}, "
+                          f"got {cfg['scale']!r}")
     agg = AggregationConfig(k=cfg["k"], window=cfg["window"])
     scale = None if cfg["estimate_divisor"] else _scale_mode(cfg)
     tc = TrainConfig(learning_rate=cfg["lr"], momentum=cfg["momentum"],
@@ -174,11 +180,10 @@ def _cmd_train(cfg: dict, out: Path):
     spec = ModelSpec(fusion=cfg["fusion"], scale=scale, aggregation=agg)
     model, history = train(bank, cfg["target"], spec, tc, val_bank)
 
-    classes = bank.verb_vocab_size if cfg["target"] == "verb" else bank.noun_vocab_size
     ckpt_path, hist_path = out / "checkpoint.json", out / "history.json"
     save_checkpoint(Checkpoint(model=model, target=cfg["target"], dim_v=bank.dim_v,
-                               dim_o=bank.dim_o, classes=classes, aggregation=agg,
-                               train_config=tc), ckpt_path)
+                               dim_o=bank.dim_o, classes=target_labels(bank, cfg["target"])[1],
+                               aggregation=agg, train_config=tc), ckpt_path)
     _write_json(history, hist_path)
 
     last = history[-1]
@@ -196,22 +201,13 @@ def _cmd_train(cfg: dict, out: Path):
 def _cmd_eval(cfg: dict, out: Path):
     ckpt = load_checkpoint(cfg["checkpoint"])
     bank = load_feature_bank(cfg["bank"])
-    if (bank.dim_v, bank.dim_o) != (ckpt.dim_v, ckpt.dim_o):
-        raise ValidationError(
-            f"bank dims ({bank.dim_v}, {bank.dim_o}) do not match checkpoint "
-            f"({ckpt.dim_v}, {ckpt.dim_o})")
-    vocab = bank.verb_vocab_size if ckpt.target == "verb" else bank.noun_vocab_size
-    if vocab != ckpt.classes:
-        raise ValidationError(
-            f"bank {ckpt.target} vocab is {vocab}, checkpoint expects {ckpt.classes}")
-
+    labels = fit_labels(bank, ckpt.target, (ckpt.dim_v, ckpt.dim_o), ckpt.classes, "checkpoint")
     scores, _ = forward_model(ckpt.model, *bank_features(bank, ckpt.aggregation))
     table = ScoreTable(segment_ids=list(bank.ids), scores=softmax(scores), space=ckpt.target)
     table_path = out / "scores.txt"
     save_score_table(table, table_path)
 
     report: dict = {"target": ckpt.target, "segments": len(bank.ids)}
-    labels = bank.labels[:, 0 if ckpt.target == "verb" else 1]
     if (labels >= 0).all():
         report["top1"] = topk_accuracy(table, labels, 1)
         report["top5"] = topk_accuracy(table, labels, 5)
@@ -310,7 +306,7 @@ def _param_default(func, name: str):
 
 
 _INT, _FLOAT, _SWITCH = {"type": int}, {"type": _finite_float}, {"action": "store_true"}
-_SCALE_OPTIONS = [("--scale", ScaleMode.kind, {"choices": SCALE_KINDS}),
+_SCALE_OPTIONS = [("--scale", ScaleMode.kind, {"choices": SCALE_KINDS, "help": "gfa-a only"}),
                   ("--scale-divisor", ScaleMode.s, _FLOAT)]
 
 # command -> (handler, help, options), one (flag, default, argparse keywords)
@@ -346,7 +342,7 @@ _COMMANDS = {
     "train": (_cmd_train, "train a classifier head on a feature bank", [
         ("--bank", _REQUIRED, {}),
         ("--val-bank", None, {}),
-        ("--target", _REQUIRED, {"choices": ("verb", "noun")}),
+        ("--target", _REQUIRED, {"choices": TARGETS}),
         ("--fusion", _REQUIRED, {"choices": FUSION_KINDS}),
         *_SCALE_OPTIONS,
         ("--estimate-divisor", False,

@@ -10,6 +10,11 @@ as possible.  Four fusion kinds are supported:
 * ``gfa-a``     -- head over the gated concatenation.
 * ``gfa-b``     -- head over the gated clip feature.
 
+The table ``_FUSIONS`` gives each kind's gate variant and whether its head
+reads ``[v, o]``; every parameter shape and code path follows from it.  Only
+a ``gfa-a`` gate scales the object feature.  ``save_checkpoint`` and
+``load_checkpoint`` run one check of the checkpoint contract.
+
 Training is SGD with momentum, mini-batch gradients averaged over the
 batch, and everything (init, shuffling) drawn from one seeded generator,
 so a run is bitwise reproducible from its config.
@@ -42,6 +47,7 @@ from .tensor import affine, affine_vjp, concat, concat_vjp
 
 __all__ = [
     "FUSION_KINDS",
+    "TARGETS",
     "Head",
     "Model",
     "ModelSpec",
@@ -55,13 +61,19 @@ __all__ = [
     "sgd_momentum_step",
     "init_model",
     "param_groups",
+    "target_labels",
+    "fit_labels",
     "train",
     "grad_check",
     "save_checkpoint",
     "load_checkpoint",
 ]
 
-FUSION_KINDS = ("clip-only", "concat", "gfa-a", "gfa-b")
+# fusion kind -> (gate variant, None for no gate; whether the head reads [v, o])
+_FUSIONS = {"clip-only": (None, False), "concat": (None, True),
+            "gfa-a": ("a", True), "gfa-b": ("b", False)}
+FUSION_KINDS = tuple(_FUSIONS)
+TARGETS = ("verb", "noun")  # in the order of a bank's label columns
 
 _PROB_FLOOR = 1e-12
 
@@ -87,19 +99,12 @@ class Model:
 
     def __post_init__(self) -> None:
         if self.fusion_kind not in FUSION_KINDS:
-            raise ValidationError(
-                f"fusion kind {self.fusion_kind!r} not one of {FUSION_KINDS}")
-        needs_gfa = self.fusion_kind in ("gfa-a", "gfa-b")
-        if needs_gfa and self.gfa is None:
-            raise ValidationError(f"fusion kind {self.fusion_kind!r} requires gfa params")
-        if not needs_gfa and self.gfa is not None:
-            raise ValidationError(f"fusion kind {self.fusion_kind!r} must not carry gfa params")
-        if self.gfa is not None:
-            expected = "a" if self.fusion_kind == "gfa-a" else "b"
-            if self.gfa.variant != expected:
-                raise ValidationError(
-                    f"fusion kind {self.fusion_kind!r} needs variant {expected!r} params, "
-                    f"got {self.gfa.variant!r}")
+            raise ValidationError(f"fusion kind {self.fusion_kind!r} not one of {FUSION_KINDS}")
+        want = _FUSIONS[self.fusion_kind][0]
+        have = None if self.gfa is None else self.gfa.variant
+        if have != want:  # a variant of None is no gfa params
+            raise ValidationError(f"fusion kind {self.fusion_kind!r} needs gfa variant "
+                                  f"{want!r}, got {have!r}")
 
 
 @dataclass(frozen=True)
@@ -170,20 +175,12 @@ def forward_model(model: Model, v: np.ndarray,
     if v.shape[:-1] != o_agg.shape[:-1]:
         raise ShapeError(
             f"v has leading shape {v.shape[:-1]}, o has {o_agg.shape[:-1]}")
-    kind = model.fusion_kind
-    gfa_cache = None
-    if kind == "clip-only":
-        feature = v
-    elif kind == "concat":
-        feature = concat(v, o_agg)
-    else:
+    variant, both = _FUSIONS[model.fusion_kind]
+    if variant is not None:
         feature, gfa_cache = gfa_forward(v, o_agg, model.gfa)
-    W = model.head.W
-    if feature.shape[-1] != W.shape[1]:
-        raise ShapeError(
-            f"head expects input dim {W.shape[1]}, got {kind} feature of dim "
-            f"{feature.shape[-1]}")
-    scores = affine(feature, W, model.head.b)
+    else:
+        feature, gfa_cache = (concat(v, o_agg) if both else v), None
+    scores = affine(feature, model.head.W, model.head.b)
     return scores, ModelCache(v=v, o=o_agg, feature=feature, gfa_cache=gfa_cache)
 
 
@@ -192,7 +189,8 @@ def model_backward(model: Model, cache: ModelCache, dscores: np.ndarray,
     """Gradients for every parameter group, summed over rows, plus both
     inputs (``v`` and ``o``, left out when ``inputs`` is False), keyed by
     name."""
-    gated = model.gfa is not None  # the gate's backward reads the head's input gradient
+    variant, both = _FUSIONS[model.fusion_kind]
+    gated = variant is not None  # the gate's backward reads the head's input gradient
     dfeat, dW_head, db_head = affine_vjp(cache.feature, model.head.W, model.head.b,
                                          dscores, inputs=inputs or gated)
     grads = {"head.W": dW_head, "head.b": db_head}
@@ -201,10 +199,8 @@ def model_backward(model: Model, cache: ModelCache, dscores: np.ndarray,
                                                               dfeat, inputs=inputs)
     if not inputs:
         return grads
-    if model.fusion_kind == "clip-only":
-        dv, do = dfeat, np.zeros_like(cache.o)
-    elif model.fusion_kind == "concat":
-        dv, do = concat_vjp(cache.v, cache.o, dfeat)
+    if not gated:
+        dv, do = concat_vjp(cache.v, cache.o, dfeat) if both else (dfeat, np.zeros_like(cache.o))
     grads["v"], grads["o"] = dv, do
     return grads
 
@@ -235,48 +231,70 @@ def sgd_momentum_step(params: np.ndarray, grads: np.ndarray, velocity: np.ndarra
     return params - lr * new_velocity, new_velocity
 
 
-def _feature_dim(fusion: str, dim_v: int, dim_o: int) -> int:
-    return dim_v if fusion in ("clip-only", "gfa-b") else dim_v + dim_o
+def _param_shapes(fusion: str, dim_v: int, dim_o: int, classes: int) -> dict[str, tuple]:
+    """The shape of each parameter group of a ``fusion`` model, keyed as in
+    ``param_groups``."""
+    variant, both = _FUSIONS[fusion]
+    width = dim_v + dim_o if both else dim_v  # of the head's input, and of the gate's output
+    gate = {} if variant is None else {
+        "gfa.W": (width, dim_v + dim_o if variant == "a" else dim_o), "gfa.b": (width,)}
+    return {**gate, "head.W": (classes, width), "head.b": (classes,)}
 
 
 def init_model(fusion: str, dim_v: int, dim_o: int, classes: int,
                scale: ScaleMode | None = None,
                rng: np.random.Generator | None = None) -> Model:
     """Fresh model; gate params (if any) are drawn before the head so the
-    stream of random numbers is fixed per fusion kind."""
+    stream of random numbers is fixed per fusion kind.  Only a variant-``a``
+    gate takes a scale other than ``none``."""
     rng = rng if rng is not None else np.random.default_rng()
     if fusion not in FUSION_KINDS:
         raise ValidationError(f"fusion kind {fusion!r} not one of {FUSION_KINDS}")
     for name, size in (("dim_v", dim_v), ("dim_o", dim_o), ("classes", classes)):
         if size < 1:
             raise ValidationError(f"{name} must be >= 1, got {size}")
-    gfa = None
-    if fusion == "gfa-a":
-        gfa = init_gfa_params(dim_v, dim_o, "a", scale=scale, rng=rng)
-    elif fusion == "gfa-b":
-        gfa = init_gfa_params(dim_v, dim_o, "b", scale=scale, rng=rng)
-    feat_dim = _feature_dim(fusion, dim_v, dim_o)
-    bound = 1.0 / np.sqrt(feat_dim)
-    head = Head(W=rng.uniform(-bound, bound, size=(classes, feat_dim)),
-                b=np.zeros(classes))
+    variant = _FUSIONS[fusion][0]
+    if variant != "a" and scale is not None and scale.kind != "none":
+        raise ValidationError(f"fusion kind {fusion!r} takes scale 'none', got {scale.kind!r}")
+    gfa = None if variant is None else init_gfa_params(dim_v, dim_o, variant, scale=scale, rng=rng)
+    shape = _param_shapes(fusion, dim_v, dim_o, classes)["head.W"]
+    bound = 1.0 / np.sqrt(shape[1])
+    head = Head(W=rng.uniform(-bound, bound, size=shape), b=np.zeros(classes))
     return Model(fusion_kind=fusion, head=head, gfa=gfa)
 
 
 def param_groups(model: Model) -> dict[str, np.ndarray]:
     groups = {"head.W": model.head.W, "head.b": model.head.b}
     if model.gfa is not None:
-        groups["gfa.W"] = model.gfa.W
-        groups["gfa.b"] = model.gfa.b
+        groups.update({"gfa.W": model.gfa.W, "gfa.b": model.gfa.b})
     return groups
 
 
-def _bank_labels(bank: FeatureBank, target: str) -> np.ndarray:
-    if target not in ("verb", "noun"):
+def target_labels(bank: FeatureBank, target: str) -> tuple[np.ndarray, int]:
+    """``bank``'s label column for ``target`` (-1 where a record has no
+    label) and the size of that vocab."""
+    if target not in TARGETS:
         raise ValidationError(f"target must be 'verb' or 'noun', got {target!r}")
-    labels = bank.labels[:, 0 if target == "verb" else 1]
+    column = TARGETS.index(target)
+    return bank.labels[:, column], (bank.verb_vocab_size, bank.noun_vocab_size)[column]
+
+
+def fit_labels(bank: FeatureBank, target: str, dims: tuple[int, int], classes: int,
+               model: str) -> np.ndarray:
+    """``bank``'s ``target`` labels, once its dims and vocab fit a model
+    built for ``dims`` and ``classes``; ``model`` names it in an error."""
+    labels, vocab = target_labels(bank, target)
+    if (bank.dim_v, bank.dim_o) != dims:
+        raise ValidationError(
+            f"bank dims ({bank.dim_v}, {bank.dim_o}) do not match {model} {dims}")
+    if vocab != classes:
+        raise ValidationError(f"bank {target} vocab is {vocab}, {model} expects {classes}")
+    return labels
+
+
+def _require_labels(bank: FeatureBank, labels: np.ndarray, target: str) -> None:
     if (labels < 0).any():
         raise ValidationError(f"record {bank.ids[np.argmax(labels < 0)]!r} has no {target} label")
-    return labels
 
 
 def _top1_accuracy(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -299,21 +317,18 @@ def train(bank: FeatureBank, target: str, spec: ModelSpec, cfg: TrainConfig,
         raise ValidationError("cannot train on an empty bank")
     if val_bank is not None and not val_bank.ids:
         raise ValidationError("cannot validate on an empty bank")
-    labels = _bank_labels(bank, target)
-    classes = bank.verb_vocab_size if target == "verb" else bank.noun_vocab_size
-    V, O = bank_features(bank, spec.aggregation)
-    val_data = None
+    labels, classes = target_labels(bank, target)
+    _require_labels(bank, labels, target)
     if val_bank is not None:
-        if (val_bank.dim_v, val_bank.dim_o) != (bank.dim_v, bank.dim_o):
-            raise ValidationError(
-                f"validation bank dims ({val_bank.dim_v}, {val_bank.dim_o}) differ from "
-                f"training bank ({bank.dim_v}, {bank.dim_o})")
-        val_data = (*bank_features(val_bank, spec.aggregation),
-                    _bank_labels(val_bank, target))
-
+        val_labels = fit_labels(val_bank, target, (bank.dim_v, bank.dim_o), classes,
+                                "training bank")
+        _require_labels(val_bank, val_labels, target)
     rng = np.random.default_rng(cfg.seed)
     model = init_model(spec.fusion, bank.dim_v, bank.dim_o, classes,
                        scale=spec.scale, rng=rng)
+    V, O = bank_features(bank, spec.aggregation)
+    val_data = (None if val_bank is None
+                else (*bank_features(val_bank, spec.aggregation), val_labels))
     # SGD writes into these arrays, which are the model's own parameters.
     params = param_groups(model)
     velocity = {name: np.zeros_like(arr) for name, arr in params.items()}
@@ -426,7 +441,31 @@ def _matrix_from_obj(obj: dict, name: str) -> np.ndarray:
     return arr.reshape(rows, cols)
 
 
+def _check_checkpoint(ckpt: Checkpoint) -> None:
+    """The checkpoint contract, checked before a save and after a load: a
+    verb or noun target, integer dims and class count of at least 1, and
+    every parameter group finite and shaped as its fusion kind says."""
+    if ckpt.target not in TARGETS:
+        raise ValidationError(f"target must be 'verb' or 'noun', got {ckpt.target!r}")
+    for name in ("dim_v", "dim_o", "classes"):
+        val = getattr(ckpt, name)
+        if not isinstance(val, int) or isinstance(val, bool) or val < 1:
+            raise ValidationError(f"{name!r} must be an integer >= 1, got {val!r}")
+    fusion = ckpt.model.fusion_kind
+    shapes = _param_shapes(fusion, ckpt.dim_v, ckpt.dim_o, ckpt.classes)
+    for name, arr in param_groups(ckpt.model).items():
+        if arr.shape != shapes[name]:
+            raise ValidationError(f"{name} has shape {arr.shape}, expected {shapes[name]} for "
+                                  f"fusion {fusion!r}, dims {ckpt.dim_v}/{ckpt.dim_o}")
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError(f"{name} has non-finite entries")
+
+
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
+    """Write ``ckpt`` as JSON; one that breaks the contract
+    ``load_checkpoint`` checks raises ``ValidationError`` and writes nothing."""
+    _check_checkpoint(ckpt)
+    g = ckpt.model.gfa
     obj = {
         "format": _CHECKPOINT_FORMAT,
         "fusion_kind": ckpt.model.fusion_kind,
@@ -437,23 +476,17 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "aggregation": asdict(ckpt.aggregation),
         "train_config": asdict(ckpt.train_config),
         "head": {"W": _matrix_obj(ckpt.model.head.W), "b": ckpt.model.head.b.tolist()},
-        "gfa": None,
+        "gfa": None if g is None else {"variant": g.variant, "scale": asdict(g.scale),
+                                       "W": _matrix_obj(g.W), "b": g.b.tolist()},
     }
-    if ckpt.model.gfa is not None:
-        g = ckpt.model.gfa
-        obj["gfa"] = {
-            "variant": g.variant,
-            "scale": asdict(g.scale),
-            "W": _matrix_obj(g.W),
-            "b": g.b.tolist(),
-        }
     text = strict_json(obj, indent=1)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text + "\n")
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Parse and validate a checkpoint; shape-inconsistent files are rejected."""
+    """Parse and check a checkpoint; every fault is a ``ValidationError``
+    naming ``path``."""
     try:
         obj = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
@@ -461,57 +494,23 @@ def load_checkpoint(path) -> Checkpoint:
     if not isinstance(obj, dict) or obj.get("format") != _CHECKPOINT_FORMAT:
         raise ValidationError(f"{path}: not a {_CHECKPOINT_FORMAT} file")
     try:
-        fusion = obj["fusion_kind"]
-        target = obj["target"]
-        dim_v, dim_o, classes = obj["dim_v"], obj["dim_o"], obj["classes"]
-        agg = AggregationConfig(k=obj["aggregation"]["k"],
-                                window=obj["aggregation"]["window"])
-        tc = obj["train_config"]
-        train_config = TrainConfig(**{f.name: tc[f.name] for f in fields(TrainConfig)})
-        head_W = _matrix_from_obj(obj["head"]["W"], "head.W")
-        head_b = np.array(obj["head"]["b"], dtype=np.float64)
-        gfa_obj = obj["gfa"]
-        if gfa_obj is not None:
-            scale = ScaleMode(**gfa_obj.get("scale", {}))  # absent fields take their defaults
-            gfa_W = _matrix_from_obj(gfa_obj["W"], "gfa.W")
-            gfa_b = np.array(gfa_obj["b"], dtype=np.float64)
-            variant = gfa_obj.get("variant")
+        g, tc, agg = obj["gfa"], obj["train_config"], obj["aggregation"]
+        gfa = None if g is None else GfaParams(
+            variant=g.get("variant"), W=_matrix_from_obj(g["W"], "gfa.W"),
+            b=np.array(g["b"], dtype=np.float64),
+            scale=ScaleMode(**g.get("scale", {})))  # absent fields take their defaults
+        head = Head(W=_matrix_from_obj(obj["head"]["W"], "head.W"),
+                    b=np.array(obj["head"]["b"], dtype=np.float64))
+        ckpt = Checkpoint(
+            model=Model(fusion_kind=obj["fusion_kind"], head=head, gfa=gfa),
+            target=obj["target"], dim_v=obj["dim_v"], dim_o=obj["dim_o"], classes=obj["classes"],
+            aggregation=AggregationConfig(k=agg["k"], window=agg["window"]),
+            train_config=TrainConfig(**{f.name: tc[f.name] for f in fields(TrainConfig)}))
+        _check_checkpoint(ckpt)
     except (KeyError, TypeError, AttributeError):
         raise ValidationError(f"{path}: missing checkpoint fields") from None
-    except ValidationError as exc:  # a config value its own class rejects
+    except (ValidationError, ShapeError) as exc:  # a value its own class or the contract rejects
         raise ValidationError(f"{path}: {exc}") from None
     except (ValueError, OverflowError):  # OverflowError: an int past float range
         raise ValidationError(f"{path}: checkpoint weights must be arrays of numbers") from None
-    for key, val in (("dim_v", dim_v), ("dim_o", dim_o), ("classes", classes)):
-        if not isinstance(val, int) or isinstance(val, bool):
-            raise ValidationError(f"{path}: {key!r} must be an integer, got {val!r}")
-    weights = {"head.W": head_W, "head.b": head_b}
-    if gfa_obj is not None:
-        weights.update({"gfa.W": gfa_W, "gfa.b": gfa_b})
-    for name, arr in weights.items():
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError(f"{path}: {name} has non-finite entries")
-
-    feat_dim = _feature_dim(fusion, dim_v, dim_o)
-    if head_W.shape != (classes, feat_dim):
-        raise ValidationError(
-            f"{path}: head.W is {head_W.shape[0]}x{head_W.shape[1]}, expected "
-            f"{classes}x{feat_dim} for fusion {fusion!r}")
-    if head_b.shape != (classes,):
-        raise ValidationError(f"{path}: head.b has dim {head_b.size}, expected {classes}")
-
-    gfa = None
-    if gfa_obj is not None:
-        expected = (dim_v + dim_o, dim_v + dim_o) if variant == "a" else (dim_v, dim_o)
-        if gfa_W.shape != expected:
-            raise ValidationError(
-                f"{path}: gfa.W is {gfa_W.shape[0]}x{gfa_W.shape[1]}, expected "
-                f"{expected[0]}x{expected[1]} for variant {variant!r}")
-        if gfa_b.shape != (gfa_W.shape[0],):
-            raise ValidationError(
-                f"{path}: gfa.b has dim {gfa_b.size}, expected {gfa_W.shape[0]}")
-        gfa = GfaParams(variant=variant, W=gfa_W, b=gfa_b, scale=scale)
-
-    model = Model(fusion_kind=fusion, head=Head(W=head_W, b=head_b), gfa=gfa)
-    return Checkpoint(model=model, target=target, dim_v=dim_v, dim_o=dim_o,
-                      classes=classes, aggregation=agg, train_config=train_config)
+    return ckpt

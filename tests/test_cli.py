@@ -142,6 +142,50 @@ class TestTrainEval:
         assert "cannot validate on an empty bank" in capsys.readouterr().err
         assert not list((tmp_path / "run").iterdir())
 
+    def test_val_bank_with_another_vocab_is_exit_one_before_any_write(self, tmp_path, capsys):
+        synth(tmp_path / "data", train=20, val=5, nouns=20)
+        synth(tmp_path / "wide", train=5, val=30, nouns=40)
+        assert load_feature_bank(tmp_path / "wide/val.bank").labels[:, 1].max() > 19
+        capsys.readouterr()
+        assert run("train", "--bank", tmp_path / "data/train.bank",
+                   "--val-bank", tmp_path / "wide/val.bank", "--target", "noun",
+                   "--fusion", "gfa-a", "--epochs", 1, "--seed", 0,
+                   "--out-dir", tmp_path / "run") == 1
+        err = capsys.readouterr().err
+        assert "bank noun vocab is 40, training bank expects 20" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run/checkpoint.json").exists()
+        assert not (tmp_path / "run/history.json").exists()
+
+    @pytest.mark.parametrize("scale", ["none", "norm"])
+    def test_estimate_divisor_needs_a_divisor_scale(self, tmp_path, capsys, scale):
+        # checked before any bank loads: the bank path does not exist
+        flags = [] if scale == "none" else ["--scale", scale]
+        assert run("train", "--bank", tmp_path / "missing.bank", "--target", "noun",
+                   "--fusion", "gfa-a", *flags, "--estimate-divisor", "--seed", 0,
+                   "--out-dir", tmp_path / "run") == 1
+        err = capsys.readouterr().err
+        assert f"--estimate-divisor needs --scale scalar or norm-scalar, got '{scale}'" in err
+        assert "Traceback" not in err
+        assert not list((tmp_path / "run").iterdir())
+
+    @pytest.mark.parametrize("scale", ["scalar", "norm", "norm-scalar"])
+    @pytest.mark.parametrize("fusion", ["clip-only", "concat", "gfa-b"])
+    @pytest.mark.parametrize("command", ["train", "gradcheck"])
+    def test_scale_outside_gfa_a_is_exit_one(self, tmp_path, capsys, command, fusion, scale):
+        argv = ["gradcheck"]
+        if command == "train":
+            synth(tmp_path / "data", train=8, val=4, dim_v=3, dim_o=3, verbs=2, nouns=3)
+            argv = ["train", "--bank", tmp_path / "data/train.bank", "--target", "noun",
+                    "--epochs", 1, "--seed", 0]
+        capsys.readouterr()
+        assert run(*argv, "--fusion", fusion, "--scale", scale, "--scale-divisor", 2,
+                   "--out-dir", tmp_path / "run") == 1
+        err = capsys.readouterr().err
+        assert f"fusion kind '{fusion}' takes scale 'none', got '{scale}'" in err
+        assert "Traceback" not in err
+        assert not list((tmp_path / "run").iterdir())
+
     def test_eval_deterministic(self, tmp_path):
         synth(tmp_path / "data", train=30, val=10)
         run("train", "--bank", tmp_path / "data/train.bank", "--target", "verb",
@@ -637,6 +681,28 @@ class TestFuzzedCheckpoints:
         ckpt.write_text(json.dumps(obj))
         assert run("eval", "--checkpoint", ckpt, "--bank", bank,
                    "--out-dir", tmp_path / "eval") == 1
+
+    @pytest.mark.parametrize("edit", [
+        lambda obj: obj.update(target="action"),
+        lambda obj: obj.update(target="bogus"),
+        lambda obj: obj.update(target=3),
+        lambda obj: obj.update(fusion_kind="bogus"),
+        lambda obj: obj.update(gfa=None),
+        lambda obj: obj.update(fusion_kind="clip-only"),  # keeps its gfa block
+        lambda obj: obj["gfa"].update(variant="b"),
+        lambda obj: obj["head"]["b"].append(0.0),
+        lambda obj: obj["gfa"]["b"].pop(),
+    ], ids=["target-action", "target-bogus", "target-3", "fusion-bogus", "gfa-a-without-gfa",
+            "clip-only-with-gfa", "variant-b-in-gfa-a", "head-b-length", "gfa-b-length"])
+    def test_tampered_checkpoint_error_names_the_file(self, tmp_path, capsys, edit):
+        bank, ckpt = tiny_eval_inputs(tmp_path)
+        obj = json.loads(ckpt.read_text())
+        edit(obj)
+        ckpt.write_text(json.dumps(obj))
+        assert run("eval", "--checkpoint", ckpt, "--bank", bank,
+                   "--out-dir", tmp_path / "eval") == 1
+        assert capsys.readouterr().err.startswith(f"gatedfusion: error: {ckpt}: ")
+        assert not (tmp_path / "eval/scores.txt").exists()
 
     def test_unedited_checkpoint_passes(self, tmp_path):
         bank, ckpt = tiny_eval_inputs(tmp_path)

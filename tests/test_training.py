@@ -1,6 +1,8 @@
+import importlib.util
 import json
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -324,6 +326,23 @@ class TestTrain:
         with pytest.raises(ValidationError):
             train(bank, "action", ModelSpec(fusion="clip-only"), TrainConfig(epochs=1))
 
+    @pytest.mark.parametrize("val_spec,message", [
+        (SynthSpec(n_segments=10, noun_vocab=40), "bank noun vocab is 40, training bank expects 20"),
+        (SynthSpec(n_segments=10, noun_vocab=20, dim_o=9),
+         "bank dims (16, 9) do not match training bank (16, 16)"),
+    ], ids=["vocab", "dims"])
+    def test_val_bank_that_does_not_fit_is_rejected_before_any_work(self, monkeypatch,
+                                                                     val_spec, message):
+        bank = synth_generate(SynthSpec(n_segments=20, noun_vocab=20), 0, "train")
+        val_bank = synth_generate(val_spec, 0, "val")
+        assert bank.dim_v == 16 and bank.dim_o == 16
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("features aggregated before the fit check")
+        monkeypatch.setattr("gatedfusion.training.bank_features", no_work)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            train(bank, "noun", ModelSpec(fusion="gfa-a"), TrainConfig(epochs=1), val_bank)
+
 
 class TestTrainConfig:
     def test_momentum_range(self):
@@ -452,6 +471,29 @@ class TestCheckpoint:
         with pytest.raises(ValidationError, match="^" + re.escape(f"{path}: {message}")):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("fusion", ["clip-only", "concat", "gfa-a", "gfa-b"])
+    def test_save_load_save_is_byte_identical(self, tmp_path, fusion):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        # only gfa-a scales; the helper's default scale would be rejected for gfa-b
+        scale = ScaleMode.none() if fusion == "gfa-b" else None
+        save_checkpoint(self._checkpoint(fusion=fusion, scale=scale), first)
+        save_checkpoint(load_checkpoint(first), second)
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda ckpt: setattr(ckpt, "classes", 6), "head.W has shape (5, 7), expected (6, 7)"),
+        (lambda ckpt: setattr(ckpt, "dim_v", 5), "head.W has shape (5, 7), expected (5, 8)"),
+        (lambda ckpt: setattr(ckpt, "target", "action"),
+         "target must be 'verb' or 'noun', got 'action'"),
+    ], ids=["classes", "dim_v", "target"])
+    def test_save_rejects_what_load_rejects(self, tmp_path, edit, message):
+        ckpt = self._checkpoint()
+        edit(ckpt)
+        path = tmp_path / "ckpt.json"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            save_checkpoint(ckpt, path)
+        assert not path.exists()
+
     def test_missing_weights_rejected(self, tmp_path):
         path = tmp_path / "ckpt.json"
         save_checkpoint(self._checkpoint(), path)
@@ -465,6 +507,14 @@ class TestCheckpoint:
 
 
 class TestModelInvariants:
+    @pytest.mark.parametrize("scale", ["scalar", "norm", "norm-scalar"])
+    @pytest.mark.parametrize("fusion", ["clip-only", "concat", "gfa-b"])
+    def test_scale_is_for_gfa_a_only(self, fusion, scale):
+        with pytest.raises(ValidationError,
+                           match=f"fusion kind '{fusion}' takes scale 'none', got '{scale}'"):
+            init_model(fusion, 4, 3, 2, scale=ScaleMode(kind=scale, s=2.0),
+                       rng=np.random.default_rng(0))
+
     def test_fusion_kind_gfa_consistency(self):
         head = Head(W=np.zeros((2, 2)), b=np.zeros(2))
         with pytest.raises(ValidationError):
@@ -474,3 +524,39 @@ class TestModelInvariants:
             Model(fusion_kind="clip-only", head=head, gfa=gfa)
         with pytest.raises(ValidationError):
             Model(fusion_kind="gfa-a", head=head, gfa=gfa)
+
+
+def _load_perfbench_spans():
+    """perfbench's tracer, imported from its file without changing it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans_under_test", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchmarkSpans:
+    def test_every_traced_function_is_found_and_called(self, tmp_path):
+        # The tracer records a function it cannot find as absent instead of
+        # failing, so a rename would blank a per-layer benchmark metric.
+        from gatedfusion import cli, training
+        from gatedfusion.bank import save_feature_bank
+        bank = synth_generate(SynthSpec(n_segments=12, dim_v=3, dim_o=3, verb_vocab=2,
+                                        noun_vocab=3), 0)
+        save_feature_bank(bank, tmp_path / "bank.bank")
+        tracer = _load_perfbench_spans().Tracer()
+        with tracer.installed():
+            spec = ModelSpec(fusion="gfa-a", scale=ScaleMode.norm())
+            cfg = TrainConfig(epochs=1, batch_size=4, seed=0)
+            model, _ = training.train(bank, "noun", spec, cfg)
+            training.save_checkpoint(Checkpoint(model=model, target="noun", dim_v=3, dim_o=3,
+                                                classes=3, aggregation=spec.aggregation,
+                                                train_config=cfg), tmp_path / "ckpt.json")
+            assert cli.main(["eval", "--checkpoint", str(tmp_path / "ckpt.json"),
+                             "--bank", str(tmp_path / "bank.bank"),
+                             "--out-dir", str(tmp_path / "eval")]) == 0
+        assert tracer.absent == set()
+        calls = {name: row["calls"] for name, row in tracer.summary().items()}
+        for name in ("training.forward", "training.backward", "training.checkpoint_save",
+                     "training.checkpoint_load", "gfa.forward", "gfa.backward"):
+            assert calls.get(name, 0) >= 1, name
