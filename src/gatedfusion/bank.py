@@ -57,7 +57,6 @@ __all__ = [
     "bank_features",
     "load_feature_bank",
     "save_feature_bank",
-    "banks_equal",
     "synth_generate",
     "bank_stats",
 ]
@@ -522,13 +521,6 @@ def _parse_bank(path, data: bytes) -> FeatureBank:
             yield f"{where}: ", obj
 
     return _pack(rows(), header, f"{path}: line 1: ")
-
-
-def banks_equal(a: FeatureBank, b: FeatureBank) -> bool:
-    """Exact equality of two banks: header, ids and every block."""
-    return ([getattr(a, k) for k in _HEADER_KEYS] == [getattr(b, k) for k in _HEADER_KEYS]
-            and a.ids == b.ids
-            and all(np.array_equal(getattr(a, name), getattr(b, name)) for name in _BLOCKS))
 
 
 # --- synthetic banks ----------------------------------------------------------

@@ -23,6 +23,7 @@ import math
 import sys
 import time
 import traceback
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -162,22 +163,22 @@ def _cmd_synth(cfg: dict, out: Path):
 
 
 def _cmd_train(cfg: dict, out: Path):
-    # The options are checked before any bank loads; an estimated divisor
-    # replaces the given one.
+    # The options, the model spec among them, are checked before any bank
+    # loads; an estimated divisor then replaces the given one.
     if cfg["estimate_divisor"] and cfg["scale"] not in _DIVISOR_KINDS:
         raise _UsageError(f"--estimate-divisor needs --scale {' or '.join(_DIVISOR_KINDS)}, "
                           f"got {cfg['scale']!r}")
     agg = AggregationConfig(k=cfg["k"], window=cfg["window"])
-    scale = None if cfg["estimate_divisor"] else _scale_mode(cfg)
+    scale = ScaleMode(kind=cfg["scale"]) if cfg["estimate_divisor"] else _scale_mode(cfg)
+    spec = ModelSpec(fusion=cfg["fusion"], scale=scale, aggregation=agg)
     tc = TrainConfig(learning_rate=cfg["lr"], momentum=cfg["momentum"],
                      epochs=cfg["epochs"], batch_size=cfg["batch_size"],
                      seed=cfg["seed"])
     bank = load_feature_bank(cfg["bank"])
     val_bank = load_feature_bank(cfg["val_bank"]) if cfg["val_bank"] else None
-    if scale is None:
+    if cfg["estimate_divisor"]:
         cfg["scale_divisor"] = estimate_scalar_divisor(*bank_features(bank, agg))
-        scale = _scale_mode(cfg)
-    spec = ModelSpec(fusion=cfg["fusion"], scale=scale, aggregation=agg)
+        spec = replace(spec, scale=_scale_mode(cfg))
     model, history = train(bank, cfg["target"], spec, tc, val_bank)
 
     ckpt_path, hist_path = out / "checkpoint.json", out / "history.json"

@@ -115,7 +115,8 @@ class GfaParams:
     to a gate over the clip feature, so W is (dim_v x dim_o).
 
     The scale mode only participates in variant ``a``; variant ``b`` consumes
-    the object feature unscaled (its gate is bounded regardless of amplitude).
+    the object feature unscaled (its gate is bounded regardless of amplitude),
+    so a ``Model`` rejects a variant ``b`` gate whose scale is not ``none``.
     """
 
     variant: str

@@ -1,5 +1,5 @@
-"""Verb-noun action scoring: co-occurrence prior, re-weighting, late fusion,
-and top-k accuracy.
+"""Verb-noun action scoring: co-occurrence prior, re-weighting and top-k
+accuracy.
 
 An action is a (verb, noun) pair.  The plain action score is the product of
 the verb and noun probabilities; re-weighting multiplies in a prior mu(v, n)
@@ -17,7 +17,6 @@ import numpy as np
 
 from .bank import FeatureBank
 from .errors import ValidationError, read_text, strict_json
-from .training import softmax
 
 __all__ = [
     "ActionPrior",
@@ -27,11 +26,9 @@ __all__ = [
     "uniform_prior",
     "prior_stats",
     "reweight_actions",
-    "late_fuse",
     "topk_accuracy",
     "score_actions_for_bank",
     "action_index",
-    "action_pair",
     "save_prior",
     "load_prior",
     "save_score_table",
@@ -39,6 +36,8 @@ __all__ = [
 ]
 
 SCORE_SPACES = ("verb", "noun", "action")
+_TOPK = (1, 5)  # the k of every top-k accuracy a report gives
+_PAIR_COUNT_THRESHOLD = 50  # prior_stats counts the pairs seen more often than this
 
 
 @dataclass
@@ -88,8 +87,14 @@ def action_index(verb: int, noun: int, noun_vocab_size: int) -> int:
     return verb * noun_vocab_size + noun
 
 
-def action_pair(index: int, noun_vocab_size: int) -> tuple[int, int]:
-    return divmod(index, noun_vocab_size)
+def _prior_matrix(make, verbs: int, nouns: int, dtype=np.float64) -> np.ndarray:
+    """``make((verbs, nouns), dtype)``: the one allocation of a dense prior.
+    A vocab too large to allocate is a ValidationError naming it."""
+    try:
+        return make((verbs, nouns), dtype)
+    except (MemoryError, ValueError):  # numpy: cannot allocate / array is too big
+        raise ValidationError(
+            f"vocab {verbs}x{nouns} is too large for a dense prior") from None
 
 
 def compute_prior(bank: FeatureBank) -> ActionPrior:
@@ -98,7 +103,7 @@ def compute_prior(bank: FeatureBank) -> ActionPrior:
     pairs = bank.labels[(bank.labels >= 0).all(axis=1)]
     if not len(pairs):
         raise ValidationError("compute_prior: no segment carries both verb and noun labels")
-    counts = np.zeros((bank.verb_vocab_size, bank.noun_vocab_size), dtype=np.int64)
+    counts = _prior_matrix(np.zeros, bank.verb_vocab_size, bank.noun_vocab_size, np.int64)
     np.add.at(counts, (pairs[:, 0], pairs[:, 1]), 1)
     return ActionPrior(mu=counts / len(pairs), counts=counts)
 
@@ -107,7 +112,7 @@ def prior_from_pairs(freq: dict[tuple[int, int], float], verb_vocab_size: int,
                      noun_vocab_size: int) -> ActionPrior:
     """Dense prior with ``freq[(v, n)]`` at each listed pair and 0 elsewhere.
     The ids must lie inside the vocab; ``load_prior`` checks them."""
-    mu = np.zeros((verb_vocab_size, noun_vocab_size))
+    mu = _prior_matrix(np.zeros, verb_vocab_size, noun_vocab_size)
     for (v, n), f in freq.items():
         mu[v, n] = f
     return ActionPrior(mu=mu)
@@ -116,26 +121,24 @@ def prior_from_pairs(freq: dict[tuple[int, int], float], verb_vocab_size: int,
 def uniform_prior(verb_vocab_size: int, noun_vocab_size: int) -> ActionPrior:
     """mu = 1 on every pair: re-weighting with it reproduces the plain
     product ranking."""
-    return ActionPrior(mu=np.ones((verb_vocab_size, noun_vocab_size)))
+    return ActionPrior(mu=_prior_matrix(np.ones, verb_vocab_size, noun_vocab_size))
 
 
-def prior_stats(prior: ActionPrior, count_threshold: int = 50) -> dict:
+def prior_stats(prior: ActionPrior) -> dict:
     counts = prior.counts if prior.counts is not None else np.zeros(prior.mu.shape, np.int64)
     return {
         "labeled_segments": int(counts.sum()),
         "distinct_pairs": int(np.count_nonzero(prior.mu)),
-        "count_threshold": count_threshold,
-        "pairs_above_threshold": int(np.count_nonzero(counts > count_threshold)),
+        "count_threshold": _PAIR_COUNT_THRESHOLD,
+        "pairs_above_threshold": int(np.count_nonzero(counts > _PAIR_COUNT_THRESHOLD)),
     }
 
 
-def reweight_actions(pv: np.ndarray, pn: np.ndarray, prior: ActionPrior,
-                     renormalize: bool = False) -> np.ndarray:
+def reweight_actions(pv: np.ndarray, pn: np.ndarray, prior: ActionPrior) -> np.ndarray:
     """Action scores mu(v, n) * pv[v] * pn[n] over the last axis: a dense
     (verbs x nouns) matrix for one verb and one noun distribution, or a
     (B, verbs, nouns) stack for (B, verbs) and (B, nouns) row blocks.  Pairs
-    outside the prior's support are exactly zero.  Optional renormalization
-    of each matrix to a distribution never changes its ranking."""
+    outside the prior's support are exactly zero."""
     pv = np.asarray(pv, dtype=np.float64)
     pn = np.asarray(pn, dtype=np.float64)
     verbs, nouns = prior.mu.shape
@@ -146,11 +149,7 @@ def reweight_actions(pv: np.ndarray, pn: np.ndarray, prior: ActionPrior,
     if pv.shape[:-1] != pn.shape[:-1]:
         raise ValidationError(
             f"verb and noun probabilities have {pv.shape[:-1]} vs {pn.shape[:-1]} rows")
-    out = prior.mu * pv[..., :, None] * pn[..., None, :]
-    if renormalize:
-        total = out.sum(axis=(-2, -1), keepdims=True)
-        np.divide(out, total, out=out, where=total > 0)
-    return out
+    return prior.mu * pv[..., :, None] * pn[..., None, :]
 
 
 def _check_aligned(ids: list[str], other: list[str], what: str) -> None:
@@ -164,36 +163,6 @@ def _check_aligned(ids: list[str], other: list[str], what: str) -> None:
     raise ValidationError(f"{what} have {len(ids)} vs {len(other)} segments")
 
 
-def late_fuse(tables: list[ScoreTable], weights: list[float]) -> ScoreTable:
-    """Weighted arithmetic mean of the softmax-normalized rows of aligned
-    tables.  Scaling all weights by a positive constant changes nothing."""
-    if not tables:
-        raise ValidationError("late_fuse: need at least one table")
-    if len(weights) != len(tables):
-        raise ValidationError(
-            f"late_fuse: {len(tables)} tables but {len(weights)} weights")
-    if any(w < 0 for w in weights):
-        raise ValidationError("late_fuse: weights must be >= 0")
-    total = float(sum(weights))
-    if total == 0:
-        raise ValidationError("late_fuse: weights must not all be zero")
-    first = tables[0]
-    for t in tables[1:]:
-        if t.space != first.space:
-            raise ValidationError(
-                f"late_fuse: space mismatch, {first.space!r} vs {t.space!r}")
-        if t.scores.shape[1] != first.scores.shape[1]:
-            raise ValidationError(
-                f"late_fuse: class count mismatch, {first.scores.shape[1]} vs {t.scores.shape[1]}")
-        _check_aligned(first.segment_ids, t.segment_ids, "late_fuse: tables")
-    fused = np.zeros_like(first.scores)
-    for t, w in zip(tables, weights):
-        fused += (w / total) * softmax(t.scores)
-    return ScoreTable(segment_ids=list(first.segment_ids), scores=fused,
-                      space=first.space, verb_classes=first.verb_classes,
-                      noun_classes=first.noun_classes)
-
-
 def topk_accuracy(table: ScoreTable, labels, k: int) -> float:
     """Fraction of rows whose true label ranks inside the top k.
 
@@ -205,7 +174,7 @@ def topk_accuracy(table: ScoreTable, labels, k: int) -> float:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (table.scores.shape[0],):
         raise ValidationError(
-            f"topk_accuracy: {labels.shape[0]} labels for {table.scores.shape[0]} rows")
+            f"topk_accuracy: labels shaped {labels.shape} for {table.scores.shape[0]} rows")
     classes = table.classes
     if labels.size and (labels.min() < 0 or labels.max() >= classes):
         bad = labels[(labels < 0) | (labels >= classes)][0]
@@ -231,8 +200,7 @@ def _aligned_action_labels(table: ScoreTable, bank: FeatureBank) -> np.ndarray:
 
 
 def score_actions_for_bank(verb_table: ScoreTable, noun_table: ScoreTable,
-                           prior: ActionPrior, bank: FeatureBank,
-                           ks: tuple[int, ...] = (1, 5)) -> tuple[ScoreTable, dict]:
+                           prior: ActionPrior, bank: FeatureBank) -> tuple[ScoreTable, dict]:
     """Per-segment action scores over the flattened verb x noun space, plus
     top-k accuracy with the prior and with mu replaced by all-ones."""
     if verb_table.space != "verb" or noun_table.space != "noun":
@@ -261,8 +229,8 @@ def score_actions_for_bank(verb_table: ScoreTable, noun_table: ScoreTable,
 
     labels = _aligned_action_labels(reweighted_table, bank)
     metrics = {
-        "reweighted": {f"top{k}": topk_accuracy(reweighted_table, labels, k) for k in ks},
-        "plain": {f"top{k}": topk_accuracy(plain_table, labels, k) for k in ks},
+        "reweighted": {f"top{k}": topk_accuracy(reweighted_table, labels, k) for k in _TOPK},
+        "plain": {f"top{k}": topk_accuracy(plain_table, labels, k) for k in _TOPK},
     }
     return reweighted_table, metrics
 
@@ -277,11 +245,10 @@ def save_prior(prior: ActionPrior, path) -> None:
             fh.write(f"{v} {n} {float(prior.mu[v, n])!r}\n")
 
 
-def load_prior(path, verb_vocab_size: int | None = None,
-               noun_vocab_size: int | None = None) -> ActionPrior:
-    """Parse a prior file; vocab sizes are inferred from the largest ids
-    unless given.  A negative or out-of-vocab id, a duplicate pair, or a
-    frequency that is not finite and positive is rejected with its line."""
+def load_prior(path, verb_vocab_size: int, noun_vocab_size: int) -> ActionPrior:
+    """Parse a prior file into a dense prior over the given vocab.  A
+    negative or out-of-vocab id, a duplicate pair, or a frequency that is
+    not finite and positive is rejected with its line."""
     freq: dict[tuple[int, int], float] = {}
     # Text mode leaves "\n" as the only line end, so these are the file's lines.
     for lineno, line in enumerate(read_text(path).split("\n"), start=1):
@@ -302,23 +269,14 @@ def load_prior(path, verb_vocab_size: int | None = None,
             raise ValidationError(f"{where}: frequency {f!r} is not finite and positive")
         if v < 0 or n < 0:
             raise ValidationError(f"{where}: negative id in pair ({v}, {n})")
-        if (verb_vocab_size is not None and v >= verb_vocab_size
-                or noun_vocab_size is not None and n >= noun_vocab_size):
+        if v >= verb_vocab_size or n >= noun_vocab_size:
             raise ValidationError(
                 f"{where}: pair ({v}, {n}) out of range for vocab "
                 f"{verb_vocab_size}x{noun_vocab_size}")
         freq[(v, n)] = f
     if not freq:
         raise ValidationError(f"{path}: prior file holds no pairs")
-    if verb_vocab_size is None:
-        verb_vocab_size = max(v for v, _ in freq) + 1
-    if noun_vocab_size is None:
-        noun_vocab_size = max(n for _, n in freq) + 1
-    try:
-        return prior_from_pairs(freq, verb_vocab_size, noun_vocab_size)
-    except (MemoryError, ValueError):  # numpy: cannot allocate / array is too big
-        raise ValidationError(f"{path}: vocab {verb_vocab_size}x{noun_vocab_size} "
-                              "is too large for a dense prior") from None
+    return prior_from_pairs(freq, verb_vocab_size, noun_vocab_size)
 
 
 def save_score_table(table: ScoreTable, path) -> None:
@@ -338,6 +296,14 @@ def save_score_table(table: ScoreTable, path) -> None:
             fh.write(seg_id + " " + " ".join(map(repr, row)) + "\n")
 
 
+def _header_count(val) -> int:
+    """A class count from a score table header: a JSON integer, never a
+    float, string or bool."""
+    if not isinstance(val, int) or isinstance(val, bool):
+        raise TypeError(f"class count {val!r} is not an integer")
+    return val
+
+
 def load_score_table(path) -> ScoreTable:
     lines = read_text(path).splitlines()
     if not lines:
@@ -345,9 +311,9 @@ def load_score_table(path) -> ScoreTable:
     try:
         header = json.loads(lines[0])
         space = header["space"]
-        classes = int(header["classes"])
+        classes = _header_count(header["classes"])
         verb_classes, noun_classes = (
-            None if header.get(key) is None else int(header[key])
+            None if header.get(key) is None else _header_count(header[key])
             for key in ("verb_classes", "noun_classes"))
         no_rows = np.zeros((0, classes))  # rejects a negative or oversized count
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError):

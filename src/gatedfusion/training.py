@@ -12,7 +12,8 @@ as possible.  Four fusion kinds are supported:
 
 The table ``_FUSIONS`` gives each kind's gate variant and whether its head
 reads ``[v, o]``; every parameter shape and code path follows from it.  Only
-a ``gfa-a`` gate scales the object feature.  ``save_checkpoint`` and
+a ``gfa-a`` gate scales the object feature: ``ModelSpec``, ``Model`` and
+``init_model`` share one check of that rule.  ``save_checkpoint`` and
 ``load_checkpoint`` run one check of the checkpoint contract.
 
 Training is SGD with momentum, mini-batch gradients averaged over the
@@ -78,6 +79,18 @@ TARGETS = ("verb", "noun")  # in the order of a bank's label columns
 _PROB_FLOOR = 1e-12
 
 
+def _gate_variant(fusion: str, scale: ScaleMode) -> str | None:
+    """The gate variant of ``fusion`` (None for no gate), once the kind is
+    known and takes ``scale``: only a variant-``a`` gate scales the object
+    feature, so every other kind takes scale ``none``."""
+    if fusion not in FUSION_KINDS:
+        raise ValidationError(f"fusion kind {fusion!r} not one of {FUSION_KINDS}")
+    variant = _FUSIONS[fusion][0]
+    if variant != "a" and scale.kind != "none":
+        raise ValidationError(f"fusion kind {fusion!r} takes scale 'none', got {scale.kind!r}")
+    return variant
+
+
 @dataclass
 class Head:
     W: np.ndarray
@@ -98,9 +111,8 @@ class Model:
     gfa: GfaParams | None = None
 
     def __post_init__(self) -> None:
-        if self.fusion_kind not in FUSION_KINDS:
-            raise ValidationError(f"fusion kind {self.fusion_kind!r} not one of {FUSION_KINDS}")
-        want = _FUSIONS[self.fusion_kind][0]
+        want = _gate_variant(self.fusion_kind,
+                             ScaleMode.none() if self.gfa is None else self.gfa.scale)
         have = None if self.gfa is None else self.gfa.variant
         if have != want:  # a variant of None is no gfa params
             raise ValidationError(f"fusion kind {self.fusion_kind!r} needs gfa variant "
@@ -116,8 +128,7 @@ class ModelSpec:
     aggregation: AggregationConfig = field(default_factory=AggregationConfig)
 
     def __post_init__(self) -> None:
-        if self.fusion not in FUSION_KINDS:
-            raise ValidationError(f"fusion kind {self.fusion!r} not one of {FUSION_KINDS}")
+        _gate_variant(self.fusion, self.scale)
 
 
 @dataclass(frozen=True)
@@ -248,14 +259,10 @@ def init_model(fusion: str, dim_v: int, dim_o: int, classes: int,
     stream of random numbers is fixed per fusion kind.  Only a variant-``a``
     gate takes a scale other than ``none``."""
     rng = rng if rng is not None else np.random.default_rng()
-    if fusion not in FUSION_KINDS:
-        raise ValidationError(f"fusion kind {fusion!r} not one of {FUSION_KINDS}")
+    variant = _gate_variant(fusion, scale if scale is not None else ScaleMode.none())
     for name, size in (("dim_v", dim_v), ("dim_o", dim_o), ("classes", classes)):
         if size < 1:
             raise ValidationError(f"{name} must be >= 1, got {size}")
-    variant = _FUSIONS[fusion][0]
-    if variant != "a" and scale is not None and scale.kind != "none":
-        raise ValidationError(f"fusion kind {fusion!r} takes scale 'none', got {scale.kind!r}")
     gfa = None if variant is None else init_gfa_params(dim_v, dim_o, variant, scale=scale, rng=rng)
     shape = _param_shapes(fusion, dim_v, dim_o, classes)["head.W"]
     bound = 1.0 / np.sqrt(shape[1])

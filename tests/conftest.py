@@ -1,7 +1,8 @@
-"""Shared test helpers: an independent central-difference gradient oracle
-and the record-by-record synthetic bank generator."""
+"""Shared test helpers: an independent central-difference gradient oracle,
+exact bank equality and the record-by-record synthetic bank generator."""
 
 import zlib
+from dataclasses import fields
 
 import numpy as np
 
@@ -34,6 +35,13 @@ def rel_err(a, b, floor=1e-8):
         return 0.0
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float(np.max(np.abs(a - b) / denom))
+
+
+def banks_equal(a: FeatureBank, b: FeatureBank) -> bool:
+    """Exact equality of two banks: header, ids and every block."""
+    def same(x, y):
+        return np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+    return all(same(getattr(a, f.name), getattr(b, f.name)) for f in fields(FeatureBank))
 
 
 def _unit_prototypes(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:

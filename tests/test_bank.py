@@ -14,12 +14,12 @@ from gatedfusion import bank as bank_module
 from gatedfusion.bank import (AggregationConfig, Detection, FeatureBank,
                               SegmentRecord, SynthSpec,
                               aggregate_object_feature, bank_features, bank_stats,
-                              banks_equal, context_window, load_feature_bank,
+                              context_window, load_feature_bank,
                               maxpool_features, save_feature_bank,
                               select_top_k, synth_generate)
 from gatedfusion.errors import ShapeError, ValidationError
 
-from conftest import reference_synth_generate
+from conftest import banks_equal, reference_synth_generate
 
 
 def det(frame, score, *feat):

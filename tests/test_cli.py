@@ -169,6 +169,15 @@ class TestTrainEval:
         assert "Traceback" not in err
         assert not list((tmp_path / "run").iterdir())
 
+    def test_scale_fault_is_found_before_any_bank_loads(self, tmp_path, capsys):
+        assert run("train", "--bank", tmp_path / "missing.bank", "--target", "noun",
+                   "--fusion", "gfa-b", "--scale", "norm", "--seed", 1,
+                   "--out-dir", tmp_path / "run") == 1
+        err = capsys.readouterr().err
+        assert "fusion kind 'gfa-b' takes scale 'none', got 'norm'" in err
+        assert "missing.bank" not in err
+        assert not list((tmp_path / "run").iterdir())
+
     @pytest.mark.parametrize("scale", ["scalar", "norm", "norm-scalar"])
     @pytest.mark.parametrize("fusion", ["clip-only", "concat", "gfa-b"])
     @pytest.mark.parametrize("command", ["train", "gradcheck"])
@@ -448,6 +457,32 @@ class TestActions:
         assert run_actions(paths, tmp_path / "act") == 1
         assert "malformed score table header" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", ["2.0", "2.9", '"2"', "true"])
+    def test_score_table_class_count_must_be_a_json_integer(self, tmp_path, capsys, count):
+        paths = tiny_action_inputs(tmp_path)
+        rows = paths["verb"].read_text().splitlines()[1:]
+        paths["verb"].write_text("\n".join([f'{{"space":"verb","classes":{count}}}', *rows]))
+        assert run_actions(paths, tmp_path / "act") == 1
+        assert (f"{paths['verb']}: line 1: malformed score table header"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("source", ["--all-ones-prior", "--train-bank", "--prior"])
+    def test_vocab_too_large_for_a_dense_prior_is_exit_one(self, tmp_path, capsys, source):
+        # 10**9 verbs and nouns: 8 EB of dense prior, which numpy refuses
+        # without touching memory
+        paths = tiny_action_inputs(tmp_path)
+        bank = load_feature_bank(paths["bank"])
+        bank.verb_vocab_size = bank.noun_vocab_size = 10**9
+        save_feature_bank(bank, paths["bank"])
+        flags = {"--all-ones-prior": [], "--train-bank": [paths["bank"]],
+                 "--prior": [paths["prior"]]}[source]
+        assert run("actions", "--verb-table", paths["verb"], "--noun-table", paths["noun"],
+                   "--bank", paths["bank"], source, *flags, "--out-dir", tmp_path / "act") == 1
+        err = capsys.readouterr().err
+        assert "vocab 1000000000x1000000000 is too large for a dense prior" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "act/action_scores.txt").exists()
+
 
 _JUNK = ["", "x", "nan", "inf", "-inf", "1e400", "-1", "0", "-0.0", "2", "99", "0.5",
          "1.5", "true", "null", '"a"', "[]", "{}"]
@@ -702,6 +737,23 @@ class TestFuzzedCheckpoints:
         assert run("eval", "--checkpoint", ckpt, "--bank", bank,
                    "--out-dir", tmp_path / "eval") == 1
         assert capsys.readouterr().err.startswith(f"gatedfusion: error: {ckpt}: ")
+        assert not (tmp_path / "eval/scores.txt").exists()
+
+    def test_scaled_gfa_b_checkpoint_error_names_the_file(self, tmp_path, capsys):
+        # gfa-b's forward pass never reads a scale; files that carry one are refused
+        bank, ckpt = tiny_eval_inputs(tmp_path)
+        save_checkpoint(Checkpoint(model=init_model("gfa-b", 2, 2, 3,
+                                                    rng=np.random.default_rng(1)),
+                                   target="noun", dim_v=2, dim_o=2, classes=3,
+                                   aggregation=AggregationConfig(), train_config=TrainConfig()),
+                        ckpt)
+        obj = json.loads(ckpt.read_text())
+        obj["gfa"]["scale"]["kind"] = "norm"
+        ckpt.write_text(json.dumps(obj))
+        assert run("eval", "--checkpoint", ckpt, "--bank", bank,
+                   "--out-dir", tmp_path / "eval") == 1
+        assert capsys.readouterr().err.startswith(
+            f"gatedfusion: error: {ckpt}: fusion kind 'gfa-b' takes scale 'none', got 'norm'")
         assert not (tmp_path / "eval/scores.txt").exists()
 
     def test_unedited_checkpoint_passes(self, tmp_path):

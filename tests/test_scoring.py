@@ -1,11 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from gatedfusion.bank import FeatureBank, SegmentRecord
 from gatedfusion.errors import ValidationError
-from gatedfusion.scoring import (ScoreTable, action_index, action_pair,
-                                 compute_prior, late_fuse, load_prior,
+from gatedfusion.scoring import (ScoreTable, action_index, compute_prior, load_prior,
                                  load_score_table, prior_from_pairs, prior_stats,
                                  reweight_actions, save_prior,
                                  save_score_table, score_actions_for_bank,
@@ -52,6 +53,17 @@ class TestComputePrior:
         prior = compute_prior(bank)
         assert prior.mu[0, 0] == 1.0
 
+    @pytest.mark.parametrize("make", [
+        lambda: compute_prior(labeled_bank([(0, 0)], verb_vocab=10**9, noun_vocab=10**9)),
+        lambda: uniform_prior(10**9, 10**9),
+        lambda: prior_from_pairs({(0, 0): 1.0}, 10**9, 10**9),
+    ], ids=["compute_prior", "uniform_prior", "prior_from_pairs"])
+    def test_vocab_too_large_for_a_dense_prior(self, make):
+        # 8 EB of mu: numpy refuses it without touching memory
+        with pytest.raises(ValidationError,
+                           match="vocab 1000000000x1000000000 is too large for a dense prior"):
+            make()
+
     def test_no_labels_error(self):
         bank = labeled_bank([(0, 0)])
         bank.labels[0, 0] = -1
@@ -60,7 +72,8 @@ class TestComputePrior:
 
     def test_stats(self):
         prior = compute_prior(labeled_bank([(0, 0)] * 60 + [(1, 1)] * 3))
-        stats = prior_stats(prior, count_threshold=50)
+        stats = prior_stats(prior)
+        assert stats["count_threshold"] == 50
         assert stats["labeled_segments"] == 63
         assert stats["distinct_pairs"] == 2
         assert stats["pairs_above_threshold"] == 1
@@ -95,30 +108,20 @@ class TestReweightActions:
             for n in range(3):
                 assert out[v, n] == freq.get((v, n), 0.0) * pv[v] * pn[n]
 
-    def test_renormalization_preserves_ranking(self):
-        prior = prior_from_pairs({(0, 0): 0.7, (1, 1): 0.3}, 2, 2)
-        pv, pn = np.array([0.4, 0.6]), np.array([0.5, 0.5])
-        raw = reweight_actions(pv, pn, prior)
-        normed = reweight_actions(pv, pn, prior, renormalize=True)
-        assert abs(normed.sum() - 1.0) < 1e-12
-        assert np.array_equal(np.argsort(raw.ravel()), np.argsort(normed.ravel()))
-
     def test_vocab_mismatch(self):
         prior = uniform_prior(2, 2)
         with pytest.raises(ValidationError):
             reweight_actions(np.ones(3) / 3, np.ones(2) / 2, prior)
 
-    @pytest.mark.parametrize("renormalize", [False, True])
-    def test_row_blocks_equal_stacked_rows(self, renormalize):
+    def test_row_blocks_equal_stacked_rows(self):
         rng = np.random.default_rng(9)
         pairs = [(int(rng.integers(4)), int(rng.integers(5))) for _ in range(30)]
         prior = compute_prior(labeled_bank(pairs, verb_vocab=4, noun_vocab=5))
         pv = rng.dirichlet(np.ones(4), size=7)
         pn = rng.dirichlet(np.ones(5), size=7)
-        pv[3] = 0.0  # an all-zero matrix stays zero under renormalization
-        block = reweight_actions(pv, pn, prior, renormalize=renormalize)
-        rows = np.stack([reweight_actions(a, b, prior, renormalize=renormalize)
-                         for a, b in zip(pv, pn)])
+        pv[3] = 0.0  # an all-zero row gives an all-zero matrix
+        block = reweight_actions(pv, pn, prior)
+        rows = np.stack([reweight_actions(a, b, prior) for a, b in zip(pv, pn)])
         assert block.shape == (7, 4, 5)
         assert block.tobytes() == rows.tobytes()
 
@@ -138,54 +141,6 @@ class TestReweightActions:
             a = reweight_actions(pv, pn, prior)
             b = reweight_actions(pv, pn, scaled)
             assert np.argmax(a) == np.argmax(b)
-
-
-class TestLateFuse:
-    def test_single_table_keeps_ranking(self):
-        t = table([[3.0, 1.0, 2.0], [0.1, 0.9, 0.5]])
-        fused = late_fuse([t], [1.0])
-        for r_in, r_out in zip(t.scores, fused.scores):
-            assert np.array_equal(np.argsort(r_in), np.argsort(r_out))
-
-    def test_two_identical_tables(self):
-        t = table([[3.0, 1.0, 2.0]])
-        fused = late_fuse([t, table([[3.0, 1.0, 2.0]])], [1.0, 1.0])
-        assert np.array_equal(np.argsort(fused.scores[0]), np.argsort([3.0, 1.0, 2.0]))
-
-    def test_degenerate_weight_selects_first(self):
-        t1 = table([[5.0, 0.0]])
-        t2 = table([[0.0, 5.0]])
-        fused = late_fuse([t1, t2], [1.0, 0.0])
-        e = np.exp([5.0, 0.0])
-        assert np.allclose(fused.scores[0], e / e.sum(), rtol=1e-15)
-
-    def test_weight_scale_invariance(self):
-        t1 = table([[1.0, 2.0, 0.5]])
-        t2 = table([[0.3, 0.1, 4.0]])
-        a = late_fuse([t1, t2], [1.0, 3.0])
-        b = late_fuse([t1, t2], [10.0, 30.0])
-        assert np.allclose(a.scores, b.scores, rtol=1e-15)
-
-    def test_misaligned_segments(self):
-        t1 = table([[1.0, 2.0]], ids=["a"])
-        t2 = table([[1.0, 2.0]], ids=["b"])
-        with pytest.raises(ValidationError, match="'a' vs 'b'"):
-            late_fuse([t1, t2], [1.0, 1.0])
-
-    def test_space_mismatch(self):
-        t1 = table([[1.0, 2.0]], space="verb")
-        t2 = table([[1.0, 2.0]], space="noun")
-        with pytest.raises(ValidationError, match="space"):
-            late_fuse([t1, t2], [1.0, 1.0])
-
-    def test_weight_validation(self):
-        t = table([[1.0, 2.0]])
-        with pytest.raises(ValidationError):
-            late_fuse([t], [-1.0])
-        with pytest.raises(ValidationError):
-            late_fuse([t, t], [0.0, 0.0])
-        with pytest.raises(ValidationError):
-            late_fuse([t], [1.0, 2.0])
 
 
 class TestTopkAccuracy:
@@ -231,6 +186,10 @@ class TestTopkAccuracy:
     def test_k_validation(self):
         with pytest.raises(ValidationError):
             topk_accuracy(table([[0.5, 0.5]]), [0], k=0)
+
+    def test_scalar_label_rejected(self):
+        with pytest.raises(ValidationError, match=r"labels shaped \(\) for 1 rows"):
+            topk_accuracy(table([[0.5, 0.5]]), 1, k=1)
 
 
 class TestScoreActionsForBank:
@@ -292,7 +251,7 @@ class TestActionIndex:
         for v in range(3):
             for n in range(5):
                 idx = action_index(v, n, 5)
-                assert action_pair(idx, 5) == (v, n)
+                assert divmod(idx, 5) == (v, n)
 
 
 class TestFileFormats:
@@ -303,24 +262,17 @@ class TestFileFormats:
         loaded = load_prior(path, 4, 4)
         assert np.array_equal(loaded.mu, prior.mu)
 
-    def test_prior_vocab_inference(self, tmp_path):
-        path = tmp_path / "prior.txt"
-        path.write_text("2 5 0.5\n0 1 0.5\n", encoding="utf-8")
-        loaded = load_prior(path)
-        assert loaded.mu.shape[0] == 3
-        assert loaded.mu.shape[1] == 6
-
     def test_prior_duplicate_pair(self, tmp_path):
         path = tmp_path / "prior.txt"
         path.write_text("0 0 0.5\n0 0 0.5\n", encoding="utf-8")
         with pytest.raises(ValidationError, match="duplicate"):
-            load_prior(path)
+            load_prior(path, 4, 4)
 
     def test_prior_malformed_line(self, tmp_path):
         path = tmp_path / "prior.txt"
         path.write_text("0 0\n", encoding="utf-8")
         with pytest.raises(ValidationError, match="line 1"):
-            load_prior(path)
+            load_prior(path, 4, 4)
 
     @pytest.mark.parametrize("freq", ["inf", "nan"])
     def test_prior_nonfinite_frequency_rejected(self, tmp_path, freq):
@@ -341,7 +293,7 @@ class TestFileFormats:
         path = tmp_path / "prior.txt"
         path.write_text("0 1 0.5\n-1 0 0.5\n", encoding="utf-8")
         with pytest.raises(ValidationError, match="line 2: negative id"):
-            load_prior(path)
+            load_prior(path, 4, 4)
 
     def test_prior_id_outside_vocab_rejected(self, tmp_path):
         path = tmp_path / "prior.txt"
@@ -349,14 +301,13 @@ class TestFileFormats:
         with pytest.raises(ValidationError, match="line 2: pair \\(0, 4\\) out of range"):
             load_prior(path, 4, 4)
 
-    @pytest.mark.parametrize("line,vocab", [("1000000000000 0 0.5", "1000000000001x1"),
-                                            ("1000000000000 1000 0.5", "1000000000001x1001")])
-    def test_prior_inferred_vocab_too_large_rejected(self, tmp_path, line, vocab):
+    @pytest.mark.parametrize("nouns", [1, 1001])
+    def test_prior_vocab_too_large_rejected(self, tmp_path, nouns):
         # 7.28 TiB and 7.11 PiB of dense mu: a ValidationError, not a MemoryError
         path = tmp_path / "prior.txt"
-        path.write_text(line + "\n", encoding="utf-8")
-        with pytest.raises(ValidationError, match=f"vocab {vocab} is too large"):
-            load_prior(path)
+        path.write_text(f"1000000000000 {nouns - 1} 0.5\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=f"vocab 1000000000001x{nouns} is too large"):
+            load_prior(path, 10**12 + 1, nouns)
 
     @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
     def test_prior_line_numbers_count_every_line_end(self, tmp_path, newline):
@@ -386,6 +337,17 @@ class TestFileFormats:
         t = ScoreTable(segment_ids=["a b"], scores=np.zeros((1, 2)), space="verb")
         with pytest.raises(ValidationError, match="whitespace"):
             save_score_table(t, tmp_path / "x.txt")
+
+    @pytest.mark.parametrize("key,value", [
+        ("classes", 2.9), ("classes", 2.0), ("classes", "2"), ("classes", True),
+        ("verb_classes", 1.0), ("noun_classes", "2"), ("noun_classes", False)])
+    def test_header_counts_must_be_integers(self, tmp_path, key, value):
+        header = {"space": "action", "classes": 2, "verb_classes": 1, "noun_classes": 2}
+        header[key] = value
+        path = tmp_path / "scores.txt"
+        path.write_text(json.dumps(header) + "\na 0.5 0.5\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="line 1: malformed score table header"):
+            load_score_table(path)
 
     def test_wrong_column_count(self, tmp_path):
         path = tmp_path / "scores.txt"

@@ -515,6 +515,25 @@ class TestModelInvariants:
             init_model(fusion, 4, 3, 2, scale=ScaleMode(kind=scale, s=2.0),
                        rng=np.random.default_rng(0))
 
+    @pytest.mark.parametrize("scale", ["scalar", "norm", "norm-scalar"])
+    @pytest.mark.parametrize("fusion", ["clip-only", "concat", "gfa-b"])
+    def test_model_spec_checks_the_scale_rule(self, fusion, scale):
+        with pytest.raises(ValidationError,
+                           match=f"fusion kind '{fusion}' takes scale 'none', got '{scale}'"):
+            ModelSpec(fusion=fusion, scale=ScaleMode(kind=scale, s=2.0))
+
+    def test_scaled_gfa_b_gate_is_neither_built_nor_saved(self, tmp_path):
+        # gfa-b's forward pass never reads a scale, so a model that carries one is refused
+        path = tmp_path / "checkpoint.json"
+        gate = GfaParams(variant="b", W=np.zeros((4, 3)), b=np.zeros(4), scale=ScaleMode.norm())
+        with pytest.raises(ValidationError,
+                           match="fusion kind 'gfa-b' takes scale 'none', got 'norm'"):
+            save_checkpoint(Checkpoint(
+                model=Model("gfa-b", Head(W=np.zeros((2, 4)), b=np.zeros(2)), gate),
+                target="noun", dim_v=4, dim_o=3, classes=2, aggregation=AggregationConfig(),
+                train_config=TrainConfig()), path)
+        assert not path.exists()
+
     def test_fusion_kind_gfa_consistency(self):
         head = Head(W=np.zeros((2, 2)), b=np.zeros(2))
         with pytest.raises(ValidationError):
