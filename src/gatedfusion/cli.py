@@ -219,7 +219,16 @@ def _cmd_eval(cfg: dict, out: Path):
             {"scores": str(table_path), "report": str(report_path)})
 
 
+# (flag, config key) of each source of the action prior; a run takes exactly one
+_PRIOR_SOURCES = (("--prior", "prior"), ("--train-bank", "train_bank"),
+                  ("--all-ones-prior", "all_ones_prior"))
+
+
 def _cmd_actions(cfg: dict, out: Path):
+    sources = [flag for flag, key in _PRIOR_SOURCES if cfg[key]]
+    if len(sources) != 1:
+        raise _UsageError("need exactly one of --prior, --train-bank, or --all-ones-prior"
+                          + (f", got {', '.join(sources)}" if sources else ""))
     verb_table = load_score_table(cfg["verb_table"])
     noun_table = load_score_table(cfg["noun_table"])
     if verb_table.space != "verb":
@@ -228,18 +237,19 @@ def _cmd_actions(cfg: dict, out: Path):
         raise ValidationError(f"{cfg['noun_table']}: space is {noun_table.space!r}, expected 'noun'")
     bank = load_feature_bank(cfg["bank"])
 
+    inputs = {k: cfg[k] for k in ("verb_table", "noun_table", "bank")}
     outputs = {}
     if cfg["all_ones_prior"]:
         prior = uniform_prior(bank.verb_vocab_size, bank.noun_vocab_size)
     elif cfg["prior"]:
         prior = load_prior(cfg["prior"], bank.verb_vocab_size, bank.noun_vocab_size)
-    elif cfg["train_bank"]:
+        inputs["prior"] = cfg["prior"]
+    else:
         prior = compute_prior(load_feature_bank(cfg["train_bank"]))
+        inputs["train_bank"] = cfg["train_bank"]
         prior_path = out / "prior.txt"
         save_prior(prior, prior_path)
         outputs["prior"] = str(prior_path)
-    else:
-        raise _UsageError("need one of --prior, --train-bank, or --all-ones-prior")
 
     action_table, action_metrics = score_actions_for_bank(
         verb_table, noun_table, prior, bank)
@@ -261,7 +271,7 @@ def _cmd_actions(cfg: dict, out: Path):
     _write_json(report, report_path)
     outputs.update({"action_scores": str(table_path), "report": str(report_path)})
     print(json.dumps(report))
-    return 0, {k: cfg[k] for k in ("verb_table", "noun_table", "bank")}, outputs
+    return 0, inputs, outputs
 
 
 def _cmd_gradcheck(cfg: dict, out: Path):

@@ -59,6 +59,7 @@ __all__ = [
     "gfa_b_forward",
     "gfa_forward",
     "gfa_backward",
+    "gate_tail",
     "init_gfa_params",
     "estimate_scalar_divisor",
 ]
@@ -148,6 +149,13 @@ class GfaCache:
     scaled_o: np.ndarray | None = None
     concat_in: np.ndarray | None = None
 
+    def gate_operands(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(x, y)`` of the gate ``sigmoid(W x + b) * y``: ``(c, c)`` for
+        variant A, with ``c`` the concatenation, and ``(o, v)`` for B."""
+        if self.variant == "a":
+            return self.concat_in, self.concat_in
+        return self.o, self.v
+
 
 def _check_rows(v: np.ndarray, o: np.ndarray, who: str) -> None:
     if v.shape[:-1] != o.shape[:-1]:
@@ -207,9 +215,8 @@ def gfa_a_forward(v: np.ndarray, o: np.ndarray,
     _check_rows(v, o, "gfa variant a")
     scaled = scale_object_feature(o, v, p.scale)
     c = concat(v, scaled)
-    gate = sigmoid(affine(c, p.W, p.b))
-    cache = GfaCache(variant="a", v=v, o=o, gate=gate, scaled_o=scaled, concat_in=c)
-    return hadamard(gate, c), cache
+    fused, gate = gate_tail(affine(c, p.W, p.b), c)
+    return fused, GfaCache(variant="a", v=v, o=o, gate=gate, scaled_o=scaled, concat_in=c)
 
 
 def gfa_b_forward(v: np.ndarray, o: np.ndarray,
@@ -224,8 +231,16 @@ def gfa_b_forward(v: np.ndarray, o: np.ndarray,
         raise ShapeError(
             f"gfa variant b: W produces dim {p.W.shape[0]}, but v has dim {v.shape[-1]}")
     _check_rows(v, o, "gfa variant b")
-    gate = sigmoid(affine(o, p.W, p.b))
-    return hadamard(gate, v), GfaCache(variant="b", v=v, o=o, gate=gate)
+    fused, gate = gate_tail(affine(o, p.W, p.b), v)
+    return fused, GfaCache(variant="b", v=v, o=o, gate=gate)
+
+
+def gate_tail(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The gate after its affine map: ``sigmoid(z) * y`` and the gate
+    ``sigmoid(z)``.  Both forward passes end here, with ``(z, y)`` =
+    ``(W c + b, c)`` for variant A and ``(W o + b, v)`` for variant B."""
+    gate = sigmoid(z)
+    return hadamard(gate, y), gate
 
 
 def gfa_forward(v: np.ndarray, o: np.ndarray,

@@ -72,6 +72,10 @@ class ScoreTable:
         if self.space == "action":
             if self.verb_classes is None or self.noun_classes is None:
                 raise ValidationError("action tables must declare verb_classes and noun_classes")
+            for name in ("verb_classes", "noun_classes"):
+                if getattr(self, name) < 1:
+                    raise ValidationError(
+                        f"action table: {name} must be >= 1, got {getattr(self, name)}")
             if self.verb_classes * self.noun_classes != self.scores.shape[1]:
                 raise ValidationError(
                     f"action table: {self.verb_classes}x{self.noun_classes} pairs but "
@@ -333,5 +337,8 @@ def load_score_table(path) -> ScoreTable:
         except ValueError:
             raise ValidationError(f"{path}: line {lineno}: malformed score") from None
     scores = np.stack(rows) if rows else no_rows
-    return ScoreTable(segment_ids=segment_ids, scores=scores, space=space,
-                      verb_classes=verb_classes, noun_classes=noun_classes)
+    try:
+        return ScoreTable(segment_ids=segment_ids, scores=scores, space=space,
+                          verb_classes=verb_classes, noun_classes=noun_classes)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None

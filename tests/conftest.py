@@ -1,11 +1,13 @@
-"""Shared test helpers: an independent central-difference gradient oracle,
+"""Shared test helpers: independent central-difference and 5-point gradient oracles,
 exact bank equality and the record-by-record synthetic bank generator."""
 
 import zlib
 from dataclasses import fields
 
 import numpy as np
+import pytest
 
+from gatedfusion import training
 from gatedfusion.bank import Detection, FeatureBank, SegmentRecord, SynthSpec
 
 
@@ -25,6 +27,44 @@ def central_diff(f, x, step=1e-5):
         xm.ravel()[j] -= step
         gflat[j] = (f(xp) - f(xm)) / (2.0 * step)
     return grad
+
+
+def five_point_diff(f, x, step=5e-3):
+    """Gradient of scalar ``f`` at array ``x`` by the 5-point stencil
+    ``(8 (f(x+h) - f(x-h)) - (f(x+2h) - f(x-2h))) / 12h``, one entry at a
+    time.  Its O(h^4) truncation error allows a step large enough that
+    roundoff stays far below 1e-5 of a gradient entry as small as 1e-7.
+
+    Test-side oracle, independent like ``central_diff``.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    grad = np.zeros_like(x)
+    gflat = grad.ravel()
+
+    def at(j, t):
+        moved = x.copy()
+        moved.ravel()[j] += t
+        return f(moved)
+
+    for j in range(x.size):
+        gflat[j] = (8.0 * (at(j, step) - at(j, -step))
+                    - (at(j, 2.0 * step) - at(j, -2.0 * step))) / (12.0 * step)
+    return grad
+
+
+@pytest.fixture
+def planted_gate_bug(monkeypatch):
+    """Scale the largest-magnitude entry of every gate-weight gradient that
+    ``training`` computes by 1 + 1e-4: a bug the gradient check must catch."""
+    real_backward = training.gfa_backward
+
+    def planted(*args, **kwargs):
+        dv, do, dW, db = real_backward(*args, **kwargs)
+        dW = dW.copy()
+        dW.flat[np.argmax(np.abs(dW))] *= 1.0 + 1e-4
+        return dv, do, dW, db
+
+    monkeypatch.setattr(training, "gfa_backward", planted)
 
 
 def rel_err(a, b, floor=1e-8):

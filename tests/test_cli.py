@@ -403,6 +403,33 @@ class TestActions:
         assert rc == 1
         assert "--prior" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra,named", [
+        (["--all-ones-prior"], "--train-bank, --all-ones-prior"),
+        (["--prior", "p.txt"], "--prior, --train-bank"),
+        (["--prior", "p.txt", "--all-ones-prior"], "--prior, --train-bank, --all-ones-prior")])
+    def test_more_than_one_prior_source_is_exit_one(self, tmp_path, capsys, extra, named):
+        paths = tiny_action_inputs(tmp_path)
+        assert run("actions", "--verb-table", paths["verb"], "--noun-table", paths["noun"],
+                   "--bank", paths["bank"], "--train-bank", paths["bank"], *extra,
+                   "--out-dir", tmp_path / "act") == 1
+        assert f"need exactly one of --prior, --train-bank, or --all-ones-prior, got {named}" \
+            in capsys.readouterr().err
+        assert not list((tmp_path / "act").glob("*"))
+
+    @pytest.mark.parametrize("source,key", [("--prior", "prior"), ("--train-bank", "bank"),
+                                            ("--all-ones-prior", None)])
+    def test_manifest_inputs_name_the_prior_read(self, tmp_path, source, key):
+        paths = tiny_action_inputs(tmp_path)
+        flags = [source] + ([str(paths[key])] if key else [])
+        assert run("actions", "--verb-table", paths["verb"], "--noun-table", paths["noun"],
+                   "--bank", paths["bank"], *flags, "--out-dir", tmp_path / "act") == 0
+        inputs = load_manifest(tmp_path / "act/actions.manifest.json").inputs
+        expected = {"verb_table": str(paths["verb"]), "noun_table": str(paths["noun"]),
+                    "bank": str(paths["bank"])}
+        if key:
+            expected[source[2:].replace("-", "_")] = str(paths[key])
+        assert inputs == expected
+
     def test_sparse_prior_reweighting_lifts_top1(self, tmp_path):
         # confusion mass sits on pairs absent from training, so the prior
         # zeroes the confusions and the re-weighted column wins
@@ -869,6 +896,31 @@ class TestGradcheckCommand:
         report = json.loads((tmp_path / "gradcheck_report.json").read_text())
         assert report["passed"] is True
         assert report["max_rel_err"] < 1e-5
+
+    # perfbench's gradcheck configurations
+    SWEEP = ([["--fusion", f] for f in ("clip-only", "concat", "gfa-b")]
+             + [["--fusion", "gfa-a", "--scale", s, "--scale-divisor", "2.0"]
+                for s in ("none", "scalar", "norm", "norm-scalar")])
+
+    def test_seed_sweep_passes(self, tmp_path):
+        start = time.perf_counter()
+        failed = [(flags, seed) for flags in self.SWEEP for seed in range(50)
+                  if run("gradcheck", *flags, "--seed", seed, "--out-dir", tmp_path) != 0]
+        assert not failed
+        assert time.perf_counter() - start < 10.0
+
+    def test_seed_97_passes(self, tmp_path, capsys):
+        # a central difference at step 1e-5 failed this one on gfa.W
+        assert run("gradcheck", "--fusion", "gfa-a", "--scale", "none", "--seed", 97,
+                   "--out-dir", tmp_path) == 0
+        assert capsys.readouterr().out.splitlines()[-1].endswith("PASS")
+
+    @pytest.mark.parametrize("flags", [["--fusion", "gfa-a", "--scale", "norm"],
+                                       ["--fusion", "gfa-b"]])
+    def test_planted_gate_bug_fails(self, tmp_path, planted_gate_bug, flags):
+        assert run("gradcheck", *flags, "--out-dir", tmp_path) == 1
+        report = json.loads((tmp_path / "gradcheck_report.json").read_text())
+        assert report["per_group"]["gfa.W"] >= 1e-5
 
     def test_impossible_tolerance_fails(self, tmp_path, capsys):
         rc = run("gradcheck", "--fusion", "gfa-b", "--tolerance", "1e-12",

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -349,6 +350,14 @@ class TestFileFormats:
         with pytest.raises(ValidationError, match="line 1: malformed score table header"):
             load_score_table(path)
 
+    def test_action_class_split_below_one_rejected(self, tmp_path):
+        path = tmp_path / "scores.txt"
+        path.write_text('{"space":"action","classes":0,"verb_classes":-1,"noun_classes":0}\n',
+                        encoding="utf-8")
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{path}: action table: verb_classes must be >= 1, got -1")):
+            load_score_table(path)
+
     def test_wrong_column_count(self, tmp_path):
         path = tmp_path / "scores.txt"
         path.write_text('{"space":"verb","classes":3}\na 0.5 0.5\n', encoding="utf-8")
@@ -367,6 +376,13 @@ class TestScoreTableInvariants:
         with pytest.raises(ValidationError):
             ScoreTable(segment_ids=["a"], scores=np.zeros((1, 6)), space="action",
                        verb_classes=2, noun_classes=2)
+
+    @pytest.mark.parametrize("verbs,nouns", [(-2, -3), (0, 0), (2, 0)])
+    def test_action_vocab_split_is_positive(self, verbs, nouns):
+        # (-2) x (-3) matches 6 columns, so only this check stops the writer
+        with pytest.raises(ValidationError, match="must be >= 1"):
+            ScoreTable(segment_ids=["a"], scores=np.zeros((1, verbs * nouns)), space="action",
+                       verb_classes=verbs, noun_classes=nouns)
 
     def test_row_alignment(self):
         with pytest.raises(ValidationError):

@@ -13,7 +13,7 @@ from gatedfusion.gfa import GfaParams, ScaleMode
 from gatedfusion.training import (Checkpoint, Head, Model, ModelSpec,
                                   TrainConfig, cross_entropy, forward_model,
                                   grad_check, init_model, load_checkpoint,
-                                  loss_and_grads, param_groups,
+                                  loss_and_grads, param_groups, row_nll,
                                   save_checkpoint, sgd_momentum_step, softmax,
                                   train)
 
@@ -89,6 +89,21 @@ class TestCrossEntropy:
     def test_label_shape_mismatch(self):
         with pytest.raises(ShapeError):
             cross_entropy(np.full((3, 2), 0.5), np.array([0, 1]))
+
+    def test_row_nll_keeps_the_label_shape(self):
+        probs = softmax(np.random.default_rng(9).uniform(-3, 3, (2, 3, 4)))
+        labels = np.array([[0, 3, 1], [1, 2, 0]])
+        nll = row_nll(probs, labels)
+        assert nll.shape == (2, 3)
+        assert nll[1, 2] == -np.log(probs[1, 2, 0])
+        assert row_nll(probs[0, 0], 0).shape == ()
+
+    def test_block_is_the_sum_of_row_nll_over_rows(self):
+        # the same pairwise sum of the same values, so the same bits
+        probs = softmax(np.random.default_rng(10).uniform(-3, 3, (37, 5)))
+        labels = np.random.default_rng(11).integers(5, size=37)
+        picked = probs[np.arange(37), labels]
+        assert cross_entropy(probs, labels) == float(-np.sum(np.log(picked)) / 37)
 
 
 class TestForwardModel:
@@ -374,11 +389,13 @@ class TestGradCheck:
         assert max_err < 1e-7
 
     def test_truncation_error_ordering(self):
+        # At a step of 1e-1 the stencil's O(h^4) truncation dominates; at the
+        # default it is far below the roundoff of the loss differences.
         rng = np.random.default_rng(105)
         model = init_model("gfa-b", 5, 4, 3, rng=rng)
         v, o = rng.uniform(-2, 2, 5), rng.uniform(-2, 2, 4)
-        coarse, _ = grad_check(model, v, o, label=0, step=1e-2)
-        fine, _ = grad_check(model, v, o, label=0, step=1e-5)
+        coarse, _ = grad_check(model, v, o, label=0, step=1e-1)
+        fine, _ = grad_check(model, v, o, label=0)
         assert coarse > fine
 
     def test_matches_independent_oracle(self):
@@ -408,6 +425,34 @@ class TestGradCheck:
                                             rng.uniform(-2, 2, 4), label=0)
         assert max_err == np.inf
         assert per_group["gfa.W"] == np.inf
+
+    def test_one_segment_only(self):
+        model = init_model("clip-only", 2, 2, 2, rng=np.random.default_rng(0))
+        with pytest.raises(ShapeError, match="one segment"):
+            grad_check(model, np.zeros((3, 2)), np.zeros((3, 2)), 0)
+
+    def test_an_input_the_loss_ignores_reads_exactly_zero(self):
+        # clip-only never reads o: every moved-o row scores bit for bit the
+        # same, and the differences taken first keep that zero exact
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            model = init_model("clip-only", 8, 6, 4, rng=rng)
+            _, per_group = grad_check(model, rng.uniform(-2, 2, 8), rng.uniform(-2, 2, 6),
+                                      int(rng.integers(4)))
+            assert per_group["o"] == 0.0, seed
+
+    @pytest.mark.parametrize("fusion,scale", [("gfa-a", ScaleMode.norm()),
+                                              ("gfa-a", ScaleMode.none()),
+                                              ("gfa-b", ScaleMode.none())])
+    def test_planted_gate_bug_is_caught(self, request, fusion, scale):
+        rng = np.random.default_rng(108)
+        model = init_model(fusion, 8, 6, 4, scale=scale, rng=rng)
+        v, o = rng.uniform(-2, 2, 8), rng.uniform(-2, 2, 6)
+        clean, _ = grad_check(model, v, o, label=1)
+        request.getfixturevalue("planted_gate_bug")
+        _, per_group = grad_check(model, v, o, label=1)
+        assert clean < 1e-5
+        assert per_group["gfa.W"] >= 1e-5
 
 
 class TestCheckpoint:
