@@ -45,8 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .tensor import (affine, affine_vjp, concat, concat_vjp, hadamard, hadamard_vjp,
-                     l2_norm, sigmoid)
+from .tensor import affine, affine_vjp, l2_norm, sigmoid
 
 __all__ = [
     "SCALE_KINDS",
@@ -146,7 +145,6 @@ class GfaCache:
     v: np.ndarray
     o: np.ndarray
     gate: np.ndarray
-    scaled_o: np.ndarray | None = None
     concat_in: np.ndarray | None = None
 
     def gate_operands(self) -> tuple[np.ndarray, np.ndarray]:
@@ -213,10 +211,9 @@ def gfa_a_forward(v: np.ndarray, o: np.ndarray,
             f"gfa variant a: W must be {total}x{total} for dim_v={v.shape[-1]}, "
             f"dim_o={o.shape[-1]}, got {p.W.shape[0]}x{p.W.shape[1]}")
     _check_rows(v, o, "gfa variant a")
-    scaled = scale_object_feature(o, v, p.scale)
-    c = concat(v, scaled)
+    c = np.concatenate([v, scale_object_feature(o, v, p.scale)], axis=-1)
     fused, gate = gate_tail(affine(c, p.W, p.b), c)
-    return fused, GfaCache(variant="a", v=v, o=o, gate=gate, scaled_o=scaled, concat_in=c)
+    return fused, GfaCache(variant="a", v=v, o=o, gate=gate, concat_in=c)
 
 
 def gfa_b_forward(v: np.ndarray, o: np.ndarray,
@@ -240,7 +237,7 @@ def gate_tail(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``sigmoid(z)``.  Both forward passes end here, with ``(z, y)`` =
     ``(W c + b, c)`` for variant A and ``(W o + b, v)`` for variant B."""
     gate = sigmoid(z)
-    return hadamard(gate, y), gate
+    return gate * y, gate
 
 
 def gfa_forward(v: np.ndarray, o: np.ndarray,
@@ -254,9 +251,11 @@ def gfa_backward(cache: GfaCache, p: GfaParams, dF: np.ndarray, inputs: bool = T
                  ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray, np.ndarray]:
     """Exact gradients of the fused output w.r.t. ``(v, o, W, b)``.
 
-    ``cache`` must come from the forward pass that used ``p``.  Gradients
-    that reach a value through several paths (e.g. ``v`` through both the
-    concatenation and, under ``norm`` scaling, the amplitude) are summed.
+    ``cache`` must come from the forward pass that used ``p``.  One VJP of
+    the gate ``sigmoid(W x + b) * y``, on the ``(x, y)`` of
+    ``cache.gate_operands()``, serves both variants.  Gradients that reach a
+    value through several paths (``c`` as both ``x`` and ``y`` in variant A,
+    ``v`` through the concatenation and, under ``norm``, the amplitude) are summed.
     Input gradients have the shapes of ``v`` and ``o``; the ``W`` and ``b``
     gradients are summed over rows.  With ``inputs=False`` only the ``W``
     and ``b`` gradients are computed and the input gradients are None.
@@ -269,20 +268,16 @@ def gfa_backward(cache: GfaCache, p: GfaParams, dF: np.ndarray, inputs: bool = T
         raise ShapeError(
             f"gfa_backward: dF has shape {dF.shape}, expected {gate.shape}")
 
-    if p.variant == "a":
-        c = cache.concat_in
-        dgate, dc = hadamard_vjp(gate, c, dF)
-        dz = dgate * gate * (1.0 - gate)
-        dc_gate, dW, db = affine_vjp(c, p.W, p.b, dz, inputs=inputs)
-        if not inputs:
-            return None, None, dW, db
-        dv, dscaled = concat_vjp(cache.v, cache.scaled_o, dc + dc_gate)
-        do, dv_scale = scale_vjp(cache.o, cache.v, p.scale, dscaled)
-        return dv + dv_scale, do, dW, db
-
-    dgate, dv = hadamard_vjp(gate, cache.v, dF)
-    do, dW, db = affine_vjp(cache.o, p.W, p.b, dgate * gate * (1.0 - gate), inputs=inputs)
-    return (dv if inputs else None), do, dW, db
+    x, y = cache.gate_operands()
+    dx, dW, db = affine_vjp(x, p.W, p.b, dF * y * gate * (1.0 - gate), inputs=inputs)
+    if not inputs:
+        return None, None, dW, db
+    dy = dF * gate
+    if p.variant == "b":
+        return dy, dx, dW, db
+    dc, n = dy + dx, cache.v.shape[-1]  # variant A: x = y = [v, scale(o)]
+    do, dv_scale = scale_vjp(cache.o, cache.v, p.scale, dc[..., n:])
+    return dc[..., :n] + dv_scale, do, dW, db
 
 
 def init_gfa_params(dim_v: int, dim_o: int, variant: str,

@@ -285,7 +285,13 @@ def load_prior(path, verb_vocab_size: int, noun_vocab_size: int) -> ActionPrior:
 
 def save_score_table(table: ScoreTable, path) -> None:
     """Header line with the space tag and class counts, then one
-    ``segment_id score...`` line per row at full precision."""
+    ``segment_id score...`` line per row at full precision.  Ids are checked
+    before the file opens, so an unreadable table leaves no file."""
+    bad = next((seg_id for seg_id in table.segment_ids
+                if not seg_id or any(map(str.isspace, seg_id))), None)
+    if bad is not None:
+        raise ValidationError(
+            f"segment id {bad!r} is empty or contains whitespace; not representable")
     header: dict = {"space": table.space, "classes": table.classes}
     if table.space == "action":
         header["verb_classes"] = table.verb_classes
@@ -294,9 +300,6 @@ def save_score_table(table: ScoreTable, path) -> None:
         fh.write(strict_json(header, separators=(",", ":")) + "\n")
         for seg_id, row in zip(table.segment_ids,
                                table.scores.astype(np.float64, copy=False).tolist()):
-            if any(ch.isspace() for ch in seg_id):
-                raise ValidationError(
-                    f"segment id {seg_id!r} contains whitespace; not representable")
             fh.write(seg_id + " " + " ".join(map(repr, row)) + "\n")
 
 

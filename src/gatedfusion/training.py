@@ -34,6 +34,7 @@ default and checks them too.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -42,7 +43,7 @@ from .bank import AggregationConfig, FeatureBank, bank_features
 from .errors import ShapeError, ValidationError, read_text, strict_json
 from .gfa import (GfaCache, GfaParams, ScaleMode, gate_tail, gfa_backward, gfa_forward,
                   init_gfa_params)
-from .tensor import affine, affine_vjp, concat, concat_vjp
+from .tensor import affine, affine_vjp
 
 __all__ = [
     "FUSION_KINDS",
@@ -139,14 +140,22 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.learning_rate >= 0:
-            raise ValidationError(f"learning rate must be >= 0, got {self.learning_rate}")
+        for name in ("learning_rate", "momentum"):
+            val = getattr(self, name)
+            # bool is an int to isinstance; the comparison is exact for an int, false for nan
+            if (isinstance(val, bool) or not isinstance(val, (int, float))
+                    or not abs(val) <= sys.float_info.max):
+                raise ValidationError(f"{name} must be a finite number, got {val!r}")
+        if self.learning_rate < 0:
+            raise ValidationError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if not 0 <= self.momentum < 1:
             raise ValidationError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.epochs < 1:
-            raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValidationError(f"batch size must be >= 1, got {self.batch_size}")
+        for name, low in (("epochs", 1), ("batch_size", 1), ("seed", 0)):  # numpy takes seeds >= 0
+            val = getattr(self, name)
+            if type(val) is not int:  # type() also turns away bools
+                raise ValidationError(f"{name} must be an integer, got {val!r}")
+            if val < low:
+                raise ValidationError(f"{name} must be >= {low}, got {val}")
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -195,7 +204,7 @@ def forward_model(model: Model, v: np.ndarray,
     if variant is not None:
         feature, gfa_cache = gfa_forward(v, o_agg, model.gfa)
     else:
-        feature, gfa_cache = (concat(v, o_agg) if both else v), None
+        feature, gfa_cache = (np.concatenate([v, o_agg], axis=-1) if both else v), None
     scores = affine(feature, model.head.W, model.head.b)
     return scores, ModelCache(v=v, o=o_agg, feature=feature, gfa_cache=gfa_cache)
 
@@ -216,7 +225,8 @@ def model_backward(model: Model, cache: ModelCache, dscores: np.ndarray,
     if not inputs:
         return grads
     if not gated:
-        dv, do = concat_vjp(cache.v, cache.o, dfeat) if both else (dfeat, np.zeros_like(cache.o))
+        n = cache.v.shape[-1]
+        dv, do = (dfeat[..., :n], dfeat[..., n:]) if both else (dfeat, np.zeros_like(cache.o))
     grads["v"], grads["o"] = dv, do
     return grads
 

@@ -330,6 +330,33 @@ class TestTrainEval:
         assert self._eval(tmp_path, obj) == 1
         assert "weights must be arrays of numbers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value", [
+        ("epochs", 2.5), ("epochs", "3"), ("batch_size", True), ("seed", -3),
+        ("learning_rate", float("inf")), ("learning_rate", "0.1"), ("momentum", "0.5")])
+    def test_checkpoint_train_config_of_wrong_kind_is_exit_one(self, tmp_path, capsys,
+                                                               field, value):
+        bank, ckpt = tiny_eval_inputs(tmp_path)
+        obj = json.loads(ckpt.read_text())
+        obj["train_config"][field] = value
+        ckpt.write_text(json.dumps(obj))
+        assert run("eval", "--checkpoint", ckpt, "--bank", bank,
+                   "--out-dir", tmp_path / "eval") == 1
+        err = capsys.readouterr().err
+        assert f"{ckpt}: {field} must be" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("bad_id", ["x y", ""])
+    def test_id_a_score_table_cannot_hold_is_exit_one_and_writes_no_table(
+            self, tmp_path, capsys, bad_id):
+        bank, ckpt = tiny_eval_inputs(tmp_path)
+        records = [SegmentRecord(segment_id=seg_id, clip_feature=np.ones(2), clip_center_frame=0)
+                   for seg_id in ("s0", "s1", bad_id, "s3")]
+        save_feature_bank(FeatureBank.from_records(records, dim_v=2, dim_o=2, verb_vocab_size=2,
+                                                   noun_vocab_size=3), bank)
+        assert run("eval", "--checkpoint", ckpt, "--bank", bank,
+                   "--out-dir", tmp_path / "eval") == 1
+        assert f"segment id {bad_id!r}" in capsys.readouterr().err
+        assert not (tmp_path / "eval/scores.txt").exists()
+
     def test_header_only_bank_gives_empty_table(self, tmp_path):
         synth(tmp_path / "data", train=20, val=5, nouns=3)
         assert run("train", "--bank", tmp_path / "data/train.bank", "--target", "noun",
@@ -1152,7 +1179,7 @@ class TestNonFiniteValues:
             RunManifest(command="eval", version="0", seed=None,
                         config={"lr": float("inf")}).to_json()
         model = init_model("clip-only", 2, 2, 3, rng=np.random.default_rng(0))
-        with pytest.raises(ValidationError, match="cannot write JSON"):
+        with pytest.raises(ValidationError, match="learning_rate must be a finite number"):
             save_checkpoint(Checkpoint(model=model, target="noun", dim_v=2, dim_o=2, classes=3,
                                        aggregation=AggregationConfig(),
                                        train_config=TrainConfig(learning_rate=float("inf"))),

@@ -104,66 +104,7 @@ class TestL2Norm:
         assert tensor.l2_norm(x, keepdims=True).shape == (3, 1)
 
 
-class TestConcatSplit:
-    def test_basic(self):
-        assert np.array_equal(tensor.concat(np.array([1.0]), np.array([2.0, 3.0])),
-                              [1.0, 2.0, 3.0])
-
-    def test_empty_identity(self):
-        x = np.array([4.0, 5.0])
-        assert np.array_equal(tensor.concat(np.array([]), x), x)
-
-    def test_order(self):
-        assert np.array_equal(tensor.concat(np.array([5.0, 6.0]), np.array([7.0])),
-                              [5.0, 6.0, 7.0])
-
-    @given(small_vectors, small_vectors)
-    def test_roundtrip_bit_identical(self, a, b):
-        c = tensor.concat(a, b)
-        a2, b2 = tensor.split(c, a.shape[0])
-        assert a2.tobytes() == a.tobytes()
-        assert b2.tobytes() == b.tobytes()
-
-    def test_split_out_of_range(self):
-        with pytest.raises(ShapeError):
-            tensor.split(np.zeros(2), 3)
-
-    def test_rows_of_a_block(self):
-        A, B = np.arange(6.0).reshape(3, 2), -np.arange(3.0).reshape(3, 1)
-        C = tensor.concat(A, B)
-        assert C.shape == (3, 3)
-        A2, B2 = tensor.split(C, 2)
-        assert np.array_equal(A2, A) and np.array_equal(B2, B)
-        with pytest.raises(ShapeError):
-            tensor.concat(A, np.zeros((2, 1)))
-
-
-class TestHadamard:
-    def test_hand(self):
-        out = tensor.hadamard(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
-        assert np.array_equal(out, [3.0, 8.0])
-
-    def test_ones_identity(self):
-        x = np.array([0.5, -2.0, 7.0])
-        assert np.array_equal(tensor.hadamard(x, np.ones(3)), x)
-
-    def test_zeros_annihilate(self):
-        x = np.array([0.5, -2.0, 7.0])
-        assert np.array_equal(tensor.hadamard(x, np.zeros(3)), np.zeros(3))
-
-    def test_shape_error(self):
-        with pytest.raises(ShapeError):
-            tensor.hadamard(np.zeros(2), np.zeros(3))
-
-
 class TestVjp:
-    def test_hadamard_grads(self):
-        a, b = np.array([1.0, -2.0]), np.array([3.0, 5.0])
-        up = np.array([0.5, 2.0])
-        da, db = tensor.hadamard_vjp(a, b, up)
-        assert np.array_equal(da, up * b)
-        assert np.array_equal(db, up * a)
-
     def test_affine_weight_grad_matches_fd(self):
         rng = np.random.default_rng(3)
         x = rng.uniform(-2, 2, 2)
@@ -191,14 +132,10 @@ class TestVjp:
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            tensor.hadamard_vjp(np.zeros(2), np.zeros(2), np.zeros(3))
-        with pytest.raises(ShapeError):
             tensor.affine_vjp(np.zeros((4, 2)), np.eye(2), np.zeros(2), np.zeros((3, 2)))
-        with pytest.raises(ShapeError):
-            tensor.concat_vjp(np.zeros(2), np.zeros(1), np.zeros(4))
 
 
-@pytest.mark.parametrize("op", ["affine", "concat", "hadamard"])
+@pytest.mark.parametrize("op", ["affine"])
 def test_all_vjps_match_central_differences(op):
     """Every differentiable input of every op, 20 seeded random trials on one
     vector or a block of rows, inputs in [-2, 2], dims <= 16, max relative
@@ -209,16 +146,9 @@ def test_all_vjps_match_central_differences(op):
         lead = () if trial % 2 == 0 else (int(rng.integers(1, 5)),)
         n = int(rng.integers(1, 17))
         m = int(rng.integers(1, 17))
-        if op == "affine":
-            inputs = (rng.uniform(-2, 2, lead + (n,)), rng.uniform(-2, 2, (m, n)),
-                      rng.uniform(-2, 2, m))
-            out_dim = m
-        elif op == "concat":
-            inputs = (rng.uniform(-2, 2, lead + (n,)), rng.uniform(-2, 2, lead + (m,)))
-            out_dim = n + m
-        else:
-            inputs = (rng.uniform(-2, 2, lead + (n,)), rng.uniform(-2, 2, lead + (n,)))
-            out_dim = n
+        inputs = (rng.uniform(-2, 2, lead + (n,)), rng.uniform(-2, 2, (m, n)),
+                  rng.uniform(-2, 2, m))
+        out_dim = m
         upstream = rng.uniform(-2, 2, lead + (out_dim,))
 
         grads = op_vjp(*inputs, upstream)

@@ -624,3 +624,5 @@ class TestBenchmarkSpans:
         for name in ("training.forward", "training.backward", "training.checkpoint_save",
                      "training.checkpoint_load", "gfa.forward", "gfa.backward"):
             assert calls.get(name, 0) >= 1, name
+        # the per-layer counter reads every public tensor op, so it must not go blank
+        assert tracer.counts["tensor.calls"] > 0
