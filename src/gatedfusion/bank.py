@@ -86,6 +86,7 @@ class SegmentRecord:
 _HEADER_KEYS = ("dim_v", "dim_o", "verb_vocab_size", "noun_vocab_size")
 _LABEL_KEYS = ("verb", "noun")
 _NO_LABEL = -1
+PAIR_COUNT_THRESHOLD = 50  # bank_stats and scoring.prior_stats count pairs seen more often
 # The blocks after ``ids`` and their dtypes: per record, then per detection
 # in record order.  The packer builds them; validate() checks them.
 _BLOCK_DTYPES = {name: np.dtype(dtype) for name, dtype in (
@@ -729,7 +730,7 @@ def synth_generate(spec: SynthSpec, seed: int, split: str = "train") -> FeatureB
 
 
 def bank_stats(bank: FeatureBank, cfg: AggregationConfig,
-               pair_threshold: int = 50) -> dict:
+               pair_threshold: int = PAIR_COUNT_THRESHOLD) -> dict:
     """Summary statistics, including the clip/object amplitude ratio under the
     given aggregation and verb-noun co-occurrence counts."""
     V, O = bank_features(bank, cfg)

@@ -31,12 +31,12 @@ import numpy as np
 from . import __version__
 from .bank import (AggregationConfig, SynthSpec, bank_features, bank_stats,
                    load_feature_bank, save_feature_bank, synth_generate)
-from .errors import ShapeError, ValidationError, strict_json
+from .errors import ShapeError, ValidationError, write_json
 from .gfa import SCALE_KINDS, ScaleMode, estimate_scalar_divisor
 from .manifest import RunManifest, load_manifest, write_manifest
 from .scoring import (ScoreTable, compute_prior, load_prior, load_score_table, prior_stats,
-                      save_prior, save_score_table, score_actions_for_bank,
-                      topk_accuracy, uniform_prior)
+                      save_prior, save_score_table, score_actions_for_bank, table_labels,
+                      topk_report, uniform_prior)
 from .training import (Checkpoint, FUSION_KINDS, TARGETS, ModelSpec, TrainConfig,
                        fit_labels, forward_model, grad_check, init_model, load_checkpoint,
                        save_checkpoint, softmax, target_labels, train)
@@ -132,12 +132,6 @@ def _scale_mode(cfg: dict) -> ScaleMode:
     return ScaleMode(kind=kind)
 
 
-def _write_json(obj, path: Path) -> None:
-    text = strict_json(obj, indent=1)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text + "\n")
-
-
 # Each handler runs one command from its resolved config into the existing
 # output directory and returns (exit code, inputs, outputs) for the manifest.
 
@@ -185,7 +179,7 @@ def _cmd_train(cfg: dict, out: Path):
     save_checkpoint(Checkpoint(model=model, target=cfg["target"], dim_v=bank.dim_v,
                                dim_o=bank.dim_o, classes=target_labels(bank, cfg["target"])[1],
                                aggregation=agg, train_config=tc), ckpt_path)
-    _write_json(history, hist_path)
+    write_json(history, hist_path)
 
     last = history[-1]
     line = (f"epoch {last['epoch']}: loss {last['mean_loss']:.4f} "
@@ -210,10 +204,9 @@ def _cmd_eval(cfg: dict, out: Path):
 
     report: dict = {"target": ckpt.target, "segments": len(bank.ids)}
     if (labels >= 0).all():
-        report["top1"] = topk_accuracy(table, labels, 1)
-        report["top5"] = topk_accuracy(table, labels, 5)
+        report.update(topk_report(table, labels))
     report_path = out / "eval_report.json"
-    _write_json(report, report_path)
+    write_json(report, report_path)
     print(json.dumps(report))
     return (0, {"checkpoint": cfg["checkpoint"], "bank": cfg["bank"]},
             {"scores": str(table_path), "report": str(report_path)})
@@ -254,21 +247,16 @@ def _cmd_actions(cfg: dict, out: Path):
     action_table, action_metrics = score_actions_for_bank(
         verb_table, noun_table, prior, bank)
 
-    # Every table row is a fully labelled bank record: score_actions_for_bank checked.
-    rows = dict(zip(bank.ids, range(len(bank.ids))))
-    verb_labels, noun_labels = bank.labels[[rows[s] for s in verb_table.segment_ids]].T
-    report: dict = {"action": action_metrics,
-                    "verb": {"top1": topk_accuracy(verb_table, verb_labels, 1),
-                             "top5": topk_accuracy(verb_table, verb_labels, 5)},
-                    "noun": {"top1": topk_accuracy(noun_table, noun_labels, 1),
-                             "top5": topk_accuracy(noun_table, noun_labels, 5)}}
+    verb_labels, noun_labels = table_labels(verb_table, bank).T
+    report: dict = {"action": action_metrics, "verb": topk_report(verb_table, verb_labels),
+                    "noun": topk_report(noun_table, noun_labels)}
     if prior.counts is not None:
         report["prior"] = prior_stats(prior)
 
     table_path = out / "action_scores.txt"
     save_score_table(action_table, table_path)
     report_path = out / "action_report.json"
-    _write_json(report, report_path)
+    write_json(report, report_path)
     outputs.update({"action_scores": str(table_path), "report": str(report_path)})
     print(json.dumps(report))
     return 0, inputs, outputs
@@ -296,9 +284,9 @@ def _cmd_gradcheck(cfg: dict, out: Path):
     def finite(err):  # JSON has no inf: a non-finite gradient's error reads null
         return err if math.isfinite(err) else None
 
-    _write_json({"per_group": {name: finite(err) for name, err in per_group.items()},
-                 "max_rel_err": finite(max_err), "tolerance": cfg["tolerance"],
-                 "passed": passed}, report_path)
+    write_json({"per_group": {name: finite(err) for name, err in per_group.items()},
+                "max_rel_err": finite(max_err), "tolerance": cfg["tolerance"],
+                "passed": passed}, report_path)
     return 0 if passed else 1, {}, {"report": str(report_path)}
 
 
@@ -308,7 +296,7 @@ def _cmd_stats(cfg: dict, out: Path):
                        pair_threshold=cfg["pair_threshold"])
     print(json.dumps(stats, indent=1))
     stats_path = out / "bank_stats.json"
-    _write_json(stats, stats_path)
+    write_json(stats, stats_path)
     return 0, {"bank": cfg["bank"]}, {"stats": str(stats_path)}
 
 

@@ -59,7 +59,6 @@ __all__ = [
     "gfa_forward",
     "gfa_backward",
     "gate_tail",
-    "init_gfa_params",
     "estimate_scalar_divisor",
 ]
 
@@ -91,22 +90,6 @@ class ScaleMode:
         if not 0 < self.epsilon <= _FLOAT_MAX:
             raise ValidationError(f"scale epsilon must be positive and finite, got {self.epsilon}")
 
-    @classmethod
-    def none(cls) -> "ScaleMode":
-        return cls("none")
-
-    @classmethod
-    def scalar(cls, s: float) -> "ScaleMode":
-        return cls("scalar", s=s)
-
-    @classmethod
-    def norm(cls, epsilon: float = 1e-8) -> "ScaleMode":
-        return cls("norm", epsilon=epsilon)
-
-    @classmethod
-    def norm_scalar(cls, s: float, epsilon: float = 1e-8) -> "ScaleMode":
-        return cls("norm-scalar", s=s, epsilon=epsilon)
-
 
 @dataclass
 class GfaParams:
@@ -122,7 +105,7 @@ class GfaParams:
     variant: str
     W: np.ndarray
     b: np.ndarray
-    scale: ScaleMode = field(default_factory=ScaleMode.none)
+    scale: ScaleMode = field(default_factory=ScaleMode)
 
     def __post_init__(self) -> None:
         if self.variant not in ("a", "b"):
@@ -205,11 +188,6 @@ def gfa_a_forward(v: np.ndarray, o: np.ndarray,
     """Variant A: gate the concatenation of ``v`` and the scaled ``o``."""
     if p.variant != "a":
         raise ValidationError(f"gfa_a_forward called with variant {p.variant!r} params")
-    total = v.shape[-1] + o.shape[-1]
-    if p.W.shape != (total, total):
-        raise ShapeError(
-            f"gfa variant a: W must be {total}x{total} for dim_v={v.shape[-1]}, "
-            f"dim_o={o.shape[-1]}, got {p.W.shape[0]}x{p.W.shape[1]}")
     _check_rows(v, o, "gfa variant a")
     c = np.concatenate([v, scale_object_feature(o, v, p.scale)], axis=-1)
     fused, gate = gate_tail(affine(c, p.W, p.b), c)
@@ -221,12 +199,6 @@ def gfa_b_forward(v: np.ndarray, o: np.ndarray,
     """Variant B: gate ``v`` elementwise by a sigmoid of an affine map of ``o``."""
     if p.variant != "b":
         raise ValidationError(f"gfa_b_forward called with variant {p.variant!r} params")
-    if p.W.shape[1] != o.shape[-1]:
-        raise ShapeError(
-            f"gfa variant b: W expects dim_o {p.W.shape[1]}, got {o.shape[-1]}")
-    if p.W.shape[0] != v.shape[-1]:
-        raise ShapeError(
-            f"gfa variant b: W produces dim {p.W.shape[0]}, but v has dim {v.shape[-1]}")
     _check_rows(v, o, "gfa variant b")
     fused, gate = gate_tail(affine(o, p.W, p.b), v)
     return fused, GfaCache(variant="b", v=v, o=o, gate=gate)
@@ -235,7 +207,12 @@ def gfa_b_forward(v: np.ndarray, o: np.ndarray,
 def gate_tail(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The gate after its affine map: ``sigmoid(z) * y`` and the gate
     ``sigmoid(z)``.  Both forward passes end here, with ``(z, y)`` =
-    ``(W c + b, c)`` for variant A and ``(W o + b, v)`` for variant B."""
+    ``(W c + b, c)`` for variant A and ``(W o + b, v)`` for variant B.
+    ``affine`` checks W's columns against its input; here W's rows, the
+    width of ``z``, must match the width of ``y`` (a ``ShapeError``)."""
+    if z.shape[-1] != y.shape[-1]:
+        raise ShapeError(
+            f"gfa gate: W produces dim {z.shape[-1]}, but the gated input has dim {y.shape[-1]}")
     gate = sigmoid(z)
     return gate * y, gate
 
@@ -278,24 +255,6 @@ def gfa_backward(cache: GfaCache, p: GfaParams, dF: np.ndarray, inputs: bool = T
     dc, n = dy + dx, cache.v.shape[-1]  # variant A: x = y = [v, scale(o)]
     do, dv_scale = scale_vjp(cache.o, cache.v, p.scale, dc[..., n:])
     return dc[..., :n] + dv_scale, do, dW, db
-
-
-def init_gfa_params(dim_v: int, dim_o: int, variant: str,
-                    scale: ScaleMode | None = None,
-                    rng: np.random.Generator | None = None) -> GfaParams:
-    """Fresh parameters: W uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)], b zero."""
-    rng = rng if rng is not None else np.random.default_rng()
-    scale = scale if scale is not None else ScaleMode.none()
-    if variant == "a":
-        n = dim_v + dim_o
-        rows, cols = n, n
-    elif variant == "b":
-        rows, cols = dim_v, dim_o
-    else:
-        raise ValidationError(f"gfa variant must be 'a' or 'b', got {variant!r}")
-    bound = 1.0 / np.sqrt(cols)
-    W = rng.uniform(-bound, bound, size=(rows, cols))
-    return GfaParams(variant=variant, W=W, b=np.zeros(rows), scale=scale)
 
 
 def estimate_scalar_divisor(V: np.ndarray, O: np.ndarray) -> float:

@@ -7,10 +7,9 @@ deterministic command reproduces its outputs byte for byte.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 
-from .errors import ValidationError, read_text, strict_json
+from .errors import ValidationError, read_json, write_json
 
 MANIFEST_FORMAT = "gatedfusion-manifest-v1"
 
@@ -25,23 +24,13 @@ class RunManifest:
     outputs: dict = field(default_factory=dict)
     duration_seconds: float = 0.0
 
-    def to_json(self) -> str:
-        obj = {"format": MANIFEST_FORMAT, **asdict(self)}
-        return strict_json(obj, indent=1) + "\n"
-
 
 def write_manifest(manifest: RunManifest, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(manifest.to_json())
+    write_json({"format": MANIFEST_FORMAT, **asdict(manifest)}, path)
 
 
 def load_manifest(path) -> RunManifest:
-    try:
-        obj = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(obj, dict) or obj.get("format") != MANIFEST_FORMAT:
-        raise ValidationError(f"{path}: not a {MANIFEST_FORMAT} file")
+    obj = read_json(path, MANIFEST_FORMAT)
     try:
         manifest = RunManifest(
             command=obj["command"],

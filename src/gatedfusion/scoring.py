@@ -11,11 +11,12 @@ ranking.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bank import FeatureBank
+from .bank import PAIR_COUNT_THRESHOLD, FeatureBank
 from .errors import ValidationError, read_text, strict_json
 
 __all__ = [
@@ -27,8 +28,9 @@ __all__ = [
     "prior_stats",
     "reweight_actions",
     "topk_accuracy",
+    "topk_report",
+    "table_labels",
     "score_actions_for_bank",
-    "action_index",
     "save_prior",
     "load_prior",
     "save_score_table",
@@ -37,7 +39,9 @@ __all__ = [
 
 SCORE_SPACES = ("verb", "noun", "action")
 _TOPK = (1, 5)  # the k of every top-k accuracy a report gives
-_PAIR_COUNT_THRESHOLD = 50  # prior_stats counts the pairs seen more often than this
+# No score table line holds whitespace in an id (it separates the fields) or
+# a lone surrogate (UTF-8 cannot encode one).
+_UNWRITABLE_CHAR = re.compile(r"[\s\ud800-\udfff]")
 
 
 @dataclass
@@ -86,11 +90,6 @@ class ScoreTable:
         return self.scores.shape[1]
 
 
-def action_index(verb: int, noun: int, noun_vocab_size: int) -> int:
-    """Flatten a (verb, noun) pair into the verb-major action space."""
-    return verb * noun_vocab_size + noun
-
-
 def _prior_matrix(make, verbs: int, nouns: int, dtype=np.float64) -> np.ndarray:
     """``make((verbs, nouns), dtype)``: the one allocation of a dense prior.
     A vocab too large to allocate is a ValidationError naming it."""
@@ -133,8 +132,8 @@ def prior_stats(prior: ActionPrior) -> dict:
     return {
         "labeled_segments": int(counts.sum()),
         "distinct_pairs": int(np.count_nonzero(prior.mu)),
-        "count_threshold": _PAIR_COUNT_THRESHOLD,
-        "pairs_above_threshold": int(np.count_nonzero(counts > _PAIR_COUNT_THRESHOLD)),
+        "count_threshold": PAIR_COUNT_THRESHOLD,
+        "pairs_above_threshold": int(np.count_nonzero(counts > PAIR_COUNT_THRESHOLD)),
     }
 
 
@@ -190,17 +189,26 @@ def topk_accuracy(table: ScoreTable, labels, k: int) -> float:
     return hits / len(labels) if len(labels) else 0.0
 
 
-def _aligned_action_labels(table: ScoreTable, bank: FeatureBank) -> np.ndarray:
-    pairs = dict(zip(bank.ids, bank.labels.tolist()))
-    labels = []
-    for seg_id in table.segment_ids:
-        pair = pairs.get(seg_id)
-        if pair is None:
-            raise ValidationError(f"segment {seg_id!r} not present in the bank")
-        if min(pair) < 0:
-            raise ValidationError(f"segment {seg_id!r} lacks verb/noun labels")
-        labels.append(action_index(*pair, bank.noun_vocab_size))
-    return np.array(labels, dtype=np.int64)
+def topk_report(table: ScoreTable, labels) -> dict:
+    """``{"top<k>": topk_accuracy(table, labels, k)}`` for every k a report
+    gives."""
+    return {f"top{k}": topk_accuracy(table, labels, k) for k in _TOPK}
+
+
+def table_labels(table: ScoreTable, bank: FeatureBank) -> np.ndarray:
+    """The (verb, noun) labels of the bank record with each row's segment
+    id, as a (rows, 2) block.  The first row in table order whose segment is
+    not in ``bank``, or lacks a label, is a ValidationError naming it."""
+    rows = dict(zip(bank.ids, range(len(bank.ids))))
+    index = np.array([rows.get(seg_id, -1) for seg_id in table.segment_ids], dtype=np.int64)
+    # index -1 picks the appended unlabelled row, so a missing segment is faulty too
+    labels = np.concatenate([bank.labels, np.full((1, 2), -1, np.int64)])[index]
+    faulty = np.flatnonzero((labels < 0).any(axis=1))
+    if faulty.size:
+        row = faulty[0]
+        fault = "not present in the bank" if index[row] < 0 else "lacks verb/noun labels"
+        raise ValidationError(f"segment {table.segment_ids[row]!r} {fault}")
+    return labels
 
 
 def score_actions_for_bank(verb_table: ScoreTable, noun_table: ScoreTable,
@@ -231,12 +239,10 @@ def score_actions_for_bank(verb_table: ScoreTable, noun_table: ScoreTable,
         scores=reweight_actions(pv, pn, uniform_prior(verbs, nouns)).reshape(shape),
         **table_kwargs)
 
-    labels = _aligned_action_labels(reweighted_table, bank)
-    metrics = {
-        "reweighted": {f"top{k}": topk_accuracy(reweighted_table, labels, k) for k in _TOPK},
-        "plain": {f"top{k}": topk_accuracy(plain_table, labels, k) for k in _TOPK},
-    }
-    return reweighted_table, metrics
+    verb, noun = table_labels(reweighted_table, bank).T
+    labels = verb * nouns + noun  # the verb-major action index
+    return reweighted_table, {"reweighted": topk_report(reweighted_table, labels),
+                              "plain": topk_report(plain_table, labels)}
 
 
 # --- file formats ---------------------------------------------------------------
@@ -286,12 +292,12 @@ def load_prior(path, verb_vocab_size: int, noun_vocab_size: int) -> ActionPrior:
 def save_score_table(table: ScoreTable, path) -> None:
     """Header line with the space tag and class counts, then one
     ``segment_id score...`` line per row at full precision.  Ids are checked
-    before the file opens, so an unreadable table leaves no file."""
+    before the file opens, so an id no table can hold leaves no file."""
     bad = next((seg_id for seg_id in table.segment_ids
-                if not seg_id or any(map(str.isspace, seg_id))), None)
+                if not seg_id or _UNWRITABLE_CHAR.search(seg_id)), None)
     if bad is not None:
-        raise ValidationError(
-            f"segment id {bad!r} is empty or contains whitespace; not representable")
+        raise ValidationError(f"segment id {bad!r} is empty, contains whitespace or is not "
+                              f"encodable as UTF-8; not representable")
     header: dict = {"space": table.space, "classes": table.classes}
     if table.space == "action":
         header["verb_classes"] = table.verb_classes

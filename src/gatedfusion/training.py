@@ -33,16 +33,14 @@ default and checks them too.
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .bank import AggregationConfig, FeatureBank, bank_features
-from .errors import ShapeError, ValidationError, read_text, strict_json
-from .gfa import (GfaCache, GfaParams, ScaleMode, gate_tail, gfa_backward, gfa_forward,
-                  init_gfa_params)
+from .errors import ShapeError, ValidationError, read_json, write_json
+from .gfa import GfaCache, GfaParams, ScaleMode, gate_tail, gfa_backward, gfa_forward
 from .tensor import affine, affine_vjp
 
 __all__ = [
@@ -112,7 +110,7 @@ class Model:
 
     def __post_init__(self) -> None:
         want = _gate_variant(self.fusion_kind,
-                             ScaleMode.none() if self.gfa is None else self.gfa.scale)
+                             ScaleMode() if self.gfa is None else self.gfa.scale)
         have = None if self.gfa is None else self.gfa.variant
         if have != want:  # a variant of None is no gfa params
             raise ValidationError(f"fusion kind {self.fusion_kind!r} needs gfa variant "
@@ -124,7 +122,7 @@ class ModelSpec:
     """What to build before training: fusion kind, scaling, aggregation."""
 
     fusion: str = "gfa-b"
-    scale: ScaleMode = field(default_factory=ScaleMode.none)
+    scale: ScaleMode = field(default_factory=ScaleMode)
     aggregation: AggregationConfig = field(default_factory=AggregationConfig)
 
     def __post_init__(self) -> None:
@@ -270,19 +268,26 @@ def _param_shapes(fusion: str, dim_v: int, dim_o: int, classes: int) -> dict[str
 def init_model(fusion: str, dim_v: int, dim_o: int, classes: int,
                scale: ScaleMode | None = None,
                rng: np.random.Generator | None = None) -> Model:
-    """Fresh model; gate params (if any) are drawn before the head so the
-    stream of random numbers is fixed per fusion kind.  Only a variant-``a``
-    gate takes a scale other than ``none``."""
+    """Fresh model with the shapes of ``_param_shapes``: each W uniform in
+    [-1/sqrt(fan_in), 1/sqrt(fan_in)] and each b zero.  The groups are drawn
+    in that table's order, gate (if any) before head, so the stream of random
+    numbers is fixed per fusion kind.  Only a variant-``a`` gate takes a
+    scale other than ``none``, the default."""
     rng = rng if rng is not None else np.random.default_rng()
-    variant = _gate_variant(fusion, scale if scale is not None else ScaleMode.none())
+    scale = scale if scale is not None else ScaleMode()
+    variant = _gate_variant(fusion, scale)
     for name, size in (("dim_v", dim_v), ("dim_o", dim_o), ("classes", classes)):
         if size < 1:
             raise ValidationError(f"{name} must be >= 1, got {size}")
-    gfa = None if variant is None else init_gfa_params(dim_v, dim_o, variant, scale=scale, rng=rng)
-    shape = _param_shapes(fusion, dim_v, dim_o, classes)["head.W"]
-    bound = 1.0 / np.sqrt(shape[1])
-    head = Head(W=rng.uniform(-bound, bound, size=shape), b=np.zeros(classes))
-    return Model(fusion_kind=fusion, head=head, gfa=gfa)
+    p = {}
+    for name, shape in _param_shapes(fusion, dim_v, dim_o, classes).items():
+        if len(shape) == 2:  # a W, with fan-in shape[1]
+            bound = 1.0 / np.sqrt(shape[1])
+            p[name] = rng.uniform(-bound, bound, size=shape)
+        else:
+            p[name] = np.zeros(shape)
+    gfa = None if variant is None else GfaParams(variant, p["gfa.W"], p["gfa.b"], scale)
+    return Model(fusion_kind=fusion, head=Head(p["head.W"], p["head.b"]), gfa=gfa)
 
 
 def param_groups(model: Model) -> dict[str, np.ndarray]:
@@ -531,20 +536,13 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "gfa": None if g is None else {"variant": g.variant, "scale": asdict(g.scale),
                                        "W": _matrix_obj(g.W), "b": g.b.tolist()},
     }
-    text = strict_json(obj, indent=1)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text + "\n")
+    write_json(obj, path)
 
 
 def load_checkpoint(path) -> Checkpoint:
     """Parse and check a checkpoint; every fault is a ``ValidationError``
     naming ``path``."""
-    try:
-        obj = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(obj, dict) or obj.get("format") != _CHECKPOINT_FORMAT:
-        raise ValidationError(f"{path}: not a {_CHECKPOINT_FORMAT} file")
+    obj = read_json(path, _CHECKPOINT_FORMAT)
     try:
         g, tc, agg = obj["gfa"], obj["train_config"], obj["aggregation"]
         gfa = None if g is None else GfaParams(

@@ -16,8 +16,7 @@ from gatedfusion.bank import (AggregationConfig, Detection, FeatureBank,
                               synth_generate)
 from gatedfusion.cli import main
 from gatedfusion.gfa import (GfaParams, ScaleMode, gfa_a_forward,
-                             gfa_b_forward, init_gfa_params,
-                             scale_object_feature)
+                             gfa_b_forward, scale_object_feature)
 from gatedfusion.scoring import (ScoreTable, compute_prior, prior_from_pairs,
                                  reweight_actions, score_actions_for_bank,
                                  topk_accuracy, uniform_prior)
@@ -36,11 +35,11 @@ def _report(number, description, ok):
 # --- 1: gradient fidelity -------------------------------------------------------
 
 _FUSIONS = [
-    ("clip-only", ScaleMode.none()),
-    ("concat", ScaleMode.none()),
-    ("gfa-a", ScaleMode.scalar(2.0)),
-    ("gfa-a", ScaleMode.norm()),
-    ("gfa-b", ScaleMode.none()),
+    ("clip-only", ScaleMode()),
+    ("concat", ScaleMode()),
+    ("gfa-a", ScaleMode("scalar", s=2.0)),
+    ("gfa-a", ScaleMode("norm")),
+    ("gfa-b", ScaleMode()),
 ]
 
 
@@ -105,8 +104,8 @@ def test_criterion_02_gate_structure():
     for _ in range(50):
         dim_v = int(rng.integers(2, 9))
         dim_o = int(rng.integers(2, 9))
-        pa = init_gfa_params(dim_v, dim_o, "a", ScaleMode.norm(), rng)
-        pb = init_gfa_params(dim_v, dim_o, "b", ScaleMode.none(), rng)
+        pa = init_model("gfa-a", dim_v, dim_o, 1, ScaleMode("norm"), rng).gfa
+        pb = init_model("gfa-b", dim_v, dim_o, 1, ScaleMode(), rng).gfa
         for _ in range(10):
             v = rng.uniform(-3, 3, dim_v)
             o = rng.uniform(-3, 3, dim_o)
@@ -135,7 +134,7 @@ def test_criterion_02_gate_structure():
 
 def test_criterion_03_scaling_contract():
     rng = np.random.default_rng(78)
-    mode = ScaleMode.norm()
+    mode = ScaleMode("norm")
     for _ in range(200):
         dim = int(rng.integers(1, 17))
         direction = rng.normal(size=dim)
@@ -151,7 +150,7 @@ def test_criterion_03_scaling_contract():
             assert abs(cos - 1.0) <= 1e-12
 
     o = rng.normal(size=8) * np.array([1e-300, 1e300, 1.0, -0.0, 1e-8, 2.0, -3.0, 5e-4])
-    out = scale_object_feature(o, rng.normal(size=3), ScaleMode.scalar(1.0))
+    out = scale_object_feature(o, rng.normal(size=3), ScaleMode("scalar", s=1.0))
     assert out.tobytes() == o.tobytes()
     _report(3, "norm scaling preserves direction and matches |v|; "
                "scalar(1) is bitwise identity", True)
@@ -170,7 +169,7 @@ def test_criterion_04_amplitude_mismatch_stability():
     _, hist_concat = train(train_bank, "noun", ModelSpec(fusion="concat"),
                            cfg, val_bank)
     _, hist_gfa = train(train_bank, "noun",
-                        ModelSpec(fusion="gfa-a", scale=ScaleMode.norm()),
+                        ModelSpec(fusion="gfa-a", scale=ScaleMode("norm")),
                         cfg, val_bank)
     elapsed = time.monotonic() - start
 

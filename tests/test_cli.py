@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gatedfusion import __version__
+from gatedfusion import __version__, scoring
 from gatedfusion.bank import (AggregationConfig, Detection, FeatureBank, SegmentRecord,
                               SynthSpec, bank_stats, load_feature_bank, save_feature_bank)
-from gatedfusion.cli import _write_json, main
-from gatedfusion.errors import ValidationError
+from gatedfusion.cli import main
+from gatedfusion.errors import ValidationError, write_json
 from gatedfusion.gfa import ScaleMode
-from gatedfusion.manifest import RunManifest, load_manifest
+from gatedfusion.manifest import RunManifest, load_manifest, write_manifest
 from gatedfusion.scoring import ScoreTable, load_score_table, save_score_table
 from gatedfusion.training import (FUSION_KINDS, Checkpoint, TrainConfig, grad_check,
                                   init_model, load_checkpoint, param_groups, save_checkpoint)
@@ -217,7 +217,7 @@ class TestTrainEval:
         ckpt = load_checkpoint(tmp_path / "run/checkpoint.json")
         bank = load_feature_bank(tmp_path / "data/train.bank")
         init = init_model("gfa-a", bank.dim_v, bank.dim_o, bank.noun_vocab_size,
-                          scale=ScaleMode.norm(), rng=np.random.default_rng(4))
+                          scale=ScaleMode("norm"), rng=np.random.default_rng(4))
         for name, arr in param_groups(ckpt.model).items():
             assert np.array_equal(arr, param_groups(init)[name]), name
 
@@ -344,7 +344,7 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert f"{ckpt}: {field} must be" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("bad_id", ["x y", ""])
+    @pytest.mark.parametrize("bad_id", ["x y", "", "a\ud800b"])  # the last one UTF-8 cannot encode
     def test_id_a_score_table_cannot_hold_is_exit_one_and_writes_no_table(
             self, tmp_path, capsys, bad_id):
         bank, ckpt = tiny_eval_inputs(tmp_path)
@@ -385,6 +385,20 @@ class TestTrainEval:
 
 
 class TestActions:
+    def test_report_keys_follow_the_topk_set(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(scoring, "_TOPK", (1, 3))
+        bank, ckpt = tiny_eval_inputs(tmp_path)
+        assert run("eval", "--checkpoint", ckpt, "--bank", bank,
+                   "--out-dir", tmp_path / "eval") == 0
+        report = json.loads((tmp_path / "eval/eval_report.json").read_text())
+        assert set(report) == {"target", "segments", "top1", "top3"}
+        (tmp_path / "inputs").mkdir()
+        assert run_actions(tiny_action_inputs(tmp_path / "inputs"), tmp_path / "act") == 0
+        report = json.loads((tmp_path / "act/action_report.json").read_text())
+        assert set(report) == {"action", "verb", "noun"}
+        for section in (*report["action"].values(), report["verb"], report["noun"]):
+            assert set(section) == {"top1", "top3"}
+
     def _prepare(self, tmp_path, **synth_flags):
         synth(tmp_path / "data", train=80, val=30, **synth_flags)
         for target, fusion in (("verb", "clip-only"), ("noun", "gfa-b")):
@@ -1174,17 +1188,17 @@ class TestNonFiniteValues:
 
     def test_writers_refuse_non_finite_values(self, tmp_path):
         with pytest.raises(ValidationError, match="cannot write JSON"):
-            _write_json({"x": float("nan")}, tmp_path / "x.json")
+            write_json({"x": float("nan")}, tmp_path / "x.json")
         with pytest.raises(ValidationError, match="cannot write JSON"):
-            RunManifest(command="eval", version="0", seed=None,
-                        config={"lr": float("inf")}).to_json()
+            write_manifest(RunManifest(command="eval", version="0", seed=None,
+                                       config={"lr": float("inf")}), tmp_path / "m.json")
         model = init_model("clip-only", 2, 2, 3, rng=np.random.default_rng(0))
         with pytest.raises(ValidationError, match="learning_rate must be a finite number"):
             save_checkpoint(Checkpoint(model=model, target="noun", dim_v=2, dim_o=2, classes=3,
                                        aggregation=AggregationConfig(),
                                        train_config=TrainConfig(learning_rate=float("inf"))),
                             tmp_path / "ckpt.json")
-        assert not (tmp_path / "x.json").exists() and not (tmp_path / "ckpt.json").exists()
+        assert not any(tmp_path.iterdir())
 
 
 class TestTopLevel:

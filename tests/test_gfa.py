@@ -5,7 +5,8 @@ from gatedfusion import tensor
 from gatedfusion.errors import ShapeError, ValidationError
 from gatedfusion.gfa import (GfaParams, ScaleMode, estimate_scalar_divisor,
                              gfa_a_forward, gfa_b_forward, gfa_backward,
-                             init_gfa_params, scale_object_feature, scale_vjp)
+                             scale_object_feature, scale_vjp)
+from gatedfusion.training import init_model
 
 from conftest import central_diff, rel_err
 
@@ -40,28 +41,28 @@ class TestScaleObjectFeature:
     def test_norm_to_amplitude_hand_case(self):
         o = np.array([3.0, 4.0])
         v = np.array([10.0, 0.0, 0.0])
-        out = scale_object_feature(o, v, ScaleMode.norm())
+        out = scale_object_feature(o, v, ScaleMode("norm"))
         assert np.allclose(out, [6.0, 8.0], rtol=1e-12)
 
     def test_scalar_one_is_bitwise_identity(self):
         o = np.array([0.1, -0.0, 7e-300, -3.25])
-        out = scale_object_feature(o, np.ones(2), ScaleMode.scalar(1.0))
+        out = scale_object_feature(o, np.ones(2), ScaleMode("scalar", s=1.0))
         assert out.tobytes() == o.tobytes()
 
     def test_zero_vector_under_norm(self):
         out = scale_object_feature(np.zeros(2), np.array([5.0, 1.0]),
-                                   ScaleMode.norm())
+                                   ScaleMode("norm"))
         assert np.array_equal(out, np.zeros(2))
 
     def test_none_returns_copy(self):
         o = np.array([1.0, 2.0])
-        out = scale_object_feature(o, np.ones(1), ScaleMode.none())
+        out = scale_object_feature(o, np.ones(1), ScaleMode())
         assert np.array_equal(out, o) and out is not o
 
     def test_norm_scalar_composition(self):
         o = np.array([3.0, 4.0])
         v = np.array([10.0, 0.0, 0.0])
-        out = scale_object_feature(o, v, ScaleMode.norm_scalar(2.0))
+        out = scale_object_feature(o, v, ScaleMode("norm-scalar", s=2.0))
         assert np.allclose(out, [3.0, 4.0], rtol=1e-12)
 
     def test_amplitude_and_direction_contract(self):
@@ -72,7 +73,7 @@ class TestScaleObjectFeature:
             if tensor.l2_norm(o) < 1e-6:
                 o = o + 1.0
             v = rng.uniform(-2, 2, int(rng.integers(1, 17)))
-            out = scale_object_feature(o, v, ScaleMode.norm())
+            out = scale_object_feature(o, v, ScaleMode("norm"))
             nv, no, nout = tensor.l2_norm(v), tensor.l2_norm(o), tensor.l2_norm(out)
             assert abs(nout - nv) <= 1e-9 * max(nv, 1e-300)
             if nout > 0:
@@ -83,7 +84,7 @@ class TestScaleObjectFeature:
         eps = 1e-8
         o = np.array([1e-10, 0.0])
         v = np.array([2.0, 0.0, 0.0])
-        out = scale_object_feature(o, v, ScaleMode.norm(epsilon=eps))
+        out = scale_object_feature(o, v, ScaleMode("norm", epsilon=eps))
         assert np.allclose(out, o * (2.0 / eps), rtol=1e-12)
 
 
@@ -97,14 +98,14 @@ class TestGfaAForward:
     def test_saturated_gate_with_norm_scaling(self):
         v, o = np.array([1.0, 0.0]), np.array([3.0, 4.0])
         p = GfaParams(variant="a", W=np.zeros((4, 4)), b=50.0 * np.ones(4),
-                      scale=ScaleMode.norm())
+                      scale=ScaleMode("norm"))
         F, _ = gfa_a_forward(v, o, p)
         assert np.allclose(F, [1.0, 0.0, 0.6, 0.8], rtol=1e-9)
 
     def test_matches_step_by_step_recomputation(self):
         rng = np.random.default_rng(11)
         v, o = rng.normal(size=5), rng.normal(size=3)
-        p = init_gfa_params(5, 3, "a", ScaleMode.scalar(2.0), rng)
+        p = init_model("gfa-a", 5, 3, 1, ScaleMode("scalar", s=2.0), rng).gfa
         F, cache = gfa_a_forward(v, o, p)
         scaled = scale_object_feature(o, v, p.scale)
         c = np.concatenate([v, scaled])
@@ -116,7 +117,7 @@ class TestGfaAForward:
         rng = np.random.default_rng(12)
         for _ in range(20):
             v, o = rng.uniform(-2, 2, 4), rng.uniform(-2, 2, 3)
-            p = init_gfa_params(4, 3, "a", ScaleMode.none(), rng)
+            p = init_model("gfa-a", 4, 3, 1, ScaleMode(), rng).gfa
             F, cache = gfa_a_forward(v, o, p)
             assert np.all(cache.gate > 0) and np.all(cache.gate < 1)
             assert np.all(np.abs(F) <= np.abs(cache.concat_in))
@@ -151,7 +152,7 @@ class TestGfaBForward:
 
     def test_output_dim_is_dim_v(self):
         rng = np.random.default_rng(13)
-        p = init_gfa_params(6, 4, "b", rng=rng)
+        p = init_model("gfa-b", 6, 4, 1, rng=rng).gfa
         F, cache = gfa_b_forward(rng.normal(size=6), rng.normal(size=4), p)
         assert F.shape == (6,)
         assert np.all(np.abs(F) <= np.abs(cache.v))
@@ -162,7 +163,7 @@ class TestGfaBForward:
         W = rng.normal(size=(3, 2))
         v, o = rng.normal(size=3), rng.normal(size=2)
         plain = GfaParams(variant="b", W=W, b=np.zeros(3))
-        scaled = GfaParams(variant="b", W=W, b=np.zeros(3), scale=ScaleMode.scalar(100.0))
+        scaled = GfaParams(variant="b", W=W, b=np.zeros(3), scale=ScaleMode("scalar", s=100.0))
         assert np.array_equal(gfa_b_forward(v, o, plain)[0],
                               gfa_b_forward(v, o, scaled)[0])
 
@@ -177,7 +178,7 @@ class TestGfaBForward:
 def _vjp_oracle_check(variant, scale, dim_v, dim_o, seed, tol):
     """Check all four gradients of u . F against the test-side FD oracle."""
     rng = np.random.default_rng(seed)
-    p = init_gfa_params(dim_v, dim_o, variant, scale, rng)
+    p = init_model(f"gfa-{variant}", dim_v, dim_o, 1, scale, rng).gfa
     v = rng.uniform(-2, 2, dim_v)
     o = rng.uniform(-2, 2, dim_o)
     while tensor.l2_norm(o) <= 0.1:
@@ -212,18 +213,18 @@ class TestGfaBackward:
         assert np.array_equal(dv, 0.5 * dF)
 
     def test_variant_a_scalar_divide_matches_fd(self):
-        _vjp_oracle_check("a", ScaleMode.scalar(2.0), 4, 3, seed=21, tol=1e-5)
+        _vjp_oracle_check("a", ScaleMode("scalar", s=2.0), 4, 3, seed=21, tol=1e-5)
 
     def test_variant_a_norm_matches_fd(self):
         for seed in (31, 32, 33):
-            _vjp_oracle_check("a", ScaleMode.norm(), 5, 4, seed=seed, tol=1e-4)
+            _vjp_oracle_check("a", ScaleMode("norm"), 5, 4, seed=seed, tol=1e-4)
 
     def test_variant_a_norm_scalar_matches_fd(self):
-        _vjp_oracle_check("a", ScaleMode.norm_scalar(3.0), 4, 3, seed=41, tol=1e-4)
+        _vjp_oracle_check("a", ScaleMode("norm-scalar", s=3.0), 4, 3, seed=41, tol=1e-4)
 
     def test_variant_b_matches_fd(self):
         for seed in (51, 52):
-            _vjp_oracle_check("b", ScaleMode.none(), 4, 3, seed=seed, tol=1e-5)
+            _vjp_oracle_check("b", ScaleMode(), 4, 3, seed=seed, tol=1e-5)
 
     def test_cache_params_mismatch(self):
         p_b = GfaParams(variant="b", W=np.zeros((2, 1)), b=np.zeros(2))
@@ -243,7 +244,7 @@ class TestScaleVjp:
     def test_deep_epsilon_branch_is_linear(self):
         # far below the floor the scaling is o * |v| / eps, linear in o
         eps = 1e-8
-        mode = ScaleMode.norm(epsilon=eps)
+        mode = ScaleMode("norm", epsilon=eps)
         o = np.array([1e-12, -2e-12])
         v = np.array([3.0, 4.0])
         up = np.array([1.0, 2.0])
@@ -255,7 +256,7 @@ class TestScaleVjp:
 
     def test_none_and_scalar_have_no_v_path(self):
         o, v, up = np.ones(2), np.ones(3), np.array([1.0, 2.0])
-        for mode in (ScaleMode.none(), ScaleMode.scalar(4.0)):
+        for mode in (ScaleMode(), ScaleMode("scalar", s=4.0)):
             do, dv = scale_vjp(o, v, mode, up)
             assert np.array_equal(dv, np.zeros(3))
 
@@ -263,11 +264,11 @@ class TestScaleVjp:
 class TestInitAndCalibration:
     def test_init_shapes_and_bounds(self):
         rng = np.random.default_rng(0)
-        pa = init_gfa_params(3, 2, "a", rng=rng)
+        pa = init_model("gfa-a", 3, 2, 1, rng=rng).gfa
         assert pa.W.shape == (5, 5) and pa.b.shape == (5,)
         assert np.all(np.abs(pa.W) <= 1.0 / np.sqrt(5))
         assert np.array_equal(pa.b, np.zeros(5))
-        pb = init_gfa_params(3, 2, "b", rng=rng)
+        pb = init_model("gfa-b", 3, 2, 1, rng=rng).gfa
         assert pb.W.shape == (3, 2)
         assert np.all(np.abs(pb.W) <= 1.0 / np.sqrt(2))
 

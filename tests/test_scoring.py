@@ -7,11 +7,11 @@ from hypothesis import given, strategies as st
 
 from gatedfusion.bank import FeatureBank, SegmentRecord
 from gatedfusion.errors import ValidationError
-from gatedfusion.scoring import (ScoreTable, action_index, compute_prior, load_prior,
+from gatedfusion.scoring import (ScoreTable, compute_prior, load_prior,
                                  load_score_table, prior_from_pairs, prior_stats,
                                  reweight_actions, save_prior,
                                  save_score_table, score_actions_for_bank,
-                                 topk_accuracy, uniform_prior)
+                                 table_labels, topk_accuracy, uniform_prior)
 
 
 def labeled_bank(pairs, verb_vocab=4, noun_vocab=4):
@@ -249,10 +249,37 @@ class TestScoreActionsForBank:
 
 class TestActionIndex:
     def test_roundtrip(self):
-        for v in range(3):
-            for n in range(5):
-                idx = action_index(v, n, 5)
-                assert divmod(idx, 5) == (v, n)
+        # the action space is verb-major: pair (v, n) is column v * nouns + n,
+        # in the action table and in the labels its accuracy is scored against
+        pairs = [(v, n) for v in range(3) for n in range(5)]
+        bank = labeled_bank(pairs, verb_vocab=3, noun_vocab=5)
+        vt = table(np.eye(3)[[v for v, _ in pairs]], space="verb")
+        nt = table(np.eye(5)[[n for _, n in pairs]], space="noun")
+        actions, metrics = score_actions_for_bank(vt, nt, uniform_prior(3, 5), bank)
+        for row, pair in zip(actions.scores, pairs):
+            assert divmod(int(np.argmax(row)), 5) == pair
+        assert metrics["plain"]["top1"] == 1.0
+
+
+class TestTableLabels:
+    def test_rows_follow_the_table_not_the_bank(self):
+        bank = labeled_bank([(0, 1), (2, 3), (1, 0)])
+        labels = table_labels(table(np.ones((3, 4)), ids=["s2", "s0", "s2"]), bank)
+        assert labels.tolist() == [[1, 0], [0, 1], [1, 0]]
+        assert table_labels(table(np.ones((0, 4))), bank).shape == (0, 2)
+
+    def test_empty_bank_is_not_present(self):
+        with pytest.raises(ValidationError, match="segment 's0' not present in the bank"):
+            table_labels(table(np.ones((1, 4))), labeled_bank([]))
+
+    @pytest.mark.parametrize("ids,message", [
+        (["s0", "zz", "s1"], "segment 'zz' not present in the bank"),
+        (["s0", "s1", "zz"], "segment 's1' lacks verb/noun labels"),
+    ])
+    def test_first_faulty_row_in_table_order(self, ids, message):
+        bank = labeled_bank([(0, 0), (1, None)])
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            table_labels(table(np.ones((3, 4)), ids=ids), bank)
 
 
 class TestFileFormats:

@@ -146,13 +146,13 @@ class TestForwardModel:
 
 
 _KINDS = [
-    ("clip-only", ScaleMode.none()),
-    ("concat", ScaleMode.none()),
-    ("gfa-a", ScaleMode.none()),
-    ("gfa-a", ScaleMode.scalar(2.0)),
-    ("gfa-a", ScaleMode.norm()),
-    ("gfa-a", ScaleMode.norm_scalar(2.0)),
-    ("gfa-b", ScaleMode.none()),
+    ("clip-only", ScaleMode()),
+    ("concat", ScaleMode()),
+    ("gfa-a", ScaleMode()),
+    ("gfa-a", ScaleMode("scalar", s=2.0)),
+    ("gfa-a", ScaleMode("norm")),
+    ("gfa-a", ScaleMode("norm-scalar", s=2.0)),
+    ("gfa-b", ScaleMode()),
 ]
 _KIND_IDS = [f"{kind}-{scale.kind}" for kind, scale in _KINDS]
 
@@ -259,14 +259,14 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=0.0, epochs=3, seed=9)
         model, _ = train(bank, "noun", ModelSpec(fusion="gfa-b"), cfg)
         init = init_model("gfa-b", bank.dim_v, bank.dim_o, bank.noun_vocab_size,
-                          scale=ScaleMode.none(), rng=np.random.default_rng(9))
+                          scale=ScaleMode(), rng=np.random.default_rng(9))
         for name, arr in param_groups(model).items():
             assert np.array_equal(arr, param_groups(init)[name]), name
 
     def test_same_seed_is_bitwise_deterministic(self):
         bank = synth_generate(SynthSpec(n_segments=40), 6)
         cfg = TrainConfig(learning_rate=0.05, epochs=4, seed=3)
-        spec = ModelSpec(fusion="gfa-a", scale=ScaleMode.norm())
+        spec = ModelSpec(fusion="gfa-a", scale=ScaleMode("norm"))
         m1, h1 = train(bank, "noun", spec, cfg)
         m2, h2 = train(bank, "noun", spec, cfg)
         for name, arr in param_groups(m1).items():
@@ -374,7 +374,7 @@ class TestTrainConfig:
 class TestGradCheck:
     def test_gfa_a_model(self):
         rng = np.random.default_rng(103)
-        model = init_model("gfa-a", 6, 4, 3, scale=ScaleMode.norm(), rng=rng)
+        model = init_model("gfa-a", 6, 4, 3, scale=ScaleMode("norm"), rng=rng)
         v = rng.uniform(-2, 2, 6)
         o = rng.uniform(-2, 2, 4)
         max_err, per_group = grad_check(model, v, o, label=1)
@@ -441,9 +441,9 @@ class TestGradCheck:
                                       int(rng.integers(4)))
             assert per_group["o"] == 0.0, seed
 
-    @pytest.mark.parametrize("fusion,scale", [("gfa-a", ScaleMode.norm()),
-                                              ("gfa-a", ScaleMode.none()),
-                                              ("gfa-b", ScaleMode.none())])
+    @pytest.mark.parametrize("fusion,scale", [("gfa-a", ScaleMode("norm")),
+                                              ("gfa-a", ScaleMode()),
+                                              ("gfa-b", ScaleMode())])
     def test_planted_gate_bug_is_caught(self, request, fusion, scale):
         rng = np.random.default_rng(108)
         model = init_model(fusion, 8, 6, 4, scale=scale, rng=rng)
@@ -458,7 +458,7 @@ class TestGradCheck:
 class TestCheckpoint:
     def _checkpoint(self, fusion="gfa-a", scale=None):
         rng = np.random.default_rng(7)
-        scale = scale or ScaleMode.norm_scalar(2.5)
+        scale = scale or ScaleMode("norm-scalar", s=2.5)
         model = init_model(fusion, 4, 3, 5,
                            scale=scale if fusion.startswith("gfa") else None,
                            rng=rng)
@@ -520,7 +520,7 @@ class TestCheckpoint:
     def test_save_load_save_is_byte_identical(self, tmp_path, fusion):
         first, second = tmp_path / "first.json", tmp_path / "second.json"
         # only gfa-a scales; the helper's default scale would be rejected for gfa-b
-        scale = ScaleMode.none() if fusion == "gfa-b" else None
+        scale = ScaleMode() if fusion == "gfa-b" else None
         save_checkpoint(self._checkpoint(fusion=fusion, scale=scale), first)
         save_checkpoint(load_checkpoint(first), second)
         assert first.read_bytes() == second.read_bytes()
@@ -570,7 +570,7 @@ class TestModelInvariants:
     def test_scaled_gfa_b_gate_is_neither_built_nor_saved(self, tmp_path):
         # gfa-b's forward pass never reads a scale, so a model that carries one is refused
         path = tmp_path / "checkpoint.json"
-        gate = GfaParams(variant="b", W=np.zeros((4, 3)), b=np.zeros(4), scale=ScaleMode.norm())
+        gate = GfaParams(variant="b", W=np.zeros((4, 3)), b=np.zeros(4), scale=ScaleMode("norm"))
         with pytest.raises(ValidationError,
                            match="fusion kind 'gfa-b' takes scale 'none', got 'norm'"):
             save_checkpoint(Checkpoint(
@@ -610,7 +610,7 @@ class TestBenchmarkSpans:
         save_feature_bank(bank, tmp_path / "bank.bank")
         tracer = _load_perfbench_spans().Tracer()
         with tracer.installed():
-            spec = ModelSpec(fusion="gfa-a", scale=ScaleMode.norm())
+            spec = ModelSpec(fusion="gfa-a", scale=ScaleMode("norm"))
             cfg = TrainConfig(epochs=1, batch_size=4, seed=0)
             model, _ = training.train(bank, "noun", spec, cfg)
             training.save_checkpoint(Checkpoint(model=model, target="noun", dim_v=3, dim_o=3,
