@@ -35,8 +35,8 @@ from .errors import ShapeError, ValidationError, write_json
 from .gfa import SCALE_KINDS, ScaleMode, estimate_scalar_divisor
 from .manifest import RunManifest, load_manifest, write_manifest
 from .scoring import (ScoreTable, compute_prior, load_prior, load_score_table, prior_stats,
-                      save_prior, save_score_table, score_actions_for_bank, table_labels,
-                      topk_report, uniform_prior)
+                      save_prior, save_score_table, score_actions_for_bank, topk_report,
+                      uniform_prior)
 from .training import (Checkpoint, FUSION_KINDS, TARGETS, ModelSpec, TrainConfig,
                        fit_labels, forward_model, grad_check, init_model, load_checkpoint,
                        save_checkpoint, softmax, target_labels, train)
@@ -204,7 +204,7 @@ def _cmd_eval(cfg: dict, out: Path):
 
     report: dict = {"target": ckpt.target, "segments": len(bank.ids)}
     if (labels >= 0).all():
-        report.update(topk_report(table, labels))
+        report.update(topk_report(table.scores, labels))
     report_path = out / "eval_report.json"
     write_json(report, report_path)
     print(json.dumps(report))
@@ -238,18 +238,17 @@ def _cmd_actions(cfg: dict, out: Path):
         prior = load_prior(cfg["prior"], bank.verb_vocab_size, bank.noun_vocab_size)
         inputs["prior"] = cfg["prior"]
     else:
-        prior = compute_prior(load_feature_bank(cfg["train_bank"]))
+        same = Path(cfg["train_bank"]).resolve() == Path(cfg["bank"]).resolve()
+        prior = compute_prior(bank if same else load_feature_bank(cfg["train_bank"]))
         inputs["train_bank"] = cfg["train_bank"]
         prior_path = out / "prior.txt"
         save_prior(prior, prior_path)
         outputs["prior"] = str(prior_path)
 
-    action_table, action_metrics = score_actions_for_bank(
+    action_table, action_metrics, labels = score_actions_for_bank(
         verb_table, noun_table, prior, bank)
-
-    verb_labels, noun_labels = table_labels(verb_table, bank).T
-    report: dict = {"action": action_metrics, "verb": topk_report(verb_table, verb_labels),
-                    "noun": topk_report(noun_table, noun_labels)}
+    report: dict = {"action": action_metrics, "verb": topk_report(verb_table.scores, labels[:, 0]),
+                    "noun": topk_report(noun_table.scores, labels[:, 1])}
     if prior.counts is not None:
         report["prior"] = prior_stats(prior)
 

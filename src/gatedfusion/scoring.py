@@ -27,6 +27,7 @@ __all__ = [
     "uniform_prior",
     "prior_stats",
     "reweight_actions",
+    "label_ranks",
     "topk_accuracy",
     "topk_report",
     "table_labels",
@@ -166,33 +167,43 @@ def _check_aligned(ids: list[str], other: list[str], what: str) -> None:
     raise ValidationError(f"{what} have {len(ids)} vs {len(other)} segments")
 
 
-def topk_accuracy(table: ScoreTable, labels, k: int) -> float:
-    """Fraction of rows whose true label ranks inside the top k.
+def label_ranks(scores: np.ndarray, labels) -> np.ndarray:
+    """Per row of a (rows, classes) score block, the number of classes
+    ranked ahead of the row's true label.
 
     Ranking is by descending score with ties broken by ascending class
-    index, which is pessimistic for the true label: a label tied at the
-    k-th boundary counts only if its index wins the tie."""
-    if k < 1:
-        raise ValidationError(f"topk_accuracy: k must be >= 1, got {k}")
+    index, which is pessimistic for the true label: a label is in the top k
+    when its rank is below k, so one tied at the k-th boundary counts only
+    if its index wins the tie."""
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (table.scores.shape[0],):
-        raise ValidationError(
-            f"topk_accuracy: labels shaped {labels.shape} for {table.scores.shape[0]} rows")
-    classes = table.classes
+    rows, classes = scores.shape
+    if labels.shape != (rows,):
+        raise ValidationError(f"labels shaped {labels.shape} for {rows} rows")
     if labels.size and (labels.min() < 0 or labels.max() >= classes):
         bad = labels[(labels < 0) | (labels >= classes)][0]
-        raise ValidationError(f"topk_accuracy: label {bad} out of range for {classes} classes")
-    scores = table.scores
-    true = scores[np.arange(len(labels)), labels][:, None]
+        raise ValidationError(f"label {bad} out of range for {classes} classes")
+    true = scores[np.arange(rows), labels][:, None]
     ahead = (scores > true) | ((scores == true) & (np.arange(classes) < labels[:, None]))
-    hits = np.count_nonzero(ahead.sum(axis=1) < k)
-    return hits / len(labels) if len(labels) else 0.0
+    return np.count_nonzero(ahead, axis=1)
 
 
-def topk_report(table: ScoreTable, labels) -> dict:
-    """``{"top<k>": topk_accuracy(table, labels, k)}`` for every k a report
-    gives."""
-    return {f"top{k}": topk_accuracy(table, labels, k) for k in _TOPK}
+def _top_rate(ranks: np.ndarray, k: int) -> float:
+    return np.count_nonzero(ranks < k) / len(ranks) if len(ranks) else 0.0
+
+
+def topk_accuracy(table: ScoreTable, labels, k: int) -> float:
+    """Fraction of rows whose true label ranks inside the top k, by the
+    tie rule of ``label_ranks``."""
+    if k < 1:
+        raise ValidationError(f"topk_accuracy: k must be >= 1, got {k}")
+    return _top_rate(label_ranks(table.scores, labels), k)
+
+
+def topk_report(scores: np.ndarray, labels) -> dict:
+    """``{"top<k>": accuracy}`` of a (rows, classes) score block for every
+    k a report gives, from one ranking of the true labels."""
+    ranks = label_ranks(scores, labels)
+    return {f"top{k}": _top_rate(ranks, k) for k in _TOPK}
 
 
 def table_labels(table: ScoreTable, bank: FeatureBank) -> np.ndarray:
@@ -211,10 +222,12 @@ def table_labels(table: ScoreTable, bank: FeatureBank) -> np.ndarray:
     return labels
 
 
-def score_actions_for_bank(verb_table: ScoreTable, noun_table: ScoreTable,
-                           prior: ActionPrior, bank: FeatureBank) -> tuple[ScoreTable, dict]:
-    """Per-segment action scores over the flattened verb x noun space, plus
-    top-k accuracy with the prior and with mu replaced by all-ones."""
+def score_actions_for_bank(verb_table: ScoreTable, noun_table: ScoreTable, prior: ActionPrior,
+                           bank: FeatureBank) -> tuple[ScoreTable, dict, np.ndarray]:
+    """Per-segment action scores over the flattened verb x noun space,
+    top-k accuracy with the prior and with mu replaced by all-ones (the
+    plain ``pv * pn`` product), and the (rows, 2) verb and noun labels of
+    the rows, joined from ``bank`` once."""
     if verb_table.space != "verb" or noun_table.space != "noun":
         raise ValidationError(
             f"expected a verb and a noun table, got {verb_table.space!r} and {noun_table.space!r}")
@@ -230,19 +243,17 @@ def score_actions_for_bank(verb_table: ScoreTable, noun_table: ScoreTable,
             f"{verbs}x{nouns}")
 
     shape = (len(verb_table.segment_ids), verbs * nouns)
-    pv, pn = verb_table.scores, noun_table.scores
-    table_kwargs = dict(segment_ids=list(verb_table.segment_ids), space="action",
-                        verb_classes=verbs, noun_classes=nouns)
+    pv, pn = (t.scores.astype(np.float64, copy=False) for t in (verb_table, noun_table))
     reweighted_table = ScoreTable(scores=reweight_actions(pv, pn, prior).reshape(shape),
-                                  **table_kwargs)
-    plain_table = ScoreTable(
-        scores=reweight_actions(pv, pn, uniform_prior(verbs, nouns)).reshape(shape),
-        **table_kwargs)
+                                  segment_ids=list(verb_table.segment_ids), space="action",
+                                  verb_classes=verbs, noun_classes=nouns)
+    # mu = 1 scales exactly, so this is the all-ones re-weighting, bit for bit
+    plain = (pv[:, :, None] * pn[:, None, :]).reshape(shape)
 
-    verb, noun = table_labels(reweighted_table, bank).T
-    labels = verb * nouns + noun  # the verb-major action index
-    return reweighted_table, {"reweighted": topk_report(reweighted_table, labels),
-                              "plain": topk_report(plain_table, labels)}
+    labels = table_labels(verb_table, bank)
+    actions = labels[:, 0] * nouns + labels[:, 1]  # the verb-major action index
+    return reweighted_table, {"reweighted": topk_report(reweighted_table.scores, actions),
+                              "plain": topk_report(plain, actions)}, labels
 
 
 # --- file formats ---------------------------------------------------------------
@@ -291,8 +302,13 @@ def load_prior(path, verb_vocab_size: int, noun_vocab_size: int) -> ActionPrior:
 
 def save_score_table(table: ScoreTable, path) -> None:
     """Header line with the space tag and class counts, then one
-    ``segment_id score...`` line per row at full precision.  Ids are checked
-    before the file opens, so an id no table can hold leaves no file."""
+    ``segment_id score...`` line per row, each score its ``repr``.
+
+    A column that is +0.0 in every row, as every pair outside an action
+    prior's support is, prints as the fixed text ``0.0`` of a per-table row
+    template, so only the other columns are formatted: the bytes are those
+    of one ``repr`` per float.  Ids are checked before the file opens, so an
+    id no table can hold leaves no file."""
     bad = next((seg_id for seg_id in table.segment_ids
                 if not seg_id or _UNWRITABLE_CHAR.search(seg_id)), None)
     if bad is not None:
@@ -302,11 +318,13 @@ def save_score_table(table: ScoreTable, path) -> None:
     if table.space == "action":
         header["verb_classes"] = table.verb_classes
         header["noun_classes"] = table.noun_classes
+    scores = table.scores.astype(np.float64, copy=False)
+    live = scores.view(np.uint64).any(axis=0)  # a dead column has no bit set in any row
+    row_format = "%s " + " ".join("%r" if on else "0.0" for on in live.tolist()) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(strict_json(header, separators=(",", ":")) + "\n")
-        for seg_id, row in zip(table.segment_ids,
-                               table.scores.astype(np.float64, copy=False).tolist()):
-            fh.write(seg_id + " " + " ".join(map(repr, row)) + "\n")
+        for seg_id, row in zip(table.segment_ids, scores[:, live].tolist()):
+            fh.write(row_format % (seg_id, *row))
 
 
 def _header_count(val) -> int:

@@ -41,6 +41,7 @@ import numpy as np
 from .bank import AggregationConfig, FeatureBank, bank_features
 from .errors import ShapeError, ValidationError, read_json, write_json
 from .gfa import GfaCache, GfaParams, ScaleMode, gate_tail, gfa_backward, gfa_forward
+from .scoring import label_ranks
 from .tensor import affine, affine_vjp
 
 __all__ = [
@@ -324,12 +325,6 @@ def _require_labels(bank: FeatureBank, labels: np.ndarray, target: str) -> None:
         raise ValidationError(f"record {bank.ids[np.argmax(labels < 0)]!r} has no {target} label")
 
 
-def _top1_accuracy(scores: np.ndarray, labels: np.ndarray) -> float:
-    # argmax takes the lowest index among ties, matching the pessimistic
-    # tie rule of the metrics module at k=1.
-    return float(np.mean(np.argmax(scores, axis=1) == labels))
-
-
 def train(bank: FeatureBank, target: str, spec: ModelSpec, cfg: TrainConfig,
           val_bank: FeatureBank | None = None) -> tuple[Model, list[dict]]:
     """Train one head (and gate, if any) for ``target`` on ``bank``.
@@ -388,7 +383,8 @@ def train(bank: FeatureBank, target: str, spec: ModelSpec, cfg: TrainConfig,
         }
         if val_data is not None:
             Vv, Ov, val_labels = val_data
-            entry["val_top1"] = _top1_accuracy(forward_model(model, Vv, Ov)[0], val_labels)
+            ranks = label_ranks(forward_model(model, Vv, Ov)[0], val_labels)
+            entry["val_top1"] = float(np.mean(ranks < 1))
         history.append(entry)
     return model, history
 

@@ -1,6 +1,8 @@
 """Shared test helpers: independent central-difference and 5-point gradient oracles,
-exact bank equality and the record-by-record synthetic bank generator."""
+exact bank equality, the record-by-record synthetic bank generator and the
+one-``repr``-per-float score table writer."""
 
+import json
 import zlib
 from dataclasses import fields
 
@@ -75,6 +77,18 @@ def rel_err(a, b, floor=1e-8):
         return 0.0
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float(np.max(np.abs(a - b) / denom))
+
+
+def reference_save_score_table(table, path) -> None:
+    """Test-side oracle for ``scoring.save_score_table``: the header, then
+    every score of every row through ``repr``."""
+    header = {"space": table.space, "classes": table.scores.shape[1]}
+    if table.space == "action":
+        header.update(verb_classes=table.verb_classes, noun_classes=table.noun_classes)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(json.dumps(header, separators=(",", ":")) + "\n")
+        for seg_id, row in zip(table.segment_ids, table.scores.astype(np.float64).tolist()):
+            fh.write(seg_id + " " + " ".join(map(repr, row)) + "\n")
 
 
 def banks_equal(a: FeatureBank, b: FeatureBank) -> bool:

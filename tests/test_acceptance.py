@@ -281,7 +281,7 @@ def _confusion_instance(seed, segments=40, verbs=5, nouns=8):
                                          verb_vocab_size=verbs, noun_vocab_size=nouns)
     vt = ScoreTable(segment_ids=ids, scores=np.stack(verb_rows), space="verb")
     nt = ScoreTable(segment_ids=ids, scores=np.stack(noun_rows), space="noun")
-    _, metrics = score_actions_for_bank(vt, nt, prior, test_bank)
+    _, metrics, _ = score_actions_for_bank(vt, nt, prior, test_bank)
     return metrics["reweighted"]["top1"], metrics["plain"]["top1"]
 
 

@@ -471,6 +471,33 @@ class TestActions:
             expected[source[2:].replace("-", "_")] = str(paths[key])
         assert inputs == expected
 
+    @pytest.mark.parametrize("spelling", ["same string", "other spelling"])
+    def test_train_bank_that_is_the_bank_is_read_once(self, tmp_path, monkeypatch, spelling):
+        from gatedfusion import cli
+        (tmp_path / "d").mkdir()
+        paths = tiny_action_inputs(tmp_path / "d")
+        copy = tmp_path / "copy.bank"
+        copy.write_bytes(paths["bank"].read_bytes())
+        train_bank = (paths["bank"] if spelling == "same string"
+                      else tmp_path / "d" / ".." / "d" / "test.bank")
+
+        def actions(train_bank, out_dir):
+            return run("actions", "--verb-table", paths["verb"], "--noun-table", paths["noun"],
+                       "--bank", paths["bank"], "--train-bank", train_bank, "--out-dir", out_dir)
+
+        assert actions(copy, tmp_path / "ref") == 0
+        reads = []
+        real_load = cli.load_feature_bank
+        monkeypatch.setattr(cli, "load_feature_bank",
+                            lambda path: reads.append(path) or real_load(path))
+        assert actions(train_bank, tmp_path / "act") == 0
+        assert reads == [str(paths["bank"])]
+        for name in ("prior.txt", "action_scores.txt", "action_report.json"):
+            assert (tmp_path / "act" / name).read_bytes() == \
+                (tmp_path / "ref" / name).read_bytes(), name
+        inputs = load_manifest(tmp_path / "act/actions.manifest.json").inputs
+        assert inputs["train_bank"] == str(train_bank)
+
     def test_sparse_prior_reweighting_lifts_top1(self, tmp_path):
         # confusion mass sits on pairs absent from training, so the prior
         # zeroes the confusions and the re-weighted column wins

@@ -1,17 +1,22 @@
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import reference_save_score_table
+
 from gatedfusion.bank import FeatureBank, SegmentRecord
 from gatedfusion.errors import ValidationError
 from gatedfusion.scoring import (ScoreTable, compute_prior, load_prior,
                                  load_score_table, prior_from_pairs, prior_stats,
-                                 reweight_actions, save_prior,
+                                 label_ranks, reweight_actions, save_prior,
                                  save_score_table, score_actions_for_bank,
-                                 table_labels, topk_accuracy, uniform_prior)
+                                 table_labels, topk_accuracy, topk_report,
+                                 uniform_prior)
 
 
 def labeled_bank(pairs, verb_vocab=4, noun_vocab=4):
@@ -193,6 +198,24 @@ class TestTopkAccuracy:
             topk_accuracy(table([[0.5, 0.5]]), 1, k=1)
 
 
+class TestLabelRanks:
+    def test_brute_force_oracle_with_ties(self):
+        rng = np.random.default_rng(9)
+        scores = rng.integers(0, 4, size=(60, 7)).astype(np.float64)  # many ties
+        labels = rng.integers(0, 7, size=60)
+        expected = [sorted(range(7), key=lambda j: (-row[j], j)).index(label)
+                    for row, label in zip(scores, labels)]
+        assert label_ranks(scores, labels).tolist() == expected
+
+    def test_report_ranks_once_for_every_k(self):
+        rng = np.random.default_rng(10)
+        scores = rng.uniform(size=(40, 9))
+        labels = rng.integers(0, 9, size=40)
+        t = table(scores, ids=[f"s{i}" for i in range(40)])
+        assert topk_report(scores, labels) == {
+            "top1": topk_accuracy(t, labels, 1), "top5": topk_accuracy(t, labels, 5)}
+
+
 class TestScoreActionsForBank:
     def test_all_ones_prior_matches_plain(self):
         rng = np.random.default_rng(5)
@@ -200,8 +223,15 @@ class TestScoreActionsForBank:
         vt = table([rng.dirichlet(np.ones(4)) for _ in range(3)], space="verb")
         nt = table([rng.dirichlet(np.ones(4)) for _ in range(3)], space="noun")
         prior = uniform_prior(4, 4)
-        _, metrics = score_actions_for_bank(vt, nt, prior, bank)
+        _, metrics, _ = score_actions_for_bank(vt, nt, prior, bank)
         assert metrics["reweighted"] == metrics["plain"]
+
+    def test_returns_the_label_block_of_its_one_join(self):
+        bank = labeled_bank([(0, 1), (1, 0), (2, 3)])
+        vt = table(np.full((2, 4), 0.25), space="verb", ids=["s2", "s0"])
+        nt = table(np.full((2, 4), 0.25), space="noun", ids=["s2", "s0"])
+        _, _, labels = score_actions_for_bank(vt, nt, uniform_prior(4, 4), bank)
+        assert labels.tolist() == [[2, 3], [0, 1]]
 
     def test_single_supported_pair_per_verb(self):
         # exactly one noun per verb in the prior, pairs equally frequent, and
@@ -216,7 +246,7 @@ class TestScoreActionsForBank:
         ids = [f"s{i}" for i in range(len(pairs))]
         vt = table(verb_rows, space="verb", ids=ids)
         nt = table(noun_rows, space="noun", ids=ids)
-        _, metrics = score_actions_for_bank(vt, nt, prior, bank)
+        _, metrics, _ = score_actions_for_bank(vt, nt, prior, bank)
         verb_top1 = topk_accuracy(vt, [p[0] for p in pairs], 1)
         assert metrics["reweighted"]["top1"] == verb_top1
         assert 0.0 < verb_top1 < 1.0  # non-degenerate instance
@@ -228,7 +258,7 @@ class TestScoreActionsForBank:
         vt = table([[0.9, 0.1], [0.1, 0.9]], space="verb")
         # true noun gets 0.4, an unsupported-for-this-verb noun gets 0.5
         nt = table([[0.4, 0.1, 0.5], [0.1, 0.4, 0.5]], space="noun")
-        _, metrics = score_actions_for_bank(vt, nt, prior, bank)
+        _, metrics, _ = score_actions_for_bank(vt, nt, prior, bank)
         assert metrics["plain"]["top1"] == 0.0
         assert metrics["reweighted"]["top1"] == 1.0
 
@@ -255,7 +285,7 @@ class TestActionIndex:
         bank = labeled_bank(pairs, verb_vocab=3, noun_vocab=5)
         vt = table(np.eye(3)[[v for v, _ in pairs]], space="verb")
         nt = table(np.eye(5)[[n for _, n in pairs]], space="noun")
-        actions, metrics = score_actions_for_bank(vt, nt, uniform_prior(3, 5), bank)
+        actions, metrics, _ = score_actions_for_bank(vt, nt, uniform_prior(3, 5), bank)
         for row, pair in zip(actions.scores, pairs):
             assert divmod(int(np.argmax(row)), 5) == pair
         assert metrics["plain"]["top1"] == 1.0
@@ -390,6 +420,70 @@ class TestFileFormats:
         path.write_text('{"space":"verb","classes":3}\na 0.5 0.5\n', encoding="utf-8")
         with pytest.raises(ValidationError, match="line 2"):
             load_score_table(path)
+
+
+def _score_columns(draw, rows: int, elements) -> list[float]:
+    """One column of ``rows`` scores, of a kind that takes a different path
+    through the writer: +0.0 in every row, -0.0 in every row, zeros of both
+    signs, zero in only some rows, or free values."""
+    kind = draw(st.sampled_from(["+0", "-0", "+-0", "some zeros", "free"]))
+    if kind == "+0":
+        return [0.0] * rows
+    if kind == "-0":
+        return [-0.0] * rows
+    if kind == "+-0":
+        return draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=rows, max_size=rows))
+    if kind == "some zeros":
+        return draw(st.lists(st.one_of(st.just(0.0), elements), min_size=rows, max_size=rows))
+    return draw(st.lists(elements, min_size=rows, max_size=rows))
+
+
+_EDGE_FLOATS = [5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e-300, 1e300,
+                1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0, 1e16, 1e-5]
+
+
+@st.composite
+def score_tables(draw) -> ScoreTable:
+    float32 = draw(st.booleans())
+    if float32:
+        elements = st.floats(width=32, allow_nan=False, allow_infinity=False)
+    else:
+        elements = st.one_of(st.sampled_from(_EDGE_FLOATS),
+                             st.floats(allow_nan=False, allow_infinity=False))
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 9))
+    scores = np.zeros((rows, cols), dtype=np.float32 if float32 else np.float64)
+    for j in range(cols):
+        scores[:, j] = _score_columns(draw, rows, elements)
+    if draw(st.booleans()):
+        scores = np.asfortranarray(scores)
+    return ScoreTable(segment_ids=[f"s{i}" for i in range(rows)], scores=scores, space="noun")
+
+
+class TestScoreTableWriter:
+    """The writer prints a column that is +0.0 in every row as fixed text
+    and formats the rest; its bytes must be those of one ``repr`` per
+    float."""
+
+    @given(score_tables())
+    def test_same_bytes_as_one_repr_per_float(self, table_):
+        with tempfile.TemporaryDirectory() as tmp:
+            ours, reference = Path(tmp) / "ours.txt", Path(tmp) / "reference.txt"
+            save_score_table(table_, ours)
+            reference_save_score_table(table_, reference)
+            assert ours.read_bytes() == reference.read_bytes()
+
+    def test_sparse_action_table(self, tmp_path):
+        # pairs outside the prior's support are +0.0 in every row
+        rng = np.random.default_rng(11)
+        pairs = [(v, n) for v in range(4) for n in rng.choice(6, size=2, replace=False)]
+        prior = compute_prior(labeled_bank(pairs, verb_vocab=4, noun_vocab=6))
+        scores = reweight_actions(rng.dirichlet(np.ones(4), 30), rng.dirichlet(np.ones(6), 30),
+                                  prior).reshape(30, 24)
+        assert (scores == 0).all(axis=0).sum() == 16
+        t = table(scores, space="action", verb_classes=4, noun_classes=6)
+        save_score_table(t, tmp_path / "ours.txt")
+        reference_save_score_table(t, tmp_path / "reference.txt")
+        assert (tmp_path / "ours.txt").read_bytes() == (tmp_path / "reference.txt").read_bytes()
 
 
 class TestScoreTableInvariants:

@@ -7,9 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gatedfusion.bank import AggregationConfig, SynthSpec, aggregate_object_feature, synth_generate
+from gatedfusion.bank import (AggregationConfig, SynthSpec, aggregate_object_feature,
+                              bank_features, synth_generate)
 from gatedfusion.errors import ShapeError, ValidationError
 from gatedfusion.gfa import GfaParams, ScaleMode
+from gatedfusion.scoring import ScoreTable, topk_accuracy
 from gatedfusion.training import (Checkpoint, Head, Model, ModelSpec,
                                   TrainConfig, cross_entropy, forward_model,
                                   grad_check, init_model, load_checkpoint,
@@ -297,6 +299,16 @@ class TestTrain:
             assert set(entry) == {"epoch", "mean_loss", "mean_grad_norm", "val_top1"}
             assert entry["mean_loss"] >= 0.0
             assert 0.0 <= entry["val_top1"] <= 1.0
+
+    def test_val_top1_is_the_eval_top1(self):
+        # one ranking rule: val_top1 is topk_accuracy at k = 1 on the val scores
+        tb = synth_generate(SynthSpec(n_segments=30), 8, "train")
+        vb = synth_generate(SynthSpec(n_segments=10), 8, "val")
+        spec = ModelSpec(fusion="gfa-a", scale=ScaleMode("norm"))
+        model, history = train(tb, "noun", spec, TrainConfig(epochs=1, seed=0), vb)
+        scores, _ = forward_model(model, *bank_features(vb, spec.aggregation))
+        table = ScoreTable(segment_ids=list(vb.ids), scores=scores, space="noun")
+        assert history[-1]["val_top1"] == topk_accuracy(table, vb.labels[:, 1], 1)
 
     def test_missing_labels_error(self):
         bank = synth_generate(SynthSpec(n_segments=5), 0)
