@@ -664,9 +664,6 @@ def synth_generate(spec: SynthSpec, seed: int, split: str = "train") -> FeatureB
         [seed, 1, zlib.crc32(split.encode("utf-8"))]))
     integers, uniform, normal = rng.integers, rng.uniform, rng.normal
     half, j = (spec.window - 1) // 2, spec.amplitude_jitter
-    if j > 0:
-        # Normalized so the mean amplitude factor stays at `mismatch`.
-        mean_factor = (10.0 ** j - 10.0 ** -j) / (2.0 * j * np.log(10.0))
     row = proto = decoy = 0
     for i in range(n):
         labels[i, 0] = integers(spec.verb_vocab)
@@ -675,7 +672,7 @@ def synth_generate(spec: SynthSpec, seed: int, split: str = "train") -> FeatureB
         clip[i] = normal(size=spec.dim_v)
         if j > 0:
             # A Python-float power: numpy's vectorised power may round differently.
-            amps[i] = 10.0 ** uniform(-j, j) / mean_factor
+            amps[i] = 10.0 ** uniform(-j, j)
         for _ in range(S):
             offsets[row] = integers(-half, half + 1)
             scores[row] = uniform(0.6, 1.0)
@@ -704,14 +701,17 @@ def synth_generate(spec: SynthSpec, seed: int, split: str = "train") -> FeatureB
     offsets[:, per - spec.decoys:] += half + 1
     offsets[:, per - spec.decoys:] *= np.where(sides < 0.5, 1, -1).reshape(n, spec.decoys)
     offsets += centers[:, None]
-    # An overflow leaves a non-finite entry, which validate() reports by record.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # An overflow, or a jitter so small that its mean factor is 0, leaves a
+    # non-finite entry, which validate() reports by record.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         clip *= spec.noise
         clip += verb_protos[labels[:, 0]]
         if spec.noun_in_clip > 0:
             nic = noun_clip_protos[labels[:, 1]]
             nic *= spec.noun_in_clip
             clip += nic
+        if j > 0:  # normalized so the mean amplitude factor stays at `mismatch`
+            amps /= (10.0 ** j - 10.0 ** -j) / (2.0 * j * np.log(10.0))
         amps *= spec.mismatch
         _unit_rows(protos)
         features *= spec.noise

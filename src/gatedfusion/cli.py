@@ -304,7 +304,8 @@ def _param_default(func, name: str):
 
 
 _INT, _FLOAT, _SWITCH = {"type": int}, {"type": _finite_float}, {"action": "store_true"}
-_SCALE_OPTIONS = [("--scale", ScaleMode.kind, {"choices": SCALE_KINDS, "help": "gfa-a only"}),
+_SCALE_OPTIONS = [("--scale", ScaleMode.kind,
+                   {"choices": SCALE_KINDS, "help": "rescale o before fusion (not clip-only)"}),
                   ("--scale-divisor", ScaleMode.s, _FLOAT)]
 
 # command -> (handler, help, options), one (flag, default, argparse keywords)

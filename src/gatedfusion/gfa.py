@@ -1,35 +1,39 @@
-"""Gated feature aggregation: amplitude scaling plus two gating variants.
+"""Amplitude scaling of the object feature, and the two gated fusions.
 
 Two fixed-length features arrive per segment: a clip feature ``v`` from the
 video branch and an aggregated object feature ``o`` from the detection
-branch.  The two banks can carry wildly different amplitudes, which makes
-naive concatenation hard to train, so variant A first rescales ``o`` to
-match ``v`` and then self-gates the concatenation:
-
-    F = sigmoid(W [v, scale(o)] + b) * [v, scale(o)]
-
-Variant B sidesteps concatenation entirely and gates the clip feature
-elementwise by a sigmoid computed from the object feature alone:
-
-    F = sigmoid(W o + b) * v
-
-Because the gate is strictly inside (0, 1), no output coordinate can exceed
-the corresponding input coordinate in magnitude, which is what keeps
-training stable even when one modality misbehaves.
-
-Scaling modes for variant A:
+branch.  The two banks can carry wildly different amplitudes, so ``o`` may
+first be rescaled, once, by ``scale_object_feature``:
 
 * ``none``       -- use ``o`` as is.
 * ``scalar``     -- divide by a fixed positive constant ``s``.
 * ``norm``       -- rescale ``o`` to the amplitude of ``v``:
-                    ``o / max(|o|, eps) * |v|``.
+                    ``o / max(|o|, 1e-8) * |v|``.
 * ``norm-scalar`` -- ``norm`` followed by division by ``s``.
 
+``scale_vjp`` differentiates the scaling w.r.t. both ``o`` and ``v``: under
+``norm`` the amplitude of ``v`` feeds the scaled object feature, and that
+path is differentiated too, not dropped.
+
+The gates take ``o`` exactly as they receive it.  Variant A self-gates the
+concatenation:
+
+    F = sigmoid(W [v, o] + b) * [v, o]
+
+Variant B gates the clip feature elementwise by a sigmoid computed from the
+object feature alone:
+
+    F = sigmoid(W o + b) * v
+
+Because the gate is strictly inside (0, 1), no output coordinate can exceed
+the corresponding input coordinate in magnitude.  That bound does not keep
+training stable by itself: a saturated gate is inside (0, 1) too, and passes
+an input of any amplitude through.  On the synthetic banks, matching the
+amplitudes is what removes the gradient blow-up (see the README).
+
 Forward passes return a cache holding the intermediates the backward pass
-needs; ``gfa_backward`` produces exact analytic gradients for both inputs
-(unless ``inputs=False``) and both parameters, including the paths through
-the scaling (under ``norm`` the amplitude of ``v`` feeds the scaled object
-feature, and that path is differentiated too, not dropped).
+needs; ``gfa_backward`` produces exact analytic gradients for both gate
+inputs (unless ``inputs=False``) and both parameters.
 
 Every function works on the last axis: ``v`` and ``o`` are either one
 segment's vectors, shapes ``(dim_v,)`` and ``(dim_o,)``, or a block of B
@@ -40,7 +44,7 @@ gradients of the gate parameters ``W`` and ``b`` are summed over rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,20 +68,18 @@ __all__ = [
 
 SCALE_KINDS = ("none", "scalar", "norm", "norm-scalar")
 _FLOAT_MAX = float(np.finfo(np.float64).max)  # a Python float: it compares exactly with any int
+# The floor on |o| under norm scaling: a zero object feature degrades
+# continuously to zero instead of blowing up.
+_EPSILON = 1e-8
 
 
 @dataclass(frozen=True)
 class ScaleMode:
-    """How to rescale the object feature before gating.
-
-    ``s`` is the scalar divisor (used by ``scalar`` and ``norm-scalar``);
-    ``epsilon`` guards the division by ``|o|`` so a zero object feature
-    degrades continuously to zero instead of blowing up.
-    """
+    """How to rescale the object feature before fusion; ``s`` is the scalar
+    divisor of ``scalar`` and ``norm-scalar``."""
 
     kind: str = "none"
     s: float = 1.0
-    epsilon: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.kind not in SCALE_KINDS:
@@ -87,25 +89,17 @@ class ScaleMode:
             raise ValidationError(
                 f"scale divisor must be positive and finite, with a finite reciprocal, "
                 f"got {self.s}")
-        if not 0 < self.epsilon <= _FLOAT_MAX:
-            raise ValidationError(f"scale epsilon must be positive and finite, got {self.epsilon}")
 
 
 @dataclass
 class GfaParams:
     """Gate parameters.  Variant ``a`` needs a square W over the concatenated
     dims and gates the concatenation; variant ``b`` maps the object feature
-    to a gate over the clip feature, so W is (dim_v x dim_o).
-
-    The scale mode only participates in variant ``a``; variant ``b`` consumes
-    the object feature unscaled (its gate is bounded regardless of amplitude),
-    so a ``Model`` rejects a variant ``b`` gate whose scale is not ``none``.
-    """
+    to a gate over the clip feature, so W is (dim_v x dim_o)."""
 
     variant: str
     W: np.ndarray
     b: np.ndarray
-    scale: ScaleMode = field(default_factory=ScaleMode)
 
     def __post_init__(self) -> None:
         if self.variant not in ("a", "b"):
@@ -151,7 +145,7 @@ def scale_object_feature(o: np.ndarray, v: np.ndarray, mode: ScaleMode) -> np.nd
     if mode.kind == "scalar":
         return o / mode.s
     # norm / norm-scalar: bring |o| to |v|, with an epsilon floor on |o|.
-    factor = l2_norm(v, keepdims=True) / np.maximum(l2_norm(o, keepdims=True), mode.epsilon)
+    factor = l2_norm(v, keepdims=True) / np.maximum(l2_norm(o, keepdims=True), _EPSILON)
     if mode.kind == "norm-scalar":
         factor /= mode.s
     return o * factor
@@ -171,12 +165,12 @@ def scale_vjp(o: np.ndarray, v: np.ndarray, mode: ScaleMode,
     inv_s = 1.0 / mode.s if mode.kind == "norm-scalar" else 1.0
     no = l2_norm(o, keepdims=True)
     nv = l2_norm(v, keepdims=True)
-    m = np.maximum(no, mode.epsilon)
+    m = np.maximum(no, _EPSILON)
     o_dot_u = np.sum(o * upstream, axis=-1, keepdims=True)
 
     # Above the epsilon floor m == |o|.  Below it the scaling is linear in o
     # and the normalization term vanishes.
-    norm_term = np.where(no > mode.epsilon, inv_s * nv * o_dot_u / (m * m * m), 0.0)
+    norm_term = np.where(no > _EPSILON, inv_s * nv * o_dot_u / (m * m * m), 0.0)
     do = (inv_s * nv / m) * upstream - norm_term * o
     # |v| = 0 means v = 0, so any finite coefficient gives the subgradient 0.
     dv = (inv_s * o_dot_u / (m * np.where(nv > 0.0, nv, 1.0))) * v
@@ -185,11 +179,11 @@ def scale_vjp(o: np.ndarray, v: np.ndarray, mode: ScaleMode,
 
 def gfa_a_forward(v: np.ndarray, o: np.ndarray,
                   p: GfaParams) -> tuple[np.ndarray, GfaCache]:
-    """Variant A: gate the concatenation of ``v`` and the scaled ``o``."""
+    """Variant A: gate the concatenation of ``v`` and ``o``."""
     if p.variant != "a":
         raise ValidationError(f"gfa_a_forward called with variant {p.variant!r} params")
     _check_rows(v, o, "gfa variant a")
-    c = np.concatenate([v, scale_object_feature(o, v, p.scale)], axis=-1)
+    c = np.concatenate([v, o], axis=-1)
     fused, gate = gate_tail(affine(c, p.W, p.b), c)
     return fused, GfaCache(variant="a", v=v, o=o, gate=gate, concat_in=c)
 
@@ -231,8 +225,8 @@ def gfa_backward(cache: GfaCache, p: GfaParams, dF: np.ndarray, inputs: bool = T
     ``cache`` must come from the forward pass that used ``p``.  One VJP of
     the gate ``sigmoid(W x + b) * y``, on the ``(x, y)`` of
     ``cache.gate_operands()``, serves both variants.  Gradients that reach a
-    value through several paths (``c`` as both ``x`` and ``y`` in variant A,
-    ``v`` through the concatenation and, under ``norm``, the amplitude) are summed.
+    value through several paths (``c`` as both ``x`` and ``y`` in variant A)
+    are summed.
     Input gradients have the shapes of ``v`` and ``o``; the ``W`` and ``b``
     gradients are summed over rows.  With ``inputs=False`` only the ``W``
     and ``b`` gradients are computed and the input gradients are None.
@@ -252,9 +246,8 @@ def gfa_backward(cache: GfaCache, p: GfaParams, dF: np.ndarray, inputs: bool = T
     dy = dF * gate
     if p.variant == "b":
         return dy, dx, dW, db
-    dc, n = dy + dx, cache.v.shape[-1]  # variant A: x = y = [v, scale(o)]
-    do, dv_scale = scale_vjp(cache.o, cache.v, p.scale, dc[..., n:])
-    return dc[..., :n] + dv_scale, do, dW, db
+    dc, n = dy + dx, cache.v.shape[-1]  # variant A: x = y = [v, o]
+    return dc[..., :n], dc[..., n:], dW, db
 
 
 def estimate_scalar_divisor(V: np.ndarray, O: np.ndarray) -> float:

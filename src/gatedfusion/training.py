@@ -11,8 +11,9 @@ as possible.  Four fusion kinds are supported:
 * ``gfa-b``     -- head over the gated clip feature.
 
 The table ``_FUSIONS`` gives each kind's gate variant and whether its head
-reads ``[v, o]``; every parameter shape and code path follows from it.  Only
-a ``gfa-a`` gate scales the object feature: ``ModelSpec``, ``Model`` and
+reads ``[v, o]``; every parameter shape and code path follows from it.  A
+model's ``scale`` rescales ``o`` once, before any fusion, and ``clip-only``,
+which never reads ``o``, takes scale ``none``: ``ModelSpec``, ``Model`` and
 ``init_model`` share one check of that rule.  ``save_checkpoint`` and
 ``load_checkpoint`` run one check of the checkpoint contract.
 
@@ -40,7 +41,8 @@ import numpy as np
 
 from .bank import AggregationConfig, FeatureBank, bank_features
 from .errors import ShapeError, ValidationError, read_json, write_json
-from .gfa import GfaCache, GfaParams, ScaleMode, gate_tail, gfa_backward, gfa_forward
+from .gfa import (GfaCache, GfaParams, ScaleMode, gate_tail, gfa_backward, gfa_forward,
+                  scale_object_feature, scale_vjp)
 from .scoring import label_ranks
 from .tensor import affine, affine_vjp
 
@@ -80,12 +82,11 @@ _PROB_FLOOR = 1e-12
 
 def _gate_variant(fusion: str, scale: ScaleMode) -> str | None:
     """The gate variant of ``fusion`` (None for no gate), once the kind is
-    known and takes ``scale``: only a variant-``a`` gate scales the object
-    feature, so every other kind takes scale ``none``."""
+    known and takes ``scale`` (a kind that never reads ``o`` takes ``none``)."""
     if fusion not in FUSION_KINDS:
         raise ValidationError(f"fusion kind {fusion!r} not one of {FUSION_KINDS}")
-    variant = _FUSIONS[fusion][0]
-    if variant != "a" and scale.kind != "none":
+    variant, both = _FUSIONS[fusion]
+    if variant is None and not both and scale.kind != "none":
         raise ValidationError(f"fusion kind {fusion!r} takes scale 'none', got {scale.kind!r}")
     return variant
 
@@ -108,10 +109,10 @@ class Model:
     fusion_kind: str
     head: Head
     gfa: GfaParams | None = None
+    scale: ScaleMode = field(default_factory=ScaleMode)
 
     def __post_init__(self) -> None:
-        want = _gate_variant(self.fusion_kind,
-                             ScaleMode() if self.gfa is None else self.gfa.scale)
+        want = _gate_variant(self.fusion_kind, self.scale)
         have = None if self.gfa is None else self.gfa.variant
         if have != want:  # a variant of None is no gfa params
             raise ValidationError(f"fusion kind {self.fusion_kind!r} needs gfa variant "
@@ -200,10 +201,11 @@ def forward_model(model: Model, v: np.ndarray,
         raise ShapeError(
             f"v has leading shape {v.shape[:-1]}, o has {o_agg.shape[:-1]}")
     variant, both = _FUSIONS[model.fusion_kind]
+    o = o_agg if model.scale.kind == "none" else scale_object_feature(o_agg, v, model.scale)
     if variant is not None:
-        feature, gfa_cache = gfa_forward(v, o_agg, model.gfa)
+        feature, gfa_cache = gfa_forward(v, o, model.gfa)
     else:
-        feature, gfa_cache = (np.concatenate([v, o_agg], axis=-1) if both else v), None
+        feature, gfa_cache = (np.concatenate([v, o], axis=-1) if both else v), None
     scores = affine(feature, model.head.W, model.head.b)
     return scores, ModelCache(v=v, o=o_agg, feature=feature, gfa_cache=gfa_cache)
 
@@ -226,6 +228,9 @@ def model_backward(model: Model, cache: ModelCache, dscores: np.ndarray,
     if not gated:
         n = cache.v.shape[-1]
         dv, do = (dfeat[..., :n], dfeat[..., n:]) if both else (dfeat, np.zeros_like(cache.o))
+    if model.scale.kind != "none":  # dv and do so far reach the scaled o
+        do, dv_scale = scale_vjp(cache.o, cache.v, model.scale, do)
+        dv = dv + dv_scale
     grads["v"], grads["o"] = dv, do
     return grads
 
@@ -272,8 +277,7 @@ def init_model(fusion: str, dim_v: int, dim_o: int, classes: int,
     """Fresh model with the shapes of ``_param_shapes``: each W uniform in
     [-1/sqrt(fan_in), 1/sqrt(fan_in)] and each b zero.  The groups are drawn
     in that table's order, gate (if any) before head, so the stream of random
-    numbers is fixed per fusion kind.  Only a variant-``a`` gate takes a
-    scale other than ``none``, the default."""
+    numbers is fixed per fusion kind.  ``scale`` defaults to ``none``."""
     rng = rng if rng is not None else np.random.default_rng()
     scale = scale if scale is not None else ScaleMode()
     variant = _gate_variant(fusion, scale)
@@ -287,8 +291,8 @@ def init_model(fusion: str, dim_v: int, dim_o: int, classes: int,
             p[name] = rng.uniform(-bound, bound, size=shape)
         else:
             p[name] = np.zeros(shape)
-    gfa = None if variant is None else GfaParams(variant, p["gfa.W"], p["gfa.b"], scale)
-    return Model(fusion_kind=fusion, head=Head(p["head.W"], p["head.b"]), gfa=gfa)
+    gfa = None if variant is None else GfaParams(variant, p["gfa.W"], p["gfa.b"])
+    return Model(fusion_kind=fusion, head=Head(p["head.W"], p["head.b"]), gfa=gfa, scale=scale)
 
 
 def param_groups(model: Model) -> dict[str, np.ndarray]:
@@ -462,7 +466,7 @@ def grad_check(model: Model, v: np.ndarray, o_agg: np.ndarray, label: int,
 
 # --- checkpoints ----------------------------------------------------------------
 
-_CHECKPOINT_FORMAT = "gatedfusion-checkpoint-v1"
+_CHECKPOINT_FORMAT = "gatedfusion-checkpoint-v2"
 
 
 @dataclass
@@ -522,6 +526,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     obj = {
         "format": _CHECKPOINT_FORMAT,
         "fusion_kind": ckpt.model.fusion_kind,
+        "scale": asdict(ckpt.model.scale),
         "target": ckpt.target,
         "dim_v": ckpt.dim_v,
         "dim_o": ckpt.dim_o,
@@ -529,8 +534,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "aggregation": asdict(ckpt.aggregation),
         "train_config": asdict(ckpt.train_config),
         "head": {"W": _matrix_obj(ckpt.model.head.W), "b": ckpt.model.head.b.tolist()},
-        "gfa": None if g is None else {"variant": g.variant, "scale": asdict(g.scale),
-                                       "W": _matrix_obj(g.W), "b": g.b.tolist()},
+        "gfa": None if g is None else {"variant": g.variant, "W": _matrix_obj(g.W),
+                                       "b": g.b.tolist()},
     }
     write_json(obj, path)
 
@@ -543,12 +548,12 @@ def load_checkpoint(path) -> Checkpoint:
         g, tc, agg = obj["gfa"], obj["train_config"], obj["aggregation"]
         gfa = None if g is None else GfaParams(
             variant=g.get("variant"), W=_matrix_from_obj(g["W"], "gfa.W"),
-            b=np.array(g["b"], dtype=np.float64),
-            scale=ScaleMode(**g.get("scale", {})))  # absent fields take their defaults
+            b=np.array(g["b"], dtype=np.float64))
         head = Head(W=_matrix_from_obj(obj["head"]["W"], "head.W"),
                     b=np.array(obj["head"]["b"], dtype=np.float64))
         ckpt = Checkpoint(
-            model=Model(fusion_kind=obj["fusion_kind"], head=head, gfa=gfa),
+            model=Model(fusion_kind=obj["fusion_kind"], head=head, gfa=gfa,
+                        scale=ScaleMode(**obj["scale"])),  # absent fields take their defaults
             target=obj["target"], dim_v=obj["dim_v"], dim_o=obj["dim_o"], classes=obj["classes"],
             aggregation=AggregationConfig(k=agg["k"], window=agg["window"]),
             train_config=TrainConfig(**{f.name: tc[f.name] for f in fields(TrainConfig)}))

@@ -171,29 +171,41 @@ class TestTrainEval:
 
     def test_scale_fault_is_found_before_any_bank_loads(self, tmp_path, capsys):
         assert run("train", "--bank", tmp_path / "missing.bank", "--target", "noun",
-                   "--fusion", "gfa-b", "--scale", "norm", "--seed", 1,
+                   "--fusion", "clip-only", "--scale", "norm", "--seed", 1,
                    "--out-dir", tmp_path / "run") == 1
         err = capsys.readouterr().err
-        assert "fusion kind 'gfa-b' takes scale 'none', got 'norm'" in err
+        assert "fusion kind 'clip-only' takes scale 'none', got 'norm'" in err
         assert "missing.bank" not in err
         assert not list((tmp_path / "run").iterdir())
 
     @pytest.mark.parametrize("scale", ["scalar", "norm", "norm-scalar"])
-    @pytest.mark.parametrize("fusion", ["clip-only", "concat", "gfa-b"])
     @pytest.mark.parametrize("command", ["train", "gradcheck"])
-    def test_scale_outside_gfa_a_is_exit_one(self, tmp_path, capsys, command, fusion, scale):
+    def test_scale_on_clip_only_is_exit_one(self, tmp_path, capsys, command, scale):
+        # checked before any bank loads: the bank path does not exist
+        argv = {"train": ["train", "--bank", tmp_path / "missing.bank", "--target", "noun",
+                          "--seed", 0],
+                "gradcheck": ["gradcheck"]}[command]
+        assert run(*argv, "--fusion", "clip-only", "--scale", scale, "--scale-divisor", 2,
+                   "--out-dir", tmp_path / "run") == 1
+        err = capsys.readouterr().err
+        assert f"fusion kind 'clip-only' takes scale 'none', got '{scale}'" in err
+        assert "Traceback" not in err
+        assert not list((tmp_path / "run").iterdir())
+
+    @pytest.mark.parametrize("scale", ["scalar", "norm", "norm-scalar"])
+    @pytest.mark.parametrize("fusion", ["concat", "gfa-b"])
+    @pytest.mark.parametrize("command", ["train", "gradcheck"])
+    def test_scale_on_a_kind_that_reads_o_exits_zero(self, tmp_path, command, fusion, scale):
         argv = ["gradcheck"]
         if command == "train":
             synth(tmp_path / "data", train=8, val=4, dim_v=3, dim_o=3, verbs=2, nouns=3)
             argv = ["train", "--bank", tmp_path / "data/train.bank", "--target", "noun",
                     "--epochs", 1, "--seed", 0]
-        capsys.readouterr()
         assert run(*argv, "--fusion", fusion, "--scale", scale, "--scale-divisor", 2,
-                   "--out-dir", tmp_path / "run") == 1
-        err = capsys.readouterr().err
-        assert f"fusion kind '{fusion}' takes scale 'none', got '{scale}'" in err
-        assert "Traceback" not in err
-        assert not list((tmp_path / "run").iterdir())
+                   "--out-dir", tmp_path / "run") == 0
+        if command == "train":
+            ckpt = load_checkpoint(tmp_path / "run/checkpoint.json")
+            assert ckpt.model.scale.kind == scale
 
     def test_eval_deterministic(self, tmp_path):
         synth(tmp_path / "data", train=30, val=10)
@@ -252,9 +264,9 @@ class TestTrainEval:
                  "--epochs", 2, "--seed", 0, "--out-dir", tmp_path / "run")
         assert rc == 0
         ckpt = load_checkpoint(tmp_path / "run/checkpoint.json")
-        assert 30 <= ckpt.model.gfa.scale.s <= 300
+        assert 30 <= ckpt.model.scale.s <= 300
         manifest = load_manifest(tmp_path / "run/train.manifest.json")
-        assert manifest.config["scale_divisor"] == ckpt.model.gfa.scale.s
+        assert manifest.config["scale_divisor"] == ckpt.model.scale.s
 
     def test_fully_fit_model_scores_perfectly_on_train_bank(self, tmp_path):
         # separable noise-free task: training accuracy reaches 1.0 and eval
@@ -783,6 +795,24 @@ def _edit_path(obj, path, value):
         pass
 
 
+# The bytes an earlier build wrote for a gfa-a model with norm scaling that
+# fits ``tiny_eval_inputs``'s bank, as ``json.dumps(V1_CHECKPOINT, indent=1)``.
+V1_CHECKPOINT = {
+    "format": "gatedfusion-checkpoint-v1", "fusion_kind": "gfa-a", "target": "noun",
+    "dim_v": 2, "dim_o": 2, "classes": 3, "aggregation": {"k": 10, "window": 5},
+    "train_config": {"learning_rate": 0.01, "momentum": 0.9, "epochs": 100, "batch_size": 32,
+                     "seed": 0},
+    "head": {"W": {"rows": 3, "cols": 4,
+                   "data": [1.0, -1.0, 0.5, 0.0, 0.0, 0.5, -0.5, 1.0, -1.0, 0.0, 1.0, 0.5]},
+             "b": [0.0, 0.25, -0.25]},
+    "gfa": {"variant": "a", "scale": {"kind": "norm", "s": 1.0, "epsilon": 1e-08},
+            "W": {"rows": 4, "cols": 4,
+                  "data": [0.5, -0.25, 0.0, 1.0, 0.0, 0.5, -1.0, 0.25, 1.0, 0.0, 0.5, -0.5,
+                           -0.25, 1.0, 0.0, 0.5]},
+            "b": [0.0, 0.5, -0.5, 0.0]},
+}
+
+
 class TestFuzzedCheckpoints:
     """Checkpoints with retyped, deleted, non-finite and oversized fields:
     every ``eval`` run must end in exit 0 or 1."""
@@ -802,8 +832,7 @@ class TestFuzzedCheckpoints:
             rc = run("eval", "--checkpoint", ckpt, "--bank", bank, "--out-dir", root / "eval")
         assert rc in (0, 1)
 
-    @pytest.mark.parametrize("path", [("head", "b", 0), ("gfa", "W", "data", 0),
-                                      ("gfa", "scale", "s"), ("gfa", "scale", "epsilon")])
+    @pytest.mark.parametrize("path", [("head", "b", 0), ("gfa", "W", "data", 0), ("scale", "s")])
     def test_integer_past_float_range_is_exit_one(self, tmp_path, path):
         bank, ckpt = tiny_eval_inputs(tmp_path)
         obj = json.loads(ckpt.read_text())
@@ -834,21 +863,14 @@ class TestFuzzedCheckpoints:
         assert capsys.readouterr().err.startswith(f"gatedfusion: error: {ckpt}: ")
         assert not (tmp_path / "eval/scores.txt").exists()
 
-    def test_scaled_gfa_b_checkpoint_error_names_the_file(self, tmp_path, capsys):
-        # gfa-b's forward pass never reads a scale; files that carry one are refused
+    def test_v1_checkpoint_is_exit_one(self, tmp_path, capsys):
+        # the v1 layout kept the scale in the gate object; there is no conversion
         bank, ckpt = tiny_eval_inputs(tmp_path)
-        save_checkpoint(Checkpoint(model=init_model("gfa-b", 2, 2, 3,
-                                                    rng=np.random.default_rng(1)),
-                                   target="noun", dim_v=2, dim_o=2, classes=3,
-                                   aggregation=AggregationConfig(), train_config=TrainConfig()),
-                        ckpt)
-        obj = json.loads(ckpt.read_text())
-        obj["gfa"]["scale"]["kind"] = "norm"
-        ckpt.write_text(json.dumps(obj))
+        ckpt.write_text(json.dumps(V1_CHECKPOINT, indent=1) + "\n")
         assert run("eval", "--checkpoint", ckpt, "--bank", bank,
                    "--out-dir", tmp_path / "eval") == 1
-        assert capsys.readouterr().err.startswith(
-            f"gatedfusion: error: {ckpt}: fusion kind 'gfa-b' takes scale 'none', got 'norm'")
+        assert capsys.readouterr().err == (
+            f"gatedfusion: error: {ckpt}: not a gatedfusion-checkpoint-v2 file\n")
         assert not (tmp_path / "eval/scores.txt").exists()
 
     def test_unedited_checkpoint_passes(self, tmp_path):
@@ -912,9 +934,10 @@ class TestFuzzedManifests:
 
     @pytest.mark.parametrize("command,key,value", [
         ("synth", "noise", 10**400), ("synth", "seed", -1), ("synth", "window", 2**63 + 1),
-        ("synth", "jitter", 1e300), ("train", "lr", 10**400), ("train", "seed", -1)],
-        ids=["noise-10**400", "synth-seed--1", "window-2**63+1", "jitter-1e300", "lr-10**400",
-             "train-seed--1"])
+        ("synth", "jitter", 1e300), ("synth", "jitter", 1e-320), ("train", "lr", 10**400),
+        ("train", "seed", -1)],
+        ids=["noise-10**400", "synth-seed--1", "window-2**63+1", "jitter-1e300", "jitter-1e-320",
+             "lr-10**400", "train-seed--1"])
     def test_values_that_crashed_a_rerun_are_exit_one(self, tmp_path, capsys, command, key,
                                                       value):
         path = tiny_manifests(tmp_path)[command]

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gatedfusion import training
 from gatedfusion.bank import (AggregationConfig, SynthSpec, aggregate_object_feature,
                               bank_features, synth_generate)
 from gatedfusion.errors import ShapeError, ValidationError
@@ -136,6 +137,29 @@ class TestForwardModel:
             s, _ = forward_model(model, rng.normal(size=4), rng.normal(size=3))
             assert s.shape == (7,)
 
+    @pytest.mark.parametrize("kind", ["concat", "gfa-a", "gfa-b"])
+    def test_scale_runs_once_before_fusion(self, kind):
+        # a scaled model scores exactly as the same weights on the scaled o
+        rng = np.random.default_rng(5)
+        model = init_model(kind, 4, 3, 5, scale=ScaleMode("scalar", s=100.0), rng=rng)
+        plain = Model(kind, model.head, model.gfa)
+        V, O = rng.normal(size=(6, 4)), rng.normal(size=(6, 3))
+        assert np.array_equal(forward_model(model, V, O)[0], forward_model(plain, V, O / 100.0)[0])
+
+    @pytest.mark.parametrize("kind", ["clip-only", "concat", "gfa-a", "gfa-b"])
+    def test_unscaled_and_parameter_only_passes_never_scale(self, monkeypatch, kind):
+        def never(*args):
+            raise AssertionError("scaling called")
+
+        monkeypatch.setattr(training, "scale_vjp", never)
+        rng = np.random.default_rng(6)
+        V, O, labels = rng.normal(size=(6, 4)), rng.normal(size=(6, 3)), np.arange(6) % 5
+        if kind != "clip-only":  # training's backward pass, inputs=False, skips the input path
+            scaled = init_model(kind, 4, 3, 5, scale=ScaleMode("norm"), rng=rng)
+            loss_and_grads(scaled, V, O, labels, inputs=False)
+        monkeypatch.setattr(training, "scale_object_feature", never)
+        loss_and_grads(init_model(kind, 4, 3, 5, rng=rng), V, O, labels)
+
     def test_shape_error(self):
         model = init_model("concat", 4, 3, 2, rng=np.random.default_rng(0))
         with pytest.raises(ShapeError):
@@ -150,11 +174,13 @@ class TestForwardModel:
 _KINDS = [
     ("clip-only", ScaleMode()),
     ("concat", ScaleMode()),
+    ("concat", ScaleMode("norm")),
     ("gfa-a", ScaleMode()),
     ("gfa-a", ScaleMode("scalar", s=2.0)),
     ("gfa-a", ScaleMode("norm")),
     ("gfa-a", ScaleMode("norm-scalar", s=2.0)),
     ("gfa-b", ScaleMode()),
+    ("gfa-b", ScaleMode("norm-scalar", s=2.0)),
 ]
 _KIND_IDS = [f"{kind}-{scale.kind}" for kind, scale in _KINDS]
 
@@ -453,6 +479,19 @@ class TestGradCheck:
                                       int(rng.integers(4)))
             assert per_group["o"] == 0.0, seed
 
+    @pytest.mark.parametrize("kind", ["concat", "gfa-a", "gfa-b"])
+    @pytest.mark.parametrize("scale", [ScaleMode("scalar", s=2.0), ScaleMode("norm"),
+                                       ScaleMode("norm-scalar", s=3.0)],
+                             ids=["scalar", "norm", "norm-scalar"])
+    def test_scaled_model_matches_finite_differences(self, kind, scale):
+        # the scaling's VJP, on the input path of every kind that reads o
+        for seed in (21, 22, 23):
+            rng = np.random.default_rng(seed)
+            model = init_model(kind, 6, 4, 3, scale=scale, rng=rng)
+            v, o = rng.uniform(-2, 2, 6), rng.uniform(-2, 2, 4)
+            max_err, per_group = grad_check(model, v, o, label=int(rng.integers(3)))
+            assert max_err < 1e-5, (seed, per_group)
+
     @pytest.mark.parametrize("fusion,scale", [("gfa-a", ScaleMode("norm")),
                                               ("gfa-a", ScaleMode()),
                                               ("gfa-b", ScaleMode())])
@@ -471,8 +510,7 @@ class TestCheckpoint:
     def _checkpoint(self, fusion="gfa-a", scale=None):
         rng = np.random.default_rng(7)
         scale = scale or ScaleMode("norm-scalar", s=2.5)
-        model = init_model(fusion, 4, 3, 5,
-                           scale=scale if fusion.startswith("gfa") else None,
+        model = init_model(fusion, 4, 3, 5, scale=scale if fusion != "clip-only" else None,
                            rng=rng)
         return Checkpoint(model=model, target="noun", dim_v=4, dim_o=3,
                           classes=5, aggregation=AggregationConfig(k=3, window=3),
@@ -489,7 +527,7 @@ class TestCheckpoint:
         assert loaded.model.fusion_kind == "gfa-a"
         assert np.array_equal(loaded.model.head.W, ckpt.model.head.W)
         assert np.array_equal(loaded.model.gfa.W, ckpt.model.gfa.W)
-        assert loaded.model.gfa.scale == ckpt.model.gfa.scale
+        assert loaded.model.scale == ckpt.model.scale
 
     def test_roundtrip_clip_only(self, tmp_path):
         ckpt = self._checkpoint(fusion="clip-only")
@@ -516,7 +554,7 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("edit,message", [
         (lambda obj: obj["aggregation"].update(k=0), "aggregation k must be an integer >= 1"),
-        (lambda obj: obj["gfa"]["scale"].update(kind="bogus"), "scale kind 'bogus'"),
+        (lambda obj: obj["scale"].update(kind="bogus"), "scale kind 'bogus'"),
         (lambda obj: obj["train_config"].update(epochs=0), "epochs must be >= 1"),
     ], ids=["k", "scale-kind", "epochs"])
     def test_config_errors_keep_their_message(self, tmp_path, edit, message):
@@ -531,9 +569,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("fusion", ["clip-only", "concat", "gfa-a", "gfa-b"])
     def test_save_load_save_is_byte_identical(self, tmp_path, fusion):
         first, second = tmp_path / "first.json", tmp_path / "second.json"
-        # only gfa-a scales; the helper's default scale would be rejected for gfa-b
-        scale = ScaleMode() if fusion == "gfa-b" else None
-        save_checkpoint(self._checkpoint(fusion=fusion, scale=scale), first)
+        save_checkpoint(self._checkpoint(fusion=fusion), first)
         save_checkpoint(load_checkpoint(first), second)
         assert first.read_bytes() == second.read_bytes()
 
@@ -564,29 +600,36 @@ class TestCheckpoint:
 
 
 class TestModelInvariants:
+    # Only clip-only, which never reads o, refuses a scale.
     @pytest.mark.parametrize("scale", ["scalar", "norm", "norm-scalar"])
     @pytest.mark.parametrize("fusion", ["clip-only", "concat", "gfa-b"])
-    def test_scale_is_for_gfa_a_only(self, fusion, scale):
+    def test_init_model_checks_the_scale_rule(self, fusion, scale):
+        mode = ScaleMode(kind=scale, s=2.0)
+        if fusion != "clip-only":
+            assert init_model(fusion, 4, 3, 2, scale=mode).scale == mode
+            return
         with pytest.raises(ValidationError,
                            match=f"fusion kind '{fusion}' takes scale 'none', got '{scale}'"):
-            init_model(fusion, 4, 3, 2, scale=ScaleMode(kind=scale, s=2.0),
-                       rng=np.random.default_rng(0))
+            init_model(fusion, 4, 3, 2, scale=mode, rng=np.random.default_rng(0))
 
     @pytest.mark.parametrize("scale", ["scalar", "norm", "norm-scalar"])
     @pytest.mark.parametrize("fusion", ["clip-only", "concat", "gfa-b"])
     def test_model_spec_checks_the_scale_rule(self, fusion, scale):
+        mode = ScaleMode(kind=scale, s=2.0)
+        if fusion != "clip-only":
+            assert ModelSpec(fusion=fusion, scale=mode).scale == mode
+            return
         with pytest.raises(ValidationError,
                            match=f"fusion kind '{fusion}' takes scale 'none', got '{scale}'"):
-            ModelSpec(fusion=fusion, scale=ScaleMode(kind=scale, s=2.0))
+            ModelSpec(fusion=fusion, scale=mode)
 
-    def test_scaled_gfa_b_gate_is_neither_built_nor_saved(self, tmp_path):
-        # gfa-b's forward pass never reads a scale, so a model that carries one is refused
+    def test_scaled_clip_only_model_is_neither_built_nor_saved(self, tmp_path):
         path = tmp_path / "checkpoint.json"
-        gate = GfaParams(variant="b", W=np.zeros((4, 3)), b=np.zeros(4), scale=ScaleMode("norm"))
         with pytest.raises(ValidationError,
-                           match="fusion kind 'gfa-b' takes scale 'none', got 'norm'"):
+                           match="fusion kind 'clip-only' takes scale 'none', got 'norm'"):
             save_checkpoint(Checkpoint(
-                model=Model("gfa-b", Head(W=np.zeros((2, 4)), b=np.zeros(2)), gate),
+                model=Model("clip-only", Head(W=np.zeros((2, 4)), b=np.zeros(2)),
+                            scale=ScaleMode("norm")),
                 target="noun", dim_v=4, dim_o=3, classes=2, aggregation=AggregationConfig(),
                 train_config=TrainConfig()), path)
         assert not path.exists()
