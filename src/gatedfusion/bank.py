@@ -22,6 +22,8 @@ reference.
 The on-disk format is line-delimited JSON: a header line declaring the
 feature dims and vocabulary sizes, then one record object per line.  Floats
 are serialized with full round-trip precision, so save/load is lossless.
+The record lines are formatted by ``errors.write_rows``, on a second CPU
+for half of a large bank, and their bytes never depend on the CPU count.
 
 Saving also writes a derived binary sidecar, ``<bank>.npz``: the bank's own
 blocks, tagged with the SHA-256 of the JSON bytes.  Loading takes the blocks
@@ -41,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError, read_text, strict_json
+from .errors import ShapeError, ValidationError, read_text, strict_json, write_rows
 from .tensor import l2_norm
 
 __all__ = [
@@ -422,33 +424,36 @@ def _write_sidecar(bank: FeatureBank, digest: bytes, path) -> None:
                 np.lib.format.write_array(fh, members[name], allow_pickle=False)
 
 
-def _json_lines(bank: FeatureBank):
-    """The header line, then each record's line from its slices of the blocks
-    (a whole block at once would hold every entry as a Python float)."""
-    yield strict_json({k: getattr(bank, k) for k in _HEADER_KEYS}, separators=(",", ":"))
-    ends = np.cumsum(bank.counts).tolist()
-    for i, (seg_id, center, start, end, pair) in enumerate(zip(
-            bank.ids, bank.centers.tolist(), [0] + ends, ends, bank.labels.tolist())):
-        dets = zip(bank.frames[start:end].tolist(), bank.scores[start:end].tolist(),
-                   bank.features[start:end].tolist())
-        yield strict_json({
+def _record_lines(bank: FeatureBank, starts: list[int], lo: int, hi: int) -> bytes:
+    """The JSON lines of records ``[lo, hi)``, each from its own slices of the
+    blocks (a whole block at once would hold every entry as a Python float);
+    ``starts[i]`` is record ``i``'s first detection."""
+    lines = []
+    for i, seg_id, center, pair in zip(range(lo, hi), bank.ids[lo:hi],
+                                       bank.centers[lo:hi].tolist(), bank.labels[lo:hi].tolist()):
+        dets = zip(*(block[starts[i]:starts[i + 1]].tolist()
+                     for block in (bank.frames, bank.scores, bank.features)))
+        lines.append((strict_json({
             "segment_id": seg_id, "clip_feature": bank.clip[i].tolist(), "center": center,
             "detections": [{"frame": frame, "score": score, "feature": feature}
                            for frame, score, feature in dets],
             **{key: label for key, label in zip(_LABEL_KEYS, pair) if label != _NO_LABEL},
-        }, separators=(",", ":"))
+        }, separators=(",", ":")) + "\n").encode("utf-8"))
+    return b"".join(lines)
 
 
 def save_feature_bank(bank: FeatureBank, path) -> None:
     """Write the JSON-lines bank, then its sidecar tagged with the SHA-256
-    of the JSON bytes just written."""
+    of the JSON bytes just written.  The record lines go through
+    ``errors.write_rows``, so their bytes never depend on the CPU count."""
     bank.validate()
-    digest = hashlib.sha256()
+    starts = [0, *np.cumsum(bank.counts).tolist()]
+    header = strict_json({k: getattr(bank, k) for k in _HEADER_KEYS},
+                         separators=(",", ":")).encode("utf-8") + b"\n"
+    digest = hashlib.sha256(header)
     with open(path, "wb") as fh:
-        for line in _json_lines(bank):
-            data = (line + "\n").encode("utf-8")
-            digest.update(data)
-            fh.write(data)
+        fh.write(header)
+        write_rows(fh, lambda lo, hi: _record_lines(bank, starts, lo, hi), len(bank.ids), digest)
     _write_sidecar(bank, digest.digest(), os.fspath(path) + ".npz")
 
 

@@ -1,9 +1,14 @@
 """Exception types shared across the package, the UTF-8 reader every text
-loader uses, the strict JSON encoder every writer uses, and the one codec of
+loader uses, the strict JSON encoder every writer uses, the one codec of
 the JSON documents (checkpoints, manifests, reports, histories and stats):
-``write_json`` and ``read_json``."""
+``write_json`` and ``read_json``, and ``write_rows``, the one writer of the
+row files (banks and score tables)."""
 
+import contextlib
+import gc
 import json
+import os
+import signal
 
 
 class ShapeError(ValueError):
@@ -56,3 +61,104 @@ def read_json(path, fmt: str) -> dict:
     if not isinstance(obj, dict) or obj.get("format") != fmt:
         raise ValidationError(f"{path}: not a {fmt} file")
     return obj
+
+
+_CHUNK_ROWS = 64  # rows per format call: the parent holds one chunk's text at a time
+# A second CPU pays for its fork once the rows come to this many bytes of text.
+FORK_BYTES = 1 << 18
+
+
+def _usable_cpus() -> set[int]:
+    """The CPUs this process may run on; where the platform cannot say, as
+    many numbers as it has CPUs."""
+    try:
+        return os.sched_getaffinity(0)
+    except AttributeError:
+        return set(range(os.cpu_count() or 1))
+
+
+def _pin(cpus: set[int]) -> None:
+    """Run this process on ``cpus`` only, where the platform allows it."""
+    with contextlib.suppress(AttributeError, OSError):
+        os.sched_setaffinity(0, cpus)
+
+
+def _put_rows(put, format_rows, lo: int, hi: int) -> None:
+    for start in range(lo, hi, _CHUNK_ROWS):
+        put(format_rows(start, min(start + _CHUNK_ROWS, hi)))
+
+
+def _child(format_rows, split: int, n: int, rfd: int, wfd: int, cpus: set[int]) -> None:
+    """The forked child: format rows ``[split, n)`` on ``cpus``, write them
+    to the pipe, and end with ``os._exit`` on every path."""
+    status = 1
+    try:
+        gc.disable()  # no finalizer of an inherited object runs here
+        _pin(cpus)
+        os.close(rfd)
+        chunks = []  # the whole share is formatted before the parent reads any of it
+        _put_rows(chunks.append, format_rows, split, n)
+        with open(wfd, "wb") as pipe:
+            pipe.writelines(chunks)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def write_rows(fh, format_rows, n: int, digest=None) -> None:
+    """Write ``format_rows(lo, hi)``, the UTF-8 bytes of rows ``[lo, hi)``,
+    for rows ``0..n`` in order to the binary file ``fh``, and feed the same
+    bytes to ``digest.update`` when a digest is given.
+
+    When the first chunk of rows predicts ``FORK_BYTES`` or more in all and
+    two CPUs are usable, one forked child formats the second half of the
+    rows while this process formats the first, then copies the child's
+    bytes from a pipe.  Either way every row is formatted by ``format_rows``
+    alone, so the bytes never depend on the CPU count.  A failed child is an
+    ``OSError``, and no child outlives the call, on success or on error."""
+    def put(data: bytes) -> None:
+        fh.write(data)
+        if digest is not None:
+            digest.update(data)
+
+    # The first chunk's bytes estimate the whole file's: a second CPU pays
+    # for its fork only on a large one.
+    probe = min(_CHUNK_ROWS, n)
+    first = format_rows(0, probe)
+    put(first)
+    split, pid, cpus = n, None, _usable_cpus()
+    if (probe < n and len(first) * n >= FORK_BYTES * probe and len(cpus) >= 2
+            and hasattr(os, "fork")):
+        rfd, wfd = os.pipe()
+        # The child starts on another CPU than this process: left to the
+        # scheduler, the two can share one CPU for their first 100 ms.
+        home = min(cpus)
+        _pin({home})
+        try:
+            # fork-safe: the child only formats, writes the pipe and os._exits (no flush, no atexit)
+            pid = os.fork()
+        except OSError:  # no process to be had: this one formats every row
+            os.close(rfd)
+        else:
+            split = max(probe, n // 2)
+            if pid == 0:
+                _child(format_rows, split, n, rfd, wfd, cpus - {home})
+        finally:
+            _pin(cpus)
+        os.close(wfd)
+    try:
+        _put_rows(put, format_rows, probe, split)
+        if pid is not None:
+            while data := os.read(rfd, 1 << 16):
+                put(data)
+            status = os.waitpid(pid, 0)[1]
+            pid = None
+            if status:
+                raise OSError(f"the process formatting rows {split} to {n} failed "
+                              f"(exit code {os.waitstatus_to_exitcode(status)})")
+    finally:
+        if split < n:
+            os.close(rfd)
+        if pid is not None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)

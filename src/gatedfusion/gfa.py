@@ -85,6 +85,9 @@ class ScaleMode:
         if self.kind not in SCALE_KINDS:
             raise ValidationError(
                 f"scale kind {self.kind!r} not one of {SCALE_KINDS}")
+        # bool is an int to isinstance, and True would divide by 1
+        if isinstance(self.s, bool) or not isinstance(self.s, (int, float)):
+            raise ValidationError(f"scale divisor must be a real number, got {self.s!r}")
         if not (0 < self.s <= _FLOAT_MAX and 1.0 / self.s <= _FLOAT_MAX):  # scale_vjp takes 1 / s
             raise ValidationError(
                 f"scale divisor must be positive and finite, with a finite reciprocal, "

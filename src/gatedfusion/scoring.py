@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bank import PAIR_COUNT_THRESHOLD, FeatureBank
-from .errors import ValidationError, read_text, strict_json
+from .errors import ValidationError, read_text, strict_json, write_rows
 
 __all__ = [
     "ActionPrior",
@@ -307,8 +307,9 @@ def save_score_table(table: ScoreTable, path) -> None:
     A column that is +0.0 in every row, as every pair outside an action
     prior's support is, prints as the fixed text ``0.0`` of a per-table row
     template, so only the other columns are formatted: the bytes are those
-    of one ``repr`` per float.  Ids are checked before the file opens, so an
-    id no table can hold leaves no file."""
+    of one ``repr`` per float.  The rows go through ``errors.write_rows``, so
+    their bytes never depend on the CPU count.  Ids are checked before the
+    file opens, so an id no table can hold leaves no file."""
     bad = next((seg_id for seg_id in table.segment_ids
                 if not seg_id or _UNWRITABLE_CHAR.search(seg_id)), None)
     if bad is not None:
@@ -321,10 +322,15 @@ def save_score_table(table: ScoreTable, path) -> None:
     scores = table.scores.astype(np.float64, copy=False)
     live = scores.view(np.uint64).any(axis=0)  # a dead column has no bit set in any row
     row_format = "%s " + " ".join("%r" if on else "0.0" for on in live.tolist()) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(strict_json(header, separators=(",", ":")) + "\n")
-        for seg_id, row in zip(table.segment_ids, scores[:, live].tolist()):
-            fh.write(row_format % (seg_id, *row))
+    ids, live_scores = table.segment_ids, scores[:, live]
+
+    def format_rows(lo: int, hi: int) -> bytes:
+        return "".join(row_format % (seg_id, *row) for seg_id, row in zip(
+            ids[lo:hi], live_scores[lo:hi].tolist())).encode("utf-8")
+
+    with open(path, "wb") as fh:
+        fh.write(strict_json(header, separators=(",", ":")).encode("utf-8") + b"\n")
+        write_rows(fh, format_rows, len(ids))
 
 
 def _header_count(val) -> int:

@@ -1,6 +1,7 @@
 """Shared test helpers: independent central-difference and 5-point gradient oracles,
-exact bank equality, the record-by-record synthetic bank generator and the
-one-``repr``-per-float score table writer."""
+exact bank equality, the record-by-record synthetic bank generator, the
+one-process bank text writer and the one-``repr``-per-float score table
+writer."""
 
 import json
 import zlib
@@ -89,6 +90,27 @@ def reference_save_score_table(table, path) -> None:
         fh.write(json.dumps(header, separators=(",", ":")) + "\n")
         for seg_id, row in zip(table.segment_ids, table.scores.astype(np.float64).tolist()):
             fh.write(seg_id + " " + " ".join(map(repr, row)) + "\n")
+
+
+def reference_bank_text(bank: FeatureBank) -> bytes:
+    """Test-side oracle for the JSON text ``bank.save_feature_bank`` writes:
+    the header line, then each record's line from its slices of the blocks,
+    all in one process."""
+    lines = [json.dumps({k: getattr(bank, k) for k in ("dim_v", "dim_o", "verb_vocab_size",
+                                                       "noun_vocab_size")},
+                        separators=(",", ":"))]
+    ends = np.cumsum(bank.counts).tolist()
+    for i, (seg_id, center, start, end, pair) in enumerate(zip(
+            bank.ids, bank.centers.tolist(), [0] + ends, ends, bank.labels.tolist())):
+        dets = zip(bank.frames[start:end].tolist(), bank.scores[start:end].tolist(),
+                   bank.features[start:end].tolist())
+        lines.append(json.dumps({
+            "segment_id": seg_id, "clip_feature": bank.clip[i].tolist(), "center": center,
+            "detections": [{"frame": frame, "score": score, "feature": feature}
+                           for frame, score, feature in dets],
+            **{key: label for key, label in zip(("verb", "noun"), pair) if label != -1},
+        }, separators=(",", ":")))
+    return "".join(line + "\n" for line in lines).encode("utf-8")
 
 
 def banks_equal(a: FeatureBank, b: FeatureBank) -> bool:

@@ -863,6 +863,19 @@ class TestFuzzedCheckpoints:
         assert capsys.readouterr().err.startswith(f"gatedfusion: error: {ckpt}: ")
         assert not (tmp_path / "eval/scores.txt").exists()
 
+    @pytest.mark.parametrize("divisor", [True, "2"], ids=["bool", "string"])
+    def test_divisor_that_is_not_a_real_number_is_exit_one(self, tmp_path, capsys, divisor):
+        bank, ckpt = tiny_eval_inputs(tmp_path)
+        obj = json.loads(ckpt.read_text())
+        obj["scale"] = {"kind": "scalar", "s": divisor}
+        ckpt.write_text(json.dumps(obj))
+        assert run("eval", "--checkpoint", ckpt, "--bank", bank,
+                   "--out-dir", tmp_path / "eval") == 1
+        assert capsys.readouterr().err == (
+            f"gatedfusion: error: {ckpt}: scale divisor must be a real number, "
+            f"got {divisor!r}\n")
+        assert not (tmp_path / "eval/scores.txt").exists()
+
     def test_v1_checkpoint_is_exit_one(self, tmp_path, capsys):
         # the v1 layout kept the scale in the gate object; there is no conversion
         bank, ckpt = tiny_eval_inputs(tmp_path)

@@ -33,6 +33,12 @@ class TestScaleMode:
             ScaleMode(kind="norm-scalar", **{field: value})
 
 
+    @pytest.mark.parametrize("s", [True, False, "2", None, [2.0]])
+    def test_divisor_that_is_not_a_real_number_rejected(self, s):
+        with pytest.raises(ValidationError, match="must be a real number"):
+            ScaleMode(kind="scalar", s=s)
+
+
 class TestScaleObjectFeature:
     def test_norm_to_amplitude_hand_case(self):
         o = np.array([3.0, 4.0])

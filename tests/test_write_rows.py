@@ -1,0 +1,213 @@
+"""``errors.write_rows``, the one writer of bank and score-table rows: its
+bytes must not depend on the number of usable CPUs, and no child process may
+outlive a save, on success or on failure."""
+
+import dataclasses
+import hashlib
+import math
+import os
+import signal
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from conftest import reference_bank_text, reference_save_score_table
+
+from gatedfusion import bank as bank_module, errors
+from gatedfusion.bank import SynthSpec, save_feature_bank, synth_generate
+from gatedfusion.scoring import ScoreTable, save_score_table
+
+pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="the second CPU needs os.fork")
+
+# Benchmark-shaped: the bank of perfbench's score workload, its dense noun
+# table and its action table with a prior over 5 of 40 nouns per verb.
+_BANK_SPEC = SynthSpec(n_segments=200, dim_v=64, dim_o=64, verb_vocab=20, noun_vocab=40,
+                       pairs_per_verb=5)
+_ROWS, _VERBS, _NOUNS, _LIVE_NOUNS = 2000, 20, 40, 5
+
+
+@pytest.fixture(autouse=True)
+def _same_affinity_after():
+    """The writer pins itself to the CPUs the patched ``_usable_cpus`` names
+    around each fork; give this process back the CPUs it had."""
+    affinity = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    yield
+    if affinity is not None:
+        os.sched_setaffinity(0, affinity)
+
+
+@pytest.fixture(scope="module")
+def full_bank():
+    return synth_generate(_BANK_SPEC, 3)
+
+
+@pytest.fixture(scope="module")
+def full_tables():
+    rng = np.random.default_rng(5)
+    ids = [f"train-{i:05d}" for i in range(_ROWS)]
+    dense = ScoreTable(ids, rng.dirichlet(np.ones(_NOUNS), size=_ROWS), "noun")
+    support = np.zeros((_VERBS, _NOUNS), dtype=bool)
+    for verb in range(_VERBS):
+        support[verb, rng.choice(_NOUNS, size=_LIVE_NOUNS, replace=False)] = True
+    action = rng.random((_ROWS, _VERBS * _NOUNS)) * support.ravel()
+    sparse = ScoreTable(ids, action / action.sum(axis=1, keepdims=True), "action",
+                        verb_classes=_VERBS, noun_classes=_NOUNS)
+    return {"dense": dense, "sparse": sparse}
+
+
+def _bank_head(bank, n):
+    """The bank of the first ``n`` records."""
+    d = int(bank.counts[:n].sum())
+    return dataclasses.replace(
+        bank, ids=bank.ids[:n], clip=bank.clip[:n], centers=bank.centers[:n],
+        labels=bank.labels[:n], counts=bank.counts[:n], frames=bank.frames[:d],
+        scores=bank.scores[:d], features=bank.features[:d])
+
+
+def _table_head(table, n):
+    return dataclasses.replace(table, segment_ids=table.segment_ids[:n], scores=table.scores[:n])
+
+
+def _reference_text(kind, data, tmp_path):
+    if kind == "bank":
+        return reference_bank_text(data)
+    path = tmp_path / "reference.txt"
+    reference_save_score_table(data, path)
+    return path.read_bytes()
+
+
+def _fork_threshold(kind, full, tmp_path):
+    """The fewest rows that fork: more rows than the 64-row probe, whose
+    bytes predict at least ``FORK_BYTES`` in all."""
+    head = _bank_head if kind == "bank" else _table_head
+    probe = _reference_text(kind, head(full, 64), tmp_path).split(b"\n", 1)[1]
+    return max(65, math.ceil(errors.FORK_BYTES * 64 / len(probe)))
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Patch the usable CPUs with ``forks.cpus(k)``; ``forks.calls`` counts
+    the ``os.fork`` calls since."""
+    real_fork = os.fork
+
+    class Forks:
+        calls = 0
+
+        def cpus(self, k):
+            monkeypatch.setattr(errors, "_usable_cpus", lambda: set(range(k)))
+            self.calls = 0
+
+    spy = Forks()
+
+    def counting_fork():
+        spy.calls += 1
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return spy
+
+
+def _open_fds():
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestBytesDoNotDependOnTheCpuCount:
+    @pytest.mark.parametrize("kind", ["bank", "dense", "sparse"])
+    def test_one_and_two_cpus_write_the_reference_bytes(self, kind, full_bank, full_tables,
+                                                        forks, tmp_path):
+        full = full_bank if kind == "bank" else full_tables[kind]
+        head = _bank_head if kind == "bank" else _table_head
+        save = save_feature_bank if kind == "bank" else save_score_table
+        at = _fork_threshold(kind, full, tmp_path)
+        above = len(full.ids) if kind == "bank" else (_ROWS if kind == "dense" else 400)
+        assert at < above
+        fds = _open_fds()
+        for n in (0, 1, at - 1, at, above):
+            data = head(full, n)
+            reference = _reference_text(kind, data, tmp_path)
+            for cpus in (1, 2):
+                forks.cpus(cpus)
+                path = tmp_path / f"{n}-{cpus}.out"
+                save(data, path)
+                assert forks.calls == (cpus == 2 and n >= at), (n, cpus)
+                assert path.read_bytes() == reference, (n, cpus)
+                if kind == "bank":  # the sidecar is tagged with the digest of those bytes
+                    expected = tmp_path / "expected.npz"
+                    bank_module._write_sidecar(data, hashlib.sha256(reference).digest(),
+                                               expected)
+                    assert Path(f"{path}.npz").read_bytes() == expected.read_bytes()
+        _assert_no_child()
+        assert _open_fds() == fds
+
+    def test_a_failed_fork_formats_every_row_here(self, full_tables, monkeypatch, tmp_path):
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(errors, "_usable_cpus", lambda: {0, 1})
+        monkeypatch.setattr(os, "fork", no_fork)
+        table = full_tables["sparse"]
+        fds = _open_fds()
+        save_score_table(table, tmp_path / "t.txt")
+        assert (tmp_path / "t.txt").read_bytes() == _reference_text("sparse", table, tmp_path)
+        assert _open_fds() == fds
+
+
+class TestNoProcessOutlivesASave:
+    @pytest.fixture
+    def bank(self, full_bank, monkeypatch):
+        monkeypatch.setattr(errors, "_usable_cpus", lambda: {0, 1})
+        return full_bank  # 200 records: the child formats records 100 to 199
+
+    def _plant(self, monkeypatch, fault):
+        real = bank_module._record_lines
+
+        def planted(bank, starts, lo, hi):
+            fault(lo)
+            return real(bank, starts, lo, hi)
+
+        monkeypatch.setattr(bank_module, "_record_lines", planted)
+
+    def test_a_fault_in_the_child_is_raised_here(self, bank, monkeypatch, tmp_path):
+        def fault(lo):
+            if lo >= 100:
+                raise RuntimeError("planted fault")
+
+        self._plant(monkeypatch, fault)
+        fds = _open_fds()
+        with pytest.raises(OSError, match="rows 100 to 200 failed"):
+            save_feature_bank(bank, tmp_path / "b.bank")
+        assert not (tmp_path / "b.bank.npz").exists()
+        _assert_no_child()
+        assert _open_fds() == fds
+
+    def test_a_fault_here_kills_and_reaps_the_child(self, bank, monkeypatch, tmp_path):
+        def fault(lo):
+            if lo >= 100:
+                time.sleep(60)  # a child left running would hold the save this long
+            elif lo >= 64:  # the first chunk after the fork
+                raise RuntimeError("planted fault")
+
+        self._plant(monkeypatch, fault)
+        real_kill, kills = os.kill, []
+
+        def spy_kill(pid, sig):
+            kills.append(sig)
+            real_kill(pid, sig)
+
+        monkeypatch.setattr(os, "kill", spy_kill)
+        fds = _open_fds()
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="planted fault"):
+            save_feature_bank(bank, tmp_path / "b.bank")
+        assert time.monotonic() - start < 30
+        assert kills == [signal.SIGKILL]
+        assert not (tmp_path / "b.bank.npz").exists()
+        _assert_no_child()
+        assert _open_fds() == fds
