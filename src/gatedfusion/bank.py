@@ -26,9 +26,9 @@ The record lines are formatted by ``errors.write_rows``, on a second CPU
 for half of a large bank, and their bytes never depend on the CPU count.
 
 Saving also writes a derived binary sidecar, ``<bank>.npz``: the bank's own
-blocks, tagged with the SHA-256 of the JSON bytes.  Loading takes the blocks
-from the sidecar only when that digest matches the JSON it has just read;
-otherwise it parses the JSON.  Deleting the sidecar is always safe.
+blocks, tagged with the SHA-256 of the JSON bytes.  Loading hashes the JSON
+as it reads it and takes the blocks from the sidecar only when that digest
+matches; otherwise it parses the JSON.  Deleting the sidecar is always safe.
 """
 
 from __future__ import annotations
@@ -37,13 +37,14 @@ import contextlib
 import hashlib
 import json
 import os
+import stat
 import zipfile
 import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError, read_text, strict_json, write_rows
+from .errors import ShapeError, ValidationError, read_text, replacing, strict_json, write_rows
 from .tensor import l2_norm
 
 __all__ = [
@@ -445,13 +446,16 @@ def _record_lines(bank: FeatureBank, starts: list[int], lo: int, hi: int) -> byt
 def save_feature_bank(bank: FeatureBank, path) -> None:
     """Write the JSON-lines bank, then its sidecar tagged with the SHA-256
     of the JSON bytes just written.  The record lines go through
-    ``errors.write_rows``, so their bytes never depend on the CPU count."""
+    ``errors.write_rows``, so their bytes never depend on the CPU count.
+    The bank is written through ``errors.replacing``: a failed save leaves
+    the old bank, and the sidecar is written only once the new bank is in
+    place."""
     bank.validate()
     starts = [0, *np.cumsum(bank.counts).tolist()]
     header = strict_json({k: getattr(bank, k) for k in _HEADER_KEYS},
                          separators=(",", ":")).encode("utf-8") + b"\n"
     digest = hashlib.sha256(header)
-    with open(path, "wb") as fh:
+    with replacing(path) as fh:
         fh.write(header)
         write_rows(fh, lambda lo, hi: _record_lines(bank, starts, lo, hi), len(bank.ids), digest)
     _write_sidecar(bank, digest.digest(), os.fspath(path) + ".npz")
@@ -490,14 +494,34 @@ def _load_sidecar(path, digest: bytes) -> FeatureBank | None:
     return bank
 
 
+_HASH_BLOCK = 1 << 20  # bytes per read while a bank file is hashed
+
+
+def _file_sha256(fh) -> bytes:
+    """The SHA-256 of the rest of the binary file ``fh``, read in fixed
+    blocks, so no copy of the whole file is held."""
+    digest, block = hashlib.sha256(), bytearray(_HASH_BLOCK)
+    view = memoryview(block)
+    while size := fh.readinto(block):
+        digest.update(view[:size])
+    return digest.digest()
+
+
 def load_feature_bank(path) -> FeatureBank:
     """Load a bank file, rejecting invariant violations with line/record
     diagnostics.  The blocks come from the sidecar when its digest matches
-    the JSON bytes read here and they validate, else from parsing the JSON."""
-    with open(path, "rb") as fh:
+    the JSON bytes, hashed as they are read, and they validate, else from
+    parsing the JSON.  The text is read whole only to be parsed, and a path
+    that is not a regular file (a pipe) is read once and parsed."""
+    with open(path, "rb", buffering=0) as fh:
+        if (stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+                and os.path.isfile(os.fspath(path) + ".npz")):
+            bank = _load_sidecar(path, _file_sha256(fh))
+            if bank is not None:
+                return bank
+            fh.seek(0)
         data = fh.read()
-    bank = _load_sidecar(path, hashlib.sha256(data).digest())
-    return bank if bank is not None else _parse_bank(path, data)
+    return _parse_bank(path, data)
 
 
 def _parse_bank(path, data: bytes) -> FeatureBank:

@@ -9,7 +9,9 @@ Each command's options are declared once, in ``_COMMANDS``: one
 ``(flag, default, argparse keywords)`` row per option, in the order the
 manifest's ``config`` records them.  A default is the library's own value
 where the library has one.  The parser, the resolved configuration and the
-manifest are all built from that table.
+manifest are all built from that table.  The parser is built on the first
+``main`` call and reused by every later one in the process: parsing never
+changes it, and the help width is read when help is formatted.
 
 Exit codes: 0 success, 1 usage or validation error, 2 internal error.
 """
@@ -17,6 +19,7 @@ Exit codes: 0 success, 1 usage or validation error, 2 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import math
@@ -64,6 +67,7 @@ def _finite_float(text: str) -> float:
     return val
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="gatedfusion",
                      description="Gated feature aggregation experiments at desk scale.")

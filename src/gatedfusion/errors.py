@@ -2,13 +2,15 @@
 loader uses, the strict JSON encoder every writer uses, the one codec of
 the JSON documents (checkpoints, manifests, reports, histories and stats):
 ``write_json`` and ``read_json``, and ``write_rows``, the one writer of the
-row files (banks and score tables)."""
+row files (banks and score tables), with ``replacing``, the file a row file
+is saved through so that a failed save leaves the old file."""
 
 import contextlib
 import gc
 import json
 import os
 import signal
+import stat
 
 
 class ShapeError(ValueError):
@@ -61,6 +63,35 @@ def read_json(path, fmt: str) -> dict:
     if not isinstance(obj, dict) or obj.get("format") != fmt:
         raise ValidationError(f"{path}: not a {fmt} file")
     return obj
+
+
+@contextlib.contextmanager
+def replacing(path):
+    """A new binary file that takes ``path``'s place only when the ``with``
+    block completes.  It is written under a temporary name in the same
+    directory and renamed into place once closed, so on any error the
+    temporary file is removed and the old file, or none, is left.  A
+    ``path`` that exists and is not a regular file (``/dev/stdout``, a FIFO)
+    is written in place."""
+    try:
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        regular = True
+    if not regular:
+        with open(path, "wb") as fh:
+            yield fh
+        return
+    target = os.path.realpath(path)  # a symlink keeps naming the saved file
+    tmp = f"{target}.{os.urandom(6).hex()}.tmp"
+    fh = open(tmp, "xb")  # an existing file of that name is not ours to remove
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 _CHUNK_ROWS = 64  # rows per format call: the parent holds one chunk's text at a time

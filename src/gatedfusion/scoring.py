@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bank import PAIR_COUNT_THRESHOLD, FeatureBank
-from .errors import ValidationError, read_text, strict_json, write_rows
+from .errors import ValidationError, read_text, replacing, strict_json, write_rows
 
 __all__ = [
     "ActionPrior",
@@ -309,7 +309,9 @@ def save_score_table(table: ScoreTable, path) -> None:
     template, so only the other columns are formatted: the bytes are those
     of one ``repr`` per float.  The rows go through ``errors.write_rows``, so
     their bytes never depend on the CPU count.  Ids are checked before the
-    file opens, so an id no table can hold leaves no file."""
+    file opens, so an id no table can hold leaves no file, and the table is
+    written through ``errors.replacing``, so a failed save leaves the old
+    file."""
     bad = next((seg_id for seg_id in table.segment_ids
                 if not seg_id or _UNWRITABLE_CHAR.search(seg_id)), None)
     if bad is not None:
@@ -328,7 +330,7 @@ def save_score_table(table: ScoreTable, path) -> None:
         return "".join(row_format % (seg_id, *row) for seg_id, row in zip(
             ids[lo:hi], live_scores[lo:hi].tolist())).encode("utf-8")
 
-    with open(path, "wb") as fh:
+    with replacing(path) as fh:
         fh.write(strict_json(header, separators=(",", ":")).encode("utf-8") + b"\n")
         write_rows(fh, format_rows, len(ids))
 

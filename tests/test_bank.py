@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -820,6 +823,42 @@ class TestSidecar:
         before = sidecar.read_bytes()
         save_feature_bank(bank, path)
         assert sidecar.read_bytes() == before
+
+    def test_sidecar_load_peak_memory_is_below_twice_the_blocks(self, tmp_path):
+        # The JSON is hashed as it is read: holding the whole file to hash it
+        # peaks near 3.7x the block bytes.
+        bank = synth_generate(dataclasses.replace(BENCHMARK_SPEC, n_segments=500), 3)
+        blocks = sum(getattr(bank, name).nbytes for name in bank_module._BLOCKS)
+        path, _ = _saved(tmp_path, bank)
+        tracemalloc.start()
+        try:
+            with _json_parse_forbidden():
+                loaded = load_feature_bank(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _same_bits(loaded, bank)
+        assert blocks > 4 * 2**20
+        assert peak < 2.0 * blocks
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_pipe_loads_from_its_one_read(self, tmp_path):
+        path, sidecar = _saved(tmp_path, synth_generate(SynthSpec(n_segments=20), 3))
+        sidecar.unlink()
+        expected = load_feature_bank(path)
+        fifo = tmp_path / "fifo.bank"
+        os.mkfifo(fifo)
+        writer = subprocess.Popen([sys.executable, "-c",
+                                   "import sys; open(sys.argv[2], 'wb').write("
+                                   "open(sys.argv[1], 'rb').read())",
+                                   str(path), str(fifo)])
+        try:
+            loaded = load_feature_bank(fifo)
+            assert writer.wait(timeout=60) == 0
+        finally:  # a writer left blocked on the pipe ends with the test
+            writer.kill()
+            writer.wait()
+        assert _same_bits(loaded, expected)
 
 
 # --- one codec: rows, files and blocks -------------------------------------------

@@ -28,6 +28,16 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def _run_python(*args, **env):
+    """``python *args`` in a fresh process that imports this checkout's
+    package, with ``env`` added to the environment."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=60)
+
+
 def synth(out_dir, seed=7, train=40, val=20, **flags):
     args = ["synth", "--seed", seed, "--out-dir", out_dir,
             "--train-segments", train, "--val-segments", val]
@@ -1276,13 +1286,60 @@ class TestTopLevel:
         assert "gatedfusion" in capsys.readouterr().out
 
     def test_module_runs_from_a_checkout(self):
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-m", "gatedfusion", "--version"],
-                              capture_output=True, text=True, env=env, timeout=60)
+        proc = _run_python("-m", "gatedfusion", "--version")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == f"gatedfusion {__version__}"
+
+    def test_the_parser_is_built_once_on_first_use(self, tmp_path):
+        # Counted in a fresh process: this one has built its parser already.
+        proc = _run_python("-c", f"""if True:
+            import argparse
+            built = []
+            init = argparse.ArgumentParser.__init__
+            def counting(self, *args, **kwargs):
+                built.append(kwargs.get("prog"))
+                init(self, *args, **kwargs)
+            argparse.ArgumentParser.__init__ = counting
+            from gatedfusion import cli
+            assert built == [], built
+            for argv in (["--version"], [],
+                         ["gradcheck", "--fusion", "gfa-a", "--out-dir", {str(tmp_path)!r}]):
+                cli.main(argv)
+            assert built.count("gatedfusion") == 1, built
+            assert len(built) == 1 + len(cli._COMMANDS), built
+            """)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "gradcheck_report.json").exists()
+
+    def test_an_option_given_once_is_not_kept(self, tmp_path):
+        synth(tmp_path / "data")
+        argv = ["train", "--bank", tmp_path / "data" / "train.bank", "--target", "noun",
+                "--fusion", "clip-only", "--epochs", "1", "--seed", "0"]
+        assert run(*argv, "--lr", "0.3", "--out-dir", tmp_path / "a") == 0
+        assert run(*argv, "--out-dir", tmp_path / "b") == 0
+        lrs = [load_manifest(tmp_path / run_dir / "train.manifest.json").config["lr"]
+               for run_dir in ("a", "b")]
+        assert lrs == [0.3, TrainConfig.learning_rate]
+
+    def test_a_usage_error_leaves_the_next_call_as_it_was(self, tmp_path, capsys):
+        synth(tmp_path / "data")
+        stats = ["stats", "--bank", tmp_path / "data" / "train.bank", "--out-dir"]
+        assert run(*stats, tmp_path / "first") == 0
+        assert run("train", "--bogus") == 1
+        assert run(*stats, tmp_path / "after") == 0
+        assert ((tmp_path / "after" / "bank_stats.json").read_bytes()
+                == (tmp_path / "first" / "bank_stats.json").read_bytes())
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_repeat_and_match_a_fresh_process(self, flag, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "83")
+        outs = []
+        for _ in range(2):
+            assert main([flag]) == 0
+            outs.append(capsys.readouterr().out)
+        proc = _run_python("-m", "gatedfusion", flag, COLUMNS="83")
+        assert proc.returncode == 0, proc.stderr
+        assert outs == [proc.stdout] * 2
 
     def test_missing_file_is_exit_one(self, tmp_path, capsys):
         rc = run("stats", "--bank", tmp_path / "nope.bank", "--out-dir", tmp_path)

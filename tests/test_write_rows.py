@@ -7,6 +7,8 @@ import hashlib
 import math
 import os
 import signal
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -15,9 +17,9 @@ import pytest
 
 from conftest import reference_bank_text, reference_save_score_table
 
-from gatedfusion import bank as bank_module, errors
-from gatedfusion.bank import SynthSpec, save_feature_bank, synth_generate
-from gatedfusion.scoring import ScoreTable, save_score_table
+from gatedfusion import bank as bank_module, errors, scoring as scoring_module
+from gatedfusion.bank import SynthSpec, load_feature_bank, save_feature_bank, synth_generate
+from gatedfusion.scoring import ScoreTable, load_score_table, save_score_table
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="the second CPU needs os.fork")
 
@@ -160,6 +162,10 @@ class TestBytesDoNotDependOnTheCpuCount:
 
 
 class TestNoProcessOutlivesASave:
+    """A failed save raises, leaves no child, no leaked descriptor and no
+    temporary file, and leaves the old file: a bank saved earlier still
+    loads to its old blocks, and where there was none, there is none."""
+
     @pytest.fixture
     def bank(self, full_bank, monkeypatch):
         monkeypatch.setattr(errors, "_usable_cpus", lambda: {0, 1})
@@ -174,18 +180,50 @@ class TestNoProcessOutlivesASave:
 
         monkeypatch.setattr(bank_module, "_record_lines", planted)
 
+    @staticmethod
+    def _save_old(save, old, name, tmp_path):
+        """``save(old, path)`` at ``old/<name>`` under ``tmp_path``, next to an
+        empty ``none`` directory, before any fault is planted; returns that
+        path."""
+        (tmp_path / "none").mkdir()
+        (tmp_path / "old").mkdir()
+        save(old, tmp_path / "old" / name)
+        return tmp_path / "old" / name
+
+    @staticmethod
+    def _fail_over_old_and_none(save, raises, name, tmp_path):
+        """Run ``save(path)`` under ``raises`` at ``name`` in the directory
+        holding the old file and in the empty one: each failure leaves every
+        file as it was, and no other."""
+        files = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+        for where in ("old", "none"):
+            fds = _open_fds()
+            with raises():
+                save(tmp_path / where / name)
+            _assert_no_child()
+            assert _open_fds() == fds
+        assert {path: path.read_bytes() for path in tmp_path.rglob("*")
+                if path.is_file()} == files  # no temporary file is left either
+
+    @staticmethod
+    def _assert_loads_to(path, old):
+        loaded = load_feature_bank(path)
+        assert loaded.ids == old.ids
+        for block in bank_module._BLOCKS:
+            assert getattr(loaded, block).tobytes() == getattr(old, block).tobytes()
+
     def test_a_fault_in_the_child_is_raised_here(self, bank, monkeypatch, tmp_path):
         def fault(lo):
             if lo >= 100:
                 raise RuntimeError("planted fault")
 
+        old = _bank_head(bank, 100)
+        kept = self._save_old(save_feature_bank, old, "b.bank", tmp_path)
         self._plant(monkeypatch, fault)
-        fds = _open_fds()
-        with pytest.raises(OSError, match="rows 100 to 200 failed"):
-            save_feature_bank(bank, tmp_path / "b.bank")
-        assert not (tmp_path / "b.bank.npz").exists()
-        _assert_no_child()
-        assert _open_fds() == fds
+        self._fail_over_old_and_none(
+            lambda path: save_feature_bank(bank, path),
+            lambda: pytest.raises(OSError, match="rows 100 to 200 failed"), "b.bank", tmp_path)
+        self._assert_loads_to(kept, old)
 
     def test_a_fault_here_kills_and_reaps_the_child(self, bank, monkeypatch, tmp_path):
         def fault(lo):
@@ -194,6 +232,8 @@ class TestNoProcessOutlivesASave:
             elif lo >= 64:  # the first chunk after the fork
                 raise RuntimeError("planted fault")
 
+        old = _bank_head(bank, 100)
+        kept = self._save_old(save_feature_bank, old, "b.bank", tmp_path)
         self._plant(monkeypatch, fault)
         real_kill, kills = os.kill, []
 
@@ -201,13 +241,64 @@ class TestNoProcessOutlivesASave:
             kills.append(sig)
             real_kill(pid, sig)
 
+        def save(path):
+            start = time.monotonic()
+            save_feature_bank(bank, path)
+            assert time.monotonic() - start < 30
+
         monkeypatch.setattr(os, "kill", spy_kill)
-        fds = _open_fds()
-        start = time.monotonic()
-        with pytest.raises(RuntimeError, match="planted fault"):
-            save_feature_bank(bank, tmp_path / "b.bank")
-        assert time.monotonic() - start < 30
-        assert kills == [signal.SIGKILL]
-        assert not (tmp_path / "b.bank.npz").exists()
-        _assert_no_child()
-        assert _open_fds() == fds
+        self._fail_over_old_and_none(
+            save, lambda: pytest.raises(RuntimeError, match="planted fault"), "b.bank", tmp_path)
+        assert kills == [signal.SIGKILL] * 2
+        self._assert_loads_to(kept, old)
+
+    def test_a_fault_in_a_score_table_row_leaves_the_old_table(self, full_tables, monkeypatch,
+                                                               tmp_path):
+        monkeypatch.setattr(errors, "_usable_cpus", lambda: {0, 1})
+        table = full_tables["dense"]  # 2000 rows: the child formats rows 1000 to 1999
+        old = _table_head(table, 100)
+        kept = self._save_old(save_score_table, old, "t.txt", tmp_path)
+        real = scoring_module.write_rows
+
+        def planted(fh, format_rows, n, digest=None):
+            def faulty(lo, hi):
+                if lo >= n // 2:
+                    raise RuntimeError("planted fault")
+                return format_rows(lo, hi)
+
+            real(fh, faulty, n, digest)
+
+        monkeypatch.setattr(scoring_module, "write_rows", planted)
+        self._fail_over_old_and_none(
+            lambda path: save_score_table(table, path),
+            lambda: pytest.raises(OSError, match=f"rows {_ROWS // 2} to {_ROWS} failed"),
+            "t.txt", tmp_path)
+        assert load_score_table(kept).scores.tobytes() == old.scores.tobytes()
+
+
+class TestSaveTargets:
+    def test_a_pipe_is_written_in_place(self, full_tables, tmp_path):
+        table = _table_head(full_tables["dense"], 100)
+        save_score_table(table, tmp_path / "t.txt")
+        fifo, out = tmp_path / "t.fifo", tmp_path / "out.txt"
+        os.mkfifo(fifo)
+        reader = subprocess.Popen([sys.executable, "-c",
+                                   "import sys; open(sys.argv[2], 'wb').write("
+                                   "open(sys.argv[1], 'rb').read())", str(fifo), str(out)])
+        try:
+            save_score_table(table, fifo)
+            assert reader.wait(timeout=60) == 0
+        finally:  # a reader left blocked on the pipe ends with the test
+            reader.kill()
+            reader.wait()
+        assert out.read_bytes() == (tmp_path / "t.txt").read_bytes()
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["out.txt", "t.fifo", "t.txt"]
+
+    def test_a_symlink_keeps_naming_the_saved_file(self, full_tables, tmp_path):
+        table = _table_head(full_tables["dense"], 10)
+        (tmp_path / "real.txt").write_text("old\n")
+        (tmp_path / "link.txt").symlink_to(tmp_path / "real.txt")
+        save_score_table(table, tmp_path / "link.txt")
+        assert (tmp_path / "link.txt").is_symlink()
+        assert load_score_table(tmp_path / "real.txt").scores.tobytes() == table.scores.tobytes()
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["link.txt", "real.txt"]
