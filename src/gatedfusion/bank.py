@@ -40,7 +40,7 @@ import os
 import stat
 import zipfile
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -607,6 +607,10 @@ class SynthSpec:
     window: int = 5
 
     def __post_init__(self) -> None:
+        for f in fields(self):  # annotations are strings here
+            val = getattr(self, f.name)
+            if f.type == "int" and type(val) is not int:  # type() also turns away bools
+                raise ValidationError(f"{f.name} must be an integer, got {val!r}")
         if self.n_segments < 1:
             raise ValidationError(f"n_segments must be >= 1, got {self.n_segments}")
         if self.dim_v < 1 or self.dim_o < 1:
@@ -658,8 +662,8 @@ def synth_generate(spec: SynthSpec, seed: int, split: str = "train") -> FeatureB
     each sum and product grouped as one record's would be (IEEE + and * are
     commutative), so the bank is byte for byte the one that computing each
     record as it is drawn gives (the reference the tests keep).  Raises
-    ``ValidationError`` before any draw when the blocks are too large to
-    allocate."""
+    ``ValidationError`` before any draw when the blocks or the class
+    prototype tables are too large to allocate."""
     S, n_proto = spec.signal_detections, spec.distractors + spec.decoys
     per, n = S + n_proto, spec.n_segments
     try:
@@ -672,15 +676,20 @@ def synth_generate(spec: SynthSpec, seed: int, split: str = "train") -> FeatureB
         centers = np.empty(n, dtype=np.int64)
         amps = np.ones(n)
         sides = np.empty(n * spec.decoys)
+        verb_protos = np.empty((spec.verb_vocab, spec.dim_v))
+        noun_protos = np.empty((spec.noun_vocab, spec.dim_o))
+        noun_clip_protos = np.empty((spec.noun_vocab, spec.dim_v))
     except (MemoryError, ValueError, OverflowError):  # numpy: cannot allocate / array is too big
         raise ValidationError(
             f"a synthetic bank of {n} segments x {per} detections, dims "
-            f"{spec.dim_v}/{spec.dim_o}, is too large to generate") from None
+            f"{spec.dim_v}/{spec.dim_o}, vocab {spec.verb_vocab}x{spec.noun_vocab}, "
+            f"is too large to generate") from None
 
+    # A standard normal draw is the N(0, 1) one up to the sign of a zero,
+    # which _unit_rows drops.
     proto_rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-    verb_protos = _unit_rows(proto_rng.normal(size=(spec.verb_vocab, spec.dim_v)))
-    noun_protos = _unit_rows(proto_rng.normal(size=(spec.noun_vocab, spec.dim_o)))
-    noun_clip_protos = _unit_rows(proto_rng.normal(size=(spec.noun_vocab, spec.dim_v)))
+    for protos_block in (verb_protos, noun_protos, noun_clip_protos):
+        _unit_rows(proto_rng.standard_normal(out=protos_block))
     allowed_nouns = None
     if spec.pairs_per_verb > 0:
         allowed_nouns = np.array([sorted(proto_rng.choice(spec.noun_vocab,
@@ -760,8 +769,11 @@ def synth_generate(spec: SynthSpec, seed: int, split: str = "train") -> FeatureB
 
 def bank_stats(bank: FeatureBank, cfg: AggregationConfig,
                pair_threshold: int = PAIR_COUNT_THRESHOLD) -> dict:
-    """Summary statistics, including the clip/object amplitude ratio under the
-    given aggregation and verb-noun co-occurrence counts."""
+    """Summary statistics under the given aggregation, with verb-noun
+    co-occurrence counts.  ``amplitude_ratio`` is mean |o| / mean |v| over
+    the aggregated features, the matching ``scalar`` divisor: given as
+    ``--scale-divisor``, it brings the mean object amplitude to the mean
+    clip one.  It is None when every clip feature is zero."""
     V, O = bank_features(bank, cfg)
     n = len(bank.ids)
     labeled = bank.labels >= 0

@@ -26,7 +26,6 @@ import math
 import sys
 import time
 import traceback
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,11 +34,10 @@ from . import __version__
 from .bank import (AggregationConfig, SynthSpec, bank_features, bank_stats,
                    load_feature_bank, save_feature_bank, synth_generate)
 from .errors import ShapeError, ValidationError, write_json
-from .gfa import SCALE_KINDS, ScaleMode, estimate_scalar_divisor
+from .gfa import SCALE_KINDS, ScaleMode
 from .manifest import RunManifest, load_manifest, write_manifest
 from .scoring import (ScoreTable, compute_prior, load_prior, load_score_table, prior_stats,
-                      save_prior, save_score_table, score_actions_for_bank, topk_report,
-                      uniform_prior)
+                      save_prior, save_score_table, score_actions_for_bank, topk_report)
 from .training import (Checkpoint, FUSION_KINDS, TARGETS, ModelSpec, TrainConfig,
                        fit_labels, forward_model, grad_check, init_model, load_checkpoint,
                        save_checkpoint, softmax, target_labels, train)
@@ -111,8 +109,6 @@ def _effective_config(args: argparse.Namespace) -> dict:
 def _option_takes(kwargs: dict, val) -> bool:
     """Whether an option declared with argparse ``kwargs`` could hold ``val``
     after parsing a command line."""
-    if kwargs.get("action") == "store_true":
-        return isinstance(val, bool)
     if isinstance(val, bool):
         return False
     kind = kwargs.get("type")
@@ -161,22 +157,14 @@ def _cmd_synth(cfg: dict, out: Path):
 
 
 def _cmd_train(cfg: dict, out: Path):
-    # The options, the model spec among them, are checked before any bank
-    # loads; an estimated divisor then replaces the given one.
-    if cfg["estimate_divisor"] and cfg["scale"] not in _DIVISOR_KINDS:
-        raise _UsageError(f"--estimate-divisor needs --scale {' or '.join(_DIVISOR_KINDS)}, "
-                          f"got {cfg['scale']!r}")
+    # The options, the model spec among them, are checked before any bank loads.
     agg = AggregationConfig(k=cfg["k"], window=cfg["window"])
-    scale = ScaleMode(kind=cfg["scale"]) if cfg["estimate_divisor"] else _scale_mode(cfg)
-    spec = ModelSpec(fusion=cfg["fusion"], scale=scale, aggregation=agg)
+    spec = ModelSpec(fusion=cfg["fusion"], scale=_scale_mode(cfg), aggregation=agg)
     tc = TrainConfig(learning_rate=cfg["lr"], momentum=cfg["momentum"],
                      epochs=cfg["epochs"], batch_size=cfg["batch_size"],
                      seed=cfg["seed"])
     bank = load_feature_bank(cfg["bank"])
     val_bank = load_feature_bank(cfg["val_bank"]) if cfg["val_bank"] else None
-    if cfg["estimate_divisor"]:
-        cfg["scale_divisor"] = estimate_scalar_divisor(*bank_features(bank, agg))
-        spec = replace(spec, scale=_scale_mode(cfg))
     model, history = train(bank, cfg["target"], spec, tc, val_bank)
 
     ckpt_path, hist_path = out / "checkpoint.json", out / "history.json"
@@ -217,14 +205,13 @@ def _cmd_eval(cfg: dict, out: Path):
 
 
 # (flag, config key) of each source of the action prior; a run takes exactly one
-_PRIOR_SOURCES = (("--prior", "prior"), ("--train-bank", "train_bank"),
-                  ("--all-ones-prior", "all_ones_prior"))
+_PRIOR_SOURCES = (("--prior", "prior"), ("--train-bank", "train_bank"))
 
 
 def _cmd_actions(cfg: dict, out: Path):
     sources = [flag for flag, key in _PRIOR_SOURCES if cfg[key]]
     if len(sources) != 1:
-        raise _UsageError("need exactly one of --prior, --train-bank, or --all-ones-prior"
+        raise _UsageError("need exactly one of --prior or --train-bank"
                           + (f", got {', '.join(sources)}" if sources else ""))
     verb_table = load_score_table(cfg["verb_table"])
     noun_table = load_score_table(cfg["noun_table"])
@@ -236,9 +223,7 @@ def _cmd_actions(cfg: dict, out: Path):
 
     inputs = {k: cfg[k] for k in ("verb_table", "noun_table", "bank")}
     outputs = {}
-    if cfg["all_ones_prior"]:
-        prior = uniform_prior(bank.verb_vocab_size, bank.noun_vocab_size)
-    elif cfg["prior"]:
+    if cfg["prior"]:
         prior = load_prior(cfg["prior"], bank.verb_vocab_size, bank.noun_vocab_size)
         inputs["prior"] = cfg["prior"]
     else:
@@ -307,7 +292,7 @@ def _param_default(func, name: str):
     return inspect.signature(func).parameters[name].default
 
 
-_INT, _FLOAT, _SWITCH = {"type": int}, {"type": _finite_float}, {"action": "store_true"}
+_INT, _FLOAT = {"type": int}, {"type": _finite_float}
 _SCALE_OPTIONS = [("--scale", ScaleMode.kind,
                    {"choices": SCALE_KINDS, "help": "rescale o before fusion (not clip-only)"}),
                   ("--scale-divisor", ScaleMode.s, _FLOAT)]
@@ -348,8 +333,6 @@ _COMMANDS = {
         ("--target", _REQUIRED, {"choices": TARGETS}),
         ("--fusion", _REQUIRED, {"choices": FUSION_KINDS}),
         *_SCALE_OPTIONS,
-        ("--estimate-divisor", False,
-         {**_SWITCH, "help": "calibrate the scalar divisor from the training bank"}),
         ("--lr", TrainConfig.learning_rate, _FLOAT),
         ("--momentum", TrainConfig.momentum, _FLOAT),
         ("--epochs", TrainConfig.epochs, _INT),
@@ -370,7 +353,6 @@ _COMMANDS = {
         ("--bank", _REQUIRED, {"help": "bank carrying the true labels"}),
         ("--prior", None, {"help": "prior file to load"}),
         ("--train-bank", None, {"help": "bank to compute the prior from"}),
-        ("--all-ones-prior", False, _SWITCH),
         ("--out-dir", _REQUIRED, {}),
     ]),
     "gradcheck": (_cmd_gradcheck, "finite-difference check of model gradients", [

@@ -63,7 +63,6 @@ __all__ = [
     "gfa_forward",
     "gfa_backward",
     "gate_tail",
-    "estimate_scalar_divisor",
 ]
 
 SCALE_KINDS = ("none", "scalar", "norm", "norm-scalar")
@@ -252,16 +251,3 @@ def gfa_backward(cache: GfaCache, p: GfaParams, dF: np.ndarray, inputs: bool = T
     dc, n = dy + dx, cache.v.shape[-1]  # variant A: x = y = [v, o]
     return dc[..., :n], dc[..., n:], dW, db
 
-
-def estimate_scalar_divisor(V: np.ndarray, O: np.ndarray) -> float:
-    """The scalar divisor mean(|o|) / mean(|v|) over the rows of ``V`` and
-    ``O``: dividing by it brings the object amplitudes near the clip ones."""
-    if not len(V) or not len(O):
-        raise ValidationError("estimate_scalar_divisor: empty calibration batch")
-    mean_v = float(np.mean(l2_norm(V)))
-    mean_o = float(np.mean(l2_norm(O)))
-    if mean_v == 0.0:
-        raise ValidationError("estimate_scalar_divisor: clip features all zero")
-    if mean_o == 0.0:
-        raise ValidationError("estimate_scalar_divisor: object features all zero")
-    return mean_o / mean_v

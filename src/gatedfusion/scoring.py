@@ -23,8 +23,6 @@ __all__ = [
     "ActionPrior",
     "ScoreTable",
     "compute_prior",
-    "prior_from_pairs",
-    "uniform_prior",
     "prior_stats",
     "reweight_actions",
     "label_ranks",
@@ -91,11 +89,11 @@ class ScoreTable:
         return self.scores.shape[1]
 
 
-def _prior_matrix(make, verbs: int, nouns: int, dtype=np.float64) -> np.ndarray:
-    """``make((verbs, nouns), dtype)``: the one allocation of a dense prior.
+def _prior_matrix(verbs: int, nouns: int, dtype=np.float64) -> np.ndarray:
+    """A zero (verbs x nouns) matrix: the one allocation of a dense prior.
     A vocab too large to allocate is a ValidationError naming it."""
     try:
-        return make((verbs, nouns), dtype)
+        return np.zeros((verbs, nouns), dtype)
     except (MemoryError, ValueError):  # numpy: cannot allocate / array is too big
         raise ValidationError(
             f"vocab {verbs}x{nouns} is too large for a dense prior") from None
@@ -107,25 +105,9 @@ def compute_prior(bank: FeatureBank) -> ActionPrior:
     pairs = bank.labels[(bank.labels >= 0).all(axis=1)]
     if not len(pairs):
         raise ValidationError("compute_prior: no segment carries both verb and noun labels")
-    counts = _prior_matrix(np.zeros, bank.verb_vocab_size, bank.noun_vocab_size, np.int64)
+    counts = _prior_matrix(bank.verb_vocab_size, bank.noun_vocab_size, np.int64)
     np.add.at(counts, (pairs[:, 0], pairs[:, 1]), 1)
     return ActionPrior(mu=counts / len(pairs), counts=counts)
-
-
-def prior_from_pairs(freq: dict[tuple[int, int], float], verb_vocab_size: int,
-                     noun_vocab_size: int) -> ActionPrior:
-    """Dense prior with ``freq[(v, n)]`` at each listed pair and 0 elsewhere.
-    The ids must lie inside the vocab; ``load_prior`` checks them."""
-    mu = _prior_matrix(np.zeros, verb_vocab_size, noun_vocab_size)
-    for (v, n), f in freq.items():
-        mu[v, n] = f
-    return ActionPrior(mu=mu)
-
-
-def uniform_prior(verb_vocab_size: int, noun_vocab_size: int) -> ActionPrior:
-    """mu = 1 on every pair: re-weighting with it reproduces the plain
-    product ranking."""
-    return ActionPrior(mu=_prior_matrix(np.ones, verb_vocab_size, noun_vocab_size))
 
 
 def prior_stats(prior: ActionPrior) -> dict:
@@ -267,9 +249,13 @@ def save_prior(prior: ActionPrior, path) -> None:
 
 
 def load_prior(path, verb_vocab_size: int, noun_vocab_size: int) -> ActionPrior:
-    """Parse a prior file into a dense prior over the given vocab.  A
-    negative or out-of-vocab id, a duplicate pair, or a frequency that is
-    not finite and positive is rejected with its line."""
+    """Parse a prior file into a dense prior over the given vocab, with each
+    listed frequency at its pair and 0 elsewhere.  A negative or
+    out-of-vocab id, a duplicate pair, or a frequency that is not finite and
+    positive is rejected with its line.  The matrix is allocated only once
+    every line has parsed, so a bad line is reported before a vocab too
+    large for a dense prior.  A file listing every pair at 1.0 re-weights to
+    the plain product."""
     freq: dict[tuple[int, int], float] = {}
     # Text mode leaves "\n" as the only line end, so these are the file's lines.
     for lineno, line in enumerate(read_text(path).split("\n"), start=1):
@@ -297,7 +283,10 @@ def load_prior(path, verb_vocab_size: int, noun_vocab_size: int) -> ActionPrior:
         freq[(v, n)] = f
     if not freq:
         raise ValidationError(f"{path}: prior file holds no pairs")
-    return prior_from_pairs(freq, verb_vocab_size, noun_vocab_size)
+    mu = _prior_matrix(verb_vocab_size, noun_vocab_size)
+    for (v, n), f in freq.items():
+        mu[v, n] = f
+    return ActionPrior(mu=mu)
 
 
 def save_score_table(table: ScoreTable, path) -> None:

@@ -34,6 +34,7 @@ default and checks them too.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import asdict, dataclass, field, fields
 
@@ -277,7 +278,9 @@ def init_model(fusion: str, dim_v: int, dim_o: int, classes: int,
     """Fresh model with the shapes of ``_param_shapes``: each W uniform in
     [-1/sqrt(fan_in), 1/sqrt(fan_in)] and each b zero.  The groups are drawn
     in that table's order, gate (if any) before head, so the stream of random
-    numbers is fixed per fusion kind.  ``scale`` defaults to ``none``."""
+    numbers is fixed per fusion kind.  ``scale`` defaults to ``none``.
+    Parameters too large to allocate are a ``ValidationError`` naming the
+    sizes."""
     rng = rng if rng is not None else np.random.default_rng()
     scale = scale if scale is not None else ScaleMode()
     variant = _gate_variant(fusion, scale)
@@ -285,12 +288,16 @@ def init_model(fusion: str, dim_v: int, dim_o: int, classes: int,
         if size < 1:
             raise ValidationError(f"{name} must be >= 1, got {size}")
     p = {}
-    for name, shape in _param_shapes(fusion, dim_v, dim_o, classes).items():
-        if len(shape) == 2:  # a W, with fan-in shape[1]
-            bound = 1.0 / np.sqrt(shape[1])
-            p[name] = rng.uniform(-bound, bound, size=shape)
-        else:
-            p[name] = np.zeros(shape)
+    try:
+        for name, shape in _param_shapes(fusion, dim_v, dim_o, classes).items():
+            if len(shape) == 2:  # a W, with fan-in shape[1]; math takes an int of any size
+                bound = 1.0 / math.sqrt(shape[1])
+                p[name] = rng.uniform(-bound, bound, size=shape)
+            else:
+                p[name] = np.zeros(shape)
+    except (MemoryError, ValueError, OverflowError):  # numpy: cannot allocate / array is too big
+        raise ValidationError(f"a {fusion} model of dims {dim_v}/{dim_o} and {classes} classes "
+                              f"is too large to allocate") from None
     gfa = None if variant is None else GfaParams(variant, p["gfa.W"], p["gfa.b"])
     return Model(fusion_kind=fusion, head=Head(p["head.W"], p["head.b"]), gfa=gfa, scale=scale)
 
@@ -423,9 +430,13 @@ def grad_check(model: Model, v: np.ndarray, o_agg: np.ndarray, label: int,
     Returns (max relative error, per-group max relative error), with the
     relative error denominator max(|analytic|, |numeric|, 1e-8).  An entry
     whose analytic or numeric value is not finite has relative error inf.
+    A step whose stencil leaves float range, or row blocks too large to
+    allocate, are a ``ValidationError`` naming the step or the sizes.
     """
     if not step > 0:
         raise ValidationError(f"step must be positive, got {step}")
+    if not math.isfinite(12.0 * step):  # the largest number the stencil forms from h
+        raise ValidationError(f"step {step} is too large: the stencil's 12 * step is not finite")
     v = np.asarray(v, dtype=np.float64)
     o_agg = np.asarray(o_agg, dtype=np.float64)
     if v.ndim != 1 or o_agg.ndim != 1:
@@ -442,16 +453,22 @@ def grad_check(model: Model, v: np.ndarray, o_agg: np.ndarray, label: int,
         return (8.0 * (f[0] - f[1]) - (f[2] - f[3])) / (12.0 * step)
 
     inputs = np.concatenate([v, o_agg])
-    moved = inputs + offsets[:, None, None] * np.eye(inputs.size)  # rows x + t e_j
-    d_inputs = stencil(losses(forward_model(model, moved[..., :v.size], moved[..., v.size:])[0]))
-    d_head = stencil(losses(_affine_rows(scores, cache.feature, offsets)))
-    numeric = {"head.W": d_head[:, :-1], "head.b": d_head[:, -1]}
-    if model.gfa is not None:
-        x, y = cache.gfa_cache.gate_operands()
-        z = _affine_rows(affine(x, model.gfa.W, model.gfa.b), x, offsets)
-        fused, _ = gate_tail(z, np.broadcast_to(y, z.shape))
-        d_gate = stencil(losses(affine(fused, model.head.W, model.head.b)))
-        numeric.update({"gfa.W": d_gate[:, :-1], "gfa.b": d_gate[:, -1]})
+    try:
+        moved = inputs + offsets[:, None, None] * np.eye(inputs.size)  # rows x + t e_j
+        d_inputs = stencil(losses(forward_model(model, moved[..., :v.size],
+                                                moved[..., v.size:])[0]))
+        d_head = stencil(losses(_affine_rows(scores, cache.feature, offsets)))
+        numeric = {"head.W": d_head[:, :-1], "head.b": d_head[:, -1]}
+        if model.gfa is not None:
+            x, y = cache.gfa_cache.gate_operands()
+            z = _affine_rows(affine(x, model.gfa.W, model.gfa.b), x, offsets)
+            fused, _ = gate_tail(z, np.broadcast_to(y, z.shape))
+            d_gate = stencil(losses(affine(fused, model.head.W, model.head.b)))
+            numeric.update({"gfa.W": d_gate[:, :-1], "gfa.b": d_gate[:, -1]})
+    except MemoryError:
+        raise ValidationError(
+            f"grad_check: the perturbed rows of dims {v.size}/{o_agg.size} and {scores.size} "
+            f"classes are too large to allocate") from None
     numeric.update({"v": d_inputs[:v.size], "o": d_inputs[v.size:]})
 
     per_group: dict[str, float] = {}

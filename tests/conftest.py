@@ -1,7 +1,7 @@
 """Shared test helpers: independent central-difference and 5-point gradient oracles,
-exact bank equality, the record-by-record synthetic bank generator, the
-one-process bank text writer and the one-``repr``-per-float score table
-writer."""
+exact bank equality, a dense action prior from listed pairs, the
+record-by-record synthetic bank generator, the one-process bank text writer
+and the one-``repr``-per-float score table writer."""
 
 import json
 import zlib
@@ -12,6 +12,7 @@ import pytest
 
 from gatedfusion import training
 from gatedfusion.bank import Detection, FeatureBank, SegmentRecord, SynthSpec
+from gatedfusion.scoring import ActionPrior
 
 
 def central_diff(f, x, step=1e-5):
@@ -78,6 +79,15 @@ def rel_err(a, b, floor=1e-8):
         return 0.0
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float(np.max(np.abs(a - b) / denom))
+
+
+def dense_prior(freq, verbs, nouns):
+    """An ``ActionPrior`` with ``freq[(v, n)]`` at each listed pair and 0
+    elsewhere."""
+    mu = np.zeros((verbs, nouns))
+    for (v, n), f in freq.items():
+        mu[v, n] = f
+    return ActionPrior(mu=mu)
 
 
 def reference_save_score_table(table, path) -> None:

@@ -17,14 +17,14 @@ from gatedfusion.bank import (AggregationConfig, Detection, FeatureBank,
 from gatedfusion.cli import main
 from gatedfusion.gfa import (GfaParams, ScaleMode, gfa_a_forward,
                              gfa_b_forward, scale_object_feature)
-from gatedfusion.scoring import (ScoreTable, compute_prior, prior_from_pairs,
+from gatedfusion.scoring import (ActionPrior, ScoreTable, compute_prior,
                                  reweight_actions, score_actions_for_bank,
-                                 topk_accuracy, uniform_prior)
+                                 topk_accuracy)
 from gatedfusion.training import (ModelSpec, TrainConfig, cross_entropy,
                                   forward_model, init_model, loss_and_grads,
                                   param_groups, softmax, train)
 
-from conftest import five_point_diff, rel_err
+from conftest import dense_prior, five_point_diff, rel_err
 
 
 def _report(number, description, ok):
@@ -206,7 +206,7 @@ def test_criterion_05_object_features_lift_nouns():
 
 def test_criterion_06_reweighting_matches_brute_force():
     freq = {(0, 1): 0.25, (1, 0): 0.5, (2, 2): 0.25}
-    prior = prior_from_pairs(freq, 3, 3)
+    prior = dense_prior(freq, 3, 3)
     pv = np.array([0.2, 0.5, 0.3])
     pn = np.array([0.6, 0.3, 0.1])
     out = reweight_actions(pv, pn, prior)
@@ -218,7 +218,7 @@ def test_criterion_06_reweighting_matches_brute_force():
                 assert out[v, n] == 0.0
 
     rng = np.random.default_rng(79)
-    uniform = uniform_prior(3, 3)
+    uniform = ActionPrior(mu=np.ones((3, 3)))
     for _ in range(100):
         pv = rng.dirichlet(np.ones(3))
         pn = rng.dirichlet(np.ones(3))
@@ -228,9 +228,9 @@ def test_criterion_06_reweighting_matches_brute_force():
 
         pairs = {(int(rng.integers(3)), int(rng.integers(3))): float(rng.uniform(0.1, 1.0))
                  for _ in range(4)}
-        base = prior_from_pairs(pairs, 3, 3)
+        base = dense_prior(pairs, 3, 3)
         c = float(rng.uniform(0.01, 100.0))
-        scaled = prior_from_pairs({k: c * f for k, f in pairs.items()}, 3, 3)
+        scaled = dense_prior({k: c * f for k, f in pairs.items()}, 3, 3)
         assert np.argmax(reweight_actions(pv, pn, base)) == \
             np.argmax(reweight_actions(pv, pn, scaled))
     _report(6, "3x3 brute force exact; zero-support exact zeros; all-ones and "

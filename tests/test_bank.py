@@ -472,6 +472,18 @@ class TestSynth:
             per_verb.setdefault(v, set()).add(n)
         assert all(len(nouns) <= 3 for nouns in per_verb.values())
 
+    @pytest.mark.parametrize("value", [2.0, True, "3"])
+    @pytest.mark.parametrize("name", ["n_segments", "dim_v", "dim_o", "verb_vocab",
+                                      "noun_vocab", "signal_detections", "distractors",
+                                      "decoys", "pairs_per_verb", "window"])
+    def test_integer_fields_reject_non_integers_by_name(self, name, value):
+        with pytest.raises(ValidationError, match=f"{name} must be an integer, got {value!r}"):
+            SynthSpec(**{"n_segments": 3, name: value})
+
+    def test_first_non_integer_field_is_named(self):
+        with pytest.raises(ValidationError, match="n_segments must be an integer, got True"):
+            SynthSpec(n_segments=True, dim_v=True)
+
     def test_invalid_spec(self):
         with pytest.raises(ValidationError):
             SynthSpec(n_segments=0)
@@ -516,7 +528,7 @@ class TestSynth:
             synth_generate(SynthSpec(n_segments=2, mismatch=1e308, noise=10.0), 0)
 
     @pytest.mark.parametrize("field", ["n_segments", "dim_v", "dim_o", "signal_detections",
-                                       "distractors", "decoys"])
+                                       "distractors", "decoys", "verb_vocab", "noun_vocab"])
     def test_oversized_spec_rejected_before_any_draw(self, field):
         # 2**62 rows or columns of float64 is past the int64 byte range, so
         # nothing is allocated.

@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from gatedfusion import __version__, scoring
 from gatedfusion.bank import (AggregationConfig, Detection, FeatureBank, SegmentRecord,
-                              SynthSpec, bank_stats, load_feature_bank, save_feature_bank)
+                              SynthSpec, bank_features, bank_stats, load_feature_bank,
+                              save_feature_bank)
 from gatedfusion.cli import main
 from gatedfusion.errors import ValidationError, write_json
 from gatedfusion.gfa import ScaleMode
@@ -105,6 +106,19 @@ class TestSynth:
         assert f"{2**62} segments" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("size", [10**12, 10**30])
+    @pytest.mark.parametrize("option", ["--verbs", "--nouns"])
+    def test_vocab_too_large_for_the_prototype_tables_is_exit_one(self, tmp_path, capsys,
+                                                                   option, size):
+        # 10**12 rows of 16 floats cannot be allocated; 10**30 is no array dimension
+        assert run("synth", "--seed", 1, "--out-dir", tmp_path, "--train-segments", 5,
+                   "--val-segments", 5, option, size) == 1
+        vocab = f"{size}x20" if option == "--verbs" else f"10x{size}"
+        err = capsys.readouterr().err
+        assert f"vocab {vocab}, is too large to generate" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
     def test_mismatch_visible_in_stats(self, tmp_path, capsys):
         synth(tmp_path / "m", mismatch=1000)
         capsys.readouterr()
@@ -166,18 +180,6 @@ class TestTrainEval:
         assert "Traceback" not in err
         assert not (tmp_path / "run/checkpoint.json").exists()
         assert not (tmp_path / "run/history.json").exists()
-
-    @pytest.mark.parametrize("scale", ["none", "norm"])
-    def test_estimate_divisor_needs_a_divisor_scale(self, tmp_path, capsys, scale):
-        # checked before any bank loads: the bank path does not exist
-        flags = [] if scale == "none" else ["--scale", scale]
-        assert run("train", "--bank", tmp_path / "missing.bank", "--target", "noun",
-                   "--fusion", "gfa-a", *flags, "--estimate-divisor", "--seed", 0,
-                   "--out-dir", tmp_path / "run") == 1
-        err = capsys.readouterr().err
-        assert f"--estimate-divisor needs --scale scalar or norm-scalar, got '{scale}'" in err
-        assert "Traceback" not in err
-        assert not list((tmp_path / "run").iterdir())
 
     def test_scale_fault_is_found_before_any_bank_loads(self, tmp_path, capsys):
         assert run("train", "--bank", tmp_path / "missing.bank", "--target", "noun",
@@ -268,12 +270,19 @@ class TestTrainEval:
         assert "dims" in capsys.readouterr().err
 
     def test_estimate_divisor(self, tmp_path):
+        # the estimate is stats' amplitude_ratio, given to train as --scale-divisor
         synth(tmp_path / "data", train=30, val=10, mismatch=100)
-        rc = run("train", "--bank", tmp_path / "data/train.bank", "--target", "noun",
-                 "--fusion", "gfa-a", "--scale", "scalar", "--estimate-divisor",
+        bank = tmp_path / "data/train.bank"
+        assert run("stats", "--bank", bank, "--out-dir", tmp_path / "stats") == 0
+        ratio = json.loads((tmp_path / "stats/bank_stats.json").read_text())["amplitude_ratio"]
+        rc = run("train", "--bank", bank, "--target", "noun", "--fusion", "gfa-a",
+                 "--scale", "scalar", "--scale-divisor", repr(ratio),
                  "--epochs", 2, "--seed", 0, "--out-dir", tmp_path / "run")
         assert rc == 0
         ckpt = load_checkpoint(tmp_path / "run/checkpoint.json")
+        V, O = bank_features(load_feature_bank(bank), AggregationConfig())
+        mean_o, mean_v = (np.mean(np.sqrt(np.sum(X * X, axis=1))) for X in (O, V))
+        assert ckpt.model.scale.s == pytest.approx(mean_o / mean_v, rel=1e-12)
         assert 30 <= ckpt.model.scale.s <= 300
         manifest = load_manifest(tmp_path / "run/train.manifest.json")
         assert manifest.config["scale_divisor"] == ckpt.model.scale.s
@@ -448,14 +457,24 @@ class TestActions:
         assert table.space == "action"
 
     def test_all_ones_prior_coincides_with_plain(self, tmp_path):
+        # a prior file listing every pair at 1.0 writes the plain-product table
         self._prepare(tmp_path)
+        bank = load_feature_bank(tmp_path / "data/val.bank")
+        ones = tmp_path / "ones.txt"
+        ones.write_text("".join(f"{v} {n} 1.0\n" for v in range(bank.verb_vocab_size)
+                                for n in range(bank.noun_vocab_size)), encoding="utf-8")
         rc = run("actions", "--verb-table", tmp_path / "eval-verb/scores.txt",
                  "--noun-table", tmp_path / "eval-noun/scores.txt",
-                 "--bank", tmp_path / "data/val.bank", "--all-ones-prior",
+                 "--bank", tmp_path / "data/val.bank", "--prior", ones,
                  "--out-dir", tmp_path / "act")
         assert rc == 0
         report = json.loads((tmp_path / "act/action_report.json").read_text())
         assert report["action"]["reweighted"] == report["action"]["plain"]
+        pv, pn = (load_score_table(tmp_path / f"eval-{t}/scores.txt").scores
+                  for t in ("verb", "noun"))
+        plain = (pv[:, :, None] * pn[:, None, :]).reshape(len(pv), -1)
+        assert load_score_table(tmp_path / "act/action_scores.txt").scores.tobytes() == \
+            plain.tobytes()
 
     def test_requires_a_prior_source(self, tmp_path, capsys):
         self._prepare(tmp_path)
@@ -466,32 +485,25 @@ class TestActions:
         assert rc == 1
         assert "--prior" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("extra,named", [
-        (["--all-ones-prior"], "--train-bank, --all-ones-prior"),
-        (["--prior", "p.txt"], "--prior, --train-bank"),
-        (["--prior", "p.txt", "--all-ones-prior"], "--prior, --train-bank, --all-ones-prior")])
-    def test_more_than_one_prior_source_is_exit_one(self, tmp_path, capsys, extra, named):
+    def test_more_than_one_prior_source_is_exit_one(self, tmp_path, capsys):
         paths = tiny_action_inputs(tmp_path)
         assert run("actions", "--verb-table", paths["verb"], "--noun-table", paths["noun"],
-                   "--bank", paths["bank"], "--train-bank", paths["bank"], *extra,
+                   "--bank", paths["bank"], "--train-bank", paths["bank"], "--prior", "p.txt",
                    "--out-dir", tmp_path / "act") == 1
-        assert f"need exactly one of --prior, --train-bank, or --all-ones-prior, got {named}" \
+        assert "need exactly one of --prior or --train-bank, got --prior, --train-bank" \
             in capsys.readouterr().err
         assert not list((tmp_path / "act").glob("*"))
 
-    @pytest.mark.parametrize("source,key", [("--prior", "prior"), ("--train-bank", "bank"),
-                                            ("--all-ones-prior", None)])
+    @pytest.mark.parametrize("source,key", [("--prior", "prior"), ("--train-bank", "bank")])
     def test_manifest_inputs_name_the_prior_read(self, tmp_path, source, key):
         paths = tiny_action_inputs(tmp_path)
-        flags = [source] + ([str(paths[key])] if key else [])
         assert run("actions", "--verb-table", paths["verb"], "--noun-table", paths["noun"],
-                   "--bank", paths["bank"], *flags, "--out-dir", tmp_path / "act") == 0
+                   "--bank", paths["bank"], source, paths[key],
+                   "--out-dir", tmp_path / "act") == 0
         inputs = load_manifest(tmp_path / "act/actions.manifest.json").inputs
-        expected = {"verb_table": str(paths["verb"]), "noun_table": str(paths["noun"]),
-                    "bank": str(paths["bank"])}
-        if key:
-            expected[source[2:].replace("-", "_")] = str(paths[key])
-        assert inputs == expected
+        assert inputs == {"verb_table": str(paths["verb"]), "noun_table": str(paths["noun"]),
+                          "bank": str(paths["bank"]),
+                          source[2:].replace("-", "_"): str(paths[key])}
 
     @pytest.mark.parametrize("spelling", ["same string", "other spelling"])
     def test_train_bank_that_is_the_bank_is_read_once(self, tmp_path, monkeypatch, spelling):
@@ -561,8 +573,8 @@ class TestActions:
                    "--out-dir", tmp_path / "eval-verb-train") == 0
         rc = run("actions", "--verb-table", tmp_path / "eval-verb-train/scores.txt",
                  "--noun-table", tmp_path / "eval-noun/scores.txt",
-                 "--bank", tmp_path / "data/val.bank", "--all-ones-prior",
-                 "--out-dir", tmp_path / "act")
+                 "--bank", tmp_path / "data/val.bank",
+                 "--train-bank", tmp_path / "data/train.bank", "--out-dir", tmp_path / "act")
         assert rc == 1
         assert "misaligned" in capsys.readouterr().err
 
@@ -583,7 +595,7 @@ class TestActions:
         assert (f"{paths['verb']}: line 1: malformed score table header"
                 in capsys.readouterr().err)
 
-    @pytest.mark.parametrize("source", ["--all-ones-prior", "--train-bank", "--prior"])
+    @pytest.mark.parametrize("source", ["--train-bank", "--prior"])
     def test_vocab_too_large_for_a_dense_prior_is_exit_one(self, tmp_path, capsys, source):
         # 10**9 verbs and nouns: 8 EB of dense prior, which numpy refuses
         # without touching memory
@@ -591,10 +603,9 @@ class TestActions:
         bank = load_feature_bank(paths["bank"])
         bank.verb_vocab_size = bank.noun_vocab_size = 10**9
         save_feature_bank(bank, paths["bank"])
-        flags = {"--all-ones-prior": [], "--train-bank": [paths["bank"]],
-                 "--prior": [paths["prior"]]}[source]
+        path = {"--train-bank": paths["bank"], "--prior": paths["prior"]}[source]
         assert run("actions", "--verb-table", paths["verb"], "--noun-table", paths["noun"],
-                   "--bank", paths["bank"], source, *flags, "--out-dir", tmp_path / "act") == 1
+                   "--bank", paths["bank"], source, path, "--out-dir", tmp_path / "act") == 1
         err = capsys.readouterr().err
         assert "vocab 1000000000x1000000000 is too large for a dense prior" in err
         assert "Traceback" not in err
@@ -981,7 +992,8 @@ class TestNonUtf8Inputs:
         tables = ["--noun-table", paths["noun"], "--bank", paths["bank"]]
         argv = {"checkpoint": ["eval", "--checkpoint", bad, "--bank", paths["bank"]],
                 "manifest": ["stats", "--config", bad],
-                "score table": ["actions", "--verb-table", bad, *tables, "--all-ones-prior"],
+                "score table": ["actions", "--verb-table", bad, *tables,
+                                "--train-bank", paths["bank"]],
                 "prior": ["actions", "--verb-table", paths["verb"], *tables, "--prior", bad]}
         assert run(*argv[kind], "--out-dir", tmp_path / "out") == 1
         assert f"{bad}: not UTF-8" in capsys.readouterr().err
@@ -1054,6 +1066,31 @@ class TestGradcheckCommand:
         assert f"{option[2:].replace('-', '_')} must be >= 1, got {value}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flags,sizes", [
+        (["--fusion", "concat", "--classes", 10**11], f"dims 8/6 and {10**11} classes"),
+        (["--fusion", "clip-only", "--classes", 10**30], f"dims 8/6 and {10**30} classes"),
+        (["--fusion", "gfa-a", "--dim-v", 10**30], f"dims {10**30}/6 and 4 classes"),
+        (["--fusion", "clip-only", "--dim-v", 10**5, "--dim-o", 10**5],
+         "dims 100000/100000 and 4 classes")],
+        ids=["concat-classes", "clip-only-classes", "gfa-a-dim-v", "clip-only-row-blocks"])
+    def test_sizes_too_large_to_allocate_are_exit_one(self, tmp_path, capsys, flags, sizes):
+        # the model's parameters, or grad_check's perturbed row blocks, would
+        # take terabytes or more than numpy's largest dimension
+        assert run("gradcheck", *flags, "--out-dir", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert f"{sizes} " in err and "too large to allocate" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("*"))
+
+    def test_step_past_float_range_is_exit_one_without_warnings(self, tmp_path):
+        # 2 * 1e308 overflows: the step is rejected before any stencil row is formed
+        proc = _run_python("-m", "gatedfusion", "gradcheck", "--fusion", "gfa-b",
+                           "--step", "1e308", "--out-dir", str(tmp_path))
+        assert proc.returncode == 1
+        assert "step 1e+308 is too large" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
+        assert not list(tmp_path.glob("*"))
+
     def test_unknown_fusion_is_usage_error(self, tmp_path, capsys):
         rc = run("gradcheck", "--fusion", "bogus", "--out-dir", tmp_path)
         assert rc == 1
@@ -1105,7 +1142,7 @@ class TestLibraryDefaults:
         tc, agg, scale = TrainConfig(), AggregationConfig(), ScaleMode()
         assert_config(tmp_path / "run/train.manifest.json", {
             "bank": bank, "val_bank": None, "target": "verb", "fusion": "clip-only",
-            "scale": scale.kind, "scale_divisor": scale.s, "estimate_divisor": False,
+            "scale": scale.kind, "scale_divisor": scale.s,
             "lr": tc.learning_rate, "momentum": tc.momentum, "epochs": tc.epochs,
             "batch_size": tc.batch_size, "seed": 2, "k": agg.k, "window": agg.window,
             "out_dir": out})
@@ -1129,8 +1166,7 @@ class TestLibraryDefaults:
         assert run_actions(paths, out) == 0
         assert_config(tmp_path / "act/actions.manifest.json", {
             "verb_table": paths["verb"], "noun_table": paths["noun"], "bank": paths["bank"],
-            "prior": paths["prior"], "train_bank": None, "all_ones_prior": False,
-            "out_dir": out})
+            "prior": paths["prior"], "train_bank": None, "out_dir": out})
 
     def test_gradcheck_manifest_records_every_option(self, tmp_path):
         out = str(tmp_path / "gc")
@@ -1190,8 +1226,7 @@ class TestManifestRerun:
         assert run("synth", "--config", path) == 1
         assert f"config {key!r} cannot be" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key,value", [("epochs", "3"), ("fusion", "bogus"),
-                                           ("estimate_divisor", 1)])
+    @pytest.mark.parametrize("key,value", [("epochs", "3"), ("fusion", "bogus")])
     def test_train_config_value_of_wrong_kind_rejected(self, tmp_path, capsys, key, value):
         synth(tmp_path / "data", train=20, val=5)
         assert run("train", "--bank", tmp_path / "data/train.bank", "--target", "verb",
@@ -1223,14 +1258,43 @@ class TestManifestRerun:
         config = load_manifest(second / manifest).config
         assert config == {**load_manifest(first / manifest).config, "out_dir": str(second)}
 
-    @pytest.mark.parametrize("prior_flag", ["--prior", "--train-bank", "--all-ones-prior"])
+    @pytest.mark.parametrize("prior_flag", ["--prior", "--train-bank"])
     def test_actions_rerun_reproduces_outputs(self, tmp_path, prior_flag):
         paths = tiny_action_inputs(tmp_path)
-        prior = {"--prior": [paths["prior"]], "--train-bank": [paths["bank"]]}
+        prior = {"--prior": paths["prior"], "--train-bank": paths["bank"]}[prior_flag]
         assert run("actions", "--verb-table", paths["verb"], "--noun-table", paths["noun"],
-                   "--bank", paths["bank"], prior_flag, *prior.get(prior_flag, []),
-                   "--out-dir", tmp_path / "a") == 0
+                   "--bank", paths["bank"], prior_flag, prior, "--out-dir", tmp_path / "a") == 0
         self._assert_rerun_reproduces("actions", tmp_path / "a", tmp_path / "b")
+
+    def test_train_manifest_of_an_estimated_divisor_reruns(self, tmp_path):
+        # A manifest written by the removed --estimate-divisor switch records
+        # the estimate as scale_divisor; the unknown key is ignored.
+        synth(tmp_path / "data", train=20, val=5, mismatch=100)
+        assert run("train", "--bank", tmp_path / "data/train.bank", "--target", "noun",
+                   "--fusion", "gfa-a", "--scale", "scalar", "--scale-divisor", 97.5,
+                   "--epochs", 2, "--seed", 0, "--out-dir", tmp_path / "a") == 0
+        path = tmp_path / "a/train.manifest.json"
+        obj = json.loads(path.read_text())
+        obj["config"]["estimate_divisor"] = True
+        path.write_text(json.dumps(obj))
+        assert run("train", "--config", path, "--out-dir", tmp_path / "b") == 0
+        for name in ("checkpoint.json", "history.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_actions_manifest_of_an_all_ones_prior_is_exit_one(self, tmp_path, capsys):
+        # the removed --all-ones-prior switch named no prior file or bank
+        paths = tiny_action_inputs(tmp_path)
+        assert run_actions(paths, tmp_path / "a") == 0
+        path = tmp_path / "a/actions.manifest.json"
+        obj = json.loads(path.read_text())
+        obj["config"].update(prior=None, all_ones_prior=True)
+        path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert run("actions", "--config", path, "--out-dir", tmp_path / "b") == 1
+        err = capsys.readouterr().err
+        assert "need exactly one of --prior or --train-bank" in err
+        assert "Traceback" not in err
+        assert not list((tmp_path / "b").glob("*"))
 
     def test_stats_rerun_reproduces_outputs(self, tmp_path):
         synth(tmp_path / "data", train=30, val=5)

@@ -3,9 +3,10 @@ import pytest
 
 from gatedfusion import tensor
 from gatedfusion.errors import ShapeError, ValidationError
-from gatedfusion.gfa import (GfaParams, ScaleMode, estimate_scalar_divisor,
-                             gfa_a_forward, gfa_b_forward, gfa_backward,
-                             scale_object_feature, scale_vjp)
+from gatedfusion.bank import (AggregationConfig, Detection, FeatureBank, SegmentRecord,
+                              bank_features, bank_stats)
+from gatedfusion.gfa import (GfaParams, ScaleMode, gfa_a_forward, gfa_b_forward,
+                             gfa_backward, scale_object_feature, scale_vjp)
 from gatedfusion.training import init_model
 
 from conftest import central_diff, rel_err
@@ -263,13 +264,30 @@ class TestInitAndCalibration:
         with pytest.raises(ValidationError):
             GfaParams(variant="c", W=np.zeros((2, 2)), b=np.zeros(2))
 
+    @staticmethod
+    def _stats(clips, objs):
+        """bank_stats of a bank with one detection, at its clip's center, per record."""
+        records = [SegmentRecord(segment_id=f"s{i}", clip_feature=np.array(c, dtype=float),
+                                 clip_center_frame=0,
+                                 detections=[Detection(0, 0.9, np.array(o, dtype=float))])
+                   for i, (c, o) in enumerate(zip(clips, objs))]
+        bank = FeatureBank.from_records(records, dim_v=len(clips[0]), dim_o=len(objs[0]),
+                                        verb_vocab_size=1, noun_vocab_size=1)
+        return bank, bank_stats(bank, AggregationConfig())
+
     def test_estimate_scalar_divisor(self):
-        clips = [np.array([1.0, 0.0]), np.array([0.0, 3.0])]
-        objs = [np.array([20.0]), np.array([-20.0])]
-        assert estimate_scalar_divisor(clips, objs) == pytest.approx(10.0)
+        # the estimate is bank_stats' amplitude_ratio, mean |o| / mean |v|;
+        # as the scalar divisor it brings the mean |o| to the mean |v|
+        bank, stats = self._stats([[1.0, 0.0], [0.0, 3.0]], [[20.0], [-20.0]])
+        assert stats["amplitude_ratio"] == pytest.approx(10.0)
+        V, O = bank_features(bank, AggregationConfig())
+        scaled = scale_object_feature(O, V, ScaleMode("scalar", s=stats["amplitude_ratio"]))
+        assert np.mean(np.abs(scaled)) == pytest.approx(np.mean([1.0, 3.0]))
 
     def test_estimate_rejects_degenerate_batches(self):
-        with pytest.raises(ValidationError):
-            estimate_scalar_divisor([], [])
-        with pytest.raises(ValidationError):
-            estimate_scalar_divisor([np.zeros(2)], [np.ones(2)])
+        # all-zero clips give no estimate; all-zero objects give 0, no divisor
+        assert self._stats([[0.0, 0.0]], [[1.0]])[1]["amplitude_ratio"] is None
+        ratio = self._stats([[1.0, 0.0]], [[0.0]])[1]["amplitude_ratio"]
+        assert ratio == 0.0
+        with pytest.raises(ValidationError, match="scale divisor must be positive"):
+            ScaleMode("scalar", s=ratio)

@@ -7,16 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import reference_save_score_table
+from conftest import dense_prior, reference_save_score_table
 
 from gatedfusion.bank import FeatureBank, SegmentRecord
 from gatedfusion.errors import ValidationError
-from gatedfusion.scoring import (ScoreTable, compute_prior, load_prior,
-                                 load_score_table, prior_from_pairs, prior_stats,
+from gatedfusion.scoring import (ActionPrior, ScoreTable, compute_prior, load_prior,
+                                 load_score_table, prior_stats,
                                  label_ranks, reweight_actions, save_prior,
                                  save_score_table, score_actions_for_bank,
-                                 table_labels, topk_accuracy, topk_report,
-                                 uniform_prior)
+                                 table_labels, topk_accuracy, topk_report)
 
 
 def labeled_bank(pairs, verb_vocab=4, noun_vocab=4):
@@ -60,15 +59,22 @@ class TestComputePrior:
         assert prior.mu[0, 0] == 1.0
 
     @pytest.mark.parametrize("make", [
-        lambda: compute_prior(labeled_bank([(0, 0)], verb_vocab=10**9, noun_vocab=10**9)),
-        lambda: uniform_prior(10**9, 10**9),
-        lambda: prior_from_pairs({(0, 0): 1.0}, 10**9, 10**9),
-    ], ids=["compute_prior", "uniform_prior", "prior_from_pairs"])
-    def test_vocab_too_large_for_a_dense_prior(self, make):
+        lambda path: compute_prior(labeled_bank([(0, 0)], verb_vocab=10**9, noun_vocab=10**9)),
+        lambda path: load_prior(path, 10**9, 10**9),
+    ], ids=["compute_prior", "load_prior"])
+    def test_vocab_too_large_for_a_dense_prior(self, tmp_path, make):
         # 8 EB of mu: numpy refuses it without touching memory
+        path = tmp_path / "prior.txt"
+        path.write_text("0 0 1.0\n", encoding="utf-8")
         with pytest.raises(ValidationError,
                            match="vocab 1000000000x1000000000 is too large for a dense prior"):
-            make()
+            make(path)
+
+    def test_bad_prior_line_is_reported_before_an_oversized_vocab(self, tmp_path):
+        path = tmp_path / "prior.txt"
+        path.write_text("0 0 1.0\n0 1 x\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="line 2: malformed numbers"):
+            load_prior(path, 10**9, 10**9)
 
     def test_no_labels_error(self):
         bank = labeled_bank([(0, 0)])
@@ -87,7 +93,7 @@ class TestComputePrior:
 
 class TestReweightActions:
     def test_support_restriction(self):
-        prior = prior_from_pairs({(1, 1): 1.0}, 3, 3)
+        prior = dense_prior({(1, 1): 1.0}, 3, 3)
         pv = np.array([0.5, 0.3, 0.2])
         pn = np.array([0.1, 0.2, 0.7])
         out = reweight_actions(pv, pn, prior)
@@ -98,7 +104,7 @@ class TestReweightActions:
 
     def test_uniform_prior_keeps_product_ranking(self):
         rng = np.random.default_rng(1)
-        prior = uniform_prior(3, 4)
+        prior = ActionPrior(mu=np.ones((3, 4)))
         pv = rng.dirichlet(np.ones(3))
         pn = rng.dirichlet(np.ones(4))
         out = reweight_actions(pv, pn, prior)
@@ -106,7 +112,7 @@ class TestReweightActions:
 
     def test_three_by_three_brute_force(self):
         freq = {(0, 0): 0.4, (0, 2): 0.1, (1, 1): 0.3, (2, 2): 0.2}
-        prior = prior_from_pairs(freq, 3, 3)
+        prior = dense_prior(freq, 3, 3)
         pv = np.array([0.2, 0.5, 0.3])
         pn = np.array([0.6, 0.3, 0.1])
         out = reweight_actions(pv, pn, prior)
@@ -115,7 +121,7 @@ class TestReweightActions:
                 assert out[v, n] == freq.get((v, n), 0.0) * pv[v] * pn[n]
 
     def test_vocab_mismatch(self):
-        prior = uniform_prior(2, 2)
+        prior = ActionPrior(mu=np.ones((2, 2)))
         with pytest.raises(ValidationError):
             reweight_actions(np.ones(3) / 3, np.ones(2) / 2, prior)
 
@@ -133,15 +139,16 @@ class TestReweightActions:
 
     def test_row_count_mismatch(self):
         with pytest.raises(ValidationError, match="rows"):
-            reweight_actions(np.ones((3, 2)) / 2, np.ones((2, 2)) / 2, uniform_prior(2, 2))
+            reweight_actions(np.ones((3, 2)) / 2, np.ones((2, 2)) / 2,
+                             ActionPrior(mu=np.ones((2, 2))))
 
     def test_positive_scaling_of_mu_preserves_argmax(self):
         rng = np.random.default_rng(2)
         for _ in range(25):
             pairs = {(int(rng.integers(3)), int(rng.integers(3))): float(rng.uniform(0.1, 1))
                      for _ in range(5)}
-            prior = prior_from_pairs(pairs, 3, 3)
-            scaled = prior_from_pairs({k: 7.3 * f for k, f in pairs.items()}, 3, 3)
+            prior = dense_prior(pairs, 3, 3)
+            scaled = dense_prior({k: 7.3 * f for k, f in pairs.items()}, 3, 3)
             pv = rng.dirichlet(np.ones(3))
             pn = rng.dirichlet(np.ones(3))
             a = reweight_actions(pv, pn, prior)
@@ -222,7 +229,7 @@ class TestScoreActionsForBank:
         bank = labeled_bank([(0, 1), (1, 0), (2, 3)])
         vt = table([rng.dirichlet(np.ones(4)) for _ in range(3)], space="verb")
         nt = table([rng.dirichlet(np.ones(4)) for _ in range(3)], space="noun")
-        prior = uniform_prior(4, 4)
+        prior = ActionPrior(mu=np.ones((4, 4)))
         _, metrics, _ = score_actions_for_bank(vt, nt, prior, bank)
         assert metrics["reweighted"] == metrics["plain"]
 
@@ -230,7 +237,7 @@ class TestScoreActionsForBank:
         bank = labeled_bank([(0, 1), (1, 0), (2, 3)])
         vt = table(np.full((2, 4), 0.25), space="verb", ids=["s2", "s0"])
         nt = table(np.full((2, 4), 0.25), space="noun", ids=["s2", "s0"])
-        _, _, labels = score_actions_for_bank(vt, nt, uniform_prior(4, 4), bank)
+        _, _, labels = score_actions_for_bank(vt, nt, ActionPrior(mu=np.ones((4, 4))), bank)
         assert labels.tolist() == [[2, 3], [0, 1]]
 
     def test_single_supported_pair_per_verb(self):
@@ -267,14 +274,14 @@ class TestScoreActionsForBank:
         vt = table([[1.0, 0.0, 0.0, 0.0]], space="verb", ids=["s0"])
         nt = table([[1.0, 0.0, 0.0, 0.0]], space="noun", ids=["zz"])
         with pytest.raises(ValidationError, match="misaligned"):
-            score_actions_for_bank(vt, nt, uniform_prior(4, 4), bank)
+            score_actions_for_bank(vt, nt, ActionPrior(mu=np.ones((4, 4))), bank)
 
     def test_segment_missing_from_bank(self):
         bank = labeled_bank([(0, 0)])
         vt = table([[1.0, 0.0, 0.0, 0.0]], space="verb", ids=["nope"])
         nt = table([[1.0, 0.0, 0.0, 0.0]], space="noun", ids=["nope"])
         with pytest.raises(ValidationError, match="nope"):
-            score_actions_for_bank(vt, nt, uniform_prior(4, 4), bank)
+            score_actions_for_bank(vt, nt, ActionPrior(mu=np.ones((4, 4))), bank)
 
 
 class TestActionIndex:
@@ -285,7 +292,7 @@ class TestActionIndex:
         bank = labeled_bank(pairs, verb_vocab=3, noun_vocab=5)
         vt = table(np.eye(3)[[v for v, _ in pairs]], space="verb")
         nt = table(np.eye(5)[[n for _, n in pairs]], space="noun")
-        actions, metrics, _ = score_actions_for_bank(vt, nt, uniform_prior(3, 5), bank)
+        actions, metrics, _ = score_actions_for_bank(vt, nt, ActionPrior(mu=np.ones((3, 5))), bank)
         for row, pair in zip(actions.scores, pairs):
             assert divmod(int(np.argmax(row)), 5) == pair
         assert metrics["plain"]["top1"] == 1.0
@@ -376,7 +383,7 @@ class TestFileFormats:
 
     def test_prior_rows_written_in_row_major_order(self, tmp_path):
         path = tmp_path / "prior.txt"
-        save_prior(prior_from_pairs({(2, 0): 0.5, (0, 3): 0.25, (0, 1): 0.25}, 3, 4), path)
+        save_prior(dense_prior({(2, 0): 0.5, (0, 3): 0.25, (0, 1): 0.25}, 3, 4), path)
         assert path.read_text(encoding="utf-8") == "0 1 0.25\n0 3 0.25\n2 0 0.5\n"
 
     def test_score_table_roundtrip(self, tmp_path):
