@@ -378,9 +378,13 @@ def bank_features(bank: FeatureBank, cfg: AggregationConfig) -> tuple[np.ndarray
                             np.where(cols < m[:, None], -bank.scores[cells], np.inf)), axis=-1)
         top = np.take_along_axis(cells, order[:, :cfg.k], axis=-1)
         acc = bank.features[top[:, 0]]
+        buf = np.empty_like(acc)  # one gather buffer for every rank
         for rank in range(1, top.shape[1]):
             live = np.count_nonzero(m > rank)  # the rows that have this rank are a prefix
-            np.maximum(acc[:live], bank.features[top[:live, rank]], out=acc[:live])
+            # The indices are built above, so they are in range; "clip" lets take
+            # write straight into out, where the default "raise" buffers.
+            np.take(bank.features, top[:live, rank], axis=0, out=buf[:live], mode="clip")
+            np.maximum(acc[:live], buf[:live], out=acc[:live])
         O[rows] = acc
     return bank.clip, O
 

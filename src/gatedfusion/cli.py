@@ -31,16 +31,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bank import (AggregationConfig, SynthSpec, bank_features, bank_stats,
-                   load_feature_bank, save_feature_bank, synth_generate)
+from .bank import (AggregationConfig, SynthSpec, bank_stats, load_feature_bank,
+                   save_feature_bank, synth_generate)
 from .errors import ShapeError, ValidationError, write_json
 from .gfa import SCALE_KINDS, ScaleMode
 from .manifest import RunManifest, load_manifest, write_manifest
 from .scoring import (ScoreTable, compute_prior, load_prior, load_score_table, prior_stats,
                       save_prior, save_score_table, score_actions_for_bank, topk_report)
 from .training import (Checkpoint, FUSION_KINDS, TARGETS, ModelSpec, TrainConfig,
-                       fit_labels, forward_model, grad_check, init_model, load_checkpoint,
-                       save_checkpoint, softmax, target_labels, train)
+                       bank_inputs, fit_labels, forward_model, grad_check, init_model,
+                       load_checkpoint, save_checkpoint, softmax, target_labels, train)
 
 _REQUIRED = object()
 
@@ -189,7 +189,7 @@ def _cmd_eval(cfg: dict, out: Path):
     ckpt = load_checkpoint(cfg["checkpoint"])
     bank = load_feature_bank(cfg["bank"])
     labels = fit_labels(bank, ckpt.target, (ckpt.dim_v, ckpt.dim_o), ckpt.classes, "checkpoint")
-    scores, _ = forward_model(ckpt.model, *bank_features(bank, ckpt.aggregation))
+    scores, _ = forward_model(*bank_inputs(ckpt.model, bank, ckpt.aggregation))
     table = ScoreTable(segment_ids=list(bank.ids), scores=softmax(scores), space=ckpt.target)
     table_path = out / "scores.txt"
     save_score_table(table, table_path)
@@ -230,12 +230,14 @@ def _cmd_actions(cfg: dict, out: Path):
         same = Path(cfg["train_bank"]).resolve() == Path(cfg["bank"]).resolve()
         prior = compute_prior(bank if same else load_feature_bank(cfg["train_bank"]))
         inputs["train_bank"] = cfg["train_bank"]
+
+    # Scoring checks the tables against each other and the bank before any file is written.
+    action_table, action_metrics, labels = score_actions_for_bank(
+        verb_table, noun_table, prior, bank)
+    if cfg["train_bank"]:
         prior_path = out / "prior.txt"
         save_prior(prior, prior_path)
         outputs["prior"] = str(prior_path)
-
-    action_table, action_metrics, labels = score_actions_for_bank(
-        verb_table, noun_table, prior, bank)
     report: dict = {"action": action_metrics, "verb": topk_report(verb_table.scores, labels[:, 0]),
                     "noun": topk_report(noun_table.scores, labels[:, 1])}
     if prior.counts is not None:

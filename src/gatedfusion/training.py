@@ -19,7 +19,13 @@ which never reads ``o``, takes scale ``none``: ``ModelSpec``, ``Model`` and
 
 Training is SGD with momentum, mini-batch gradients averaged over the
 batch, and everything (init, shuffling) drawn from one seeded generator,
-so a run is bitwise reproducible from its config.
+so a run is bitwise reproducible from its config.  ``bank_inputs`` builds a
+bank's model inputs once per call of ``train`` or ``eval``: the object
+block is aggregated only for a kind that reads ``o``, and it goes through
+the scale stage, which has no parameters, once per bank.  The batch loop
+and the validation pass then run the model's own weight arrays with no
+scale stage on those rows, which gives the scaled model's scores bit for
+bit, since the stage scales each row on its own.
 
 ``forward_model``, ``model_backward``, ``loss_and_grads``, ``softmax``,
 ``row_nll`` and ``cross_entropy`` work on the last axis: one segment's features ``(dim,)``
@@ -36,7 +42,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -63,6 +69,7 @@ __all__ = [
     "loss_and_grads",
     "sgd_momentum_step",
     "init_model",
+    "bank_inputs",
     "param_groups",
     "target_labels",
     "fit_labels",
@@ -252,14 +259,16 @@ def loss_and_grads(model: Model, v: np.ndarray, o_agg: np.ndarray, label,
 
 
 def sgd_momentum_step(params: np.ndarray, grads: np.ndarray, velocity: np.ndarray,
-                      lr: float, momentum: float) -> tuple[np.ndarray, np.ndarray]:
-    """velocity' = momentum * velocity + grads; params' = params - lr * velocity'."""
+                      lr: float, momentum: float) -> None:
+    """In place: velocity = momentum * velocity + grads, then
+    params = params - lr * velocity."""
     if params.shape != grads.shape or params.shape != velocity.shape:
         raise ShapeError(
             f"sgd step: shapes disagree, params {params.shape}, grads {grads.shape}, "
             f"velocity {velocity.shape}")
-    new_velocity = momentum * velocity + grads
-    return params - lr * new_velocity, new_velocity
+    velocity *= momentum
+    velocity += grads
+    params -= lr * velocity
 
 
 def _param_shapes(fusion: str, dim_v: int, dim_o: int, classes: int) -> dict[str, tuple]:
@@ -336,6 +345,24 @@ def _require_labels(bank: FeatureBank, labels: np.ndarray, target: str) -> None:
         raise ValidationError(f"record {bank.ids[np.argmax(labels < 0)]!r} has no {target} label")
 
 
+def bank_inputs(model: Model, bank: FeatureBank,
+                aggregation: AggregationConfig) -> tuple[Model, np.ndarray, np.ndarray]:
+    """The model inputs of ``bank`` for ``model``, as ``(core, V, O)`` with
+    ``forward_model(core, V, O)`` bit for bit ``model``'s scores.  ``V`` is
+    the clip block.  ``O`` is the object block aggregated by
+    ``aggregation`` and passed through ``model``'s scale stage, or a
+    zero-width block, with nothing aggregated, for a kind that never reads
+    ``o``.  ``core`` is ``model`` with scale ``none``; it holds the same
+    weight arrays, so an update to one is an update to the other."""
+    variant, both = _FUSIONS[model.fusion_kind]
+    if variant is None and not both:
+        return model, bank.clip, np.empty((len(bank.ids), 0))
+    V, O = bank_features(bank, aggregation)
+    if model.scale.kind != "none":
+        O = scale_object_feature(O, V, model.scale)
+    return replace(model, scale=ScaleMode()), V, O
+
+
 def train(bank: FeatureBank, target: str, spec: ModelSpec, cfg: TrainConfig,
           val_bank: FeatureBank | None = None) -> tuple[Model, list[dict]]:
     """Train one head (and gate, if any) for ``target`` on ``bank``.
@@ -359,9 +386,9 @@ def train(bank: FeatureBank, target: str, spec: ModelSpec, cfg: TrainConfig,
     rng = np.random.default_rng(cfg.seed)
     model = init_model(spec.fusion, bank.dim_v, bank.dim_o, classes,
                        scale=spec.scale, rng=rng)
-    V, O = bank_features(bank, spec.aggregation)
+    core, V, O = bank_inputs(model, bank, spec.aggregation)
     val_data = (None if val_bank is None
-                else (*bank_features(val_bank, spec.aggregation), val_labels))
+                else (*bank_inputs(model, val_bank, spec.aggregation)[1:], val_labels))
     # SGD writes into these arrays, which are the model's own parameters.
     params = param_groups(model)
     velocity = {name: np.zeros_like(arr) for name, arr in params.items()}
@@ -374,10 +401,13 @@ def train(bank: FeatureBank, target: str, spec: ModelSpec, cfg: TrainConfig,
         batch_gnorms: list[float] = []
         for batch, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start:start + cfg.batch_size]
-            loss, grads = loss_and_grads(model, V[idx], O[idx], labels[idx], inputs=False)
+            loss, grads = loss_and_grads(core, V[idx], O[idx], labels[idx], inputs=False)
+            squares = 0.0
             with np.errstate(over="ignore"):  # an overflow reads as divergence below
-                gnorm = float(np.sqrt(sum(float(np.sum(grads[name] * grads[name]))
-                                          for name in params)))
+                for name in params:
+                    g = grads[name]
+                    squares += float(np.add.reduce(g * g, axis=None))
+            gnorm = math.sqrt(squares)
             if not (np.isfinite(loss) and np.isfinite(gnorm)):
                 raise ValidationError(
                     f"training diverged at epoch {epoch}, batch {batch}: loss {loss}, "
@@ -385,8 +415,8 @@ def train(bank: FeatureBank, target: str, spec: ModelSpec, cfg: TrainConfig,
             batch_losses.append(loss)
             batch_gnorms.append(gnorm)
             for name, arr in params.items():
-                arr[...], velocity[name] = sgd_momentum_step(
-                    arr, grads[name], velocity[name], cfg.learning_rate, cfg.momentum)
+                sgd_momentum_step(arr, grads[name], velocity[name], cfg.learning_rate,
+                                  cfg.momentum)
         entry = {
             "epoch": epoch,
             "mean_loss": float(np.mean(batch_losses)),
@@ -394,7 +424,7 @@ def train(bank: FeatureBank, target: str, spec: ModelSpec, cfg: TrainConfig,
         }
         if val_data is not None:
             Vv, Ov, val_labels = val_data
-            ranks = label_ranks(forward_model(model, Vv, Ov)[0], val_labels)
+            ranks = label_ranks(forward_model(core, Vv, Ov)[0], val_labels)
             entry["val_top1"] = float(np.mean(ranks < 1))
         history.append(entry)
     return model, history

@@ -1,7 +1,8 @@
 """Shared test helpers: independent central-difference and 5-point gradient oracles,
 exact bank equality, a dense action prior from listed pairs, the
-record-by-record synthetic bank generator, the one-process bank text writer
-and the one-``repr``-per-float score table writer."""
+record-by-record synthetic bank generator, the one-process bank text writer,
+the one-``repr``-per-float score table writer and the per-batch-scaling
+training loop."""
 
 import json
 import zlib
@@ -11,8 +12,8 @@ import numpy as np
 import pytest
 
 from gatedfusion import training
-from gatedfusion.bank import Detection, FeatureBank, SegmentRecord, SynthSpec
-from gatedfusion.scoring import ActionPrior
+from gatedfusion.bank import Detection, FeatureBank, SegmentRecord, SynthSpec, bank_features
+from gatedfusion.scoring import ActionPrior, label_ranks
 
 
 def central_diff(f, x, step=1e-5):
@@ -206,3 +207,56 @@ def reference_synth_generate(spec: SynthSpec, seed: int, split: str = "train") -
     return FeatureBank.from_records(records, dim_v=spec.dim_v, dim_o=spec.dim_o,
                                     verb_vocab_size=spec.verb_vocab,
                                     noun_vocab_size=spec.noun_vocab)
+
+
+def reference_train(bank, target, spec, cfg, val_bank=None):
+    """Test-side oracle for ``training.train``: the same draws and updates,
+    with both banks aggregated for every kind, the model's scale stage run
+    inside each batch's and each validation pass's ``forward_model``, and
+    each SGD step building new arrays.  It skips ``train``'s input checks."""
+    labels, classes = training.target_labels(bank, target)
+    if val_bank is not None:
+        val_labels = training.target_labels(val_bank, target)[0]
+    rng = np.random.default_rng(cfg.seed)
+    model = training.init_model(spec.fusion, bank.dim_v, bank.dim_o, classes,
+                                scale=spec.scale, rng=rng)
+    V, O = bank_features(bank, spec.aggregation)
+    val_data = (None if val_bank is None
+                else (*bank_features(val_bank, spec.aggregation), val_labels))
+    # SGD writes into these arrays, which are the model's own parameters.
+    params = training.param_groups(model)
+    velocity = {name: np.zeros_like(arr) for name, arr in params.items()}
+
+    n = len(bank.ids)
+    history: list[dict] = []
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n)
+        batch_losses: list[float] = []
+        batch_gnorms: list[float] = []
+        for batch, start in enumerate(range(0, n, cfg.batch_size)):
+            idx = order[start:start + cfg.batch_size]
+            loss, grads = training.loss_and_grads(model, V[idx], O[idx], labels[idx],
+                                                  inputs=False)
+            with np.errstate(over="ignore"):  # an overflow reads as divergence below
+                gnorm = float(np.sqrt(sum(float(np.sum(grads[name] * grads[name]))
+                                          for name in params)))
+            if not (np.isfinite(loss) and np.isfinite(gnorm)):
+                raise training.ValidationError(
+                    f"training diverged at epoch {epoch}, batch {batch}: loss {loss}, "
+                    f"gradient norm {gnorm}")
+            batch_losses.append(loss)
+            batch_gnorms.append(gnorm)
+            for name, arr in params.items():
+                new_velocity = cfg.momentum * velocity[name] + grads[name]
+                arr[...], velocity[name] = arr - cfg.learning_rate * new_velocity, new_velocity
+        entry = {
+            "epoch": epoch,
+            "mean_loss": float(np.mean(batch_losses)),
+            "mean_grad_norm": float(np.mean(batch_gnorms)),
+        }
+        if val_data is not None:
+            Vv, Ov, val_labels = val_data
+            ranks = label_ranks(training.forward_model(model, Vv, Ov)[0], val_labels)
+            entry["val_top1"] = float(np.mean(ranks < 1))
+        history.append(entry)
+    return model, history

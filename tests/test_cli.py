@@ -578,6 +578,16 @@ class TestActions:
         assert rc == 1
         assert "misaligned" in capsys.readouterr().err
 
+    def test_misaligned_tables_write_no_prior(self, tmp_path, capsys):
+        # the tables are checked against each other before prior.txt is written
+        paths = tiny_action_inputs(tmp_path)
+        save_score_table(ScoreTable(segment_ids=["s1", "s0", "s2", "s3"], space="noun",
+                                    scores=np.full((4, 3), 1 / 3)), paths["noun"])
+        assert run("actions", "--verb-table", paths["verb"], "--noun-table", paths["noun"],
+                   "--bank", paths["bank"], "--train-bank", paths["bank"],
+                   "--out-dir", tmp_path / "act") == 1
+        assert "misaligned" in capsys.readouterr().err
+        assert not list((tmp_path / "act").glob("*"))
 
     def test_score_table_class_split_must_be_integers(self, tmp_path, capsys):
         paths = tiny_action_inputs(tmp_path)

@@ -2,6 +2,7 @@ import importlib.util
 import json
 import re
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,13 +15,13 @@ from gatedfusion.errors import ShapeError, ValidationError
 from gatedfusion.gfa import GfaParams, ScaleMode
 from gatedfusion.scoring import ScoreTable, topk_accuracy
 from gatedfusion.training import (Checkpoint, Head, Model, ModelSpec,
-                                  TrainConfig, cross_entropy, forward_model,
+                                  TrainConfig, bank_inputs, cross_entropy, forward_model,
                                   grad_check, init_model, load_checkpoint,
                                   loss_and_grads, param_groups, row_nll,
                                   save_checkpoint, sgd_momentum_step, softmax,
                                   train)
 
-from conftest import central_diff, rel_err
+from conftest import central_diff, reference_train, rel_err
 
 
 class TestSoftmax:
@@ -259,22 +260,25 @@ class TestBatchedCore:
 
 
 class TestSgdMomentumStep:
+    # The step updates params and velocity in place and returns nothing.
     def test_zero_momentum_is_plain_sgd(self):
         p, g, vel = np.array([1.0, 2.0]), np.array([0.5, -1.0]), np.zeros(2)
-        p2, v2 = sgd_momentum_step(p, g, vel, lr=0.1, momentum=0.0)
-        assert np.array_equal(p2, p - 0.1 * g)
-        assert np.array_equal(v2, g)
+        p0 = p.copy()
+        assert sgd_momentum_step(p, g, vel, lr=0.1, momentum=0.0) is None
+        assert np.array_equal(p, p0 - 0.1 * g)
+        assert np.array_equal(vel, g)
 
     def test_fixed_point(self):
-        p = np.array([3.0])
-        p2, v2 = sgd_momentum_step(p, np.zeros(1), np.zeros(1), 0.5, 0.9)
-        assert np.array_equal(p2, p) and np.array_equal(v2, np.zeros(1))
+        p, vel = np.array([3.0]), np.zeros(1)
+        sgd_momentum_step(p, np.zeros(1), vel, 0.5, 0.9)
+        assert np.array_equal(p, np.array([3.0])) and np.array_equal(vel, np.zeros(1))
 
     def test_second_step_amplifies_by_momentum(self):
-        p, g = np.array([0.0]), np.array([1.0])
-        p1, v1 = sgd_momentum_step(p, g, np.zeros(1), lr=0.1, momentum=0.9)
-        p2, v2 = sgd_momentum_step(p1, g, v1, lr=0.1, momentum=0.9)
-        assert (p1 - p2)[0] == pytest.approx(0.1 * 1.9, rel=1e-15)
+        p, g, vel = np.array([0.0]), np.array([1.0]), np.zeros(1)
+        sgd_momentum_step(p, g, vel, lr=0.1, momentum=0.9)
+        p1 = p.copy()
+        sgd_momentum_step(p, g, vel, lr=0.1, momentum=0.9)
+        assert (p1 - p)[0] == pytest.approx(0.1 * 1.9, rel=1e-15)
 
     def test_shape_error(self):
         with pytest.raises(ShapeError):
@@ -395,6 +399,79 @@ class TestTrain:
         monkeypatch.setattr("gatedfusion.training.bank_features", no_work)
         with pytest.raises(ValidationError, match=re.escape(message)):
             train(bank, "noun", ModelSpec(fusion="gfa-a"), TrainConfig(epochs=1), val_bank)
+
+
+def _input_banks(seed=3):
+    """A small train and val bank with mismatched, jittered object amplitudes."""
+    spec = SynthSpec(n_segments=37, dim_v=6, dim_o=5, verb_vocab=4, noun_vocab=5,
+                     mismatch=3.0, amplitude_jitter=0.5)
+    return (synth_generate(spec, seed, "train"),
+            synth_generate(replace(spec, n_segments=11), seed, "val"))
+
+
+class TestBankInputs:
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    @pytest.mark.parametrize("val", [False, True], ids=["no-val", "val"])
+    @pytest.mark.parametrize("kind,scale", _KINDS, ids=_KIND_IDS)
+    def test_train_matches_the_per_batch_loop_bit_for_bit(self, kind, scale, val, momentum):
+        bank, val_bank = _input_banks()
+        spec = ModelSpec(fusion=kind, scale=scale, aggregation=AggregationConfig(k=2))
+        cfg = TrainConfig(learning_rate=0.05, momentum=momentum, epochs=3, batch_size=8, seed=4)
+        model, history = train(bank, "noun", spec, cfg, val_bank if val else None)
+        ref_model, ref_history = reference_train(bank, "noun", spec, cfg,
+                                                 val_bank if val else None)
+        assert history == ref_history
+        assert all(np.isfinite(entry["mean_loss"]) for entry in history)
+        assert model.scale == scale
+        for name, arr in param_groups(model).items():
+            assert arr.tobytes() == param_groups(ref_model)[name].tobytes(), name
+
+    @pytest.mark.parametrize("kind,scale", _KINDS, ids=_KIND_IDS)
+    def test_core_scores_are_the_model_scores(self, kind, scale):
+        bank, _ = _input_banks()
+        agg = AggregationConfig(k=2)
+        model = init_model(kind, bank.dim_v, bank.dim_o, bank.noun_vocab_size, scale=scale,
+                           rng=np.random.default_rng(8))
+        core, V, O = bank_inputs(model, bank, agg)
+        assert core.head is model.head and core.gfa is model.gfa
+        assert core.scale == ScaleMode()
+        assert forward_model(core, V, O)[0].tobytes() == \
+            forward_model(model, *bank_features(bank, agg))[0].tobytes()
+
+    @pytest.mark.parametrize("val", [False, True], ids=["no-val", "val"])
+    def test_scale_stage_runs_once_per_bank(self, monkeypatch, val):
+        bank, val_bank = _input_banks()
+        calls = []
+        real_scale = training.scale_object_feature
+        monkeypatch.setattr(training, "scale_object_feature",
+                            lambda *args: calls.append(args[0].shape) or real_scale(*args))
+        spec = ModelSpec(fusion="gfa-a", scale=ScaleMode("norm"))
+        train(bank, "noun", spec, TrainConfig(epochs=3, batch_size=8),
+              val_bank if val else None)
+        assert calls == [(37, 5), (11, 5)][:1 + val]
+
+    def test_clip_only_never_aggregates(self, monkeypatch, tmp_path):
+        from gatedfusion import cli
+        from gatedfusion.bank import save_feature_bank
+        from gatedfusion.scoring import load_score_table
+
+        def never(*args):
+            raise AssertionError("features aggregated for clip-only")
+
+        bank, val_bank = _input_banks()
+        save_feature_bank(val_bank, tmp_path / "val.bank")
+        monkeypatch.setattr(training, "bank_features", never)
+        cfg = TrainConfig(epochs=2, batch_size=8)
+        model, _ = train(bank, "verb", ModelSpec(fusion="clip-only"), cfg, val_bank)
+        save_checkpoint(Checkpoint(model=model, target="verb", dim_v=6, dim_o=5, classes=4,
+                                   aggregation=AggregationConfig(), train_config=cfg),
+                        tmp_path / "ckpt.json")
+        assert cli.main(["eval", "--checkpoint", str(tmp_path / "ckpt.json"),
+                         "--bank", str(tmp_path / "val.bank"),
+                         "--out-dir", str(tmp_path / "eval")]) == 0
+        scores = softmax(forward_model(model, val_bank.clip, np.zeros((11, 5)))[0])
+        assert load_score_table(tmp_path / "eval/scores.txt").scores.tobytes() == \
+            scores.tobytes()
 
 
 class TestTrainConfig:
