@@ -12,12 +12,11 @@ read-only ``FeatureBank.records`` view.
 Aggregation turns the detections into a single object feature by keeping
 the detections inside a frame window around the clip center, selecting the
 top-K by score, and max pooling their features coordinatewise.
-``bank_features`` does it for every record at once: each record's
-in-window detections form one row of a padded grid, records grouped by the
-bit length of their count so that padding at most doubles the cells, and
-each row is sorted and its top K pooled rank by rank.  ``context_window``
--> ``select_top_k`` -> ``maxpool_features`` on one record is its
-reference.
+``bank_features``, the one aggregator, does it for every record at once:
+each record's in-window detections form one row of a padded grid, records
+grouped by the bit length of their count so that padding at most doubles
+the cells, and each row is sorted and its top K pooled rank by rank.  The
+tests keep the record-by-record chain as its reference.
 
 The on-disk format is line-delimited JSON: a header line declaring the
 feature dims and vocabulary sizes, then one record object per line.  Floats
@@ -44,7 +43,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError, read_text, replacing, strict_json, write_rows
+from .errors import ValidationError, read_text, replacing, strict_json, write_rows
 from .tensor import l2_norm
 
 __all__ = [
@@ -53,10 +52,6 @@ __all__ = [
     "FeatureBank",
     "AggregationConfig",
     "SynthSpec",
-    "context_window",
-    "select_top_k",
-    "maxpool_features",
-    "aggregate_object_feature",
     "bank_features",
     "load_feature_bank",
     "save_feature_bank",
@@ -309,50 +304,16 @@ class AggregationConfig:
             raise ValidationError(f"window must be a positive odd integer, got {self.window!r}")
 
 
-def context_window(record: SegmentRecord, cfg: AggregationConfig) -> list[Detection]:
-    """Detections within (window-1)/2 frames of the clip center."""
-    half = (cfg.window - 1) // 2
-    center = record.clip_center_frame
-    return [d for d in record.detections if abs(d.frame_index - center) <= half]
-
-
-def select_top_k(detections: list[Detection], k: int) -> list[Detection]:
-    """The k highest-scoring detections, descending by score.  Ties break by
-    ascending (frame_index, input position), so the result is deterministic."""
-    if k < 1:
-        raise ValidationError(f"select_top_k: k must be >= 1, got {k}")
-    order = sorted(range(len(detections)),
-                   key=lambda i: (-detections[i].score, detections[i].frame_index, i))
-    return [detections[i] for i in order[:k]]
-
-
-def maxpool_features(detections: list[Detection], dim_o: int) -> np.ndarray:
-    """Coordinatewise maximum of the detection features; zero vector if empty."""
-    if not detections:
-        return np.zeros(dim_o)
-    out = detections[0].feature.astype(np.float64, copy=True)
-    if out.shape != (dim_o,):
-        raise ShapeError(f"maxpool: feature dim {out.shape[0]}, expected {dim_o}")
-    for det in detections[1:]:
-        if det.feature.shape != (dim_o,):
-            raise ShapeError(f"maxpool: feature dim {det.feature.shape[0]}, expected {dim_o}")
-        np.maximum(out, det.feature, out=out)
-    return out
-
-
-def aggregate_object_feature(record: SegmentRecord, cfg: AggregationConfig,
-                             dim_o: int) -> np.ndarray:
-    """window -> top-K -> max pool, the full aggregation chain."""
-    return maxpool_features(select_top_k(context_window(record, cfg), cfg.k), dim_o)
-
-
 def bank_features(bank: FeatureBank, cfg: AggregationConfig) -> tuple[np.ndarray, np.ndarray]:
     """Clip features and aggregated object features of every record, as
-    ``(records, dim_v)`` and ``(records, dim_o)`` row blocks.  The object
-    rows equal ``aggregate_object_feature`` bit for bit: each record's
-    in-window detections are one row of a padded grid, sorted stably by
-    (-score, frame), and the first k are max-pooled rank by rank with
-    ``np.maximum(acc, next)``, the operand order of ``maxpool_features``."""
+    ``(records, dim_v)`` and ``(records, dim_o)`` row blocks.  A record's
+    object row is the coordinatewise maximum of the features of its k
+    highest-scoring detections within (window - 1) / 2 frames of its center,
+    ties broken by frame, then by input position; with none it is zero.
+    Each record's in-window detections are one row of a padded grid, sorted
+    stably by (-score, frame), and the first k are max-pooled rank by rank
+    with ``np.maximum(acc, next)``, so a tie between signed zeros resolves
+    in score order."""
     n = len(bank.ids)
     owner = np.repeat(np.arange(n), bank.counts)
     # |frame - center| in uint64: flipping the sign bit maps int64 onto

@@ -122,14 +122,12 @@ def _option_takes(kwargs: dict, val) -> bool:
     return ok and ("choices" not in kwargs or val in kwargs["choices"])
 
 
-_DIVISOR_KINDS = ("scalar", "norm-scalar")  # the scale kinds that read --scale-divisor
-
-
 def _scale_mode(cfg: dict) -> ScaleMode:
-    kind = cfg["scale"]
-    if kind in _DIVISOR_KINDS:
-        return ScaleMode(kind=kind, s=cfg["scale_divisor"])
-    return ScaleMode(kind=kind)
+    """The model's scale stage.  ``cfg`` then records the divisor that took
+    effect, which is 1.0 for a kind that does not divide."""
+    mode = ScaleMode(kind=cfg["scale"], s=cfg["scale_divisor"])
+    cfg["scale_divisor"] = mode.s
+    return mode
 
 
 # Each handler runs one command from its resolved config into the existing

@@ -31,8 +31,11 @@ training stable by itself: a saturated gate is inside (0, 1) too, and passes
 an input of any amplitude through.  On the synthetic banks, matching the
 amplitudes is what removes the gradient blow-up (see the README).
 
-Forward passes return a cache holding the intermediates the backward pass
-needs; ``gfa_backward`` produces exact analytic gradients for both gate
+Both variants are one gate ``sigmoid(W x + b) * y``: ``(x, y)`` is
+``([v, o], [v, o])`` for A and ``(o, v)`` for B, a rule stated once, in
+``GfaCache.gate_operands``.  ``gfa_forward`` runs it and returns a cache
+holding the intermediates the backward pass needs; ``gfa_backward``, one
+VJP of the same gate, produces exact analytic gradients for both gate
 inputs (unless ``inputs=False``) and both parameters.
 
 Every function works on the last axis: ``v`` and ``o`` are either one
@@ -58,14 +61,13 @@ __all__ = [
     "GfaCache",
     "scale_object_feature",
     "scale_vjp",
-    "gfa_a_forward",
-    "gfa_b_forward",
     "gfa_forward",
     "gfa_backward",
     "gate_tail",
 ]
 
 SCALE_KINDS = ("none", "scalar", "norm", "norm-scalar")
+_DIVISOR_KINDS = ("scalar", "norm-scalar")  # the kinds that read ScaleMode.s
 _FLOAT_MAX = float(np.finfo(np.float64).max)  # a Python float: it compares exactly with any int
 # The floor on |o| under norm scaling: a zero object feature degrades
 # continuously to zero instead of blowing up.
@@ -75,7 +77,9 @@ _EPSILON = 1e-8
 @dataclass(frozen=True)
 class ScaleMode:
     """How to rescale the object feature before fusion; ``s`` is the scalar
-    divisor of ``scalar`` and ``norm-scalar``."""
+    divisor of ``scalar`` and ``norm-scalar``.  Any kind checks the divisor it
+    is given, but the other kinds never divide, so they then carry
+    ``s = 1.0``: a recorded mode holds the divisor that took effect."""
 
     kind: str = "none"
     s: float = 1.0
@@ -91,6 +95,8 @@ class ScaleMode:
             raise ValidationError(
                 f"scale divisor must be positive and finite, with a finite reciprocal, "
                 f"got {self.s}")
+        if self.kind not in _DIVISOR_KINDS:
+            object.__setattr__(self, "s", 1.0)  # frozen: set as the dataclass init does
 
 
 @dataclass
@@ -118,13 +124,14 @@ class GfaParams:
 
 @dataclass
 class GfaCache:
-    """Intermediates saved by a forward pass for the matching backward pass."""
+    """Intermediates saved by a forward pass for the matching backward pass;
+    ``concat_in`` is variant A's ``[v, o]``."""
 
     variant: str
     v: np.ndarray
     o: np.ndarray
-    gate: np.ndarray
     concat_in: np.ndarray | None = None
+    gate: np.ndarray | None = None
 
     def gate_operands(self) -> tuple[np.ndarray, np.ndarray]:
         """``(x, y)`` of the gate ``sigmoid(W x + b) * y``: ``(c, c)`` for
@@ -132,12 +139,6 @@ class GfaCache:
         if self.variant == "a":
             return self.concat_in, self.concat_in
         return self.o, self.v
-
-
-def _check_rows(v: np.ndarray, o: np.ndarray, who: str) -> None:
-    if v.shape[:-1] != o.shape[:-1]:
-        raise ShapeError(
-            f"{who}: v has leading shape {v.shape[:-1]}, o has {o.shape[:-1]}")
 
 
 def scale_object_feature(o: np.ndarray, v: np.ndarray, mode: ScaleMode) -> np.ndarray:
@@ -164,7 +165,7 @@ def scale_vjp(o: np.ndarray, v: np.ndarray, mode: ScaleMode,
     if mode.kind == "scalar":
         return upstream / mode.s, np.zeros_like(v)
 
-    inv_s = 1.0 / mode.s if mode.kind == "norm-scalar" else 1.0
+    inv_s = 1.0 / mode.s  # 1.0 under norm, which carries s = 1.0
     no = l2_norm(o, keepdims=True)
     nv = l2_norm(v, keepdims=True)
     m = np.maximum(no, _EPSILON)
@@ -179,33 +180,11 @@ def scale_vjp(o: np.ndarray, v: np.ndarray, mode: ScaleMode,
     return do, dv
 
 
-def gfa_a_forward(v: np.ndarray, o: np.ndarray,
-                  p: GfaParams) -> tuple[np.ndarray, GfaCache]:
-    """Variant A: gate the concatenation of ``v`` and ``o``."""
-    if p.variant != "a":
-        raise ValidationError(f"gfa_a_forward called with variant {p.variant!r} params")
-    _check_rows(v, o, "gfa variant a")
-    c = np.concatenate([v, o], axis=-1)
-    fused, gate = gate_tail(affine(c, p.W, p.b), c)
-    return fused, GfaCache(variant="a", v=v, o=o, gate=gate, concat_in=c)
-
-
-def gfa_b_forward(v: np.ndarray, o: np.ndarray,
-                  p: GfaParams) -> tuple[np.ndarray, GfaCache]:
-    """Variant B: gate ``v`` elementwise by a sigmoid of an affine map of ``o``."""
-    if p.variant != "b":
-        raise ValidationError(f"gfa_b_forward called with variant {p.variant!r} params")
-    _check_rows(v, o, "gfa variant b")
-    fused, gate = gate_tail(affine(o, p.W, p.b), v)
-    return fused, GfaCache(variant="b", v=v, o=o, gate=gate)
-
-
 def gate_tail(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The gate after its affine map: ``sigmoid(z) * y`` and the gate
-    ``sigmoid(z)``.  Both forward passes end here, with ``(z, y)`` =
-    ``(W c + b, c)`` for variant A and ``(W o + b, v)`` for variant B.
-    ``affine`` checks W's columns against its input; here W's rows, the
-    width of ``z``, must match the width of ``y`` (a ``ShapeError``)."""
+    ``sigmoid(z)``.  ``gfa_forward`` ends here with ``z = W x + b``.
+    ``affine`` checks W's columns against ``x``; here W's rows, the width
+    of ``z``, must match the width of ``y`` (a ``ShapeError``)."""
     if z.shape[-1] != y.shape[-1]:
         raise ShapeError(
             f"gfa gate: W produces dim {z.shape[-1]}, but the gated input has dim {y.shape[-1]}")
@@ -215,9 +194,17 @@ def gate_tail(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def gfa_forward(v: np.ndarray, o: np.ndarray,
                 p: GfaParams) -> tuple[np.ndarray, GfaCache]:
-    if p.variant == "a":
-        return gfa_a_forward(v, o, p)
-    return gfa_b_forward(v, o, p)
+    """The gate ``sigmoid(W x + b) * y`` of ``p.variant``, on the ``(x, y)``
+    of ``GfaCache.gate_operands``: the concatenation ``[v, o]`` twice for
+    variant A, ``(o, v)`` for variant B."""
+    if v.shape[:-1] != o.shape[:-1]:
+        raise ShapeError(
+            f"gfa variant {p.variant}: v has leading shape {v.shape[:-1]}, o has {o.shape[:-1]}")
+    c = np.concatenate([v, o], axis=-1) if p.variant == "a" else None
+    cache = GfaCache(variant=p.variant, v=v, o=o, concat_in=c)
+    x, y = cache.gate_operands()
+    fused, cache.gate = gate_tail(affine(x, p.W, p.b), y)
+    return fused, cache
 
 
 def gfa_backward(cache: GfaCache, p: GfaParams, dF: np.ndarray, inputs: bool = True

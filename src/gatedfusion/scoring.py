@@ -1,11 +1,15 @@
-"""Verb-noun action scoring: co-occurrence prior, re-weighting and top-k
-accuracy.
+"""Verb-noun action scoring: co-occurrence prior, re-weighting, top-k
+accuracy and score tables.
 
 An action is a (verb, noun) pair.  The plain action score is the product of
 the verb and noun probabilities; re-weighting multiplies in a prior mu(v, n)
 built from training-set co-occurrence frequencies, so pairs never seen in
 training score exactly zero and implausible combinations drop out of the
 ranking.
+
+Every accuracy counts from one ranking rule: ``label_ranks`` ranks each
+row's true label once, and ``topk_report`` gives every k of a report from
+those ranks.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ __all__ = [
     "prior_stats",
     "reweight_actions",
     "label_ranks",
-    "topk_accuracy",
     "topk_report",
     "table_labels",
     "score_actions_for_bank",
@@ -169,23 +172,14 @@ def label_ranks(scores: np.ndarray, labels) -> np.ndarray:
     return np.count_nonzero(ahead, axis=1)
 
 
-def _top_rate(ranks: np.ndarray, k: int) -> float:
-    return np.count_nonzero(ranks < k) / len(ranks) if len(ranks) else 0.0
-
-
-def topk_accuracy(table: ScoreTable, labels, k: int) -> float:
-    """Fraction of rows whose true label ranks inside the top k, by the
-    tie rule of ``label_ranks``."""
-    if k < 1:
-        raise ValidationError(f"topk_accuracy: k must be >= 1, got {k}")
-    return _top_rate(label_ranks(table.scores, labels), k)
-
-
 def topk_report(scores: np.ndarray, labels) -> dict:
     """``{"top<k>": accuracy}`` of a (rows, classes) score block for every
-    k a report gives, from one ranking of the true labels."""
+    k a report gives, from one ranking of the true labels.  A block with no
+    rows has no accuracy, and its report is empty."""
     ranks = label_ranks(scores, labels)
-    return {f"top{k}": _top_rate(ranks, k) for k in _TOPK}
+    if not len(ranks):
+        return {}
+    return {f"top{k}": np.count_nonzero(ranks < k) / len(ranks) for k in _TOPK}
 
 
 def table_labels(table: ScoreTable, bank: FeatureBank) -> np.ndarray:
@@ -333,6 +327,9 @@ def _header_count(val) -> int:
 
 
 def load_score_table(path) -> ScoreTable:
+    """Parse a score table written by ``save_score_table``.  A malformed
+    header, a row of the wrong width, a score that is not a number, or a
+    segment id that repeats an earlier row is rejected with its line."""
     lines = read_text(path).splitlines()
     if not lines:
         raise ValidationError(f"{path}: empty score table file")
@@ -346,7 +343,7 @@ def load_score_table(path) -> ScoreTable:
         no_rows = np.zeros((0, classes))  # rejects a negative or oversized count
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError):
         raise ValidationError(f"{path}: line 1: malformed score table header") from None
-    segment_ids: list[str] = []
+    line_of: dict[str, int] = {}  # each segment id's line, in file order
     rows: list[np.ndarray] = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -355,14 +352,17 @@ def load_score_table(path) -> ScoreTable:
         if len(parts) != classes + 1:
             raise ValidationError(
                 f"{path}: line {lineno}: expected id plus {classes} scores, got {len(parts) - 1}")
-        segment_ids.append(parts[0])
+        if parts[0] in line_of:
+            raise ValidationError(f"{path}: line {lineno}: segment id {parts[0]!r} repeats "
+                                  f"line {line_of[parts[0]]}")
+        line_of[parts[0]] = lineno
         try:
             rows.append(np.array([float(x) for x in parts[1:]], dtype=np.float64))
         except ValueError:
             raise ValidationError(f"{path}: line {lineno}: malformed score") from None
     scores = np.stack(rows) if rows else no_rows
     try:
-        return ScoreTable(segment_ids=segment_ids, scores=scores, space=space,
+        return ScoreTable(segment_ids=list(line_of), scores=scores, space=space,
                           verb_classes=verb_classes, noun_classes=noun_classes)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None

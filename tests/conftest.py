@@ -1,8 +1,8 @@
 """Shared test helpers: independent central-difference and 5-point gradient oracles,
 exact bank equality, a dense action prior from listed pairs, the
-record-by-record synthetic bank generator, the one-process bank text writer,
-the one-``repr``-per-float score table writer and the per-batch-scaling
-training loop."""
+record-by-record synthetic bank generator and aggregation chain, the
+one-process bank text writer, the one-``repr``-per-float score table writer
+and the per-batch-scaling training loop."""
 
 import json
 import zlib
@@ -207,6 +207,38 @@ def reference_synth_generate(spec: SynthSpec, seed: int, split: str = "train") -
     return FeatureBank.from_records(records, dim_v=spec.dim_v, dim_o=spec.dim_o,
                                     verb_vocab_size=spec.verb_vocab,
                                     noun_vocab_size=spec.noun_vocab)
+
+
+def context_window(record: SegmentRecord, cfg) -> list[Detection]:
+    """Detections within (window-1)/2 frames of the clip center."""
+    half = (cfg.window - 1) // 2
+    center = record.clip_center_frame
+    return [d for d in record.detections if abs(d.frame_index - center) <= half]
+
+
+def select_top_k(detections: list[Detection], k: int) -> list[Detection]:
+    """The k highest-scoring detections, descending by score.  Ties break by
+    ascending (frame_index, input position), so the result is deterministic."""
+    order = sorted(range(len(detections)),
+                   key=lambda i: (-detections[i].score, detections[i].frame_index, i))
+    return [detections[i] for i in order[:k]]
+
+
+def maxpool_features(detections: list[Detection], dim_o: int) -> np.ndarray:
+    """Coordinatewise maximum of the detection features, pooled in list
+    order; zero vector if empty."""
+    if not detections:
+        return np.zeros(dim_o)
+    out = detections[0].feature.astype(np.float64, copy=True)
+    for det in detections[1:]:
+        np.maximum(out, det.feature, out=out)
+    return out
+
+
+def aggregate_object_feature(record: SegmentRecord, cfg, dim_o: int) -> np.ndarray:
+    """Test-side oracle for one row of ``bank.bank_features``: window ->
+    top-K -> max pool, one record at a time."""
+    return maxpool_features(select_top_k(context_window(record, cfg), cfg.k), dim_o)
 
 
 def reference_train(bank, target, spec, cfg, val_bank=None):

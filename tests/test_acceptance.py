@@ -10,21 +10,20 @@ import numpy as np
 import pytest
 
 from gatedfusion.bank import (AggregationConfig, Detection, FeatureBank,
-                              SegmentRecord, SynthSpec,
-                              aggregate_object_feature, bank_features,
-                              context_window, maxpool_features, select_top_k,
+                              SegmentRecord, SynthSpec, bank_features,
                               synth_generate)
 from gatedfusion.cli import main
-from gatedfusion.gfa import (GfaParams, ScaleMode, gfa_a_forward,
-                             gfa_b_forward, scale_object_feature)
+from gatedfusion.gfa import (GfaParams, ScaleMode, gfa_forward,
+                             scale_object_feature)
 from gatedfusion.scoring import (ActionPrior, ScoreTable, compute_prior,
                                  reweight_actions, score_actions_for_bank,
-                                 topk_accuracy)
+                                 topk_report)
 from gatedfusion.training import (ModelSpec, TrainConfig, cross_entropy,
                                   forward_model, init_model, loss_and_grads,
                                   param_groups, softmax, train)
 
-from conftest import dense_prior, five_point_diff, rel_err
+from conftest import (aggregate_object_feature, context_window, dense_prior,
+                      five_point_diff, maxpool_features, rel_err, select_top_k)
 
 
 def _report(number, description, ok):
@@ -109,8 +108,8 @@ def test_criterion_02_gate_structure():
         for _ in range(10):
             v = rng.uniform(-3, 3, dim_v)
             o = rng.uniform(-3, 3, dim_o)
-            Fa, ca = gfa_a_forward(v, o, pa)
-            Fb, cb = gfa_b_forward(v, o, pb)
+            Fa, ca = gfa_forward(v, o, pa)
+            Fb, cb = gfa_forward(v, o, pb)
             assert np.all(ca.gate > 0.0) and np.all(ca.gate < 1.0)
             assert np.all(cb.gate > 0.0) and np.all(cb.gate < 1.0)
             assert Fa.shape == (dim_v + dim_o,)
@@ -121,11 +120,11 @@ def test_criterion_02_gate_structure():
     # W = 0, b = 0 halves the gated input exactly
     v, o = np.array([1.5, -2.0, 0.25]), np.array([4.0, -8.0])
     pa0 = GfaParams(variant="a", W=np.zeros((5, 5)), b=np.zeros(5))
-    Fa, ca = gfa_a_forward(v, o, pa0)
+    Fa, ca = gfa_forward(v, o, pa0)
     assert np.array_equal(Fa, 0.5 * ca.concat_in)
     assert np.array_equal(ca.concat_in, np.concatenate([v, o]))
     pb0 = GfaParams(variant="b", W=np.zeros((3, 2)), b=np.zeros(3))
-    Fb, _ = gfa_b_forward(v, o, pb0)
+    Fb, _ = gfa_forward(v, o, pb0)
     assert np.array_equal(Fb, 0.5 * v)
     _report(2, "gates in (0,1) on 1000 inputs; output dims; zero-params halving", True)
 
@@ -312,14 +311,15 @@ def test_criterion_08_topk_metric_oracle():
         for row, label in zip(scores, labels):
             order = sorted(range(classes), key=lambda j: (-row[j], j))
             brute += int(label in order[:k])
-        assert topk_accuracy(t, labels, k) == brute / 100
+        assert topk_report(t.scores, labels)[f"top{k}"] == brute / 100
     for _ in range(20):
         sub = rng.uniform(size=(10, classes))
         sub_labels = rng.integers(0, classes, size=10)
         st_ = ScoreTable(segment_ids=[f"q{i}" for i in range(10)], scores=sub,
                          space="noun")
-        assert topk_accuracy(st_, sub_labels, 5) >= topk_accuracy(st_, sub_labels, 1)
-    _report(8, "topk_accuracy equals brute-force oracle at k in {1,5}; "
+        report = topk_report(st_.scores, sub_labels)
+        assert report["top5"] >= report["top1"]
+    _report(8, "topk_report equals brute-force oracle at k in {1,5}; "
                "top-5 >= top-1", True)
 
 

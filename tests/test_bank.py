@@ -15,14 +15,11 @@ from hypothesis import given, settings, strategies as st
 
 from gatedfusion import bank as bank_module
 from gatedfusion.bank import (AggregationConfig, Detection, FeatureBank,
-                              SegmentRecord, SynthSpec,
-                              aggregate_object_feature, bank_features, bank_stats,
-                              context_window, load_feature_bank,
-                              maxpool_features, save_feature_bank,
-                              select_top_k, synth_generate)
-from gatedfusion.errors import ShapeError, ValidationError
+                              SegmentRecord, SynthSpec, bank_features, bank_stats,
+                              load_feature_bank, save_feature_bank, synth_generate)
+from gatedfusion.errors import ValidationError
 
-from conftest import banks_equal, reference_synth_generate
+from conftest import aggregate_object_feature, banks_equal, reference_synth_generate
 
 
 def det(frame, score, *feat):
@@ -57,68 +54,76 @@ class TestAggregationConfig:
             AggregationConfig(**{field: value})
 
 
+def pooled(dets, cfg=AggregationConfig(), center=100, dim_o=None):
+    """The object row ``bank_features`` gives a one-record bank holding ``dets``."""
+    bank = FeatureBank.from_records([record(dets, center=center)], dim_v=2,
+                                    dim_o=dim_o or len(dets[0].feature), verb_vocab_size=1,
+                                    noun_vocab_size=1)
+    return bank_features(bank, cfg)[1][0]
+
+
+def one_hot(i, dim):
+    return tuple(np.eye(dim)[i])
+
+
 class TestContextWindow:
     def test_interval_membership(self):
-        dets = [det(f, 0.5, 1.0) for f in (97, 98, 100, 103)]
-        cfg = AggregationConfig(k=10, window=5)
-        out = context_window(record(dets, center=100), cfg)
-        assert [d.frame_index for d in out] == [98, 100]
+        # window 5 keeps frames 98..102: both edges are in, 97 and 103 are out
+        dets = [det(f, 0.5, *one_hot(i, 5)) for i, f in enumerate((97, 98, 100, 102, 103))]
+        out = pooled(dets, AggregationConfig(k=10, window=5), center=100)
+        assert np.array_equal(out, [0.0, 1.0, 1.0, 1.0, 0.0])
 
     def test_degenerate_window(self):
-        dets = [det(99, 0.5, 1.0), det(100, 0.5, 2.0), det(101, 0.5, 3.0)]
-        out = context_window(record(dets, center=100), AggregationConfig(window=1))
-        assert [d.frame_index for d in out] == [100]
+        dets = [det(99, 0.5, 1.0, 0.0, 0.0), det(100, 0.5, 0.0, 1.0, 0.0),
+                det(101, 0.5, 0.0, 0.0, 1.0)]
+        out = pooled(dets, AggregationConfig(window=1), center=100)
+        assert np.array_equal(out, [0.0, 1.0, 0.0])
 
     def test_empty(self):
-        assert context_window(record([], center=7), AggregationConfig()) == []
+        assert np.array_equal(pooled([], center=7, dim_o=3), np.zeros(3))
 
 
 class TestSelectTopK:
     def test_highest_scores(self):
-        dets = [det(0, 0.9, 1.0), det(1, 0.3, 2.0), det(2, 0.8, 3.0)]
-        out = select_top_k(dets, 2)
-        assert [d.score for d in out] == [0.9, 0.8]
+        dets = [det(100, 0.9, 1.0, 0.0, 0.0), det(100, 0.3, 0.0, 1.0, 0.0),
+                det(100, 0.8, 0.0, 0.0, 1.0)]
+        assert np.array_equal(pooled(dets, AggregationConfig(k=2)), [1.0, 0.0, 1.0])
 
     def test_saturates(self):
-        dets = [det(0, 0.9, 1.0), det(1, 0.3, 2.0)]
-        assert select_top_k(dets, 5) == dets
+        # k larger than the count pools every kept detection
+        dets = [det(100, 0.9, 1.0, 0.0), det(100, 0.3, 0.0, 1.0)]
+        assert np.array_equal(pooled(dets, AggregationConfig(k=5)), [1.0, 1.0])
 
     def test_tie_breaks_by_frame_then_position(self):
-        a, b, c = det(5, 0.5, 1.0), det(3, 0.5, 2.0), det(5, 0.5, 3.0)
-        out = select_top_k([a, b, c], 2)
-        assert out == [b, a]
+        # equal scores: frame 3 first, then the first of the two frame-5 rows
+        a, b, c = det(5, 0.5, 1.0, 0.0, 0.0), det(3, 0.5, 0.0, 1.0, 0.0), det(5, 0.5, 0.0, 0.0, 1.0)
+        out = pooled([a, b, c], AggregationConfig(k=2, window=3), center=4)
+        assert np.array_equal(out, [1.0, 1.0, 0.0])
 
     def test_equal_everything_is_input_order_stable(self):
-        a, b, c = det(1, 0.5, 1.0), det(1, 0.5, 2.0), det(1, 0.5, 3.0)
-        assert select_top_k([a, b, c], 2) == [a, b]
-
-    def test_k_validation(self):
-        with pytest.raises(ValidationError):
-            select_top_k([], 0)
+        a, b, c = det(1, 0.5, 1.0, 0.0, 0.0), det(1, 0.5, 0.0, 1.0, 0.0), det(1, 0.5, 0.0, 0.0, 1.0)
+        out = pooled([a, b, c], AggregationConfig(k=2), center=1)
+        assert np.array_equal(out, [1.0, 1.0, 0.0])
 
     @given(st.permutations(list(range(8))))
     def test_permutation_insensitive_for_distinct_keys(self, perm):
-        base = [det(i, round(0.1 + 0.1 * i, 3), float(i)) for i in range(8)]
-        shuffled = [base[i] for i in perm]
-        out = select_top_k(shuffled, 3)
-        assert [d.feature[0] for d in out] == [7.0, 6.0, 5.0]
+        base = [det(i, round(0.1 + 0.1 * i, 3), *one_hot(i, 8)) for i in range(8)]
+        out = pooled([base[i] for i in perm], AggregationConfig(k=3, window=9), center=4)
+        assert np.flatnonzero(out).tolist() == [5, 6, 7]
 
 
 class TestMaxpool:
     def test_coordinatewise_max(self):
-        out = maxpool_features([det(0, 1.0, 1.0, 5.0), det(1, 1.0, 3.0, 2.0)], 2)
+        out = pooled([det(100, 1.0, 1.0, 5.0), det(101, 1.0, 3.0, 2.0)])
         assert np.array_equal(out, [3.0, 5.0])
 
     def test_single(self):
-        out = maxpool_features([det(0, 1.0, 4.0, -1.0)], 2)
-        assert np.array_equal(out, [4.0, -1.0])
-
-    def test_empty_is_zero(self):
-        assert np.array_equal(maxpool_features([], 3), np.zeros(3))
+        assert np.array_equal(pooled([det(100, 1.0, 4.0, -1.0)]), [4.0, -1.0])
 
     def test_dim_mismatch(self):
-        with pytest.raises(ShapeError):
-            maxpool_features([det(0, 1.0, 1.0, 2.0)], 3)
+        # a bank never holds a detection of the wrong dim, so pooling never sees one
+        with pytest.raises(ValidationError, match="feature has dim 2, bank declares dim_o=3"):
+            pooled([det(100, 1.0, 1.0, 2.0)], dim_o=3)
 
 
 def _random_record(rng, i, dim_o=3):
@@ -132,36 +137,30 @@ def _random_record(rng, i, dim_o=3):
 
 
 class TestAggregate:
-    def test_composition_equals_steps(self):
-        rng = np.random.default_rng(4)
-        cfg = AggregationConfig(k=4, window=3)
-        for i in range(20):
-            rec = _random_record(rng, i)
-            expected = maxpool_features(
-                select_top_k(context_window(rec, cfg), cfg.k), 3)
-            assert np.array_equal(aggregate_object_feature(rec, cfg, 3), expected)
-
     def test_no_detections(self):
-        out = aggregate_object_feature(record([]), AggregationConfig(), 4)
-        assert np.array_equal(out, np.zeros(4))
+        # an empty record between two others gets a zero row
+        recs = [record([det(100, 1.0, 1.0, 2.0)], seg_id="a"), record([], seg_id="b"),
+                record([det(100, 1.0, -3.0, -4.0)], seg_id="c")]
+        bank = FeatureBank.from_records(recs, dim_v=2, dim_o=2, verb_vocab_size=1,
+                                        noun_vocab_size=1)
+        O = bank_features(bank, AggregationConfig())[1]
+        assert np.array_equal(O, [[1.0, 2.0], [0.0, 0.0], [-3.0, -4.0]])
 
     def test_degenerate_config_picks_best_center_box(self):
         dets = [det(100, 0.9, 1.0, 0.0), det(100, 0.95, 0.0, 2.0),
                 det(101, 0.99, 9.0, 9.0)]
-        cfg = AggregationConfig(k=1, window=1)
-        out = aggregate_object_feature(record(dets, center=100), cfg, 2)
+        out = pooled(dets, AggregationConfig(k=1, window=1), center=100)
         assert np.array_equal(out, [0.0, 2.0])
 
     def test_monotone_in_k(self):
         rng = np.random.default_rng(5)
-        for i in range(10):
-            rec = _random_record(rng, i)
-            prev = None
-            for k in range(1, 8):
-                cur = aggregate_object_feature(rec, AggregationConfig(k=k), 3)
-                if prev is not None and rec.detections:
-                    assert np.all(cur >= prev - 1e-15)
-                prev = cur
+        bank = FeatureBank.from_records([_random_record(rng, i) for i in range(10)], dim_v=2,
+                                        dim_o=3, verb_vocab_size=1, noun_vocab_size=1)
+        prev = bank_features(bank, AggregationConfig(k=1))[1]
+        for k in range(2, 8):
+            cur = bank_features(bank, AggregationConfig(k=k))[1]
+            assert np.all(cur >= prev)
+            prev = cur
 
 
 _EXTREME_INTS = [-2**63, -2**63 + 1, -2, -1, 0, 1, 2, 2**63 - 2, 2**63 - 1]
@@ -422,13 +421,10 @@ class TestSynth:
         va = synth_generate(spec, 3, "val")
         assert not banks_equal(tr, va)
         cfg = AggregationConfig()
-        by_noun_tr = {r.noun_label: aggregate_object_feature(r, cfg, tr.dim_o)
-                      for r in tr.records}
-        for r in va.records:
-            if r.noun_label in by_noun_tr:
-                assert np.allclose(
-                    aggregate_object_feature(r, cfg, va.dim_o),
-                    by_noun_tr[r.noun_label], rtol=1e-12)
+        by_noun_tr = dict(zip(tr.labels[:, 1].tolist(), bank_features(tr, cfg)[1]))
+        for noun, o in zip(va.labels[:, 1].tolist(), bank_features(va, cfg)[1]):
+            if noun in by_noun_tr:
+                assert np.allclose(o, by_noun_tr[noun], rtol=1e-12)
 
     def test_mismatch_amplitude_ratio(self):
         bank = synth_generate(SynthSpec(n_segments=300, mismatch=1e3), 11)
@@ -437,10 +433,8 @@ class TestSynth:
 
     def test_noise_zero_linear_probe_recovers_nouns(self):
         bank = synth_generate(SynthSpec(n_segments=150, noise=0.0), 9)
-        cfg = AggregationConfig()
-        feats = np.stack([aggregate_object_feature(r, cfg, bank.dim_o)
-                          for r in bank.records])
-        labels = np.array([r.noun_label for r in bank.records])
+        feats = bank_features(bank, AggregationConfig())[1]
+        labels = bank.labels[:, 1]
         # nearest-centroid probe, a linear classifier
         cents = np.stack([feats[labels == c].mean(axis=0)
                           if np.any(labels == c) else np.zeros(bank.dim_o)

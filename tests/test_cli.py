@@ -398,6 +398,9 @@ class TestTrainEval:
         assert run("eval", "--checkpoint", tmp_path / "run/checkpoint.json", "--bank", bank,
                    "--out-dir", tmp_path / "eval") == 0
         assert load_score_table(tmp_path / "eval/scores.txt").scores.shape == (0, 3)
+        # no top-k over zero segments, as for an unlabelled bank
+        report = json.loads((tmp_path / "eval/eval_report.json").read_text())
+        assert report == {"target": "noun", "segments": 0}
 
     def test_eval_without_labels_omits_metrics(self, tmp_path):
         synth(tmp_path / "data", train=20, val=5)
@@ -416,6 +419,17 @@ class TestTrainEval:
 
 
 class TestActions:
+    def test_repeated_segment_id_is_exit_one(self, tmp_path, capsys):
+        # each table repeats its first row as its last
+        paths = tiny_action_inputs(tmp_path)
+        for name in ("verb", "noun"):
+            lines = paths[name].read_text().splitlines(keepends=True)
+            paths[name].write_text("".join(lines + lines[1:2]))
+        assert run_actions(paths, tmp_path / "act") == 1
+        err = capsys.readouterr().err
+        assert f"{paths['verb']}: line 6: segment id 's0' repeats line 2" in err
+        assert not list((tmp_path / "act").iterdir())
+
     def test_report_keys_follow_the_topk_set(self, tmp_path, monkeypatch):
         monkeypatch.setattr(scoring, "_TOPK", (1, 3))
         bank, ckpt = tiny_eval_inputs(tmp_path)
@@ -1045,6 +1059,12 @@ class TestGradcheckCommand:
         assert not failed
         assert time.perf_counter() - start < 10.0
 
+    @pytest.mark.parametrize("flags", SWEEP[3:])
+    def test_sweep_manifest_records_the_divisor_that_took_effect(self, tmp_path, flags):
+        assert run("gradcheck", *flags, "--out-dir", tmp_path) == 0
+        recorded = load_manifest(tmp_path / "gradcheck.manifest.json").config["scale_divisor"]
+        assert recorded == (2.0 if flags[3].endswith("scalar") else 1.0)
+
     def test_seed_97_passes(self, tmp_path, capsys):
         # a central difference at step 1e-5 failed this one on gfa.W
         assert run("gradcheck", "--fusion", "gfa-a", "--scale", "none", "--seed", 97,
@@ -1275,6 +1295,17 @@ class TestManifestRerun:
         assert run("actions", "--verb-table", paths["verb"], "--noun-table", paths["noun"],
                    "--bank", paths["bank"], prior_flag, prior, "--out-dir", tmp_path / "a") == 0
         self._assert_rerun_reproduces("actions", tmp_path / "a", tmp_path / "b")
+
+    @pytest.mark.parametrize("scale", ["none", "scalar", "norm", "norm-scalar"])
+    def test_train_manifest_records_the_divisor_that_took_effect(self, tmp_path, scale):
+        synth(tmp_path / "data", train=20, val=5, mismatch=100)
+        assert run("train", "--bank", tmp_path / "data/train.bank", "--target", "noun",
+                   "--fusion", "gfa-a", "--scale", scale, "--scale-divisor", 2.0,
+                   "--epochs", 2, "--seed", 0, "--out-dir", tmp_path / "a") == 0
+        recorded = load_manifest(tmp_path / "a/train.manifest.json").config["scale_divisor"]
+        assert recorded == load_checkpoint(tmp_path / "a/checkpoint.json").model.scale.s
+        assert recorded == (2.0 if scale.endswith("scalar") else 1.0)
+        self._assert_rerun_reproduces("train", tmp_path / "a", tmp_path / "b")
 
     def test_train_manifest_of_an_estimated_divisor_reruns(self, tmp_path):
         # A manifest written by the removed --estimate-divisor switch records

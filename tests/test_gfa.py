@@ -5,8 +5,8 @@ from gatedfusion import tensor
 from gatedfusion.errors import ShapeError, ValidationError
 from gatedfusion.bank import (AggregationConfig, Detection, FeatureBank, SegmentRecord,
                               bank_features, bank_stats)
-from gatedfusion.gfa import (GfaParams, ScaleMode, gfa_a_forward, gfa_b_forward,
-                             gfa_backward, scale_object_feature, scale_vjp)
+from gatedfusion.gfa import (GfaParams, ScaleMode, gfa_backward, gfa_forward,
+                             scale_object_feature, scale_vjp)
 from gatedfusion.training import init_model
 
 from conftest import central_diff, rel_err
@@ -33,6 +33,13 @@ class TestScaleMode:
         with pytest.raises(ValidationError, match="must be positive and finite"):
             ScaleMode(kind="norm-scalar", **{field: value})
 
+
+    @pytest.mark.parametrize("kind", ["none", "norm"])
+    def test_kind_that_does_not_divide_carries_divisor_one(self, kind):
+        assert ScaleMode(kind=kind, s=2.0).s == 1.0
+        assert ScaleMode(kind=kind, s=2.0) == ScaleMode(kind=kind)
+        with pytest.raises(ValidationError, match="must be positive"):
+            ScaleMode(kind=kind, s=0.0)  # checked all the same
 
     @pytest.mark.parametrize("s", [True, False, "2", None, [2.0]])
     def test_divisor_that_is_not_a_real_number_rejected(self, s):
@@ -95,20 +102,20 @@ class TestGfaAForward:
     def test_zero_params_gate_half(self):
         v, o = np.array([1.0, -2.0]), np.array([4.0])
         p = GfaParams(variant="a", W=np.zeros((3, 3)), b=np.zeros(3))
-        F, cache = gfa_a_forward(v, o, p)
+        F, cache = gfa_forward(v, o, p)
         assert np.array_equal(F, 0.5 * np.concatenate([v, o]))
 
     def test_saturated_gate_with_norm_scaling(self):
         v, o = np.array([1.0, 0.0]), np.array([3.0, 4.0])
         p = GfaParams(variant="a", W=np.zeros((4, 4)), b=50.0 * np.ones(4))
-        F, _ = gfa_a_forward(v, scale_object_feature(o, v, ScaleMode("norm")), p)
+        F, _ = gfa_forward(v, scale_object_feature(o, v, ScaleMode("norm")), p)
         assert np.allclose(F, [1.0, 0.0, 0.6, 0.8], rtol=1e-9)
 
     def test_matches_step_by_step_recomputation(self):
         rng = np.random.default_rng(11)
         v, o = rng.normal(size=5), rng.normal(size=3)
         p = init_model("gfa-a", 5, 3, 1, rng=rng).gfa
-        F, cache = gfa_a_forward(v, o, p)
+        F, cache = gfa_forward(v, o, p)
         c = np.concatenate([v, o])
         expected = tensor.sigmoid(c @ p.W.T + p.b) * c
         assert np.array_equal(F, expected)
@@ -119,51 +126,54 @@ class TestGfaAForward:
         for _ in range(20):
             v, o = rng.uniform(-2, 2, 4), rng.uniform(-2, 2, 3)
             p = init_model("gfa-a", 4, 3, 1, ScaleMode(), rng).gfa
-            F, cache = gfa_a_forward(v, o, p)
+            F, cache = gfa_forward(v, o, p)
             assert np.all(cache.gate > 0) and np.all(cache.gate < 1)
             assert np.all(np.abs(F) <= np.abs(cache.concat_in))
 
     def test_shape_error(self):
         p = GfaParams(variant="a", W=np.zeros((4, 4)), b=np.zeros(4))
         with pytest.raises(ShapeError):
-            gfa_a_forward(np.zeros(2), np.zeros(3), p)
-
-    def test_variant_mismatch(self):
-        p = GfaParams(variant="b", W=np.zeros((2, 3)), b=np.zeros(2))
-        with pytest.raises(ValidationError):
-            gfa_a_forward(np.zeros(2), np.zeros(3), p)
+            gfa_forward(np.zeros(2), np.zeros(3), p)
 
 
 class TestGfaBForward:
     def test_zero_params_halves_clip(self):
         p = GfaParams(variant="b", W=np.zeros((2, 1)), b=np.zeros(2))
-        F, _ = gfa_b_forward(np.array([2.0, 4.0]), np.array([9.0]), p)
+        F, _ = gfa_forward(np.array([2.0, 4.0]), np.array([9.0]), p)
         assert np.array_equal(F, [1.0, 2.0])
 
     def test_saturated_open_gate_passes_clip(self):
         p = GfaParams(variant="b", W=np.zeros((3, 2)), b=50.0 * np.ones(3))
         v = np.array([1.0, -2.0, 0.5])
-        F, _ = gfa_b_forward(v, np.array([1.0, 1.0]), p)
+        F, _ = gfa_forward(v, np.array([1.0, 1.0]), p)
         assert np.allclose(F, v, rtol=1e-9)
 
     def test_identity_weight_closed_form(self):
         p = GfaParams(variant="b", W=np.eye(2), b=np.zeros(2))
-        F, _ = gfa_b_forward(np.array([1.0, 1.0]), np.array([0.0, np.log(3.0)]), p)
+        F, _ = gfa_forward(np.array([1.0, 1.0]), np.array([0.0, np.log(3.0)]), p)
         assert np.allclose(F, [0.5, 0.75], rtol=1e-12)
 
     def test_output_dim_is_dim_v(self):
         rng = np.random.default_rng(13)
         p = init_model("gfa-b", 6, 4, 1, rng=rng).gfa
-        F, cache = gfa_b_forward(rng.normal(size=6), rng.normal(size=4), p)
+        F, cache = gfa_forward(rng.normal(size=6), rng.normal(size=4), p)
         assert F.shape == (6,)
         assert np.all(np.abs(F) <= np.abs(cache.v))
 
     def test_shape_errors(self):
         p = GfaParams(variant="b", W=np.zeros((2, 3)), b=np.zeros(2))
         with pytest.raises(ShapeError):
-            gfa_b_forward(np.zeros(2), np.zeros(4), p)
+            gfa_forward(np.zeros(2), np.zeros(4), p)
         with pytest.raises(ShapeError):
-            gfa_b_forward(np.zeros(3), np.zeros(3), p)
+            gfa_forward(np.zeros(3), np.zeros(3), p)
+
+
+class TestGfaForward:
+    @pytest.mark.parametrize("variant,W_shape", [("a", (5, 5)), ("b", (2, 3))])
+    def test_leading_rows_must_match(self, variant, W_shape):
+        p = GfaParams(variant=variant, W=np.zeros(W_shape), b=np.zeros(W_shape[0]))
+        with pytest.raises(ShapeError, match=f"gfa variant {variant}: v has leading shape"):
+            gfa_forward(np.zeros((4, 2)), np.zeros((3, 3)), p)
 
 
 def _vjp_oracle_check(variant, dim_v, dim_o, seed, tol):
@@ -177,13 +187,12 @@ def _vjp_oracle_check(variant, dim_v, dim_o, seed, tol):
     out_dim = dim_v + dim_o if variant == "a" else dim_v
     u = rng.normal(size=out_dim)
 
-    _, cache = (gfa_a_forward if variant == "a" else gfa_b_forward)(v, o, p)
+    _, cache = gfa_forward(v, o, p)
     dv, do, dW, db = gfa_backward(cache, p, u)
 
     def phi(vv, oo, WW, bb):
         pp = GfaParams(variant=variant, W=WW, b=bb)
-        fwd = gfa_a_forward if variant == "a" else gfa_b_forward
-        return float(u @ fwd(vv, oo, pp)[0])
+        return float(u @ gfa_forward(vv, oo, pp)[0])
 
     checks = [
         (dv, central_diff(lambda x: phi(x, o, p.W, p.b), v)),
@@ -198,7 +207,7 @@ def _vjp_oracle_check(variant, dim_v, dim_o, seed, tol):
 class TestGfaBackward:
     def test_constant_gate_passthrough(self):
         p = GfaParams(variant="b", W=np.zeros((2, 1)), b=np.zeros(2))
-        _, cache = gfa_b_forward(np.array([2.0, 4.0]), np.array([1.0]), p)
+        _, cache = gfa_forward(np.array([2.0, 4.0]), np.array([1.0]), p)
         dF = np.array([1.0, -3.0])
         dv, do, dW, db = gfa_backward(cache, p, dF)
         assert np.array_equal(dv, 0.5 * dF)
@@ -214,14 +223,14 @@ class TestGfaBackward:
 
     def test_cache_params_mismatch(self):
         p_b = GfaParams(variant="b", W=np.zeros((2, 1)), b=np.zeros(2))
-        _, cache = gfa_b_forward(np.zeros(2), np.zeros(1), p_b)
+        _, cache = gfa_forward(np.zeros(2), np.zeros(1), p_b)
         p_a = GfaParams(variant="a", W=np.zeros((3, 3)), b=np.zeros(3))
         with pytest.raises(ValidationError):
             gfa_backward(cache, p_a, np.zeros(3))
 
     def test_upstream_shape_mismatch(self):
         p = GfaParams(variant="b", W=np.zeros((2, 1)), b=np.zeros(2))
-        _, cache = gfa_b_forward(np.zeros(2), np.zeros(1), p)
+        _, cache = gfa_forward(np.zeros(2), np.zeros(1), p)
         with pytest.raises(ShapeError):
             gfa_backward(cache, p, np.zeros(5))
 

@@ -2,6 +2,7 @@ import json
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,13 +10,14 @@ from hypothesis import given, strategies as st
 
 from conftest import dense_prior, reference_save_score_table
 
+from gatedfusion import scoring
 from gatedfusion.bank import FeatureBank, SegmentRecord
 from gatedfusion.errors import ValidationError
 from gatedfusion.scoring import (ActionPrior, ScoreTable, compute_prior, load_prior,
                                  load_score_table, prior_stats,
                                  label_ranks, reweight_actions, save_prior,
                                  save_score_table, score_actions_for_bank,
-                                 table_labels, topk_accuracy, topk_report)
+                                 table_labels, topk_report)
 
 
 def labeled_bank(pairs, verb_vocab=4, noun_vocab=4):
@@ -156,53 +158,47 @@ class TestReweightActions:
             assert np.argmax(a) == np.argmax(b)
 
 
-class TestTopkAccuracy:
-    def test_k_equals_vocab_saturates(self):
-        t = table([[0.2, 0.8], [0.9, 0.1]])
-        assert topk_accuracy(t, [0, 1], k=2) == 1.0
+class TestTopkReport:
+    def test_k_past_the_classes_saturates(self):
+        assert topk_report(np.array([[0.2, 0.8], [0.9, 0.1]]), [0, 1]) == {"top1": 0.0,
+                                                                            "top5": 1.0}
 
     def test_direct_definition(self):
-        t = table([[0.1, 0.9]])
-        assert topk_accuracy(t, [0], k=1) == 0.0
-        assert topk_accuracy(t, [0], k=2) == 1.0
+        scores = np.array([[0.1, 0.9, 0.0, 0.0, 0.0, 0.0], [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]])
+        assert topk_report(scores, [1, 0]) == {"top1": 0.5, "top5": 0.5}
 
     def test_pessimistic_tie_break(self):
-        t = table([[0.5, 0.5]])
-        assert topk_accuracy(t, [0], k=1) == 1.0  # index 0 survives the tie
-        assert topk_accuracy(t, [1], k=1) == 0.0  # index 1 loses it
+        scores = np.array([[0.5, 0.5]])
+        assert topk_report(scores, [0])["top1"] == 1.0  # index 0 survives the tie
+        assert topk_report(scores, [1])["top1"] == 0.0  # index 1 loses it
+        tied = np.zeros((1, 7))  # at the k = 5 boundary too
+        assert topk_report(tied, [4])["top5"] == 1.0
+        assert topk_report(tied, [5])["top5"] == 0.0
 
     def test_brute_force_oracle(self):
         rng = np.random.default_rng(3)
         scores = rng.uniform(size=(100, 12))
+        scores[::7, 3] = scores[::7, 8]  # exact ties
         labels = rng.integers(0, 12, size=100)
-        t = table(scores.tolist(), ids=[f"s{i}" for i in range(100)])
+        report = topk_report(scores, labels)
         for k in (1, 5):
             expected = 0
             for row, label in zip(scores, labels):
                 order = sorted(range(12), key=lambda j: (-row[j], j))
                 expected += int(label in order[:k])
-            assert topk_accuracy(t, labels, k) == expected / 100
+            assert report[f"top{k}"] == expected / 100
+        assert report["top5"] >= report["top1"]
 
-    @given(st.integers(min_value=1, max_value=12))
-    def test_monotone_in_k(self, k):
-        rng = np.random.default_rng(4)
-        scores = rng.uniform(size=(30, 12))
-        labels = rng.integers(0, 12, size=30)
-        t = table(scores.tolist(), ids=[f"s{i}" for i in range(30)])
-        if k < 12:
-            assert topk_accuracy(t, labels, k) <= topk_accuracy(t, labels, k + 1)
+    def test_zero_rows_give_an_empty_report(self):
+        assert topk_report(np.zeros((0, 3)), []) == {}
 
     def test_label_out_of_range(self):
         with pytest.raises(ValidationError):
-            topk_accuracy(table([[0.5, 0.5]]), [2], k=1)
-
-    def test_k_validation(self):
-        with pytest.raises(ValidationError):
-            topk_accuracy(table([[0.5, 0.5]]), [0], k=0)
+            topk_report(np.array([[0.5, 0.5]]), [2])
 
     def test_scalar_label_rejected(self):
         with pytest.raises(ValidationError, match=r"labels shaped \(\) for 1 rows"):
-            topk_accuracy(table([[0.5, 0.5]]), 1, k=1)
+            topk_report(np.array([[0.5, 0.5]]), 1)
 
 
 class TestLabelRanks:
@@ -218,9 +214,11 @@ class TestLabelRanks:
         rng = np.random.default_rng(10)
         scores = rng.uniform(size=(40, 9))
         labels = rng.integers(0, 9, size=40)
-        t = table(scores, ids=[f"s{i}" for i in range(40)])
-        assert topk_report(scores, labels) == {
-            "top1": topk_accuracy(t, labels, 1), "top5": topk_accuracy(t, labels, 5)}
+        with mock.patch.object(scoring, "label_ranks", wraps=label_ranks) as ranks:
+            report = topk_report(scores, labels)
+        assert ranks.call_count == 1
+        rank = label_ranks(scores, labels)
+        assert report == {"top1": np.mean(rank < 1), "top5": np.mean(rank < 5)}
 
 
 class TestScoreActionsForBank:
@@ -254,7 +252,7 @@ class TestScoreActionsForBank:
         vt = table(verb_rows, space="verb", ids=ids)
         nt = table(noun_rows, space="noun", ids=ids)
         _, metrics, _ = score_actions_for_bank(vt, nt, prior, bank)
-        verb_top1 = topk_accuracy(vt, [p[0] for p in pairs], 1)
+        verb_top1 = topk_report(vt.scores, [p[0] for p in pairs])["top1"]
         assert metrics["reweighted"]["top1"] == verb_top1
         assert 0.0 < verb_top1 < 1.0  # non-degenerate instance
 
@@ -426,6 +424,15 @@ class TestFileFormats:
         path = tmp_path / "scores.txt"
         path.write_text('{"space":"verb","classes":3}\na 0.5 0.5\n', encoding="utf-8")
         with pytest.raises(ValidationError, match="line 2"):
+            load_score_table(path)
+
+    def test_repeated_segment_id_rejected_with_its_line(self, tmp_path):
+        # the blank line still counts toward the line numbers
+        path = tmp_path / "scores.txt"
+        path.write_text('{"space":"verb","classes":1}\na 0.5\nb 0.5\n\na 0.25\n',
+                        encoding="utf-8")
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{path}: line 5: segment id 'a' repeats line 2")):
             load_score_table(path)
 
 
