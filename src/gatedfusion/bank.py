@@ -2,12 +2,15 @@
 
 A bank holds one row per video segment: the clip feature, a list of scored
 per-frame detections (each carrying an already-extracted region feature),
-and optional verb/noun labels.  In memory it is the flat blocks that the
-binary sidecar below stores.  The JSON reader packs each record line
-straight into them, the writer writes each line from one record's slices,
-and ``FeatureBank.validate`` is the one check of their values.  Rows are
-only the input of ``FeatureBank.from_records`` and the output of the
-read-only ``FeatureBank.records`` view.
+and optional verb/noun labels.  A segment id is what one whitespace-split
+field of a UTF-8 score-table line holds: a non-empty ``str`` with no
+character for which ``str.isspace()`` is true and no lone surrogate.  In
+memory a bank is the flat blocks that the binary sidecar below stores.  The
+JSON reader packs each record line straight into them, the writer writes
+each line from one record's slices, and ``FeatureBank.validate`` is the one
+check of their values, ids included.  Rows are only the input of
+``FeatureBank.from_records`` and the output of the read-only
+``FeatureBank.records`` view.
 
 Aggregation turns the detections into a single object feature by keeping
 the detections inside a frame window around the clip center, selecting the
@@ -25,9 +28,10 @@ The record lines are formatted by ``errors.write_rows``, on a second CPU
 for half of a large bank, and their bytes never depend on the CPU count.
 
 Saving also writes a derived binary sidecar, ``<bank>.npz``: the bank's own
-blocks, tagged with the SHA-256 of the JSON bytes.  Loading hashes the JSON
-as it reads it and takes the blocks from the sidecar only when that digest
-matches; otherwise it parses the JSON.  Deleting the sidecar is always safe.
+blocks, and its ids as UTF-8 lines, tagged with the SHA-256 of the JSON
+bytes.  Loading hashes the JSON as it reads it and takes the bank from the
+sidecar only when that digest matches; otherwise (a stale sidecar, or one
+of another layout) it parses the JSON.  Deleting the sidecar is always safe.
 """
 
 from __future__ import annotations
@@ -35,7 +39,9 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import os
+import re
 import stat
 import zipfile
 import zlib
@@ -93,6 +99,15 @@ _BLOCK_DTYPES = {name: np.dtype(dtype) for name, dtype in (
 _BLOCKS = tuple(_BLOCK_DTYPES)
 _INT64 = np.iinfo(np.int64)
 _INT, _REAL = (int, np.integer), (int, float, np.integer, np.floating)
+# No id holds a character for which str.isspace() is true (re's \s), which
+# splits a score-table line, or a lone surrogate, which UTF-8 cannot encode.
+_NOT_IN_AN_ID = re.compile(r"[\s\ud800-\udfff]")
+
+
+def segment_id_fault(seg_id) -> str | None:
+    """Why ``seg_id`` cannot be a bank or score-table id, or None if it can."""
+    if not (isinstance(seg_id, str) and seg_id and not _NOT_IN_AN_ID.search(seg_id)):
+        return f"segment_id {seg_id!r} must be a non-empty str with no whitespace or lone surrogate"
 
 
 def _int64(obj: dict, key: str, where: str = "") -> int:
@@ -132,6 +147,13 @@ def _vector(val, dim: int, dim_key: str, what: str) -> np.ndarray:
     return vec
 
 
+def _finite_real(val) -> bool:
+    """``val`` is a real number, not a bool, and finite as a float."""
+    with contextlib.suppress(OverflowError):  # an int past float range
+        return isinstance(val, _REAL) and not isinstance(val, bool) and math.isfinite(val)
+    return False
+
+
 def _score(val, what: str) -> float:
     with contextlib.suppress(OverflowError):  # an int past float range
         if isinstance(val, _REAL) and not isinstance(val, bool):
@@ -142,7 +164,7 @@ def _score(val, what: str) -> float:
 def _pack(rows, header: dict, where: str = "") -> FeatureBank:
     """The validated bank of ``header`` (its faults prefixed by ``where``)
     and ``rows``: (line name or "", record object in the bank file's layout).
-    A row is checked only for what the blocks cannot hold (a str id; int64
+    A row is checked only for what the blocks cannot hold (the id rule; int64
     centers, frames and labels, none of them an explicit label below 0; real
     scores; flat vectors of the declared dims) and appended to the blocks."""
     _check_header(header, where)
@@ -150,8 +172,8 @@ def _pack(rows, header: dict, where: str = "") -> FeatureBank:
     clip, centers, labels, counts, frames, scores, features = columns
     for line, obj in rows:
         seg_id = obj.get("segment_id")
-        if not isinstance(seg_id, str):
-            raise ValidationError(f"{line}segment_id must be a string")
+        if fault := segment_id_fault(seg_id):  # here too, so the first faulty line is named
+            raise ValidationError(f"{line}{fault}")
         where = f"{line}record {seg_id!r}: "
         lines.append(line)
         ids.append(seg_id)
@@ -188,7 +210,7 @@ def _pack(rows, header: dict, where: str = "") -> FeatureBank:
 
 def _validate(bank: FeatureBank, lines: list[str]) -> None:
     """The bank invariants: the header, each block's dtype and shape, then
-    the values (str unique ids, finite features, scores in [0, 1], labels in
+    the values (unique valid ids, finite features, scores in [0, 1], labels in
     [-1, vocab)).  A value fault names the first offending record, after
     ``lines[i]`` for record ``i``, and in it the first offending field."""
     _check_header({key: getattr(bank, key) for key in _HEADER_KEYS})
@@ -216,8 +238,8 @@ def _validate(bank: FeatureBank, lines: list[str]) -> None:
     first = int(np.argmax(bad)) if bad.any() else n
     seen: set[str] = set()
     for line, seg_id in zip(lines, bank.ids[:first + 1]):
-        if not isinstance(seg_id, str):
-            raise ValidationError(f"{line}segment_id must be a string, got {seg_id!r}")
+        if fault := segment_id_fault(seg_id):
+            raise ValidationError(f"{line}{fault}")
         if seg_id in seen:
             raise ValidationError(f"{line}duplicate segment_id {seg_id!r}")
         seen.add(seg_id)
@@ -354,13 +376,12 @@ def bank_features(bank: FeatureBank, cfg: AggregationConfig) -> tuple[np.ndarray
 
 
 # The sidecar members that are not bank blocks: the digest, the header ints,
-# and the ids as UTF-32 code points with one length per id, so any str (lone
-# surrogates, NULs) round-trips.
+# and the UTF-8 bytes of each id followed by "\n", which no id holds.
 _SIDECAR_DTYPES = {"digest": np.dtype(np.uint8), "header": np.dtype(np.int64),
-                   "ids": np.dtype("<u4"), "id_lengths": np.dtype(np.int64)}
+                   "ids": np.dtype(np.uint8)}
 # Every sidecar member, in file order; "detections" holds the counts block.
 _SIDECAR_MEMBERS = ("digest", "header", "clip", "features", "frames", "scores", "detections",
-                    "centers", "labels", "ids", "id_lengths")
+                    "centers", "labels", "ids")
 # What np.load and zipfile raise on a sidecar that is missing, empty, not an
 # npz (a bare .npy has no context manager), truncated or corrupted (CRC,
 # headers, unsupported or encrypted members), missing a block, holding
@@ -374,14 +395,10 @@ def _write_sidecar(bank: FeatureBank, digest: bytes, path) -> None:
     """The sidecar in the ``np.savez`` layout (one stored ``<name>.npy``
     member each) with fixed member timestamps, so equal banks give equal
     bytes."""
-    # The ids as the JSON reads back: json.loads joins an escaped surrogate
-    # pair into one character.
-    ids = [json.loads(json.dumps(seg_id)).encode("utf-32-le", "surrogatepass")
-           for seg_id in bank.ids]
+    ids = "".join(seg_id + "\n" for seg_id in bank.ids).encode("utf-8")
     members = {name: np.asarray(value, dtype=_SIDECAR_DTYPES[name]) for name, value in (
         ("digest", list(digest)), ("header", [getattr(bank, k) for k in _HEADER_KEYS]),
-        ("ids", np.frombuffer(b"".join(ids), dtype="<u4")),
-        ("id_lengths", [len(i) // 4 for i in ids]))}
+        ("ids", np.frombuffer(ids, dtype=np.uint8)))}
     members.update({name: getattr(bank, name) for name in _BLOCKS}, detections=bank.counts)
     with zipfile.ZipFile(path, "w") as zf:
         for name in _SIDECAR_MEMBERS:
@@ -439,18 +456,14 @@ def _load_sidecar(path, digest: bytes) -> FeatureBank | None:
             members = {name: npz[name] for name in _SIDECAR_MEMBERS}
     except _SIDECAR_READ_ERRORS:
         return None
-    header, id_lengths = members["header"], members["id_lengths"]
     if not (all(isinstance(members[name], np.ndarray) and members[name].dtype == dtype
                 for name, dtype in _SIDECAR_DTYPES.items())
-            and header.shape == (len(_HEADER_KEYS),) and id_lengths.ndim == 1
-            and (id_lengths >= 0).all() and members["ids"].shape == (int(id_lengths.sum()),)):
+            and members["header"].shape == (len(_HEADER_KEYS),)):
         return None
-    ends = np.cumsum(id_lengths).tolist()
     members["counts"] = members["detections"]
     try:  # a bank that fails validation here fails the same way from its JSON
-        text = members["ids"].tobytes().decode("utf-32-le", "surrogatepass")
-        bank = FeatureBank(**dict(zip(_HEADER_KEYS, header.tolist())),
-                           ids=[text[start:end] for start, end in zip([0] + ends, ends)],
+        ids = members["ids"].tobytes().decode("utf-8").split("\n")[:-1]
+        bank = FeatureBank(**dict(zip(_HEADER_KEYS, members["header"].tolist())), ids=ids,
                            **{name: members[name] for name in _BLOCKS})
         bank.validate()
     except (UnicodeDecodeError, ValidationError):
@@ -576,6 +589,8 @@ class SynthSpec:
             val = getattr(self, f.name)
             if f.type == "int" and type(val) is not int:  # type() also turns away bools
                 raise ValidationError(f"{f.name} must be an integer, got {val!r}")
+            if f.type == "float" and not _finite_real(val):
+                raise ValidationError(f"{f.name} must be a finite real number, got {val!r}")
         if self.n_segments < 1:
             raise ValidationError(f"n_segments must be >= 1, got {self.n_segments}")
         if self.dim_v < 1 or self.dim_o < 1:
@@ -627,8 +642,11 @@ def synth_generate(spec: SynthSpec, seed: int, split: str = "train") -> FeatureB
     each sum and product grouped as one record's would be (IEEE + and * are
     commutative), so the bank is byte for byte the one that computing each
     record as it is drawn gives (the reference the tests keep).  Raises
-    ``ValidationError`` before any draw when the blocks or the class
-    prototype tables are too large to allocate."""
+    ``ValidationError`` before any draw when the split name makes ids that
+    break the id rule, or the blocks or the class prototype tables are too
+    large to allocate."""
+    if fault := segment_id_fault(f"{split}-00000"):  # each id is the split, "-" and digits
+        raise ValidationError(f"split {split!r}: {fault}")
     S, n_proto = spec.signal_detections, spec.distractors + spec.decoys
     per, n = S + n_proto, spec.n_segments
     try:

@@ -15,12 +15,11 @@ those ranks.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bank import PAIR_COUNT_THRESHOLD, FeatureBank
+from .bank import PAIR_COUNT_THRESHOLD, FeatureBank, segment_id_fault
 from .errors import ValidationError, read_text, replacing, strict_json, write_rows
 
 __all__ = [
@@ -41,9 +40,6 @@ __all__ = [
 
 SCORE_SPACES = ("verb", "noun", "action")
 _TOPK = (1, 5)  # the k of every top-k accuracy a report gives
-# No score table line holds whitespace in an id (it separates the fields) or
-# a lone surrogate (UTF-8 cannot encode one).
-_UNWRITABLE_CHAR = re.compile(r"[\s\ud800-\udfff]")
 
 
 @dataclass
@@ -291,15 +287,12 @@ def save_score_table(table: ScoreTable, path) -> None:
     prior's support is, prints as the fixed text ``0.0`` of a per-table row
     template, so only the other columns are formatted: the bytes are those
     of one ``repr`` per float.  The rows go through ``errors.write_rows``, so
-    their bytes never depend on the CPU count.  Ids are checked before the
-    file opens, so an id no table can hold leaves no file, and the table is
-    written through ``errors.replacing``, so a failed save leaves the old
-    file."""
-    bad = next((seg_id for seg_id in table.segment_ids
-                if not seg_id or _UNWRITABLE_CHAR.search(seg_id)), None)
-    if bad is not None:
-        raise ValidationError(f"segment id {bad!r} is empty, contains whitespace or is not "
-                              f"encodable as UTF-8; not representable")
+    their bytes never depend on the CPU count.  Ids are checked by the bank's
+    rule, ``bank.segment_id_fault``, before the file opens, so an id no table
+    can hold leaves no file, and the table is written through
+    ``errors.replacing``, so a failed save leaves the old file."""
+    if fault := next(filter(None, map(segment_id_fault, table.segment_ids)), None):
+        raise ValidationError(f"score table: {fault}")
     header: dict = {"space": table.space, "classes": table.classes}
     if table.space == "action":
         header["verb_classes"] = table.verb_classes

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -474,6 +475,16 @@ class TestSynth:
         with pytest.raises(ValidationError, match=f"{name} must be an integer, got {value!r}"):
             SynthSpec(**{"n_segments": 3, name: value})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10**400,
+                                       True, "0.1", None],
+                             ids=["nan", "inf", "-inf", "10**400", "True", "str", "None"])
+    @pytest.mark.parametrize("name", ["noise", "mismatch", "amplitude_jitter", "noun_in_clip"])
+    def test_float_fields_reject_non_finite_reals_by_name(self, name, value):
+        # raised by the spec, so before synth_generate draws anything
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{name} must be a finite real number, got {value!r}")):
+            SynthSpec(**{"n_segments": 3, name: value})
+
     def test_first_non_integer_field_is_named(self):
         with pytest.raises(ValidationError, match="n_segments must be an integer, got True"):
             SynthSpec(n_segments=True, dim_v=True)
@@ -532,6 +543,13 @@ class TestSynth:
                 pytest.raises(ValidationError, match="is too large to generate"):
             synth_generate(spec, 0)
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("split", ["my split", "a\ud800"])
+    def test_split_that_breaks_the_id_rule_rejected_before_any_draw(self, split):
+        with mock.patch.object(np.random, "default_rng", side_effect=AssertionError), \
+                pytest.raises(ValidationError, match=re.escape(
+                    f"split {split!r}: {_id_fault(split + '-00000')}")):
+            synth_generate(SynthSpec(n_segments=2), 0, split)
 
     def test_peak_memory_is_a_small_multiple_of_the_blocks(self):
         # The blocks are computed in place: one block-sized temporary more
@@ -652,26 +670,83 @@ class TestBankValidate:
             save_feature_bank(bank, tmp_path / "out.bank")
 
 
+# --- segment ids ----------------------------------------------------------------
+
+# Every character for which str.isspace() is true (29 on Python 3.11), then
+# both ends of the lone-surrogate range.
+_ID_BREAKERS = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()] + [
+    "\ud800", "\udfff"]
+
+
+def _id_fault(seg_id) -> str:
+    return f"segment_id {seg_id!r} must be a non-empty str with no whitespace or lone surrogate"
+
+
+class TestSegmentIdRule:
+    @pytest.mark.parametrize("seg_id", ["", *(f"a{c}b" for c in _ID_BREAKERS)],
+                             ids=["empty", *(f"U+{ord(c):04X}" for c in _ID_BREAKERS)])
+    def test_rejected_where_the_bank_enters(self, tmp_path, seg_id):
+        with pytest.raises(ValidationError) as from_records:
+            FeatureBank.from_records([record([]), record([], seg_id=seg_id)], dim_v=2, dim_o=2,
+                                     verb_vocab_size=1, noun_vocab_size=1)
+        assert str(from_records.value) == _id_fault(seg_id)
+        lines = _bank_file_lines()
+        rec = json.loads(lines[2])
+        rec["segment_id"] = seg_id
+        lines[2] = json.dumps(rec)  # ASCII: every breaker but the space is escaped
+        path = _write_lines(tmp_path / "x.bank", lines)
+        with pytest.raises(ValidationError) as from_file:
+            load_feature_bank(path)
+        assert str(from_file.value) == f"{path}: line 3: {_id_fault(seg_id)}"
+        bank = load_feature_bank(_write_lines(tmp_path / "ok.bank"))
+        bank = dataclasses.replace(bank, ids=["a", seg_id, "c"])
+        with pytest.raises(ValidationError) as from_validate:
+            bank.validate()
+        assert str(from_validate.value) == _id_fault(seg_id)
+        with pytest.raises(ValidationError):
+            save_feature_bank(bank, tmp_path / "out.bank")
+        assert not (tmp_path / "out.bank").exists()
+
+    def test_bad_id_is_named_before_a_fault_on_a_later_line(self, tmp_path):
+        lines = _bank_file_lines()
+        first, last = json.loads(lines[1]), json.loads(lines[3])
+        first["segment_id"], last["clip_feature"] = "a b", [1.0]
+        lines[1], lines[3] = json.dumps(first), json.dumps(last)
+        path = _write_lines(tmp_path / "x.bank", lines)
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: line 2: {_id_fault('a b')}")):
+            load_feature_bank(path)
+
+    def test_nul_non_ascii_and_astral_ids_are_stored_as_utf8_lines(self, tmp_path):
+        ids = ["\x00", "é", "\U0001f600", '"\\']
+        bank = FeatureBank.from_records([record([], seg_id=seg_id) for seg_id in ids],
+                                        dim_v=2, dim_o=2, verb_vocab_size=1, noun_vocab_size=1)
+        path, sidecar = _saved(tmp_path, bank)
+        with np.load(sidecar, allow_pickle=False) as npz:
+            assert "id_lengths.npy" not in npz.zip.namelist()
+            assert npz["ids"].tobytes() == "".join(i + "\n" for i in ids).encode("utf-8")
+        with _json_parse_forbidden():
+            assert load_feature_bank(path).ids == ids
+        sidecar.unlink()
+        assert load_feature_bank(path).ids == ids
+
+
 # --- binary sidecar -------------------------------------------------------------
 
-_ODD_IDS = ["", "\x00", "a\x00", "\x00\x00", "\ud800", "x\udfff\x00", "\ud83d\ude00",
-            "\U0001f600", "é", '"\\\n\t', "\u2028"]
+# Ids the rule admits that a codec could still get wrong: NULs, non-ASCII and
+# astral characters, and JSON's quote and backslash.
+_ODD_IDS = ["\x00", "a\x00", "\x00\x00", "é", "\U0001f600", "x\U0001f600\x00", '"', "\\",
+            '"\\"']
+_ID_CHARS = st.characters(exclude_categories=("Cs",)).filter(lambda c: not c.isspace())
 _INT64S = st.integers(-2**63, 2**63 - 1)
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False)
-
-
-def _json_id(seg_id: str) -> str:
-    """What a saved id reads back as: JSON joins an escaped surrogate pair."""
-    return json.loads(json.dumps(seg_id))
 
 
 @st.composite
 def _banks(draw):
     dim_v, dim_o = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     verbs, nouns = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    ids = draw(st.lists(st.sampled_from(_ODD_IDS)
-                        | st.text(st.characters(exclude_categories=()), max_size=4),
-                        max_size=4, unique_by=_json_id))
+    ids = draw(st.lists(st.sampled_from(_ODD_IDS) | st.text(_ID_CHARS, min_size=1, max_size=4),
+                        max_size=4, unique=True))
 
     def vector(dim):
         return np.array(draw(st.lists(_FLOATS, min_size=dim, max_size=dim)), dtype=np.float64)
@@ -734,7 +809,6 @@ class TestSidecar:
                 from_sidecar = load_feature_bank(path)
             sidecar.unlink()
             from_json = load_feature_bank(path)
-        bank = dataclasses.replace(bank, ids=[_json_id(seg_id) for seg_id in bank.ids])
         assert _same_bits(from_sidecar, bank) and _same_bits(from_json, bank)
         assert _read_only(from_sidecar) and _read_only(from_json)
 
@@ -771,7 +845,8 @@ class TestSidecar:
         assert np.array_equal(bank.records[0].clip_feature, [7.0, 8.0])
 
     @pytest.mark.parametrize("kind", ["garbage", "empty", "truncated", "object-array",
-                                      "short-block", "wrong-dtype", "not-a-zip-npy"])
+                                      "short-block", "wrong-dtype", "not-a-zip-npy",
+                                      "rule-breaking-id"])
     def test_unusable_sidecar_falls_back_to_json(self, tmp_path, kind):
         path, sidecar = _saved(tmp_path)
         expected = load_feature_bank(path)
@@ -791,6 +866,8 @@ class TestSidecar:
                 blocks["clip"] = np.array([object()] * 3)
             elif kind == "short-block":
                 blocks["frames"] = blocks["frames"][:-1]
+            elif kind == "rule-breaking-id":  # a JSON id that the digest still matches
+                blocks["ids"] = np.frombuffer(b"a b\nb\nc\n", dtype=np.uint8)
             else:
                 blocks["scores"] = blocks["scores"].astype(np.float32)
             with open(sidecar, "wb") as fh:
@@ -812,6 +889,27 @@ class TestSidecar:
                 data[pos % len(data)] ^= mask
             sidecar.write_bytes(bytes(data[:cut]))
             assert _same_bits(load_feature_bank(path), expected)
+
+    def test_sidecar_in_the_old_layout_falls_back_to_json(self, tmp_path):
+        # The layout before ids became UTF-8 lines: UTF-32 code points in
+        # "ids" and one code-point count per id in "id_lengths".
+        bank = FeatureBank.from_records(
+            [record([det(100, 0.5, 1.0, 2.0)], seg_id=seg_id) for seg_id in ("é", "\U0001f600",
+                                                                             "a\x00b", "c")],
+            dim_v=2, dim_o=2, verb_vocab_size=1, noun_vocab_size=1)
+        path, sidecar = _saved(tmp_path, bank)
+        with np.load(sidecar, allow_pickle=False) as npz:
+            members = {name: npz[name] for name in npz.files}
+        ids = [seg_id.encode("utf-32-le") for seg_id in bank.ids]
+        members["ids"] = np.frombuffer(b"".join(ids), dtype="<u4")
+        members["id_lengths"] = np.array([len(i) // 4 for i in ids], dtype=np.int64)
+        with open(sidecar, "wb") as fh:
+            np.savez(fh, **members)
+        with _json_parse_spy() as spy:
+            loaded = load_feature_bank(path)
+        assert spy.call_count == 1
+        assert _same_bits(loaded, bank_module._parse_bank(path, path.read_bytes()))
+        assert _same_bits(loaded, bank) and _read_only(loaded)
 
     def test_deleted_sidecar_still_loads(self, tmp_path):
         path, sidecar = _saved(tmp_path)

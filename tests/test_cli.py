@@ -7,12 +7,13 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gatedfusion import __version__, scoring
+from gatedfusion import __version__, cli, scoring, training
 from gatedfusion.bank import (AggregationConfig, Detection, FeatureBank, SegmentRecord,
                               SynthSpec, bank_features, bank_stats, load_feature_bank,
                               save_feature_bank)
@@ -375,18 +376,26 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert f"{ckpt}: {field} must be" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["train", "eval", "stats"])
     @pytest.mark.parametrize("bad_id", ["x y", "", "a\ud800b"])  # the last one UTF-8 cannot encode
-    def test_id_a_score_table_cannot_hold_is_exit_one_and_writes_no_table(
-            self, tmp_path, capsys, bad_id):
+    def test_bank_id_a_score_table_cannot_hold_is_exit_one_at_load(
+            self, tmp_path, capsys, bad_id, command):
         bank, ckpt = tiny_eval_inputs(tmp_path)
-        records = [SegmentRecord(segment_id=seg_id, clip_feature=np.ones(2), clip_center_frame=0)
-                   for seg_id in ("s0", "s1", bad_id, "s3")]
-        save_feature_bank(FeatureBank.from_records(records, dim_v=2, dim_o=2, verb_vocab_size=2,
-                                                   noun_vocab_size=3), bank)
-        assert run("eval", "--checkpoint", ckpt, "--bank", bank,
-                   "--out-dir", tmp_path / "eval") == 1
-        assert f"segment id {bad_id!r}" in capsys.readouterr().err
-        assert not (tmp_path / "eval/scores.txt").exists()
+        lines = bank.read_text(encoding="utf-8").splitlines()
+        rec = json.loads(lines[2])
+        rec["segment_id"] = bad_id
+        lines[2] = json.dumps(rec)
+        bank.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = {"train": ["--target", "noun", "--fusion", "clip-only", "--epochs", 1, "--seed", 0],
+                "eval": ["--checkpoint", ckpt], "stats": []}[command]
+        out = tmp_path / "out"
+        never = mock.Mock(side_effect=AssertionError("forward pass reached"))
+        with mock.patch.object(cli, "forward_model", never), \
+                mock.patch.object(training, "forward_model", never):
+            assert run(command, "--bank", bank, *argv, "--out-dir", out) == 1
+        err = capsys.readouterr().err
+        assert f"{bank}: line 3: segment_id {bad_id!r} must be" in err and "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())  # no checkpoint, table or manifest
 
     def test_header_only_bank_gives_empty_table(self, tmp_path):
         synth(tmp_path / "data", train=20, val=5, nouns=3)

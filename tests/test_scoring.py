@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import dense_prior, reference_save_score_table
 
@@ -400,6 +400,35 @@ class TestFileFormats:
         t = ScoreTable(segment_ids=["a b"], scores=np.zeros((1, 2)), space="verb")
         with pytest.raises(ValidationError, match="whitespace"):
             save_score_table(t, tmp_path / "x.txt")
+
+    @settings(max_examples=200, deadline=None)
+    @given(ids=st.lists(st.text(st.characters(exclude_categories=()), max_size=3)
+                        | st.sampled_from(["", "a b", "\ud800", "\udfff", "\x00", "é",
+                                           "\U0001f600", "\x1c", "\u2028", "\x85"]),
+                        max_size=4, unique=True))
+    def test_an_id_a_bank_accepts_round_trips_through_a_table(self, ids):
+        # One id rule: a table holds exactly the ids that a bank takes.
+        records = [SegmentRecord(seg_id, np.zeros(1), 0) for seg_id in ids]
+        try:
+            FeatureBank.from_records(records, dim_v=1, dim_o=1, verb_vocab_size=1,
+                                     noun_vocab_size=1)
+        except ValidationError:
+            accepted = False
+        else:
+            accepted = True
+        t = ScoreTable(segment_ids=ids, scores=np.arange(2.0 * len(ids)).reshape(-1, 2) / 3,
+                       space="verb")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "scores.txt"
+            if not accepted:
+                with pytest.raises(ValidationError, match="must be a non-empty str "):
+                    save_score_table(t, path)
+                assert not path.exists()
+                return
+            save_score_table(t, path)
+            loaded = load_score_table(path)
+        assert loaded.segment_ids == ids
+        assert loaded.scores.tobytes() == t.scores.tobytes()
 
     @pytest.mark.parametrize("key,value", [
         ("classes", 2.9), ("classes", 2.0), ("classes", "2"), ("classes", True),

@@ -752,7 +752,8 @@ class TestBenchmarkSpans:
                                  "scoring.topk (scoring.topk_accuracy)"}
         calls = {name: row["calls"] for name, row in tracer.summary().items()}
         for name in ("training.forward", "training.backward", "training.checkpoint_save",
-                     "training.checkpoint_load", "gfa.forward", "gfa.backward"):
+                     "training.checkpoint_load", "gfa.forward", "gfa.backward", "bank.load",
+                     "scoring.table_save"):
             assert calls.get(name, 0) >= 1, name
         # the per-layer counter reads every public tensor op, so it must not go blank
         assert tracer.counts["tensor.calls"] > 0
