@@ -505,8 +505,8 @@ def load_feature_bank(path) -> FeatureBank:
 def _parse_bank(path, data: bytes) -> FeatureBank:
     """The bank in the JSON bytes of ``path``: each record line goes
     straight to the packer, and every fault names its line."""
-    lines = read_text(path, data).splitlines()
-    if not lines or not lines[0].strip():
+    lines = read_text(path, data).split("\n")
+    if not lines[0].strip():
         raise ValidationError(f"{path}: missing header line")
     try:
         header = json.loads(lines[0])
@@ -563,10 +563,11 @@ class SynthSpec:
     prior informative instead of pure sampling noise.  The support map
     depends only on the seed, so train/val splits agree on it.
 
-    ``synth_generate`` draws every record in one fixed order of
-    ``Generator`` calls and then computes the features once per bank on
-    whole blocks; its bank is byte-identical to computing each record as
-    it is drawn.
+    ``synth_generate`` draws every record in one fixed order through
+    ``integers``, ``random`` and ``standard_normal`` and then computes the
+    features once per bank on whole blocks; its bank is byte-identical to
+    drawing each record through ``integers``, ``uniform`` and ``normal`` and
+    computing it as it is drawn.
     """
 
     n_segments: int
@@ -638,10 +639,15 @@ def synth_generate(spec: SynthSpec, seed: int, split: str = "train") -> FeatureB
     The loop only draws: per record it makes one fixed sequence of
     ``Generator`` calls (labels, center, clip noise, jitter, then each
     detection's frame, score, prototype and noise) into preallocated
-    blocks.  The arithmetic then runs once on whole blocks, in place, with
-    each sum and product grouped as one record's would be (IEEE + and * are
-    commutative), so the bank is byte for byte the one that computing each
-    record as it is drawn gives (the reference the tests keep).  Raises
+    blocks.  ``uniform(lo, hi)`` is drawn as ``lo + (hi - lo) * random()``,
+    numpy's own formula on the same draw, and ``normal(size=d)`` as
+    ``standard_normal(out=row)``, the same draws up to the sign of a zero,
+    which the non-negative prototype added to each noise row or
+    ``_unit_rows``' ``abs`` drops.  The arithmetic then runs once on whole
+    blocks, in place, with each sum and product grouped as one record's
+    would be (IEEE + and * are commutative), so the bank is byte for byte
+    the one that computing each record as it is drawn gives (the reference
+    the tests keep).  Raises
     ``ValidationError`` before any draw when the split name makes ids that
     break the id rule, or the blocks or the class prototype tables are too
     large to allocate."""
@@ -683,35 +689,38 @@ def synth_generate(spec: SynthSpec, seed: int, split: str = "train") -> FeatureB
 
     rng = np.random.default_rng(np.random.SeedSequence(
         [seed, 1, zlib.crc32(split.encode("utf-8"))]))
-    integers, uniform, normal = rng.integers, rng.uniform, rng.normal
+    # uniform and normal cost more per call than these (see the docstring).
+    integers, random, standard_normal = rng.integers, rng.random, rng.standard_normal
     half, j = (spec.window - 1) // 2, spec.amplitude_jitter
+    j_low = -float(j)  # uniform(-j, j) converts its bounds to float (j may be a numpy scalar)
+    j_range = float(j) - j_low
     row = proto = decoy = 0
     for i in range(n):
         labels[i, 0] = integers(spec.verb_vocab)
         labels[i, 1] = integers(noun_draw)
         centers[i] = integers(100, 10_000)
-        clip[i] = normal(size=spec.dim_v)
+        standard_normal(out=clip[i])
         if j > 0:
             # A Python-float power: numpy's vectorised power may round differently.
-            amps[i] = 10.0 ** uniform(-j, j)
+            amps[i] = 10.0 ** (j_low + j_range * random())
         for _ in range(S):
             offsets[row] = integers(-half, half + 1)
-            scores[row] = uniform(0.6, 1.0)
-            features[row] = normal(size=spec.dim_o)
+            scores[row] = 0.6 + (1.0 - 0.6) * random()
+            standard_normal(out=features[row])
             row += 1
         for _ in range(spec.distractors):
             offsets[row] = integers(-half, half + 1)
-            scores[row] = uniform(0.0, 0.4)
-            protos[proto] = normal(size=(1, spec.dim_o))
-            features[row] = normal(size=spec.dim_o)
+            scores[row] = 0.0 + (0.4 - 0.0) * random()
+            standard_normal(out=protos[proto])
+            standard_normal(out=features[row])
             row, proto = row + 1, proto + 1
         for _ in range(spec.decoys):
             # High score but outside the window: punishes skipped windowing.
             offsets[row] = integers(0, 10)
-            sides[decoy] = uniform()
-            scores[row] = uniform(0.8, 1.0)
-            protos[proto] = normal(size=(1, spec.dim_o))
-            features[row] = normal(size=spec.dim_o)
+            sides[decoy] = random()
+            scores[row] = 0.8 + (1.0 - 0.8) * random()
+            standard_normal(out=protos[proto])
+            standard_normal(out=features[row])
             row, proto, decoy = row + 1, proto + 1, decoy + 1
 
     if allowed_nouns is not None:

@@ -23,13 +23,15 @@ class ValidationError(ValueError):
 
 def read_text(path, data: bytes | None = None) -> str:
     """The UTF-8 text of the file at ``path``, read in text mode, or of
-    ``data`` when its bytes are already read.  Bytes that are not UTF-8 are a
-    ValidationError naming the file."""
+    ``data`` when its bytes are already read, with text mode's universal
+    newlines either way: CRLF and a lone CR become LF, the one line end every
+    reader splits at.  Bytes that are not UTF-8 are a ValidationError naming
+    the file."""
     try:
         if data is None:
             with open(path, "r", encoding="utf-8") as fh:
                 return fh.read()
-        return data.decode("utf-8")
+        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8: {exc}") from None
 

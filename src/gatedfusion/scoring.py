@@ -247,7 +247,6 @@ def load_prior(path, verb_vocab_size: int, noun_vocab_size: int) -> ActionPrior:
     large for a dense prior.  A file listing every pair at 1.0 re-weights to
     the plain product."""
     freq: dict[tuple[int, int], float] = {}
-    # Text mode leaves "\n" as the only line end, so these are the file's lines.
     for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         if not line.strip():
             continue
@@ -323,8 +322,8 @@ def load_score_table(path) -> ScoreTable:
     """Parse a score table written by ``save_score_table``.  A malformed
     header, a row of the wrong width, a score that is not a number, or a
     segment id that repeats an earlier row is rejected with its line."""
-    lines = read_text(path).splitlines()
-    if not lines:
+    lines = read_text(path).split("\n")
+    if lines == [""]:
         raise ValidationError(f"{path}: empty score table file")
     try:
         header = json.loads(lines[0])

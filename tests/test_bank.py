@@ -18,7 +18,7 @@ from gatedfusion import bank as bank_module
 from gatedfusion.bank import (AggregationConfig, Detection, FeatureBank,
                               SegmentRecord, SynthSpec, bank_features, bank_stats,
                               load_feature_bank, save_feature_bank, synth_generate)
-from gatedfusion.errors import ValidationError
+from gatedfusion.errors import ValidationError, read_text
 
 from conftest import aggregate_object_feature, banks_equal, reference_synth_generate
 
@@ -296,6 +296,23 @@ class TestLoader:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ValidationError, match="line 3"):
             load_feature_bank(path)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_crlf_and_cr_banks_load_and_count_lines_alike(self, tmp_path, newline):
+        lines = _bank_file_lines()
+        want = load_feature_bank(_write_lines(tmp_path / "lf.bank", lines))
+        path = tmp_path / "crlf.bank"  # no sidecar: the bytes read are parsed
+        path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
+        assert banks_equal(load_feature_bank(path), want)
+        lines[2] = "{not json"
+        path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
+        with pytest.raises(ValidationError, match=f"{re.escape(str(path))}: line 3: not valid"):
+            load_feature_bank(path)
+
+    def test_read_bytes_get_text_mode_newlines(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes("a\r\nb\rc\n\r\r\nd\r\r\x85e\r".encode("utf-8"))
+        assert read_text(path, path.read_bytes()) == read_text(path) == "a\nb\nc\n\n\nd\n\n\x85e\n"
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "empty.bank"
@@ -575,6 +592,60 @@ class TestSynth:
         assert stats["pairs_above_threshold"] <= stats["distinct_pairs"]
 
 
+class _NoUniformOrNormal:
+    """A Generator whose ``uniform`` and ``normal`` raise; every other
+    attribute is the wrapped generator's."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def uniform(self, *args, **kwargs):
+        raise AssertionError("synth_generate called Generator.uniform")
+
+    def normal(self, *args, **kwargs):
+        raise AssertionError("synth_generate called Generator.normal")
+
+
+class TestSynthDraws:
+    """The numpy identities that let synth_generate's loop draw through
+    ``random`` and ``standard_normal`` and still write the bank that
+    ``uniform`` and ``normal`` draw (the reference's calls)."""
+
+    @pytest.mark.parametrize("lo,hi", [(0.6, 1.0), (0.0, 0.4), (0.8, 1.0), (0.0, 1.0),
+                                       *((-j, j) for j in (1e-3, 0.5, 1.5, 2.0, 37.3, 308.0))])
+    def test_uniform_is_low_plus_range_times_random(self, lo, hi):
+        want, got = np.random.default_rng(24), np.random.default_rng(24)
+        draws = want.uniform(lo, hi, size=100_000)
+        formula = lo + (hi - lo) * got.random(100_000)
+        assert draws.tobytes() == formula.tobytes(), (
+            f"Generator.uniform({lo}, {hi}) is no longer lo + (hi - lo) * random()")
+        scalars = [want.uniform(lo, hi) for _ in range(2000)]
+        assert scalars == [lo + (hi - lo) * got.random() for _ in range(2000)], (
+            f"scalar Generator.uniform({lo}, {hi}) is no longer lo + (hi - lo) * random()")
+        assert want.integers(2**63) == got.integers(2**63), "the two consume different bits"
+
+    def test_normal_is_standard_normal_up_to_the_sign_of_a_zero(self):
+        want, got = np.random.default_rng(24), np.random.default_rng(24)
+        draws = want.normal(size=100_000)
+        in_place = np.empty((2, 50_000))
+        for row in in_place:
+            got.standard_normal(out=row)
+        assert np.array_equal(draws, in_place.ravel()), (
+            "Generator.normal(size=n) no longer draws standard_normal(n)")
+        assert want.integers(2**63) == got.integers(2**63), "the two consume different bits"
+
+    def test_loop_calls_neither_uniform_nor_normal(self):
+        spec = SynthSpec(n_segments=30, amplitude_jitter=1.5, pairs_per_verb=3)
+        rng = np.random.default_rng
+        with mock.patch.object(np.random, "default_rng",
+                               side_effect=lambda seed: _NoUniformOrNormal(rng(seed))):
+            got = synth_generate(spec, 5, "train")
+        assert_same_bank_bytes(got, reference_synth_generate(spec, 5, "train"))
+
+
 class TestBankValidate:
     def test_catches_bad_labels(self):
         rec = SegmentRecord(segment_id="z", clip_feature=np.zeros(2),
@@ -706,6 +777,18 @@ class TestSegmentIdRule:
         with pytest.raises(ValidationError):
             save_feature_bank(bank, tmp_path / "out.bank")
         assert not (tmp_path / "out.bank").exists()
+
+    @pytest.mark.parametrize("breaker", ["\x85", "\u2028", "\u2029"])
+    def test_raw_line_separator_in_an_id_is_the_id_rule_on_its_line(self, tmp_path, breaker):
+        # JSON lets these stand unescaped in a string; only "\n" ends a line.
+        lines = _bank_file_lines()
+        rec = json.loads(lines[2])
+        rec["segment_id"] = f"x{breaker}y"
+        lines[2] = json.dumps(rec, ensure_ascii=False)
+        path = _write_lines(tmp_path / "x.bank", lines)
+        with pytest.raises(ValidationError) as exc:
+            load_feature_bank(path)
+        assert str(exc.value) == f"{path}: line 3: {_id_fault(f'x{breaker}y')}"
 
     def test_bad_id_is_named_before_a_fault_on_a_later_line(self, tmp_path):
         lines = _bank_file_lines()

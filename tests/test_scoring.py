@@ -396,6 +396,23 @@ class TestFileFormats:
         assert loaded.space == "action"
         assert (loaded.verb_classes, loaded.noun_classes) == (2, 3)
 
+    def test_table_lines_end_at_newline_only(self, tmp_path):
+        path = tmp_path / "scores.txt"
+        path.write_text('{"space":"verb","classes":2}\nab\u2028c 0.5 0.5\n', encoding="utf-8")
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"{path}: line 2: expected id plus 2 scores, got 3")):
+            load_score_table(path)
+
+    def test_crlf_table_loads(self, tmp_path):
+        t = ScoreTable(segment_ids=["a", "b"], scores=np.array([[0.25, -0.0], [1e-7, 3.0]]),
+                       space="verb")
+        path = tmp_path / "scores.txt"
+        save_score_table(t, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        loaded = load_score_table(path)
+        assert loaded.segment_ids == t.segment_ids
+        assert loaded.scores.tobytes() == t.scores.tobytes()
+
     def test_whitespace_id_rejected(self, tmp_path):
         t = ScoreTable(segment_ids=["a b"], scores=np.zeros((1, 2)), space="verb")
         with pytest.raises(ValidationError, match="whitespace"):
