@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import json
 import math
 import os
 import re
@@ -49,7 +48,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ValidationError, read_text, replacing, strict_json, write_rows
+from .errors import ValidationError, parse_json, read_text, replacing, strict_json, write_rows
 from .tensor import l2_norm
 
 __all__ = [
@@ -508,10 +507,7 @@ def _parse_bank(path, data: bytes) -> FeatureBank:
     lines = read_text(path, data).split("\n")
     if not lines[0].strip():
         raise ValidationError(f"{path}: missing header line")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: line 1: header is not valid JSON: {exc}") from None
+    header = parse_json(lines[0], f"{path}: line 1", "header is not valid JSON")
     if not isinstance(header, dict):
         raise ValidationError(f"{path}: line 1: header must be an object")
 
@@ -520,10 +516,7 @@ def _parse_bank(path, data: bytes) -> FeatureBank:
             if not line.strip():
                 continue
             where = f"{path}: line {lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{where}: not valid JSON: {exc}") from None
+            obj = parse_json(line, where)
             if not isinstance(obj, dict):
                 raise ValidationError(f"{where}: record must be an object")
             yield f"{where}: ", obj

@@ -35,9 +35,10 @@ from .bank import (AggregationConfig, SynthSpec, bank_stats, load_feature_bank,
                    save_feature_bank, synth_generate)
 from .errors import ShapeError, ValidationError, write_json
 from .gfa import SCALE_KINDS, ScaleMode
-from .manifest import RunManifest, load_manifest, write_manifest
+from .manifest import load_manifest, write_manifest
 from .scoring import (ScoreTable, compute_prior, load_prior, load_score_table, prior_stats,
                       save_prior, save_score_table, score_actions_for_bank, topk_report)
+from .tensor import l2_norm
 from .training import (Checkpoint, FUSION_KINDS, TARGETS, ModelSpec, TrainConfig,
                        bank_inputs, fit_labels, forward_model, grad_check, init_model,
                        load_checkpoint, save_checkpoint, softmax, target_labels, train)
@@ -85,11 +86,11 @@ def _effective_config(args: argparse.Namespace) -> dict:
     file_cfg: dict = {}
     if args.config:
         manifest = load_manifest(args.config)
-        if manifest.command != args.command:
+        if manifest["command"] != args.command:
             raise _UsageError(
-                f"manifest {args.config} records command {manifest.command!r}, "
+                f"manifest {args.config} records command {manifest['command']!r}, "
                 f"not {args.command!r}")
-        file_cfg = manifest.config
+        file_cfg = manifest["config"]
     cfg = {}
     for flag, default, kwargs in _COMMANDS[args.command][2]:
         key = flag[2:].replace("-", "_")  # the dest argparse derives from the flag
@@ -257,7 +258,7 @@ def _cmd_gradcheck(cfg: dict, out: Path):
     v = rng.uniform(-2.0, 2.0, size=cfg["dim_v"])
     o = rng.uniform(-2.0, 2.0, size=cfg["dim_o"])
     # Keep the object feature away from the norm-scaling kink at |o| ~ 0.
-    while float(np.sqrt(np.dot(o, o))) <= 0.1:
+    while float(l2_norm(o)) <= 0.1:
         o = rng.uniform(-2.0, 2.0, size=cfg["dim_o"])
     label = int(rng.integers(cfg["classes"]))
 
@@ -386,10 +387,10 @@ def _run(args: argparse.Namespace) -> int:
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     code, inputs, outputs = _COMMANDS[args.command][0](cfg, out)
-    write_manifest(RunManifest(
-        command=args.command, version=__version__, seed=cfg.get("seed"), config=cfg,
-        inputs=inputs, outputs=outputs, duration_seconds=time.perf_counter() - start,
-    ), out / f"{args.command}.manifest.json")
+    write_manifest({
+        "command": args.command, "version": __version__, "seed": cfg.get("seed"), "config": cfg,
+        "inputs": inputs, "outputs": outputs, "duration_seconds": time.perf_counter() - start,
+    }, out / f"{args.command}.manifest.json")
     return code
 
 

@@ -1,9 +1,10 @@
 """Exception types shared across the package, the UTF-8 reader every text
-loader uses, the strict JSON encoder every writer uses, the one codec of
-the JSON documents (checkpoints, manifests, reports, histories and stats):
-``write_json`` and ``read_json``, and ``write_rows``, the one writer of the
-row files (banks and score tables), with ``replacing``, the file a row file
-is saved through so that a failed save leaves the old file."""
+loader uses, the strict JSON encoder every writer uses, ``parse_json``, the
+one JSON decoder every reader uses, the one codec of the JSON documents
+(checkpoints, manifests, reports, histories and stats): ``write_json`` and
+``read_json``, and ``write_rows``, the one writer of the row files (banks
+and score tables), with ``replacing``, the file a row file is saved through
+so that a failed save leaves the old file."""
 
 import contextlib
 import gc
@@ -54,14 +55,23 @@ def write_json(obj, path) -> None:
         fh.write(text)
 
 
+def parse_json(text: str, where: str, what: str = "not valid JSON"):
+    """The value of the JSON ``text`` read at ``where`` (``path`` or ``path:
+    line N``).  Every text the decoder refuses is a ValidationError that
+    starts ``where: what:``: text that is not JSON, nesting deeper than the
+    interpreter's recursion limit, or an integer with more digits than
+    Python converts."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise ValidationError(f"{where}: {what}: {exc}") from None
+
+
 def read_json(path, fmt: str) -> dict:
     """The JSON object in the file at ``path``, once its ``format`` tag is
     ``fmt``.  Text that is not JSON, or any other document, is a
     ValidationError naming the file."""
-    try:
-        obj = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: not valid JSON: {exc}") from None
+    obj = parse_json(read_text(path), path)
     if not isinstance(obj, dict) or obj.get("format") != fmt:
         raise ValidationError(f"{path}: not a {fmt} file")
     return obj

@@ -47,6 +47,7 @@ gradients of the gate parameters ``W`` and ``b`` are summed over rows.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,8 +68,7 @@ __all__ = [
 ]
 
 SCALE_KINDS = ("none", "scalar", "norm", "norm-scalar")
-_DIVISOR_KINDS = ("scalar", "norm-scalar")  # the kinds that read ScaleMode.s
-_FLOAT_MAX = float(np.finfo(np.float64).max)  # a Python float: it compares exactly with any int
+_DIVISOR_KINDS = ("scalar", "norm-scalar")  # kinds that take a divisor; the rest carry s = 1.0
 # The floor on |o| under norm scaling: a zero object feature degrades
 # continuously to zero instead of blowing up.
 _EPSILON = 1e-8
@@ -91,7 +91,8 @@ class ScaleMode:
         # bool is an int to isinstance, and True would divide by 1
         if isinstance(self.s, bool) or not isinstance(self.s, (int, float)):
             raise ValidationError(f"scale divisor must be a real number, got {self.s!r}")
-        if not (0 < self.s <= _FLOAT_MAX and 1.0 / self.s <= _FLOAT_MAX):  # scale_vjp takes 1 / s
+        # a Python float bound compares exactly with any int; scale_vjp takes 1 / s
+        if not (0 < self.s <= sys.float_info.max and 1.0 / self.s <= sys.float_info.max):
             raise ValidationError(
                 f"scale divisor must be positive and finite, with a finite reciprocal, "
                 f"got {self.s}")
@@ -142,16 +143,14 @@ class GfaCache:
 
 
 def scale_object_feature(o: np.ndarray, v: np.ndarray, mode: ScaleMode) -> np.ndarray:
-    """Rescale the object feature ``o`` according to ``mode`` (see module doc)."""
-    if mode.kind == "none":
-        return o.copy()
-    if mode.kind == "scalar":
+    """Rescale the object feature ``o`` according to ``mode`` (see module doc).
+    Every kind divides by ``mode.s``, which is 1.0 for the kinds that take no
+    divisor, and ``x / 1.0`` is ``x`` exactly."""
+    if not mode.kind.startswith("norm"):
         return o / mode.s
     # norm / norm-scalar: bring |o| to |v|, with an epsilon floor on |o|.
     factor = l2_norm(v, keepdims=True) / np.maximum(l2_norm(o, keepdims=True), _EPSILON)
-    if mode.kind == "norm-scalar":
-        factor /= mode.s
-    return o * factor
+    return o * (factor / mode.s)
 
 
 def scale_vjp(o: np.ndarray, v: np.ndarray, mode: ScaleMode,
@@ -160,12 +159,10 @@ def scale_vjp(o: np.ndarray, v: np.ndarray, mode: ScaleMode,
     if upstream.shape != o.shape:
         raise ShapeError(
             f"scale_vjp: upstream shape {upstream.shape}, expected {o.shape}")
-    if mode.kind == "none":
-        return upstream.copy(), np.zeros_like(v)
-    if mode.kind == "scalar":
+    if not mode.kind.startswith("norm"):
         return upstream / mode.s, np.zeros_like(v)
 
-    inv_s = 1.0 / mode.s  # 1.0 under norm, which carries s = 1.0
+    inv_s = 1.0 / mode.s
     no = l2_norm(o, keepdims=True)
     nv = l2_norm(v, keepdims=True)
     m = np.maximum(no, _EPSILON)

@@ -14,13 +14,12 @@ those ranks.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bank import PAIR_COUNT_THRESHOLD, FeatureBank, segment_id_fault
-from .errors import ValidationError, read_text, replacing, strict_json, write_rows
+from .errors import ValidationError, parse_json, read_text, replacing, strict_json, write_rows
 
 __all__ = [
     "ActionPrior",
@@ -320,20 +319,20 @@ def _header_count(val) -> int:
 
 def load_score_table(path) -> ScoreTable:
     """Parse a score table written by ``save_score_table``.  A malformed
-    header, a row of the wrong width, a score that is not a number, or a
-    segment id that repeats an earlier row is rejected with its line."""
+    header, a row of the wrong width, a score that is not a finite number,
+    or a segment id that repeats an earlier row is rejected with its line."""
     lines = read_text(path).split("\n")
     if lines == [""]:
         raise ValidationError(f"{path}: empty score table file")
     try:
-        header = json.loads(lines[0])
+        header = parse_json(lines[0], f"{path}: line 1")
         space = header["space"]
         classes = _header_count(header["classes"])
         verb_classes, noun_classes = (
             None if header.get(key) is None else _header_count(header[key])
             for key in ("verb_classes", "noun_classes"))
         no_rows = np.zeros((0, classes))  # rejects a negative or oversized count
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError):
+    except (KeyError, TypeError, ValueError, OverflowError):  # a ValidationError is a ValueError
         raise ValidationError(f"{path}: line 1: malformed score table header") from None
     line_of: dict[str, int] = {}  # each segment id's line, in file order
     rows: list[np.ndarray] = []
@@ -353,6 +352,10 @@ def load_score_table(path) -> ScoreTable:
         except ValueError:
             raise ValidationError(f"{path}: line {lineno}: malformed score") from None
     scores = np.stack(rows) if rows else no_rows
+    bad = ~np.isfinite(scores).all(axis=1)
+    if bad.any():
+        raise ValidationError(
+            f"{path}: line {list(line_of.values())[bad.argmax()]}: non-finite score")
     try:
         return ScoreTable(segment_ids=list(line_of), scores=scores, space=space,
                           verb_classes=verb_classes, noun_classes=noun_classes)

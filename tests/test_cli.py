@@ -1,3 +1,4 @@
+import ast
 import copy
 import inspect
 import json
@@ -13,14 +14,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gatedfusion import __version__, cli, scoring, training
+from gatedfusion import __version__, cli, errors, scoring, training
 from gatedfusion.bank import (AggregationConfig, Detection, FeatureBank, SegmentRecord,
                               SynthSpec, bank_features, bank_stats, load_feature_bank,
                               save_feature_bank)
 from gatedfusion.cli import main
 from gatedfusion.errors import ValidationError, write_json
 from gatedfusion.gfa import ScaleMode
-from gatedfusion.manifest import RunManifest, load_manifest, write_manifest
+from gatedfusion.manifest import load_manifest, write_manifest
 from gatedfusion.scoring import ScoreTable, load_score_table, save_score_table
 from gatedfusion.training import (FUSION_KINDS, Checkpoint, TrainConfig, grad_check,
                                   init_model, load_checkpoint, param_groups, save_checkpoint)
@@ -87,9 +88,9 @@ class TestSynth:
     def test_writes_manifest(self, tmp_path):
         synth(tmp_path / "a")
         manifest = load_manifest(tmp_path / "a/synth.manifest.json")
-        assert manifest.command == "synth"
-        assert manifest.seed == 7
-        assert manifest.config["train_segments"] == 40
+        assert manifest["command"] == "synth"
+        assert manifest["seed"] == 7
+        assert manifest["config"]["train_segments"] == 40
 
     def test_missing_required_flag(self, tmp_path, capsys):
         assert run("synth", "--out-dir", tmp_path) == 1
@@ -286,7 +287,7 @@ class TestTrainEval:
         assert ckpt.model.scale.s == pytest.approx(mean_o / mean_v, rel=1e-12)
         assert 30 <= ckpt.model.scale.s <= 300
         manifest = load_manifest(tmp_path / "run/train.manifest.json")
-        assert manifest.config["scale_divisor"] == ckpt.model.scale.s
+        assert manifest["config"]["scale_divisor"] == ckpt.model.scale.s
 
     def test_fully_fit_model_scores_perfectly_on_train_bank(self, tmp_path):
         # separable noise-free task: training accuracy reaches 1.0 and eval
@@ -523,7 +524,7 @@ class TestActions:
         assert run("actions", "--verb-table", paths["verb"], "--noun-table", paths["noun"],
                    "--bank", paths["bank"], source, paths[key],
                    "--out-dir", tmp_path / "act") == 0
-        inputs = load_manifest(tmp_path / "act/actions.manifest.json").inputs
+        inputs = load_manifest(tmp_path / "act/actions.manifest.json")["inputs"]
         assert inputs == {"verb_table": str(paths["verb"]), "noun_table": str(paths["noun"]),
                           "bank": str(paths["bank"]),
                           source[2:].replace("-", "_"): str(paths[key])}
@@ -552,7 +553,7 @@ class TestActions:
         for name in ("prior.txt", "action_scores.txt", "action_report.json"):
             assert (tmp_path / "act" / name).read_bytes() == \
                 (tmp_path / "ref" / name).read_bytes(), name
-        inputs = load_manifest(tmp_path / "act/actions.manifest.json").inputs
+        inputs = load_manifest(tmp_path / "act/actions.manifest.json")["inputs"]
         assert inputs["train_bank"] == str(train_bank)
 
     def test_sparse_prior_reweighting_lifts_top1(self, tmp_path):
@@ -1033,6 +1034,55 @@ class TestNonUtf8Inputs:
         assert not list((tmp_path / "out").glob("*.manifest.json"))
 
 
+# JSON text that json.dumps cannot write, so the fuzzers above never reach
+# it: nesting past the recursion limit, and an integer past the 4300 digits
+# Python converts.
+_UNDECODABLE = {"deep": "[" * 200_000 + "]" * 200_000, "long-int": "1" * 5000}
+
+
+class TestUndecodableJson:
+    @pytest.mark.parametrize("value", _UNDECODABLE)
+    @pytest.mark.parametrize("kind", ["checkpoint", "manifest", "bank header", "bank record",
+                                      "score table header"])
+    def test_exit_one_naming_the_file(self, tmp_path, capsys, kind, value):
+        paths = tiny_action_inputs(tmp_path)
+        bad = tmp_path / "bad.txt"
+        template, where, argv = {
+            "checkpoint": ('{"format": "gatedfusion-checkpoint-v2", "head": %s}', "",
+                           ["eval", "--checkpoint", bad, "--bank", paths["bank"]]),
+            "manifest": ('{"format": "gatedfusion-manifest-v1", "config": %s}', "",
+                         ["stats", "--config", bad]),
+            "bank header": ('{"dim_v": %s}', "line 1: ", ["stats", "--bank", bad]),
+            "bank record": (HEADER_ONLY_BANK + '{"segment_id": "s0", "clip_feature": %s}',
+                            "line 2: ", ["stats", "--bank", bad]),
+            "score table header": ('{"space": "verb", "classes": %s}', "line 1: ",
+                                   ["actions", "--verb-table", bad, "--noun-table", paths["noun"],
+                                    "--bank", paths["bank"], "--train-bank", paths["bank"]]),
+        }[kind]
+        bad.write_text(template % _UNDECODABLE[value] + "\n", encoding="utf-8")
+        assert run(*argv, "--out-dir", tmp_path / "out") == 1
+        assert capsys.readouterr().err.startswith(f"gatedfusion: error: {bad}: {where}")
+        assert not list((tmp_path / "out").glob("*"))
+
+    def test_json_is_decoded_only_by_parse_json(self):
+        # One decoder: every JSON text the package reads goes through errors.parse_json.
+        sites = []
+
+        def visit(node, module, func):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                func = node.name
+            if ((isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+                 and isinstance(node.value, ast.Name) and node.value.id == "json")
+                    or (isinstance(node, ast.ImportFrom) and node.module == "json")):
+                sites.append((module, func))
+            for child in ast.iter_child_nodes(node):
+                visit(child, module, func)
+
+        for path in sorted(Path(errors.__file__).parent.glob("*.py")):
+            visit(ast.parse(path.read_text(encoding="utf-8")), path.name, None)
+        assert sites == [("errors.py", "parse_json")]
+
+
 class TestGradcheckCommand:
     @pytest.mark.parametrize("command", ["train", "gradcheck"])
     def test_divisor_without_finite_reciprocal_fails_before_any_bank_loads(
@@ -1071,7 +1121,7 @@ class TestGradcheckCommand:
     @pytest.mark.parametrize("flags", SWEEP[3:])
     def test_sweep_manifest_records_the_divisor_that_took_effect(self, tmp_path, flags):
         assert run("gradcheck", *flags, "--out-dir", tmp_path) == 0
-        recorded = load_manifest(tmp_path / "gradcheck.manifest.json").config["scale_divisor"]
+        recorded = load_manifest(tmp_path / "gradcheck.manifest.json")["config"]["scale_divisor"]
         assert recorded == (2.0 if flags[3].endswith("scalar") else 1.0)
 
     def test_seed_97_passes(self, tmp_path, capsys):
@@ -1158,7 +1208,7 @@ class TestStats:
 
 def assert_config(manifest_path, expected):
     """The manifest's config is ``expected``, key order included."""
-    assert list(load_manifest(manifest_path).config.items()) == list(expected.items())
+    assert list(load_manifest(manifest_path)["config"].items()) == list(expected.items())
 
 
 class TestLibraryDefaults:
@@ -1241,7 +1291,7 @@ class TestManifestRerun:
         assert (tmp_path / "a/train.bank").read_bytes() != \
             (tmp_path / "b/train.bank").read_bytes()
         manifest = load_manifest(tmp_path / "b/synth.manifest.json")
-        assert manifest.seed == 12
+        assert manifest["seed"] == 12
 
 
     def _edited_manifest(self, tmp_path, edit):
@@ -1294,8 +1344,8 @@ class TestManifestRerun:
                                              if p.name != manifest)
         for name in outputs:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
-        config = load_manifest(second / manifest).config
-        assert config == {**load_manifest(first / manifest).config, "out_dir": str(second)}
+        config = load_manifest(second / manifest)["config"]
+        assert config == {**load_manifest(first / manifest)["config"], "out_dir": str(second)}
 
     @pytest.mark.parametrize("prior_flag", ["--prior", "--train-bank"])
     def test_actions_rerun_reproduces_outputs(self, tmp_path, prior_flag):
@@ -1311,7 +1361,7 @@ class TestManifestRerun:
         assert run("train", "--bank", tmp_path / "data/train.bank", "--target", "noun",
                    "--fusion", "gfa-a", "--scale", scale, "--scale-divisor", 2.0,
                    "--epochs", 2, "--seed", 0, "--out-dir", tmp_path / "a") == 0
-        recorded = load_manifest(tmp_path / "a/train.manifest.json").config["scale_divisor"]
+        recorded = load_manifest(tmp_path / "a/train.manifest.json")["config"]["scale_divisor"]
         assert recorded == load_checkpoint(tmp_path / "a/checkpoint.json").model.scale.s
         assert recorded == (2.0 if scale.endswith("scalar") else 1.0)
         self._assert_rerun_reproduces("train", tmp_path / "a", tmp_path / "b")
@@ -1377,8 +1427,8 @@ class TestNonFiniteValues:
         with pytest.raises(ValidationError, match="cannot write JSON"):
             write_json({"x": float("nan")}, tmp_path / "x.json")
         with pytest.raises(ValidationError, match="cannot write JSON"):
-            write_manifest(RunManifest(command="eval", version="0", seed=None,
-                                       config={"lr": float("inf")}), tmp_path / "m.json")
+            write_manifest({"command": "eval", "version": "0", "seed": None,
+                            "config": {"lr": float("inf")}}, tmp_path / "m.json")
         model = init_model("clip-only", 2, 2, 3, rng=np.random.default_rng(0))
         with pytest.raises(ValidationError, match="learning_rate must be a finite number"):
             save_checkpoint(Checkpoint(model=model, target="noun", dim_v=2, dim_o=2, classes=3,
@@ -1431,7 +1481,7 @@ class TestTopLevel:
                 "--fusion", "clip-only", "--epochs", "1", "--seed", "0"]
         assert run(*argv, "--lr", "0.3", "--out-dir", tmp_path / "a") == 0
         assert run(*argv, "--out-dir", tmp_path / "b") == 0
-        lrs = [load_manifest(tmp_path / run_dir / "train.manifest.json").config["lr"]
+        lrs = [load_manifest(tmp_path / run_dir / "train.manifest.json")["config"]["lr"]
                for run_dir in ("a", "b")]
         assert lrs == [0.3, TrainConfig.learning_rate]
 

@@ -481,6 +481,15 @@ class TestFileFormats:
                 f"{path}: line 5: segment id 'a' repeats line 2")):
             load_score_table(path)
 
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_score_rejected_with_its_line(self, tmp_path, score):
+        # the blank line still counts toward the line numbers
+        path = tmp_path / "scores.txt"
+        path.write_text(f'{{"space":"verb","classes":2}}\na 0.5 0.5\n\nb 0.5 {score}\n'
+                        f'c {score} 0.5\n', encoding="utf-8")
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: line 4: non-finite score")):
+            load_score_table(path)
+
 
 def _score_columns(draw, rows: int, elements) -> list[float]:
     """One column of ``rows`` scores, of a kind that takes a different path
