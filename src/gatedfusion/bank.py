@@ -5,12 +5,11 @@ per-frame detections (each carrying an already-extracted region feature),
 and optional verb/noun labels.  A segment id is what one whitespace-split
 field of a UTF-8 score-table line holds: a non-empty ``str`` with no
 character for which ``str.isspace()`` is true and no lone surrogate.  In
-memory a bank is the flat blocks that the binary sidecar below stores.  The
-JSON reader packs each record line straight into them, the writer writes
-each line from one record's slices, and ``FeatureBank.validate`` is the one
-check of their values, ids included.  Rows are only the input of
-``FeatureBank.from_records`` and the output of the read-only
-``FeatureBank.records`` view.
+memory a bank is the flat blocks that its file stores.  The JSON-lines
+reader packs each record line straight into them, and
+``FeatureBank.validate`` is the one check of their values, ids included.
+Rows are only the input of ``FeatureBank.from_records`` and the output of
+the read-only ``FeatureBank.records`` view.
 
 Aggregation turns the detections into a single object feature by keeping
 the detections inside a frame window around the clip center, selecting the
@@ -21,34 +20,29 @@ grouped by the bit length of their count so that padding at most doubles
 the cells, and each row is sorted and its top K pooled rank by rank.  The
 tests keep the record-by-record chain as its reference.
 
-The on-disk format is line-delimited JSON: a header line declaring the
-feature dims and vocabulary sizes, then one record object per line.  Floats
-are serialized with full round-trip precision, so save/load is lossless.
-The record lines are formatted by ``errors.write_rows``, on a second CPU
-for half of a large bank, and their bytes never depend on the CPU count.
-
-Saving also writes a derived binary sidecar, ``<bank>.npz``: the bank's own
-blocks, and its ids as UTF-8 lines, tagged with the SHA-256 of the JSON
-bytes.  Loading hashes the JSON as it reads it and takes the bank from the
-sidecar only when that digest matches; otherwise (a stale sidecar, or one
-of another layout) it parses the JSON.  Deleting the sidecar is always safe.
+A bank file is a zip of the blocks, one stored ``.npy`` member each, with
+the header ints and the ids as UTF-8 lines; ``save_feature_bank`` writes
+it byte-identically for equal banks, and the loader takes exactly that
+layout.  Line-delimited JSON is accepted as input: a header line declaring
+the feature dims and vocabulary sizes, then one record object per line.
 """
 
 from __future__ import annotations
 
 import contextlib
-import hashlib
+import io
 import math
 import os
 import re
 import stat
+import warnings
 import zipfile
 import zlib
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ValidationError, parse_json, read_text, replacing, strict_json, write_rows
+from .errors import ValidationError, parse_json, read_text, replacing
 from .tensor import l2_norm
 
 __all__ = [
@@ -374,130 +368,103 @@ def bank_features(bank: FeatureBank, cfg: AggregationConfig) -> tuple[np.ndarray
 # --- file format --------------------------------------------------------------
 
 
-# The sidecar members that are not bank blocks: the digest, the header ints,
-# and the UTF-8 bytes of each id followed by "\n", which no id holds.
-_SIDECAR_DTYPES = {"digest": np.dtype(np.uint8), "header": np.dtype(np.int64),
-                   "ids": np.dtype(np.uint8)}
-# Every sidecar member, in file order; "detections" holds the counts block.
-_SIDECAR_MEMBERS = ("digest", "header", "clip", "features", "frames", "scores", "detections",
-                    "centers", "labels", "ids")
-# What np.load and zipfile raise on a sidecar that is missing, empty, not an
-# npz (a bare .npy has no context manager), truncated or corrupted (CRC,
-# headers, unsupported or encrypted members), missing a block, holding
-# pickled objects, or declaring a block too large to allocate.
-_SIDECAR_READ_ERRORS = (OSError, EOFError, KeyError, TypeError, ValueError, RuntimeError,
-                        NotImplementedError, MemoryError, zipfile.BadZipFile)
+# A bank file is a zip of one stored ``<name>.npy`` member per name, in this
+# order.  "header" holds the header ints, "detections" the counts block and
+# "ids" the UTF-8 bytes of each id followed by "\n", which no id holds.
+_ZIP_MEMBERS = ("header", "clip", "features", "frames", "scores", "detections", "centers",
+                "labels", "ids")
+_ZIP_DTYPES = {**_BLOCK_DTYPES, "header": np.dtype(np.int64), "detections": np.dtype(np.int64),
+               "ids": np.dtype(np.uint8)}
+_ZIP_MAGIC = b"PK\x03\x04"
 _ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
+# What zipfile and numpy raise on a zip that is truncated or corrupted (CRC,
+# headers, unsupported or encrypted members), on a member that holds pickled
+# objects or declares an array too large to allocate, and, as an error, the
+# warning numpy gives when it repairs a member header (a damaged one here).
+_ZIP_READ_ERRORS = (EOFError, ValueError, RuntimeError, NotImplementedError, MemoryError,
+                    zipfile.BadZipFile, UserWarning)
 
 
-def _write_sidecar(bank: FeatureBank, digest: bytes, path) -> None:
-    """The sidecar in the ``np.savez`` layout (one stored ``<name>.npy``
-    member each) with fixed member timestamps, so equal banks give equal
-    bytes."""
+def _write_zip(bank: FeatureBank, fh) -> None:
+    """The bank as ``_ZIP_MEMBERS`` in the ``np.savez`` layout, with fixed
+    member timestamps, so equal banks give equal bytes."""
     ids = "".join(seg_id + "\n" for seg_id in bank.ids).encode("utf-8")
-    members = {name: np.asarray(value, dtype=_SIDECAR_DTYPES[name]) for name, value in (
-        ("digest", list(digest)), ("header", [getattr(bank, k) for k in _HEADER_KEYS]),
-        ("ids", np.frombuffer(ids, dtype=np.uint8)))}
-    members.update({name: getattr(bank, name) for name in _BLOCKS}, detections=bank.counts)
-    with zipfile.ZipFile(path, "w") as zf:
-        for name in _SIDECAR_MEMBERS:
+    members = {name: getattr(bank, name) for name in _BLOCKS}
+    members.update(header=np.array([getattr(bank, k) for k in _HEADER_KEYS], dtype=np.int64),
+                   detections=bank.counts, ids=np.frombuffer(ids, dtype=np.uint8))
+    with zipfile.ZipFile(fh, "w") as zf:
+        for name in _ZIP_MEMBERS:
             info = zipfile.ZipInfo(name + ".npy", date_time=_ZIP_EPOCH)
-            with zf.open(info, "w", force_zip64=True) as fh:
-                np.lib.format.write_array(fh, members[name], allow_pickle=False)
-
-
-def _record_lines(bank: FeatureBank, starts: list[int], lo: int, hi: int) -> bytes:
-    """The JSON lines of records ``[lo, hi)``, each from its own slices of the
-    blocks (a whole block at once would hold every entry as a Python float);
-    ``starts[i]`` is record ``i``'s first detection."""
-    lines = []
-    for i, seg_id, center, pair in zip(range(lo, hi), bank.ids[lo:hi],
-                                       bank.centers[lo:hi].tolist(), bank.labels[lo:hi].tolist()):
-        dets = zip(*(block[starts[i]:starts[i + 1]].tolist()
-                     for block in (bank.frames, bank.scores, bank.features)))
-        lines.append((strict_json({
-            "segment_id": seg_id, "clip_feature": bank.clip[i].tolist(), "center": center,
-            "detections": [{"frame": frame, "score": score, "feature": feature}
-                           for frame, score, feature in dets],
-            **{key: label for key, label in zip(_LABEL_KEYS, pair) if label != _NO_LABEL},
-        }, separators=(",", ":")) + "\n").encode("utf-8"))
-    return b"".join(lines)
+            with zf.open(info, "w", force_zip64=True) as member:
+                np.lib.format.write_array(member, members[name], allow_pickle=False)
 
 
 def save_feature_bank(bank: FeatureBank, path) -> None:
-    """Write the JSON-lines bank, then its sidecar tagged with the SHA-256
-    of the JSON bytes just written.  The record lines go through
-    ``errors.write_rows``, so their bytes never depend on the CPU count.
-    The bank is written through ``errors.replacing``: a failed save leaves
-    the old bank, and the sidecar is written only once the new bank is in
-    place."""
+    """Validate ``bank`` and write it to ``path`` as one zip (``_write_zip``)
+    through ``errors.replacing``, so a failed save leaves the old file.  A
+    target that cannot seek (a pipe) gets the zip built in memory first:
+    zipfile would add data descriptors there, and the bytes would differ."""
     bank.validate()
-    starts = [0, *np.cumsum(bank.counts).tolist()]
-    header = strict_json({k: getattr(bank, k) for k in _HEADER_KEYS},
-                         separators=(",", ":")).encode("utf-8") + b"\n"
-    digest = hashlib.sha256(header)
     with replacing(path) as fh:
-        fh.write(header)
-        write_rows(fh, lambda lo, hi: _record_lines(bank, starts, lo, hi), len(bank.ids), digest)
-    _write_sidecar(bank, digest.digest(), os.fspath(path) + ".npz")
+        if fh.seekable():
+            _write_zip(bank, fh)
+        else:
+            buf = io.BytesIO()
+            _write_zip(bank, buf)
+            fh.write(buf.getvalue())
 
 
-def _load_sidecar(path, digest: bytes) -> FeatureBank | None:
-    """The bank in ``path``'s sidecar when the sidecar was written for JSON
-    bytes with this digest and its blocks are valid, else None.  The
-    sidecar is derived data, so a failure to read it means "not usable" and
-    the caller parses the JSON instead."""
+def _load_zip(path, fh) -> FeatureBank:
+    """The bank in the zip ``fh`` read from ``path``: exactly the members
+    ``_write_zip`` writes, stored, each an array of its dtype with no byte
+    after it, whose blocks validate.  Any fault is a ValidationError naming
+    the file."""
     try:
-        # np.load leaks the file it opened when a zip fails to open, so it gets a handle
-        with open(os.fspath(path) + ".npz", "rb") as fh, np.load(fh, allow_pickle=False) as npz:
-            if bytes(npz["digest"]) != digest:
-                return None
-            members = {name: npz[name] for name in _SIDECAR_MEMBERS}
-    except _SIDECAR_READ_ERRORS:
-        return None
-    if not (all(isinstance(members[name], np.ndarray) and members[name].dtype == dtype
-                for name, dtype in _SIDECAR_DTYPES.items())
-            and members["header"].shape == (len(_HEADER_KEYS),)):
-        return None
-    members["counts"] = members["detections"]
-    try:  # a bank that fails validation here fails the same way from its JSON
-        ids = members["ids"].tobytes().decode("utf-8").split("\n")[:-1]
+        with warnings.catch_warnings(), zipfile.ZipFile(fh) as zf:
+            warnings.simplefilter("error", UserWarning)
+            want = [name + ".npy" for name in _ZIP_MEMBERS]
+            if zf.namelist() != want:
+                raise ValidationError(f"bank members are {zf.namelist()}, not {want}")
+            members = {}
+            for name, info in zip(_ZIP_MEMBERS, zf.infolist()):
+                if info.compress_type != zipfile.ZIP_STORED:
+                    raise ValidationError(f"bank member {info.filename} is compressed")
+                with zf.open(info) as member:
+                    members[name] = np.lib.format.read_array(member, allow_pickle=False)
+                    if member.read(1):
+                        raise ValidationError(f"bank member {info.filename} has bytes "
+                                              f"after its array")
+                if members[name].dtype != _ZIP_DTYPES[name]:
+                    raise ValidationError(f"bank member {info.filename} must be an array of "
+                                          f"{_ZIP_DTYPES[name]}, got {members[name].dtype}")
+        if members["header"].shape != (len(_HEADER_KEYS),) or members["ids"].ndim != 1:
+            raise ValidationError("bank header or ids member is not flat")
+        ids = members["ids"].tobytes().decode("utf-8").split("\n")
+        if ids.pop():
+            raise ValidationError("bank ids member does not end with a newline")
+        members["counts"] = members["detections"]
         bank = FeatureBank(**dict(zip(_HEADER_KEYS, members["header"].tolist())), ids=ids,
                            **{name: members[name] for name in _BLOCKS})
         bank.validate()
-    except (UnicodeDecodeError, ValidationError):
-        return None
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+    except _ZIP_READ_ERRORS as exc:  # UnicodeDecodeError is a ValueError
+        raise ValidationError(f"{path}: not a readable bank zip: {exc}") from None
     bank.clip.flags.writeable = bank.features.flags.writeable = False  # as from_records
     return bank
 
 
-_HASH_BLOCK = 1 << 20  # bytes per read while a bank file is hashed
-
-
-def _file_sha256(fh) -> bytes:
-    """The SHA-256 of the rest of the binary file ``fh``, read in fixed
-    blocks, so no copy of the whole file is held."""
-    digest, block = hashlib.sha256(), bytearray(_HASH_BLOCK)
-    view = memoryview(block)
-    while size := fh.readinto(block):
-        digest.update(view[:size])
-    return digest.digest()
-
-
 def load_feature_bank(path) -> FeatureBank:
-    """Load a bank file, rejecting invariant violations with line/record
-    diagnostics.  The blocks come from the sidecar when its digest matches
-    the JSON bytes, hashed as they are read, and they validate, else from
-    parsing the JSON.  The text is read whole only to be parsed, and a path
-    that is not a regular file (a pipe) is read once and parsed."""
-    with open(path, "rb", buffering=0) as fh:
-        if (stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
-                and os.path.isfile(os.fspath(path) + ".npz")):
-            bank = _load_sidecar(path, _file_sha256(fh))
-            if bank is not None:
-                return bank
-            fh.seek(0)
-        data = fh.read()
+    """Load a bank file: one that starts with the zip magic is the zip
+    ``save_feature_bank`` writes, and any other is JSON lines.  Every fault
+    is a ValidationError naming the file (and, in JSON lines, the line and
+    record).  A path that is not a regular file (a pipe) is read once."""
+    with open(path, "rb") as fh:
+        src = fh if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) else io.BytesIO(fh.read())
+        if src.read(len(_ZIP_MAGIC)) == _ZIP_MAGIC:
+            return _load_zip(path, src)
+        src.seek(0)
+        data = src.read()
     return _parse_bank(path, data)
 
 

@@ -2,9 +2,9 @@
 loader uses, the strict JSON encoder every writer uses, ``parse_json``, the
 one JSON decoder every reader uses, the one codec of the JSON documents
 (checkpoints, manifests, reports, histories and stats): ``write_json`` and
-``read_json``, and ``write_rows``, the one writer of the row files (banks
-and score tables), with ``replacing``, the file a row file is saved through
-so that a failed save leaves the old file."""
+``read_json``, ``write_rows``, the writer of score-table rows, and
+``replacing``, the file a bank or score table is saved through so that a
+failed save leaves the old file."""
 
 import contextlib
 import gc
@@ -148,10 +148,9 @@ def _child(format_rows, split: int, n: int, rfd: int, wfd: int, cpus: set[int]) 
         os._exit(status)
 
 
-def write_rows(fh, format_rows, n: int, digest=None) -> None:
-    """Write ``format_rows(lo, hi)``, the UTF-8 bytes of rows ``[lo, hi)``,
-    for rows ``0..n`` in order to the binary file ``fh``, and feed the same
-    bytes to ``digest.update`` when a digest is given.
+def write_rows(fh, format_rows, n: int) -> None:
+    """Write ``format_rows(lo, hi)``, the UTF-8 bytes of score-table rows
+    ``[lo, hi)``, for rows ``0..n`` in order to the binary file ``fh``.
 
     When the first chunk of rows predicts ``FORK_BYTES`` or more in all and
     two CPUs are usable, one forked child formats the second half of the
@@ -159,16 +158,11 @@ def write_rows(fh, format_rows, n: int, digest=None) -> None:
     bytes from a pipe.  Either way every row is formatted by ``format_rows``
     alone, so the bytes never depend on the CPU count.  A failed child is an
     ``OSError``, and no child outlives the call, on success or on error."""
-    def put(data: bytes) -> None:
-        fh.write(data)
-        if digest is not None:
-            digest.update(data)
-
     # The first chunk's bytes estimate the whole file's: a second CPU pays
     # for its fork only on a large one.
     probe = min(_CHUNK_ROWS, n)
     first = format_rows(0, probe)
-    put(first)
+    fh.write(first)
     split, pid, cpus = n, None, _usable_cpus()
     if (probe < n and len(first) * n >= FORK_BYTES * probe and len(cpus) >= 2
             and hasattr(os, "fork")):
@@ -190,10 +184,10 @@ def write_rows(fh, format_rows, n: int, digest=None) -> None:
             _pin(cpus)
         os.close(wfd)
     try:
-        _put_rows(put, format_rows, probe, split)
+        _put_rows(fh.write, format_rows, probe, split)
         if pid is not None:
             while data := os.read(rfd, 1 << 16):
-                put(data)
+                fh.write(data)
             status = os.waitpid(pid, 0)[1]
             pid = None
             if status:

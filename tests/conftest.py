@@ -1,10 +1,15 @@
 """Shared test helpers: independent central-difference and 5-point gradient oracles,
 exact bank equality, a dense action prior from listed pairs, the
 record-by-record synthetic bank generator and aggregation chain, the
-one-process bank text writer, the one-``repr``-per-float score table writer
-and the per-batch-scaling training loop."""
+JSON-lines bank writer, the sidecar that earlier builds wrote beside it,
+the ways to damage a zip bank, the one-``repr``-per-float score table
+writer and the per-batch-scaling training loop."""
 
+import hashlib
+import io
 import json
+import struct
+import zipfile
 import zlib
 from dataclasses import fields
 
@@ -103,10 +108,10 @@ def reference_save_score_table(table, path) -> None:
             fh.write(seg_id + " " + " ".join(map(repr, row)) + "\n")
 
 
-def reference_bank_text(bank: FeatureBank) -> bytes:
-    """Test-side oracle for the JSON text ``bank.save_feature_bank`` writes:
+def bank_text(bank: FeatureBank) -> bytes:
+    """The bank as JSON lines, the text input format of ``load_feature_bank``:
     the header line, then each record's line from its slices of the blocks,
-    all in one process."""
+    with every float at full ``repr`` precision."""
     lines = [json.dumps({k: getattr(bank, k) for k in ("dim_v", "dim_o", "verb_vocab_size",
                                                        "noun_vocab_size")},
                         separators=(",", ":"))]
@@ -122,6 +127,106 @@ def reference_bank_text(bank: FeatureBank) -> bytes:
             **{key: label for key, label in zip(("verb", "noun"), pair) if label != -1},
         }, separators=(",", ":")))
     return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+def write_bank_text(bank: FeatureBank, path):
+    """Write ``bank`` to ``path`` as JSON lines (``bank_text``); returns the path."""
+    path.write_bytes(bank_text(bank))
+    return path
+
+
+def write_old_sidecar(bank: FeatureBank, text: bytes, path) -> None:
+    """The ``<bank>.npz`` sidecar that earlier builds wrote beside the JSON
+    lines ``text``: a "digest" member holding its SHA-256, then the zip
+    bank's members."""
+    ids = "".join(seg_id + "\n" for seg_id in bank.ids).encode("utf-8")
+    members = {"digest": np.frombuffer(hashlib.sha256(text).digest(), dtype=np.uint8),
+               "header": np.array([bank.dim_v, bank.dim_o, bank.verb_vocab_size,
+                                   bank.noun_vocab_size], dtype=np.int64),
+               "clip": bank.clip, "features": bank.features, "frames": bank.frames,
+               "scores": bank.scores, "detections": bank.counts, "centers": bank.centers,
+               "labels": bank.labels, "ids": np.frombuffer(ids, dtype=np.uint8)}
+    with open(path, "wb") as fh:
+        np.savez(fh, **members)
+
+
+def _npy(array, allow_pickle=False) -> bytes:
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, array, allow_pickle=allow_pickle)
+    return buf.getvalue()
+
+
+# The ways ``damage_zip_bank`` damages a zip bank.
+ZIP_DAMAGE = ("truncated", "flipped", "missing", "extra", "renamed", "out-of-order", "deflated",
+              "object", "huge-shape", "wrong-dtype", "big-endian", "trailing-bytes",
+              "short-block", "rule-breaking-id", "ids-without-newline", "header-shape",
+              "python-2-header")
+
+
+def damage_zip_bank(path, kind: str) -> None:
+    """Damage the zip bank at ``path`` in place: cut its last 200 bytes,
+    flip the last byte of its features, or rewrite its members with one of
+    them missing, added, renamed, out of order, deflated, holding pickled
+    objects, declaring a 2**60-byte array, of another dtype or byte order,
+    followed by a byte, a row short, holding an id with a space, with ids
+    or header not in the written layout, or with a header that numpy reads
+    only after repairing it.  The bank must hold at least one detection."""
+    data = bytearray(path.read_bytes())
+    if kind == "truncated":
+        path.write_bytes(data[:-200])
+        return
+    with zipfile.ZipFile(path) as zf:
+        members = {info.filename: zf.read(info) for info in zf.infolist()}
+        features = zf.getinfo("features.npy")
+    if kind == "flipped":  # the member's data follows its 30-byte local header, name and extra
+        name_len, extra_len = struct.unpack_from("<HH", data, features.header_offset + 26)
+        data[features.header_offset + 30 + name_len + extra_len + features.file_size - 1] ^= 1
+        path.write_bytes(data)
+        return
+
+    def array(name):
+        return np.lib.format.read_array(io.BytesIO(members[name]))
+
+    compression = zipfile.ZIP_DEFLATED if kind == "deflated" else zipfile.ZIP_STORED
+    if kind == "missing":
+        del members["labels.npy"]
+    elif kind == "extra":
+        members["notes.npy"] = _npy(np.zeros(1))
+    elif kind == "renamed":
+        members = {("counts.npy" if name == "detections.npy" else name): raw
+                   for name, raw in members.items()}
+    elif kind == "out-of-order":
+        names = list(members)
+        names[1], names[2] = names[2], names[1]
+        members = {name: members[name] for name in names}
+    elif kind == "object":
+        members["clip.npy"] = _npy(np.array([object()] * 3), allow_pickle=True)
+    elif kind == "huge-shape":
+        buf = io.BytesIO()
+        np.lib.format.write_array_header_1_0(buf, {"descr": "<f8", "fortran_order": False,
+                                                   "shape": (2**51, 64)})
+        members["features.npy"] = buf.getvalue()
+    elif kind == "wrong-dtype":
+        members["scores.npy"] = _npy(array("scores.npy").astype(np.float32))
+    elif kind == "big-endian":
+        members["scores.npy"] = _npy(array("scores.npy").astype(">f8"))
+    elif kind == "trailing-bytes":
+        members["scores.npy"] += b"\0"
+    elif kind == "short-block":
+        members["frames.npy"] = _npy(array("frames.npy")[:-1])
+    elif kind == "rule-breaking-id":
+        ids = array("ids.npy").tobytes().split(b"\n")
+        ids[0] = b"a b"
+        members["ids.npy"] = _npy(np.frombuffer(b"\n".join(ids), dtype=np.uint8))
+    elif kind == "ids-without-newline":
+        members["ids.npy"] = _npy(array("ids.npy")[:-1])
+    elif kind == "header-shape":
+        members["header.npy"] = _npy(array("header.npy").reshape(2, 2))
+    elif kind == "python-2-header":  # a long-int suffix, in place of a space
+        members["header.npy"] = members["header.npy"].replace(b"(4,), }", b"(4L,),}")
+    with zipfile.ZipFile(path, "w", compression) as zf:
+        for name, raw in members.items():
+            zf.writestr(name, raw)
 
 
 def banks_equal(a: FeatureBank, b: FeatureBank) -> bool:

@@ -7,6 +7,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import zipfile
 from pathlib import Path
 from unittest import mock
 
@@ -20,7 +21,9 @@ from gatedfusion.bank import (AggregationConfig, Detection, FeatureBank,
                               load_feature_bank, save_feature_bank, synth_generate)
 from gatedfusion.errors import ValidationError, read_text
 
-from conftest import aggregate_object_feature, banks_equal, reference_synth_generate
+from conftest import (ZIP_DAMAGE, aggregate_object_feature, bank_text, banks_equal,
+                      damage_zip_bank, reference_synth_generate, write_bank_text,
+                      write_old_sidecar)
 
 
 def det(frame, score, *feat):
@@ -301,7 +304,7 @@ class TestLoader:
     def test_crlf_and_cr_banks_load_and_count_lines_alike(self, tmp_path, newline):
         lines = _bank_file_lines()
         want = load_feature_bank(_write_lines(tmp_path / "lf.bank", lines))
-        path = tmp_path / "crlf.bank"  # no sidecar: the bytes read are parsed
+        path = tmp_path / "crlf.bank"
         path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
         assert banks_equal(load_feature_bank(path), want)
         lines[2] = "{not json"
@@ -356,8 +359,7 @@ class TestLoader:
 
 def assert_same_bank_bytes(a, b, tmp_path=None):
     """Equal headers, ids and blocks (dtype, shape, write flag and bytes, so
-    signed zeros count), and with ``tmp_path`` equal saved bank and sidecar
-    bytes."""
+    signed zeros count), and with ``tmp_path`` equal saved bytes."""
     assert ([getattr(a, k) for k in bank_module._HEADER_KEYS]
             == [getattr(b, k) for k in bank_module._HEADER_KEYS])
     assert a.ids == b.ids
@@ -370,9 +372,7 @@ def assert_same_bank_bytes(a, b, tmp_path=None):
     paths = [tmp_path / "a.bank", tmp_path / "b.bank"]
     for bank, path in zip((a, b), paths):
         save_feature_bank(bank, path)
-    for suffix in ("", ".npz"):
-        assert (Path(f"{paths[0]}{suffix}").read_bytes()
-                == Path(f"{paths[1]}{suffix}").read_bytes())
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 BENCHMARK_SPEC = SynthSpec(n_segments=2000, dim_v=64, dim_o=64, verb_vocab=20, noun_vocab=40,
@@ -803,17 +803,16 @@ class TestSegmentIdRule:
         ids = ["\x00", "é", "\U0001f600", '"\\']
         bank = FeatureBank.from_records([record([], seg_id=seg_id) for seg_id in ids],
                                         dim_v=2, dim_o=2, verb_vocab_size=1, noun_vocab_size=1)
-        path, sidecar = _saved(tmp_path, bank)
-        with np.load(sidecar, allow_pickle=False) as npz:
+        path = _saved(tmp_path, bank)
+        with np.load(path, allow_pickle=False) as npz:
             assert "id_lengths.npy" not in npz.zip.namelist()
             assert npz["ids"].tobytes() == "".join(i + "\n" for i in ids).encode("utf-8")
         with _json_parse_forbidden():
             assert load_feature_bank(path).ids == ids
-        sidecar.unlink()
-        assert load_feature_bank(path).ids == ids
+        assert load_feature_bank(write_bank_text(bank, tmp_path / "t.bank")).ids == ids
 
 
-# --- binary sidecar -------------------------------------------------------------
+# --- zip banks ------------------------------------------------------------------
 
 # Ids the rule admits that a codec could still get wrong: NULs, non-ASCII and
 # astral characters, and JSON's quote and backslash.
@@ -860,7 +859,7 @@ def _read_only(bank: FeatureBank) -> bool:
 
 def _json_parse_forbidden():
     return mock.patch.object(bank_module, "_parse_bank",
-                             side_effect=AssertionError("JSON parsed despite a valid sidecar"))
+                             side_effect=AssertionError("a zip bank parsed as JSON lines"))
 
 
 def _json_parse_spy():
@@ -868,13 +867,12 @@ def _json_parse_spy():
 
 
 def _saved(tmp_path, bank=None):
-    """Save ``bank`` (default: the ``_bank_file_lines`` bank); returns the
-    bank path and its sidecar path."""
+    """Save ``bank`` (default: the ``_bank_file_lines`` bank) and return its path."""
     if bank is None:
         bank = load_feature_bank(_write_lines(tmp_path / "src.bank"))
     path = tmp_path / "b.bank"
     save_feature_bank(bank, path)
-    return path, Path(f"{path}.npz")
+    return path
 
 
 def _write_lines(path, lines=None):
@@ -882,24 +880,55 @@ def _write_lines(path, lines=None):
     return path
 
 
-class TestSidecar:
+def _multibyte_id_bank():
+    """Four one-detection records whose ids are two, three and four UTF-8 bytes long."""
+    return FeatureBank.from_records(
+        [record([det(100, 0.5, 1.0, 2.0)], seg_id=seg_id) for seg_id in ("é", "\U0001f600",
+                                                                         "a\x00b", "c")],
+        dim_v=2, dim_o=2, verb_vocab_size=1, noun_vocab_size=1)
+
+
+# What each ``damage_zip_bank`` kind makes the loader say after "<path>: ".
+_ZIP_FAULTS = {
+    "truncated": "not a readable bank zip: File is not a zip file",
+    "flipped": "not a readable bank zip: Bad CRC-32 for file 'features.npy'",
+    "missing": "bank members are ['header.npy', 'clip.npy', 'features.npy', 'frames.npy', "
+               "'scores.npy', 'detections.npy', 'centers.npy', 'ids.npy'], not [",
+    "extra": "bank members are [",
+    "renamed": "bank members are [",
+    "out-of-order": "bank members are ['header.npy', 'features.npy', 'clip.npy',",
+    "deflated": "bank member header.npy is compressed",
+    "object": "not a readable bank zip: Object arrays cannot be loaded when allow_pickle=False",
+    "huge-shape": "not a readable bank zip: ",
+    "wrong-dtype": "bank member scores.npy must be an array of float64, got float32",
+    "big-endian": "bank member scores.npy must be an array of float64, got >f8",
+    "trailing-bytes": "bank member scores.npy has bytes after its array",
+    "short-block": "bank block 'frames' is not shaped (3,)",
+    "rule-breaking-id": "segment_id 'a b' must be a non-empty str with no whitespace",
+    "ids-without-newline": "bank ids member does not end with a newline",
+    "header-shape": "bank header or ids member is not flat",
+    "python-2-header": "not a readable bank zip: Reading `.npy` or `.npz` file required "
+                       "additional header parsing",
+}
+
+
+class TestBankZip:
     @settings(max_examples=150, deadline=None)
     @given(bank=_banks())
-    def test_sidecar_and_json_paths_agree(self, bank):
+    def test_zip_and_json_lines_agree(self, bank):
         with tempfile.TemporaryDirectory() as tmp:
-            path, sidecar = _saved(Path(tmp), bank)
+            path = _saved(Path(tmp), bank)
             with _json_parse_forbidden():
-                from_sidecar = load_feature_bank(path)
-            sidecar.unlink()
-            from_json = load_feature_bank(path)
-        assert _same_bits(from_sidecar, bank) and _same_bits(from_json, bank)
-        assert _read_only(from_sidecar) and _read_only(from_json)
+                from_zip = load_feature_bank(path)
+            from_json = load_feature_bank(write_bank_text(bank, Path(tmp) / "t.bank"))
+        assert _same_bits(from_zip, bank) and _same_bits(from_json, bank)
+        assert _read_only(from_zip) and _read_only(from_json)
 
     def test_empty_blocks_round_trip(self, tmp_path):
         bank = FeatureBank.from_records([], dim_v=3, dim_o=2, verb_vocab_size=1,
                                         noun_vocab_size=1)
-        path, sidecar = _saved(tmp_path, bank)
-        with np.load(sidecar, allow_pickle=False) as npz:
+        path = _saved(tmp_path, bank)
+        with np.load(path, allow_pickle=False) as npz:
             assert npz["clip"].shape == (0, 3) and npz["features"].shape == (0, 2)
         with _json_parse_forbidden():
             assert _same_bits(load_feature_bank(path), bank)
@@ -907,116 +936,115 @@ class TestSidecar:
             [SegmentRecord(segment_id="z", clip_feature=np.ones(3), clip_center_frame=4,
                            detections=[])], dim_v=3, dim_o=2, verb_vocab_size=1,
             noun_vocab_size=1)
-        path, sidecar = _saved(tmp_path, bank)
-        with np.load(sidecar, allow_pickle=False) as npz:
+        path = _saved(tmp_path, bank)
+        with np.load(path, allow_pickle=False) as npz:
             assert npz["clip"].shape == (1, 3) and npz["features"].shape == (0, 2)
             assert npz["labels"].tolist() == [[-1, -1]]
         with _json_parse_forbidden():
             assert _same_bits(load_feature_bank(path), bank)
 
-    def test_edited_bank_loads_edited_content(self, tmp_path):
-        path, _ = _saved(tmp_path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        rec = json.loads(lines[1])
-        rec["verb"], rec["clip_feature"] = 2, [7.0, 8.0]
-        lines[1] = json.dumps(rec)
-        _write_lines(path, lines)
-        with _json_parse_spy() as spy:
-            bank = load_feature_bank(path)
+    def test_a_leftover_sidecar_beside_json_lines_is_never_opened(self, tmp_path):
+        # The sidecar an earlier build wrote, tagged with the text's digest,
+        # holds other blocks: only the text is read, and it is parsed.
+        bank = load_feature_bank(_write_lines(tmp_path / "src.bank"))
+        path = write_bank_text(bank, tmp_path / "b.bank")
+        sidecar = Path(f"{path}.npz")
+        write_old_sidecar(dataclasses.replace(bank, clip=bank.clip + 1.0), path.read_bytes(),
+                          sidecar)
+        with mock.patch("builtins.open", wraps=open) as opened, _json_parse_spy() as spy:
+            loaded = load_feature_bank(path)
+        assert [call.args[0] for call in opened.call_args_list] == [path]
         assert spy.call_count == 1
-        assert bank.records[0].verb_label == 2
-        assert np.array_equal(bank.records[0].clip_feature, [7.0, 8.0])
+        assert _same_bits(loaded, bank)
 
-    @pytest.mark.parametrize("kind", ["garbage", "empty", "truncated", "object-array",
-                                      "short-block", "wrong-dtype", "not-a-zip-npy",
-                                      "rule-breaking-id"])
-    def test_unusable_sidecar_falls_back_to_json(self, tmp_path, kind):
-        path, sidecar = _saved(tmp_path)
-        expected = load_feature_bank(path)
-        with np.load(sidecar, allow_pickle=False) as npz:
-            blocks = {name: npz[name] for name in npz.files}
-        if kind == "garbage":
-            sidecar.write_bytes(b"\x80\x04junk" * 50)
-        elif kind == "empty":
-            sidecar.write_bytes(b"")
-        elif kind == "truncated":
-            sidecar.write_bytes(sidecar.read_bytes()[:-200])
-        elif kind == "not-a-zip-npy":
-            with open(sidecar, "wb") as fh:
-                np.save(fh, blocks["clip"])
+    @pytest.mark.parametrize("kind", ZIP_DAMAGE)
+    def test_unusable_zip_is_a_fault_naming_the_file(self, tmp_path, kind):
+        path = _saved(tmp_path)
+        damage_zip_bank(path, kind)
+        with _json_parse_forbidden(), pytest.raises(ValidationError) as exc:
+            load_feature_bank(path)
+        assert str(exc.value).startswith(f"{path}: {_ZIP_FAULTS[kind]}")
+
+    @pytest.mark.parametrize("kind", ["empty", "junk after the magic", "bare npy"])
+    def test_a_file_that_is_no_zip_is_a_fault_naming_the_file(self, tmp_path, kind):
+        path = tmp_path / "b.bank"
+        if kind == "bare npy":  # not the zip magic, so it is read as JSON lines
+            with open(path, "wb") as fh:
+                np.save(fh, np.zeros(3), allow_pickle=False)
         else:
-            if kind == "object-array":
-                blocks["clip"] = np.array([object()] * 3)
-            elif kind == "short-block":
-                blocks["frames"] = blocks["frames"][:-1]
-            elif kind == "rule-breaking-id":  # a JSON id that the digest still matches
-                blocks["ids"] = np.frombuffer(b"a b\nb\nc\n", dtype=np.uint8)
-            else:
-                blocks["scores"] = blocks["scores"].astype(np.float32)
-            with open(sidecar, "wb") as fh:
-                np.savez(fh, **blocks)
-        with _json_parse_spy() as spy:
-            bank = load_feature_bank(path)
-        assert spy.call_count == 1
-        assert _same_bits(bank, expected)
+            path.write_bytes(b"" if kind == "empty" else bank_module._ZIP_MAGIC + b"junk" * 50)
+        message = {"empty": "missing header line", "bare npy": "not UTF-8",
+                   "junk after the magic": "not a readable bank zip"}[kind]
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: {message}")):
+            load_feature_bank(path)
 
     @settings(max_examples=150, deadline=None)
     @given(cut=st.none() | st.integers(0, 10**6),
            flips=st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 255)), max_size=3))
-    def test_corrupted_sidecar_bytes_never_fail_a_load(self, cut, flips):
+    def test_damaged_zip_bytes_load_whole_or_fail_naming_the_file(self, cut, flips):
         with tempfile.TemporaryDirectory() as tmp:
-            path, sidecar = _saved(Path(tmp))
+            path = _saved(Path(tmp))
             expected = load_feature_bank(path)
-            data = bytearray(sidecar.read_bytes())
+            data = bytearray(path.read_bytes())
             for pos, mask in flips:
                 data[pos % len(data)] ^= mask
-            sidecar.write_bytes(bytes(data[:cut]))
-            assert _same_bits(load_feature_bank(path), expected)
+            path.write_bytes(bytes(data[:cut]))
+            try:
+                loaded = load_feature_bank(path)
+            except ValidationError as exc:
+                assert str(exc).startswith(f"{path}: ")
+            else:  # only bytes the loader never reads were flipped
+                assert cut is None or cut >= len(data)
+                assert _same_bits(loaded, expected)
 
-    def test_sidecar_in_the_old_layout_falls_back_to_json(self, tmp_path):
-        # The layout before ids became UTF-8 lines: UTF-32 code points in
-        # "ids" and one code-point count per id in "id_lengths".
-        bank = FeatureBank.from_records(
-            [record([det(100, 0.5, 1.0, 2.0)], seg_id=seg_id) for seg_id in ("é", "\U0001f600",
-                                                                             "a\x00b", "c")],
-            dim_v=2, dim_o=2, verb_vocab_size=1, noun_vocab_size=1)
-        path, sidecar = _saved(tmp_path, bank)
-        with np.load(sidecar, allow_pickle=False) as npz:
-            members = {name: npz[name] for name in npz.files}
-        ids = [seg_id.encode("utf-32-le") for seg_id in bank.ids]
-        members["ids"] = np.frombuffer(b"".join(ids), dtype="<u4")
-        members["id_lengths"] = np.array([len(i) // 4 for i in ids], dtype=np.int64)
-        with open(sidecar, "wb") as fh:
-            np.savez(fh, **members)
-        with _json_parse_spy() as spy:
-            loaded = load_feature_bank(path)
-        assert spy.call_count == 1
-        assert _same_bits(loaded, bank_module._parse_bank(path, path.read_bytes()))
-        assert _same_bits(loaded, bank) and _read_only(loaded)
+    @pytest.mark.parametrize("ids", ["utf-8 lines", "utf-32 with lengths"])
+    def test_old_sidecar_passed_as_the_bank_is_a_fault_naming_the_file(self, tmp_path, ids):
+        # Both layouts of the sidecar that earlier builds wrote beside a
+        # JSON-lines bank, tagged with its digest: ids as UTF-8 lines, or as
+        # UTF-32 code points with one count per id in "id_lengths".
+        bank = _multibyte_id_bank()
+        sidecar = tmp_path / "b.bank.npz"
+        write_old_sidecar(bank, bank_text(bank), sidecar)
+        if ids == "utf-32 with lengths":
+            with np.load(sidecar, allow_pickle=False) as npz:
+                members = {name: npz[name] for name in npz.files}
+            utf32 = [seg_id.encode("utf-32-le") for seg_id in bank.ids]
+            members["ids"] = np.frombuffer(b"".join(utf32), dtype="<u4")
+            members["id_lengths"] = np.array([len(i) // 4 for i in utf32], dtype=np.int64)
+            with open(sidecar, "wb") as fh:
+                np.savez(fh, **members)
+        with _json_parse_forbidden(), pytest.raises(ValidationError) as exc:
+            load_feature_bank(sidecar)
+        assert str(exc.value).startswith(f"{sidecar}: bank members are ['digest.npy', ")
 
-    def test_deleted_sidecar_still_loads(self, tmp_path):
-        path, sidecar = _saved(tmp_path)
-        with _json_parse_forbidden():
-            expected = load_feature_bank(path)
-        sidecar.unlink()
-        assert _same_bits(load_feature_bank(path), expected)
+    @pytest.mark.parametrize("member", bank_module._ZIP_MEMBERS)
+    def test_zip_missing_a_member_is_a_fault_naming_the_file(self, tmp_path, member):
+        path = _saved(tmp_path, _multibyte_id_bank())
+        with zipfile.ZipFile(path) as zf:
+            kept = {info.filename: zf.read(info) for info in zf.infolist()
+                    if info.filename != f"{member}.npy"}
+        with zipfile.ZipFile(path, "w") as zf:
+            for name, raw in kept.items():
+                zf.writestr(name, raw)
+        with pytest.raises(ValidationError) as exc:
+            load_feature_bank(path)
+        assert str(exc.value).startswith(f"{path}: bank members are {list(kept)}, not [")
 
-    def test_saving_twice_gives_identical_sidecars(self, tmp_path):
+    def test_saving_twice_gives_identical_bytes(self, tmp_path):
         bank = synth_generate(SynthSpec(n_segments=5), 3)
         first = tmp_path / "first.bank"
         save_feature_bank(bank, first)
-        path, sidecar = _saved(tmp_path, bank)
-        assert sidecar.read_bytes() == Path(str(first) + ".npz").read_bytes()
-        before = sidecar.read_bytes()
+        path = _saved(tmp_path, bank)
+        assert path.read_bytes() == first.read_bytes()
         save_feature_bank(bank, path)
-        assert sidecar.read_bytes() == before
+        assert path.read_bytes() == first.read_bytes()
 
-    def test_sidecar_load_peak_memory_is_below_twice_the_blocks(self, tmp_path):
-        # The JSON is hashed as it is read: holding the whole file to hash it
-        # peaks near 3.7x the block bytes.
+    def test_zip_load_peak_memory_is_below_twice_the_blocks(self, tmp_path):
+        # Each member is read into its block: holding the whole file, or a
+        # member's bytes, besides the blocks peaks near twice their bytes.
         bank = synth_generate(dataclasses.replace(BENCHMARK_SPEC, n_segments=500), 3)
         blocks = sum(getattr(bank, name).nbytes for name in bank_module._BLOCKS)
-        path, _ = _saved(tmp_path, bank)
+        path = _saved(tmp_path, bank)
         tracemalloc.start()
         try:
             with _json_parse_forbidden():
@@ -1029,10 +1057,11 @@ class TestSidecar:
         assert peak < 2.0 * blocks
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-    def test_a_pipe_loads_from_its_one_read(self, tmp_path):
-        path, sidecar = _saved(tmp_path, synth_generate(SynthSpec(n_segments=20), 3))
-        sidecar.unlink()
-        expected = load_feature_bank(path)
+    @pytest.mark.parametrize("form", ["zip", "json lines"])
+    def test_a_pipe_loads_from_its_one_read(self, tmp_path, form):
+        bank = synth_generate(SynthSpec(n_segments=20), 3)
+        path = (_saved(tmp_path, bank) if form == "zip"
+                else write_bank_text(bank, tmp_path / "t.bank"))
         fifo = tmp_path / "fifo.bank"
         os.mkfifo(fifo)
         writer = subprocess.Popen([sys.executable, "-c",
@@ -1045,7 +1074,42 @@ class TestSidecar:
         finally:  # a writer left blocked on the pipe ends with the test
             writer.kill()
             writer.wait()
-        assert _same_bits(loaded, expected)
+        assert _same_bits(loaded, bank)
+
+
+# The banks whose zip and JSON-lines forms must load to the same bits: the
+# README walkthrough's (seed 7), criterion 4's (seed 42) and the benchmark's.
+_WALKTHROUGH_SPEC = SynthSpec(n_segments=400, verb_vocab=5, noun_vocab=12, pairs_per_verb=3,
+                              noise=0.25)
+_CRITERION_4_SPEC = SynthSpec(n_segments=500, mismatch=1e3, noise=0.35, amplitude_jitter=1.5,
+                              noun_in_clip=1.0)
+_ROUND_TRIP_BANKS = {
+    "walkthrough": (7, [(_WALKTHROUGH_SPEC, "train"),
+                        (dataclasses.replace(_WALKTHROUGH_SPEC, n_segments=150), "val")]),
+    "criterion-4": (42, [(_CRITERION_4_SPEC, "train"),
+                         (dataclasses.replace(_CRITERION_4_SPEC, n_segments=200), "val")]),
+    "benchmark": (933, [(BENCHMARK_SPEC, "train")]),
+}
+
+
+class TestZipAgainstJsonLines:
+    @pytest.mark.parametrize("name", _ROUND_TRIP_BANKS)
+    def test_zip_loads_the_bits_its_json_lines_parse_to(self, tmp_path, name):
+        seed, banks = _ROUND_TRIP_BANKS[name]
+        for spec, split in banks:
+            bank = synth_generate(spec, seed, split)
+            save_feature_bank(bank, tmp_path / f"{split}.bank")
+            from_zip = load_feature_bank(tmp_path / f"{split}.bank")
+            text = write_bank_text(bank, tmp_path / f"{split}.jsonl")
+            assert _same_bits(from_zip, load_feature_bank(text)), split
+
+    def test_walkthrough_spec_is_the_readme_synth(self, tmp_path):
+        from gatedfusion.cli import main
+        assert main(["synth", "--seed", "7", "--out-dir", str(tmp_path), "--train-segments",
+                     "400", "--val-segments", "150", "--verbs", "5", "--nouns", "12",
+                     "--pairs-per-verb", "3", "--noise", "0.25"]) == 0
+        save_feature_bank(synth_generate(_WALKTHROUGH_SPEC, 7, "train"), tmp_path / "lib.bank")
+        assert (tmp_path / "train.bank").read_bytes() == (tmp_path / "lib.bank").read_bytes()
 
 
 # --- one codec: rows, files and blocks -------------------------------------------
@@ -1099,7 +1163,7 @@ class TestBlockCodec:
         assert str(from_records.value) == f"record 'x': {message}"
         assert str(from_file.value) == f"{path}: line 3: record 'x': {message}"
 
-    def test_saved_text_is_pinned_and_reloads_bit_for_bit(self, tmp_path):
+    def test_json_lines_are_pinned_and_load_bit_for_bit(self, tmp_path):
         bank = FeatureBank.from_records([
             SegmentRecord("\u00e9-1", np.array([-0.0, 5e-324]), 7,
                           [Detection(6, 0.25, np.array([1.5, -2.0])),
@@ -1108,12 +1172,11 @@ class TestBlockCodec:
                           [Detection(-3, 0.0, np.array([-0.0, 5e-324]))]),
             SegmentRecord("c", np.array([0.5, -0.25]), 0, [], None, 2),
         ], dim_v=2, dim_o=2, verb_vocab_size=2, noun_vocab_size=3)
-        path, sidecar = _saved(tmp_path, bank)
+        path = write_bank_text(bank, tmp_path / "t.bank")
         assert path.read_text(encoding="utf-8") == _PINNED_BANK_TEXT
-        with _json_parse_forbidden():
-            assert_same_bank_bytes(load_feature_bank(path), bank)
-        sidecar.unlink()
         assert_same_bank_bytes(load_feature_bank(path), bank)
+        with _json_parse_forbidden():
+            assert_same_bank_bytes(load_feature_bank(_saved(tmp_path, bank)), bank)
 
     def test_load_save_and_validate_build_no_rows(self, tmp_path):
         src = _write_lines(tmp_path / "src.bank")
@@ -1121,12 +1184,11 @@ class TestBlockCodec:
                 mock.patch.object(bank_module, "SegmentRecord", side_effect=AssertionError):
             bank = load_feature_bank(src)
             bank.validate()
-            path, _ = _saved(tmp_path, bank)
-            assert_same_bank_bytes(load_feature_bank(path), bank)
+            assert_same_bank_bytes(load_feature_bank(_saved(tmp_path, bank)), bank)
 
     def test_save_peak_memory_is_below_the_blocks(self, tmp_path):
-        # Each line is written from its record's slices; converting a whole
-        # block to Python floats at once peaks near 4x the block bytes.
+        # Each member is written from its block: building the whole zip in
+        # memory first peaks near twice the block bytes.
         bank = synth_generate(dataclasses.replace(BENCHMARK_SPEC, n_segments=500), 3)
         blocks = sum(getattr(bank, name).nbytes for name in bank_module._BLOCKS)
         tracemalloc.start()

@@ -1,6 +1,8 @@
 import ast
+import contextlib
 import copy
 import inspect
+import io
 import json
 import os
 import subprocess
@@ -13,6 +15,9 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from conftest import (ZIP_DAMAGE, banks_equal, damage_zip_bank, write_bank_text,
+                      write_old_sidecar)
 
 from gatedfusion import __version__, cli, errors, scoring, training
 from gatedfusion.bank import (AggregationConfig, Detection, FeatureBank, SegmentRecord,
@@ -706,7 +711,7 @@ class TestFuzzedActionInputs:
 
 
 def tiny_eval_inputs(root):
-    """A labeled 3-record bank with detections (and its sidecar) and a
+    """A labeled 3-record bank with detections, as JSON lines, and a
     matching gfa-a noun checkpoint: the inputs of one ``eval`` run."""
     rng = np.random.default_rng(0)
     records = [SegmentRecord(segment_id=f"s{i}", clip_feature=rng.normal(size=2),
@@ -716,8 +721,8 @@ def tiny_eval_inputs(root):
                              verb_label=i % 2, noun_label=i)
                for i in range(3)]
     bank, ckpt = root / "test.bank", root / "checkpoint.json"
-    save_feature_bank(FeatureBank.from_records(records, dim_v=2, dim_o=2, verb_vocab_size=2,
-                                               noun_vocab_size=3), bank)
+    write_bank_text(FeatureBank.from_records(records, dim_v=2, dim_o=2, verb_vocab_size=2,
+                                             noun_vocab_size=3), bank)
     model = init_model("gfa-a", 2, 2, 3, scale=ScaleMode(kind="norm"),
                        rng=np.random.default_rng(1))
     save_checkpoint(Checkpoint(model=model, target="noun", dim_v=2, dim_o=2, classes=3,
@@ -778,13 +783,28 @@ _BANK_EDITS = st.lists(st.tuples(
 
 
 class TestFuzzedBanks:
-    """Corrupted bank JSON with the saved sidecar left beside it: the stale
-    sidecar must be ignored and every run must end in exit 0 or 1."""
+    """Corrupted JSON-lines and zip banks: every run ends in exit 0 or 1, and
+    a damaged zip in exit 1 naming it."""
 
     @staticmethod
     def _run_both(root, bank, ckpt):
         return (run("stats", "--bank", bank, "--out-dir", root / "stats"),
                 run("eval", "--checkpoint", ckpt, "--bank", bank, "--out-dir", root / "eval"))
+
+    @classmethod
+    def _both_fail_naming(cls, root, bank, ckpt) -> bool:
+        """``stats`` and ``eval`` both exit 1 with an error that names ``bank``."""
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            rcs = cls._run_both(root, bank, ckpt)
+        lines = err.getvalue().splitlines()
+        return rcs == (1, 1) and len(lines) == 2 and all(
+            line.startswith(f"gatedfusion: error: {bank}: ") for line in lines)
+
+    @staticmethod
+    def _zip_inputs(root):
+        bank, ckpt = tiny_eval_inputs(root)
+        save_feature_bank(load_feature_bank(bank), bank)
+        return bank, ckpt
 
     @settings(max_examples=200, deadline=None)
     @given(edits=_BANK_EDITS)
@@ -793,12 +813,45 @@ class TestFuzzedBanks:
             root = Path(tmp)
             bank, ckpt = tiny_eval_inputs(root)
             bank.write_text(_corrupt_bank(bank.read_text(), edits))
-            assert Path(f"{bank}.npz").is_file()
             rcs = self._run_both(root, bank, ckpt)
         assert set(rcs) <= {0, 1}
 
     def test_uncorrupted_inputs_pass(self, tmp_path):
         assert self._run_both(tmp_path, *tiny_eval_inputs(tmp_path)) == (0, 0)
+        (tmp_path / "zip").mkdir()
+        assert self._run_both(tmp_path, *self._zip_inputs(tmp_path / "zip")) == (0, 0)
+
+    @pytest.mark.parametrize("kind", ZIP_DAMAGE)
+    def test_damaged_zip_is_exit_one_naming_it(self, tmp_path, kind):
+        bank, ckpt = self._zip_inputs(tmp_path)
+        damage_zip_bank(bank, kind)
+        assert self._both_fail_naming(tmp_path, bank, ckpt)
+
+    def test_old_sidecar_as_the_bank_is_exit_one_naming_it(self, tmp_path):
+        bank, ckpt = tiny_eval_inputs(tmp_path)
+        sidecar = Path(f"{bank}.npz")
+        write_old_sidecar(load_feature_bank(bank), bank.read_bytes(), sidecar)
+        assert self._both_fail_naming(tmp_path, sidecar, ckpt)
+
+    @settings(max_examples=100, deadline=None)
+    @given(cut=st.none() | st.integers(0, 10**4),
+           flips=st.lists(st.tuples(st.integers(0, 10**4), st.integers(1, 255)), max_size=3))
+    def test_zip_bytes_load_whole_or_exit_one_naming_the_bank(self, cut, flips):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            bank, ckpt = self._zip_inputs(root)
+            expected = load_feature_bank(bank)
+            data = bytearray(bank.read_bytes())
+            for pos, mask in flips:
+                data[pos % len(data)] ^= mask
+            bank.write_bytes(bytes(data[:cut]))
+            try:
+                loaded = load_feature_bank(bank)
+            except ValidationError:
+                assert self._both_fail_naming(root, bank, ckpt)
+            else:
+                assert banks_equal(loaded, expected)
+                assert self._run_both(root, bank, ckpt) == (0, 0)
 
     @pytest.mark.parametrize("key", ["score", "clip_feature", "feature"])
     def test_integer_past_float_range_is_exit_one(self, tmp_path, key):

@@ -1,32 +1,29 @@
-"""``errors.write_rows``, the one writer of bank and score-table rows: its
-bytes must not depend on the number of usable CPUs, and no child process may
-outlive a save, on success or on failure."""
+"""``errors.write_rows``, the writer of score-table rows: its bytes must not
+depend on the number of usable CPUs, and no child process may outlive a
+save, on success or on failure.  ``replacing``, which banks and score tables
+are saved through, writes a pipe in place."""
 
 import dataclasses
-import hashlib
 import math
 import os
 import signal
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import reference_bank_text, reference_save_score_table
+from conftest import reference_save_score_table
 
-from gatedfusion import bank as bank_module, errors, scoring as scoring_module
-from gatedfusion.bank import SynthSpec, load_feature_bank, save_feature_bank, synth_generate
+from gatedfusion import errors, scoring as scoring_module
+from gatedfusion.bank import SynthSpec, save_feature_bank, synth_generate
 from gatedfusion.scoring import ScoreTable, load_score_table, save_score_table
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="the second CPU needs os.fork")
 
-# Benchmark-shaped: the bank of perfbench's score workload, its dense noun
-# table and its action table with a prior over 5 of 40 nouns per verb.
-_BANK_SPEC = SynthSpec(n_segments=200, dim_v=64, dim_o=64, verb_vocab=20, noun_vocab=40,
-                       pairs_per_verb=5)
+# Benchmark-shaped: the dense noun table of perfbench's score workload and
+# its action table with a prior over 5 of 40 nouns per verb.
 _ROWS, _VERBS, _NOUNS, _LIVE_NOUNS = 2000, 20, 40, 5
 
 
@@ -38,11 +35,6 @@ def _same_affinity_after():
     yield
     if affinity is not None:
         os.sched_setaffinity(0, affinity)
-
-
-@pytest.fixture(scope="module")
-def full_bank():
-    return synth_generate(_BANK_SPEC, 3)
 
 
 @pytest.fixture(scope="module")
@@ -59,32 +51,20 @@ def full_tables():
     return {"dense": dense, "sparse": sparse}
 
 
-def _bank_head(bank, n):
-    """The bank of the first ``n`` records."""
-    d = int(bank.counts[:n].sum())
-    return dataclasses.replace(
-        bank, ids=bank.ids[:n], clip=bank.clip[:n], centers=bank.centers[:n],
-        labels=bank.labels[:n], counts=bank.counts[:n], frames=bank.frames[:d],
-        scores=bank.scores[:d], features=bank.features[:d])
-
-
 def _table_head(table, n):
     return dataclasses.replace(table, segment_ids=table.segment_ids[:n], scores=table.scores[:n])
 
 
-def _reference_text(kind, data, tmp_path):
-    if kind == "bank":
-        return reference_bank_text(data)
+def _reference_text(table, tmp_path):
     path = tmp_path / "reference.txt"
-    reference_save_score_table(data, path)
+    reference_save_score_table(table, path)
     return path.read_bytes()
 
 
-def _fork_threshold(kind, full, tmp_path):
+def _fork_threshold(full, tmp_path):
     """The fewest rows that fork: more rows than the 64-row probe, whose
     bytes predict at least ``FORK_BYTES`` in all."""
-    head = _bank_head if kind == "bank" else _table_head
-    probe = _reference_text(kind, head(full, 64), tmp_path).split(b"\n", 1)[1]
+    probe = _reference_text(_table_head(full, 64), tmp_path).split(b"\n", 1)[1]
     return max(65, math.ceil(errors.FORK_BYTES * 64 / len(probe)))
 
 
@@ -121,30 +101,23 @@ def _assert_no_child():
 
 
 class TestBytesDoNotDependOnTheCpuCount:
-    @pytest.mark.parametrize("kind", ["bank", "dense", "sparse"])
-    def test_one_and_two_cpus_write_the_reference_bytes(self, kind, full_bank, full_tables,
-                                                        forks, tmp_path):
-        full = full_bank if kind == "bank" else full_tables[kind]
-        head = _bank_head if kind == "bank" else _table_head
-        save = save_feature_bank if kind == "bank" else save_score_table
-        at = _fork_threshold(kind, full, tmp_path)
-        above = len(full.ids) if kind == "bank" else (_ROWS if kind == "dense" else 400)
+    @pytest.mark.parametrize("kind", ["dense", "sparse"])
+    def test_one_and_two_cpus_write_the_reference_bytes(self, kind, full_tables, forks,
+                                                        tmp_path):
+        full = full_tables[kind]
+        at = _fork_threshold(full, tmp_path)
+        above = _ROWS if kind == "dense" else 400
         assert at < above
         fds = _open_fds()
         for n in (0, 1, at - 1, at, above):
-            data = head(full, n)
-            reference = _reference_text(kind, data, tmp_path)
+            data = _table_head(full, n)
+            reference = _reference_text(data, tmp_path)
             for cpus in (1, 2):
                 forks.cpus(cpus)
                 path = tmp_path / f"{n}-{cpus}.out"
-                save(data, path)
+                save_score_table(data, path)
                 assert forks.calls == (cpus == 2 and n >= at), (n, cpus)
                 assert path.read_bytes() == reference, (n, cpus)
-                if kind == "bank":  # the sidecar is tagged with the digest of those bytes
-                    expected = tmp_path / "expected.npz"
-                    bank_module._write_sidecar(data, hashlib.sha256(reference).digest(),
-                                               expected)
-                    assert Path(f"{path}.npz").read_bytes() == expected.read_bytes()
         _assert_no_child()
         assert _open_fds() == fds
 
@@ -157,83 +130,82 @@ class TestBytesDoNotDependOnTheCpuCount:
         table = full_tables["sparse"]
         fds = _open_fds()
         save_score_table(table, tmp_path / "t.txt")
-        assert (tmp_path / "t.txt").read_bytes() == _reference_text("sparse", table, tmp_path)
+        assert (tmp_path / "t.txt").read_bytes() == _reference_text(table, tmp_path)
         assert _open_fds() == fds
 
 
 class TestNoProcessOutlivesASave:
     """A failed save raises, leaves no child, no leaked descriptor and no
-    temporary file, and leaves the old file: a bank saved earlier still
-    loads to its old blocks, and where there was none, there is none."""
+    temporary file, and leaves the old file: a table saved earlier still
+    loads to its old scores, and where there was none, there is none."""
 
     @pytest.fixture
-    def bank(self, full_bank, monkeypatch):
+    def table(self, full_tables, monkeypatch):
         monkeypatch.setattr(errors, "_usable_cpus", lambda: {0, 1})
-        return full_bank  # 200 records: the child formats records 100 to 199
-
-    def _plant(self, monkeypatch, fault):
-        real = bank_module._record_lines
-
-        def planted(bank, starts, lo, hi):
-            fault(lo)
-            return real(bank, starts, lo, hi)
-
-        monkeypatch.setattr(bank_module, "_record_lines", planted)
+        return full_tables["dense"]  # 2000 rows: the child formats rows 1000 to 1999
 
     @staticmethod
-    def _save_old(save, old, name, tmp_path):
-        """``save(old, path)`` at ``old/<name>`` under ``tmp_path``, next to an
-        empty ``none`` directory, before any fault is planted; returns that
-        path."""
+    def _plant(monkeypatch, fault):
+        """Run ``fault(lo)`` before ``save_score_table`` formats rows from ``lo``."""
+        real = scoring_module.write_rows
+
+        def planted(fh, format_rows, n):
+            def faulty(lo, hi):
+                fault(lo)
+                return format_rows(lo, hi)
+
+            real(fh, faulty, n)
+
+        monkeypatch.setattr(scoring_module, "write_rows", planted)
+
+    @staticmethod
+    def _save_old(old, tmp_path):
+        """Save ``old`` at ``old/t.txt`` under ``tmp_path``, next to an empty
+        ``none`` directory, before any fault is planted; returns that path."""
         (tmp_path / "none").mkdir()
         (tmp_path / "old").mkdir()
-        save(old, tmp_path / "old" / name)
-        return tmp_path / "old" / name
+        save_score_table(old, tmp_path / "old" / "t.txt")
+        return tmp_path / "old" / "t.txt"
 
     @staticmethod
-    def _fail_over_old_and_none(save, raises, name, tmp_path):
-        """Run ``save(path)`` under ``raises`` at ``name`` in the directory
+    def _fail_over_old_and_none(save, raises, tmp_path):
+        """Run ``save(path)`` under ``raises`` at ``t.txt`` in the directory
         holding the old file and in the empty one: each failure leaves every
         file as it was, and no other."""
         files = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
         for where in ("old", "none"):
             fds = _open_fds()
             with raises():
-                save(tmp_path / where / name)
+                save(tmp_path / where / "t.txt")
             _assert_no_child()
             assert _open_fds() == fds
         assert {path: path.read_bytes() for path in tmp_path.rglob("*")
                 if path.is_file()} == files  # no temporary file is left either
 
-    @staticmethod
-    def _assert_loads_to(path, old):
-        loaded = load_feature_bank(path)
-        assert loaded.ids == old.ids
-        for block in bank_module._BLOCKS:
-            assert getattr(loaded, block).tobytes() == getattr(old, block).tobytes()
-
-    def test_a_fault_in_the_child_is_raised_here(self, bank, monkeypatch, tmp_path):
+    def test_a_fault_in_a_score_table_row_leaves_the_old_table(self, table, monkeypatch,
+                                                               tmp_path):
         def fault(lo):
-            if lo >= 100:
+            if lo >= _ROWS // 2:
                 raise RuntimeError("planted fault")
 
-        old = _bank_head(bank, 100)
-        kept = self._save_old(save_feature_bank, old, "b.bank", tmp_path)
+        old = _table_head(table, 100)
+        kept = self._save_old(old, tmp_path)
         self._plant(monkeypatch, fault)
         self._fail_over_old_and_none(
-            lambda path: save_feature_bank(bank, path),
-            lambda: pytest.raises(OSError, match="rows 100 to 200 failed"), "b.bank", tmp_path)
-        self._assert_loads_to(kept, old)
+            lambda path: save_score_table(table, path),
+            lambda: pytest.raises(OSError, match=f"rows {_ROWS // 2} to {_ROWS} failed"),
+            tmp_path)
+        assert load_score_table(kept).scores.tobytes() == old.scores.tobytes()
 
-    def test_a_fault_here_kills_and_reaps_the_child(self, bank, monkeypatch, tmp_path):
+    def test_a_fault_here_kills_and_reaps_the_child(self, table, monkeypatch, tmp_path):
         def fault(lo):
-            if lo >= 100:
+            if lo >= _ROWS // 2:
                 time.sleep(60)  # a child left running would hold the save this long
             elif lo >= 64:  # the first chunk after the fork
                 raise RuntimeError("planted fault")
 
-        old = _bank_head(bank, 100)
-        kept = self._save_old(save_feature_bank, old, "b.bank", tmp_path)
+        old = _table_head(table, 100)
+        kept = self._save_old(old, tmp_path)
         self._plant(monkeypatch, fault)
         real_kill, kills = os.kill, []
 
@@ -243,36 +215,13 @@ class TestNoProcessOutlivesASave:
 
         def save(path):
             start = time.monotonic()
-            save_feature_bank(bank, path)
+            save_score_table(table, path)
             assert time.monotonic() - start < 30
 
         monkeypatch.setattr(os, "kill", spy_kill)
         self._fail_over_old_and_none(
-            save, lambda: pytest.raises(RuntimeError, match="planted fault"), "b.bank", tmp_path)
+            save, lambda: pytest.raises(RuntimeError, match="planted fault"), tmp_path)
         assert kills == [signal.SIGKILL] * 2
-        self._assert_loads_to(kept, old)
-
-    def test_a_fault_in_a_score_table_row_leaves_the_old_table(self, full_tables, monkeypatch,
-                                                               tmp_path):
-        monkeypatch.setattr(errors, "_usable_cpus", lambda: {0, 1})
-        table = full_tables["dense"]  # 2000 rows: the child formats rows 1000 to 1999
-        old = _table_head(table, 100)
-        kept = self._save_old(save_score_table, old, "t.txt", tmp_path)
-        real = scoring_module.write_rows
-
-        def planted(fh, format_rows, n, digest=None):
-            def faulty(lo, hi):
-                if lo >= n // 2:
-                    raise RuntimeError("planted fault")
-                return format_rows(lo, hi)
-
-            real(fh, faulty, n, digest)
-
-        monkeypatch.setattr(scoring_module, "write_rows", planted)
-        self._fail_over_old_and_none(
-            lambda path: save_score_table(table, path),
-            lambda: pytest.raises(OSError, match=f"rows {_ROWS // 2} to {_ROWS} failed"),
-            "t.txt", tmp_path)
         assert load_score_table(kept).scores.tobytes() == old.scores.tobytes()
 
 
@@ -293,6 +242,26 @@ class TestSaveTargets:
             reader.wait()
         assert out.read_bytes() == (tmp_path / "t.txt").read_bytes()
         assert sorted(path.name for path in tmp_path.iterdir()) == ["out.txt", "t.fifo", "t.txt"]
+
+    def test_a_bank_saved_to_a_pipe_has_the_file_s_bytes(self, tmp_path):
+        # zipfile adds data descriptors on a handle that cannot seek: the
+        # bank is built in memory first, so the pipe gets the file's bytes.
+        bank = synth_generate(SynthSpec(n_segments=20), 3)
+        save_feature_bank(bank, tmp_path / "b.bank")
+        fifo, out = tmp_path / "b.fifo", tmp_path / "out.bank"
+        os.mkfifo(fifo)
+        reader = subprocess.Popen([sys.executable, "-c",
+                                   "import sys; open(sys.argv[2], 'wb').write("
+                                   "open(sys.argv[1], 'rb').read())", str(fifo), str(out)])
+        try:
+            save_feature_bank(bank, fifo)
+            assert reader.wait(timeout=60) == 0
+        finally:  # a reader left blocked on the pipe ends with the test
+            reader.kill()
+            reader.wait()
+        assert out.read_bytes() == (tmp_path / "b.bank").read_bytes()
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["b.bank", "b.fifo",
+                                                                    "out.bank"]
 
     def test_a_symlink_keeps_naming_the_saved_file(self, full_tables, tmp_path):
         table = _table_head(full_tables["dense"], 10)
