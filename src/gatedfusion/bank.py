@@ -22,9 +22,10 @@ tests keep the record-by-record chain as its reference.
 
 A bank file is a zip of the blocks, one stored ``.npy`` member each, with
 the header ints and the ids as UTF-8 lines; ``save_feature_bank`` writes
-it byte-identically for equal banks, and the loader takes exactly that
-layout.  Line-delimited JSON is accepted as input: a header line declaring
-the feature dims and vocabulary sizes, then one record object per line.
+it byte-identically for equal banks, whole or not at all, and the loader
+takes exactly that layout.  Line-delimited JSON is accepted as input: a
+header line declaring the feature dims and vocabulary sizes, then one
+record object per line.
 """
 
 from __future__ import annotations
@@ -378,47 +379,36 @@ _ZIP_DTYPES = {**_BLOCK_DTYPES, "header": np.dtype(np.int64), "detections": np.d
 _ZIP_MAGIC = b"PK\x03\x04"
 _ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
 # What zipfile and numpy raise on a zip that is truncated or corrupted (CRC,
-# headers, unsupported or encrypted members), on a member that holds pickled
-# objects or declares an array too large to allocate, and, as an error, the
-# warning numpy gives when it repairs a member header (a damaged one here).
+# headers, unsupported or encrypted members, an offset that seeks before the
+# start of the file), on a member that holds pickled objects or declares an
+# array too large to allocate, and, as an error, the warning numpy gives when
+# it repairs a member header (a damaged one here).
 _ZIP_READ_ERRORS = (EOFError, ValueError, RuntimeError, NotImplementedError, MemoryError,
-                    zipfile.BadZipFile, UserWarning)
+                    OSError, zipfile.BadZipFile, UserWarning)
 
 
-def _write_zip(bank: FeatureBank, fh) -> None:
-    """The bank as ``_ZIP_MEMBERS`` in the ``np.savez`` layout, with fixed
-    member timestamps, so equal banks give equal bytes."""
+def save_feature_bank(bank: FeatureBank, path) -> None:
+    """Validate ``bank`` and write it to ``path`` through ``errors.replacing``
+    as one zip: ``_ZIP_MEMBERS`` in the ``np.savez`` layout, with fixed member
+    timestamps, so equal banks give equal bytes and a failed save leaves the
+    old file."""
+    bank.validate()
     ids = "".join(seg_id + "\n" for seg_id in bank.ids).encode("utf-8")
     members = {name: getattr(bank, name) for name in _BLOCKS}
     members.update(header=np.array([getattr(bank, k) for k in _HEADER_KEYS], dtype=np.int64),
                    detections=bank.counts, ids=np.frombuffer(ids, dtype=np.uint8))
-    with zipfile.ZipFile(fh, "w") as zf:
+    with replacing(path) as fh, zipfile.ZipFile(fh, "w") as zf:
         for name in _ZIP_MEMBERS:
             info = zipfile.ZipInfo(name + ".npy", date_time=_ZIP_EPOCH)
             with zf.open(info, "w", force_zip64=True) as member:
                 np.lib.format.write_array(member, members[name], allow_pickle=False)
 
 
-def save_feature_bank(bank: FeatureBank, path) -> None:
-    """Validate ``bank`` and write it to ``path`` as one zip (``_write_zip``)
-    through ``errors.replacing``, so a failed save leaves the old file.  A
-    target that cannot seek (a pipe) gets the zip built in memory first:
-    zipfile would add data descriptors there, and the bytes would differ."""
-    bank.validate()
-    with replacing(path) as fh:
-        if fh.seekable():
-            _write_zip(bank, fh)
-        else:
-            buf = io.BytesIO()
-            _write_zip(bank, buf)
-            fh.write(buf.getvalue())
-
-
 def _load_zip(path, fh) -> FeatureBank:
     """The bank in the zip ``fh`` read from ``path``: exactly the members
-    ``_write_zip`` writes, stored, each an array of its dtype with no byte
-    after it, whose blocks validate.  Any fault is a ValidationError naming
-    the file."""
+    ``save_feature_bank`` writes, stored, each an array of its dtype with no
+    byte after it, whose blocks validate.  Any fault is a ValidationError
+    naming the file."""
     try:
         with warnings.catch_warnings(), zipfile.ZipFile(fh) as zf:
             warnings.simplefilter("error", UserWarning)

@@ -3,11 +3,13 @@ loader uses, the strict JSON encoder every writer uses, ``parse_json``, the
 one JSON decoder every reader uses, the one codec of the JSON documents
 (checkpoints, manifests, reports, histories and stats): ``write_json`` and
 ``read_json``, ``write_rows``, the writer of score-table rows, and
-``replacing``, the file a bank or score table is saved through so that a
-failed save leaves the old file."""
+``replacing``, which a bank or score table is saved through so that it
+reaches any target whole or not at all: the one place that asks whether a
+save target is a regular file."""
 
 import contextlib
 import gc
+import io
 import json
 import os
 import signal
@@ -23,18 +25,20 @@ class ValidationError(ValueError):
 
 
 def read_text(path, data: bytes | None = None) -> str:
-    """The UTF-8 text of the file at ``path``, read in text mode, or of
-    ``data`` when its bytes are already read, with text mode's universal
-    newlines either way: CRLF and a lone CR become LF, the one line end every
-    reader splits at.  Bytes that are not UTF-8 are a ValidationError naming
-    the file."""
+    """The UTF-8 text of ``data``, or of the file at ``path`` read whole when
+    ``data`` is None, with CRLF and a lone CR turned into LF, the one line
+    end every reader splits at.  Bytes that are not UTF-8 are a
+    ValidationError naming the file."""
+    if data is None:
+        with open(path, "rb") as fh:
+            data = fh.read()
     try:
-        if data is None:
-            with open(path, "r", encoding="utf-8") as fh:
-                return fh.read()
-        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8: {exc}") from None
+    if "\r" in text:  # most files hold none: skip two passes over the text
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def strict_json(obj, **kwargs) -> str:
@@ -79,22 +83,26 @@ def read_json(path, fmt: str) -> dict:
 
 @contextlib.contextmanager
 def replacing(path):
-    """A new binary file that takes ``path``'s place only when the ``with``
-    block completes.  It is written under a temporary name in the same
-    directory and renamed into place once closed, so on any error the
-    temporary file is removed and the old file, or none, is left.  A
-    ``path`` that exists and is not a regular file (``/dev/stdout``, a FIFO)
-    is written in place."""
+    """A new binary file that reaches ``path`` whole or not at all.  A regular
+    file (or none) is written under a temporary name in the same directory and
+    renamed into place once the ``with`` block completes, so a failed save
+    leaves the old file, or none.  Any other ``path`` (``/dev/stdout``, a FIFO)
+    is opened first, so a FIFO waits for its reader and a directory fails at
+    once, and gets the bytes, held in memory, once the block completes.  Every
+    handle yielded can seek."""
     try:
         regular = stat.S_ISREG(os.stat(path).st_mode)
     except FileNotFoundError:
         regular = True
     if not regular:
         with open(path, "wb") as fh:
-            yield fh
+            buf = io.BytesIO()
+            yield buf
+            fh.write(buf.getbuffer())
         return
     target = os.path.realpath(path)  # a symlink keeps naming the saved file
-    tmp = f"{target}.{os.urandom(6).hex()}.tmp"
+    # A temporary name of fixed length: any name the directory holds can be saved.
+    tmp = os.path.join(os.path.dirname(target), f".{os.urandom(6).hex()}.tmp")
     fh = open(tmp, "xb")  # an existing file of that name is not ours to remove
     try:
         with fh:

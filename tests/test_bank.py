@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gatedfusion import bank as bank_module
 from gatedfusion.bank import (AggregationConfig, Detection, FeatureBank,
@@ -316,6 +316,24 @@ class TestLoader:
         path = tmp_path / "t.txt"
         path.write_bytes("a\r\nb\rc\n\r\r\nd\r\r\x85e\r".encode("utf-8"))
         assert read_text(path, path.read_bytes()) == read_text(path) == "a\nb\nc\n\n\nd\n\n\x85e\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=st.lists(st.sampled_from(["a", "\r", "\n", "\r\n", "\x85", "\u2028", "é"]))
+           .map("".join))
+    def test_read_text_decodes_as_text_mode_does(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.txt"
+            path.write_bytes(text.encode("utf-8"))
+            with open(path, encoding="utf-8") as fh:
+                want = fh.read()
+            assert read_text(path) == read_text(path, path.read_bytes()) == want
+
+    def test_bytes_that_are_not_utf8_name_the_file(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"a\r\nb\xff\n")
+        for data in (None, path.read_bytes()):
+            with pytest.raises(ValidationError, match=re.escape(f"{path}: not UTF-8: ")):
+                read_text(path, data)
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "empty.bank"
@@ -981,6 +999,7 @@ class TestBankZip:
     @settings(max_examples=150, deadline=None)
     @given(cut=st.none() | st.integers(0, 10**6),
            flips=st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 255)), max_size=3))
+    @example(cut=None, flips=[(242494, 1)])  # the central directory's offset: a bare OSError
     def test_damaged_zip_bytes_load_whole_or_fail_naming_the_file(self, cut, flips):
         with tempfile.TemporaryDirectory() as tmp:
             path = _saved(Path(tmp))
@@ -996,6 +1015,45 @@ class TestBankZip:
             else:  # only bytes the loader never reads were flipped
                 assert cut is None or cut >= len(data)
                 assert _same_bits(loaded, expected)
+
+    def test_each_flip_of_the_last_bytes_loads_whole_or_fails_naming_the_file(self, tmp_path):
+        # The end-of-central-directory records: a flipped offset there makes
+        # zipfile seek before the start of the file.
+        path = _saved(tmp_path)
+        expected, data = load_feature_bank(path), path.read_bytes()
+        for pos in range(len(data) - 64, len(data)):
+            for mask in (1, 64, 128, 255):
+                flipped = bytearray(data)
+                flipped[pos] ^= mask
+                path.write_bytes(bytes(flipped))
+                try:
+                    loaded = load_feature_bank(path)
+                except ValidationError as exc:
+                    assert str(exc).startswith(f"{path}: "), (pos, mask)
+                else:
+                    assert _same_bits(loaded, expected), (pos, mask)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_flipped_central_directory_offset_through_a_pipe_names_it(self, tmp_path):
+        # The offset is the 4 bytes that end 2 before the file does.
+        path = _saved(tmp_path)
+        flipped = bytearray(path.read_bytes())
+        flipped[-6] ^= 1
+        path.write_bytes(bytes(flipped))
+        fifo = tmp_path / "fifo.bank"
+        os.mkfifo(fifo)
+        writer = subprocess.Popen([sys.executable, "-c",
+                                   "import sys; open(sys.argv[2], 'wb').write("
+                                   "open(sys.argv[1], 'rb').read())",
+                                   str(path), str(fifo)])
+        try:
+            with pytest.raises(ValidationError) as exc:
+                load_feature_bank(fifo)
+            assert writer.wait(timeout=60) == 0
+        finally:  # a writer left blocked on the pipe ends with the test
+            writer.kill()
+            writer.wait()
+        assert str(exc.value).startswith(f"{fifo}: not a readable bank zip: ")
 
     @pytest.mark.parametrize("ids", ["utf-8 lines", "utf-32 with lengths"])
     def test_old_sidecar_passed_as_the_bank_is_a_fault_naming_the_file(self, tmp_path, ids):

@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (ZIP_DAMAGE, banks_equal, damage_zip_bank, write_bank_text,
                       write_old_sidecar)
@@ -836,6 +836,7 @@ class TestFuzzedBanks:
     @settings(max_examples=100, deadline=None)
     @given(cut=st.none() | st.integers(0, 10**4),
            flips=st.lists(st.tuples(st.integers(0, 10**4), st.integers(1, 255)), max_size=3))
+    @example(cut=None, flips=[(2594, 1)])  # the central directory's offset: a bare OSError
     def test_zip_bytes_load_whole_or_exit_one_naming_the_bank(self, cut, flips):
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)

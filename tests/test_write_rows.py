@@ -1,9 +1,11 @@
 """``errors.write_rows``, the writer of score-table rows: its bytes must not
 depend on the number of usable CPUs, and no child process may outlive a
 save, on success or on failure.  ``replacing``, which banks and score tables
-are saved through, writes a pipe in place."""
+are saved through, delivers the whole file or no bytes to every target: a
+regular file of any name the directory holds, a symlink or a pipe."""
 
 import dataclasses
+import itertools
 import math
 import os
 import signal
@@ -98,6 +100,40 @@ def _open_fds():
 def _assert_no_child():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _pipe_save(tmp_path, save):
+    """Run ``save(fifo)`` on a new FIFO that a reader process copies to a
+    file; return the exception the save raised, or None, and the bytes the
+    reader got."""
+    fifo, out = tmp_path / "save.fifo", tmp_path / "out"
+    os.mkfifo(fifo)
+    reader = subprocess.Popen([sys.executable, "-c",
+                               "import sys; open(sys.argv[2], 'wb').write("
+                               "open(sys.argv[1], 'rb').read())", str(fifo), str(out)])
+    raised = None
+    try:
+        try:
+            save(fifo)
+        except Exception as exc:
+            raised = exc
+        assert reader.wait(timeout=60) == 0
+    finally:  # a reader left blocked on the pipe ends with the test
+        reader.kill()
+        reader.wait()
+    return raised, out.read_bytes()
+
+
+def _fail_fifth_member(monkeypatch):
+    """Make a bank save raise "planted fault" as it writes its fifth member."""
+    real, calls = np.lib.format.write_array, itertools.count(1)
+
+    def write_array(*args, **kwargs):
+        if next(calls) == 5:
+            raise RuntimeError("planted fault")
+        real(*args, **kwargs)
+
+    monkeypatch.setattr(np.lib.format, "write_array", write_array)
 
 
 class TestBytesDoNotDependOnTheCpuCount:
@@ -225,6 +261,20 @@ class TestNoProcessOutlivesASave:
         assert load_score_table(kept).scores.tobytes() == old.scores.tobytes()
 
 
+    def test_a_fault_in_a_row_sends_no_byte_down_a_pipe(self, table, monkeypatch, tmp_path):
+        # Written in place, the pipe got the first 1000 rows: a table that loads.
+        def fault(lo):
+            if lo >= _ROWS // 2:
+                raise RuntimeError("planted fault")
+
+        self._plant(monkeypatch, fault)
+        raised, got = _pipe_save(tmp_path, lambda fifo: save_score_table(table, fifo))
+        assert isinstance(raised, OSError)
+        assert f"rows {_ROWS // 2} to {_ROWS} failed" in str(raised)
+        assert got == b""
+        _assert_no_child()
+
+
 class TestSaveTargets:
     def test_a_pipe_is_written_in_place(self, full_tables, tmp_path):
         table = _table_head(full_tables["dense"], 100)
@@ -262,6 +312,50 @@ class TestSaveTargets:
         assert out.read_bytes() == (tmp_path / "b.bank").read_bytes()
         assert sorted(path.name for path in tmp_path.iterdir()) == ["b.bank", "b.fifo",
                                                                     "out.bank"]
+
+    def test_a_failed_bank_save_sends_no_byte_down_a_pipe(self, monkeypatch, tmp_path):
+        bank = synth_generate(SynthSpec(n_segments=20), 3)
+        _fail_fifth_member(monkeypatch)
+        raised, got = _pipe_save(tmp_path, lambda fifo: save_feature_bank(bank, fifo))
+        assert str(raised) == "planted fault" and got == b""
+
+    @pytest.mark.parametrize("name", ["n" * 255, "\u20ac" * 84],
+                             ids=["255 ASCII bytes", "84 three-byte characters"])
+    @pytest.mark.parametrize("kind", ["score table", "bank"])
+    def test_a_name_the_directory_holds_saves(self, kind, name, full_tables, monkeypatch,
+                                              tmp_path):
+        assert len(name.encode("utf-8")) in (252, 255)
+        if kind == "bank":
+            bank = synth_generate(SynthSpec(n_segments=20), 3)
+
+            def save(path):
+                save_feature_bank(bank, path)
+
+            def plant():
+                _fail_fifth_member(monkeypatch)
+        else:
+            table = _table_head(full_tables["dense"], 100)
+
+            def save(path):
+                save_score_table(table, path)
+
+            def failing_rows(fh, format_rows, n):
+                fh.write(format_rows(0, 1))
+                raise RuntimeError("planted fault")
+
+            def plant():
+                monkeypatch.setattr(scoring_module, "write_rows", failing_rows)
+        (tmp_path / "short").mkdir()
+        (tmp_path / "long").mkdir()
+        save(tmp_path / "short" / "s")
+        want = (tmp_path / "short" / "s").read_bytes()
+        path = tmp_path / "long" / name
+        save(path)
+        assert path.read_bytes() == want and os.listdir(tmp_path / "long") == [name]
+        plant()
+        with pytest.raises(RuntimeError, match="planted fault"):
+            save(path)
+        assert path.read_bytes() == want and os.listdir(tmp_path / "long") == [name]
 
     def test_a_symlink_keeps_naming_the_saved_file(self, full_tables, tmp_path):
         table = _table_head(full_tables["dense"], 10)
