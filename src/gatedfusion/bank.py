@@ -21,11 +21,12 @@ the cells, and each row is sorted and its top K pooled rank by rank.  The
 tests keep the record-by-record chain as its reference.
 
 A bank file is a zip of the blocks, one stored ``.npy`` member each, with
-the header ints and the ids as UTF-8 lines; ``save_feature_bank`` writes
-it byte-identically for equal banks, whole or not at all, and the loader
-takes exactly that layout.  Line-delimited JSON is accepted as input: a
-header line declaring the feature dims and vocabulary sizes, then one
-record object per line.
+the header ints and the ids as UTF-8 lines, written and read by the zip
+codec in ``errors`` that action tables share: ``save_feature_bank``
+writes it byte-identically for equal banks, whole or not at all, and the
+loader takes exactly that layout.  Line-delimited JSON is accepted as
+input: a header line declaring the feature dims and vocabulary sizes,
+then one record object per line.
 """
 
 from __future__ import annotations
@@ -36,14 +37,12 @@ import math
 import os
 import re
 import stat
-import warnings
-import zipfile
 import zlib
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ValidationError, parse_json, read_text, replacing
+from .errors import _ZIP_MAGIC, ValidationError, _read_zip, _write_zip, parse_json, read_text
 from .tensor import l2_norm
 
 __all__ = [
@@ -369,77 +368,29 @@ def bank_features(bank: FeatureBank, cfg: AggregationConfig) -> tuple[np.ndarray
 # --- file format --------------------------------------------------------------
 
 
-# A bank file is a zip of one stored ``<name>.npy`` member per name, in this
-# order.  "header" holds the header ints, "detections" the counts block and
-# "ids" the UTF-8 bytes of each id followed by "\n", which no id holds.
-_ZIP_MEMBERS = ("header", "clip", "features", "frames", "scores", "detections", "centers",
-                "labels", "ids")
-_ZIP_DTYPES = {**_BLOCK_DTYPES, "header": np.dtype(np.int64), "detections": np.dtype(np.int64),
-               "ids": np.dtype(np.uint8)}
-_ZIP_MAGIC = b"PK\x03\x04"
-_ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
-# What zipfile and numpy raise on a zip that is truncated or corrupted (CRC,
-# headers, unsupported or encrypted members, an offset that seeks before the
-# start of the file), on a member that holds pickled objects or declares an
-# array too large to allocate, and, as an error, the warning numpy gives when
-# it repairs a member header (a damaged one here).
-_ZIP_READ_ERRORS = (EOFError, ValueError, RuntimeError, NotImplementedError, MemoryError,
-                    OSError, zipfile.BadZipFile, UserWarning)
+# A bank file is a zip of ``errors._write_zip``: the header ints, then one
+# member per block in this order, named as here ("detections" holds the
+# counts block), then the ids.
+_ZIP_BLOCKS = {"clip": "clip", "features": "features", "frames": "frames", "scores": "scores",
+               "detections": "counts", "centers": "centers", "labels": "labels"}
+_ZIP_DTYPES = {name: _BLOCK_DTYPES[block] for name, block in _ZIP_BLOCKS.items()}
 
 
 def save_feature_bank(bank: FeatureBank, path) -> None:
     """Validate ``bank`` and write it to ``path`` through ``errors.replacing``
-    as one zip: ``_ZIP_MEMBERS`` in the ``np.savez`` layout, with fixed member
-    timestamps, so equal banks give equal bytes and a failed save leaves the
-    old file."""
+    as one zip: the header ints, ``_ZIP_BLOCKS`` and the ids in the
+    ``np.savez`` layout, with fixed member timestamps, so equal banks give
+    equal bytes and a failed save leaves the old file."""
     bank.validate()
-    ids = "".join(seg_id + "\n" for seg_id in bank.ids).encode("utf-8")
-    members = {name: getattr(bank, name) for name in _BLOCKS}
-    members.update(header=np.array([getattr(bank, k) for k in _HEADER_KEYS], dtype=np.int64),
-                   detections=bank.counts, ids=np.frombuffer(ids, dtype=np.uint8))
-    with replacing(path) as fh, zipfile.ZipFile(fh, "w") as zf:
-        for name in _ZIP_MEMBERS:
-            info = zipfile.ZipInfo(name + ".npy", date_time=_ZIP_EPOCH)
-            with zf.open(info, "w", force_zip64=True) as member:
-                np.lib.format.write_array(member, members[name], allow_pickle=False)
+    _write_zip(path, [getattr(bank, k) for k in _HEADER_KEYS],
+               {name: getattr(bank, block) for name, block in _ZIP_BLOCKS.items()}, bank.ids)
 
 
-def _load_zip(path, fh) -> FeatureBank:
-    """The bank in the zip ``fh`` read from ``path``: exactly the members
-    ``save_feature_bank`` writes, stored, each an array of its dtype with no
-    byte after it, whose blocks validate.  Any fault is a ValidationError
-    naming the file."""
-    try:
-        with warnings.catch_warnings(), zipfile.ZipFile(fh) as zf:
-            warnings.simplefilter("error", UserWarning)
-            want = [name + ".npy" for name in _ZIP_MEMBERS]
-            if zf.namelist() != want:
-                raise ValidationError(f"bank members are {zf.namelist()}, not {want}")
-            members = {}
-            for name, info in zip(_ZIP_MEMBERS, zf.infolist()):
-                if info.compress_type != zipfile.ZIP_STORED:
-                    raise ValidationError(f"bank member {info.filename} is compressed")
-                with zf.open(info) as member:
-                    members[name] = np.lib.format.read_array(member, allow_pickle=False)
-                    if member.read(1):
-                        raise ValidationError(f"bank member {info.filename} has bytes "
-                                              f"after its array")
-                if members[name].dtype != _ZIP_DTYPES[name]:
-                    raise ValidationError(f"bank member {info.filename} must be an array of "
-                                          f"{_ZIP_DTYPES[name]}, got {members[name].dtype}")
-        if members["header"].shape != (len(_HEADER_KEYS),) or members["ids"].ndim != 1:
-            raise ValidationError("bank header or ids member is not flat")
-        ids = members["ids"].tobytes().decode("utf-8").split("\n")
-        if ids.pop():
-            raise ValidationError("bank ids member does not end with a newline")
-        members["counts"] = members["detections"]
-        bank = FeatureBank(**dict(zip(_HEADER_KEYS, members["header"].tolist())), ids=ids,
-                           **{name: members[name] for name in _BLOCKS})
-        bank.validate()
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
-    except _ZIP_READ_ERRORS as exc:  # UnicodeDecodeError is a ValueError
-        raise ValidationError(f"{path}: not a readable bank zip: {exc}") from None
+def _bank_of(header: list[int], blocks: dict, ids: list[str]) -> FeatureBank:
+    """The bank that the members of a bank zip hold, once its blocks validate."""
+    bank = FeatureBank(**dict(zip(_HEADER_KEYS, header)), ids=ids,
+                       **{block: blocks[name] for name, block in _ZIP_BLOCKS.items()})
+    bank.validate()
     bank.clip.flags.writeable = bank.features.flags.writeable = False  # as from_records
     return bank
 
@@ -452,7 +403,7 @@ def load_feature_bank(path) -> FeatureBank:
     with open(path, "rb") as fh:
         src = fh if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) else io.BytesIO(fh.read())
         if src.read(len(_ZIP_MAGIC)) == _ZIP_MAGIC:
-            return _load_zip(path, src)
+            return _read_zip(path, src, "bank", len(_HEADER_KEYS), _ZIP_DTYPES, _bank_of)
         src.seek(0)
         data = src.read()
     return _parse_bank(path, data)

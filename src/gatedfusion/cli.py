@@ -242,7 +242,7 @@ def _cmd_actions(cfg: dict, out: Path):
     if prior.counts is not None:
         report["prior"] = prior_stats(prior)
 
-    table_path = out / "action_scores.txt"
+    table_path = out / "action_scores.npz"
     save_score_table(action_table, table_path)
     report_path = out / "action_report.json"
     write_json(report, report_path)

@@ -2,10 +2,12 @@
 loader uses, the strict JSON encoder every writer uses, ``parse_json``, the
 one JSON decoder every reader uses, the one codec of the JSON documents
 (checkpoints, manifests, reports, histories and stats): ``write_json`` and
-``read_json``, ``write_rows``, the writer of score-table rows, and
-``replacing``, which a bank or score table is saved through so that it
-reaches any target whole or not at all: the one place that asks whether a
-save target is a regular file."""
+``read_json``, ``write_rows``, the writer of score-table rows,
+``replacing``, which a bank, score table or prior is saved through so that
+it reaches any target whole or not at all: the one place that asks whether
+a save target is a regular file, and ``_write_zip`` and ``_read_zip``, the
+one codec of the zip files (banks and action tables) and the only code
+that touches ``zipfile``."""
 
 import contextlib
 import gc
@@ -14,6 +16,10 @@ import json
 import os
 import signal
 import stat
+import warnings
+import zipfile
+
+import numpy as np
 
 
 class ShapeError(ValueError):
@@ -112,6 +118,80 @@ def replacing(path):
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+# A zip file of this codec holds one stored ``<name>.npy`` member per name:
+# "header", a flat block of int64 header values, then the named blocks in
+# their order, then "ids", the UTF-8 bytes of each id followed by "\n",
+# which no id holds.  It is the ``np.savez`` layout, so ``np.load`` opens it.
+_ZIP_MAGIC = b"PK\x03\x04"
+_ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
+# What zipfile and numpy raise on a zip that is truncated or corrupted (CRC,
+# headers, unsupported or encrypted members, an offset that seeks before the
+# start of the file), on a member that holds pickled objects or declares an
+# array too large to allocate, and, as an error, the warning numpy gives when
+# it repairs a member header (a damaged one here).
+_ZIP_READ_ERRORS = (EOFError, ValueError, RuntimeError, NotImplementedError, MemoryError,
+                    OSError, zipfile.BadZipFile, UserWarning)
+
+
+def _write_zip(path, header: list[int], blocks: dict, ids: list[str]) -> None:
+    """Write ``header``, the arrays of ``blocks`` in their order and ``ids``
+    to ``path`` through ``replacing`` as one zip, each array in C order with
+    fixed member timestamps, so equal inputs give equal bytes and a failed
+    save leaves the old file."""
+    members = {"header": np.array(header, dtype=np.int64), **blocks,
+               "ids": np.frombuffer("".join(s + "\n" for s in ids).encode("utf-8"), np.uint8)}
+    with replacing(path) as fh, zipfile.ZipFile(fh, "w") as zf:
+        for name, array in members.items():
+            array = np.asarray(array, order="C")
+            info = zipfile.ZipInfo(name + ".npy", date_time=_ZIP_EPOCH)
+            with zf.open(info, "w", force_zip64=True) as member:
+                # np.lib.format.write_array's bytes; it copies a member of up
+                # to 16 MiB whole before writing it, where this writes the
+                # array's own buffer.
+                np.lib.format.write_array_header_1_0(
+                    member, np.lib.format.header_data_from_array_1_0(array))
+                member.write(array)
+
+
+def _read_zip(path, fh, what: str, header_len: int, dtypes: dict, build):
+    """``build(header, blocks, ids)`` of the zip ``fh`` read from ``path``:
+    exactly the members ``_write_zip`` writes for blocks of ``dtypes``, in
+    order, stored, each an array of its dtype with no byte after it, with a
+    flat header of ``header_len`` values and ids that end with a newline.
+    Any fault, in the zip or raised by ``build``, is a ValidationError naming
+    the file and ``what`` it should hold."""
+    dtypes = {"header": np.dtype(np.int64), **dtypes, "ids": np.dtype(np.uint8)}
+    try:
+        with warnings.catch_warnings(), zipfile.ZipFile(fh) as zf:
+            warnings.simplefilter("error", UserWarning)
+            want = [name + ".npy" for name in dtypes]
+            if zf.namelist() != want:
+                raise ValidationError(f"{what} members are {zf.namelist()}, not {want}")
+            members = {}
+            for (name, dtype), info in zip(dtypes.items(), zf.infolist()):
+                if info.compress_type != zipfile.ZIP_STORED:
+                    raise ValidationError(f"{what} member {info.filename} is compressed")
+                with zf.open(info) as member:
+                    members[name] = np.lib.format.read_array(member, allow_pickle=False)
+                    if member.read(1):
+                        raise ValidationError(f"{what} member {info.filename} has bytes "
+                                              f"after its array")
+                if members[name].dtype != dtype:
+                    raise ValidationError(f"{what} member {info.filename} must be an array of "
+                                          f"{dtype}, got {members[name].dtype}")
+        header, ids = members.pop("header"), members.pop("ids")
+        if header.shape != (header_len,) or ids.ndim != 1:
+            raise ValidationError(f"{what} header or ids member is not flat")
+        ids = ids.tobytes().decode("utf-8").split("\n")
+        if ids.pop():
+            raise ValidationError(f"{what} ids member does not end with a newline")
+        return build(header.tolist(), members, ids)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+    except _ZIP_READ_ERRORS as exc:  # UnicodeDecodeError is a ValueError
+        raise ValidationError(f"{path}: not a readable {what} zip: {exc}") from None
 
 
 _CHUNK_ROWS = 64  # rows per format call: the parent holds one chunk's text at a time

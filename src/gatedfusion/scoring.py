@@ -10,16 +10,23 @@ ranking.
 Every accuracy counts from one ranking rule: ``label_ranks`` ranks each
 row's true label once, and ``topk_report`` gives every k of a report from
 those ranks.
+
+Verb and noun score tables are text, the format a user's own model can
+write; an action table is a zip of the bank's codec (``errors._write_zip``
+and ``errors._read_zip``), and ``load_score_table`` tells the two apart by
+the zip magic, so an earlier build's text action table still loads.
 """
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bank import PAIR_COUNT_THRESHOLD, FeatureBank, segment_id_fault
-from .errors import ValidationError, parse_json, read_text, replacing, strict_json, write_rows
+from .errors import (_ZIP_MAGIC, ValidationError, _read_zip, _write_zip, parse_json, read_text,
+                     replacing, strict_json, write_rows)
 
 __all__ = [
     "ActionPrior",
@@ -133,7 +140,11 @@ def reweight_actions(pv: np.ndarray, pn: np.ndarray, prior: ActionPrior) -> np.n
     if pv.shape[:-1] != pn.shape[:-1]:
         raise ValidationError(
             f"verb and noun probabilities have {pv.shape[:-1]} vs {pn.shape[:-1]} rows")
-    return prior.mu * pv[..., :, None] * pn[..., None, :]
+    # The same two products, in the same order, as mu * pv * pn; the second
+    # runs in place, so a block allocates one (B, verbs, nouns) array, not two.
+    scores = prior.mu * pv[..., :, None]
+    scores *= pn[..., None, :]
+    return scores
 
 
 def _check_aligned(ids: list[str], other: list[str], what: str) -> None:
@@ -215,26 +226,28 @@ def score_actions_for_bank(verb_table: ScoreTable, noun_table: ScoreTable, prior
 
     shape = (len(verb_table.segment_ids), verbs * nouns)
     pv, pn = (t.scores.astype(np.float64, copy=False) for t in (verb_table, noun_table))
+    labels = table_labels(verb_table, bank)
+    actions = labels[:, 0] * nouns + labels[:, 1]  # the verb-major action index
+    # mu = 1 scales exactly, so this is the all-ones re-weighting, bit for bit.
+    # It is ranked before the re-weighted block exists: one block at a time.
+    plain = topk_report((pv[:, :, None] * pn[:, None, :]).reshape(shape), actions)
     reweighted_table = ScoreTable(scores=reweight_actions(pv, pn, prior).reshape(shape),
                                   segment_ids=list(verb_table.segment_ids), space="action",
                                   verb_classes=verbs, noun_classes=nouns)
-    # mu = 1 scales exactly, so this is the all-ones re-weighting, bit for bit
-    plain = (pv[:, :, None] * pn[:, None, :]).reshape(shape)
-
-    labels = table_labels(verb_table, bank)
-    actions = labels[:, 0] * nouns + labels[:, 1]  # the verb-major action index
     return reweighted_table, {"reweighted": topk_report(reweighted_table.scores, actions),
-                              "plain": topk_report(plain, actions)}, labels
+                              "plain": plain}, labels
 
 
 # --- file formats ---------------------------------------------------------------
 
 def save_prior(prior: ActionPrior, path) -> None:
     """One ``verb_id noun_id frequency`` line per nonzero entry of mu, in
-    row-major order."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for v, n in np.argwhere(prior.mu).tolist():
-            fh.write(f"{v} {n} {float(prior.mu[v, n])!r}\n")
+    row-major order, written through ``errors.replacing``, so a failed save
+    leaves the old file."""
+    text = "".join(f"{v} {n} {float(prior.mu[v, n])!r}\n"
+                   for v, n in np.argwhere(prior.mu).tolist())
+    with replacing(path) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def load_prior(path, verb_vocab_size: int, noun_vocab_size: int) -> ActionPrior:
@@ -278,35 +291,49 @@ def load_prior(path, verb_vocab_size: int, noun_vocab_size: int) -> ActionPrior:
 
 
 def save_score_table(table: ScoreTable, path) -> None:
-    """Header line with the space tag and class counts, then one
-    ``segment_id score...`` line per row, each score its ``repr``.
+    """Save ``table`` through ``errors.replacing``, so a failed save leaves
+    the old file.  Ids are checked by the bank's rule,
+    ``bank.segment_id_fault``, before the file opens, so an id no table can
+    hold leaves no file.
 
-    A column that is +0.0 in every row, as every pair outside an action
-    prior's support is, prints as the fixed text ``0.0`` of a per-table row
-    template, so only the other columns are formatted: the bytes are those
-    of one ``repr`` per float.  The rows go through ``errors.write_rows``, so
-    their bytes never depend on the CPU count.  Ids are checked by the bank's
-    rule, ``bank.segment_id_fault``, before the file opens, so an id no table
-    can hold leaves no file, and the table is written through
-    ``errors.replacing``, so a failed save leaves the old file."""
+    A verb or noun table is text: a header line with the space tag and
+    class count, then one ``segment_id score...`` line per row, each score
+    its ``repr``.  The rows go through ``errors.write_rows``, so their bytes
+    never depend on the CPU count.  An action table is the zip of
+    ``errors._write_zip``: the header ``[verb_classes, noun_classes]``, the
+    float64 ``scores`` and the ids, byte-identical for equal tables."""
     if fault := next(filter(None, map(segment_id_fault, table.segment_ids)), None):
         raise ValidationError(f"score table: {fault}")
-    header: dict = {"space": table.space, "classes": table.classes}
+    ids, scores = table.segment_ids, table.scores.astype(np.float64, copy=False)
     if table.space == "action":
-        header["verb_classes"] = table.verb_classes
-        header["noun_classes"] = table.noun_classes
-    scores = table.scores.astype(np.float64, copy=False)
-    live = scores.view(np.uint64).any(axis=0)  # a dead column has no bit set in any row
-    row_format = "%s " + " ".join("%r" if on else "0.0" for on in live.tolist()) + "\n"
-    ids, live_scores = table.segment_ids, scores[:, live]
+        _write_zip(path, [table.verb_classes, table.noun_classes], {"scores": scores}, ids)
+        return
+    row_format = "%s " + " ".join(["%r"] * table.classes) + "\n"
 
     def format_rows(lo: int, hi: int) -> bytes:
         return "".join(row_format % (seg_id, *row) for seg_id, row in zip(
-            ids[lo:hi], live_scores[lo:hi].tolist())).encode("utf-8")
+            ids[lo:hi], scores[lo:hi].tolist())).encode("utf-8")
 
+    header = {"space": table.space, "classes": table.classes}
     with replacing(path) as fh:
         fh.write(strict_json(header, separators=(",", ":")).encode("utf-8") + b"\n")
         write_rows(fh, format_rows, len(ids))
+
+
+def _action_table(header: list[int], blocks: dict, ids: list[str]) -> ScoreTable:
+    """The action table that the members of an action-table zip hold: ids
+    that keep the bank's rule and never repeat, as in a bank, and finite
+    scores, one row per id and one column per (verb, noun) pair."""
+    seen: set[str] = set()
+    for seg_id in ids:
+        if fault := segment_id_fault(seg_id):
+            raise ValidationError(fault)
+        if seg_id in seen:
+            raise ValidationError(f"duplicate segment_id {seg_id!r}")
+        seen.add(seg_id)
+    verb_classes, noun_classes = header
+    return ScoreTable(segment_ids=ids, scores=blocks["scores"], space="action",
+                      verb_classes=verb_classes, noun_classes=noun_classes)
 
 
 def _header_count(val) -> int:
@@ -318,10 +345,18 @@ def _header_count(val) -> int:
 
 
 def load_score_table(path) -> ScoreTable:
-    """Parse a score table written by ``save_score_table``.  A malformed
+    """Load a score table written by ``save_score_table``: a file that starts
+    with the zip magic is exactly the action-table zip, and any fault in it
+    is a ValidationError naming the file.  Any other file is text, as verb
+    and noun tables and an earlier build's action tables are: a malformed
     header, a row of the wrong width, a score that is not a finite number,
     or a segment id that repeats an earlier row is rejected with its line."""
-    lines = read_text(path).split("\n")
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data.startswith(_ZIP_MAGIC):
+        return _read_zip(path, io.BytesIO(data), "action table", 2,
+                         {"scores": np.dtype(np.float64)}, _action_table)
+    lines = read_text(path, data).split("\n")
     if lines == [""]:
         raise ValidationError(f"{path}: empty score table file")
     try:
@@ -331,11 +366,11 @@ def load_score_table(path) -> ScoreTable:
         verb_classes, noun_classes = (
             None if header.get(key) is None else _header_count(header[key])
             for key in ("verb_classes", "noun_classes"))
-        no_rows = np.zeros((0, classes))  # rejects a negative or oversized count
+        np.zeros((0, classes))  # a negative or oversized count raises here
     except (KeyError, TypeError, ValueError, OverflowError):  # a ValidationError is a ValueError
         raise ValidationError(f"{path}: line 1: malformed score table header") from None
     line_of: dict[str, int] = {}  # each segment id's line, in file order
-    rows: list[np.ndarray] = []
+    flat: list[float] = []  # every row's scores, in file order
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -348,10 +383,10 @@ def load_score_table(path) -> ScoreTable:
                                   f"line {line_of[parts[0]]}")
         line_of[parts[0]] = lineno
         try:
-            rows.append(np.array([float(x) for x in parts[1:]], dtype=np.float64))
+            flat.extend(map(float, parts[1:]))
         except ValueError:
             raise ValidationError(f"{path}: line {lineno}: malformed score") from None
-    scores = np.stack(rows) if rows else no_rows
+    scores = np.array(flat, dtype=np.float64).reshape(len(line_of), classes)
     bad = ~np.isfinite(scores).all(axis=1)
     if bad.any():
         raise ValidationError(

@@ -2,12 +2,14 @@
 exact bank equality, a dense action prior from listed pairs, the
 record-by-record synthetic bank generator and aggregation chain, the
 JSON-lines bank writer, the sidecar that earlier builds wrote beside it,
-the ways to damage a zip bank, the one-``repr``-per-float score table
-writer and the per-batch-scaling training loop."""
+the reference zip writer, the ways to damage a zip (a bank or an action
+table), the one-``repr``-per-float score table writer and the
+per-batch-scaling training loop."""
 
 import hashlib
 import io
 import json
+import re
 import struct
 import zipfile
 import zlib
@@ -97,8 +99,9 @@ def dense_prior(freq, verbs, nouns):
 
 
 def reference_save_score_table(table, path) -> None:
-    """Test-side oracle for ``scoring.save_score_table``: the header, then
-    every score of every row through ``repr``."""
+    """Test-side oracle for ``scoring.save_score_table`` on a verb or noun
+    table, and the text of an action table as earlier builds wrote it: the
+    header, then every score of every row through ``repr``."""
     header = {"space": table.space, "classes": table.scores.shape[1]}
     if table.space == "action":
         header.update(verb_classes=table.verb_classes, noun_classes=table.noun_classes)
@@ -150,37 +153,56 @@ def write_old_sidecar(bank: FeatureBank, text: bytes, path) -> None:
         np.savez(fh, **members)
 
 
+def reference_zip(members: dict) -> bytes:
+    """Test-side oracle for the bytes of ``errors._write_zip``: each array of
+    ``members``, in order, as a stored ``<name>.npy`` member written by
+    ``np.lib.format.write_array``, with 1980 timestamps."""
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as zf:
+        for name, array in members.items():
+            info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
+            with zf.open(info, "w", force_zip64=True) as member:
+                np.lib.format.write_array(member, array, allow_pickle=False)
+    return buf.getvalue()
+
+
 def _npy(array, allow_pickle=False) -> bytes:
     buf = io.BytesIO()
     np.lib.format.write_array(buf, array, allow_pickle=allow_pickle)
     return buf.getvalue()
 
 
-# The ways ``damage_zip_bank`` damages a zip bank.
+# The ways ``damage_zip`` damages a zip bank or action table.
 ZIP_DAMAGE = ("truncated", "flipped", "missing", "extra", "renamed", "out-of-order", "deflated",
               "object", "huge-shape", "wrong-dtype", "big-endian", "trailing-bytes",
-              "short-block", "rule-breaking-id", "ids-without-newline", "header-shape",
-              "python-2-header")
+              "short-block", "rule-breaking-id", "repeated-id", "ids-without-newline",
+              "header-shape", "python-2-header")
+# The member a kind damages in a bank; in an action table, "scores.npy".
+_BANK_MEMBER = {"flipped": "features.npy", "missing": "labels.npy", "renamed": "detections.npy",
+                "object": "clip.npy", "huge-shape": "features.npy", "short-block": "frames.npy"}
 
 
-def damage_zip_bank(path, kind: str) -> None:
-    """Damage the zip bank at ``path`` in place: cut its last 200 bytes,
-    flip the last byte of its features, or rewrite its members with one of
-    them missing, added, renamed, out of order, deflated, holding pickled
-    objects, declaring a 2**60-byte array, of another dtype or byte order,
-    followed by a byte, a row short, holding an id with a space, with ids
-    or header not in the written layout, or with a header that numpy reads
-    only after repairing it.  The bank must hold at least one detection."""
+def damage_zip(path, kind: str) -> None:
+    """Damage the zip bank or action table at ``path`` in place: cut its
+    last 200 bytes, flip the last byte of a block, or rewrite its members
+    with one of them missing, added, renamed, out of order, deflated,
+    holding pickled objects, declaring a 2**60-byte array, of another dtype
+    or byte order, followed by a byte, a row short, holding an id with a
+    space or an id twice, with ids or header not in the written layout, or
+    with a header that numpy reads only after repairing it.  A bank must
+    hold at least one detection, and either must hold two rows."""
     data = bytearray(path.read_bytes())
     if kind == "truncated":
         path.write_bytes(data[:-200])
         return
     with zipfile.ZipFile(path) as zf:
         members = {info.filename: zf.read(info) for info in zf.infolist()}
-        features = zf.getinfo("features.npy")
+        target = _BANK_MEMBER.get(kind, "scores.npy")
+        target = target if target in members else "scores.npy"
+        block = zf.getinfo(target)
     if kind == "flipped":  # the member's data follows its 30-byte local header, name and extra
-        name_len, extra_len = struct.unpack_from("<HH", data, features.header_offset + 26)
-        data[features.header_offset + 30 + name_len + extra_len + features.file_size - 1] ^= 1
+        name_len, extra_len = struct.unpack_from("<HH", data, block.header_offset + 26)
+        data[block.header_offset + 30 + name_len + extra_len + block.file_size - 1] ^= 1
         path.write_bytes(data)
         return
 
@@ -189,41 +211,45 @@ def damage_zip_bank(path, kind: str) -> None:
 
     compression = zipfile.ZIP_DEFLATED if kind == "deflated" else zipfile.ZIP_STORED
     if kind == "missing":
-        del members["labels.npy"]
+        del members[target]
     elif kind == "extra":
         members["notes.npy"] = _npy(np.zeros(1))
     elif kind == "renamed":
-        members = {("counts.npy" if name == "detections.npy" else name): raw
+        members = {("counts.npy" if name == target else name): raw
                    for name, raw in members.items()}
     elif kind == "out-of-order":
         names = list(members)
         names[1], names[2] = names[2], names[1]
         members = {name: members[name] for name in names}
     elif kind == "object":
-        members["clip.npy"] = _npy(np.array([object()] * 3), allow_pickle=True)
+        members[target] = _npy(np.array([object()] * 3), allow_pickle=True)
     elif kind == "huge-shape":
         buf = io.BytesIO()
         np.lib.format.write_array_header_1_0(buf, {"descr": "<f8", "fortran_order": False,
                                                    "shape": (2**51, 64)})
-        members["features.npy"] = buf.getvalue()
+        members[target] = buf.getvalue()
     elif kind == "wrong-dtype":
-        members["scores.npy"] = _npy(array("scores.npy").astype(np.float32))
+        members[target] = _npy(array(target).astype(np.float32))
     elif kind == "big-endian":
-        members["scores.npy"] = _npy(array("scores.npy").astype(">f8"))
+        members[target] = _npy(array(target).astype(">f8"))
     elif kind == "trailing-bytes":
-        members["scores.npy"] += b"\0"
+        members[target] += b"\0"
     elif kind == "short-block":
-        members["frames.npy"] = _npy(array("frames.npy")[:-1])
+        members[target] = _npy(array(target)[:-1])
     elif kind == "rule-breaking-id":
         ids = array("ids.npy").tobytes().split(b"\n")
         ids[0] = b"a b"
         members["ids.npy"] = _npy(np.frombuffer(b"\n".join(ids), dtype=np.uint8))
+    elif kind == "repeated-id":
+        ids = array("ids.npy").tobytes().split(b"\n")
+        ids[1] = ids[0]
+        members["ids.npy"] = _npy(np.frombuffer(b"\n".join(ids), dtype=np.uint8))
     elif kind == "ids-without-newline":
         members["ids.npy"] = _npy(array("ids.npy")[:-1])
     elif kind == "header-shape":
-        members["header.npy"] = _npy(array("header.npy").reshape(2, 2))
+        members["header.npy"] = _npy(array("header.npy").reshape(2, -1))
     elif kind == "python-2-header":  # a long-int suffix, in place of a space
-        members["header.npy"] = members["header.npy"].replace(b"(4,), }", b"(4L,),}")
+        members["header.npy"] = re.sub(rb"\((\d+),\), }", rb"(\1L,),}", members["header.npy"])
     with zipfile.ZipFile(path, "w", compression) as zf:
         for name, raw in members.items():
             zf.writestr(name, raw)

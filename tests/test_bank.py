@@ -22,7 +22,7 @@ from gatedfusion.bank import (AggregationConfig, Detection, FeatureBank,
 from gatedfusion.errors import ValidationError, read_text
 
 from conftest import (ZIP_DAMAGE, aggregate_object_feature, bank_text, banks_equal,
-                      damage_zip_bank, reference_synth_generate, write_bank_text,
+                      damage_zip, reference_synth_generate, reference_zip, write_bank_text,
                       write_old_sidecar)
 
 
@@ -906,7 +906,7 @@ def _multibyte_id_bank():
         dim_v=2, dim_o=2, verb_vocab_size=1, noun_vocab_size=1)
 
 
-# What each ``damage_zip_bank`` kind makes the loader say after "<path>: ".
+# What each ``damage_zip`` kind makes the loader say after "<path>: ".
 _ZIP_FAULTS = {
     "truncated": "not a readable bank zip: File is not a zip file",
     "flipped": "not a readable bank zip: Bad CRC-32 for file 'features.npy'",
@@ -923,6 +923,7 @@ _ZIP_FAULTS = {
     "trailing-bytes": "bank member scores.npy has bytes after its array",
     "short-block": "bank block 'frames' is not shaped (3,)",
     "rule-breaking-id": "segment_id 'a b' must be a non-empty str with no whitespace",
+    "repeated-id": "duplicate segment_id ",
     "ids-without-newline": "bank ids member does not end with a newline",
     "header-shape": "bank header or ids member is not flat",
     "python-2-header": "not a readable bank zip: Reading `.npy` or `.npz` file required "
@@ -978,7 +979,7 @@ class TestBankZip:
     @pytest.mark.parametrize("kind", ZIP_DAMAGE)
     def test_unusable_zip_is_a_fault_naming_the_file(self, tmp_path, kind):
         path = _saved(tmp_path)
-        damage_zip_bank(path, kind)
+        damage_zip(path, kind)
         with _json_parse_forbidden(), pytest.raises(ValidationError) as exc:
             load_feature_bank(path)
         assert str(exc.value).startswith(f"{path}: {_ZIP_FAULTS[kind]}")
@@ -1075,7 +1076,7 @@ class TestBankZip:
             load_feature_bank(sidecar)
         assert str(exc.value).startswith(f"{sidecar}: bank members are ['digest.npy', ")
 
-    @pytest.mark.parametrize("member", bank_module._ZIP_MEMBERS)
+    @pytest.mark.parametrize("member", ["header", *bank_module._ZIP_BLOCKS, "ids"])
     def test_zip_missing_a_member_is_a_fault_naming_the_file(self, tmp_path, member):
         path = _saved(tmp_path, _multibyte_id_bank())
         with zipfile.ZipFile(path) as zf:
@@ -1087,6 +1088,20 @@ class TestBankZip:
         with pytest.raises(ValidationError) as exc:
             load_feature_bank(path)
         assert str(exc.value).startswith(f"{path}: bank members are {list(kept)}, not [")
+
+    @pytest.mark.parametrize("make", [
+        lambda: synth_generate(SynthSpec(n_segments=20), 3), _multibyte_id_bank,
+        lambda: FeatureBank.from_records([], dim_v=3, dim_o=2, verb_vocab_size=1,
+                                         noun_vocab_size=1)], ids=["synth", "multibyte ids", "empty"])
+    def test_bytes_are_those_of_write_array_members(self, tmp_path, make):
+        bank = make()
+        members = {"header": np.array([bank.dim_v, bank.dim_o, bank.verb_vocab_size,
+                                       bank.noun_vocab_size], dtype=np.int64),
+                   "clip": bank.clip, "features": bank.features, "frames": bank.frames,
+                   "scores": bank.scores, "detections": bank.counts, "centers": bank.centers,
+                   "labels": bank.labels, "ids": np.frombuffer(
+                       "".join(seg_id + "\n" for seg_id in bank.ids).encode("utf-8"), np.uint8)}
+        assert _saved(tmp_path, bank).read_bytes() == reference_zip(members)
 
     def test_saving_twice_gives_identical_bytes(self, tmp_path):
         bank = synth_generate(SynthSpec(n_segments=5), 3)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import (ZIP_DAMAGE, banks_equal, damage_zip_bank, write_bank_text,
+from conftest import (ZIP_DAMAGE, banks_equal, damage_zip, write_bank_text,
                       write_old_sidecar)
 
 from gatedfusion import __version__, cli, errors, scoring, training
@@ -482,8 +482,10 @@ class TestActions:
         report = json.loads((tmp_path / "act/action_report.json").read_text())
         assert {"action", "verb", "noun", "prior"} <= set(report)
         assert (tmp_path / "act/prior.txt").exists()
-        table = load_score_table(tmp_path / "act/action_scores.txt")
+        table = load_score_table(tmp_path / "act/action_scores.npz")
         assert table.space == "action"
+        outputs = load_manifest(tmp_path / "act/actions.manifest.json")["outputs"]
+        assert outputs["action_scores"] == str(tmp_path / "act/action_scores.npz")
 
     def test_all_ones_prior_coincides_with_plain(self, tmp_path):
         # a prior file listing every pair at 1.0 writes the plain-product table
@@ -502,7 +504,7 @@ class TestActions:
         pv, pn = (load_score_table(tmp_path / f"eval-{t}/scores.txt").scores
                   for t in ("verb", "noun"))
         plain = (pv[:, :, None] * pn[:, None, :]).reshape(len(pv), -1)
-        assert load_score_table(tmp_path / "act/action_scores.txt").scores.tobytes() == \
+        assert load_score_table(tmp_path / "act/action_scores.npz").scores.tobytes() == \
             plain.tobytes()
 
     def test_requires_a_prior_source(self, tmp_path, capsys):
@@ -555,7 +557,7 @@ class TestActions:
                             lambda path: reads.append(path) or real_load(path))
         assert actions(train_bank, tmp_path / "act") == 0
         assert reads == [str(paths["bank"])]
-        for name in ("prior.txt", "action_scores.txt", "action_report.json"):
+        for name in ("prior.txt", "action_scores.npz", "action_report.json"):
             assert (tmp_path / "act" / name).read_bytes() == \
                 (tmp_path / "ref" / name).read_bytes(), name
         inputs = load_manifest(tmp_path / "act/actions.manifest.json")["inputs"]
@@ -625,6 +627,16 @@ class TestActions:
         assert run_actions(paths, tmp_path / "act") == 1
         assert "malformed score table header" in capsys.readouterr().err
 
+    def test_a_bank_zip_as_the_verb_table_is_exit_one_naming_it(self, tmp_path, capsys):
+        paths = tiny_action_inputs(tmp_path)
+        assert run("actions", "--verb-table", paths["bank"], "--noun-table", paths["noun"],
+                   "--bank", paths["bank"], "--prior", paths["prior"],
+                   "--out-dir", tmp_path / "act") == 1
+        assert capsys.readouterr().err.startswith(
+            f"gatedfusion: error: {paths['bank']}: action table members are ['header.npy', "
+            f"'clip.npy', ")
+        assert not list((tmp_path / "act").glob("*"))
+
     @pytest.mark.parametrize("count", ["2.0", "2.9", '"2"', "true"])
     def test_score_table_class_count_must_be_a_json_integer(self, tmp_path, capsys, count):
         paths = tiny_action_inputs(tmp_path)
@@ -648,7 +660,7 @@ class TestActions:
         err = capsys.readouterr().err
         assert "vocab 1000000000x1000000000 is too large for a dense prior" in err
         assert "Traceback" not in err
-        assert not (tmp_path / "act/action_scores.txt").exists()
+        assert not (tmp_path / "act/action_scores.npz").exists()
 
 
 _JUNK = ["", "x", "nan", "inf", "-inf", "1e400", "-1", "0", "-0.0", "2", "99", "0.5",
@@ -824,7 +836,7 @@ class TestFuzzedBanks:
     @pytest.mark.parametrize("kind", ZIP_DAMAGE)
     def test_damaged_zip_is_exit_one_naming_it(self, tmp_path, kind):
         bank, ckpt = self._zip_inputs(tmp_path)
-        damage_zip_bank(bank, kind)
+        damage_zip(bank, kind)
         assert self._both_fail_naming(tmp_path, bank, ckpt)
 
     def test_old_sidecar_as_the_bank_is_exit_one_naming_it(self, tmp_path):
@@ -1135,6 +1147,30 @@ class TestUndecodableJson:
         for path in sorted(Path(errors.__file__).parent.glob("*.py")):
             visit(ast.parse(path.read_text(encoding="utf-8")), path.name, None)
         assert sites == [("errors.py", "parse_json")]
+
+
+class TestZipCodec:
+    def test_zipfile_is_used_only_by_the_zip_codec(self):
+        # One codec: banks and action tables are written and read by
+        # errors._write_zip and errors._read_zip alone.
+        sites = set()
+
+        def visit(node, module, func):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                func = node.name
+            if ((isinstance(node, ast.Name) and node.id == "zipfile")
+                    or (isinstance(node, ast.Import)
+                        and any(alias.name == "zipfile" for alias in node.names))
+                    or (isinstance(node, ast.ImportFrom) and node.module == "zipfile")):
+                sites.add((module, func))
+            for child in ast.iter_child_nodes(node):
+                visit(child, module, func)
+
+        for path in sorted(Path(errors.__file__).parent.glob("*.py")):
+            visit(ast.parse(path.read_text(encoding="utf-8")), path.name, None)
+        # module level: the import and the errors a zip read can raise
+        assert sites == {("errors.py", None), ("errors.py", "_write_zip"),
+                         ("errors.py", "_read_zip")}
 
 
 class TestGradcheckCommand:

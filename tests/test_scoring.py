@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -8,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dense_prior, reference_save_score_table
+from conftest import (ZIP_DAMAGE, damage_zip, dense_prior, reference_save_score_table,
+                      reference_zip)
 
 from gatedfusion import scoring
 from gatedfusion.bank import FeatureBank, SegmentRecord
@@ -138,6 +142,8 @@ class TestReweightActions:
         rows = np.stack([reweight_actions(a, b, prior) for a, b in zip(pv, pn)])
         assert block.shape == (7, 4, 5)
         assert block.tobytes() == rows.tobytes()
+        # the in-place second product gives the bits of mu * pv * pn
+        assert block.tobytes() == (prior.mu * pv[:, :, None] * pn[:, None, :]).tobytes()
 
     def test_row_count_mismatch(self):
         with pytest.raises(ValidationError, match="rows"):
@@ -379,6 +385,28 @@ class TestFileFormats:
         with pytest.raises(ValidationError, match="line 3: frequency"):
             load_prior(path, 4, 4)
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs resource limits in a child")
+    def test_a_cut_prior_save_leaves_the_old_file(self, tmp_path):
+        # Written in place, the cut file loaded as a prior of fewer pairs.
+        path = tmp_path / "prior.txt"
+        save_prior(dense_prior({(0, 1): 1.0}, 20, 40), path)
+        old = path.read_bytes()
+        child = subprocess.run([sys.executable, "-c", """if True:
+            import resource, sys
+            import numpy as np
+            from gatedfusion.scoring import ActionPrior, save_prior
+            prior = ActionPrior(mu=np.full((20, 40), 1 / 3))
+            resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))
+            try:
+                save_prior(prior, sys.argv[1])
+            except OSError:
+                sys.exit(3)
+            """, str(path)], env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            timeout=60)
+        assert child.returncode == 3
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["prior.txt"]
+
     def test_prior_rows_written_in_row_major_order(self, tmp_path):
         path = tmp_path / "prior.txt"
         save_prior(dense_prior({(2, 0): 0.5, (0, 3): 0.25, (0, 1): 0.25}, 3, 4), path)
@@ -492,9 +520,8 @@ class TestFileFormats:
 
 
 def _score_columns(draw, rows: int, elements) -> list[float]:
-    """One column of ``rows`` scores, of a kind that takes a different path
-    through the writer: +0.0 in every row, -0.0 in every row, zeros of both
-    signs, zero in only some rows, or free values."""
+    """One column of ``rows`` scores: +0.0 in every row, -0.0 in every row,
+    zeros of both signs, zero in only some rows, or free values."""
     kind = draw(st.sampled_from(["+0", "-0", "+-0", "some zeros", "free"]))
     if kind == "+0":
         return [0.0] * rows
@@ -529,9 +556,7 @@ def score_tables(draw) -> ScoreTable:
 
 
 class TestScoreTableWriter:
-    """The writer prints a column that is +0.0 in every row as fixed text
-    and formats the rest; its bytes must be those of one ``repr`` per
-    float."""
+    """A verb or noun table's bytes must be those of one ``repr`` per float."""
 
     @given(score_tables())
     def test_same_bytes_as_one_repr_per_float(self, table_):
@@ -541,18 +566,108 @@ class TestScoreTableWriter:
             reference_save_score_table(table_, reference)
             assert ours.read_bytes() == reference.read_bytes()
 
-    def test_sparse_action_table(self, tmp_path):
-        # pairs outside the prior's support are +0.0 in every row
-        rng = np.random.default_rng(11)
-        pairs = [(v, n) for v in range(4) for n in rng.choice(6, size=2, replace=False)]
-        prior = compute_prior(labeled_bank(pairs, verb_vocab=4, noun_vocab=6))
-        scores = reweight_actions(rng.dirichlet(np.ones(4), 30), rng.dirichlet(np.ones(6), 30),
-                                  prior).reshape(30, 24)
-        assert (scores == 0).all(axis=0).sum() == 16
-        t = table(scores, space="action", verb_classes=4, noun_classes=6)
-        save_score_table(t, tmp_path / "ours.txt")
-        reference_save_score_table(t, tmp_path / "reference.txt")
-        assert (tmp_path / "ours.txt").read_bytes() == (tmp_path / "reference.txt").read_bytes()
+
+# What each ``damage_zip`` kind makes the action-table loader say after "<path>: ".
+_ACTION_ZIP_FAULTS = {
+    "truncated": "not a readable action table zip: File is not a zip file",
+    "flipped": "not a readable action table zip: Bad CRC-32 for file 'scores.npy'",
+    "missing": "action table members are ['header.npy', 'ids.npy'], not [",
+    "extra": "action table members are [",
+    "renamed": "action table members are ['header.npy', 'counts.npy', 'ids.npy'], not [",
+    "out-of-order": "action table members are ['header.npy', 'ids.npy', 'scores.npy'], not [",
+    "deflated": "action table member header.npy is compressed",
+    "object": "not a readable action table zip: Object arrays cannot be loaded when "
+              "allow_pickle=False",
+    "huge-shape": "not a readable action table zip: ",
+    "wrong-dtype": "action table member scores.npy must be an array of float64, got float32",
+    "big-endian": "action table member scores.npy must be an array of float64, got >f8",
+    "trailing-bytes": "action table member scores.npy has bytes after its array",
+    "short-block": "score table: 3 ids but scores shaped (2, 6)",
+    "rule-breaking-id": "segment_id 'a b' must be a non-empty str with no whitespace",
+    "repeated-id": "duplicate segment_id 'é'",
+    "ids-without-newline": "action table ids member does not end with a newline",
+    "header-shape": "action table header or ids member is not flat",
+    "python-2-header": "not a readable action table zip: Reading `.npy` or `.npz` file "
+                       "required additional header parsing",
+}
+
+
+def _sparse_action_table():
+    """30 rows of re-weighted scores, where pairs outside the prior's support
+    are +0.0 in every row."""
+    rng = np.random.default_rng(11)
+    pairs = [(v, n) for v in range(4) for n in rng.choice(6, size=2, replace=False)]
+    prior = compute_prior(labeled_bank(pairs, verb_vocab=4, noun_vocab=6))
+    scores = reweight_actions(rng.dirichlet(np.ones(4), 30), rng.dirichlet(np.ones(6), 30),
+                              prior).reshape(30, 24)
+    assert (scores == 0).all(axis=0).sum() == 16
+    return table(scores, space="action", verb_classes=4, noun_classes=6)
+
+
+def _edge_action_table():
+    """Signed zeros, the least subnormal and ids of one to four UTF-8 bytes."""
+    return table([[-0.0, 5e-324, 0.0, -5e-324, 1e30, 0.1],
+                  [0.0, -0.0, 2.5, 1 / 3, -1e-300, 7.0],
+                  [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]],
+                 space="action", ids=["é", "\U0001f600", "a\x00b"], verb_classes=2,
+                 noun_classes=3)
+
+
+class TestActionZip:
+    """An action table is saved as the zip of the bank's codec, and any
+    fault in it is a ValidationError naming the file."""
+
+    @pytest.mark.parametrize("make", [_edge_action_table, _sparse_action_table],
+                             ids=["edges", "sparse"])
+    def test_load_score_table_and_np_load_return_the_table(self, tmp_path, make):
+        t = make()
+        path = tmp_path / "action_scores.npz"
+        save_score_table(t, path)
+        assert path.read_bytes().startswith(b"PK\x03\x04")
+        loaded = load_score_table(path)
+        assert loaded.space == "action" and loaded.segment_ids == t.segment_ids
+        assert (loaded.verb_classes, loaded.noun_classes) == (t.verb_classes, t.noun_classes)
+        assert loaded.scores.dtype == np.float64
+        assert loaded.scores.tobytes() == t.scores.tobytes()
+        with np.load(path, allow_pickle=False) as npz:
+            assert npz.files == ["header", "scores", "ids"]
+            assert npz["header"].tolist() == [t.verb_classes, t.noun_classes]
+            assert npz["scores"].tobytes() == t.scores.tobytes()
+            assert npz["ids"].tobytes().decode("utf-8") == "".join(
+                seg_id + "\n" for seg_id in t.segment_ids)
+
+    def test_equal_tables_give_equal_bytes(self, tmp_path):
+        t = _edge_action_table()
+        save_score_table(t, tmp_path / "a.npz")
+        save_score_table(t, tmp_path / "b.npz")
+        fortran = table(np.asfortranarray(t.scores), space="action", ids=t.segment_ids,
+                        verb_classes=2, noun_classes=3)
+        save_score_table(fortran, tmp_path / "c.npz")
+        first = (tmp_path / "a.npz").read_bytes()
+        assert (tmp_path / "b.npz").read_bytes() == first
+        assert (tmp_path / "c.npz").read_bytes() == first
+        ids = "".join(seg_id + "\n" for seg_id in t.segment_ids).encode("utf-8")
+        assert first == reference_zip({"header": np.array([2, 3], dtype=np.int64),
+                                       "scores": t.scores,
+                                       "ids": np.frombuffer(ids, dtype=np.uint8)})
+
+    def test_an_earlier_builds_text_action_table_loads(self, tmp_path):
+        t = _sparse_action_table()
+        path = tmp_path / "action_scores.txt"
+        reference_save_score_table(t, path)
+        loaded = load_score_table(path)
+        assert loaded.space == "action" and loaded.segment_ids == t.segment_ids
+        assert (loaded.verb_classes, loaded.noun_classes) == (4, 6)
+        assert loaded.scores.tobytes() == t.scores.tobytes()
+
+    @pytest.mark.parametrize("kind", ZIP_DAMAGE)
+    def test_unusable_zip_is_a_fault_naming_the_file(self, tmp_path, kind):
+        path = tmp_path / "action_scores.npz"
+        save_score_table(_edge_action_table(), path)
+        damage_zip(path, kind)
+        with pytest.raises(ValidationError) as exc:
+            load_score_table(path)
+        assert str(exc.value).startswith(f"{path}: {_ACTION_ZIP_FAULTS[kind]}")
 
 
 class TestScoreTableInvariants:

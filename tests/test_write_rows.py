@@ -1,8 +1,8 @@
 """``errors.write_rows``, the writer of score-table rows: its bytes must not
 depend on the number of usable CPUs, and no child process may outlive a
-save, on success or on failure.  ``replacing``, which banks and score tables
-are saved through, delivers the whole file or no bytes to every target: a
-regular file of any name the directory holds, a symlink or a pipe."""
+save, on success or on failure.  ``replacing``, which banks, score tables
+and priors are saved through, delivers the whole file or no bytes to every
+target: a regular file of any name the directory holds, a symlink or a pipe."""
 
 import dataclasses
 import itertools
@@ -24,8 +24,9 @@ from gatedfusion.scoring import ScoreTable, load_score_table, save_score_table
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="the second CPU needs os.fork")
 
-# Benchmark-shaped: the dense noun table of perfbench's score workload and
-# its action table with a prior over 5 of 40 nouns per verb.
+# Benchmark-shaped: the dense noun table of perfbench's score workload, and
+# a noun table as wide as its action table, +0.0 in every row outside a
+# prior over 5 of 40 nouns per verb.
 _ROWS, _VERBS, _NOUNS, _LIVE_NOUNS = 2000, 20, 40, 5
 
 
@@ -48,8 +49,7 @@ def full_tables():
     for verb in range(_VERBS):
         support[verb, rng.choice(_NOUNS, size=_LIVE_NOUNS, replace=False)] = True
     action = rng.random((_ROWS, _VERBS * _NOUNS)) * support.ravel()
-    sparse = ScoreTable(ids, action / action.sum(axis=1, keepdims=True), "action",
-                        verb_classes=_VERBS, noun_classes=_NOUNS)
+    sparse = ScoreTable(ids, action / action.sum(axis=1, keepdims=True), "noun")
     return {"dense": dense, "sparse": sparse}
 
 
@@ -126,14 +126,14 @@ def _pipe_save(tmp_path, save):
 
 def _fail_fifth_member(monkeypatch):
     """Make a bank save raise "planted fault" as it writes its fifth member."""
-    real, calls = np.lib.format.write_array, itertools.count(1)
+    real, calls = np.lib.format.write_array_header_1_0, itertools.count(1)
 
-    def write_array(*args, **kwargs):
+    def write_header(*args, **kwargs):
         if next(calls) == 5:
             raise RuntimeError("planted fault")
         real(*args, **kwargs)
 
-    monkeypatch.setattr(np.lib.format, "write_array", write_array)
+    monkeypatch.setattr(np.lib.format, "write_array_header_1_0", write_header)
 
 
 class TestBytesDoNotDependOnTheCpuCount:
@@ -293,25 +293,26 @@ class TestSaveTargets:
         assert out.read_bytes() == (tmp_path / "t.txt").read_bytes()
         assert sorted(path.name for path in tmp_path.iterdir()) == ["out.txt", "t.fifo", "t.txt"]
 
-    def test_a_bank_saved_to_a_pipe_has_the_file_s_bytes(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["bank", "action table"])
+    def test_a_zip_saved_to_a_pipe_has_the_file_s_bytes(self, kind, full_tables, tmp_path):
         # zipfile adds data descriptors on a handle that cannot seek: the
-        # bank is built in memory first, so the pipe gets the file's bytes.
-        bank = synth_generate(SynthSpec(n_segments=20), 3)
-        save_feature_bank(bank, tmp_path / "b.bank")
-        fifo, out = tmp_path / "b.fifo", tmp_path / "out.bank"
-        os.mkfifo(fifo)
-        reader = subprocess.Popen([sys.executable, "-c",
-                                   "import sys; open(sys.argv[2], 'wb').write("
-                                   "open(sys.argv[1], 'rb').read())", str(fifo), str(out)])
-        try:
-            save_feature_bank(bank, fifo)
-            assert reader.wait(timeout=60) == 0
-        finally:  # a reader left blocked on the pipe ends with the test
-            reader.kill()
-            reader.wait()
-        assert out.read_bytes() == (tmp_path / "b.bank").read_bytes()
-        assert sorted(path.name for path in tmp_path.iterdir()) == ["b.bank", "b.fifo",
-                                                                    "out.bank"]
+        # zip is built in memory first, so the pipe gets the file's bytes.
+        if kind == "bank":
+            bank = synth_generate(SynthSpec(n_segments=20), 3)
+
+            def save(path):
+                save_feature_bank(bank, path)
+        else:
+            head = _table_head(full_tables["sparse"], 100)
+            table = ScoreTable(head.segment_ids, head.scores, "action", verb_classes=_VERBS,
+                               noun_classes=_NOUNS)
+
+            def save(path):
+                save_score_table(table, path)
+        save(tmp_path / "saved")
+        raised, got = _pipe_save(tmp_path, save)
+        assert raised is None and got == (tmp_path / "saved").read_bytes()
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["out", "save.fifo", "saved"]
 
     def test_a_failed_bank_save_sends_no_byte_down_a_pipe(self, monkeypatch, tmp_path):
         bank = synth_generate(SynthSpec(n_segments=20), 3)
