@@ -103,6 +103,20 @@ def segment_id_fault(seg_id) -> str | None:
         return f"segment_id {seg_id!r} must be a non-empty str with no whitespace or lone surrogate"
 
 
+def _id_fault(ids) -> tuple[int, str] | None:
+    """The index and fault of the first of ``ids`` that breaks the id rule
+    or repeats an earlier one, or None if every id can key a bank or table
+    row."""
+    seen: set[str] = set()
+    for i, seg_id in enumerate(ids):
+        if fault := segment_id_fault(seg_id):
+            return i, fault
+        if seg_id in seen:
+            return i, f"duplicate segment_id {seg_id!r}"
+        seen.add(seg_id)
+    return None
+
+
 def _int64(obj: dict, key: str, where: str = "") -> int:
     """``obj[key]``, an integer (not a bool) that fits the int64 blocks."""
     if key not in obj:
@@ -229,13 +243,9 @@ def _validate(bank: FeatureBank, lines: list[str]) -> None:
     bad = ~np.isfinite(bank.clip).all(axis=1) | bad_label.any(axis=1)
     bad[np.searchsorted(ends, np.flatnonzero(bad_det), side="right")] = True
     first = int(np.argmax(bad)) if bad.any() else n
-    seen: set[str] = set()
-    for line, seg_id in zip(lines, bank.ids[:first + 1]):
-        if fault := segment_id_fault(seg_id):
-            raise ValidationError(f"{line}{fault}")
-        if seg_id in seen:
-            raise ValidationError(f"{line}duplicate segment_id {seg_id!r}")
-        seen.add(seg_id)
+    if id_fault := _id_fault(bank.ids[:first + 1]):
+        i, fault = id_fault
+        raise ValidationError(f"{lines[i]}{fault}")
     if first == n:
         return
     where = f"{lines[first]}record {bank.ids[first]!r}"
@@ -660,11 +670,11 @@ def synth_generate(spec: SynthSpec, seed: int, split: str = "train") -> FeatureB
     return bank
 
 
-def bank_stats(bank: FeatureBank, cfg: AggregationConfig,
-               pair_threshold: int = PAIR_COUNT_THRESHOLD) -> dict:
+def bank_stats(bank: FeatureBank, cfg: AggregationConfig) -> dict:
     """Summary statistics under the given aggregation, with verb-noun
-    co-occurrence counts.  ``amplitude_ratio`` is mean |o| / mean |v| over
-    the aggregated features, the matching ``scalar`` divisor: given as
+    co-occurrence counts against ``PAIR_COUNT_THRESHOLD``, as in
+    ``scoring.prior_stats``.  ``amplitude_ratio`` is mean |o| / mean |v|
+    over the aggregated features, the matching ``scalar`` divisor: given as
     ``--scale-divisor``, it brings the mean object amplitude to the mean
     clip one.  It is None when every clip feature is zero."""
     V, O = bank_features(bank, cfg)
@@ -685,6 +695,6 @@ def bank_stats(bank: FeatureBank, cfg: AggregationConfig,
         "amplitude_ratio": (mean_obj / mean_clip) if mean_clip > 0 else None,
         "labeled_pairs": int(pair_counts.sum()),
         "distinct_pairs": len(pair_counts),
-        "pair_count_threshold": pair_threshold,
-        "pairs_above_threshold": int(np.count_nonzero(pair_counts > pair_threshold)),
+        "pair_count_threshold": PAIR_COUNT_THRESHOLD,
+        "pairs_above_threshold": int(np.count_nonzero(pair_counts > PAIR_COUNT_THRESHOLD)),
     }

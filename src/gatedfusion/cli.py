@@ -281,8 +281,7 @@ def _cmd_gradcheck(cfg: dict, out: Path):
 
 def _cmd_stats(cfg: dict, out: Path):
     bank = load_feature_bank(cfg["bank"])
-    stats = bank_stats(bank, AggregationConfig(k=cfg["k"], window=cfg["window"]),
-                       pair_threshold=cfg["pair_threshold"])
+    stats = bank_stats(bank, AggregationConfig(k=cfg["k"], window=cfg["window"]))
     print(json.dumps(stats, indent=1))
     stats_path = out / "bank_stats.json"
     write_json(stats, stats_path)
@@ -371,7 +370,6 @@ _COMMANDS = {
         ("--bank", _REQUIRED, {}),
         ("--k", AggregationConfig.k, _INT),
         ("--window", AggregationConfig.window, _INT),
-        ("--pair-threshold", _param_default(bank_stats, "pair_threshold"), _INT),
         ("--out-dir", ".", {}),
     ]),
 }

@@ -11,10 +11,12 @@ Every accuracy counts from one ranking rule: ``label_ranks`` ranks each
 row's true label once, and ``topk_report`` gives every k of a report from
 those ranks.
 
+A ``ScoreTable`` holds only ids that keep the bank's id rule and never
+repeat, in every space, so no table can be saved that would not load.
 Verb and noun score tables are text, the format a user's own model can
 write; an action table is a zip of the bank's codec (``errors._write_zip``
 and ``errors._read_zip``), and ``load_score_table`` tells the two apart by
-the zip magic, so an earlier build's text action table still loads.
+the zip magic.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bank import PAIR_COUNT_THRESHOLD, FeatureBank, segment_id_fault
+from .bank import PAIR_COUNT_THRESHOLD, FeatureBank, _id_fault
 from .errors import (_ZIP_MAGIC, ValidationError, _read_zip, _write_zip, parse_json, read_text,
                      replacing, strict_json, write_rows)
 
@@ -61,7 +63,8 @@ class ActionPrior:
 
 @dataclass
 class ScoreTable:
-    """Per-segment class scores: one aligned row per segment id."""
+    """Per-segment class scores: one aligned row per segment id.  The ids
+    keep the bank's id rule and never repeat, as in a bank."""
 
     segment_ids: list[str]
     scores: np.ndarray
@@ -72,6 +75,8 @@ class ScoreTable:
     def __post_init__(self) -> None:
         if self.space not in SCORE_SPACES:
             raise ValidationError(f"score space {self.space!r} not one of {SCORE_SPACES}")
+        if id_fault := _id_fault(self.segment_ids):
+            raise ValidationError(id_fault[1])
         if self.scores.ndim != 2 or self.scores.shape[0] != len(self.segment_ids):
             raise ValidationError(
                 f"score table: {len(self.segment_ids)} ids but scores shaped {self.scores.shape}")
@@ -292,9 +297,8 @@ def load_prior(path, verb_vocab_size: int, noun_vocab_size: int) -> ActionPrior:
 
 def save_score_table(table: ScoreTable, path) -> None:
     """Save ``table`` through ``errors.replacing``, so a failed save leaves
-    the old file.  Ids are checked by the bank's rule,
-    ``bank.segment_id_fault``, before the file opens, so an id no table can
-    hold leaves no file.
+    the old file.  A ``ScoreTable`` holds only ids that load, so every file
+    this writes loads back as an equal table.
 
     A verb or noun table is text: a header line with the space tag and
     class count, then one ``segment_id score...`` line per row, each score
@@ -302,8 +306,6 @@ def save_score_table(table: ScoreTable, path) -> None:
     never depend on the CPU count.  An action table is the zip of
     ``errors._write_zip``: the header ``[verb_classes, noun_classes]``, the
     float64 ``scores`` and the ids, byte-identical for equal tables."""
-    if fault := next(filter(None, map(segment_id_fault, table.segment_ids)), None):
-        raise ValidationError(f"score table: {fault}")
     ids, scores = table.segment_ids, table.scores.astype(np.float64, copy=False)
     if table.space == "action":
         _write_zip(path, [table.verb_classes, table.noun_classes], {"scores": scores}, ids)
@@ -320,22 +322,6 @@ def save_score_table(table: ScoreTable, path) -> None:
         write_rows(fh, format_rows, len(ids))
 
 
-def _action_table(header: list[int], blocks: dict, ids: list[str]) -> ScoreTable:
-    """The action table that the members of an action-table zip hold: ids
-    that keep the bank's rule and never repeat, as in a bank, and finite
-    scores, one row per id and one column per (verb, noun) pair."""
-    seen: set[str] = set()
-    for seg_id in ids:
-        if fault := segment_id_fault(seg_id):
-            raise ValidationError(fault)
-        if seg_id in seen:
-            raise ValidationError(f"duplicate segment_id {seg_id!r}")
-        seen.add(seg_id)
-    verb_classes, noun_classes = header
-    return ScoreTable(segment_ids=ids, scores=blocks["scores"], space="action",
-                      verb_classes=verb_classes, noun_classes=noun_classes)
-
-
 def _header_count(val) -> int:
     """A class count from a score table header: a JSON integer, never a
     float, string or bool."""
@@ -347,15 +333,18 @@ def _header_count(val) -> int:
 def load_score_table(path) -> ScoreTable:
     """Load a score table written by ``save_score_table``: a file that starts
     with the zip magic is exactly the action-table zip, and any fault in it
-    is a ValidationError naming the file.  Any other file is text, as verb
-    and noun tables and an earlier build's action tables are: a malformed
-    header, a row of the wrong width, a score that is not a finite number,
-    or a segment id that repeats an earlier row is rejected with its line."""
+    is a ValidationError naming the file.  Any other file is a verb or noun
+    table in text: a malformed header, a header of the action space (an
+    earlier build's text action table), a row of the wrong width, a score
+    that is not a finite number, or a segment id that repeats an earlier
+    row is rejected with its line."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data.startswith(_ZIP_MAGIC):
         return _read_zip(path, io.BytesIO(data), "action table", 2,
-                         {"scores": np.dtype(np.float64)}, _action_table)
+                         {"scores": np.dtype(np.float64)},
+                         lambda header, blocks, ids: ScoreTable(ids, blocks["scores"], "action",
+                                                                *header))
     lines = read_text(path, data).split("\n")
     if lines == [""]:
         raise ValidationError(f"{path}: empty score table file")
@@ -363,12 +352,12 @@ def load_score_table(path) -> ScoreTable:
         header = parse_json(lines[0], f"{path}: line 1")
         space = header["space"]
         classes = _header_count(header["classes"])
-        verb_classes, noun_classes = (
-            None if header.get(key) is None else _header_count(header[key])
-            for key in ("verb_classes", "noun_classes"))
         np.zeros((0, classes))  # a negative or oversized count raises here
     except (KeyError, TypeError, ValueError, OverflowError):  # a ValidationError is a ValueError
         raise ValidationError(f"{path}: line 1: malformed score table header") from None
+    if space == "action":
+        raise ValidationError(f"{path}: line 1: action tables are zips; a text table is "
+                              "verb or noun")
     line_of: dict[str, int] = {}  # each segment id's line, in file order
     flat: list[float] = []  # every row's scores, in file order
     for lineno, line in enumerate(lines[1:], start=2):
@@ -392,7 +381,6 @@ def load_score_table(path) -> ScoreTable:
         raise ValidationError(
             f"{path}: line {list(line_of.values())[bad.argmax()]}: non-finite score")
     try:
-        return ScoreTable(segment_ids=list(line_of), scores=scores, space=space,
-                          verb_classes=verb_classes, noun_classes=noun_classes)
+        return ScoreTable(segment_ids=list(line_of), scores=scores, space=space)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gatedfusion import bank as bank_module
-from gatedfusion.bank import (AggregationConfig, Detection, FeatureBank,
+from gatedfusion.bank import (PAIR_COUNT_THRESHOLD, AggregationConfig, Detection, FeatureBank,
                               SegmentRecord, SynthSpec, bank_features, bank_stats,
                               load_feature_bank, save_feature_bank, synth_generate)
 from gatedfusion.errors import ValidationError, read_text
@@ -602,8 +602,9 @@ class TestSynth:
 
     def test_stats_fields(self):
         bank = synth_generate(SynthSpec(n_segments=40), 1)
-        stats = bank_stats(bank, AggregationConfig(), pair_threshold=1)
+        stats = bank_stats(bank, AggregationConfig())
         assert stats["records"] == 40
+        assert stats["pair_count_threshold"] == PAIR_COUNT_THRESHOLD
         assert stats["verb_labeled"] == 40
         assert stats["labeled_pairs"] == 40
         assert stats["distinct_pairs"] >= 1

@@ -21,7 +21,7 @@ from conftest import (ZIP_DAMAGE, banks_equal, damage_zip, write_bank_text,
 
 from gatedfusion import __version__, cli, errors, scoring, training
 from gatedfusion.bank import (AggregationConfig, Detection, FeatureBank, SegmentRecord,
-                              SynthSpec, bank_features, bank_stats, load_feature_bank,
+                              SynthSpec, bank_features, load_feature_bank,
                               save_feature_bank)
 from gatedfusion.cli import main
 from gatedfusion.errors import ValidationError, write_json
@@ -620,12 +620,15 @@ class TestActions:
         assert "misaligned" in capsys.readouterr().err
         assert not list((tmp_path / "act").glob("*"))
 
-    def test_score_table_class_split_must_be_integers(self, tmp_path, capsys):
+    def test_a_text_action_table_as_the_verb_table_is_exit_one_naming_it(self, tmp_path, capsys):
+        # the header of an earlier build's action_scores.txt
         paths = tiny_action_inputs(tmp_path)
         paths["verb"].write_text(
-            '{"space":"action","classes":4,"verb_classes":"a","noun_classes":"b"}\n')
+            '{"space":"action","classes":4,"verb_classes":2,"noun_classes":2}\n')
         assert run_actions(paths, tmp_path / "act") == 1
-        assert "malformed score table header" in capsys.readouterr().err
+        assert capsys.readouterr().err == (f"gatedfusion: error: {paths['verb']}: line 1: action "
+                                           f"tables are zips; a text table is verb or noun\n")
+        assert not list((tmp_path / "act").glob("*"))
 
     def test_a_bank_zip_as_the_verb_table_is_exit_one_naming_it(self, tmp_path, capsys):
         paths = tiny_action_inputs(tmp_path)
@@ -1335,9 +1338,7 @@ class TestLibraryDefaults:
         assert run("stats", "--bank", bank, "--out-dir", out) == 0
         agg = AggregationConfig()
         assert_config(tmp_path / "out/stats.manifest.json", {
-            "bank": bank, "k": agg.k, "window": agg.window,
-            "pair_threshold": inspect.signature(bank_stats).parameters["pair_threshold"].default,
-            "out_dir": out})
+            "bank": bank, "k": agg.k, "window": agg.window, "out_dir": out})
 
     def test_actions_manifest_records_every_option(self, tmp_path):
         paths = {k: str(v) for k, v in tiny_action_inputs(tmp_path).items()}
@@ -1489,8 +1490,23 @@ class TestManifestRerun:
     def test_stats_rerun_reproduces_outputs(self, tmp_path):
         synth(tmp_path / "data", train=30, val=5)
         assert run("stats", "--bank", tmp_path / "data/train.bank", "--k", 2,
-                   "--pair-threshold", 1, "--out-dir", tmp_path / "a") == 0
+                   "--out-dir", tmp_path / "a") == 0
         self._assert_rerun_reproduces("stats", tmp_path / "a", tmp_path / "b")
+
+    def test_stats_manifest_of_a_pair_threshold_reruns(self, tmp_path):
+        # A manifest written before --pair-threshold went records the
+        # threshold; the unknown key is ignored.
+        synth(tmp_path / "data", train=30, val=5)
+        assert run("stats", "--bank", tmp_path / "data/train.bank", "--k", 2,
+                   "--out-dir", tmp_path / "a") == 0
+        path = tmp_path / "a/stats.manifest.json"
+        obj = json.loads(path.read_text())
+        obj["config"]["pair_threshold"] = 1
+        path.write_text(json.dumps(obj))
+        assert run("stats", "--config", path, "--out-dir", tmp_path / "b") == 0
+        assert ((tmp_path / "a/bank_stats.json").read_bytes()
+                == (tmp_path / "b/bank_stats.json").read_bytes())
+        assert "pair_threshold" not in load_manifest(tmp_path / "b/stats.manifest.json")["config"]
 
     @pytest.mark.parametrize("argv,code", [
         (["--fusion", "gfa-a", "--scale", "norm", "--seed", 3], 0),

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import re
@@ -9,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from conftest import (ZIP_DAMAGE, damage_zip, dense_prior, reference_save_score_table,
                       reference_zip)
@@ -17,7 +18,7 @@ from conftest import (ZIP_DAMAGE, damage_zip, dense_prior, reference_save_score_
 from gatedfusion import scoring
 from gatedfusion.bank import FeatureBank, SegmentRecord
 from gatedfusion.errors import ValidationError
-from gatedfusion.scoring import (ActionPrior, ScoreTable, compute_prior, load_prior,
+from gatedfusion.scoring import (SCORE_SPACES, ActionPrior, ScoreTable, compute_prior, load_prior,
                                  load_score_table, prior_stats,
                                  label_ranks, reweight_actions, save_prior,
                                  save_score_table, score_actions_for_bank,
@@ -305,8 +306,8 @@ class TestActionIndex:
 class TestTableLabels:
     def test_rows_follow_the_table_not_the_bank(self):
         bank = labeled_bank([(0, 1), (2, 3), (1, 0)])
-        labels = table_labels(table(np.ones((3, 4)), ids=["s2", "s0", "s2"]), bank)
-        assert labels.tolist() == [[1, 0], [0, 1], [1, 0]]
+        labels = table_labels(table(np.ones((3, 4)), ids=["s2", "s0", "s1"]), bank)
+        assert labels.tolist() == [[1, 0], [0, 1], [2, 3]]
         assert table_labels(table(np.ones((0, 4))), bank).shape == (0, 2)
 
     def test_empty_bank_is_not_present(self):
@@ -441,55 +442,44 @@ class TestFileFormats:
         assert loaded.segment_ids == t.segment_ids
         assert loaded.scores.tobytes() == t.scores.tobytes()
 
-    def test_whitespace_id_rejected(self, tmp_path):
-        t = ScoreTable(segment_ids=["a b"], scores=np.zeros((1, 2)), space="verb")
-        with pytest.raises(ValidationError, match="whitespace"):
-            save_score_table(t, tmp_path / "x.txt")
-
     @settings(max_examples=200, deadline=None)
     @given(ids=st.lists(st.text(st.characters(exclude_categories=()), max_size=3)
                         | st.sampled_from(["", "a b", "\ud800", "\udfff", "\x00", "é",
                                            "\U0001f600", "\x1c", "\u2028", "\x85"]),
                         max_size=4, unique=True))
     def test_an_id_a_bank_accepts_round_trips_through_a_table(self, ids):
-        # One id rule: a table holds exactly the ids that a bank takes.
+        # One id rule: a table holds exactly the ids that a bank takes, and
+        # rejects the others with the bank's message.
         records = [SegmentRecord(seg_id, np.zeros(1), 0) for seg_id in ids]
         try:
             FeatureBank.from_records(records, dim_v=1, dim_o=1, verb_vocab_size=1,
                                      noun_vocab_size=1)
-        except ValidationError:
-            accepted = False
-        else:
-            accepted = True
+        except ValidationError as exc:
+            with pytest.raises(ValidationError, match=f"^{re.escape(str(exc))}$"):
+                ScoreTable(segment_ids=ids, scores=np.zeros((len(ids), 2)), space="verb")
+            return
         t = ScoreTable(segment_ids=ids, scores=np.arange(2.0 * len(ids)).reshape(-1, 2) / 3,
                        space="verb")
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "scores.txt"
-            if not accepted:
-                with pytest.raises(ValidationError, match="must be a non-empty str "):
-                    save_score_table(t, path)
-                assert not path.exists()
-                return
             save_score_table(t, path)
             loaded = load_score_table(path)
         assert loaded.segment_ids == ids
         assert loaded.scores.tobytes() == t.scores.tobytes()
 
-    @pytest.mark.parametrize("key,value", [
-        ("classes", 2.9), ("classes", 2.0), ("classes", "2"), ("classes", True),
-        ("verb_classes", 1.0), ("noun_classes", "2"), ("noun_classes", False)])
-    def test_header_counts_must_be_integers(self, tmp_path, key, value):
-        header = {"space": "action", "classes": 2, "verb_classes": 1, "noun_classes": 2}
-        header[key] = value
+    @pytest.mark.parametrize("value", [2.9, 2.0, "2", True])
+    def test_header_count_must_be_an_integer(self, tmp_path, value):
         path = tmp_path / "scores.txt"
-        path.write_text(json.dumps(header) + "\na 0.5 0.5\n", encoding="utf-8")
+        path.write_text(json.dumps({"space": "noun", "classes": value}) + "\na 0.5 0.5\n",
+                        encoding="utf-8")
         with pytest.raises(ValidationError, match="line 1: malformed score table header"):
             load_score_table(path)
 
     def test_action_class_split_below_one_rejected(self, tmp_path):
-        path = tmp_path / "scores.txt"
-        path.write_text('{"space":"action","classes":0,"verb_classes":-1,"noun_classes":0}\n',
-                        encoding="utf-8")
+        path = tmp_path / "action_scores.npz"
+        path.write_bytes(reference_zip({"header": np.array([-1, 0], dtype=np.int64),
+                                        "scores": np.zeros((1, 0)),
+                                        "ids": np.frombuffer(b"a\n", dtype=np.uint8)}))
         with pytest.raises(ValidationError, match=re.escape(
                 f"{path}: action table: verb_classes must be >= 1, got -1")):
             load_score_table(path)
@@ -538,33 +528,77 @@ _EDGE_FLOATS = [5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e-300, 1e300,
                 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0, 1e16, 1e-5]
 
 
+# Ids are drawn from these characters, of one to four UTF-8 bytes, and one
+# id of a row may be replaced by one that breaks the id rule or repeats.
+_ID_CHARS = "ab\x00é\U0001f600"
+_RULE_BREAKING_IDS = ["", "a b", "\x1c", "\u2028", "\x85", "\ud800"]
+
+
 @st.composite
-def score_tables(draw) -> ScoreTable:
+def score_tables(draw) -> dict:
+    """The arguments of a ``ScoreTable``, which may not build: any space (an
+    action table with a drawn verb x noun split), ids that may break the id
+    rule or repeat, and float32 or float64 scores."""
     float32 = draw(st.booleans())
     if float32:
         elements = st.floats(width=32, allow_nan=False, allow_infinity=False)
     else:
         elements = st.one_of(st.sampled_from(_EDGE_FLOATS),
                              st.floats(allow_nan=False, allow_infinity=False))
-    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 9))
+    space, rows = draw(st.sampled_from(SCORE_SPACES)), draw(st.integers(0, 5))
+    split = {}
+    if space == "action":
+        split = {"verb_classes": draw(st.integers(0, 3)), "noun_classes": draw(st.integers(0, 3))}
+        cols = split["verb_classes"] * split["noun_classes"]
+    else:
+        cols = draw(st.integers(0, 9))
     scores = np.zeros((rows, cols), dtype=np.float32 if float32 else np.float64)
     for j in range(cols):
         scores[:, j] = _score_columns(draw, rows, elements)
     if draw(st.booleans()):
         scores = np.asfortranarray(scores)
-    return ScoreTable(segment_ids=[f"s{i}" for i in range(rows)], scores=scores, space="noun")
+    ids = draw(st.lists(st.text(st.sampled_from(_ID_CHARS), min_size=1, max_size=2),
+                        min_size=rows, max_size=rows))
+    if rows and draw(st.booleans()):
+        ids[draw(st.integers(0, rows - 1))] = draw(st.sampled_from(_RULE_BREAKING_IDS + ids))
+    return {"segment_ids": ids, "scores": scores, "space": space, **split}
 
 
 class TestScoreTableWriter:
     """A verb or noun table's bytes must be those of one ``repr`` per float."""
 
     @given(score_tables())
-    def test_same_bytes_as_one_repr_per_float(self, table_):
+    def test_same_bytes_as_one_repr_per_float(self, args):
+        if args["space"] == "action":
+            reject()
+        try:
+            table_ = ScoreTable(**args)
+        except ValidationError:
+            reject()
         with tempfile.TemporaryDirectory() as tmp:
             ours, reference = Path(tmp) / "ours.txt", Path(tmp) / "reference.txt"
             save_score_table(table_, ours)
             reference_save_score_table(table_, reference)
             assert ours.read_bytes() == reference.read_bytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(score_tables())
+    def test_a_table_that_builds_loads_back_bit_for_bit(self, args):
+        # One contract: a table of any space either fails to build, or every
+        # save of it loads back.
+        try:
+            t = ScoreTable(**args)
+        except ValidationError:
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "table"
+            save_score_table(t, path)
+            loaded = load_score_table(path)
+        assert loaded.segment_ids == t.segment_ids and loaded.space == t.space
+        assert ((loaded.classes, loaded.verb_classes, loaded.noun_classes)
+                == (t.classes, t.verb_classes, t.noun_classes))
+        assert loaded.scores.dtype == np.float64
+        assert loaded.scores.tobytes() == t.scores.astype(np.float64).tobytes()
 
 
 # What each ``damage_zip`` kind makes the action-table loader say after "<path>: ".
@@ -651,14 +685,13 @@ class TestActionZip:
                                        "scores": t.scores,
                                        "ids": np.frombuffer(ids, dtype=np.uint8)})
 
-    def test_an_earlier_builds_text_action_table_loads(self, tmp_path):
-        t = _sparse_action_table()
+    def test_an_earlier_builds_text_action_table_is_rejected(self, tmp_path):
         path = tmp_path / "action_scores.txt"
-        reference_save_score_table(t, path)
-        loaded = load_score_table(path)
-        assert loaded.space == "action" and loaded.segment_ids == t.segment_ids
-        assert (loaded.verb_classes, loaded.noun_classes) == (4, 6)
-        assert loaded.scores.tobytes() == t.scores.tobytes()
+        reference_save_score_table(_sparse_action_table(), path)
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: line 1: "
+                                                  f"action tables are zips; a text table is "
+                                                  f"verb or noun$"):
+            load_score_table(path)
 
     @pytest.mark.parametrize("kind", ZIP_DAMAGE)
     def test_unusable_zip_is_a_fault_naming_the_file(self, tmp_path, kind):
@@ -692,3 +725,34 @@ class TestScoreTableInvariants:
     def test_row_alignment(self):
         with pytest.raises(ValidationError):
             ScoreTable(segment_ids=["a", "b"], scores=np.zeros((1, 2)), space="verb")
+
+    @pytest.mark.parametrize("ids,message", [
+        (["a b"], "segment_id 'a b' must be a non-empty str with no whitespace or lone surrogate"),
+        (["a", "b", "a"], "duplicate segment_id 'a'")])
+    @pytest.mark.parametrize("space,classes", [("verb", 2), ("noun", 2), ("action", 4)])
+    def test_a_bad_id_fails_to_build(self, ids, message, space, classes):
+        split = {"verb_classes": 2, "noun_classes": 2} if space == "action" else {}
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            ScoreTable(segment_ids=ids, scores=np.zeros((len(ids), classes)), space=space,
+                       **split)
+
+    def test_ids_are_checked_only_by_the_bank_and_score_table(self):
+        # One id rule: segment_id_fault is used in bank.py alone, and the
+        # check of a whole id list by bank._validate and ScoreTable alone.
+        uses = {"segment_id_fault": set(), "_id_fault": set()}
+
+        def visit(node, module, scope):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                scope = f"{scope}.{node.name}" if scope else node.name
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute) else None)
+            if name in uses:
+                uses[name].add((module, scope))
+            for child in ast.iter_child_nodes(node):
+                visit(child, module, scope)
+
+        for path in sorted(Path(scoring.__file__).parent.glob("*.py")):
+            visit(ast.parse(path.read_text(encoding="utf-8")), path.name, None)
+        assert {module for module, _ in uses["segment_id_fault"]} == {"bank.py"}
+        assert uses["_id_fault"] == {("bank.py", "_validate"),
+                                     ("scoring.py", "ScoreTable.__post_init__")}
