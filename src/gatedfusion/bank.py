@@ -103,17 +103,17 @@ def segment_id_fault(seg_id) -> str | None:
         return f"segment_id {seg_id!r} must be a non-empty str with no whitespace or lone surrogate"
 
 
-def _id_fault(ids) -> tuple[int, str] | None:
+def _id_fault(ids) -> tuple[int, str, int | None] | None:
     """The index and fault of the first of ``ids`` that breaks the id rule
-    or repeats an earlier one, or None if every id can key a bank or table
-    row."""
-    seen: set[str] = set()
+    or repeats an earlier one, with the index of the id it repeats (None
+    for a broken rule), or None if every id can key a bank or table row."""
+    seen: dict[str, int] = {}
     for i, seg_id in enumerate(ids):
         if fault := segment_id_fault(seg_id):
-            return i, fault
+            return i, fault, None
         if seg_id in seen:
-            return i, f"duplicate segment_id {seg_id!r}"
-        seen.add(seg_id)
+            return i, f"duplicate segment_id {seg_id!r}", seen[seg_id]
+        seen[seg_id] = i
     return None
 
 
@@ -244,7 +244,7 @@ def _validate(bank: FeatureBank, lines: list[str]) -> None:
     bad[np.searchsorted(ends, np.flatnonzero(bad_det), side="right")] = True
     first = int(np.argmax(bad)) if bad.any() else n
     if id_fault := _id_fault(bank.ids[:first + 1]):
-        i, fault = id_fault
+        i, fault, _ = id_fault
         raise ValidationError(f"{lines[i]}{fault}")
     if first == n:
         return

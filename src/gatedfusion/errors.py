@@ -16,6 +16,7 @@ import json
 import os
 import signal
 import stat
+import sys
 import warnings
 import zipfile
 
@@ -87,23 +88,49 @@ def read_json(path, fmt: str) -> dict:
     return obj
 
 
+def _descriptor(path) -> int | None:
+    """The descriptor ``N`` of this process that ``path`` names through
+    ``/proc/self/fd/N`` (``/dev/stdout``, ``/dev/stderr``, ``/dev/fd/N``, or
+    a symlink to one of them), or None for any other path."""
+    fd_dir = os.path.realpath("/proc/self/fd")
+    path = os.fsdecode(path)
+    for _ in range(40):  # the kernel follows no longer chain of symlinks
+        head, name = os.path.split(path)
+        if name.isdigit() and os.path.realpath(head) == fd_dir:
+            return int(name)
+        if not os.path.islink(path):
+            return None
+        path = os.path.join(head, os.readlink(path))
+    return None
+
+
 @contextlib.contextmanager
 def replacing(path):
     """A new binary file that reaches ``path`` whole or not at all.  A regular
     file (or none) is written under a temporary name in the same directory and
     renamed into place once the ``with`` block completes, so a failed save
-    leaves the old file, or none.  Any other ``path`` (``/dev/stdout``, a FIFO)
-    is opened first, so a FIFO waits for its reader and a directory fails at
-    once, and gets the bytes, held in memory, once the block completes.  Every
-    handle yielded can seek."""
+    leaves the old file, or none.  A ``path`` that names a descriptor of this
+    process (``/dev/stdout``, ``/dev/stderr``, ``/dev/fd/N``) is that
+    descriptor, wherever it is redirected: once the block completes, Python's
+    own stream for it is flushed and the bytes are written to it at its
+    offset, so a log that stdout appends to keeps what came before and after.
+    Any other ``path`` (a FIFO) is opened first, so a FIFO waits for its
+    reader and a directory fails at once, and gets the bytes once the block
+    completes.  Bytes for a target that is not a regular file are held in
+    memory meanwhile.  Every handle yielded can seek."""
+    fd = _descriptor(path)
     try:
-        regular = stat.S_ISREG(os.stat(path).st_mode)
+        regular = fd is None and stat.S_ISREG(os.stat(path).st_mode)
     except FileNotFoundError:
         regular = True
     if not regular:
-        with open(path, "wb") as fh:
+        with open(path if fd is None else fd, "wb", closefd=fd is None) as fh:
             buf = io.BytesIO()
             yield buf
+            for stream in (sys.stdout, sys.stderr):  # what Python holds for fd goes first
+                with contextlib.suppress(AttributeError, OSError, ValueError):  # no fileno
+                    if stream.fileno() == fd:
+                        stream.flush()
             fh.write(buf.getbuffer())
         return
     target = os.path.realpath(path)  # a symlink keeps naming the saved file

@@ -12,7 +12,8 @@ row's true label once, and ``topk_report`` gives every k of a report from
 those ranks.
 
 A ``ScoreTable`` holds only ids that keep the bank's id rule and never
-repeat, in every space, so no table can be saved that would not load.
+repeat, and finite scores, in every space, checked once as it is built, so
+no table can be saved that would not load.
 Verb and noun score tables are text, the format a user's own model can
 write; an action table is a zip of the bank's codec (``errors._write_zip``
 and ``errors._read_zip``), and ``load_score_table`` tells the two apart by
@@ -22,7 +23,7 @@ the zip magic.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -55,33 +56,54 @@ class ActionPrior:
     """Dense verb x noun co-occurrence prior.  ``mu[v, n]`` is the relative
     frequency of the pair, 0 for pairs never observed; the vocab sizes are
     its shape.  ``counts`` keeps the raw tallies for reporting when the
-    prior was counted from a bank."""
+    prior was counted from a bank.  ``mu`` is a 2-D float64 array, finite
+    and >= 0, with a positive entry, and ``counts`` None or an int64 array
+    of its shape: every prior that builds saves and loads back equal."""
 
     mu: np.ndarray
     counts: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        mu, counts = self.mu, self.counts
+        if not (isinstance(mu, np.ndarray) and mu.dtype == np.float64 and mu.ndim == 2
+                and ((mu >= 0) & (mu < np.inf)).all() and mu.any()):  # NaN fails >= and <
+            raise ValidationError("prior mu must be a 2-D float64 array, finite and >= 0, with "
+                                  "a positive entry")
+        if counts is not None and not (isinstance(counts, np.ndarray)
+                                       and counts.dtype == np.int64 and counts.shape == mu.shape):
+            raise ValidationError(f"prior counts must be None or an int64 array shaped {mu.shape}")
 
 
 @dataclass
 class ScoreTable:
     """Per-segment class scores: one aligned row per segment id.  The ids
-    keep the bank's id rule and never repeat, as in a bank."""
+    keep the bank's id rule and never repeat, as in a bank, and every score
+    is finite: the one check of a table's rows.  A loader passes ``lines``,
+    each row's file line (not stored), so a fault names its line."""
 
     segment_ids: list[str]
     scores: np.ndarray
     space: str
     verb_classes: int | None = None
     noun_classes: int | None = None
+    lines: InitVar[list[int] | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, lines: list[int] | None) -> None:
         if self.space not in SCORE_SPACES:
             raise ValidationError(f"score space {self.space!r} not one of {SCORE_SPACES}")
         if id_fault := _id_fault(self.segment_ids):
-            raise ValidationError(id_fault[1])
+            i, fault, earlier = id_fault
+            if lines is not None:
+                fault = f"line {lines[i]}: " + (fault if earlier is None else (
+                    f"segment id {self.segment_ids[i]!r} repeats line {lines[earlier]}"))
+            raise ValidationError(fault)
         if self.scores.ndim != 2 or self.scores.shape[0] != len(self.segment_ids):
             raise ValidationError(
                 f"score table: {len(self.segment_ids)} ids but scores shaped {self.scores.shape}")
-        if not np.all(np.isfinite(self.scores)):
-            raise ValidationError("score table contains non-finite entries")
+        bad = ~np.isfinite(self.scores).all(axis=1)
+        if bad.any():
+            raise ValidationError("score table contains non-finite entries" if lines is None
+                                  else f"line {lines[bad.argmax()]}: non-finite score")
         if self.space == "action":
             if self.verb_classes is None or self.noun_classes is None:
                 raise ValidationError("action tables must declare verb_classes and noun_classes")
@@ -248,8 +270,9 @@ def score_actions_for_bank(verb_table: ScoreTable, noun_table: ScoreTable, prior
 def save_prior(prior: ActionPrior, path) -> None:
     """One ``verb_id noun_id frequency`` line per nonzero entry of mu, in
     row-major order, written through ``errors.replacing``, so a failed save
-    leaves the old file."""
-    text = "".join(f"{v} {n} {float(prior.mu[v, n])!r}\n"
+    leaves the old file.  An ``ActionPrior``'s mu is finite, >= 0 and not all
+    zero, so ``load_prior`` reads every file this writes back as an equal mu."""
+    text ="".join(f"{v} {n} {float(prior.mu[v, n])!r}\n"
                    for v, n in np.argwhere(prior.mu).tolist())
     with replacing(path) as fh:
         fh.write(text.encode("utf-8"))
@@ -334,10 +357,11 @@ def load_score_table(path) -> ScoreTable:
     """Load a score table written by ``save_score_table``: a file that starts
     with the zip magic is exactly the action-table zip, and any fault in it
     is a ValidationError naming the file.  Any other file is a verb or noun
-    table in text: a malformed header, a header of the action space (an
-    earlier build's text action table), a row of the wrong width, a score
-    that is not a finite number, or a segment id that repeats an earlier
-    row is rejected with its line."""
+    table in text, each fault named with its line.  Reading finds what a
+    line can get wrong: a malformed header, a header of the action space
+    (an earlier build's text action table), a row of the wrong width or a
+    score that is not a number.  ``ScoreTable`` then finds a repeated
+    segment id, then a score that is not finite."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data.startswith(_ZIP_MAGIC):
@@ -358,7 +382,8 @@ def load_score_table(path) -> ScoreTable:
     if space == "action":
         raise ValidationError(f"{path}: line 1: action tables are zips; a text table is "
                               "verb or noun")
-    line_of: dict[str, int] = {}  # each segment id's line, in file order
+    ids: list[str] = []
+    row_lines: list[int] = []  # each row's line, in file order
     flat: list[float] = []  # every row's scores, in file order
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -367,20 +392,14 @@ def load_score_table(path) -> ScoreTable:
         if len(parts) != classes + 1:
             raise ValidationError(
                 f"{path}: line {lineno}: expected id plus {classes} scores, got {len(parts) - 1}")
-        if parts[0] in line_of:
-            raise ValidationError(f"{path}: line {lineno}: segment id {parts[0]!r} repeats "
-                                  f"line {line_of[parts[0]]}")
-        line_of[parts[0]] = lineno
         try:
             flat.extend(map(float, parts[1:]))
         except ValueError:
             raise ValidationError(f"{path}: line {lineno}: malformed score") from None
-    scores = np.array(flat, dtype=np.float64).reshape(len(line_of), classes)
-    bad = ~np.isfinite(scores).all(axis=1)
-    if bad.any():
-        raise ValidationError(
-            f"{path}: line {list(line_of.values())[bad.argmax()]}: non-finite score")
+        ids.append(parts[0])
+        row_lines.append(lineno)
     try:
-        return ScoreTable(segment_ids=list(line_of), scores=scores, space=space)
+        return ScoreTable(ids, np.array(flat, dtype=np.float64).reshape(len(ids), classes), space,
+                          lines=row_lines)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None

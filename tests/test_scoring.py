@@ -11,6 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import (ZIP_DAMAGE, damage_zip, dense_prior, reference_save_score_table,
                       reference_zip)
@@ -507,6 +508,52 @@ class TestFileFormats:
                         f'c {score} 0.5\n', encoding="utf-8")
         with pytest.raises(ValidationError, match=re.escape(f"{path}: line 4: non-finite score")):
             load_score_table(path)
+
+    def test_a_line_fault_is_found_before_a_repeated_id(self, tmp_path):
+        # Lines are read whole first; ScoreTable checks the rows they give.
+        path = tmp_path / "scores.txt"
+        rows = ["a 0.5 0.5", "a 0.5 0.5"] + [f"s{i} 0.5 0.5" for i in range(5)] + ["b 0.5"]
+        path.write_text('{"space":"verb","classes":2}\n' + "\n".join(rows) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{path}: line 9: expected id plus 2 scores, got 1")):
+            load_score_table(path)
+
+
+class TestActionPriorContract:
+    @pytest.mark.parametrize("mu,counts", [
+        (np.array([[np.nan, 0.5]]), None),
+        (np.array([[-0.5, 0.5]]), None),
+        (np.array([[np.inf, 0.5]]), None),
+        (np.zeros((2, 3)), None),
+        (np.zeros((0, 3)), None),
+        (np.array([0.5, 0.5]), None),
+        (np.array([[1, 0]]), None),
+        ([[0.5, 0.5]], None),
+        (np.array([[0.5, 0.5]]), np.array([[1.0, 1.0]])),
+        (np.array([[0.5, 0.5]]), np.array([1, 1])),
+    ], ids=["nan", "negative", "inf", "all zero", "no rows", "1-D", "int64 mu", "list mu",
+            "float counts", "counts of another shape"])
+    def test_a_prior_that_would_not_load_fails_to_build(self, mu, counts):
+        with pytest.raises(ValidationError, match="^prior (mu|counts) must be"):
+            ActionPrior(mu=mu, counts=counts)
+
+    @settings(max_examples=200, deadline=None)
+    @given(mu=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=4),
+                         elements=st.just(-0.0) | st.floats(min_value=0.0, allow_nan=False,
+                                                            allow_infinity=False)))
+    def test_every_prior_that_builds_saves_and_loads_back(self, mu):
+        # Zeros of either sign, subnormals and the largest floats included.
+        try:
+            prior = ActionPrior(mu=mu)
+        except ValidationError:
+            assert not mu.any()
+            reject()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "prior.txt"
+            save_prior(prior, path)
+            loaded = load_prior(path, *mu.shape)
+        assert np.array_equal(loaded.mu, prior.mu)
 
 
 def _score_columns(draw, rows: int, elements) -> list[float]:

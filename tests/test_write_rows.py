@@ -2,7 +2,8 @@
 depend on the number of usable CPUs, and no child process may outlive a
 save, on success or on failure.  ``replacing``, which banks, score tables
 and priors are saved through, delivers the whole file or no bytes to every
-target: a regular file of any name the directory holds, a symlink or a pipe."""
+target: a regular file of any name the directory holds, a symlink, a pipe
+or this process's stdout, wherever it is redirected."""
 
 import dataclasses
 import itertools
@@ -366,3 +367,27 @@ class TestSaveTargets:
         assert (tmp_path / "link.txt").is_symlink()
         assert load_score_table(tmp_path / "real.txt").scores.tobytes() == table.scores.tobytes()
         assert sorted(path.name for path in tmp_path.iterdir()) == ["link.txt", "real.txt"]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    @pytest.mark.parametrize("flush", [True, False], ids=["flushed", "buffered"])
+    @pytest.mark.parametrize("mode", ["a", "w"], ids=[">>", ">"])
+    def test_a_save_to_dev_stdout_writes_at_the_descriptor(self, mode, flush, full_tables,
+                                                          tmp_path):
+        # Followed to the file stdout is redirected to, the save renamed a new
+        # file over it: the log then held the table alone.
+        table = tmp_path / "t.txt"
+        save_score_table(_table_head(full_tables["dense"], 10), table)
+        log = tmp_path / "log.txt"
+        log.write_bytes(b"earlier\n")
+        with open(log, mode + "b") as stdout:
+            child = subprocess.run([sys.executable, "-c", f"""if True:
+                import sys
+                from gatedfusion.scoring import load_score_table, save_score_table
+                print("before", flush={flush})
+                save_score_table(load_score_table(sys.argv[1]), "/dev/stdout")
+                print("after")
+                """, str(table)], stdout=stdout,
+                env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}, timeout=60)
+        assert child.returncode == 0
+        earlier = b"earlier\n" if mode == "a" else b""
+        assert log.read_bytes() == earlier + b"before\n" + table.read_bytes() + b"after\n"
