@@ -2,19 +2,16 @@
 loader uses, the strict JSON encoder every writer uses, ``parse_json``, the
 one JSON decoder every reader uses, the one codec of the JSON documents
 (checkpoints, manifests, reports, histories and stats): ``write_json`` and
-``read_json``, ``write_rows``, the writer of score-table rows,
-``replacing``, which a bank, score table or prior is saved through so that
-it reaches any target whole or not at all: the one place that asks whether
-a save target is a regular file, and ``_write_zip`` and ``_read_zip``, the
-one codec of the zip files (banks and action tables) and the only code
-that touches ``zipfile``."""
+``read_json``, ``replacing``, which a bank, score table or prior is saved
+through so that it reaches any target whole or not at all: the one place
+that asks whether a save target is a regular file, and ``_write_zip`` and
+``_read_zip``, the one codec of the zip files (banks and score tables of
+every space) and the only code that touches ``zipfile``."""
 
 import contextlib
-import gc
 import io
 import json
 import os
-import signal
 import stat
 import sys
 import warnings
@@ -219,98 +216,3 @@ def _read_zip(path, fh, what: str, header_len: int, dtypes: dict, build):
         raise ValidationError(f"{path}: {exc}") from None
     except _ZIP_READ_ERRORS as exc:  # UnicodeDecodeError is a ValueError
         raise ValidationError(f"{path}: not a readable {what} zip: {exc}") from None
-
-
-_CHUNK_ROWS = 64  # rows per format call: the parent holds one chunk's text at a time
-# A second CPU pays for its fork once the rows come to this many bytes of text.
-FORK_BYTES = 1 << 18
-
-
-def _usable_cpus() -> set[int]:
-    """The CPUs this process may run on; where the platform cannot say, as
-    many numbers as it has CPUs."""
-    try:
-        return os.sched_getaffinity(0)
-    except AttributeError:
-        return set(range(os.cpu_count() or 1))
-
-
-def _pin(cpus: set[int]) -> None:
-    """Run this process on ``cpus`` only, where the platform allows it."""
-    with contextlib.suppress(AttributeError, OSError):
-        os.sched_setaffinity(0, cpus)
-
-
-def _put_rows(put, format_rows, lo: int, hi: int) -> None:
-    for start in range(lo, hi, _CHUNK_ROWS):
-        put(format_rows(start, min(start + _CHUNK_ROWS, hi)))
-
-
-def _child(format_rows, split: int, n: int, rfd: int, wfd: int, cpus: set[int]) -> None:
-    """The forked child: format rows ``[split, n)`` on ``cpus``, write them
-    to the pipe, and end with ``os._exit`` on every path."""
-    status = 1
-    try:
-        gc.disable()  # no finalizer of an inherited object runs here
-        _pin(cpus)
-        os.close(rfd)
-        chunks = []  # the whole share is formatted before the parent reads any of it
-        _put_rows(chunks.append, format_rows, split, n)
-        with open(wfd, "wb") as pipe:
-            pipe.writelines(chunks)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def write_rows(fh, format_rows, n: int) -> None:
-    """Write ``format_rows(lo, hi)``, the UTF-8 bytes of score-table rows
-    ``[lo, hi)``, for rows ``0..n`` in order to the binary file ``fh``.
-
-    When the first chunk of rows predicts ``FORK_BYTES`` or more in all and
-    two CPUs are usable, one forked child formats the second half of the
-    rows while this process formats the first, then copies the child's
-    bytes from a pipe.  Either way every row is formatted by ``format_rows``
-    alone, so the bytes never depend on the CPU count.  A failed child is an
-    ``OSError``, and no child outlives the call, on success or on error."""
-    # The first chunk's bytes estimate the whole file's: a second CPU pays
-    # for its fork only on a large one.
-    probe = min(_CHUNK_ROWS, n)
-    first = format_rows(0, probe)
-    fh.write(first)
-    split, pid, cpus = n, None, _usable_cpus()
-    if (probe < n and len(first) * n >= FORK_BYTES * probe and len(cpus) >= 2
-            and hasattr(os, "fork")):
-        rfd, wfd = os.pipe()
-        # The child starts on another CPU than this process: left to the
-        # scheduler, the two can share one CPU for their first 100 ms.
-        home = min(cpus)
-        _pin({home})
-        try:
-            # fork-safe: the child only formats, writes the pipe and os._exits (no flush, no atexit)
-            pid = os.fork()
-        except OSError:  # no process to be had: this one formats every row
-            os.close(rfd)
-        else:
-            split = max(probe, n // 2)
-            if pid == 0:
-                _child(format_rows, split, n, rfd, wfd, cpus - {home})
-        finally:
-            _pin(cpus)
-        os.close(wfd)
-    try:
-        _put_rows(fh.write, format_rows, probe, split)
-        if pid is not None:
-            while data := os.read(rfd, 1 << 16):
-                fh.write(data)
-            status = os.waitpid(pid, 0)[1]
-            pid = None
-            if status:
-                raise OSError(f"the process formatting rows {split} to {n} failed "
-                              f"(exit code {os.waitstatus_to_exitcode(status)})")
-    finally:
-        if split < n:
-            os.close(rfd)
-        if pid is not None:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)

@@ -14,10 +14,10 @@ those ranks.
 A ``ScoreTable`` holds only ids that keep the bank's id rule and never
 repeat, and finite scores, in every space, checked once as it is built, so
 no table can be saved that would not load.
-Verb and noun score tables are text, the format a user's own model can
-write; an action table is a zip of the bank's codec (``errors._write_zip``
-and ``errors._read_zip``), and ``load_score_table`` tells the two apart by
-the zip magic.
+``save_score_table`` writes a table of every space as a zip of the bank's
+codec (``errors._write_zip`` and ``errors._read_zip``).  A verb or noun
+table may also be text, the format a user's own model can write, and
+``load_score_table`` tells the two apart by the zip magic.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from .bank import PAIR_COUNT_THRESHOLD, FeatureBank, _id_fault
 from .errors import (_ZIP_MAGIC, ValidationError, _read_zip, _write_zip, parse_json, read_text,
-                     replacing, strict_json, write_rows)
+                     replacing)
 
 __all__ = [
     "ActionPrior",
@@ -319,30 +319,34 @@ def load_prior(path, verb_vocab_size: int, noun_vocab_size: int) -> ActionPrior:
 
 
 def save_score_table(table: ScoreTable, path) -> None:
-    """Save ``table`` through ``errors.replacing``, so a failed save leaves
-    the old file.  A ``ScoreTable`` holds only ids that load, so every file
-    this writes loads back as an equal table.
+    """Save ``table`` as the zip of ``errors._write_zip``, through
+    ``errors.replacing``, so a failed save leaves the old file: the header
+    ``[verb_classes, noun_classes]``, where ``-1`` marks the axis a verb or
+    noun table lacks, the float64 ``scores`` and the ids.  Equal tables give
+    equal bytes, and a ``ScoreTable`` holds only ids that load, so every
+    file this writes loads back as an equal table."""
+    header = {"verb": [table.classes, -1], "noun": [-1, table.classes],
+              "action": [table.verb_classes, table.noun_classes]}[table.space]
+    _write_zip(path, header, {"scores": table.scores.astype(np.float64, copy=False)},
+               table.segment_ids)
 
-    A verb or noun table is text: a header line with the space tag and
-    class count, then one ``segment_id score...`` line per row, each score
-    its ``repr``.  The rows go through ``errors.write_rows``, so their bytes
-    never depend on the CPU count.  An action table is the zip of
-    ``errors._write_zip``: the header ``[verb_classes, noun_classes]``, the
-    float64 ``scores`` and the ids, byte-identical for equal tables."""
-    ids, scores = table.segment_ids, table.scores.astype(np.float64, copy=False)
-    if table.space == "action":
-        _write_zip(path, [table.verb_classes, table.noun_classes], {"scores": scores}, ids)
-        return
-    row_format = "%s " + " ".join(["%r"] * table.classes) + "\n"
 
-    def format_rows(lo: int, hi: int) -> bytes:
-        return "".join(row_format % (seg_id, *row) for seg_id, row in zip(
-            ids[lo:hi], scores[lo:hi].tolist())).encode("utf-8")
-
-    header = {"space": table.space, "classes": table.classes}
-    with replacing(path) as fh:
-        fh.write(strict_json(header, separators=(",", ":")).encode("utf-8") + b"\n")
-        write_rows(fh, format_rows, len(ids))
+def _zip_table(header: list[int], blocks: dict, ids: list[str]) -> ScoreTable:
+    """The table of a score-table zip's header, blocks and ids: ``[C, -1]``
+    is a verb table and ``[-1, C]`` a noun table of ``C >= 0`` classes, and
+    any other header an action table, which ``ScoreTable`` checks."""
+    verbs, nouns = header
+    scores = blocks["scores"]
+    if nouns == -1 and verbs >= 0:
+        space, classes = "verb", verbs
+    elif verbs == -1 and nouns >= 0:
+        space, classes = "noun", nouns
+    else:
+        return ScoreTable(ids, scores, "action", verbs, nouns)
+    if scores.shape[1:] != (classes,):
+        raise ValidationError(f"{space} table: header says {classes} classes but scores "
+                              f"shaped {scores.shape}")
+    return ScoreTable(ids, scores, space)
 
 
 def _header_count(val) -> int:
@@ -354,10 +358,11 @@ def _header_count(val) -> int:
 
 
 def load_score_table(path) -> ScoreTable:
-    """Load a score table written by ``save_score_table``: a file that starts
-    with the zip magic is exactly the action-table zip, and any fault in it
-    is a ValidationError naming the file.  Any other file is a verb or noun
-    table in text, each fault named with its line.  Reading finds what a
+    """Load a score table: a file that starts with the zip magic is exactly
+    the zip of ``save_score_table``, and any fault in it is a ValidationError
+    naming the file.  Any other file is a verb or noun table in text, each
+    fault named with its line: a header line ``{"space": ..., "classes":
+    C}``, then one ``segment_id score...`` line per row.  Reading finds what a
     line can get wrong: a malformed header, a header of the action space
     (an earlier build's text action table), a row of the wrong width or a
     score that is not a number.  ``ScoreTable`` then finds a repeated
@@ -365,10 +370,8 @@ def load_score_table(path) -> ScoreTable:
     with open(path, "rb") as fh:
         data = fh.read()
     if data.startswith(_ZIP_MAGIC):
-        return _read_zip(path, io.BytesIO(data), "action table", 2,
-                         {"scores": np.dtype(np.float64)},
-                         lambda header, blocks, ids: ScoreTable(ids, blocks["scores"], "action",
-                                                                *header))
+        return _read_zip(path, io.BytesIO(data), "score table", 2,
+                         {"scores": np.dtype(np.float64)}, _zip_table)
     lines = read_text(path, data).split("\n")
     if lines == [""]:
         raise ValidationError(f"{path}: empty score table file")

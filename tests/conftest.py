@@ -3,8 +3,8 @@ exact bank equality, a dense action prior from listed pairs, the
 record-by-record synthetic bank generator and aggregation chain, the
 JSON-lines bank writer, the sidecar that earlier builds wrote beside it,
 the reference zip writer, the ways to damage a zip (a bank or an action
-table), the one-``repr``-per-float score table writer and the
-per-batch-scaling training loop."""
+table), the text score table writer and the per-batch-scaling training
+loop."""
 
 import hashlib
 import io
@@ -99,8 +99,9 @@ def dense_prior(freq, verbs, nouns):
 
 
 def reference_save_score_table(table, path) -> None:
-    """Test-side oracle for ``scoring.save_score_table`` on a verb or noun
-    table, and the text of an action table as earlier builds wrote it: the
+    """A score table as text, as earlier builds' ``eval`` wrote it and a
+    user's own model may write it, for ``load_score_table`` to read; for an
+    action table, the text that earlier builds' ``actions`` wrote.  The
     header, then every score of every row through ``repr``."""
     header = {"space": table.space, "classes": table.scores.shape[1]}
     if table.space == "action":

@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import (ZIP_DAMAGE, banks_equal, damage_zip, write_bank_text,
-                      write_old_sidecar)
+from conftest import (ZIP_DAMAGE, banks_equal, damage_zip, reference_save_score_table,
+                      reference_zip, write_bank_text, write_old_sidecar)
 
 from gatedfusion import __version__, cli, errors, scoring, training
 from gatedfusion.bank import (AggregationConfig, Detection, FeatureBank, SegmentRecord,
@@ -55,8 +55,9 @@ def synth(out_dir, seed=7, train=40, val=20, **flags):
 
 
 def tiny_action_inputs(root):
-    """A labeled 2-verb x 3-noun bank, aligned verb and noun tables, and a
-    prior file: the inputs of one ``actions --prior`` run."""
+    """A labeled 2-verb x 3-noun bank, aligned verb and noun tables as text
+    (the format a user's own model writes), and a prior file: the inputs of
+    one ``actions --prior`` run."""
     ids = ["s0", "s1", "s2", "s3"]
     records = [SegmentRecord(segment_id=i, clip_feature=np.zeros(2), clip_center_frame=0,
                              detections=[], verb_label=v, noun_label=n)
@@ -65,9 +66,9 @@ def tiny_action_inputs(root):
     paths["bank"] = root / "test.bank"
     save_feature_bank(FeatureBank.from_records(records, dim_v=2, dim_o=2, verb_vocab_size=2,
                                                noun_vocab_size=3), paths["bank"])
-    save_score_table(ScoreTable(segment_ids=ids, space="verb", scores=np.array(
+    reference_save_score_table(ScoreTable(segment_ids=ids, space="verb", scores=np.array(
         [[0.9, 0.1], [0.2, 0.8], [0.4, 0.6], [0.5, 0.5]])), paths["verb"])
-    save_score_table(ScoreTable(segment_ids=ids, space="noun", scores=np.array(
+    reference_save_score_table(ScoreTable(segment_ids=ids, space="noun", scores=np.array(
         [[0.4, 0.1, 0.5], [0.1, 0.4, 0.5], [0.3, 0.3, 0.4], [0.2, 0.2, 0.6]])), paths["noun"])
     paths["prior"].write_text("0 0 0.5\n1 1 0.25\n1 2 0.25\n", encoding="utf-8")
     return paths
@@ -636,8 +637,47 @@ class TestActions:
                    "--bank", paths["bank"], "--prior", paths["prior"],
                    "--out-dir", tmp_path / "act") == 1
         assert capsys.readouterr().err.startswith(
-            f"gatedfusion: error: {paths['bank']}: action table members are ['header.npy', "
+            f"gatedfusion: error: {paths['bank']}: score table members are ['header.npy', "
             f"'clip.npy', ")
+        assert not list((tmp_path / "act").glob("*"))
+
+    def test_text_tables_and_eval_zips_give_the_same_actions(self, tmp_path):
+        # eval writes its table as a zip under the name scores.txt; the text
+        # an earlier build's eval wrote there still loads, to the same rows.
+        self._prepare(tmp_path)
+        for target in ("verb", "noun"):
+            zipped = tmp_path / f"eval-{target}/scores.txt"
+            assert zipped.read_bytes().startswith(b"PK\x03\x04")
+            reference_save_score_table(load_score_table(zipped), tmp_path / f"{target}.txt")
+        outputs = {}
+        for form, verb, noun in (("zip", "eval-verb/scores.txt", "eval-noun/scores.txt"),
+                                 ("text", "verb.txt", "noun.txt")):
+            assert run("actions", "--verb-table", tmp_path / verb, "--noun-table", tmp_path / noun,
+                       "--bank", tmp_path / "data/val.bank",
+                       "--train-bank", tmp_path / "data/train.bank",
+                       "--out-dir", tmp_path / form) == 0
+            outputs[form] = {name: (tmp_path / form / name).read_bytes()
+                             for name in ("action_scores.npz", "action_report.json", "prior.txt")}
+        assert outputs["zip"] == outputs["text"]
+
+    @pytest.mark.parametrize("header,classes,message", [
+        ([-1, -1], 2, "action table: verb_classes must be >= 1, got -1"),
+        ([-2, 3], 3, "action table: verb_classes must be >= 1, got -2"),
+        ([3, -1], 2, "verb table: header says 3 classes but scores shaped (4, 2)"),
+        ([0, 3], 3, "action table: verb_classes must be >= 1, got 0"),
+    ], ids=["no space", "negative count", "width mismatch", "zero count"])
+    def test_a_zip_header_of_no_space_is_exit_one_naming_it(self, tmp_path, capsys, header,
+                                                            classes, message):
+        paths = tiny_action_inputs(tmp_path)
+        path = paths["verb"]
+        path.write_bytes(reference_zip({
+            "header": np.array(header, dtype=np.int64), "scores": np.full((4, classes), 0.5),
+            "ids": np.frombuffer(b"s0\ns1\ns2\ns3\n", dtype=np.uint8)}))
+        with pytest.raises(ValidationError) as exc:
+            load_score_table(path)
+        assert str(exc.value) == f"{path}: {message}"
+        assert run_actions(paths, tmp_path / "act") == 1
+        assert capsys.readouterr().err == f"gatedfusion: error: {path}: {message}\n"
         assert not list((tmp_path / "act").glob("*"))
 
     @pytest.mark.parametrize("count", ["2.0", "2.9", '"2"', "true"])
