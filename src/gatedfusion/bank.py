@@ -6,10 +6,11 @@ and optional verb/noun labels.  A segment id is what one whitespace-split
 field of a UTF-8 score-table line holds: a non-empty ``str`` with no
 character for which ``str.isspace()`` is true and no lone surrogate.  In
 memory a bank is the flat blocks that its file stores.  The JSON-lines
-reader packs each record line straight into them, and
-``FeatureBank.validate`` is the one check of their values, ids included.
-Rows are only the input of ``FeatureBank.from_records`` and the output of
-the read-only ``FeatureBank.records`` view.
+reader packs each record line straight into them.  ``_validate`` is the one
+check of their values, ids included: every ``FeatureBank`` runs it as it is
+built, however it is built, and ``FeatureBank.validate`` runs it again on a
+bank changed since.  Rows are only the input of ``FeatureBank.from_records``
+and the output of the read-only ``FeatureBank.records`` view.
 
 Aggregation turns the detections into a single object feature by keeping
 the detections inside a frame window around the clip center, selecting the
@@ -22,27 +23,24 @@ tests keep the record-by-record chain as its reference.
 
 A bank file is a zip of the blocks, one stored ``.npy`` member each, with
 the header ints and the ids as UTF-8 lines, written and read by the zip
-codec in ``errors`` that action tables share: ``save_feature_bank``
+codec in ``errors`` that score tables share: ``save_feature_bank``
 writes it byte-identically for equal banks, whole or not at all, and the
 loader takes exactly that layout.  Line-delimited JSON is accepted as
 input: a header line declaring the feature dims and vocabulary sizes,
-then one record object per line.
+then one record object per line, told from a zip by ``errors.read_input``.
 """
 
 from __future__ import annotations
 
 import contextlib
-import io
 import math
-import os
 import re
-import stat
 import zlib
-from dataclasses import dataclass, field, fields
+from dataclasses import InitVar, dataclass, field, fields
 
 import numpy as np
 
-from .errors import _ZIP_MAGIC, ValidationError, _read_zip, _write_zip, parse_json, read_text
+from .errors import ValidationError, _write_zip, parse_json, read_input
 from .tensor import l2_norm
 
 __all__ = [
@@ -85,7 +83,7 @@ _LABEL_KEYS = ("verb", "noun")
 _NO_LABEL = -1
 PAIR_COUNT_THRESHOLD = 50  # bank_stats and scoring.prior_stats count pairs seen more often
 # The blocks after ``ids`` and their dtypes: per record, then per detection
-# in record order.  The packer builds them; validate() checks them.
+# in record order.  The packer builds them; _validate checks them.
 _BLOCK_DTYPES = {name: np.dtype(dtype) for name, dtype in (
     ("clip", np.float64), ("centers", np.int64), ("labels", np.int64), ("counts", np.int64),
     ("frames", np.int64), ("scores", np.float64), ("features", np.float64))}
@@ -209,10 +207,8 @@ def _pack(rows, header: dict, where: str = "") -> FeatureBank:
               for (name, dtype), column in zip(_BLOCK_DTYPES.items(), columns)}
     for name, width in (("clip", header["dim_v"]), ("labels", 2), ("features", header["dim_o"])):
         blocks[name] = blocks[name].reshape(-1, width)  # an empty column has no width
-    blocks["clip"].flags.writeable = blocks["features"].flags.writeable = False
-    bank = FeatureBank(**{key: header[key] for key in _HEADER_KEYS}, ids=ids, **blocks)
-    _validate(bank, lines)
-    return bank
+    return FeatureBank(**{key: header[key] for key in _HEADER_KEYS}, ids=ids, **blocks,
+                       lines=lines)
 
 
 def _validate(bank: FeatureBank, lines: list[str]) -> None:
@@ -266,7 +262,10 @@ class FeatureBank:
     """Record ``i`` is ``ids[i]``, ``clip[i]`` (``dim_v`` entries),
     ``centers[i]``, ``labels[i]`` = (verb, noun) with -1 for no label, and
     ``counts[i]`` detections.  The detections of all records, in record
-    order, are ``frames``, ``scores`` and ``features`` rows (``dim_o``)."""
+    order, are ``frames``, ``scores`` and ``features`` rows (``dim_o``).
+    Building a bank checks it and makes its ``clip`` and ``features``
+    read-only; a loader passes ``lines``, each record's file line (not
+    stored), so a fault names its line."""
 
     dim_v: int
     dim_o: int
@@ -280,6 +279,11 @@ class FeatureBank:
     frames: np.ndarray
     scores: np.ndarray
     features: np.ndarray
+    lines: InitVar[list[str] | None] = None
+
+    def __post_init__(self, lines: list[str] | None) -> None:
+        _validate(self, lines or [""] * len(self.ids))
+        self.clip.flags.writeable = self.features.flags.writeable = False
 
     @classmethod
     def from_records(cls, records: list[SegmentRecord], dim_v: int, dim_o: int,
@@ -310,7 +314,7 @@ class FeatureBank:
                     self.ids, self.clip, self.centers.tolist(), [0] + ends, ends, labels)]
 
     def validate(self) -> None:
-        """Enforce the bank invariants, naming the first offending record."""
+        """Re-check a bank changed since it was built, naming the first offending record."""
         _validate(self, [""] * len(self.ids))
 
 
@@ -397,32 +401,22 @@ def save_feature_bank(bank: FeatureBank, path) -> None:
 
 
 def _bank_of(header: list[int], blocks: dict, ids: list[str]) -> FeatureBank:
-    """The bank that the members of a bank zip hold, once its blocks validate."""
-    bank = FeatureBank(**dict(zip(_HEADER_KEYS, header)), ids=ids,
+    """The bank that the members of a bank zip hold."""
+    return FeatureBank(**dict(zip(_HEADER_KEYS, header)), ids=ids,
                        **{block: blocks[name] for name, block in _ZIP_BLOCKS.items()})
-    bank.validate()
-    bank.clip.flags.writeable = bank.features.flags.writeable = False  # as from_records
-    return bank
 
 
 def load_feature_bank(path) -> FeatureBank:
-    """Load a bank file: one that starts with the zip magic is the zip
-    ``save_feature_bank`` writes, and any other is JSON lines.  Every fault
-    is a ValidationError naming the file (and, in JSON lines, the line and
-    record).  A path that is not a regular file (a pipe) is read once."""
-    with open(path, "rb") as fh:
-        src = fh if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) else io.BytesIO(fh.read())
-        if src.read(len(_ZIP_MAGIC)) == _ZIP_MAGIC:
-            return _read_zip(path, src, "bank", len(_HEADER_KEYS), _ZIP_DTYPES, _bank_of)
-        src.seek(0)
-        data = src.read()
-    return _parse_bank(path, data)
+    """Load a bank file: the zip ``save_feature_bank`` writes, or JSON
+    lines.  Every fault is a ValidationError naming the file (and, in JSON
+    lines, the line and record)."""
+    return read_input(path, "bank", len(_HEADER_KEYS), _ZIP_DTYPES, _bank_of, _parse_bank)
 
 
-def _parse_bank(path, data: bytes) -> FeatureBank:
-    """The bank in the JSON bytes of ``path``: each record line goes
-    straight to the packer, and every fault names its line."""
-    lines = read_text(path, data).split("\n")
+def _parse_bank(path, text: str) -> FeatureBank:
+    """The bank in the JSON-lines ``text`` of ``path``: each record line
+    goes straight to the packer, and every fault names its line."""
+    lines = text.split("\n")
     if not lines[0].strip():
         raise ValidationError(f"{path}: missing header line")
     header = parse_json(lines[0], f"{path}: line 1", "header is not valid JSON")
@@ -643,7 +637,7 @@ def synth_generate(spec: SynthSpec, seed: int, split: str = "train") -> FeatureB
     offsets[:, per - spec.decoys:] *= np.where(sides < 0.5, 1, -1).reshape(n, spec.decoys)
     offsets += centers[:, None]
     # An overflow, or a jitter so small that its mean factor is 0, leaves a
-    # non-finite entry, which validate() reports by record.
+    # non-finite entry, which building the bank reports by record.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         clip *= spec.noise
         clip += verb_protos[labels[:, 0]]
@@ -660,14 +654,11 @@ def synth_generate(spec: SynthSpec, seed: int, split: str = "train") -> FeatureB
         blocks[:, :S] += noun_protos[labels[:, 1], None]
         blocks[:, S:] += protos.reshape(n, n_proto, spec.dim_o)
         blocks *= amps[:, None, None]
-    clip.flags.writeable = features.flags.writeable = False  # as from_records
-    bank = FeatureBank(dim_v=spec.dim_v, dim_o=spec.dim_o, verb_vocab_size=spec.verb_vocab,
+    return FeatureBank(dim_v=spec.dim_v, dim_o=spec.dim_o, verb_vocab_size=spec.verb_vocab,
                        noun_vocab_size=spec.noun_vocab,
                        ids=[f"{split}-{i:05d}" for i in range(n)], clip=clip,
                        centers=centers, labels=labels, counts=np.full(n, per, dtype=np.int64),
                        frames=offsets.ravel(), scores=scores, features=features)
-    bank.validate()
-    return bank
 
 
 def bank_stats(bank: FeatureBank, cfg: AggregationConfig) -> dict:

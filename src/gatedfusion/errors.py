@@ -4,9 +4,10 @@ one JSON decoder every reader uses, the one codec of the JSON documents
 (checkpoints, manifests, reports, histories and stats): ``write_json`` and
 ``read_json``, ``replacing``, which a bank, score table or prior is saved
 through so that it reaches any target whole or not at all: the one place
-that asks whether a save target is a regular file, and ``_write_zip`` and
+that asks whether a save target is a regular file, ``_write_zip`` and
 ``_read_zip``, the one codec of the zip files (banks and score tables of
-every space) and the only code that touches ``zipfile``."""
+every space) and the only code that touches ``zipfile``, and ``read_input``,
+which tells a bank or score table file's zip from its text."""
 
 import contextlib
 import io
@@ -216,3 +217,16 @@ def _read_zip(path, fh, what: str, header_len: int, dtypes: dict, build):
         raise ValidationError(f"{path}: {exc}") from None
     except _ZIP_READ_ERRORS as exc:  # UnicodeDecodeError is a ValueError
         raise ValidationError(f"{path}: not a readable {what} zip: {exc}") from None
+
+
+def read_input(path, what: str, header_len: int, dtypes: dict, build, parse):
+    """The bank or score table in the file at ``path``, opened once: a zip,
+    by its magic, goes to ``_read_zip``, and any other file to ``parse(path,
+    text)``.  A regular file is read where it lies, any other (a pipe) once."""
+    with open(path, "rb") as fh:
+        src = fh if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) else io.BytesIO(fh.read())
+        if src.read(len(_ZIP_MAGIC)) == _ZIP_MAGIC:
+            return _read_zip(path, src, what, header_len, dtypes, build)
+        src.seek(0)
+        data = src.read()
+    return parse(path, read_text(path, data))

@@ -15,21 +15,18 @@ A ``ScoreTable`` holds only ids that keep the bank's id rule and never
 repeat, and finite scores, in every space, checked once as it is built, so
 no table can be saved that would not load.
 ``save_score_table`` writes a table of every space as a zip of the bank's
-codec (``errors._write_zip`` and ``errors._read_zip``).  A verb or noun
-table may also be text, the format a user's own model can write, and
-``load_score_table`` tells the two apart by the zip magic.
+codec in ``errors``.  A verb or noun table may also be text, the format a
+user's own model can write, and ``errors.read_input`` tells the two apart.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .bank import PAIR_COUNT_THRESHOLD, FeatureBank, _id_fault
-from .errors import (_ZIP_MAGIC, ValidationError, _read_zip, _write_zip, parse_json, read_text,
-                     replacing)
+from .bank import PAIR_COUNT_THRESHOLD, FeatureBank, _id_fault, _int64
+from .errors import ValidationError, _write_zip, parse_json, read_input, read_text, replacing
 
 __all__ = [
     "ActionPrior",
@@ -349,36 +346,28 @@ def _zip_table(header: list[int], blocks: dict, ids: list[str]) -> ScoreTable:
     return ScoreTable(ids, scores, space)
 
 
-def _header_count(val) -> int:
-    """A class count from a score table header: a JSON integer, never a
-    float, string or bool."""
-    if not isinstance(val, int) or isinstance(val, bool):
-        raise TypeError(f"class count {val!r} is not an integer")
-    return val
-
-
 def load_score_table(path) -> ScoreTable:
-    """Load a score table: a file that starts with the zip magic is exactly
-    the zip of ``save_score_table``, and any fault in it is a ValidationError
-    naming the file.  Any other file is a verb or noun table in text, each
-    fault named with its line: a header line ``{"space": ..., "classes":
-    C}``, then one ``segment_id score...`` line per row.  Reading finds what a
-    line can get wrong: a malformed header, a header of the action space
-    (an earlier build's text action table), a row of the wrong width or a
-    score that is not a number.  ``ScoreTable`` then finds a repeated
-    segment id, then a score that is not finite."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data.startswith(_ZIP_MAGIC):
-        return _read_zip(path, io.BytesIO(data), "score table", 2,
-                         {"scores": np.dtype(np.float64)}, _zip_table)
-    lines = read_text(path, data).split("\n")
+    """Load a score table: exactly the zip of ``save_score_table``, any fault
+    in it a ValidationError naming the file, or a text table (``_parse_table``)."""
+    return read_input(path, "score table", 2, {"scores": np.dtype(np.float64)}, _zip_table,
+                      _parse_table)
+
+
+def _parse_table(path, text: str) -> ScoreTable:
+    """The verb or noun table in the ``text`` of ``path``, each fault named
+    with its line: a header line ``{"space": ..., "classes": C}``, then one
+    ``segment_id score...`` line per row.  Reading finds what a line can get
+    wrong: a malformed header, a header of the action space (an earlier
+    build's text action table), a row of the wrong width or a score that is
+    not a number.  ``ScoreTable`` then finds a repeated segment id, then a
+    score that is not finite."""
+    lines = text.split("\n")
     if lines == [""]:
         raise ValidationError(f"{path}: empty score table file")
     try:
         header = parse_json(lines[0], f"{path}: line 1")
         space = header["space"]
-        classes = _header_count(header["classes"])
+        classes = _int64(header, "classes")  # a JSON integer, never a float, string or bool
         np.zeros((0, classes))  # a negative or oversized count raises here
     except (KeyError, TypeError, ValueError, OverflowError):  # a ValidationError is a ValueError
         raise ValidationError(f"{path}: line 1: malformed score table header") from None

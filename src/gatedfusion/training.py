@@ -50,7 +50,7 @@ from .bank import AggregationConfig, FeatureBank, bank_features
 from .errors import ShapeError, ValidationError, read_json, write_json
 from .gfa import (GfaCache, GfaParams, ScaleMode, gate_tail, gfa_backward, gfa_forward,
                   scale_object_feature, scale_vjp)
-from .scoring import label_ranks
+from .scoring import topk_report
 from .tensor import affine, affine_vjp
 
 __all__ = [
@@ -424,8 +424,8 @@ def train(bank: FeatureBank, target: str, spec: ModelSpec, cfg: TrainConfig,
         }
         if val_data is not None:
             Vv, Ov, val_labels = val_data
-            ranks = label_ranks(forward_model(core, Vv, Ov)[0], val_labels)
-            entry["val_top1"] = float(np.mean(ranks < 1))
+            entry["val_top1"] = float(topk_report(forward_model(core, Vv, Ov)[0],
+                                                  val_labels)["top1"])
         history.append(entry)
     return model, history
 

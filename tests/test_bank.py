@@ -19,11 +19,12 @@ from gatedfusion import bank as bank_module
 from gatedfusion.bank import (PAIR_COUNT_THRESHOLD, AggregationConfig, Detection, FeatureBank,
                               SegmentRecord, SynthSpec, bank_features, bank_stats,
                               load_feature_bank, save_feature_bank, synth_generate)
-from gatedfusion.errors import ValidationError, read_text
+from gatedfusion.errors import _ZIP_MAGIC, ValidationError, read_text
+from gatedfusion.scoring import ScoreTable, load_score_table, save_score_table
 
 from conftest import (ZIP_DAMAGE, aggregate_object_feature, bank_text, banks_equal,
-                      damage_zip, reference_synth_generate, reference_zip, write_bank_text,
-                      write_old_sidecar)
+                      damage_zip, reference_save_score_table, reference_synth_generate,
+                      reference_zip, write_bank_text, write_old_sidecar)
 
 
 def det(frame, score, *feat):
@@ -752,12 +753,45 @@ class TestBankValidate:
         # bank_features then read the float bits as integers
         bank = load_feature_bank(_write_lines(tmp_path / "ok.bank"))
         block = getattr(bank, name)
-        bank = dataclasses.replace(bank, **{name: block.tolist() if kind is list
-                                            else block.astype(kind)})
+        bad = block.tolist() if kind is list else block.astype(kind)
+        with pytest.raises(ValidationError, match=f"bank block '{name}' must be an array of"):
+            dataclasses.replace(bank, **{name: bad})
+        setattr(bank, name, bad)  # a built bank changed afterwards
         with pytest.raises(ValidationError, match=f"bank block '{name}' must be an array of"):
             bank.validate()
         with pytest.raises(ValidationError, match=f"bank block '{name}' must be an array of"):
             save_feature_bank(bank, tmp_path / "out.bank")
+
+    @pytest.mark.parametrize("name,fault,message", [
+        ("labels", lambda b: np.where([[True, False], [False] * 2, [False] * 2], 99, b.labels),
+         "record 'a': verb label 99 out of range [0, 3)"),
+        ("counts", lambda b: b.counts[:-1], "bank needs 3 detection counts >= 0, one per id"),
+        ("clip", lambda b: np.where([[False] * 2, [True, False], [False] * 2], np.nan, b.clip),
+         "record 'b': clip_feature has non-finite entries"),
+        ("ids", lambda b: ["a", "b", "a"], "duplicate segment_id 'a'"),
+        ("frames", lambda b: b.frames.astype(np.float64),
+         "bank block 'frames' must be an array of int64, got float64"),
+    ], ids=["label-99", "counts-short", "clip-nan", "repeated-id", "float-frames"])
+    def test_a_bank_that_does_not_validate_cannot_be_built(self, tmp_path, name, fault, message):
+        # Such a bank once reached compute_prior, train and bank_stats, which
+        # failed on it with numpy's errors or reported NaN.
+        bank = load_feature_bank(_write_lines(tmp_path / "ok.bank"))
+        bad = fault(bank)
+        with pytest.raises(ValidationError) as from_replace:
+            dataclasses.replace(bank, **{name: bad})
+        setattr(bank, name, bad)
+        with pytest.raises(ValidationError) as from_validate:
+            bank.validate()
+        assert str(from_replace.value) == str(from_validate.value) == message
+
+    def test_a_bank_built_directly_has_read_only_clip_and_features(self):
+        clip, features = np.ones((1, 2)), np.ones((1, 3))
+        bank = FeatureBank(dim_v=2, dim_o=3, verb_vocab_size=1, noun_vocab_size=1, ids=["a"],
+                           clip=clip, centers=np.zeros(1, np.int64),
+                           labels=np.full((1, 2), -1, np.int64), counts=np.ones(1, np.int64),
+                           frames=np.zeros(1, np.int64), scores=np.ones(1), features=features)
+        assert bank.clip is clip and bank.features is features
+        assert not (clip.flags.writeable or features.flags.writeable)
 
 
 # --- segment ids ----------------------------------------------------------------
@@ -789,7 +823,10 @@ class TestSegmentIdRule:
             load_feature_bank(path)
         assert str(from_file.value) == f"{path}: line 3: {_id_fault(seg_id)}"
         bank = load_feature_bank(_write_lines(tmp_path / "ok.bank"))
-        bank = dataclasses.replace(bank, ids=["a", seg_id, "c"])
+        with pytest.raises(ValidationError) as from_replace:
+            dataclasses.replace(bank, ids=["a", seg_id, "c"])
+        assert str(from_replace.value) == _id_fault(seg_id)
+        bank.ids = ["a", seg_id, "c"]  # a built bank changed afterwards
         with pytest.raises(ValidationError) as from_validate:
             bank.validate()
         assert str(from_validate.value) == _id_fault(seg_id)
@@ -992,7 +1029,7 @@ class TestBankZip:
             with open(path, "wb") as fh:
                 np.save(fh, np.zeros(3), allow_pickle=False)
         else:
-            path.write_bytes(b"" if kind == "empty" else bank_module._ZIP_MAGIC + b"junk" * 50)
+            path.write_bytes(b"" if kind == "empty" else _ZIP_MAGIC + b"junk" * 50)
         message = {"empty": "missing header line", "bare npy": "not UTF-8",
                    "junk after the magic": "not a readable bank zip"}[kind]
         with pytest.raises(ValidationError, match=re.escape(f"{path}: {message}")):
@@ -1131,24 +1168,33 @@ class TestBankZip:
         assert peak < 2.0 * blocks
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-    @pytest.mark.parametrize("form", ["zip", "json lines"])
+    @pytest.mark.parametrize("form", ["zip", "json lines", "score table zip", "score table text"])
     def test_a_pipe_loads_from_its_one_read(self, tmp_path, form):
+        # Banks and score tables share one reader, so a pipe of either loads.
         bank = synth_generate(SynthSpec(n_segments=20), 3)
-        path = (_saved(tmp_path, bank) if form == "zip"
-                else write_bank_text(bank, tmp_path / "t.bank"))
-        fifo = tmp_path / "fifo.bank"
+        table = ScoreTable(list(bank.ids), bank.clip, "verb")
+        path = tmp_path / "src"
+        {"zip": lambda: save_feature_bank(bank, path),
+         "json lines": lambda: write_bank_text(bank, path),
+         "score table zip": lambda: save_score_table(table, path),
+         "score table text": lambda: reference_save_score_table(table, path)}[form]()
+        fifo = tmp_path / "fifo"
         os.mkfifo(fifo)
         writer = subprocess.Popen([sys.executable, "-c",
                                    "import sys; open(sys.argv[2], 'wb').write("
                                    "open(sys.argv[1], 'rb').read())",
                                    str(path), str(fifo)])
         try:
-            loaded = load_feature_bank(fifo)
+            loaded = (load_score_table if form.startswith("score") else load_feature_bank)(fifo)
             assert writer.wait(timeout=60) == 0
         finally:  # a writer left blocked on the pipe ends with the test
             writer.kill()
             writer.wait()
-        assert _same_bits(loaded, bank)
+        if form.startswith("score"):
+            assert (loaded.segment_ids, loaded.space) == (table.segment_ids, table.space)
+            assert loaded.scores.tobytes() == table.scores.tobytes()
+        else:
+            assert _same_bits(loaded, bank)
 
 
 # The banks whose zip and JSON-lines forms must load to the same bits: the

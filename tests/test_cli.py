@@ -631,6 +631,24 @@ class TestActions:
                                            f"tables are zips; a text table is verb or noun\n")
         assert not list((tmp_path / "act").glob("*"))
 
+    @pytest.mark.parametrize("in_verb_slot,in_noun_slot", [("noun", "verb"), ("verb", "verb")],
+                             ids=["swapped", "verb-as-noun"])
+    def test_a_table_of_the_other_space_is_exit_one_naming_it(self, tmp_path, capsys,
+                                                               in_verb_slot, in_noun_slot):
+        # Each slot gets its own zip, so the message names the one that is wrong.
+        paths = tiny_action_inputs(tmp_path)
+        slots = {"verb": in_verb_slot, "noun": in_noun_slot}
+        zips = {slot: tmp_path / f"{slot}-slot.zip" for slot in slots}
+        for slot, space in slots.items():
+            save_score_table(load_score_table(paths[space]), zips[slot])
+        wrong = "verb" if in_verb_slot != "verb" else "noun"
+        assert run("actions", "--verb-table", zips["verb"], "--noun-table", zips["noun"],
+                   "--bank", paths["bank"], "--prior", paths["prior"],
+                   "--out-dir", tmp_path / "act") == 1
+        assert capsys.readouterr().err == (f"gatedfusion: error: {zips[wrong]}: space is "
+                                           f"{slots[wrong]!r}, expected {wrong!r}\n")
+        assert not list((tmp_path / "act").glob("*"))
+
     def test_a_bank_zip_as_the_verb_table_is_exit_one_naming_it(self, tmp_path, capsys):
         paths = tiny_action_inputs(tmp_path)
         assert run("actions", "--verb-table", paths["bank"], "--noun-table", paths["noun"],
@@ -1214,6 +1232,19 @@ class TestZipCodec:
         # module level: the import and the errors a zip read can raise
         assert sites == {("errors.py", None), ("errors.py", "_write_zip"),
                          ("errors.py", "_read_zip")}
+
+    def test_only_the_shared_reader_tells_a_zip_from_text(self):
+        # Banks and score tables load through errors.read_input: no other
+        # module reads a zip or looks for its magic.
+        names = {"_read_zip", "_ZIP_MAGIC"}
+        modules = set()
+        for path in sorted(Path(errors.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if ((isinstance(node, ast.Name) and node.id in names)
+                        or (isinstance(node, ast.Attribute) and node.attr in names)
+                        or (isinstance(node, ast.alias) and node.name in names)):
+                    modules.add(path.name)
+        assert modules == {"errors.py"}
 
 
 class TestGradcheckCommand:
