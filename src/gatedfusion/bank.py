@@ -7,10 +7,10 @@ field of a UTF-8 score-table line holds: a non-empty ``str`` with no
 character for which ``str.isspace()`` is true and no lone surrogate.  In
 memory a bank is the flat blocks that its file stores.  The JSON-lines
 reader packs each record line straight into them.  ``_validate`` is the one
-check of their values, ids included: every ``FeatureBank`` runs it as it is
-built, however it is built, and ``FeatureBank.validate`` runs it again on a
-bank changed since.  Rows are only the input of ``FeatureBank.from_records``
-and the output of the read-only ``FeatureBank.records`` view.
+check of their values, ids included: every ``FeatureBank`` runs it once, as
+it is built, and then holds tuple ids and read-only blocks, so a changed bank
+is built with ``dataclasses.replace``, which checks it again.  Rows are only
+the input of ``FeatureBank.from_records`` and the output of ``records`` views.
 
 Aggregation turns the detections into a single object feature by keeping
 the detections inside a frame window around the clip center, selecting the
@@ -257,21 +257,21 @@ def _validate(bank: FeatureBank, lines: list[str]) -> None:
                           f"out of range [0, {sizes[key]})")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class FeatureBank:
     """Record ``i`` is ``ids[i]``, ``clip[i]`` (``dim_v`` entries),
     ``centers[i]``, ``labels[i]`` = (verb, noun) with -1 for no label, and
     ``counts[i]`` detections.  The detections of all records, in record
     order, are ``frames``, ``scores`` and ``features`` rows (``dim_o``).
-    Building a bank checks it and makes its ``clip`` and ``features``
-    read-only; a loader passes ``lines``, each record's file line (not
-    stored), so a fault names its line."""
+    Building a bank checks it and makes ``ids`` a tuple and every block
+    read-only; ``dataclasses.replace`` builds a changed one.  A loader
+    passes each record's file line as ``lines`` so a fault names it."""
 
     dim_v: int
     dim_o: int
     verb_vocab_size: int
     noun_vocab_size: int
-    ids: list[str]
+    ids: tuple[str, ...]
     clip: np.ndarray
     centers: np.ndarray
     labels: np.ndarray
@@ -282,8 +282,10 @@ class FeatureBank:
     lines: InitVar[list[str] | None] = None
 
     def __post_init__(self, lines: list[str] | None) -> None:
+        object.__setattr__(self, "ids", tuple(self.ids))  # frozen: set as the dataclass init does
         _validate(self, lines or [""] * len(self.ids))
-        self.clip.flags.writeable = self.features.flags.writeable = False
+        for name in _BLOCKS:
+            getattr(self, name).flags.writeable = False
 
     @classmethod
     def from_records(cls, records: list[SegmentRecord], dim_v: int, dim_o: int,
@@ -312,10 +314,6 @@ class FeatureBank:
         return [SegmentRecord(seg_id, clip, center, dets[start:end], verb, noun)
                 for seg_id, clip, center, start, end, (verb, noun) in zip(
                     self.ids, self.clip, self.centers.tolist(), [0] + ends, ends, labels)]
-
-    def validate(self) -> None:
-        """Re-check a bank changed since it was built, naming the first offending record."""
-        _validate(self, [""] * len(self.ids))
 
 
 @dataclass(frozen=True)
@@ -391,11 +389,10 @@ _ZIP_DTYPES = {name: _BLOCK_DTYPES[block] for name, block in _ZIP_BLOCKS.items()
 
 
 def save_feature_bank(bank: FeatureBank, path) -> None:
-    """Validate ``bank`` and write it to ``path`` through ``errors.replacing``
-    as one zip: the header ints, ``_ZIP_BLOCKS`` and the ids in the
-    ``np.savez`` layout, with fixed member timestamps, so equal banks give
-    equal bytes and a failed save leaves the old file."""
-    bank.validate()
+    """Write ``bank`` to ``path`` through ``errors.replacing`` as one zip:
+    the header ints, ``_ZIP_BLOCKS`` and the ids in the ``np.savez`` layout,
+    with fixed member timestamps, so equal banks give equal bytes and a
+    failed save leaves the old file."""
     _write_zip(path, [getattr(bank, k) for k in _HEADER_KEYS],
                {name: getattr(bank, block) for name, block in _ZIP_BLOCKS.items()}, bank.ids)
 

@@ -189,7 +189,7 @@ def _cmd_eval(cfg: dict, out: Path):
     bank = load_feature_bank(cfg["bank"])
     labels = fit_labels(bank, ckpt.target, (ckpt.dim_v, ckpt.dim_o), ckpt.classes, "checkpoint")
     scores, _ = forward_model(*bank_inputs(ckpt.model, bank, ckpt.aggregation))
-    table = ScoreTable(segment_ids=list(bank.ids), scores=softmax(scores), space=ckpt.target)
+    table = ScoreTable(segment_ids=bank.ids, scores=softmax(scores), space=ckpt.target)
     # A zip under its text-era name, which the README and perfbench pass to actions.
     table_path = out / "scores.txt"
     save_score_table(table, table_path)

@@ -12,8 +12,8 @@ row's true label once, and ``topk_report`` gives every k of a report from
 those ranks.
 
 A ``ScoreTable`` holds only ids that keep the bank's id rule and never
-repeat, and finite scores, in every space, checked once as it is built, so
-no table can be saved that would not load.
+repeat, and finite scores, in every space, checked once as it is built and
+unchangeable after, so no table can be saved that would not load.
 ``save_score_table`` writes a table of every space as a zip of the bank's
 codec in ``errors``.  A verb or noun table may also be text, the format a
 user's own model can write, and ``errors.read_input`` tells the two apart.
@@ -48,14 +48,14 @@ SCORE_SPACES = ("verb", "noun", "action")
 _TOPK = (1, 5)  # the k of every top-k accuracy a report gives
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ActionPrior:
     """Dense verb x noun co-occurrence prior.  ``mu[v, n]`` is the relative
     frequency of the pair, 0 for pairs never observed; the vocab sizes are
-    its shape.  ``counts`` keeps the raw tallies for reporting when the
-    prior was counted from a bank.  ``mu`` is a 2-D float64 array, finite
-    and >= 0, with a positive entry, and ``counts`` None or an int64 array
-    of its shape: every prior that builds saves and loads back equal."""
+    its shape.  ``counts``, the tallies of a prior counted from a bank, is
+    None or an int64 array of that shape, and ``mu`` is 2-D float64, finite,
+    >= 0 and not all zero.  Both are read-only, so every prior saves and
+    loads back equal; ``dataclasses.replace`` builds a changed one."""
 
     mu: np.ndarray
     counts: np.ndarray | None = None
@@ -69,16 +69,18 @@ class ActionPrior:
         if counts is not None and not (isinstance(counts, np.ndarray)
                                        and counts.dtype == np.int64 and counts.shape == mu.shape):
             raise ValidationError(f"prior counts must be None or an int64 array shaped {mu.shape}")
+        for array in (mu,) if counts is None else (mu, counts):
+            array.flags.writeable = False
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ScoreTable:
     """Per-segment class scores: one aligned row per segment id.  The ids
-    keep the bank's id rule and never repeat, as in a bank, and every score
-    is finite: the one check of a table's rows.  A loader passes ``lines``,
-    each row's file line (not stored), so a fault names its line."""
+    keep the bank's id rule and never repeat, and every score is finite; the
+    ids are a tuple and ``scores`` read-only, and ``dataclasses.replace``
+    builds a changed table.  A loader passes each row's file line as ``lines``."""
 
-    segment_ids: list[str]
+    segment_ids: tuple[str, ...]
     scores: np.ndarray
     space: str
     verb_classes: int | None = None
@@ -86,6 +88,7 @@ class ScoreTable:
     lines: InitVar[list[int] | None] = None
 
     def __post_init__(self, lines: list[int] | None) -> None:
+        object.__setattr__(self, "segment_ids", tuple(self.segment_ids))  # frozen
         if self.space not in SCORE_SPACES:
             raise ValidationError(f"score space {self.space!r} not one of {SCORE_SPACES}")
         if id_fault := _id_fault(self.segment_ids):
@@ -112,6 +115,7 @@ class ScoreTable:
                 raise ValidationError(
                     f"action table: {self.verb_classes}x{self.noun_classes} pairs but "
                     f"{self.scores.shape[1]} columns")
+        self.scores.flags.writeable = False
 
     @property
     def classes(self) -> int:
@@ -171,7 +175,7 @@ def reweight_actions(pv: np.ndarray, pn: np.ndarray, prior: ActionPrior) -> np.n
     return scores
 
 
-def _check_aligned(ids: list[str], other: list[str], what: str) -> None:
+def _check_aligned(ids: tuple[str, ...], other: tuple[str, ...], what: str) -> None:
     """Reject tables whose rows are not the same segments in the same order,
     naming the first differing row, else both lengths."""
     if ids == other:
@@ -255,9 +259,8 @@ def score_actions_for_bank(verb_table: ScoreTable, noun_table: ScoreTable, prior
     # mu = 1 scales exactly, so this is the all-ones re-weighting, bit for bit.
     # It is ranked before the re-weighted block exists: one block at a time.
     plain = topk_report((pv[:, :, None] * pn[:, None, :]).reshape(shape), actions)
-    reweighted_table = ScoreTable(scores=reweight_actions(pv, pn, prior).reshape(shape),
-                                  segment_ids=list(verb_table.segment_ids), space="action",
-                                  verb_classes=verbs, noun_classes=nouns)
+    reweighted = reweight_actions(pv, pn, prior).reshape(shape)
+    reweighted_table = ScoreTable(verb_table.segment_ids, reweighted, "action", verbs, nouns)
     return reweighted_table, {"reweighted": topk_report(reweighted_table.scores, actions),
                               "plain": plain}, labels
 

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import os
@@ -756,11 +757,6 @@ class TestBankValidate:
         bad = block.tolist() if kind is list else block.astype(kind)
         with pytest.raises(ValidationError, match=f"bank block '{name}' must be an array of"):
             dataclasses.replace(bank, **{name: bad})
-        setattr(bank, name, bad)  # a built bank changed afterwards
-        with pytest.raises(ValidationError, match=f"bank block '{name}' must be an array of"):
-            bank.validate()
-        with pytest.raises(ValidationError, match=f"bank block '{name}' must be an array of"):
-            save_feature_bank(bank, tmp_path / "out.bank")
 
     @pytest.mark.parametrize("name,fault,message", [
         ("labels", lambda b: np.where([[True, False], [False] * 2, [False] * 2], 99, b.labels),
@@ -776,22 +772,55 @@ class TestBankValidate:
         # Such a bank once reached compute_prior, train and bank_stats, which
         # failed on it with numpy's errors or reported NaN.
         bank = load_feature_bank(_write_lines(tmp_path / "ok.bank"))
-        bad = fault(bank)
         with pytest.raises(ValidationError) as from_replace:
-            dataclasses.replace(bank, **{name: bad})
-        setattr(bank, name, bad)
-        with pytest.raises(ValidationError) as from_validate:
-            bank.validate()
-        assert str(from_replace.value) == str(from_validate.value) == message
+            dataclasses.replace(bank, **{name: fault(bank)})
+        assert str(from_replace.value) == message
 
-    def test_a_bank_built_directly_has_read_only_clip_and_features(self):
-        clip, features = np.ones((1, 2)), np.ones((1, 3))
-        bank = FeatureBank(dim_v=2, dim_o=3, verb_vocab_size=1, noun_vocab_size=1, ids=["a"],
-                           clip=clip, centers=np.zeros(1, np.int64),
-                           labels=np.full((1, 2), -1, np.int64), counts=np.ones(1, np.int64),
-                           frames=np.zeros(1, np.int64), scores=np.ones(1), features=features)
-        assert bank.clip is clip and bank.features is features
-        assert not (clip.flags.writeable or features.flags.writeable)
+
+def _bank_built(how: str, tmp_path) -> FeatureBank:
+    """The ``_bank_file_lines`` bank (a synthetic one for ``synth_generate``),
+    built ``how``; the constructor and ``replace`` are given writable blocks
+    and an id list."""
+    src = load_feature_bank(_write_lines(tmp_path / "src.bank"))
+    fresh = {name: getattr(src, name).copy() for name in bank_module._BLOCKS}
+    if how == "synth_generate":
+        return synth_generate(SynthSpec(n_segments=5), 1)
+    if how == "from_records":
+        return FeatureBank.from_records(src.records, dim_v=2, dim_o=2, verb_vocab_size=3,
+                                        noun_vocab_size=4)
+    if how == "json-lines":
+        return src
+    if how == "zip":
+        return load_feature_bank(_saved(tmp_path, src))
+    if how == "constructor":
+        bank = FeatureBank(dim_v=2, dim_o=2, verb_vocab_size=3, noun_vocab_size=4,
+                           ids=list(src.ids), **fresh)
+        assert all(getattr(bank, name) is block for name, block in fresh.items())  # no copy
+        return bank
+    return dataclasses.replace(src, ids=list(src.ids), **fresh)
+
+
+class TestBankIsFrozen:
+    @pytest.mark.parametrize("how", ["synth_generate", "from_records", "json-lines", "zip",
+                                     "constructor", "replace"])
+    def test_a_bank_cannot_change_however_it_is_built(self, tmp_path, how):
+        bank = _bank_built(how, tmp_path)
+        assert type(bank.ids) is tuple and _read_only(bank)
+        for name in bank_module._BLOCKS:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(bank, name)[...] = 0
+        for f in dataclasses.fields(bank):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(bank, f.name, getattr(bank, f.name))
+
+    def test_a_bank_is_checked_once_where_it_is_built(self):
+        # Nothing can change a built bank, so nothing re-checks one.
+        tree = ast.parse(Path(bank_module.__file__).read_text(encoding="utf-8"))
+        callers = {scope.name for scope in ast.walk(tree) if isinstance(scope, ast.FunctionDef)
+                   for node in ast.walk(scope) if isinstance(node, ast.Call)
+                   and getattr(node.func, "id", None) == "_validate"}
+        assert callers == {"__post_init__"}
+        assert not hasattr(FeatureBank, "validate")
 
 
 # --- segment ids ----------------------------------------------------------------
@@ -826,13 +855,6 @@ class TestSegmentIdRule:
         with pytest.raises(ValidationError) as from_replace:
             dataclasses.replace(bank, ids=["a", seg_id, "c"])
         assert str(from_replace.value) == _id_fault(seg_id)
-        bank.ids = ["a", seg_id, "c"]  # a built bank changed afterwards
-        with pytest.raises(ValidationError) as from_validate:
-            bank.validate()
-        assert str(from_validate.value) == _id_fault(seg_id)
-        with pytest.raises(ValidationError):
-            save_feature_bank(bank, tmp_path / "out.bank")
-        assert not (tmp_path / "out.bank").exists()
 
     @pytest.mark.parametrize("breaker", ["\x85", "\u2028", "\u2029"])
     def test_raw_line_separator_in_an_id_is_the_id_rule_on_its_line(self, tmp_path, breaker):
@@ -864,8 +886,8 @@ class TestSegmentIdRule:
             assert "id_lengths.npy" not in npz.zip.namelist()
             assert npz["ids"].tobytes() == "".join(i + "\n" for i in ids).encode("utf-8")
         with _json_parse_forbidden():
-            assert load_feature_bank(path).ids == ids
-        assert load_feature_bank(write_bank_text(bank, tmp_path / "t.bank")).ids == ids
+            assert load_feature_bank(path).ids == tuple(ids)
+        assert load_feature_bank(write_bank_text(bank, tmp_path / "t.bank")).ids == tuple(ids)
 
 
 # --- zip banks ------------------------------------------------------------------
@@ -908,9 +930,10 @@ def _same_bits(a: FeatureBank, b: FeatureBank) -> bool:
 
 
 def _read_only(bank: FeatureBank) -> bool:
-    return not any(r.clip_feature.flags.writeable
-                   or any(d.feature.flags.writeable for d in r.detections)
-                   for r in bank.records)
+    """Every block of ``bank`` is read-only, and so is every row view of its records."""
+    return not any(getattr(bank, name).flags.writeable for name in bank_module._BLOCKS) and \
+        not any(r.clip_feature.flags.writeable
+                or any(d.feature.flags.writeable for d in r.detections) for r in bank.records)
 
 
 def _json_parse_forbidden():
@@ -1298,12 +1321,11 @@ class TestBlockCodec:
         with _json_parse_forbidden():
             assert_same_bank_bytes(load_feature_bank(_saved(tmp_path, bank)), bank)
 
-    def test_load_save_and_validate_build_no_rows(self, tmp_path):
+    def test_load_and_save_build_no_rows(self, tmp_path):
         src = _write_lines(tmp_path / "src.bank")
         with mock.patch.object(bank_module, "Detection", side_effect=AssertionError), \
                 mock.patch.object(bank_module, "SegmentRecord", side_effect=AssertionError):
             bank = load_feature_bank(src)
-            bank.validate()
             assert_same_bank_bytes(load_feature_bank(_saved(tmp_path, bank)), bank)
 
     def test_save_peak_memory_is_below_the_blocks(self, tmp_path):

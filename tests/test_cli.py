@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import copy
+import dataclasses
 import inspect
 import io
 import json
@@ -424,7 +425,9 @@ class TestTrainEval:
             "--fusion", "clip-only", "--epochs", 1, "--seed", 0,
             "--out-dir", tmp_path / "run")
         bank = load_feature_bank(tmp_path / "data/val.bank")
-        bank.labels[:, 1] = -1
+        labels = bank.labels.copy()
+        labels[:, 1] = -1
+        bank = dataclasses.replace(bank, labels=labels)
         from gatedfusion.bank import save_feature_bank
         save_feature_bank(bank, tmp_path / "data/unlabeled.bank")
         assert run("eval", "--checkpoint", tmp_path / "run/checkpoint.json",
@@ -712,8 +715,8 @@ class TestActions:
         # 10**9 verbs and nouns: 8 EB of dense prior, which numpy refuses
         # without touching memory
         paths = tiny_action_inputs(tmp_path)
-        bank = load_feature_bank(paths["bank"])
-        bank.verb_vocab_size = bank.noun_vocab_size = 10**9
+        bank = dataclasses.replace(load_feature_bank(paths["bank"]), verb_vocab_size=10**9,
+                                   noun_vocab_size=10**9)
         save_feature_bank(bank, paths["bank"])
         path = {"--train-bank": paths["bank"], "--prior": paths["prior"]}[source]
         assert run("actions", "--verb-table", paths["verb"], "--noun-table", paths["noun"],

@@ -1,5 +1,7 @@
 import ast
+import dataclasses
 import json
+import operator
 import os
 import re
 import subprocess
@@ -17,7 +19,7 @@ from conftest import (ZIP_DAMAGE, damage_zip, dense_prior, reference_save_score_
                       reference_zip)
 
 from gatedfusion import scoring
-from gatedfusion.bank import FeatureBank, SegmentRecord
+from gatedfusion.bank import FeatureBank, SegmentRecord, SynthSpec, synth_generate
 from gatedfusion.errors import ValidationError
 from gatedfusion.scoring import (SCORE_SPACES, ActionPrior, ScoreTable, compute_prior, load_prior,
                                  load_score_table, prior_stats,
@@ -61,8 +63,8 @@ class TestComputePrior:
         assert abs(prior.mu.sum() - 1.0) < 1e-12
 
     def test_partially_labeled_segments_excluded(self):
-        bank = labeled_bank([(0, 0), (1, 1)])
-        bank.labels[1, 1] = -1
+        bank = dataclasses.replace(labeled_bank([(0, 0), (1, 1)]),
+                                   labels=np.array([[0, 0], [1, -1]]))
         prior = compute_prior(bank)
         assert prior.mu[0, 0] == 1.0
 
@@ -85,8 +87,7 @@ class TestComputePrior:
             load_prior(path, 10**9, 10**9)
 
     def test_no_labels_error(self):
-        bank = labeled_bank([(0, 0)])
-        bank.labels[0, 0] = -1
+        bank = dataclasses.replace(labeled_bank([(0, 0)]), labels=np.array([[-1, 0]]))
         with pytest.raises(ValidationError):
             compute_prior(bank)
 
@@ -465,7 +466,7 @@ class TestFileFormats:
             path = Path(tmp) / "scores.txt"
             save_score_table(t, path)
             loaded = load_score_table(path)
-        assert loaded.segment_ids == ids
+        assert loaded.segment_ids == tuple(ids)
         assert loaded.scores.tobytes() == t.scores.tobytes()
 
     @pytest.mark.parametrize("value", [2.9, 2.0, "2", True])
@@ -633,7 +634,7 @@ class TestScoreTableWriter:
         with np.load(path, allow_pickle=False) as npz:
             assert npz["header"].tolist() == header
         loaded = load_score_table(path)
-        assert (loaded.space, loaded.segment_ids, loaded.scores.shape) == (space, ["a", "b"],
+        assert (loaded.space, loaded.segment_ids, loaded.scores.shape) == (space, ("a", "b"),
                                                                             (2, 0))
 
     @settings(max_examples=200, deadline=None)
@@ -812,3 +813,75 @@ class TestScoreTableInvariants:
         assert {module for module, _ in uses["segment_id_fault"]} == {"bank.py"}
         assert uses["_id_fault"] == {("bank.py", "_validate"),
                                      ("scoring.py", "ScoreTable.__post_init__")}
+
+
+def _table_built(how: str, tmp_path) -> ScoreTable:
+    """A two-row verb table built ``how``, from an id list and a writable block."""
+    ids, scores = ["a", "b"], np.array([[0.25, 0.75], [0.5, 0.5]])
+    if how == "constructor":
+        built = ScoreTable(ids, scores, "verb")
+        assert built.scores is scores  # no copy
+        return built
+    if how == "replace":
+        return dataclasses.replace(table([[1.0, 0.0]] * 2), segment_ids=ids, scores=scores)
+    path = tmp_path / "scores.txt"
+    if how == "text":
+        path.write_text('{"space": "verb", "classes": 2}\na 0.25 0.75\nb 0.5 0.5\n')
+    else:
+        save_score_table(ScoreTable(ids, scores, "verb"), path)
+    return load_score_table(path)
+
+
+def _prior_built(how: str, tmp_path) -> ActionPrior:
+    """A prior built ``how``: with counts when counted from a bank."""
+    if how == "compute_prior":
+        return compute_prior(labeled_bank([(0, 0), (1, 2)]))
+    mu = np.array([[0.5, 0.0], [0.0, 0.5]])
+    if how == "constructor":
+        built = ActionPrior(mu, np.array([[1, 0], [0, 1]]))
+        assert built.mu is mu  # no copy
+        return built
+    if how == "replace":
+        return dataclasses.replace(compute_prior(labeled_bank([(0, 0)])), mu=mu,
+                                   counts=np.array([[1, 0], [0, 1]]))
+    path = tmp_path / "prior.txt"
+    path.write_text("0 0 0.5\n1 1 0.5\n")
+    return load_prior(path, 2, 2)
+
+
+class TestFrozenValues:
+    @pytest.mark.parametrize("how", ["constructor", "replace", "text", "zip"])
+    def test_a_table_cannot_change_however_it_is_built(self, tmp_path, how):
+        t = _table_built(how, tmp_path)
+        assert t.segment_ids == ("a", "b") and not t.scores.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            t.scores[0, 0] = 1.0
+        with pytest.raises(TypeError):
+            t.segment_ids[0] = "c"
+        for f in dataclasses.fields(t):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(t, f.name, getattr(t, f.name))
+
+    @pytest.mark.parametrize("how", ["constructor", "replace", "compute_prior", "load_prior"])
+    def test_a_prior_cannot_change_however_it_is_built(self, tmp_path, how):
+        prior = _prior_built(how, tmp_path)
+        for array in (a for a in (prior.mu, prior.counts) if a is not None):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1
+        for f in dataclasses.fields(prior):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(prior, f.name, getattr(prior, f.name))
+
+    @pytest.mark.parametrize("value,index,item,error", [
+        (lambda: synth_generate(SynthSpec(n_segments=5), 1).labels, (0, 0), 99, ValueError),
+        (lambda: table([[0.5, 0.5]] * 2).scores, (0, 0), np.nan, ValueError),
+        (lambda: table([[0.5, 0.5]] * 2).segment_ids, 1, "s0", TypeError),
+        (lambda: dense_prior({(0, 0): 1.0}, 2, 2).mu, (0, 0), -1.0, ValueError),
+    ], ids=["bank-label-99", "table-nan-score", "table-repeated-id", "prior-negative-mu"])
+    def test_an_edit_that_broke_a_checked_value_raises_at_the_edit(self, value, index, item,
+                                                                    error):
+        # Each once went through: the bank reached compute_prior, which raised
+        # a raw IndexError, and the table and prior saved files that did not load.
+        target = value()
+        with pytest.raises(error):
+            operator.setitem(target, index, item)

@@ -335,7 +335,9 @@ class TestTrain:
 
     def test_missing_labels_error(self):
         bank = synth_generate(SynthSpec(n_segments=5), 0)
-        bank.labels[:, 1] = -1
+        labels = bank.labels.copy()
+        labels[:, 1] = -1
+        bank = replace(bank, labels=labels)
         with pytest.raises(ValidationError, match="no noun label"):
             train(bank, "noun", ModelSpec(fusion="clip-only"), TrainConfig(epochs=1))
 
@@ -357,14 +359,14 @@ class TestTrain:
 
     def test_divergence_names_epoch_and_batch(self):
         bank = synth_generate(SynthSpec(n_segments=40), 2)
-        bank.clip = bank.clip * 1e170
+        bank = replace(bank, clip=bank.clip * 1e170)
         with pytest.raises(ValidationError, match=r"epoch \d+, batch \d+"):
             train(bank, "noun", ModelSpec(fusion="clip-only"),
                   TrainConfig(learning_rate=0.5, epochs=2, seed=0))
 
     def test_divergence_check_raises_no_warning(self):
         bank = synth_generate(SynthSpec(n_segments=40), 2)
-        bank.clip = bank.clip * 1e170
+        bank = replace(bank, clip=bank.clip * 1e170)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValidationError, match=r"epoch \d+, batch \d+"):
