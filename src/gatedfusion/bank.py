@@ -2,9 +2,9 @@
 
 A bank holds one row per video segment: the clip feature, a list of scored
 per-frame detections (each carrying an already-extracted region feature),
-and optional verb/noun labels.  A segment id is what one whitespace-split
-field of a UTF-8 score-table line holds: a non-empty ``str`` with no
-character for which ``str.isspace()`` is true and no lone surrogate.  In
+and optional verb/noun labels.  A segment id is a non-empty ``str`` with
+no character for which ``str.isspace()`` is true (so no line end, which
+ends each id in a zip's ``ids`` member) and no lone surrogate.  In
 memory a bank is the flat blocks that its file stores.  The JSON-lines
 reader packs each record line straight into them.  ``_validate`` is the one
 check of their values, ids included: every ``FeatureBank`` runs it once, as
@@ -90,8 +90,8 @@ _BLOCK_DTYPES = {name: np.dtype(dtype) for name, dtype in (
 _BLOCKS = tuple(_BLOCK_DTYPES)
 _INT64 = np.iinfo(np.int64)
 _INT, _REAL = (int, np.integer), (int, float, np.integer, np.floating)
-# No id holds a character for which str.isspace() is true (re's \s), which
-# splits a score-table line, or a lone surrogate, which UTF-8 cannot encode.
+# No id holds a character for which str.isspace() is true (re's \s), line
+# ends among them, or a lone surrogate, which UTF-8 cannot encode.
 _NOT_IN_AN_ID = re.compile(r"[\s\ud800-\udfff]")
 
 
@@ -101,17 +101,17 @@ def segment_id_fault(seg_id) -> str | None:
         return f"segment_id {seg_id!r} must be a non-empty str with no whitespace or lone surrogate"
 
 
-def _id_fault(ids) -> tuple[int, str, int | None] | None:
+def _id_fault(ids) -> tuple[int, str] | None:
     """The index and fault of the first of ``ids`` that breaks the id rule
-    or repeats an earlier one, with the index of the id it repeats (None
-    for a broken rule), or None if every id can key a bank or table row."""
-    seen: dict[str, int] = {}
+    or repeats an earlier one, or None if every id can key a bank or table
+    row."""
+    seen: set[str] = set()
     for i, seg_id in enumerate(ids):
         if fault := segment_id_fault(seg_id):
-            return i, fault, None
+            return i, fault
         if seg_id in seen:
-            return i, f"duplicate segment_id {seg_id!r}", seen[seg_id]
-        seen[seg_id] = i
+            return i, f"duplicate segment_id {seg_id!r}"
+        seen.add(seg_id)
     return None
 
 
@@ -240,7 +240,7 @@ def _validate(bank: FeatureBank, lines: list[str]) -> None:
     bad[np.searchsorted(ends, np.flatnonzero(bad_det), side="right")] = True
     first = int(np.argmax(bad)) if bad.any() else n
     if id_fault := _id_fault(bank.ids[:first + 1]):
-        i, fault, _ = id_fault
+        i, fault = id_fault
         raise ValidationError(f"{lines[i]}{fault}")
     if first == n:
         return

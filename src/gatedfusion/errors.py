@@ -7,7 +7,8 @@ through so that it reaches any target whole or not at all: the one place
 that asks whether a save target is a regular file, ``_write_zip`` and
 ``_read_zip``, the one codec of the zip files (banks and score tables of
 every space) and the only code that touches ``zipfile``, and ``read_input``,
-which tells a bank or score table file's zip from its text."""
+which tells a bank or score table file's zip from any other file: a bank
+may be JSON-lines text, a score table is a zip only."""
 
 import contextlib
 import io
@@ -222,7 +223,8 @@ def _read_zip(path, fh, what: str, header_len: int, dtypes: dict, build):
 def read_input(path, what: str, header_len: int, dtypes: dict, build, parse):
     """The bank or score table in the file at ``path``, opened once: a zip,
     by its magic, goes to ``_read_zip``, and any other file to ``parse(path,
-    text)``.  A regular file is read where it lies, any other (a pipe) once."""
+    text)``, which reads a JSON-lines bank and rejects a score table.  A
+    regular file is read where it lies, any other (a pipe) once."""
     with open(path, "rb") as fh:
         src = fh if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) else io.BytesIO(fh.read())
         if src.read(len(_ZIP_MAGIC)) == _ZIP_MAGIC:

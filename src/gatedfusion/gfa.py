@@ -100,7 +100,7 @@ class ScaleMode:
             object.__setattr__(self, "s", 1.0)  # frozen: set as the dataclass init does
 
 
-@dataclass
+@dataclass(frozen=True)
 class GfaParams:
     """Gate parameters.  Variant ``a`` needs a square W over the concatenated
     dims and gates the concatenation; variant ``b`` maps the object feature

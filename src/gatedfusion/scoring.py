@@ -12,21 +12,22 @@ row's true label once, and ``topk_report`` gives every k of a report from
 those ranks.
 
 A ``ScoreTable`` holds only ids that keep the bank's id rule and never
-repeat, and finite scores, in every space, checked once as it is built and
+repeat, a 2-D float64 block of finite scores and, for an action table only,
+its integer class counts, in every space, checked once as it is built and
 unchangeable after, so no table can be saved that would not load.
 ``save_score_table`` writes a table of every space as a zip of the bank's
-codec in ``errors``.  A verb or noun table may also be text, the format a
-user's own model can write, and ``errors.read_input`` tells the two apart.
+codec in ``errors``, the one score table file format; a user's own model
+builds a ``ScoreTable`` and saves it.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bank import PAIR_COUNT_THRESHOLD, FeatureBank, _id_fault, _int64
-from .errors import ValidationError, _write_zip, parse_json, read_input, read_text, replacing
+from .bank import PAIR_COUNT_THRESHOLD, FeatureBank, _id_fault
+from .errors import ValidationError, _write_zip, read_input, read_text, replacing
 
 __all__ = [
     "ActionPrior",
@@ -76,46 +77,47 @@ class ActionPrior:
 @dataclass(frozen=True, eq=False)
 class ScoreTable:
     """Per-segment class scores: one aligned row per segment id.  The ids
-    keep the bank's id rule and never repeat, and every score is finite; the
-    ids are a tuple and ``scores`` read-only, and ``dataclasses.replace``
-    builds a changed table.  A loader passes each row's file line as ``lines``."""
+    keep the bank's id rule and never repeat, ``scores`` is a 2-D float64
+    array of finite scores, and an action table, only, declares integer
+    ``verb_classes`` and ``noun_classes`` of at least 1 whose product is its
+    width.  The ids are a tuple and ``scores`` read-only, and
+    ``dataclasses.replace`` builds a changed table."""
 
     segment_ids: tuple[str, ...]
     scores: np.ndarray
     space: str
     verb_classes: int | None = None
     noun_classes: int | None = None
-    lines: InitVar[list[int] | None] = None
 
-    def __post_init__(self, lines: list[int] | None) -> None:
+    def __post_init__(self) -> None:
         object.__setattr__(self, "segment_ids", tuple(self.segment_ids))  # frozen
         if self.space not in SCORE_SPACES:
             raise ValidationError(f"score space {self.space!r} not one of {SCORE_SPACES}")
         if id_fault := _id_fault(self.segment_ids):
-            i, fault, earlier = id_fault
-            if lines is not None:
-                fault = f"line {lines[i]}: " + (fault if earlier is None else (
-                    f"segment id {self.segment_ids[i]!r} repeats line {lines[earlier]}"))
-            raise ValidationError(fault)
-        if self.scores.ndim != 2 or self.scores.shape[0] != len(self.segment_ids):
+            raise ValidationError(id_fault[1])
+        scores, counts = self.scores, (self.verb_classes, self.noun_classes)
+        if not (isinstance(scores, np.ndarray) and scores.dtype == np.float64):
+            raise ValidationError("score table: scores must be a float64 array")
+        if scores.ndim != 2 or scores.shape[0] != len(self.segment_ids):
             raise ValidationError(
-                f"score table: {len(self.segment_ids)} ids but scores shaped {self.scores.shape}")
-        bad = ~np.isfinite(self.scores).all(axis=1)
-        if bad.any():
-            raise ValidationError("score table contains non-finite entries" if lines is None
-                                  else f"line {lines[bad.argmax()]}: non-finite score")
-        if self.space == "action":
-            if self.verb_classes is None or self.noun_classes is None:
+                f"score table: {len(self.segment_ids)} ids but scores shaped {scores.shape}")
+        if not np.isfinite(scores).all():
+            raise ValidationError("score table contains non-finite entries")
+        if self.space != "action":
+            if any(count is not None for count in counts):
+                raise ValidationError(f"{self.space} tables declare no verb_classes or "
+                                      "noun_classes")
+        else:
+            if any(type(count) is not int for count in counts):  # type() also turns away bools
                 raise ValidationError("action tables must declare verb_classes and noun_classes")
-            for name in ("verb_classes", "noun_classes"):
-                if getattr(self, name) < 1:
-                    raise ValidationError(
-                        f"action table: {name} must be >= 1, got {getattr(self, name)}")
-            if self.verb_classes * self.noun_classes != self.scores.shape[1]:
+            for name, count in zip(("verb_classes", "noun_classes"), counts):
+                if count < 1:
+                    raise ValidationError(f"action table: {name} must be >= 1, got {count}")
+            if self.verb_classes * self.noun_classes != scores.shape[1]:
                 raise ValidationError(
                     f"action table: {self.verb_classes}x{self.noun_classes} pairs but "
-                    f"{self.scores.shape[1]} columns")
-        self.scores.flags.writeable = False
+                    f"{scores.shape[1]} columns")
+        scores.flags.writeable = False
 
     @property
     def classes(self) -> int:
@@ -253,7 +255,7 @@ def score_actions_for_bank(verb_table: ScoreTable, noun_table: ScoreTable, prior
             f"{verbs}x{nouns}")
 
     shape = (len(verb_table.segment_ids), verbs * nouns)
-    pv, pn = (t.scores.astype(np.float64, copy=False) for t in (verb_table, noun_table))
+    pv, pn = verb_table.scores, noun_table.scores
     labels = table_labels(verb_table, bank)
     actions = labels[:, 0] * nouns + labels[:, 1]  # the verb-major action index
     # mu = 1 scales exactly, so this is the all-ones re-weighting, bit for bit.
@@ -327,8 +329,7 @@ def save_score_table(table: ScoreTable, path) -> None:
     file this writes loads back as an equal table."""
     header = {"verb": [table.classes, -1], "noun": [-1, table.classes],
               "action": [table.verb_classes, table.noun_classes]}[table.space]
-    _write_zip(path, header, {"scores": table.scores.astype(np.float64, copy=False)},
-               table.segment_ids)
+    _write_zip(path, header, {"scores": table.scores}, table.segment_ids)
 
 
 def _zip_table(header: list[int], blocks: dict, ids: list[str]) -> ScoreTable:
@@ -350,51 +351,11 @@ def _zip_table(header: list[int], blocks: dict, ids: list[str]) -> ScoreTable:
 
 
 def load_score_table(path) -> ScoreTable:
-    """Load a score table: exactly the zip of ``save_score_table``, any fault
-    in it a ValidationError naming the file, or a text table (``_parse_table``)."""
+    """Load a score table: exactly the zip of ``save_score_table``.  Any
+    other file, or any fault in the zip, is a ValidationError naming it."""
     return read_input(path, "score table", 2, {"scores": np.dtype(np.float64)}, _zip_table,
-                      _parse_table)
+                      _not_a_table_zip)
 
 
-def _parse_table(path, text: str) -> ScoreTable:
-    """The verb or noun table in the ``text`` of ``path``, each fault named
-    with its line: a header line ``{"space": ..., "classes": C}``, then one
-    ``segment_id score...`` line per row.  Reading finds what a line can get
-    wrong: a malformed header, a header of the action space (an earlier
-    build's text action table), a row of the wrong width or a score that is
-    not a number.  ``ScoreTable`` then finds a repeated segment id, then a
-    score that is not finite."""
-    lines = text.split("\n")
-    if lines == [""]:
-        raise ValidationError(f"{path}: empty score table file")
-    try:
-        header = parse_json(lines[0], f"{path}: line 1")
-        space = header["space"]
-        classes = _int64(header, "classes")  # a JSON integer, never a float, string or bool
-        np.zeros((0, classes))  # a negative or oversized count raises here
-    except (KeyError, TypeError, ValueError, OverflowError):  # a ValidationError is a ValueError
-        raise ValidationError(f"{path}: line 1: malformed score table header") from None
-    if space == "action":
-        raise ValidationError(f"{path}: line 1: action tables are zips; a text table is "
-                              "verb or noun")
-    ids: list[str] = []
-    row_lines: list[int] = []  # each row's line, in file order
-    flat: list[float] = []  # every row's scores, in file order
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != classes + 1:
-            raise ValidationError(
-                f"{path}: line {lineno}: expected id plus {classes} scores, got {len(parts) - 1}")
-        try:
-            flat.extend(map(float, parts[1:]))
-        except ValueError:
-            raise ValidationError(f"{path}: line {lineno}: malformed score") from None
-        ids.append(parts[0])
-        row_lines.append(lineno)
-    try:
-        return ScoreTable(ids, np.array(flat, dtype=np.float64).reshape(len(ids), classes), space,
-                          lines=row_lines)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+def _not_a_table_zip(path, text: str):
+    raise ValidationError(f"{path}: not a score table zip")

@@ -14,8 +14,9 @@ The table ``_FUSIONS`` gives each kind's gate variant and whether its head
 reads ``[v, o]``; every parameter shape and code path follows from it.  A
 model's ``scale`` rescales ``o`` once, before any fusion, and ``clip-only``,
 which never reads ``o``, takes scale ``none``: ``ModelSpec``, ``Model`` and
-``init_model`` share one check of that rule.  ``save_checkpoint`` and
-``load_checkpoint`` run one check of the checkpoint contract.
+``init_model`` share one check of that rule.  A ``Checkpoint`` is checked
+once, when it is built, and cannot change after, so every checkpoint saves
+and loads back.
 
 Training is SGD with momentum, mini-batch gradients averaged over the
 batch, and everything (init, shuffling) drawn from one seeded generator,
@@ -99,7 +100,7 @@ def _gate_variant(fusion: str, scale: ScaleMode) -> str | None:
     return variant
 
 
-@dataclass
+@dataclass(frozen=True)
 class Head:
     W: np.ndarray
     b: np.ndarray
@@ -112,7 +113,7 @@ class Head:
                 f"head: W has {self.W.shape[0]} rows but b has dim {self.b.shape[0]}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Model:
     fusion_kind: str
     head: Head
@@ -516,9 +517,13 @@ def grad_check(model: Model, v: np.ndarray, o_agg: np.ndarray, label: int,
 _CHECKPOINT_FORMAT = "gatedfusion-checkpoint-v2"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Checkpoint:
-    """A trained model plus everything needed to evaluate it consistently."""
+    """A trained model plus everything needed to evaluate it consistently.
+    Building one checks the contract of ``_check_checkpoint``; the
+    checkpoint, its model, head and gate are frozen and every weight array
+    is made read-only, without a copy, so a checkpoint saves and loads back
+    as built.  ``dataclasses.replace`` builds a changed one."""
 
     model: Model
     target: str
@@ -527,6 +532,11 @@ class Checkpoint:
     classes: int
     aggregation: AggregationConfig
     train_config: TrainConfig
+
+    def __post_init__(self) -> None:
+        _check_checkpoint(self)
+        for arr in param_groups(self.model).values():
+            arr.flags.writeable = False
 
 
 def _matrix_obj(W: np.ndarray) -> dict:
@@ -546,9 +556,16 @@ def _matrix_from_obj(obj: dict, name: str) -> np.ndarray:
 
 
 def _check_checkpoint(ckpt: Checkpoint) -> None:
-    """The checkpoint contract, checked before a save and after a load: a
-    verb or noun target, integer dims and class count of at least 1, and
-    every parameter group finite and shaped as its fusion kind says."""
+    """The checkpoint contract, checked when one is built: a ``Model``, an
+    ``AggregationConfig`` and a ``TrainConfig``, a verb or noun target,
+    integer dims and class count of at least 1, and every parameter group
+    finite and shaped as its fusion kind says."""
+    for name, cls in (("model", Model), ("aggregation", AggregationConfig),
+                      ("train_config", TrainConfig)):
+        val = getattr(ckpt, name)
+        if not isinstance(val, cls):
+            raise ValidationError(f"checkpoint {name} must be of type {cls.__name__}, got "
+                                  f"{type(val).__name__}")
     if ckpt.target not in TARGETS:
         raise ValidationError(f"target must be 'verb' or 'noun', got {ckpt.target!r}")
     for name in ("dim_v", "dim_o", "classes"):
@@ -566,9 +583,8 @@ def _check_checkpoint(ckpt: Checkpoint) -> None:
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    """Write ``ckpt`` as JSON; one that breaks the contract
-    ``load_checkpoint`` checks raises ``ValidationError`` and writes nothing."""
-    _check_checkpoint(ckpt)
+    """Write ``ckpt`` as JSON; a ``Checkpoint`` holds the contract
+    ``load_checkpoint`` checks, so every file this writes loads back."""
     g = ckpt.model.gfa
     obj = {
         "format": _CHECKPOINT_FORMAT,
@@ -588,8 +604,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Parse and check a checkpoint; every fault is a ``ValidationError``
-    naming ``path``."""
+    """Parse a checkpoint, which is checked as it is built; every fault is a
+    ``ValidationError`` naming ``path``."""
     obj = read_json(path, _CHECKPOINT_FORMAT)
     try:
         g, tc, agg = obj["gfa"], obj["train_config"], obj["aggregation"]
@@ -604,7 +620,6 @@ def load_checkpoint(path) -> Checkpoint:
             target=obj["target"], dim_v=obj["dim_v"], dim_o=obj["dim_o"], classes=obj["classes"],
             aggregation=AggregationConfig(k=agg["k"], window=agg["window"]),
             train_config=TrainConfig(**{f.name: tc[f.name] for f in fields(TrainConfig)}))
-        _check_checkpoint(ckpt)
     except (KeyError, TypeError, AttributeError):
         raise ValidationError(f"{path}: missing checkpoint fields") from None
     except (ValidationError, ShapeError) as exc:  # a value its own class or the contract rejects

@@ -2,9 +2,8 @@
 exact bank equality, a dense action prior from listed pairs, the
 record-by-record synthetic bank generator and aggregation chain, the
 JSON-lines bank writer, the sidecar that earlier builds wrote beside it,
-the reference zip writer, the ways to damage a zip (a bank or an action
-table), the text score table writer and the per-batch-scaling training
-loop."""
+the reference zip writer, the ways to damage a zip (a bank or a score
+table) and the per-batch-scaling training loop."""
 
 import hashlib
 import io
@@ -98,20 +97,6 @@ def dense_prior(freq, verbs, nouns):
     return ActionPrior(mu=mu)
 
 
-def reference_save_score_table(table, path) -> None:
-    """A score table as text, as earlier builds' ``eval`` wrote it and a
-    user's own model may write it, for ``load_score_table`` to read; for an
-    action table, the text that earlier builds' ``actions`` wrote.  The
-    header, then every score of every row through ``repr``."""
-    header = {"space": table.space, "classes": table.scores.shape[1]}
-    if table.space == "action":
-        header.update(verb_classes=table.verb_classes, noun_classes=table.noun_classes)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(header, separators=(",", ":")) + "\n")
-        for seg_id, row in zip(table.segment_ids, table.scores.astype(np.float64).tolist()):
-            fh.write(seg_id + " " + " ".join(map(repr, row)) + "\n")
-
-
 def bank_text(bank: FeatureBank) -> bytes:
     """The bank as JSON lines, the text input format of ``load_feature_bank``:
     the header line, then each record's line from its slices of the blocks,
@@ -173,18 +158,18 @@ def _npy(array, allow_pickle=False) -> bytes:
     return buf.getvalue()
 
 
-# The ways ``damage_zip`` damages a zip bank or action table.
+# The ways ``damage_zip`` damages a zip bank or score table.
 ZIP_DAMAGE = ("truncated", "flipped", "missing", "extra", "renamed", "out-of-order", "deflated",
               "object", "huge-shape", "wrong-dtype", "big-endian", "trailing-bytes",
               "short-block", "rule-breaking-id", "repeated-id", "ids-without-newline",
               "header-shape", "python-2-header")
-# The member a kind damages in a bank; in an action table, "scores.npy".
+# The member a kind damages in a bank; in a score table, "scores.npy".
 _BANK_MEMBER = {"flipped": "features.npy", "missing": "labels.npy", "renamed": "detections.npy",
                 "object": "clip.npy", "huge-shape": "features.npy", "short-block": "frames.npy"}
 
 
 def damage_zip(path, kind: str) -> None:
-    """Damage the zip bank or action table at ``path`` in place: cut its
+    """Damage the zip bank or score table at ``path`` in place: cut its
     last 200 bytes, flip the last byte of a block, or rewrite its members
     with one of them missing, added, renamed, out of order, deflated,
     holding pickled objects, declaring a 2**60-byte array, of another dtype

@@ -24,7 +24,7 @@ from gatedfusion.errors import _ZIP_MAGIC, ValidationError, read_text
 from gatedfusion.scoring import ScoreTable, load_score_table, save_score_table
 
 from conftest import (ZIP_DAMAGE, aggregate_object_feature, bank_text, banks_equal,
-                      damage_zip, reference_save_score_table, reference_synth_generate,
+                      damage_zip, reference_synth_generate,
                       reference_zip, write_bank_text, write_old_sidecar)
 
 
@@ -1191,7 +1191,7 @@ class TestBankZip:
         assert peak < 2.0 * blocks
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-    @pytest.mark.parametrize("form", ["zip", "json lines", "score table zip", "score table text"])
+    @pytest.mark.parametrize("form", ["zip", "json lines", "score table zip"])
     def test_a_pipe_loads_from_its_one_read(self, tmp_path, form):
         # Banks and score tables share one reader, so a pipe of either loads.
         bank = synth_generate(SynthSpec(n_segments=20), 3)
@@ -1199,8 +1199,7 @@ class TestBankZip:
         path = tmp_path / "src"
         {"zip": lambda: save_feature_bank(bank, path),
          "json lines": lambda: write_bank_text(bank, path),
-         "score table zip": lambda: save_score_table(table, path),
-         "score table text": lambda: reference_save_score_table(table, path)}[form]()
+         "score table zip": lambda: save_score_table(table, path)}[form]()
         fifo = tmp_path / "fifo"
         os.mkfifo(fifo)
         writer = subprocess.Popen([sys.executable, "-c",

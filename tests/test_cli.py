@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import (ZIP_DAMAGE, banks_equal, damage_zip, reference_save_score_table,
+from conftest import (ZIP_DAMAGE, banks_equal, damage_zip,
                       reference_zip, write_bank_text, write_old_sidecar)
 
 from gatedfusion import __version__, cli, errors, scoring, training
@@ -56,8 +56,8 @@ def synth(out_dir, seed=7, train=40, val=20, **flags):
 
 
 def tiny_action_inputs(root):
-    """A labeled 2-verb x 3-noun bank, aligned verb and noun tables as text
-    (the format a user's own model writes), and a prior file: the inputs of
+    """A labeled 2-verb x 3-noun bank, aligned verb and noun table zips
+    saved as a user's own model saves them, and a prior file: the inputs of
     one ``actions --prior`` run."""
     ids = ["s0", "s1", "s2", "s3"]
     records = [SegmentRecord(segment_id=i, clip_feature=np.zeros(2), clip_center_frame=0,
@@ -67,9 +67,9 @@ def tiny_action_inputs(root):
     paths["bank"] = root / "test.bank"
     save_feature_bank(FeatureBank.from_records(records, dim_v=2, dim_o=2, verb_vocab_size=2,
                                                noun_vocab_size=3), paths["bank"])
-    reference_save_score_table(ScoreTable(segment_ids=ids, space="verb", scores=np.array(
+    save_score_table(ScoreTable(segment_ids=ids, space="verb", scores=np.array(
         [[0.9, 0.1], [0.2, 0.8], [0.4, 0.6], [0.5, 0.5]])), paths["verb"])
-    reference_save_score_table(ScoreTable(segment_ids=ids, space="noun", scores=np.array(
+    save_score_table(ScoreTable(segment_ids=ids, space="noun", scores=np.array(
         [[0.4, 0.1, 0.5], [0.1, 0.4, 0.5], [0.3, 0.3, 0.4], [0.2, 0.2, 0.6]])), paths["noun"])
     paths["prior"].write_text("0 0 0.5\n1 1 0.25\n1 2 0.25\n", encoding="utf-8")
     return paths
@@ -439,14 +439,13 @@ class TestTrainEval:
 
 class TestActions:
     def test_repeated_segment_id_is_exit_one(self, tmp_path, capsys):
-        # each table repeats its first row as its last
+        # each table repeats its first id as its second
         paths = tiny_action_inputs(tmp_path)
         for name in ("verb", "noun"):
-            lines = paths[name].read_text().splitlines(keepends=True)
-            paths[name].write_text("".join(lines + lines[1:2]))
+            damage_zip(paths[name], "repeated-id")
         assert run_actions(paths, tmp_path / "act") == 1
         err = capsys.readouterr().err
-        assert f"{paths['verb']}: line 6: segment id 's0' repeats line 2" in err
+        assert err == f"gatedfusion: error: {paths['verb']}: duplicate segment_id 's0'\n"
         assert not list((tmp_path / "act").iterdir())
 
     def test_report_keys_follow_the_topk_set(self, tmp_path, monkeypatch):
@@ -624,14 +623,17 @@ class TestActions:
         assert "misaligned" in capsys.readouterr().err
         assert not list((tmp_path / "act").glob("*"))
 
-    def test_a_text_action_table_as_the_verb_table_is_exit_one_naming_it(self, tmp_path, capsys):
-        # the header of an earlier build's action_scores.txt
+    @pytest.mark.parametrize("text", [
+        '{"space":"verb","classes":2}\ns0 0.9 0.1\ns1 0.2 0.8\ns2 0.4 0.6\ns3 0.5 0.5\n',
+        '{"space":"action","classes":4,"verb_classes":2,"noun_classes":2}\n', ""],
+        ids=["text verb table", "text action table", "empty"])
+    def test_a_table_that_is_not_a_zip_is_exit_one_naming_it(self, tmp_path, capsys, text):
+        # the text tables of earlier builds: a verb table and an action table's header
         paths = tiny_action_inputs(tmp_path)
-        paths["verb"].write_text(
-            '{"space":"action","classes":4,"verb_classes":2,"noun_classes":2}\n')
+        paths["verb"].write_text(text)
         assert run_actions(paths, tmp_path / "act") == 1
-        assert capsys.readouterr().err == (f"gatedfusion: error: {paths['verb']}: line 1: action "
-                                           f"tables are zips; a text table is verb or noun\n")
+        assert capsys.readouterr().err == (f"gatedfusion: error: {paths['verb']}: not a score "
+                                           f"table zip\n")
         assert not list((tmp_path / "act").glob("*"))
 
     @pytest.mark.parametrize("in_verb_slot,in_noun_slot", [("noun", "verb"), ("verb", "verb")],
@@ -662,25 +664,6 @@ class TestActions:
             f"'clip.npy', ")
         assert not list((tmp_path / "act").glob("*"))
 
-    def test_text_tables_and_eval_zips_give_the_same_actions(self, tmp_path):
-        # eval writes its table as a zip under the name scores.txt; the text
-        # an earlier build's eval wrote there still loads, to the same rows.
-        self._prepare(tmp_path)
-        for target in ("verb", "noun"):
-            zipped = tmp_path / f"eval-{target}/scores.txt"
-            assert zipped.read_bytes().startswith(b"PK\x03\x04")
-            reference_save_score_table(load_score_table(zipped), tmp_path / f"{target}.txt")
-        outputs = {}
-        for form, verb, noun in (("zip", "eval-verb/scores.txt", "eval-noun/scores.txt"),
-                                 ("text", "verb.txt", "noun.txt")):
-            assert run("actions", "--verb-table", tmp_path / verb, "--noun-table", tmp_path / noun,
-                       "--bank", tmp_path / "data/val.bank",
-                       "--train-bank", tmp_path / "data/train.bank",
-                       "--out-dir", tmp_path / form) == 0
-            outputs[form] = {name: (tmp_path / form / name).read_bytes()
-                             for name in ("action_scores.npz", "action_report.json", "prior.txt")}
-        assert outputs["zip"] == outputs["text"]
-
     @pytest.mark.parametrize("header,classes,message", [
         ([-1, -1], 2, "action table: verb_classes must be >= 1, got -1"),
         ([-2, 3], 3, "action table: verb_classes must be >= 1, got -2"),
@@ -701,15 +684,6 @@ class TestActions:
         assert capsys.readouterr().err == f"gatedfusion: error: {path}: {message}\n"
         assert not list((tmp_path / "act").glob("*"))
 
-    @pytest.mark.parametrize("count", ["2.0", "2.9", '"2"', "true"])
-    def test_score_table_class_count_must_be_a_json_integer(self, tmp_path, capsys, count):
-        paths = tiny_action_inputs(tmp_path)
-        rows = paths["verb"].read_text().splitlines()[1:]
-        paths["verb"].write_text("\n".join([f'{{"space":"verb","classes":{count}}}', *rows]))
-        assert run_actions(paths, tmp_path / "act") == 1
-        assert (f"{paths['verb']}: line 1: malformed score table header"
-                in capsys.readouterr().err)
-
     @pytest.mark.parametrize("source", ["--train-bank", "--prior"])
     def test_vocab_too_large_for_a_dense_prior_is_exit_one(self, tmp_path, capsys, source):
         # 10**9 verbs and nouns: 8 EB of dense prior, which numpy refuses
@@ -729,9 +703,6 @@ class TestActions:
 
 _JUNK = ["", "x", "nan", "inf", "-inf", "1e400", "-1", "0", "-0.0", "2", "99", "0.5",
          "1.5", "true", "null", '"a"', "[]", "{}"]
-_HEADER_KEYS = ("space", "classes", "verb_classes", "noun_classes")
-_HEADER_JUNK = [None, True, -1, 0, 2, 3, 6, 2.5, 1e300, float("inf"), float("nan"),
-                10**20, "a", "3", "verb", "action", [], {}]
 
 
 def _corrupt(text, edits):
@@ -766,21 +737,34 @@ def _corrupt(text, edits):
     return "".join(line + "\n" for line in lines)
 
 
+# Line edits of the prior file, which has no JSON header line.
 _EDITS = st.lists(st.tuples(
-    st.sampled_from(["truncate", "token", "drop", "duplicate", "header"]),
-    st.integers(0, 50), st.integers(0, 50), st.sampled_from(_JUNK),
-    st.sampled_from(_HEADER_KEYS), st.sampled_from(_HEADER_JUNK)), min_size=1, max_size=3)
+    st.sampled_from(["truncate", "token", "drop", "duplicate"]),
+    st.integers(0, 50), st.integers(0, 50), st.sampled_from(_JUNK), st.none(), st.none()),
+    min_size=1, max_size=3)
 
 
 class TestFuzzedActionInputs:
+    """A corrupted prior file ends in exit 0 or 1, and a damaged verb or
+    noun table zip in exit 1 naming it."""
+
     @settings(max_examples=200, deadline=None)
-    @given(target=st.sampled_from(["prior", "verb", "noun"]), edits=_EDITS)
-    def test_actions_exits_zero_or_one(self, target, edits):
+    @given(edits=_EDITS)
+    def test_actions_exits_zero_or_one(self, edits):
         with tempfile.TemporaryDirectory() as tmp:
             paths = tiny_action_inputs(Path(tmp))
-            paths[target].write_text(_corrupt(paths[target].read_text(), edits))
+            paths["prior"].write_text(_corrupt(paths["prior"].read_text(), edits))
             rc = run_actions(paths, Path(tmp) / "act")
         assert rc in (0, 1)
+
+    @pytest.mark.parametrize("kind", ZIP_DAMAGE)
+    @pytest.mark.parametrize("target", ["verb", "noun"])
+    def test_damaged_table_is_exit_one_naming_it(self, tmp_path, capsys, target, kind):
+        paths = tiny_action_inputs(tmp_path)
+        damage_zip(paths[target], kind)
+        assert run_actions(paths, tmp_path / "act") == 1
+        assert capsys.readouterr().err.startswith(f"gatedfusion: error: {paths[target]}: ")
+        assert not list((tmp_path / "act").glob("*"))
 
     def test_uncorrupted_inputs_pass(self, tmp_path):
         assert run_actions(tiny_action_inputs(tmp_path), tmp_path / "act") == 0
@@ -1172,8 +1156,7 @@ _UNDECODABLE = {"deep": "[" * 200_000 + "]" * 200_000, "long-int": "1" * 5000}
 
 class TestUndecodableJson:
     @pytest.mark.parametrize("value", _UNDECODABLE)
-    @pytest.mark.parametrize("kind", ["checkpoint", "manifest", "bank header", "bank record",
-                                      "score table header"])
+    @pytest.mark.parametrize("kind", ["checkpoint", "manifest", "bank header", "bank record"])
     def test_exit_one_naming_the_file(self, tmp_path, capsys, kind, value):
         paths = tiny_action_inputs(tmp_path)
         bad = tmp_path / "bad.txt"
@@ -1185,9 +1168,6 @@ class TestUndecodableJson:
             "bank header": ('{"dim_v": %s}', "line 1: ", ["stats", "--bank", bad]),
             "bank record": (HEADER_ONLY_BANK + '{"segment_id": "s0", "clip_feature": %s}',
                             "line 2: ", ["stats", "--bank", bad]),
-            "score table header": ('{"space": "verb", "classes": %s}', "line 1: ",
-                                   ["actions", "--verb-table", bad, "--noun-table", paths["noun"],
-                                    "--bank", paths["bank"], "--train-bank", paths["bank"]]),
         }[kind]
         bad.write_text(template % _UNDECODABLE[value] + "\n", encoding="utf-8")
         assert run(*argv, "--out-dir", tmp_path / "out") == 1

@@ -1,6 +1,5 @@
 import ast
 import dataclasses
-import json
 import operator
 import os
 import re
@@ -15,8 +14,7 @@ import pytest
 from hypothesis import given, reject, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import (ZIP_DAMAGE, damage_zip, dense_prior, reference_save_score_table,
-                      reference_zip)
+from conftest import ZIP_DAMAGE, damage_zip, dense_prior, reference_zip
 
 from gatedfusion import scoring
 from gatedfusion.bank import FeatureBank, SegmentRecord, SynthSpec, synth_generate
@@ -427,23 +425,6 @@ class TestFileFormats:
         assert loaded.space == "action"
         assert (loaded.verb_classes, loaded.noun_classes) == (2, 3)
 
-    def test_table_lines_end_at_newline_only(self, tmp_path):
-        path = tmp_path / "scores.txt"
-        path.write_text('{"space":"verb","classes":2}\nab\u2028c 0.5 0.5\n', encoding="utf-8")
-        with pytest.raises(ValidationError,
-                           match=re.escape(f"{path}: line 2: expected id plus 2 scores, got 3")):
-            load_score_table(path)
-
-    def test_crlf_table_loads(self, tmp_path):
-        t = ScoreTable(segment_ids=["a", "b"], scores=np.array([[0.25, -0.0], [1e-7, 3.0]]),
-                       space="verb")
-        path = tmp_path / "scores.txt"
-        reference_save_score_table(t, path)
-        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-        loaded = load_score_table(path)
-        assert loaded.segment_ids == t.segment_ids
-        assert loaded.scores.tobytes() == t.scores.tobytes()
-
     @settings(max_examples=200, deadline=None)
     @given(ids=st.lists(st.text(st.characters(exclude_categories=()), max_size=3)
                         | st.sampled_from(["", "a b", "\ud800", "\udfff", "\x00", "é",
@@ -469,46 +450,15 @@ class TestFileFormats:
         assert loaded.segment_ids == tuple(ids)
         assert loaded.scores.tobytes() == t.scores.tobytes()
 
-    @pytest.mark.parametrize("value", [2.9, 2.0, "2", True])
-    def test_header_count_must_be_an_integer(self, tmp_path, value):
-        path = tmp_path / "scores.txt"
-        path.write_text(json.dumps({"space": "noun", "classes": value}) + "\na 0.5 0.5\n",
-                        encoding="utf-8")
-        with pytest.raises(ValidationError, match="line 1: malformed score table header"):
-            load_score_table(path)
-
-    def test_wrong_column_count(self, tmp_path):
-        path = tmp_path / "scores.txt"
-        path.write_text('{"space":"verb","classes":3}\na 0.5 0.5\n', encoding="utf-8")
-        with pytest.raises(ValidationError, match="line 2"):
-            load_score_table(path)
-
-    def test_repeated_segment_id_rejected_with_its_line(self, tmp_path):
-        # the blank line still counts toward the line numbers
-        path = tmp_path / "scores.txt"
-        path.write_text('{"space":"verb","classes":1}\na 0.5\nb 0.5\n\na 0.25\n',
-                        encoding="utf-8")
-        with pytest.raises(ValidationError, match=re.escape(
-                f"{path}: line 5: segment id 'a' repeats line 2")):
-            load_score_table(path)
-
-    @pytest.mark.parametrize("score", ["nan", "inf", "-inf", "1e999"])
-    def test_non_finite_score_rejected_with_its_line(self, tmp_path, score):
-        # the blank line still counts toward the line numbers
-        path = tmp_path / "scores.txt"
-        path.write_text(f'{{"space":"verb","classes":2}}\na 0.5 0.5\n\nb 0.5 {score}\n'
-                        f'c {score} 0.5\n', encoding="utf-8")
-        with pytest.raises(ValidationError, match=re.escape(f"{path}: line 4: non-finite score")):
-            load_score_table(path)
-
-    def test_a_line_fault_is_found_before_a_repeated_id(self, tmp_path):
-        # Lines are read whole first; ScoreTable checks the rows they give.
-        path = tmp_path / "scores.txt"
-        rows = ["a 0.5 0.5", "a 0.5 0.5"] + [f"s{i} 0.5 0.5" for i in range(5)] + ["b 0.5"]
-        path.write_text('{"space":"verb","classes":2}\n' + "\n".join(rows) + "\n",
-                        encoding="utf-8")
-        with pytest.raises(ValidationError, match=re.escape(
-                f"{path}: line 9: expected id plus 2 scores, got 1")):
+    @pytest.mark.parametrize("score", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_score_in_a_zip_is_rejected_naming_the_file(self, tmp_path, score):
+        path = tmp_path / "scores.npz"
+        path.write_bytes(reference_zip({
+            "header": np.array([2, -1], dtype=np.int64),
+            "scores": np.array([[0.5, 0.5], [0.5, score]]),
+            "ids": np.frombuffer(b"a\nb\n", dtype=np.uint8)}))
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: score table "
+                                                  f"contains non-finite entries$"):
             load_score_table(path)
 
 
@@ -604,26 +554,7 @@ def score_tables(draw) -> dict:
 
 
 class TestScoreTableWriter:
-    """Every table saves as one zip layout, and a verb or noun table written
-    as text, one ``repr`` per float, loads back too."""
-
-    @settings(deadline=None)
-    @given(score_tables())
-    def test_a_text_table_loads_back_bit_for_bit(self, args):
-        # The text an earlier build's eval wrote, and a user's own model may.
-        if args["space"] == "action":
-            reject()
-        try:
-            t = ScoreTable(**args)
-        except ValidationError:
-            reject()
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "scores.txt"
-            reference_save_score_table(t, path)
-            loaded = load_score_table(path)
-        assert loaded.segment_ids == t.segment_ids and loaded.space == t.space
-        assert loaded.scores.shape == t.scores.shape
-        assert loaded.scores.tobytes() == t.scores.astype(np.float64).tobytes()
+    """Every table saves as one zip layout, which loads back bit for bit."""
 
     @pytest.mark.parametrize("space,header", [("verb", [0, -1]), ("noun", [-1, 0])])
     def test_a_zero_class_zip_keeps_its_space(self, space, header, tmp_path):
@@ -646,6 +577,7 @@ class TestScoreTableWriter:
             t = ScoreTable(**args)
         except ValidationError:
             return
+        assert args["scores"].dtype == np.float64  # a float32 block never builds
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "table"
             save_score_table(t, path)
@@ -654,7 +586,7 @@ class TestScoreTableWriter:
         assert ((loaded.classes, loaded.verb_classes, loaded.noun_classes)
                 == (t.classes, t.verb_classes, t.noun_classes))
         assert loaded.scores.dtype == np.float64
-        assert loaded.scores.tobytes() == t.scores.astype(np.float64).tobytes()
+        assert loaded.scores.tobytes() == t.scores.tobytes()
 
 
 # What each ``damage_zip`` kind makes the score-table loader say after "<path>: ".
@@ -744,10 +676,10 @@ class TestActionZip:
 
     def test_an_earlier_builds_text_action_table_is_rejected(self, tmp_path):
         path = tmp_path / "action_scores.txt"
-        reference_save_score_table(_sparse_action_table(), path)
-        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: line 1: "
-                                                  f"action tables are zips; a text table is "
-                                                  f"verb or noun$"):
+        path.write_text('{"space":"action","classes":6,"verb_classes":2,"noun_classes":3}\n'
+                        'a 0.5 0.0 0.0 0.0 0.0 0.5\n', encoding="utf-8")
+        with pytest.raises(ValidationError,
+                           match=f"^{re.escape(str(path))}: not a score table zip$"):
             load_score_table(path)
 
     @pytest.mark.parametrize("kind", ZIP_DAMAGE)
@@ -782,6 +714,32 @@ class TestScoreTableInvariants:
     def test_row_alignment(self):
         with pytest.raises(ValidationError):
             ScoreTable(segment_ids=["a", "b"], scores=np.zeros((1, 2)), space="verb")
+
+    @pytest.mark.parametrize("scores", [
+        np.array([[1 + 2j, 0.5]]), np.array([[1, 0]]), np.array([[0.5, 0.5]], dtype=np.float32),
+        np.array([[0.5, 0.5]], dtype=object), [[0.5, 0.5]],
+    ], ids=["complex", "int64", "float32", "object", "list"])
+    def test_scores_other_than_a_float64_array_fail_to_build(self, scores):
+        # Each once built and saved a cast that loaded back unequal, or raised
+        # numpy's raw TypeError (object) or an AttributeError (list).
+        with pytest.raises(ValidationError,
+                           match=r"^score table: scores must be a float64 array$"):
+            ScoreTable(["a"], scores, "verb")
+
+    @pytest.mark.parametrize("space,counts,message", [
+        ("action", (1.5, 4), "action tables must declare verb_classes and noun_classes"),
+        ("action", (2, 3.0), "action tables must declare verb_classes and noun_classes"),
+        ("action", (True, 6), "action tables must declare verb_classes and noun_classes"),
+        ("verb", (6, None), "verb tables declare no verb_classes or noun_classes"),
+        ("verb", (None, 7), "verb tables declare no verb_classes or noun_classes"),
+        ("noun", (1, 6), "noun tables declare no verb_classes or noun_classes"),
+    ], ids=["action-1.5x4", "action-2x3.0", "action-True", "verb-6", "verb-7-nouns", "noun-1x6"])
+    def test_class_counts_that_would_not_load_back_fail_to_build(self, space, counts, message):
+        # 1.5 x 4 == 6 once built and saved a [1, 4] header that did not
+        # load, True once loaded back as 1, and a verb or noun table's counts
+        # once loaded back as None.
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            ScoreTable(["a"], np.zeros((1, 6)), space, *counts)
 
     @pytest.mark.parametrize("ids,message", [
         (["a b"], "segment_id 'a b' must be a non-empty str with no whitespace or lone surrogate"),
@@ -824,11 +782,8 @@ def _table_built(how: str, tmp_path) -> ScoreTable:
         return built
     if how == "replace":
         return dataclasses.replace(table([[1.0, 0.0]] * 2), segment_ids=ids, scores=scores)
-    path = tmp_path / "scores.txt"
-    if how == "text":
-        path.write_text('{"space": "verb", "classes": 2}\na 0.25 0.75\nb 0.5 0.5\n')
-    else:
-        save_score_table(ScoreTable(ids, scores, "verb"), path)
+    path = tmp_path / "scores.npz"
+    save_score_table(ScoreTable(ids, scores, "verb"), path)
     return load_score_table(path)
 
 
@@ -850,7 +805,7 @@ def _prior_built(how: str, tmp_path) -> ActionPrior:
 
 
 class TestFrozenValues:
-    @pytest.mark.parametrize("how", ["constructor", "replace", "text", "zip"])
+    @pytest.mark.parametrize("how", ["constructor", "replace", "zip"])
     def test_a_table_cannot_change_however_it_is_built(self, tmp_path, how):
         t = _table_built(how, tmp_path)
         assert t.segment_ids == ("a", "b") and not t.scores.flags.writeable

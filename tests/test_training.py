@@ -2,7 +2,7 @@ import importlib.util
 import json
 import re
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -646,18 +646,66 @@ class TestCheckpoint:
         assert first.read_bytes() == second.read_bytes()
 
     @pytest.mark.parametrize("edit,message", [
-        (lambda ckpt: setattr(ckpt, "classes", 6), "head.W has shape (5, 7), expected (6, 7)"),
-        (lambda ckpt: setattr(ckpt, "dim_v", 5), "head.W has shape (5, 7), expected (5, 8)"),
-        (lambda ckpt: setattr(ckpt, "target", "action"),
-         "target must be 'verb' or 'noun', got 'action'"),
+        ({"classes": 6}, "head.W has shape (5, 7), expected (6, 7)"),
+        ({"dim_v": 5}, "head.W has shape (5, 7), expected (5, 8)"),
+        ({"target": "action"}, "target must be 'verb' or 'noun', got 'action'"),
     ], ids=["classes", "dim_v", "target"])
     def test_save_rejects_what_load_rejects(self, tmp_path, edit, message):
-        ckpt = self._checkpoint()
-        edit(ckpt)
+        # What load rejects cannot be built, so it never reaches a save.
         path = tmp_path / "ckpt.json"
         with pytest.raises(ValidationError, match=re.escape(message)):
-            save_checkpoint(ckpt, path)
+            save_checkpoint(replace(self._checkpoint(), **edit), path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("model", None, "checkpoint model must be of type Model, got NoneType"),
+        ("aggregation", None,
+         "checkpoint aggregation must be of type AggregationConfig, got NoneType"),
+        ("aggregation", {"k": 3, "window": 3},
+         "checkpoint aggregation must be of type AggregationConfig, got dict"),
+        ("train_config", ModelSpec(),
+         "checkpoint train_config must be of type TrainConfig, got ModelSpec"),
+    ], ids=["model-none", "aggregation-none", "aggregation-dict", "train-config-spec"])
+    def test_a_field_of_another_type_fails_to_build(self, field, value, message):
+        # Each once built, and save_checkpoint then raised a raw TypeError.
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            replace(self._checkpoint(), **{field: value})
+
+    @staticmethod
+    def _built(how: str, tmp_path) -> Checkpoint:
+        """A gfa-b checkpoint built from ``train``'s model, or loaded."""
+        bank = synth_generate(SynthSpec(n_segments=8, dim_v=3, dim_o=2, verb_vocab=2,
+                                        noun_vocab=3), 0)
+        spec, cfg = ModelSpec(fusion="gfa-b"), TrainConfig(epochs=1, batch_size=4)
+        model, _ = train(bank, "noun", spec, cfg)
+        ckpt = Checkpoint(model=model, target="noun", dim_v=3, dim_o=2, classes=3,
+                          aggregation=spec.aggregation, train_config=cfg)
+        if how == "train":
+            return ckpt
+        save_checkpoint(ckpt, tmp_path / "ckpt.json")
+        return load_checkpoint(tmp_path / "ckpt.json")
+
+    @pytest.mark.parametrize("how", ["train", "load_checkpoint"])
+    def test_a_checkpoint_cannot_change_however_it_is_built(self, tmp_path, how):
+        ckpt = self._built(how, tmp_path)
+        for value in (ckpt, ckpt.model, ckpt.model.head, ckpt.model.gfa):
+            for f in fields(value):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(value, f.name, getattr(value, f.name))
+        groups = param_groups(ckpt.model)
+        assert set(groups) == {"head.W", "head.b", "gfa.W", "gfa.b"}
+        for name, arr in groups.items():
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 1.0
+
+    def test_weights_are_made_read_only_without_a_copy(self):
+        model = init_model("gfa-a", 4, 3, 5, rng=np.random.default_rng(0))
+        before = param_groups(model)
+        ckpt = Checkpoint(model=model, target="noun", dim_v=4, dim_o=3, classes=5,
+                          aggregation=AggregationConfig(), train_config=TrainConfig())
+        assert ckpt.model is model
+        assert all(arr is before[name] and not arr.flags.writeable
+                   for name, arr in param_groups(ckpt.model).items())
 
     def test_missing_weights_rejected(self, tmp_path):
         path = tmp_path / "ckpt.json"
