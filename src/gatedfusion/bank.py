@@ -104,7 +104,14 @@ def segment_id_fault(seg_id) -> str | None:
 def _id_fault(ids) -> tuple[int, str] | None:
     """The index and fault of the first of ``ids`` that breaks the id rule
     or repeats an earlier one, or None if every id can key a bank or table
-    row."""
+    row.  All ids are checked at once; they are walked one by one only to
+    name the first fault."""
+    try:
+        clean = not _NOT_IN_AN_ID.search("".join(ids)) and all(ids) and len(set(ids)) == len(ids)
+    except TypeError:  # an id that is not a str
+        clean = False
+    if clean:
+        return None
     seen: set[str] = set()
     for i, seg_id in enumerate(ids):
         if fault := segment_id_fault(seg_id):
@@ -407,7 +414,8 @@ def load_feature_bank(path) -> FeatureBank:
     """Load a bank file: the zip ``save_feature_bank`` writes, or JSON
     lines.  Every fault is a ValidationError naming the file (and, in JSON
     lines, the line and record)."""
-    return read_input(path, "bank", len(_HEADER_KEYS), _ZIP_DTYPES, _bank_of, _parse_bank)
+    return read_input(path, "bank", len(_HEADER_KEYS), lambda header: _ZIP_DTYPES, _bank_of,
+                      _parse_bank)
 
 
 def _parse_bank(path, text: str) -> FeatureBank:

@@ -233,7 +233,7 @@ def _cmd_actions(cfg: dict, out: Path):
 
     # Scoring checks the tables against each other and the bank before any file is written.
     action_table, action_metrics, labels = score_actions_for_bank(
-        verb_table, noun_table, prior, bank)
+        verb_table, noun_table, prior, bank, (cfg["verb_table"], cfg["noun_table"]))
     if cfg["train_bank"]:
         prior_path = out / "prior.txt"
         save_prior(prior, prior_path)

@@ -13,6 +13,7 @@ may be JSON-lines text, a score table is a zip only."""
 import contextlib
 import io
 import json
+import math
 import os
 import stat
 import sys
@@ -181,33 +182,63 @@ def _write_zip(path, header: list[int], blocks: dict, ids: list[str]) -> None:
                 member.write(array)
 
 
-def _read_zip(path, fh, what: str, header_len: int, dtypes: dict, build):
+_HEADER_READERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                   (2, 0): np.lib.format.read_array_header_2_0}
+
+
+def _read_member(zf, info, what: str, dtype: np.dtype) -> np.ndarray:
+    """The array of the member ``info`` of the zip ``zf``, as
+    ``np.lib.format.read_array`` with ``allow_pickle=False`` gives it, and
+    with its faults: the member is read with one ``read`` (zipfile checks
+    its CRC-32) and viewed in place, read-only.  A member with bytes after
+    its array, or of another dtype, is a ValidationError."""
+    data = zf.read(info)
+    npy = io.BytesIO(data)  # shares the bytes: no copy
+    version = np.lib.format.read_magic(npy)
+    if version not in _HEADER_READERS:
+        raise ValueError(f"we only support format version (1,0) and (2,0), not {version}")
+    shape, fortran_order, found = _HEADER_READERS[version](npy)
+    if found.hasobject:
+        raise ValueError("Object arrays cannot be loaded when allow_pickle=False")
+    count, start = math.prod(shape), npy.tell()
+    size, held = count * found.itemsize, len(data) - start
+    if held < size:
+        raise ValueError(f"EOF: reading array data, expected {size} bytes got {held}")
+    if held > size:
+        raise ValidationError(f"{what} member {info.filename} has bytes after its array")
+    if found != dtype:
+        raise ValidationError(f"{what} member {info.filename} must be an array of {dtype}, "
+                              f"got {found}")
+    array = np.frombuffer(data, found, count, start)  # a view of bytes: read-only
+    return array.reshape(shape[::-1]).T if fortran_order else array.reshape(shape)
+
+
+def _read_zip(path, fh, what: str, header_len: int, blocks, build):
     """``build(header, blocks, ids)`` of the zip ``fh`` read from ``path``:
-    exactly the members ``_write_zip`` writes for blocks of ``dtypes``, in
-    order, stored, each an array of its dtype with no byte after it, with a
-    flat header of ``header_len`` values and ids that end with a newline.
-    Any fault, in the zip or raised by ``build``, is a ValidationError naming
-    the file and ``what`` it should hold."""
-    dtypes = {"header": np.dtype(np.int64), **dtypes, "ids": np.dtype(np.uint8)}
+    exactly the members ``_write_zip`` writes, in order, stored, each an
+    array of its dtype with no byte after it, with a flat header of
+    ``header_len`` values and ids that end with a newline.  The header is
+    read first, and ``blocks(header values)`` gives the names and dtypes of
+    the blocks between it and the ids.  Any fault, in the zip or raised by
+    ``build``, is a ValidationError naming the file and ``what`` it should
+    hold."""
     try:
         with warnings.catch_warnings(), zipfile.ZipFile(fh) as zf:
             warnings.simplefilter("error", UserWarning)
-            want = [name + ".npy" for name in dtypes]
-            if zf.namelist() != want:
-                raise ValidationError(f"{what} members are {zf.namelist()}, not {want}")
-            members = {}
-            for (name, dtype), info in zip(dtypes.items(), zf.infolist()):
+            infos = zf.infolist()
+            names = [info.filename for info in infos]
+            for info in infos:
                 if info.compress_type != zipfile.ZIP_STORED:
                     raise ValidationError(f"{what} member {info.filename} is compressed")
-                with zf.open(info) as member:
-                    members[name] = np.lib.format.read_array(member, allow_pickle=False)
-                    if member.read(1):
-                        raise ValidationError(f"{what} member {info.filename} has bytes "
-                                              f"after its array")
-                if members[name].dtype != dtype:
-                    raise ValidationError(f"{what} member {info.filename} must be an array of "
-                                          f"{dtype}, got {members[name].dtype}")
-        header, ids = members.pop("header"), members.pop("ids")
+            header = (_read_member(zf, infos[0], what, np.dtype(np.int64))
+                      if names[:1] == ["header.npy"] else np.zeros(0, np.int64))
+            dtypes = {**blocks(header.ravel().tolist()), "ids": np.dtype(np.uint8)}
+            want = ["header.npy", *(name + ".npy" for name in dtypes)]
+            if names != want:
+                raise ValidationError(f"{what} members are {names}, not {want}")
+            members = {name: _read_member(zf, info, what, dtype)
+                       for (name, dtype), info in zip(dtypes.items(), infos[1:])}
+        ids = members.pop("ids")
         if header.shape != (header_len,) or ids.ndim != 1:
             raise ValidationError(f"{what} header or ids member is not flat")
         ids = ids.tobytes().decode("utf-8").split("\n")
@@ -220,7 +251,7 @@ def _read_zip(path, fh, what: str, header_len: int, dtypes: dict, build):
         raise ValidationError(f"{path}: not a readable {what} zip: {exc}") from None
 
 
-def read_input(path, what: str, header_len: int, dtypes: dict, build, parse):
+def read_input(path, what: str, header_len: int, blocks, build, parse):
     """The bank or score table in the file at ``path``, opened once: a zip,
     by its magic, goes to ``_read_zip``, and any other file to ``parse(path,
     text)``, which reads a JSON-lines bank and rejects a score table.  A
@@ -228,7 +259,7 @@ def read_input(path, what: str, header_len: int, dtypes: dict, build, parse):
     with open(path, "rb") as fh:
         src = fh if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) else io.BytesIO(fh.read())
         if src.read(len(_ZIP_MAGIC)) == _ZIP_MAGIC:
-            return _read_zip(path, src, what, header_len, dtypes, build)
+            return _read_zip(path, src, what, header_len, blocks, build)
         src.seek(0)
         data = src.read()
     return parse(path, read_text(path, data))

@@ -9,12 +9,16 @@ ranking.
 
 Every accuracy counts from one ranking rule: ``label_ranks`` ranks each
 row's true label once, and ``topk_report`` gives every k of a report from
-those ranks.
+those ranks.  ``score_actions_for_bank`` follows the same rule without a
+(rows, verbs * nouns) block: it scores the prior's support only, ranks the
+plain product from each row's top verbs x top nouns, and keeps each row's
+top ``_ACTION_WIDTH`` pairs.
 
 A ``ScoreTable`` holds only ids that keep the bank's id rule and never
 repeat, a 2-D float64 block of finite scores and, for an action table only,
-its integer class counts, in every space, checked once as it is built and
-unchangeable after, so no table can be saved that would not load.
+its integer class counts and the action index of each kept score, in every
+space, checked once as it is built and unchangeable after, so no table can
+be saved that would not load.
 ``save_score_table`` writes a table of every space as a zip of the bank's
 codec in ``errors``, the one score table file format; a user's own model
 builds a ``ScoreTable`` and saves it.
@@ -47,6 +51,8 @@ __all__ = [
 
 SCORE_SPACES = ("verb", "noun", "action")
 _TOPK = (1, 5)  # the k of every top-k accuracy a report gives
+_ACTION_WIDTH = 100  # the most (verb, noun) pairs an action table keeps per row
+_DENSE_ENTRIES = 1 << 20  # the entries of one dense block the plain-rank fallback ranks
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,15 +85,20 @@ class ScoreTable:
     """Per-segment class scores: one aligned row per segment id.  The ids
     keep the bank's id rule and never repeat, ``scores`` is a 2-D float64
     array of finite scores, and an action table, only, declares integer
-    ``verb_classes`` and ``noun_classes`` of at least 1 whose product is its
-    width.  The ids are a tuple and ``scores`` read-only, and
-    ``dataclasses.replace`` builds a changed table."""
+    ``verb_classes`` and ``noun_classes`` of at least 1 and holds
+    ``actions``: each row's kept (verb, noun) pairs as verb-major action
+    indices, an int64 array shaped like ``scores``, each row strictly
+    ascending within ``[0, verb_classes * noun_classes)``, of width
+    ``min(_ACTION_WIDTH, verb_classes * noun_classes)``.  ``scores[r, j]`` is
+    the score of pair ``actions[r, j]``.  The ids are a tuple and the arrays
+    read-only, and ``dataclasses.replace`` builds a changed table."""
 
     segment_ids: tuple[str, ...]
     scores: np.ndarray
     space: str
     verb_classes: int | None = None
     noun_classes: int | None = None
+    actions: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "segment_ids", tuple(self.segment_ids))  # frozen
@@ -95,7 +106,7 @@ class ScoreTable:
             raise ValidationError(f"score space {self.space!r} not one of {SCORE_SPACES}")
         if id_fault := _id_fault(self.segment_ids):
             raise ValidationError(id_fault[1])
-        scores, counts = self.scores, (self.verb_classes, self.noun_classes)
+        scores, counts, actions = self.scores, (self.verb_classes, self.noun_classes), self.actions
         if not (isinstance(scores, np.ndarray) and scores.dtype == np.float64):
             raise ValidationError("score table: scores must be a float64 array")
         if scores.ndim != 2 or scores.shape[0] != len(self.segment_ids):
@@ -107,16 +118,29 @@ class ScoreTable:
             if any(count is not None for count in counts):
                 raise ValidationError(f"{self.space} tables declare no verb_classes or "
                                       "noun_classes")
+            if actions is not None:
+                raise ValidationError(f"{self.space} tables hold no actions")
         else:
             if any(type(count) is not int for count in counts):  # type() also turns away bools
                 raise ValidationError("action tables must declare verb_classes and noun_classes")
             for name, count in zip(("verb_classes", "noun_classes"), counts):
                 if count < 1:
                     raise ValidationError(f"action table: {name} must be >= 1, got {count}")
-            if self.verb_classes * self.noun_classes != scores.shape[1]:
+            pairs = self.verb_classes * self.noun_classes
+            if scores.shape[1] != min(_ACTION_WIDTH, pairs):
                 raise ValidationError(
-                    f"action table: {self.verb_classes}x{self.noun_classes} pairs but "
-                    f"{scores.shape[1]} columns")
+                    f"action table: {self.verb_classes}x{self.noun_classes} pairs keep "
+                    f"{min(_ACTION_WIDTH, pairs)} per row, but scores have {scores.shape[1]} "
+                    "columns")
+            if not (isinstance(actions, np.ndarray) and actions.dtype == np.int64
+                    and actions.shape == scores.shape):
+                raise ValidationError(f"action table: actions must be an int64 array shaped "
+                                      f"{scores.shape}")
+            if actions.size and not ((actions[:, 0] >= 0).all() and (actions[:, -1] < pairs).all()
+                                     and (actions[:, 1:] > actions[:, :-1]).all()):
+                raise ValidationError(f"action table: each actions row must be strictly "
+                                      f"ascending within [0, {pairs})")
+            actions.flags.writeable = False
         scores.flags.writeable = False
 
     @property
@@ -212,7 +236,11 @@ def topk_report(scores: np.ndarray, labels) -> dict:
     """``{"top<k>": accuracy}`` of a (rows, classes) score block for every
     k a report gives, from one ranking of the true labels.  A block with no
     rows has no accuracy, and its report is empty."""
-    ranks = label_ranks(scores, labels)
+    return _ranks_report(label_ranks(scores, labels))
+
+
+def _ranks_report(ranks: np.ndarray) -> dict:
+    """``topk_report``'s accuracies from the ranks of the true labels."""
     if not len(ranks):
         return {}
     return {f"top{k}": np.count_nonzero(ranks < k) / len(ranks) for k in _TOPK}
@@ -235,11 +263,20 @@ def table_labels(table: ScoreTable, bank: FeatureBank) -> np.ndarray:
 
 
 def score_actions_for_bank(verb_table: ScoreTable, noun_table: ScoreTable, prior: ActionPrior,
-                           bank: FeatureBank) -> tuple[ScoreTable, dict, np.ndarray]:
-    """Per-segment action scores over the flattened verb x noun space,
-    top-k accuracy with the prior and with mu replaced by all-ones (the
-    plain ``pv * pn`` product), and the (rows, 2) verb and noun labels of
-    the rows, joined from ``bank`` once."""
+                           bank: FeatureBank, names=("verb table", "noun table")
+                           ) -> tuple[ScoreTable, dict, np.ndarray]:
+    """Per-segment re-weighted action scores, as an action table of each
+    row's top ``min(_ACTION_WIDTH, verbs * nouns)`` pairs, top-k accuracy
+    with the prior and with mu replaced by all-ones (the plain ``pv * pn``
+    product), and the (rows, 2) verb and noun labels of the rows, joined
+    from ``bank`` once.  Verb and noun scores must be >= 0, as softmax
+    probabilities are; a table with a negative score is a ValidationError
+    that starts with its entry of ``names``.
+
+    Every ranking follows ``label_ranks``, and no (rows, verbs * nouns)
+    block is built: the re-weighted scores are computed on the prior's
+    support only, where each has ``reweight_actions``' bits, and every other
+    pair scores exactly 0."""
     if verb_table.space != "verb" or noun_table.space != "noun":
         raise ValidationError(
             f"expected a verb and a noun table, got {verb_table.space!r} and {noun_table.space!r}")
@@ -253,18 +290,115 @@ def score_actions_for_bank(verb_table: ScoreTable, noun_table: ScoreTable, prior
         raise ValidationError(
             f"bank vocab {bank.verb_vocab_size}x{bank.noun_vocab_size} does not match prior "
             f"{verbs}x{nouns}")
+    for table, name in zip((verb_table, noun_table), names):
+        negative = np.flatnonzero((table.scores < 0).any(axis=1))
+        if negative.size:
+            raise ValidationError(f"{name}: segment {table.segment_ids[negative[0]]!r} has a "
+                                  f"negative score; actions takes scores >= 0")
 
-    shape = (len(verb_table.segment_ids), verbs * nouns)
     pv, pn = verb_table.scores, noun_table.scores
     labels = table_labels(verb_table, bank)
-    actions = labels[:, 0] * nouns + labels[:, 1]  # the verb-major action index
-    # mu = 1 scales exactly, so this is the all-ones re-weighting, bit for bit.
-    # It is ranked before the re-weighted block exists: one block at a time.
-    plain = topk_report((pv[:, :, None] * pn[:, None, :]).reshape(shape), actions)
-    reweighted = reweight_actions(pv, pn, prior).reshape(shape)
-    reweighted_table = ScoreTable(verb_table.segment_ids, reweighted, "action", verbs, nouns)
-    return reweighted_table, {"reweighted": topk_report(reweighted_table.scores, actions),
-                              "plain": plain}, labels
+    true = labels[:, 0] * nouns + labels[:, 1]  # the verb-major action index
+    plain = _plain_ranks(pv, pn, labels)
+
+    # The support's scores, in reweight_actions' order of products, so each
+    # has its bits.  Every score is >= 0, and every other pair scores 0.
+    sv, sn = np.nonzero(prior.mu)
+    support = sv * nouns + sn  # ascending
+    scores = pv[:, sv]
+    scores *= prior.mu[sv, sn]  # pv * mu: mu * pv's bits
+    scores *= pn[:, sn]
+    rows = np.arange(len(true))
+    t = (prior.mu[labels[:, 0], labels[:, 1]] * pv[rows, labels[:, 0]]
+         * pn[rows, labels[:, 1]])[:, None]
+    reweighted = np.count_nonzero((scores > t) | ((scores == t) & (support < true[:, None])),
+                                  axis=1)
+    zero = t[:, 0] == 0  # then the pairs outside the support before it tie with it, ahead
+    reweighted[zero] += true[zero] - np.searchsorted(support, true[zero])
+
+    actions, kept = _kept_pairs(scores, support, min(_ACTION_WIDTH, verbs * nouns), prior.mu,
+                                pv, pn)
+    table = ScoreTable(verb_table.segment_ids, kept, "action", verbs, nouns, actions)
+    return table, {"reweighted": _ranks_report(reweighted), "plain": _ranks_report(plain)}, labels
+
+
+def _kept_pairs(scores: np.ndarray, support: np.ndarray, width: int, mu: np.ndarray,
+                pv: np.ndarray, pn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's ``width`` best (verb, noun) pairs by ``label_ranks``' rule,
+    as ascending action indices, and their scores ``mu[v, n] * pv[r, v] *
+    pn[r, n]``, given the (rows, support) block of those scores at the
+    ascending action indices ``support``.  Every score is >= 0, and every
+    pair outside the support scores 0."""
+    # A row keeps its positive scores or, where more than width are, those
+    # above its width-th best, `last`, then as many tied with it as fit,
+    # lower index first.
+    many = np.flatnonzero(np.count_nonzero(scores > 0, axis=1) > width)
+    kth = max(len(support) - width, 0)  # many is empty when kth is 0
+    last = np.zeros((len(scores), 1))
+    best = scores[many]
+    best.partition(kth, axis=1)
+    last[many] = best[:, kth, None]
+    keep, tied = scores > last, (scores == last) & (last > 0)
+    room = width - np.count_nonzero(keep, axis=1)
+    over = np.flatnonzero(np.count_nonzero(tied, axis=1) > room)
+    tied[over] &= np.cumsum(tied[over], axis=1) <= room[over, None]
+    keep |= tied
+    room = width - np.count_nonzero(keep, axis=1)
+    if not room.any():  # every row keeps width support pairs
+        return (np.broadcast_to(support, keep.shape)[keep].reshape(-1, width),
+                scores[keep].reshape(-1, width))
+    # A row of fewer than width positive scores is filled with zero-score
+    # pairs, lower index first; it needs at most width, all below width.
+    pairs = np.union1d(support, np.arange(width))  # pairs[:width] is arange(width)
+    mask = np.zeros((len(scores), len(pairs)), bool)
+    mask[:, np.searchsorted(pairs, support)] = keep
+    free = ~mask[:, :width]
+    mask[:, :width] |= free & (np.cumsum(free, axis=1) <= room[:, None])
+    actions = np.broadcast_to(pairs, mask.shape)[mask].reshape(-1, width)
+    v, n = np.divmod(actions, pn.shape[1])
+    rows = np.arange(len(scores))[:, None]
+    kept = mu[v, n] * pv[rows, v]
+    kept *= pn[rows, n]
+    return actions, kept
+
+
+def _plain_ranks(pv: np.ndarray, pn: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """``label_ranks`` of the plain products ``pv[r, v] * pn[r, n]`` at each
+    row's true (verb, noun) pair, exact below ``k = max(_TOPK)`` and at
+    least ``k`` otherwise, for scores >= 0.
+
+    Each row counts the pairs ahead of its true pair among its top-k verbs
+    x top-k nouns.  A pair outside that block has a verb or a noun no better
+    than the (k+1)-th, and rounding is monotone, if not strictly, so its
+    product is at most ``B = max(pv_(k+1) * pn_(1), pv_(1) * pn_(k+1))``.
+    A row whose true product beats ``B`` thus has its exact rank in the
+    block, and one with k pairs ahead ranks at least k.  Any other row,
+    where the true product ties with or falls below ``B`` (zeros included),
+    is ranked densely, a bounded chunk of rows at a time."""
+    k, nouns = max(_TOPK), pn.shape[1]
+    rows = np.arange(len(labels))[:, None]
+    true = labels[:, 0] * nouns + labels[:, 1]
+    t = (pv[rows[:, 0], labels[:, 0]] * pn[rows[:, 0], labels[:, 1]])[:, None, None]
+    bound = np.full(len(labels), -np.inf)
+    top = []
+    for p, other in ((pv, pn), (pn, pv)):
+        classes = p.shape[1]
+        if classes <= k:  # every class is a candidate, and the axis adds no bound
+            top.append(np.broadcast_to(np.arange(classes), p.shape))
+            continue
+        order = np.argpartition(p, classes - k - 1, axis=1)
+        top.append(order[:, classes - k:])
+        bound = np.maximum(bound, p[rows[:, 0], order[:, classes - k - 1]] * other.max(axis=1))
+    products = pv[rows, top[0]][:, :, None] * pn[rows, top[1]][:, None, :]
+    index = top[0][:, :, None] * nouns + top[1][:, None, :]
+    ranks = np.count_nonzero((products > t) | ((products == t) & (index < true[:, None, None])),
+                             axis=(1, 2))
+    dense = np.flatnonzero((ranks < k) & ~(t[:, 0, 0] > bound))
+    step = max(1, _DENSE_ENTRIES // (pv.shape[1] * nouns))
+    for chunk in (dense[i:i + step] for i in range(0, len(dense), step)):
+        block = (pv[chunk, :, None] * pn[chunk, None, :]).reshape(len(chunk), -1)
+        ranks[chunk] = label_ranks(block, true[chunk])
+    return ranks
 
 
 # --- file formats ---------------------------------------------------------------
@@ -324,12 +458,26 @@ def save_score_table(table: ScoreTable, path) -> None:
     """Save ``table`` as the zip of ``errors._write_zip``, through
     ``errors.replacing``, so a failed save leaves the old file: the header
     ``[verb_classes, noun_classes]``, where ``-1`` marks the axis a verb or
-    noun table lacks, the float64 ``scores`` and the ids.  Equal tables give
-    equal bytes, and a ``ScoreTable`` holds only ids that load, so every
-    file this writes loads back as an equal table."""
+    noun table lacks, the float64 ``scores``, an action table's int64
+    ``actions`` and the ids.  Equal tables give equal bytes, and a
+    ``ScoreTable`` holds only ids that load, so every file this writes loads
+    back as an equal table."""
     header = {"verb": [table.classes, -1], "noun": [-1, table.classes],
               "action": [table.verb_classes, table.noun_classes]}[table.space]
-    _write_zip(path, header, {"scores": table.scores}, table.segment_ids)
+    blocks = {"scores": table.scores}
+    if table.actions is not None:
+        blocks["actions"] = table.actions
+    _write_zip(path, header, blocks, table.segment_ids)
+
+
+def _table_blocks(header: list[int]) -> dict:
+    """The blocks between a score-table zip's header and ids: an action
+    table, whose header holds two counts >= 1, keeps its actions after its
+    scores."""
+    blocks = {"scores": np.dtype(np.float64)}
+    if len(header) == 2 and min(header) >= 1:
+        blocks["actions"] = np.dtype(np.int64)
+    return blocks
 
 
 def _zip_table(header: list[int], blocks: dict, ids: list[str]) -> ScoreTable:
@@ -343,7 +491,7 @@ def _zip_table(header: list[int], blocks: dict, ids: list[str]) -> ScoreTable:
     elif verbs == -1 and nouns >= 0:
         space, classes = "noun", nouns
     else:
-        return ScoreTable(ids, scores, "action", verbs, nouns)
+        return ScoreTable(ids, scores, "action", verbs, nouns, blocks.get("actions"))
     if scores.shape[1:] != (classes,):
         raise ValidationError(f"{space} table: header says {classes} classes but scores "
                               f"shaped {scores.shape}")
@@ -353,8 +501,7 @@ def _zip_table(header: list[int], blocks: dict, ids: list[str]) -> ScoreTable:
 def load_score_table(path) -> ScoreTable:
     """Load a score table: exactly the zip of ``save_score_table``.  Any
     other file, or any fault in the zip, is a ValidationError naming it."""
-    return read_input(path, "score table", 2, {"scores": np.dtype(np.float64)}, _zip_table,
-                      _not_a_table_zip)
+    return read_input(path, "score table", 2, _table_blocks, _zip_table, _not_a_table_zip)
 
 
 def _not_a_table_zip(path, text: str):

@@ -168,7 +168,9 @@ class TrainConfig:
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
-    """Stable softmax over the last axis: positive entries summing to one."""
+    """Stable softmax over the last axis: entries >= 0 summing to one.  An
+    entry more than about 745 below its row's maximum underflows to exactly
+    0."""
     e = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
     return e / np.add.reduce(e, axis=-1, keepdims=True)
 
@@ -556,16 +558,23 @@ def _matrix_from_obj(obj: dict, name: str) -> np.ndarray:
 
 
 def _check_checkpoint(ckpt: Checkpoint) -> None:
-    """The checkpoint contract, checked when one is built: a ``Model``, an
+    """The checkpoint contract, checked when one is built: a ``Model`` whose
+    head is a ``Head`` and whose gate is None or a ``GfaParams``, an
     ``AggregationConfig`` and a ``TrainConfig``, a verb or noun target,
-    integer dims and class count of at least 1, and every parameter group
-    finite and shaped as its fusion kind says."""
+    integer dims and class count of at least 1, and every parameter group a
+    float64 array, finite and shaped as its fusion kind says."""
     for name, cls in (("model", Model), ("aggregation", AggregationConfig),
                       ("train_config", TrainConfig)):
         val = getattr(ckpt, name)
         if not isinstance(val, cls):
             raise ValidationError(f"checkpoint {name} must be of type {cls.__name__}, got "
                                   f"{type(val).__name__}")
+    if not isinstance(ckpt.model.head, Head):
+        raise ValidationError(f"checkpoint model head must be of type Head, got "
+                              f"{type(ckpt.model.head).__name__}")
+    if not isinstance(ckpt.model.gfa, (GfaParams, type(None))):
+        raise ValidationError(f"checkpoint model gfa must be None or of type GfaParams, got "
+                              f"{type(ckpt.model.gfa).__name__}")
     if ckpt.target not in TARGETS:
         raise ValidationError(f"target must be 'verb' or 'noun', got {ckpt.target!r}")
     for name in ("dim_v", "dim_o", "classes"):
@@ -575,6 +584,8 @@ def _check_checkpoint(ckpt: Checkpoint) -> None:
     fusion = ckpt.model.fusion_kind
     shapes = _param_shapes(fusion, ckpt.dim_v, ckpt.dim_o, ckpt.classes)
     for name, arr in param_groups(ckpt.model).items():
+        if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64):
+            raise ValidationError(f"checkpoint: {name} must be a float64 array")
         if arr.shape != shapes[name]:
             raise ValidationError(f"{name} has shape {arr.shape}, expected {shapes[name]} for "
                                   f"fusion {fusion!r}, dims {ckpt.dim_v}/{ckpt.dim_o}")

@@ -1,6 +1,7 @@
 """Shared test helpers: independent central-difference and 5-point gradient oracles,
-exact bank equality, a dense action prior from listed pairs, the
-record-by-record synthetic bank generator and aggregation chain, the
+exact bank equality, a dense action prior from listed pairs, the dense
+oracle of ``actions``, the record-by-record synthetic bank generator and
+aggregation chain, the
 JSON-lines bank writer, the sidecar that earlier builds wrote beside it,
 the reference zip writer, the ways to damage a zip (a bank or a score
 table) and the per-batch-scaling training loop."""
@@ -19,7 +20,7 @@ import pytest
 
 from gatedfusion import training
 from gatedfusion.bank import Detection, FeatureBank, SegmentRecord, SynthSpec, bank_features
-from gatedfusion.scoring import ActionPrior, label_ranks
+from gatedfusion.scoring import ActionPrior, label_ranks, reweight_actions, topk_report
 
 
 def central_diff(f, x, step=1e-5):
@@ -95,6 +96,22 @@ def dense_prior(freq, verbs, nouns):
     for (v, n), f in freq.items():
         mu[v, n] = f
     return ActionPrior(mu=mu)
+
+
+def dense_action_oracle(pv, pn, prior, labels):
+    """Test-side oracle for ``scoring.score_actions_for_bank``, built from the
+    dense (rows, verbs * nouns) blocks: the re-weighted and plain reports,
+    each row's first ``min(100, verbs * nouns)`` pairs in ``label_ranks``'
+    order, sorted, and the re-weighted block's scores at those pairs."""
+    verbs, nouns = prior.mu.shape
+    rows, pairs = len(labels), verbs * nouns
+    true = labels[:, 0] * nouns + labels[:, 1]
+    reweighted = reweight_actions(pv, pn, prior).reshape(rows, pairs)
+    plain = (pv[:, :, None] * pn[:, None, :]).reshape(rows, pairs)
+    ranks = np.stack([label_ranks(reweighted, np.full(rows, a)) for a in range(pairs)], axis=1)
+    kept = np.nonzero(ranks < min(100, pairs))[1].reshape(rows, -1)
+    return ({"reweighted": topk_report(reweighted, true), "plain": topk_report(plain, true)},
+            kept, np.take_along_axis(reweighted, kept, 1))
 
 
 def bank_text(bank: FeatureBank) -> bytes:

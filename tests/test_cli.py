@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import (ZIP_DAMAGE, banks_equal, damage_zip,
+from conftest import (ZIP_DAMAGE, banks_equal, damage_zip, dense_action_oracle,
                       reference_zip, write_bank_text, write_old_sidecar)
 
 from gatedfusion import __version__, cli, errors, scoring, training
@@ -506,9 +506,74 @@ class TestActions:
         assert report["action"]["reweighted"] == report["action"]["plain"]
         pv, pn = (load_score_table(tmp_path / f"eval-{t}/scores.txt").scores
                   for t in ("verb", "noun"))
+        # 10 x 20 pairs: each row keeps its best 100 plain products, in index order
+        _, actions, scores = dense_action_oracle(
+            pv, pn, scoring.ActionPrior(np.ones((10, 20))), bank.labels)
+        table = load_score_table(tmp_path / "act/action_scores.npz")
+        assert np.array_equal(table.actions, actions)
         plain = (pv[:, :, None] * pn[:, None, :]).reshape(len(pv), -1)
-        assert load_score_table(tmp_path / "act/action_scores.npz").scores.tobytes() == \
-            plain.tobytes()
+        assert table.scores.tobytes() == scores.tobytes() == \
+            np.take_along_axis(plain, actions, 1).tobytes()
+
+    @pytest.mark.parametrize("name", ["verb", "noun"])
+    def test_a_negative_score_is_exit_one_naming_the_table(self, tmp_path, capsys, name):
+        # actions takes scores >= 0, as softmax probabilities are
+        paths = tiny_action_inputs(tmp_path)
+        t = load_score_table(paths[name])
+        scores = t.scores.copy()
+        scores[2, 1] = -0.25
+        save_score_table(dataclasses.replace(t, scores=scores), paths[name])
+        assert run_actions(paths, tmp_path / "act") == 1
+        assert capsys.readouterr().err == (
+            f"gatedfusion: error: {paths[name]}: segment 's2' has a negative score; actions "
+            f"takes scores >= 0\n")
+        assert not list((tmp_path / "act").glob("*"))
+
+    def test_zero_scores_of_either_sign_are_accepted(self, tmp_path):
+        # softmax underflows to exactly 0, and -0.0 is not below 0
+        paths = tiny_action_inputs(tmp_path)
+        for name, column in (("verb", 1), ("noun", 0)):
+            t = load_score_table(paths[name])
+            scores = t.scores.copy()
+            scores[:2, column] = [0.0, -0.0]
+            save_score_table(dataclasses.replace(t, scores=scores), paths[name])
+        assert run_actions(paths, tmp_path / "act") == 0
+        table = load_score_table(tmp_path / "act/action_scores.npz")
+        assert table.actions.tolist() == [list(range(6))] * 4
+
+    def test_the_instability_experiments_zero_heavy_tables(self, tmp_path):
+        # Criterion 4's banks: the softmax of an unscaled concat head
+        # underflows to exactly 0 in most entries, so ranks tie at 0, the
+        # plain ranks fall back to dense blocks and rows are filled with
+        # zero-score pairs.  The report and table equal the dense blocks'.
+        synth(tmp_path / "mm", seed=42, train=500, val=200, mismatch=1000, jitter=1.5,
+              noun_in_clip=1.0, noise=0.35)
+        bank = tmp_path / "mm/val.bank"
+        for target in ("noun", "verb"):
+            assert run("train", "--bank", tmp_path / "mm/train.bank", "--target", target,
+                       "--fusion", "concat", "--lr", 0.1, "--epochs", 80, "--seed", 7,
+                       "--out-dir", tmp_path / f"run-{target}") == 0
+            assert run("eval", "--checkpoint", tmp_path / f"run-{target}/checkpoint.json",
+                       "--bank", bank, "--out-dir", tmp_path / f"eval-{target}") == 0
+        pv, pn = (load_score_table(tmp_path / f"eval-{t}/scores.txt").scores
+                  for t in ("verb", "noun"))
+        assert (pv == 0).mean() > 0.5 and (pn == 0).mean() > 0.5
+        with mock.patch.object(scoring, "label_ranks", wraps=scoring.label_ranks) as ranks:
+            assert run("actions", "--verb-table", tmp_path / "eval-verb/scores.txt",
+                       "--noun-table", tmp_path / "eval-noun/scores.txt", "--bank", bank,
+                       "--train-bank", tmp_path / "mm/train.bank",
+                       "--out-dir", tmp_path / "act") == 0
+        assert ranks.call_count > 2  # the verb and noun reports, and the dense fallback
+        labels = load_feature_bank(bank).labels
+        prior = scoring.load_prior(tmp_path / "act/prior.txt", 10, 20)
+        action, actions, scores = dense_action_oracle(pv, pn, prior, labels)
+        report = json.loads((tmp_path / "act/action_report.json").read_text())
+        assert report["action"] == action
+        assert report["verb"] == scoring.topk_report(pv, labels[:, 0])
+        assert report["noun"] == scoring.topk_report(pn, labels[:, 1])
+        table = load_score_table(tmp_path / "act/action_scores.npz")
+        assert np.array_equal(table.actions, actions)
+        assert table.scores.tobytes() == scores.tobytes()
 
     def test_requires_a_prior_source(self, tmp_path, capsys):
         self._prepare(tmp_path)

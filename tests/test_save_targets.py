@@ -18,7 +18,7 @@ _needs_fifo = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named 
 
 _VERBS, _NOUNS = 4, 6
 # The members each kind of zip holds; a planted fault fails its last one.
-_MEMBERS = {"bank": 9, "noun table": 3, "action table": 3}
+_MEMBERS = {"bank": 9, "noun table": 3, "action table": 4}
 
 
 def _save(kind):
@@ -32,7 +32,8 @@ def _save(kind):
         table = ScoreTable(ids, rng.dirichlet(np.ones(_NOUNS), size=100), "noun")
     else:
         table = ScoreTable(ids, rng.dirichlet(np.ones(_VERBS * _NOUNS), size=100), "action",
-                           verb_classes=_VERBS, noun_classes=_NOUNS)
+                           verb_classes=_VERBS, noun_classes=_NOUNS,
+                           actions=np.tile(np.arange(_VERBS * _NOUNS), (100, 1)))
     return lambda path: save_score_table(table, path)
 
 

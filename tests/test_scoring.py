@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, reject, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import ZIP_DAMAGE, damage_zip, dense_prior, reference_zip
+from conftest import ZIP_DAMAGE, damage_zip, dense_action_oracle, dense_prior, reference_zip
 
 from gatedfusion import scoring
 from gatedfusion.bank import FeatureBank, SegmentRecord, SynthSpec, synth_generate
@@ -39,6 +40,12 @@ def table(rows, space="verb", ids=None, **kw):
     scores = np.array(rows, dtype=np.float64)
     ids = ids if ids is not None else [f"s{i}" for i in range(scores.shape[0])]
     return ScoreTable(segment_ids=ids, scores=scores, space=space, **kw)
+
+
+def every_pair(rows: int, pairs: int) -> np.ndarray:
+    """The ``actions`` block of an action table of at most 100 pairs, which
+    keeps every pair in every row."""
+    return np.tile(np.arange(pairs, dtype=np.int64), (rows, 1))
 
 
 class TestComputePrior:
@@ -289,17 +296,104 @@ class TestScoreActionsForBank:
             score_actions_for_bank(vt, nt, ActionPrior(mu=np.ones((4, 4))), bank)
 
 
+def _oracle_case(kind: str, seed: int):
+    """Verb and noun tables, a prior and labels of one kind of action input."""
+    rng = np.random.default_rng(seed)
+    verbs, nouns, rows = (4, 5, 20) if kind == "small-vocab" else (12, 15, 25)
+    mu = np.where(rng.uniform(size=(verbs, nouns)) < 0.6, rng.uniform(size=(verbs, nouns)), 0.0)
+    pv, pn = rng.dirichlet(np.ones(verbs), rows), rng.dirichlet(np.ones(nouns), rows)
+    labels = np.stack([rng.integers(verbs, size=rows), rng.integers(nouns, size=rows)], axis=1)
+    if kind == "true-pair-outside-support":
+        mu[labels[:, 0], labels[:, 1]] = 0.0
+    elif kind == "underflow":  # support products of 1e-340 and below are exactly 0
+        pv[::2] *= 1e-170
+        pn[::3] *= 1e-170
+    elif kind == "ties-at-100":  # quarter steps: many exact ties, at the 100th place too
+        mu[mu > 0] = 0.5
+        pv, pn = rng.integers(1, 4, (rows, verbs)) / 4, rng.integers(1, 4, (rows, nouns)) / 4
+    elif kind == "zero-fill":  # 20 supported pairs: each row keeps 80 zero-score pairs too
+        mu = np.zeros((verbs, nouns))
+        mu.flat[rng.choice(verbs * nouns, 20, replace=False)] = 0.05
+    elif kind == "eye":
+        pv, pn = np.eye(verbs)[labels[:, 0]], np.eye(nouns)[rng.integers(nouns, size=rows)]
+    mu.flat[0] = max(mu.flat[0], 0.1)  # a prior has a positive entry
+    return pv, pn, ActionPrior(mu), labels
+
+
+class TestActionsAgainstTheDenseOracle:
+    """``actions`` scores the prior's support, ranks the plain product from
+    a candidate block and keeps each row's top 100: every result equals the
+    dense blocks' of ``reweight_actions`` and ``label_ranks``."""
+
+    @staticmethod
+    def _check(pv, pn, prior, labels, tmp_path):
+        bank = labeled_bank(labels.tolist(), *prior.mu.shape)
+        ids = [f"s{i}" for i in range(len(labels))]
+        t, metrics, _ = score_actions_for_bank(table(pv, "verb", ids), table(pn, "noun", ids),
+                                               prior, bank)
+        want, kept, scores = dense_action_oracle(pv, pn, prior, labels)
+        assert metrics == want
+        save_score_table(t, tmp_path / "action_scores.npz")
+        loaded = load_score_table(tmp_path / "action_scores.npz")
+        for got in (t, loaded):
+            assert np.array_equal(got.actions, kept)
+            assert got.scores.tobytes() == scores.tobytes()  # bit for bit, signed zeros too
+        return metrics
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("kind", ["random", "true-pair-outside-support", "underflow",
+                                      "ties-at-100", "zero-fill", "eye", "small-vocab"])
+    def test_every_result_equals_the_dense_oracle(self, kind, seed, tmp_path):
+        self._check(*_oracle_case(kind, seed), tmp_path)
+
+    def test_a_rounding_tie_outside_the_candidate_block_is_ranked_densely(self, tmp_path):
+        # Six verbs whose scores differ in the 12th digit, times one subnormal
+        # noun score: every product rounds to the same subnormal.  Verb 0 has
+        # the lowest score, so it lies outside the top-5 verbs, yet its pair
+        # ties with the true pair (1, 0) and wins on index: the true rank is 1,
+        # while the candidate block alone counts 0 pairs ahead.
+        pv = np.array([[1.0 + i * 1e-12 for i in range(6)]])
+        pn = np.array([[1e-320]])
+        assert len(set((pv[0] * pn[0, 0]).tolist())) == 1
+        labels = np.array([[1, 0]])
+        with mock.patch.object(scoring, "label_ranks", wraps=label_ranks) as ranks:
+            metrics = self._check(pv, pn, ActionPrior(mu=np.ones((6, 1))), labels, tmp_path)
+        assert ranks.call_count >= 1  # the dense fallback ran
+        assert metrics["plain"] == {"top1": 0.0, "top5": 1.0}
+
+    def test_the_challenge_vocabulary_allocates_no_dense_block(self):
+        # 125 x 352 pairs, 20 nouns per verb, 500 rows: one dense float64
+        # block is 176 MB.  The peak stays below a quarter of it.
+        verbs, nouns, rows = 125, 352, 500
+        rng = np.random.default_rng(13)
+        mu = np.zeros((verbs, nouns))
+        for v in range(verbs):
+            mu[v, rng.choice(nouns, 20, replace=False)] = 1 / (20 * verbs)
+        labels = np.stack([rng.integers(verbs, size=rows), rng.integers(nouns, size=rows)], 1)
+        bank = labeled_bank(labels.tolist(), verbs, nouns)
+        vt = table(rng.dirichlet(np.ones(verbs), rows), "verb")
+        nt = table(rng.dirichlet(np.ones(nouns), rows), "noun")
+        tracemalloc.start()
+        try:
+            t, _, _ = score_actions_for_bank(vt, nt, ActionPrior(mu), bank)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t.actions.shape == (rows, 100)
+        assert peak < rows * verbs * nouns * 8 / 4, peak
+
+
 class TestActionIndex:
     def test_roundtrip(self):
-        # the action space is verb-major: pair (v, n) is column v * nouns + n,
+        # the action space is verb-major: pair (v, n) is action v * nouns + n,
         # in the action table and in the labels its accuracy is scored against
         pairs = [(v, n) for v in range(3) for n in range(5)]
         bank = labeled_bank(pairs, verb_vocab=3, noun_vocab=5)
         vt = table(np.eye(3)[[v for v, _ in pairs]], space="verb")
         nt = table(np.eye(5)[[n for _, n in pairs]], space="noun")
         actions, metrics, _ = score_actions_for_bank(vt, nt, ActionPrior(mu=np.ones((3, 5))), bank)
-        for row, pair in zip(actions.scores, pairs):
-            assert divmod(int(np.argmax(row)), 5) == pair
+        for row, scores, pair in zip(actions.actions, actions.scores, pairs):
+            assert divmod(int(row[np.argmax(scores)]), 5) == pair
         assert metrics["plain"]["top1"] == 1.0
 
 
@@ -416,12 +510,13 @@ class TestFileFormats:
     def test_score_table_roundtrip(self, tmp_path):
         rng = np.random.default_rng(8)
         t = ScoreTable(segment_ids=["a", "b"], scores=rng.normal(size=(2, 6)) * 1e-7,
-                       space="action", verb_classes=2, noun_classes=3)
+                       space="action", verb_classes=2, noun_classes=3, actions=every_pair(2, 6))
         path = tmp_path / "scores.txt"
         save_score_table(t, path)
         loaded = load_score_table(path)
         assert loaded.segment_ids == t.segment_ids
         assert loaded.scores.tobytes() == t.scores.tobytes()
+        assert loaded.actions.tobytes() == t.actions.tobytes()
         assert loaded.space == "action"
         assert (loaded.verb_classes, loaded.noun_classes) == (2, 3)
 
@@ -526,8 +621,8 @@ _RULE_BREAKING_IDS = ["", "a b", "\x1c", "\u2028", "\x85", "\ud800"]
 @st.composite
 def score_tables(draw) -> dict:
     """The arguments of a ``ScoreTable``, which may not build: any space (an
-    action table with a drawn verb x noun split), ids that may break the id
-    rule or repeat, and float32 or float64 scores."""
+    action table with a drawn verb x noun split, keeping every pair), ids
+    that may break the id rule or repeat, and float32 or float64 scores."""
     float32 = draw(st.booleans())
     if float32:
         elements = st.floats(width=32, allow_nan=False, allow_infinity=False)
@@ -539,6 +634,7 @@ def score_tables(draw) -> dict:
     if space == "action":
         split = {"verb_classes": draw(st.integers(0, 3)), "noun_classes": draw(st.integers(0, 3))}
         cols = split["verb_classes"] * split["noun_classes"]
+        split["actions"] = every_pair(rows, cols)  # at most 9 pairs: a table keeps them all
     else:
         cols = draw(st.integers(0, 9))
     scores = np.zeros((rows, cols), dtype=np.float32 if float32 else np.float64)
@@ -587,16 +683,22 @@ class TestScoreTableWriter:
                 == (t.classes, t.verb_classes, t.noun_classes))
         assert loaded.scores.dtype == np.float64
         assert loaded.scores.tobytes() == t.scores.tobytes()
+        if t.space == "action":
+            assert loaded.actions.tobytes() == t.actions.tobytes()
+        else:
+            assert loaded.actions is None
 
 
 # What each ``damage_zip`` kind makes the score-table loader say after "<path>: ".
 _ACTION_ZIP_FAULTS = {
     "truncated": "not a readable score table zip: File is not a zip file",
     "flipped": "not a readable score table zip: Bad CRC-32 for file 'scores.npy'",
-    "missing": "score table members are ['header.npy', 'ids.npy'], not [",
+    "missing": "score table members are ['header.npy', 'actions.npy', 'ids.npy'], not [",
     "extra": "score table members are [",
-    "renamed": "score table members are ['header.npy', 'counts.npy', 'ids.npy'], not [",
-    "out-of-order": "score table members are ['header.npy', 'ids.npy', 'scores.npy'], not [",
+    "renamed": "score table members are ['header.npy', 'counts.npy', 'actions.npy', "
+               "'ids.npy'], not [",
+    "out-of-order": "score table members are ['header.npy', 'actions.npy', 'scores.npy', "
+                    "'ids.npy'], not [",
     "deflated": "score table member header.npy is compressed",
     "object": "not a readable score table zip: Object arrays cannot be loaded when "
               "allow_pickle=False",
@@ -623,7 +725,8 @@ def _sparse_action_table():
     scores = reweight_actions(rng.dirichlet(np.ones(4), 30), rng.dirichlet(np.ones(6), 30),
                               prior).reshape(30, 24)
     assert (scores == 0).all(axis=0).sum() == 16
-    return table(scores, space="action", verb_classes=4, noun_classes=6)
+    return table(scores, space="action", verb_classes=4, noun_classes=6,
+                 actions=every_pair(30, 24))
 
 
 def _edge_action_table():
@@ -632,7 +735,15 @@ def _edge_action_table():
                   [0.0, -0.0, 2.5, 1 / 3, -1e-300, 7.0],
                   [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]],
                  space="action", ids=["é", "\U0001f600", "a\x00b"], verb_classes=2,
-                 noun_classes=3)
+                 noun_classes=3, actions=every_pair(3, 6))
+
+
+def _top_action_table():
+    """Two rows of a 12 x 10 vocab, which keep 100 of its 120 pairs each."""
+    rng = np.random.default_rng(12)
+    actions = np.sort(np.stack([rng.choice(120, 100, replace=False) for _ in range(2)]), axis=1)
+    return table(rng.uniform(size=(2, 100)), space="action", ids=["a", "b"], verb_classes=12,
+                 noun_classes=10, actions=actions)
 
 
 class TestActionZip:
@@ -640,8 +751,8 @@ class TestActionZip:
     noun tables are, and any fault in it is a ValidationError naming the
     file."""
 
-    @pytest.mark.parametrize("make", [_edge_action_table, _sparse_action_table],
-                             ids=["edges", "sparse"])
+    @pytest.mark.parametrize("make", [_edge_action_table, _sparse_action_table,
+                                      _top_action_table], ids=["edges", "sparse", "top-100"])
     def test_load_score_table_and_np_load_return_the_table(self, tmp_path, make):
         t = make()
         path = tmp_path / "action_scores.npz"
@@ -650,12 +761,14 @@ class TestActionZip:
         loaded = load_score_table(path)
         assert loaded.space == "action" and loaded.segment_ids == t.segment_ids
         assert (loaded.verb_classes, loaded.noun_classes) == (t.verb_classes, t.noun_classes)
-        assert loaded.scores.dtype == np.float64
+        assert loaded.scores.dtype == np.float64 and loaded.actions.dtype == np.int64
         assert loaded.scores.tobytes() == t.scores.tobytes()
+        assert loaded.actions.tobytes() == t.actions.tobytes()
         with np.load(path, allow_pickle=False) as npz:
-            assert npz.files == ["header", "scores", "ids"]
+            assert npz.files == ["header", "scores", "actions", "ids"]
             assert npz["header"].tolist() == [t.verb_classes, t.noun_classes]
             assert npz["scores"].tobytes() == t.scores.tobytes()
+            assert npz["actions"].tobytes() == t.actions.tobytes()
             assert npz["ids"].tobytes().decode("utf-8") == "".join(
                 seg_id + "\n" for seg_id in t.segment_ids)
 
@@ -664,15 +777,50 @@ class TestActionZip:
         save_score_table(t, tmp_path / "a.npz")
         save_score_table(t, tmp_path / "b.npz")
         fortran = table(np.asfortranarray(t.scores), space="action", ids=t.segment_ids,
-                        verb_classes=2, noun_classes=3)
+                        verb_classes=2, noun_classes=3, actions=np.asfortranarray(t.actions))
         save_score_table(fortran, tmp_path / "c.npz")
         first = (tmp_path / "a.npz").read_bytes()
         assert (tmp_path / "b.npz").read_bytes() == first
         assert (tmp_path / "c.npz").read_bytes() == first
         ids = "".join(seg_id + "\n" for seg_id in t.segment_ids).encode("utf-8")
         assert first == reference_zip({"header": np.array([2, 3], dtype=np.int64),
-                                       "scores": t.scores,
+                                       "scores": t.scores, "actions": t.actions,
                                        "ids": np.frombuffer(ids, dtype=np.uint8)})
+
+    def test_an_earlier_builds_dense_action_zip_is_rejected(self, tmp_path):
+        # No shim: the dense zip of every pair, with no actions member, is
+        # refused as checkpoint v1 and text action tables are.
+        path = tmp_path / "action_scores.npz"
+        path.write_bytes(reference_zip({"header": np.array([2, 3], dtype=np.int64),
+                                        "scores": np.full((1, 6), 1 / 6),
+                                        "ids": np.frombuffer(b"a\n", dtype=np.uint8)}))
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{path}: score table members are ['header.npy', 'scores.npy', 'ids.npy'], "
+                f"not ['header.npy', 'scores.npy', 'actions.npy', 'ids.npy']")):
+            load_score_table(path)
+
+    @pytest.mark.parametrize("actions,message", [
+        (np.array([[0, 1, 2, 3, 4, 5]], dtype=np.int32),
+         "score table member actions.npy must be an array of int64, got int32"),
+        (np.array([[0, 1, 2, 3, 5, 4]]), "action table: each actions row must be strictly "
+                                         "ascending within [0, 6)"),
+        (np.array([[0, 1, 2, 3, 4, 6]]), "action table: each actions row must be strictly "
+                                         "ascending within [0, 6)"),
+        (np.array([[-1, 1, 2, 3, 4, 5]]), "action table: each actions row must be strictly "
+                                          "ascending within [0, 6)"),
+        (np.array([[0, 1, 1, 3, 4, 5]]), "action table: each actions row must be strictly "
+                                         "ascending within [0, 6)"),
+        (np.arange(5).reshape(1, 5), "action table: actions must be an int64 array shaped "
+                                     "(1, 6)"),
+    ], ids=["int32", "descending", "past-the-vocab", "negative", "repeated", "short"])
+    def test_an_actions_block_that_breaks_the_contract_is_rejected(self, tmp_path, actions,
+                                                                  message):
+        path = tmp_path / "action_scores.npz"
+        path.write_bytes(reference_zip({"header": np.array([2, 3], dtype=np.int64),
+                                        "scores": np.full((1, 6), 1 / 6), "actions": actions,
+                                        "ids": np.frombuffer(b"a\n", dtype=np.uint8)}))
+        with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_score_table(path)
 
     def test_an_earlier_builds_text_action_table_is_rejected(self, tmp_path):
         path = tmp_path / "action_scores.txt"
@@ -714,6 +862,42 @@ class TestScoreTableInvariants:
     def test_row_alignment(self):
         with pytest.raises(ValidationError):
             ScoreTable(segment_ids=["a", "b"], scores=np.zeros((1, 2)), space="verb")
+
+    @pytest.mark.parametrize("space", ["verb", "noun"])
+    def test_a_verb_or_noun_table_holds_no_actions(self, space):
+        with pytest.raises(ValidationError, match=f"^{space} tables hold no actions$"):
+            ScoreTable(["a"], np.zeros((1, 6)), space, actions=every_pair(1, 6))
+
+    @pytest.mark.parametrize("verbs,nouns,width", [(2, 3, 6), (10, 10, 100), (12, 10, 100),
+                                                   (1, 101, 100)])
+    def test_an_action_table_keeps_at_most_100_pairs_per_row(self, verbs, nouns, width):
+        actions = every_pair(2, width)
+        t = ScoreTable(["a", "b"], np.zeros((2, width)), "action", verbs, nouns, actions)
+        assert t.actions is actions and not actions.flags.writeable  # no copy
+        with pytest.raises(ValidationError, match=re.escape(
+                f"action table: {verbs}x{nouns} pairs keep {width} per row, but scores have "
+                f"{width + 1} columns")):
+            ScoreTable(["a", "b"], np.zeros((2, width + 1)), "action", verbs, nouns,
+                       every_pair(2, width + 1))
+
+    @pytest.mark.parametrize("actions", [
+        None, every_pair(1, 6).astype(np.int32), every_pair(1, 6).astype(np.float64),
+        every_pair(1, 6).tolist(), every_pair(2, 6), np.arange(6)],
+        ids=["none", "int32", "float64", "list", "two-rows", "1-D"])
+    def test_an_action_table_needs_an_int64_actions_block_shaped_like_its_scores(self,
+                                                                                 actions):
+        with pytest.raises(ValidationError, match=re.escape(
+                "action table: actions must be an int64 array shaped (1, 6)")):
+            ScoreTable(["a"], np.zeros((1, 6)), "action", 2, 3, actions)
+
+    @pytest.mark.parametrize("row", [[0, 1, 2, 3, 5, 4], [0, 0, 2, 3, 4, 5],
+                                     [-1, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 6]],
+                             ids=["descending", "repeated", "negative", "past-the-vocab"])
+    def test_each_actions_row_is_strictly_ascending_within_the_vocab(self, row):
+        with pytest.raises(ValidationError, match=re.escape(
+                "action table: each actions row must be strictly ascending within [0, 6)")):
+            ScoreTable(["a", "b"], np.zeros((2, 6)), "action", 2, 3,
+                       np.array([list(range(6)), row], dtype=np.int64))
 
     @pytest.mark.parametrize("scores", [
         np.array([[1 + 2j, 0.5]]), np.array([[1, 0]]), np.array([[0.5, 0.5]], dtype=np.float32),
@@ -816,6 +1000,14 @@ class TestFrozenValues:
         for f in dataclasses.fields(t):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(t, f.name, getattr(t, f.name))
+
+    def test_an_action_tables_actions_cannot_change(self, tmp_path):
+        t = _edge_action_table()
+        path = tmp_path / "action_scores.npz"
+        save_score_table(t, path)
+        for built in (t, load_score_table(path)):
+            with pytest.raises(ValueError, match="read-only"):
+                built.actions[0, 0] = 1
 
     @pytest.mark.parametrize("how", ["constructor", "replace", "compute_prior", "load_prior"])
     def test_a_prior_cannot_change_however_it_is_built(self, tmp_path, how):

@@ -24,6 +24,12 @@ from conftest import central_diff, reference_train, rel_err
 
 
 class TestSoftmax:
+    def test_an_entry_far_below_its_row_maximum_is_exactly_zero(self):
+        # exp underflows past about -745: entries are >= 0, not all > 0
+        probs = softmax(np.array([[0.0, -744.0, -746.0, -1e4]]))
+        assert probs[0, 1] > 0 and (probs[0, 2:] == 0).all()
+        assert probs.sum() == 1.0
+
     def test_symmetric(self):
         assert np.array_equal(softmax(np.array([0.0, 0.0])), [0.5, 0.5])
 
@@ -670,6 +676,36 @@ class TestCheckpoint:
         # Each once built, and save_checkpoint then raised a raw TypeError.
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             replace(self._checkpoint(), **{field: value})
+
+    @pytest.mark.parametrize("group,value", [
+        ("head.W", lambda W: W.astype(np.float32)), ("head.W", lambda W: W + 0j),
+        ("head.W", lambda W: W.astype(object)), ("head.b", lambda b: b.astype(np.int64)),
+        ("gfa.W", lambda W: W.astype(np.float16)),
+    ], ids=["float32", "complex", "object", "int64-bias", "float16-gate"])
+    def test_weights_other_than_float64_arrays_fail_to_build(self, group, value):
+        # float32 once built and loaded back as float64, complex built and then
+        # save_checkpoint raised a raw TypeError, and object raised numpy's.
+        ckpt = self._checkpoint(fusion="gfa-b" if group.startswith("gfa") else "clip-only")
+        part, name = group.split(".")
+        old = getattr(ckpt.model, part)
+        changed = replace(old, **{name: value(getattr(old, name))})
+        with pytest.raises(ValidationError,
+                           match=f"^{re.escape(f'checkpoint: {group} must be a float64 array')}$"):
+            replace(ckpt, model=replace(ckpt.model, **{part: changed}))
+
+    @pytest.mark.parametrize("fusion,head,gfa,message", [
+        ("clip-only", None, None, "checkpoint model head must be of type Head, got NoneType"),
+        ("clip-only", {"W": np.zeros((5, 4)), "b": np.zeros(5)}, None,
+         "checkpoint model head must be of type Head, got dict"),
+        ("gfa-b", Head(np.zeros((5, 4)), np.zeros(5)),
+         type("Gate", (), {"variant": "b", "W": np.zeros((4, 3)), "b": np.zeros(4)})(),
+         "checkpoint model gfa must be None or of type GfaParams, got Gate"),
+    ], ids=["head-none", "head-dict", "gfa-duck"])
+    def test_a_model_part_of_another_type_fails_to_build(self, fusion, head, gfa, message):
+        # Model("clip-only", None) builds, and a checkpoint of it once raised
+        # a raw AttributeError from param_groups.
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            replace(self._checkpoint(), model=Model(fusion, head, gfa))
 
     @staticmethod
     def _built(how: str, tmp_path) -> Checkpoint:
