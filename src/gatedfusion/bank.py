@@ -238,14 +238,19 @@ def _validate(bank: FeatureBank, lines: list[str]) -> None:
                         ("frames", (d,)), ("scores", (d,)), ("features", (d, bank.dim_o))):
         if getattr(bank, name).shape != shape:
             raise ValidationError(f"bank block {name!r} is not shaped {shape}")
-    # Per-record fault masks find the first faulty record; the ids are checked up to it.
+    # Whole blocks are checked first.  Only a bank that fails them builds the
+    # per-record fault masks, which find the first faulty record; the ids are
+    # checked up to it.
     sizes = [bank.verb_vocab_size, bank.noun_vocab_size]
     bad_label = (bank.labels < _NO_LABEL) | (bank.labels >= sizes)
-    bad_det = ~(np.isfinite(bank.features).all(axis=1) & (bank.scores >= 0.0)
-                & (bank.scores <= 1.0))
-    bad = ~np.isfinite(bank.clip).all(axis=1) | bad_label.any(axis=1)
-    bad[np.searchsorted(ends, np.flatnonzero(bad_det), side="right")] = True
-    first = int(np.argmax(bad)) if bad.any() else n
+    score_ok = (bank.scores >= 0.0) & (bank.scores <= 1.0)
+    first = n
+    if not (np.isfinite(bank.features).all() and np.isfinite(bank.clip).all()
+            and score_ok.all() and not bad_label.any()):
+        bad_det = ~(np.isfinite(bank.features).all(axis=1) & score_ok)
+        bad = ~np.isfinite(bank.clip).all(axis=1) | bad_label.any(axis=1)
+        bad[np.searchsorted(ends, np.flatnonzero(bad_det), side="right")] = True
+        first = int(np.argmax(bad))
     if id_fault := _id_fault(bank.ids[:first + 1]):
         i, fault = id_fault
         raise ValidationError(f"{lines[i]}{fault}")

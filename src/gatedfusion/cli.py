@@ -235,7 +235,7 @@ def _cmd_actions(cfg: dict, out: Path):
     action_table, action_metrics, labels = score_actions_for_bank(
         verb_table, noun_table, prior, bank, (cfg["verb_table"], cfg["noun_table"]))
     if cfg["train_bank"]:
-        prior_path = out / "prior.txt"
+        prior_path = out / "prior.npz"
         save_prior(prior, prior_path)
         outputs["prior"] = str(prior_path)
     report: dict = {"action": action_metrics, "verb": topk_report(verb_table.scores, labels[:, 0]),

@@ -5,10 +5,10 @@ one JSON decoder every reader uses, the one codec of the JSON documents
 ``read_json``, ``replacing``, which a bank, score table or prior is saved
 through so that it reaches any target whole or not at all: the one place
 that asks whether a save target is a regular file, ``_write_zip`` and
-``_read_zip``, the one codec of the zip files (banks and score tables of
-every space) and the only code that touches ``zipfile``, and ``read_input``,
-which tells a bank or score table file's zip from any other file: a bank
-may be JSON-lines text, a score table is a zip only."""
+``_read_zip``, the one codec of the zip files (banks, score tables of every
+space and priors) and the only code that touches ``zipfile``, and
+``read_input``, which tells a zip from any other file: a bank may be
+JSON-lines text, a score table or prior is a zip only."""
 
 import contextlib
 import io
@@ -251,15 +251,20 @@ def _read_zip(path, fh, what: str, header_len: int, blocks, build):
         raise ValidationError(f"{path}: not a readable {what} zip: {exc}") from None
 
 
-def read_input(path, what: str, header_len: int, blocks, build, parse):
-    """The bank or score table in the file at ``path``, opened once: a zip,
-    by its magic, goes to ``_read_zip``, and any other file to ``parse(path,
-    text)``, which reads a JSON-lines bank and rejects a score table.  A
-    regular file is read where it lies, any other (a pipe) once."""
+def read_input(path, what: str, header_len: int, blocks, build, parse=None):
+    """The bank, score table or prior in the file at ``path``, opened once: a
+    zip, by its magic, goes to ``_read_zip``, and any other file is decoded
+    by ``read_text`` and goes to ``parse(path, text)``, which reads a
+    JSON-lines bank.  Without ``parse``, such a file is a ValidationError,
+    ``<path>: not a <what> zip``.  A regular file is read where it lies, any
+    other (a pipe) once."""
     with open(path, "rb") as fh:
         src = fh if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) else io.BytesIO(fh.read())
         if src.read(len(_ZIP_MAGIC)) == _ZIP_MAGIC:
             return _read_zip(path, src, what, header_len, blocks, build)
         src.seek(0)
         data = src.read()
-    return parse(path, read_text(path, data))
+    text = read_text(path, data)
+    if parse is None:
+        raise ValidationError(f"{path}: not a {what} zip")
+    return parse(path, text)

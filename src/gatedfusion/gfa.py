@@ -100,6 +100,20 @@ class ScaleMode:
             object.__setattr__(self, "s", 1.0)  # frozen: set as the dataclass init does
 
 
+def _check_affine(params, what: str) -> None:
+    """Check the affine layer ``params``: ``W`` and ``b`` float64 arrays, W
+    2-D and b 1-D with one entry per row of W.  A fault names ``what``."""
+    for name in ("W", "b"):
+        array = getattr(params, name)
+        if not (isinstance(array, np.ndarray) and array.dtype == np.float64):
+            raise ValidationError(f"{what}: {name} must be a float64 array")
+    if params.W.ndim != 2 or params.b.ndim != 1:
+        raise ShapeError(f"{what}: W must be 2-D and b 1-D")
+    if params.W.shape[0] != params.b.shape[0]:
+        raise ShapeError(
+            f"{what}: W has {params.W.shape[0]} rows but b has dim {params.b.shape[0]}")
+
+
 @dataclass(frozen=True)
 class GfaParams:
     """Gate parameters.  Variant ``a`` needs a square W over the concatenated
@@ -113,11 +127,7 @@ class GfaParams:
     def __post_init__(self) -> None:
         if self.variant not in ("a", "b"):
             raise ValidationError(f"gfa variant must be 'a' or 'b', got {self.variant!r}")
-        if self.W.ndim != 2 or self.b.ndim != 1:
-            raise ShapeError("gfa params: W must be 2-D and b 1-D")
-        if self.W.shape[0] != self.b.shape[0]:
-            raise ShapeError(
-                f"gfa params: W has {self.W.shape[0]} rows but b has dim {self.b.shape[0]}")
+        _check_affine(self, "gfa params")
         if self.variant == "a" and self.W.shape[0] != self.W.shape[1]:
             raise ShapeError(
                 f"gfa variant a: W must be square, got {self.W.shape[0]}x{self.W.shape[1]}")

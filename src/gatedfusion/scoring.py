@@ -19,9 +19,10 @@ repeat, a 2-D float64 block of finite scores and, for an action table only,
 its integer class counts and the action index of each kept score, in every
 space, checked once as it is built and unchangeable after, so no table can
 be saved that would not load.
-``save_score_table`` writes a table of every space as a zip of the bank's
-codec in ``errors``, the one score table file format; a user's own model
-builds a ``ScoreTable`` and saves it.
+``save_score_table`` writes a table of every space, and ``save_prior`` a
+prior, as a zip of the bank's codec in ``errors``, the one file format of
+each; a user's own model builds a ``ScoreTable`` or an ``ActionPrior`` and
+saves it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bank import PAIR_COUNT_THRESHOLD, FeatureBank, _id_fault
-from .errors import ValidationError, _write_zip, read_input, read_text, replacing
+from .errors import ValidationError, _write_zip, read_input
 
 __all__ = [
     "ActionPrior",
@@ -148,23 +149,18 @@ class ScoreTable:
         return self.scores.shape[1]
 
 
-def _prior_matrix(verbs: int, nouns: int, dtype=np.float64) -> np.ndarray:
-    """A zero (verbs x nouns) matrix: the one allocation of a dense prior.
-    A vocab too large to allocate is a ValidationError naming it."""
-    try:
-        return np.zeros((verbs, nouns), dtype)
-    except (MemoryError, ValueError):  # numpy: cannot allocate / array is too big
-        raise ValidationError(
-            f"vocab {verbs}x{nouns} is too large for a dense prior") from None
-
-
 def compute_prior(bank: FeatureBank) -> ActionPrior:
     """Relative frequency of each (verb, noun) pair among fully labeled
-    segments; unseen pairs have mu = 0."""
+    segments; unseen pairs have mu = 0.  A vocab too large to allocate is a
+    ValidationError naming it."""
     pairs = bank.labels[(bank.labels >= 0).all(axis=1)]
     if not len(pairs):
         raise ValidationError("compute_prior: no segment carries both verb and noun labels")
-    counts = _prior_matrix(bank.verb_vocab_size, bank.noun_vocab_size, np.int64)
+    verbs, nouns = bank.verb_vocab_size, bank.noun_vocab_size
+    try:
+        counts = np.zeros((verbs, nouns), np.int64)
+    except (MemoryError, ValueError):  # numpy: cannot allocate / array is too big
+        raise ValidationError(f"vocab {verbs}x{nouns} is too large for a dense prior") from None
     np.add.at(counts, (pairs[:, 0], pairs[:, 1]), 1)
     return ActionPrior(mu=counts / len(pairs), counts=counts)
 
@@ -404,54 +400,31 @@ def _plain_ranks(pv: np.ndarray, pn: np.ndarray, labels: np.ndarray) -> np.ndarr
 # --- file formats ---------------------------------------------------------------
 
 def save_prior(prior: ActionPrior, path) -> None:
-    """One ``verb_id noun_id frequency`` line per nonzero entry of mu, in
-    row-major order, written through ``errors.replacing``, so a failed save
-    leaves the old file.  An ``ActionPrior``'s mu is finite, >= 0 and not all
-    zero, so ``load_prior`` reads every file this writes back as an equal mu."""
-    text ="".join(f"{v} {n} {float(prior.mu[v, n])!r}\n"
-                   for v, n in np.argwhere(prior.mu).tolist())
-    with replacing(path) as fh:
-        fh.write(text.encode("utf-8"))
+    """Save ``prior`` as the zip of ``errors._write_zip``, through
+    ``errors.replacing``, so a failed save leaves the old file: the header
+    ``[verbs, nouns]``, the float64 ``mu`` and no ids.  Equal priors give
+    equal bytes, and an ``ActionPrior`` holds only a ``mu`` that loads, so
+    every file this writes loads back with an equal ``mu``."""
+    _write_zip(path, list(prior.mu.shape), {"mu": prior.mu}, [])
 
 
 def load_prior(path, verb_vocab_size: int, noun_vocab_size: int) -> ActionPrior:
-    """Parse a prior file into a dense prior over the given vocab, with each
-    listed frequency at its pair and 0 elsewhere.  A negative or
-    out-of-vocab id, a duplicate pair, or a frequency that is not finite and
-    positive is rejected with its line.  The matrix is allocated only once
-    every line has parsed, so a bad line is reported before a vocab too
-    large for a dense prior.  A file listing every pair at 1.0 re-weights to
-    the plain product."""
-    freq: dict[tuple[int, int], float] = {}
-    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
-        if not line.strip():
-            continue
-        where = f"{path}: line {lineno}"
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValidationError(
-                f"{where}: expected 'verb noun frequency', got {line.strip()!r}")
-        try:
-            v, n, f = int(parts[0]), int(parts[1]), float(parts[2])
-        except ValueError:
-            raise ValidationError(f"{where}: malformed numbers") from None
-        if (v, n) in freq:
-            raise ValidationError(f"{where}: duplicate pair ({v}, {n})")
-        if not 0 < f < np.inf:
-            raise ValidationError(f"{where}: frequency {f!r} is not finite and positive")
-        if v < 0 or n < 0:
-            raise ValidationError(f"{where}: negative id in pair ({v}, {n})")
-        if v >= verb_vocab_size or n >= noun_vocab_size:
-            raise ValidationError(
-                f"{where}: pair ({v}, {n}) out of range for vocab "
-                f"{verb_vocab_size}x{noun_vocab_size}")
-        freq[(v, n)] = f
-    if not freq:
-        raise ValidationError(f"{path}: prior file holds no pairs")
-    mu = _prior_matrix(verb_vocab_size, noun_vocab_size)
-    for (v, n), f in freq.items():
-        mu[v, n] = f
-    return ActionPrior(mu=mu)
+    """Load a prior over the given vocab: exactly the zip of ``save_prior``,
+    whose header and ``mu`` must both be ``verb_vocab_size x
+    noun_vocab_size``.  Any other file, or any fault in the zip, is a
+    ValidationError naming it.  An all-ones ``mu`` re-weights to the plain
+    product."""
+    vocab = (verb_vocab_size, noun_vocab_size)
+
+    def build(header: list[int], blocks: dict, ids: list[str]) -> ActionPrior:
+        if ids:
+            raise ValidationError("prior ids member must be empty")
+        if tuple(header) != vocab or blocks["mu"].shape != vocab:
+            raise ValidationError(f"prior header {header} with mu shaped {blocks['mu'].shape} "
+                                  f"is not vocab {verb_vocab_size}x{noun_vocab_size}")
+        return ActionPrior(mu=blocks["mu"])
+
+    return read_input(path, "prior", 2, lambda header: {"mu": np.dtype(np.float64)}, build)
 
 
 def save_score_table(table: ScoreTable, path) -> None:
@@ -501,8 +474,4 @@ def _zip_table(header: list[int], blocks: dict, ids: list[str]) -> ScoreTable:
 def load_score_table(path) -> ScoreTable:
     """Load a score table: exactly the zip of ``save_score_table``.  Any
     other file, or any fault in the zip, is a ValidationError naming it."""
-    return read_input(path, "score table", 2, _table_blocks, _zip_table, _not_a_table_zip)
-
-
-def _not_a_table_zip(path, text: str):
-    raise ValidationError(f"{path}: not a score table zip")
+    return read_input(path, "score table", 2, _table_blocks, _zip_table)

@@ -49,8 +49,8 @@ import numpy as np
 
 from .bank import AggregationConfig, FeatureBank, bank_features
 from .errors import ShapeError, ValidationError, read_json, write_json
-from .gfa import (GfaCache, GfaParams, ScaleMode, gate_tail, gfa_backward, gfa_forward,
-                  scale_object_feature, scale_vjp)
+from .gfa import (GfaCache, GfaParams, ScaleMode, _check_affine, gate_tail, gfa_backward,
+                  gfa_forward, scale_object_feature, scale_vjp)
 from .scoring import topk_report
 from .tensor import affine, affine_vjp
 
@@ -106,11 +106,7 @@ class Head:
     b: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.W.ndim != 2 or self.b.ndim != 1:
-            raise ShapeError("head: W must be 2-D and b 1-D")
-        if self.W.shape[0] != self.b.shape[0]:
-            raise ShapeError(
-                f"head: W has {self.W.shape[0]} rows but b has dim {self.b.shape[0]}")
+        _check_affine(self, "head")
 
 
 @dataclass(frozen=True)
@@ -121,6 +117,12 @@ class Model:
     scale: ScaleMode = field(default_factory=ScaleMode)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.head, Head):
+            raise ValidationError(f"model head must be of type Head, got "
+                                  f"{type(self.head).__name__}")
+        if not isinstance(self.gfa, (GfaParams, type(None))):
+            raise ValidationError(f"model gfa must be None or of type GfaParams, got "
+                                  f"{type(self.gfa).__name__}")
         want = _gate_variant(self.fusion_kind, self.scale)
         have = None if self.gfa is None else self.gfa.variant
         if have != want:  # a variant of None is no gfa params
@@ -558,23 +560,17 @@ def _matrix_from_obj(obj: dict, name: str) -> np.ndarray:
 
 
 def _check_checkpoint(ckpt: Checkpoint) -> None:
-    """The checkpoint contract, checked when one is built: a ``Model`` whose
-    head is a ``Head`` and whose gate is None or a ``GfaParams``, an
-    ``AggregationConfig`` and a ``TrainConfig``, a verb or noun target,
-    integer dims and class count of at least 1, and every parameter group a
-    float64 array, finite and shaped as its fusion kind says."""
+    """The checkpoint contract, checked when one is built: a ``Model`` (which
+    checks its head and gate when it is built), an ``AggregationConfig`` and
+    a ``TrainConfig``, a verb or noun target, integer dims and class count of
+    at least 1, and every parameter group finite and shaped as its fusion
+    kind says."""
     for name, cls in (("model", Model), ("aggregation", AggregationConfig),
                       ("train_config", TrainConfig)):
         val = getattr(ckpt, name)
         if not isinstance(val, cls):
             raise ValidationError(f"checkpoint {name} must be of type {cls.__name__}, got "
                                   f"{type(val).__name__}")
-    if not isinstance(ckpt.model.head, Head):
-        raise ValidationError(f"checkpoint model head must be of type Head, got "
-                              f"{type(ckpt.model.head).__name__}")
-    if not isinstance(ckpt.model.gfa, (GfaParams, type(None))):
-        raise ValidationError(f"checkpoint model gfa must be None or of type GfaParams, got "
-                              f"{type(ckpt.model.gfa).__name__}")
     if ckpt.target not in TARGETS:
         raise ValidationError(f"target must be 'verb' or 'noun', got {ckpt.target!r}")
     for name in ("dim_v", "dim_o", "classes"):
@@ -584,8 +580,6 @@ def _check_checkpoint(ckpt: Checkpoint) -> None:
     fusion = ckpt.model.fusion_kind
     shapes = _param_shapes(fusion, ckpt.dim_v, ckpt.dim_o, ckpt.classes)
     for name, arr in param_groups(ckpt.model).items():
-        if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64):
-            raise ValidationError(f"checkpoint: {name} must be a float64 array")
         if arr.shape != shapes[name]:
             raise ValidationError(f"{name} has shape {arr.shape}, expected {shapes[name]} for "
                                   f"fusion {fusion!r}, dims {ckpt.dim_v}/{ckpt.dim_o}")

@@ -3,8 +3,8 @@ exact bank equality, a dense action prior from listed pairs, the dense
 oracle of ``actions``, the record-by-record synthetic bank generator and
 aggregation chain, the
 JSON-lines bank writer, the sidecar that earlier builds wrote beside it,
-the reference zip writer, the ways to damage a zip (a bank or a score
-table) and the per-batch-scaling training loop."""
+the reference zip writer, the ways to damage a zip (a bank, a score table
+or a prior) and the per-batch-scaling training loop."""
 
 import hashlib
 import io
@@ -175,25 +175,27 @@ def _npy(array, allow_pickle=False) -> bytes:
     return buf.getvalue()
 
 
-# The ways ``damage_zip`` damages a zip bank or score table.
+# The ways ``damage_zip`` damages a zip bank, score table or prior.
 ZIP_DAMAGE = ("truncated", "flipped", "missing", "extra", "renamed", "out-of-order", "deflated",
               "object", "huge-shape", "wrong-dtype", "big-endian", "trailing-bytes",
               "short-block", "rule-breaking-id", "repeated-id", "ids-without-newline",
               "header-shape", "python-2-header")
-# The member a kind damages in a bank; in a score table, "scores.npy".
+# The member a kind damages in a bank, else "scores.npy"; in a score table,
+# "scores.npy", and in a prior, "mu.npy".
 _BANK_MEMBER = {"flipped": "features.npy", "missing": "labels.npy", "renamed": "detections.npy",
                 "object": "clip.npy", "huge-shape": "features.npy", "short-block": "frames.npy"}
 
 
 def damage_zip(path, kind: str) -> None:
-    """Damage the zip bank or score table at ``path`` in place: cut its
+    """Damage the zip bank, score table or prior at ``path`` in place: cut its
     last 200 bytes, flip the last byte of a block, or rewrite its members
     with one of them missing, added, renamed, out of order, deflated,
     holding pickled objects, declaring a 2**60-byte array, of another dtype
     or byte order, followed by a byte, a row short, holding an id with a
     space or an id twice, with ids or header not in the written layout, or
     with a header that numpy reads only after repairing it.  A bank must
-    hold at least one detection, and either must hold two rows."""
+    hold at least one detection and a bank or table two rows; a prior, which
+    holds no ids, is given two to damage."""
     data = bytearray(path.read_bytes())
     if kind == "truncated":
         path.write_bytes(data[:-200])
@@ -201,7 +203,7 @@ def damage_zip(path, kind: str) -> None:
     with zipfile.ZipFile(path) as zf:
         members = {info.filename: zf.read(info) for info in zf.infolist()}
         target = _BANK_MEMBER.get(kind, "scores.npy")
-        target = target if target in members else "scores.npy"
+        target = target if target in members else list(members)[1]
         block = zf.getinfo(target)
     if kind == "flipped":  # the member's data follows its 30-byte local header, name and extra
         name_len, extra_len = struct.unpack_from("<HH", data, block.header_offset + 26)
@@ -239,16 +241,15 @@ def damage_zip(path, kind: str) -> None:
         members[target] += b"\0"
     elif kind == "short-block":
         members[target] = _npy(array(target)[:-1])
-    elif kind == "rule-breaking-id":
-        ids = array("ids.npy").tobytes().split(b"\n")
-        ids[0] = b"a b"
+    elif kind in ("rule-breaking-id", "repeated-id", "ids-without-newline"):
+        ids = (array("ids.npy").tobytes() or b"s0\ns1\n").split(b"\n")  # a prior holds none
+        if kind == "rule-breaking-id":
+            ids[0] = b"a b"
+        elif kind == "repeated-id":
+            ids[1] = ids[0]
+        else:
+            ids.pop()
         members["ids.npy"] = _npy(np.frombuffer(b"\n".join(ids), dtype=np.uint8))
-    elif kind == "repeated-id":
-        ids = array("ids.npy").tobytes().split(b"\n")
-        ids[1] = ids[0]
-        members["ids.npy"] = _npy(np.frombuffer(b"\n".join(ids), dtype=np.uint8))
-    elif kind == "ids-without-newline":
-        members["ids.npy"] = _npy(array("ids.npy")[:-1])
     elif kind == "header-shape":
         members["header.npy"] = _npy(array("header.npy").reshape(2, -1))
     elif kind == "python-2-header":  # a long-int suffix, in place of a space

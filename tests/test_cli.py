@@ -28,7 +28,8 @@ from gatedfusion.cli import main
 from gatedfusion.errors import ValidationError, write_json
 from gatedfusion.gfa import ScaleMode
 from gatedfusion.manifest import load_manifest, write_manifest
-from gatedfusion.scoring import ScoreTable, load_score_table, save_score_table
+from gatedfusion.scoring import (ActionPrior, ScoreTable, load_prior, load_score_table,
+                                 save_prior, save_score_table)
 from gatedfusion.training import (FUSION_KINDS, Checkpoint, TrainConfig, grad_check,
                                   init_model, load_checkpoint, param_groups, save_checkpoint)
 
@@ -56,22 +57,22 @@ def synth(out_dir, seed=7, train=40, val=20, **flags):
 
 
 def tiny_action_inputs(root):
-    """A labeled 2-verb x 3-noun bank, aligned verb and noun table zips
-    saved as a user's own model saves them, and a prior file: the inputs of
-    one ``actions --prior`` run."""
+    """A labeled 2-verb x 3-noun bank, and aligned verb and noun table zips
+    and a prior zip saved as a user's own model saves them: the inputs of one
+    ``actions --prior`` run."""
     ids = ["s0", "s1", "s2", "s3"]
     records = [SegmentRecord(segment_id=i, clip_feature=np.zeros(2), clip_center_frame=0,
                              detections=[], verb_label=v, noun_label=n)
                for i, (v, n) in zip(ids, [(0, 0), (1, 1), (1, 2), (0, 0)])]
-    paths = {name: root / f"{name}.txt" for name in ("verb", "noun", "prior")}
-    paths["bank"] = root / "test.bank"
+    paths = {name: root / f"{name}.txt" for name in ("verb", "noun")}
+    paths["bank"], paths["prior"] = root / "test.bank", root / "prior.npz"
     save_feature_bank(FeatureBank.from_records(records, dim_v=2, dim_o=2, verb_vocab_size=2,
                                                noun_vocab_size=3), paths["bank"])
     save_score_table(ScoreTable(segment_ids=ids, space="verb", scores=np.array(
         [[0.9, 0.1], [0.2, 0.8], [0.4, 0.6], [0.5, 0.5]])), paths["verb"])
     save_score_table(ScoreTable(segment_ids=ids, space="noun", scores=np.array(
         [[0.4, 0.1, 0.5], [0.1, 0.4, 0.5], [0.3, 0.3, 0.4], [0.2, 0.2, 0.6]])), paths["noun"])
-    paths["prior"].write_text("0 0 0.5\n1 1 0.25\n1 2 0.25\n", encoding="utf-8")
+    save_prior(ActionPrior(np.array([[0.5, 0.0, 0.0], [0.0, 0.25, 0.25]])), paths["prior"])
     return paths
 
 
@@ -484,19 +485,20 @@ class TestActions:
         assert rc == 0
         report = json.loads((tmp_path / "act/action_report.json").read_text())
         assert {"action", "verb", "noun", "prior"} <= set(report)
-        assert (tmp_path / "act/prior.txt").exists()
+        counted = scoring.compute_prior(load_feature_bank(tmp_path / "data/train.bank"))
+        assert load_prior(tmp_path / "act/prior.npz", 10, 20).mu.tobytes() == \
+            counted.mu.tobytes()
         table = load_score_table(tmp_path / "act/action_scores.npz")
         assert table.space == "action"
         outputs = load_manifest(tmp_path / "act/actions.manifest.json")["outputs"]
         assert outputs["action_scores"] == str(tmp_path / "act/action_scores.npz")
 
     def test_all_ones_prior_coincides_with_plain(self, tmp_path):
-        # a prior file listing every pair at 1.0 writes the plain-product table
+        # an all-ones prior writes the plain-product table
         self._prepare(tmp_path)
         bank = load_feature_bank(tmp_path / "data/val.bank")
-        ones = tmp_path / "ones.txt"
-        ones.write_text("".join(f"{v} {n} 1.0\n" for v in range(bank.verb_vocab_size)
-                                for n in range(bank.noun_vocab_size)), encoding="utf-8")
+        ones = tmp_path / "ones.npz"
+        save_prior(ActionPrior(np.ones((bank.verb_vocab_size, bank.noun_vocab_size))), ones)
         rc = run("actions", "--verb-table", tmp_path / "eval-verb/scores.txt",
                  "--noun-table", tmp_path / "eval-noun/scores.txt",
                  "--bank", tmp_path / "data/val.bank", "--prior", ones,
@@ -565,7 +567,7 @@ class TestActions:
                        "--out-dir", tmp_path / "act") == 0
         assert ranks.call_count > 2  # the verb and noun reports, and the dense fallback
         labels = load_feature_bank(bank).labels
-        prior = scoring.load_prior(tmp_path / "act/prior.txt", 10, 20)
+        prior = load_prior(tmp_path / "act/prior.npz", 10, 20)
         action, actions, scores = dense_action_oracle(pv, pn, prior, labels)
         report = json.loads((tmp_path / "act/action_report.json").read_text())
         assert report["action"] == action
@@ -625,7 +627,7 @@ class TestActions:
                             lambda path: reads.append(path) or real_load(path))
         assert actions(train_bank, tmp_path / "act") == 0
         assert reads == [str(paths["bank"])]
-        for name in ("prior.txt", "action_scores.npz", "action_report.json"):
+        for name in ("prior.npz", "action_scores.npz", "action_report.json"):
             assert (tmp_path / "act" / name).read_bytes() == \
                 (tmp_path / "ref" / name).read_bytes(), name
         inputs = load_manifest(tmp_path / "act/actions.manifest.json")["inputs"]
@@ -678,7 +680,7 @@ class TestActions:
         assert "misaligned" in capsys.readouterr().err
 
     def test_misaligned_tables_write_no_prior(self, tmp_path, capsys):
-        # the tables are checked against each other before prior.txt is written
+        # the tables are checked against each other before prior.npz is written
         paths = tiny_action_inputs(tmp_path)
         save_score_table(ScoreTable(segment_ids=["s1", "s0", "s2", "s3"], space="noun",
                                     scores=np.full((4, 3), 1 / 3)), paths["noun"])
@@ -749,21 +751,58 @@ class TestActions:
         assert capsys.readouterr().err == f"gatedfusion: error: {path}: {message}\n"
         assert not list((tmp_path / "act").glob("*"))
 
-    @pytest.mark.parametrize("source", ["--train-bank", "--prior"])
-    def test_vocab_too_large_for_a_dense_prior_is_exit_one(self, tmp_path, capsys, source):
+    def test_vocab_too_large_for_a_dense_prior_is_exit_one(self, tmp_path, capsys):
         # 10**9 verbs and nouns: 8 EB of dense prior, which numpy refuses
         # without touching memory
         paths = tiny_action_inputs(tmp_path)
         bank = dataclasses.replace(load_feature_bank(paths["bank"]), verb_vocab_size=10**9,
                                    noun_vocab_size=10**9)
         save_feature_bank(bank, paths["bank"])
-        path = {"--train-bank": paths["bank"], "--prior": paths["prior"]}[source]
         assert run("actions", "--verb-table", paths["verb"], "--noun-table", paths["noun"],
-                   "--bank", paths["bank"], source, path, "--out-dir", tmp_path / "act") == 1
+                   "--bank", paths["bank"], "--train-bank", paths["bank"],
+                   "--out-dir", tmp_path / "act") == 1
         err = capsys.readouterr().err
         assert "vocab 1000000000x1000000000 is too large for a dense prior" in err
         assert "Traceback" not in err
         assert not (tmp_path / "act/action_scores.npz").exists()
+
+    @pytest.mark.parametrize("verbs,nouns", [(2, 4), (3, 3), (10**9, 10**9)])
+    def test_a_prior_of_another_vocab_is_exit_one_naming_it(self, tmp_path, capsys, verbs,
+                                                           nouns):
+        # The bank's vocab is what the prior must match; a bank of 10**9
+        # verbs and nouns allocates no dense prior to find that out.
+        paths = tiny_action_inputs(tmp_path)
+        bank = dataclasses.replace(load_feature_bank(paths["bank"]), verb_vocab_size=verbs,
+                                   noun_vocab_size=nouns)
+        save_feature_bank(bank, paths["bank"])
+        assert run_actions(paths, tmp_path / "act") == 1
+        assert capsys.readouterr().err == (
+            f"gatedfusion: error: {paths['prior']}: prior header [2, 3] with mu shaped (2, 3) is "
+            f"not vocab {verbs}x{nouns}\n")
+        assert not list((tmp_path / "act").glob("*"))
+
+    @pytest.mark.parametrize("text", ["0 0 0.5\n1 1 0.25\n1 2 0.25\n", ""],
+                             ids=["text prior", "empty"])
+    def test_an_earlier_builds_text_prior_is_exit_one_naming_it(self, tmp_path, capsys, text):
+        # Text priors are refused, not converted.
+        paths = tiny_action_inputs(tmp_path)
+        paths["prior"] = tmp_path / "prior.txt"
+        paths["prior"].write_text(text, encoding="utf-8")
+        assert run_actions(paths, tmp_path / "act") == 1
+        assert capsys.readouterr().err == f"gatedfusion: error: {paths['prior']}: not a prior zip\n"
+        assert not list((tmp_path / "act").glob("*"))
+
+    @pytest.mark.parametrize("other,members", [("bank", "'clip.npy', "),
+                                               ("verb", "'scores.npy', ")],
+                             ids=["bank", "verb table"])
+    def test_a_bank_or_table_zip_as_the_prior_is_exit_one_naming_it(self, tmp_path, capsys,
+                                                                    other, members):
+        paths = tiny_action_inputs(tmp_path)
+        paths["prior"] = paths[other]
+        assert run_actions(paths, tmp_path / "act") == 1
+        assert capsys.readouterr().err.startswith(
+            f"gatedfusion: error: {paths[other]}: prior members are ['header.npy', {members}")
+        assert not list((tmp_path / "act").glob("*"))
 
 
 _JUNK = ["", "x", "nan", "inf", "-inf", "1e400", "-1", "0", "-0.0", "2", "99", "0.5",
@@ -802,25 +841,39 @@ def _corrupt(text, edits):
     return "".join(line + "\n" for line in lines)
 
 
-# Line edits of the prior file, which has no JSON header line.
-_EDITS = st.lists(st.tuples(
-    st.sampled_from(["truncate", "token", "drop", "duplicate"]),
-    st.integers(0, 50), st.integers(0, 50), st.sampled_from(_JUNK), st.none(), st.none()),
-    min_size=1, max_size=3)
-
-
 class TestFuzzedActionInputs:
-    """A corrupted prior file ends in exit 0 or 1, and a damaged verb or
-    noun table zip in exit 1 naming it."""
+    """A prior zip with cut or flipped bytes loads whole or ends in exit 1
+    naming it, and a damaged verb or noun table or prior zip in exit 1
+    naming it."""
 
     @settings(max_examples=200, deadline=None)
-    @given(edits=_EDITS)
-    def test_actions_exits_zero_or_one(self, edits):
+    @given(cut=st.none() | st.integers(0, 1000),
+           flips=st.lists(st.tuples(st.integers(0, 1000), st.integers(1, 255)), max_size=3))
+    def test_prior_bytes_load_whole_or_exit_one_naming_it(self, cut, flips):
         with tempfile.TemporaryDirectory() as tmp:
             paths = tiny_action_inputs(Path(tmp))
-            paths["prior"].write_text(_corrupt(paths["prior"].read_text(), edits))
-            rc = run_actions(paths, Path(tmp) / "act")
-        assert rc in (0, 1)
+            expected = load_prior(paths["prior"], 2, 3).mu
+            data = bytearray(paths["prior"].read_bytes())
+            for pos, mask in flips:
+                data[pos % len(data)] ^= mask
+            paths["prior"].write_bytes(bytes(data[:cut]))
+            try:
+                loaded = load_prior(paths["prior"], 2, 3)
+            except ValidationError as exc:
+                assert str(exc).startswith(f"{paths['prior']}: ")
+                assert run_actions(paths, Path(tmp) / "act") == 1
+                assert not list((Path(tmp) / "act").glob("*"))
+            else:
+                assert loaded.mu.tobytes() == expected.tobytes()
+                assert run_actions(paths, Path(tmp) / "act") == 0
+
+    @pytest.mark.parametrize("kind", ZIP_DAMAGE)
+    def test_damaged_prior_is_exit_one_naming_it(self, tmp_path, capsys, kind):
+        paths = tiny_action_inputs(tmp_path)
+        damage_zip(paths["prior"], kind)
+        assert run_actions(paths, tmp_path / "act") == 1
+        assert capsys.readouterr().err.startswith(f"gatedfusion: error: {paths['prior']}: ")
+        assert not list((tmp_path / "act").glob("*"))
 
     @pytest.mark.parametrize("kind", ZIP_DAMAGE)
     @pytest.mark.parametrize("target", ["verb", "noun"])

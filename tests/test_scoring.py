@@ -73,23 +73,13 @@ class TestComputePrior:
         prior = compute_prior(bank)
         assert prior.mu[0, 0] == 1.0
 
-    @pytest.mark.parametrize("make", [
-        lambda path: compute_prior(labeled_bank([(0, 0)], verb_vocab=10**9, noun_vocab=10**9)),
-        lambda path: load_prior(path, 10**9, 10**9),
-    ], ids=["compute_prior", "load_prior"])
-    def test_vocab_too_large_for_a_dense_prior(self, tmp_path, make):
-        # 8 EB of mu: numpy refuses it without touching memory
-        path = tmp_path / "prior.txt"
-        path.write_text("0 0 1.0\n", encoding="utf-8")
+    @pytest.mark.parametrize("verbs,nouns", [(10**9, 10**9), (10**12 + 1, 1)])
+    def test_vocab_too_large_for_a_dense_prior(self, verbs, nouns):
+        # 8 EB and 7.28 TiB of counts: a ValidationError, not a MemoryError
+        bank = labeled_bank([(0, 0)], verb_vocab=verbs, noun_vocab=nouns)
         with pytest.raises(ValidationError,
-                           match="vocab 1000000000x1000000000 is too large for a dense prior"):
-            make(path)
-
-    def test_bad_prior_line_is_reported_before_an_oversized_vocab(self, tmp_path):
-        path = tmp_path / "prior.txt"
-        path.write_text("0 0 1.0\n0 1 x\n", encoding="utf-8")
-        with pytest.raises(ValidationError, match="line 2: malformed numbers"):
-            load_prior(path, 10**9, 10**9)
+                           match=f"^vocab {verbs}x{nouns} is too large for a dense prior$"):
+            compute_prior(bank)
 
     def test_no_labels_error(self):
         bank = dataclasses.replace(labeled_bank([(0, 0)]), labels=np.array([[-1, 0]]))
@@ -421,69 +411,64 @@ class TestTableLabels:
 class TestFileFormats:
     def test_prior_roundtrip(self, tmp_path):
         prior = compute_prior(labeled_bank([(0, 0), (0, 0), (1, 2), (0, 1)]))
-        path = tmp_path / "prior.txt"
+        path = tmp_path / "prior.npz"
         save_prior(prior, path)
         loaded = load_prior(path, 4, 4)
         assert np.array_equal(loaded.mu, prior.mu)
 
-    def test_prior_duplicate_pair(self, tmp_path):
-        path = tmp_path / "prior.txt"
-        path.write_text("0 0 0.5\n0 0 0.5\n", encoding="utf-8")
-        with pytest.raises(ValidationError, match="duplicate"):
-            load_prior(path, 4, 4)
+    def test_a_prior_zip_is_the_codec_layout_and_np_load_opens_it(self, tmp_path):
+        mu = np.array([[0.0, 0.25, 0.0, 0.25], [0.0, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0]])
+        path = tmp_path / "prior.npz"
+        save_prior(ActionPrior(mu), path)
+        assert path.read_bytes() == reference_zip({
+            "header": np.array([3, 4], dtype=np.int64), "mu": mu,
+            "ids": np.zeros(0, dtype=np.uint8)})
+        with np.load(path, allow_pickle=False) as npz:
+            assert npz.files == ["header", "mu", "ids"]
+            assert npz["mu"].tobytes() == mu.tobytes()
+        copy = tmp_path / "copy.npz"
+        save_prior(ActionPrior(mu.copy()), copy)
+        assert copy.read_bytes() == path.read_bytes()
 
-    def test_prior_malformed_line(self, tmp_path):
-        path = tmp_path / "prior.txt"
-        path.write_text("0 0\n", encoding="utf-8")
-        with pytest.raises(ValidationError, match="line 1"):
-            load_prior(path, 4, 4)
+    @pytest.mark.parametrize("header,shape,vocab", [
+        ([4, 4], (4, 4), (4, 5)), ([4, 5], (4, 4), (4, 4)), ([4, 4], (4, 5), (4, 4)),
+        ([4, 4], (4, 4), (10**9, 10**9)),
+    ], ids=["another vocab", "header of another vocab", "mu of another shape", "huge vocab"])
+    def test_a_prior_of_another_vocab_is_rejected_naming_the_file(self, tmp_path, header,
+                                                                   shape, vocab):
+        # The one comparison that replaced the text format's per-line id,
+        # range and duplicate checks; no dense mu is allocated first.
+        path = tmp_path / "prior.npz"
+        path.write_bytes(reference_zip({"header": np.array(header, dtype=np.int64),
+                                        "mu": np.full(shape, 0.05),
+                                        "ids": np.zeros(0, dtype=np.uint8)}))
+        with pytest.raises(ValidationError) as exc:
+            load_prior(path, *vocab)
+        assert str(exc.value) == (f"{path}: prior header {header} with mu shaped {shape} is "
+                                  f"not vocab {vocab[0]}x{vocab[1]}")
 
-    @pytest.mark.parametrize("freq", ["inf", "nan"])
-    def test_prior_nonfinite_frequency_rejected(self, tmp_path, freq):
-        path = tmp_path / "prior.txt"
-        path.write_text(f"0 1 0.5\n0 0 {freq}\n", encoding="utf-8")
-        with pytest.raises(ValidationError, match="line 2: frequency"):
-            load_prior(path, 4, 4)
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -0.5, 0.0])
+    def test_a_mu_the_prior_rejects_is_an_error_naming_the_file(self, tmp_path, value):
+        # ActionPrior's check is the only value check of a loaded prior.
+        mu = np.zeros((2, 3)) if value == 0.0 else np.array([[0.5, value, 0], [0, 0, 0.5]])
+        path = tmp_path / "prior.npz"
+        path.write_bytes(reference_zip({"header": np.array([2, 3], dtype=np.int64), "mu": mu,
+                                        "ids": np.zeros(0, dtype=np.uint8)}))
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: prior mu must be "):
+            load_prior(path, 2, 3)
 
-    @pytest.mark.parametrize("freq", ["0", "-0.5"])
-    def test_prior_nonpositive_frequency_rejected(self, tmp_path, freq):
+    @pytest.mark.parametrize("text", ["0 0 0.5\n0 1 0.5\n", ""], ids=["text prior", "empty"])
+    def test_an_earlier_builds_text_prior_is_rejected(self, tmp_path, text):
         path = tmp_path / "prior.txt"
-        path.write_text(f"0 1 0.5\n0 0 {freq}\n", encoding="utf-8")
-        with pytest.raises(ValidationError, match="line 2: frequency"):
-            load_prior(path, 4, 4)
-
-    def test_prior_negative_id_rejected(self, tmp_path):
-        # a negative index into the dense matrix would wrap around silently
-        path = tmp_path / "prior.txt"
-        path.write_text("0 1 0.5\n-1 0 0.5\n", encoding="utf-8")
-        with pytest.raises(ValidationError, match="line 2: negative id"):
-            load_prior(path, 4, 4)
-
-    def test_prior_id_outside_vocab_rejected(self, tmp_path):
-        path = tmp_path / "prior.txt"
-        path.write_text("0 1 0.5\n0 4 0.5\n", encoding="utf-8")
-        with pytest.raises(ValidationError, match="line 2: pair \\(0, 4\\) out of range"):
-            load_prior(path, 4, 4)
-
-    @pytest.mark.parametrize("nouns", [1, 1001])
-    def test_prior_vocab_too_large_rejected(self, tmp_path, nouns):
-        # 7.28 TiB and 7.11 PiB of dense mu: a ValidationError, not a MemoryError
-        path = tmp_path / "prior.txt"
-        path.write_text(f"1000000000000 {nouns - 1} 0.5\n", encoding="utf-8")
-        with pytest.raises(ValidationError, match=f"vocab 1000000000001x{nouns} is too large"):
-            load_prior(path, 10**12 + 1, nouns)
-
-    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
-    def test_prior_line_numbers_count_every_line_end(self, tmp_path, newline):
-        path = tmp_path / "prior.txt"
-        path.write_bytes(newline.join([b"0 1 0.5", b"", b"0 0 nan", b""]))
-        with pytest.raises(ValidationError, match="line 3: frequency"):
-            load_prior(path, 4, 4)
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValidationError) as exc:
+            load_prior(path, 2, 2)
+        assert str(exc.value) == f"{path}: not a prior zip"
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs resource limits in a child")
     def test_a_cut_prior_save_leaves_the_old_file(self, tmp_path):
-        # Written in place, the cut file loaded as a prior of fewer pairs.
-        path = tmp_path / "prior.txt"
+        # A cut zip fails to load, and the save leaves the old file whole.
+        path = tmp_path / "prior.npz"
         save_prior(dense_prior({(0, 1): 1.0}, 20, 40), path)
         old = path.read_bytes()
         child = subprocess.run([sys.executable, "-c", """if True:
@@ -500,12 +485,8 @@ class TestFileFormats:
             timeout=60)
         assert child.returncode == 3
         assert path.read_bytes() == old
-        assert os.listdir(tmp_path) == ["prior.txt"]
-
-    def test_prior_rows_written_in_row_major_order(self, tmp_path):
-        path = tmp_path / "prior.txt"
-        save_prior(dense_prior({(2, 0): 0.5, (0, 3): 0.25, (0, 1): 0.25}, 3, 4), path)
-        assert path.read_text(encoding="utf-8") == "0 1 0.25\n0 3 0.25\n2 0 0.5\n"
+        assert os.listdir(tmp_path) == ["prior.npz"]
+        assert np.array_equal(load_prior(path, 20, 40).mu, dense_prior({(0, 1): 1.0}, 20, 40).mu)
 
     def test_score_table_roundtrip(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -587,10 +568,10 @@ class TestActionPriorContract:
             assert not mu.any()
             reject()
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "prior.txt"
+            path = Path(tmp) / "prior.npz"
             save_prior(prior, path)
             loaded = load_prior(path, *mu.shape)
-        assert np.array_equal(loaded.mu, prior.mu)
+        assert loaded.mu.tobytes() == prior.mu.tobytes()
 
 
 def _score_columns(draw, rows: int, elements) -> list[float]:
@@ -983,8 +964,8 @@ def _prior_built(how: str, tmp_path) -> ActionPrior:
     if how == "replace":
         return dataclasses.replace(compute_prior(labeled_bank([(0, 0)])), mu=mu,
                                    counts=np.array([[1, 0], [0, 1]]))
-    path = tmp_path / "prior.txt"
-    path.write_text("0 0 0.5\n1 1 0.5\n")
+    path = tmp_path / "prior.npz"
+    save_prior(ActionPrior(mu), path)
     return load_prior(path, 2, 2)
 
 

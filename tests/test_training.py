@@ -685,27 +685,45 @@ class TestCheckpoint:
     def test_weights_other_than_float64_arrays_fail_to_build(self, group, value):
         # float32 once built and loaded back as float64, complex built and then
         # save_checkpoint raised a raw TypeError, and object raised numpy's.
+        # The head or gate refuses them as it is built, before any checkpoint.
         ckpt = self._checkpoint(fusion="gfa-b" if group.startswith("gfa") else "clip-only")
         part, name = group.split(".")
         old = getattr(ckpt.model, part)
-        changed = replace(old, **{name: value(getattr(old, name))})
+        what = {"head": "head", "gfa": "gfa params"}[part]
         with pytest.raises(ValidationError,
-                           match=f"^{re.escape(f'checkpoint: {group} must be a float64 array')}$"):
-            replace(ckpt, model=replace(ckpt.model, **{part: changed}))
+                           match=f"^{re.escape(f'{what}: {name} must be a float64 array')}$"):
+            replace(old, **{name: value(getattr(old, name))})
 
     @pytest.mark.parametrize("fusion,head,gfa,message", [
-        ("clip-only", None, None, "checkpoint model head must be of type Head, got NoneType"),
+        ("clip-only", None, None, "model head must be of type Head, got NoneType"),
         ("clip-only", {"W": np.zeros((5, 4)), "b": np.zeros(5)}, None,
-         "checkpoint model head must be of type Head, got dict"),
+         "model head must be of type Head, got dict"),
         ("gfa-b", Head(np.zeros((5, 4)), np.zeros(5)),
          type("Gate", (), {"variant": "b", "W": np.zeros((4, 3)), "b": np.zeros(4)})(),
-         "checkpoint model gfa must be None or of type GfaParams, got Gate"),
-    ], ids=["head-none", "head-dict", "gfa-duck"])
+         "model gfa must be None or of type GfaParams, got Gate"),
+        ("gfa-b", Head(np.zeros((5, 4)), np.zeros(5)), {"variant": "b"},
+         "model gfa must be None or of type GfaParams, got dict"),
+    ], ids=["head-none", "head-dict", "gfa-duck", "gfa-dict"])
     def test_a_model_part_of_another_type_fails_to_build(self, fusion, head, gfa, message):
-        # Model("clip-only", None) builds, and a checkpoint of it once raised
-        # a raw AttributeError from param_groups.
+        # Model("clip-only", None) once built, and a checkpoint of it raised a
+        # raw AttributeError from param_groups; a dict gate raised one on
+        # .variant as the model was built.
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-            replace(self._checkpoint(), model=Model(fusion, head, gfa))
+            Model(fusion, head, gfa)
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda: Head(W=[[1.0, 2.0]], b=np.zeros(1)), "head: W must be a float64 array"),
+        (lambda: Head(W=np.zeros((1, 2)), b=[0.0]), "head: b must be a float64 array"),
+        (lambda: Head(W=np.zeros((1, 2), np.float32), b=np.zeros(1)),
+         "head: W must be a float64 array"),
+        (lambda: GfaParams("b", [[1.0]], np.zeros(1)), "gfa params: W must be a float64 array"),
+        (lambda: GfaParams("a", np.eye(2), np.zeros(2, np.float32)),
+         "gfa params: b must be a float64 array"),
+    ], ids=["head-list-W", "head-list-b", "head-float32", "gfa-list-W", "gfa-float32-b"])
+    def test_weights_other_than_float64_arrays_are_a_validation_error(self, make, message):
+        # A list once raised a raw AttributeError on .ndim, and a float32 head built.
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            make()
 
     @staticmethod
     def _built(how: str, tmp_path) -> Checkpoint:
