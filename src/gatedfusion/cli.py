@@ -215,10 +215,6 @@ def _cmd_actions(cfg: dict, out: Path):
                           + (f", got {', '.join(sources)}" if sources else ""))
     verb_table = load_score_table(cfg["verb_table"])
     noun_table = load_score_table(cfg["noun_table"])
-    if verb_table.space != "verb":
-        raise ValidationError(f"{cfg['verb_table']}: space is {verb_table.space!r}, expected 'verb'")
-    if noun_table.space != "noun":
-        raise ValidationError(f"{cfg['noun_table']}: space is {noun_table.space!r}, expected 'noun'")
     bank = load_feature_bank(cfg["bank"])
 
     inputs = {k: cfg[k] for k in ("verb_table", "noun_table", "bank")}
@@ -231,7 +227,7 @@ def _cmd_actions(cfg: dict, out: Path):
         prior = compute_prior(bank if same else load_feature_bank(cfg["train_bank"]))
         inputs["train_bank"] = cfg["train_bank"]
 
-    # Scoring checks the tables against each other and the bank before any file is written.
+    # Scoring checks the tables' spaces, each other and the bank before any file is written.
     action_table, action_metrics, labels = score_actions_for_bank(
         verb_table, noun_table, prior, bank, (cfg["verb_table"], cfg["noun_table"]))
     if cfg["train_bank"]:

@@ -10,9 +10,11 @@ ranking.
 Every accuracy counts from one ranking rule: ``label_ranks`` ranks each
 row's true label once, and ``topk_report`` gives every k of a report from
 those ranks.  ``score_actions_for_bank`` follows the same rule without a
-(rows, verbs * nouns) block: it scores the prior's support only, ranks the
-plain product from each row's top verbs x top nouns, and keeps each row's
-top ``_ACTION_WIDTH`` pairs.
+(rows, verbs * nouns) block.  It scores the prior's support, widened by the
+action indices below ``_ACTION_WIDTH`` only when a row has fewer positive
+scores than that, keeps each row's first ``_ACTION_WIDTH`` pairs in that
+order in one selection, and reads the re-weighted rank off them; it ranks
+the plain product from each row's top verbs x top nouns.
 
 A ``ScoreTable`` holds only ids that keep the bank's id rule and never
 repeat, a 2-D float64 block of finite scores and, for an action table only,
@@ -265,17 +267,22 @@ def score_actions_for_bank(verb_table: ScoreTable, noun_table: ScoreTable, prior
     row's top ``min(_ACTION_WIDTH, verbs * nouns)`` pairs, top-k accuracy
     with the prior and with mu replaced by all-ones (the plain ``pv * pn``
     product), and the (rows, 2) verb and noun labels of the rows, joined
-    from ``bank`` once.  Verb and noun scores must be >= 0, as softmax
-    probabilities are; a table with a negative score is a ValidationError
-    that starts with its entry of ``names``.
+    from ``bank`` once.  A table of the wrong space, or with a negative
+    score (verb and noun scores must be >= 0, as softmax probabilities
+    are), is a ValidationError that starts with its entry of ``names``, the
+    verb slot first.
 
     Every ranking follows ``label_ranks``, and no (rows, verbs * nouns)
-    block is built: the re-weighted scores are computed on the prior's
-    support only, where each has ``reweight_actions``' bits, and every other
-    pair scores exactly 0."""
-    if verb_table.space != "verb" or noun_table.space != "noun":
-        raise ValidationError(
-            f"expected a verb and a noun table, got {verb_table.space!r} and {noun_table.space!r}")
+    block is built.  The candidate pairs are the prior's support, plus the
+    pairs below the width when some row has fewer positive scores than the
+    width; every other pair scores exactly 0, and each candidate's score has
+    ``reweight_actions``' bits.  A row keeps its first width candidates in
+    ``label_ranks``' order, which are its first width pairs of all, so the
+    kept pairs ahead of the true pair are its re-weighted rank, exact below
+    the width."""
+    for table, space, name in zip((verb_table, noun_table), ("verb", "noun"), names):
+        if table.space != space:
+            raise ValidationError(f"{name}: space is {table.space!r}, expected {space!r}")
     _check_aligned(verb_table.segment_ids, noun_table.segment_ids, "verb/noun tables")
     verbs, nouns = prior.mu.shape
     if (verb_table.classes, noun_table.classes) != (verbs, nouns):
@@ -296,66 +303,49 @@ def score_actions_for_bank(verb_table: ScoreTable, noun_table: ScoreTable, prior
     labels = table_labels(verb_table, bank)
     true = labels[:, 0] * nouns + labels[:, 1]  # the verb-major action index
     plain = _plain_ranks(pv, pn, labels)
+    width = min(_ACTION_WIDTH, verbs * nouns)
 
-    # The support's scores, in reweight_actions' order of products, so each
-    # has its bits.  Every score is >= 0, and every other pair scores 0.
-    sv, sn = np.nonzero(prior.mu)
-    support = sv * nouns + sn  # ascending
-    scores = pv[:, sv]
-    scores *= prior.mu[sv, sn]  # pv * mu: mu * pv's bits
-    scores *= pn[:, sn]
-    rows = np.arange(len(true))
-    t = (prior.mu[labels[:, 0], labels[:, 1]] * pv[rows, labels[:, 0]]
-         * pn[rows, labels[:, 1]])[:, None]
-    reweighted = np.count_nonzero((scores > t) | ((scores == t) & (support < true[:, None])),
-                                  axis=1)
-    zero = t[:, 0] == 0  # then the pairs outside the support before it tie with it, ahead
-    reweighted[zero] += true[zero] - np.searchsorted(support, true[zero])
+    def pair_scores(pairs: np.ndarray) -> np.ndarray:
+        # reweight_actions' products in its order, so each score has its bits
+        v, n = np.divmod(pairs, nouns)
+        scores = pv[:, v]
+        scores *= prior.mu[v, n]  # pv * mu: mu * pv's bits
+        scores *= pn[:, n]
+        return scores
 
-    actions, kept = _kept_pairs(scores, support, min(_ACTION_WIDTH, verbs * nouns), prior.mu,
-                                pv, pn)
-    table = ScoreTable(verb_table.segment_ids, kept, "action", verbs, nouns, actions)
-    return table, {"reweighted": _ranks_report(reweighted), "plain": _ranks_report(plain)}, labels
-
-
-def _kept_pairs(scores: np.ndarray, support: np.ndarray, width: int, mu: np.ndarray,
-                pv: np.ndarray, pn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's ``width`` best (verb, noun) pairs by ``label_ranks``' rule,
-    as ascending action indices, and their scores ``mu[v, n] * pv[r, v] *
-    pn[r, n]``, given the (rows, support) block of those scores at the
-    ascending action indices ``support``.  Every score is >= 0, and every
-    pair outside the support scores 0."""
-    # A row keeps its positive scores or, where more than width are, those
-    # above its width-th best, `last`, then as many tied with it as fit,
-    # lower index first.
-    many = np.flatnonzero(np.count_nonzero(scores > 0, axis=1) > width)
-    kth = max(len(support) - width, 0)  # many is empty when kth is 0
-    last = np.zeros((len(scores), 1))
+    # Every score is >= 0, and every pair outside the support scores 0.  A
+    # row of fewer than width positive scores keeps zero-score pairs, lowest
+    # index first, so they all lie below width.
+    pairs = np.flatnonzero(prior.mu)  # the support
+    scores = pair_scores(pairs)
+    positive = np.count_nonzero(scores > 0, axis=1)
+    if (positive < width).any():
+        pairs = np.union1d(pairs, np.arange(width))
+        scores = pair_scores(pairs)
+    # A row keeps every score above its width-th best, `last` (0 in a row of
+    # at most width positive scores), then as many tied with it as fit,
+    # lowest index first: its first width pairs in label_ranks' order.
+    many = np.flatnonzero(positive > width)
+    kth = max(len(pairs) - width, 0)  # many is empty when kth is 0
+    last = np.zeros((len(true), 1))
     best = scores[many]
     best.partition(kth, axis=1)
     last[many] = best[:, kth, None]
-    keep, tied = scores > last, (scores == last) & (last > 0)
+    keep, tied = scores > last, scores == last
     room = width - np.count_nonzero(keep, axis=1)
     over = np.flatnonzero(np.count_nonzero(tied, axis=1) > room)
     tied[over] &= np.cumsum(tied[over], axis=1) <= room[over, None]
     keep |= tied
-    room = width - np.count_nonzero(keep, axis=1)
-    if not room.any():  # every row keeps width support pairs
-        return (np.broadcast_to(support, keep.shape)[keep].reshape(-1, width),
-                scores[keep].reshape(-1, width))
-    # A row of fewer than width positive scores is filled with zero-score
-    # pairs, lower index first; it needs at most width, all below width.
-    pairs = np.union1d(support, np.arange(width))  # pairs[:width] is arange(width)
-    mask = np.zeros((len(scores), len(pairs)), bool)
-    mask[:, np.searchsorted(pairs, support)] = keep
-    free = ~mask[:, :width]
-    mask[:, :width] |= free & (np.cumsum(free, axis=1) <= room[:, None])
-    actions = np.broadcast_to(pairs, mask.shape)[mask].reshape(-1, width)
-    v, n = np.divmod(actions, pn.shape[1])
-    rows = np.arange(len(scores))[:, None]
-    kept = mu[v, n] * pv[rows, v]
-    kept *= pn[rows, n]
-    return actions, kept
+    actions = np.broadcast_to(pairs, keep.shape)[keep].reshape(-1, width)
+    kept = scores[keep].reshape(-1, width)
+
+    # The kept pairs ahead of the true pair: its rank below width, else width.
+    rows = np.arange(len(true))
+    t = (prior.mu[labels[:, 0], labels[:, 1]] * pv[rows, labels[:, 0]]
+         * pn[rows, labels[:, 1]])[:, None]
+    reweighted = np.count_nonzero((kept > t) | ((kept == t) & (actions < true[:, None])), axis=1)
+    table = ScoreTable(verb_table.segment_ids, kept, "action", verbs, nouns, actions)
+    return table, {"reweighted": _ranks_report(reweighted), "plain": _ranks_report(plain)}, labels
 
 
 def _plain_ranks(pv: np.ndarray, pn: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -285,6 +285,21 @@ class TestScoreActionsForBank:
         with pytest.raises(ValidationError, match="nope"):
             score_actions_for_bank(vt, nt, ActionPrior(mu=np.ones((4, 4))), bank)
 
+    @pytest.mark.parametrize("spaces, message", [
+        (("noun", "verb"), "verb table: space is 'noun', expected 'verb'"),  # verb slot first
+        (("verb", "verb"), "noun table: space is 'verb', expected 'noun'"),
+    ])
+    def test_a_table_of_the_other_space_is_named_by_its_slot(self, spaces, message):
+        bank = labeled_bank([(0, 0)])
+        vt, nt = (table([[1.0, 0.0, 0.0, 0.0]], space=space) for space in spaces)
+        with pytest.raises(ValidationError) as exc:
+            score_actions_for_bank(vt, nt, ActionPrior(mu=np.ones((4, 4))), bank)
+        assert str(exc.value) == message
+
+
+_ORACLE_KINDS = ("random", "true-pair-outside-support", "underflow", "ties-at-100", "zero-fill",
+                 "eye", "small-vocab", "support-is-width")
+
 
 def _oracle_case(kind: str, seed: int):
     """Verb and noun tables, a prior and labels of one kind of action input."""
@@ -306,6 +321,10 @@ def _oracle_case(kind: str, seed: int):
         mu.flat[rng.choice(verbs * nouns, 20, replace=False)] = 0.05
     elif kind == "eye":
         pv, pn = np.eye(verbs)[labels[:, 0]], np.eye(nouns)[rng.integers(nouns, size=rows)]
+    elif kind == "support-is-width":  # 100 supported pairs, positive in every row
+        mu = np.zeros((verbs, nouns))
+        support = np.r_[0, rng.choice(np.arange(1, verbs * nouns), 99, replace=False)]
+        mu.flat[support] = rng.uniform(0.1, 1.0, 100)
     mu.flat[0] = max(mu.flat[0], 0.1)  # a prior has a positive entry
     return pv, pn, ActionPrior(mu), labels
 
@@ -331,10 +350,25 @@ class TestActionsAgainstTheDenseOracle:
         return metrics
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("kind", ["random", "true-pair-outside-support", "underflow",
-                                      "ties-at-100", "zero-fill", "eye", "small-vocab"])
+    @pytest.mark.parametrize("kind", _ORACLE_KINDS)
     def test_every_result_equals_the_dense_oracle(self, kind, seed, tmp_path):
         self._check(*_oracle_case(kind, seed), tmp_path)
+
+    @pytest.mark.parametrize("kind", _ORACLE_KINDS)
+    def test_a_rank_read_off_the_kept_pairs_is_exact_below_the_width(self, kind, tmp_path,
+                                                                     monkeypatch):
+        monkeypatch.setattr(scoring, "_TOPK", (1, 5, 100))
+        metrics = self._check(*_oracle_case(kind, 0), tmp_path)
+        assert set(metrics["reweighted"]) == {"top1", "top5", "top100"}
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_the_support_is_width_case_neither_partitions_nor_fills(self, seed):
+        # Every row has exactly 100 positive scores, all on the support: the
+        # traffic of the score workload, whose support is 100 pairs.
+        pv, pn, prior, _ = _oracle_case("support-is-width", seed)
+        assert np.count_nonzero(prior.mu) == 100
+        positive = np.count_nonzero(reweight_actions(pv, pn, prior) > 0, axis=(1, 2))
+        assert (positive == 100).all()
 
     def test_a_rounding_tie_outside_the_candidate_block_is_ranked_densely(self, tmp_path):
         # Six verbs whose scores differ in the 12th digit, times one subnormal
