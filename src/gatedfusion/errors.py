@@ -2,13 +2,14 @@
 loader uses, the strict JSON encoder every writer uses, ``parse_json``, the
 one JSON decoder every reader uses, the one codec of the JSON documents
 (checkpoints, manifests, reports, histories and stats): ``write_json`` and
-``read_json``, ``replacing``, which a bank, score table or prior is saved
-through so that it reaches any target whole or not at all: the one place
-that asks whether a save target is a regular file, ``_write_zip`` and
-``_read_zip``, the one codec of the zip files (banks, score tables of every
-space and priors) and the only code that touches ``zipfile``, and
-``read_input``, which tells a zip from any other file: a bank may be
-JSON-lines text, a score table or prior is a zip only."""
+``read_json``, ``_regular_target``, the one place that asks whether a save
+target is a regular file, for JSON documents and zips alike, ``replacing``,
+which a bank, score table or prior is saved through so that it reaches its
+file whole or not at all, ``_write_zip`` and ``_read_zip``, the one codec of
+the zip files (banks, score tables of every space and priors) and the only
+code that touches ``zipfile``, and ``read_input``, which tells a zip from
+any other file: a bank may be JSON-lines text, a score table or prior is a
+zip only."""
 
 import contextlib
 import io
@@ -16,7 +17,6 @@ import json
 import math
 import os
 import stat
-import sys
 import warnings
 import zipfile
 
@@ -60,8 +60,10 @@ def strict_json(obj, **kwargs) -> str:
 def write_json(obj, path) -> None:
     """Write ``obj`` to ``path`` as strict JSON, one space of indent, and a
     final newline.  The text is encoded before the file opens, so an object
-    JSON cannot hold raises ``ValidationError`` and leaves no file."""
+    JSON cannot hold raises ``ValidationError`` and leaves no file.  The
+    file is written in place, once ``_regular_target`` passes ``path``."""
     text = strict_json(obj, indent=1) + "\n"
+    _regular_target(path)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
@@ -88,51 +90,37 @@ def read_json(path, fmt: str) -> dict:
     return obj
 
 
-def _descriptor(path) -> int | None:
-    """The descriptor ``N`` of this process that ``path`` names through
-    ``/proc/self/fd/N`` (``/dev/stdout``, ``/dev/stderr``, ``/dev/fd/N``, or
-    a symlink to one of them), or None for any other path."""
-    fd_dir = os.path.realpath("/proc/self/fd")
-    path = os.fsdecode(path)
-    for _ in range(40):  # the kernel follows no longer chain of symlinks
-        head, name = os.path.split(path)
-        if name.isdigit() and os.path.realpath(head) == fd_dir:
-            return int(name)
-        if not os.path.islink(path):
-            return None
-        path = os.path.join(head, os.readlink(path))
-    return None
+def _regular_target(path) -> None:
+    """Refuse a save target before any byte is written: one that exists and
+    is not a regular file (a FIFO, a device such as ``/dev/stdout`` on a
+    terminal or pipe, a directory), or one that is the same file as this
+    process's stdout or stderr (``/dev/stdout`` or the log they are
+    redirected to), which a save would overwrite.  Each is a
+    ValidationError naming ``path``.  A target that does not exist, or a
+    regular file named directly or through a symlink, passes."""
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        return
+    if not stat.S_ISREG(st.st_mode):
+        raise ValidationError(f"{path}: not a regular file")
+    for fd, name in ((1, "stdout"), (2, "stderr")):
+        try:
+            held = os.fstat(fd)
+        except OSError:  # a closed stream
+            continue
+        if os.path.samestat(st, held):
+            raise ValidationError(f"{path}: is this process's {name}")
 
 
 @contextlib.contextmanager
 def replacing(path):
-    """A new binary file that reaches ``path`` whole or not at all.  A regular
-    file (or none) is written under a temporary name in the same directory and
-    renamed into place once the ``with`` block completes, so a failed save
-    leaves the old file, or none.  A ``path`` that names a descriptor of this
-    process (``/dev/stdout``, ``/dev/stderr``, ``/dev/fd/N``) is that
-    descriptor, wherever it is redirected: once the block completes, Python's
-    own stream for it is flushed and the bytes are written to it at its
-    offset, so a log that stdout appends to keeps what came before and after.
-    Any other ``path`` (a FIFO) is opened first, so a FIFO waits for its
-    reader and a directory fails at once, and gets the bytes once the block
-    completes.  Bytes for a target that is not a regular file are held in
-    memory meanwhile.  Every handle yielded can seek."""
-    fd = _descriptor(path)
-    try:
-        regular = fd is None and stat.S_ISREG(os.stat(path).st_mode)
-    except FileNotFoundError:
-        regular = True
-    if not regular:
-        with open(path if fd is None else fd, "wb", closefd=fd is None) as fh:
-            buf = io.BytesIO()
-            yield buf
-            for stream in (sys.stdout, sys.stderr):  # what Python holds for fd goes first
-                with contextlib.suppress(AttributeError, OSError, ValueError):  # no fileno
-                    if stream.fileno() == fd:
-                        stream.flush()
-            fh.write(buf.getbuffer())
-        return
+    """A new binary file that reaches ``path`` whole or not at all.  After
+    ``_regular_target`` passes ``path``, the file is written under a
+    temporary name in the same directory and renamed into place once the
+    ``with`` block completes, so a failed save leaves the old file, or none.
+    Every handle yielded can seek."""
+    _regular_target(path)
     target = os.path.realpath(path)  # a symlink keeps naming the saved file
     # A temporary name of fixed length: any name the directory holds can be saved.
     tmp = os.path.join(os.path.dirname(target), f".{os.urandom(6).hex()}.tmp")

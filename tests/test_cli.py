@@ -6,6 +6,7 @@ import inspect
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -242,6 +243,22 @@ class TestTrainEval:
             (tmp_path / "e2/scores.txt").read_bytes()
         assert (tmp_path / "e1/eval_report.json").read_bytes() == \
             (tmp_path / "e2/eval_report.json").read_bytes()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("name", ["eval_report.json", "scores.txt"],
+                             ids=["JSON output", "zip output"])
+    def test_a_fifo_at_an_output_is_exit_one_naming_it(self, tmp_path, name):
+        # Opened, a FIFO with no reader would hold eval for good: a child
+        # process runs it under a timeout.
+        bank, ckpt = tiny_eval_inputs(tmp_path)
+        out = tmp_path / "eval"
+        out.mkdir()
+        os.mkfifo(out / name)
+        proc = _run_python("-m", "gatedfusion", "eval", "--checkpoint", str(ckpt),
+                           "--bank", str(bank), "--out-dir", str(out))
+        assert proc.returncode == 1
+        assert proc.stderr == f"gatedfusion: error: {out / name}: not a regular file\n"
+        assert stat.S_ISFIFO(os.stat(out / name).st_mode)
 
     def test_zero_lr_checkpoint_equals_init(self, tmp_path):
         synth(tmp_path / "data", train=30, val=10)

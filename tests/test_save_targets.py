@@ -1,10 +1,14 @@
-"""``replacing``, which banks, score tables and priors are saved through,
-delivers the whole file or no bytes to every target: a regular file of any
-name the directory holds, a symlink, a pipe or this process's stdout,
-wherever it is redirected."""
+"""Every save, a bank, score table or prior through ``replacing`` or a JSON
+document through ``write_json``, goes to a regular file.  ``replacing``
+delivers the whole file or leaves the old one at any name the directory
+holds, or through a symlink.  A target that exists and is not a regular
+file (a FIFO, a directory, a device), or that is this process's stdout or
+stderr wherever they are redirected, is refused before any byte is
+written."""
 
 import itertools
 import os
+import stat
 import subprocess
 import sys
 
@@ -12,7 +16,8 @@ import numpy as np
 import pytest
 
 from gatedfusion.bank import SynthSpec, save_feature_bank, synth_generate
-from gatedfusion.scoring import ScoreTable, load_score_table, save_score_table
+from gatedfusion.errors import ValidationError, write_json
+from gatedfusion.scoring import ActionPrior, ScoreTable, save_prior, save_score_table
 
 _needs_fifo = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 
@@ -22,10 +27,16 @@ _MEMBERS = {"bank": 9, "noun table": 3, "action table": 4}
 
 
 def _save(kind):
-    """A function that saves a fixed ``kind`` of zip to a path."""
+    """A function that saves a fixed ``kind`` of file to a path: a zip of
+    ``_MEMBERS``, a prior or a JSON document."""
     if kind == "bank":
         bank = synth_generate(SynthSpec(n_segments=20), 3)
         return lambda path: save_feature_bank(bank, path)
+    if kind == "prior":
+        prior = ActionPrior(mu=np.full((_VERBS, _NOUNS), 1.0 / (_VERBS * _NOUNS)))
+        return lambda path: save_prior(prior, path)
+    if kind == "json":
+        return lambda path: write_json({"format": "test", "x": [1.5, 2]}, path)
     rng = np.random.default_rng(5)
     ids = [f"train-{i:05d}" for i in range(100)]
     if kind == "noun table":
@@ -50,49 +61,7 @@ def _fail_last_member(monkeypatch, kind):
     monkeypatch.setattr(np.lib.format, "write_array_header_1_0", write_header)
 
 
-def _pipe_save(tmp_path, save):
-    """Run ``save(fifo)`` on a new FIFO that a reader process copies to a
-    file; return the exception the save raised, or None, and the bytes the
-    reader got."""
-    fifo, out = tmp_path / "save.fifo", tmp_path / "out"
-    os.mkfifo(fifo)
-    reader = subprocess.Popen([sys.executable, "-c",
-                               "import sys; open(sys.argv[2], 'wb').write("
-                               "open(sys.argv[1], 'rb').read())", str(fifo), str(out)])
-    raised = None
-    try:
-        try:
-            save(fifo)
-        except Exception as exc:
-            raised = exc
-        assert reader.wait(timeout=60) == 0
-    finally:  # a reader left blocked on the pipe ends with the test
-        reader.kill()
-        reader.wait()
-    return raised, out.read_bytes()
-
-
 class TestSaveTargets:
-    @_needs_fifo
-    @pytest.mark.parametrize("kind", list(_MEMBERS))
-    def test_a_zip_saved_to_a_pipe_has_the_file_s_bytes(self, kind, tmp_path):
-        # zipfile adds data descriptors on a handle that cannot seek: the
-        # zip is built in memory first, so the pipe gets the file's bytes.
-        save = _save(kind)
-        save(tmp_path / "saved")
-        raised, got = _pipe_save(tmp_path, save)
-        assert raised is None and got == (tmp_path / "saved").read_bytes()
-        assert sorted(path.name for path in tmp_path.iterdir()) == ["out", "save.fifo", "saved"]
-
-    @_needs_fifo
-    @pytest.mark.parametrize("kind", list(_MEMBERS))
-    def test_a_failed_save_sends_no_byte_down_a_pipe(self, kind, monkeypatch, tmp_path):
-        # Written in place, the pipe got every member before the last.
-        save = _save(kind)
-        _fail_last_member(monkeypatch, kind)
-        raised, got = _pipe_save(tmp_path, save)
-        assert str(raised) == "planted fault" and got == b""
-
     @pytest.mark.parametrize("name", ["n" * 255, "€" * 84],
                              ids=["255 ASCII bytes", "84 three-byte characters"])
     @pytest.mark.parametrize("kind", ["noun table", "bank"])
@@ -122,25 +91,55 @@ class TestSaveTargets:
         assert sorted(path.name for path in tmp_path.iterdir()) == ["link.txt", "real.txt",
                                                                     "want"]
 
-    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
-    @pytest.mark.parametrize("flush", [True, False], ids=["flushed", "buffered"])
+    @_needs_fifo
+    @pytest.mark.parametrize("target", ["FIFO", "symlink to a FIFO", "directory", "/dev/null"])
+    @pytest.mark.parametrize("kind", [*_MEMBERS, "prior", "json"])
+    def test_a_target_that_is_not_a_regular_file_is_refused(self, kind, target, tmp_path):
+        # Opened, a FIFO with no reader would hold the save for good.
+        fifo, link, directory = tmp_path / "save.fifo", tmp_path / "link", tmp_path / "dir"
+        os.mkfifo(fifo)
+        link.symlink_to(fifo)
+        directory.mkdir()
+        path = {"FIFO": fifo, "symlink to a FIFO": link, "directory": directory,
+                "/dev/null": os.devnull}[target]
+        save = _save(kind)
+        with pytest.raises(ValidationError) as exc:
+            save(path)
+        assert str(exc.value) == f"{path}: not a regular file"
+        assert sorted(os.listdir(tmp_path)) == ["dir", "link", "save.fifo"]  # no .*.tmp
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode) and os.listdir(directory) == []
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    @pytest.mark.parametrize("stream", ["stdout", "stderr"])
     @pytest.mark.parametrize("mode", ["a", "w"], ids=[">>", ">"])
-    def test_a_save_to_dev_stdout_writes_at_the_descriptor(self, mode, flush, tmp_path):
-        # Followed to the file stdout is redirected to, the save renamed a new
-        # file over it: the log then held the table alone.
-        table = tmp_path / "t.npz"
-        _save("noun table")(table)
+    def test_a_save_to_a_redirected_stream_is_refused(self, mode, stream, tmp_path):
+        # /dev/stdout and /dev/stderr name the log a stream is redirected
+        # to, a regular file: a save there would rename a zip over the log.
         log = tmp_path / "log.txt"
         log.write_bytes(b"earlier\n")
-        with open(log, mode + "b") as stdout:
-            child = subprocess.run([sys.executable, "-c", f"""if True:
+        other = {"stdout": "stderr", "stderr": "stdout"}[stream]
+        with open(log, mode + "b") as fh:
+            child = subprocess.run([sys.executable, "-c", """if True:
                 import sys
-                from gatedfusion.scoring import load_score_table, save_score_table
-                print("before", flush={flush})
-                save_score_table(load_score_table(sys.argv[1]), "/dev/stdout")
-                print("after")
-                """, str(table)], stdout=stdout,
+                import numpy as np
+                from gatedfusion.errors import ValidationError
+                from gatedfusion.scoring import ScoreTable, save_score_table
+                stream = getattr(sys, sys.argv[1])
+                table = ScoreTable(["s0"], np.ones((1, 1)), "noun")
+                print("before", file=stream)
+                for path in sys.argv[2:]:
+                    try:
+                        save_score_table(table, path)
+                    except ValidationError as exc:
+                        print(exc, file=stream)
+                print("after", file=stream)
+                """, stream, f"/dev/{stream}", str(log)],
+                **{stream: fh, other: subprocess.PIPE},
                 env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}, timeout=60)
         assert child.returncode == 0
+        assert getattr(child, other) == b""
         earlier = b"earlier\n" if mode == "a" else b""
-        assert log.read_bytes() == earlier + b"before\n" + table.read_bytes() + b"after\n"
+        refused = f"/dev/{stream}: is this process's {stream}\n{log}: is this process's {stream}\n"
+        assert log.read_bytes() == earlier + b"before\n" + refused.encode() + b"after\n"
+        assert os.listdir(tmp_path) == ["log.txt"]
