@@ -5,12 +5,12 @@ per-frame detections (each carrying an already-extracted region feature),
 and optional verb/noun labels.  A segment id is a non-empty ``str`` with
 no character for which ``str.isspace()`` is true (so no line end, which
 ends each id in a zip's ``ids`` member) and no lone surrogate.  In
-memory a bank is the flat blocks that its file stores.  The JSON-lines
-reader packs each record line straight into them.  ``_validate`` is the one
-check of their values, ids included: every ``FeatureBank`` runs it once, as
-it is built, and then holds tuple ids and read-only blocks, so a changed bank
-is built with ``dataclasses.replace``, which checks it again.  Rows are only
-the input of ``FeatureBank.from_records`` and the output of ``records`` views.
+memory a bank is the flat blocks that its file stores.  ``_validate`` is the
+one check of their values, ids included: every ``FeatureBank`` runs it once,
+as it is built, and then holds tuple ids and read-only blocks, so a changed
+bank is built with ``dataclasses.replace``, which checks it again.  Rows are
+only the input of ``FeatureBank.from_records``, which packs them straight
+into the blocks, and the output of ``records`` views.
 
 Aggregation turns the detections into a single object feature by keeping
 the detections inside a frame window around the clip center, selecting the
@@ -25,9 +25,9 @@ A bank file is a zip of the blocks, one stored ``.npy`` member each, with
 the header ints and the ids as UTF-8 lines, written and read by the zip
 codec in ``errors`` that score tables share: ``save_feature_bank``
 writes it byte-identically for equal banks, whole or not at all, and the
-loader takes exactly that layout.  Line-delimited JSON is accepted as
-input: a header line declaring the feature dims and vocabulary sizes,
-then one record object per line, told from a zip by ``errors.read_input``.
+loader takes exactly that layout and no other.  Detections from elsewhere
+enter as ``SegmentRecord`` rows through ``FeatureBank.from_records`` and
+are saved with ``save_feature_bank``.
 """
 
 from __future__ import annotations
@@ -36,11 +36,11 @@ import contextlib
 import math
 import re
 import zlib
-from dataclasses import InitVar, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ValidationError, _write_zip, parse_json, read_input
+from .errors import ValidationError, _write_zip, read_input
 from .tensor import l2_norm
 
 __all__ = [
@@ -122,11 +122,9 @@ def _id_fault(ids) -> tuple[int, str] | None:
     return None
 
 
-def _int64(obj: dict, key: str, where: str = "") -> int:
-    """``obj[key]``, an integer (not a bool) that fits the int64 blocks."""
-    if key not in obj:
-        raise ValidationError(f"{where}missing key {key!r}")
-    val = obj[key]
+def _int64(val, key: str, where: str = "") -> int:
+    """``val``, the ``key`` field, an integer (not a bool) that fits the
+    int64 blocks."""
     if not isinstance(val, _INT) or isinstance(val, bool):
         raise ValidationError(f"{where}{key!r} must be an integer, got {val!r}")
     if not _INT64.min <= val <= _INT64.max:
@@ -134,9 +132,9 @@ def _int64(obj: dict, key: str, where: str = "") -> int:
     return val
 
 
-def _check_header(header: dict, where: str = "") -> None:
+def _check_header(header: dict) -> None:
     for key in _HEADER_KEYS:
-        _int64(header, key, where)
+        _int64(header[key], key)
     if header["dim_v"] < 1 or header["dim_o"] < 1:
         raise ValidationError(
             f"bank dims must be positive, got dim_v={header['dim_v']}, dim_o={header['dim_o']}")
@@ -173,56 +171,11 @@ def _score(val, what: str) -> float:
     raise ValidationError(f"{what} score must be a number")
 
 
-def _pack(rows, header: dict, where: str = "") -> FeatureBank:
-    """The validated bank of ``header`` (its faults prefixed by ``where``)
-    and ``rows``: (line name or "", record object in the bank file's layout).
-    A row is checked only for what the blocks cannot hold (the id rule; int64
-    centers, frames and labels, none of them an explicit label below 0; real
-    scores; flat vectors of the declared dims) and appended to the blocks."""
-    _check_header(header, where)
-    lines, ids, *columns = ([] for _ in range(2 + len(_BLOCKS)))
-    clip, centers, labels, counts, frames, scores, features = columns
-    for line, obj in rows:
-        seg_id = obj.get("segment_id")
-        if fault := segment_id_fault(seg_id):  # here too, so the first faulty line is named
-            raise ValidationError(f"{line}{fault}")
-        where = f"{line}record {seg_id!r}: "
-        lines.append(line)
-        ids.append(seg_id)
-        clip.append(_vector(obj.get("clip_feature"), header["dim_v"], "dim_v",
-                            f"{where}clip_feature"))
-        centers.append(_int64(obj, "center", where))
-        dets = obj.get("detections", [])
-        if not isinstance(dets, list):
-            raise ValidationError(f"{where}detections must be an array")
-        for j, det in enumerate(dets):
-            what = f"{where}detection {j}"
-            if not isinstance(det, dict):
-                raise ValidationError(f"{what} must be an object")
-            frames.append(_int64(det, "frame", f"{what}: "))
-            scores.append(_score(det.get("score"), what))
-            features.append(_vector(det.get("feature"), header["dim_o"], "dim_o",
-                                    f"{what} feature"))
-        counts.append(len(dets))
-        pair = [_int64(obj, key, where) if key in obj else _NO_LABEL for key in _LABEL_KEYS]
-        for key, label in zip(_LABEL_KEYS, pair):
-            if label < 0 and key in obj:  # -1 stands for "no label"
-                raise ValidationError(f"{where}{key} label {label} out of range "
-                                      f"[0, {header[key + '_vocab_size']})")
-        labels.append(pair)
-    blocks = {name: np.array(column, dtype=dtype)
-              for (name, dtype), column in zip(_BLOCK_DTYPES.items(), columns)}
-    for name, width in (("clip", header["dim_v"]), ("labels", 2), ("features", header["dim_o"])):
-        blocks[name] = blocks[name].reshape(-1, width)  # an empty column has no width
-    return FeatureBank(**{key: header[key] for key in _HEADER_KEYS}, ids=ids, **blocks,
-                       lines=lines)
-
-
-def _validate(bank: FeatureBank, lines: list[str]) -> None:
+def _validate(bank: FeatureBank) -> None:
     """The bank invariants: the header, each block's dtype and shape, then
     the values (unique valid ids, finite features, scores in [0, 1], labels in
-    [-1, vocab)).  A value fault names the first offending record, after
-    ``lines[i]`` for record ``i``, and in it the first offending field."""
+    [-1, vocab)).  A value fault names the first offending record, and in it
+    the first offending field."""
     _check_header({key: getattr(bank, key) for key in _HEADER_KEYS})
     for name, dtype in _BLOCK_DTYPES.items():
         block = getattr(bank, name)
@@ -252,11 +205,10 @@ def _validate(bank: FeatureBank, lines: list[str]) -> None:
         bad[np.searchsorted(ends, np.flatnonzero(bad_det), side="right")] = True
         first = int(np.argmax(bad))
     if id_fault := _id_fault(bank.ids[:first + 1]):
-        i, fault = id_fault
-        raise ValidationError(f"{lines[i]}{fault}")
+        raise ValidationError(id_fault[1])
     if first == n:
         return
-    where = f"{lines[first]}record {bank.ids[first]!r}"
+    where = f"record {bank.ids[first]!r}"
     if not np.isfinite(bank.clip[first]).all():
         raise ValidationError(f"{where}: clip_feature has non-finite entries")
     start = int(ends[first] - counts[first])
@@ -276,8 +228,7 @@ class FeatureBank:
     ``counts[i]`` detections.  The detections of all records, in record
     order, are ``frames``, ``scores`` and ``features`` rows (``dim_o``).
     Building a bank checks it and makes ``ids`` a tuple and every block
-    read-only; ``dataclasses.replace`` builds a changed one.  A loader
-    passes each record's file line as ``lines`` so a fault names it."""
+    read-only; ``dataclasses.replace`` builds a changed one."""
 
     dim_v: int
     dim_o: int
@@ -291,28 +242,53 @@ class FeatureBank:
     frames: np.ndarray
     scores: np.ndarray
     features: np.ndarray
-    lines: InitVar[list[str] | None] = None
 
-    def __post_init__(self, lines: list[str] | None) -> None:
+    def __post_init__(self) -> None:
         object.__setattr__(self, "ids", tuple(self.ids))  # frozen: set as the dataclass init does
-        _validate(self, lines or [""] * len(self.ids))
+        _validate(self)
         for name in _BLOCKS:
             getattr(self, name).flags.writeable = False
 
     @classmethod
     def from_records(cls, records: list[SegmentRecord], dim_v: int, dim_o: int,
                      verb_vocab_size: int, noun_vocab_size: int) -> FeatureBank:
-        """The validated bank of ``SegmentRecord`` rows, packed as the
-        record lines of a bank file are."""
-        rows = (("", {"segment_id": rec.segment_id, "clip_feature": rec.clip_feature,
-                      "center": rec.clip_center_frame,
-                      "detections": [{"frame": d.frame_index, "score": d.score,
-                                      "feature": d.feature} for d in rec.detections],
-                      **{key: label for key, label in zip(_LABEL_KEYS, (
-                          rec.verb_label, rec.noun_label)) if label is not None}})
-                for rec in records)
-        return _pack(rows, dict(dim_v=dim_v, dim_o=dim_o, verb_vocab_size=verb_vocab_size,
-                                noun_vocab_size=noun_vocab_size))
+        """The validated bank of ``SegmentRecord`` rows, each appended to
+        the blocks in turn.  A row is checked here only for what the blocks
+        cannot hold (the id rule, so the first faulty row is named; int64
+        centers, frames and labels, none of them an explicit label below 0;
+        real scores; flat vectors of the declared dims), and the bank built
+        from the blocks checks the rest."""
+        header = dict(dim_v=dim_v, dim_o=dim_o, verb_vocab_size=verb_vocab_size,
+                      noun_vocab_size=noun_vocab_size)
+        _check_header(header)
+        ids, *columns = ([] for _ in range(1 + len(_BLOCKS)))
+        clip, centers, labels, counts, frames, scores, features = columns
+        for rec in records:
+            if fault := segment_id_fault(rec.segment_id):
+                raise ValidationError(fault)
+            where = f"record {rec.segment_id!r}: "
+            ids.append(rec.segment_id)
+            clip.append(_vector(rec.clip_feature, dim_v, "dim_v", f"{where}clip_feature"))
+            centers.append(_int64(rec.clip_center_frame, "center", where))
+            start = len(frames)
+            for j, det in enumerate(rec.detections):
+                what = f"{where}detection {j}"
+                frames.append(_int64(det.frame_index, "frame", f"{what}: "))
+                scores.append(_score(det.score, what))
+                features.append(_vector(det.feature, dim_o, "dim_o", f"{what} feature"))
+            counts.append(len(frames) - start)
+            pair = (rec.verb_label, rec.noun_label)
+            labels.append([_NO_LABEL if label is None else _int64(label, key, where)
+                           for key, label in zip(_LABEL_KEYS, pair)])
+            for key, label in zip(_LABEL_KEYS, pair):
+                if label is not None and label < 0:  # -1 stands for "no label" only as None
+                    raise ValidationError(f"{where}{key} label {label} out of range "
+                                          f"[0, {header[key + '_vocab_size']})")
+        blocks = {name: np.array(column, dtype=dtype)
+                  for (name, dtype), column in zip(_BLOCK_DTYPES.items(), columns)}
+        for name, width in (("clip", dim_v), ("labels", 2), ("features", dim_o)):
+            blocks[name] = blocks[name].reshape(-1, width)  # an empty column has no width
+        return cls(**header, ids=ids, **blocks)
 
     @property
     def records(self) -> list[SegmentRecord]:
@@ -416,34 +392,9 @@ def _bank_of(header: list[int], blocks: dict, ids: list[str]) -> FeatureBank:
 
 
 def load_feature_bank(path) -> FeatureBank:
-    """Load a bank file: the zip ``save_feature_bank`` writes, or JSON
-    lines.  Every fault is a ValidationError naming the file (and, in JSON
-    lines, the line and record)."""
-    return read_input(path, "bank", len(_HEADER_KEYS), lambda header: _ZIP_DTYPES, _bank_of,
-                      _parse_bank)
-
-
-def _parse_bank(path, text: str) -> FeatureBank:
-    """The bank in the JSON-lines ``text`` of ``path``: each record line
-    goes straight to the packer, and every fault names its line."""
-    lines = text.split("\n")
-    if not lines[0].strip():
-        raise ValidationError(f"{path}: missing header line")
-    header = parse_json(lines[0], f"{path}: line 1", "header is not valid JSON")
-    if not isinstance(header, dict):
-        raise ValidationError(f"{path}: line 1: header must be an object")
-
-    def rows():
-        for lineno, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            where = f"{path}: line {lineno}"
-            obj = parse_json(line, where)
-            if not isinstance(obj, dict):
-                raise ValidationError(f"{where}: record must be an object")
-            yield f"{where}: ", obj
-
-    return _pack(rows(), header, f"{path}: line 1: ")
+    """Load the zip ``save_feature_bank`` writes.  Any other file, and every
+    fault, is a ValidationError naming the file."""
+    return read_input(path, "bank", len(_HEADER_KEYS), lambda header: _ZIP_DTYPES, _bank_of)
 
 
 # --- synthetic banks ----------------------------------------------------------

@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from .bank import (AggregationConfig, SynthSpec, bank_stats, load_feature_bank,
                    save_feature_bank, synth_generate)
-from .errors import ShapeError, ValidationError, write_json
+from .errors import ShapeError, ValidationError, _regular_target, write_json
 from .gfa import SCALE_KINDS, ScaleMode
 from .manifest import load_manifest, write_manifest
 from .scoring import (ScoreTable, compute_prior, load_prior, load_score_table, prior_stats,
@@ -131,10 +131,11 @@ def _scale_mode(cfg: dict) -> ScaleMode:
     return mode
 
 
-# Each handler runs one command from its resolved config into the existing
-# output directory and returns (exit code, inputs, outputs) for the manifest.
+# Each handler runs one command from its resolved config, writes the files
+# of ``paths`` (its ``_OUTPUTS``, keyed as there) and returns (exit code,
+# inputs) for the manifest.
 
-def _cmd_synth(cfg: dict, out: Path):
+def _cmd_synth(cfg: dict, paths: dict):
     def spec(n: int) -> SynthSpec:
         return SynthSpec(n_segments=n, dim_v=cfg["dim_v"], dim_o=cfg["dim_o"],
                          verb_vocab=cfg["verbs"], noun_vocab=cfg["nouns"],
@@ -147,15 +148,15 @@ def _cmd_synth(cfg: dict, out: Path):
 
     train_bank = synth_generate(spec(cfg["train_segments"]), cfg["seed"], "train")
     val_bank = synth_generate(spec(cfg["val_segments"]), cfg["seed"], "val")
-    train_path, val_path = out / "train.bank", out / "val.bank"
+    train_path, val_path = paths["train_bank"], paths["val_bank"]
     save_feature_bank(train_bank, train_path)
     save_feature_bank(val_bank, val_path)
     print(f"wrote {train_path} ({len(train_bank.ids)} records) and "
           f"{val_path} ({len(val_bank.ids)} records)")
-    return 0, {}, {"train_bank": str(train_path), "val_bank": str(val_path)}
+    return 0, {}
 
 
-def _cmd_train(cfg: dict, out: Path):
+def _cmd_train(cfg: dict, paths: dict):
     # The options, the model spec among them, are checked before any bank loads.
     agg = AggregationConfig(k=cfg["k"], window=cfg["window"])
     spec = ModelSpec(fusion=cfg["fusion"], scale=_scale_mode(cfg), aggregation=agg)
@@ -166,11 +167,10 @@ def _cmd_train(cfg: dict, out: Path):
     val_bank = load_feature_bank(cfg["val_bank"]) if cfg["val_bank"] else None
     model, history = train(bank, cfg["target"], spec, tc, val_bank)
 
-    ckpt_path, hist_path = out / "checkpoint.json", out / "history.json"
     save_checkpoint(Checkpoint(model=model, target=cfg["target"], dim_v=bank.dim_v,
                                dim_o=bank.dim_o, classes=target_labels(bank, cfg["target"])[1],
-                               aggregation=agg, train_config=tc), ckpt_path)
-    write_json(history, hist_path)
+                               aggregation=agg, train_config=tc), paths["checkpoint"])
+    write_json(history, paths["history"])
 
     last = history[-1]
     line = (f"epoch {last['epoch']}: loss {last['mean_loss']:.4f} "
@@ -181,34 +181,30 @@ def _cmd_train(cfg: dict, out: Path):
     inputs = {"bank": cfg["bank"]}
     if cfg["val_bank"]:
         inputs["val_bank"] = cfg["val_bank"]
-    return 0, inputs, {"checkpoint": str(ckpt_path), "history": str(hist_path)}
+    return 0, inputs
 
 
-def _cmd_eval(cfg: dict, out: Path):
+def _cmd_eval(cfg: dict, paths: dict):
     ckpt = load_checkpoint(cfg["checkpoint"])
     bank = load_feature_bank(cfg["bank"])
     labels = fit_labels(bank, ckpt.target, (ckpt.dim_v, ckpt.dim_o), ckpt.classes, "checkpoint")
     scores, _ = forward_model(*bank_inputs(ckpt.model, bank, ckpt.aggregation))
     table = ScoreTable(segment_ids=bank.ids, scores=softmax(scores), space=ckpt.target)
-    # A zip under its text-era name, which the README and perfbench pass to actions.
-    table_path = out / "scores.txt"
-    save_score_table(table, table_path)
+    save_score_table(table, paths["scores"])
 
     report: dict = {"target": ckpt.target, "segments": len(bank.ids)}
     if (labels >= 0).all():
         report.update(topk_report(table.scores, labels))
-    report_path = out / "eval_report.json"
-    write_json(report, report_path)
+    write_json(report, paths["report"])
     print(json.dumps(report))
-    return (0, {"checkpoint": cfg["checkpoint"], "bank": cfg["bank"]},
-            {"scores": str(table_path), "report": str(report_path)})
+    return 0, {"checkpoint": cfg["checkpoint"], "bank": cfg["bank"]}
 
 
 # (flag, config key) of each source of the action prior; a run takes exactly one
 _PRIOR_SOURCES = (("--prior", "prior"), ("--train-bank", "train_bank"))
 
 
-def _cmd_actions(cfg: dict, out: Path):
+def _cmd_actions(cfg: dict, paths: dict):
     sources = [flag for flag, key in _PRIOR_SOURCES if cfg[key]]
     if len(sources) != 1:
         raise _UsageError("need exactly one of --prior or --train-bank"
@@ -218,7 +214,6 @@ def _cmd_actions(cfg: dict, out: Path):
     bank = load_feature_bank(cfg["bank"])
 
     inputs = {k: cfg[k] for k in ("verb_table", "noun_table", "bank")}
-    outputs = {}
     if cfg["prior"]:
         prior = load_prior(cfg["prior"], bank.verb_vocab_size, bank.noun_vocab_size)
         inputs["prior"] = cfg["prior"]
@@ -231,24 +226,19 @@ def _cmd_actions(cfg: dict, out: Path):
     action_table, action_metrics, labels = score_actions_for_bank(
         verb_table, noun_table, prior, bank, (cfg["verb_table"], cfg["noun_table"]))
     if cfg["train_bank"]:
-        prior_path = out / "prior.npz"
-        save_prior(prior, prior_path)
-        outputs["prior"] = str(prior_path)
+        save_prior(prior, paths["prior"])
     report: dict = {"action": action_metrics, "verb": topk_report(verb_table.scores, labels[:, 0]),
                     "noun": topk_report(noun_table.scores, labels[:, 1])}
     if prior.counts is not None:
         report["prior"] = prior_stats(prior)
 
-    table_path = out / "action_scores.npz"
-    save_score_table(action_table, table_path)
-    report_path = out / "action_report.json"
-    write_json(report, report_path)
-    outputs.update({"action_scores": str(table_path), "report": str(report_path)})
+    save_score_table(action_table, paths["action_scores"])
+    write_json(report, paths["report"])
     print(json.dumps(report))
-    return 0, inputs, outputs
+    return 0, inputs
 
 
-def _cmd_gradcheck(cfg: dict, out: Path):
+def _cmd_gradcheck(cfg: dict, paths: dict):
     rng = np.random.default_rng(cfg["seed"])
     model = init_model(cfg["fusion"], cfg["dim_v"], cfg["dim_o"], cfg["classes"],
                        scale=_scale_mode(cfg), rng=rng)
@@ -266,23 +256,21 @@ def _cmd_gradcheck(cfg: dict, out: Path):
     print(f"overall  max_rel_err={max_err:.3e} tolerance={cfg['tolerance']:.1e} "
           f"{'PASS' if passed else 'FAIL'}")
 
-    report_path = out / "gradcheck_report.json"
     def finite(err):  # JSON has no inf: a non-finite gradient's error reads null
         return err if math.isfinite(err) else None
 
     write_json({"per_group": {name: finite(err) for name, err in per_group.items()},
                 "max_rel_err": finite(max_err), "tolerance": cfg["tolerance"],
-                "passed": passed}, report_path)
-    return 0 if passed else 1, {}, {"report": str(report_path)}
+                "passed": passed}, paths["report"])
+    return 0 if passed else 1, {}
 
 
-def _cmd_stats(cfg: dict, out: Path):
+def _cmd_stats(cfg: dict, paths: dict):
     bank = load_feature_bank(cfg["bank"])
     stats = bank_stats(bank, AggregationConfig(k=cfg["k"], window=cfg["window"]))
     print(json.dumps(stats, indent=1))
-    stats_path = out / "bank_stats.json"
-    write_json(stats, stats_path)
-    return 0, {"bank": cfg["bank"]}, {"stats": str(stats_path)}
+    write_json(stats, paths["stats"])
+    return 0, {"bank": cfg["bank"]}
 
 
 def _param_default(func, name: str):
@@ -372,20 +360,44 @@ _COMMANDS = {
 }
 
 
+# command -> {manifest output key: file name}: the files each command writes
+# in --out-dir besides its manifest, in the order the manifest records them.
+# eval's scores are a zip under their text-era name, which the README and
+# perfbench pass to actions; actions writes the prior only when it counts
+# one from --train-bank.
+_OUTPUTS = {
+    "synth": {"train_bank": "train.bank", "val_bank": "val.bank"},
+    "train": {"checkpoint": "checkpoint.json", "history": "history.json"},
+    "eval": {"scores": "scores.txt", "report": "eval_report.json"},
+    "actions": {"prior": "prior.npz", "action_scores": "action_scores.npz",
+                "report": "action_report.json"},
+    "gradcheck": {"report": "gradcheck_report.json"},
+    "stats": {"stats": "bank_stats.json"},
+}
+
+
 def _run(args: argparse.Namespace) -> int:
     """Resolve the command's config, run its handler in ``--out-dir`` and
-    write ``<command>.manifest.json`` there."""
+    write ``<command>.manifest.json`` there.  Every file the run will write
+    passes ``_regular_target`` first, so a refused target leaves the
+    directory as it was."""
     cfg = _effective_config(args)
     if cfg.get("seed", 0) < 0:  # numpy seeds its generators from integers >= 0
         raise ValidationError(f"seed must be >= 0, got {cfg['seed']}")
     start = time.perf_counter()
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    code, inputs, outputs = _COMMANDS[args.command][0](cfg, out)
+    paths = {key: out / name for key, name in _OUTPUTS[args.command].items()
+             if key != "prior" or cfg["train_bank"]}
+    manifest_path = out / f"{args.command}.manifest.json"
+    for path in (*paths.values(), manifest_path):
+        _regular_target(path)
+    code, inputs = _COMMANDS[args.command][0](cfg, paths)
     write_manifest({
         "command": args.command, "version": __version__, "seed": cfg.get("seed"), "config": cfg,
-        "inputs": inputs, "outputs": outputs, "duration_seconds": time.perf_counter() - start,
-    }, out / f"{args.command}.manifest.json")
+        "inputs": inputs, "outputs": {key: str(path) for key, path in paths.items()},
+        "duration_seconds": time.perf_counter() - start,
+    }, manifest_path)
     return code
 
 

@@ -1,15 +1,13 @@
-"""Exception types shared across the package, the UTF-8 reader every text
-loader uses, the strict JSON encoder every writer uses, ``parse_json``, the
-one JSON decoder every reader uses, the one codec of the JSON documents
-(checkpoints, manifests, reports, histories and stats): ``write_json`` and
-``read_json``, ``_regular_target``, the one place that asks whether a save
+"""Exception types shared across the package, the strict JSON encoder every
+writer uses, the one codec of the JSON documents (checkpoints, manifests,
+reports, histories and stats): ``write_json`` and ``read_json``, the one
+JSON decoder, ``_regular_target``, the one place that asks whether a save
 target is a regular file, for JSON documents and zips alike, ``replacing``,
 which a bank, score table or prior is saved through so that it reaches its
 file whole or not at all, ``_write_zip`` and ``_read_zip``, the one codec of
 the zip files (banks, score tables of every space and priors) and the only
-code that touches ``zipfile``, and ``read_input``, which tells a zip from
-any other file: a bank may be JSON-lines text, a score table or prior is a
-zip only."""
+code that touches ``zipfile``, and ``read_input``, which reads a bank, score
+table or prior: a zip, and no other file."""
 
 import contextlib
 import io
@@ -29,23 +27,6 @@ class ShapeError(ValueError):
 
 class ValidationError(ValueError):
     """A file, record, or configuration violates a documented contract."""
-
-
-def read_text(path, data: bytes | None = None) -> str:
-    """The UTF-8 text of ``data``, or of the file at ``path`` read whole when
-    ``data`` is None, with CRLF and a lone CR turned into LF, the one line
-    end every reader splits at.  Bytes that are not UTF-8 are a
-    ValidationError naming the file."""
-    if data is None:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: not UTF-8: {exc}") from None
-    if "\r" in text:  # most files hold none: skip two passes over the text
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text
 
 
 def strict_json(obj, **kwargs) -> str:
@@ -68,23 +49,20 @@ def write_json(obj, path) -> None:
         fh.write(text)
 
 
-def parse_json(text: str, where: str, what: str = "not valid JSON"):
-    """The value of the JSON ``text`` read at ``where`` (``path`` or ``path:
-    line N``).  Every text the decoder refuses is a ValidationError that
-    starts ``where: what:``: text that is not JSON, nesting deeper than the
-    interpreter's recursion limit, or an integer with more digits than
-    Python converts."""
-    try:
-        return json.loads(text)
-    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
-        raise ValidationError(f"{where}: {what}: {exc}") from None
-
-
 def read_json(path, fmt: str) -> dict:
     """The JSON object in the file at ``path``, once its ``format`` tag is
-    ``fmt``.  Text that is not JSON, or any other document, is a
-    ValidationError naming the file."""
-    obj = parse_json(read_text(path), path)
+    ``fmt``.  Every file it refuses is a ValidationError naming it: bytes
+    that are not UTF-8, text that is not JSON (among it nesting deeper than
+    the interpreter's recursion limit, or an integer with more digits than
+    Python converts), and any other document."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        obj = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8: {exc}") from None
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise ValidationError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(obj, dict) or obj.get("format") != fmt:
         raise ValidationError(f"{path}: not a {fmt} file")
     return obj
@@ -239,20 +217,13 @@ def _read_zip(path, fh, what: str, header_len: int, blocks, build):
         raise ValidationError(f"{path}: not a readable {what} zip: {exc}") from None
 
 
-def read_input(path, what: str, header_len: int, blocks, build, parse=None):
-    """The bank, score table or prior in the file at ``path``, opened once: a
-    zip, by its magic, goes to ``_read_zip``, and any other file is decoded
-    by ``read_text`` and goes to ``parse(path, text)``, which reads a
-    JSON-lines bank.  Without ``parse``, such a file is a ValidationError,
-    ``<path>: not a <what> zip``.  A regular file is read where it lies, any
-    other (a pipe) once."""
+def read_input(path, what: str, header_len: int, blocks, build):
+    """The bank, score table or prior in the file at ``path``, opened once
+    and read by ``_read_zip``.  A file without the zip magic is a
+    ValidationError, ``<path>: not a <what> zip``.  A regular file is read
+    where it lies, any other (a pipe) once."""
     with open(path, "rb") as fh:
         src = fh if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) else io.BytesIO(fh.read())
-        if src.read(len(_ZIP_MAGIC)) == _ZIP_MAGIC:
-            return _read_zip(path, src, what, header_len, blocks, build)
-        src.seek(0)
-        data = src.read()
-    text = read_text(path, data)
-    if parse is None:
-        raise ValidationError(f"{path}: not a {what} zip")
-    return parse(path, text)
+        if src.read(len(_ZIP_MAGIC)) != _ZIP_MAGIC:
+            raise ValidationError(f"{path}: not a {what} zip")
+        return _read_zip(path, src, what, header_len, blocks, build)

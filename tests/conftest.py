@@ -1,14 +1,12 @@
 """Shared test helpers: independent central-difference and 5-point gradient oracles,
 exact bank equality, a dense action prior from listed pairs, the dense
 oracle of ``actions``, the record-by-record synthetic bank generator and
-aggregation chain, the
-JSON-lines bank writer, the sidecar that earlier builds wrote beside it,
-the reference zip writer, the ways to damage a zip (a bank, a score table
-or a prior) and the per-batch-scaling training loop."""
+aggregation chain, a JSON-lines bank and the sidecar that earlier builds
+wrote beside one, the reference zip writer, the ways to damage a zip (a
+bank, a score table or a prior) or to replace a bank zip's ids, and the
+per-batch-scaling training loop."""
 
-import hashlib
 import io
-import json
 import re
 import struct
 import zipfile
@@ -114,39 +112,21 @@ def dense_action_oracle(pv, pn, prior, labels):
             kept, np.take_along_axis(reweighted, kept, 1))
 
 
-def bank_text(bank: FeatureBank) -> bytes:
-    """The bank as JSON lines, the text input format of ``load_feature_bank``:
-    the header line, then each record's line from its slices of the blocks,
-    with every float at full ``repr`` precision."""
-    lines = [json.dumps({k: getattr(bank, k) for k in ("dim_v", "dim_o", "verb_vocab_size",
-                                                       "noun_vocab_size")},
-                        separators=(",", ":"))]
-    ends = np.cumsum(bank.counts).tolist()
-    for i, (seg_id, center, start, end, pair) in enumerate(zip(
-            bank.ids, bank.centers.tolist(), [0] + ends, ends, bank.labels.tolist())):
-        dets = zip(bank.frames[start:end].tolist(), bank.scores[start:end].tolist(),
-                   bank.features[start:end].tolist())
-        lines.append(json.dumps({
-            "segment_id": seg_id, "clip_feature": bank.clip[i].tolist(), "center": center,
-            "detections": [{"frame": frame, "score": score, "feature": feature}
-                           for frame, score, feature in dets],
-            **{key: label for key, label in zip(("verb", "noun"), pair) if label != -1},
-        }, separators=(",", ":")))
-    return "".join(line + "\n" for line in lines).encode("utf-8")
+# A JSON-lines bank as earlier builds read it: a header line, then one
+# record object per line.  No loader reads it now.
+OLD_JSON_LINES_BANK = (
+    b'{"dim_v":2,"dim_o":2,"verb_vocab_size":2,"noun_vocab_size":3}\n'
+    b'{"segment_id":"s0","clip_feature":[1.0,2.0],"center":10,"detections":['
+    b'{"frame":10,"score":0.5,"feature":[0.1,0.2]}],"verb":0,"noun":1}\n'
+    b'{"segment_id":"s1","clip_feature":[0.5,-1.0],"center":20,"detections":[],"noun":2}\n')
 
 
-def write_bank_text(bank: FeatureBank, path):
-    """Write ``bank`` to ``path`` as JSON lines (``bank_text``); returns the path."""
-    path.write_bytes(bank_text(bank))
-    return path
-
-
-def write_old_sidecar(bank: FeatureBank, text: bytes, path) -> None:
-    """The ``<bank>.npz`` sidecar that earlier builds wrote beside the JSON
-    lines ``text``: a "digest" member holding its SHA-256, then the zip
-    bank's members."""
+def write_old_sidecar(bank: FeatureBank, path) -> None:
+    """The ``<bank>.npz`` sidecar that earlier builds wrote beside a
+    JSON-lines bank: a "digest" member holding the SHA-256 of that text
+    (zeros here: no loader compares it), then the zip bank's members."""
     ids = "".join(seg_id + "\n" for seg_id in bank.ids).encode("utf-8")
-    members = {"digest": np.frombuffer(hashlib.sha256(text).digest(), dtype=np.uint8),
+    members = {"digest": np.zeros(32, dtype=np.uint8),
                "header": np.array([bank.dim_v, bank.dim_o, bank.verb_vocab_size,
                                    bank.noun_vocab_size], dtype=np.int64),
                "clip": bank.clip, "features": bank.features, "frames": bank.frames,
@@ -257,6 +237,19 @@ def damage_zip(path, kind: str) -> None:
     with zipfile.ZipFile(path, "w", compression) as zf:
         for name, raw in members.items():
             zf.writestr(name, raw)
+
+
+def replace_zip_ids(path, ids: list[str]) -> None:
+    """Rewrite the ``ids`` member of the bank zip at ``path`` to hold
+    ``ids``, each encoded as UTF-8 (a lone surrogate as its three bytes,
+    which no UTF-8 decoder takes) and followed by a newline."""
+    with zipfile.ZipFile(path) as zf:
+        members = {info.filename: zf.read(info) for info in zf.infolist()}
+    raw = "".join(seg_id + "\n" for seg_id in ids).encode("utf-8", "surrogatepass")
+    members["ids.npy"] = _npy(np.frombuffer(raw, dtype=np.uint8))
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, data in members.items():
+            zf.writestr(name, data)
 
 
 def banks_equal(a: FeatureBank, b: FeatureBank) -> bool:

@@ -1,6 +1,5 @@
 import ast
 import dataclasses
-import json
 import os
 import re
 import subprocess
@@ -20,12 +19,12 @@ from gatedfusion import bank as bank_module
 from gatedfusion.bank import (PAIR_COUNT_THRESHOLD, AggregationConfig, Detection, FeatureBank,
                               SegmentRecord, SynthSpec, bank_features, bank_stats,
                               load_feature_bank, save_feature_bank, synth_generate)
-from gatedfusion.errors import _ZIP_MAGIC, ValidationError, read_text
+from gatedfusion.errors import _ZIP_MAGIC, ValidationError, read_json
 from gatedfusion.scoring import ScoreTable, load_score_table, save_score_table
 
-from conftest import (ZIP_DAMAGE, aggregate_object_feature, bank_text, banks_equal,
-                      damage_zip, reference_synth_generate,
-                      reference_zip, write_bank_text, write_old_sidecar)
+from conftest import (OLD_JSON_LINES_BANK, ZIP_DAMAGE, aggregate_object_feature, banks_equal,
+                      damage_zip, reference_synth_generate, reference_zip, replace_zip_ids,
+                      write_old_sidecar)
 
 
 def det(frame, score, *feat):
@@ -241,122 +240,63 @@ class TestBankFeatures:
         assert peak < 32 * 2**20
 
 
-def _bank_file_lines():
-    header = {"dim_v": 2, "dim_o": 2, "verb_vocab_size": 3, "noun_vocab_size": 4}
-    recs = [
-        {"segment_id": "a", "clip_feature": [1.0, 2.0], "center": 10,
-         "detections": [{"frame": 10, "score": 0.5, "feature": [0.1, 0.2]}],
-         "verb": 0, "noun": 1},
-        {"segment_id": "b", "clip_feature": [0.5, -1.0], "center": 20,
-         "detections": [], "verb": 2, "noun": 3},
-        {"segment_id": "c", "clip_feature": [0.0, 0.0], "center": 30,
-         "detections": [{"frame": 29, "score": 1.0, "feature": [5.0, 6.0]},
-                        {"frame": 31, "score": 0.0, "feature": [7.0, 8.0]}]},
+_SMALL_HEADER = {"dim_v": 2, "dim_o": 2, "verb_vocab_size": 3, "noun_vocab_size": 4}
+
+
+def _small_records():
+    """Records 'a', 'b' and 'c' of a small bank of ``_SMALL_HEADER``."""
+    return [
+        SegmentRecord("a", np.array([1.0, 2.0]), 10, [det(10, 0.5, 0.1, 0.2)], 0, 1),
+        SegmentRecord("b", np.array([0.5, -1.0]), 20, [], 2, 3),
+        SegmentRecord("c", np.array([0.0, 0.0]), 30, [det(29, 1.0, 5.0, 6.0),
+                                                     det(31, 0.0, 7.0, 8.0)]),
     ]
-    return [json.dumps(header)] + [json.dumps(r) for r in recs]
+
+
+def _small_bank(records=None) -> FeatureBank:
+    return FeatureBank.from_records(_small_records() if records is None else records,
+                                    **_SMALL_HEADER)
 
 
 class TestLoader:
     def test_well_formed(self, tmp_path):
-        path = tmp_path / "ok.bank"
-        path.write_text("\n".join(_bank_file_lines()) + "\n", encoding="utf-8")
-        bank = load_feature_bank(path)
+        bank = load_feature_bank(_saved(tmp_path))
         assert len(bank.records) == 3
         assert bank.records[0].verb_label == 0
         assert bank.records[2].noun_label is None
         assert np.array_equal(bank.records[1].clip_feature, [0.5, -1.0])
 
-    def test_label_out_of_range_names_record(self, tmp_path):
-        lines = _bank_file_lines()
-        rec = json.loads(lines[1])
-        rec["noun"] = 9
-        lines[1] = json.dumps(rec)
-        path = tmp_path / "bad.bank"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    def test_label_out_of_range_names_record(self):
+        recs = _small_records()
+        recs[0] = dataclasses.replace(recs[0], noun_label=9)
         with pytest.raises(ValidationError, match="'a'.*noun label 9"):
-            load_feature_bank(path)
+            _small_bank(recs)
 
-    def test_mixed_object_dims_rejected(self, tmp_path):
-        lines = _bank_file_lines()
-        rec = json.loads(lines[3])
-        rec["detections"][0]["feature"] = [1.0, 2.0, 3.0]
-        lines[3] = json.dumps(rec)
-        path = tmp_path / "bad.bank"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    def test_mixed_object_dims_rejected(self):
+        recs = _small_records()
+        recs[2].detections[0] = det(29, 1.0, 1.0, 2.0, 3.0)
         with pytest.raises(ValidationError, match="dim_o=2"):
-            load_feature_bank(path)
+            _small_bank(recs)
 
-    def test_duplicate_segment_id(self, tmp_path):
-        lines = _bank_file_lines()
-        lines.append(lines[1])
-        path = tmp_path / "dup.bank"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    def test_duplicate_segment_id(self):
+        recs = _small_records()
         with pytest.raises(ValidationError, match="duplicate segment_id"):
-            load_feature_bank(path)
+            _small_bank(recs + recs[:1])
 
-    def test_parse_error_reports_line(self, tmp_path):
-        lines = _bank_file_lines()
-        lines[2] = "{not json"
-        path = tmp_path / "parse.bank"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(ValidationError, match="line 3"):
-            load_feature_bank(path)
+    def test_json_bytes_that_are_not_utf8_name_the_file(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_bytes(b'{"format": "x", "a": "b\xff"}\n')
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: not UTF-8: ")):
+            read_json(path, "x")
 
-    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
-    def test_crlf_and_cr_banks_load_and_count_lines_alike(self, tmp_path, newline):
-        lines = _bank_file_lines()
-        want = load_feature_bank(_write_lines(tmp_path / "lf.bank", lines))
-        path = tmp_path / "crlf.bank"
-        path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
-        assert banks_equal(load_feature_bank(path), want)
-        lines[2] = "{not json"
-        path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
-        with pytest.raises(ValidationError, match=f"{re.escape(str(path))}: line 3: not valid"):
-            load_feature_bank(path)
-
-    def test_read_bytes_get_text_mode_newlines(self, tmp_path):
-        path = tmp_path / "t.txt"
-        path.write_bytes("a\r\nb\rc\n\r\r\nd\r\r\x85e\r".encode("utf-8"))
-        assert read_text(path, path.read_bytes()) == read_text(path) == "a\nb\nc\n\n\nd\n\n\x85e\n"
-
-    @settings(max_examples=200, deadline=None)
-    @given(text=st.lists(st.sampled_from(["a", "\r", "\n", "\r\n", "\x85", "\u2028", "é"]))
-           .map("".join))
-    def test_read_text_decodes_as_text_mode_does(self, text):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "t.txt"
-            path.write_bytes(text.encode("utf-8"))
-            with open(path, encoding="utf-8") as fh:
-                want = fh.read()
-            assert read_text(path) == read_text(path, path.read_bytes()) == want
-
-    def test_bytes_that_are_not_utf8_name_the_file(self, tmp_path):
-        path = tmp_path / "t.txt"
-        path.write_bytes(b"a\r\nb\xff\n")
-        for data in (None, path.read_bytes()):
-            with pytest.raises(ValidationError, match=re.escape(f"{path}: not UTF-8: ")):
-                read_text(path, data)
-
-    def test_missing_header(self, tmp_path):
-        path = tmp_path / "empty.bank"
-        path.write_text("", encoding="utf-8")
-        with pytest.raises(ValidationError, match="header"):
-            load_feature_bank(path)
-
-    def test_score_out_of_range(self, tmp_path):
-        lines = _bank_file_lines()
-        rec = json.loads(lines[1])
-        rec["detections"][0]["score"] = 1.5
-        lines[1] = json.dumps(rec)
-        path = tmp_path / "score.bank"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    def test_score_out_of_range(self):
+        recs = _small_records()
+        recs[0].detections[0] = det(10, 1.5, 0.1, 0.2)
         with pytest.raises(ValidationError, match="score"):
-            load_feature_bank(path)
+            _small_bank(recs)
 
     def test_roundtrip_equal_and_stable_bytes(self, tmp_path):
-        src = tmp_path / "src.bank"
-        src.write_text("\n".join(_bank_file_lines()) + "\n", encoding="utf-8")
-        bank = load_feature_bank(src)
+        bank = load_feature_bank(_saved(tmp_path))
         out1 = tmp_path / "out1.bank"
         save_feature_bank(bank, out1)
         bank2 = load_feature_bank(out1)
@@ -701,18 +641,6 @@ class TestBankValidate:
         with pytest.raises(ValidationError, match="record 'b': clip_feature has non-finite"):
             bank_with([ok])
 
-    @pytest.mark.parametrize("space,size", [("verb", 3), ("noun", 4)])
-    def test_explicit_label_minus_one_rejected_in_a_bank_file(self, tmp_path, space, size):
-        lines = _bank_file_lines()
-        rec = json.loads(lines[1])
-        rec[space] = -1
-        lines[1] = json.dumps(rec)
-        path = tmp_path / "neg.bank"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(ValidationError,
-                           match=rf"record 'a': {space} label -1 out of range \[0, {size}\)"):
-            load_feature_bank(path)
-
     @pytest.mark.parametrize("space", ["verb", "noun"])
     def test_explicit_label_minus_one_rejected_from_records(self, space):
         rec = SegmentRecord(segment_id="z", clip_feature=np.zeros(2), clip_center_frame=0,
@@ -731,28 +659,24 @@ class TestBankValidate:
                                      noun_vocab_size=1)
 
     @pytest.mark.parametrize("field", ["center", "frame"])
-    def test_integer_outside_int64_rejected(self, tmp_path, field):
-        lines = _bank_file_lines()
-        rec = json.loads(lines[1])
+    def test_integer_outside_int64_rejected(self, field):
+        recs = _small_records()
         if field == "center":
-            rec["center"] = 10**30
+            recs[0] = dataclasses.replace(recs[0], clip_center_frame=10**30)
         else:
-            rec["detections"][0]["frame"] = -10**30
-        lines[1] = json.dumps(rec)
-        path = tmp_path / "big.bank"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            recs[0].detections[0] = Detection(-10**30, 0.5, np.array([0.1, 0.2]))
         with pytest.raises(ValidationError, match=f"record 'a': .*{field} .* does not fit in int64"):
-            load_feature_bank(path)
+            _small_bank(recs)
 
     @pytest.mark.parametrize("name,kind", [
         *[(name, np.float64) for name in ("frames", "centers", "labels", "counts")],
         *[(name, kind) for name in ("clip", "scores", "features")
           for kind in (np.float32, np.int64)],
         *[(name, list) for name in bank_module._BLOCKS]])
-    def test_block_of_wrong_dtype_rejected(self, tmp_path, name, kind):
+    def test_block_of_wrong_dtype_rejected(self, name, kind):
         # float frames and labels (0.5 too) used to validate, and
         # bank_features then read the float bits as integers
-        bank = load_feature_bank(_write_lines(tmp_path / "ok.bank"))
+        bank = _small_bank()
         block = getattr(bank, name)
         bad = block.tolist() if kind is list else block.astype(kind)
         with pytest.raises(ValidationError, match=f"bank block '{name}' must be an array of"):
@@ -768,27 +692,24 @@ class TestBankValidate:
         ("frames", lambda b: b.frames.astype(np.float64),
          "bank block 'frames' must be an array of int64, got float64"),
     ], ids=["label-99", "counts-short", "clip-nan", "repeated-id", "float-frames"])
-    def test_a_bank_that_does_not_validate_cannot_be_built(self, tmp_path, name, fault, message):
+    def test_a_bank_that_does_not_validate_cannot_be_built(self, name, fault, message):
         # Such a bank once reached compute_prior, train and bank_stats, which
         # failed on it with numpy's errors or reported NaN.
-        bank = load_feature_bank(_write_lines(tmp_path / "ok.bank"))
+        bank = _small_bank()
         with pytest.raises(ValidationError) as from_replace:
             dataclasses.replace(bank, **{name: fault(bank)})
         assert str(from_replace.value) == message
 
 
 def _bank_built(how: str, tmp_path) -> FeatureBank:
-    """The ``_bank_file_lines`` bank (a synthetic one for ``synth_generate``),
+    """The ``_small_records`` bank (a synthetic one for ``synth_generate``),
     built ``how``; the constructor and ``replace`` are given writable blocks
     and an id list."""
-    src = load_feature_bank(_write_lines(tmp_path / "src.bank"))
+    src = _small_bank()
     fresh = {name: getattr(src, name).copy() for name in bank_module._BLOCKS}
     if how == "synth_generate":
         return synth_generate(SynthSpec(n_segments=5), 1)
     if how == "from_records":
-        return FeatureBank.from_records(src.records, dim_v=2, dim_o=2, verb_vocab_size=3,
-                                        noun_vocab_size=4)
-    if how == "json-lines":
         return src
     if how == "zip":
         return load_feature_bank(_saved(tmp_path, src))
@@ -801,8 +722,8 @@ def _bank_built(how: str, tmp_path) -> FeatureBank:
 
 
 class TestBankIsFrozen:
-    @pytest.mark.parametrize("how", ["synth_generate", "from_records", "json-lines", "zip",
-                                     "constructor", "replace"])
+    @pytest.mark.parametrize("how", ["synth_generate", "from_records", "zip", "constructor",
+                                     "replace"])
     def test_a_bank_cannot_change_however_it_is_built(self, tmp_path, how):
         bank = _bank_built(how, tmp_path)
         assert type(bank.ids) is tuple and _read_only(bank)
@@ -843,39 +764,34 @@ class TestSegmentIdRule:
             FeatureBank.from_records([record([]), record([], seg_id=seg_id)], dim_v=2, dim_o=2,
                                      verb_vocab_size=1, noun_vocab_size=1)
         assert str(from_records.value) == _id_fault(seg_id)
-        lines = _bank_file_lines()
-        rec = json.loads(lines[2])
-        rec["segment_id"] = seg_id
-        lines[2] = json.dumps(rec)  # ASCII: every breaker but the space is escaped
-        path = _write_lines(tmp_path / "x.bank", lines)
+        path = _saved(tmp_path)
+        replace_zip_ids(path, ["a", seg_id, "c"])
         with pytest.raises(ValidationError) as from_file:
             load_feature_bank(path)
-        assert str(from_file.value) == f"{path}: line 3: {_id_fault(seg_id)}"
-        bank = load_feature_bank(_write_lines(tmp_path / "ok.bank"))
+        # "\n" ends an id in the zip, and UTF-8 cannot hold a lone surrogate.
+        if seg_id == "a\nb":
+            assert str(from_file.value) == f"{path}: bank needs 4 detection counts >= 0, one per id"
+        elif "\ud800" <= seg_id[1:2] <= "\udfff":
+            assert str(from_file.value).startswith(
+                f"{path}: not a readable bank zip: 'utf-8' codec can't decode")
+        else:
+            assert str(from_file.value) == f"{path}: {_id_fault(seg_id)}"
         with pytest.raises(ValidationError) as from_replace:
-            dataclasses.replace(bank, ids=["a", seg_id, "c"])
+            dataclasses.replace(_small_bank(), ids=["a", seg_id, "c"])
         assert str(from_replace.value) == _id_fault(seg_id)
 
-    @pytest.mark.parametrize("breaker", ["\x85", "\u2028", "\u2029"])
-    def test_raw_line_separator_in_an_id_is_the_id_rule_on_its_line(self, tmp_path, breaker):
-        # JSON lets these stand unescaped in a string; only "\n" ends a line.
-        lines = _bank_file_lines()
-        rec = json.loads(lines[2])
-        rec["segment_id"] = f"x{breaker}y"
-        lines[2] = json.dumps(rec, ensure_ascii=False)
-        path = _write_lines(tmp_path / "x.bank", lines)
-        with pytest.raises(ValidationError) as exc:
-            load_feature_bank(path)
-        assert str(exc.value) == f"{path}: line 3: {_id_fault(f'x{breaker}y')}"
-
-    def test_bad_id_is_named_before_a_fault_on_a_later_line(self, tmp_path):
-        lines = _bank_file_lines()
-        first, last = json.loads(lines[1]), json.loads(lines[3])
-        first["segment_id"], last["clip_feature"] = "a b", [1.0]
-        lines[1], lines[3] = json.dumps(first), json.dumps(last)
-        path = _write_lines(tmp_path / "x.bank", lines)
-        with pytest.raises(ValidationError, match=re.escape(f"{path}: line 2: {_id_fault('a b')}")):
-            load_feature_bank(path)
+    def test_bad_id_is_named_before_a_fault_on_a_later_row(self):
+        recs = _small_records()
+        recs[0] = dataclasses.replace(recs[0], segment_id="a b")
+        recs[2] = dataclasses.replace(recs[2], clip_feature=np.array([1.0]))
+        with pytest.raises(ValidationError) as from_records:
+            _small_bank(recs)
+        bank = _small_bank()
+        with pytest.raises(ValidationError) as from_replace:
+            dataclasses.replace(bank, ids=["a b", "b", "c"],
+                                clip=np.where([[False] * 2, [False] * 2, [True, False]], np.nan,
+                                              bank.clip))
+        assert str(from_records.value) == str(from_replace.value) == _id_fault("a b")
 
     def test_nul_non_ascii_and_astral_ids_are_stored_as_utf8_lines(self, tmp_path):
         ids = ["\x00", "é", "\U0001f600", '"\\']
@@ -885,9 +801,7 @@ class TestSegmentIdRule:
         with np.load(path, allow_pickle=False) as npz:
             assert "id_lengths.npy" not in npz.zip.namelist()
             assert npz["ids"].tobytes() == "".join(i + "\n" for i in ids).encode("utf-8")
-        with _json_parse_forbidden():
-            assert load_feature_bank(path).ids == tuple(ids)
-        assert load_feature_bank(write_bank_text(bank, tmp_path / "t.bank")).ids == tuple(ids)
+        assert load_feature_bank(path).ids == tuple(ids)
 
 
 # --- zip banks ------------------------------------------------------------------
@@ -936,26 +850,10 @@ def _read_only(bank: FeatureBank) -> bool:
                 or any(d.feature.flags.writeable for d in r.detections) for r in bank.records)
 
 
-def _json_parse_forbidden():
-    return mock.patch.object(bank_module, "_parse_bank",
-                             side_effect=AssertionError("a zip bank parsed as JSON lines"))
-
-
-def _json_parse_spy():
-    return mock.patch.object(bank_module, "_parse_bank", wraps=bank_module._parse_bank)
-
-
 def _saved(tmp_path, bank=None):
-    """Save ``bank`` (default: the ``_bank_file_lines`` bank) and return its path."""
-    if bank is None:
-        bank = load_feature_bank(_write_lines(tmp_path / "src.bank"))
+    """Save ``bank`` (default: the ``_small_records`` bank) and return its path."""
     path = tmp_path / "b.bank"
-    save_feature_bank(bank, path)
-    return path
-
-
-def _write_lines(path, lines=None):
-    path.write_text("\n".join(lines or _bank_file_lines()) + "\n", encoding="utf-8")
+    save_feature_bank(_small_bank() if bank is None else bank, path)
     return path
 
 
@@ -995,14 +893,10 @@ _ZIP_FAULTS = {
 class TestBankZip:
     @settings(max_examples=150, deadline=None)
     @given(bank=_banks())
-    def test_zip_and_json_lines_agree(self, bank):
+    def test_zip_loads_the_bits_it_saved(self, bank):
         with tempfile.TemporaryDirectory() as tmp:
-            path = _saved(Path(tmp), bank)
-            with _json_parse_forbidden():
-                from_zip = load_feature_bank(path)
-            from_json = load_feature_bank(write_bank_text(bank, Path(tmp) / "t.bank"))
-        assert _same_bits(from_zip, bank) and _same_bits(from_json, bank)
-        assert _read_only(from_zip) and _read_only(from_json)
+            from_zip = load_feature_bank(_saved(Path(tmp), bank))
+        assert _same_bits(from_zip, bank) and _read_only(from_zip)
 
     def test_empty_blocks_round_trip(self, tmp_path):
         bank = FeatureBank.from_records([], dim_v=3, dim_o=2, verb_vocab_size=1,
@@ -1010,8 +904,7 @@ class TestBankZip:
         path = _saved(tmp_path, bank)
         with np.load(path, allow_pickle=False) as npz:
             assert npz["clip"].shape == (0, 3) and npz["features"].shape == (0, 2)
-        with _json_parse_forbidden():
-            assert _same_bits(load_feature_bank(path), bank)
+        assert _same_bits(load_feature_bank(path), bank)
         bank = FeatureBank.from_records(
             [SegmentRecord(segment_id="z", clip_feature=np.ones(3), clip_center_frame=4,
                            detections=[])], dim_v=3, dim_o=2, verb_vocab_size=1,
@@ -1020,43 +913,43 @@ class TestBankZip:
         with np.load(path, allow_pickle=False) as npz:
             assert npz["clip"].shape == (1, 3) and npz["features"].shape == (0, 2)
             assert npz["labels"].tolist() == [[-1, -1]]
-        with _json_parse_forbidden():
-            assert _same_bits(load_feature_bank(path), bank)
+        assert _same_bits(load_feature_bank(path), bank)
 
-    def test_a_leftover_sidecar_beside_json_lines_is_never_opened(self, tmp_path):
-        # The sidecar an earlier build wrote, tagged with the text's digest,
-        # holds other blocks: only the text is read, and it is parsed.
-        bank = load_feature_bank(_write_lines(tmp_path / "src.bank"))
-        path = write_bank_text(bank, tmp_path / "b.bank")
-        sidecar = Path(f"{path}.npz")
-        write_old_sidecar(dataclasses.replace(bank, clip=bank.clip + 1.0), path.read_bytes(),
-                          sidecar)
-        with mock.patch("builtins.open", wraps=open) as opened, _json_parse_spy() as spy:
+    def test_a_leftover_sidecar_beside_the_bank_is_never_opened(self, tmp_path):
+        # The sidecar an earlier build wrote holds other blocks: only the
+        # named file is read.
+        bank = _small_bank()
+        path = _saved(tmp_path, bank)
+        write_old_sidecar(dataclasses.replace(bank, clip=bank.clip + 1.0), Path(f"{path}.npz"))
+        with mock.patch("builtins.open", wraps=open) as opened:
             loaded = load_feature_bank(path)
         assert [call.args[0] for call in opened.call_args_list] == [path]
-        assert spy.call_count == 1
         assert _same_bits(loaded, bank)
 
     @pytest.mark.parametrize("kind", ZIP_DAMAGE)
     def test_unusable_zip_is_a_fault_naming_the_file(self, tmp_path, kind):
         path = _saved(tmp_path)
         damage_zip(path, kind)
-        with _json_parse_forbidden(), pytest.raises(ValidationError) as exc:
+        with pytest.raises(ValidationError) as exc:
             load_feature_bank(path)
         assert str(exc.value).startswith(f"{path}: {_ZIP_FAULTS[kind]}")
 
-    @pytest.mark.parametrize("kind", ["empty", "junk after the magic", "bare npy"])
+    @pytest.mark.parametrize("kind", ["empty", "junk after the magic", "bare npy",
+                                      "earlier json lines"])
     def test_a_file_that_is_no_zip_is_a_fault_naming_the_file(self, tmp_path, kind):
         path = tmp_path / "b.bank"
-        if kind == "bare npy":  # not the zip magic, so it is read as JSON lines
+        if kind == "bare npy":
             with open(path, "wb") as fh:
                 np.save(fh, np.zeros(3), allow_pickle=False)
         else:
-            path.write_bytes(b"" if kind == "empty" else _ZIP_MAGIC + b"junk" * 50)
-        message = {"empty": "missing header line", "bare npy": "not UTF-8",
-                   "junk after the magic": "not a readable bank zip"}[kind]
-        with pytest.raises(ValidationError, match=re.escape(f"{path}: {message}")):
+            path.write_bytes({"empty": b"", "earlier json lines": OLD_JSON_LINES_BANK,
+                              "junk after the magic": _ZIP_MAGIC + b"junk" * 50}[kind])
+        with pytest.raises(ValidationError) as exc:
             load_feature_bank(path)
+        if kind == "junk after the magic":
+            assert str(exc.value).startswith(f"{path}: not a readable bank zip: ")
+        else:  # no zip magic
+            assert str(exc.value) == f"{path}: not a bank zip"
 
     @settings(max_examples=150, deadline=None)
     @given(cut=st.none() | st.integers(0, 10**6),
@@ -1124,7 +1017,7 @@ class TestBankZip:
         # UTF-32 code points with one count per id in "id_lengths".
         bank = _multibyte_id_bank()
         sidecar = tmp_path / "b.bank.npz"
-        write_old_sidecar(bank, bank_text(bank), sidecar)
+        write_old_sidecar(bank, sidecar)
         if ids == "utf-32 with lengths":
             with np.load(sidecar, allow_pickle=False) as npz:
                 members = {name: npz[name] for name in npz.files}
@@ -1133,7 +1026,7 @@ class TestBankZip:
             members["id_lengths"] = np.array([len(i) // 4 for i in utf32], dtype=np.int64)
             with open(sidecar, "wb") as fh:
                 np.savez(fh, **members)
-        with _json_parse_forbidden(), pytest.raises(ValidationError) as exc:
+        with pytest.raises(ValidationError) as exc:
             load_feature_bank(sidecar)
         assert str(exc.value).startswith(f"{sidecar}: bank members are ['digest.npy', ")
 
@@ -1181,8 +1074,7 @@ class TestBankZip:
         path = _saved(tmp_path, bank)
         tracemalloc.start()
         try:
-            with _json_parse_forbidden():
-                loaded = load_feature_bank(path)
+            loaded = load_feature_bank(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1191,14 +1083,15 @@ class TestBankZip:
         assert peak < 2.0 * blocks
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-    @pytest.mark.parametrize("form", ["zip", "json lines", "score table zip"])
+    @pytest.mark.parametrize("form", ["zip", "earlier json lines", "score table zip"])
     def test_a_pipe_loads_from_its_one_read(self, tmp_path, form):
-        # Banks and score tables share one reader, so a pipe of either loads.
+        # Banks and score tables share one reader, so a pipe of either loads,
+        # and a pipe of anything but a zip is refused after its one read.
         bank = synth_generate(SynthSpec(n_segments=20), 3)
         table = ScoreTable(list(bank.ids), bank.clip, "verb")
         path = tmp_path / "src"
         {"zip": lambda: save_feature_bank(bank, path),
-         "json lines": lambda: write_bank_text(bank, path),
+         "earlier json lines": lambda: path.write_bytes(OLD_JSON_LINES_BANK),
          "score table zip": lambda: save_score_table(table, path)}[form]()
         fifo = tmp_path / "fifo"
         os.mkfifo(fifo)
@@ -1207,20 +1100,25 @@ class TestBankZip:
                                    "open(sys.argv[1], 'rb').read())",
                                    str(path), str(fifo)])
         try:
-            loaded = (load_score_table if form.startswith("score") else load_feature_bank)(fifo)
+            try:
+                loaded = (load_score_table if form.startswith("score") else load_feature_bank)(fifo)
+            except ValidationError as exc:
+                loaded = exc
             assert writer.wait(timeout=60) == 0
         finally:  # a writer left blocked on the pipe ends with the test
             writer.kill()
             writer.wait()
-        if form.startswith("score"):
+        if form == "earlier json lines":
+            assert str(loaded) == f"{fifo}: not a bank zip"
+        elif form.startswith("score"):
             assert (loaded.segment_ids, loaded.space) == (table.segment_ids, table.space)
             assert loaded.scores.tobytes() == table.scores.tobytes()
         else:
             assert _same_bits(loaded, bank)
 
 
-# The banks whose zip and JSON-lines forms must load to the same bits: the
-# README walkthrough's (seed 7), criterion 4's (seed 42) and the benchmark's.
+# The banks whose zips must load to the bits saved: the README
+# walkthrough's (seed 7), criterion 4's (seed 42) and the benchmark's.
 _WALKTHROUGH_SPEC = SynthSpec(n_segments=400, verb_vocab=5, noun_vocab=12, pairs_per_verb=3,
                               noise=0.25)
 _CRITERION_4_SPEC = SynthSpec(n_segments=500, mismatch=1e3, noise=0.35, amplitude_jitter=1.5,
@@ -1234,16 +1132,14 @@ _ROUND_TRIP_BANKS = {
 }
 
 
-class TestZipAgainstJsonLines:
+class TestRoundTripBanks:
     @pytest.mark.parametrize("name", _ROUND_TRIP_BANKS)
-    def test_zip_loads_the_bits_its_json_lines_parse_to(self, tmp_path, name):
+    def test_zip_loads_the_bits_synth_generate_built(self, tmp_path, name):
         seed, banks = _ROUND_TRIP_BANKS[name]
         for spec, split in banks:
             bank = synth_generate(spec, seed, split)
             save_feature_bank(bank, tmp_path / f"{split}.bank")
-            from_zip = load_feature_bank(tmp_path / f"{split}.bank")
-            text = write_bank_text(bank, tmp_path / f"{split}.jsonl")
-            assert _same_bits(from_zip, load_feature_bank(text)), split
+            assert _same_bits(load_feature_bank(tmp_path / f"{split}.bank"), bank), split
 
     def test_walkthrough_spec_is_the_readme_synth(self, tmp_path):
         from gatedfusion.cli import main
@@ -1258,23 +1154,9 @@ class TestZipAgainstJsonLines:
 
 
 def _row_x(center=10, score=0.5, clip=(1.0, 2.0), feature=(0.1, 0.2), verb=0, noun=1):
-    """Record 'x' as a ``SegmentRecord`` and as a bank file line."""
-    rec = SegmentRecord("x", np.array(clip), center, [Detection(10, score, np.array(feature))],
-                        verb, noun)
-    line = json.dumps({"segment_id": "x", "clip_feature": list(clip), "center": center,
-                       "detections": [{"frame": 10, "score": score, "feature": list(feature)}],
-                       "verb": verb, "noun": noun})
-    return rec, line
-
-
-_PINNED_BANK_TEXT = (
-    '{"dim_v":2,"dim_o":2,"verb_vocab_size":2,"noun_vocab_size":3}\n'
-    '{"segment_id":"\\u00e9-1","clip_feature":[-0.0,5e-324],"center":7,"detections":['
-    '{"frame":6,"score":0.25,"feature":[1.5,-2.0]},'
-    '{"frame":9,"score":1.0,"feature":[0.1,1e+300]}],"verb":1,"noun":0}\n'
-    '{"segment_id":"b","clip_feature":[1.0,2.0],"center":-3,"detections":['
-    '{"frame":-3,"score":0.0,"feature":[-0.0,5e-324]}]}\n'
-    '{"segment_id":"c","clip_feature":[0.5,-0.25],"center":0,"detections":[],"noun":2}\n')
+    """Record 'x' as a ``SegmentRecord``."""
+    return SegmentRecord("x", np.array(clip), center, [Detection(10, score, np.array(feature))],
+                         verb, noun)
 
 
 class TestBlockCodec:
@@ -1286,26 +1168,21 @@ class TestBlockCodec:
         ({"score": True}, "detection 0 score must be a number"),
         ({"score": 10**400}, "detection 0 score must be a number"),
         ({"clip": (1.0, 2.0, 3.0)}, "clip_feature has dim 3, bank declares dim_v=2"),
+        ({"clip": (10**400, 2.0)}, "clip_feature must be an array of numbers"),
         ({"feature": (float("nan"), 0.0)}, "detection 0 feature has non-finite entries"),
+        ({"feature": (10**400, 0.0)}, "detection 0 feature must be an array of numbers"),
         ({"verb": -1}, "verb label -1 out of range [0, 3)"),
         ({"noun": 4}, "noun label 4 out of range [0, 4)"),
     ], ids=["center-str", "center-bool", "center-10**30", "score-str", "score-bool",
-            "score-10**400", "clip-dim", "feature-nan", "label--1", "label-past-vocab"])
-    def test_records_and_bank_files_fail_alike(self, tmp_path, fault, message):
-        rec, line = _row_x(**fault)
-        good = load_feature_bank(_write_lines(tmp_path / "ok.bank")).records
+            "score-10**400", "clip-dim", "clip-10**400", "feature-nan", "feature-10**400",
+            "label--1", "label-past-vocab"])
+    def test_a_faulty_record_is_named_with_its_field(self, fault, message):
+        good = _small_records()
         with pytest.raises(ValidationError) as from_records:
-            FeatureBank.from_records(good[:1] + [rec] + good[1:], dim_v=2, dim_o=2,
-                                     verb_vocab_size=3, noun_vocab_size=4)
-        lines = _bank_file_lines()
-        lines.insert(2, line)
-        path = _write_lines(tmp_path / "x.bank", lines)
-        with pytest.raises(ValidationError) as from_file:
-            load_feature_bank(path)
+            _small_bank(good[:1] + [_row_x(**fault)] + good[1:])
         assert str(from_records.value) == f"record 'x': {message}"
-        assert str(from_file.value) == f"{path}: line 3: record 'x': {message}"
 
-    def test_json_lines_are_pinned_and_load_bit_for_bit(self, tmp_path):
+    def test_signed_zeros_and_subnormals_load_bit_for_bit(self, tmp_path):
         bank = FeatureBank.from_records([
             SegmentRecord("\u00e9-1", np.array([-0.0, 5e-324]), 7,
                           [Detection(6, 0.25, np.array([1.5, -2.0])),
@@ -1314,18 +1191,15 @@ class TestBlockCodec:
                           [Detection(-3, 0.0, np.array([-0.0, 5e-324]))]),
             SegmentRecord("c", np.array([0.5, -0.25]), 0, [], None, 2),
         ], dim_v=2, dim_o=2, verb_vocab_size=2, noun_vocab_size=3)
-        path = write_bank_text(bank, tmp_path / "t.bank")
-        assert path.read_text(encoding="utf-8") == _PINNED_BANK_TEXT
-        assert_same_bank_bytes(load_feature_bank(path), bank)
-        with _json_parse_forbidden():
-            assert_same_bank_bytes(load_feature_bank(_saved(tmp_path, bank)), bank)
+        assert_same_bank_bytes(load_feature_bank(_saved(tmp_path, bank)), bank)
 
     def test_load_and_save_build_no_rows(self, tmp_path):
-        src = _write_lines(tmp_path / "src.bank")
+        src = _saved(tmp_path)
         with mock.patch.object(bank_module, "Detection", side_effect=AssertionError), \
                 mock.patch.object(bank_module, "SegmentRecord", side_effect=AssertionError):
             bank = load_feature_bank(src)
-            assert_same_bank_bytes(load_feature_bank(_saved(tmp_path, bank)), bank)
+            save_feature_bank(bank, tmp_path / "again.bank")
+            assert_same_bank_bytes(load_feature_bank(tmp_path / "again.bank"), bank)
 
     def test_save_peak_memory_is_below_the_blocks(self, tmp_path):
         # Each member is written from its block: building the whole zip in

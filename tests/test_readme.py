@@ -4,15 +4,23 @@ blocks exits 0, its library example runs, and its one stated result holds."""
 import json
 import re
 import shlex
+import textwrap
 from pathlib import Path
 
+import numpy as np
+
+from gatedfusion.bank import Detection, FeatureBank, SegmentRecord, load_feature_bank
 from gatedfusion.cli import main
+
+from conftest import OLD_JSON_LINES_BANK, banks_equal
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def _blocks(lang: str, text: str) -> list[str]:
-    return re.findall(rf"^```{lang}\n(.*?)^```", text, re.M | re.S)
+def _blocks(lang: str, text: str, indent: str = "") -> list[str]:
+    """The ``lang`` fenced blocks of ``text`` whose fences start with ``indent``, dedented."""
+    return [textwrap.dedent(block) for block in re.findall(
+        rf"^{indent}```{lang}\n(.*?)^{indent}```", text, re.M | re.S)]
 
 
 def readme_commands() -> list[list[str]]:
@@ -25,6 +33,13 @@ def readme_commands() -> list[list[str]]:
             if argv[:1] == ["gatedfusion"]:
                 commands.append(argv[1:])
     return commands
+
+
+def library_example() -> tuple[str, str]:
+    """The README's ``Library use`` block, and the bank file it saves."""
+    section = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
+    block = _blocks("python", section)[0]
+    return block, re.search(r'save_feature_bank\(.*?"([^"]+)"\)', block, re.S).group(1)
 
 
 def test_every_command_exits_zero_and_reweighting_lifts_action_top1(tmp_path, monkeypatch):
@@ -41,6 +56,21 @@ def test_every_command_exits_zero_and_reweighting_lifts_action_top1(tmp_path, mo
 
 def test_library_example_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    section = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
-    block = _blocks("python", section)[0]
+    block, bank = library_example()
     exec(compile(block, f"{README.name} (Library use)", "exec"), {})
+    assert main(["stats", "--bank", bank, "--out-dir", "stats"]) == 0
+
+
+def test_upgrade_example_packs_the_bank_the_json_lines_reader_did(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    section = README.read_text(encoding="utf-8").split("## File formats", 1)[1]
+    block = _blocks("python", section, indent="  ")[0]
+    Path("old.jsonl").write_bytes(OLD_JSON_LINES_BANK)
+    exec(compile(block, f"{README.name} (File formats)", "exec"), {})
+    # The records of OLD_JSON_LINES_BANK, as the JSON-lines reader packed them.
+    want = FeatureBank.from_records([
+        SegmentRecord("s0", np.array([1.0, 2.0]), 10, [Detection(10, 0.5, np.array([0.1, 0.2]))],
+                      0, 1),
+        SegmentRecord("s1", np.array([0.5, -1.0]), 20, [], None, 2),
+    ], dim_v=2, dim_o=2, verb_vocab_size=2, noun_vocab_size=3)
+    assert banks_equal(load_feature_bank("new.bank"), want)

@@ -491,10 +491,11 @@ class TestFileFormats:
         with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: prior mu must be "):
             load_prior(path, 2, 3)
 
-    @pytest.mark.parametrize("text", ["0 0 0.5\n0 1 0.5\n", ""], ids=["text prior", "empty"])
-    def test_an_earlier_builds_text_prior_is_rejected(self, tmp_path, text):
+    @pytest.mark.parametrize("data", [b"0 0 0.5\n0 1 0.5\n", b"", b"0 0 0.5\xff\n"],
+                             ids=["text prior", "empty", "not utf-8"])
+    def test_an_earlier_builds_text_prior_is_rejected(self, tmp_path, data):
         path = tmp_path / "prior.txt"
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(data)
         with pytest.raises(ValidationError) as exc:
             load_prior(path, 2, 2)
         assert str(exc.value) == f"{path}: not a prior zip"
@@ -837,10 +838,11 @@ class TestActionZip:
         with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}: {message}')}$"):
             load_score_table(path)
 
-    def test_an_earlier_builds_text_action_table_is_rejected(self, tmp_path):
+    @pytest.mark.parametrize("tail", [b"", b"\xff\n"], ids=["utf-8", "not utf-8"])
+    def test_an_earlier_builds_text_action_table_is_rejected(self, tmp_path, tail):
         path = tmp_path / "action_scores.txt"
-        path.write_text('{"space":"action","classes":6,"verb_classes":2,"noun_classes":3}\n'
-                        'a 0.5 0.0 0.0 0.0 0.0 0.5\n', encoding="utf-8")
+        path.write_bytes(b'{"space":"action","classes":6,"verb_classes":2,"noun_classes":3}\n'
+                         b'a 0.5 0.0 0.0 0.0 0.0 0.5\n' + tail)
         with pytest.raises(ValidationError,
                            match=f"^{re.escape(str(path))}: not a score table zip$"):
             load_score_table(path)
