@@ -5,13 +5,13 @@ writes a run manifest next to its outputs; ``--config <manifest>`` reruns a
 command with the recorded configuration (explicit flags still win), which
 reproduces deterministic outputs byte for byte.
 
-Each command's options are declared once, in ``_COMMANDS``: one
-``(flag, default, argparse keywords)`` row per option, in the order the
-manifest's ``config`` records them.  A default is the library's own value
-where the library has one.  The parser, the resolved configuration and the
-manifest are all built from that table.  The parser is built on the first
-``main`` call and reused by every later one in the process: parsing never
-changes it, and the help width is read when help is formatted.
+Each command is declared once, in its ``_COMMANDS`` row: handler, help, the
+files it writes in ``--out-dir`` and its options, with the library's default
+where it has one.  The parser, the config and the manifest (its ``inputs``
+are the ``_INPUTS`` keys a run was given) are built from that table.  The
+parser is built on the first ``main`` call and reused by every later one in
+the process: parsing never changes it, and the help width is read when help
+is formatted.
 
 Exit codes: 0 success, 1 usage or validation error, 2 internal error.
 """
@@ -44,6 +44,8 @@ from .training import (Checkpoint, FUSION_KINDS, TARGETS, ModelSpec, TrainConfig
                        load_checkpoint, save_checkpoint, softmax, target_labels, train)
 
 _REQUIRED = object()
+# The config keys that name input files: a manifest's inputs are those a run was given.
+_INPUTS = ("bank", "val_bank", "checkpoint", "verb_table", "noun_table", "prior", "train_bank")
 
 
 class _UsageError(Exception):
@@ -72,7 +74,7 @@ def _build_parser() -> _Parser:
                      description="Gated feature aggregation experiments at desk scale.")
     parser.add_argument("--version", action="version", version=f"gatedfusion {__version__}")
     subs = parser.add_subparsers(dest="command")
-    for command, (_, help_text, options) in _COMMANDS.items():
+    for command, (_, help_text, _, options) in _COMMANDS.items():
         sub = subs.add_parser(command, help=help_text)
         sub.add_argument("--config", default=None,
                          help="run manifest to take configuration defaults from")
@@ -92,7 +94,7 @@ def _effective_config(args: argparse.Namespace) -> dict:
                 f"not {args.command!r}")
         file_cfg = manifest["config"]
     cfg = {}
-    for flag, default, kwargs in _COMMANDS[args.command][2]:
+    for flag, default, kwargs in _COMMANDS[args.command][3]:
         key = flag[2:].replace("-", "_")  # the dest argparse derives from the flag
         val = getattr(args, key)
         if val is None and key in file_cfg:
@@ -132,10 +134,10 @@ def _scale_mode(cfg: dict) -> ScaleMode:
 
 
 # Each handler runs one command from its resolved config, writes the files
-# of ``paths`` (its ``_OUTPUTS``, keyed as there) and returns (exit code,
-# inputs) for the manifest.
+# of ``paths`` (the outputs of its ``_COMMANDS`` row, keyed as there) and
+# returns its exit code.
 
-def _cmd_synth(cfg: dict, paths: dict):
+def _cmd_synth(cfg: dict, paths: dict) -> int:
     def spec(n: int) -> SynthSpec:
         return SynthSpec(n_segments=n, dim_v=cfg["dim_v"], dim_o=cfg["dim_o"],
                          verb_vocab=cfg["verbs"], noun_vocab=cfg["nouns"],
@@ -148,15 +150,14 @@ def _cmd_synth(cfg: dict, paths: dict):
 
     train_bank = synth_generate(spec(cfg["train_segments"]), cfg["seed"], "train")
     val_bank = synth_generate(spec(cfg["val_segments"]), cfg["seed"], "val")
-    train_path, val_path = paths["train_bank"], paths["val_bank"]
-    save_feature_bank(train_bank, train_path)
-    save_feature_bank(val_bank, val_path)
-    print(f"wrote {train_path} ({len(train_bank.ids)} records) and "
-          f"{val_path} ({len(val_bank.ids)} records)")
-    return 0, {}
+    save_feature_bank(train_bank, paths["train_bank"])
+    save_feature_bank(val_bank, paths["val_bank"])
+    print(f"wrote {paths['train_bank']} ({len(train_bank.ids)} records) and "
+          f"{paths['val_bank']} ({len(val_bank.ids)} records)")
+    return 0
 
 
-def _cmd_train(cfg: dict, paths: dict):
+def _cmd_train(cfg: dict, paths: dict) -> int:
     # The options, the model spec among them, are checked before any bank loads.
     agg = AggregationConfig(k=cfg["k"], window=cfg["window"])
     spec = ModelSpec(fusion=cfg["fusion"], scale=_scale_mode(cfg), aggregation=agg)
@@ -178,13 +179,10 @@ def _cmd_train(cfg: dict, paths: dict):
     if "val_top1" in last:
         line += f" val-top1 {last['val_top1']:.4f}"
     print(line)
-    inputs = {"bank": cfg["bank"]}
-    if cfg["val_bank"]:
-        inputs["val_bank"] = cfg["val_bank"]
-    return 0, inputs
+    return 0
 
 
-def _cmd_eval(cfg: dict, paths: dict):
+def _cmd_eval(cfg: dict, paths: dict) -> int:
     ckpt = load_checkpoint(cfg["checkpoint"])
     bank = load_feature_bank(cfg["bank"])
     labels = fit_labels(bank, ckpt.target, (ckpt.dim_v, ckpt.dim_o), ckpt.classes, "checkpoint")
@@ -197,30 +195,22 @@ def _cmd_eval(cfg: dict, paths: dict):
         report.update(topk_report(table.scores, labels))
     write_json(report, paths["report"])
     print(json.dumps(report))
-    return 0, {"checkpoint": cfg["checkpoint"], "bank": cfg["bank"]}
+    return 0
 
 
-# (flag, config key) of each source of the action prior; a run takes exactly one
-_PRIOR_SOURCES = (("--prior", "prior"), ("--train-bank", "train_bank"))
-
-
-def _cmd_actions(cfg: dict, paths: dict):
-    sources = [flag for flag, key in _PRIOR_SOURCES if cfg[key]]
-    if len(sources) != 1:
+def _cmd_actions(cfg: dict, paths: dict) -> int:
+    if bool(cfg["prior"]) == bool(cfg["train_bank"]):  # a run takes one source of the prior
         raise _UsageError("need exactly one of --prior or --train-bank"
-                          + (f", got {', '.join(sources)}" if sources else ""))
+                          + (", got --prior, --train-bank" if cfg["prior"] else ""))
     verb_table = load_score_table(cfg["verb_table"])
     noun_table = load_score_table(cfg["noun_table"])
     bank = load_feature_bank(cfg["bank"])
 
-    inputs = {k: cfg[k] for k in ("verb_table", "noun_table", "bank")}
     if cfg["prior"]:
         prior = load_prior(cfg["prior"], bank.verb_vocab_size, bank.noun_vocab_size)
-        inputs["prior"] = cfg["prior"]
     else:
         same = Path(cfg["train_bank"]).resolve() == Path(cfg["bank"]).resolve()
         prior = compute_prior(bank if same else load_feature_bank(cfg["train_bank"]))
-        inputs["train_bank"] = cfg["train_bank"]
 
     # Scoring checks the tables' spaces, each other and the bank before any file is written.
     action_table, action_metrics, labels = score_actions_for_bank(
@@ -235,10 +225,10 @@ def _cmd_actions(cfg: dict, paths: dict):
     save_score_table(action_table, paths["action_scores"])
     write_json(report, paths["report"])
     print(json.dumps(report))
-    return 0, inputs
+    return 0
 
 
-def _cmd_gradcheck(cfg: dict, paths: dict):
+def _cmd_gradcheck(cfg: dict, paths: dict) -> int:
     rng = np.random.default_rng(cfg["seed"])
     model = init_model(cfg["fusion"], cfg["dim_v"], cfg["dim_o"], cfg["classes"],
                        scale=_scale_mode(cfg), rng=rng)
@@ -262,19 +252,15 @@ def _cmd_gradcheck(cfg: dict, paths: dict):
     write_json({"per_group": {name: finite(err) for name, err in per_group.items()},
                 "max_rel_err": finite(max_err), "tolerance": cfg["tolerance"],
                 "passed": passed}, paths["report"])
-    return 0 if passed else 1, {}
+    return 0 if passed else 1
 
 
-def _cmd_stats(cfg: dict, paths: dict):
+def _cmd_stats(cfg: dict, paths: dict) -> int:
     bank = load_feature_bank(cfg["bank"])
     stats = bank_stats(bank, AggregationConfig(k=cfg["k"], window=cfg["window"]))
     print(json.dumps(stats, indent=1))
     write_json(stats, paths["stats"])
-    return 0, {"bank": cfg["bank"]}
-
-
-def _param_default(func, name: str):
-    return inspect.signature(func).parameters[name].default
+    return 0
 
 
 _INT, _FLOAT = {"type": int}, {"type": _finite_float}
@@ -282,12 +268,17 @@ _SCALE_OPTIONS = [("--scale", ScaleMode.kind,
                    {"choices": SCALE_KINDS, "help": "rescale o before fusion (not clip-only)"}),
                   ("--scale-divisor", ScaleMode.s, _FLOAT)]
 
-# command -> (handler, help, options), one (flag, default, argparse keywords)
-# row per option in the order manifests record them.  Dataclass field
-# defaults are class attributes, so the library is the one source of every
-# default it defines; a _REQUIRED option has none.
+# command -> (handler, help, outputs, options).  outputs maps each manifest
+# output key to its file in --out-dir, in manifest order; eval's scores are
+# a zip under their text-era name, which the README and perfbench pass to
+# actions, and actions writes the prior only when it counts one from
+# --train-bank.  options are (flag, default, argparse keywords) rows in
+# manifest order.  Dataclass field defaults are class attributes, so the
+# library is the one source of every default it defines; a _REQUIRED option
+# has none.
 _COMMANDS = {
-    "synth": (_cmd_synth, "generate synthetic train/val feature banks", [
+    "synth": (_cmd_synth, "generate synthetic train/val feature banks",
+              {"train_bank": "train.bank", "val_bank": "val.bank"}, [
         ("--seed", _REQUIRED, _INT),
         ("--out-dir", _REQUIRED, {}),
         ("--train-segments", 500, _INT),
@@ -312,7 +303,8 @@ _COMMANDS = {
          {**_INT, "help": "restrict each verb to this many nouns (0 = independent)"}),
         ("--window", SynthSpec.window, _INT),
     ]),
-    "train": (_cmd_train, "train a classifier head on a feature bank", [
+    "train": (_cmd_train, "train a classifier head on a feature bank",
+              {"checkpoint": "checkpoint.json", "history": "history.json"}, [
         ("--bank", _REQUIRED, {}),
         ("--val-bank", None, {}),
         ("--target", _REQUIRED, {"choices": TARGETS}),
@@ -327,12 +319,15 @@ _COMMANDS = {
         ("--window", AggregationConfig.window, _INT),
         ("--out-dir", _REQUIRED, {}),
     ]),
-    "eval": (_cmd_eval, "score a bank with a checkpoint", [
+    "eval": (_cmd_eval, "score a bank with a checkpoint",
+             {"scores": "scores.txt", "report": "eval_report.json"}, [
         ("--checkpoint", _REQUIRED, {}),
         ("--bank", _REQUIRED, {}),
         ("--out-dir", _REQUIRED, {}),
     ]),
-    "actions": (_cmd_actions, "action scoring with prior re-weighting", [
+    "actions": (_cmd_actions, "action scoring with prior re-weighting",
+                {"prior": "prior.npz", "action_scores": "action_scores.npz",
+                 "report": "action_report.json"}, [
         ("--verb-table", _REQUIRED, {}),
         ("--noun-table", _REQUIRED, {}),
         ("--bank", _REQUIRED, {"help": "bank carrying the true labels"}),
@@ -340,18 +335,19 @@ _COMMANDS = {
         ("--train-bank", None, {"help": "bank to compute the prior from"}),
         ("--out-dir", _REQUIRED, {}),
     ]),
-    "gradcheck": (_cmd_gradcheck, "finite-difference check of model gradients", [
+    "gradcheck": (_cmd_gradcheck, "finite-difference check of model gradients",
+                  {"report": "gradcheck_report.json"}, [
         ("--fusion", _REQUIRED, {"choices": FUSION_KINDS}),
         *_SCALE_OPTIONS,
         ("--dim-v", 8, _INT),
         ("--dim-o", 6, _INT),
         ("--classes", 4, _INT),
         ("--seed", 0, _INT),
-        ("--step", _param_default(grad_check, "step"), _FLOAT),
+        ("--step", inspect.signature(grad_check).parameters["step"].default, _FLOAT),
         ("--tolerance", 1e-5, _FLOAT),
         ("--out-dir", ".", {}),
     ]),
-    "stats": (_cmd_stats, "summarize a feature bank", [
+    "stats": (_cmd_stats, "summarize a feature bank", {"stats": "bank_stats.json"}, [
         ("--bank", _REQUIRED, {}),
         ("--k", AggregationConfig.k, _INT),
         ("--window", AggregationConfig.window, _INT),
@@ -360,42 +356,27 @@ _COMMANDS = {
 }
 
 
-# command -> {manifest output key: file name}: the files each command writes
-# in --out-dir besides its manifest, in the order the manifest records them.
-# eval's scores are a zip under their text-era name, which the README and
-# perfbench pass to actions; actions writes the prior only when it counts
-# one from --train-bank.
-_OUTPUTS = {
-    "synth": {"train_bank": "train.bank", "val_bank": "val.bank"},
-    "train": {"checkpoint": "checkpoint.json", "history": "history.json"},
-    "eval": {"scores": "scores.txt", "report": "eval_report.json"},
-    "actions": {"prior": "prior.npz", "action_scores": "action_scores.npz",
-                "report": "action_report.json"},
-    "gradcheck": {"report": "gradcheck_report.json"},
-    "stats": {"stats": "bank_stats.json"},
-}
-
-
 def _run(args: argparse.Namespace) -> int:
     """Resolve the command's config, run its handler in ``--out-dir`` and
     write ``<command>.manifest.json`` there.  Every file the run will write
     passes ``_regular_target`` first, so a refused target leaves the
-    directory as it was."""
+    directory as it was; a run refused before its first save makes none."""
     cfg = _effective_config(args)
     if cfg.get("seed", 0) < 0:  # numpy seeds its generators from integers >= 0
         raise ValidationError(f"seed must be >= 0, got {cfg['seed']}")
     start = time.perf_counter()
+    handler, _, outputs, _ = _COMMANDS[args.command]
     out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    paths = {key: out / name for key, name in _OUTPUTS[args.command].items()
+    paths = {key: out / name for key, name in outputs.items()
              if key != "prior" or cfg["train_bank"]}
     manifest_path = out / f"{args.command}.manifest.json"
     for path in (*paths.values(), manifest_path):
         _regular_target(path)
-    code, inputs = _COMMANDS[args.command][0](cfg, paths)
+    code = handler(cfg, paths)
     write_manifest({
         "command": args.command, "version": __version__, "seed": cfg.get("seed"), "config": cfg,
-        "inputs": inputs, "outputs": {key: str(path) for key, path in paths.items()},
+        "inputs": {key: val for key, val in cfg.items() if key in _INPUTS and val},
+        "outputs": {key: str(path) for key, path in paths.items()},
         "duration_seconds": time.perf_counter() - start,
     }, manifest_path)
     return code

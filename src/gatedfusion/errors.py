@@ -1,13 +1,13 @@
-"""Exception types shared across the package, the strict JSON encoder every
-writer uses, the one codec of the JSON documents (checkpoints, manifests,
-reports, histories and stats): ``write_json`` and ``read_json``, the one
-JSON decoder, ``_regular_target``, the one place that asks whether a save
-target is a regular file, for JSON documents and zips alike, ``replacing``,
-which a bank, score table or prior is saved through so that it reaches its
-file whole or not at all, ``_write_zip`` and ``_read_zip``, the one codec of
-the zip files (banks, score tables of every space and priors) and the only
-code that touches ``zipfile``, and ``read_input``, which reads a bank, score
-table or prior: a zip, and no other file."""
+"""Exception types shared across the package, ``write_json``, the strict
+encoder of the JSON documents (checkpoints, manifests, reports, histories
+and stats), ``read_json``, the one JSON decoder, ``_regular_target``, the
+one place that asks whether a save target is a regular file, for JSON
+documents and zips alike, ``replacing``, which a bank, score table or prior
+is saved through so that it reaches its file whole or not at all,
+``_write_zip`` and ``_read_zip``, the one codec of the zip files (banks,
+score tables of every space and priors) and the only code that touches
+``zipfile``, and ``read_input``, which reads a bank, score table or prior: a
+zip, and no other file."""
 
 import contextlib
 import io
@@ -29,23 +29,17 @@ class ValidationError(ValueError):
     """A file, record, or configuration violates a documented contract."""
 
 
-def strict_json(obj, **kwargs) -> str:
-    """``json.dumps`` without the non-standard ``NaN``/``Infinity`` literals:
-    a non-finite float is a ValidationError instead."""
+def write_json(obj, path) -> None:
+    """Write ``obj`` as strict JSON, one space of indent, and a final newline
+    in place at ``path`` once ``_regular_target`` passes it.  The text is
+    encoded first, so an object JSON cannot hold (a non-finite float among
+    them: no ``NaN`` literal) raises ``ValidationError`` and leaves no file."""
     try:
-        return json.dumps(obj, allow_nan=False, **kwargs)
+        text = json.dumps(obj, allow_nan=False, indent=1) + "\n"
     except ValueError as exc:
         raise ValidationError(f"cannot write JSON: {exc}") from None
-
-
-def write_json(obj, path) -> None:
-    """Write ``obj`` to ``path`` as strict JSON, one space of indent, and a
-    final newline.  The text is encoded before the file opens, so an object
-    JSON cannot hold raises ``ValidationError`` and leaves no file.  The
-    file is written in place, once ``_regular_target`` passes ``path``."""
-    text = strict_json(obj, indent=1) + "\n"
     _regular_target(path)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_new(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
 
@@ -91,18 +85,26 @@ def _regular_target(path) -> None:
             raise ValidationError(f"{path}: is this process's {name}")
 
 
+def _open_new(path, mode: str, **kwargs):
+    """``open(path, mode)``, once the missing directories of ``path`` are made."""
+    try:
+        return open(path, mode, **kwargs)
+    except FileNotFoundError:
+        os.makedirs(os.path.dirname(os.path.realpath(path)), exist_ok=True)
+        return open(path, mode, **kwargs)
+
+
 @contextlib.contextmanager
 def replacing(path):
-    """A new binary file that reaches ``path`` whole or not at all.  After
-    ``_regular_target`` passes ``path``, the file is written under a
-    temporary name in the same directory and renamed into place once the
-    ``with`` block completes, so a failed save leaves the old file, or none.
-    Every handle yielded can seek."""
+    """A new binary file that reaches ``path`` whole or not at all: once
+    ``_regular_target`` passes ``path``, it is written under a temporary
+    name in its directory, made if missing, and renamed into place when the
+    ``with`` block completes.  Every handle yielded can seek."""
     _regular_target(path)
     target = os.path.realpath(path)  # a symlink keeps naming the saved file
     # A temporary name of fixed length: any name the directory holds can be saved.
     tmp = os.path.join(os.path.dirname(target), f".{os.urandom(6).hex()}.tmp")
-    fh = open(tmp, "xb")  # an existing file of that name is not ours to remove
+    fh = _open_new(tmp, "xb")  # an existing file of that name is not ours to remove
     try:
         with fh:
             yield fh

@@ -613,7 +613,13 @@ def load_checkpoint(path) -> Checkpoint:
     ``ValidationError`` naming ``path``."""
     obj = read_json(path, _CHECKPOINT_FORMAT)
     try:
-        g, tc, agg = obj["gfa"], obj["train_config"], obj["aggregation"]
+        for name, cls in (("scale", ScaleMode), ("aggregation", AggregationConfig),
+                          ("train_config", TrainConfig)):  # the fields save_checkpoint writes
+            keys = [f.name for f in fields(cls)]
+            if obj[name].keys() != set(keys):  # not an object: AttributeError
+                raise ValidationError(f"checkpoint {name} must hold exactly the keys {keys}")
+            obj[name] = cls(**obj[name])
+        g = obj["gfa"]
         gfa = None if g is None else GfaParams(
             variant=g.get("variant"), W=_matrix_from_obj(g["W"], "gfa.W"),
             b=np.array(g["b"], dtype=np.float64))
@@ -621,10 +627,9 @@ def load_checkpoint(path) -> Checkpoint:
                     b=np.array(obj["head"]["b"], dtype=np.float64))
         ckpt = Checkpoint(
             model=Model(fusion_kind=obj["fusion_kind"], head=head, gfa=gfa,
-                        scale=ScaleMode(**obj["scale"])),  # absent fields take their defaults
+                        scale=obj["scale"]),
             target=obj["target"], dim_v=obj["dim_v"], dim_o=obj["dim_o"], classes=obj["classes"],
-            aggregation=AggregationConfig(k=agg["k"], window=agg["window"]),
-            train_config=TrainConfig(**{f.name: tc[f.name] for f in fields(TrainConfig)}))
+            aggregation=obj["aggregation"], train_config=obj["train_config"])
     except (KeyError, TypeError, AttributeError):
         raise ValidationError(f"{path}: missing checkpoint fields") from None
     except (ValidationError, ShapeError) as exc:  # a value its own class or the contract rejects

@@ -177,7 +177,7 @@ class TestTrainEval:
                    "--target", "noun", "--fusion", "clip-only", "--epochs", 1, "--seed", 0,
                    "--out-dir", tmp_path / "run") == 1
         assert "cannot validate on an empty bank" in capsys.readouterr().err
-        assert not list((tmp_path / "run").iterdir())
+        assert not (tmp_path / "run").exists()
 
     def test_val_bank_with_another_vocab_is_exit_one_before_any_write(self, tmp_path, capsys):
         synth(tmp_path / "data", train=20, val=5, nouns=20)
@@ -201,7 +201,7 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert "fusion kind 'clip-only' takes scale 'none', got 'norm'" in err
         assert "missing.bank" not in err
-        assert not list((tmp_path / "run").iterdir())
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("scale", ["scalar", "norm", "norm-scalar"])
     @pytest.mark.parametrize("command", ["train", "gradcheck"])
@@ -215,7 +215,7 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert f"fusion kind 'clip-only' takes scale 'none', got '{scale}'" in err
         assert "Traceback" not in err
-        assert not list((tmp_path / "run").iterdir())
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("scale", ["scalar", "norm", "norm-scalar"])
     @pytest.mark.parametrize("fusion", ["concat", "gfa-b"])
@@ -422,7 +422,7 @@ class TestTrainEval:
         fault = ("not a readable bank zip: 'utf-8' codec can't decode" if bad_id == "a\ud800b"
                  else f"segment_id {bad_id!r} must be")
         assert f"{bank}: {fault}" in err and "Traceback" not in err
-        assert not out.exists() or not any(out.iterdir())  # no checkpoint, table or manifest
+        assert not out.exists()  # no checkpoint, table or manifest
 
     def test_header_only_bank_gives_empty_table(self, tmp_path):
         synth(tmp_path / "data", train=20, val=5, nouns=3)
@@ -464,7 +464,7 @@ class TestActions:
         assert run_actions(paths, tmp_path / "act") == 1
         err = capsys.readouterr().err
         assert err == f"gatedfusion: error: {paths['verb']}: duplicate segment_id 's0'\n"
-        assert not list((tmp_path / "act").iterdir())
+        assert not (tmp_path / "act").exists()
 
     def test_report_keys_follow_the_topk_set(self, tmp_path, monkeypatch):
         monkeypatch.setattr(scoring, "_TOPK", (1, 3))
@@ -1194,7 +1194,7 @@ class TestJsonLinesBank:
         out = tmp_path / "out"
         assert run(*argv, "--out-dir", out) == 1
         assert capsys.readouterr().err == f"gatedfusion: error: {old}: not a bank zip\n"
-        assert not list(out.iterdir())  # no output and no manifest
+        assert not out.exists()  # no output, no manifest and no directory
 
 
 # The files each command writes in --out-dir, its manifest last.
@@ -1208,32 +1208,66 @@ _WRITES = {
 }
 
 
-def _command_argv(command, root):
-    """The argv of one run of ``command`` on inputs made under ``root``."""
+def _command_argv(case, root):
+    """The argv of one run of ``case``, a command and the options that set it
+    apart, on inputs made under ``root``, and the input files its manifest
+    names, in option order."""
     (root / "act").mkdir()
     bank, ckpt = tiny_eval_inputs(root)
     paths = tiny_action_inputs(root / "act")
-    return {"synth": ["synth", "--seed", 1, "--train-segments", 5, "--val-segments", 3],
-            "train": ["train", "--bank", bank, "--target", "noun", "--fusion", "clip-only",
-                      "--epochs", 1, "--seed", 0],
-            "eval": ["eval", "--checkpoint", ckpt, "--bank", bank],
-            "actions": ["actions", "--verb-table", paths["verb"], "--noun-table", paths["noun"],
-                        "--bank", paths["bank"], "--train-bank", paths["bank"]],
-            "gradcheck": ["gradcheck", "--fusion", "gfa-a"],
-            "stats": ["stats", "--bank", bank]}[command]
+    tables = ["--verb-table", paths["verb"], "--noun-table", paths["noun"], "--bank", paths["bank"]]
+    train = ["--target", "noun", "--fusion", "clip-only", "--epochs", 1, "--seed", 0]
+    argv, inputs = {
+        "synth": (["synth", "--seed", 1, "--train-segments", 5, "--val-segments", 3], {}),
+        "train": (["train", "--bank", bank, *train], {"bank": bank}),
+        "train --val-bank": (["train", "--bank", bank, "--val-bank", bank, *train],
+                             {"bank": bank, "val_bank": bank}),
+        "eval": (["eval", "--checkpoint", ckpt, "--bank", bank],
+                 {"checkpoint": ckpt, "bank": bank}),
+        "actions": (["actions", *tables, "--train-bank", paths["bank"]],
+                    {"verb_table": paths["verb"], "noun_table": paths["noun"],
+                     "bank": paths["bank"], "train_bank": paths["bank"]}),
+        "actions --prior": (["actions", *tables, "--prior", paths["prior"]],
+                            {"verb_table": paths["verb"], "noun_table": paths["noun"],
+                             "bank": paths["bank"], "prior": paths["prior"]}),
+        "gradcheck": (["gradcheck", "--fusion", "gfa-a"], {}),
+        "stats": (["stats", "--bank", bank], {"bank": bank})}[case]
+    return argv, {key: str(path) for key, path in inputs.items()}
 
 
 class TestRefusedTargets:
     """A run refuses every file it would write before it writes any, so a
-    refused target leaves --out-dir as it was."""
+    refused target leaves --out-dir as it was, and a run refused before its
+    first write makes no directory."""
+
+    @pytest.mark.parametrize("command", [*_WRITES, "train --val-bank", "actions --prior"])
+    def test_each_command_writes_its_files(self, tmp_path, command):
+        argv, inputs = _command_argv(command, tmp_path)
+        # actions --prior loads the prior it names and writes none
+        writes = [name for name in _WRITES[argv[0]]
+                  if name != "prior.npz" or command != "actions --prior"]
+        assert run(*argv, "--out-dir", tmp_path / "out") == 0
+        assert sorted(os.listdir(tmp_path / "out")) == sorted(writes)
+        manifest = load_manifest(tmp_path / "out" / writes[-1])
+        assert list(manifest["outputs"].values()) \
+            == [str(tmp_path / "out" / name) for name in writes[:-1]]
+        assert list(manifest["inputs"].items()) == list(inputs.items())
 
     @pytest.mark.parametrize("command", _WRITES)
-    def test_each_command_writes_its_files(self, tmp_path, command):
-        argv = _command_argv(command, tmp_path)
-        assert run(*argv, "--out-dir", tmp_path / "out") == 0
-        assert sorted(os.listdir(tmp_path / "out")) == sorted(_WRITES[command])
-        assert list(load_manifest(tmp_path / "out" / _WRITES[command][-1])["outputs"].values()) \
-            == [str(tmp_path / "out" / name) for name in _WRITES[command][:-1]]
+    def test_a_run_refused_before_its_first_write_makes_no_directory(self, tmp_path, capsys,
+                                                                     command):
+        missing = tmp_path / "missing"
+        argv = {"synth": ["synth", "--seed", 1, "--train-segments", 0],
+                "train": ["train", "--bank", missing, "--target", "noun", "--fusion", "concat",
+                          "--seed", 0],
+                "eval": ["eval", "--checkpoint", missing, "--bank", missing],
+                "actions": ["actions", "--verb-table", missing, "--noun-table", missing,
+                            "--bank", missing],
+                "gradcheck": ["gradcheck", "--fusion", "gfa-a", "--classes", 0],
+                "stats": ["stats", "--bank", missing]}[command]
+        assert run(*argv, "--out-dir", tmp_path / "new" / "deeper") == 1
+        assert capsys.readouterr().err.startswith("gatedfusion: ")
+        assert not (tmp_path / "new").exists()
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     @pytest.mark.parametrize("command,name", [(command, name) for command, names in
@@ -1242,7 +1276,7 @@ class TestRefusedTargets:
                                                                  command, name):
         # Once, eval with a FIFO at eval_report.json had replaced scores.txt
         # and wrote no manifest naming it.
-        argv = _command_argv(command, tmp_path)
+        argv, _ = _command_argv(command, tmp_path)
         out = tmp_path / "out"
         out.mkdir()
         old = {other: f"old {other}\n".encode() for other in _WRITES[command][:-1]

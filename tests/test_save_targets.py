@@ -1,10 +1,10 @@
 """Every save, a bank, score table or prior through ``replacing`` or a JSON
 document through ``write_json``, goes to a regular file.  ``replacing``
 delivers the whole file or leaves the old one at any name the directory
-holds, or through a symlink.  A target that exists and is not a regular
-file (a FIFO, a directory, a device), or that is this process's stdout or
-stderr wherever they are redirected, is refused before any byte is
-written."""
+holds, or through a symlink, and makes the target's missing directories.
+A target that exists and is not a regular file (a FIFO, a directory, a
+device), or that is this process's stdout or stderr wherever they are
+redirected, is refused before any byte is written."""
 
 import itertools
 import os
@@ -79,6 +79,13 @@ class TestSaveTargets:
         with pytest.raises(RuntimeError, match="planted fault"):
             save(path)
         assert path.read_bytes() == want and os.listdir(tmp_path / "long") == [name]
+
+    @pytest.mark.parametrize("kind", ["bank", "json"])
+    def test_a_save_makes_its_missing_directories(self, kind, tmp_path):
+        path = tmp_path / "a" / "b" / "saved"
+        _save(kind)(path)
+        assert os.listdir(tmp_path) == ["a"] and os.listdir(tmp_path / "a") == ["b"]
+        assert os.listdir(tmp_path / "a" / "b") == ["saved"]  # no .*.tmp
 
     def test_a_symlink_keeps_naming_the_saved_file(self, tmp_path):
         save = _save("noun table")

@@ -772,6 +772,28 @@ class TestCheckpoint:
             with pytest.raises(ValidationError, match="missing checkpoint fields"):
                 load_checkpoint(broken)
 
+    @pytest.mark.parametrize("name,change", [
+        ("scale", {"extra": 1}), ("aggregation", {"extra": 1}), ("train_config", {"extra": 1}),
+        ("scale", {"s": None}), ("train_config", {"momentum": None})],
+        ids=["extra scale key", "extra aggregation key", "extra train_config key", "no s",
+             "no momentum"])
+    def test_config_objects_hold_exactly_the_saved_keys(self, tmp_path, name, change):
+        # Once, an extra scale key read as missing fields, a missing s took
+        # its default, and an extra aggregation or train_config key was ignored.
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(self._checkpoint(), path)
+        obj = json.loads(path.read_text())
+        keys = list(obj[name])
+        for key, val in change.items():
+            if val is None:
+                del obj[name][key]
+            else:
+                obj[name][key] = val
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValidationError) as exc:
+            load_checkpoint(path)
+        assert str(exc.value) == f"{path}: checkpoint {name} must hold exactly the keys {keys}"
+
 
 class TestModelInvariants:
     # Only clip-only, which never reads o, refuses a scale.
