@@ -33,14 +33,13 @@ are saved with ``save_feature_bank``.
 from __future__ import annotations
 
 import contextlib
-import math
 import re
 import zlib
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, _write_zip, read_input
+from .errors import ValidationError, _write_zip, check_fields, read_input
 from .tensor import l2_norm
 
 __all__ = [
@@ -155,13 +154,6 @@ def _vector(val, dim: int, dim_key: str, what: str) -> np.ndarray:
     if len(vec) != dim:
         raise ValidationError(f"{what} has dim {len(vec)}, bank declares {dim_key}={dim}")
     return vec
-
-
-def _finite_real(val) -> bool:
-    """``val`` is a real number, not a bool, and finite as a float."""
-    with contextlib.suppress(OverflowError):  # an int past float range
-        return isinstance(val, _REAL) and not isinstance(val, bool) and math.isfinite(val)
-    return False
 
 
 def _score(val, what: str) -> float:
@@ -312,11 +304,9 @@ class AggregationConfig:
     window: int = 5
 
     def __post_init__(self) -> None:
-        # type() also turns away bools, which isinstance(..., int) lets through
-        if type(self.k) is not int or self.k < 1:
-            raise ValidationError(f"aggregation k must be an integer >= 1, got {self.k!r}")
-        if type(self.window) is not int or self.window < 1 or self.window % 2 == 0:
-            raise ValidationError(f"window must be a positive odd integer, got {self.window!r}")
+        check_fields(self, {"k": (1, None), "window": (1, None)})
+        if self.window % 2 == 0:
+            raise ValidationError(f"window must be odd, got {self.window}")
 
 
 def bank_features(bank: FeatureBank, cfg: AggregationConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -452,39 +442,17 @@ class SynthSpec:
     window: int = 5
 
     def __post_init__(self) -> None:
-        for f in fields(self):  # annotations are strings here
-            val = getattr(self, f.name)
-            if f.type == "int" and type(val) is not int:  # type() also turns away bools
-                raise ValidationError(f"{f.name} must be an integer, got {val!r}")
-            if f.type == "float" and not _finite_real(val):
-                raise ValidationError(f"{f.name} must be a finite real number, got {val!r}")
-        if self.n_segments < 1:
-            raise ValidationError(f"n_segments must be >= 1, got {self.n_segments}")
-        if self.dim_v < 1 or self.dim_o < 1:
-            raise ValidationError("feature dims must be positive")
-        if self.verb_vocab < 1 or self.noun_vocab < 1:
-            raise ValidationError("vocab sizes must be positive")
-        if self.signal_detections < 1:
-            raise ValidationError("need at least one signal detection per segment")
-        if self.distractors < 0 or self.decoys < 0:
-            raise ValidationError("distractor/decoy counts must be >= 0")
-        if self.noise < 0:
-            raise ValidationError(f"noise must be >= 0, got {self.noise}")
+        check_fields(self, {
+            "n_segments": (1, None), "dim_v": (1, None), "dim_o": (1, None),
+            "verb_vocab": (1, None), "noun_vocab": (1, None), "signal_detections": (1, None),
+            "distractors": (0, None), "decoys": (0, None), "noise": (0, None),
+            "amplitude_jitter": (0, 308),  # 10.0 ** jitter must be finite
+            "noun_in_clip": (0, None), "pairs_per_verb": (0, self.noun_vocab),
+            "window": (1, _INT64.max)})  # frames are int64
         if not self.mismatch > 0:
             raise ValidationError(f"mismatch factor must be positive, got {self.mismatch}")
-        if not 0 <= self.amplitude_jitter <= 308:  # 10.0 ** jitter must be finite
-            raise ValidationError(
-                f"amplitude jitter must be in [0, 308] decades, got {self.amplitude_jitter}")
-        if self.noun_in_clip < 0:
-            raise ValidationError(
-                f"noun_in_clip must be >= 0, got {self.noun_in_clip}")
-        if not 0 <= self.pairs_per_verb <= self.noun_vocab:
-            raise ValidationError(
-                f"pairs_per_verb must be in [0, {self.noun_vocab}], "
-                f"got {self.pairs_per_verb}")
-        if not 1 <= self.window <= _INT64.max or self.window % 2 == 0:  # frames are int64
-            raise ValidationError(
-                f"window must be a positive odd integer up to 2**63 - 1, got {self.window}")
+        if self.window % 2 == 0:
+            raise ValidationError(f"window must be odd, got {self.window}")
 
 
 def _unit_rows(block: np.ndarray) -> np.ndarray:
@@ -641,7 +609,7 @@ def bank_stats(bank: FeatureBank, cfg: AggregationConfig) -> dict:
         "verb_labeled": int(labeled[:, 0].sum()),
         "noun_labeled": int(labeled[:, 1].sum()),
         "detections_per_record_mean": float(np.mean(bank.counts)) if n else 0.0,
-        "aggregation": {"k": cfg.k, "window": cfg.window},
+        "aggregation": asdict(cfg),
         "mean_clip_amplitude": mean_clip,
         "mean_object_amplitude": mean_obj,
         "amplitude_ratio": (mean_obj / mean_clip) if mean_clip > 0 else None,

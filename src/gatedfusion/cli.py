@@ -33,7 +33,8 @@ import numpy as np
 from . import __version__
 from .bank import (AggregationConfig, SynthSpec, bank_stats, load_feature_bank,
                    save_feature_bank, synth_generate)
-from .errors import ShapeError, ValidationError, _regular_target, write_json
+from .errors import (ShapeError, ValidationError, _regular_target, is_finite_real, is_integer,
+                     write_json)
 from .gfa import SCALE_KINDS, ScaleMode
 from .manifest import load_manifest, write_manifest
 from .scoring import (ScoreTable, compute_prior, load_prior, load_score_table, prior_stats,
@@ -112,16 +113,8 @@ def _effective_config(args: argparse.Namespace) -> dict:
 def _option_takes(kwargs: dict, val) -> bool:
     """Whether an option declared with argparse ``kwargs`` could hold ``val``
     after parsing a command line."""
-    if isinstance(val, bool):
-        return False
-    kind = kwargs.get("type")
-    if kind is int:
-        ok = isinstance(val, int)
-    elif kind is _finite_float:
-        # finite, and an int within float range (comparing them is exact)
-        ok = isinstance(val, (int, float)) and abs(val) <= sys.float_info.max
-    else:
-        ok = isinstance(val, str)
+    rule = {int: is_integer, _finite_float: is_finite_real}.get(kwargs.get("type"))
+    ok = rule(val) if rule else isinstance(val, str)
     return ok and ("choices" not in kwargs or val in kwargs["choices"])
 
 
@@ -267,6 +260,8 @@ _INT, _FLOAT = {"type": int}, {"type": _finite_float}
 _SCALE_OPTIONS = [("--scale", ScaleMode.kind,
                    {"choices": SCALE_KINDS, "help": "rescale o before fusion (not clip-only)"}),
                   ("--scale-divisor", ScaleMode.s, _FLOAT)]
+_AGGREGATION_OPTIONS = [("--k", AggregationConfig.k, _INT),
+                        ("--window", AggregationConfig.window, _INT)]
 
 # command -> (handler, help, outputs, options).  outputs maps each manifest
 # output key to its file in --out-dir, in manifest order; eval's scores are
@@ -315,8 +310,7 @@ _COMMANDS = {
         ("--epochs", TrainConfig.epochs, _INT),
         ("--batch-size", TrainConfig.batch_size, _INT),
         ("--seed", _REQUIRED, _INT),
-        ("--k", AggregationConfig.k, _INT),
-        ("--window", AggregationConfig.window, _INT),
+        *_AGGREGATION_OPTIONS,
         ("--out-dir", _REQUIRED, {}),
     ]),
     "eval": (_cmd_eval, "score a bank with a checkpoint",
@@ -349,8 +343,7 @@ _COMMANDS = {
     ]),
     "stats": (_cmd_stats, "summarize a feature bank", {"stats": "bank_stats.json"}, [
         ("--bank", _REQUIRED, {}),
-        ("--k", AggregationConfig.k, _INT),
-        ("--window", AggregationConfig.window, _INT),
+        *_AGGREGATION_OPTIONS,
         ("--out-dir", ".", {}),
     ]),
 }

@@ -1,15 +1,17 @@
-"""Exception types shared across the package, ``write_json``, the strict
-encoder of the JSON documents (checkpoints, manifests, reports, histories
-and stats), ``read_json``, the one JSON decoder, ``_regular_target``, the
-one place that asks whether a save target is a regular file, for JSON
-documents and zips alike, ``replacing``, which a bank, score table or prior
-is saved through so that it reaches its file whole or not at all,
-``_write_zip`` and ``_read_zip``, the one codec of the zip files (banks,
-score tables of every space and priors) and the only code that touches
-``zipfile``, and ``read_input``, which reads a bank, score table or prior: a
-zip, and no other file."""
+"""Exception types shared across the package, ``is_integer``,
+``is_finite_real`` and ``check_fields``, the one value rule of the config
+classes, ``write_json``, the strict encoder of the JSON documents
+(checkpoints, manifests, reports, histories and stats), ``read_json``, the
+one JSON decoder, ``_regular_target``, the one place that asks whether a
+save target is a regular file, for JSON documents and zips alike,
+``replacing``, which a bank, score table or prior is saved through so that
+it reaches its file whole or not at all, ``_write_zip`` and ``_read_zip``,
+the one codec of the zip files (banks, score tables of every space and
+priors) and the only code that touches ``zipfile``, and ``read_input``,
+which reads a bank, score table or prior: a zip, and no other file."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -27,6 +29,39 @@ class ShapeError(ValueError):
 
 class ValidationError(ValueError):
     """A file, record, or configuration violates a documented contract."""
+
+
+def is_integer(val) -> bool:
+    """``val`` is an ``int``, never a bool (numpy integers are not ints)."""
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+def is_finite_real(val) -> bool:
+    """``val`` is an ``int`` or ``float`` (``np.float64`` is one, ``np.float32``
+    is not), never a bool, and finite: an int past float range is not."""
+    with contextlib.suppress(OverflowError):  # an int past float range
+        return isinstance(val, (int, float)) and not isinstance(val, bool) and math.isfinite(val)
+    return False
+
+
+def check_fields(obj, bounds: dict) -> None:
+    """The value rule of the config dataclass ``obj``: each field annotated
+    ``int`` (the type or its name) holds an integer and each annotated
+    ``float`` a finite real number, in field order, and then each field
+    named in ``bounds`` lies in its closed ``(low, high)``, where a high of
+    None is no upper bound.  The first fault is a ValidationError naming
+    the field."""
+    for f in dataclasses.fields(obj):
+        val = getattr(obj, f.name)
+        if f.type in (int, "int") and not is_integer(val):
+            raise ValidationError(f"{f.name} must be an integer, got {val!r}")
+        if f.type in (float, "float") and not is_finite_real(val):
+            raise ValidationError(f"{f.name} must be a finite real number, got {val!r}")
+    for name, (low, high) in bounds.items():
+        val = getattr(obj, name)
+        if not (low <= val and (high is None or val <= high)):
+            span = f">= {low}" if high is None else f"in [{low}, {high}]"
+            raise ValidationError(f"{name} must be {span}, got {val}")
 
 
 def write_json(obj, path) -> None:

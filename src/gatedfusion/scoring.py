@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bank import PAIR_COUNT_THRESHOLD, FeatureBank, _id_fault
-from .errors import ValidationError, _write_zip, read_input
+from .errors import ValidationError, _write_zip, is_integer, read_input
 
 __all__ = [
     "ActionPrior",
@@ -124,7 +124,7 @@ class ScoreTable:
             if actions is not None:
                 raise ValidationError(f"{self.space} tables hold no actions")
         else:
-            if any(type(count) is not int for count in counts):  # type() also turns away bools
+            if not all(map(is_integer, counts)):
                 raise ValidationError("action tables must declare verb_classes and noun_classes")
             for name, count in zip(("verb_classes", "noun_classes"), counts):
                 if count < 1:

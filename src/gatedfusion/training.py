@@ -42,13 +42,13 @@ default and checks them too.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from .bank import AggregationConfig, FeatureBank, bank_features
-from .errors import ShapeError, ValidationError, read_json, write_json
+from .errors import (ShapeError, ValidationError, check_fields, is_integer, read_json,
+                     write_json)
 from .gfa import (GfaCache, GfaParams, ScaleMode, _check_affine, gate_tail, gfa_backward,
                   gfa_forward, scale_object_feature, scale_vjp)
 from .scoring import topk_report
@@ -151,22 +151,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("learning_rate", "momentum"):
-            val = getattr(self, name)
-            # bool is an int to isinstance; the comparison is exact for an int, false for nan
-            if (isinstance(val, bool) or not isinstance(val, (int, float))
-                    or not abs(val) <= sys.float_info.max):
-                raise ValidationError(f"{name} must be a finite number, got {val!r}")
-        if self.learning_rate < 0:
-            raise ValidationError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if not 0 <= self.momentum < 1:
+        check_fields(self, {"learning_rate": (0, None), "momentum": (0, None), "epochs": (1, None),
+                            "batch_size": (1, None), "seed": (0, None)})  # numpy takes seeds >= 0
+        if not self.momentum < 1:
             raise ValidationError(f"momentum must be in [0, 1), got {self.momentum}")
-        for name, low in (("epochs", 1), ("batch_size", 1), ("seed", 0)):  # numpy takes seeds >= 0
-            val = getattr(self, name)
-            if type(val) is not int:  # type() also turns away bools
-                raise ValidationError(f"{name} must be an integer, got {val!r}")
-            if val < low:
-                raise ValidationError(f"{name} must be >= {low}, got {val}")
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -292,13 +280,15 @@ def init_model(fusion: str, dim_v: int, dim_o: int, classes: int,
     """Fresh model with the shapes of ``_param_shapes``: each W uniform in
     [-1/sqrt(fan_in), 1/sqrt(fan_in)] and each b zero.  The groups are drawn
     in that table's order, gate (if any) before head, so the stream of random
-    numbers is fixed per fusion kind.  ``scale`` defaults to ``none``.
-    Parameters too large to allocate are a ``ValidationError`` naming the
-    sizes."""
+    numbers is fixed per fusion kind.  ``scale`` defaults to ``none``.  A
+    size that is not an integer of at least 1, or parameters too large to
+    allocate, are a ``ValidationError`` naming the size or the sizes."""
     rng = rng if rng is not None else np.random.default_rng()
     scale = scale if scale is not None else ScaleMode()
     variant = _gate_variant(fusion, scale)
     for name, size in (("dim_v", dim_v), ("dim_o", dim_o), ("classes", classes)):
+        if not is_integer(size):
+            raise ValidationError(f"{name} must be an integer, got {size!r}")
         if size < 1:
             raise ValidationError(f"{name} must be >= 1, got {size}")
     p = {}
@@ -573,10 +563,7 @@ def _check_checkpoint(ckpt: Checkpoint) -> None:
                                   f"{type(val).__name__}")
     if ckpt.target not in TARGETS:
         raise ValidationError(f"target must be 'verb' or 'noun', got {ckpt.target!r}")
-    for name in ("dim_v", "dim_o", "classes"):
-        val = getattr(ckpt, name)
-        if not isinstance(val, int) or isinstance(val, bool) or val < 1:
-            raise ValidationError(f"{name!r} must be an integer >= 1, got {val!r}")
+    check_fields(ckpt, {"dim_v": (1, None), "dim_o": (1, None), "classes": (1, None)})
     fusion = ckpt.model.fusion_kind
     shapes = _param_shapes(fusion, ckpt.dim_v, ckpt.dim_o, ckpt.classes)
     for name, arr in param_groups(ckpt.model).items():

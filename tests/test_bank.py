@@ -53,9 +53,8 @@ class TestAggregationConfig:
     @pytest.mark.parametrize("field,value", [("k", 1.5), ("k", True), ("window", float("nan")),
                                              ("window", float("inf")), ("window", "5")])
     def test_non_integers_rejected(self, field, value):
-        message = {"k": "aggregation k must be an integer",
-                   "window": "window must be a positive odd integer"}
-        with pytest.raises(ValidationError, match=message[field]):
+        with pytest.raises(ValidationError,
+                           match=f"^{re.escape(f'{field} must be an integer, got {value!r}')}$"):
             AggregationConfig(**{field: value})
 
 
@@ -476,10 +475,36 @@ class TestSynth:
         with pytest.raises(ValidationError):
             SynthSpec(n_segments=1, noun_vocab=4, pairs_per_verb=5)
 
-    @pytest.mark.parametrize("field,value", [("window", 2**63 + 1), ("amplitude_jitter", 309.0)])
-    def test_spec_that_cannot_be_generated_rejected(self, field, value):
-        with pytest.raises(ValidationError, match=field.replace("_", " ")):
+    @pytest.mark.parametrize("field,value,message", [
+        ("window", 2**63 + 1, f"window must be in [1, {2**63 - 1}], got {2**63 + 1}"),
+        ("amplitude_jitter", 309.0, "amplitude_jitter must be in [0, 308], got 309.0")])
+    def test_spec_that_cannot_be_generated_rejected(self, field, value, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             SynthSpec(n_segments=1, **{field: value})
+
+    # Each entry of the spec's bounds table, just past each of its ends.
+    @pytest.mark.parametrize("field,value,message", [
+        ("n_segments", 0, "n_segments must be >= 1, got 0"),
+        ("dim_v", 0, "dim_v must be >= 1, got 0"),
+        ("dim_o", 0, "dim_o must be >= 1, got 0"),
+        ("verb_vocab", 0, "verb_vocab must be >= 1, got 0"),
+        ("noun_vocab", 0, "noun_vocab must be >= 1, got 0"),
+        ("signal_detections", 0, "signal_detections must be >= 1, got 0"),
+        ("distractors", -1, "distractors must be >= 0, got -1"),
+        ("decoys", -1, "decoys must be >= 0, got -1"),
+        ("noise", -5e-324, "noise must be >= 0, got -5e-324"),
+        ("amplitude_jitter", -5e-324, "amplitude_jitter must be in [0, 308], got -5e-324"),
+        ("amplitude_jitter", np.nextafter(308.0, np.inf).item(),
+         "amplitude_jitter must be in [0, 308], got 308.00000000000006"),
+        ("noun_in_clip", -5e-324, "noun_in_clip must be >= 0, got -5e-324"),
+        ("pairs_per_verb", -1, "pairs_per_verb must be in [0, 20], got -1"),
+        ("pairs_per_verb", 21, "pairs_per_verb must be in [0, 20], got 21"),
+        ("window", 0, f"window must be in [1, {2**63 - 1}], got 0"),
+        ("window", 2**63, f"window must be in [1, {2**63 - 1}], got {2**63}"),
+    ])
+    def test_each_bound_refuses_the_value_just_past_it(self, field, value, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            SynthSpec(**{"n_segments": 1, field: value})
 
     @pytest.mark.parametrize("name", list(_REFERENCE_SPECS))
     def test_matches_record_by_record_reference(self, name, tmp_path):
@@ -1169,18 +1194,27 @@ class TestBlockCodec:
         ({"score": 10**400}, "detection 0 score must be a number"),
         ({"clip": (1.0, 2.0, 3.0)}, "clip_feature has dim 3, bank declares dim_v=2"),
         ({"clip": (10**400, 2.0)}, "clip_feature must be an array of numbers"),
+        ({"clip": ((1.0, 2.0),)}, "clip_feature must be a flat array"),
         ({"feature": (float("nan"), 0.0)}, "detection 0 feature has non-finite entries"),
         ({"feature": (10**400, 0.0)}, "detection 0 feature must be an array of numbers"),
         ({"verb": -1}, "verb label -1 out of range [0, 3)"),
         ({"noun": 4}, "noun label 4 out of range [0, 4)"),
     ], ids=["center-str", "center-bool", "center-10**30", "score-str", "score-bool",
-            "score-10**400", "clip-dim", "clip-10**400", "feature-nan", "feature-10**400",
-            "label--1", "label-past-vocab"])
+            "score-10**400", "clip-dim", "clip-10**400", "clip-2d", "feature-nan",
+            "feature-10**400", "label--1", "label-past-vocab"])
     def test_a_faulty_record_is_named_with_its_field(self, fault, message):
         good = _small_records()
         with pytest.raises(ValidationError) as from_records:
             _small_bank(good[:1] + [_row_x(**fault)] + good[1:])
         assert str(from_records.value) == f"record 'x': {message}"
+
+    @pytest.mark.parametrize("header,message", [
+        ({"dim_v": 0}, "bank dims must be positive, got dim_v=0, dim_o=2"),
+        ({"verb_vocab_size": 0}, "vocab sizes must be positive, got verbs=0, nouns=4"),
+    ], ids=["dim_v-0", "verbs-0"])
+    def test_a_header_of_no_width_is_refused(self, header, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            FeatureBank.from_records(_small_records(), **{**_SMALL_HEADER, **header})
 
     def test_signed_zeros_and_subnormals_load_bit_for_bit(self, tmp_path):
         bank = FeatureBank.from_records([

@@ -376,7 +376,8 @@ class TestTrainEval:
         obj = self._concat_checkpoint(tmp_path)
         obj["dim_v"] = "16"
         assert self._eval(tmp_path, obj) == 1
-        assert "'dim_v' must be an integer" in capsys.readouterr().err
+        assert capsys.readouterr().err == (f"gatedfusion: error: {tmp_path / 'broken.json'}: "
+                                           "dim_v must be an integer, got '16'\n")
 
     def test_checkpoint_nan_weight_is_exit_one(self, tmp_path, capsys):
         obj = self._concat_checkpoint(tmp_path)
@@ -706,6 +707,26 @@ class TestActions:
                    "--out-dir", tmp_path / "act") == 1
         assert "misaligned" in capsys.readouterr().err
         assert not list((tmp_path / "act").glob("*"))
+
+    @pytest.mark.parametrize("train_nouns,rows,nouns,message", [
+        (4, 4, 3, "tables are 2x3 classes but prior is 2x4"),
+        (4, 4, 4, "bank vocab 2x3 does not match prior 2x4"),
+        (3, 3, 3, "verb/noun tables have 4 vs 3 segments"),
+    ], ids=["train bank of 4 nouns", "tables and train bank of 4 nouns", "noun table of 3 ids"])
+    def test_inputs_that_do_not_fit_are_exit_one_with_no_out_dir(
+            self, tmp_path, capsys, train_nouns, rows, nouns, message):
+        paths = tiny_action_inputs(tmp_path)
+        train_bank = tmp_path / "train.bank"
+        save_feature_bank(FeatureBank.from_records(
+            [SegmentRecord("t0", np.zeros(2), 0, [], 1, 2)], dim_v=2, dim_o=2,
+            verb_vocab_size=2, noun_vocab_size=train_nouns), train_bank)
+        save_score_table(ScoreTable(segment_ids=["s0", "s1", "s2", "s3"][:rows], space="noun",
+                                    scores=np.full((rows, nouns), 1 / nouns)), paths["noun"])
+        assert run("actions", "--verb-table", paths["verb"], "--noun-table", paths["noun"],
+                   "--bank", paths["bank"], "--train-bank", train_bank,
+                   "--out-dir", tmp_path / "act") == 1
+        assert capsys.readouterr().err == f"gatedfusion: error: {message}\n"
+        assert not (tmp_path / "act").exists()
 
     @pytest.mark.parametrize("text", [
         '{"space":"verb","classes":2}\ns0 0.9 0.1\ns1 0.2 0.8\ns2 0.4 0.6\ns3 0.5 0.5\n',
@@ -1392,6 +1413,13 @@ class TestGradcheckCommand:
                 "got 1e-320") in capsys.readouterr().err
         assert not list((tmp_path / "out").glob("*"))
 
+    def test_step_whose_stencil_overflows_is_exit_one(self, tmp_path, capsys):
+        assert run("gradcheck", "--fusion", "gfa-b", "--step", "1e308",
+                   "--out-dir", tmp_path / "out") == 1
+        assert capsys.readouterr().err == ("gatedfusion: error: step 1e+308 is too large: the "
+                                           "stencil's 12 * step is not finite\n")
+        assert not (tmp_path / "out").exists()
+
     def test_passes_by_default(self, tmp_path, capsys):
         rc = run("gradcheck", "--fusion", "gfa-a", "--scale", "norm",
                  "--out-dir", tmp_path)
@@ -1559,6 +1587,30 @@ class TestLibraryDefaults:
             "dim_o": 6, "classes": 4, "seed": 0,
             "step": inspect.signature(grad_check).parameters["step"].default,
             "tolerance": 1e-5, "out_dir": out})
+
+
+    @pytest.mark.parametrize("command,classes", [
+        ("synth", [SynthSpec]), ("train", [TrainConfig, AggregationConfig, ScaleMode]),
+        ("stats", [AggregationConfig]), ("gradcheck", [ScaleMode])],
+        ids=["synth", "train", "stats", "gradcheck"])
+    def test_each_command_sets_every_field_of_its_configs(self, tmp_path, monkeypatch, command,
+                                                          classes):
+        # A config field that no option sets keeps its library default unseen.
+        synth(tmp_path / "data", train=6, val=4)
+        argv = {"synth": ["--seed", 1, "--train-segments", 2, "--val-segments", 2],
+                "train": ["--bank", tmp_path / "data/train.bank", "--target", "verb",
+                          "--fusion", "gfa-a", "--epochs", 1, "--seed", 0],
+                "stats": ["--bank", tmp_path / "data/val.bank"],
+                "gradcheck": ["--fusion", "gfa-b"]}[command]
+        given = {cls.__name__: set() for cls in classes}
+        for cls in classes:
+            def record(_cls=cls, **kwargs):
+                given[_cls.__name__].update(kwargs)
+                return _cls(**kwargs)
+            monkeypatch.setattr(cli, cls.__name__, record)
+        assert run(command, *argv, "--out-dir", tmp_path / "out") == 0
+        assert given == {cls.__name__: {f.name for f in dataclasses.fields(cls)}
+                         for cls in classes}
 
 
 class TestManifestRerun:
@@ -1738,7 +1790,8 @@ class TestNonFiniteValues:
             write_manifest({"command": "eval", "version": "0", "seed": None,
                             "config": {"lr": float("inf")}}, tmp_path / "m.json")
         model = init_model("clip-only", 2, 2, 3, rng=np.random.default_rng(0))
-        with pytest.raises(ValidationError, match="learning_rate must be a finite number"):
+        with pytest.raises(ValidationError,
+                           match="^learning_rate must be a finite real number, got inf$"):
             save_checkpoint(Checkpoint(model=model, target="noun", dim_v=2, dim_o=2, classes=3,
                                        aggregation=AggregationConfig(),
                                        train_config=TrainConfig(learning_rate=float("inf"))),

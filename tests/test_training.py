@@ -487,6 +487,31 @@ class TestTrainConfig:
             TrainConfig(learning_rate=-0.1)
 
 
+class TestValueRule:
+    @pytest.mark.parametrize("build,message", [
+        (lambda: SynthSpec(n_segments=1, noise=np.float32(0.1)),
+         f"noise must be a finite real number, got {np.float32(0.1)!r}"),
+        (lambda: TrainConfig(epochs=np.int64(3)), f"epochs must be an integer, got {np.int64(3)!r}"),
+        (lambda: AggregationConfig(k=np.int64(3)), f"k must be an integer, got {np.int64(3)!r}"),
+    ], ids=["float32 noise", "int64 epochs", "int64 k"])
+    def test_numpy_scalars_are_refused(self, build, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            build()
+
+    def test_float64_is_a_float(self):
+        assert SynthSpec(n_segments=1, noise=np.float64(0.1)).noise == 0.1
+        assert TrainConfig(learning_rate=np.float64(0.1)).learning_rate == 0.1
+
+    @pytest.mark.parametrize("value", [2.5, "3", True, np.int64(3)],
+                             ids=["float", "str", "bool", "int64"])
+    @pytest.mark.parametrize("size", ["dim_v", "dim_o", "classes"])
+    def test_init_model_refuses_a_size_that_is_not_an_integer(self, size, value):
+        sizes = {"dim_v": 2, "dim_o": 3, "classes": 4, size: value}
+        with pytest.raises(ValidationError,
+                           match=f"^{re.escape(f'{size} must be an integer, got {value!r}')}$"):
+            init_model("concat", **sizes)
+
+
 class TestGradCheck:
     def test_gfa_a_model(self):
         rng = np.random.default_rng(103)
@@ -631,7 +656,7 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("edit,message", [
-        (lambda obj: obj["aggregation"].update(k=0), "aggregation k must be an integer >= 1"),
+        (lambda obj: obj["aggregation"].update(k=0), "k must be >= 1, got 0"),
         (lambda obj: obj["scale"].update(kind="bogus"), "scale kind 'bogus'"),
         (lambda obj: obj["train_config"].update(epochs=0), "epochs must be >= 1"),
     ], ids=["k", "scale-kind", "epochs"])
