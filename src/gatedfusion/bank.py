@@ -118,7 +118,6 @@ def _id_fault(ids) -> tuple[int, str] | None:
         if seg_id in seen:
             return i, f"duplicate segment_id {seg_id!r}"
         seen.add(seg_id)
-    return None
 
 
 def _int64(val, key: str, where: str = "") -> int:

@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 usage or validation error, 2 internal error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import inspect
 import json
@@ -131,18 +132,16 @@ def _scale_mode(cfg: dict) -> ScaleMode:
 # returns its exit code.
 
 def _cmd_synth(cfg: dict, paths: dict) -> int:
-    def spec(n: int) -> SynthSpec:
-        return SynthSpec(n_segments=n, dim_v=cfg["dim_v"], dim_o=cfg["dim_o"],
-                         verb_vocab=cfg["verbs"], noun_vocab=cfg["nouns"],
-                         signal_detections=cfg["detections"],
-                         distractors=cfg["distractors"], decoys=cfg["decoys"],
-                         noise=cfg["noise"], mismatch=cfg["mismatch"],
-                         amplitude_jitter=cfg["jitter"],
-                         noun_in_clip=cfg["noun_in_clip"],
-                         pairs_per_verb=cfg["pairs_per_verb"], window=cfg["window"])
-
-    train_bank = synth_generate(spec(cfg["train_segments"]), cfg["seed"], "train")
-    val_bank = synth_generate(spec(cfg["val_segments"]), cfg["seed"], "val")
+    # Both splits' specs are checked before either bank is generated.
+    spec = SynthSpec(n_segments=cfg["train_segments"], dim_v=cfg["dim_v"], dim_o=cfg["dim_o"],
+                     verb_vocab=cfg["verbs"], noun_vocab=cfg["nouns"],
+                     signal_detections=cfg["detections"], distractors=cfg["distractors"],
+                     decoys=cfg["decoys"], noise=cfg["noise"], mismatch=cfg["mismatch"],
+                     amplitude_jitter=cfg["jitter"], noun_in_clip=cfg["noun_in_clip"],
+                     pairs_per_verb=cfg["pairs_per_verb"], window=cfg["window"])
+    val_spec = dataclasses.replace(spec, n_segments=cfg["val_segments"])
+    train_bank = synth_generate(spec, cfg["seed"], "train")
+    val_bank = synth_generate(val_spec, cfg["seed"], "val")
     save_feature_bank(train_bank, paths["train_bank"])
     save_feature_bank(val_bank, paths["val_bank"])
     print(f"wrote {paths['train_bank']} ({len(train_bank.ids)} records) and "
@@ -249,8 +248,8 @@ def _cmd_gradcheck(cfg: dict, paths: dict) -> int:
 
 
 def _cmd_stats(cfg: dict, paths: dict) -> int:
-    bank = load_feature_bank(cfg["bank"])
-    stats = bank_stats(bank, AggregationConfig(k=cfg["k"], window=cfg["window"]))
+    agg = AggregationConfig(k=cfg["k"], window=cfg["window"])  # checked before the bank loads
+    stats = bank_stats(load_feature_bank(cfg["bank"]), agg)
     print(json.dumps(stats, indent=1))
     write_json(stats, paths["stats"])
     return 0

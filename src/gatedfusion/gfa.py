@@ -33,10 +33,10 @@ amplitudes is what removes the gradient blow-up (see the README).
 
 Both variants are one gate ``sigmoid(W x + b) * y``: ``(x, y)`` is
 ``([v, o], [v, o])`` for A and ``(o, v)`` for B, a rule stated once, in
-``GfaCache.gate_operands``.  ``gfa_forward`` runs it and returns a cache
-holding the intermediates the backward pass needs; ``gfa_backward``, one
-VJP of the same gate, produces exact analytic gradients for both gate
-inputs (unless ``inputs=False``) and both parameters.
+``gfa_forward``.  It runs the gate and returns a ``GfaCache`` holding
+``x``, ``y`` and the gate; ``gfa_backward``, one VJP of the same gate,
+produces exact analytic gradients for both gate inputs (unless
+``inputs=False``) and both parameters.
 
 Every function works on the last axis: ``v`` and ``o`` are either one
 segment's vectors, shapes ``(dim_v,)`` and ``(dim_o,)``, or a block of B
@@ -135,21 +135,15 @@ class GfaParams:
 
 @dataclass
 class GfaCache:
-    """Intermediates saved by a forward pass for the matching backward pass;
-    ``concat_in`` is variant A's ``[v, o]``."""
+    """What a forward pass saves for the matching backward pass: the
+    operands ``(x, y)`` of the gate ``sigmoid(W x + b) * y``, the gate
+    itself, and ``dim_v``, the width that splits variant A's ``[v, o]``."""
 
     variant: str
-    v: np.ndarray
-    o: np.ndarray
-    concat_in: np.ndarray | None = None
-    gate: np.ndarray | None = None
-
-    def gate_operands(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(x, y)`` of the gate ``sigmoid(W x + b) * y``: ``(c, c)`` for
-        variant A, with ``c`` the concatenation, and ``(o, v)`` for B."""
-        if self.variant == "a":
-            return self.concat_in, self.concat_in
-        return self.o, self.v
+    x: np.ndarray
+    y: np.ndarray
+    gate: np.ndarray
+    dim_v: int
 
 
 def scale_object_feature(o: np.ndarray, v: np.ndarray, mode: ScaleMode) -> np.ndarray:
@@ -201,17 +195,17 @@ def gate_tail(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def gfa_forward(v: np.ndarray, o: np.ndarray,
                 p: GfaParams) -> tuple[np.ndarray, GfaCache]:
-    """The gate ``sigmoid(W x + b) * y`` of ``p.variant``, on the ``(x, y)``
-    of ``GfaCache.gate_operands``: the concatenation ``[v, o]`` twice for
-    variant A, ``(o, v)`` for variant B."""
+    """The gate ``sigmoid(W x + b) * y`` of ``p.variant``: ``(x, y)`` is the
+    concatenation ``[v, o]`` twice for variant A, ``(o, v)`` for variant B."""
     if v.shape[:-1] != o.shape[:-1]:
         raise ShapeError(
             f"gfa variant {p.variant}: v has leading shape {v.shape[:-1]}, o has {o.shape[:-1]}")
-    c = np.concatenate([v, o], axis=-1) if p.variant == "a" else None
-    cache = GfaCache(variant=p.variant, v=v, o=o, concat_in=c)
-    x, y = cache.gate_operands()
-    fused, cache.gate = gate_tail(affine(x, p.W, p.b), y)
-    return fused, cache
+    if p.variant == "a":
+        x = y = np.concatenate([v, o], axis=-1)
+    else:
+        x, y = o, v
+    fused, gate = gate_tail(affine(x, p.W, p.b), y)
+    return fused, GfaCache(variant=p.variant, x=x, y=y, gate=gate, dim_v=v.shape[-1])
 
 
 def gfa_backward(cache: GfaCache, p: GfaParams, dF: np.ndarray, inputs: bool = True
@@ -219,10 +213,9 @@ def gfa_backward(cache: GfaCache, p: GfaParams, dF: np.ndarray, inputs: bool = T
     """Exact gradients of the fused output w.r.t. ``(v, o, W, b)``.
 
     ``cache`` must come from the forward pass that used ``p``.  One VJP of
-    the gate ``sigmoid(W x + b) * y``, on the ``(x, y)`` of
-    ``cache.gate_operands()``, serves both variants.  Gradients that reach a
-    value through several paths (``c`` as both ``x`` and ``y`` in variant A)
-    are summed.
+    the gate ``sigmoid(W x + b) * y``, on the cached ``(x, y)``, serves both
+    variants.  Gradients that reach a value through several paths (``[v, o]``
+    as both ``x`` and ``y`` in variant A) are summed.
     Input gradients have the shapes of ``v`` and ``o``; the ``W`` and ``b``
     gradients are summed over rows.  With ``inputs=False`` only the ``W``
     and ``b`` gradients are computed and the input gradients are None.
@@ -235,13 +228,13 @@ def gfa_backward(cache: GfaCache, p: GfaParams, dF: np.ndarray, inputs: bool = T
         raise ShapeError(
             f"gfa_backward: dF has shape {dF.shape}, expected {gate.shape}")
 
-    x, y = cache.gate_operands()
-    dx, dW, db = affine_vjp(x, p.W, p.b, dF * y * gate * (1.0 - gate), inputs=inputs)
+    dx, dW, db = affine_vjp(cache.x, p.W, p.b, dF * cache.y * gate * (1.0 - gate),
+                            inputs=inputs)
     if not inputs:
         return None, None, dW, db
     dy = dF * gate
     if p.variant == "b":
         return dy, dx, dW, db
-    dc, n = dy + dx, cache.v.shape[-1]  # variant A: x = y = [v, o]
+    dc, n = dy + dx, cache.dim_v  # variant A: x = y = [v, o]
     return dc[..., :n], dc[..., n:], dW, db
 

@@ -124,9 +124,11 @@ class ScoreTable:
             if actions is not None:
                 raise ValidationError(f"{self.space} tables hold no actions")
         else:
-            if not all(map(is_integer, counts)):
+            if any(count is None for count in counts):
                 raise ValidationError("action tables must declare verb_classes and noun_classes")
             for name, count in zip(("verb_classes", "noun_classes"), counts):
+                if not is_integer(count):
+                    raise ValidationError(f"action table: {name} must be an integer, got {count!r}")
                 if count < 1:
                     raise ValidationError(f"action table: {name} must be >= 1, got {count}")
             pairs = self.verb_classes * self.noun_classes

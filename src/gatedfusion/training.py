@@ -485,7 +485,7 @@ def grad_check(model: Model, v: np.ndarray, o_agg: np.ndarray, label: int,
         d_head = stencil(losses(_affine_rows(scores, cache.feature, offsets)))
         numeric = {"head.W": d_head[:, :-1], "head.b": d_head[:, -1]}
         if model.gfa is not None:
-            x, y = cache.gfa_cache.gate_operands()
+            x, y = cache.gfa_cache.x, cache.gfa_cache.y
             z = _affine_rows(affine(x, model.gfa.W, model.gfa.b), x, offsets)
             fused, _ = gate_tail(z, np.broadcast_to(y, z.shape))
             d_gate = stencil(losses(affine(fused, model.head.W, model.head.b)))

@@ -121,8 +121,8 @@ def test_criterion_02_gate_structure():
     v, o = np.array([1.5, -2.0, 0.25]), np.array([4.0, -8.0])
     pa0 = GfaParams(variant="a", W=np.zeros((5, 5)), b=np.zeros(5))
     Fa, ca = gfa_forward(v, o, pa0)
-    assert np.array_equal(Fa, 0.5 * ca.concat_in)
-    assert np.array_equal(ca.concat_in, np.concatenate([v, o]))
+    assert np.array_equal(Fa, 0.5 * ca.y)
+    assert np.array_equal(ca.y, np.concatenate([v, o]))
     pb0 = GfaParams(variant="b", W=np.zeros((3, 2)), b=np.zeros(3))
     Fb, _ = gfa_forward(v, o, pb0)
     assert np.array_equal(Fb, 0.5 * v)

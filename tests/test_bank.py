@@ -959,6 +959,19 @@ class TestBankZip:
             load_feature_bank(path)
         assert str(exc.value).startswith(f"{path}: {_ZIP_FAULTS[kind]}")
 
+    def test_a_member_of_a_later_npy_version_is_a_fault_naming_the_file(self, tmp_path):
+        path = _saved(tmp_path)
+        with zipfile.ZipFile(path) as zf:
+            members = {info.filename: zf.read(info) for info in zf.infolist()}
+        members["clip.npy"] = members["clip.npy"][:6] + bytes([3, 0]) + members["clip.npy"][8:]
+        with zipfile.ZipFile(path, "w") as zf:
+            for name, raw in members.items():
+                zf.writestr(name, raw)
+        with pytest.raises(ValidationError) as exc:
+            load_feature_bank(path)
+        assert str(exc.value) == (f"{path}: not a readable bank zip: we only support format "
+                                  "version (1,0) and (2,0), not (3, 0)")
+
     @pytest.mark.parametrize("kind", ["empty", "junk after the magic", "bare npy",
                                       "earlier json lines"])
     def test_a_file_that_is_no_zip_is_a_fault_naming_the_file(self, tmp_path, kind):

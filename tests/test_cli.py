@@ -1154,6 +1154,14 @@ class TestFuzzedManifests:
             rc = run(command, "--config", path, "--out-dir", root / "rerun")
         assert rc in (0, 1)
 
+    def test_a_manifest_without_a_seed_is_exit_one_naming_the_key(self, tmp_path, capsys):
+        path = tmp_path / "synth.manifest.json"
+        write_manifest({"command": "synth", "version": __version__, "config": {}}, path)
+        assert run("synth", "--config", path, "--out-dir", tmp_path / "rerun") == 1
+        assert capsys.readouterr().err == (f"gatedfusion: error: {path}: manifest missing key "
+                                           "'seed'\n")
+        assert not (tmp_path / "rerun").exists()
+
     def test_unedited_manifests_rerun(self, tmp_path):
         for command, path in tiny_manifests(tmp_path).items():
             assert run(command, "--config", path, "--out-dir", tmp_path / command / "rerun") == 0
@@ -1527,6 +1535,22 @@ class TestStats:
         stats = json.loads((tmp_path / "bank_stats.json").read_text())
         assert stats["mean_clip_amplitude"] == 0.0
         assert stats["mean_object_amplitude"] == 0.0
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["synth", "--seed", 1, "--train-segments", 20000, "--val-segments", 0],
+     "n_segments must be >= 1, got 0"),
+    (["stats", "--bank", "missing.bank", "--k", 0], "k must be >= 1, got 0"),
+], ids=["synth-val-segments-0", "stats-k-0"])
+def test_a_refused_option_is_found_before_any_bank_is_made_or_loaded(tmp_path, capsys,
+                                                                     monkeypatch, argv, message):
+    called = []
+    for name in ("synth_generate", "load_feature_bank"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: called.append(name))
+    assert run(*argv, "--out-dir", tmp_path / "out") == 1
+    assert capsys.readouterr().err == f"gatedfusion: error: {message}\n"
+    assert called == []
+    assert not (tmp_path / "out").exists()
 
 
 def assert_config(manifest_path, expected):

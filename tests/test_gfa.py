@@ -128,7 +128,7 @@ class TestGfaAForward:
             p = init_model("gfa-a", 4, 3, 1, ScaleMode(), rng).gfa
             F, cache = gfa_forward(v, o, p)
             assert np.all(cache.gate > 0) and np.all(cache.gate < 1)
-            assert np.all(np.abs(F) <= np.abs(cache.concat_in))
+            assert np.all(np.abs(F) <= np.abs(cache.y))
 
     def test_shape_error(self):
         p = GfaParams(variant="a", W=np.zeros((4, 4)), b=np.zeros(4))
@@ -158,7 +158,7 @@ class TestGfaBForward:
         p = init_model("gfa-b", 6, 4, 1, rng=rng).gfa
         F, cache = gfa_forward(rng.normal(size=6), rng.normal(size=4), p)
         assert F.shape == (6,)
-        assert np.all(np.abs(F) <= np.abs(cache.v))
+        assert np.all(np.abs(F) <= np.abs(cache.y))
 
     def test_shape_errors(self):
         p = GfaParams(variant="b", W=np.zeros((2, 3)), b=np.zeros(2))
@@ -254,6 +254,11 @@ class TestScaleVjp:
         for mode in (ScaleMode(), ScaleMode("scalar", s=4.0)):
             do, dv = scale_vjp(o, v, mode, up)
             assert np.array_equal(dv, np.zeros(3))
+
+    def test_upstream_of_another_shape_is_a_shape_error(self):
+        with pytest.raises(ShapeError, match=r"^scale_vjp: upstream shape \(2, 4\), "
+                                             r"expected \(2, 3\)$"):
+            scale_vjp(np.ones((2, 3)), np.ones((2, 3)), ScaleMode("norm"), np.ones((2, 4)))
 
 
 class TestInitAndCalibration:

@@ -148,6 +148,11 @@ class TestReweightActions:
             reweight_actions(np.ones((3, 2)) / 2, np.ones((2, 2)) / 2,
                              ActionPrior(mu=np.ones((2, 2))))
 
+    def test_noun_vocab_mismatch(self):
+        with pytest.raises(ValidationError, match=r"^noun probabilities shaped \(4,\), prior "
+                                                  r"expects 3 nouns$"):
+            reweight_actions(np.ones(2) / 2, np.ones(4) / 4, ActionPrior(mu=np.ones((2, 3))))
+
     def test_positive_scaling_of_mu_preserves_argmax(self):
         rng = np.random.default_rng(2)
         for _ in range(25):
@@ -928,19 +933,29 @@ class TestScoreTableInvariants:
             ScoreTable(["a"], scores, "verb")
 
     @pytest.mark.parametrize("space,counts,message", [
-        ("action", (1.5, 4), "action tables must declare verb_classes and noun_classes"),
-        ("action", (2, 3.0), "action tables must declare verb_classes and noun_classes"),
-        ("action", (True, 6), "action tables must declare verb_classes and noun_classes"),
+        ("action", (1.5, 4), "action table: verb_classes must be an integer, got 1.5"),
+        ("action", (2, 3.0), "action table: noun_classes must be an integer, got 3.0"),
+        ("action", (True, 6), "action table: verb_classes must be an integer, got True"),
+        ("action", ("2", 3), "action table: verb_classes must be an integer, got '2'"),
+        ("action", (np.int64(2), 3), "action table: verb_classes must be an integer, "
+                                     "got np.int64(2)"),
+        ("action", (None, 6), "action tables must declare verb_classes and noun_classes"),
         ("verb", (6, None), "verb tables declare no verb_classes or noun_classes"),
         ("verb", (None, 7), "verb tables declare no verb_classes or noun_classes"),
         ("noun", (1, 6), "noun tables declare no verb_classes or noun_classes"),
-    ], ids=["action-1.5x4", "action-2x3.0", "action-True", "verb-6", "verb-7-nouns", "noun-1x6"])
+    ], ids=["action-1.5x4", "action-2x3.0", "action-True", "action-str2", "action-int64",
+            "action-None", "verb-6", "verb-7-nouns", "noun-1x6"])
     def test_class_counts_that_would_not_load_back_fail_to_build(self, space, counts, message):
         # 1.5 x 4 == 6 once built and saved a [1, 4] header that did not
         # load, True once loaded back as 1, and a verb or noun table's counts
         # once loaded back as None.
-        with pytest.raises(ValidationError, match=f"^{message}$"):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             ScoreTable(["a"], np.zeros((1, 6)), space, *counts)
+
+    def test_an_id_that_is_not_a_str_fails_to_build(self):
+        with pytest.raises(ValidationError, match=r"^segment_id 1 must be a non-empty str with "
+                                                  r"no whitespace or lone surrogate$"):
+            ScoreTable(segment_ids=[1], scores=np.zeros((1, 2)), space="verb")
 
     @pytest.mark.parametrize("ids,message", [
         (["a b"], "segment_id 'a b' must be a non-empty str with no whitespace or lone surrogate"),

@@ -30,6 +30,11 @@ class TestAffine:
         with pytest.raises(ShapeError):
             tensor.affine(np.zeros(2), np.eye(2), np.zeros(3))
 
+    def test_weight_that_is_not_2d_error(self):
+        with pytest.raises(ShapeError,
+                           match=r"^affine: W must be 2-D and b 1-D, got 1-D and 1-D$"):
+            tensor.affine(np.zeros(2), np.zeros(2), np.zeros(2))
+
     def test_rows_of_a_block(self):
         W = np.array([[1.0, 2.0], [3.0, 4.0]])
         X = np.array([[1.0, 1.0], [0.0, 0.0], [2.0, -1.0]])

@@ -750,6 +750,10 @@ class TestCheckpoint:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             make()
 
+    def test_head_weights_of_the_wrong_rank_are_a_shape_error(self):
+        with pytest.raises(ShapeError, match=r"^head: W must be 2-D and b 1-D$"):
+            Head(W=np.zeros(3), b=np.zeros(3))
+
     @staticmethod
     def _built(how: str, tmp_path) -> Checkpoint:
         """A gfa-b checkpoint built from ``train``'s model, or loaded."""
