@@ -6,12 +6,12 @@ command with the recorded configuration (explicit flags still win), which
 reproduces deterministic outputs byte for byte.
 
 Each command is declared once, in its ``_COMMANDS`` row: handler, help, the
-files it writes in ``--out-dir`` and its options, with the library's default
-where it has one.  The parser, the config and the manifest (its ``inputs``
-are the ``_INPUTS`` keys a run was given) are built from that table.  The
-parser is built on the first ``main`` call and reused by every later one in
-the process: parsing never changes it, and the help width is read when help
-is formatted.
+files it writes in ``--out-dir`` and its options, each row naming the config
+field it fills or holding its default.  The parser, the config, the library
+config objects and the manifest (its ``inputs`` are the ``_INPUTS`` keys a
+run was given) are built from that table.  The parser is built on the first
+``main`` call and reused by every later one in the process: parsing never
+changes it, and the help width is read when help is formatted.
 
 Exit codes: 0 success, 1 usage or validation error, 2 internal error.
 """
@@ -19,7 +19,6 @@ Exit codes: 0 success, 1 usage or validation error, 2 internal error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import inspect
 import json
@@ -106,7 +105,7 @@ def _effective_config(args: argparse.Namespace) -> dict:
         if val is None:
             if default is _REQUIRED:
                 raise _UsageError(f"missing required option {flag}")
-            val = default
+            val = getattr(*default) if isinstance(default, tuple) else default
         cfg[key] = val
     return cfg
 
@@ -119,12 +118,20 @@ def _option_takes(kwargs: dict, val) -> bool:
     return ok and ("choices" not in kwargs or val in kwargs["choices"])
 
 
-def _scale_mode(cfg: dict) -> ScaleMode:
-    """The model's scale stage.  ``cfg`` then records the divisor that took
-    effect, which is 1.0 for a kind that does not divide."""
-    mode = ScaleMode(kind=cfg["scale"], s=cfg["scale_divisor"])
-    cfg["scale_divisor"] = mode.s
-    return mode
+def _config(cls, cfg: dict, **keys):
+    """``cls`` from the ``cfg`` values of the options whose rows name its
+    fields and of ``keys`` (field=config key).  ``cfg`` then records each
+    value that took effect, such as the divisor 1.0 of a kind that does not
+    divide.  A refused value is named by its config key."""
+    keys.update({tag[1]: flag[2:].replace("-", "_") for *_, options in _COMMANDS.values()
+                 for flag, tag, _ in options if isinstance(tag, tuple) and tag[0] is cls})
+    try:
+        obj = cls(**{field: cfg[key] for field, key in keys.items()})
+    except ValidationError as exc:
+        field, _, rest = str(exc).partition(" ")
+        raise ValidationError(f"{keys.get(field, field)} {rest}") from None
+    cfg.update({key: getattr(obj, field) for field, key in keys.items()})
+    return obj
 
 
 # Each handler runs one command from its resolved config, writes the files
@@ -133,13 +140,8 @@ def _scale_mode(cfg: dict) -> ScaleMode:
 
 def _cmd_synth(cfg: dict, paths: dict) -> int:
     # Both splits' specs are checked before either bank is generated.
-    spec = SynthSpec(n_segments=cfg["train_segments"], dim_v=cfg["dim_v"], dim_o=cfg["dim_o"],
-                     verb_vocab=cfg["verbs"], noun_vocab=cfg["nouns"],
-                     signal_detections=cfg["detections"], distractors=cfg["distractors"],
-                     decoys=cfg["decoys"], noise=cfg["noise"], mismatch=cfg["mismatch"],
-                     amplitude_jitter=cfg["jitter"], noun_in_clip=cfg["noun_in_clip"],
-                     pairs_per_verb=cfg["pairs_per_verb"], window=cfg["window"])
-    val_spec = dataclasses.replace(spec, n_segments=cfg["val_segments"])
+    spec = _config(SynthSpec, cfg, n_segments="train_segments")
+    val_spec = _config(SynthSpec, cfg, n_segments="val_segments")
     train_bank = synth_generate(spec, cfg["seed"], "train")
     val_bank = synth_generate(val_spec, cfg["seed"], "val")
     save_feature_bank(train_bank, paths["train_bank"])
@@ -151,11 +153,9 @@ def _cmd_synth(cfg: dict, paths: dict) -> int:
 
 def _cmd_train(cfg: dict, paths: dict) -> int:
     # The options, the model spec among them, are checked before any bank loads.
-    agg = AggregationConfig(k=cfg["k"], window=cfg["window"])
-    spec = ModelSpec(fusion=cfg["fusion"], scale=_scale_mode(cfg), aggregation=agg)
-    tc = TrainConfig(learning_rate=cfg["lr"], momentum=cfg["momentum"],
-                     epochs=cfg["epochs"], batch_size=cfg["batch_size"],
-                     seed=cfg["seed"])
+    agg = _config(AggregationConfig, cfg)
+    spec = ModelSpec(fusion=cfg["fusion"], scale=_config(ScaleMode, cfg), aggregation=agg)
+    tc = _config(TrainConfig, cfg, seed="seed")
     bank = load_feature_bank(cfg["bank"])
     val_bank = load_feature_bank(cfg["val_bank"]) if cfg["val_bank"] else None
     model, history = train(bank, cfg["target"], spec, tc, val_bank)
@@ -223,7 +223,7 @@ def _cmd_actions(cfg: dict, paths: dict) -> int:
 def _cmd_gradcheck(cfg: dict, paths: dict) -> int:
     rng = np.random.default_rng(cfg["seed"])
     model = init_model(cfg["fusion"], cfg["dim_v"], cfg["dim_o"], cfg["classes"],
-                       scale=_scale_mode(cfg), rng=rng)
+                       scale=_config(ScaleMode, cfg), rng=rng)
     v = rng.uniform(-2.0, 2.0, size=cfg["dim_v"])
     o = rng.uniform(-2.0, 2.0, size=cfg["dim_o"])
     # Keep the object feature away from the norm-scaling kink at |o| ~ 0.
@@ -248,7 +248,7 @@ def _cmd_gradcheck(cfg: dict, paths: dict) -> int:
 
 
 def _cmd_stats(cfg: dict, paths: dict) -> int:
-    agg = AggregationConfig(k=cfg["k"], window=cfg["window"])  # checked before the bank loads
+    agg = _config(AggregationConfig, cfg)  # checked before the bank loads
     stats = bank_stats(load_feature_bank(cfg["bank"]), agg)
     print(json.dumps(stats, indent=1))
     write_json(stats, paths["stats"])
@@ -256,20 +256,20 @@ def _cmd_stats(cfg: dict, paths: dict) -> int:
 
 
 _INT, _FLOAT = {"type": int}, {"type": _finite_float}
-_SCALE_OPTIONS = [("--scale", ScaleMode.kind,
+_SCALE_OPTIONS = [("--scale", (ScaleMode, "kind"),
                    {"choices": SCALE_KINDS, "help": "rescale o before fusion (not clip-only)"}),
-                  ("--scale-divisor", ScaleMode.s, _FLOAT)]
-_AGGREGATION_OPTIONS = [("--k", AggregationConfig.k, _INT),
-                        ("--window", AggregationConfig.window, _INT)]
+                  ("--scale-divisor", (ScaleMode, "s"), _FLOAT)]
+_AGGREGATION_OPTIONS = [("--k", (AggregationConfig, "k"), _INT),
+                        ("--window", (AggregationConfig, "window"), _INT)]
 
 # command -> (handler, help, outputs, options).  outputs maps each manifest
 # output key to its file in --out-dir, in manifest order; eval's scores are
 # a zip under their text-era name, which the README and perfbench pass to
 # actions, and actions writes the prior only when it counts one from
 # --train-bank.  options are (flag, default, argparse keywords) rows in
-# manifest order.  Dataclass field defaults are class attributes, so the
-# library is the one source of every default it defines; a _REQUIRED option
-# has none.
+# manifest order.  An option that fills a config field holds (class, field)
+# as its default and takes the field's, a class attribute: the library is
+# the one source of every default it defines.  A _REQUIRED option has none.
 _COMMANDS = {
     "synth": (_cmd_synth, "generate synthetic train/val feature banks",
               {"train_bank": "train.bank", "val_bank": "val.bank"}, [
@@ -277,25 +277,25 @@ _COMMANDS = {
         ("--out-dir", _REQUIRED, {}),
         ("--train-segments", 500, _INT),
         ("--val-segments", 200, _INT),
-        ("--verbs", SynthSpec.verb_vocab, _INT),
-        ("--nouns", SynthSpec.noun_vocab, _INT),
-        ("--dim-v", SynthSpec.dim_v, _INT),
-        ("--dim-o", SynthSpec.dim_o, _INT),
-        ("--detections", SynthSpec.signal_detections,
+        ("--verbs", (SynthSpec, "verb_vocab"), _INT),
+        ("--nouns", (SynthSpec, "noun_vocab"), _INT),
+        ("--dim-v", (SynthSpec, "dim_v"), _INT),
+        ("--dim-o", (SynthSpec, "dim_o"), _INT),
+        ("--detections", (SynthSpec, "signal_detections"),
          {**_INT, "help": "informative in-window detections per segment"}),
-        ("--distractors", SynthSpec.distractors, _INT),
-        ("--decoys", SynthSpec.decoys,
+        ("--distractors", (SynthSpec, "distractors"), _INT),
+        ("--decoys", (SynthSpec, "decoys"),
          {**_INT, "help": "high-score detections outside the window"}),
-        ("--noise", SynthSpec.noise, _FLOAT),
-        ("--mismatch", SynthSpec.mismatch,
+        ("--noise", (SynthSpec, "noise"), _FLOAT),
+        ("--mismatch", (SynthSpec, "mismatch"),
          {**_FLOAT, "help": "object/clip amplitude mismatch factor"}),
-        ("--jitter", SynthSpec.amplitude_jitter,
+        ("--jitter", (SynthSpec, "amplitude_jitter"),
          {**_FLOAT, "help": "per-record amplitude spread in decades around the mismatch"}),
-        ("--noun-in-clip", SynthSpec.noun_in_clip,
+        ("--noun-in-clip", (SynthSpec, "noun_in_clip"),
          {**_FLOAT, "help": "weight of the noun prototype mixed into the clip feature"}),
-        ("--pairs-per-verb", SynthSpec.pairs_per_verb,
+        ("--pairs-per-verb", (SynthSpec, "pairs_per_verb"),
          {**_INT, "help": "restrict each verb to this many nouns (0 = independent)"}),
-        ("--window", SynthSpec.window, _INT),
+        ("--window", (SynthSpec, "window"), _INT),
     ]),
     "train": (_cmd_train, "train a classifier head on a feature bank",
               {"checkpoint": "checkpoint.json", "history": "history.json"}, [
@@ -304,10 +304,10 @@ _COMMANDS = {
         ("--target", _REQUIRED, {"choices": TARGETS}),
         ("--fusion", _REQUIRED, {"choices": FUSION_KINDS}),
         *_SCALE_OPTIONS,
-        ("--lr", TrainConfig.learning_rate, _FLOAT),
-        ("--momentum", TrainConfig.momentum, _FLOAT),
-        ("--epochs", TrainConfig.epochs, _INT),
-        ("--batch-size", TrainConfig.batch_size, _INT),
+        ("--lr", (TrainConfig, "learning_rate"), _FLOAT),
+        ("--momentum", (TrainConfig, "momentum"), _FLOAT),
+        ("--epochs", (TrainConfig, "epochs"), _INT),
+        ("--batch-size", (TrainConfig, "batch_size"), _INT),
         ("--seed", _REQUIRED, _INT),
         *_AGGREGATION_OPTIONS,
         ("--out-dir", _REQUIRED, {}),

@@ -1539,9 +1539,11 @@ class TestStats:
 
 @pytest.mark.parametrize("argv,message", [
     (["synth", "--seed", 1, "--train-segments", 20000, "--val-segments", 0],
-     "n_segments must be >= 1, got 0"),
+     "val_segments must be >= 1, got 0"),
+    (["synth", "--seed", 1, "--train-segments", 0, "--val-segments", 20000],
+     "train_segments must be >= 1, got 0"),
     (["stats", "--bank", "missing.bank", "--k", 0], "k must be >= 1, got 0"),
-], ids=["synth-val-segments-0", "stats-k-0"])
+], ids=["synth-val-segments-0", "synth-train-segments-0", "stats-k-0"])
 def test_a_refused_option_is_found_before_any_bank_is_made_or_loaded(tmp_path, capsys,
                                                                      monkeypatch, argv, message):
     called = []
@@ -1550,6 +1552,24 @@ def test_a_refused_option_is_found_before_any_bank_is_made_or_loaded(tmp_path, c
     assert run(*argv, "--out-dir", tmp_path / "out") == 1
     assert capsys.readouterr().err == f"gatedfusion: error: {message}\n"
     assert called == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["synth", "--verbs", 0], "verbs must be >= 1, got 0"),
+    (["synth", "--nouns", 0], "nouns must be >= 1, got 0"),
+    (["synth", "--detections", 0], "detections must be >= 1, got 0"),
+    (["synth", "--jitter", 400], "jitter must be in [0, 308], got 400.0"),
+    (["synth", "--train-segments", 0], "train_segments must be >= 1, got 0"),
+    (["synth", "--val-segments", 0], "val_segments must be >= 1, got 0"),
+    (["train", "--bank", "missing.bank", "--target", "verb", "--fusion", "clip-only",
+      "--lr", -1], "lr must be >= 0, got -1.0"),
+], ids=["verbs", "nouns", "detections", "jitter", "train-segments", "val-segments", "lr"])
+def test_a_refused_value_names_its_config_key(tmp_path, capsys, argv, message):
+    # The library names the field (verb_vocab, learning_rate, n_segments of
+    # either split); the command line names the key its manifest records.
+    assert run(*argv, "--seed", 1, "--out-dir", tmp_path / "out") == 1
+    assert capsys.readouterr().err == f"gatedfusion: error: {message}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -1620,6 +1640,7 @@ class TestLibraryDefaults:
     def test_each_command_sets_every_field_of_its_configs(self, tmp_path, monkeypatch, command,
                                                           classes):
         # A config field that no option sets keeps its library default unseen.
+        # Each class's __init__ records the fields every construction passes.
         synth(tmp_path / "data", train=6, val=4)
         argv = {"synth": ["--seed", 1, "--train-segments", 2, "--val-segments", 2],
                 "train": ["--bank", tmp_path / "data/train.bank", "--target", "verb",
@@ -1628,10 +1649,10 @@ class TestLibraryDefaults:
                 "gradcheck": ["--fusion", "gfa-b"]}[command]
         given = {cls.__name__: set() for cls in classes}
         for cls in classes:
-            def record(_cls=cls, **kwargs):
+            def record(self, _cls=cls, _init=cls.__init__, **kwargs):
                 given[_cls.__name__].update(kwargs)
-                return _cls(**kwargs)
-            monkeypatch.setattr(cli, cls.__name__, record)
+                _init(self, **kwargs)
+            monkeypatch.setattr(cls, "__init__", record)
         assert run(command, *argv, "--out-dir", tmp_path / "out") == 0
         assert given == {cls.__name__: {f.name for f in dataclasses.fields(cls)}
                          for cls in classes}
