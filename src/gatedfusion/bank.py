@@ -132,14 +132,8 @@ def _int64(val, key: str, where: str = "") -> int:
 
 def _check_header(header: dict) -> None:
     for key in _HEADER_KEYS:
-        _int64(header[key], key)
-    if header["dim_v"] < 1 or header["dim_o"] < 1:
-        raise ValidationError(
-            f"bank dims must be positive, got dim_v={header['dim_v']}, dim_o={header['dim_o']}")
-    if header["verb_vocab_size"] < 1 or header["noun_vocab_size"] < 1:
-        raise ValidationError(
-            f"vocab sizes must be positive, got verbs={header['verb_vocab_size']}, "
-            f"nouns={header['noun_vocab_size']}")
+        if _int64(header[key], key) < 1:
+            raise ValidationError(f"{key} must be >= 1, got {header[key]}")
 
 
 def _vector(val, dim: int, dim_key: str, what: str) -> np.ndarray:

@@ -1,14 +1,15 @@
 """Exception types shared across the package, ``is_integer``,
-``is_finite_real`` and ``check_fields``, the one value rule of the config
-classes, ``write_json``, the strict encoder of the JSON documents
-(checkpoints, manifests, reports, histories and stats), ``read_json``, the
-one JSON decoder, ``_regular_target``, the one place that asks whether a
-save target is a regular file, for JSON documents and zips alike,
-``replacing``, which a bank, score table or prior is saved through so that
-it reaches its file whole or not at all, ``_write_zip`` and ``_read_zip``,
-the one codec of the zip files (banks, score tables of every space and
-priors) and the only code that touches ``zipfile``, and ``read_input``,
-which reads a bank, score table or prior: a zip, and no other file."""
+``is_finite_real`` and ``check_fields``, the one value rule (types, ranges
+and choices) of the config classes, ``write_json``, the strict encoder of
+the JSON documents (checkpoints, manifests, reports, histories and stats),
+``read_json``, the one JSON decoder, ``_regular_target``, the one place
+that asks whether a save target is a regular file, for JSON documents and
+zips alike, ``replacing``, which a bank, score table or prior is saved
+through so that it reaches its file whole or not at all, ``_write_zip``
+and ``_read_zip``, the one codec of the zip files (banks, score tables of
+every space and priors) and the only code that touches ``zipfile``, and
+``read_input``, which reads a bank, score table or prior: a zip, and no
+other file."""
 
 import contextlib
 import dataclasses
@@ -44,20 +45,23 @@ def is_finite_real(val) -> bool:
     return False
 
 
-def check_fields(obj, bounds: dict) -> None:
-    """The value rule of the config dataclass ``obj``: each field annotated
-    ``int`` (the type or its name) holds an integer and each annotated
-    ``float`` a finite real number, in field order, and then each field
-    named in ``bounds`` lies in its closed ``(low, high)``, where a high of
-    None is no upper bound.  The first fault is a ValidationError naming
-    the field."""
+def check_fields(obj, rules: dict) -> None:
+    """The value rule of the config dataclass ``obj``: in field order, each
+    field annotated ``int`` (the type or its name) holds an integer, each
+    ``float`` a finite real number and each ``str`` one of the tuple of
+    choices its ``rules`` entry gives; then each other field in ``rules``
+    lies in its closed ``(low, high)``, where a high of None is no upper
+    bound.  The first fault is a ValidationError naming the field."""
+    ranges = dict(rules)
     for f in dataclasses.fields(obj):
         val = getattr(obj, f.name)
         if f.type in (int, "int") and not is_integer(val):
             raise ValidationError(f"{f.name} must be an integer, got {val!r}")
         if f.type in (float, "float") and not is_finite_real(val):
             raise ValidationError(f"{f.name} must be a finite real number, got {val!r}")
-    for name, (low, high) in bounds.items():
+        if f.type in (str, "str") and val not in (choices := ranges.pop(f.name)):
+            raise ValidationError(f"{f.name} must be one of {choices}, got {val!r}")
+    for name, (low, high) in ranges.items():
         val = getattr(obj, name)
         if not (low <= val and (high is None or val <= high)):
             span = f">= {low}" if high is None else f"in [{low}, {high}]"

@@ -47,12 +47,13 @@ gradients of the gate parameters ``W`` and ``b`` are summed over rows.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
+from .errors import ShapeError, ValidationError, check_fields
 from .tensor import affine, affine_vjp, l2_norm, sigmoid
 
 __all__ = [
@@ -69,6 +70,8 @@ __all__ = [
 
 SCALE_KINDS = ("none", "scalar", "norm", "norm-scalar")
 _DIVISOR_KINDS = ("scalar", "norm-scalar")  # kinds that take a divisor; the rest carry s = 1.0
+# The least divisor whose reciprocal, which scale_vjp takes, is finite: 5.56268464626801e-309
+_LEAST_DIVISOR = math.nextafter(1 / sys.float_info.max, 1)
 # The floor on |o| under norm scaling: a zero object feature degrades
 # continuously to zero instead of blowing up.
 _EPSILON = 1e-8
@@ -78,24 +81,15 @@ _EPSILON = 1e-8
 class ScaleMode:
     """How to rescale the object feature before fusion; ``s`` is the scalar
     divisor of ``scalar`` and ``norm-scalar``.  Any kind checks the divisor it
-    is given, but the other kinds never divide, so they then carry
-    ``s = 1.0``: a recorded mode holds the divisor that took effect."""
+    is given, a finite real number of at least ``_LEAST_DIVISOR``, but the
+    other kinds never divide, so they then carry ``s = 1.0``: a recorded
+    mode holds the divisor that took effect."""
 
     kind: str = "none"
     s: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind not in SCALE_KINDS:
-            raise ValidationError(
-                f"scale kind {self.kind!r} not one of {SCALE_KINDS}")
-        # bool is an int to isinstance, and True would divide by 1
-        if isinstance(self.s, bool) or not isinstance(self.s, (int, float)):
-            raise ValidationError(f"scale divisor must be a real number, got {self.s!r}")
-        # a Python float bound compares exactly with any int; scale_vjp takes 1 / s
-        if not (0 < self.s <= sys.float_info.max and 1.0 / self.s <= sys.float_info.max):
-            raise ValidationError(
-                f"scale divisor must be positive and finite, with a finite reciprocal, "
-                f"got {self.s}")
+        check_fields(self, {"kind": SCALE_KINDS, "s": (_LEAST_DIVISOR, None)})
         if self.kind not in _DIVISOR_KINDS:
             object.__setattr__(self, "s", 1.0)  # frozen: set as the dataclass init does
 
@@ -125,8 +119,7 @@ class GfaParams:
     b: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.variant not in ("a", "b"):
-            raise ValidationError(f"gfa variant must be 'a' or 'b', got {self.variant!r}")
+        check_fields(self, {"variant": ("a", "b")})
         _check_affine(self, "gfa params")
         if self.variant == "a" and self.W.shape[0] != self.W.shape[1]:
             raise ShapeError(

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bank import PAIR_COUNT_THRESHOLD, FeatureBank, _id_fault
-from .errors import ValidationError, _write_zip, is_integer, read_input
+from .errors import ValidationError, _write_zip, check_fields, is_integer, read_input
 
 __all__ = [
     "ActionPrior",
@@ -105,8 +105,7 @@ class ScoreTable:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "segment_ids", tuple(self.segment_ids))  # frozen
-        if self.space not in SCORE_SPACES:
-            raise ValidationError(f"score space {self.space!r} not one of {SCORE_SPACES}")
+        check_fields(self, {"space": SCORE_SPACES})
         if id_fault := _id_fault(self.segment_ids):
             raise ValidationError(id_fault[1])
         scores, counts, actions = self.scores, (self.verb_classes, self.noun_classes), self.actions

@@ -93,7 +93,7 @@ def _gate_variant(fusion: str, scale: ScaleMode) -> str | None:
     """The gate variant of ``fusion`` (None for no gate), once the kind is
     known and takes ``scale`` (a kind that never reads ``o`` takes ``none``)."""
     if fusion not in FUSION_KINDS:
-        raise ValidationError(f"fusion kind {fusion!r} not one of {FUSION_KINDS}")
+        raise ValidationError(f"fusion must be one of {FUSION_KINDS}, got {fusion!r}")
     variant, both = _FUSIONS[fusion]
     if variant is None and not both and scale.kind != "none":
         raise ValidationError(f"fusion kind {fusion!r} takes scale 'none', got {scale.kind!r}")
@@ -317,7 +317,7 @@ def target_labels(bank: FeatureBank, target: str) -> tuple[np.ndarray, int]:
     """``bank``'s label column for ``target`` (-1 where a record has no
     label) and the size of that vocab."""
     if target not in TARGETS:
-        raise ValidationError(f"target must be 'verb' or 'noun', got {target!r}")
+        raise ValidationError(f"target must be one of {TARGETS}, got {target!r}")
     column = TARGETS.index(target)
     return bank.labels[:, column], (bank.verb_vocab_size, bank.noun_vocab_size)[column]
 
@@ -514,7 +514,10 @@ _CHECKPOINT_FORMAT = "gatedfusion-checkpoint-v2"
 @dataclass(frozen=True)
 class Checkpoint:
     """A trained model plus everything needed to evaluate it consistently.
-    Building one checks the contract of ``_check_checkpoint``; the
+    Building one checks its contract: a ``Model`` (which checks its head and
+    gate when it is built), an ``AggregationConfig`` and a ``TrainConfig``,
+    a target in ``TARGETS``, integer dims and class count of at least 1, and
+    every parameter group finite and shaped as its fusion kind says.  The
     checkpoint, its model, head and gate are frozen and every weight array
     is made read-only, without a copy, so a checkpoint saves and loads back
     as built.  ``dataclasses.replace`` builds a changed one."""
@@ -528,7 +531,22 @@ class Checkpoint:
     train_config: TrainConfig
 
     def __post_init__(self) -> None:
-        _check_checkpoint(self)
+        for name, cls in (("model", Model), ("aggregation", AggregationConfig),
+                          ("train_config", TrainConfig)):
+            val = getattr(self, name)
+            if not isinstance(val, cls):
+                raise ValidationError(f"checkpoint {name} must be of type {cls.__name__}, got "
+                                      f"{type(val).__name__}")
+        check_fields(self, {"target": TARGETS, "dim_v": (1, None), "dim_o": (1, None),
+                            "classes": (1, None)})
+        fusion = self.model.fusion_kind
+        shapes = _param_shapes(fusion, self.dim_v, self.dim_o, self.classes)
+        for name, arr in param_groups(self.model).items():
+            if arr.shape != shapes[name]:
+                raise ValidationError(f"{name} has shape {arr.shape}, expected {shapes[name]} "
+                                      f"for fusion {fusion!r}, dims {self.dim_v}/{self.dim_o}")
+            if not np.all(np.isfinite(arr)):
+                raise ValidationError(f"{name} has non-finite entries")
         for arr in param_groups(self.model).values():
             arr.flags.writeable = False
 
@@ -547,31 +565,6 @@ def _matrix_from_obj(obj: dict, name: str) -> np.ndarray:
         raise ValidationError(
             f"checkpoint: {name} declares {rows}x{cols} but carries {arr.size} values")
     return arr.reshape(rows, cols)
-
-
-def _check_checkpoint(ckpt: Checkpoint) -> None:
-    """The checkpoint contract, checked when one is built: a ``Model`` (which
-    checks its head and gate when it is built), an ``AggregationConfig`` and
-    a ``TrainConfig``, a verb or noun target, integer dims and class count of
-    at least 1, and every parameter group finite and shaped as its fusion
-    kind says."""
-    for name, cls in (("model", Model), ("aggregation", AggregationConfig),
-                      ("train_config", TrainConfig)):
-        val = getattr(ckpt, name)
-        if not isinstance(val, cls):
-            raise ValidationError(f"checkpoint {name} must be of type {cls.__name__}, got "
-                                  f"{type(val).__name__}")
-    if ckpt.target not in TARGETS:
-        raise ValidationError(f"target must be 'verb' or 'noun', got {ckpt.target!r}")
-    check_fields(ckpt, {"dim_v": (1, None), "dim_o": (1, None), "classes": (1, None)})
-    fusion = ckpt.model.fusion_kind
-    shapes = _param_shapes(fusion, ckpt.dim_v, ckpt.dim_o, ckpt.classes)
-    for name, arr in param_groups(ckpt.model).items():
-        if arr.shape != shapes[name]:
-            raise ValidationError(f"{name} has shape {arr.shape}, expected {shapes[name]} for "
-                                  f"fusion {fusion!r}, dims {ckpt.dim_v}/{ckpt.dim_o}")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError(f"{name} has non-finite entries")
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:

@@ -1222,8 +1222,8 @@ class TestBlockCodec:
         assert str(from_records.value) == f"record 'x': {message}"
 
     @pytest.mark.parametrize("header,message", [
-        ({"dim_v": 0}, "bank dims must be positive, got dim_v=0, dim_o=2"),
-        ({"verb_vocab_size": 0}, "vocab sizes must be positive, got verbs=0, nouns=4"),
+        ({"dim_v": 0}, "dim_v must be >= 1, got 0"),
+        ({"verb_vocab_size": 0}, "verb_vocab_size must be >= 1, got 0"),
     ], ids=["dim_v-0", "verbs-0"])
     def test_a_header_of_no_width_is_refused(self, header, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):

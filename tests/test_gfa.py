@@ -1,3 +1,7 @@
+import math
+import re
+import sys
+
 import numpy as np
 import pytest
 
@@ -23,14 +27,16 @@ class TestScaleMode:
 
     @pytest.mark.parametrize("s", [1e-320, 5e-309])
     def test_divisor_without_finite_reciprocal_rejected(self, s):
-        with pytest.raises(ValidationError, match="with a finite reciprocal"):
+        message = f"s must be >= 5.56268464626801e-309, got {s}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             ScaleMode(kind="scalar", s=s)
         assert ScaleMode(kind="scalar", s=6e-309).s == 6e-309
 
     @pytest.mark.parametrize("field", ["s"])
     @pytest.mark.parametrize("value", [float("inf"), 10**400], ids=["inf", "int-past-float"])
     def test_value_past_float_range_rejected(self, field, value):
-        with pytest.raises(ValidationError, match="must be positive and finite"):
+        message = f"{field} must be a finite real number, got {value!r}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             ScaleMode(kind="norm-scalar", **{field: value})
 
 
@@ -38,13 +44,34 @@ class TestScaleMode:
     def test_kind_that_does_not_divide_carries_divisor_one(self, kind):
         assert ScaleMode(kind=kind, s=2.0).s == 1.0
         assert ScaleMode(kind=kind, s=2.0) == ScaleMode(kind=kind)
-        with pytest.raises(ValidationError, match="must be positive"):
+        with pytest.raises(ValidationError,
+                           match=r"^s must be >= 5\.56268464626801e-309, got 0\.0$"):
             ScaleMode(kind=kind, s=0.0)  # checked all the same
 
     @pytest.mark.parametrize("s", [True, False, "2", None, [2.0]])
     def test_divisor_that_is_not_a_real_number_rejected(self, s):
-        with pytest.raises(ValidationError, match="must be a real number"):
+        message = f"s must be a finite real number, got {s!r}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             ScaleMode(kind="scalar", s=s)
+
+    @pytest.mark.parametrize("s,message", [
+        (math.nextafter(5.56268464626801e-309, 0), "s must be >= 5.56268464626801e-309, got "
+         f"{math.nextafter(5.56268464626801e-309, 0)}"),
+        (0, "s must be >= 5.56268464626801e-309, got 0"),
+        (-1, "s must be >= 5.56268464626801e-309, got -1"),
+        (0.0, "s must be >= 5.56268464626801e-309, got 0.0"),
+        (True, "s must be a finite real number, got True"),
+        ("2", "s must be a finite real number, got '2'"),
+        (None, "s must be a finite real number, got None"),
+        (np.float32(2), f"s must be a finite real number, got {np.float32(2)!r}"),
+    ], ids=["predecessor", "zero", "minus-one", "zero-float", "bool", "str", "none", "float32"])
+    def test_the_least_divisor_with_a_finite_reciprocal_is_the_bound(self, s, message):
+        least = math.nextafter(1 / sys.float_info.max, 1)
+        assert least == 5.56268464626801e-309
+        assert math.isfinite(1 / least) and 1 / math.nextafter(least, 0) == math.inf
+        assert ScaleMode("scalar", s=least).s == least
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            ScaleMode("scalar", s=s)
 
 
 class TestScaleObjectFeature:
@@ -303,5 +330,6 @@ class TestInitAndCalibration:
         assert self._stats([[0.0, 0.0]], [[1.0]])[1]["amplitude_ratio"] is None
         ratio = self._stats([[1.0, 0.0]], [[0.0]])[1]["amplitude_ratio"]
         assert ratio == 0.0
-        with pytest.raises(ValidationError, match="scale divisor must be positive"):
+        with pytest.raises(ValidationError,
+                           match=r"^s must be >= 5\.56268464626801e-309, got 0\.0$"):
             ScaleMode("scalar", s=ratio)

@@ -12,13 +12,13 @@ from gatedfusion import training
 from gatedfusion.bank import AggregationConfig, SynthSpec, bank_features, synth_generate
 from gatedfusion.errors import ShapeError, ValidationError
 from gatedfusion.gfa import GfaParams, ScaleMode
-from gatedfusion.scoring import topk_report
+from gatedfusion.scoring import ScoreTable, topk_report
 from gatedfusion.training import (Checkpoint, Head, Model, ModelSpec,
                                   TrainConfig, bank_inputs, cross_entropy, forward_model,
                                   grad_check, init_model, load_checkpoint,
                                   loss_and_grads, param_groups, row_nll,
                                   save_checkpoint, sgd_momentum_step, softmax,
-                                  train)
+                                  target_labels, train)
 
 from conftest import central_diff, reference_train, rel_err
 
@@ -511,6 +511,31 @@ class TestValueRule:
                            match=f"^{re.escape(f'{size} must be an integer, got {value!r}')}$"):
             init_model("concat", **sizes)
 
+    @pytest.mark.parametrize("build,message", [
+        (lambda: ScaleMode(kind="bogus"),
+         "kind must be one of ('none', 'scalar', 'norm', 'norm-scalar'), got 'bogus'"),
+        (lambda: GfaParams("c", np.zeros((2, 2)), np.zeros(2)),
+         "variant must be one of ('a', 'b'), got 'c'"),
+        (lambda: ScoreTable(("s0",), np.zeros((1, 2)), space="x"),
+         "space must be one of ('verb', 'noun', 'action'), got 'x'"),
+        (lambda: Checkpoint(
+            model=init_model("concat", 4, 3, 2), target="action", dim_v=4, dim_o=3, classes=2,
+            aggregation=AggregationConfig(), train_config=TrainConfig()),
+         "target must be one of ('verb', 'noun'), got 'action'"),
+        (lambda: target_labels(synth_generate(SynthSpec(n_segments=2), seed=0), "action"),
+         "target must be one of ('verb', 'noun'), got 'action'"),
+        (lambda: ModelSpec(fusion="x"),
+         "fusion must be one of ('clip-only', 'concat', 'gfa-a', 'gfa-b'), got 'x'"),
+        (lambda: Model(fusion_kind="x", head=Head(W=np.zeros((2, 4)), b=np.zeros(2))),
+         "fusion must be one of ('clip-only', 'concat', 'gfa-a', 'gfa-b'), got 'x'"),
+        (lambda: init_model("x", 4, 3, 2),
+         "fusion must be one of ('clip-only', 'concat', 'gfa-a', 'gfa-b'), got 'x'"),
+    ], ids=["scale-kind", "gfa-variant", "score-space", "checkpoint-target", "target-labels",
+            "model-spec-fusion", "model-fusion", "init-model-fusion"])
+    def test_a_value_outside_its_choices_is_refused_in_one_form(self, build, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            build()
+
 
 class TestGradCheck:
     def test_gfa_a_model(self):
@@ -657,8 +682,9 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("edit,message", [
         (lambda obj: obj["aggregation"].update(k=0), "k must be >= 1, got 0"),
-        (lambda obj: obj["scale"].update(kind="bogus"), "scale kind 'bogus'"),
-        (lambda obj: obj["train_config"].update(epochs=0), "epochs must be >= 1"),
+        (lambda obj: obj["scale"].update(kind="bogus"),
+         "kind must be one of ('none', 'scalar', 'norm', 'norm-scalar'), got 'bogus'"),
+        (lambda obj: obj["train_config"].update(epochs=0), "epochs must be >= 1, got 0"),
     ], ids=["k", "scale-kind", "epochs"])
     def test_config_errors_keep_their_message(self, tmp_path, edit, message):
         path = tmp_path / "ckpt.json"
@@ -666,7 +692,7 @@ class TestCheckpoint:
         obj = json.loads(path.read_text())
         edit(obj)
         path.write_text(json.dumps(obj))
-        with pytest.raises(ValidationError, match="^" + re.escape(f"{path}: {message}")):
+        with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}: {message}')}$"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("fusion", ["clip-only", "concat", "gfa-a", "gfa-b"])
@@ -677,14 +703,14 @@ class TestCheckpoint:
         assert first.read_bytes() == second.read_bytes()
 
     @pytest.mark.parametrize("edit,message", [
-        ({"classes": 6}, "head.W has shape (5, 7), expected (6, 7)"),
-        ({"dim_v": 5}, "head.W has shape (5, 7), expected (5, 8)"),
-        ({"target": "action"}, "target must be 'verb' or 'noun', got 'action'"),
+        ({"classes": 6}, "head.W has shape (5, 7), expected (6, 7) for fusion 'gfa-a', dims 4/3"),
+        ({"dim_v": 5}, "head.W has shape (5, 7), expected (5, 8) for fusion 'gfa-a', dims 5/3"),
+        ({"target": "action"}, "target must be one of ('verb', 'noun'), got 'action'"),
     ], ids=["classes", "dim_v", "target"])
     def test_save_rejects_what_load_rejects(self, tmp_path, edit, message):
         # What load rejects cannot be built, so it never reaches a save.
         path = tmp_path / "ckpt.json"
-        with pytest.raises(ValidationError, match=re.escape(message)):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             save_checkpoint(replace(self._checkpoint(), **edit), path)
         assert not path.exists()
 
