@@ -80,7 +80,7 @@ class SegmentRecord:
 _HEADER_KEYS = ("dim_v", "dim_o", "verb_vocab_size", "noun_vocab_size")
 _LABEL_KEYS = ("verb", "noun")
 _NO_LABEL = -1
-PAIR_COUNT_THRESHOLD = 50  # bank_stats and scoring.prior_stats count pairs seen more often
+PAIR_COUNT_THRESHOLD = 50  # bank_stats counts the labeled pairs seen more often
 # The blocks after ``ids`` and their dtypes: per record, then per detection
 # in record order.  The packer builds them; _validate checks them.
 _BLOCK_DTYPES = {name: np.dtype(dtype) for name, dtype in (
@@ -212,8 +212,8 @@ class FeatureBank:
     ``centers[i]``, ``labels[i]`` = (verb, noun) with -1 for no label, and
     ``counts[i]`` detections.  The detections of all records, in record
     order, are ``frames``, ``scores`` and ``features`` rows (``dim_o``).
-    Building a bank checks it and makes ``ids`` a tuple and every block
-    read-only; ``dataclasses.replace`` builds a changed one."""
+    Building a bank checks it, makes ``ids`` a tuple, the header ints and
+    every block read-only; ``dataclasses.replace`` builds a changed one."""
 
     dim_v: int
     dim_o: int
@@ -231,6 +231,8 @@ class FeatureBank:
     def __post_init__(self) -> None:
         object.__setattr__(self, "ids", tuple(self.ids))  # frozen: set as the dataclass init does
         _validate(self)
+        for key in _HEADER_KEYS:  # a checked numpy integer is kept as an int
+            object.__setattr__(self, key, int(getattr(self, key)))
         for name in _BLOCKS:
             getattr(self, name).flags.writeable = False
 
@@ -584,9 +586,9 @@ def synth_generate(spec: SynthSpec, seed: int, split: str = "train") -> FeatureB
 
 
 def bank_stats(bank: FeatureBank, cfg: AggregationConfig) -> dict:
-    """Summary statistics under the given aggregation, with verb-noun
-    co-occurrence counts against ``PAIR_COUNT_THRESHOLD``, as in
-    ``scoring.prior_stats``.  ``amplitude_ratio`` is mean |o| / mean |v|
+    """Summary statistics under the given aggregation, with the verb-noun
+    co-occurrence counts that ``scoring.compute_prior`` tallies, against
+    ``PAIR_COUNT_THRESHOLD``.  ``amplitude_ratio`` is mean |o| / mean |v|
     over the aggregated features, the matching ``scalar`` divisor: given as
     ``--scale-divisor``, it brings the mean object amplitude to the mean
     clip one.  It is None when every clip feature is zero."""

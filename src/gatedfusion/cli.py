@@ -37,8 +37,8 @@ from .errors import (ShapeError, ValidationError, _regular_target, is_finite_rea
                      write_json)
 from .gfa import SCALE_KINDS, ScaleMode
 from .manifest import load_manifest, write_manifest
-from .scoring import (ScoreTable, compute_prior, load_prior, load_score_table, prior_stats,
-                      save_prior, save_score_table, score_actions_for_bank, topk_report)
+from .scoring import (ScoreTable, compute_prior, load_prior, load_score_table, save_prior,
+                      save_score_table, score_actions_for_bank, topk_report)
 from .tensor import l2_norm
 from .training import (Checkpoint, FUSION_KINDS, TARGETS, ModelSpec, TrainConfig,
                        bank_inputs, fit_labels, forward_model, grad_check, init_model,
@@ -209,10 +209,8 @@ def _cmd_actions(cfg: dict, paths: dict) -> int:
         verb_table, noun_table, prior, bank, (cfg["verb_table"], cfg["noun_table"]))
     if cfg["train_bank"]:
         save_prior(prior, paths["prior"])
-    report: dict = {"action": action_metrics, "verb": topk_report(verb_table.scores, labels[:, 0]),
-                    "noun": topk_report(noun_table.scores, labels[:, 1])}
-    if prior.counts is not None:
-        report["prior"] = prior_stats(prior)
+    report = {"action": action_metrics, "verb": topk_report(verb_table.scores, labels[:, 0]),
+              "noun": topk_report(noun_table.scores, labels[:, 1])}
 
     save_score_table(action_table, paths["action_scores"])
     write_json(report, paths["report"])

@@ -33,14 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bank import PAIR_COUNT_THRESHOLD, FeatureBank, _id_fault
+from .bank import FeatureBank, _id_fault
 from .errors import ValidationError, _write_zip, check_fields, is_integer, read_input
 
 __all__ = [
     "ActionPrior",
     "ScoreTable",
     "compute_prior",
-    "prior_stats",
     "reweight_actions",
     "label_ranks",
     "topk_report",
@@ -62,25 +61,19 @@ _DENSE_ENTRIES = 1 << 20  # the entries of one dense block the plain-rank fallba
 class ActionPrior:
     """Dense verb x noun co-occurrence prior.  ``mu[v, n]`` is the relative
     frequency of the pair, 0 for pairs never observed; the vocab sizes are
-    its shape.  ``counts``, the tallies of a prior counted from a bank, is
-    None or an int64 array of that shape, and ``mu`` is 2-D float64, finite,
-    >= 0 and not all zero.  Both are read-only, so every prior saves and
-    loads back equal; ``dataclasses.replace`` builds a changed one."""
+    its shape.  ``mu`` is 2-D float64, finite, >= 0 and not all zero, and
+    read-only, so a prior counted from a bank and one loaded from its file
+    are the same value; ``dataclasses.replace`` builds a changed one."""
 
     mu: np.ndarray
-    counts: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        mu, counts = self.mu, self.counts
+        mu = self.mu
         if not (isinstance(mu, np.ndarray) and mu.dtype == np.float64 and mu.ndim == 2
                 and ((mu >= 0) & (mu < np.inf)).all() and mu.any()):  # NaN fails >= and <
             raise ValidationError("prior mu must be a 2-D float64 array, finite and >= 0, with "
                                   "a positive entry")
-        if counts is not None and not (isinstance(counts, np.ndarray)
-                                       and counts.dtype == np.int64 and counts.shape == mu.shape):
-            raise ValidationError(f"prior counts must be None or an int64 array shaped {mu.shape}")
-        for array in (mu,) if counts is None else (mu, counts):
-            array.flags.writeable = False
+        mu.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,17 +158,7 @@ def compute_prior(bank: FeatureBank) -> ActionPrior:
     except (MemoryError, ValueError):  # numpy: cannot allocate / array is too big
         raise ValidationError(f"vocab {verbs}x{nouns} is too large for a dense prior") from None
     np.add.at(counts, (pairs[:, 0], pairs[:, 1]), 1)
-    return ActionPrior(mu=counts / len(pairs), counts=counts)
-
-
-def prior_stats(prior: ActionPrior) -> dict:
-    counts = prior.counts if prior.counts is not None else np.zeros(prior.mu.shape, np.int64)
-    return {
-        "labeled_segments": int(counts.sum()),
-        "distinct_pairs": int(np.count_nonzero(prior.mu)),
-        "count_threshold": PAIR_COUNT_THRESHOLD,
-        "pairs_above_threshold": int(np.count_nonzero(counts > PAIR_COUNT_THRESHOLD)),
-    }
+    return ActionPrior(mu=counts / len(pairs))
 
 
 def reweight_actions(pv: np.ndarray, pn: np.ndarray, prior: ActionPrior) -> np.ndarray:

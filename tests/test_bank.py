@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import json
 import os
 import re
 import subprocess
@@ -19,8 +20,9 @@ from gatedfusion import bank as bank_module
 from gatedfusion.bank import (PAIR_COUNT_THRESHOLD, AggregationConfig, Detection, FeatureBank,
                               SegmentRecord, SynthSpec, bank_features, bank_stats,
                               load_feature_bank, save_feature_bank, synth_generate)
-from gatedfusion.errors import _ZIP_MAGIC, ValidationError, read_json
+from gatedfusion.errors import _ZIP_MAGIC, ValidationError, read_json, write_json
 from gatedfusion.scoring import ScoreTable, load_score_table, save_score_table
+from gatedfusion.training import ModelSpec, TrainConfig, train
 
 from conftest import (OLD_JSON_LINES_BANK, ZIP_DAMAGE, aggregate_object_feature, banks_equal,
                       damage_zip, reference_synth_generate, reference_zip, replace_zip_ids,
@@ -724,6 +726,20 @@ class TestBankValidate:
         with pytest.raises(ValidationError) as from_replace:
             dataclasses.replace(bank, **{name: fault(bank)})
         assert str(from_replace.value) == message
+
+    @pytest.mark.parametrize("how", ["from_records", "replace"])
+    def test_a_numpy_integer_header_is_kept_as_an_int(self, tmp_path, how):
+        # Such a bank once kept its np.int64 dims, which train refused and
+        # bank_stats' JSON could not write.
+        base = synth_generate(SynthSpec(n_segments=20), 1)
+        header = {key: np.int64(getattr(base, key)) for key in bank_module._HEADER_KEYS}
+        bank = (FeatureBank.from_records(base.records, **header) if how == "from_records"
+                else dataclasses.replace(base, **header))
+        assert all(type(getattr(bank, key)) is int for key in header)
+        train(bank, "noun", ModelSpec("concat"), TrainConfig(epochs=1))
+        write_json(bank_stats(bank, AggregationConfig()), tmp_path / "stats.json")
+        stats = json.loads((tmp_path / "stats.json").read_text(encoding="utf-8"))
+        assert all(stats[key] == getattr(base, key) for key in header)
 
 
 def _bank_built(how: str, tmp_path) -> FeatureBank:

@@ -502,7 +502,7 @@ class TestActions:
                  "--out-dir", tmp_path / "act")
         assert rc == 0
         report = json.loads((tmp_path / "act/action_report.json").read_text())
-        assert {"action", "verb", "noun", "prior"} <= set(report)
+        assert set(report) == {"action", "verb", "noun"}
         counted = scoring.compute_prior(load_feature_bank(tmp_path / "data/train.bank"))
         assert load_prior(tmp_path / "act/prior.npz", 10, 20).mu.tobytes() == \
             counted.mu.tobytes()
@@ -510,6 +510,21 @@ class TestActions:
         assert table.space == "action"
         outputs = load_manifest(tmp_path / "act/actions.manifest.json")["outputs"]
         assert outputs["action_scores"] == str(tmp_path / "act/action_scores.npz")
+
+    def test_a_counted_and_a_loaded_prior_write_the_same_files(self, tmp_path):
+        # A prior is its mu alone: --prior on the prior.npz that --train-bank
+        # saved writes that run's report and action table byte for byte.
+        self._prepare(tmp_path)
+        tables = ["--verb-table", tmp_path / "eval-verb/scores.txt",
+                  "--noun-table", tmp_path / "eval-noun/scores.txt",
+                  "--bank", tmp_path / "data/val.bank"]
+        assert run("actions", *tables, "--train-bank", tmp_path / "data/train.bank",
+                   "--out-dir", tmp_path / "counted") == 0
+        assert run("actions", *tables, "--prior", tmp_path / "counted/prior.npz",
+                   "--out-dir", tmp_path / "loaded") == 0
+        for name in ("action_report.json", "action_scores.npz"):
+            assert (tmp_path / "loaded" / name).read_bytes() == \
+                (tmp_path / "counted" / name).read_bytes()
 
     def test_all_ones_prior_coincides_with_plain(self, tmp_path):
         # an all-ones prior writes the plain-product table

@@ -18,11 +18,11 @@ from hypothesis.extra import numpy as hnp
 from conftest import ZIP_DAMAGE, damage_zip, dense_action_oracle, dense_prior, reference_zip
 
 from gatedfusion import scoring
-from gatedfusion.bank import FeatureBank, SegmentRecord, SynthSpec, synth_generate
+from gatedfusion.bank import (AggregationConfig, FeatureBank, SegmentRecord, SynthSpec,
+                              bank_stats, synth_generate)
 from gatedfusion.errors import ValidationError
 from gatedfusion.scoring import (SCORE_SPACES, ActionPrior, ScoreTable, compute_prior, load_prior,
-                                 load_score_table, prior_stats,
-                                 label_ranks, reweight_actions, save_prior,
+                                 load_score_table, label_ranks, reweight_actions, save_prior,
                                  save_score_table, score_actions_for_bank,
                                  table_labels, topk_report)
 
@@ -87,10 +87,10 @@ class TestComputePrior:
             compute_prior(bank)
 
     def test_stats(self):
-        prior = compute_prior(labeled_bank([(0, 0)] * 60 + [(1, 1)] * 3))
-        stats = prior_stats(prior)
-        assert stats["count_threshold"] == 50
-        assert stats["labeled_segments"] == 63
+        # The pair counts of a prior's bank are bank_stats' to report.
+        stats = bank_stats(labeled_bank([(0, 0)] * 60 + [(1, 1)] * 3), AggregationConfig())
+        assert stats["pair_count_threshold"] == 50
+        assert stats["labeled_pairs"] == 63
         assert stats["distinct_pairs"] == 2
         assert stats["pairs_above_threshold"] == 1
 
@@ -579,22 +579,19 @@ class TestFileFormats:
 
 
 class TestActionPriorContract:
-    @pytest.mark.parametrize("mu,counts", [
-        (np.array([[np.nan, 0.5]]), None),
-        (np.array([[-0.5, 0.5]]), None),
-        (np.array([[np.inf, 0.5]]), None),
-        (np.zeros((2, 3)), None),
-        (np.zeros((0, 3)), None),
-        (np.array([0.5, 0.5]), None),
-        (np.array([[1, 0]]), None),
-        ([[0.5, 0.5]], None),
-        (np.array([[0.5, 0.5]]), np.array([[1.0, 1.0]])),
-        (np.array([[0.5, 0.5]]), np.array([1, 1])),
-    ], ids=["nan", "negative", "inf", "all zero", "no rows", "1-D", "int64 mu", "list mu",
-            "float counts", "counts of another shape"])
-    def test_a_prior_that_would_not_load_fails_to_build(self, mu, counts):
-        with pytest.raises(ValidationError, match="^prior (mu|counts) must be"):
-            ActionPrior(mu=mu, counts=counts)
+    @pytest.mark.parametrize("mu", [
+        np.array([[np.nan, 0.5]]),
+        np.array([[-0.5, 0.5]]),
+        np.array([[np.inf, 0.5]]),
+        np.zeros((2, 3)),
+        np.zeros((0, 3)),
+        np.array([0.5, 0.5]),
+        np.array([[1, 0]]),
+        [[0.5, 0.5]],
+    ], ids=["nan", "negative", "inf", "all zero", "no rows", "1-D", "int64 mu", "list mu"])
+    def test_a_prior_that_would_not_load_fails_to_build(self, mu):
+        with pytest.raises(ValidationError, match="^prior mu must be"):
+            ActionPrior(mu)
 
     @settings(max_examples=200, deadline=None)
     @given(mu=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=4),
@@ -1004,17 +1001,16 @@ def _table_built(how: str, tmp_path) -> ScoreTable:
 
 
 def _prior_built(how: str, tmp_path) -> ActionPrior:
-    """A prior built ``how``: with counts when counted from a bank."""
+    """A prior built ``how``."""
     if how == "compute_prior":
         return compute_prior(labeled_bank([(0, 0), (1, 2)]))
     mu = np.array([[0.5, 0.0], [0.0, 0.5]])
     if how == "constructor":
-        built = ActionPrior(mu, np.array([[1, 0], [0, 1]]))
+        built = ActionPrior(mu)
         assert built.mu is mu  # no copy
         return built
     if how == "replace":
-        return dataclasses.replace(compute_prior(labeled_bank([(0, 0)])), mu=mu,
-                                   counts=np.array([[1, 0], [0, 1]]))
+        return dataclasses.replace(compute_prior(labeled_bank([(0, 0)])), mu=mu)
     path = tmp_path / "prior.npz"
     save_prior(ActionPrior(mu), path)
     return load_prior(path, 2, 2)
@@ -1044,9 +1040,8 @@ class TestFrozenValues:
     @pytest.mark.parametrize("how", ["constructor", "replace", "compute_prior", "load_prior"])
     def test_a_prior_cannot_change_however_it_is_built(self, tmp_path, how):
         prior = _prior_built(how, tmp_path)
-        for array in (a for a in (prior.mu, prior.counts) if a is not None):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0, 0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            prior.mu[0, 0] = 1
         for f in dataclasses.fields(prior):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(prior, f.name, getattr(prior, f.name))

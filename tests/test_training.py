@@ -911,6 +911,7 @@ class TestBenchmarkSpans:
         # failing, so a rename would blank a per-layer benchmark metric.
         from gatedfusion import cli, training
         from gatedfusion.bank import save_feature_bank
+        from gatedfusion.scoring import ScoreTable, save_score_table
         bank = synth_generate(SynthSpec(n_segments=12, dim_v=3, dim_o=3, verb_vocab=2,
                                         noun_vocab=3), 0)
         save_feature_bank(bank, tmp_path / "bank.bank")
@@ -925,6 +926,13 @@ class TestBenchmarkSpans:
             assert cli.main(["eval", "--checkpoint", str(tmp_path / "ckpt.json"),
                              "--bank", str(tmp_path / "bank.bank"),
                              "--out-dir", str(tmp_path / "eval")]) == 0
+            save_score_table(ScoreTable(bank.ids, np.full((12, 2), 0.5), "verb"),
+                             tmp_path / "verb.npz")
+            assert cli.main(["actions", "--verb-table", str(tmp_path / "verb.npz"),
+                             "--noun-table", str(tmp_path / "eval/scores.txt"),
+                             "--bank", str(tmp_path / "bank.bank"),
+                             "--train-bank", str(tmp_path / "bank.bank"),
+                             "--out-dir", str(tmp_path / "act")]) == 0
         # Four span targets name functions that the library no longer has;
         # they stay absent until perfbench retargets its spans (ROADMAP item 1).
         assert tracer.absent == {"bank.aggregate (bank.aggregate_object_feature)",
@@ -934,7 +942,8 @@ class TestBenchmarkSpans:
         calls = {name: row["calls"] for name, row in tracer.summary().items()}
         for name in ("training.forward", "training.backward", "training.checkpoint_save",
                      "training.checkpoint_load", "gfa.forward", "gfa.backward", "bank.load",
-                     "scoring.table_save"):
+                     "scoring.table_save", "scoring.prior", "scoring.score_actions",
+                     "scoring.table_load", "training.train", "training.sgd"):
             assert calls.get(name, 0) >= 1, name
         # the per-layer counter reads every public tensor op, so it must not go blank
         assert tracer.counts["tensor.calls"] > 0
