@@ -7,9 +7,9 @@ that asks whether a save target is a regular file, for JSON documents and
 zips alike, ``replacing``, which a bank, score table or prior is saved
 through so that it reaches its file whole or not at all, ``_write_zip``
 and ``_read_zip``, the one codec of the zip files (banks, score tables of
-every space and priors) and the only code that touches ``zipfile``, and
-``read_input``, which reads a bank, score table or prior: a zip, and no
-other file."""
+every space and priors), which reads back only the npy layout it writes and
+is the only code that touches ``zipfile``, and ``read_input``, which reads
+a bank, score table or prior: a zip, and no other file."""
 
 import contextlib
 import dataclasses
@@ -162,9 +162,9 @@ _ZIP_MAGIC = b"PK\x03\x04"
 _ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
 # What zipfile and numpy raise on a zip that is truncated or corrupted (CRC,
 # headers, unsupported or encrypted members, an offset that seeks before the
-# start of the file), on a member that holds pickled objects or declares an
-# array too large to allocate, and, as an error, the warning numpy gives when
-# it repairs a member header (a damaged one here).
+# start of the file, a declared size too large to allocate) or on an npy header
+# that numpy cannot parse, and, as an error, the warning numpy gives when it
+# repairs one (a damaged one here).
 _ZIP_READ_ERRORS = (EOFError, ValueError, RuntimeError, NotImplementedError, MemoryError,
                     OSError, zipfile.BadZipFile, UserWarning)
 
@@ -189,35 +189,27 @@ def _write_zip(path, header: list[int], blocks: dict, ids: list[str]) -> None:
                 member.write(array)
 
 
-_HEADER_READERS = {(1, 0): np.lib.format.read_array_header_1_0,
-                   (2, 0): np.lib.format.read_array_header_2_0}
-
-
 def _read_member(zf, info, what: str, dtype: np.dtype) -> np.ndarray:
-    """The array of the member ``info`` of the zip ``zf``, as
-    ``np.lib.format.read_array`` with ``allow_pickle=False`` gives it, and
-    with its faults: the member is read with one ``read`` (zipfile checks
-    its CRC-32) and viewed in place, read-only.  A member with bytes after
-    its array, or of another dtype, is a ValidationError."""
+    """The array of the member ``info`` of the zip ``zf``, read with one
+    ``read`` (zipfile checks its CRC-32) and viewed in place, read-only: what
+    ``_write_zip`` writes, an npy 1.0 header of a C-ordered array of ``dtype``
+    then exactly its bytes.  Any other member is a ValidationError naming it."""
     data = zf.read(info)
     npy = io.BytesIO(data)  # shares the bytes: no copy
-    version = np.lib.format.read_magic(npy)
-    if version not in _HEADER_READERS:
-        raise ValueError(f"we only support format version (1,0) and (2,0), not {version}")
-    shape, fortran_order, found = _HEADER_READERS[version](npy)
-    if found.hasobject:
-        raise ValueError("Object arrays cannot be loaded when allow_pickle=False")
+    member = f"{what} member {info.filename}"
+    if np.lib.format.read_magic(npy) != (1, 0):
+        raise ValidationError(f"{member} is not an npy 1.0 array")
+    shape, fortran_order, found = np.lib.format.read_array_header_1_0(npy)
+    if found != dtype:
+        raise ValidationError(f"{member} must be an array of {dtype}, got {found}")
+    if fortran_order:
+        raise ValidationError(f"{member} is not in C order")
     count, start = math.prod(shape), npy.tell()
     size, held = count * found.itemsize, len(data) - start
-    if held < size:
-        raise ValueError(f"EOF: reading array data, expected {size} bytes got {held}")
-    if held > size:
-        raise ValidationError(f"{what} member {info.filename} has bytes after its array")
-    if found != dtype:
-        raise ValidationError(f"{what} member {info.filename} must be an array of {dtype}, "
-                              f"got {found}")
-    array = np.frombuffer(data, found, count, start)  # a view of bytes: read-only
-    return array.reshape(shape[::-1]).T if fortran_order else array.reshape(shape)
+    if held != size:
+        raise ValidationError(f"{member} {'has bytes after' if held > size else 'ends before'} "
+                              "its array")
+    return np.frombuffer(data, found, count, start).reshape(shape)  # a view of bytes: read-only
 
 
 def _read_zip(path, fh, what: str, header_len: int, blocks, build):

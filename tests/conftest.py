@@ -149,21 +149,22 @@ def reference_zip(members: dict) -> bytes:
     return buf.getvalue()
 
 
-def _npy(array, allow_pickle=False) -> bytes:
+def _npy(array, allow_pickle=False, version=None) -> bytes:
     buf = io.BytesIO()
-    np.lib.format.write_array(buf, array, allow_pickle=allow_pickle)
+    np.lib.format.write_array(buf, array, version, allow_pickle)
     return buf.getvalue()
 
 
 # The ways ``damage_zip`` damages a zip bank, score table or prior.
 ZIP_DAMAGE = ("truncated", "flipped", "missing", "extra", "renamed", "out-of-order", "deflated",
-              "object", "huge-shape", "wrong-dtype", "big-endian", "trailing-bytes",
-              "short-block", "rule-breaking-id", "repeated-id", "ids-without-newline",
-              "header-shape", "python-2-header")
+              "object", "huge-shape", "wrong-dtype", "big-endian", "fortran", "npy-2.0",
+              "trailing-bytes", "short-block", "rule-breaking-id", "repeated-id",
+              "ids-without-newline", "header-shape", "python-2-header")
 # The member a kind damages in a bank, else "scores.npy"; in a score table,
 # "scores.npy", and in a prior, "mu.npy".
 _BANK_MEMBER = {"flipped": "features.npy", "missing": "labels.npy", "renamed": "detections.npy",
-                "object": "clip.npy", "huge-shape": "features.npy", "short-block": "frames.npy"}
+                "object": "clip.npy", "huge-shape": "features.npy", "fortran": "clip.npy",
+                "npy-2.0": "clip.npy", "short-block": "frames.npy"}
 
 
 def damage_zip(path, kind: str) -> None:
@@ -171,11 +172,12 @@ def damage_zip(path, kind: str) -> None:
     last 200 bytes, flip the last byte of a block, or rewrite its members
     with one of them missing, added, renamed, out of order, deflated,
     holding pickled objects, declaring a 2**60-byte array, of another dtype
-    or byte order, followed by a byte, a row short, holding an id with a
-    space or an id twice, with ids or header not in the written layout, or
-    with a header that numpy reads only after repairing it.  A bank must
-    hold at least one detection and a bank or table two rows; a prior, which
-    holds no ids, is given two to damage."""
+    or byte order, in Fortran order or under an npy 2.0 header (both of
+    which ``np.load`` reads as the same array), followed by a byte, a row
+    short, holding an id with a space or an id twice, with ids or header
+    not in the written layout, or with a header that numpy reads only after
+    repairing it.  A bank must hold at least one detection and a bank or
+    table two rows; a prior, which holds no ids, is given two to damage."""
     data = bytearray(path.read_bytes())
     if kind == "truncated":
         path.write_bytes(data[:-200])
@@ -217,6 +219,10 @@ def damage_zip(path, kind: str) -> None:
         members[target] = _npy(array(target).astype(np.float32))
     elif kind == "big-endian":
         members[target] = _npy(array(target).astype(">f8"))
+    elif kind == "fortran":
+        members[target] = _npy(np.asfortranarray(array(target)))
+    elif kind == "npy-2.0":
+        members[target] = _npy(array(target), version=(2, 0))
     elif kind == "trailing-bytes":
         members[target] += b"\0"
     elif kind == "short-block":

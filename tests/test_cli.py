@@ -905,6 +905,36 @@ class TestFuzzedActionInputs:
         assert run_actions(tiny_action_inputs(tmp_path), tmp_path / "act") == 0
 
 
+class TestOneNpyLayout:
+    """A zip input is read only as the codec writes each member: npy 1.0 of
+    a C-ordered array.  A member that ``np.load`` reads as the same array,
+    but Fortran-ordered or under an npy 2.0 header, is a ValidationError
+    naming the file and the member, and ``actions`` on it exits 1."""
+
+    @pytest.mark.parametrize("kind", ["fortran", "npy-2.0"])
+    @pytest.mark.parametrize("target,member,load", [
+        ("bank", "bank member clip.npy", load_feature_bank),
+        ("noun", "score table member scores.npy", load_score_table),
+        ("prior", "prior member mu.npy", lambda path: load_prior(path, 2, 3)),
+    ], ids=["bank", "noun", "prior"])
+    def test_a_member_in_another_npy_layout_is_refused_naming_it(self, tmp_path, capsys, kind,
+                                                                 target, member, load):
+        paths = tiny_action_inputs(tmp_path)
+        path, block = paths[target], member.removesuffix(".npy").rsplit(" ", 1)[1]
+        with np.load(path, allow_pickle=False) as npz:
+            array = npz[block]
+        damage_zip(path, kind)
+        with np.load(path, allow_pickle=False) as npz:
+            assert np.array_equal(npz[block], array)
+        fault = {"fortran": "is not in C order", "npy-2.0": "is not an npy 1.0 array"}[kind]
+        with pytest.raises(ValidationError) as exc:
+            load(path)
+        assert str(exc.value) == f"{path}: {member} {fault}"
+        assert run_actions(paths, tmp_path / "act") == 1
+        assert capsys.readouterr().err == f"gatedfusion: error: {path}: {member} {fault}\n"
+        assert not (tmp_path / "act").exists()
+
+
 def tiny_eval_inputs(root):
     """A labeled 3-record bank with detections and a matching gfa-a noun
     checkpoint: the inputs of one ``eval`` run."""

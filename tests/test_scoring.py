@@ -718,11 +718,12 @@ _ACTION_ZIP_FAULTS = {
     "out-of-order": "score table members are ['header.npy', 'actions.npy', 'scores.npy', "
                     "'ids.npy'], not [",
     "deflated": "score table member header.npy is compressed",
-    "object": "not a readable score table zip: Object arrays cannot be loaded when "
-              "allow_pickle=False",
-    "huge-shape": "not a readable score table zip: ",
+    "object": "score table member scores.npy must be an array of float64, got object",
+    "huge-shape": "score table member scores.npy ends before its array",
     "wrong-dtype": "score table member scores.npy must be an array of float64, got float32",
     "big-endian": "score table member scores.npy must be an array of float64, got >f8",
+    "fortran": "score table member scores.npy is not in C order",
+    "npy-2.0": "score table member scores.npy is not an npy 1.0 array",
     "trailing-bytes": "score table member scores.npy has bytes after its array",
     "short-block": "score table: 3 ids but scores shaped (2, 6)",
     "rule-breaking-id": "segment_id 'a b' must be a non-empty str with no whitespace",
