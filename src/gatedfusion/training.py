@@ -28,15 +28,18 @@ and the validation pass then run the model's own weight arrays with no
 scale stage on those rows, which gives the scaled model's scores bit for
 bit, since the stage scales each row on its own.
 
-``forward_model``, ``model_backward``, ``loss_and_grads``, ``softmax``,
-``row_nll`` and ``cross_entropy`` work on the last axis: one segment's features ``(dim,)``
-or a block of B segments ``(B, dim)`` take the same code path, so a
-mini-batch is one forward and one backward pass.  Parameter gradients are
-summed over rows; ``loss_and_grads`` returns the batch-mean loss and the
-gradients of that mean.  SGD reads only the parameter gradients, so
-``train`` passes ``inputs=False`` down the backward pass and the input
-gradients of ``v`` and ``o`` are never computed; ``grad_check`` keeps the
-default and checks them too.
+``forward_model``, ``model_backward``, ``loss_and_grads``, ``softmax`` and
+``softmax_nll`` work on the last axis: one segment's features ``(dim,)`` or
+a block of B segments ``(B, dim)`` take the same code path, so a mini-batch
+is one forward and one backward pass.  Parameter gradients are summed over
+rows; ``loss_and_grads`` returns the batch-mean loss and the gradients of
+that mean.  The loss is ``logsumexp(s) - s[label]``, read from the head's
+scores with the one ``exp`` that gives the probabilities, and ``grad_check``
+differences that same loss, so a blow-up shows in the history at its exact
+size.  SGD reads only the parameter gradients, so ``train`` passes
+``inputs=False`` down the backward pass and the input gradients of ``v``
+and ``o`` are never computed; ``grad_check`` keeps the default and checks
+them too.
 """
 
 from __future__ import annotations
@@ -63,8 +66,7 @@ __all__ = [
     "TrainConfig",
     "Checkpoint",
     "softmax",
-    "row_nll",
-    "cross_entropy",
+    "softmax_nll",
     "forward_model",
     "model_backward",
     "loss_and_grads",
@@ -85,8 +87,6 @@ _FUSIONS = {"clip-only": (None, False), "concat": (None, True),
             "gfa-a": ("a", True), "gfa-b": ("b", False)}
 FUSION_KINDS = tuple(_FUSIONS)
 TARGETS = ("verb", "noun")  # in the order of a bank's label columns
-
-_PROB_FLOOR = 1e-12
 
 
 def _gate_variant(fusion: str, scale: ScaleMode) -> str | None:
@@ -157,34 +157,34 @@ class TrainConfig:
             raise ValidationError(f"momentum must be in [0, 1), got {self.momentum}")
 
 
+def _exp_rows(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The shift of ``scores`` by each row's max, its exp, and each row sum."""
+    shifted = scores - np.maximum.reduce(scores, axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return shifted, e, np.add.reduce(e, axis=-1, keepdims=True)
+
+
 def softmax(scores: np.ndarray) -> np.ndarray:
     """Stable softmax over the last axis: entries >= 0 summing to one.  An
-    entry more than about 745 below its row's maximum underflows to exactly
-    0."""
-    e = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
-    return e / np.add.reduce(e, axis=-1, keepdims=True)
+    entry over about 745 below its row's maximum underflows to exactly 0."""
+    _, e, total = _exp_rows(scores)
+    return e / total
 
 
-def row_nll(probs: np.ndarray, label) -> np.ndarray:
-    """-log(probs[label]) for each row, floored so certainty-adjacent values
-    stay finite.  ``label`` is an int for one row of ``probs`` or an int
-    array with one label per row; the result has the shape of the labels."""
+def softmax_nll(scores: np.ndarray, label) -> tuple[np.ndarray, np.ndarray]:
+    """``softmax(scores)`` and each row's loss ``logsumexp(s) - s[label]``,
+    read from the scores, so a label far below its row's maximum costs its
+    exact margin.  ``label`` is an int for one row of ``scores`` or an int
+    array with one label per row; the losses have the shape of the labels."""
     labels = np.asarray(label)
-    if labels.shape != probs.shape[:-1]:
-        raise ShapeError(
-            f"labels have shape {labels.shape}, expected {probs.shape[:-1]}")
+    if labels.shape != scores.shape[:-1]:
+        raise ShapeError(f"labels have shape {labels.shape}, expected {scores.shape[:-1]}")
+    shifted, e, total = _exp_rows(scores)
     # An out-of-range label matches no class, so its row picks nothing.
-    picked = probs[np.arange(probs.shape[-1]) == labels[..., None]]
+    picked = shifted[np.arange(scores.shape[-1]) == labels[..., None]]
     if picked.size != labels.size:
-        raise ValidationError(
-            f"label {label} out of range for {probs.shape[-1]} classes")
-    return -np.log(np.maximum(picked, _PROB_FLOOR)).reshape(labels.shape)
-
-
-def cross_entropy(probs: np.ndarray, label) -> float:
-    """Mean of ``row_nll`` over rows."""
-    nll = row_nll(probs, label)
-    return float(np.add.reduce(nll.ravel()) / nll.size)
+        raise ValidationError(f"label {label} out of range for {scores.shape[-1]} classes")
+    return e / total, np.log(total[..., 0]) - picked.reshape(labels.shape)
 
 
 @dataclass
@@ -243,12 +243,10 @@ def loss_and_grads(model: Model, v: np.ndarray, o_agg: np.ndarray, label,
     ``inputs=False`` leaves out the ``v`` and ``o`` gradients, which
     training does not read."""
     scores, cache = forward_model(model, v, o_agg)
-    probs = softmax(scores)
-    loss = cross_entropy(probs, label)
-    labels = np.asarray(label)
-    onehot = np.arange(probs.shape[-1]) == labels[..., None]
-    dscores = (probs - onehot) / labels.size
-    return loss, model_backward(model, cache, dscores, inputs=inputs)
+    probs, nll = softmax_nll(scores, label)
+    loss = float(np.add.reduce(nll.ravel()) / nll.size)
+    onehot = np.arange(probs.shape[-1]) == np.asarray(label)[..., None]
+    return loss, model_backward(model, cache, (probs - onehot) / nll.size, inputs=inputs)
 
 
 def sgd_momentum_step(params: np.ndarray, grads: np.ndarray, velocity: np.ndarray,
@@ -442,6 +440,8 @@ def grad_check(model: Model, v: np.ndarray, o_agg: np.ndarray, label: int,
                step: float = 5e-3) -> tuple[float, dict[str, float]]:
     """Compare the analytic end-to-end gradient of one segment's loss
     against finite differences, for every parameter group and both inputs.
+    Both read training's exact loss, ``softmax_nll`` of the head's scores,
+    so a label whose probability underflows is still checked.
 
     The numeric gradient is the 5-point stencil
     ``(8 (f(h) - f(-h)) - (f(2h) - f(-2h))) / 12h`` (Fornberg, Math. Comp.
@@ -472,7 +472,7 @@ def grad_check(model: Model, v: np.ndarray, o_agg: np.ndarray, label: int,
 
     def losses(rows: np.ndarray) -> np.ndarray:
         """The loss of each row of head scores."""
-        return row_nll(softmax(rows), np.full(rows.shape[:-1], label))
+        return softmax_nll(rows, np.full(rows.shape[:-1], label))[1]
 
     def stencil(f: np.ndarray) -> np.ndarray:  # differences first: an exact zero stays exact
         return (8.0 * (f[0] - f[1]) - (f[2] - f[3])) / (12.0 * step)

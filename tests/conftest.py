@@ -77,6 +77,18 @@ def planted_gate_bug(monkeypatch):
     monkeypatch.setattr(training, "gfa_backward", planted)
 
 
+def logsumexp_nll(scores, labels):
+    """Each row's loss ``logsumexp(s) - s[label]`` for ``scores`` of shape
+    (..., classes) and ``labels`` of shape (...).
+
+    Test-side reference, written apart from ``training.softmax_nll``.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    m = np.max(scores, axis=-1)
+    lse = m + np.log(np.sum(np.exp(scores - m[..., None]), axis=-1))
+    return lse - np.take_along_axis(scores, np.asarray(labels)[..., None], axis=-1)[..., 0]
+
+
 def rel_err(a, b, floor=1e-8):
     """Max elementwise relative error with denominator max(|a|, |b|, floor)."""
     a = np.asarray(a, dtype=np.float64)

@@ -18,12 +18,12 @@ from gatedfusion.gfa import (GfaParams, ScaleMode, gfa_forward,
 from gatedfusion.scoring import (ActionPrior, ScoreTable, compute_prior,
                                  reweight_actions, score_actions_for_bank,
                                  topk_report)
-from gatedfusion.training import (ModelSpec, TrainConfig, cross_entropy,
-                                  forward_model, init_model, loss_and_grads,
-                                  param_groups, softmax, train)
+from gatedfusion.training import (ModelSpec, TrainConfig, forward_model,
+                                  init_model, loss_and_grads, param_groups, train)
 
 from conftest import (aggregate_object_feature, context_window, dense_prior,
-                      five_point_diff, maxpool_features, rel_err, select_top_k)
+                      five_point_diff, logsumexp_nll, maxpool_features, rel_err,
+                      select_top_k)
 
 
 def _report(number, description, ok):
@@ -60,7 +60,7 @@ def _instance_grads(fusion, scale, seed):
 
     def loss_at(vv, oo):
         scores, _ = forward_model(model, vv, oo)
-        return cross_entropy(softmax(scores), label)
+        return float(logsumexp_nll(scores, label))
 
     def loss_with(name, x):
         """The loss with parameter group ``name`` set to ``x`` in place."""

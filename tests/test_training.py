@@ -14,13 +14,13 @@ from gatedfusion.errors import ShapeError, ValidationError
 from gatedfusion.gfa import GfaParams, ScaleMode
 from gatedfusion.scoring import ScoreTable, topk_report
 from gatedfusion.training import (Checkpoint, Head, Model, ModelSpec,
-                                  TrainConfig, bank_inputs, cross_entropy, forward_model,
+                                  TrainConfig, bank_inputs, forward_model,
                                   grad_check, init_model, load_checkpoint,
-                                  loss_and_grads, param_groups, row_nll,
-                                  save_checkpoint, sgd_momentum_step, softmax,
+                                  loss_and_grads, param_groups, save_checkpoint,
+                                  sgd_momentum_step, softmax, softmax_nll,
                                   target_labels, train)
 
-from conftest import central_diff, reference_train, rel_err
+from conftest import central_diff, logsumexp_nll, reference_train, rel_err
 
 
 class TestSoftmax:
@@ -64,55 +64,61 @@ class TestSoftmax:
             assert rel_err(row, softmax(x), floor=1e-300) < 1e-15
 
 
-class TestCrossEntropy:
+class TestSoftmaxNll:
     def test_uniform(self):
-        probs = np.full(4, 0.25)
-        assert cross_entropy(probs, 2) == pytest.approx(np.log(4.0), rel=1e-14)
+        assert softmax_nll(np.zeros(4), 2)[1] == np.log(4.0)
 
     def test_certainty(self):
-        assert cross_entropy(np.array([0.0, 1.0]), 1) == 0.0
+        assert softmax_nll(np.array([-1000.0, 0.0]), 1)[1] == 0.0
 
     def test_closed_form(self):
-        assert cross_entropy(np.array([0.25, 0.75]), 1) == pytest.approx(
-            -np.log(0.75), rel=1e-14)
+        assert softmax_nll(np.log([1.0, 3.0]), 1)[1] == pytest.approx(-np.log(0.75), rel=1e-14)
 
-    def test_floor_keeps_loss_finite(self):
-        assert np.isfinite(cross_entropy(np.array([0.0, 1.0]), 0))
+    def test_a_saturated_label_costs_its_exact_margin(self):
+        # the label's probability underflows to 0, and the loss is still exact
+        scores = np.array([0.0, 1000.0])
+        assert softmax_nll(scores, 0)[1] == 1000.0
+        assert softmax_nll(scores, 1)[1] == 0.0
 
     def test_label_out_of_range(self):
         with pytest.raises(ValidationError):
-            cross_entropy(np.array([0.5, 0.5]), 2)
+            softmax_nll(np.zeros(2), 2)
 
-    def test_non_negative_on_softmax_outputs(self):
+    def test_non_negative_on_random_scores(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
-            probs = softmax(rng.uniform(-30, 30, int(rng.integers(2, 10))))
-            assert cross_entropy(probs, int(rng.integers(probs.shape[0]))) >= 0.0
+            scores = rng.uniform(-30, 30, int(rng.integers(2, 10)))
+            assert softmax_nll(scores, int(rng.integers(scores.shape[0])))[1] >= 0.0
 
-    def test_block_is_mean_of_rows(self):
-        probs = softmax(np.random.default_rng(8).uniform(-3, 3, (5, 4)))
+    def test_block_is_rows_of_the_independent_reference(self):
+        scores = np.random.default_rng(8).uniform(-3, 3, (5, 4))
         labels = np.array([0, 3, 1, 1, 2])
-        rows = [cross_entropy(p, int(l)) for p, l in zip(probs, labels)]
-        assert cross_entropy(probs, labels) == pytest.approx(np.mean(rows), rel=1e-14)
+        nll = softmax_nll(scores, labels)[1]
+        rows = [softmax_nll(s, int(l))[1] for s, l in zip(scores, labels)]
+        assert np.array_equal(nll, rows)
+        assert rel_err(nll, logsumexp_nll(scores, labels)) < 1e-14
 
     def test_label_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            cross_entropy(np.full((3, 2), 0.5), np.array([0, 1]))
+            softmax_nll(np.zeros((3, 2)), np.array([0, 1]))
 
-    def test_row_nll_keeps_the_label_shape(self):
-        probs = softmax(np.random.default_rng(9).uniform(-3, 3, (2, 3, 4)))
+    def test_keeps_the_label_shape_and_the_softmax_bits(self):
+        scores = np.random.default_rng(9).uniform(-3, 3, (2, 3, 4))
         labels = np.array([[0, 3, 1], [1, 2, 0]])
-        nll = row_nll(probs, labels)
+        probs, nll = softmax_nll(scores, labels)
         assert nll.shape == (2, 3)
-        assert nll[1, 2] == -np.log(probs[1, 2, 0])
-        assert row_nll(probs[0, 0], 0).shape == ()
+        assert nll[1, 2] == pytest.approx(logsumexp_nll(scores[1, 2], 0), rel=1e-14)
+        assert softmax_nll(scores[0, 0], 0)[1].shape == ()
+        assert np.array_equal(probs, softmax(scores))
 
-    def test_block_is_the_sum_of_row_nll_over_rows(self):
+    def test_batch_loss_is_the_sum_of_row_losses_over_rows(self):
         # the same pairwise sum of the same values, so the same bits
-        probs = softmax(np.random.default_rng(10).uniform(-3, 3, (37, 5)))
-        labels = np.random.default_rng(11).integers(5, size=37)
-        picked = probs[np.arange(37), labels]
-        assert cross_entropy(probs, labels) == float(-np.sum(np.log(picked)) / 37)
+        rng = np.random.default_rng(10)
+        model = init_model("clip-only", 3, 2, 5, rng=rng)
+        V, labels = rng.uniform(-3, 3, (37, 3)), rng.integers(5, size=37)
+        nll = softmax_nll(forward_model(model, V, np.empty((37, 0)))[0], labels)[1]
+        loss, _ = loss_and_grads(model, V, np.empty((37, 0)), labels)
+        assert loss == float(np.sum(nll) / 37)
 
 
 class TestForwardModel:
@@ -233,7 +239,7 @@ class TestBatchedCore:
 
         def mean_loss(VV, OO):
             scores, _ = forward_model(model, VV, OO)
-            return cross_entropy(softmax(scores), labels)
+            return float(np.mean(logsumexp_nll(scores, labels)))
 
         def mean_loss_with(name, x):
             """The loss with parameter group ``name`` set to ``x`` in place."""
@@ -571,10 +577,20 @@ class TestGradCheck:
         _, analytic = loss_and_grads(model, v, o, 1)
 
         def loss_of_v(vv):
-            s, _ = forward_model(model, vv, o)
-            return cross_entropy(softmax(s), 1)
+            return float(logsumexp_nll(forward_model(model, vv, o)[0], 1))
 
         assert rel_err(analytic["v"], central_diff(loss_of_v, v)) < 1e-6
+
+    def test_a_saturated_label_is_checked_on_its_exact_loss(self):
+        # `gradcheck --fusion concat --scale scalar --scale-divisor 0.001
+        # --dim-v 8 --dim-o 8 --classes 5`: the label's probability is far
+        # below any floor a loss on probabilities could take
+        rng = np.random.default_rng(0)
+        model = init_model("concat", 8, 8, 5, scale=ScaleMode("scalar", s=0.001), rng=rng)
+        v, o, label = rng.uniform(-2, 2, 8), rng.uniform(-2, 2, 8), int(rng.integers(5))
+        assert softmax(forward_model(model, v, o)[0])[label] < 1e-30
+        max_err, per_group = grad_check(model, v, o, label)
+        assert max_err < 1e-5, per_group
 
     def test_step_validation(self):
         model = init_model("clip-only", 2, 2, 2, rng=np.random.default_rng(0))
