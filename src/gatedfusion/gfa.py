@@ -1,4 +1,4 @@
-"""Amplitude scaling of the object feature, and the two gated fusions.
+"""Amplitude scaling of the object feature, and the gate that fuses features.
 
 Two fixed-length features arrive per segment: a clip feature ``v`` from the
 video branch and an aggregated object feature ``o`` from the detection
@@ -15,34 +15,27 @@ first be rescaled, once, by ``scale_object_feature``:
 ``norm`` the amplitude of ``v`` feeds the scaled object feature, and that
 path is differentiated too, not dropped.
 
-The gates take ``o`` exactly as they receive it.  Variant A self-gates the
-concatenation:
+The gate runs on the operands ``x`` and ``y`` its caller passes:
 
-    F = sigmoid(W [v, o] + b) * [v, o]
+    F = sigmoid(W x + b) * y
 
-Variant B gates the clip feature elementwise by a sigmoid computed from the
-object feature alone:
-
-    F = sigmoid(W o + b) * v
+The paper's two variants are two choices of operands, made by the caller:
+variant A self-gates the concatenation, ``x = y = [v, o]``; variant B gates
+the clip feature from the object feature, ``x = o`` and ``y = v``.
+``gfa_backward``, the VJP of ``gfa_forward``, gives exact gradients for
+both operands (unless ``inputs=False``) and both parameters; a caller that
+passes one array as both operands adds the two.
 
 Because the gate is strictly inside (0, 1), no output coordinate can exceed
-the corresponding input coordinate in magnitude.  That bound does not keep
-training stable by itself: a saturated gate is inside (0, 1) too, and passes
-an input of any amplitude through.  On the synthetic banks, matching the
-amplitudes is what removes the gradient blow-up (see the README).
+the corresponding coordinate of ``y`` in magnitude.  That bound does not
+keep training stable by itself: a saturated gate is inside (0, 1) too, and
+passes an input of any amplitude through.  On the synthetic banks, matching
+the amplitudes is what removes the gradient blow-up (see the README).
 
-Both variants are one gate ``sigmoid(W x + b) * y``: ``(x, y)`` is
-``([v, o], [v, o])`` for A and ``(o, v)`` for B, a rule stated once, in
-``gfa_forward``.  It runs the gate and returns a ``GfaCache`` holding
-``x``, ``y`` and the gate; ``gfa_backward``, one VJP of the same gate,
-produces exact analytic gradients for both gate inputs (unless
-``inputs=False``) and both parameters.
-
-Every function works on the last axis: ``v`` and ``o`` are either one
-segment's vectors, shapes ``(dim_v,)`` and ``(dim_o,)``, or a block of B
-segments, shapes ``(B, dim_v)`` and ``(B, dim_o)``, through the same code.
-Outputs and input gradients keep the row layout of their inputs; the
-gradients of the gate parameters ``W`` and ``b`` are summed over rows.
+Every function works on the last axis: one segment's vectors, such as
+``v`` of shape ``(dim_v,)``, and a block of B segments, ``(B, dim_v)``,
+take the same code.  Outputs and input gradients keep the row layout of
+their inputs; the gate's ``W`` and ``b`` gradients are summed over rows.
 """
 
 from __future__ import annotations
@@ -110,33 +103,23 @@ def _check_affine(params, what: str) -> None:
 
 @dataclass(frozen=True)
 class GfaParams:
-    """Gate parameters.  Variant ``a`` needs a square W over the concatenated
-    dims and gates the concatenation; variant ``b`` maps the object feature
-    to a gate over the clip feature, so W is (dim_v x dim_o)."""
+    """Gate parameters: W maps the gate's input ``x`` to the width of ``y``."""
 
-    variant: str
     W: np.ndarray
     b: np.ndarray
 
     def __post_init__(self) -> None:
-        check_fields(self, {"variant": ("a", "b")})
         _check_affine(self, "gfa params")
-        if self.variant == "a" and self.W.shape[0] != self.W.shape[1]:
-            raise ShapeError(
-                f"gfa variant a: W must be square, got {self.W.shape[0]}x{self.W.shape[1]}")
 
 
 @dataclass
 class GfaCache:
     """What a forward pass saves for the matching backward pass: the
-    operands ``(x, y)`` of the gate ``sigmoid(W x + b) * y``, the gate
-    itself, and ``dim_v``, the width that splits variant A's ``[v, o]``."""
+    operands ``(x, y)`` of the gate and the gate itself."""
 
-    variant: str
     x: np.ndarray
     y: np.ndarray
     gate: np.ndarray
-    dim_v: int
 
 
 def scale_object_feature(o: np.ndarray, v: np.ndarray, mode: ScaleMode) -> np.ndarray:
@@ -186,48 +169,30 @@ def gate_tail(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return gate * y, gate
 
 
-def gfa_forward(v: np.ndarray, o: np.ndarray,
+def gfa_forward(x: np.ndarray, y: np.ndarray,
                 p: GfaParams) -> tuple[np.ndarray, GfaCache]:
-    """The gate ``sigmoid(W x + b) * y`` of ``p.variant``: ``(x, y)`` is the
-    concatenation ``[v, o]`` twice for variant A, ``(o, v)`` for variant B."""
-    if v.shape[:-1] != o.shape[:-1]:
+    """The gate ``sigmoid(W x + b) * y`` on the operands ``x`` and ``y``,
+    which must have the same leading shape."""
+    if x.shape[:-1] != y.shape[:-1]:
         raise ShapeError(
-            f"gfa variant {p.variant}: v has leading shape {v.shape[:-1]}, o has {o.shape[:-1]}")
-    if p.variant == "a":
-        x = y = np.concatenate([v, o], axis=-1)
-    else:
-        x, y = o, v
+            f"gfa gate: x has leading shape {x.shape[:-1]}, y has {y.shape[:-1]}")
     fused, gate = gate_tail(affine(x, p.W, p.b), y)
-    return fused, GfaCache(variant=p.variant, x=x, y=y, gate=gate, dim_v=v.shape[-1])
+    return fused, GfaCache(x=x, y=y, gate=gate)
 
 
 def gfa_backward(cache: GfaCache, p: GfaParams, dF: np.ndarray, inputs: bool = True
                  ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray, np.ndarray]:
-    """Exact gradients of the fused output w.r.t. ``(v, o, W, b)``.
+    """Exact gradients of the gated output w.r.t. ``(x, y, W, b)``.
 
-    ``cache`` must come from the forward pass that used ``p``.  One VJP of
-    the gate ``sigmoid(W x + b) * y``, on the cached ``(x, y)``, serves both
-    variants.  Gradients that reach a value through several paths (``[v, o]``
-    as both ``x`` and ``y`` in variant A) are summed.
-    Input gradients have the shapes of ``v`` and ``o``; the ``W`` and ``b``
+    ``cache`` must come from the forward pass that used ``p``.  Input
+    gradients have the shapes of ``x`` and ``y``; the ``W`` and ``b``
     gradients are summed over rows.  With ``inputs=False`` only the ``W``
     and ``b`` gradients are computed and the input gradients are None.
     """
-    if cache.variant != p.variant:
-        raise ValidationError(
-            f"gfa_backward: cache is variant {cache.variant!r}, params are {p.variant!r}")
     gate = cache.gate
     if dF.shape != gate.shape:
         raise ShapeError(
             f"gfa_backward: dF has shape {dF.shape}, expected {gate.shape}")
-
     dx, dW, db = affine_vjp(cache.x, p.W, p.b, dF * cache.y * gate * (1.0 - gate),
                             inputs=inputs)
-    if not inputs:
-        return None, None, dW, db
-    dy = dF * gate
-    if p.variant == "b":
-        return dy, dx, dW, db
-    dc, n = dy + dx, cache.dim_v  # variant A: x = y = [v, o]
-    return dc[..., :n], dc[..., n:], dW, db
-
+    return dx, (dF * gate if inputs else None), dW, db

@@ -11,12 +11,15 @@ as possible.  Four fusion kinds are supported:
 * ``gfa-b``     -- head over the gated clip feature.
 
 The table ``_FUSIONS`` gives each kind's gate variant and whether its head
-reads ``[v, o]``; every parameter shape and code path follows from it.  A
-model's ``scale`` rescales ``o`` once, before any fusion, and ``clip-only``,
-which never reads ``o``, takes scale ``none``: ``ModelSpec``, ``Model`` and
-``init_model`` share one check of that rule.  A ``Checkpoint`` is checked
-once, when it is built, and cannot change after, so every checkpoint saves
-and loads back.
+reads ``[v, o]``; every parameter shape and code path follows from it, and
+it alone picks the gate's operands: ``forward_model`` builds ``y = [v, o]``
+(or ``v``) once and gates it from ``x = y`` for variant A or ``x = o`` for
+B.  A model's ``scale`` rescales ``o`` once, before any fusion, and
+``clip-only``, which never reads ``o``, takes scale ``none``: ``ModelSpec``,
+``Model`` and ``init_model`` share one check of that rule.  A
+``Checkpoint`` is checked once, when it is built, and cannot change after,
+so every checkpoint saves and loads back.  A checkpoint file records the
+gate's variant too, and ``load_checkpoint`` checks it against the kind.
 
 Training is SGD with momentum, mini-batch gradients averaged over the
 batch, and everything (init, shuffling) drawn from one seeded generator,
@@ -123,11 +126,9 @@ class Model:
         if not isinstance(self.gfa, (GfaParams, type(None))):
             raise ValidationError(f"model gfa must be None or of type GfaParams, got "
                                   f"{type(self.gfa).__name__}")
-        want = _gate_variant(self.fusion_kind, self.scale)
-        have = None if self.gfa is None else self.gfa.variant
-        if have != want:  # a variant of None is no gfa params
-            raise ValidationError(f"fusion kind {self.fusion_kind!r} needs gfa variant "
-                                  f"{want!r}, got {have!r}")
+        if (_gate_variant(self.fusion_kind, self.scale) is None) != (self.gfa is None):
+            raise ValidationError(f"fusion kind {self.fusion_kind!r} "
+                                  f"{'needs' if self.gfa is None else 'takes no'} gfa params")
 
 
 @dataclass(frozen=True)
@@ -203,10 +204,9 @@ def forward_model(model: Model, v: np.ndarray,
             f"v has leading shape {v.shape[:-1]}, o has {o_agg.shape[:-1]}")
     variant, both = _FUSIONS[model.fusion_kind]
     o = o_agg if model.scale.kind == "none" else scale_object_feature(o_agg, v, model.scale)
+    feature, gfa_cache = (np.concatenate([v, o], axis=-1) if both else v), None
     if variant is not None:
-        feature, gfa_cache = gfa_forward(v, o, model.gfa)
-    else:
-        feature, gfa_cache = (np.concatenate([v, o], axis=-1) if both else v), None
+        feature, gfa_cache = gfa_forward(feature if variant == "a" else o, feature, model.gfa)
     scores = affine(feature, model.head.W, model.head.b)
     return scores, ModelCache(v=v, o=o_agg, feature=feature, gfa_cache=gfa_cache)
 
@@ -222,13 +222,15 @@ def model_backward(model: Model, cache: ModelCache, dscores: np.ndarray,
                                          dscores, inputs=inputs or gated)
     grads = {"head.W": dW_head, "head.b": db_head}
     if gated:
-        dv, do, grads["gfa.W"], grads["gfa.b"] = gfa_backward(cache.gfa_cache, model.gfa,
-                                                              dfeat, inputs=inputs)
+        dx, dfeat, grads["gfa.W"], grads["gfa.b"] = gfa_backward(cache.gfa_cache, model.gfa,
+                                                                 dfeat, inputs=inputs)
     if not inputs:
         return grads
-    if not gated:
-        n = cache.v.shape[-1]
-        dv, do = (dfeat[..., :n], dfeat[..., n:]) if both else (dfeat, np.zeros_like(cache.o))
+    if variant == "a":  # the gate read [v, o] as x too
+        dfeat = dfeat + dx
+    n = cache.v.shape[-1]  # [v, o] is split once, for concat and gfa-a alike
+    dv, do = ((dfeat[..., :n], dfeat[..., n:]) if both
+              else (dfeat, dx if gated else np.zeros_like(cache.o)))
     if model.scale.kind != "none":  # dv and do so far reach the scaled o
         do, dv_scale = scale_vjp(cache.o, cache.v, model.scale, do)
         dv = dv + dv_scale
@@ -300,7 +302,7 @@ def init_model(fusion: str, dim_v: int, dim_o: int, classes: int,
     except (MemoryError, ValueError, OverflowError):  # numpy: cannot allocate / array is too big
         raise ValidationError(f"a {fusion} model of dims {dim_v}/{dim_o} and {classes} classes "
                               f"is too large to allocate") from None
-    gfa = None if variant is None else GfaParams(variant, p["gfa.W"], p["gfa.b"])
+    gfa = None if variant is None else GfaParams(p["gfa.W"], p["gfa.b"])
     return Model(fusion_kind=fusion, head=Head(p["head.W"], p["head.b"]), gfa=gfa, scale=scale)
 
 
@@ -555,13 +557,22 @@ def _matrix_obj(W: np.ndarray) -> dict:
     return {"rows": W.shape[0], "cols": W.shape[1], "data": W.ravel().tolist()}
 
 
+def _numbers(data, name: str) -> np.ndarray:
+    """``data``, a JSON array of ints and floats (no str, bool or null), as float64."""
+    if not (isinstance(data, list) and set(map(type, data)) <= {int, float}):
+        raise ValidationError(f"checkpoint weights must be arrays of numbers: {name}")
+    return np.array(data, dtype=np.float64)
+
+
 def _matrix_from_obj(obj: dict, name: str) -> np.ndarray:
     try:
         rows, cols, data = obj["rows"], obj["cols"], obj["data"]
     except (KeyError, TypeError):
         raise ValidationError(f"checkpoint: {name} must declare rows, cols, data") from None
-    arr = np.array(data, dtype=np.float64)
-    if arr.ndim != 1 or arr.shape[0] != rows * cols:
+    if not (is_integer(rows) and is_integer(cols) and min(rows, cols) >= 0):
+        raise ValidationError(f"checkpoint: {name} rows and cols must be integers >= 0")
+    arr = _numbers(data, f"{name} data")
+    if arr.size != rows * cols:
         raise ValidationError(
             f"checkpoint: {name} declares {rows}x{cols} but carries {arr.size} values")
     return arr.reshape(rows, cols)
@@ -582,8 +593,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "aggregation": asdict(ckpt.aggregation),
         "train_config": asdict(ckpt.train_config),
         "head": {"W": _matrix_obj(ckpt.model.head.W), "b": ckpt.model.head.b.tolist()},
-        "gfa": None if g is None else {"variant": g.variant, "W": _matrix_obj(g.W),
-                                       "b": g.b.tolist()},
+        "gfa": None if g is None else {"variant": _FUSIONS[ckpt.model.fusion_kind][0],
+                                       "W": _matrix_obj(g.W), "b": g.b.tolist()},
     }
     write_json(obj, path)
 
@@ -600,16 +611,18 @@ def load_checkpoint(path) -> Checkpoint:
                 raise ValidationError(f"checkpoint {name} must hold exactly the keys {keys}")
             obj[name] = cls(**obj[name])
         g = obj["gfa"]
-        gfa = None if g is None else GfaParams(
-            variant=g.get("variant"), W=_matrix_from_obj(g["W"], "gfa.W"),
-            b=np.array(g["b"], dtype=np.float64))
+        gfa = None if g is None else GfaParams(W=_matrix_from_obj(g["W"], "gfa.W"),
+                                               b=_numbers(g["b"], "gfa.b"))
         head = Head(W=_matrix_from_obj(obj["head"]["W"], "head.W"),
-                    b=np.array(obj["head"]["b"], dtype=np.float64))
-        ckpt = Checkpoint(
-            model=Model(fusion_kind=obj["fusion_kind"], head=head, gfa=gfa,
-                        scale=obj["scale"]),
-            target=obj["target"], dim_v=obj["dim_v"], dim_o=obj["dim_o"], classes=obj["classes"],
-            aggregation=obj["aggregation"], train_config=obj["train_config"])
+                    b=_numbers(obj["head"]["b"], "head.b"))
+        model = Model(fusion_kind=obj["fusion_kind"], head=head, gfa=gfa, scale=obj["scale"])
+        want = _FUSIONS[model.fusion_kind][0]
+        if g is not None and g.get("variant") != want:
+            raise ValidationError(f"fusion kind {model.fusion_kind!r} needs gfa variant "
+                                  f"{want!r}, got {g.get('variant')!r}")
+        ckpt = Checkpoint(model=model, target=obj["target"], dim_v=obj["dim_v"],
+                          dim_o=obj["dim_o"], classes=obj["classes"],
+                          aggregation=obj["aggregation"], train_config=obj["train_config"])
     except (KeyError, TypeError, AttributeError):
         raise ValidationError(f"{path}: missing checkpoint fields") from None
     except (ValidationError, ShapeError) as exc:  # a value its own class or the contract rejects

@@ -13,12 +13,11 @@ from gatedfusion.bank import (AggregationConfig, Detection, FeatureBank,
                               SegmentRecord, SynthSpec, bank_features,
                               synth_generate)
 from gatedfusion.cli import main
-from gatedfusion.gfa import (GfaParams, ScaleMode, gfa_forward,
-                             scale_object_feature)
+from gatedfusion.gfa import GfaParams, ScaleMode, scale_object_feature
 from gatedfusion.scoring import (ActionPrior, ScoreTable, compute_prior,
                                  reweight_actions, score_actions_for_bank,
                                  topk_report)
-from gatedfusion.training import (ModelSpec, TrainConfig, forward_model,
+from gatedfusion.training import (Head, Model, ModelSpec, TrainConfig, forward_model,
                                   init_model, loss_and_grads, param_groups, train)
 
 from conftest import (aggregate_object_feature, context_window, dense_prior,
@@ -103,29 +102,29 @@ def test_criterion_02_gate_structure():
     for _ in range(50):
         dim_v = int(rng.integers(2, 9))
         dim_o = int(rng.integers(2, 9))
-        pa = init_model("gfa-a", dim_v, dim_o, 1, ScaleMode("norm"), rng).gfa
-        pb = init_model("gfa-b", dim_v, dim_o, 1, ScaleMode(), rng).gfa
+        ma = init_model("gfa-a", dim_v, dim_o, 1, ScaleMode("norm"), rng)
+        mb = init_model("gfa-b", dim_v, dim_o, 1, ScaleMode(), rng)
         for _ in range(10):
             v = rng.uniform(-3, 3, dim_v)
             o = rng.uniform(-3, 3, dim_o)
-            Fa, ca = gfa_forward(v, o, pa)
-            Fb, cb = gfa_forward(v, o, pb)
-            assert np.all(ca.gate > 0.0) and np.all(ca.gate < 1.0)
-            assert np.all(cb.gate > 0.0) and np.all(cb.gate < 1.0)
-            assert Fa.shape == (dim_v + dim_o,)
-            assert Fb.shape == (dim_v,)
+            ca = forward_model(ma, v, o)[1]
+            cb = forward_model(mb, v, o)[1]
+            assert np.all(ca.gfa_cache.gate > 0.0) and np.all(ca.gfa_cache.gate < 1.0)
+            assert np.all(cb.gfa_cache.gate > 0.0) and np.all(cb.gfa_cache.gate < 1.0)
+            assert ca.feature.shape == (dim_v + dim_o,)
+            assert cb.feature.shape == (dim_v,)
             checked += 2
     assert checked == 1000
 
     # W = 0, b = 0 halves the gated input exactly
     v, o = np.array([1.5, -2.0, 0.25]), np.array([4.0, -8.0])
-    pa0 = GfaParams(variant="a", W=np.zeros((5, 5)), b=np.zeros(5))
-    Fa, ca = gfa_forward(v, o, pa0)
-    assert np.array_equal(Fa, 0.5 * ca.y)
-    assert np.array_equal(ca.y, np.concatenate([v, o]))
-    pb0 = GfaParams(variant="b", W=np.zeros((3, 2)), b=np.zeros(3))
-    Fb, _ = gfa_forward(v, o, pb0)
-    assert np.array_equal(Fb, 0.5 * v)
+    for fusion, (width, fan_in), gated in (("gfa-a", (5, 5), np.concatenate([v, o])),
+                                           ("gfa-b", (3, 2), v)):
+        gate = GfaParams(W=np.zeros((width, fan_in)), b=np.zeros(width))
+        model = Model(fusion_kind=fusion, head=Head(np.zeros((1, width)), np.zeros(1)), gfa=gate)
+        cache = forward_model(model, v, o)[1]
+        assert np.array_equal(cache.gfa_cache.y, gated)
+        assert np.array_equal(cache.feature, 0.5 * gated)
     _report(2, "gates in (0,1) on 1000 inputs; output dims; zero-params halving", True)
 
 

@@ -1099,6 +1099,29 @@ class TestFuzzedCheckpoints:
         assert run("eval", "--checkpoint", ckpt, "--bank", bank,
                    "--out-dir", tmp_path / "eval") == 1
 
+    @pytest.mark.parametrize("path,value,message", [
+        (("head", "W", "data", 0), "0.5",
+         "checkpoint weights must be arrays of numbers: head.W data"),
+        (("head", "W", "data", 0), True,
+         "checkpoint weights must be arrays of numbers: head.W data"),
+        (("head", "b"), ["1", True, 2], "checkpoint weights must be arrays of numbers: head.b"),
+        (("gfa", "b", 0), None, "checkpoint weights must be arrays of numbers: gfa.b"),
+        (("head", "W", "rows"), "3", "checkpoint: head.W rows and cols must be integers >= 0"),
+        (("gfa", "W", "rows"), 4.0, "checkpoint: gfa.W rows and cols must be integers >= 0"),
+        (("head", "W", "cols"), -4, "checkpoint: head.W rows and cols must be integers >= 0"),
+    ], ids=["string-weight", "bool-weight", "mixed-b", "null-weight", "string-rows",
+            "float-rows", "negative-cols"])
+    def test_weights_and_dims_must_be_json_numbers(self, tmp_path, capsys, path, value,
+                                                   message):
+        bank, ckpt = tiny_eval_inputs(tmp_path)
+        obj = json.loads(ckpt.read_text())
+        _edit_path(obj, path, value)
+        ckpt.write_text(json.dumps(obj))
+        assert run("eval", "--checkpoint", ckpt, "--bank", bank,
+                   "--out-dir", tmp_path / "eval") == 1
+        assert capsys.readouterr().err == f"gatedfusion: error: {ckpt}: {message}\n"
+        assert not (tmp_path / "eval").exists()
+
     @pytest.mark.parametrize("edit", [
         lambda obj: obj.update(target="action"),
         lambda obj: obj.update(target="bogus"),
@@ -1107,10 +1130,12 @@ class TestFuzzedCheckpoints:
         lambda obj: obj.update(gfa=None),
         lambda obj: obj.update(fusion_kind="clip-only"),  # keeps its gfa block
         lambda obj: obj["gfa"].update(variant="b"),
+        lambda obj: obj["gfa"].pop("variant"),
         lambda obj: obj["head"]["b"].append(0.0),
         lambda obj: obj["gfa"]["b"].pop(),
     ], ids=["target-action", "target-bogus", "target-3", "fusion-bogus", "gfa-a-without-gfa",
-            "clip-only-with-gfa", "variant-b-in-gfa-a", "head-b-length", "gfa-b-length"])
+            "clip-only-with-gfa", "variant-b-in-gfa-a", "variant-missing", "head-b-length",
+            "gfa-b-length"])
     def test_tampered_checkpoint_error_names_the_file(self, tmp_path, capsys, edit):
         bank, ckpt = tiny_eval_inputs(tmp_path)
         obj = json.loads(ckpt.read_text())

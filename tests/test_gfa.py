@@ -11,7 +11,8 @@ from gatedfusion.bank import (AggregationConfig, Detection, FeatureBank, Segment
                               bank_features, bank_stats)
 from gatedfusion.gfa import (GfaParams, ScaleMode, gfa_backward, gfa_forward,
                              scale_object_feature, scale_vjp)
-from gatedfusion.training import init_model
+from gatedfusion.training import (Checkpoint, Head, Model, TrainConfig, forward_model,
+                                  init_model)
 
 from conftest import central_diff, rel_err
 
@@ -125,25 +126,31 @@ class TestScaleObjectFeature:
         assert np.allclose(out, o * (2.0 / 1e-8), rtol=1e-12)
 
 
+def _gated(fusion, W, b, v, o, scale=ScaleMode()):
+    """The gated feature of a ``fusion`` model with gate weights ``W`` and
+    ``b``, from its ``forward_model`` on ``v`` and ``o``."""
+    head = Head(W=np.zeros((1, W.shape[0])), b=np.zeros(1))
+    model = Model(fusion_kind=fusion, head=head, gfa=GfaParams(W=W, b=b), scale=scale)
+    return forward_model(model, v, o)[1].feature
+
+
 class TestGfaAForward:
     def test_zero_params_gate_half(self):
         v, o = np.array([1.0, -2.0]), np.array([4.0])
-        p = GfaParams(variant="a", W=np.zeros((3, 3)), b=np.zeros(3))
-        F, cache = gfa_forward(v, o, p)
+        F = _gated("gfa-a", np.zeros((3, 3)), np.zeros(3), v, o)
         assert np.array_equal(F, 0.5 * np.concatenate([v, o]))
 
     def test_saturated_gate_with_norm_scaling(self):
         v, o = np.array([1.0, 0.0]), np.array([3.0, 4.0])
-        p = GfaParams(variant="a", W=np.zeros((4, 4)), b=50.0 * np.ones(4))
-        F, _ = gfa_forward(v, scale_object_feature(o, v, ScaleMode("norm")), p)
+        F = _gated("gfa-a", np.zeros((4, 4)), 50.0 * np.ones(4), v, o, ScaleMode("norm"))
         assert np.allclose(F, [1.0, 0.0, 0.6, 0.8], rtol=1e-9)
 
     def test_matches_step_by_step_recomputation(self):
         rng = np.random.default_rng(11)
         v, o = rng.normal(size=5), rng.normal(size=3)
-        p = init_model("gfa-a", 5, 3, 1, rng=rng).gfa
-        F, cache = gfa_forward(v, o, p)
-        c = np.concatenate([v, o])
+        model = init_model("gfa-a", 5, 3, 1, rng=rng)
+        F = forward_model(model, v, o)[1].feature
+        c, p = np.concatenate([v, o]), model.gfa
         expected = tensor.sigmoid(c @ p.W.T + p.b) * c
         assert np.array_equal(F, expected)
         assert F.shape == (8,)
@@ -152,112 +159,120 @@ class TestGfaAForward:
         rng = np.random.default_rng(12)
         for _ in range(20):
             v, o = rng.uniform(-2, 2, 4), rng.uniform(-2, 2, 3)
-            p = init_model("gfa-a", 4, 3, 1, ScaleMode(), rng).gfa
-            F, cache = gfa_forward(v, o, p)
-            assert np.all(cache.gate > 0) and np.all(cache.gate < 1)
-            assert np.all(np.abs(F) <= np.abs(cache.y))
+            model = init_model("gfa-a", 4, 3, 1, ScaleMode(), rng)
+            cache = forward_model(model, v, o)[1]
+            gate = cache.gfa_cache.gate
+            assert np.all(gate > 0) and np.all(gate < 1)
+            assert np.all(np.abs(cache.feature) <= np.abs(np.concatenate([v, o])))
 
     def test_shape_error(self):
-        p = GfaParams(variant="a", W=np.zeros((4, 4)), b=np.zeros(4))
         with pytest.raises(ShapeError):
-            gfa_forward(np.zeros(2), np.zeros(3), p)
+            _gated("gfa-a", np.zeros((4, 4)), np.zeros(4), np.zeros(2), np.zeros(3))
 
 
 class TestGfaBForward:
     def test_zero_params_halves_clip(self):
-        p = GfaParams(variant="b", W=np.zeros((2, 1)), b=np.zeros(2))
-        F, _ = gfa_forward(np.array([2.0, 4.0]), np.array([9.0]), p)
+        F = _gated("gfa-b", np.zeros((2, 1)), np.zeros(2), np.array([2.0, 4.0]), np.array([9.0]))
         assert np.array_equal(F, [1.0, 2.0])
 
     def test_saturated_open_gate_passes_clip(self):
-        p = GfaParams(variant="b", W=np.zeros((3, 2)), b=50.0 * np.ones(3))
         v = np.array([1.0, -2.0, 0.5])
-        F, _ = gfa_forward(v, np.array([1.0, 1.0]), p)
+        F = _gated("gfa-b", np.zeros((3, 2)), 50.0 * np.ones(3), v, np.array([1.0, 1.0]))
         assert np.allclose(F, v, rtol=1e-9)
 
     def test_identity_weight_closed_form(self):
-        p = GfaParams(variant="b", W=np.eye(2), b=np.zeros(2))
-        F, _ = gfa_forward(np.array([1.0, 1.0]), np.array([0.0, np.log(3.0)]), p)
+        F = _gated("gfa-b", np.eye(2), np.zeros(2), np.array([1.0, 1.0]),
+                   np.array([0.0, np.log(3.0)]))
         assert np.allclose(F, [0.5, 0.75], rtol=1e-12)
 
     def test_output_dim_is_dim_v(self):
         rng = np.random.default_rng(13)
-        p = init_model("gfa-b", 6, 4, 1, rng=rng).gfa
-        F, cache = gfa_forward(rng.normal(size=6), rng.normal(size=4), p)
+        model = init_model("gfa-b", 6, 4, 1, rng=rng)
+        v = rng.normal(size=6)
+        F = forward_model(model, v, rng.normal(size=4))[1].feature
         assert F.shape == (6,)
-        assert np.all(np.abs(F) <= np.abs(cache.y))
+        assert np.all(np.abs(F) <= np.abs(v))
 
     def test_shape_errors(self):
-        p = GfaParams(variant="b", W=np.zeros((2, 3)), b=np.zeros(2))
+        W, b = np.zeros((2, 3)), np.zeros(2)
         with pytest.raises(ShapeError):
-            gfa_forward(np.zeros(2), np.zeros(4), p)
+            _gated("gfa-b", W, b, np.zeros(2), np.zeros(4))
         with pytest.raises(ShapeError):
-            gfa_forward(np.zeros(3), np.zeros(3), p)
+            _gated("gfa-b", W, b, np.zeros(3), np.zeros(3))
 
 
 class TestGfaForward:
-    @pytest.mark.parametrize("variant,W_shape", [("a", (5, 5)), ("b", (2, 3))])
-    def test_leading_rows_must_match(self, variant, W_shape):
-        p = GfaParams(variant=variant, W=np.zeros(W_shape), b=np.zeros(W_shape[0]))
-        with pytest.raises(ShapeError, match=f"gfa variant {variant}: v has leading shape"):
+    def test_leading_rows_must_match(self):
+        p = GfaParams(W=np.zeros((3, 2)), b=np.zeros(3))
+        with pytest.raises(ShapeError, match=r"^gfa gate: x has leading shape \(4,\), "
+                                             r"y has \(3,\)$"):
             gfa_forward(np.zeros((4, 2)), np.zeros((3, 3)), p)
 
+    def test_gates_the_operands_it_is_given(self):
+        # x and y have different widths: W maps x's 1 to y's 2
+        p = GfaParams(W=np.array([[1.0], [-1.0]]), b=np.zeros(2))
+        F, cache = gfa_forward(np.array([np.log(3.0)]), np.array([4.0, 4.0]), p)
+        assert np.allclose(F, [3.0, 1.0], rtol=1e-12)
+        assert np.allclose(cache.gate, [0.75, 0.25], rtol=1e-12)
 
-def _vjp_oracle_check(variant, dim_v, dim_o, seed, tol):
-    """Check all four gradients of u . F against the test-side FD oracle."""
+
+def _vjp_oracle_check(x, y, p, u, tol):
+    """Check all four gradients of ``u . gfa_forward(x, y, p)`` against the
+    test-side FD oracle, and return the analytic ``dx`` and ``dy``."""
+    _, cache = gfa_forward(x, y, p)
+    dx, dy, dW, db = gfa_backward(cache, p, u)
+
+    def phi(xx, yy, WW, bb):
+        return float(u @ gfa_forward(xx, yy, GfaParams(W=WW, b=bb))[0])
+
+    checks = [
+        (dx, central_diff(lambda t: phi(t, y, p.W, p.b), x)),
+        (dy, central_diff(lambda t: phi(x, t, p.W, p.b), y)),
+        (dW, central_diff(lambda t: phi(x, y, t, p.b), p.W)),
+        (db, central_diff(lambda t: phi(x, y, p.W, t), p.b)),
+    ]
+    for analytic, numeric in checks:
+        assert rel_err(analytic, numeric) < tol
+    return dx, dy
+
+
+def _gate_inputs(fusion, dim_v, dim_o, seed):
+    """A ``fusion`` model's gate params, ``v``, ``o`` and an upstream ``u``."""
     rng = np.random.default_rng(seed)
-    p = init_model(f"gfa-{variant}", dim_v, dim_o, 1, rng=rng).gfa
+    p = init_model(fusion, dim_v, dim_o, 1, rng=rng).gfa
     v = rng.uniform(-2, 2, dim_v)
     o = rng.uniform(-2, 2, dim_o)
     while tensor.l2_norm(o) <= 0.1:
         o = rng.uniform(-2, 2, dim_o)
-    out_dim = dim_v + dim_o if variant == "a" else dim_v
-    u = rng.normal(size=out_dim)
-
-    _, cache = gfa_forward(v, o, p)
-    dv, do, dW, db = gfa_backward(cache, p, u)
-
-    def phi(vv, oo, WW, bb):
-        pp = GfaParams(variant=variant, W=WW, b=bb)
-        return float(u @ gfa_forward(vv, oo, pp)[0])
-
-    checks = [
-        (dv, central_diff(lambda x: phi(x, o, p.W, p.b), v)),
-        (do, central_diff(lambda x: phi(v, x, p.W, p.b), o)),
-        (dW, central_diff(lambda x: phi(v, o, x, p.b), p.W)),
-        (db, central_diff(lambda x: phi(v, o, p.W, x), p.b)),
-    ]
-    for analytic, numeric in checks:
-        assert rel_err(analytic, numeric) < tol
+    return p, v, o, rng.normal(size=p.W.shape[0])
 
 
 class TestGfaBackward:
     def test_constant_gate_passthrough(self):
-        p = GfaParams(variant="b", W=np.zeros((2, 1)), b=np.zeros(2))
-        _, cache = gfa_forward(np.array([2.0, 4.0]), np.array([1.0]), p)
+        p = GfaParams(W=np.zeros((2, 1)), b=np.zeros(2))
+        _, cache = gfa_forward(np.array([1.0]), np.array([2.0, 4.0]), p)
         dF = np.array([1.0, -3.0])
-        dv, do, dW, db = gfa_backward(cache, p, dF)
-        assert np.array_equal(dv, 0.5 * dF)
+        dx, dy, dW, db = gfa_backward(cache, p, dF)
+        assert np.array_equal(dy, 0.5 * dF)
 
     # The scaling's VJP is checked through whole models, in test_training.
     def test_variant_a_matches_fd(self):
+        # one array, [v, o], is both operands: its gradient is dx + dy
         for seed in (31, 32, 33):
-            _vjp_oracle_check("a", 5, 4, seed=seed, tol=1e-5)
+            p, v, o, u = _gate_inputs("gfa-a", 5, 4, seed)
+            c = np.concatenate([v, o])
+            dx, dy = _vjp_oracle_check(c, c, p, u, tol=1e-5)
+            shared = central_diff(lambda t: float(u @ gfa_forward(t, t, p)[0]), c)
+            assert rel_err(dx + dy, shared) < 1e-5
 
     def test_variant_b_matches_fd(self):
         for seed in (51, 52):
-            _vjp_oracle_check("b", 4, 3, seed=seed, tol=1e-5)
-
-    def test_cache_params_mismatch(self):
-        p_b = GfaParams(variant="b", W=np.zeros((2, 1)), b=np.zeros(2))
-        _, cache = gfa_forward(np.zeros(2), np.zeros(1), p_b)
-        p_a = GfaParams(variant="a", W=np.zeros((3, 3)), b=np.zeros(3))
-        with pytest.raises(ValidationError):
-            gfa_backward(cache, p_a, np.zeros(3))
+            p, v, o, u = _gate_inputs("gfa-b", 4, 3, seed)
+            _vjp_oracle_check(o, v, p, u, tol=1e-5)
 
     def test_upstream_shape_mismatch(self):
-        p = GfaParams(variant="b", W=np.zeros((2, 1)), b=np.zeros(2))
-        _, cache = gfa_forward(np.zeros(2), np.zeros(1), p)
+        p = GfaParams(W=np.zeros((2, 1)), b=np.zeros(2))
+        _, cache = gfa_forward(np.zeros(1), np.zeros(2), p)
         with pytest.raises(ShapeError):
             gfa_backward(cache, p, np.zeros(5))
 
@@ -299,11 +314,17 @@ class TestInitAndCalibration:
         assert pb.W.shape == (3, 2)
         assert np.all(np.abs(pb.W) <= 1.0 / np.sqrt(2))
 
-    def test_params_invariant_violations(self):
+    def test_gfa_a_gate_that_is_not_square_is_refused(self):
+        # The gate is checked against its kind's shapes, not by GfaParams
+        head = Head(W=np.zeros((1, 2)), b=np.zeros(1))
+        model = Model(fusion_kind="gfa-a", head=head,
+                      gfa=GfaParams(W=np.zeros((2, 3)), b=np.zeros(2)))
+        message = "gfa.W has shape (2, 3), expected (2, 2) for fusion 'gfa-a', dims 1/1"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            Checkpoint(model=model, target="verb", dim_v=1, dim_o=1, classes=1,
+                       aggregation=AggregationConfig(), train_config=TrainConfig())
         with pytest.raises(ShapeError):
-            GfaParams(variant="a", W=np.zeros((2, 3)), b=np.zeros(2))
-        with pytest.raises(ValidationError):
-            GfaParams(variant="c", W=np.zeros((2, 2)), b=np.zeros(2))
+            forward_model(model, np.zeros(1), np.zeros(1))
 
     @staticmethod
     def _stats(clips, objs):

@@ -134,7 +134,7 @@ class TestForwardModel:
         rng = np.random.default_rng(3)
         H = rng.normal(size=(5, 4))
         b = rng.normal(size=5)
-        gfa = GfaParams(variant="b", W=np.zeros((4, 3)), b=np.zeros(4))
+        gfa = GfaParams(W=np.zeros((4, 3)), b=np.zeros(4))
         gated = Model(fusion_kind="gfa-b", head=Head(W=H, b=b), gfa=gfa)
         halved = Model(fusion_kind="clip-only", head=Head(W=0.5 * H, b=b))
         v, o = rng.normal(size=4), rng.normal(size=3)
@@ -520,8 +520,6 @@ class TestValueRule:
     @pytest.mark.parametrize("build,message", [
         (lambda: ScaleMode(kind="bogus"),
          "kind must be one of ('none', 'scalar', 'norm', 'norm-scalar'), got 'bogus'"),
-        (lambda: GfaParams("c", np.zeros((2, 2)), np.zeros(2)),
-         "variant must be one of ('a', 'b'), got 'c'"),
         (lambda: ScoreTable(("s0",), np.zeros((1, 2)), space="x"),
          "space must be one of ('verb', 'noun', 'action'), got 'x'"),
         (lambda: Checkpoint(
@@ -536,7 +534,7 @@ class TestValueRule:
          "fusion must be one of ('clip-only', 'concat', 'gfa-a', 'gfa-b'), got 'x'"),
         (lambda: init_model("x", 4, 3, 2),
          "fusion must be one of ('clip-only', 'concat', 'gfa-a', 'gfa-b'), got 'x'"),
-    ], ids=["scale-kind", "gfa-variant", "score-space", "checkpoint-target", "target-labels",
+    ], ids=["scale-kind", "score-space", "checkpoint-target", "target-labels",
             "model-spec-fusion", "model-fusion", "init-model-fusion"])
     def test_a_value_outside_its_choices_is_refused_in_one_form(self, build, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
@@ -766,9 +764,9 @@ class TestCheckpoint:
         ("clip-only", {"W": np.zeros((5, 4)), "b": np.zeros(5)}, None,
          "model head must be of type Head, got dict"),
         ("gfa-b", Head(np.zeros((5, 4)), np.zeros(5)),
-         type("Gate", (), {"variant": "b", "W": np.zeros((4, 3)), "b": np.zeros(4)})(),
+         type("Gate", (), {"W": np.zeros((4, 3)), "b": np.zeros(4)})(),
          "model gfa must be None or of type GfaParams, got Gate"),
-        ("gfa-b", Head(np.zeros((5, 4)), np.zeros(5)), {"variant": "b"},
+        ("gfa-b", Head(np.zeros((5, 4)), np.zeros(5)), {"W": np.zeros((4, 3))},
          "model gfa must be None or of type GfaParams, got dict"),
     ], ids=["head-none", "head-dict", "gfa-duck", "gfa-dict"])
     def test_a_model_part_of_another_type_fails_to_build(self, fusion, head, gfa, message):
@@ -783,8 +781,8 @@ class TestCheckpoint:
         (lambda: Head(W=np.zeros((1, 2)), b=[0.0]), "head: b must be a float64 array"),
         (lambda: Head(W=np.zeros((1, 2), np.float32), b=np.zeros(1)),
          "head: W must be a float64 array"),
-        (lambda: GfaParams("b", [[1.0]], np.zeros(1)), "gfa params: W must be a float64 array"),
-        (lambda: GfaParams("a", np.eye(2), np.zeros(2, np.float32)),
+        (lambda: GfaParams([[1.0]], np.zeros(1)), "gfa params: W must be a float64 array"),
+        (lambda: GfaParams(np.eye(2), np.zeros(2, np.float32)),
          "gfa params: b must be a float64 array"),
     ], ids=["head-list-W", "head-list-b", "head-float32", "gfa-list-W", "gfa-float32-b"])
     def test_weights_other_than_float64_arrays_are_a_validation_error(self, make, message):
@@ -902,14 +900,14 @@ class TestModelInvariants:
         assert not path.exists()
 
     def test_fusion_kind_gfa_consistency(self):
+        # A kind has gate params exactly when its _FUSIONS row has a gate.
         head = Head(W=np.zeros((2, 2)), b=np.zeros(2))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^fusion kind 'gfa-a' needs gfa params$"):
             Model(fusion_kind="gfa-a", head=head, gfa=None)
-        gfa = GfaParams(variant="b", W=np.zeros((2, 2)), b=np.zeros(2))
-        with pytest.raises(ValidationError):
+        gfa = GfaParams(W=np.zeros((2, 2)), b=np.zeros(2))
+        with pytest.raises(ValidationError,
+                           match="^fusion kind 'clip-only' takes no gfa params$"):
             Model(fusion_kind="clip-only", head=head, gfa=gfa)
-        with pytest.raises(ValidationError):
-            Model(fusion_kind="gfa-a", head=head, gfa=gfa)
 
 
 def _load_perfbench_spans():
