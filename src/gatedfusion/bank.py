@@ -78,7 +78,7 @@ class SegmentRecord:
 
 
 _HEADER_KEYS = ("dim_v", "dim_o", "verb_vocab_size", "noun_vocab_size")
-_LABEL_KEYS = ("verb", "noun")
+_LABEL_KEYS = ("verb", "noun")  # the label columns, in order: TARGETS and SCORE_SPACES read it
 _NO_LABEL = -1
 PAIR_COUNT_THRESHOLD = 50  # bank_stats counts the labeled pairs seen more often
 # The blocks after ``ids`` and their dtypes: per record, then per detection

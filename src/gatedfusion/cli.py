@@ -229,19 +229,20 @@ def _cmd_gradcheck(cfg: dict, paths: dict) -> int:
         o = rng.uniform(-2.0, 2.0, size=cfg["dim_o"])
     label = int(rng.integers(cfg["classes"]))
 
-    max_err, per_group = grad_check(model, v, o, label, step=cfg["step"])
+    max_err, per_group, empty = grad_check(model, v, o, label, step=cfg["step"])
     for name in sorted(per_group):
         print(f"{name:8s} max_rel_err={per_group[name]:.3e}")
-    passed = max_err < cfg["tolerance"]
-    print(f"overall  max_rel_err={max_err:.3e} tolerance={cfg['tolerance']:.1e} "
-          f"{'PASS' if passed else 'FAIL'}")
+    passed = max_err < cfg["tolerance"] and not empty
+    verdict = "EMPTY (every entry is below 1e-8)" if empty else "PASS" if passed else "FAIL"
+    print(f"overall  max_rel_err={max_err:.3e} tolerance={cfg['tolerance']:.1e} {verdict}")
 
     def finite(err):  # JSON has no inf: a non-finite gradient's error reads null
         return err if math.isfinite(err) else None
 
+    # An empty check adds its own key, so the report of any other check keeps its bytes.
     write_json({"per_group": {name: finite(err) for name, err in per_group.items()},
                 "max_rel_err": finite(max_err), "tolerance": cfg["tolerance"],
-                "passed": passed}, paths["report"])
+                "passed": passed, **({"empty": True} if empty else {})}, paths["report"])
     return 0 if passed else 1
 
 

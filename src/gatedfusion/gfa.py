@@ -1,4 +1,4 @@
-"""Amplitude scaling of the object feature, and the gate that fuses features.
+"""Object-feature scaling, the fusing gate, and ``Affine``, every layer's type.
 
 Two fixed-length features arrive per segment: a clip feature ``v`` from the
 video branch and an aggregated object feature ``o`` from the detection
@@ -19,12 +19,13 @@ The gate runs on the operands ``x`` and ``y`` its caller passes:
 
     F = sigmoid(W x + b) * y
 
-The paper's two variants are two choices of operands, made by the caller:
-variant A self-gates the concatenation, ``x = y = [v, o]``; variant B gates
-the clip feature from the object feature, ``x = o`` and ``y = v``.
-``gfa_backward``, the VJP of ``gfa_forward``, gives exact gradients for
-both operands (unless ``inputs=False``) and both parameters; a caller that
-passes one array as both operands adds the two.
+Its ``W`` and ``b`` are an ``Affine`` layer, as a head's are.  The paper's
+two variants are two choices of operands, made by the caller: variant A
+self-gates the concatenation, ``x = y = [v, o]``; variant B gates the clip
+feature from the object feature, ``x = o`` and ``y = v``.  ``gfa_backward``,
+the VJP of ``gfa_forward``, gives exact gradients for both operands (unless
+``inputs=False``) and both parameters; a caller that passes one array as
+both operands adds the two.
 
 Because the gate is strictly inside (0, 1), no output coordinate can exceed
 the corresponding coordinate of ``y`` in magnitude.  That bound does not
@@ -52,7 +53,7 @@ from .tensor import affine, affine_vjp, l2_norm, sigmoid
 __all__ = [
     "SCALE_KINDS",
     "ScaleMode",
-    "GfaParams",
+    "Affine",
     "GfaCache",
     "scale_object_feature",
     "scale_vjp",
@@ -87,29 +88,23 @@ class ScaleMode:
             object.__setattr__(self, "s", 1.0)  # frozen: set as the dataclass init does
 
 
-def _check_affine(params, what: str) -> None:
-    """Check the affine layer ``params``: ``W`` and ``b`` float64 arrays, W
-    2-D and b 1-D with one entry per row of W.  A fault names ``what``."""
-    for name in ("W", "b"):
-        array = getattr(params, name)
-        if not (isinstance(array, np.ndarray) and array.dtype == np.float64):
-            raise ValidationError(f"{what}: {name} must be a float64 array")
-    if params.W.ndim != 2 or params.b.ndim != 1:
-        raise ShapeError(f"{what}: W must be 2-D and b 1-D")
-    if params.W.shape[0] != params.b.shape[0]:
-        raise ShapeError(
-            f"{what}: W has {params.W.shape[0]} rows but b has dim {params.b.shape[0]}")
-
-
 @dataclass(frozen=True)
-class GfaParams:
-    """Gate parameters: W maps the gate's input ``x`` to the width of ``y``."""
+class Affine:
+    """One affine layer ``W x + b``, the gate's or a head's: ``W`` and ``b``
+    float64 arrays, W 2-D and b 1-D with one entry per row of W."""
 
     W: np.ndarray
     b: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_affine(self, "gfa params")
+        for name in ("W", "b"):
+            array = getattr(self, name)
+            if not (isinstance(array, np.ndarray) and array.dtype == np.float64):
+                raise ValidationError(f"{name} must be a float64 array")
+        if self.W.ndim != 2 or self.b.ndim != 1:
+            raise ShapeError("W must be 2-D and b 1-D")
+        if self.W.shape[0] != self.b.shape[0]:
+            raise ShapeError(f"W has {self.W.shape[0]} rows but b has dim {self.b.shape[0]}")
 
 
 @dataclass
@@ -170,7 +165,7 @@ def gate_tail(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gfa_forward(x: np.ndarray, y: np.ndarray,
-                p: GfaParams) -> tuple[np.ndarray, GfaCache]:
+                p: Affine) -> tuple[np.ndarray, GfaCache]:
     """The gate ``sigmoid(W x + b) * y`` on the operands ``x`` and ``y``,
     which must have the same leading shape."""
     if x.shape[:-1] != y.shape[:-1]:
@@ -180,7 +175,7 @@ def gfa_forward(x: np.ndarray, y: np.ndarray,
     return fused, GfaCache(x=x, y=y, gate=gate)
 
 
-def gfa_backward(cache: GfaCache, p: GfaParams, dF: np.ndarray, inputs: bool = True
+def gfa_backward(cache: GfaCache, p: Affine, dF: np.ndarray, inputs: bool = True
                  ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray, np.ndarray]:
     """Exact gradients of the gated output w.r.t. ``(x, y, W, b)``.
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bank import FeatureBank, _id_fault
+from .bank import _LABEL_KEYS, FeatureBank, _id_fault
 from .errors import ValidationError, _write_zip, check_fields, is_integer, read_input
 
 __all__ = [
@@ -51,7 +51,7 @@ __all__ = [
     "load_score_table",
 ]
 
-SCORE_SPACES = ("verb", "noun", "action")
+SCORE_SPACES = (*_LABEL_KEYS, "action")  # a bank's label columns, then their pairs
 _TOPK = (1, 5)  # the k of every top-k accuracy a report gives
 _ACTION_WIDTH = 100  # the most (verb, noun) pairs an action table keeps per row
 _DENSE_ENTRIES = 1 << 20  # the entries of one dense block the plain-rank fallback ranks

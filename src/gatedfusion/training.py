@@ -1,8 +1,8 @@
 """Linear classifier heads over fused features, and their training loop.
 
-The head is a single affine layer followed by softmax cross-entropy; the
-point of the artifact is the fusion mechanism, so the head stays as simple
-as possible.  Four fusion kinds are supported:
+The head is one ``Affine`` layer, as the gate is, followed by softmax
+cross-entropy; the point of the artifact is the fusion mechanism, so the
+head stays as simple as possible.  Four fusion kinds are supported:
 
 * ``clip-only`` -- head over the clip feature alone.
 * ``concat``    -- head over the raw concatenation of clip and object
@@ -18,8 +18,9 @@ B.  A model's ``scale`` rescales ``o`` once, before any fusion, and
 ``clip-only``, which never reads ``o``, takes scale ``none``: ``ModelSpec``,
 ``Model`` and ``init_model`` share one check of that rule.  A
 ``Checkpoint`` is checked once, when it is built, and cannot change after,
-so every checkpoint saves and loads back.  A checkpoint file records the
-gate's variant too, and ``load_checkpoint`` checks it against the kind.
+so every checkpoint saves and loads back.  A checkpoint file holds each
+layer in one layout and records the gate's variant, which
+``load_checkpoint`` checks against the kind.
 
 Training is SGD with momentum, mini-batch gradients averaged over the
 batch, and everything (init, shuffling) drawn from one seeded generator,
@@ -52,18 +53,17 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .bank import AggregationConfig, FeatureBank, bank_features
+from .bank import _LABEL_KEYS, AggregationConfig, FeatureBank, bank_features
 from .errors import (ShapeError, ValidationError, check_fields, is_integer, read_json,
                      write_json)
-from .gfa import (GfaCache, GfaParams, ScaleMode, _check_affine, gate_tail, gfa_backward,
-                  gfa_forward, scale_object_feature, scale_vjp)
+from .gfa import (Affine, GfaCache, ScaleMode, gate_tail, gfa_backward, gfa_forward,
+                  scale_object_feature, scale_vjp)
 from .scoring import topk_report
 from .tensor import affine, affine_vjp
 
 __all__ = [
     "FUSION_KINDS",
     "TARGETS",
-    "Head",
     "Model",
     "ModelSpec",
     "TrainConfig",
@@ -89,7 +89,7 @@ __all__ = [
 _FUSIONS = {"clip-only": (None, False), "concat": (None, True),
             "gfa-a": ("a", True), "gfa-b": ("b", False)}
 FUSION_KINDS = tuple(_FUSIONS)
-TARGETS = ("verb", "noun")  # in the order of a bank's label columns
+TARGETS = _LABEL_KEYS  # a target names one of a bank's label columns
 
 
 def _gate_variant(fusion: str, scale: ScaleMode) -> str | None:
@@ -104,27 +104,18 @@ def _gate_variant(fusion: str, scale: ScaleMode) -> str | None:
 
 
 @dataclass(frozen=True)
-class Head:
-    W: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self) -> None:
-        _check_affine(self, "head")
-
-
-@dataclass(frozen=True)
 class Model:
     fusion_kind: str
-    head: Head
-    gfa: GfaParams | None = None
+    head: Affine
+    gfa: Affine | None = None
     scale: ScaleMode = field(default_factory=ScaleMode)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.head, Head):
-            raise ValidationError(f"model head must be of type Head, got "
+        if not isinstance(self.head, Affine):
+            raise ValidationError(f"model head must be of type Affine, got "
                                   f"{type(self.head).__name__}")
-        if not isinstance(self.gfa, (GfaParams, type(None))):
-            raise ValidationError(f"model gfa must be None or of type GfaParams, got "
+        if not isinstance(self.gfa, (Affine, type(None))):
+            raise ValidationError(f"model gfa must be None or of type Affine, got "
                                   f"{type(self.gfa).__name__}")
         if (_gate_variant(self.fusion_kind, self.scale) is None) != (self.gfa is None):
             raise ValidationError(f"fusion kind {self.fusion_kind!r} "
@@ -302,8 +293,8 @@ def init_model(fusion: str, dim_v: int, dim_o: int, classes: int,
     except (MemoryError, ValueError, OverflowError):  # numpy: cannot allocate / array is too big
         raise ValidationError(f"a {fusion} model of dims {dim_v}/{dim_o} and {classes} classes "
                               f"is too large to allocate") from None
-    gfa = None if variant is None else GfaParams(p["gfa.W"], p["gfa.b"])
-    return Model(fusion_kind=fusion, head=Head(p["head.W"], p["head.b"]), gfa=gfa, scale=scale)
+    gfa = None if variant is None else Affine(p["gfa.W"], p["gfa.b"])
+    return Model(fusion_kind=fusion, head=Affine(p["head.W"], p["head.b"]), gfa=gfa, scale=scale)
 
 
 def param_groups(model: Model) -> dict[str, np.ndarray]:
@@ -439,7 +430,7 @@ def _affine_rows(z: np.ndarray, x: np.ndarray, offsets: np.ndarray) -> np.ndarra
 
 
 def grad_check(model: Model, v: np.ndarray, o_agg: np.ndarray, label: int,
-               step: float = 5e-3) -> tuple[float, dict[str, float]]:
+               step: float = 5e-3) -> tuple[float, dict[str, float], bool]:
     """Compare the analytic end-to-end gradient of one segment's loss
     against finite differences, for every parameter group and both inputs.
     Both read training's exact loss, ``softmax_nll`` of the head's scores,
@@ -454,9 +445,11 @@ def grad_check(model: Model, v: np.ndarray, o_agg: np.ndarray, label: int,
     through the gate's tail (for the gate) and the head.  The differences
     are taken first, so a loss that no entry moves reads exactly zero.
 
-    Returns (max relative error, per-group max relative error), with the
-    relative error denominator max(|analytic|, |numeric|, 1e-8).  An entry
-    whose analytic or numeric value is not finite has relative error inf.
+    Returns (max relative error, per-group max relative error, empty), with
+    the relative error denominator max(|analytic|, |numeric|, 1e-8).  An
+    entry whose analytic or numeric value is not finite has relative error
+    inf.  The check is empty, and its errors compare nothing, when every
+    analytic and numeric entry is below that 1e-8 floor.
     A step whose stencil leaves float range, or row blocks too large to
     allocate, are a ``ValidationError`` naming the step or the sizes.
     """
@@ -499,13 +492,16 @@ def grad_check(model: Model, v: np.ndarray, o_agg: np.ndarray, label: int,
     numeric.update({"v": d_inputs[:v.size], "o": d_inputs[v.size:]})
 
     per_group: dict[str, float] = {}
+    empty = True
     for name, num in numeric.items():
         a = analytic[name]
+        magnitude = np.maximum(np.abs(a), np.abs(num))
+        empty = empty and bool(np.all(magnitude < 1e-8))  # a non-finite entry is not below
         with np.errstate(invalid="ignore"):
-            err = np.abs(a - num) / np.maximum(np.maximum(np.abs(a), np.abs(num)), 1e-8)
+            err = np.abs(a - num) / np.maximum(magnitude, 1e-8)
         # a non-finite entry reads inf, never agreement
         per_group[name] = float(np.max(np.where(np.isfinite(a) & np.isfinite(num), err, np.inf)))
-    return max(per_group.values()), per_group
+    return max(per_group.values()), per_group, empty
 
 
 # --- checkpoints ----------------------------------------------------------------
@@ -516,8 +512,8 @@ _CHECKPOINT_FORMAT = "gatedfusion-checkpoint-v2"
 @dataclass(frozen=True)
 class Checkpoint:
     """A trained model plus everything needed to evaluate it consistently.
-    Building one checks its contract: a ``Model`` (which checks its head and
-    gate when it is built), an ``AggregationConfig`` and a ``TrainConfig``,
+    Building one checks its contract: a ``Model`` (whose ``Affine`` layers
+    check themselves when built), an ``AggregationConfig`` and a ``TrainConfig``,
     a target in ``TARGETS``, integer dims and class count of at least 1, and
     every parameter group finite and shaped as its fusion kind says.  The
     checkpoint, its model, head and gate are frozen and every weight array
@@ -553,8 +549,10 @@ class Checkpoint:
             arr.flags.writeable = False
 
 
-def _matrix_obj(W: np.ndarray) -> dict:
-    return {"rows": W.shape[0], "cols": W.shape[1], "data": W.ravel().tolist()}
+def _layer_obj(layer: Affine) -> dict:
+    W = layer.W
+    return {"W": {"rows": W.shape[0], "cols": W.shape[1], "data": W.ravel().tolist()},
+            "b": layer.b.tolist()}
 
 
 def _numbers(data, name: str) -> np.ndarray:
@@ -564,18 +562,25 @@ def _numbers(data, name: str) -> np.ndarray:
     return np.array(data, dtype=np.float64)
 
 
-def _matrix_from_obj(obj: dict, name: str) -> np.ndarray:
+def _layer_from_obj(obj: dict, name: str) -> Affine:
+    """The layer ``name`` (``head`` or ``gfa``) as ``_layer_obj`` wrote it;
+    a fault names the layer."""
+    matrix = obj["W"]
     try:
-        rows, cols, data = obj["rows"], obj["cols"], obj["data"]
+        rows, cols, data = matrix["rows"], matrix["cols"], matrix["data"]
     except (KeyError, TypeError):
-        raise ValidationError(f"checkpoint: {name} must declare rows, cols, data") from None
+        raise ValidationError(f"checkpoint: {name}.W must declare rows, cols, data") from None
     if not (is_integer(rows) and is_integer(cols) and min(rows, cols) >= 0):
-        raise ValidationError(f"checkpoint: {name} rows and cols must be integers >= 0")
-    arr = _numbers(data, f"{name} data")
-    if arr.size != rows * cols:
+        raise ValidationError(f"checkpoint: {name}.W rows and cols must be integers >= 0")
+    W = _numbers(data, f"{name}.W data")
+    if W.size != rows * cols:
         raise ValidationError(
-            f"checkpoint: {name} declares {rows}x{cols} but carries {arr.size} values")
-    return arr.reshape(rows, cols)
+            f"checkpoint: {name}.W declares {rows}x{cols} but carries {W.size} values")
+    b = _numbers(obj["b"], f"{name}.b")
+    try:
+        return Affine(W.reshape(rows, cols), b)
+    except ShapeError as exc:  # W's rows and b's length disagree
+        raise ValidationError(f"{name}: {exc}") from None
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
@@ -592,9 +597,9 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "classes": ckpt.classes,
         "aggregation": asdict(ckpt.aggregation),
         "train_config": asdict(ckpt.train_config),
-        "head": {"W": _matrix_obj(ckpt.model.head.W), "b": ckpt.model.head.b.tolist()},
+        "head": _layer_obj(ckpt.model.head),
         "gfa": None if g is None else {"variant": _FUSIONS[ckpt.model.fusion_kind][0],
-                                       "W": _matrix_obj(g.W), "b": g.b.tolist()},
+                                       **_layer_obj(g)},
     }
     write_json(obj, path)
 
@@ -611,11 +616,9 @@ def load_checkpoint(path) -> Checkpoint:
                 raise ValidationError(f"checkpoint {name} must hold exactly the keys {keys}")
             obj[name] = cls(**obj[name])
         g = obj["gfa"]
-        gfa = None if g is None else GfaParams(W=_matrix_from_obj(g["W"], "gfa.W"),
-                                               b=_numbers(g["b"], "gfa.b"))
-        head = Head(W=_matrix_from_obj(obj["head"]["W"], "head.W"),
-                    b=_numbers(obj["head"]["b"], "head.b"))
-        model = Model(fusion_kind=obj["fusion_kind"], head=head, gfa=gfa, scale=obj["scale"])
+        gfa = None if g is None else _layer_from_obj(g, "gfa")
+        model = Model(fusion_kind=obj["fusion_kind"], head=_layer_from_obj(obj["head"], "head"),
+                      gfa=gfa, scale=obj["scale"])
         want = _FUSIONS[model.fusion_kind][0]
         if g is not None and g.get("variant") != want:
             raise ValidationError(f"fusion kind {model.fusion_kind!r} needs gfa variant "

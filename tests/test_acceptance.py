@@ -13,11 +13,11 @@ from gatedfusion.bank import (AggregationConfig, Detection, FeatureBank,
                               SegmentRecord, SynthSpec, bank_features,
                               synth_generate)
 from gatedfusion.cli import main
-from gatedfusion.gfa import GfaParams, ScaleMode, scale_object_feature
+from gatedfusion.gfa import Affine, ScaleMode, scale_object_feature
 from gatedfusion.scoring import (ActionPrior, ScoreTable, compute_prior,
                                  reweight_actions, score_actions_for_bank,
                                  topk_report)
-from gatedfusion.training import (Head, Model, ModelSpec, TrainConfig, forward_model,
+from gatedfusion.training import (Model, ModelSpec, TrainConfig, forward_model,
                                   init_model, loss_and_grads, param_groups, train)
 
 from conftest import (aggregate_object_feature, context_window, dense_prior,
@@ -120,8 +120,9 @@ def test_criterion_02_gate_structure():
     v, o = np.array([1.5, -2.0, 0.25]), np.array([4.0, -8.0])
     for fusion, (width, fan_in), gated in (("gfa-a", (5, 5), np.concatenate([v, o])),
                                            ("gfa-b", (3, 2), v)):
-        gate = GfaParams(W=np.zeros((width, fan_in)), b=np.zeros(width))
-        model = Model(fusion_kind=fusion, head=Head(np.zeros((1, width)), np.zeros(1)), gfa=gate)
+        gate = Affine(W=np.zeros((width, fan_in)), b=np.zeros(width))
+        model = Model(fusion_kind=fusion, head=Affine(np.zeros((1, width)), np.zeros(1)),
+                      gfa=gate)
         cache = forward_model(model, v, o)[1]
         assert np.array_equal(cache.gfa_cache.y, gated)
         assert np.array_equal(cache.feature, 0.5 * gated)

@@ -1146,6 +1146,21 @@ class TestFuzzedCheckpoints:
         assert capsys.readouterr().err.startswith(f"gatedfusion: error: {ckpt}: ")
         assert not (tmp_path / "eval/scores.txt").exists()
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda obj: obj["head"]["b"].append(0.0), "head: W has 3 rows but b has dim 4"),
+        (lambda obj: obj["gfa"]["b"].pop(), "gfa: W has 4 rows but b has dim 3"),
+    ], ids=["head", "gfa"])
+    def test_a_bias_of_the_wrong_length_names_its_layer(self, tmp_path, capsys, edit, message):
+        # the head and the gate are one layer type, read by one helper
+        bank, ckpt = tiny_eval_inputs(tmp_path)
+        obj = json.loads(ckpt.read_text())
+        edit(obj)
+        ckpt.write_text(json.dumps(obj))
+        assert run("eval", "--checkpoint", ckpt, "--bank", bank,
+                   "--out-dir", tmp_path / "eval") == 1
+        assert capsys.readouterr().err == f"gatedfusion: error: {ckpt}: {message}\n"
+        assert not (tmp_path / "eval").exists()
+
     @pytest.mark.parametrize("divisor", [True, "2"], ids=["bool", "string"])
     def test_divisor_that_is_not_a_real_number_is_exit_one(self, tmp_path, capsys, divisor):
         bank, ckpt = tiny_eval_inputs(tmp_path)
@@ -1519,6 +1534,34 @@ class TestGradcheckCommand:
         assert not failed
         assert time.perf_counter() - start < 10.0
 
+    @pytest.mark.parametrize("flags", [
+        *SWEEP,
+        # the README's saturated example: its label probability is 5.8e-36,
+        # but its gradients are far above the floor
+        ["--fusion", "concat", "--scale", "scalar", "--scale-divisor", "0.001",
+         "--dim-v", "8", "--dim-o", "8", "--classes", "5"],
+    ], ids=["clip-only", "concat", "gfa-b", "gfa-a-none", "gfa-a-scalar", "gfa-a-norm",
+            "gfa-a-norm-scalar", "readme-saturated"])
+    def test_a_check_that_compares_gradients_is_not_empty(self, tmp_path, capsys, flags):
+        assert run("gradcheck", *flags, "--out-dir", tmp_path) == 0
+        assert capsys.readouterr().out.splitlines()[-1].endswith(" PASS")
+        report = json.loads((tmp_path / "gradcheck_report.json").read_text())
+        assert report["passed"] is True and "empty" not in report
+
+    @pytest.mark.parametrize("flags", [
+        ["--fusion", "gfa-b", "--classes", "1"],
+        ["--fusion", "gfa-a", "--scale", "norm-scalar", "--scale-divisor", "0.001"],
+    ], ids=["one-class", "tiny-divisor"])
+    def test_an_empty_check_is_exit_one_and_says_so(self, tmp_path, capsys, flags):
+        # both passed, reading 0 and 3.8e-114: every analytic and numeric
+        # gradient entry is below the 1e-8 floor, so nothing was compared
+        assert run("gradcheck", *flags, "--out-dir", tmp_path) == 1
+        assert capsys.readouterr().out.splitlines()[-1].endswith(
+            " EMPTY (every entry is below 1e-8)")
+        report = json.loads((tmp_path / "gradcheck_report.json").read_text())
+        assert report["passed"] is False and report["empty"] is True
+        assert report["max_rel_err"] < report["tolerance"]  # not a tolerance failure
+
     @pytest.mark.parametrize("flags", SWEEP[3:])
     def test_sweep_manifest_records_the_divisor_that_took_effect(self, tmp_path, flags):
         assert run("gradcheck", *flags, "--out-dir", tmp_path) == 0
@@ -1542,7 +1585,8 @@ class TestGradcheckCommand:
         rc = run("gradcheck", "--fusion", "gfa-b", "--tolerance", "1e-12",
                  "--out-dir", tmp_path)
         assert rc == 1
-        assert "FAIL" in capsys.readouterr().out
+        assert capsys.readouterr().out.splitlines()[-1].endswith(" FAIL")
+        assert "empty" not in json.loads((tmp_path / "gradcheck_report.json").read_text())
 
     @pytest.mark.parametrize("value", [0, -1])
     @pytest.mark.parametrize("option", ["--dim-v", "--dim-o", "--classes"])

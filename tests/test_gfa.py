@@ -9,9 +9,9 @@ from gatedfusion import tensor
 from gatedfusion.errors import ShapeError, ValidationError
 from gatedfusion.bank import (AggregationConfig, Detection, FeatureBank, SegmentRecord,
                               bank_features, bank_stats)
-from gatedfusion.gfa import (GfaParams, ScaleMode, gfa_backward, gfa_forward,
+from gatedfusion.gfa import (Affine, ScaleMode, gfa_backward, gfa_forward,
                              scale_object_feature, scale_vjp)
-from gatedfusion.training import (Checkpoint, Head, Model, TrainConfig, forward_model,
+from gatedfusion.training import (Checkpoint, Model, TrainConfig, forward_model,
                                   init_model)
 
 from conftest import central_diff, rel_err
@@ -129,8 +129,8 @@ class TestScaleObjectFeature:
 def _gated(fusion, W, b, v, o, scale=ScaleMode()):
     """The gated feature of a ``fusion`` model with gate weights ``W`` and
     ``b``, from its ``forward_model`` on ``v`` and ``o``."""
-    head = Head(W=np.zeros((1, W.shape[0])), b=np.zeros(1))
-    model = Model(fusion_kind=fusion, head=head, gfa=GfaParams(W=W, b=b), scale=scale)
+    head = Affine(W=np.zeros((1, W.shape[0])), b=np.zeros(1))
+    model = Model(fusion_kind=fusion, head=head, gfa=Affine(W=W, b=b), scale=scale)
     return forward_model(model, v, o)[1].feature
 
 
@@ -203,14 +203,14 @@ class TestGfaBForward:
 
 class TestGfaForward:
     def test_leading_rows_must_match(self):
-        p = GfaParams(W=np.zeros((3, 2)), b=np.zeros(3))
+        p = Affine(W=np.zeros((3, 2)), b=np.zeros(3))
         with pytest.raises(ShapeError, match=r"^gfa gate: x has leading shape \(4,\), "
                                              r"y has \(3,\)$"):
             gfa_forward(np.zeros((4, 2)), np.zeros((3, 3)), p)
 
     def test_gates_the_operands_it_is_given(self):
         # x and y have different widths: W maps x's 1 to y's 2
-        p = GfaParams(W=np.array([[1.0], [-1.0]]), b=np.zeros(2))
+        p = Affine(W=np.array([[1.0], [-1.0]]), b=np.zeros(2))
         F, cache = gfa_forward(np.array([np.log(3.0)]), np.array([4.0, 4.0]), p)
         assert np.allclose(F, [3.0, 1.0], rtol=1e-12)
         assert np.allclose(cache.gate, [0.75, 0.25], rtol=1e-12)
@@ -223,7 +223,7 @@ def _vjp_oracle_check(x, y, p, u, tol):
     dx, dy, dW, db = gfa_backward(cache, p, u)
 
     def phi(xx, yy, WW, bb):
-        return float(u @ gfa_forward(xx, yy, GfaParams(W=WW, b=bb))[0])
+        return float(u @ gfa_forward(xx, yy, Affine(W=WW, b=bb))[0])
 
     checks = [
         (dx, central_diff(lambda t: phi(t, y, p.W, p.b), x)),
@@ -249,7 +249,7 @@ def _gate_inputs(fusion, dim_v, dim_o, seed):
 
 class TestGfaBackward:
     def test_constant_gate_passthrough(self):
-        p = GfaParams(W=np.zeros((2, 1)), b=np.zeros(2))
+        p = Affine(W=np.zeros((2, 1)), b=np.zeros(2))
         _, cache = gfa_forward(np.array([1.0]), np.array([2.0, 4.0]), p)
         dF = np.array([1.0, -3.0])
         dx, dy, dW, db = gfa_backward(cache, p, dF)
@@ -271,7 +271,7 @@ class TestGfaBackward:
             _vjp_oracle_check(o, v, p, u, tol=1e-5)
 
     def test_upstream_shape_mismatch(self):
-        p = GfaParams(W=np.zeros((2, 1)), b=np.zeros(2))
+        p = Affine(W=np.zeros((2, 1)), b=np.zeros(2))
         _, cache = gfa_forward(np.zeros(1), np.zeros(2), p)
         with pytest.raises(ShapeError):
             gfa_backward(cache, p, np.zeros(5))
@@ -315,10 +315,10 @@ class TestInitAndCalibration:
         assert np.all(np.abs(pb.W) <= 1.0 / np.sqrt(2))
 
     def test_gfa_a_gate_that_is_not_square_is_refused(self):
-        # The gate is checked against its kind's shapes, not by GfaParams
-        head = Head(W=np.zeros((1, 2)), b=np.zeros(1))
+        # The gate is checked against its kind's shapes, which Affine does not know
+        head = Affine(W=np.zeros((1, 2)), b=np.zeros(1))
         model = Model(fusion_kind="gfa-a", head=head,
-                      gfa=GfaParams(W=np.zeros((2, 3)), b=np.zeros(2)))
+                      gfa=Affine(W=np.zeros((2, 3)), b=np.zeros(2)))
         message = "gfa.W has shape (2, 3), expected (2, 2) for fusion 'gfa-a', dims 1/1"
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             Checkpoint(model=model, target="verb", dim_v=1, dim_o=1, classes=1,

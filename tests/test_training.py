@@ -11,9 +11,9 @@ import pytest
 from gatedfusion import training
 from gatedfusion.bank import AggregationConfig, SynthSpec, bank_features, synth_generate
 from gatedfusion.errors import ShapeError, ValidationError
-from gatedfusion.gfa import GfaParams, ScaleMode
+from gatedfusion.gfa import Affine, ScaleMode
 from gatedfusion.scoring import ScoreTable, topk_report
-from gatedfusion.training import (Checkpoint, Head, Model, ModelSpec,
+from gatedfusion.training import (Checkpoint, Model, ModelSpec,
                                   TrainConfig, bank_inputs, forward_model,
                                   grad_check, init_model, load_checkpoint,
                                   loss_and_grads, param_groups, save_checkpoint,
@@ -134,9 +134,9 @@ class TestForwardModel:
         rng = np.random.default_rng(3)
         H = rng.normal(size=(5, 4))
         b = rng.normal(size=5)
-        gfa = GfaParams(W=np.zeros((4, 3)), b=np.zeros(4))
-        gated = Model(fusion_kind="gfa-b", head=Head(W=H, b=b), gfa=gfa)
-        halved = Model(fusion_kind="clip-only", head=Head(W=0.5 * H, b=b))
+        gfa = Affine(W=np.zeros((4, 3)), b=np.zeros(4))
+        gated = Model(fusion_kind="gfa-b", head=Affine(W=H, b=b), gfa=gfa)
+        halved = Model(fusion_kind="clip-only", head=Affine(W=0.5 * H, b=b))
         v, o = rng.normal(size=4), rng.normal(size=3)
         s1, _ = forward_model(gated, v, o)
         s2, _ = forward_model(halved, v, o)
@@ -530,7 +530,7 @@ class TestValueRule:
          "target must be one of ('verb', 'noun'), got 'action'"),
         (lambda: ModelSpec(fusion="x"),
          "fusion must be one of ('clip-only', 'concat', 'gfa-a', 'gfa-b'), got 'x'"),
-        (lambda: Model(fusion_kind="x", head=Head(W=np.zeros((2, 4)), b=np.zeros(2))),
+        (lambda: Model(fusion_kind="x", head=Affine(W=np.zeros((2, 4)), b=np.zeros(2))),
          "fusion must be one of ('clip-only', 'concat', 'gfa-a', 'gfa-b'), got 'x'"),
         (lambda: init_model("x", 4, 3, 2),
          "fusion must be one of ('clip-only', 'concat', 'gfa-a', 'gfa-b'), got 'x'"),
@@ -547,15 +547,15 @@ class TestGradCheck:
         model = init_model("gfa-a", 6, 4, 3, scale=ScaleMode("norm"), rng=rng)
         v = rng.uniform(-2, 2, 6)
         o = rng.uniform(-2, 2, 4)
-        max_err, per_group = grad_check(model, v, o, label=1)
+        max_err, per_group, _ = grad_check(model, v, o, label=1)
         assert set(per_group) == {"head.W", "head.b", "gfa.W", "gfa.b", "v", "o"}
         assert max_err < 1e-5
 
     def test_clip_only_model(self):
         rng = np.random.default_rng(104)
         model = init_model("clip-only", 5, 3, 4, rng=rng)
-        max_err, _ = grad_check(model, rng.uniform(-2, 2, 5),
-                                rng.uniform(-2, 2, 3), label=2)
+        max_err, _, _ = grad_check(model, rng.uniform(-2, 2, 5),
+                                   rng.uniform(-2, 2, 3), label=2)
         assert max_err < 1e-7
 
     def test_truncation_error_ordering(self):
@@ -564,8 +564,8 @@ class TestGradCheck:
         rng = np.random.default_rng(105)
         model = init_model("gfa-b", 5, 4, 3, rng=rng)
         v, o = rng.uniform(-2, 2, 5), rng.uniform(-2, 2, 4)
-        coarse, _ = grad_check(model, v, o, label=0, step=1e-1)
-        fine, _ = grad_check(model, v, o, label=0)
+        coarse, _, _ = grad_check(model, v, o, label=0, step=1e-1)
+        fine, _, _ = grad_check(model, v, o, label=0)
         assert coarse > fine
 
     def test_matches_independent_oracle(self):
@@ -587,8 +587,22 @@ class TestGradCheck:
         model = init_model("concat", 8, 8, 5, scale=ScaleMode("scalar", s=0.001), rng=rng)
         v, o, label = rng.uniform(-2, 2, 8), rng.uniform(-2, 2, 8), int(rng.integers(5))
         assert softmax(forward_model(model, v, o)[0])[label] < 1e-30
-        max_err, per_group = grad_check(model, v, o, label)
-        assert max_err < 1e-5, per_group
+        max_err, per_group, empty = grad_check(model, v, o, label)
+        assert max_err < 1e-5 and not empty, per_group
+
+    @pytest.mark.parametrize("fusion,classes,scale", [
+        ("gfa-b", 1, ScaleMode()), ("gfa-a", 4, ScaleMode("norm-scalar", s=0.001))],
+        ids=["one-class", "tiny-divisor"])
+    def test_gradients_all_below_the_floor_make_an_empty_check(self, fusion, classes, scale):
+        # `gradcheck --fusion gfa-b --classes 1` read 0 and `--fusion gfa-a
+        # --scale norm-scalar --scale-divisor 0.001` read 3.8e-114, and both
+        # passed: every gradient entry is below the 1e-8 floor, so the
+        # relative errors compare nothing
+        rng = np.random.default_rng(0)
+        model = init_model(fusion, 8, 6, classes, scale=scale, rng=rng)
+        v, o = rng.uniform(-2, 2, 8), rng.uniform(-2, 2, 6)
+        max_err, per_group, empty = grad_check(model, v, o, int(rng.integers(classes)))
+        assert empty and max_err < 1e-5, per_group
 
     def test_step_validation(self):
         model = init_model("clip-only", 2, 2, 2, rng=np.random.default_rng(0))
@@ -601,10 +615,11 @@ class TestGradCheck:
         rng = np.random.default_rng(107)
         model = init_model("gfa-a", 5, 4, 3, scale=ScaleMode(kind="scalar", s=6e-309), rng=rng)
         with np.errstate(all="ignore"):
-            max_err, per_group = grad_check(model, rng.uniform(-2, 2, 5),
-                                            rng.uniform(-2, 2, 4), label=0)
+            max_err, per_group, empty = grad_check(model, rng.uniform(-2, 2, 5),
+                                                   rng.uniform(-2, 2, 4), label=0)
         assert max_err == np.inf
         assert per_group["gfa.W"] == np.inf
+        assert not empty  # a NaN entry is not below the floor
 
     def test_one_segment_only(self):
         model = init_model("clip-only", 2, 2, 2, rng=np.random.default_rng(0))
@@ -617,9 +632,10 @@ class TestGradCheck:
         for seed in range(50):
             rng = np.random.default_rng(seed)
             model = init_model("clip-only", 8, 6, 4, rng=rng)
-            _, per_group = grad_check(model, rng.uniform(-2, 2, 8), rng.uniform(-2, 2, 6),
-                                      int(rng.integers(4)))
+            _, per_group, empty = grad_check(model, rng.uniform(-2, 2, 8),
+                                             rng.uniform(-2, 2, 6), int(rng.integers(4)))
             assert per_group["o"] == 0.0, seed
+            assert not empty, seed  # the head's groups are checked
 
     @pytest.mark.parametrize("kind", ["concat", "gfa-a", "gfa-b"])
     @pytest.mark.parametrize("scale", [ScaleMode("scalar", s=2.0), ScaleMode("norm"),
@@ -631,7 +647,7 @@ class TestGradCheck:
             rng = np.random.default_rng(seed)
             model = init_model(kind, 6, 4, 3, scale=scale, rng=rng)
             v, o = rng.uniform(-2, 2, 6), rng.uniform(-2, 2, 4)
-            max_err, per_group = grad_check(model, v, o, label=int(rng.integers(3)))
+            max_err, per_group, _ = grad_check(model, v, o, label=int(rng.integers(3)))
             assert max_err < 1e-5, (seed, per_group)
 
     @pytest.mark.parametrize("fusion,scale", [("gfa-a", ScaleMode("norm")),
@@ -641,9 +657,9 @@ class TestGradCheck:
         rng = np.random.default_rng(108)
         model = init_model(fusion, 8, 6, 4, scale=scale, rng=rng)
         v, o = rng.uniform(-2, 2, 8), rng.uniform(-2, 2, 6)
-        clean, _ = grad_check(model, v, o, label=1)
+        clean, _, _ = grad_check(model, v, o, label=1)
         request.getfixturevalue("planted_gate_bug")
-        _, per_group = grad_check(model, v, o, label=1)
+        _, per_group, _ = grad_check(model, v, o, label=1)
         assert clean < 1e-5
         assert per_group["gfa.W"] >= 1e-5
 
@@ -754,20 +770,18 @@ class TestCheckpoint:
         ckpt = self._checkpoint(fusion="gfa-b" if group.startswith("gfa") else "clip-only")
         part, name = group.split(".")
         old = getattr(ckpt.model, part)
-        what = {"head": "head", "gfa": "gfa params"}[part]
-        with pytest.raises(ValidationError,
-                           match=f"^{re.escape(f'{what}: {name} must be a float64 array')}$"):
+        with pytest.raises(ValidationError, match=f"^{name} must be a float64 array$"):
             replace(old, **{name: value(getattr(old, name))})
 
     @pytest.mark.parametrize("fusion,head,gfa,message", [
-        ("clip-only", None, None, "model head must be of type Head, got NoneType"),
+        ("clip-only", None, None, "model head must be of type Affine, got NoneType"),
         ("clip-only", {"W": np.zeros((5, 4)), "b": np.zeros(5)}, None,
-         "model head must be of type Head, got dict"),
-        ("gfa-b", Head(np.zeros((5, 4)), np.zeros(5)),
+         "model head must be of type Affine, got dict"),
+        ("gfa-b", Affine(np.zeros((5, 4)), np.zeros(5)),
          type("Gate", (), {"W": np.zeros((4, 3)), "b": np.zeros(4)})(),
-         "model gfa must be None or of type GfaParams, got Gate"),
-        ("gfa-b", Head(np.zeros((5, 4)), np.zeros(5)), {"W": np.zeros((4, 3))},
-         "model gfa must be None or of type GfaParams, got dict"),
+         "model gfa must be None or of type Affine, got Gate"),
+        ("gfa-b", Affine(np.zeros((5, 4)), np.zeros(5)), {"W": np.zeros((4, 3))},
+         "model gfa must be None or of type Affine, got dict"),
     ], ids=["head-none", "head-dict", "gfa-duck", "gfa-dict"])
     def test_a_model_part_of_another_type_fails_to_build(self, fusion, head, gfa, message):
         # Model("clip-only", None) once built, and a checkpoint of it raised a
@@ -776,23 +790,24 @@ class TestCheckpoint:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             Model(fusion, head, gfa)
 
-    @pytest.mark.parametrize("make,message", [
-        (lambda: Head(W=[[1.0, 2.0]], b=np.zeros(1)), "head: W must be a float64 array"),
-        (lambda: Head(W=np.zeros((1, 2)), b=[0.0]), "head: b must be a float64 array"),
-        (lambda: Head(W=np.zeros((1, 2), np.float32), b=np.zeros(1)),
-         "head: W must be a float64 array"),
-        (lambda: GfaParams([[1.0]], np.zeros(1)), "gfa params: W must be a float64 array"),
-        (lambda: GfaParams(np.eye(2), np.zeros(2, np.float32)),
-         "gfa params: b must be a float64 array"),
-    ], ids=["head-list-W", "head-list-b", "head-float32", "gfa-list-W", "gfa-float32-b"])
-    def test_weights_other_than_float64_arrays_are_a_validation_error(self, make, message):
-        # A list once raised a raw AttributeError on .ndim, and a float32 head built.
-        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-            make()
-
-    def test_head_weights_of_the_wrong_rank_are_a_shape_error(self):
-        with pytest.raises(ShapeError, match=r"^head: W must be 2-D and b 1-D$"):
-            Head(W=np.zeros(3), b=np.zeros(3))
+    @pytest.mark.parametrize("part", ["head", "gfa"])
+    @pytest.mark.parametrize("fault,error,message", [
+        (lambda W, b: (W.tolist(), b), ValidationError, "W must be a float64 array"),
+        (lambda W, b: (W, b.tolist()), ValidationError, "b must be a float64 array"),
+        (lambda W, b: (W.astype(np.float32), b), ValidationError, "W must be a float64 array"),
+        (lambda W, b: (W, b.astype(np.float32)), ValidationError, "b must be a float64 array"),
+        (lambda W, b: (W.ravel(), b), ShapeError, "W must be 2-D and b 1-D"),
+        (lambda W, b: (W, np.zeros(b.size + 1)), ShapeError, "W has {rows} rows but b has dim "
+                                                             "{dim}"),
+    ], ids=["list-W", "list-b", "float32-W", "float32-b", "1-D-W", "rows-and-bias"])
+    def test_an_affine_layer_refuses_arrays_it_cannot_hold(self, part, fault, error, message):
+        # One class for the head (5x4 here) and the gate (4x3): a list once
+        # raised a raw AttributeError on .ndim, and a float32 head built.
+        layer = getattr(init_model("gfa-b", 4, 3, 5, rng=np.random.default_rng(0)), part)
+        W, b = fault(layer.W, layer.b)
+        message = message.format(rows=layer.W.shape[0], dim=layer.W.shape[0] + 1)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            Affine(W, b)
 
     @staticmethod
     def _built(how: str, tmp_path) -> Checkpoint:
@@ -893,7 +908,7 @@ class TestModelInvariants:
         with pytest.raises(ValidationError,
                            match="fusion kind 'clip-only' takes scale 'none', got 'norm'"):
             save_checkpoint(Checkpoint(
-                model=Model("clip-only", Head(W=np.zeros((2, 4)), b=np.zeros(2)),
+                model=Model("clip-only", Affine(W=np.zeros((2, 4)), b=np.zeros(2)),
                             scale=ScaleMode("norm")),
                 target="noun", dim_v=4, dim_o=3, classes=2, aggregation=AggregationConfig(),
                 train_config=TrainConfig()), path)
@@ -901,10 +916,10 @@ class TestModelInvariants:
 
     def test_fusion_kind_gfa_consistency(self):
         # A kind has gate params exactly when its _FUSIONS row has a gate.
-        head = Head(W=np.zeros((2, 2)), b=np.zeros(2))
+        head = Affine(W=np.zeros((2, 2)), b=np.zeros(2))
         with pytest.raises(ValidationError, match="^fusion kind 'gfa-a' needs gfa params$"):
             Model(fusion_kind="gfa-a", head=head, gfa=None)
-        gfa = GfaParams(W=np.zeros((2, 2)), b=np.zeros(2))
+        gfa = Affine(W=np.zeros((2, 2)), b=np.zeros(2))
         with pytest.raises(ValidationError,
                            match="^fusion kind 'clip-only' takes no gfa params$"):
             Model(fusion_kind="clip-only", head=head, gfa=gfa)
