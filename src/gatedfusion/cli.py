@@ -179,12 +179,12 @@ def _cmd_eval(cfg: dict, paths: dict) -> int:
     bank = load_feature_bank(cfg["bank"])
     labels = fit_labels(bank, ckpt.target, (ckpt.dim_v, ckpt.dim_o), ckpt.classes, "checkpoint")
     scores, _ = forward_model(*bank_inputs(ckpt.model, bank, ckpt.aggregation))
-    table = ScoreTable(segment_ids=bank.ids, scores=softmax(scores), space=ckpt.target)
-    save_score_table(table, paths["scores"])
+    save_score_table(ScoreTable(segment_ids=bank.ids, scores=softmax(scores), space=ckpt.target),
+                     paths["scores"])
 
     report: dict = {"target": ckpt.target, "segments": len(bank.ids)}
-    if (labels >= 0).all():
-        report.update(topk_report(table.scores, labels))
+    if (labels >= 0).all():  # the logits, as val_top1 ranks: probabilities tie at 0
+        report.update(topk_report(scores, labels))
     write_json(report, paths["report"])
     print(json.dumps(report))
     return 0
@@ -219,6 +219,8 @@ def _cmd_actions(cfg: dict, paths: dict) -> int:
 
 
 def _cmd_gradcheck(cfg: dict, paths: dict) -> int:
+    if not cfg["tolerance"] > 0:  # no check could pass it
+        raise ValidationError(f"tolerance must be positive, got {cfg['tolerance']}")
     rng = np.random.default_rng(cfg["seed"])
     model = init_model(cfg["fusion"], cfg["dim_v"], cfg["dim_o"], cfg["classes"],
                        scale=_config(ScaleMode, cfg), rng=rng)

@@ -19,13 +19,14 @@ The gate runs on the operands ``x`` and ``y`` its caller passes:
 
     F = sigmoid(W x + b) * y
 
-Its ``W`` and ``b`` are an ``Affine`` layer, as a head's are.  The paper's
-two variants are two choices of operands, made by the caller: variant A
-self-gates the concatenation, ``x = y = [v, o]``; variant B gates the clip
-feature from the object feature, ``x = o`` and ``y = v``.  ``gfa_backward``,
-the VJP of ``gfa_forward``, gives exact gradients for both operands (unless
-``inputs=False``) and both parameters; a caller that passes one array as
-both operands adds the two.
+Its ``W`` and ``b`` are an ``Affine`` layer, as a head's are, which
+checks its shapes when built and goes whole to ``tensor``'s affine map.
+The paper's two variants are two choices of operands, made by the caller:
+variant A self-gates the concatenation, ``x = y = [v, o]``; variant B gates
+the clip feature from the object feature, ``x = o`` and ``y = v``.
+``gfa_backward``, the VJP of ``gfa_forward``, gives exact gradients for both
+operands (unless ``inputs=False``) and both parameters; a caller that
+passes one array as both operands adds the two.
 
 Because the gate is strictly inside (0, 1), no output coordinate can exceed
 the corresponding coordinate of ``y`` in magnitude.  That bound does not
@@ -59,7 +60,6 @@ __all__ = [
     "scale_vjp",
     "gfa_forward",
     "gfa_backward",
-    "gate_tail",
 ]
 
 SCALE_KINDS = ("none", "scalar", "norm", "norm-scalar")
@@ -152,7 +152,7 @@ def scale_vjp(o: np.ndarray, v: np.ndarray, mode: ScaleMode,
     return do, dv
 
 
-def gate_tail(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _gate_tail(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The gate after its affine map: ``sigmoid(z) * y`` and the gate
     ``sigmoid(z)``.  ``gfa_forward`` ends here with ``z = W x + b``.
     ``affine`` checks W's columns against ``x``; here W's rows, the width
@@ -171,7 +171,7 @@ def gfa_forward(x: np.ndarray, y: np.ndarray,
     if x.shape[:-1] != y.shape[:-1]:
         raise ShapeError(
             f"gfa gate: x has leading shape {x.shape[:-1]}, y has {y.shape[:-1]}")
-    fused, gate = gate_tail(affine(x, p.W, p.b), y)
+    fused, gate = _gate_tail(affine(x, p), y)
     return fused, GfaCache(x=x, y=y, gate=gate)
 
 
@@ -188,6 +188,5 @@ def gfa_backward(cache: GfaCache, p: Affine, dF: np.ndarray, inputs: bool = True
     if dF.shape != gate.shape:
         raise ShapeError(
             f"gfa_backward: dF has shape {dF.shape}, expected {gate.shape}")
-    dx, dW, db = affine_vjp(cache.x, p.W, p.b, dF * cache.y * gate * (1.0 - gate),
-                            inputs=inputs)
+    dx, dW, db = affine_vjp(cache.x, p, dF * cache.y * gate * (1.0 - gate), inputs=inputs)
     return dx, (dF * gate if inputs else None), dW, db

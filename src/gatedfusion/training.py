@@ -1,8 +1,8 @@
 """Linear classifier heads over fused features, and their training loop.
 
-The head is one ``Affine`` layer, as the gate is, followed by softmax
-cross-entropy; the point of the artifact is the fusion mechanism, so the
-head stays as simple as possible.  Four fusion kinds are supported:
+The head is one ``Affine`` layer, as the gate is, passed whole to
+``tensor``'s affine map, then softmax cross-entropy: the point is the
+fusion mechanism, so the head stays simple.  Four fusion kinds are supported:
 
 * ``clip-only`` -- head over the clip feature alone.
 * ``concat``    -- head over the raw concatenation of clip and object
@@ -56,7 +56,7 @@ import numpy as np
 from .bank import _LABEL_KEYS, AggregationConfig, FeatureBank, bank_features
 from .errors import (ShapeError, ValidationError, check_fields, is_integer, read_json,
                      write_json)
-from .gfa import (Affine, GfaCache, ScaleMode, gate_tail, gfa_backward, gfa_forward,
+from .gfa import (Affine, GfaCache, ScaleMode, _gate_tail, gfa_backward, gfa_forward,
                   scale_object_feature, scale_vjp)
 from .scoring import topk_report
 from .tensor import affine, affine_vjp
@@ -198,7 +198,7 @@ def forward_model(model: Model, v: np.ndarray,
     feature, gfa_cache = (np.concatenate([v, o], axis=-1) if both else v), None
     if variant is not None:
         feature, gfa_cache = gfa_forward(feature if variant == "a" else o, feature, model.gfa)
-    scores = affine(feature, model.head.W, model.head.b)
+    scores = affine(feature, model.head)
     return scores, ModelCache(v=v, o=o_agg, feature=feature, gfa_cache=gfa_cache)
 
 
@@ -209,8 +209,8 @@ def model_backward(model: Model, cache: ModelCache, dscores: np.ndarray,
     name."""
     variant, both = _FUSIONS[model.fusion_kind]
     gated = variant is not None  # the gate's backward reads the head's input gradient
-    dfeat, dW_head, db_head = affine_vjp(cache.feature, model.head.W, model.head.b,
-                                         dscores, inputs=inputs or gated)
+    dfeat, dW_head, db_head = affine_vjp(cache.feature, model.head, dscores,
+                                         inputs=inputs or gated)
     grads = {"head.W": dW_head, "head.b": db_head}
     if gated:
         dx, dfeat, grads["gfa.W"], grads["gfa.b"] = gfa_backward(cache.gfa_cache, model.gfa,
@@ -481,9 +481,9 @@ def grad_check(model: Model, v: np.ndarray, o_agg: np.ndarray, label: int,
         numeric = {"head.W": d_head[:, :-1], "head.b": d_head[:, -1]}
         if model.gfa is not None:
             x, y = cache.gfa_cache.x, cache.gfa_cache.y
-            z = _affine_rows(affine(x, model.gfa.W, model.gfa.b), x, offsets)
-            fused, _ = gate_tail(z, np.broadcast_to(y, z.shape))
-            d_gate = stencil(losses(affine(fused, model.head.W, model.head.b)))
+            z = _affine_rows(affine(x, model.gfa), x, offsets)
+            fused, _ = _gate_tail(z, np.broadcast_to(y, z.shape))
+            d_gate = stencil(losses(affine(fused, model.head)))
             numeric.update({"gfa.W": d_gate[:, :-1], "gfa.b": d_gate[:, -1]})
     except MemoryError:
         raise ValidationError(

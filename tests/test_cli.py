@@ -455,6 +455,32 @@ class TestTrainEval:
         report = json.loads((tmp_path / "eval/eval_report.json").read_text())
         assert "top1" not in report and report["segments"] == 5
 
+    def test_a_saturated_model_is_ranked_on_its_scores(self, tmp_path):
+        # Acceptance criterion 4's unscaled concat model, the README's
+        # mm-concat: most of its noun probabilities underflow to exactly 0,
+        # and ranked on those ties the true class fell behind every
+        # lower-indexed zero, so top-5 read 0.63.
+        synth(tmp_path / "mm", seed=42, train=500, val=200, mismatch=1000, jitter=1.5,
+              noun_in_clip=1.0, noise=0.35)
+        assert run("train", "--bank", tmp_path / "mm/train.bank",
+                   "--val-bank", tmp_path / "mm/val.bank", "--target", "noun",
+                   "--fusion", "concat", "--lr", 0.1, "--epochs", 80, "--seed", 7,
+                   "--out-dir", tmp_path / "run") == 0
+        assert run("eval", "--checkpoint", tmp_path / "run/checkpoint.json",
+                   "--bank", tmp_path / "mm/val.bank", "--out-dir", tmp_path / "eval") == 0
+        ckpt = load_checkpoint(tmp_path / "run/checkpoint.json")
+        bank = load_feature_bank(tmp_path / "mm/val.bank")
+        scores, _ = training.forward_model(*training.bank_inputs(ckpt.model, bank,
+                                                                 ckpt.aggregation))
+        probs = load_score_table(tmp_path / "eval/scores.txt").scores
+        assert np.array_equal(probs, training.softmax(scores))  # the table keeps them
+        assert np.mean(probs == 0.0) > 0.9
+        report = json.loads((tmp_path / "eval/eval_report.json").read_text())
+        assert report == {"target": "noun", "segments": 200,
+                          **scoring.topk_report(scores, bank.labels[:, 1])}
+        history = json.loads((tmp_path / "run/history.json").read_text())
+        assert report["top1"] == history[-1]["val_top1"] and report["top5"] >= 0.9
+
 
 class TestActions:
     def test_repeated_segment_id_is_exit_one(self, tmp_path, capsys):
@@ -1587,6 +1613,18 @@ class TestGradcheckCommand:
         assert rc == 1
         assert capsys.readouterr().out.splitlines()[-1].endswith(" FAIL")
         assert "empty" not in json.loads((tmp_path / "gradcheck_report.json").read_text())
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_a_tolerance_no_check_can_pass_is_refused(self, tmp_path, capsys, monkeypatch,
+                                                      value):
+        # -1 ran the check, printed FAIL and wrote a report, as if the
+        # gradients were wrong; it is refused before the model is built
+        monkeypatch.setattr(cli, "init_model", lambda *args, **kwargs: pytest.fail("built"))
+        assert run("gradcheck", "--fusion", "gfa-a", "--tolerance", value,
+                   "--out-dir", tmp_path / "out") == 1
+        assert capsys.readouterr() == (
+            "", f"gatedfusion: error: tolerance must be positive, got {float(value)}\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value", [0, -1])
     @pytest.mark.parametrize("option", ["--dim-v", "--dim-o", "--classes"])

@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from gatedfusion import tensor
+import gatedfusion
+from gatedfusion import gfa, tensor
 from gatedfusion.errors import ShapeError, ValidationError
 from gatedfusion.bank import (AggregationConfig, Detection, FeatureBank, SegmentRecord,
                               bank_features, bank_stats)
@@ -275,6 +276,11 @@ class TestGfaBackward:
         _, cache = gfa_forward(np.zeros(1), np.zeros(2), p)
         with pytest.raises(ShapeError):
             gfa_backward(cache, p, np.zeros(5))
+
+    def test_the_gate_tail_is_private(self):
+        # only the gradient oracle runs the gate from its affine output
+        assert "gate_tail" not in gfa.__all__ and "gate_tail" not in gatedfusion.__all__
+        assert not hasattr(gatedfusion, "gate_tail")
 
 
 class TestScaleVjp:

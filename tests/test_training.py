@@ -551,6 +551,15 @@ class TestGradCheck:
         assert set(per_group) == {"head.W", "head.b", "gfa.W", "gfa.b", "v", "o"}
         assert max_err < 1e-5
 
+    @pytest.mark.parametrize("fusion,scale", [
+        ("clip-only", ScaleMode()), ("concat", ScaleMode()), ("gfa-b", ScaleMode()),
+        *[("gfa-a", ScaleMode(kind, s=2.0)) for kind in ("none", "scalar", "norm", "norm-scalar")]])
+    def test_the_oracle_checks_exactly_the_groups_training_updates(self, fusion, scale):
+        rng = np.random.default_rng(107)
+        model = init_model(fusion, 5, 3, 4, scale=scale, rng=rng)
+        _, per_group, _ = grad_check(model, rng.uniform(-2, 2, 5), rng.uniform(-2, 2, 3), label=2)
+        assert set(per_group) == set(param_groups(model)) | {"v", "o"}
+
     def test_clip_only_model(self):
         rng = np.random.default_rng(104)
         model = init_model("clip-only", 5, 3, 4, rng=rng)
