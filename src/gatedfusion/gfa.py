@@ -28,9 +28,11 @@ the clip feature from the object feature, ``x = o`` and ``y = v``.
 operands (unless ``inputs=False``) and both parameters; a caller that
 passes one array as both operands adds the two.
 
-Because the gate is strictly inside (0, 1), no output coordinate can exceed
-the corresponding coordinate of ``y`` in magnitude.  That bound does not
-keep training stable by itself: a saturated gate is inside (0, 1) too, and
+Because the gate is in [0, 1], no output coordinate can exceed the
+corresponding coordinate of ``y`` in magnitude.  The gate is strictly
+inside (0, 1) only where |W x + b| is below about 36: float64 rounds a
+pre-activation of 36.8 onto exactly 1 and one of -746 onto exactly 0.
+The bound does not keep training stable by itself: a gate saturated open
 passes an input of any amplitude through.  On the synthetic banks, matching
 the amplitudes is what removes the gradient blow-up (see the README).
 

@@ -31,17 +31,31 @@ def affine(x: np.ndarray, layer) -> np.ndarray:
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Elementwise logistic function as ``exp(min(x, 0)) / (1 + exp(-|x|))``:
-    no exponent is positive, so neither tail overflows.  Output is strictly
-    inside (0, 1) for finite input."""
+    no exponent is positive, so neither tail overflows.  The steps run in
+    place in two buffers of ``x``'s shape, a 0-d one too.  Output is in
+    [0, 1], and strictly inside (0, 1) only for |x| below about 36:
+    float64 rounds ``sigmoid(36.8)`` to exactly 1 and ``sigmoid(-746)`` to
+    exactly 0."""
     x = np.asarray(x, dtype=np.float64)
-    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
+    den = np.abs(x, out=np.empty_like(x))
+    np.negative(den, out=den)
+    np.exp(den, out=den)
+    den += 1.0
+    out = np.minimum(x, 0.0, out=np.empty_like(x))
+    np.exp(out, out=out)
+    out /= den
+    return out
 
 
 def l2_norm(x: np.ndarray, keepdims: bool = False) -> np.ndarray:
     """Euclidean norm over the last axis.  ``hypot`` accumulates without
     squaring, so it cannot overflow or underflow and homogeneity holds across
-    the whole float64 range; an empty vector has norm 0."""
-    return np.hypot.reduce(x, axis=-1, keepdims=keepdims)
+    the whole float64 range; an empty vector has norm 0.  The reduction runs
+    over the first axis of a transposed contiguous copy, where numpy steps
+    through whole rows at once; each norm still takes its entries in order,
+    so the result is bit for bit ``np.hypot.reduce(x, axis=-1)``."""
+    norm = np.hypot.reduce(np.ascontiguousarray(np.transpose(x)), axis=0).T
+    return norm[..., None] if keepdims else norm
 
 
 def affine_vjp(x: np.ndarray, layer, upstream: np.ndarray,

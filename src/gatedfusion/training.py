@@ -25,12 +25,16 @@ layer in one layout and records the gate's variant, which
 Training is SGD with momentum, mini-batch gradients averaged over the
 batch, and everything (init, shuffling) drawn from one seeded generator,
 so a run is bitwise reproducible from its config.  ``bank_inputs`` builds a
-bank's model inputs once per call of ``train`` or ``eval``: the object
-block is aggregated only for a kind that reads ``o``, and it goes through
-the scale stage, which has no parameters, once per bank.  The batch loop
-and the validation pass then run the model's own weight arrays with no
-scale stage on those rows, which gives the scaled model's scores bit for
-bit, since the stage scales each row on its own.
+bank's object block once per bank, aggregation and scale, and keeps it,
+read-only, while the bank lives: the block is aggregated only for a kind
+that reads ``o``, and it goes through the scale stage, which has no
+parameters, when it is built, so every later ``train`` or ``eval`` on that
+bank reads it again.  A bank and its blocks never change; re-enabling
+``writeable`` on a block and changing it breaks that contract, and every
+later call on the bank reads the changed rows.  The batch loop and the
+validation pass run the model's own weight arrays with no scale stage on
+those rows, which gives the scaled model's scores bit for bit, since the
+stage scales each row on its own.
 
 ``forward_model``, ``model_backward``, ``loss_and_grads``, ``softmax`` and
 ``softmax_nll`` work on the last axis: one segment's features ``(dim,)`` or
@@ -49,6 +53,7 @@ them too.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -331,6 +336,11 @@ def _require_labels(bank: FeatureBank, labels: np.ndarray, target: str) -> None:
         raise ValidationError(f"record {bank.ids[np.argmax(labels < 0)]!r} has no {target} label")
 
 
+# bank -> {(aggregation, scale): its object block, read-only}; an entry dies
+# with its bank, whose blocks never change.
+_OBJECT_BLOCKS = weakref.WeakKeyDictionary()
+
+
 def bank_inputs(model: Model, bank: FeatureBank,
                 aggregation: AggregationConfig) -> tuple[Model, np.ndarray, np.ndarray]:
     """The model inputs of ``bank`` for ``model``, as ``(core, V, O)`` with
@@ -338,15 +348,22 @@ def bank_inputs(model: Model, bank: FeatureBank,
     the clip block.  ``O`` is the object block aggregated by
     ``aggregation`` and passed through ``model``'s scale stage, or a
     zero-width block, with nothing aggregated, for a kind that never reads
-    ``o``.  ``core`` is ``model`` with scale ``none``; it holds the same
-    weight arrays, so an update to one is an update to the other."""
+    ``o``.  ``O`` is built on the first call for its bank, aggregation and
+    scale, made read-only, and handed back on every later call while the
+    bank lives.  ``core`` is ``model`` with scale ``none``; it holds the
+    same weight arrays, so an update to one is an update to the other."""
     variant, both = _FUSIONS[model.fusion_kind]
     if variant is None and not both:
         return model, bank.clip, np.empty((len(bank.ids), 0))
-    V, O = bank_features(bank, aggregation)
-    if model.scale.kind != "none":
-        O = scale_object_feature(O, V, model.scale)
-    return replace(model, scale=ScaleMode()), V, O
+    blocks = _OBJECT_BLOCKS.setdefault(bank, {})
+    key = (aggregation, model.scale)
+    if key not in blocks:
+        V, O = bank_features(bank, aggregation)
+        if model.scale.kind != "none":
+            O = scale_object_feature(O, V, model.scale)
+        O.flags.writeable = False
+        blocks[key] = O
+    return replace(model, scale=ScaleMode()), bank.clip, blocks[key]
 
 
 def train(bank: FeatureBank, target: str, spec: ModelSpec, cfg: TrainConfig,

@@ -1519,16 +1519,18 @@ class TestZipCodec:
 
 
 class TestGradcheckCommand:
+    @pytest.mark.parametrize("divisor,shown", [("1e-320", "1e-320"), ("0", "0.0")],
+                             ids=["1e-320", "0"])
     @pytest.mark.parametrize("command", ["train", "gradcheck"])
     def test_divisor_without_finite_reciprocal_fails_before_any_bank_loads(
-            self, tmp_path, capsys, command):
+            self, tmp_path, capsys, command, divisor, shown):
         argv = {"train": ["train", "--bank", tmp_path / "missing.bank", "--target", "noun",
                           "--seed", 0],
                 "gradcheck": ["gradcheck"]}[command]
-        assert run(*argv, "--fusion", "gfa-a", "--scale", "scalar", "--scale-divisor", "1e-320",
+        assert run(*argv, "--fusion", "gfa-a", "--scale", "scalar", "--scale-divisor", divisor,
                    "--out-dir", tmp_path / "out") == 1
         assert capsys.readouterr().err == (
-            "gatedfusion: error: scale_divisor must be >= 5.56268464626801e-309, got 1e-320\n")
+            f"gatedfusion: error: scale_divisor must be >= 5.56268464626801e-309, got {shown}\n")
         assert not (tmp_path / "out").exists()
 
     def test_step_whose_stencil_overflows_is_exit_one(self, tmp_path, capsys):

@@ -55,9 +55,34 @@ class TestSigmoid:
     @given(st.lists(st.floats(min_value=-30, max_value=30, allow_nan=False),
                     min_size=1, max_size=16).map(np.array))
     def test_strict_range(self, x):
-        # beyond |x| ~ 37 float64 rounds the result onto the boundary
+        # beyond |x| ~ 36 float64 rounds the result onto the boundary
         out = tensor.sigmoid(x)
         assert np.all(out > 0.0) and np.all(out < 1.0)
+
+    def test_the_range_is_closed_where_float64_rounds_onto_it(self):
+        below, at_one, above, at_zero = tensor.sigmoid(np.array([36.7, 36.8, -745.0, -746.0]))
+        assert below < 1.0 and at_one == 1.0
+        assert above == 5e-324 and at_zero == 0.0
+
+    @pytest.mark.parametrize("x", [
+        np.array([0.0, -0.0, np.inf, -np.inf, 40.0, -40.0, -746.0]),
+        np.array([5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-310, -1e-310]),
+        np.random.default_rng(7).normal(scale=20.0, size=(9, 13)),
+        np.random.default_rng(8).normal(scale=1e3, size=(3, 4, 5)),
+    ], ids=["signed-zeros-infs-tails", "subnormals", "block", "wide-block"])
+    def test_bits_are_the_two_exp_formula(self, x):
+        expected = np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
+        assert tensor.sigmoid(x).tobytes() == expected.tobytes()
+
+    def test_a_scalar_is_taken(self):
+        assert tensor.sigmoid(0.0) == 0.5 and tensor.sigmoid(np.float64(-746.0)) == 0.0
+
+    def test_returns_a_new_array_and_leaves_x_unchanged(self):
+        x = np.array([[-3.0, 0.0, 2.5], [40.0, -746.0, 1e-310]])
+        before = x.copy()
+        out = tensor.sigmoid(x)
+        assert out is not x and not np.shares_memory(out, x)
+        assert x.tobytes() == before.tobytes()
 
     @given(st.lists(st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
                     min_size=1, max_size=16).map(np.array))
@@ -94,6 +119,17 @@ class TestL2Norm:
         with np.errstate(all="raise"):
             assert tensor.l2_norm(np.array([3e200, 4e200])) == pytest.approx(5e200, rel=1e-15)
             assert tensor.l2_norm(np.array([3e-200, 4e-200])) == pytest.approx(5e-200, rel=1e-15)
+
+    @given(st.sampled_from([(0,), (3, 0), (7,), (5, 3), (4, 14, 6)]), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_bits_are_the_last_axis_reduction(self, shape, keepdims, seed):
+        # mantissas in [-1, 1) times 10^e for e in [-300, 300]
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.integers(-300, 301, shape)
+        out = tensor.l2_norm(x, keepdims=keepdims)
+        expected = np.hypot.reduce(x, axis=-1, keepdims=keepdims)
+        assert type(out) is type(expected) and np.shape(out) == np.shape(expected)
+        assert np.asarray(out).tobytes() == np.asarray(expected).tobytes()
 
     def test_rows_of_a_block(self):
         x = np.array([[3.0, 4.0], [0.0, 0.0], [-5.0, 12.0]])

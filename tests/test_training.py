@@ -1,7 +1,9 @@
+import gc
 import importlib.util
 import json
 import re
 import warnings
+import weakref
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
@@ -456,6 +458,58 @@ class TestBankInputs:
         train(bank, "noun", spec, TrainConfig(epochs=3, batch_size=8),
               val_bank if val else None)
         assert calls == [(37, 5), (11, 5)][:1 + val]
+
+    def test_a_bank_is_aggregated_and_scaled_once_per_key(self):
+        bank, _ = _input_banks()
+        model = init_model("gfa-a", bank.dim_v, bank.dim_o, bank.noun_vocab_size,
+                           scale=ScaleMode("norm"), rng=np.random.default_rng(8))
+        agg = AggregationConfig(k=2)
+        O = bank_inputs(model, bank, agg)[2]
+        assert bank_inputs(model, bank, agg)[2] is O
+        # a model of another kind with the same scale reads the same block
+        other = init_model("concat", bank.dim_v, bank.dim_o, bank.noun_vocab_size,
+                           scale=ScaleMode("norm"), rng=np.random.default_rng(9))
+        assert bank_inputs(other, bank, AggregationConfig(k=2))[2] is O
+        with pytest.raises(ValueError, match="read-only"):
+            O[0, 0] = 1.0
+        fresh = [bank_inputs(model, bank, AggregationConfig(k=3))[2],
+                 bank_inputs(replace(model, scale=ScaleMode("norm-scalar", s=2.0)), bank, agg)[2],
+                 bank_inputs(model, replace(bank), agg)[2]]
+        for block in fresh:
+            assert block is not O and not np.shares_memory(block, O)
+        assert fresh[2].tobytes() == O.tobytes()  # a copied bank has the same rows
+
+    def test_the_block_dies_with_its_bank(self):
+        bank, _ = _input_banks()
+        model = init_model("concat", bank.dim_v, bank.dim_o, bank.noun_vocab_size,
+                           rng=np.random.default_rng(8))
+        block = weakref.ref(bank_inputs(model, bank, AggregationConfig())[2])
+        gc.collect()  # banks of earlier tests that only a cycle kept go first
+        entries = len(training._OBJECT_BLOCKS)
+        assert block() is not None
+        del bank
+        gc.collect()
+        assert block() is None
+        assert len(training._OBJECT_BLOCKS) == entries - 1
+
+    @pytest.mark.parametrize("kind,scale", _KINDS, ids=_KIND_IDS)
+    def test_training_twice_on_the_same_banks_is_bitwise_the_oracle(self, monkeypatch,
+                                                                      kind, scale):
+        bank, val_bank = _input_banks()
+        spec = ModelSpec(fusion=kind, scale=scale, aggregation=AggregationConfig(k=2))
+        cfg = TrainConfig(learning_rate=0.05, epochs=3, batch_size=8, seed=4)
+        first = train(bank, "noun", spec, cfg, val_bank)
+        aggregated = []
+        real = training.bank_features
+        monkeypatch.setattr(training, "bank_features",
+                            lambda *args: aggregated.append(args) or real(*args))
+        second = train(bank, "noun", spec, cfg, val_bank)
+        assert aggregated == []  # the blocks of the first call are read again
+        ref_model, ref_history = reference_train(bank, "noun", spec, cfg, val_bank)
+        assert first[1] == second[1] == ref_history
+        for name, arr in param_groups(ref_model).items():
+            for model, _ in (first, second):
+                assert param_groups(model)[name].tobytes() == arr.tobytes(), name
 
     def test_clip_only_never_aggregates(self, monkeypatch, tmp_path):
         from gatedfusion import cli
