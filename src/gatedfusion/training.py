@@ -24,12 +24,12 @@ layer in one layout and records the gate's variant, which
 
 Training is SGD with momentum, mini-batch gradients averaged over the
 batch, and everything (init, shuffling) drawn from one seeded generator,
-so a run is bitwise reproducible from its config.  ``bank_inputs`` builds a
-bank's object block once per bank, aggregation and scale, and keeps it,
-read-only, while the bank lives: the block is aggregated only for a kind
-that reads ``o``, and it goes through the scale stage, which has no
-parameters, when it is built, so every later ``train`` or ``eval`` on that
-bank reads it again.  A bank and its blocks never change; re-enabling
+so a run is bitwise reproducible from its config.  ``bank_inputs``
+aggregates a bank's object block once per aggregation, passes that block
+through the scale stage, which has no parameters, once per scale, and keeps
+each, read-only, while the bank lives: nothing is aggregated for a kind
+that never reads ``o``, and every later ``train`` or ``eval`` on that bank
+reads the blocks again.  A bank and its blocks never change; re-enabling
 ``writeable`` on a block and changing it breaks that contract, and every
 later call on the bank reads the changed rows.  The batch loop and the
 validation pass run the model's own weight arrays with no scale stage on
@@ -336,8 +336,9 @@ def _require_labels(bank: FeatureBank, labels: np.ndarray, target: str) -> None:
         raise ValidationError(f"record {bank.ids[np.argmax(labels < 0)]!r} has no {target} label")
 
 
-# bank -> {(aggregation, scale): its object block, read-only}; an entry dies
-# with its bank, whose blocks never change.
+# bank -> {(aggregation, scale): its object block, read-only}, where scale
+# ``none`` holds the aggregated block that every other scale is built from;
+# an entry dies with its bank, whose blocks never change.
 _OBJECT_BLOCKS = weakref.WeakKeyDictionary()
 
 
@@ -350,19 +351,20 @@ def bank_inputs(model: Model, bank: FeatureBank,
     zero-width block, with nothing aggregated, for a kind that never reads
     ``o``.  ``O`` is built on the first call for its bank, aggregation and
     scale, made read-only, and handed back on every later call while the
-    bank lives.  ``core`` is ``model`` with scale ``none``; it holds the
-    same weight arrays, so an update to one is an update to the other."""
+    bank lives; every scale starts from the one aggregated block.  ``core``
+    is ``model`` with scale ``none``; it holds the same weight arrays, so an
+    update to one is an update to the other."""
     variant, both = _FUSIONS[model.fusion_kind]
     if variant is None and not both:
         return model, bank.clip, np.empty((len(bank.ids), 0))
     blocks = _OBJECT_BLOCKS.setdefault(bank, {})
-    key = (aggregation, model.scale)
+    raw, key = (aggregation, ScaleMode()), (aggregation, model.scale)
+    if raw not in blocks:
+        blocks[raw] = bank_features(bank, aggregation)[1]
+        blocks[raw].flags.writeable = False
     if key not in blocks:
-        V, O = bank_features(bank, aggregation)
-        if model.scale.kind != "none":
-            O = scale_object_feature(O, V, model.scale)
-        O.flags.writeable = False
-        blocks[key] = O
+        blocks[key] = scale_object_feature(blocks[raw], bank.clip, model.scale)
+        blocks[key].flags.writeable = False
     return replace(model, scale=ScaleMode()), bank.clip, blocks[key]
 
 

@@ -935,7 +935,8 @@ class TestOneNpyLayout:
     """A zip input is read only as the codec writes each member: npy 1.0 of
     a C-ordered array.  A member that ``np.load`` reads as the same array,
     but Fortran-ordered or under an npy 2.0 header, is a ValidationError
-    naming the file and the member, and ``actions`` on it exits 1."""
+    naming the file and the member, and ``actions`` on it, or ``stats`` on a
+    bank, exits 1."""
 
     @pytest.mark.parametrize("kind", ["fortran", "npy-2.0"])
     @pytest.mark.parametrize("target,member,load", [
@@ -959,6 +960,10 @@ class TestOneNpyLayout:
         assert run_actions(paths, tmp_path / "act") == 1
         assert capsys.readouterr().err == f"gatedfusion: error: {path}: {member} {fault}\n"
         assert not (tmp_path / "act").exists()
+        if target == "bank":  # stats reads the bank alone
+            assert run("stats", "--bank", path, "--out-dir", tmp_path / "stats") == 1
+            assert capsys.readouterr().err == f"gatedfusion: error: {path}: {member} {fault}\n"
+            assert not (tmp_path / "stats").exists()
 
 
 def tiny_eval_inputs(root):

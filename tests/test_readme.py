@@ -49,9 +49,32 @@ def test_every_command_exits_zero_and_reweighting_lifts_action_top1(tmp_path, mo
                                               "gradcheck"}
     for argv in commands:
         assert main(argv) == 0, argv
+    report = json.loads(Path("actions/action_report.json").read_text())
+    assert list(report) == ["action", "verb", "noun"]
     # the README's stated result of its walkthrough
-    action = json.loads(Path("actions/action_report.json").read_text())["action"]
+    action = report["action"]
     assert action["reweighted"]["top1"] > action["plain"]["top1"]
+    # np.load opens the action table; each row's kept pairs ascend, and its
+    # ids block is the val bank's, so its rows are that bank's records
+    with np.load("actions/action_scores.npz", allow_pickle=False) as npz:
+        assert npz.files == ["header", "scores", "actions", "ids"]
+        header, scores, actions, ids = (npz[key] for key in npz.files)
+    assert (np.diff(actions, axis=1) > 0).all()
+    with np.load("data/val.bank", allow_pickle=False) as npz:
+        assert np.array_equal(ids, npz["ids"])
+        labels = npz["labels"]
+    # The re-weighted accuracy is the one read off the saved table, each row
+    # ordered by (-score, action index) as label_ranks ranks.  All 5 x 12 =
+    # 60 pairs are kept, so every row holds its true pair and both are exact.
+    assert actions.shape == (len(labels), 60)
+    ranked = np.take_along_axis(actions, np.lexsort((actions, -scores)), axis=1)
+    ranks = np.argmax(ranked == (labels[:, 0] * header[1] + labels[:, 1])[:, None], axis=1)
+    assert action["reweighted"] == {f"top{k}": np.count_nonzero(ranks < k) / len(ranks)
+                                    for k in (1, 5)}
+    # the prior actions counted is a zip np.load opens, of relative frequencies
+    with np.load("actions/prior.npz", allow_pickle=False) as npz:
+        assert npz.files == ["header", "mu", "ids"]
+        assert abs(npz["mu"].sum() - 1.0) <= 1e-12
 
 
 def test_library_example_runs(tmp_path, monkeypatch):

@@ -13,7 +13,7 @@ import pytest
 from gatedfusion import training
 from gatedfusion.bank import AggregationConfig, SynthSpec, bank_features, synth_generate
 from gatedfusion.errors import ShapeError, ValidationError
-from gatedfusion.gfa import Affine, ScaleMode
+from gatedfusion.gfa import Affine, ScaleMode, scale_object_feature
 from gatedfusion.scoring import ScoreTable, topk_report
 from gatedfusion.training import (Checkpoint, Model, ModelSpec,
                                   TrainConfig, bank_inputs, forward_model,
@@ -459,8 +459,12 @@ class TestBankInputs:
               val_bank if val else None)
         assert calls == [(37, 5), (11, 5)][:1 + val]
 
-    def test_a_bank_is_aggregated_and_scaled_once_per_key(self):
+    def test_a_bank_is_aggregated_and_scaled_once_per_key(self, monkeypatch):
         bank, _ = _input_banks()
+        aggregated = []
+        real = training.bank_features
+        monkeypatch.setattr(training, "bank_features",
+                            lambda *args: aggregated.append(args) or real(*args))
         model = init_model("gfa-a", bank.dim_v, bank.dim_o, bank.noun_vocab_size,
                            scale=ScaleMode("norm"), rng=np.random.default_rng(8))
         agg = AggregationConfig(k=2)
@@ -472,11 +476,22 @@ class TestBankInputs:
         assert bank_inputs(other, bank, AggregationConfig(k=2))[2] is O
         with pytest.raises(ValueError, match="read-only"):
             O[0, 0] = 1.0
+        # another scale, or none, on the same bank and aggregation scales the
+        # block aggregated for the first call, and aggregates nothing again
+        blocks = {ScaleMode("norm"): O}
+        for scale, owner in ((ScaleMode("norm-scalar", s=2.0), model), (ScaleMode(), other)):
+            blocks[scale] = bank_inputs(replace(owner, scale=scale), bank, agg)[2]
+        assert len(aggregated) == 1
+        for scale, block in blocks.items():
+            assert not block.flags.writeable
+            assert block.tobytes() == \
+                scale_object_feature(bank_features(bank, agg)[1], bank.clip, scale).tobytes()
         fresh = [bank_inputs(model, bank, AggregationConfig(k=3))[2],
-                 bank_inputs(replace(model, scale=ScaleMode("norm-scalar", s=2.0)), bank, agg)[2],
+                 blocks[ScaleMode("norm-scalar", s=2.0)],
                  bank_inputs(model, replace(bank), agg)[2]]
         for block in fresh:
             assert block is not O and not np.shares_memory(block, O)
+        assert len(aggregated) == 3  # another aggregation, and a copied bank
         assert fresh[2].tobytes() == O.tobytes()  # a copied bank has the same rows
 
     def test_the_block_dies_with_its_bank(self):
