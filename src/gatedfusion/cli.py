@@ -42,7 +42,7 @@ from .scoring import (ScoreTable, compute_prior, load_prior, load_score_table, s
 from .tensor import l2_norm
 from .training import (Checkpoint, FUSION_KINDS, TARGETS, ModelSpec, TrainConfig,
                        bank_inputs, fit_labels, forward_model, grad_check, init_model,
-                       load_checkpoint, save_checkpoint, softmax, target_labels, train)
+                       load_checkpoint, log_softmax, save_checkpoint, target_labels, train)
 
 _REQUIRED = object()
 # The config keys that name input files: a manifest's inputs are those a run was given.
@@ -179,11 +179,10 @@ def _cmd_eval(cfg: dict, paths: dict) -> int:
     bank = load_feature_bank(cfg["bank"])
     labels = fit_labels(bank, ckpt.target, (ckpt.dim_v, ckpt.dim_o), ckpt.classes, "checkpoint")
     scores, _ = forward_model(*bank_inputs(ckpt.model, bank, ckpt.aggregation))
-    save_score_table(ScoreTable(segment_ids=bank.ids, scores=softmax(scores), space=ckpt.target),
-                     paths["scores"])
+    save_score_table(ScoreTable(bank.ids, log_softmax(scores), ckpt.target), paths["scores"])
 
     report: dict = {"target": ckpt.target, "segments": len(bank.ids)}
-    if (labels >= 0).all():  # the logits, as val_top1 ranks: probabilities tie at 0
+    if (labels >= 0).all():  # the logits, as val_top1 ranks
         report.update(topk_report(scores, labels))
     write_json(report, paths["report"])
     print(json.dumps(report))

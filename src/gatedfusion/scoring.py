@@ -1,26 +1,26 @@
 """Verb-noun action scoring: co-occurrence prior, re-weighting, top-k
 accuracy and score tables.
 
-An action is a (verb, noun) pair.  The plain action score is the product of
-the verb and noun probabilities; re-weighting multiplies in a prior mu(v, n)
-built from training-set co-occurrence frequencies, so pairs never seen in
-training score exactly zero and implausible combinations drop out of the
-ranking.
+An action is a (verb, noun) pair.  Verb and noun tables hold
+log-probabilities; the plain action score is their sum, and re-weighting
+adds the log of a prior mu(v, n) built from training-set co-occurrence
+frequencies, so pairs never seen in training score -inf and implausible
+combinations drop out of the ranking.
 
 Every accuracy counts from one ranking rule: ``label_ranks`` ranks each
 row's true label once, and ``topk_report`` gives every k of a report from
 those ranks.  ``score_actions_for_bank`` follows the same rule without a
 (rows, verbs * nouns) block.  It scores the prior's support, widened by the
-action indices below ``_ACTION_WIDTH`` only when a row has fewer positive
-scores than that, keeps each row's first ``_ACTION_WIDTH`` pairs in that
-order in one selection, and reads the re-weighted rank off them; it ranks
-the plain product from each row's top verbs x top nouns.
+action indices below ``_ACTION_WIDTH`` when the support is narrower than
+that, keeps each row's first ``_ACTION_WIDTH`` pairs in that order in one
+selection, and reads the re-weighted rank off them; it ranks the plain sum
+from each row's top verbs x top nouns.
 
 A ``ScoreTable`` holds only ids that keep the bank's id rule and never
-repeat, a 2-D float64 block of finite scores and, for an action table only,
-its integer class counts and the action index of each kept score, in every
-space, checked once as it is built and unchangeable after, so no table can
-be saved that would not load.
+repeat, a 2-D float64 block of scores, finite but for an action table's
+-inf, and, for an action table only, its integer class counts and the
+action index of each kept score, in every space, checked once as it is
+built and unchangeable after, so no table can be saved that would not load.
 ``save_score_table`` writes a table of every space, and ``save_prior`` a
 prior, as a zip of the bank's codec in ``errors``, the one file format of
 each; a user's own model builds a ``ScoreTable`` or an ``ActionPrior`` and
@@ -79,11 +79,12 @@ class ActionPrior:
 @dataclass(frozen=True, eq=False)
 class ScoreTable:
     """Per-segment class scores: one aligned row per segment id.  The ids
-    keep the bank's id rule and never repeat, ``scores`` is a 2-D float64
-    array of finite scores, and an action table, only, declares integer
-    ``verb_classes`` and ``noun_classes`` of at least 1 and holds
-    ``actions``: each row's kept (verb, noun) pairs as verb-major action
-    indices, an int64 array shaped like ``scores``, each row strictly
+    keep the bank's id rule and never repeat, and ``scores`` is a 2-D
+    float64 array of finite scores, but for an action table's -inf, the
+    score of a pair outside the prior's support.  An action table, only,
+    declares integer ``verb_classes`` and ``noun_classes`` of at least 1
+    and holds ``actions``: each row's kept (verb, noun) pairs as verb-major
+    action indices, an int64 array shaped like ``scores``, each row strictly
     ascending within ``[0, verb_classes * noun_classes)``, of width
     ``min(_ACTION_WIDTH, verb_classes * noun_classes)``.  ``scores[r, j]`` is
     the score of pair ``actions[r, j]``.  The ids are a tuple and the arrays
@@ -107,7 +108,8 @@ class ScoreTable:
         if scores.ndim != 2 or scores.shape[0] != len(self.segment_ids):
             raise ValidationError(
                 f"score table: {len(self.segment_ids)} ids but scores shaped {scores.shape}")
-        if not np.isfinite(scores).all():
+        finite = np.isfinite(scores) | (scores == -np.inf) & (self.space == "action")
+        if not finite.all():
             raise ValidationError("score table contains non-finite entries")
         if self.space != "action":
             if any(count is not None for count in counts):
@@ -244,26 +246,26 @@ def table_labels(table: ScoreTable, bank: FeatureBank) -> np.ndarray:
     return labels
 
 
+@np.errstate(divide="ignore", over="ignore")  # log 0, and a sum past -1.8e308, is -inf
 def score_actions_for_bank(verb_table: ScoreTable, noun_table: ScoreTable, prior: ActionPrior,
                            bank: FeatureBank, names=("verb table", "noun table")
                            ) -> tuple[ScoreTable, dict, np.ndarray]:
-    """Per-segment re-weighted action scores, as an action table of each
-    row's top ``min(_ACTION_WIDTH, verbs * nouns)`` pairs, top-k accuracy
-    with the prior and with mu replaced by all-ones (the plain ``pv * pn``
-    product), and the (rows, 2) verb and noun labels of the rows, joined
-    from ``bank`` once.  A table of the wrong space, or with a negative
-    score (verb and noun scores must be >= 0, as softmax probabilities
-    are), is a ValidationError that starts with its entry of ``names``, the
-    verb slot first.
+    """Per-segment re-weighted action scores ``(log pv + log mu) + log pn``
+    as an action table of each row's top ``min(_ACTION_WIDTH, verbs *
+    nouns)`` pairs, top-k accuracy with the prior and with mu replaced by
+    all-ones (the plain ``log pv + log pn``), and the (rows, 2) verb and noun
+    labels of the rows, joined from ``bank`` once.  A table of the wrong
+    space, or with a positive score (verb and noun tables hold
+    log-probabilities, as ``eval`` writes them), is a ValidationError that
+    starts with its entry of ``names``, the verb slot first.
 
     Every ranking follows ``label_ranks``, and no (rows, verbs * nouns)
-    block is built.  The candidate pairs are the prior's support, plus the
-    pairs below the width when some row has fewer positive scores than the
-    width; every other pair scores exactly 0, and each candidate's score has
-    ``reweight_actions``' bits.  A row keeps its first width candidates in
-    ``label_ranks``' order, which are its first width pairs of all, so the
-    kept pairs ahead of the true pair are its re-weighted rank, exact below
-    the width."""
+    block is built.  Every pair outside the prior's support scores -inf, so
+    the candidates are the support, plus the pairs below the width when the
+    support is narrower than the width or a sum overflows to -inf.  A row
+    keeps its first width candidates in ``label_ranks``' order, which are
+    its first width pairs of all, so the kept pairs ahead of the true pair
+    are its re-weighted rank, exact below the width."""
     for table, space, name in zip((verb_table, noun_table), ("verb", "noun"), names):
         if table.space != space:
             raise ValidationError(f"{name}: space is {table.space!r}, expected {space!r}")
@@ -278,43 +280,34 @@ def score_actions_for_bank(verb_table: ScoreTable, noun_table: ScoreTable, prior
             f"bank vocab {bank.verb_vocab_size}x{bank.noun_vocab_size} does not match prior "
             f"{verbs}x{nouns}")
     for table, name in zip((verb_table, noun_table), names):
-        negative = np.flatnonzero((table.scores < 0).any(axis=1))
-        if negative.size:
-            raise ValidationError(f"{name}: segment {table.segment_ids[negative[0]]!r} has a "
-                                  f"negative score; actions takes scores >= 0")
+        positive = np.flatnonzero((table.scores > 0).any(axis=1))
+        if positive.size:
+            raise ValidationError(f"{name}: segment {table.segment_ids[positive[0]]!r} has a "
+                                  f"positive score; actions takes log-probabilities <= 0")
 
-    pv, pn = verb_table.scores, noun_table.scores
+    pv, pn = verb_table.scores, noun_table.scores  # log-probabilities
     labels = table_labels(verb_table, bank)
     true = labels[:, 0] * nouns + labels[:, 1]  # the verb-major action index
     plain = _plain_ranks(pv, pn, labels)
     width = min(_ACTION_WIDTH, verbs * nouns)
+    log_mu = np.log(prior.mu)
 
-    def pair_scores(pairs: np.ndarray) -> np.ndarray:
-        # reweight_actions' products in its order, so each score has its bits
+    # Every pair outside the support scores -inf, as does a sum over it that
+    # overflows past -1.8e308.  A row of fewer than width finite scores keeps
+    # -inf pairs, lowest index first, so they all lie below width.
+    support = np.flatnonzero(prior.mu)
+    for pairs in (support, np.union1d(support, np.arange(width))):
         v, n = np.divmod(pairs, nouns)
         scores = pv[:, v]
-        scores *= prior.mu[v, n]  # pv * mu: mu * pv's bits
-        scores *= pn[:, n]
-        return scores
-
-    # Every score is >= 0, and every pair outside the support scores 0.  A
-    # row of fewer than width positive scores keeps zero-score pairs, lowest
-    # index first, so they all lie below width.
-    pairs = np.flatnonzero(prior.mu)  # the support
-    scores = pair_scores(pairs)
-    positive = np.count_nonzero(scores > 0, axis=1)
-    if (positive < width).any():
-        pairs = np.union1d(pairs, np.arange(width))
-        scores = pair_scores(pairs)
-    # A row keeps every score above its width-th best, `last` (0 in a row of
-    # at most width positive scores), then as many tied with it as fit,
-    # lowest index first: its first width pairs in label_ranks' order.
-    many = np.flatnonzero(positive > width)
-    kth = max(len(pairs) - width, 0)  # many is empty when kth is 0
-    last = np.zeros((len(true), 1))
-    best = scores[many]
-    best.partition(kth, axis=1)
-    last[many] = best[:, kth, None]
+        scores += log_mu[v, n]
+        scores += pn[:, n]
+        if len(pairs) >= width and not np.isneginf(scores).any():
+            break  # every row has at least width finite scores on the support
+    # A row keeps every score above its width-th best, `last`, then as many
+    # tied with it as fit, lowest index first: its first width pairs in
+    # label_ranks' order.
+    kth = len(pairs) - width
+    last = np.partition(scores, kth, axis=1)[:, kth, None] if kth else -np.inf
     keep, tied = scores > last, scores == last
     room = width - np.count_nonzero(keep, axis=1)
     over = np.flatnonzero(np.count_nonzero(tied, axis=1) > room)
@@ -325,30 +318,30 @@ def score_actions_for_bank(verb_table: ScoreTable, noun_table: ScoreTable, prior
 
     # The kept pairs ahead of the true pair: its rank below width, else width.
     rows = np.arange(len(true))
-    t = (prior.mu[labels[:, 0], labels[:, 1]] * pv[rows, labels[:, 0]]
-         * pn[rows, labels[:, 1]])[:, None]
+    t = ((pv[rows, labels[:, 0]] + log_mu[labels[:, 0], labels[:, 1]])
+         + pn[rows, labels[:, 1]])[:, None]
     reweighted = np.count_nonzero((kept > t) | ((kept == t) & (actions < true[:, None])), axis=1)
     table = ScoreTable(verb_table.segment_ids, kept, "action", verbs, nouns, actions)
     return table, {"reweighted": _ranks_report(reweighted), "plain": _ranks_report(plain)}, labels
 
 
 def _plain_ranks(pv: np.ndarray, pn: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """``label_ranks`` of the plain products ``pv[r, v] * pn[r, n]`` at each
+    """``label_ranks`` of the plain sums ``pv[r, v] + pn[r, n]`` at each
     row's true (verb, noun) pair, exact below ``k = max(_TOPK)`` and at
-    least ``k`` otherwise, for scores >= 0.
+    least ``k`` otherwise.
 
     Each row counts the pairs ahead of its true pair among its top-k verbs
     x top-k nouns.  A pair outside that block has a verb or a noun no better
     than the (k+1)-th, and rounding is monotone, if not strictly, so its
-    product is at most ``B = max(pv_(k+1) * pn_(1), pv_(1) * pn_(k+1))``.
-    A row whose true product beats ``B`` thus has its exact rank in the
-    block, and one with k pairs ahead ranks at least k.  Any other row,
-    where the true product ties with or falls below ``B`` (zeros included),
-    is ranked densely, a bounded chunk of rows at a time."""
+    sum is at most ``B = max(pv_(k+1) + pn_(1), pv_(1) + pn_(k+1))``.  A
+    row whose true sum beats ``B`` thus has its exact rank in the block,
+    and one with k pairs ahead ranks at least k.  Any other row, where the
+    true sum ties with or falls below ``B``, is ranked densely, a bounded
+    chunk of rows at a time."""
     k, nouns = max(_TOPK), pn.shape[1]
     rows = np.arange(len(labels))[:, None]
     true = labels[:, 0] * nouns + labels[:, 1]
-    t = (pv[rows[:, 0], labels[:, 0]] * pn[rows[:, 0], labels[:, 1]])[:, None, None]
+    t = (pv[rows[:, 0], labels[:, 0]] + pn[rows[:, 0], labels[:, 1]])[:, None, None]
     bound = np.full(len(labels), -np.inf)
     top = []
     for p, other in ((pv, pn), (pn, pv)):
@@ -358,15 +351,15 @@ def _plain_ranks(pv: np.ndarray, pn: np.ndarray, labels: np.ndarray) -> np.ndarr
             continue
         order = np.argpartition(p, classes - k - 1, axis=1)
         top.append(order[:, classes - k:])
-        bound = np.maximum(bound, p[rows[:, 0], order[:, classes - k - 1]] * other.max(axis=1))
-    products = pv[rows, top[0]][:, :, None] * pn[rows, top[1]][:, None, :]
+        bound = np.maximum(bound, p[rows[:, 0], order[:, classes - k - 1]] + other.max(axis=1))
+    sums = pv[rows, top[0]][:, :, None] + pn[rows, top[1]][:, None, :]
     index = top[0][:, :, None] * nouns + top[1][:, None, :]
-    ranks = np.count_nonzero((products > t) | ((products == t) & (index < true[:, None, None])),
+    ranks = np.count_nonzero((sums > t) | ((sums == t) & (index < true[:, None, None])),
                              axis=(1, 2))
     dense = np.flatnonzero((ranks < k) & ~(t[:, 0, 0] > bound))
     step = max(1, _DENSE_ENTRIES // (pv.shape[1] * nouns))
     for chunk in (dense[i:i + step] for i in range(0, len(dense), step)):
-        block = (pv[chunk, :, None] * pn[chunk, None, :]).reshape(len(chunk), -1)
+        block = (pv[chunk, :, None] + pn[chunk, None, :]).reshape(len(chunk), -1)
         ranks[chunk] = label_ranks(block, true[chunk])
     return ranks
 

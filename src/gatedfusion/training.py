@@ -36,8 +36,8 @@ validation pass run the model's own weight arrays with no scale stage on
 those rows, which gives the scaled model's scores bit for bit, since the
 stage scales each row on its own.
 
-``forward_model``, ``model_backward``, ``loss_and_grads``, ``softmax`` and
-``softmax_nll`` work on the last axis: one segment's features ``(dim,)`` or
+``forward_model``, ``model_backward``, ``loss_and_grads``, ``log_softmax``
+and ``softmax_nll`` work on the last axis: one segment's features ``(dim,)`` or
 a block of B segments ``(B, dim)`` take the same code path, so a mini-batch
 is one forward and one backward pass.  Parameter gradients are summed over
 rows; ``loss_and_grads`` returns the batch-mean loss and the gradients of
@@ -73,7 +73,7 @@ __all__ = [
     "ModelSpec",
     "TrainConfig",
     "Checkpoint",
-    "softmax",
+    "log_softmax",
     "softmax_nll",
     "forward_model",
     "model_backward",
@@ -161,27 +161,32 @@ def _exp_rows(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return shifted, e, np.add.reduce(e, axis=-1, keepdims=True)
 
 
-def softmax(scores: np.ndarray) -> np.ndarray:
-    """Stable softmax over the last axis: entries >= 0 summing to one.  An
-    entry over about 745 below its row's maximum underflows to exactly 0."""
-    _, e, total = _exp_rows(scores)
-    return e / total
+def log_softmax(scores: np.ndarray) -> np.ndarray:
+    """Log-probabilities ``s - logsumexp(s)`` over the last axis: entries <= 0
+    whose exps sum to one, keeping their order where probabilities underflow to 0."""
+    shifted, _, total = _exp_rows(scores)
+    return np.subtract(shifted, np.log(total), out=shifted)
 
 
-def softmax_nll(scores: np.ndarray, label) -> tuple[np.ndarray, np.ndarray]:
-    """``softmax(scores)`` and each row's loss ``logsumexp(s) - s[label]``,
-    read from the scores, so a label far below its row's maximum costs its
-    exact margin.  ``label`` is an int for one row of ``scores`` or an int
-    array with one label per row; the losses have the shape of the labels."""
+def _softmax_nll_mask(scores: np.ndarray, label) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``softmax_nll``'s probabilities and losses, and the label mask that picked them."""
     labels = np.asarray(label)
     if labels.shape != scores.shape[:-1]:
         raise ShapeError(f"labels have shape {labels.shape}, expected {scores.shape[:-1]}")
     shifted, e, total = _exp_rows(scores)
     # An out-of-range label matches no class, so its row picks nothing.
-    picked = shifted[np.arange(scores.shape[-1]) == labels[..., None]]
+    mask = np.arange(scores.shape[-1]) == labels[..., None]
+    picked = shifted[mask]
     if picked.size != labels.size:
         raise ValidationError(f"label {label} out of range for {scores.shape[-1]} classes")
-    return e / total, np.log(total[..., 0]) - picked.reshape(labels.shape)
+    return e / total, np.log(total[..., 0]) - picked.reshape(labels.shape), mask
+
+
+def softmax_nll(scores: np.ndarray, label) -> tuple[np.ndarray, np.ndarray]:
+    """The softmax of ``scores`` and each row's loss ``logsumexp(s) - s[label]``, exact
+    however far the label is below its row's maximum.  ``label`` is an int for one row
+    or an int array, one label per row; the losses have the shape of the labels."""
+    return _softmax_nll_mask(scores, label)[:2]
 
 
 @dataclass
@@ -241,10 +246,11 @@ def loss_and_grads(model: Model, v: np.ndarray, o_agg: np.ndarray, label,
     ``inputs=False`` leaves out the ``v`` and ``o`` gradients, which
     training does not read."""
     scores, cache = forward_model(model, v, o_agg)
-    probs, nll = softmax_nll(scores, label)
+    dscores, nll, onehot = _softmax_nll_mask(scores, label)
     loss = float(np.add.reduce(nll.ravel()) / nll.size)
-    onehot = np.arange(probs.shape[-1]) == np.asarray(label)[..., None]
-    return loss, model_backward(model, cache, (probs - onehot) / nll.size, inputs=inputs)
+    dscores -= onehot  # the probabilities, in place
+    dscores /= nll.size
+    return loss, model_backward(model, cache, dscores, inputs=inputs)
 
 
 def sgd_momentum_step(params: np.ndarray, grads: np.ndarray, velocity: np.ndarray,

@@ -18,7 +18,7 @@ import pytest
 
 from gatedfusion import training
 from gatedfusion.bank import Detection, FeatureBank, SegmentRecord, SynthSpec, bank_features
-from gatedfusion.scoring import ActionPrior, label_ranks, reweight_actions, topk_report
+from gatedfusion.scoring import ActionPrior, label_ranks, topk_report
 
 
 def central_diff(f, x, step=1e-5):
@@ -109,15 +109,17 @@ def dense_prior(freq, verbs, nouns):
 
 
 def dense_action_oracle(pv, pn, prior, labels):
-    """Test-side oracle for ``scoring.score_actions_for_bank``, built from the
-    dense (rows, verbs * nouns) blocks: the re-weighted and plain reports,
+    """Test-side oracle for ``scoring.score_actions_for_bank`` on verb and
+    noun log-probabilities, built from the dense (rows, verbs * nouns) blocks
+    ``(pv + log mu) + pn`` and ``pv + pn``: the re-weighted and plain reports,
     each row's first ``min(100, verbs * nouns)`` pairs in ``label_ranks``'
     order, sorted, and the re-weighted block's scores at those pairs."""
     verbs, nouns = prior.mu.shape
     rows, pairs = len(labels), verbs * nouns
     true = labels[:, 0] * nouns + labels[:, 1]
-    reweighted = reweight_actions(pv, pn, prior).reshape(rows, pairs)
-    plain = (pv[:, :, None] * pn[:, None, :]).reshape(rows, pairs)
+    with np.errstate(divide="ignore", over="ignore"):  # log 0, and a sum past -1.8e308, is -inf
+        reweighted = ((pv[:, :, None] + np.log(prior.mu)) + pn[:, None, :]).reshape(rows, pairs)
+        plain = (pv[:, :, None] + pn[:, None, :]).reshape(rows, pairs)
     ranks = np.stack([label_ranks(reweighted, np.full(rows, a)) for a in range(pairs)], axis=1)
     kept = np.nonzero(ranks < min(100, pairs))[1].reshape(rows, -1)
     return ({"reweighted": topk_report(reweighted, true), "plain": topk_report(plain, true)},

@@ -278,8 +278,8 @@ def _confusion_instance(seed, segments=40, verbs=5, nouns=8):
             detections=[], verb_label=v, noun_label=n))
     test_bank = FeatureBank.from_records(test_records, dim_v=2, dim_o=2,
                                          verb_vocab_size=verbs, noun_vocab_size=nouns)
-    vt = ScoreTable(segment_ids=ids, scores=np.stack(verb_rows), space="verb")
-    nt = ScoreTable(segment_ids=ids, scores=np.stack(noun_rows), space="noun")
+    vt = ScoreTable(segment_ids=ids, scores=np.log(verb_rows), space="verb")
+    nt = ScoreTable(segment_ids=ids, scores=np.log(noun_rows), space="noun")
     _, metrics, _ = score_actions_for_bank(vt, nt, prior, test_bank)
     return metrics["reweighted"]["top1"], metrics["plain"]["top1"]
 

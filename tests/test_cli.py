@@ -69,9 +69,9 @@ def tiny_action_inputs(root):
     paths["bank"], paths["prior"] = root / "test.bank", root / "prior.npz"
     save_feature_bank(FeatureBank.from_records(records, dim_v=2, dim_o=2, verb_vocab_size=2,
                                                noun_vocab_size=3), paths["bank"])
-    save_score_table(ScoreTable(segment_ids=ids, space="verb", scores=np.array(
+    save_score_table(ScoreTable(segment_ids=ids, space="verb", scores=np.log(
         [[0.9, 0.1], [0.2, 0.8], [0.4, 0.6], [0.5, 0.5]])), paths["verb"])
-    save_score_table(ScoreTable(segment_ids=ids, space="noun", scores=np.array(
+    save_score_table(ScoreTable(segment_ids=ids, space="noun", scores=np.log(
         [[0.4, 0.1, 0.5], [0.1, 0.4, 0.5], [0.3, 0.3, 0.4], [0.2, 0.2, 0.6]])), paths["noun"])
     save_prior(ActionPrior(np.array([[0.5, 0.0, 0.0], [0.0, 0.25, 0.25]])), paths["prior"])
     return paths
@@ -168,7 +168,9 @@ class TestTrainEval:
         table = load_score_table(tmp_path / "eval/scores.txt")
         assert table.space == "noun"
         assert len(table.segment_ids) == 20
-        assert np.allclose(table.scores.sum(axis=1), 1.0, atol=1e-12)
+        # log-probabilities: finite, <= 0, and their exps sum to one
+        assert np.isfinite(table.scores).all() and (table.scores <= 0).all()
+        assert np.abs(np.exp(table.scores).sum(axis=1) - 1.0).max() <= 1e-12
 
     def test_empty_val_bank_is_exit_one_before_any_write(self, tmp_path, capsys):
         synth(tmp_path / "data", train=20, val=5)
@@ -459,27 +461,51 @@ class TestTrainEval:
         # Acceptance criterion 4's unscaled concat model, the README's
         # mm-concat: most of its noun probabilities underflow to exactly 0,
         # and ranked on those ties the true class fell behind every
-        # lower-indexed zero, so top-5 read 0.63.
-        synth(tmp_path / "mm", seed=42, train=500, val=200, mismatch=1000, jitter=1.5,
-              noun_in_clip=1.0, noise=0.35)
-        assert run("train", "--bank", tmp_path / "mm/train.bank",
-                   "--val-bank", tmp_path / "mm/val.bank", "--target", "noun",
-                   "--fusion", "concat", "--lr", 0.1, "--epochs", 80, "--seed", 7,
-                   "--out-dir", tmp_path / "run") == 0
-        assert run("eval", "--checkpoint", tmp_path / "run/checkpoint.json",
-                   "--bank", tmp_path / "mm/val.bank", "--out-dir", tmp_path / "eval") == 0
-        ckpt = load_checkpoint(tmp_path / "run/checkpoint.json")
+        # lower-indexed zero, so top-5 read 0.63.  The table holds
+        # log-probabilities, which keep the logits' order.
+        _train_mm(tmp_path, ("noun", "concat"))
+        ckpt = load_checkpoint(tmp_path / "run-noun/checkpoint.json")
         bank = load_feature_bank(tmp_path / "mm/val.bank")
         scores, _ = training.forward_model(*training.bank_inputs(ckpt.model, bank,
                                                                  ckpt.aggregation))
-        probs = load_score_table(tmp_path / "eval/scores.txt").scores
-        assert np.array_equal(probs, training.softmax(scores))  # the table keeps them
-        assert np.mean(probs == 0.0) > 0.9
-        report = json.loads((tmp_path / "eval/eval_report.json").read_text())
+        logp = load_score_table(tmp_path / "eval-noun/scores.txt").scores
+        assert np.array_equal(logp, training.log_softmax(scores))  # the table keeps them
+        assert np.mean(np.exp(logp) == 0.0) > 0.9 and np.isfinite(logp).all()
+        report = json.loads((tmp_path / "eval-noun/eval_report.json").read_text())
         assert report == {"target": "noun", "segments": 200,
                           **scoring.topk_report(scores, bank.labels[:, 1])}
-        history = json.loads((tmp_path / "run/history.json").read_text())
+        assert report == {"target": "noun", "segments": 200,
+                          **scoring.topk_report(logp, bank.labels[:, 1])}
+        history = json.loads((tmp_path / "run-noun/history.json").read_text())
         assert report["top1"] == history[-1]["val_top1"] and report["top5"] >= 0.9
+
+    def test_actions_ranks_a_saturated_noun_table_as_eval_does(self, tmp_path):
+        # mm-concat's noun table beside a clip-only verb head trained on mm
+        # with the same flags: the noun block of actions' report is eval's
+        # report of that table, top-5 0.95, where probability tables read 0.63.
+        _train_mm(tmp_path, ("noun", "concat"), ("verb", "clip-only"))
+        assert run("actions", "--verb-table", tmp_path / "eval-verb/scores.txt",
+                   "--noun-table", tmp_path / "eval-noun/scores.txt",
+                   "--bank", tmp_path / "mm/val.bank", "--train-bank", tmp_path / "mm/train.bank",
+                   "--out-dir", tmp_path / "act") == 0
+        noun = json.loads((tmp_path / "act/action_report.json").read_text())["noun"]
+        report = json.loads((tmp_path / "eval-noun/eval_report.json").read_text())
+        assert noun == {"top1": report["top1"], "top5": report["top5"]}
+        assert noun["top5"] == 0.95
+
+
+def _train_mm(root, *heads):
+    """Criterion 4's mismatch-1000 banks under ``root/mm``, and for each
+    (target, fusion) head an unscaled 80-epoch run in ``run-<target>`` and
+    its ``eval`` on the val bank in ``eval-<target>``."""
+    synth(root / "mm", seed=42, train=500, val=200, mismatch=1000, jitter=1.5,
+          noun_in_clip=1.0, noise=0.35)
+    for target, fusion in heads:
+        assert run("train", "--bank", root / "mm/train.bank", "--val-bank", root / "mm/val.bank",
+                   "--target", target, "--fusion", fusion, "--lr", 0.1, "--epochs", 80,
+                   "--seed", 7, "--out-dir", root / f"run-{target}") == 0
+        assert run("eval", "--checkpoint", root / f"run-{target}/checkpoint.json",
+                   "--bank", root / "mm/val.bank", "--out-dir", root / f"eval-{target}") == 0
 
 
 class TestActions:
@@ -572,26 +598,26 @@ class TestActions:
             pv, pn, scoring.ActionPrior(np.ones((10, 20))), bank.labels)
         table = load_score_table(tmp_path / "act/action_scores.npz")
         assert np.array_equal(table.actions, actions)
-        plain = (pv[:, :, None] * pn[:, None, :]).reshape(len(pv), -1)
+        plain = (pv[:, :, None] + pn[:, None, :]).reshape(len(pv), -1)
         assert table.scores.tobytes() == scores.tobytes() == \
             np.take_along_axis(plain, actions, 1).tobytes()
 
     @pytest.mark.parametrize("name", ["verb", "noun"])
-    def test_a_negative_score_is_exit_one_naming_the_table(self, tmp_path, capsys, name):
-        # actions takes scores >= 0, as softmax probabilities are
+    def test_a_positive_score_is_exit_one_naming_the_table(self, tmp_path, capsys, name):
+        # actions takes log-probabilities, which are <= 0
         paths = tiny_action_inputs(tmp_path)
         t = load_score_table(paths[name])
         scores = t.scores.copy()
-        scores[2, 1] = -0.25
+        scores[2, 1] = 0.25
         save_score_table(dataclasses.replace(t, scores=scores), paths[name])
         assert run_actions(paths, tmp_path / "act") == 1
         assert capsys.readouterr().err == (
-            f"gatedfusion: error: {paths[name]}: segment 's2' has a negative score; actions "
-            f"takes scores >= 0\n")
+            f"gatedfusion: error: {paths[name]}: segment 's2' has a positive score; actions "
+            f"takes log-probabilities <= 0\n")
         assert not list((tmp_path / "act").glob("*"))
 
     def test_zero_scores_of_either_sign_are_accepted(self, tmp_path):
-        # softmax underflows to exactly 0, and -0.0 is not below 0
+        # a certain class has log-probability 0, and -0.0 is not above 0
         paths = tiny_action_inputs(tmp_path)
         for name, column in (("verb", 1), ("noun", 0)):
             t = load_score_table(paths[name])
@@ -604,9 +630,9 @@ class TestActions:
 
     def test_the_instability_experiments_zero_heavy_tables(self, tmp_path):
         # Criterion 4's banks: the softmax of an unscaled concat head
-        # underflows to exactly 0 in most entries, so ranks tie at 0, the
-        # plain ranks fall back to dense blocks and rows are filled with
-        # zero-score pairs.  The report and table equal the dense blocks'.
+        # underflows to exactly 0 in most entries, where its log-probability
+        # keeps the logits' order.  The report and table equal the dense
+        # log-space blocks', and the verb and noun reports equal eval's.
         synth(tmp_path / "mm", seed=42, train=500, val=200, mismatch=1000, jitter=1.5,
               noun_in_clip=1.0, noise=0.35)
         bank = tmp_path / "mm/val.bank"
@@ -618,13 +644,13 @@ class TestActions:
                        "--bank", bank, "--out-dir", tmp_path / f"eval-{target}") == 0
         pv, pn = (load_score_table(tmp_path / f"eval-{t}/scores.txt").scores
                   for t in ("verb", "noun"))
-        assert (pv == 0).mean() > 0.5 and (pn == 0).mean() > 0.5
+        assert (np.exp(pv) == 0).mean() > 0.5 and (np.exp(pn) == 0).mean() > 0.5
         with mock.patch.object(scoring, "label_ranks", wraps=scoring.label_ranks) as ranks:
             assert run("actions", "--verb-table", tmp_path / "eval-verb/scores.txt",
                        "--noun-table", tmp_path / "eval-noun/scores.txt", "--bank", bank,
                        "--train-bank", tmp_path / "mm/train.bank",
                        "--out-dir", tmp_path / "act") == 0
-        assert ranks.call_count > 2  # the verb and noun reports, and the dense fallback
+        assert ranks.call_count == 2  # the verb and noun reports: no sum ties at 0 any more
         labels = load_feature_bank(bank).labels
         prior = load_prior(tmp_path / "act/prior.npz", 10, 20)
         action, actions, scores = dense_action_oracle(pv, pn, prior, labels)
@@ -712,9 +738,9 @@ class TestActions:
         save_feature_bank(test_bank, tmp_path / "test.bank")
         ids = ["s0", "s1"]
         vt = ScoreTable(segment_ids=ids, space="verb",
-                        scores=np.array([[0.9, 0.1], [0.1, 0.9]]))
+                        scores=np.log([[0.9, 0.1], [0.1, 0.9]]))
         nt = ScoreTable(segment_ids=ids, space="noun",
-                        scores=np.array([[0.4, 0.1, 0.5], [0.1, 0.4, 0.5]]))
+                        scores=np.log([[0.4, 0.1, 0.5], [0.1, 0.4, 0.5]]))
         save_score_table(vt, tmp_path / "verb.txt")
         save_score_table(nt, tmp_path / "noun.txt")
         assert run("actions", "--verb-table", tmp_path / "verb.txt",
@@ -742,7 +768,7 @@ class TestActions:
         # the tables are checked against each other before prior.npz is written
         paths = tiny_action_inputs(tmp_path)
         save_score_table(ScoreTable(segment_ids=["s1", "s0", "s2", "s3"], space="noun",
-                                    scores=np.full((4, 3), 1 / 3)), paths["noun"])
+                                    scores=np.full((4, 3), np.log(1 / 3))), paths["noun"])
         assert run("actions", "--verb-table", paths["verb"], "--noun-table", paths["noun"],
                    "--bank", paths["bank"], "--train-bank", paths["bank"],
                    "--out-dir", tmp_path / "act") == 1
@@ -762,7 +788,7 @@ class TestActions:
             [SegmentRecord("t0", np.zeros(2), 0, [], 1, 2)], dim_v=2, dim_o=2,
             verb_vocab_size=2, noun_vocab_size=train_nouns), train_bank)
         save_score_table(ScoreTable(segment_ids=["s0", "s1", "s2", "s3"][:rows], space="noun",
-                                    scores=np.full((rows, nouns), 1 / nouns)), paths["noun"])
+                                    scores=np.full((rows, nouns), -np.log(nouns))), paths["noun"])
         assert run("actions", "--verb-table", paths["verb"], "--noun-table", paths["noun"],
                    "--bank", paths["bank"], "--train-bank", train_bank,
                    "--out-dir", tmp_path / "act") == 1

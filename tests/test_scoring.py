@@ -234,16 +234,16 @@ class TestScoreActionsForBank:
     def test_all_ones_prior_matches_plain(self):
         rng = np.random.default_rng(5)
         bank = labeled_bank([(0, 1), (1, 0), (2, 3)])
-        vt = table([rng.dirichlet(np.ones(4)) for _ in range(3)], space="verb")
-        nt = table([rng.dirichlet(np.ones(4)) for _ in range(3)], space="noun")
+        vt = table(np.log(rng.dirichlet(np.ones(4), 3)), space="verb")
+        nt = table(np.log(rng.dirichlet(np.ones(4), 3)), space="noun")
         prior = ActionPrior(mu=np.ones((4, 4)))
         _, metrics, _ = score_actions_for_bank(vt, nt, prior, bank)
         assert metrics["reweighted"] == metrics["plain"]
 
     def test_returns_the_label_block_of_its_one_join(self):
         bank = labeled_bank([(0, 1), (1, 0), (2, 3)])
-        vt = table(np.full((2, 4), 0.25), space="verb", ids=["s2", "s0"])
-        nt = table(np.full((2, 4), 0.25), space="noun", ids=["s2", "s0"])
+        vt = table(np.full((2, 4), np.log(0.25)), space="verb", ids=["s2", "s0"])
+        nt = table(np.full((2, 4), np.log(0.25)), space="noun", ids=["s2", "s0"])
         _, _, labels = score_actions_for_bank(vt, nt, ActionPrior(mu=np.ones((4, 4))), bank)
         assert labels.tolist() == [[2, 3], [0, 1]]
 
@@ -258,8 +258,8 @@ class TestScoreActionsForBank:
         verb_rows = [rng.dirichlet(np.ones(3) * 0.5) for _ in pairs]
         noun_rows = [np.full(3, 1.0 / 3.0) for _ in pairs]
         ids = [f"s{i}" for i in range(len(pairs))]
-        vt = table(verb_rows, space="verb", ids=ids)
-        nt = table(noun_rows, space="noun", ids=ids)
+        vt = table(np.log(verb_rows), space="verb", ids=ids)
+        nt = table(np.log(noun_rows), space="noun", ids=ids)
         _, metrics, _ = score_actions_for_bank(vt, nt, prior, bank)
         verb_top1 = topk_report(vt.scores, [p[0] for p in pairs])["top1"]
         assert metrics["reweighted"]["top1"] == verb_top1
@@ -269,24 +269,24 @@ class TestScoreActionsForBank:
         # noun confusion mass sits on pairs absent from training
         bank = labeled_bank([(0, 0), (1, 1)], verb_vocab=2, noun_vocab=3)
         prior = compute_prior(bank)
-        vt = table([[0.9, 0.1], [0.1, 0.9]], space="verb")
+        vt = table(np.log([[0.9, 0.1], [0.1, 0.9]]), space="verb")
         # true noun gets 0.4, an unsupported-for-this-verb noun gets 0.5
-        nt = table([[0.4, 0.1, 0.5], [0.1, 0.4, 0.5]], space="noun")
+        nt = table(np.log([[0.4, 0.1, 0.5], [0.1, 0.4, 0.5]]), space="noun")
         _, metrics, _ = score_actions_for_bank(vt, nt, prior, bank)
         assert metrics["plain"]["top1"] == 0.0
         assert metrics["reweighted"]["top1"] == 1.0
 
     def test_misaligned_tables(self):
         bank = labeled_bank([(0, 0)])
-        vt = table([[1.0, 0.0, 0.0, 0.0]], space="verb", ids=["s0"])
-        nt = table([[1.0, 0.0, 0.0, 0.0]], space="noun", ids=["zz"])
+        vt = table([[0.0, -1.0, -1.0, -1.0]], space="verb", ids=["s0"])
+        nt = table([[0.0, -1.0, -1.0, -1.0]], space="noun", ids=["zz"])
         with pytest.raises(ValidationError, match="misaligned"):
             score_actions_for_bank(vt, nt, ActionPrior(mu=np.ones((4, 4))), bank)
 
     def test_segment_missing_from_bank(self):
         bank = labeled_bank([(0, 0)])
-        vt = table([[1.0, 0.0, 0.0, 0.0]], space="verb", ids=["nope"])
-        nt = table([[1.0, 0.0, 0.0, 0.0]], space="noun", ids=["nope"])
+        vt = table([[0.0, -1.0, -1.0, -1.0]], space="verb", ids=["nope"])
+        nt = table([[0.0, -1.0, -1.0, -1.0]], space="noun", ids=["nope"])
         with pytest.raises(ValidationError, match="nope"):
             score_actions_for_bank(vt, nt, ActionPrior(mu=np.ones((4, 4))), bank)
 
@@ -296,48 +296,56 @@ class TestScoreActionsForBank:
     ])
     def test_a_table_of_the_other_space_is_named_by_its_slot(self, spaces, message):
         bank = labeled_bank([(0, 0)])
-        vt, nt = (table([[1.0, 0.0, 0.0, 0.0]], space=space) for space in spaces)
+        vt, nt = (table([[0.0, -1.0, -1.0, -1.0]], space=space) for space in spaces)
         with pytest.raises(ValidationError) as exc:
             score_actions_for_bank(vt, nt, ActionPrior(mu=np.ones((4, 4))), bank)
         assert str(exc.value) == message
 
 
 _ORACLE_KINDS = ("random", "true-pair-outside-support", "underflow", "ties-at-100", "zero-fill",
-                 "eye", "small-vocab", "support-is-width")
+                 "eye", "small-vocab", "support-is-width", "overflow")
 
 
 def _oracle_case(kind: str, seed: int):
-    """Verb and noun tables, a prior and labels of one kind of action input."""
+    """Verb and noun log-probability tables, a prior and labels of one kind
+    of action input."""
     rng = np.random.default_rng(seed)
     verbs, nouns, rows = (4, 5, 20) if kind == "small-vocab" else (12, 15, 25)
     mu = np.where(rng.uniform(size=(verbs, nouns)) < 0.6, rng.uniform(size=(verbs, nouns)), 0.0)
-    pv, pn = rng.dirichlet(np.ones(verbs), rows), rng.dirichlet(np.ones(nouns), rows)
+    pv, pn = (np.log(rng.dirichlet(np.ones(verbs), rows)),
+              np.log(rng.dirichlet(np.ones(nouns), rows)))
     labels = np.stack([rng.integers(verbs, size=rows), rng.integers(nouns, size=rows)], axis=1)
     if kind == "true-pair-outside-support":
         mu[labels[:, 0], labels[:, 1]] = 0.0
-    elif kind == "underflow":  # support products of 1e-340 and below are exactly 0
-        pv[::2] *= 1e-170
-        pn[::3] *= 1e-170
+    elif kind == "underflow":  # as probabilities, support products of 1e-340 and below are 0
+        pv[::2] += np.log(1e-170)
+        pn[::3] += np.log(1e-170)
     elif kind == "ties-at-100":  # quarter steps: many exact ties, at the 100th place too
-        mu[mu > 0] = 0.5
-        pv, pn = rng.integers(1, 4, (rows, verbs)) / 4, rng.integers(1, 4, (rows, nouns)) / 4
-    elif kind == "zero-fill":  # 20 supported pairs: each row keeps 80 zero-score pairs too
+        mu[mu > 0] = 1.0
+        pv, pn = -rng.integers(0, 3, (rows, verbs)) / 4, -rng.integers(0, 3, (rows, nouns)) / 4
+    elif kind == "zero-fill":  # 20 supported pairs: each row keeps 80 pairs at -inf too
         mu = np.zeros((verbs, nouns))
         mu.flat[rng.choice(verbs * nouns, 20, replace=False)] = 0.05
-    elif kind == "eye":
-        pv, pn = np.eye(verbs)[labels[:, 0]], np.eye(nouns)[rng.integers(nouns, size=rows)]
-    elif kind == "support-is-width":  # 100 supported pairs, positive in every row
+    elif kind == "eye":  # saturated: each row's other classes sit 1000 below its best
+        pv = np.where(np.eye(verbs, dtype=bool)[labels[:, 0]], 0.0, -1000.0)
+        pn = np.where(np.eye(nouns, dtype=bool)[rng.integers(nouns, size=rows)], 0.0, -1000.0)
+    elif kind == "support-is-width":  # 100 supported pairs, finite in every row
         mu = np.zeros((verbs, nouns))
         support = np.r_[0, rng.choice(np.arange(1, verbs * nouns), 99, replace=False)]
         mu.flat[support] = rng.uniform(0.1, 1.0, 100)
+    elif kind == "overflow":  # 151 supported pairs, but rows 0, 6, ... have 45 finite sums
+        mu = rng.uniform(0.1, 1.0, (verbs, nouns))
+        mu.flat[1:30] = 0.0
+        pv[::2, :9] = -1e308  # a sum of two of these passes -1.8e308: -inf
+        pn[::3] = -1e308
     mu.flat[0] = max(mu.flat[0], 0.1)  # a prior has a positive entry
     return pv, pn, ActionPrior(mu), labels
 
 
 class TestActionsAgainstTheDenseOracle:
-    """``actions`` scores the prior's support, ranks the plain product from
-    a candidate block and keeps each row's top 100: every result equals the
-    dense blocks' of ``reweight_actions`` and ``label_ranks``."""
+    """``actions`` scores the prior's support, ranks the plain sum from a
+    candidate block and keeps each row's top 100: every result equals the
+    dense log-space blocks' of ``label_ranks``."""
 
     @staticmethod
     def _check(pv, pn, prior, labels, tmp_path):
@@ -351,7 +359,7 @@ class TestActionsAgainstTheDenseOracle:
         loaded = load_score_table(tmp_path / "action_scores.npz")
         for got in (t, loaded):
             assert np.array_equal(got.actions, kept)
-            assert got.scores.tobytes() == scores.tobytes()  # bit for bit, signed zeros too
+            assert got.scores.tobytes() == scores.tobytes()  # bit for bit, -inf too
         return metrics
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -368,27 +376,59 @@ class TestActionsAgainstTheDenseOracle:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_the_support_is_width_case_neither_partitions_nor_fills(self, seed):
-        # Every row has exactly 100 positive scores, all on the support: the
+        # Every row has exactly 100 finite scores, all on the support: the
         # traffic of the score workload, whose support is 100 pairs.
-        pv, pn, prior, _ = _oracle_case("support-is-width", seed)
+        pv, pn, prior, labels = _oracle_case("support-is-width", seed)
         assert np.count_nonzero(prior.mu) == 100
-        positive = np.count_nonzero(reweight_actions(pv, pn, prior) > 0, axis=(1, 2))
-        assert (positive == 100).all()
+        scores = dense_action_oracle(pv, pn, prior, labels)[2]
+        assert np.isfinite(scores).all() and scores.shape == (25, 100)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_the_underflow_case_ranks_rows_whose_probability_products_are_zero(self, seed):
+        pv, pn, prior, labels = _oracle_case("underflow", seed)
+        products = reweight_actions(np.exp(pv), np.exp(pn), prior)
+        assert (products[::6] == 0).all()  # as probabilities, every pair of these rows ties at 0
+        kept = dense_action_oracle(pv, pn, prior, labels)[2]  # in log space every sum is finite
+        assert (np.isfinite(kept[::6]).sum(axis=1) == min(100, np.count_nonzero(prior.mu))).all()
+
+    def test_the_fill_ranks_a_true_pair_outside_the_support(self, tmp_path, monkeypatch):
+        # 20 finite scores a row, then 80 pairs at -inf, lowest index first;
+        # a true pair among them ranks behind every lower-indexed one.
+        monkeypatch.setattr(scoring, "_TOPK", (1, 5, 100))
+        pv, pn, prior, labels = _oracle_case("zero-fill", 0)
+        metrics = self._check(pv, pn, prior, labels, tmp_path)
+        t = load_score_table(tmp_path / "action_scores.npz")
+        assert (np.isneginf(t.scores).sum(axis=1) == 100 - np.count_nonzero(prior.mu)).all()
+        true = labels[:, 0] * 15 + labels[:, 1]
+        filled = [r for r in range(len(labels)) if prior.mu.flat[true[r]] == 0
+                  and true[r] in t.actions[r]]
+        assert filled and 0 < metrics["reweighted"]["top100"] < 1
+        for r in filled:
+            assert t.scores[r, list(t.actions[r]).index(true[r])] == -np.inf
 
     def test_a_rounding_tie_outside_the_candidate_block_is_ranked_densely(self, tmp_path):
-        # Six verbs whose scores differ in the 12th digit, times one subnormal
-        # noun score: every product rounds to the same subnormal.  Verb 0 has
-        # the lowest score, so it lies outside the top-5 verbs, yet its pair
-        # ties with the true pair (1, 0) and wins on index: the true rank is 1,
-        # while the candidate block alone counts 0 pairs ahead.
-        pv = np.array([[1.0 + i * 1e-12 for i in range(6)]])
-        pn = np.array([[1e-320]])
-        assert len(set((pv[0] * pn[0, 0]).tolist())) == 1
+        # Six verbs whose log-probabilities differ in the 12th digit, plus one
+        # noun log-probability so far below that every sum rounds to it.
+        # Verb 0 has the lowest score, so it lies outside the top-5 verbs, yet
+        # its pair ties with the true pair (1, 0) and wins on index: the true
+        # rank is 1, while the candidate block alone counts 0 pairs ahead.
+        pv = np.array([[-1.0 + i * 1e-12 for i in range(6)]])
+        pn = np.array([[-1e20]])
+        assert len(set((pv[0] + pn[0, 0]).tolist())) == 1 and len(set(pv[0].tolist())) == 6
         labels = np.array([[1, 0]])
         with mock.patch.object(scoring, "label_ranks", wraps=label_ranks) as ranks:
             metrics = self._check(pv, pn, ActionPrior(mu=np.ones((6, 1))), labels, tmp_path)
         assert ranks.call_count >= 1  # the dense fallback ran
         assert metrics["plain"] == {"top1": 0.0, "top5": 1.0}
+
+    def test_an_overflowed_sum_widens_the_candidates(self, tmp_path):
+        # 100 or more supported pairs, yet some rows have fewer than 100
+        # finite sums: their -inf pairs are the lowest-indexed of all pairs.
+        pv, pn, prior, labels = _oracle_case("overflow", 0)
+        assert np.count_nonzero(prior.mu) >= 100
+        scores = dense_action_oracle(pv, pn, prior, labels)[2]
+        assert (np.isfinite(scores).sum(axis=1) < 100).any()
+        self._check(pv, pn, prior, labels, tmp_path)
 
     def test_the_challenge_vocabulary_allocates_no_dense_block(self):
         # 125 x 352 pairs, 20 nouns per verb, 500 rows: one dense float64
@@ -400,8 +440,8 @@ class TestActionsAgainstTheDenseOracle:
             mu[v, rng.choice(nouns, 20, replace=False)] = 1 / (20 * verbs)
         labels = np.stack([rng.integers(verbs, size=rows), rng.integers(nouns, size=rows)], 1)
         bank = labeled_bank(labels.tolist(), verbs, nouns)
-        vt = table(rng.dirichlet(np.ones(verbs), rows), "verb")
-        nt = table(rng.dirichlet(np.ones(nouns), rows), "noun")
+        vt = table(np.log(rng.dirichlet(np.ones(verbs), rows)), "verb")
+        nt = table(np.log(rng.dirichlet(np.ones(nouns), rows)), "noun")
         tracemalloc.start()
         try:
             t, _, _ = score_actions_for_bank(vt, nt, ActionPrior(mu), bank)
@@ -418,8 +458,8 @@ class TestActionIndex:
         # in the action table and in the labels its accuracy is scored against
         pairs = [(v, n) for v in range(3) for n in range(5)]
         bank = labeled_bank(pairs, verb_vocab=3, noun_vocab=5)
-        vt = table(np.eye(3)[[v for v, _ in pairs]], space="verb")
-        nt = table(np.eye(5)[[n for _, n in pairs]], space="noun")
+        vt = table(np.log(np.eye(3) * 0.9 + 0.1)[[v for v, _ in pairs]], space="verb")
+        nt = table(np.log(np.eye(5) * 0.9 + 0.1)[[n for _, n in pairs]], space="noun")
         actions, metrics, _ = score_actions_for_bank(vt, nt, ActionPrior(mu=np.ones((3, 5))), bank)
         for row, scores, pair in zip(actions.actions, actions.scores, pairs):
             assert divmod(int(row[np.argmax(scores)]), 5) == pair
@@ -577,6 +617,27 @@ class TestFileFormats:
                                                   f"contains non-finite entries$"):
             load_score_table(path)
 
+    @pytest.mark.parametrize("score", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("space,header", [("verb", [2, -1]), ("noun", [-1, 2]),
+                                              ("action", [1, 2])])
+    def test_only_an_action_table_holds_minus_inf(self, tmp_path, space, header, score):
+        # -inf is the score of a pair outside the prior's support
+        scores = np.array([[-0.5, -0.5], [-0.5, score]])
+        members = {"header": np.array(header, dtype=np.int64), "scores": scores}
+        if space == "action":
+            members["actions"] = every_pair(2, 2)
+        path = tmp_path / "scores.npz"
+        path.write_bytes(reference_zip({**members, "ids": np.frombuffer(b"a\nb\n", np.uint8)}))
+        if space == "action" and score == -np.inf:
+            assert load_score_table(path).scores.tobytes() == scores.tobytes()
+            return
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: score table "
+                                                  f"contains non-finite entries$"):
+            load_score_table(path)
+        with pytest.raises(ValidationError, match="^score table contains non-finite entries$"):
+            ScoreTable(["a", "b"], scores, space, *header[:2 if space == "action" else 0],
+                       members.get("actions"))
+
 
 class TestActionPriorContract:
     @pytest.mark.parametrize("mu", [
@@ -627,7 +688,8 @@ def _score_columns(draw, rows: int, elements) -> list[float]:
 
 
 _EDGE_FLOATS = [5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e-300, 1e300,
-                1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0, 1e16, 1e-5]
+                1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0, 1e16, 1e-5,
+                -np.inf]  # only an action table builds with -inf
 
 
 # Ids are drawn from these characters, of one to four UTF-8 bytes, and one

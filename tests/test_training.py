@@ -19,51 +19,57 @@ from gatedfusion.training import (Checkpoint, Model, ModelSpec,
                                   TrainConfig, bank_inputs, forward_model,
                                   grad_check, init_model, load_checkpoint,
                                   loss_and_grads, param_groups, save_checkpoint,
-                                  sgd_momentum_step, softmax, softmax_nll,
+                                  log_softmax, sgd_momentum_step, softmax_nll,
                                   target_labels, train)
 
 from conftest import central_diff, logsumexp_nll, reference_train, rel_err
 
 
-class TestSoftmax:
-    def test_an_entry_far_below_its_row_maximum_is_exactly_zero(self):
-        # exp underflows past about -745: entries are >= 0, not all > 0
-        probs = softmax(np.array([[0.0, -744.0, -746.0, -1e4]]))
-        assert probs[0, 1] > 0 and (probs[0, 2:] == 0).all()
-        assert probs.sum() == 1.0
+class TestLogSoftmax:
+    def test_an_entry_far_below_its_row_maximum_keeps_its_margin(self):
+        # exp underflows past about -745, and the log-probability does not
+        logp = log_softmax(np.array([[0.0, -744.0, -746.0, -1e4]]))
+        assert np.isfinite(logp).all() and (logp <= 0).all()
+        assert logp[0, 0] == 0.0 and logp[0, 2] == -746.0 and logp[0, 3] == -1e4
+        assert (np.exp(logp[0, 2:]) == 0).all()
+        assert np.exp(logp).sum() == 1.0
 
     def test_symmetric(self):
-        assert np.array_equal(softmax(np.array([0.0, 0.0])), [0.5, 0.5])
+        assert np.array_equal(log_softmax(np.array([0.0, 0.0])), [-np.log(2.0)] * 2)
 
     def test_large_scores_stable(self):
         with np.errstate(over="raise"):
-            out = softmax(np.array([1000.0, 0.0]))
-        assert out[0] == pytest.approx(1.0, abs=1e-300)
-        assert out[1] == pytest.approx(0.0, abs=1e-300)
+            out = log_softmax(np.array([1000.0, 0.0]))
+        assert np.array_equal(out, [0.0, -1000.0])
 
     def test_closed_form(self):
-        out = softmax(np.array([np.log(1.0), np.log(3.0)]))
-        assert np.allclose(out, [0.25, 0.75], rtol=1e-14)
+        out = log_softmax(np.array([np.log(1.0), np.log(3.0)]))
+        assert np.allclose(out, np.log([0.25, 0.75]), rtol=1e-14)
 
-    def test_sums_to_one(self):
+    def test_exps_sum_to_one(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            out = softmax(rng.uniform(-50, 50, int(rng.integers(1, 20))))
-            assert abs(float(np.sum(out)) - 1.0) < 1e-12
-            assert np.all(out > 0)
+            out = log_softmax(rng.uniform(-50, 50, int(rng.integers(1, 20))))
+            assert abs(float(np.sum(np.exp(out))) - 1.0) < 1e-12
+            assert np.isfinite(out).all() and np.all(out <= 0)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(1)
         x = rng.uniform(-5, 5, 8)
-        a, b = softmax(x), softmax(x + 123.456)
-        assert rel_err(a, b, floor=1e-300) < 1e-12
+        a, b = log_softmax(x), log_softmax(x + 123.456)
+        assert np.abs(a - b).max() < 1e-12
 
     def test_rows_of_a_block(self):
         rng = np.random.default_rng(2)
         X = rng.uniform(-50, 50, (4, 6))
-        out = softmax(X)
+        out = log_softmax(X)
         for row, x in zip(out, X):
-            assert rel_err(row, softmax(x), floor=1e-300) < 1e-15
+            assert np.array_equal(row, log_softmax(x))
+
+    def test_the_softmax_is_its_exp(self):
+        scores = np.random.default_rng(3).uniform(-30, 30, (5, 7))
+        assert rel_err(np.exp(log_softmax(scores)), softmax_nll(scores, np.zeros(5, int))[0],
+                       floor=1e-300) < 1e-13
 
 
 class TestSoftmaxNll:
@@ -111,7 +117,8 @@ class TestSoftmaxNll:
         assert nll.shape == (2, 3)
         assert nll[1, 2] == pytest.approx(logsumexp_nll(scores[1, 2], 0), rel=1e-14)
         assert softmax_nll(scores[0, 0], 0)[1].shape == ()
-        assert np.array_equal(probs, softmax(scores))
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        assert np.array_equal(probs, e / e.sum(axis=-1, keepdims=True))
 
     def test_batch_loss_is_the_sum_of_row_losses_over_rows(self):
         # the same pairwise sum of the same values, so the same bits
@@ -545,7 +552,7 @@ class TestBankInputs:
         assert cli.main(["eval", "--checkpoint", str(tmp_path / "ckpt.json"),
                          "--bank", str(tmp_path / "val.bank"),
                          "--out-dir", str(tmp_path / "eval")]) == 0
-        scores = softmax(forward_model(model, val_bank.clip, np.zeros((11, 5)))[0])
+        scores = log_softmax(forward_model(model, val_bank.clip, np.zeros((11, 5)))[0])
         assert load_score_table(tmp_path / "eval/scores.txt").scores.tobytes() == \
             scores.tobytes()
 
@@ -664,7 +671,7 @@ class TestGradCheck:
         rng = np.random.default_rng(0)
         model = init_model("concat", 8, 8, 5, scale=ScaleMode("scalar", s=0.001), rng=rng)
         v, o, label = rng.uniform(-2, 2, 8), rng.uniform(-2, 2, 8), int(rng.integers(5))
-        assert softmax(forward_model(model, v, o)[0])[label] < 1e-30
+        assert log_softmax(forward_model(model, v, o)[0])[label] < np.log(1e-30)
         max_err, per_group, empty = grad_check(model, v, o, label)
         assert max_err < 1e-5 and not empty, per_group
 
@@ -1033,7 +1040,7 @@ class TestBenchmarkSpans:
             assert cli.main(["eval", "--checkpoint", str(tmp_path / "ckpt.json"),
                              "--bank", str(tmp_path / "bank.bank"),
                              "--out-dir", str(tmp_path / "eval")]) == 0
-            save_score_table(ScoreTable(bank.ids, np.full((12, 2), 0.5), "verb"),
+            save_score_table(ScoreTable(bank.ids, np.full((12, 2), np.log(0.5)), "verb"),
                              tmp_path / "verb.npz")
             assert cli.main(["actions", "--verb-table", str(tmp_path / "verb.npz"),
                              "--noun-table", str(tmp_path / "eval/scores.txt"),
